@@ -56,8 +56,8 @@ fn held_target() -> usize {
         .unwrap_or(10_000)
 }
 
-/// Same page shape as `proxy-ab`: ~12 KiB, no images, far under
-/// `MAX_LIVE_BODY`.
+/// ~12 KiB pages, no images, far under `MAX_LIVE_BODY` (the page shape
+/// the retired `proxy-ab` cells in `BENCH_pipeline.json` were taken on).
 fn site_config() -> SiteConfig {
     SiteConfig {
         n_pages: PAGES,

@@ -246,6 +246,11 @@ pub fn cdf_at(xs: &[f64], x: f64) -> f64 {
 mod tests {
     use super::*;
 
+    /// `PB_SCALE` is process-global and tests run on parallel threads:
+    /// every test that sets or clears it holds this lock, or one test's
+    /// `remove_var` lands between another's two reads.
+    pub(crate) static PB_SCALE_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn quantiles_and_cdf() {
         let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
@@ -261,6 +266,7 @@ mod tests {
 
     #[test]
     fn directory_replay_on_tiny_profile() {
+        let _env = PB_SCALE_ENV.lock().unwrap_or_else(|e| e.into_inner());
         std::env::remove_var("PB_SCALE");
         let log = {
             let p = profiles::aiusa(0.01);

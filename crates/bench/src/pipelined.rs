@@ -1,5 +1,5 @@
-//! A pipelined raw-socket HTTP client shared by the wire-path benches
-//! (`proxy-ab`, `proxy-c10k`): writes a batch of pre-serialized GETs in
+//! A pipelined raw-socket HTTP client for the wire-path benches
+//! (`proxy-c10k`): writes a batch of pre-serialized GETs in
 //! one syscall, then drains the responses, checking status (and
 //! optionally `X-Cache: HIT`) and using `Content-Length` to frame each
 //! body. Deliberately dumber and faster than [`HttpClient`]

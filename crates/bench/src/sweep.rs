@@ -421,6 +421,9 @@ mod tests {
 
     #[test]
     fn shared_log_is_generated_once() {
+        let _env = crate::tests::PB_SCALE_ENV
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         std::env::set_var("PB_SCALE", "0.02");
         let a = shared_server_log("aiusa");
         let b = shared_server_log("aiusa");

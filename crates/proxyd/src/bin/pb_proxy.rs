@@ -3,17 +3,13 @@
 //! ```text
 //! pb-proxy --origin 127.0.0.1:8080 [--port 8081] [--capacity-mb 32]
 //!          [--delta-secs 60] [--maxpiggy 10] [--no-rpv]
-//!          [--shards 8] [--legacy] [--pool-idle 32] [--workers 64]
-//!          [--no-metrics] [--no-report-hits] [--buffered-wire]
+//!          [--shards 8] [--pool-idle 32] [--workers 64]
+//!          [--no-metrics] [--no-report-hits]
 //!          [--io threaded|reactor] [--reactors N] [--idle-timeout-secs 120]
 //!          [--upstream-timeout-secs 30] [--prefetch-budget N] [--accept-push]
 //!          [--stream-threshold-kb 256] [--prefix-kb 64] [--client-body-cap-kb N]
 //! ```
 //!
-//! `--legacy` selects the single-lock, fresh-connection-per-fetch
-//! baseline; the default is the sharded, connection-pooled model.
-//! `--buffered-wire` selects the allocate-per-request buffered writer
-//! path instead of the default zero-copy scratch/writev path.
 //! `--io reactor` serves connections from the epoll reactor (Linux;
 //! other platforms fall back to the threaded pool) with `--reactors`
 //! SO_REUSEPORT accept shards (0 = auto) and an `--idle-timeout-secs`
@@ -34,7 +30,7 @@
 
 use piggyback_core::filter::ProxyFilter;
 use piggyback_core::types::DurationMs;
-use piggyback_proxyd::proxy::{start_proxy, ConcurrencyMode, ProxyConfig, WireMode};
+use piggyback_proxyd::proxy::{start_proxy, ProxyConfig};
 use piggyback_proxyd::IoMode;
 use std::net::SocketAddr;
 
@@ -46,12 +42,10 @@ fn main() {
     let mut maxpiggy = 10u32;
     let mut use_rpv = true;
     let mut shards = 8usize;
-    let mut legacy = false;
     let mut pool_idle = 32usize;
     let mut workers = 64usize;
     let mut metrics = true;
     let mut report_hits = true;
-    let mut buffered_wire = false;
     let mut io = IoMode::default();
     let mut reactors: Option<usize> = None;
     let mut idle_timeout_secs = 120u64;
@@ -76,13 +70,11 @@ fn main() {
             "--maxpiggy" => maxpiggy = value("--maxpiggy").parse().expect("number"),
             "--no-rpv" => use_rpv = false,
             "--shards" => shards = value("--shards").parse().expect("number"),
-            "--legacy" => legacy = true,
             "--pool-idle" => pool_idle = value("--pool-idle").parse().expect("number"),
             "--workers" => workers = value("--workers").parse().expect("number"),
             "--metrics" => metrics = true,
             "--no-metrics" => metrics = false,
             "--no-report-hits" => report_hits = false,
-            "--buffered-wire" => buffered_wire = true,
             "--io" => {
                 let v = value("--io");
                 io = IoMode::parse(&v).unwrap_or_else(|| {
@@ -112,8 +104,8 @@ fn main() {
                 println!(
                     "pb-proxy --origin HOST:PORT [--port 8081] [--capacity-mb 32] \
                      [--delta-secs 60] [--maxpiggy 10] [--no-rpv] \
-                     [--shards 8] [--legacy] [--pool-idle 32] [--workers 64] \
-                     [--no-metrics] [--no-report-hits] [--buffered-wire] \
+                     [--shards 8] [--pool-idle 32] [--workers 64] \
+                     [--no-metrics] [--no-report-hits] \
                      [--io threaded|reactor] [--reactors N] [--idle-timeout-secs 120] \
                      [--upstream-timeout-secs 30] [--prefetch-budget N] [--accept-push] \
                      [--stream-threshold-kb 256] [--prefix-kb 64] [--client-body-cap-kb N]"
@@ -139,18 +131,11 @@ fn main() {
     if !use_rpv {
         cfg.rpv = None;
     }
-    cfg.mode = if legacy {
-        ConcurrencyMode::Legacy
-    } else {
-        ConcurrencyMode::Sharded { shards }
-    };
+    cfg.shards = shards;
     cfg.pool_max_idle = pool_idle;
     cfg.serve.workers = workers;
     cfg.metrics = metrics;
     cfg.report_hits = report_hits;
-    if buffered_wire {
-        cfg.wire = WireMode::Buffered;
-    }
     cfg.io = match (io, reactors) {
         (IoMode::Reactor { .. }, Some(n)) => IoMode::Reactor { reactors: n },
         (mode, _) => mode,
@@ -164,10 +149,6 @@ fn main() {
     if let Some(kb) = client_body_cap_kb {
         cfg.client_body_cap = kb * 1024;
     }
-    if legacy && prefetch_budget > 0 {
-        eprintln!("--prefetch-budget needs the pooled (non --legacy) proxy");
-        std::process::exit(2);
-    }
 
     let proxy = start_proxy(cfg).expect("failed to start proxy");
     if metrics {
@@ -178,13 +159,8 @@ fn main() {
         );
     }
     eprintln!(
-        "pb-proxy listening on {} -> origin {origin} ({})",
-        proxy.addr(),
-        if legacy {
-            "legacy: global lock, connect-per-fetch".to_owned()
-        } else {
-            format!("sharded x{shards}, pooled origin connections")
-        }
+        "pb-proxy listening on {} -> origin {origin} (sharded x{shards}, pooled origin connections)",
+        proxy.addr()
     );
     loop {
         std::thread::sleep(std::time::Duration::from_secs(10));

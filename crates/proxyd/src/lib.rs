@@ -7,7 +7,8 @@
 //! * [`origin`] — a piggybacking origin server serving a synthetic site
 //!   with If-Modified-Since validation and `P-volume` chunked trailers;
 //! * [`proxy`] — a caching proxy sending `Piggy-filter` headers upstream
-//!   and applying piggybacks to its cache;
+//!   and applying piggybacks to its cache ([`lifecycle`] holds what both
+//!   of its I/O engines do with an upstream response);
 //! * [`volume_center`] — the paper's transparent volume center: an on-path
 //!   relay that learns volumes from observed traffic and piggybacks on
 //!   behalf of an oblivious origin;
@@ -27,6 +28,7 @@
 //! deployments compose in-process (see the `quickstart` example).
 
 pub mod client;
+pub mod lifecycle;
 pub mod netem;
 pub mod obs;
 pub mod origin;
@@ -44,7 +46,7 @@ pub use client::{run_sequence, ClientReport, ConnectionPool, HttpClient, PoolSta
 pub use netem::{Conditioner, ExchangePlan, NetProfile, ShimConfig, ShimStats};
 pub use obs::{DaemonObs, HistogramSnapshot, LatencyHistogram, ProxyObs};
 pub use origin::{start_origin, OnlineEpochConfig, OriginConfig, OriginHandle, VolumeScheme};
-pub use proxy::{start_proxy, ConcurrencyMode, ProxyConfig, ProxyHandle, ProxyStats, METRICS_PATH};
+pub use proxy::{start_proxy, ProxyConfig, ProxyHandle, ProxyStats, METRICS_PATH};
 #[cfg(target_os = "linux")]
 pub use reactor::{
     resolve_reactors, serve_reactor, ReactorMetrics, ReactorOptions, ReactorService,

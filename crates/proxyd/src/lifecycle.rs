@@ -1,0 +1,697 @@
+//! The upstream lifecycle, written once for both proxy engines.
+//!
+//! Everything between "the plan says *go upstream*" and "the client has
+//! its answer" that needs no socket lives here as plain functions: which
+//! request goes to the origin ([`first_leg`], [`refetch_leg`],
+//! [`speculative_leg`]), whether a response head cuts through or buffers
+//! ([`RelayRule::decide`]), the two client heads a relay writes
+//! ([`probe_prefix`], [`write_stream_head`]), and what an exchange's
+//! [`UpstreamOutcome`] does to the cache, the counters, the piggyback
+//! state and the reply ([`settle`], [`settle_refetch`]). The blocking
+//! driver ([`crate::proxy`]) and the reactor plan adapters move bytes,
+//! hand the outcome here, and write what comes back — so the two engines
+//! cannot drift (PROTOCOL.md §7.1).
+
+use crate::obs::LatencyHistogram;
+use crate::prefetch::{self, PIGGY_PUSH_HEADER};
+use crate::proxy::ProxyShared;
+use piggyback_core::datetime::{
+    format_rfc1123, parse_rfc1123, timestamp_from_unix, unix_from_timestamp,
+    DEFAULT_TRACE_EPOCH_UNIX,
+};
+use piggyback_core::filter::{ProxyFilter, PIGGY_FILTER_HEADER};
+use piggyback_core::proxy::{classify_element, ElementAction};
+use piggyback_core::report::PIGGY_REPORT_HEADER;
+use piggyback_core::types::{ResourceId, Timestamp};
+use piggyback_core::wire::{decode_p_volume, P_VOLUME_HEADER};
+use piggyback_httpwire::{
+    encode_stream_head, parse, Body, ConnScratch, Request, Response, StreamFraming,
+};
+use piggyback_webcache::CacheEntry;
+use std::io::{self, Write};
+use std::net::SocketAddr;
+use std::sync::atomic::Ordering::Relaxed;
+use std::time::Instant;
+
+/// Everything the rest of a request needs once planning resolved it to
+/// upstream work, detached from the `Request` (owned path, filter,
+/// drained report) so either driver can carry it across an exchange.
+pub(crate) struct UpstreamJob {
+    pub(crate) path: String,
+    pub(crate) source: SocketAddr,
+    pub(crate) validate_lm: Option<Timestamp>,
+    pub(crate) filter: ProxyFilter,
+    pub(crate) report: Option<String>,
+    /// Spans planning, any queue wait, and the exchange, so latency
+    /// histograms mean the same thing in both I/O modes.
+    pub(crate) start: Instant,
+    /// Set by [`probe_prefix`] once a retained prefix head went to the
+    /// client: the fetch is then the suffix refetch behind it.
+    pub(crate) prefix: Option<PrefixHit>,
+}
+
+/// The retained prefix a request was answered from.
+pub(crate) struct PrefixHit {
+    r: ResourceId,
+    total: usize,
+    head_len: usize,
+}
+
+/// How an upstream exchange ended, as either driver reports it.
+pub enum UpstreamOutcome {
+    /// A complete response was read off the origin connection.
+    Response(Response),
+    /// The exchange failed terminally before any origin payload byte
+    /// moved downstream (dial failure, second-attempt I/O error, or
+    /// timeout).
+    Failed,
+    /// A streaming relay delivered the entire payload to the client.
+    /// `head` is the origin's response head (body empty, trailers filled
+    /// in when the body was chunked), `prefix` the teed leading bytes per
+    /// the [`RelayRule`].
+    Streamed {
+        head: Response,
+        total: usize,
+        prefix: Vec<u8>,
+    },
+    /// A streaming exchange died after bytes (head or payload) may have
+    /// reached the client: no retry is possible and no error response may
+    /// be written, only a truncated close. `mismatch` marks a response
+    /// head that contradicted [`RelayRule::expect_total`].
+    StreamFailed { mismatch: bool },
+}
+
+/// Large-object cut-through parameters for one upstream exchange. Once
+/// engaged, payload segments move origin → client with O(segment)
+/// memory and the exchange is never retried.
+#[derive(Debug, Clone, Copy)]
+pub struct RelayRule {
+    /// Engage when the declared length is at least this many bytes
+    /// (ignored when `expect_total` pins an exact length).
+    pub threshold: usize,
+    /// Tee the first N payload bytes, handed back through
+    /// [`UpstreamOutcome::Streamed`] for the prefix store.
+    pub prefix_bytes: usize,
+    /// Drop this many leading payload bytes instead of forwarding them —
+    /// the suffix relay behind a cache-served prefix head.
+    pub skip: usize,
+    /// Require exactly this declared length; any other head is a
+    /// mismatch, because the head bytes already sent to the client
+    /// promised this length.
+    pub expect_total: Option<usize>,
+}
+
+/// What a response head means for a fetch carrying a [`RelayRule`].
+pub enum RelayDecision {
+    /// Relay this many declared payload bytes.
+    Engage(usize),
+    /// Small, non-200 or chunked: buffer the exchange as usual.
+    Buffer,
+    /// The head contradicts a pinned length: terminal.
+    Mismatch,
+}
+
+impl RelayRule {
+    /// The relay decision, from the response head alone. Only
+    /// `Content-Length`-framed 200s engage here; what the threaded driver
+    /// additionally does with a chunked 200 is PROTOCOL.md §14's one
+    /// engine divergence and stays driver-side.
+    pub fn decide(&self, head: &Response) -> RelayDecision {
+        let declared = if head.headers.list_contains("Transfer-Encoding", "chunked") {
+            None
+        } else {
+            // A malformed Content-Length fails a pinned relay outright;
+            // otherwise the buffered parser produces the error.
+            parse::content_length(&head.headers).unwrap_or(None)
+        };
+        match self.expect_total {
+            Some(want) if head.status == 200 && declared == Some(want) => {
+                RelayDecision::Engage(want)
+            }
+            Some(_) => RelayDecision::Mismatch,
+            None => match declared {
+                Some(n) if head.status == 200 && n >= self.threshold => RelayDecision::Engage(n),
+                _ => RelayDecision::Buffer,
+            },
+        }
+    }
+}
+
+/// One upstream exchange as the drivers see it: the request to put on
+/// the wire and whether its response may cut through.
+pub(crate) struct Leg {
+    pub(crate) request: Request,
+    pub(crate) relay: Option<RelayRule>,
+}
+
+impl Leg {
+    /// The request as the reactor puts it on the wire: the same
+    /// serializer the blocking driver writes through, so the origin sees
+    /// identical bytes from both engines.
+    pub(crate) fn request_bytes(&self, scratch: &mut ConnScratch) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(256);
+        self.request
+            .write_with(&mut bytes, scratch)
+            .expect("serializing to a Vec cannot fail");
+        bytes
+    }
+}
+
+/// The plain GET of suffix refetches and speculative fetches: no
+/// `TE: chunked` and no `Piggy-filter`, so the origin answers with
+/// `Content-Length` framing and no piggyback (a speculative fetch must
+/// not solicit more candidates and snowball).
+fn plain_request(path: &str) -> Request {
+    let mut req = Request::new("GET", path);
+    req.headers.insert("Host", "origin");
+    req
+}
+
+/// The piggyback GET of demand misses and validations. `conditional`
+/// attaches the drained hit report and `If-Modified-Since`; the
+/// evicted-body refetch sends neither.
+fn demand_request(shared: &ProxyShared, job: &UpstreamJob, conditional: bool) -> Request {
+    let mut req = plain_request(&job.path);
+    req.headers.insert("TE", "chunked");
+    req.headers
+        .insert(PIGGY_FILTER_HEADER, &job.filter.to_header_value());
+    if shared.cfg.accept_push {
+        req.headers.insert(PIGGY_PUSH_HEADER, "accept");
+    }
+    if !conditional {
+        return req;
+    }
+    if let Some(r) = &job.report {
+        req.headers.insert(PIGGY_REPORT_HEADER, r);
+    }
+    if let Some(lm) = job.validate_lm {
+        let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
+        req.headers
+            .insert("If-Modified-Since", &format_rfc1123(unix));
+    }
+    req
+}
+
+/// Whether `job` may take the streaming cut-through path: plain demand
+/// misses only. Validations stay buffered (a 304 needs the full-response
+/// exchange), `--accept-push` drains pushed responses behind the main
+/// one, and an active prefetcher's claim/join protocol expects every
+/// miss to materialize a cacheable body.
+fn streaming_eligible(shared: &ProxyShared, job: &UpstreamJob) -> bool {
+    shared.cfg.stream_threshold > 0
+        && job.validate_lm.is_none()
+        && !shared.cfg.accept_push
+        && shared.prefetcher.get().is_none()
+}
+
+/// Probe for a retained prefix of a streaming-eligible miss. On a hit the
+/// prefix-hit response head is written to `out` and the cached bytes that
+/// follow it are returned: the caller sends both right away — no origin
+/// round trip gates the client's first byte — and `job` becomes the
+/// suffix fetch behind them.
+pub(crate) fn probe_prefix(
+    shared: &ProxyShared,
+    job: &mut UpstreamJob,
+    out: &mut Vec<u8>,
+) -> Option<Body> {
+    if !streaming_eligible(shared, job) {
+        return None;
+    }
+    let r = shared.table.read().lookup(&job.path)?;
+    let head = shared.bodies.get_prefix(r)?;
+    let total = head.total_len();
+    write!(
+        out,
+        "HTTP/1.1 200 OK\r\nX-Cache: PREFIX\r\nContent-Length: {total}\r\n\r\n"
+    )
+    .expect("writing to a Vec cannot fail");
+    job.prefix = Some(PrefixHit {
+        r,
+        total,
+        head_len: head.len(),
+    });
+    Some(head)
+}
+
+/// The exchange that answers `job`. Behind a prefix hit it is a plain
+/// GET whose declared length must equal the recorded total (or the
+/// object changed underneath the prefix); otherwise the piggyback GET,
+/// cutting through at the configured threshold when streaming applies.
+pub(crate) fn first_leg(shared: &ProxyShared, job: &UpstreamJob) -> Leg {
+    match &job.prefix {
+        Some(hit) => Leg {
+            request: plain_request(&job.path),
+            relay: Some(RelayRule {
+                threshold: 0,
+                prefix_bytes: 0,
+                skip: hit.head_len,
+                expect_total: Some(hit.total),
+            }),
+        },
+        None => Leg {
+            request: demand_request(shared, job, true),
+            relay: streaming_eligible(shared, job).then_some(RelayRule {
+                threshold: shared.cfg.stream_threshold,
+                prefix_bytes: shared.cfg.prefix_bytes,
+                skip: 0,
+                expect_total: None,
+            }),
+        },
+    }
+}
+
+/// The chained exchange after [`Settled::Refetch`]: same filter, no
+/// report, no `If-Modified-Since`, and never streamed — it must
+/// materialize a cacheable body.
+pub(crate) fn refetch_leg(shared: &ProxyShared, job: &UpstreamJob) -> Leg {
+    Leg {
+        request: demand_request(shared, job, false),
+        relay: None,
+    }
+}
+
+/// A speculative fetch: the plain GET, never streamed — the body must be
+/// buffered to install into the cache.
+pub(crate) fn speculative_leg(path: &str) -> Leg {
+    Leg {
+        request: plain_request(path),
+        relay: None,
+    }
+}
+
+/// `Last-Modified` as a protocol [`Timestamp`], `now` when absent.
+pub(crate) fn last_modified(resp: &Response, now: Timestamp) -> Timestamp {
+    resp.headers
+        .get("Last-Modified")
+        .and_then(parse_rfc1123)
+        .map(|u| timestamp_from_unix(u, DEFAULT_TRACE_EPOCH_UNIX))
+        .unwrap_or(now)
+}
+
+/// The client head of a streamed miss, written the moment the relay
+/// engages: the same headers as a buffered MISS, framed by what is known
+/// — `Content-Length` when the origin declared one, chunked otherwise.
+pub(crate) fn write_stream_head(
+    shared: &ProxyShared,
+    head: &Response,
+    declared: Option<usize>,
+    out: &mut Vec<u8>,
+) {
+    let lm = last_modified(head, shared.clock.now());
+    let framing = match declared {
+        Some(n) => StreamFraming::Length(n),
+        None => StreamFraming::Chunked,
+    };
+    encode_stream_head(&cached_response(&Body::empty(), lm, "MISS"), framing, out);
+}
+
+/// A 200 carrying `body` the way the proxy answers from its cache:
+/// `Last-Modified` plus the `X-Cache` verdict.
+pub(crate) fn cached_response(body: &Body, lm: Timestamp, x_cache: &str) -> Response {
+    let mut resp = Response::new(200);
+    let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
+    resp.headers.insert("Last-Modified", &format_rfc1123(unix));
+    resp.headers.insert("X-Cache", x_cache);
+    resp.body = body.clone();
+    resp
+}
+
+/// The entry a just-resolved speculation installed for `job`, counted as
+/// the fresh hit it is; `None` when the speculation left nothing
+/// serveable (fetch failed, or already displaced) and the demand fetch
+/// should proceed.
+pub(crate) fn landed_speculation(
+    shared: &ProxyShared,
+    job: &UpstreamJob,
+) -> Option<(Body, Timestamp)> {
+    let now = shared.clock.now();
+    let r = shared.table.read().lookup(&job.path)?;
+    let snap = shared.cache.lookup(r, now)?;
+    // The lookup flipped `used`; settle the speculation even if the body
+    // vanishes before we can serve it.
+    prefetch::note_speculative_hit(&shared.stats, &snap);
+    let body = shared.bodies.get(r).filter(|b| !b.is_prefix())?;
+    shared.note_fresh_hit(&job.path, job.start);
+    Some((body, snap.last_modified))
+}
+
+/// What the driver does once an exchange is settled.
+pub(crate) enum Settled {
+    /// Write this response to the client.
+    Reply(Response),
+    /// The 304 validated an entry whose body is gone (evicted between
+    /// planning and now) — serving it would hand the client an empty 200.
+    /// Run [`refetch_leg`] and hand its outcome to [`settle_refetch`].
+    Refetch(Refetch),
+    /// The relay already delivered the whole answer.
+    Sent,
+    /// Bytes reached the client and the transfer cannot complete: drop
+    /// the client connection, the only honest signal left (a
+    /// `Content-Length` client sees the truncation, a chunked client the
+    /// missing terminal chunk).
+    Abort,
+}
+
+/// The error a driver drops the client connection with on
+/// [`Settled::Abort`].
+pub(crate) fn relay_aborted() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "relay failed after bytes reached the client",
+    )
+}
+
+/// A first exchange waiting on its refetch: the 304 and pushes whose
+/// processing is owed whatever the refetch brings, at the first settle's
+/// timestamp.
+pub(crate) struct Refetch {
+    original: Response,
+    pushed: Vec<Response>,
+    now: Timestamp,
+}
+
+/// The single terminal outcome for a failed exchange. `requests` was
+/// counted at plan time, so conservation (`requests == Σ outcomes`) holds
+/// even when the client dies mid-body.
+fn count_error(shared: &ProxyShared, job: &UpstreamJob) {
+    shared.stats.upstream_errors.fetch_add(1, Relaxed);
+    shared.obs.error.record(job.start.elapsed());
+}
+
+/// Settle `job`'s first exchange: store or freshen, then pushes, then the
+/// piggyback, then the outcome histogram. `pushed` holds the responses a
+/// `--push` origin streamed behind the main one.
+pub(crate) fn settle(
+    shared: &ProxyShared,
+    job: &UpstreamJob,
+    outcome: UpstreamOutcome,
+    pushed: Vec<Response>,
+) -> Settled {
+    if let Some(hit) = &job.prefix {
+        return settle_suffix(shared, job, hit, outcome);
+    }
+    let now = shared.clock.now();
+    let resp = match outcome {
+        UpstreamOutcome::Response(resp) => resp,
+        UpstreamOutcome::Failed => {
+            count_error(shared, job);
+            return Settled::Reply(Response::new(502));
+        }
+        UpstreamOutcome::StreamFailed { .. } => {
+            count_error(shared, job);
+            return Settled::Abort;
+        }
+        UpstreamOutcome::Streamed {
+            head,
+            total,
+            prefix,
+        } => {
+            shared.stats.full_fetches.fetch_add(1, Relaxed);
+            shared.stats.streamed_misses.fetch_add(1, Relaxed);
+            shared
+                .stats
+                .bytes_from_origin
+                .fetch_add(total as u64, Relaxed);
+            let lm = last_modified(&head, now);
+            let r = shared
+                .table
+                .write()
+                .register_path(&job.path, total as u64, lm);
+            if !prefix.is_empty() && prefix.len() < total {
+                // The tee becomes a prefix entry — streamed objects are
+                // deliberately never cached whole.
+                shared.bodies.insert(r, Body::prefix(prefix, total));
+            }
+            // The piggyback rode the chunked trailers, or the head of a
+            // `Content-Length` response.
+            process_piggyback(shared, &head, job.source, now);
+            shared.obs.full_fetch.record(job.start.elapsed());
+            return Settled::Sent;
+        }
+    };
+    let (result, hist) = if resp.status == 304 {
+        // The table never forgets ids, so the validated path resolves;
+        // the body may have been evicted or invalidated mid-flight.
+        let r = shared.table.read().lookup(&job.path);
+        let body = r.and_then(|r| {
+            shared.cache.freshen(r, now + shared.cfg.freshness);
+            shared.bodies.get(r)
+        });
+        let Some(body) = body else {
+            return Settled::Refetch(Refetch {
+                original: resp,
+                pushed,
+                now,
+            });
+        };
+        shared.stats.not_modified.fetch_add(1, Relaxed);
+        let lm = job.validate_lm.unwrap_or(Timestamp::ZERO);
+        (
+            cached_response(&body, lm, "VALIDATED"),
+            &shared.obs.not_modified,
+        )
+    } else {
+        store_or_pass(shared, job, &resp, now)
+    };
+    apply_side_effects(shared, job, &pushed, &[&resp], now);
+    hist.record(job.start.elapsed());
+    Settled::Reply(result)
+}
+
+/// Settle the refetch chained behind a body-less 304. The request's
+/// histogram is its *final* outcome (a full fetch, not a validation), and
+/// the original 304's piggyback is processed even when the refetch fails.
+pub(crate) fn settle_refetch(
+    shared: &ProxyShared,
+    job: &UpstreamJob,
+    refetch: Refetch,
+    outcome: UpstreamOutcome,
+    more_pushed: Vec<Response>,
+) -> Response {
+    let Refetch {
+        original,
+        mut pushed,
+        now,
+    } = refetch;
+    pushed.extend(more_pushed);
+    match outcome {
+        UpstreamOutcome::Response(r2) => {
+            let (result, hist) = store_or_pass(shared, job, &r2, shared.clock.now());
+            apply_side_effects(shared, job, &pushed, &[&original, &r2], now);
+            hist.record(job.start.elapsed());
+            result
+        }
+        // The refetch leg carries no relay rule, so this is `Failed`.
+        _ => {
+            apply_side_effects(shared, job, &pushed, &[&original], now);
+            count_error(shared, job);
+            Response::new(502)
+        }
+    }
+}
+
+/// A 200 is stored and served as a MISS; any other status passes through
+/// untouched and uncached.
+fn store_or_pass<'a>(
+    shared: &'a ProxyShared,
+    job: &UpstreamJob,
+    resp: &Response,
+    now: Timestamp,
+) -> (Response, &'a LatencyHistogram) {
+    if resp.status == 200 {
+        (
+            store_full_response(shared, &job.path, resp, now),
+            &shared.obs.full_fetch,
+        )
+    } else {
+        shared.stats.upstream_passthrough.fetch_add(1, Relaxed);
+        let mut out = Response::new(resp.status);
+        out.body = resp.body.clone();
+        (out, &shared.obs.passthrough)
+    }
+}
+
+/// What every buffered settle owes after its store/freshen step.
+/// Server-pushed volume members enter the cache before piggyback
+/// classification, so the piggybacks see them as cached entries (Freshen)
+/// instead of re-queueing them as prefetch candidates.
+fn apply_side_effects(
+    shared: &ProxyShared,
+    job: &UpstreamJob,
+    pushed: &[Response],
+    piggybacks: &[&Response],
+    now: Timestamp,
+) {
+    for p in pushed {
+        prefetch::accept_push(shared, p, now);
+    }
+    for resp in piggybacks {
+        process_piggyback(shared, resp, job.source, now);
+    }
+}
+
+/// Settle the suffix fetch behind a prefix hit. The prefix head is
+/// already on the client wire, so no failure may turn into a 502.
+fn settle_suffix(
+    shared: &ProxyShared,
+    job: &UpstreamJob,
+    hit: &PrefixHit,
+    outcome: UpstreamOutcome,
+) -> Settled {
+    match outcome {
+        UpstreamOutcome::Streamed { total, .. } => {
+            shared.stats.cache_hits.fetch_add(1, Relaxed);
+            shared.stats.prefix_hits.fetch_add(1, Relaxed);
+            // Range-free refetch: the origin resent the whole object
+            // (bandwidth unchanged; TTFB is what the prefix buys).
+            shared
+                .stats
+                .bytes_from_origin
+                .fetch_add(total as u64, Relaxed);
+            shared.obs.prefix_hit.record(job.start.elapsed());
+            Settled::Sent
+        }
+        failed => {
+            if matches!(failed, UpstreamOutcome::StreamFailed { mismatch: true }) {
+                // New length or status: the head already sent is stale.
+                // Drop the poisoned prefix; the next request misses and
+                // re-primes. Any other failure leaves the prefix valid —
+                // nothing contradicted it, only the transfer died.
+                shared.bodies.remove(hit.r);
+            }
+            count_error(shared, job);
+            Settled::Abort
+        }
+    }
+}
+
+/// Store a 200 upstream response: register the path, retain the body
+/// once, insert the entry, and settle/clean up everything the insert
+/// displaced.
+fn store_full_response(
+    shared: &ProxyShared,
+    path: &str,
+    resp: &Response,
+    now: Timestamp,
+) -> Response {
+    shared.stats.full_fetches.fetch_add(1, Relaxed);
+    shared
+        .stats
+        .bytes_from_origin
+        .fetch_add(resp.body.len() as u64, Relaxed);
+    let lm = last_modified(resp, now);
+    let size = resp.body.len() as u64;
+    let r = shared.table.write().register_path(path, size, lm);
+    // Retain the fetched bytes once; every hit from here on is a
+    // refcount bump on this same allocation.
+    let body = resp.body.clone();
+    // Body first, then the entry: a concurrent lookup never sees
+    // an entry without its body (the reverse order could). The
+    // evictees share r's shard (the stores are co-sharded), so
+    // insert and cleanup stay under one body-shard lock each.
+    shared.bodies.insert(r, body.clone());
+    let out = shared.cache.insert_accounted(
+        r,
+        CacheEntry {
+            size,
+            last_modified: lm,
+            expires: now + shared.cfg.freshness,
+            prefetched: false,
+            used: true,
+        },
+        now,
+    );
+    if let Some(old) = &out.replaced {
+        // A still-unused speculative entry displaced by the demand fetch
+        // it raced: settle it as wasted.
+        prefetch::settle_displaced(&shared.stats, old);
+    }
+    if !out.evicted.is_empty() {
+        for (_, old) in &out.evicted {
+            prefetch::settle_displaced(&shared.stats, old);
+        }
+        shared.bodies.with_resource_shard(r, |bodies| {
+            for (v, _) in &out.evicted {
+                bodies.remove(*v);
+            }
+        });
+    }
+    if !out.inserted {
+        // Oversized for its shard: drop the orphan body so the store
+        // cannot hold bytes the cache will never serve.
+        shared.bodies.remove(r);
+    }
+    cached_response(&body, lm, "MISS")
+}
+
+/// Apply one response's `P-volume` piggyback (trailer on a chunked 200,
+/// header otherwise) to the cache, and feed the prefetcher:
+/// `PrefetchCandidate` elements are queued for speculative fetch, and
+/// invalidated entries are re-queued so coherency misses turn into
+/// refreshed cache entries.
+fn process_piggyback(shared: &ProxyShared, resp: &Response, source: SocketAddr, now: Timestamp) {
+    let delta = shared.cfg.freshness;
+    let pv = resp
+        .trailers
+        .get(P_VOLUME_HEADER)
+        .or_else(|| resp.headers.get(P_VOLUME_HEADER));
+    let Some(pv) = pv else {
+        return;
+    };
+    shared.obs.piggyback_bytes.record_value(pv.len() as u64);
+    let Ok(wire) = decode_p_volume(pv) else {
+        return;
+    };
+    shared.stats.piggyback_messages.fetch_add(1, Relaxed);
+    shared
+        .stats
+        .piggybacked_elements
+        .fetch_add(wire.elements.len() as u64, Relaxed);
+    if let Some(rpv) = &shared.rpv {
+        rpv.lock().record(&source, wire.volume, now);
+    }
+    // Register the whole batch under one write acquisition: per-element
+    // write locks let the writer-preference queue interleave a planner
+    // between every element, convoying both sides.
+    let ids: Vec<_> = {
+        let mut table = shared.table.write();
+        wire.elements
+            .iter()
+            .map(|e| table.register_path(&e.path, e.size, e.last_modified))
+            .collect()
+    };
+    for (e, r) in wire.elements.iter().zip(ids) {
+        let cached_lm = shared.cache.peek(r).map(|c| c.last_modified);
+        match classify_element(cached_lm, e.last_modified) {
+            ElementAction::Freshen => {
+                shared.cache.freshen(r, now + delta);
+                shared.cache.note_piggyback_mention(r, now);
+                // Volume mentions also bias prefix retention: a prefix of
+                // a resource the origin still groups into active volumes
+                // earns its bytes (the VoD prefix-retention signal).
+                shared.bodies.note_mention(r);
+                shared.stats.piggyback_freshens.fetch_add(1, Relaxed);
+            }
+            ElementAction::Invalidate => {
+                // Entry first, then body: a concurrent lookup that
+                // wins the entry also finds the body still there.
+                if let Some(old) = shared.cache.take(r) {
+                    prefetch::settle_displaced(&shared.stats, &old);
+                }
+                shared.bodies.remove(r);
+                shared.stats.piggyback_invalidations.fetch_add(1, Relaxed);
+                // Coherency-driven refresh: the origin just told us the
+                // current version exists — refetch it ahead of demand.
+                if let Some(p) = shared.prefetcher.get() {
+                    p.enqueue(shared, r, &e.path);
+                }
+            }
+            ElementAction::PrefetchCandidate => {
+                shared.stats.prefetch_candidates.fetch_add(1, Relaxed);
+                if let Some(p) = shared.prefetcher.get() {
+                    p.enqueue(shared, r, &e.path);
+                }
+            }
+        }
+    }
+}

@@ -37,12 +37,11 @@
 //! ## Cancellation and coalescing
 //!
 //! A client demand fetch always wins. Before going upstream for a miss,
-//! the proxy calls [`Prefetcher::claim_or_join`]: a still-queued
-//! speculation is cancelled outright (the demand fetch proceeds, the
-//! queued job never issues); a speculation already on the wire is
-//! *joined* — the demand request parks on the job's condvar and serves
-//! the prefetched entry when it lands, so the origin sees exactly one
-//! fetch either way.
+//! the proxy calls [`Prefetcher::claim`]: a still-queued speculation is
+//! cancelled outright (the demand fetch proceeds, the queued job never
+//! issues); a speculation already on the wire is *joined* — the demand
+//! request parks on the job's condvar and serves the prefetched entry
+//! when it lands, so the origin sees exactly one fetch either way.
 //!
 //! ## Server push
 //!
@@ -54,11 +53,11 @@
 //! [`accept_push`] files accepted bodies as issued speculations;
 //! duplicate pushes settle instantly as wasted bytes.
 
+use crate::lifecycle::{self, Leg, UpstreamOutcome};
 use crate::proxy::ProxyShared;
 use crate::stats::AtomicProxyStats;
-use piggyback_core::datetime::{parse_rfc1123, timestamp_from_unix, DEFAULT_TRACE_EPOCH_UNIX};
 use piggyback_core::types::{ResourceId, Timestamp};
-use piggyback_httpwire::{ConnScratch, Request, Response};
+use piggyback_httpwire::{ConnScratch, Response};
 use piggyback_webcache::CacheEntry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -81,15 +80,15 @@ const QUEUE_CAP: usize = 4096;
 /// worker always resolves its job, so this only fires if a fetch wedges).
 const JOIN_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// What [`Prefetcher::try_claim`] resolved a demand miss to.
-pub(crate) enum TryClaim {
+/// What [`Prefetcher::claim`] resolved a demand miss to.
+pub(crate) enum Claim {
     /// No unresolved speculation for the path (or a queued one was just
     /// cancelled): the demand fetch proceeds.
     Fetch,
-    /// A speculative fetch is on the wire; joining it requires parking.
+    /// A speculative fetch is on the wire; joining it requires parking
+    /// (only returned to callers that asked not to park).
     InFlight,
-    /// The speculation resolved while we looked: re-consult the cache
-    /// before fetching.
+    /// The speculation resolved: re-consult the cache before fetching.
     Resolved,
 }
 
@@ -132,8 +131,7 @@ struct PrefetchInner {
 }
 
 /// The budgeted prefetch engine; one per proxy when
-/// `--prefetch-budget > 0` (Sharded mode only — it fetches through the
-/// origin pool).
+/// `--prefetch-budget > 0`.
 pub(crate) struct Prefetcher {
     inner: Arc<PrefetchInner>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -193,18 +191,20 @@ impl Prefetcher {
         self.inner.work.notify_one();
     }
 
-    /// Demand-path hook, called before a miss goes upstream. Returns
-    /// `true` when an in-flight speculative fetch for `path` completed
-    /// while we waited — the caller should re-consult the cache before
-    /// fetching. A merely-queued speculation is cancelled instead (the
-    /// demand fetch wins; the origin sees one fetch either way).
-    pub(crate) fn claim_or_join(&self, shared: &ProxyShared, path: &str) -> bool {
+    /// Demand-path hook, called before a miss goes upstream. A
+    /// still-queued speculation for `path` is cancelled (the demand fetch
+    /// wins; the origin sees one fetch either way). One already on the
+    /// wire is joined when `park` is set — the caller blocks until it
+    /// lands, or gives up after [`JOIN_TIMEOUT`] and fetches itself —
+    /// and reported as [`Claim::InFlight`] otherwise, for reactor
+    /// threads, which must never park.
+    pub(crate) fn claim(&self, shared: &ProxyShared, path: &str, park: bool) -> Claim {
         let Some(r) = shared.table.read().lookup(path) else {
-            return false;
+            return Claim::Fetch;
         };
         let job = self.inner.state.lock().unwrap().jobs.get(&r).cloned();
         let Some(job) = job else {
-            return false;
+            return Claim::Fetch;
         };
         let mut st = job.state.lock().unwrap();
         loop {
@@ -217,48 +217,19 @@ impl Prefetcher {
                     // state lock (workers lock in that order too).
                     self.inner.state.lock().unwrap().jobs.remove(&r);
                     shared.stats.prefetch_cancelled.fetch_add(1, Relaxed);
-                    return false;
+                    return Claim::Fetch;
                 }
+                JobState::Fetching if !park => return Claim::InFlight,
                 JobState::Fetching => {
                     let (guard, timeout) = job.done.wait_timeout(st, JOIN_TIMEOUT).unwrap();
                     st = guard;
                     if timeout.timed_out() {
-                        return false;
+                        return Claim::Fetch;
                     }
                 }
-                JobState::Done => return true,
-                JobState::Cancelled => return false,
+                JobState::Done => return Claim::Resolved,
+                JobState::Cancelled => return Claim::Fetch,
             }
-        }
-    }
-
-    /// Nonblocking twin of [`claim_or_join`](Self::claim_or_join) for
-    /// reactor threads, which must never park: a still-queued speculation
-    /// is cancelled outright (the demand fetch wins), one already on the
-    /// wire is reported as [`TryClaim::InFlight`] so the caller can fall
-    /// back to a blocking join off the reactor thread.
-    pub(crate) fn try_claim(&self, shared: &ProxyShared, path: &str) -> TryClaim {
-        let Some(r) = shared.table.read().lookup(path) else {
-            return TryClaim::Fetch;
-        };
-        let job = self.inner.state.lock().unwrap().jobs.get(&r).cloned();
-        let Some(job) = job else {
-            return TryClaim::Fetch;
-        };
-        let mut st = job.state.lock().unwrap();
-        match *st {
-            JobState::Queued => {
-                *st = JobState::Cancelled;
-                drop(st);
-                // Same discipline as claim_or_join: never hold a job lock
-                // while taking the state lock.
-                self.inner.state.lock().unwrap().jobs.remove(&r);
-                shared.stats.prefetch_cancelled.fetch_add(1, Relaxed);
-                TryClaim::Fetch
-            }
-            JobState::Fetching => TryClaim::InFlight,
-            JobState::Done => TryClaim::Resolved,
-            JobState::Cancelled => TryClaim::Fetch,
         }
     }
 
@@ -319,8 +290,11 @@ fn run_candidate(
     inner.state.lock().unwrap().jobs.remove(&cand.r);
 }
 
-/// Fetch `path` speculatively and install it. Every early return after
-/// the `issued` increment settles the ledger exactly once.
+/// Fetch `path` speculatively and install it: the plain GET goes through
+/// the blocking driver's exchange loop (same retry-once contract as the
+/// demand path) or, in reactor mode, a reactor shard; either way the
+/// outcome lands in [`settle_speculation`], which settles the ledger
+/// exactly once.
 fn fetch_and_install(
     shared: &Arc<ProxyShared>,
     r: ResourceId,
@@ -333,45 +307,17 @@ fn fetch_and_install(
     if shared.cache.peek(r).is_some() {
         return;
     }
-    // Reactor mode: the speculative GET rides the same nonblocking
-    // upstream legs as demand misses. The worker still parks on its
-    // budget slot until the exchange lands — bounding concurrent
-    // speculation is the whole point of `--prefetch-budget` — but the
-    // exchange itself is driven by a reactor shard, and ALL ledger
-    // settlement happens in the continuation on that reactor thread.
-    #[cfg(target_os = "linux")]
-    if let Some(sub) = shared.upstream_submit.get() {
-        fetch_and_install_reactor(shared, sub, r, path, scratch);
-        return;
-    }
     let stats = &shared.stats;
     stats.prefetch_issued.fetch_add(1, Relaxed);
     stats.prefetch_inflight.fetch_add(1, Relaxed);
-    let resp = match fetch_with_retry(shared, path, scratch) {
-        Ok(resp) => resp,
-        Err(_) => {
-            stats.prefetch_wasted.fetch_add(1, Relaxed);
-            stats.prefetch_inflight.fetch_sub(1, Relaxed);
-            return;
-        }
-    };
-    let size = resp.body.len() as u64;
-    stats.prefetch_fetched_bytes.fetch_add(size, Relaxed);
-    if resp.status != 200 {
-        stats.prefetch_wasted.fetch_add(1, Relaxed);
-        stats.prefetch_wasted_bytes.fetch_add(size, Relaxed);
-        stats.prefetch_inflight.fetch_sub(1, Relaxed);
-        return;
+    let leg = lifecycle::speculative_leg(path);
+    #[cfg(target_os = "linux")]
+    if let Some(sub) = shared.upstream_submit.get() {
+        return fetch_via_reactor(shared, sub, r, path, &leg, scratch);
     }
-    let now = shared.clock.now();
-    let lm = resp
-        .headers
-        .get("Last-Modified")
-        .and_then(parse_rfc1123)
-        .map(|u| timestamp_from_unix(u, DEFAULT_TRACE_EPOCH_UNIX))
-        .unwrap_or(now);
-    shared.table.write().register_path(path, size, lm);
-    install_speculative(shared, r, resp.body.clone(), size, lm, now);
+    let retries = &stats.prefetch_retries;
+    let (outcome, _) = crate::proxy::exchange(shared, &leg, retries, &mut std::io::sink(), scratch);
+    settle_speculation(shared, r, path, outcome);
 }
 
 /// How long a prefetch worker waits for a reactor-driven speculation to
@@ -381,29 +327,23 @@ fn fetch_and_install(
 #[cfg(target_os = "linux")]
 const LAND_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Submit the speculative GET to a reactor shard and park until its
-/// continuation settles the ledger. Counter order matches the blocking
-/// path exactly: `issued`/`inflight` before the exchange starts, the
-/// resolution in the continuation.
+/// Reactor mode: the speculative GET rides the same nonblocking upstream
+/// legs as demand misses. The worker still parks on its budget slot until
+/// the exchange lands — bounding concurrent speculation is the whole
+/// point of `--prefetch-budget` — but the exchange itself is driven by a
+/// reactor shard, and the ledger settles in the continuation on that
+/// reactor thread.
 #[cfg(target_os = "linux")]
-fn fetch_and_install_reactor(
+fn fetch_via_reactor(
     shared: &Arc<ProxyShared>,
     sub: &crate::reactor::ReactorSubmitter,
     r: ResourceId,
     path: &str,
+    leg: &Leg,
     scratch: &mut ConnScratch,
 ) {
-    use crate::reactor::{UpstreamNext, UpstreamOutcome, UpstreamPlan};
-    let stats = &shared.stats;
-    stats.prefetch_issued.fetch_add(1, Relaxed);
-    stats.prefetch_inflight.fetch_add(1, Relaxed);
-    // The same deliberately plain GET as `fetch_with_retry`: no
-    // Piggy-filter (speculation must not snowball), no IMS, no report.
-    let mut req = Request::new("GET", path);
-    req.headers.insert("Host", "origin");
-    let mut request = Vec::with_capacity(64);
-    req.write_with(&mut request, scratch)
-        .expect("serializing to a Vec cannot fail");
+    use crate::reactor::{UpstreamNext, UpstreamPlan};
+    let request = leg.request_bytes(scratch);
     let landed = Arc::new((Mutex::new(false), Condvar::new()));
     let finish_shared = Arc::clone(shared);
     let finish_landed = Arc::clone(&landed);
@@ -415,15 +355,13 @@ fn fetch_and_install_reactor(
         retry: Box::new(move || {
             retry_shared.stats.prefetch_retries.fetch_add(1, Relaxed);
         }),
-        finish: Box::new(move |_scratch, _out, outcome: UpstreamOutcome| {
-            settle_speculative_outcome(&finish_shared, r, &path_owned, outcome);
+        finish: Box::new(move |_scratch, _out, outcome| {
+            settle_speculation(&finish_shared, r, &path_owned, outcome);
             let (flag, cv) = &*finish_landed;
             *flag.lock().unwrap() = true;
             cv.notify_all();
             Ok(UpstreamNext::Done)
         }),
-        // Speculative fetches never stream: the body must be buffered to
-        // install into the cache.
         stream: None,
     });
     let (flag, cv) = &*landed;
@@ -437,27 +375,16 @@ fn fetch_and_install_reactor(
     }
 }
 
-/// Resolve a reactor-driven speculation: the continuation-side mirror of
-/// [`fetch_and_install`]'s post-exchange tail.
-#[cfg(target_os = "linux")]
-fn settle_speculative_outcome(
-    shared: &Arc<ProxyShared>,
-    r: ResourceId,
-    path: &str,
-    outcome: crate::reactor::UpstreamOutcome,
-) {
+/// Resolve an issued speculation from its exchange outcome: a 200 is
+/// installed, anything else is wasted on the spot.
+fn settle_speculation(shared: &ProxyShared, r: ResourceId, path: &str, outcome: UpstreamOutcome) {
     let stats = &shared.stats;
-    let resp = match outcome {
-        // Streamed/StreamFailed can't occur (the plan carries no
-        // StreamSpec); route them with Failed defensively.
-        crate::reactor::UpstreamOutcome::Failed
-        | crate::reactor::UpstreamOutcome::Streamed { .. }
-        | crate::reactor::UpstreamOutcome::StreamFailed { .. } => {
-            stats.prefetch_wasted.fetch_add(1, Relaxed);
-            stats.prefetch_inflight.fetch_sub(1, Relaxed);
-            return;
-        }
-        crate::reactor::UpstreamOutcome::Response(resp) => resp,
+    // The speculative leg carries no relay rule, so the only other
+    // outcome is `Failed`.
+    let UpstreamOutcome::Response(resp) = outcome else {
+        stats.prefetch_wasted.fetch_add(1, Relaxed);
+        stats.prefetch_inflight.fetch_sub(1, Relaxed);
+        return;
     };
     let size = resp.body.len() as u64;
     stats.prefetch_fetched_bytes.fetch_add(size, Relaxed);
@@ -468,12 +395,7 @@ fn settle_speculative_outcome(
         return;
     }
     let now = shared.clock.now();
-    let lm = resp
-        .headers
-        .get("Last-Modified")
-        .and_then(parse_rfc1123)
-        .map(|u| timestamp_from_unix(u, DEFAULT_TRACE_EPOCH_UNIX))
-        .unwrap_or(now);
+    let lm = lifecycle::last_modified(&resp, now);
     shared.table.write().register_path(path, size, lm);
     install_speculative(shared, r, resp.body.clone(), size, lm, now);
 }
@@ -535,46 +457,6 @@ pub(crate) fn install_speculative(
     }
 }
 
-/// The speculative upstream exchange: a deliberately plain GET — no
-/// `Piggy-filter` (a speculative fetch must not solicit more piggybacks
-/// and snowball), no `If-Modified-Since`, no hit report — with the same
-/// retry-once-on-fresh-connection contract as the demand path.
-fn fetch_with_retry(
-    shared: &ProxyShared,
-    path: &str,
-    scratch: &mut ConnScratch,
-) -> Result<Response, piggyback_httpwire::HttpError> {
-    let pool = shared
-        .pool
-        .as_ref()
-        .expect("prefetcher runs in Sharded mode only");
-    for attempt in 0..2 {
-        if attempt == 1 {
-            shared.stats.prefetch_retries.fetch_add(1, Relaxed);
-        }
-        let mut conn = if attempt == 0 {
-            pool.checkout()?
-        } else {
-            pool.connect_fresh()?
-        };
-        let mut req = Request::new("GET", path);
-        req.headers.insert("Host", "origin");
-        let io_result = req
-            .write_with(&mut conn.writer, scratch)
-            .map_err(piggyback_httpwire::HttpError::from)
-            .and_then(|()| Response::read(&mut conn.reader, false));
-        match io_result {
-            Ok(resp) => {
-                pool.checkin(conn);
-                return Ok(resp);
-            }
-            Err(_) if attempt == 0 => {}
-            Err(e) => return Err(e),
-        }
-    }
-    unreachable!("retry loop always returns by the second attempt")
-}
-
 /// Settle a speculation the moment a client hit proves it out. Call with
 /// the **pre-mark** snapshot every `Cache::lookup` returns; the shard
 /// lock guarantees exactly one caller sees `used == false`.
@@ -610,12 +492,7 @@ pub(crate) fn accept_push(shared: &ProxyShared, resp: &Response, now: Timestamp)
     };
     let stats = &shared.stats;
     let size = resp.body.len() as u64;
-    let lm = resp
-        .headers
-        .get("Last-Modified")
-        .and_then(parse_rfc1123)
-        .map(|u| timestamp_from_unix(u, DEFAULT_TRACE_EPOCH_UNIX))
-        .unwrap_or(now);
+    let lm = lifecycle::last_modified(resp, now);
     let r = shared.table.write().register_path(path, size, lm);
     stats.prefetch_issued.fetch_add(1, Relaxed);
     stats.prefetch_inflight.fetch_add(1, Relaxed);

@@ -8,9 +8,8 @@
 //!
 //! ## Concurrency model
 //!
-//! The default [`ConcurrencyMode::Sharded`] splits proxy state into
-//! independently locked pieces so parallel requests only contend when they
-//! touch the same resource shard:
+//! Proxy state is split into independently locked pieces so parallel
+//! requests only contend when they touch the same resource shard:
 //!
 //! * the cache is an N-way [`ShardedCache`] keyed by resource hash, with
 //!   the body store co-sharded by the same hash;
@@ -21,36 +20,41 @@
 //! * upstream fetches check keep-alive connections out of a bounded,
 //!   health-checked [`ConnectionPool`] instead of reconnecting per fetch.
 //!
-//! [`ConcurrencyMode::Legacy`] preserves the original single-lock,
-//! fresh-connection-per-fetch behavior as an A/B baseline.
+//! ## Upstream lifecycle
+//!
+//! Planning ([`plan_request`]) resolves a request to a reply or an
+//! [`UpstreamJob`]. What the job then does to the cache, the counters and
+//! the client's answer is written once, socket-free, in
+//! [`crate::lifecycle`]; this module only moves the bytes — the blocking
+//! driver ([`serve_upstream`], [`exchange`]) for the threaded engine and
+//! the offload pool, and the plan adapters (`reactor_svc`) that hand the
+//! same legs to the epoll reactor.
 
 use crate::client::{ConnectionPool, PoolStats, PooledConn};
+use crate::lifecycle::{
+    self, Leg, RelayDecision, RelayRule, Settled, UpstreamJob, UpstreamOutcome,
+};
 use crate::obs::{render_histogram, render_scalar, ProxyObs};
 use crate::origin::strip_origin_form;
-use crate::prefetch::{self, Prefetcher, PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER};
+use crate::prefetch::{self, Prefetcher, PUSH_COUNT_HEADER};
 use crate::stats::AtomicProxyStats;
 pub use crate::stats::ProxyStats;
 use crate::util::{serve_with_stats, Clock, IoMode, IoStats, ServeOptions, ServerHandle};
 use parking_lot::{Mutex, RwLock};
-use piggyback_core::datetime::{
-    format_rfc1123, parse_rfc1123, timestamp_from_unix, unix_from_timestamp, Rfc1123,
-    DEFAULT_TRACE_EPOCH_UNIX,
-};
+use piggyback_core::datetime::{unix_from_timestamp, Rfc1123, DEFAULT_TRACE_EPOCH_UNIX};
 use piggyback_core::filter::{ProxyFilter, PIGGY_FILTER_HEADER};
-use piggyback_core::proxy::{classify_element, ElementAction};
-use piggyback_core::report::{HitReporter, PIGGY_REPORT_HEADER};
+use piggyback_core::report::HitReporter;
 use piggyback_core::rpv::RpvTable;
 use piggyback_core::table::ResourceTable;
-use piggyback_core::types::{DurationMs, ResourceId, Timestamp};
-use piggyback_core::wire::{decode_p_volume, P_VOLUME_HEADER};
+use piggyback_core::types::{DurationMs, Timestamp};
 use piggyback_httpwire::{
-    encode_stream_head, write_all_parts, Body, BodyReader, BodyWriter, ConnScratch, HeaderMap,
-    HttpError, Request, Response, StreamFraming,
+    parse, write_all_parts, Body, BodyReader, BodyWriter, ConnScratch, HeaderMap, HttpError,
+    Request, Response,
 };
-use piggyback_webcache::{CacheEntry, PolicyKind, ShardedBodyStore, ShardedCache};
-use std::io::{self, BufReader, BufWriter, Write};
+use piggyback_webcache::{PolicyKind, ShardedBodyStore, ShardedCache};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -60,37 +64,6 @@ pub const METRICS_PATH: &str = "/__pb/metrics";
 /// How many client sources the per-source RPV table tracks before
 /// evicting the stalest.
 const RPV_MAX_SOURCES: usize = 256;
-
-/// How the proxy synchronizes its state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConcurrencyMode {
-    /// The original model: every request serializes through one global
-    /// lock and every upstream fetch opens a fresh origin connection.
-    /// Kept as the A/B baseline for the sharded path.
-    Legacy,
-    /// Sharded cache/bodies, read-write table, atomic stats, and a
-    /// keep-alive origin connection pool.
-    Sharded {
-        /// Cache/body shard count (clamped to at least 1).
-        shards: usize,
-    },
-}
-
-/// How the proxy reads requests and writes responses on the client side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireMode {
-    /// The seed wire path: per-request parser allocations
-    /// (`Request::read`), an owned byte copy of the cached body per hit,
-    /// and responses dribbled through a `BufWriter`. Kept as the A/B
-    /// baseline (`pb-proxy --buffered-wire`, `proxy-ab`'s `base` cells).
-    Buffered,
-    /// Scratch-threaded parsing (`Request::read_into`), shared-`Body`
-    /// cache hits served without memcpy, and single-vectored-write
-    /// response assembly. Allocation-free per cached-hit request once the
-    /// connection's buffers are warm.
-    #[default]
-    ZeroCopy,
-}
 
 /// Proxy configuration.
 #[derive(Debug, Clone)]
@@ -109,11 +82,9 @@ pub struct ProxyConfig {
     /// Report cache-served accesses upstream via `Piggy-report`
     /// (Section 5 extension).
     pub report_hits: bool,
-    /// Locking/pooling model (see [`ConcurrencyMode`]).
-    pub mode: ConcurrencyMode,
-    /// Client-side wire handling (see [`WireMode`]).
-    pub wire: WireMode,
-    /// Idle origin connections the pool retains (Sharded mode only).
+    /// Cache/body shard count (clamped to at least 1).
+    pub shards: usize,
+    /// Idle origin connections the pool retains.
     pub pool_max_idle: usize,
     /// Accept-loop worker/queue sizing. In reactor mode `serve.workers`
     /// sizes the offload pool (blocking upstream exchanges) instead.
@@ -124,9 +95,9 @@ pub struct ProxyConfig {
     pub metrics: bool,
     /// Client-side I/O engine. [`IoMode::Reactor`] (Linux only; silently
     /// falls back to `Threaded` elsewhere) multiplexes connections on an
-    /// epoll readiness loop instead of pinning a worker thread each.
-    /// Reactor mode always uses the zero-copy serializers, so its wire
-    /// bytes are identical to `WireMode::ZeroCopy`.
+    /// epoll readiness loop instead of pinning a worker thread each. Both
+    /// engines funnel through the same serializers, so their wire bytes
+    /// are identical.
     pub io: IoMode,
     /// Reactor-mode idle/read deadline for client connections.
     pub reactor_idle_timeout: std::time::Duration,
@@ -137,8 +108,7 @@ pub struct ProxyConfig {
     pub upstream_timeout: std::time::Duration,
     /// Maximum concurrent speculative fetches acting on piggybacked
     /// `PrefetchCandidate` elements; 0 disables the prefetcher (the seed
-    /// behavior: candidates are only counted). Sharded mode only — the
-    /// prefetcher fetches through the origin pool.
+    /// behavior: candidates are only counted).
     pub prefetch_budget: usize,
     /// Send `Piggy-push: accept` upstream and cache full volume-member
     /// responses a `--push` origin streams after the main response (the
@@ -171,8 +141,7 @@ impl ProxyConfig {
             rpv: Some((16, DurationMs::from_secs(30))),
             policy: PolicyKind::Lru,
             report_hits: true,
-            mode: ConcurrencyMode::Sharded { shards: 8 },
-            wire: WireMode::ZeroCopy,
+            shards: 8,
             pool_max_idle: 32,
             serve: ServeOptions::default(),
             metrics: true,
@@ -183,14 +152,15 @@ impl ProxyConfig {
             accept_push: false,
             stream_threshold: 256 * 1024,
             prefix_bytes: 64 * 1024,
-            client_body_cap: piggyback_httpwire::parse::MAX_BODY,
+            client_body_cap: parse::MAX_BODY,
         }
     }
 }
 
 /// Shared proxy state; every piece locks independently (or not at all).
-/// `pub(crate)` because the prefetch workers ([`crate::prefetch`]) operate
-/// on the same cache/table/pool/stats the request path does.
+/// `pub(crate)` because the lifecycle functions ([`crate::lifecycle`]) and
+/// the prefetch workers ([`crate::prefetch`]) operate on the same
+/// cache/table/pool/stats the request path does.
 pub(crate) struct ProxyShared {
     pub(crate) cfg: ProxyConfig,
     pub(crate) clock: Clock,
@@ -204,20 +174,17 @@ pub(crate) struct ProxyShared {
     /// the stored bytes are never copied again after the retain-time copy.
     pub(crate) bodies: ShardedBodyStore,
     /// Per-source RPV lists keyed by client peer address.
-    rpv: Option<Mutex<RpvTable<SocketAddr>>>,
+    pub(crate) rpv: Option<Mutex<RpvTable<SocketAddr>>>,
     reporter: Mutex<HitReporter>,
     pub(crate) stats: AtomicProxyStats,
     /// Latency histograms + piggyback-overhead accounting (lock-free).
-    obs: ProxyObs,
-    /// Keep-alive origin pool (Sharded mode; Legacy connects per fetch).
-    pub(crate) pool: Option<ConnectionPool>,
-    /// Legacy mode's whole-state serializer, held across each cache phase
-    /// the way the original `Mutex<ProxyState>` was.
-    global: Option<Mutex<()>>,
-    /// The speculative fetch engine (`--prefetch-budget > 0`, Sharded
-    /// mode only). `OnceLock` because it is started after the `Arc` is
-    /// built — the workers hold a `Weak` back-reference.
-    prefetcher: OnceLock<Arc<Prefetcher>>,
+    pub(crate) obs: ProxyObs,
+    /// Keep-alive origin pool of the blocking driver.
+    pub(crate) pool: ConnectionPool,
+    /// The speculative fetch engine (`--prefetch-budget > 0`). `OnceLock`
+    /// because it is started after the `Arc` is built — the workers hold
+    /// a `Weak` back-reference.
+    pub(crate) prefetcher: OnceLock<Arc<Prefetcher>>,
     /// Accept-side counters (both I/O modes), exported at the scrape.
     io_stats: Arc<IoStats>,
     /// Per-reactor-shard gauges when running in reactor mode.
@@ -225,9 +192,8 @@ pub(crate) struct ProxyShared {
     reactor_metrics: Option<Arc<crate::reactor::ReactorMetrics>>,
     /// Injects detached upstream exchanges (speculative prefetch GETs)
     /// into the reactor shards, so speculation rides the same nonblocking
-    /// upstream legs as demand misses. Set once the reactor is up;
-    /// `None`/unset in threaded mode (the prefetcher then blocks on the
-    /// pool as before).
+    /// upstream legs as demand misses. Set once the reactor is up; unset
+    /// in threaded mode (the prefetcher then blocks on the pool).
     #[cfg(target_os = "linux")]
     pub(crate) upstream_submit: OnceLock<crate::reactor::ReactorSubmitter>,
 }
@@ -240,6 +206,16 @@ impl ProxyShared {
             filter.rpv = rpv.lock().filter_ids(&source, now);
         }
         filter
+    }
+
+    /// Account one request answered from a fresh cache entry.
+    pub(crate) fn note_fresh_hit(&self, path: &str, start: Instant) {
+        self.stats.cache_hits.fetch_add(1, Relaxed);
+        self.stats.fresh_hits.fetch_add(1, Relaxed);
+        if self.cfg.report_hits {
+            self.reporter.lock().record_hit(path);
+        }
+        self.obs.fresh_hit.record(start.elapsed());
     }
 }
 
@@ -258,9 +234,10 @@ impl ProxyHandle {
         self.shared.stats.snapshot()
     }
 
-    /// Origin-pool counters (`None` in Legacy mode, which has no pool).
+    /// Origin-pool counters (always `Some`; the `Option` predates the
+    /// pool being unconditional).
     pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.shared.pool.as_ref().map(|p| p.stats())
+        Some(self.shared.pool.stats())
     }
 
     /// Latency/piggyback-overhead histograms (lock-free snapshots).
@@ -285,18 +262,7 @@ impl ProxyHandle {
 
 /// Start the proxy.
 pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
-    let shards = match cfg.mode {
-        ConcurrencyMode::Legacy => 1,
-        ConcurrencyMode::Sharded { shards } => shards.max(1),
-    };
-    let pool = match cfg.mode {
-        ConcurrencyMode::Legacy => None,
-        ConcurrencyMode::Sharded { .. } => Some(ConnectionPool::new(cfg.origin, cfg.pool_max_idle)),
-    };
-    let global = match cfg.mode {
-        ConcurrencyMode::Legacy => Some(Mutex::new(())),
-        ConcurrencyMode::Sharded { .. } => None,
-    };
+    let shards = cfg.shards.max(1);
     let io_stats = Arc::new(IoStats::default());
     #[cfg(target_os = "linux")]
     let reactor_metrics = match cfg.io {
@@ -319,8 +285,7 @@ pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
         reporter: Mutex::new(HitReporter::new()),
         stats: AtomicProxyStats::new(),
         obs: ProxyObs::default(),
-        pool,
-        global,
+        pool: ConnectionPool::new(cfg.origin, cfg.pool_max_idle),
         prefetcher: OnceLock::new(),
         io_stats: Arc::clone(&io_stats),
         #[cfg(target_os = "linux")]
@@ -329,33 +294,13 @@ pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
         upstream_submit: OnceLock::new(),
         cfg,
     });
-    if shared.cfg.prefetch_budget > 0 && shared.pool.is_some() {
+    if shared.cfg.prefetch_budget > 0 {
         let p = Prefetcher::start(shared.cfg.prefetch_budget, Arc::downgrade(&shared));
         let _ = shared.prefetcher.set(Arc::new(p));
     }
     #[cfg(target_os = "linux")]
     if let Some(metrics) = reactor_metrics {
-        let opts = crate::reactor::ReactorOptions {
-            offload_workers: shared.cfg.serve.workers.max(1),
-            idle_timeout: shared.cfg.reactor_idle_timeout,
-            upstream_timeout: shared.cfg.upstream_timeout,
-            // The same retention knob as the threaded pool, so
-            // `pool_max_idle: 0` forbids upstream keep-alives in both
-            // I/O modes (per reactor shard here, globally there).
-            upstream_max_idle: shared.cfg.pool_max_idle,
-        };
-        let svc = Arc::new(ProxySvc {
-            shared: Arc::clone(&shared),
-        });
-        let handle =
-            crate::reactor::serve_reactor(shared.cfg.port, "proxy", opts, io_stats, metrics, svc)?;
-        // Speculative prefetch GETs ride the reactor's nonblocking
-        // upstream legs instead of blocking a worker on the pool.
-        if shared.pool.is_some() {
-            if let Some(sub) = handle.reactor_submitter() {
-                let _ = shared.upstream_submit.set(sub);
-            }
-        }
+        let handle = reactor_svc::serve(&shared, io_stats, metrics)?;
         return Ok(ProxyHandle { handle, shared });
     }
     let shared2 = Arc::clone(&shared);
@@ -371,632 +316,287 @@ pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
     Ok(ProxyHandle { handle, shared })
 }
 
-/// The proxy as a [`ReactorService`](crate::reactor::ReactorService):
-/// cache hits, metrics, and synthesized errors serialize inline on the
-/// reactor thread; upstream fetches become nonblocking
-/// [`UpstreamPlan`](crate::reactor::UpstreamPlan)s driven on the same
-/// epoll loop — no offload-pool hop. The offload pool survives only for
-/// genuinely blocking work: Legacy mode's global-lock exchanges,
-/// `--accept-push` (which drains pushed responses synchronously off the
-/// origin stream), and demand requests that must park to join an
-/// in-flight speculative fetch.
-#[cfg(target_os = "linux")]
-struct ProxySvc {
-    shared: Arc<ProxyShared>,
-}
-
-/// A reactor shard's lock-free affine L1: the last fresh hits this shard
-/// served, revalidated by the cache's global
-/// [`mutation_epoch`](piggyback_webcache::ShardedCache::mutation_epoch)
-/// so a repeat hit costs zero shard-lock acquisitions while the cache is
-/// quiescent. An entry is serveable only while (a) the mutation epoch
-/// still equals the epoch certified around the locked lookup that filled
-/// it, and (b) the entry is still fresh by the shared clock. Any cache
-/// mutation anywhere invalidates the whole L1 — conservative, but what
-/// makes the shortcut correct without per-entry coherence.
+/// The reactor engine's half of the proxy: the [`ReactorService`] with
+/// its shard-affine L1, and the adapters that turn a lifecycle [`Leg`]
+/// into a nonblocking [`UpstreamPlan`].
 ///
-/// Accepted divergence from the locked path: an L1 hit does not touch
-/// LRU recency (the filling lookup already did, and eviction order is
-/// not part of the wire contract). Wire bytes are identical.
+/// [`ReactorService`]: crate::reactor::ReactorService
+/// [`UpstreamPlan`]: crate::reactor::UpstreamPlan
 #[cfg(target_os = "linux")]
-pub(crate) struct ProxyCtx {
-    l1: std::collections::HashMap<String, L1Hit>,
-}
+mod reactor_svc {
+    use super::*;
+    use crate::lifecycle::Refetch;
+    use crate::reactor::{
+        HeadFn, ReactorMetrics, ReactorOptions, ReactorService, Served, StreamSpec, UpstreamNext,
+        UpstreamPlan,
+    };
+    use std::collections::HashMap;
 
-#[cfg(target_os = "linux")]
-struct L1Hit {
-    body: Body,
-    lm: Timestamp,
-    expires: Timestamp,
-    epoch: u64,
-}
+    /// Serve `shared` from the epoll reactor.
+    pub(super) fn serve(
+        shared: &Arc<ProxyShared>,
+        io_stats: Arc<IoStats>,
+        metrics: Arc<ReactorMetrics>,
+    ) -> io::Result<ServerHandle> {
+        let opts = ReactorOptions {
+            offload_workers: shared.cfg.serve.workers.max(1),
+            idle_timeout: shared.cfg.reactor_idle_timeout,
+            upstream_timeout: shared.cfg.upstream_timeout,
+            // The same retention knob as the threaded pool, so
+            // `pool_max_idle: 0` forbids upstream keep-alives in both
+            // I/O modes (per reactor shard here, globally there).
+            upstream_max_idle: shared.cfg.pool_max_idle,
+        };
+        let svc = Arc::new(ProxySvc {
+            shared: Arc::clone(shared),
+        });
+        let handle =
+            crate::reactor::serve_reactor(shared.cfg.port, "proxy", opts, io_stats, metrics, svc)?;
+        // Speculative prefetch GETs ride the reactor's nonblocking
+        // upstream legs instead of blocking a worker on the pool.
+        if let Some(sub) = handle.reactor_submitter() {
+            let _ = shared.upstream_submit.set(sub);
+        }
+        Ok(handle)
+    }
 
-/// Paths the affine L1 retains before clearing itself wholesale — a tiny
-/// bound; the point is repeat hits on a shard's hot set, not a second
-/// cache tier.
-#[cfg(target_os = "linux")]
-const L1_CAP: usize = 1024;
+    /// The proxy as a [`ReactorService`]: cache hits, metrics, and
+    /// synthesized errors serialize inline on the reactor thread;
+    /// upstream fetches become nonblocking [`UpstreamPlan`]s driven on
+    /// the same epoll loop — no offload-pool hop. The offload pool
+    /// survives only for genuinely blocking work, which runs the blocking
+    /// driver there: `--accept-push` (which drains pushed responses
+    /// synchronously off the origin stream) and demand requests that must
+    /// park to join an in-flight speculative fetch.
+    struct ProxySvc {
+        shared: Arc<ProxyShared>,
+    }
 
-#[cfg(target_os = "linux")]
-impl crate::reactor::ReactorService for ProxySvc {
-    type Ctx = ProxyCtx;
+    /// A reactor shard's lock-free affine L1: the last fresh hits this
+    /// shard served, revalidated by the cache's global
+    /// [`mutation_epoch`](piggyback_webcache::ShardedCache::mutation_epoch)
+    /// so a repeat hit costs zero shard-lock acquisitions while the cache
+    /// is quiescent. An entry is serveable only while (a) the mutation
+    /// epoch still equals the epoch certified around the locked lookup
+    /// that filled it, and (b) the entry is still fresh by the shared
+    /// clock. Any cache mutation anywhere invalidates the whole L1 —
+    /// conservative, but what makes the shortcut correct without
+    /// per-entry coherence.
+    ///
+    /// Accepted divergence from the locked path: an L1 hit does not touch
+    /// LRU recency (the filling lookup already did, and eviction order is
+    /// not part of the wire contract). Wire bytes are identical.
+    pub(crate) struct ProxyCtx {
+        l1: HashMap<String, L1Hit>,
+    }
 
-    fn make_ctx(&self, _shard: usize) -> ProxyCtx {
-        ProxyCtx {
-            l1: std::collections::HashMap::new(),
+    struct L1Hit {
+        body: Body,
+        lm: Timestamp,
+        expires: Timestamp,
+        epoch: u64,
+    }
+
+    /// Paths the affine L1 retains before clearing itself wholesale — a
+    /// tiny bound; the point is repeat hits on a shard's hot set, not a
+    /// second cache tier.
+    const L1_CAP: usize = 1024;
+
+    impl ReactorService for ProxySvc {
+        type Ctx = ProxyCtx;
+
+        fn make_ctx(&self, _shard: usize) -> ProxyCtx {
+            ProxyCtx { l1: HashMap::new() }
+        }
+
+        fn handle(
+            &self,
+            req: &Request,
+            peer: SocketAddr,
+            ctx: &mut ProxyCtx,
+            scratch: &mut ConnScratch,
+            out: &mut Vec<u8>,
+        ) -> io::Result<Served> {
+            let shared = &self.shared;
+            if req.method == "GET" {
+                let path = strip_origin_form(&req.target);
+                if path != METRICS_PATH {
+                    enum L1Verdict {
+                        Serve(Body, Timestamp),
+                        Drop,
+                        Miss,
+                    }
+                    let start = Instant::now();
+                    let verdict = match ctx.l1.get(path) {
+                        Some(hit) if hit.epoch == shared.cache.mutation_epoch() => {
+                            if shared.clock.now() < hit.expires {
+                                L1Verdict::Serve(hit.body.clone(), hit.lm)
+                            } else {
+                                // Expired: the locked path counts the
+                                // validation; drop the stale copy.
+                                L1Verdict::Drop
+                            }
+                        }
+                        Some(_) => L1Verdict::Drop,
+                        None => L1Verdict::Miss,
+                    };
+                    match verdict {
+                        L1Verdict::Serve(body, lm) => {
+                            shared.stats.requests.fetch_add(1, Relaxed);
+                            shared.stats.affine_hits.fetch_add(1, Relaxed);
+                            shared.note_fresh_hit(path, start);
+                            write_hit(out, scratch, &body, lm)?;
+                            return Ok(Served::Inline);
+                        }
+                        L1Verdict::Drop => {
+                            ctx.l1.remove(path);
+                        }
+                        L1Verdict::Miss => {}
+                    }
+                }
+            }
+            let epoch = shared.cache.mutation_epoch();
+            match plan_request(req, shared, peer) {
+                Step::Reply(Reply::Hit { body, lm, expires }) => {
+                    // Fill the L1 only when nothing mutated around the
+                    // locked lookup — then `epoch` certifies the snapshot
+                    // is current.
+                    if shared.cache.mutation_epoch() == epoch {
+                        if ctx.l1.len() >= L1_CAP {
+                            ctx.l1.clear();
+                        }
+                        ctx.l1.insert(
+                            strip_origin_form(&req.target).to_owned(),
+                            L1Hit {
+                                body: body.clone(),
+                                lm,
+                                expires,
+                                epoch,
+                            },
+                        );
+                    }
+                    write_hit(out, scratch, &body, lm)?;
+                    Ok(Served::Inline)
+                }
+                Step::Reply(Reply::Full(resp)) => {
+                    resp.write_with(out, scratch)?;
+                    Ok(Served::Inline)
+                }
+                Step::Upstream(job) => self.plan_upstream(job, scratch, out),
+            }
         }
     }
 
-    fn handle(
-        &self,
-        req: &Request,
-        peer: SocketAddr,
-        ctx: &mut ProxyCtx,
-        scratch: &mut ConnScratch,
-        out: &mut Vec<u8>,
-    ) -> io::Result<crate::reactor::Served> {
-        use crate::reactor::Served;
-        let shared = &self.shared;
-        if req.method == "GET" {
-            let path = strip_origin_form(&req.target);
-            if path != METRICS_PATH {
-                enum L1Verdict {
-                    Serve(Body, Timestamp),
-                    Drop,
-                    Miss,
-                }
-                let start = Instant::now();
-                let verdict = match ctx.l1.get(path) {
-                    Some(hit) if hit.epoch == shared.cache.mutation_epoch() => {
-                        if shared.clock.now() < hit.expires {
-                            L1Verdict::Serve(hit.body.clone(), hit.lm)
-                        } else {
-                            // Expired: the locked path counts the
-                            // validation; drop the stale copy.
-                            L1Verdict::Drop
-                        }
-                    }
-                    Some(_) => L1Verdict::Drop,
-                    None => L1Verdict::Miss,
-                };
-                match verdict {
-                    L1Verdict::Serve(body, lm) => {
-                        let stats = &shared.stats;
-                        stats.requests.fetch_add(1, Relaxed);
-                        stats.cache_hits.fetch_add(1, Relaxed);
-                        stats.fresh_hits.fetch_add(1, Relaxed);
-                        stats.affine_hits.fetch_add(1, Relaxed);
-                        if shared.cfg.report_hits {
-                            shared.reporter.lock().record_hit(path);
-                        }
-                        shared.obs.fresh_hit.record(start.elapsed());
-                        write_hit(out, scratch, &body, lm)?;
-                        return Ok(Served::Inline);
-                    }
-                    L1Verdict::Drop => {
-                        ctx.l1.remove(path);
-                    }
-                    L1Verdict::Miss => {}
-                }
-            }
+    impl ProxySvc {
+        /// The blocking fallback: run the whole upstream lifecycle on an
+        /// offload worker through the blocking driver.
+        fn offload(&self, job: UpstreamJob) -> Served {
+            let shared = Arc::clone(&self.shared);
+            Served::Offload(Box::new(move |scratch, out| {
+                serve_upstream(&shared, job, out, scratch)
+            }))
         }
-        let epoch = shared.cache.mutation_epoch();
-        match plan_request(req, shared, peer) {
-            Step::Reply(Reply::Hit { body, lm, expires }) => {
-                // Fill the L1 only when nothing mutated around the locked
-                // lookup — then `epoch` certifies the snapshot is current.
-                if shared.cache.mutation_epoch() == epoch {
-                    if ctx.l1.len() >= L1_CAP {
-                        ctx.l1.clear();
-                    }
-                    ctx.l1.insert(
-                        strip_origin_form(&req.target).to_owned(),
-                        L1Hit {
-                            body: body.clone(),
-                            lm,
-                            expires,
-                            epoch,
-                        },
-                    );
-                }
-                write_hit(out, scratch, &body, lm)?;
-                Ok(Served::Inline)
-            }
-            Step::Reply(Reply::Full(resp)) => {
-                resp.write_with(out, scratch)?;
-                Ok(Served::Inline)
-            }
-            Step::Upstream(job) => self.plan_upstream(job, scratch, out),
-        }
-    }
-}
 
-#[cfg(target_os = "linux")]
-impl ProxySvc {
-    /// The blocking fallback: ship the whole exchange (phases 2+3) to the
-    /// offload pool, exactly as every reactor-mode miss did before the
-    /// nonblocking upstream existed.
-    fn offload(&self, job: UpstreamJob) -> crate::reactor::Served {
-        let shared = Arc::clone(&self.shared);
-        crate::reactor::Served::Offload(Box::new(move |scratch, out| {
-            let resp = complete_upstream(&shared, job, scratch);
-            resp.write_with(out, scratch)
-        }))
-    }
-
-    fn plan_upstream(
-        &self,
-        job: UpstreamJob,
-        scratch: &mut ConnScratch,
-        out: &mut Vec<u8>,
-    ) -> io::Result<crate::reactor::Served> {
-        use crate::reactor::Served;
-        let shared = &self.shared;
-        // Legacy mode serializes behind the global lock and accept-push
-        // drains pushed responses synchronously mid-exchange; both stay
-        // on the offload pool.
-        if shared.pool.is_none() || shared.cfg.accept_push {
-            return Ok(self.offload(job));
-        }
-        // A plain miss racing a speculative fetch of the same path:
-        // cancel a still-queued job outright, serve a landed one, but
-        // park (offload) to join one already on the wire — the reactor
-        // thread itself must never block.
-        if job.validate_lm.is_none() {
-            if let Some(p) = shared.prefetcher.get() {
-                match p.try_claim(shared, &job.path) {
-                    prefetch::TryClaim::Fetch => {}
-                    prefetch::TryClaim::InFlight => return Ok(self.offload(job)),
-                    prefetch::TryClaim::Resolved => {
-                        if let Some(served) = serve_settled_speculation(shared, &job, scratch, out)?
-                        {
-                            return Ok(served);
+        fn plan_upstream(
+            &self,
+            mut job: UpstreamJob,
+            scratch: &mut ConnScratch,
+            out: &mut Vec<u8>,
+        ) -> io::Result<Served> {
+            let shared = &self.shared;
+            if shared.cfg.accept_push {
+                return Ok(self.offload(job));
+            }
+            // A plain miss racing a speculative fetch of the same path:
+            // cancel a still-queued job outright, serve a landed one, but
+            // park (offload) to join one already on the wire — the
+            // reactor thread itself must never block.
+            if job.validate_lm.is_none() {
+                if let Some(p) = shared.prefetcher.get() {
+                    match p.claim(shared, &job.path, false) {
+                        prefetch::Claim::Fetch => {}
+                        prefetch::Claim::InFlight => return Ok(self.offload(job)),
+                        prefetch::Claim::Resolved => {
+                            if let Some((body, lm)) = lifecycle::landed_speculation(shared, &job) {
+                                write_hit(out, scratch, &body, lm)?;
+                                return Ok(Served::Inline);
+                            }
                         }
                     }
                 }
             }
-        }
-        // Streaming cut-through (mirrors the threaded engine): a retained
-        // prefix serves its head right now — the client's first byte never
-        // waits on the origin — and the suffix relays in behind it.
-        if reactor_streaming_eligible(shared, &job) {
-            let hit = shared
-                .table
-                .read()
-                .lookup(&job.path)
-                .and_then(|r| shared.bodies.get_prefix(r).map(|b| (r, b)));
-            if let Some((r, head)) = hit {
-                let total = head.total_len();
-                let head_len = head.len();
-                // Same bytes as the threaded `serve_prefix_hit` head; the
-                // reactor flushes `out` even while AwaitingUpstream, so
-                // TTFB is one pump away.
-                write!(
-                    out,
-                    "HTTP/1.1 200 OK\r\nX-Cache: PREFIX\r\nContent-Length: {total}\r\n\r\n"
-                )?;
+            // The reactor flushes `out` even while awaiting the upstream,
+            // so a prefix hit's first byte is one pump away.
+            if let Some(head) = lifecycle::probe_prefix(shared, &mut job, out) {
                 out.extend_from_slice(head.as_slice());
-                return Ok(Served::Upstream(suffix_relay_plan(
-                    Arc::clone(shared),
-                    job,
-                    r,
-                    total,
-                    head_len,
-                    scratch,
-                )));
             }
+            let leg = lifecycle::first_leg(shared, &job);
+            Ok(Served::Upstream(upstream_plan(
+                Arc::clone(shared),
+                job,
+                leg,
+                None,
+                scratch,
+            )))
         }
-        Ok(Served::Upstream(first_exchange_plan(
-            Arc::clone(shared),
-            job,
-            scratch,
-        )))
     }
-}
 
-/// Reactor-mode streaming eligibility: the same gates as the threaded
-/// [`streaming_eligible`] minus the pool check — `plan_upstream` already
-/// routed legacy mode (no pool) and `--accept-push` to the offload pool,
-/// and the reactor owns its origin connections.
-#[cfg(target_os = "linux")]
-fn reactor_streaming_eligible(shared: &ProxyShared, job: &UpstreamJob) -> bool {
-    shared.cfg.stream_threshold > 0
-        && job.validate_lm.is_none()
-        && !shared.cfg.accept_push
-        && shared.prefetcher.get().is_none()
-}
-
-/// The reactor plan relaying a prefix hit's suffix: a plain CL-framed GET
-/// (no `TE: chunked`, no `Piggy-filter` — same request as the threaded
-/// suffix refetch) whose declared length must equal the recorded total,
-/// or the object changed underneath the prefix and the relay fails with a
-/// mismatch. `skip` drops the head bytes the client already has. Retry is
-/// safe until the relay engages: only the cache-served head is out.
-#[cfg(target_os = "linux")]
-fn suffix_relay_plan(
-    shared: Arc<ProxyShared>,
-    job: UpstreamJob,
-    r: ResourceId,
-    total: usize,
-    head_len: usize,
-    scratch: &mut ConnScratch,
-) -> crate::reactor::UpstreamPlan {
-    use crate::reactor::{StreamSpec, UpstreamNext, UpstreamOutcome, UpstreamPlan};
-    let mut req = Request::new("GET", &job.path);
-    req.headers.insert("Host", "origin");
-    let mut request = Vec::with_capacity(128);
-    req.write_with(&mut request, scratch)
-        .expect("serializing to a Vec cannot fail");
-    let origin = shared.cfg.origin;
-    let retry_stats = Arc::clone(&shared);
-    UpstreamPlan {
-        origin,
-        request,
-        retry: Box::new(move || {
-            retry_stats.stats.upstream_retries.fetch_add(1, Relaxed);
-        }),
-        stream: Some(StreamSpec {
-            threshold: 0,
-            prefix_bytes: 0,
-            skip: head_len,
-            expect_total: Some(total),
-            // The client head went out at plan time; nothing more to send
-            // when the relay engages.
-            head: Box::new(|_resp, _scratch, _out| Ok(())),
-        }),
-        finish: Box::new(move |_scratch, _out, outcome| match outcome {
-            UpstreamOutcome::Streamed { total, .. } => {
-                shared.stats.cache_hits.fetch_add(1, Relaxed);
-                shared.stats.prefix_hits.fetch_add(1, Relaxed);
-                // Range-free refetch: the origin resent the whole object
-                // (bandwidth unchanged; TTFB is what the prefix buys).
-                shared
-                    .stats
-                    .bytes_from_origin
-                    .fetch_add(total as u64, Relaxed);
-                shared.obs.prefix_hit.record(job.start.elapsed());
+    /// `leg` as a reactor plan: the reactor dials (or reuses) a
+    /// shard-owned origin connection, and the continuation hands the
+    /// outcome to the same settle functions the blocking driver calls.
+    /// `refetch` marks the chained second exchange of a body-less 304.
+    fn upstream_plan(
+        shared: Arc<ProxyShared>,
+        job: UpstreamJob,
+        leg: Leg,
+        refetch: Option<Refetch>,
+        scratch: &mut ConnScratch,
+    ) -> UpstreamPlan {
+        let request = leg.request_bytes(scratch);
+        let stream = leg.relay.map(|rule| {
+            let head: HeadFn = if rule.expect_total.is_some() {
+                // A pinned relay's client head went out with the cached
+                // prefix at plan time.
+                Box::new(|_resp, _scratch, _out| Ok(()))
+            } else {
+                let shared = Arc::clone(&shared);
+                Box::new(move |resp, _scratch, out| {
+                    // The reactor relays `Content-Length` bodies only.
+                    let declared = parse::content_length(&resp.headers).ok().flatten();
+                    lifecycle::write_stream_head(&shared, resp, declared, out);
+                    Ok(())
+                })
+            };
+            StreamSpec { rule, head }
+        });
+        let retry_stats = Arc::clone(&shared);
+        UpstreamPlan {
+            origin: shared.cfg.origin,
+            request,
+            retry: Box::new(move || {
+                retry_stats.stats.upstream_retries.fetch_add(1, Relaxed);
+            }),
+            stream,
+            finish: Box::new(move |scratch, out, outcome| {
+                let resp = match refetch {
+                    Some(refetch) => {
+                        lifecycle::settle_refetch(&shared, &job, refetch, outcome, Vec::new())
+                    }
+                    None => match lifecycle::settle(&shared, &job, outcome, Vec::new()) {
+                        Settled::Reply(resp) => resp,
+                        Settled::Refetch(refetch) => {
+                            let leg = lifecycle::refetch_leg(&shared, &job);
+                            let plan = upstream_plan(shared, job, leg, Some(refetch), scratch);
+                            return Ok(UpstreamNext::Again(plan));
+                        }
+                        Settled::Sent => return Ok(UpstreamNext::Done),
+                        Settled::Abort => return Err(lifecycle::relay_aborted()),
+                    },
+                };
+                resp.write_with(out, scratch)?;
                 Ok(UpstreamNext::Done)
-            }
-            UpstreamOutcome::StreamFailed { mismatch } => {
-                if mismatch {
-                    // New length or status: the head already sent is
-                    // stale. Drop the poisoned prefix; the next request
-                    // misses and re-primes.
-                    shared.bodies.remove(r);
-                }
-                count_relay_error(&shared, &job);
-                Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "suffix relay failed",
-                ))
-            }
-            // `expect_total` forces every parsed head through the relay
-            // decision, so a buffered Response cannot arrive; Failed
-            // (dial error, pre-engage I/O death) is terminal too — the
-            // prefix head is already on the wire, no 502 may follow it.
-            UpstreamOutcome::Failed | UpstreamOutcome::Response(_) => {
-                count_relay_error(&shared, &job);
-                Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "suffix exchange failed",
-                ))
-            }
-        }),
-    }
-}
-
-/// Serve the entry a just-landed speculation installed (the reactor
-/// analog of [`complete_upstream`]'s `claim_or_join == true` path);
-/// `None` when the speculation resolved without a serveable entry and the
-/// demand fetch should proceed.
-#[cfg(target_os = "linux")]
-fn serve_settled_speculation(
-    shared: &Arc<ProxyShared>,
-    job: &UpstreamJob,
-    scratch: &mut ConnScratch,
-    out: &mut Vec<u8>,
-) -> io::Result<Option<crate::reactor::Served>> {
-    let now = shared.clock.now();
-    let path = job.path.as_str();
-    let cached = shared
-        .table
-        .read()
-        .lookup(path)
-        .and_then(|r| shared.cache.lookup(r, now).map(|snap| (r, snap)));
-    let Some((r, snap)) = cached else {
-        return Ok(None);
-    };
-    // The lookup flipped `used`; settle the speculation even if the body
-    // vanishes before we can serve it.
-    prefetch::note_speculative_hit(&shared.stats, &snap);
-    let Some(body) = shared.bodies.get(r).filter(|b| !b.is_prefix()) else {
-        return Ok(None);
-    };
-    shared.stats.cache_hits.fetch_add(1, Relaxed);
-    shared.stats.fresh_hits.fetch_add(1, Relaxed);
-    if shared.cfg.report_hits {
-        shared.reporter.lock().record_hit(path);
-    }
-    shared.obs.fresh_hit.record(job.start.elapsed());
-    write_hit(out, scratch, &body, snap.last_modified)?;
-    Ok(Some(crate::reactor::Served::Inline))
-}
-
-/// Serialize the upstream GET exactly as [`exchange_upstream`] puts it on
-/// the wire — same serializer, same header order — so the origin sees
-/// identical bytes from both I/O modes.
-#[cfg(target_os = "linux")]
-fn serialize_upstream_request(
-    path: &str,
-    validate_lm: Option<Timestamp>,
-    filter: &ProxyFilter,
-    report: Option<&str>,
-    scratch: &mut ConnScratch,
-) -> Vec<u8> {
-    let mut req = Request::new("GET", path);
-    req.headers.insert("Host", "origin");
-    req.headers.insert("TE", "chunked");
-    req.headers
-        .insert(PIGGY_FILTER_HEADER, &filter.to_header_value());
-    // `accept_push` never reaches the nonblocking path (it needs the
-    // synchronous pushed-response drain), so no `Piggy-push` here.
-    if let Some(r) = report {
-        req.headers.insert(PIGGY_REPORT_HEADER, r);
-    }
-    if let Some(lm) = validate_lm {
-        let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
-        req.headers
-            .insert("If-Modified-Since", &format_rfc1123(unix));
-    }
-    let mut buf = Vec::with_capacity(256);
-    req.write_with(&mut buf, scratch)
-        .expect("serializing to a Vec cannot fail");
-    buf
-}
-
-/// The [`StreamSpec`] a reactor-mode demand miss carries when streaming
-/// is enabled: engage on CL-framed 200s at or above the threshold, tee
-/// the configured prefix, and serialize the same client head as the
-/// threaded cut-through. Chunked origin responses stay buffered in
-/// reactor mode — the piggyback rides chunked trailers, and those bodies
-/// fit the buffered exchange; the threaded engine covers chunked
-/// streaming.
-#[cfg(target_os = "linux")]
-fn reactor_stream_spec(
-    shared: &Arc<ProxyShared>,
-    job: &UpstreamJob,
-) -> Option<crate::reactor::StreamSpec> {
-    use crate::reactor::StreamSpec;
-    if !reactor_streaming_eligible(shared, job) {
-        return None;
-    }
-    let sh = Arc::clone(shared);
-    Some(StreamSpec {
-        threshold: shared.cfg.stream_threshold,
-        prefix_bytes: shared.cfg.prefix_bytes,
-        skip: 0,
-        expect_total: None,
-        head: Box::new(move |resp, _scratch, out| {
-            // Same head as the threaded `stream_miss`: `Last-Modified` +
-            // `X-Cache: MISS`, Content-Length framing (the relay only
-            // engages on CL-framed 200s).
-            let now = sh.clock.now();
-            let lm = resp
-                .headers
-                .get("Last-Modified")
-                .and_then(parse_rfc1123)
-                .map(|u| timestamp_from_unix(u, DEFAULT_TRACE_EPOCH_UNIX))
-                .unwrap_or(now);
-            let mut client_head = Response::new(200);
-            let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
-            client_head
-                .headers
-                .insert("Last-Modified", &format_rfc1123(unix));
-            client_head.headers.insert("X-Cache", "MISS");
-            let total = piggyback_httpwire::parse::content_length(&resp.headers)
-                .ok()
-                .flatten()
-                .expect("relay engages only with a declared length");
-            encode_stream_head(&client_head, StreamFraming::Length(total), out);
-            Ok(())
-        }),
-    })
-}
-
-/// Build the nonblocking plan for a miss/validation. The reactor dials
-/// (or reuses) a shard-owned origin connection and runs the continuation
-/// on the reactor thread once the exchange resolves; the continuation
-/// replays [`complete_upstream`]'s phase 3 — same counters, same
-/// piggyback order, same histograms — so the two I/O modes stay
-/// observationally identical.
-#[cfg(target_os = "linux")]
-fn first_exchange_plan(
-    shared: Arc<ProxyShared>,
-    job: UpstreamJob,
-    scratch: &mut ConnScratch,
-) -> crate::reactor::UpstreamPlan {
-    use crate::reactor::{UpstreamNext, UpstreamOutcome, UpstreamPlan};
-    let request = serialize_upstream_request(
-        &job.path,
-        job.validate_lm,
-        &job.filter,
-        job.report.as_deref(),
-        scratch,
-    );
-    let origin = shared.cfg.origin;
-    let retry_stats = Arc::clone(&shared);
-    let stream = reactor_stream_spec(&shared, &job);
-    UpstreamPlan {
-        origin,
-        request,
-        retry: Box::new(move || {
-            retry_stats.stats.upstream_retries.fetch_add(1, Relaxed);
-        }),
-        stream,
-        finish: Box::new(move |scratch, out, outcome| {
-            let resp = match outcome {
-                UpstreamOutcome::Failed => {
-                    shared.stats.upstream_errors.fetch_add(1, Relaxed);
-                    shared.obs.error.record(job.start.elapsed());
-                    Response::new(502).write_with(out, scratch)?;
-                    return Ok(UpstreamNext::Done);
-                }
-                UpstreamOutcome::Streamed {
-                    head,
-                    total,
-                    prefix,
-                } => {
-                    // The relay already delivered head + body; this is the
-                    // threaded `stream_miss` completion tail: counters,
-                    // registration, prefix retention, piggyback order.
-                    let now = shared.clock.now();
-                    let lm = head
-                        .headers
-                        .get("Last-Modified")
-                        .and_then(parse_rfc1123)
-                        .map(|u| timestamp_from_unix(u, DEFAULT_TRACE_EPOCH_UNIX))
-                        .unwrap_or(now);
-                    shared.stats.full_fetches.fetch_add(1, Relaxed);
-                    shared.stats.streamed_misses.fetch_add(1, Relaxed);
-                    shared
-                        .stats
-                        .bytes_from_origin
-                        .fetch_add(total as u64, Relaxed);
-                    let r = shared
-                        .table
-                        .write()
-                        .register_path(&job.path, total as u64, lm);
-                    if !prefix.is_empty() && prefix.len() < total {
-                        shared.bodies.insert(r, Body::prefix(prefix, total));
-                    }
-                    // CL-framed responses carry no trailers, so no
-                    // piggyback rode this exchange; process the empty
-                    // message for ordering parity with the threaded path.
-                    process_piggyback(&shared, &head, job.source, now);
-                    shared.obs.full_fetch.record(job.start.elapsed());
-                    return Ok(UpstreamNext::Done);
-                }
-                UpstreamOutcome::StreamFailed { .. } => {
-                    // Bytes already reached the client: no 502 may follow.
-                    // Count the terminal outcome and truncate.
-                    count_relay_error(&shared, &job);
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "streaming relay failed",
-                    ));
-                }
-                UpstreamOutcome::Response(resp) => resp,
-            };
-            // Phase 3, reactor edition.
-            let now = shared.clock.now();
-            let delta = shared.cfg.freshness;
-            match resp.status {
-                304 => {
-                    let r = shared.table.read().lookup(&job.path);
-                    let body = r.and_then(|r| {
-                        shared.cache.freshen(r, now + delta);
-                        shared.bodies.get(r)
-                    });
-                    match body {
-                        Some(body) => {
-                            shared.stats.not_modified.fetch_add(1, Relaxed);
-                            let lm = job.validate_lm.unwrap_or(Timestamp::ZERO);
-                            let result = cached_response(&body, lm, "VALIDATED");
-                            process_piggyback(&shared, &resp, job.source, now);
-                            shared.obs.not_modified.record(job.start.elapsed());
-                            result.write_with(out, scratch)?;
-                            Ok(UpstreamNext::Done)
-                        }
-                        None => {
-                            // The 304 validated an entry whose body is
-                            // gone (evicted mid-flight): chain an
-                            // unconditional refetch — same filter, no
-                            // report, no If-Modified-Since — exactly like
-                            // the threaded fallback.
-                            Ok(UpstreamNext::Again(refetch_plan(
-                                shared, job, resp, now, scratch,
-                            )))
-                        }
-                    }
-                }
-                200 => {
-                    let result = store_full_response(&shared, &job.path, &resp, now);
-                    process_piggyback(&shared, &resp, job.source, now);
-                    shared.obs.full_fetch.record(job.start.elapsed());
-                    result.write_with(out, scratch)?;
-                    Ok(UpstreamNext::Done)
-                }
-                _ => {
-                    shared.stats.upstream_passthrough.fetch_add(1, Relaxed);
-                    let mut result = Response::new(resp.status);
-                    result.body = resp.body.clone();
-                    process_piggyback(&shared, &resp, job.source, now);
-                    shared.obs.passthrough.record(job.start.elapsed());
-                    result.write_with(out, scratch)?;
-                    Ok(UpstreamNext::Done)
-                }
-            }
-        }),
-    }
-}
-
-/// The chained second exchange for a 304 whose body was evicted.
-/// `piggy_now` is the first continuation's phase-3 timestamp: the
-/// threaded path processes both responses' piggybacks with it, so the
-/// reactor does too. The original 304's piggyback is processed even when
-/// the refetch fails.
-#[cfg(target_os = "linux")]
-fn refetch_plan(
-    shared: Arc<ProxyShared>,
-    job: UpstreamJob,
-    original: Response,
-    piggy_now: Timestamp,
-    scratch: &mut ConnScratch,
-) -> crate::reactor::UpstreamPlan {
-    use crate::reactor::{UpstreamNext, UpstreamOutcome, UpstreamPlan};
-    let request = serialize_upstream_request(&job.path, None, &job.filter, None, scratch);
-    let origin = shared.cfg.origin;
-    let retry_stats = Arc::clone(&shared);
-    UpstreamPlan {
-        origin,
-        request,
-        retry: Box::new(move || {
-            retry_stats.stats.upstream_retries.fetch_add(1, Relaxed);
-        }),
-        finish: Box::new(move |scratch, out, outcome| {
-            let mut refetch_resp = None;
-            let (result, hist) = match outcome {
-                UpstreamOutcome::Response(r2) if r2.status == 200 => {
-                    let now = shared.clock.now();
-                    let result = store_full_response(&shared, &job.path, &r2, now);
-                    refetch_resp = Some(r2);
-                    (result, &shared.obs.full_fetch)
-                }
-                UpstreamOutcome::Response(r2) => {
-                    shared.stats.upstream_passthrough.fetch_add(1, Relaxed);
-                    let mut result = Response::new(r2.status);
-                    result.body = r2.body.clone();
-                    refetch_resp = Some(r2);
-                    (result, &shared.obs.passthrough)
-                }
-                UpstreamOutcome::Failed => {
-                    shared.stats.upstream_errors.fetch_add(1, Relaxed);
-                    (Response::new(502), &shared.obs.error)
-                }
-                UpstreamOutcome::Streamed { .. } | UpstreamOutcome::StreamFailed { .. } => {
-                    unreachable!("refetch plan carries no StreamSpec")
-                }
-            };
-            process_piggyback(&shared, &original, job.source, piggy_now);
-            if let Some(r2) = &refetch_resp {
-                process_piggyback(&shared, r2, job.source, piggy_now);
-            }
-            hist.record(job.start.elapsed());
-            result.write_with(out, scratch)?;
-            Ok(UpstreamNext::Done)
-        }),
-        // The refetch materializes a cacheable body; never streamed.
-        stream: None,
+            }),
+        }
     }
 }
 
@@ -1006,78 +606,34 @@ fn handle_connection(stream: TcpStream, shared: &Arc<ProxyShared>) -> io::Result
         .unwrap_or_else(|_| SocketAddr::from(([0, 0, 0, 0], 0)));
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut scratch = ConnScratch::new();
-    match shared.cfg.wire {
-        WireMode::ZeroCopy => {
-            // Steady state allocates nothing per request: the request is
-            // parsed into reused buffers, a hit clones the shared body
-            // (refcount bump), and the response head is formatted into
-            // the scratch and emitted together with the referenced body
-            // bytes in one vectored write.
-            let mut writer = stream;
-            let mut req = Request::empty();
-            loop {
-                match req.read_into_capped(&mut reader, &mut scratch, shared.cfg.client_body_cap) {
-                    Ok(()) => {}
-                    Err(e) if e.body_too_large() => {
-                        // An oversized request body is the client's
-                        // mistake, not a dead connection: say so (413)
-                        // before closing, instead of silently hanging up
-                        // mid-upload.
-                        let _ = Response::new(413).write_with(&mut writer, &mut scratch);
-                        return Ok(());
-                    }
-                    Err(_) => return Ok(()),
-                }
-                let keep = req.keep_alive();
-                match plan_request(&req, shared, source) {
-                    Step::Reply(Reply::Hit { body, lm, .. }) => {
-                        write_hit(&mut writer, &mut scratch, &body, lm)?
-                    }
-                    Step::Reply(Reply::Full(resp)) => resp.write_with(&mut writer, &mut scratch)?,
-                    Step::Upstream(job) if streaming_eligible(shared, &job) => {
-                        stream_exchange(shared, job, &mut writer, &mut scratch)?
-                    }
-                    Step::Upstream(job) => {
-                        let resp = complete_upstream(shared, job, &mut scratch);
-                        resp.write_with(&mut writer, &mut scratch)?
-                    }
-                }
-                if !keep {
-                    return Ok(());
-                }
+    // Steady state allocates nothing per request: the request is parsed
+    // into reused buffers, a hit clones the shared body (refcount bump),
+    // and the response head is formatted into the scratch and emitted
+    // together with the referenced body bytes in one vectored write.
+    let mut writer = stream;
+    let mut req = Request::empty();
+    loop {
+        match req.read_into_capped(&mut reader, &mut scratch, shared.cfg.client_body_cap) {
+            Ok(()) => {}
+            Err(e) if e.body_too_large() => {
+                // An oversized request body is the client's mistake, not
+                // a dead connection: say so (413) before closing, instead
+                // of silently hanging up mid-upload.
+                let _ = Response::new(413).write_with(&mut writer, &mut scratch);
+                return Ok(());
             }
+            Err(_) => return Ok(()),
         }
-        WireMode::Buffered => {
-            let mut writer = BufWriter::new(stream);
-            loop {
-                // Seed-cost parse (fresh allocations per request), but
-                // honoring the configured client body cap.
-                let req = {
-                    let mut req = Request::empty();
-                    let mut rs = ConnScratch::new();
-                    match req.read_into_capped(&mut reader, &mut rs, shared.cfg.client_body_cap) {
-                        Ok(()) => req,
-                        Err(e) if e.body_too_large() => {
-                            let _ = Response::new(413).write(&mut writer);
-                            return Ok(());
-                        }
-                        Err(_) => return Ok(()),
-                    }
-                };
-                let keep = req.keep_alive();
-                let resp = match handle_request(&req, shared, source, &mut scratch) {
-                    // Replicate the seed hit cost: an owned copy of the
-                    // cached bytes into the response.
-                    Reply::Hit { body, lm, .. } => {
-                        cached_response(&Body::from(body.as_slice()), lm, "HIT")
-                    }
-                    Reply::Full(resp) => resp,
-                };
-                resp.write(&mut writer)?;
-                if !keep {
-                    return Ok(());
-                }
+        let keep = req.keep_alive();
+        match plan_request(&req, shared, source) {
+            Step::Reply(Reply::Hit { body, lm, .. }) => {
+                write_hit(&mut writer, &mut scratch, &body, lm)?
             }
+            Step::Reply(Reply::Full(resp)) => resp.write_with(&mut writer, &mut scratch)?,
+            Step::Upstream(job) => serve_upstream(shared, job, &mut writer, &mut scratch)?,
+        }
+        if !keep {
+            return Ok(());
         }
     }
 }
@@ -1088,417 +644,248 @@ fn handle_connection(stream: TcpStream, shared: &Arc<ProxyShared>) -> io::Result
 /// relay: the whole body is never resident.
 const STREAM_SEGMENT: usize = 16 * 1024;
 
-/// Whether `job` may take the streaming cut-through path: plain demand
-/// misses only. Validations stay buffered (a 304 needs the full-response
-/// exchange), Legacy mode has no pool to keep suffix connections on,
-/// `--accept-push` drains pushed responses synchronously off the origin
-/// stream mid-exchange, and an active prefetcher's claim/join protocol
-/// expects every miss to materialize a cacheable body — all of those
-/// keep the buffered path.
-fn streaming_eligible(shared: &ProxyShared, job: &UpstreamJob) -> bool {
-    shared.cfg.stream_threshold > 0
-        && job.validate_lm.is_none()
-        && shared.pool.is_some()
-        && !shared.cfg.accept_push
-        && shared.prefetcher.get().is_none()
-}
-
-/// A miss on the streaming path: probe for a retained prefix first (serve
-/// the head immediately, relay only the suffix), else run the streaming
-/// miss exchange. An `Err` from here means origin-derived bytes already
-/// reached the client and the transfer cannot be completed — the caller
-/// drops the connection, the only honest signal left (a `Content-Length`
-/// client sees the truncation; a chunked client sees the missing terminal
-/// chunk).
-fn stream_exchange<W: Write>(
-    shared: &Arc<ProxyShared>,
-    job: UpstreamJob,
+/// The blocking driver: run `job`'s upstream lifecycle on the calling
+/// thread (the connection's own worker in threaded mode, an offload
+/// worker in reactor mode) and write the client's answer to `w`. An
+/// `Err` means the client connection must be dropped.
+fn serve_upstream<W: Write>(
+    shared: &ProxyShared,
+    mut job: UpstreamJob,
     w: &mut W,
     scratch: &mut ConnScratch,
 ) -> io::Result<()> {
-    let prefix = shared
-        .table
-        .read()
-        .lookup(&job.path)
-        .and_then(|r| shared.bodies.get_prefix(r).map(|b| (r, b)));
-    match prefix {
-        Some((r, head)) => serve_prefix_hit(shared, job, r, head, w, scratch),
-        None => stream_miss(shared, job, w, scratch),
-    }
-}
-
-/// Append the leading bytes of `seg` into `prefix` until it holds `want`.
-fn tee_prefix(prefix: &mut Vec<u8>, want: usize, seg: &[u8]) {
-    if prefix.len() < want {
-        let take = (want - prefix.len()).min(seg.len());
-        prefix.extend_from_slice(&seg[..take]);
-    }
-}
-
-/// Serve a prefix hit: the retained head goes out immediately — no origin
-/// round trip gates the client's first byte, which is the whole TTFB win —
-/// then the suffix is refetched over the keep-alive pool and relayed. The
-/// refetch is a plain GET (no `TE: chunked`, no `Piggy-filter`), so the
-/// origin answers with `Content-Length` framing and no piggyback, and the
-/// declared length validates the prefix against the recorded total: any
-/// mismatch means the object changed underneath the prefix, which is then
-/// dropped as stale.
-fn serve_prefix_hit<W: Write>(
-    shared: &Arc<ProxyShared>,
-    job: UpstreamJob,
-    r: ResourceId,
-    head: Body,
-    w: &mut W,
-    scratch: &mut ConnScratch,
-) -> io::Result<()> {
-    let pool = shared.pool.as_ref().expect("streaming requires the pool");
-    let total = head.total_len();
-    let head_len = head.len();
-    scratch.out.clear();
-    write!(
-        scratch.out,
-        "HTTP/1.1 200 OK\r\nX-Cache: PREFIX\r\nContent-Length: {total}\r\n\r\n"
-    )?;
-    write_all_parts(w, &[scratch.out.as_slice(), head.as_slice()])
-        .map_err(|e| client_relay_err(shared, &job, e))?;
-    w.flush().map_err(|e| client_relay_err(shared, &job, e))?;
-    // Suffix exchange. Retrying is safe until origin payload bytes are
-    // relayed: only request bytes and the cache-served head are out.
-    let mut exchange = None;
-    for attempt in 0..2 {
-        if attempt == 1 {
-            shared.stats.upstream_retries.fetch_add(1, Relaxed);
-        }
-        let dial = if attempt == 0 {
-            pool.checkout()
-        } else {
-            pool.connect_fresh()
-        };
-        let Ok(mut c) = dial else { continue };
-        let mut req = Request::new("GET", &job.path);
-        req.headers.insert("Host", "origin");
-        let sent = req
-            .write_with(&mut c.writer, scratch)
-            .map_err(HttpError::from)
-            .and_then(|()| Response::read_head(&mut c.reader));
-        match sent {
-            Ok(resp) => {
-                exchange = Some((c, resp));
-                break;
-            }
-            Err(_) => continue,
-        }
-    }
-    let Some((mut conn, resp)) = exchange else {
-        return relay_abort(shared, &job, "suffix exchange failed");
-    };
-    let declared = (resp.status == 200
-        && !resp.headers.list_contains("Transfer-Encoding", "chunked"))
-    .then(|| piggyback_httpwire::parse::content_length(&resp.headers))
-    .and_then(|cl| cl.ok().flatten());
-    if declared != Some(total) {
-        // New length or status: the head already sent is stale. Drop the
-        // poisoned prefix with the client connection; the next request
-        // misses and re-primes.
-        shared.bodies.remove(r);
-        return relay_abort(shared, &job, "prefix no longer matches the origin object");
-    }
-    // Decode `total` payload bytes, drop the first `head_len` (already
-    // served from cache), forward the rest as it arrives.
-    let mut reader = BodyReader::length(total);
-    let mut seg = Vec::new();
-    let mut seen = 0usize;
-    while !reader.is_done() {
-        match reader.read_segment(&mut conn.reader, &mut seg, STREAM_SEGMENT) {
-            Ok(0) => break,
-            Ok(n) => {
-                let skip = head_len.saturating_sub(seen).min(n);
-                w.write_all(&seg[skip..])
-                    .map_err(|e| client_relay_err(shared, &job, e))?;
-                w.flush().map_err(|e| client_relay_err(shared, &job, e))?;
-                seen += n;
-            }
-            // The origin died mid-suffix: the prefix itself is still
-            // valid (nothing contradicted it) — keep it; only the
-            // transfer failed.
-            Err(_) => return relay_abort(shared, &job, "origin died mid-suffix"),
-        }
-    }
-    pool.checkin(conn);
-    shared.stats.cache_hits.fetch_add(1, Relaxed);
-    shared.stats.prefix_hits.fetch_add(1, Relaxed);
-    // Range-free refetch: the origin resent the whole object (bandwidth
-    // is unchanged; latency-to-first-byte is what the prefix buys).
-    shared
-        .stats
-        .bytes_from_origin
-        .fetch_add(total as u64, Relaxed);
-    shared.obs.prefix_hit.record(job.start.elapsed());
-    Ok(())
-}
-
-/// Terminal failure after relay bytes reached the client: count the one
-/// terminal outcome and hand the caller an `Err` so the (now truncated)
-/// client connection closes. The origin connection is dropped by the
-/// caller simply by not checking it in.
-fn relay_abort(shared: &ProxyShared, job: &UpstreamJob, why: &'static str) -> io::Result<()> {
-    count_relay_error(shared, job);
-    Err(io::Error::new(io::ErrorKind::UnexpectedEof, why))
-}
-
-/// The single terminal outcome for a mid-relay failure on *either* side.
-/// `requests` was counted at plan time, so every streaming client write
-/// routes its error through here exactly once — conservation
-/// (`requests == Σ outcomes`) holds even when the client dies mid-body.
-fn count_relay_error(shared: &ProxyShared, job: &UpstreamJob) {
-    shared.stats.upstream_errors.fetch_add(1, Relaxed);
-    shared.obs.error.record(job.start.elapsed());
-}
-
-/// `map_err` adapter for client-side writes inside a relay: count the
-/// terminal outcome, pass the error through (the caller's `?` drops the
-/// connection).
-fn client_relay_err(shared: &ProxyShared, job: &UpstreamJob, e: io::Error) -> io::Error {
-    count_relay_error(shared, job);
-    e
-}
-
-/// A streaming-eligible miss: run the usual piggyback GET, decide from
-/// the response head alone whether to cut through. Small objects and
-/// non-200s fall back to the buffered store-and-serve path with exactly
-/// the counters and piggyback processing [`complete_upstream`] applies;
-/// large ones relay segment by segment while the first `--prefix-bytes`
-/// tee into the body store as a [`Body::prefix`] entry. Streamed objects
-/// are deliberately never cached whole.
-fn stream_miss<W: Write>(
-    shared: &Arc<ProxyShared>,
-    job: UpstreamJob,
-    w: &mut W,
-    scratch: &mut ConnScratch,
-) -> io::Result<()> {
-    let pool = shared.pool.as_ref().expect("streaming requires the pool");
-    let threshold = shared.cfg.stream_threshold;
-    let mut exchange = None;
-    for attempt in 0..2 {
-        if attempt == 1 {
-            shared.stats.upstream_retries.fetch_add(1, Relaxed);
-        }
-        let dial = if attempt == 0 {
-            pool.checkout()
-        } else {
-            pool.connect_fresh()
-        };
-        let Ok(mut c) = dial else { continue };
-        let mut req = Request::new("GET", &job.path);
-        req.headers.insert("Host", "origin");
-        req.headers.insert("TE", "chunked");
-        req.headers
-            .insert(PIGGY_FILTER_HEADER, &job.filter.to_header_value());
-        if let Some(rep) = &job.report {
-            req.headers.insert(PIGGY_REPORT_HEADER, rep);
-        }
-        let sent = req
-            .write_with(&mut c.writer, scratch)
-            .map_err(HttpError::from)
-            .and_then(|()| Response::read_head(&mut c.reader));
-        match sent {
-            Ok(resp) => {
-                exchange = Some((c, resp));
-                break;
-            }
-            Err(_) => continue,
-        }
-    }
-    let Some((mut conn, mut resp)) = exchange else {
-        // No client byte has moved: a clean 502, like the buffered path.
-        shared.stats.upstream_errors.fetch_add(1, Relaxed);
-        shared.obs.error.record(job.start.elapsed());
-        return Response::new(502).write_with(w, scratch);
-    };
-    let now = shared.clock.now();
-    let chunked = resp.headers.list_contains("Transfer-Encoding", "chunked");
-    let declared = if chunked {
-        None
-    } else {
-        match piggyback_httpwire::parse::content_length(&resp.headers) {
-            Ok(cl) => cl,
-            Err(_) => {
-                shared.stats.upstream_errors.fetch_add(1, Relaxed);
-                shared.obs.error.record(job.start.elapsed());
-                return Response::new(502).write_with(w, scratch);
-            }
-        }
-    };
-    let large_cl = resp.status == 200 && declared.is_some_and(|n| n >= threshold);
-    let chunked_200 = resp.status == 200 && chunked;
-    if !large_cl && !chunked_200 {
-        // Small fixed-length 200s, bodiless statuses, passthrough errors:
-        // buffer the rest and rejoin the stock phase-3 path.
-        if resp
-            .read_rest(&mut conn.reader, piggyback_httpwire::parse::MAX_BODY)
-            .is_err()
-        {
-            shared.stats.upstream_errors.fetch_add(1, Relaxed);
-            shared.obs.error.record(job.start.elapsed());
-            return Response::new(502).write_with(w, scratch);
-        }
-        pool.checkin(conn);
-        return finish_buffered_miss(shared, &job, resp, now, w, scratch);
-    }
-    // A 200 whose body may be large. Fixed-length bodies know their size
-    // up front; chunked ones accumulate until the threshold proves the
-    // object large (or the body ends first, staying buffered).
-    let mut reader = match declared {
-        Some(n) => BodyReader::length(n),
-        None => BodyReader::chunked(),
-    };
-    let mut buffered: Vec<u8> = Vec::new();
-    if !large_cl {
-        let mut seg = Vec::new();
-        while !reader.is_done() && buffered.len() < threshold {
-            match reader.read_segment(&mut conn.reader, &mut seg, STREAM_SEGMENT) {
-                Ok(0) => break,
-                Ok(_) => buffered.extend_from_slice(&seg),
-                Err(_) => {
-                    shared.stats.upstream_errors.fetch_add(1, Relaxed);
-                    shared.obs.error.record(job.start.elapsed());
-                    return Response::new(502).write_with(w, scratch);
+    // A plain miss may be racing a speculative fetch of the same path:
+    // cancel it while still queued (the demand fetch wins outright), or
+    // join it once on the wire — park until the speculation lands and
+    // serve its entry, so the origin sees exactly one fetch either way.
+    if job.validate_lm.is_none() {
+        if let Some(p) = shared.prefetcher.get() {
+            if matches!(p.claim(shared, &job.path, true), prefetch::Claim::Resolved) {
+                if let Some((body, lm)) = lifecycle::landed_speculation(shared, &job) {
+                    return write_hit(w, scratch, &body, lm);
                 }
             }
         }
-        if reader.is_done() {
-            // Small chunked object: exactly the buffered path.
-            resp.body = Body::from(buffered);
-            for (n, v) in reader.trailers().iter() {
-                resp.trailers.insert(n, v);
-            }
-            pool.checkin(conn);
-            return finish_buffered_miss(shared, &job, resp, now, w, scratch);
-        }
     }
-    // Cut through. The client head carries the same headers as a buffered
-    // MISS (`Last-Modified` + `X-Cache: MISS`), framed by what we know:
-    // `Content-Length` when the origin declared one, chunked otherwise.
-    // From here on a failure truncates the client — see [`relay_abort`].
-    let lm = resp
-        .headers
-        .get("Last-Modified")
-        .and_then(parse_rfc1123)
-        .map(|u| timestamp_from_unix(u, DEFAULT_TRACE_EPOCH_UNIX))
-        .unwrap_or(now);
-    let mut client_head = Response::new(200);
-    let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
-    client_head
-        .headers
-        .insert("Last-Modified", &format_rfc1123(unix));
-    client_head.headers.insert("X-Cache", "MISS");
-    let framing = match declared {
-        Some(n) => StreamFraming::Length(n),
-        None => StreamFraming::Chunked,
-    };
     scratch.out.clear();
-    encode_stream_head(&client_head, framing, &mut scratch.out);
-    w.write_all(&scratch.out)
-        .map_err(|e| client_relay_err(shared, &job, e))?;
-    let mut writer = match declared {
-        Some(n) => BodyWriter::length(n),
-        None => BodyWriter::chunked(),
-    };
-    let prefix_want = shared.cfg.prefix_bytes;
-    let mut prefix = Vec::with_capacity(prefix_want.min(1 << 20));
-    if !buffered.is_empty() {
-        tee_prefix(&mut prefix, prefix_want, &buffered);
-        writer
-            .push(&buffered, w)
-            .map_err(|e| client_relay_err(shared, &job, e))?;
-    }
-    w.flush().map_err(|e| client_relay_err(shared, &job, e))?;
-    drop(buffered);
-    let mut seg = Vec::new();
-    while !reader.is_done() {
-        match reader.read_segment(&mut conn.reader, &mut seg, STREAM_SEGMENT) {
-            Ok(0) => break,
-            Ok(_) => {
-                tee_prefix(&mut prefix, prefix_want, &seg);
-                writer
-                    .push(&seg, w)
-                    .map_err(|e| client_relay_err(shared, &job, e))?;
-                w.flush().map_err(|e| client_relay_err(shared, &job, e))?;
-            }
-            Err(_) => return relay_abort(shared, &job, "origin died mid-relay"),
+    if let Some(head) = lifecycle::probe_prefix(shared, &mut job, &mut scratch.out) {
+        let sent =
+            write_all_parts(w, &[scratch.out.as_slice(), head.as_slice()]).and_then(|()| w.flush());
+        if let Err(e) = sent {
+            let gone = UpstreamOutcome::StreamFailed { mismatch: false };
+            lifecycle::settle(shared, &job, gone, Vec::new());
+            return Err(e);
         }
     }
-    // The origin's piggyback rode the chunked trailers (if any); the
-    // client gets a clean end of body — the proxy consumes the trailer,
-    // exactly like the buffered path.
-    writer
-        .finish(&HeaderMap::new(), w)
-        .map_err(|e| client_relay_err(shared, &job, e))?;
-    w.flush().map_err(|e| client_relay_err(shared, &job, e))?;
-    pool.checkin(conn);
-    let total = reader.decoded();
-    shared.stats.full_fetches.fetch_add(1, Relaxed);
-    shared.stats.streamed_misses.fetch_add(1, Relaxed);
-    shared
-        .stats
-        .bytes_from_origin
-        .fetch_add(total as u64, Relaxed);
-    let r = shared
-        .table
-        .write()
-        .register_path(&job.path, total as u64, lm);
-    if prefix_want > 0 && prefix.len() < total {
-        // The tee becomes a prefix entry — never a whole-object body.
-        shared.bodies.insert(r, Body::prefix(prefix, total));
-    }
-    let mut shell = Response::new(200);
-    for (n, v) in reader.trailers().iter() {
-        shell.trailers.insert(n, v);
-    }
-    process_piggyback(shared, &shell, job.source, now);
-    shared.obs.full_fetch.record(job.start.elapsed());
-    Ok(())
+    let retries = &shared.stats.upstream_retries;
+    let leg = lifecycle::first_leg(shared, &job);
+    let (outcome, pushed) = exchange(shared, &leg, retries, w, scratch);
+    let resp = match lifecycle::settle(shared, &job, outcome, pushed) {
+        Settled::Reply(resp) => resp,
+        Settled::Refetch(refetch) => {
+            let leg = lifecycle::refetch_leg(shared, &job);
+            let (outcome, pushed) = exchange(shared, &leg, retries, w, scratch);
+            lifecycle::settle_refetch(shared, &job, refetch, outcome, pushed)
+        }
+        Settled::Sent => return Ok(()),
+        Settled::Abort => return Err(lifecycle::relay_aborted()),
+    };
+    resp.write_with(w, scratch)
 }
 
-/// Rejoin the stock miss path for a response the streaming engine ended
-/// up buffering (small object or passthrough status): same counters,
-/// same piggyback ordering, same histograms as [`complete_upstream`].
-/// A 304 cannot reach here — the streaming path never sends
-/// `If-Modified-Since`.
-fn finish_buffered_miss<W: Write>(
-    shared: &Arc<ProxyShared>,
-    job: &UpstreamJob,
-    resp: Response,
-    now: Timestamp,
+/// One blocking upstream exchange, owning the single retry loop
+/// (PROTOCOL.md §7.1): any failure before an origin payload byte moves
+/// downstream retries once on a fresh connection; a dial failure is
+/// terminal; an engaged relay is handed out of the loop and never
+/// retried. The connection returns to the pool only after the response —
+/// trailers and any pushed responses included — was read to completion.
+/// Returns the outcome plus the full pushed responses a `--push` origin
+/// streamed behind the main one (announced by its `X-Push-Count`).
+pub(crate) fn exchange<W: Write>(
+    shared: &ProxyShared,
+    leg: &Leg,
+    retries: &AtomicU64,
     w: &mut W,
     scratch: &mut ConnScratch,
-) -> io::Result<()> {
-    let (result, hist) = if resp.status == 200 {
-        (
-            store_full_response(shared, &job.path, &resp, now),
-            &shared.obs.full_fetch,
-        )
-    } else {
-        shared.stats.upstream_passthrough.fetch_add(1, Relaxed);
-        let mut out = Response::new(resp.status);
-        out.body = resp.body.clone();
-        (out, &shared.obs.passthrough)
-    };
-    process_piggyback(shared, &resp, job.source, now);
-    hist.record(job.start.elapsed());
-    result.write_with(w, scratch)
+) -> (UpstreamOutcome, Vec<Response>) {
+    let pool = &shared.pool;
+    for attempt in 0..2 {
+        let dial = if attempt == 0 {
+            pool.checkout()
+        } else {
+            retries.fetch_add(1, Relaxed);
+            pool.connect_fresh()
+        };
+        let Ok(mut conn) = dial else { break };
+        let head = leg
+            .request
+            .write_with(&mut conn.writer, scratch)
+            .map_err(HttpError::from)
+            .and_then(|()| Response::read_head(&mut conn.reader));
+        let Ok(mut resp) = head else { continue };
+        if let Some(rule) = &leg.relay {
+            let engaged = match rule.decide(&resp) {
+                RelayDecision::Engage(n) => Some(Engaged {
+                    reader: BodyReader::length(n),
+                    declared: Some(n),
+                    buffered: Vec::new(),
+                }),
+                RelayDecision::Mismatch => {
+                    let mismatch = UpstreamOutcome::StreamFailed { mismatch: true };
+                    return (mismatch, Vec::new());
+                }
+                RelayDecision::Buffer if resp.status == 200 && is_chunked(&resp) => {
+                    let Ok((reader, buffered)) = grow_chunked(&mut conn, rule.threshold) else {
+                        continue;
+                    };
+                    if reader.is_done() {
+                        // Small after all: exactly the buffered exchange
+                        // (no pushes — a leg that may relay never accepts
+                        // them).
+                        resp.body = buffered.into();
+                        for (n, v) in reader.trailers().iter() {
+                            resp.trailers.insert(n, v);
+                        }
+                        pool.checkin(conn);
+                        return (UpstreamOutcome::Response(resp), Vec::new());
+                    }
+                    Some(Engaged {
+                        reader,
+                        declared: None,
+                        buffered,
+                    })
+                }
+                RelayDecision::Buffer => None,
+            };
+            if let Some(engaged) = engaged {
+                let outcome = relay(shared, rule, conn, resp, engaged, w, scratch);
+                return (outcome, Vec::new());
+            }
+        }
+        if resp.read_rest(&mut conn.reader, parse::MAX_BODY).is_err() {
+            continue;
+        }
+        // Pushed responses follow the main one on the same stream and
+        // must be drained before the connection is reusable.
+        let announced = if shared.cfg.accept_push {
+            resp.headers
+                .get(PUSH_COUNT_HEADER)
+                .and_then(|v| v.parse::<usize>().ok())
+                .unwrap_or(0)
+        } else {
+            0
+        };
+        let mut pushed = Vec::new();
+        while pushed.len() < announced {
+            match Response::read(&mut conn.reader, false) {
+                Ok(p) => pushed.push(p),
+                // Mid-push failure: keep what landed — the main exchange
+                // already succeeded.
+                Err(_) => break,
+            }
+        }
+        if pushed.len() == announced {
+            pool.checkin(conn);
+        }
+        return (UpstreamOutcome::Response(resp), pushed);
+    }
+    (UpstreamOutcome::Failed, Vec::new())
 }
 
-/// The plan phase 1 hands to the rest of the request.
-enum Plan {
-    /// Body, `Last-Modified`, and the entry's expiry (the reactor's
-    /// affine L1 needs the expiry to re-check freshness at serve time).
-    ServeFresh(Body, Timestamp, Timestamp),
-    Fetch {
-        validate_lm: Option<Timestamp>,
-        filter: ProxyFilter,
-        report: Option<String>,
-    },
+fn is_chunked(resp: &Response) -> bool {
+    resp.headers.list_contains("Transfer-Encoding", "chunked")
+}
+
+/// PROTOCOL.md §14's one engine divergence: the threaded driver also cuts
+/// a chunked 200 through, whose size no header declares. Accumulate until
+/// the threshold proves the object large — or the body ends first and it
+/// stays buffered (the reactor buffers every chunked body).
+fn grow_chunked(
+    conn: &mut PooledConn,
+    threshold: usize,
+) -> Result<(BodyReader, Vec<u8>), HttpError> {
+    let mut reader = BodyReader::chunked();
+    let mut buffered = Vec::new();
+    let mut seg = Vec::new();
+    while !reader.is_done() && buffered.len() < threshold {
+        reader.read_segment(&mut conn.reader, &mut seg, STREAM_SEGMENT)?;
+        buffered.extend_from_slice(&seg);
+    }
+    Ok((reader, buffered))
+}
+
+/// How an engaged relay reads and frames the body.
+struct Engaged {
+    reader: BodyReader,
+    /// The declared `Content-Length`; `None` relays in chunked framing.
+    declared: Option<usize>,
+    /// Payload already decoded while deciding (chunked bodies only).
+    buffered: Vec<u8>,
+}
+
+/// Relay an engaged exchange's payload to the client segment by segment:
+/// drop the rule's skip prefix (already served from cache), tee its
+/// leading bytes for the prefix store, flush each segment as it arrives.
+/// From the first client byte on a failure on either side can only
+/// truncate. The origin's piggyback trailers (if any) are consumed into
+/// the returned head; the client gets a clean end of body.
+fn relay<W: Write>(
+    shared: &ProxyShared,
+    rule: &RelayRule,
+    mut conn: PooledConn,
+    mut head: Response,
+    engaged: Engaged,
+    w: &mut W,
+    scratch: &mut ConnScratch,
+) -> UpstreamOutcome {
+    let Engaged {
+        mut reader,
+        declared,
+        buffered,
+    } = engaged;
+    let mut writer = match declared {
+        Some(n) => BodyWriter::length(n.saturating_sub(rule.skip)),
+        None => BodyWriter::chunked(),
+    };
+    let mut prefix = Vec::with_capacity(rule.prefix_bytes.min(1 << 20));
+    let mut seg = buffered;
+    let mut seen = 0usize;
+    let mut pump = || -> Result<(), HttpError> {
+        // A pinned relay's client head went out with the cached prefix.
+        if rule.expect_total.is_none() {
+            scratch.out.clear();
+            lifecycle::write_stream_head(shared, &head, declared, &mut scratch.out);
+            w.write_all(&scratch.out)?;
+        }
+        loop {
+            if prefix.len() < rule.prefix_bytes {
+                let take = (rule.prefix_bytes - prefix.len()).min(seg.len());
+                prefix.extend_from_slice(&seg[..take]);
+            }
+            let skip = rule.skip.saturating_sub(seen).min(seg.len());
+            seen += seg.len();
+            writer.push(&seg[skip..], w)?;
+            w.flush()?;
+            if reader.is_done() {
+                break;
+            }
+            reader.read_segment(&mut conn.reader, &mut seg, STREAM_SEGMENT)?;
+        }
+        writer.finish(&HeaderMap::new(), w)?;
+        Ok(w.flush()?)
+    };
+    if pump().is_err() {
+        return UpstreamOutcome::StreamFailed { mismatch: false };
+    }
+    shared.pool.checkin(conn);
+    for (n, v) in reader.trailers().iter() {
+        head.trailers.insert(n, v);
+    }
+    UpstreamOutcome::Streamed {
+        head,
+        total: reader.decoded(),
+        prefix,
+    }
 }
 
 /// What a request resolves to: a fresh cache hit served straight from the
@@ -1517,41 +904,17 @@ enum Reply {
 /// What the lock-scoped planning phase resolved a request to: an
 /// immediately-serveable reply, or a description of the upstream work
 /// still owed. Splitting here lets the reactor serve `Reply` inline and
-/// ship `UpstreamJob` (self-contained: owned path, filter, drained
-/// report) to an offload worker without borrowing the request.
+/// carry the self-contained [`UpstreamJob`] across a nonblocking
+/// exchange without borrowing the request.
 enum Step {
     Reply(Reply),
     Upstream(UpstreamJob),
 }
 
-/// Everything [`complete_upstream`] needs, detached from the `Request`.
-struct UpstreamJob {
-    path: String,
-    source: SocketAddr,
-    validate_lm: Option<Timestamp>,
-    filter: ProxyFilter,
-    report: Option<String>,
-    start: Instant,
-}
-
-/// The threaded entry point: plan under shard locks, then (if owed) run
-/// the blocking upstream exchange on the calling thread.
-fn handle_request(
-    req: &Request,
-    shared: &Arc<ProxyShared>,
-    source: SocketAddr,
-    scratch: &mut ConnScratch,
-) -> Reply {
-    match plan_request(req, shared, source) {
-        Step::Reply(r) => r,
-        Step::Upstream(job) => Reply::Full(complete_upstream(shared, job, scratch)),
-    }
-}
-
 /// Phase 1: cache consult under shard-scoped locks. Never blocks on the
 /// network, so it is safe on a reactor thread. The fresh-hit path is
 /// allocation-free; only a miss pays for the owned `UpstreamJob`.
-fn plan_request(req: &Request, shared: &Arc<ProxyShared>, source: SocketAddr) -> Step {
+fn plan_request(req: &Request, shared: &ProxyShared, source: SocketAddr) -> Step {
     if req.method != "GET" {
         return Step::Reply(Reply::Full(Response::new(400)));
     }
@@ -1566,381 +929,52 @@ fn plan_request(req: &Request, shared: &Arc<ProxyShared>, source: SocketAddr) ->
         }));
     }
     let start = Instant::now();
-
-    // Phase 1: consult the cache (shard-scoped locks; in Legacy mode the
-    // global serializer emulates the original whole-state mutex).
-    let plan = {
-        let _g = shared.global.as_ref().map(|m| m.lock());
-        let now = shared.clock.now();
-        shared.stats.requests.fetch_add(1, Relaxed);
-        let cached = shared
-            .table
-            .read()
-            .lookup(path)
-            .and_then(|r| shared.cache.lookup(r, now).map(|snap| (r, snap)));
-        // First client contact with a prefetched entry settles the
-        // speculation as used — whatever the request then resolves to —
-        // because the lookup above already flipped its `used` mark.
-        if let Some((_, snap)) = &cached {
-            prefetch::note_speculative_hit(&shared.stats, snap);
-        }
-        match cached {
-            Some((r, snap)) if snap.is_fresh(now) => {
-                // A fresh entry whose body was invalidated underneath us
-                // (concurrent piggyback) degrades to a plain fetch. A
-                // prefix entry is never a full body — serving it here
-                // would truncate the object — so it degrades the same
-                // way (the streaming path probes prefixes separately).
-                match shared.bodies.get(r).filter(|b| !b.is_prefix()) {
-                    Some(body) => {
-                        shared.stats.cache_hits.fetch_add(1, Relaxed);
-                        shared.stats.fresh_hits.fetch_add(1, Relaxed);
-                        if shared.cfg.report_hits {
-                            shared.reporter.lock().record_hit(path);
-                        }
-                        Plan::ServeFresh(body, snap.last_modified, snap.expires)
-                    }
-                    None => Plan::Fetch {
-                        validate_lm: None,
-                        filter: shared.filter_for(source, now),
-                        report: shared.reporter.lock().drain_header(),
-                    },
-                }
-            }
-            Some((_, snap)) => {
-                shared.stats.cache_hits.fetch_add(1, Relaxed);
-                shared.stats.validations.fetch_add(1, Relaxed);
-                Plan::Fetch {
-                    validate_lm: Some(snap.last_modified),
-                    filter: shared.filter_for(source, now),
-                    report: shared.reporter.lock().drain_header(),
-                }
-            }
-            None => Plan::Fetch {
-                validate_lm: None,
-                filter: shared.filter_for(source, now),
-                report: shared.reporter.lock().drain_header(),
-            },
-        }
-    };
-
-    match plan {
-        Plan::ServeFresh(body, lm, expires) => {
-            shared.obs.fresh_hit.record(start.elapsed());
-            Step::Reply(Reply::Hit { body, lm, expires })
-        }
-        Plan::Fetch {
-            validate_lm,
-            filter,
-            report,
-        } => Step::Upstream(UpstreamJob {
-            path: path.to_owned(),
-            source,
-            validate_lm,
-            filter,
-            report,
-            start,
-        }),
-    }
-}
-
-/// Phases 2+3: the blocking upstream exchange and the cache/piggyback
-/// update. Runs on the connection's own thread in threaded mode, on an
-/// offload worker in reactor mode. `job.start` spans planning, any queue
-/// wait, and the exchange, so latency histograms mean the same thing in
-/// both I/O modes.
-fn complete_upstream(
-    shared: &ProxyShared,
-    job: UpstreamJob,
-    scratch: &mut ConnScratch,
-) -> Response {
-    let UpstreamJob {
-        path,
-        source,
-        validate_lm,
-        filter,
-        report,
-        start,
-    } = job;
-    let path = path.as_str();
-
-    // A plain miss may be racing a speculative fetch of the same path:
-    // cancel it while still queued (the demand fetch wins outright), or
-    // join it once on the wire — park until the speculation lands and
-    // serve its entry, so the origin sees exactly one fetch either way.
-    if validate_lm.is_none() {
-        if let Some(p) = shared.prefetcher.get() {
-            if p.claim_or_join(shared, path) {
-                let now = shared.clock.now();
-                let cached = shared
-                    .table
-                    .read()
-                    .lookup(path)
-                    .and_then(|r| shared.cache.lookup(r, now).map(|snap| (r, snap)));
-                if let Some((r, snap)) = cached {
-                    // The lookup flipped `used`; settle the speculation
-                    // even if the body vanishes before we can serve it.
-                    prefetch::note_speculative_hit(&shared.stats, &snap);
-                    if let Some(body) = shared.bodies.get(r).filter(|b| !b.is_prefix()) {
-                        shared.stats.cache_hits.fetch_add(1, Relaxed);
-                        shared.stats.fresh_hits.fetch_add(1, Relaxed);
-                        if shared.cfg.report_hits {
-                            shared.reporter.lock().record_hit(path);
-                        }
-                        shared.obs.fresh_hit.record(start.elapsed());
-                        return cached_response(&body, snap.last_modified, "HIT");
-                    }
-                }
-                // The speculation resolved without a servable entry
-                // (fetch failed, or already displaced): fetch normally.
-            }
-        }
-    }
-
-    // Phase 2: upstream exchange (no state locks held).
-    let resp = exchange_upstream(
-        shared,
-        path,
-        validate_lm,
-        &filter,
-        report.as_deref(),
-        scratch,
-    );
-    let (resp, mut pushed) = match resp {
-        Ok(r) => r,
-        Err(_) => {
-            shared.stats.upstream_errors.fetch_add(1, Relaxed);
-            shared.obs.error.record(start.elapsed());
-            return Response::new(502);
-        }
-    };
-
-    // Phase 3: update cache state and answer the client.
-    let mut guard = shared.global.as_ref().map(|m| m.lock());
     let now = shared.clock.now();
-    let delta = shared.cfg.freshness;
-    // A refetch response whose piggyback still needs processing, and the
-    // histogram matching the request's *final* outcome (a 304 that had to
-    // be refetched records as a full fetch, not a validation).
-    let mut refetch_resp = None;
-    let (result, hist) = match resp.status {
-        304 => {
-            // The table never forgets ids, so the validated path resolves;
-            // the body may have been evicted or invalidated mid-flight.
-            let r = shared.table.read().lookup(path);
-            let body = r.and_then(|r| {
-                shared.cache.freshen(r, now + delta);
-                shared.bodies.get(r)
-            });
-            match body {
-                Some(body) => {
-                    shared.stats.not_modified.fetch_add(1, Relaxed);
-                    let lm = validate_lm.unwrap_or(Timestamp::ZERO);
-                    (
-                        cached_response(&body, lm, "VALIDATED"),
-                        &shared.obs.not_modified,
-                    )
-                }
-                None => {
-                    // The 304 validated an entry whose body is gone
-                    // (evicted between planning and now): serving the
-                    // validation would hand the client an empty 200 with
-                    // an epoch Last-Modified. Refetch in full instead —
-                    // unconditional, no If-Modified-Since — releasing the
-                    // Legacy serializer across the network round trip.
-                    drop(guard.take());
-                    let refetch = exchange_upstream(shared, path, None, &filter, None, scratch);
-                    guard = shared.global.as_ref().map(|m| m.lock());
-                    match refetch {
-                        Ok((r2, more)) if r2.status == 200 => {
-                            pushed.extend(more);
-                            let now = shared.clock.now();
-                            let out = store_full_response(shared, path, &r2, now);
-                            refetch_resp = Some(r2);
-                            (out, &shared.obs.full_fetch)
-                        }
-                        Ok((r2, more)) => {
-                            pushed.extend(more);
-                            shared.stats.upstream_passthrough.fetch_add(1, Relaxed);
-                            let mut out = Response::new(r2.status);
-                            out.body = r2.body.clone();
-                            refetch_resp = Some(r2);
-                            (out, &shared.obs.passthrough)
-                        }
-                        Err(_) => {
-                            shared.stats.upstream_errors.fetch_add(1, Relaxed);
-                            (Response::new(502), &shared.obs.error)
-                        }
-                    }
-                }
+    shared.stats.requests.fetch_add(1, Relaxed);
+    let cached = shared
+        .table
+        .read()
+        .lookup(path)
+        .and_then(|r| shared.cache.lookup(r, now).map(|snap| (r, snap)));
+    // First client contact with a prefetched entry settles the
+    // speculation as used — whatever the request then resolves to —
+    // because the lookup above already flipped its `used` mark.
+    if let Some((_, snap)) = &cached {
+        prefetch::note_speculative_hit(&shared.stats, snap);
+    }
+    let validate_lm = match cached {
+        Some((r, snap)) if snap.is_fresh(now) => {
+            // A fresh entry whose body was invalidated underneath us
+            // (concurrent piggyback) degrades to a plain fetch. A prefix
+            // entry is never a full body — serving it here would truncate
+            // the object — so it degrades the same way (the lifecycle
+            // probes prefixes separately).
+            if let Some(body) = shared.bodies.get(r).filter(|b| !b.is_prefix()) {
+                shared.note_fresh_hit(path, start);
+                return Step::Reply(Reply::Hit {
+                    body,
+                    lm: snap.last_modified,
+                    expires: snap.expires,
+                });
             }
+            None
         }
-        200 => (
-            store_full_response(shared, path, &resp, now),
-            &shared.obs.full_fetch,
-        ),
-        _ => {
-            // Pass through errors untouched (and uncached).
-            shared.stats.upstream_passthrough.fetch_add(1, Relaxed);
-            let mut out = Response::new(resp.status);
-            out.body = resp.body.clone();
-            (out, &shared.obs.passthrough)
+        Some((_, snap)) => {
+            shared.stats.cache_hits.fetch_add(1, Relaxed);
+            shared.stats.validations.fetch_add(1, Relaxed);
+            Some(snap.last_modified)
         }
+        None => None,
     };
-
-    // Server-pushed volume members enter the cache before piggyback
-    // classification, so the piggyback below sees them as cached entries
-    // (Freshen) instead of re-queueing them as prefetch candidates.
-    for p in &pushed {
-        prefetch::accept_push(shared, p, now);
-    }
-
-    // Piggyback processing (trailer on 200, header on 304) — for the
-    // original exchange and, when the evicted-body fallback refetched,
-    // for the refetch response too.
-    process_piggyback(shared, &resp, source, now);
-    if let Some(r2) = &refetch_resp {
-        process_piggyback(shared, r2, source, now);
-    }
-    drop(guard);
-    hist.record(start.elapsed());
-    result
-}
-
-/// Store a 200 upstream response: register the path, retain the body
-/// once, insert the entry, and settle/clean up everything the insert
-/// displaced. Shared by the miss path and the 304-with-evicted-body
-/// refetch fallback.
-fn store_full_response(
-    shared: &ProxyShared,
-    path: &str,
-    resp: &Response,
-    now: Timestamp,
-) -> Response {
-    shared.stats.full_fetches.fetch_add(1, Relaxed);
-    shared
-        .stats
-        .bytes_from_origin
-        .fetch_add(resp.body.len() as u64, Relaxed);
-    let lm = resp
-        .headers
-        .get("Last-Modified")
-        .and_then(parse_rfc1123)
-        .map(|u| timestamp_from_unix(u, DEFAULT_TRACE_EPOCH_UNIX))
-        .unwrap_or(now);
-    let size = resp.body.len() as u64;
-    let r = shared.table.write().register_path(path, size, lm);
-    // Retain the fetched bytes once; every hit from here on is a
-    // refcount bump on this same allocation.
-    let body = resp.body.clone();
-    // Body first, then the entry: a concurrent lookup never sees
-    // an entry without its body (the reverse order could). The
-    // evictees share r's shard (the stores are co-sharded), so
-    // insert and cleanup stay under one body-shard lock each.
-    shared.bodies.insert(r, body.clone());
-    let out = shared.cache.insert_accounted(
-        r,
-        CacheEntry {
-            size,
-            last_modified: lm,
-            expires: now + shared.cfg.freshness,
-            prefetched: false,
-            used: true,
-        },
-        now,
-    );
-    if let Some(old) = &out.replaced {
-        // A still-unused speculative entry displaced by the demand fetch
-        // it raced: settle it as wasted.
-        prefetch::settle_displaced(&shared.stats, old);
-    }
-    if !out.evicted.is_empty() {
-        for (_, old) in &out.evicted {
-            prefetch::settle_displaced(&shared.stats, old);
-        }
-        shared.bodies.with_resource_shard(r, |bodies| {
-            for (v, _) in &out.evicted {
-                bodies.remove(*v);
-            }
-        });
-    }
-    if !out.inserted {
-        // Oversized for its shard: drop the orphan body so the store
-        // cannot hold bytes the cache will never serve.
-        shared.bodies.remove(r);
-    }
-    cached_response(&body, lm, "MISS")
-}
-
-/// Apply one response's `P-volume` piggyback (trailer on 200, header on
-/// 304) to the cache, and feed the prefetcher: `PrefetchCandidate`
-/// elements are queued for speculative fetch, and invalidated entries are
-/// re-queued so coherency misses turn into refreshed cache entries.
-fn process_piggyback(shared: &ProxyShared, resp: &Response, source: SocketAddr, now: Timestamp) {
-    let delta = shared.cfg.freshness;
-    let pv = resp
-        .trailers
-        .get(P_VOLUME_HEADER)
-        .or_else(|| resp.headers.get(P_VOLUME_HEADER));
-    let Some(pv) = pv else {
-        return;
-    };
-    shared.obs.piggyback_bytes.record_value(pv.len() as u64);
-    let Ok(wire) = decode_p_volume(pv) else {
-        return;
-    };
-    shared.stats.piggyback_messages.fetch_add(1, Relaxed);
-    shared
-        .stats
-        .piggybacked_elements
-        .fetch_add(wire.elements.len() as u64, Relaxed);
-    if let Some(rpv) = &shared.rpv {
-        rpv.lock().record(&source, wire.volume, now);
-    }
-    // Register the whole batch under one write acquisition: per-element
-    // write locks let the writer-preference queue interleave a planner
-    // between every element, convoying both sides.
-    let ids: Vec<_> = {
-        let mut table = shared.table.write();
-        wire.elements
-            .iter()
-            .map(|e| table.register_path(&e.path, e.size, e.last_modified))
-            .collect()
-    };
-    for (e, r) in wire.elements.iter().zip(ids) {
-        let cached_lm = shared.cache.peek(r).map(|c| c.last_modified);
-        match classify_element(cached_lm, e.last_modified) {
-            ElementAction::Freshen => {
-                shared.cache.freshen(r, now + delta);
-                shared.cache.note_piggyback_mention(r, now);
-                // Volume mentions also bias prefix retention: a prefix of
-                // a resource the origin still groups into active volumes
-                // earns its bytes (the VoD prefix-retention signal).
-                shared.bodies.note_mention(r);
-                shared.stats.piggyback_freshens.fetch_add(1, Relaxed);
-            }
-            ElementAction::Invalidate => {
-                // Entry first, then body: a concurrent lookup that
-                // wins the entry also finds the body still there.
-                if let Some(old) = shared.cache.take(r) {
-                    prefetch::settle_displaced(&shared.stats, &old);
-                }
-                shared.bodies.remove(r);
-                shared.stats.piggyback_invalidations.fetch_add(1, Relaxed);
-                // Coherency-driven refresh: the origin just told us the
-                // current version exists — refetch it ahead of demand.
-                if let Some(p) = shared.prefetcher.get() {
-                    p.enqueue(shared, r, &e.path);
-                }
-            }
-            ElementAction::PrefetchCandidate => {
-                shared.stats.prefetch_candidates.fetch_add(1, Relaxed);
-                if let Some(p) = shared.prefetcher.get() {
-                    p.enqueue(shared, r, &e.path);
-                }
-            }
-        }
-    }
+    Step::Upstream(UpstreamJob {
+        validate_lm,
+        filter: shared.filter_for(source, now),
+        report: shared.reporter.lock().drain_header(),
+        path: path.to_owned(),
+        source,
+        start,
+        prefix: None,
+    })
 }
 
 /// Render the proxy's Prometheus exposition. Reads only atomics and the
@@ -2048,25 +1082,23 @@ fn metrics_response(shared: &ProxyShared) -> Response {
         &shared.obs.piggyback_bytes.snapshot(),
         1.0,
     );
-    if let Some(pool) = &shared.pool {
-        let p = pool.stats();
-        for (name, value) in [
-            ("pb_proxy_pool_connects_total", p.connects),
-            ("pb_proxy_pool_reuses_total", p.reuses),
-            ("pb_proxy_pool_evicted_unhealthy_total", p.evicted_unhealthy),
-            ("pb_proxy_pool_discarded_dirty_total", p.discarded_dirty),
-            ("pb_proxy_pool_discarded_full_total", p.discarded_full),
-        ] {
-            render_scalar(&mut out, name, "", "counter", value);
-        }
-        render_scalar(
-            &mut out,
-            "pb_proxy_pool_idle",
-            "",
-            "gauge",
-            pool.idle_len() as u64,
-        );
+    let p = shared.pool.stats();
+    for (name, value) in [
+        ("pb_proxy_pool_connects_total", p.connects),
+        ("pb_proxy_pool_reuses_total", p.reuses),
+        ("pb_proxy_pool_evicted_unhealthy_total", p.evicted_unhealthy),
+        ("pb_proxy_pool_discarded_dirty_total", p.discarded_dirty),
+        ("pb_proxy_pool_discarded_full_total", p.discarded_full),
+    ] {
+        render_scalar(&mut out, name, "", "counter", value);
     }
+    render_scalar(
+        &mut out,
+        "pb_proxy_pool_idle",
+        "",
+        "gauge",
+        shared.pool.idle_len() as u64,
+    );
     // Capacity from config, not `cache.capacity()`: the latter sums
     // per-shard fields under each shard lock.
     render_scalar(
@@ -2224,103 +1256,6 @@ fn metrics_response(shared: &ProxyShared) -> Response {
     resp
 }
 
-/// One upstream request/response exchange. Sharded mode checks a
-/// connection out of the pool and returns it only after the response —
-/// trailers and any server-pushed responses included — was read to
-/// completion. A mid-exchange failure (stale keep-alive race, or an
-/// origin that died under the first request) retries once on a fresh
-/// connection; Legacy mode opens a fresh connection per fetch but keeps
-/// the same retry-once contract.
-///
-/// With `accept_push` the request carries `Piggy-push: accept`, and the
-/// returned `Vec` holds the full pushed responses the origin streamed
-/// after the main one (announced by its `X-Push-Count` header).
-fn exchange_upstream(
-    shared: &ProxyShared,
-    path: &str,
-    validate_lm: Option<Timestamp>,
-    filter: &ProxyFilter,
-    report: Option<&str>,
-    scratch: &mut ConnScratch,
-) -> Result<(Response, Vec<Response>), piggyback_httpwire::HttpError> {
-    for attempt in 0..2 {
-        if attempt == 1 {
-            shared.stats.upstream_retries.fetch_add(1, Relaxed);
-        }
-        let mut conn = match &shared.pool {
-            Some(pool) if attempt == 0 => pool.checkout()?,
-            Some(pool) => pool.connect_fresh()?,
-            None => PooledConn::connect(shared.cfg.origin)?,
-        };
-        let mut req = Request::new("GET", path);
-        req.headers.insert("Host", "origin");
-        req.headers.insert("TE", "chunked");
-        req.headers
-            .insert(PIGGY_FILTER_HEADER, &filter.to_header_value());
-        if shared.cfg.accept_push {
-            req.headers.insert(PIGGY_PUSH_HEADER, "accept");
-        }
-        if let Some(r) = report {
-            req.headers.insert(PIGGY_REPORT_HEADER, r);
-        }
-        if let Some(lm) = validate_lm {
-            let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
-            req.headers
-                .insert("If-Modified-Since", &format_rfc1123(unix));
-        }
-        let io_result = req
-            .write_with(&mut conn.writer, scratch)
-            .map_err(piggyback_httpwire::HttpError::from)
-            .and_then(|()| Response::read(&mut conn.reader, false));
-        match io_result {
-            Ok(resp) => {
-                // Drain any pushed responses before the connection is
-                // reusable: they follow the main response on the same
-                // stream.
-                let announced = if shared.cfg.accept_push {
-                    resp.headers
-                        .get(PUSH_COUNT_HEADER)
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .unwrap_or(0)
-                } else {
-                    0
-                };
-                let mut pushed = Vec::with_capacity(announced);
-                for _ in 0..announced {
-                    match Response::read(&mut conn.reader, false) {
-                        Ok(p) => pushed.push(p),
-                        Err(_) => {
-                            // Mid-push failure: keep what landed and drop
-                            // the connection (read position unknown) —
-                            // the main exchange already succeeded.
-                            return Ok((resp, pushed));
-                        }
-                    }
-                }
-                if let Some(pool) = &shared.pool {
-                    pool.checkin(conn);
-                }
-                return Ok((resp, pushed));
-            }
-            Err(_) if attempt == 0 => {
-                // Stale pooled connection or a flaky first exchange:
-                // drop it, retry once on a fresh connection.
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    unreachable!("retry loop always returns by the second attempt")
-}
-
-fn cached_response(body: &Body, lm: Timestamp, x_cache: &str) -> Response {
-    let mut resp = Response::new(200);
-    let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
-    resp.headers.insert("Last-Modified", &format_rfc1123(unix));
-    resp.headers.insert("X-Cache", x_cache);
-    resp.body = body.clone();
-    resp
-}
-
 /// Serve a fresh cache hit without building a [`Response`]: the head is
 /// formatted straight into the connection scratch (the RFC 1123 date via
 /// [`Rfc1123`]'s `Display`, so no intermediate `String`) and emitted
@@ -2358,7 +1293,9 @@ pub fn piggyback_request_headers(filter: &ProxyFilter) -> HeaderMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::cached_response;
     use crate::origin::{start_origin, OriginConfig, OriginHandle};
+    use std::io::BufWriter;
     use std::net::TcpListener;
 
     /// Drive the whole site once directly (no proxy), so the origin's
@@ -2379,6 +1316,15 @@ mod tests {
         }
     }
 
+    /// Both I/O engines: every lifecycle test below runs once per engine,
+    /// since what it checks is written once for both.
+    fn engines() -> Vec<IoMode> {
+        let mut engines = vec![IoMode::Threaded];
+        #[cfg(target_os = "linux")]
+        engines.push(IoMode::Reactor { reactors: 1 });
+        engines
+    }
+
     fn get(addr: SocketAddr, path: &str) -> Response {
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -2387,31 +1333,39 @@ mod tests {
         req.headers.insert("Host", "proxy.test");
         req.headers.insert("Connection", "close");
         req.write(&mut writer).unwrap();
-        Response::read(&mut reader, false).unwrap()
+        let resp = Response::read(&mut reader, false).unwrap();
+        // The proxy closes a `Connection: close` client only once the
+        // request is fully settled: waiting for the EOF makes every
+        // counter a caller reads next exact.
+        let _ = io::copy(&mut reader, &mut io::sink());
+        resp
     }
 
     #[test]
     fn proxy_caches_and_validates() {
         let origin = start_origin(OriginConfig::default()).unwrap();
-        let proxy = start_proxy(ProxyConfig::new(origin.addr())).unwrap();
-        let path = origin.paths[0].clone();
+        for io in engines() {
+            let mut cfg = ProxyConfig::new(origin.addr());
+            cfg.io = io;
+            let proxy = start_proxy(cfg).unwrap();
+            let path = origin.paths[0].clone();
 
-        let r1 = get(proxy.addr(), &path);
-        assert_eq!(r1.status, 200);
-        assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
+            let r1 = get(proxy.addr(), &path);
+            assert_eq!(r1.status, 200);
+            assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
 
-        let r2 = get(proxy.addr(), &path);
-        assert_eq!(r2.status, 200);
-        assert_eq!(r2.headers.get("X-Cache"), Some("HIT"));
-        assert_eq!(r1.body, r2.body);
+            let r2 = get(proxy.addr(), &path);
+            assert_eq!(r2.status, 200);
+            assert_eq!(r2.headers.get("X-Cache"), Some("HIT"));
+            assert_eq!(r1.body, r2.body);
 
-        let stats = proxy.stats();
-        assert_eq!(stats.requests, 2);
-        assert_eq!(stats.fresh_hits, 1);
-        assert_eq!(stats.full_fetches, 1);
-        assert_eq!(stats.outcomes(), stats.requests, "conservation");
-
-        proxy.stop();
+            let stats = proxy.stats();
+            assert_eq!(stats.requests, 2);
+            assert_eq!(stats.fresh_hits, 1);
+            assert_eq!(stats.full_fetches, 1);
+            assert_eq!(stats.outcomes(), stats.requests, "conservation");
+            proxy.stop();
+        }
         origin.stop();
     }
 
@@ -2438,41 +1392,6 @@ mod tests {
     }
 
     #[test]
-    fn buffered_wire_mode_serves_identically() {
-        let origin = start_origin(OriginConfig::default()).unwrap();
-        let mut cfg = ProxyConfig::new(origin.addr());
-        cfg.wire = WireMode::Buffered;
-        let proxy = start_proxy(cfg).unwrap();
-        let path = origin.paths[0].clone();
-        let r1 = get(proxy.addr(), &path);
-        assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
-        let r2 = get(proxy.addr(), &path);
-        assert_eq!(r2.headers.get("X-Cache"), Some("HIT"));
-        assert_eq!(r1.body, r2.body);
-        let stats = proxy.stats();
-        assert_eq!(stats.outcomes(), stats.requests, "conservation");
-        proxy.stop();
-        origin.stop();
-    }
-
-    #[test]
-    fn legacy_mode_still_works() {
-        let origin = start_origin(OriginConfig::default()).unwrap();
-        let mut cfg = ProxyConfig::new(origin.addr());
-        cfg.mode = ConcurrencyMode::Legacy;
-        let proxy = start_proxy(cfg).unwrap();
-        assert!(proxy.pool_stats().is_none(), "legacy mode has no pool");
-        let path = origin.paths[0].clone();
-        let r1 = get(proxy.addr(), &path);
-        assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
-        let r2 = get(proxy.addr(), &path);
-        assert_eq!(r2.headers.get("X-Cache"), Some("HIT"));
-        assert_eq!(r1.body, r2.body);
-        proxy.stop();
-        origin.stop();
-    }
-
-    #[test]
     fn sharded_proxy_pools_origin_connections() {
         let origin = start_origin(OriginConfig::default()).unwrap();
         let mut cfg = ProxyConfig::new(origin.addr());
@@ -2483,7 +1402,7 @@ mod tests {
             get(proxy.addr(), &path);
             std::thread::sleep(std::time::Duration::from_millis(3));
         }
-        let pool = proxy.pool_stats().expect("sharded mode has a pool");
+        let pool = proxy.pool_stats().expect("the pool is unconditional");
         assert!(
             pool.reuses >= 3,
             "validations must reuse the pooled origin connection: {pool:?}"
@@ -2514,68 +1433,78 @@ mod tests {
     #[test]
     fn proxy_passes_404_through_uncached() {
         let origin = start_origin(OriginConfig::default()).unwrap();
-        let proxy = start_proxy(ProxyConfig::new(origin.addr())).unwrap();
-        let r = get(proxy.addr(), "/definitely/not/here.html");
-        assert_eq!(r.status, 404);
-        let r = get(proxy.addr(), "/definitely/not/here.html");
-        assert_eq!(r.status, 404);
-        let stats = proxy.stats();
-        assert_eq!(stats.fresh_hits, 0);
-        assert_eq!(stats.upstream_passthrough, 2);
-        assert_eq!(stats.outcomes(), stats.requests, "conservation");
-        proxy.stop();
+        for io in engines() {
+            let mut cfg = ProxyConfig::new(origin.addr());
+            cfg.io = io;
+            let proxy = start_proxy(cfg).unwrap();
+            let r = get(proxy.addr(), "/definitely/not/here.html");
+            assert_eq!(r.status, 404);
+            let r = get(proxy.addr(), "/definitely/not/here.html");
+            assert_eq!(r.status, 404);
+            let stats = proxy.stats();
+            assert_eq!(stats.fresh_hits, 0);
+            assert_eq!(stats.upstream_passthrough, 2);
+            assert_eq!(stats.outcomes(), stats.requests, "conservation");
+            proxy.stop();
+        }
         origin.stop();
     }
 
     #[test]
     fn expired_entries_validate_with_304_and_revive() {
         let origin = start_origin(OriginConfig::default()).unwrap();
-        let mut cfg = ProxyConfig::new(origin.addr());
-        cfg.freshness = DurationMs::from_millis(1); // everything expires at once
-        let proxy = start_proxy(cfg).unwrap();
-        let path = origin.paths[0].clone();
+        for io in engines() {
+            let mut cfg = ProxyConfig::new(origin.addr());
+            cfg.io = io;
+            cfg.freshness = DurationMs::from_millis(1); // everything expires at once
+            let proxy = start_proxy(cfg).unwrap();
+            let path = origin.paths[0].clone();
 
-        let r1 = get(proxy.addr(), &path);
-        assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let r2 = get(proxy.addr(), &path);
-        assert_eq!(
-            r2.headers.get("X-Cache"),
-            Some("VALIDATED"),
-            "expired entry must be revalidated, not refetched"
-        );
-        assert_eq!(r1.body, r2.body, "304 revives the cached body");
-        let stats = proxy.stats();
-        assert_eq!(stats.validations, 1);
-        assert_eq!(stats.not_modified, 1);
-        assert_eq!(stats.full_fetches, 1);
-        proxy.stop();
+            let r1 = get(proxy.addr(), &path);
+            assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            let r2 = get(proxy.addr(), &path);
+            assert_eq!(
+                r2.headers.get("X-Cache"),
+                Some("VALIDATED"),
+                "expired entry must be revalidated, not refetched"
+            );
+            assert_eq!(r1.body, r2.body, "304 revives the cached body");
+            let stats = proxy.stats();
+            assert_eq!(stats.validations, 1);
+            assert_eq!(stats.not_modified, 1);
+            assert_eq!(stats.full_fetches, 1);
+            proxy.stop();
+        }
         origin.stop();
     }
 
     #[test]
     fn modified_resource_refetched_on_validation() {
         let origin = start_origin(OriginConfig::default()).unwrap();
-        let mut cfg = ProxyConfig::new(origin.addr());
-        cfg.freshness = DurationMs::from_millis(1);
-        let proxy = start_proxy(cfg).unwrap();
-        let path = origin.paths[0].clone();
+        for io in engines() {
+            let mut cfg = ProxyConfig::new(origin.addr());
+            cfg.io = io;
+            cfg.freshness = DurationMs::from_millis(1);
+            let proxy = start_proxy(cfg).unwrap();
+            let path = origin.paths[0].clone();
 
-        get(proxy.addr(), &path);
-        // Bump the origin's Last-Modified.
-        let r = get(proxy.addr(), &format!("/_pb/modify{path}"));
-        assert_eq!(r.status, 204);
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let r2 = get(proxy.addr(), &path);
-        assert_eq!(
-            r2.headers.get("X-Cache"),
-            Some("MISS"),
-            "modified resource comes back as a fresh 200"
-        );
-        let stats = proxy.stats();
-        assert_eq!(stats.not_modified, 0);
-        assert!(stats.full_fetches >= 2);
-        proxy.stop();
+            get(proxy.addr(), &path);
+            // Bump the origin's Last-Modified.
+            let r = get(proxy.addr(), &format!("/_pb/modify{path}"));
+            assert_eq!(r.status, 204);
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            let r2 = get(proxy.addr(), &path);
+            assert_eq!(
+                r2.headers.get("X-Cache"),
+                Some("MISS"),
+                "modified resource comes back as a fresh 200"
+            );
+            let stats = proxy.stats();
+            assert_eq!(stats.not_modified, 0);
+            assert!(stats.full_fetches >= 2);
+            proxy.stop();
+        }
         origin.stop();
     }
 
@@ -2691,42 +1620,48 @@ mod tests {
         // Regression: when a 304 lands but the cached body was evicted
         // between planning (which saw the entry) and completion, the old
         // code served an empty 200 with an epoch-zero Last-Modified.
+        // Both engines: this is the only test of the refetch chain (the
+        // reactor's `UpstreamNext::Again`).
         let origin = start_origin(OriginConfig::default()).unwrap();
-        let mut cfg = ProxyConfig::new(origin.addr());
-        cfg.freshness = DurationMs::from_millis(1);
-        let proxy = start_proxy(cfg).unwrap();
-        let path = origin.paths[0].clone();
+        for io in engines() {
+            let mut cfg = ProxyConfig::new(origin.addr());
+            cfg.io = io;
+            cfg.freshness = DurationMs::from_millis(1);
+            let proxy = start_proxy(cfg).unwrap();
+            let path = origin.paths[0].clone();
 
-        let r1 = get(proxy.addr(), &path);
-        assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
-        assert!(!r1.body.is_empty());
+            let r1 = get(proxy.addr(), &path);
+            assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
+            assert!(!r1.body.is_empty());
 
-        // Force the race deterministically: the table entry stays (so the
-        // next request validates) but the body is gone by the time the
-        // 304 arrives.
-        let r = proxy.shared.table.read().lookup(&path).unwrap();
-        proxy.shared.bodies.remove(r);
-        std::thread::sleep(std::time::Duration::from_millis(5));
+            // Force the race deterministically: the table entry stays (so
+            // the next request validates) but the body is gone by the time
+            // the 304 arrives.
+            let r = proxy.shared.table.read().lookup(&path).unwrap();
+            proxy.shared.bodies.remove(r);
+            std::thread::sleep(std::time::Duration::from_millis(5));
 
-        let r2 = get(proxy.addr(), &path);
-        assert_eq!(r2.status, 200);
-        assert_eq!(
-            r2.headers.get("X-Cache"),
-            Some("MISS"),
-            "a body-less validation must refetch, not fabricate a hit"
-        );
-        assert_eq!(r2.body, r1.body, "refetched body, not an empty 200");
+            let r2 = get(proxy.addr(), &path);
+            assert_eq!(r2.status, 200);
+            assert_eq!(
+                r2.headers.get("X-Cache"),
+                Some("MISS"),
+                "a body-less validation must refetch, not fabricate a hit"
+            );
+            assert_eq!(r2.body, r1.body, "refetched body, not an empty 200");
 
-        let stats = proxy.stats();
-        assert_eq!(stats.requests, 2);
-        assert_eq!(stats.validations, 1);
-        assert_eq!(
-            stats.not_modified, 0,
-            "a 304 we could not serve is not a validated hit"
-        );
-        assert_eq!(stats.full_fetches, 2);
-        assert_eq!(stats.outcomes(), stats.requests, "conservation");
-        proxy.stop();
+            let stats = proxy.stats();
+            assert_eq!(stats.requests, 2);
+            assert_eq!(stats.validations, 1);
+            assert_eq!(
+                stats.not_modified, 0,
+                "a 304 we could not serve is not a validated hit"
+            );
+            assert_eq!(stats.full_fetches, 2);
+            assert_eq!(stats.upstream_retries, 0);
+            assert_eq!(stats.outcomes(), stats.requests, "conservation");
+            proxy.stop();
+        }
         origin.stop();
     }
 
@@ -2734,43 +1669,47 @@ mod tests {
     fn prefetcher_fetches_piggyback_candidates_and_serves_them() {
         let origin = start_origin(OriginConfig::default()).unwrap();
         warm_origin(&origin);
-        let mut cfg = ProxyConfig::new(origin.addr());
-        cfg.prefetch_budget = 2;
-        let proxy = start_proxy(cfg).unwrap();
+        for io in engines() {
+            let mut cfg = ProxyConfig::new(origin.addr());
+            cfg.io = io;
+            cfg.prefetch_budget = 2;
+            let proxy = start_proxy(cfg).unwrap();
 
-        // First walk: responses carry piggybacked volume mates; uncached
-        // candidates become speculative fetches in the background.
-        for p in &origin.paths {
-            assert_eq!(get(proxy.addr(), p).status, 200);
-        }
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while proxy.stats().prefetch_issued == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert!(
-            proxy.stats().prefetch_issued > 0,
-            "walking the whole site must surface prefetch candidates: {:?}",
-            proxy.stats()
-        );
+            // First walk: responses carry piggybacked volume mates;
+            // uncached candidates become speculative fetches in the
+            // background.
+            for p in &origin.paths {
+                assert_eq!(get(proxy.addr(), p).status, 200);
+            }
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while proxy.stats().prefetch_issued == 0 && std::time::Instant::now() < deadline {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            assert!(
+                proxy.stats().prefetch_issued > 0,
+                "walking the whole site must surface prefetch candidates: {:?}",
+                proxy.stats()
+            );
 
-        // Second walk: every path is demanded, so each speculative entry
-        // resolves — used on a hit, joined if still in flight, cancelled
-        // if still queued (never issued).
-        for p in &origin.paths {
-            assert_eq!(get(proxy.addr(), p).status, 200);
+            // Second walk: every path is demanded, so each speculative
+            // entry resolves — used on a hit, joined if still in flight,
+            // cancelled if still queued (never issued).
+            for p in &origin.paths {
+                assert_eq!(get(proxy.addr(), p).status, 200);
+            }
+            let s = proxy.stats();
+            assert!(
+                s.prefetch_used >= 1,
+                "a prefetched entry served a hit: {s:?}"
+            );
+            assert_eq!(
+                s.prefetch_issued,
+                s.prefetch_used + s.prefetch_wasted + s.prefetch_inflight,
+                "ledger conservation at quiescence: {s:?}"
+            );
+            assert_eq!(s.outcomes(), s.requests, "request conservation: {s:?}");
+            proxy.stop();
         }
-        let s = proxy.stats();
-        assert!(
-            s.prefetch_used >= 1,
-            "a prefetched entry served a hit: {s:?}"
-        );
-        assert_eq!(
-            s.prefetch_issued,
-            s.prefetch_used + s.prefetch_wasted + s.prefetch_inflight,
-            "ledger conservation at quiescence: {s:?}"
-        );
-        assert_eq!(s.outcomes(), s.requests, "request conservation: {s:?}");
-        proxy.stop();
         origin.stop();
     }
 
@@ -2782,44 +1721,58 @@ mod tests {
         })
         .unwrap();
         warm_origin(&origin);
-        let mut cfg = ProxyConfig::new(origin.addr());
-        cfg.accept_push = true;
-        let proxy = start_proxy(cfg).unwrap();
+        // In reactor mode the push drain runs the blocking driver on the
+        // offload pool.
+        for io in engines() {
+            let mut cfg = ProxyConfig::new(origin.addr());
+            cfg.io = io;
+            cfg.accept_push = true;
+            let proxy = start_proxy(cfg).unwrap();
+            let pushes_before = origin.daemon_stats().pushes_sent;
 
-        for p in &origin.paths {
-            assert_eq!(get(proxy.addr(), p).status, 200);
+            for p in &origin.paths {
+                assert_eq!(get(proxy.addr(), p).status, 200);
+            }
+            let s = proxy.stats();
+            assert!(s.pushes_accepted > 0, "origin pushed, proxy cached: {s:?}");
+            assert!(
+                s.prefetch_used >= 1,
+                "a pushed member was demanded later in the walk: {s:?}"
+            );
+            assert_eq!(
+                s.prefetch_issued,
+                s.prefetch_used + s.prefetch_wasted + s.prefetch_inflight,
+                "push ledger conservation: {s:?}"
+            );
+            assert!(
+                s.fresh_hits > 0,
+                "pushed members must serve as cache hits: {s:?}"
+            );
+            assert_eq!(s.outcomes(), s.requests, "request conservation: {s:?}");
+            assert!(origin.daemon_stats().pushes_sent - pushes_before >= s.pushes_accepted);
+            proxy.stop();
         }
-        let s = proxy.stats();
-        assert!(s.pushes_accepted > 0, "origin pushed, proxy cached: {s:?}");
-        assert!(
-            s.prefetch_used >= 1,
-            "a pushed member was demanded later in the walk: {s:?}"
-        );
-        assert_eq!(
-            s.prefetch_issued,
-            s.prefetch_used + s.prefetch_wasted + s.prefetch_inflight,
-            "push ledger conservation: {s:?}"
-        );
-        assert!(
-            s.fresh_hits > 0,
-            "pushed members must serve as cache hits: {s:?}"
-        );
-        assert_eq!(s.outcomes(), s.requests, "request conservation: {s:?}");
-        assert!(origin.daemon_stats().pushes_sent >= s.pushes_accepted);
-        proxy.stop();
         origin.stop();
     }
 
     #[test]
     fn unreachable_origin_yields_502() {
         let dead: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let proxy = start_proxy(ProxyConfig::new(dead)).unwrap();
-        let r = get(proxy.addr(), "/x");
-        assert_eq!(r.status, 502);
-        let stats = proxy.stats();
-        assert_eq!(stats.upstream_errors, 1);
-        assert_eq!(stats.outcomes(), stats.requests, "conservation");
-        proxy.stop();
+        for io in engines() {
+            let mut cfg = ProxyConfig::new(dead);
+            cfg.io = io;
+            let proxy = start_proxy(cfg).unwrap();
+            let r = get(proxy.addr(), "/x");
+            assert_eq!(r.status, 502);
+            let stats = proxy.stats();
+            assert_eq!(stats.upstream_errors, 1);
+            assert_eq!(
+                stats.upstream_retries, 0,
+                "a dial failure is terminal, not retried ({io:?})"
+            );
+            assert_eq!(stats.outcomes(), stats.requests, "conservation");
+            proxy.stop();
+        }
     }
 
     /// A hand-rolled keep-alive origin serving one deterministic body
@@ -2864,90 +1817,94 @@ mod tests {
     fn large_object_streams_then_hits_prefix() {
         let body = deterministic_body(600 * 1024);
         let addr = start_big_origin(Arc::clone(&body));
-        let mut cfg = ProxyConfig::new(addr);
-        cfg.stream_threshold = 256 * 1024;
-        cfg.prefix_bytes = 64 * 1024;
-        let proxy = start_proxy(cfg).unwrap();
+        for io in engines() {
+            let mut cfg = ProxyConfig::new(addr);
+            cfg.io = io;
+            cfg.stream_threshold = 256 * 1024;
+            cfg.prefix_bytes = 64 * 1024;
+            let proxy = start_proxy(cfg).unwrap();
 
-        let r1 = get(proxy.addr(), "/big.bin");
-        assert_eq!(r1.status, 200);
-        assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
-        assert_eq!(
-            r1.body.as_slice(),
-            body.as_slice(),
-            "streamed body must be byte-identical"
-        );
+            let r1 = get(proxy.addr(), "/big.bin");
+            assert_eq!(r1.status, 200);
+            assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
+            assert_eq!(
+                r1.body.as_slice(),
+                body.as_slice(),
+                "streamed body must be byte-identical"
+            );
 
-        let r2 = get(proxy.addr(), "/big.bin");
-        assert_eq!(r2.status, 200);
-        assert_eq!(r2.headers.get("X-Cache"), Some("PREFIX"));
-        assert_eq!(
-            r2.body.as_slice(),
-            body.as_slice(),
-            "prefix-hit body must be byte-identical"
-        );
+            let r2 = get(proxy.addr(), "/big.bin");
+            assert_eq!(r2.status, 200);
+            assert_eq!(r2.headers.get("X-Cache"), Some("PREFIX"));
+            assert_eq!(
+                r2.body.as_slice(),
+                body.as_slice(),
+                "prefix-hit body must be byte-identical"
+            );
 
-        let stats = proxy.stats();
-        assert_eq!(stats.requests, 2);
-        assert_eq!(stats.full_fetches, 1);
-        assert_eq!(stats.streamed_misses, 1);
-        assert_eq!(stats.prefix_hits, 1);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.outcomes(), stats.requests, "conservation");
+            let stats = proxy.stats();
+            assert_eq!(stats.requests, 2);
+            assert_eq!(stats.full_fetches, 1);
+            assert_eq!(stats.streamed_misses, 1);
+            assert_eq!(stats.prefix_hits, 1);
+            assert_eq!(stats.cache_hits, 1);
+            assert_eq!(stats.outcomes(), stats.requests, "conservation");
 
-        let occ = proxy.shared.bodies.occupancy();
-        let prefixes: u64 = occ.iter().map(|s| s.prefix_entries).sum();
-        let entries: u64 = occ.iter().map(|s| s.entries).sum();
-        assert_eq!(prefixes, 1, "exactly one prefix entry retained");
-        assert_eq!(entries, 1, "streamed object must not be cached whole");
-        let bytes: u64 = occ.iter().map(|s| s.bytes).sum();
-        assert_eq!(bytes, 64 * 1024, "only the prefix head is resident");
-        proxy.stop();
+            let occ = proxy.shared.bodies.occupancy();
+            let prefixes: u64 = occ.iter().map(|s| s.prefix_entries).sum();
+            let entries: u64 = occ.iter().map(|s| s.entries).sum();
+            assert_eq!(prefixes, 1, "exactly one prefix entry retained");
+            assert_eq!(entries, 1, "streamed object must not be cached whole");
+            let bytes: u64 = occ.iter().map(|s| s.bytes).sum();
+            assert_eq!(bytes, 64 * 1024, "only the prefix head is resident");
+            proxy.stop();
+        }
     }
 
     #[test]
     fn small_object_stays_on_the_buffered_path() {
         let body = deterministic_body(10 * 1024);
         let addr = start_big_origin(Arc::clone(&body));
-        let proxy = start_proxy(ProxyConfig::new(addr)).unwrap();
-        let r1 = get(proxy.addr(), "/small.bin");
-        assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
-        let r2 = get(proxy.addr(), "/small.bin");
-        assert_eq!(
-            r2.headers.get("X-Cache"),
-            Some("HIT"),
-            "sub-threshold objects cache whole and serve as plain hits"
-        );
-        assert_eq!(r2.body.as_slice(), body.as_slice());
-        let stats = proxy.stats();
-        assert_eq!(stats.streamed_misses, 0);
-        assert_eq!(stats.fresh_hits, 1);
-        assert_eq!(stats.outcomes(), stats.requests, "conservation");
-        proxy.stop();
+        for io in engines() {
+            let mut cfg = ProxyConfig::new(addr);
+            cfg.io = io;
+            let proxy = start_proxy(cfg).unwrap();
+            let r1 = get(proxy.addr(), "/small.bin");
+            assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
+            let r2 = get(proxy.addr(), "/small.bin");
+            assert_eq!(
+                r2.headers.get("X-Cache"),
+                Some("HIT"),
+                "sub-threshold objects cache whole and serve as plain hits"
+            );
+            assert_eq!(r2.body.as_slice(), body.as_slice());
+            let stats = proxy.stats();
+            assert_eq!(stats.streamed_misses, 0);
+            assert_eq!(stats.fresh_hits, 1);
+            assert_eq!(stats.outcomes(), stats.requests, "conservation");
+            proxy.stop();
+        }
     }
 
     #[test]
     fn oversized_client_body_gets_413() {
         let origin = start_origin(OriginConfig::default()).unwrap();
-        for wire in [WireMode::ZeroCopy, WireMode::Buffered] {
-            let mut cfg = ProxyConfig::new(origin.addr());
-            cfg.client_body_cap = 1024;
-            cfg.wire = wire;
-            let proxy = start_proxy(cfg).unwrap();
-            let stream = TcpStream::connect(proxy.addr()).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = BufWriter::new(stream);
-            writer
-                .write_all(b"GET /a.html HTTP/1.1\r\nHost: p\r\nContent-Length: 4096\r\n\r\n")
-                .unwrap();
-            // The proxy may reject before draining; ignore write errors.
-            let _ = writer.write_all(&[b'x'; 4096]);
-            let _ = writer.flush();
-            let resp = Response::read(&mut reader, false).unwrap();
-            assert_eq!(resp.status, 413, "wire mode {wire:?}");
-            assert_eq!(proxy.stats().requests, 0, "rejected before accounting");
-            proxy.stop();
-        }
+        let mut cfg = ProxyConfig::new(origin.addr());
+        cfg.client_body_cap = 1024;
+        let proxy = start_proxy(cfg).unwrap();
+        let stream = TcpStream::connect(proxy.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        writer
+            .write_all(b"GET /a.html HTTP/1.1\r\nHost: p\r\nContent-Length: 4096\r\n\r\n")
+            .unwrap();
+        // The proxy may reject before draining; ignore write errors.
+        let _ = writer.write_all(&[b'x'; 4096]);
+        let _ = writer.flush();
+        let resp = Response::read(&mut reader, false).unwrap();
+        assert_eq!(resp.status, 413);
+        assert_eq!(proxy.stats().requests, 0, "rejected before accounting");
+        proxy.stop();
         origin.stop();
     }
 }

@@ -34,9 +34,9 @@
 //! terminal failure) is in hand. Upstream connections are kept alive in a
 //! per-shard idle list, so a warm miss path does zero dials. A bounded
 //! offload pool survives ([`Served::Offload`]) for genuinely blocking work
-//! — multi-response drains (`--accept-push`), legacy fresh-connection
-//! mode, and joining an in-flight speculation — serializing the response
-//! into a buffer that is injected back to the reactor.
+//! — multi-response drains (`--accept-push`) and joining an in-flight
+//! speculation — serializing the response into a buffer that is injected
+//! back to the reactor.
 //!
 //! Cache hits, errors, and every client-side read/write stay on the
 //! reactor, so a slow client can stall only its own connection —
@@ -45,8 +45,10 @@
 //! The wire output is byte-identical to the threaded path: both funnel
 //! through the same `write_hit`/`Response::write_with` serializers.
 
+pub use crate::lifecycle::UpstreamOutcome;
+use crate::lifecycle::{RelayDecision, RelayRule};
 use crate::util::{IoStats, OpenGuard, ServerHandle};
-use piggyback_httpwire::{parse, ConnScratch, HttpError, Request, Response};
+use piggyback_httpwire::{ConnScratch, HttpError, Request, Response};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -420,10 +422,10 @@ pub enum Served {
     /// The response was fully serialized into `out` on the reactor thread
     /// (cache hits, metrics, synthesized errors).
     Inline,
-    /// The request needs blocking work (push drains, legacy mode,
-    /// speculative joins). The closure runs on an offload worker,
-    /// serializes the response into the provided buffer, and the bytes
-    /// are injected back to the reactor.
+    /// The request needs blocking work (push drains, speculative joins).
+    /// The closure runs on an offload worker, serializes the response
+    /// into the provided buffer, and the bytes are injected back to the
+    /// reactor.
     Offload(OffloadFn),
     /// The request needs an origin exchange: the reactor parks the client
     /// connection, drives the nonblocking exchange itself, and calls the
@@ -456,26 +458,15 @@ pub struct UpstreamPlan {
     pub stream: Option<StreamSpec>,
 }
 
-/// Large-object cut-through parameters for one upstream exchange. The
-/// relay engages only for `Content-Length`-framed 200s (chunked origin
-/// responses stay buffered in reactor mode; the threaded engine streams
-/// them) — once engaged, payload segments move origin buffer → client
-/// output buffer with O(segment) memory, pausing origin reads while the
-/// client sits above the output high-water mark.
+/// Large-object cut-through for one upstream exchange. The relay engages
+/// only for `Content-Length`-framed 200s (chunked origin responses stay
+/// buffered in reactor mode; the threaded engine streams them) — once
+/// engaged, payload segments move origin buffer → client output buffer
+/// with O(segment) memory, pausing origin reads while the client sits
+/// above the output high-water mark.
 pub struct StreamSpec {
-    /// Engage when the declared length is at least this many bytes
-    /// (ignored when `expect_total` pins an exact length).
-    pub threshold: usize,
-    /// Tee the first N payload bytes, handed back through
-    /// [`UpstreamOutcome::Streamed`] for the caller's prefix store.
-    pub prefix_bytes: usize,
-    /// Drop this many leading payload bytes instead of forwarding them —
-    /// the suffix relay behind a cache-served prefix head.
-    pub skip: usize,
-    /// Require exactly this declared length; any other head is a
-    /// [`UpstreamOutcome::StreamFailed`] mismatch, because the head bytes
-    /// already sent to the client promised this length.
-    pub expect_total: Option<usize>,
+    /// When to engage, what to skip and what to tee.
+    pub rule: RelayRule,
     /// Serialize the client-facing response head into `out` the moment
     /// the relay engages (runs on the reactor thread with the parked
     /// client's scratch and output buffer).
@@ -484,29 +475,6 @@ pub struct StreamSpec {
 
 pub type HeadFn =
     Box<dyn FnOnce(&Response, &mut ConnScratch, &mut Vec<u8>) -> io::Result<()> + Send>;
-
-/// How a nonblocking upstream exchange ended.
-pub enum UpstreamOutcome {
-    /// A complete response was parsed off the origin connection.
-    Response(Response),
-    /// The exchange failed terminally (dial failure, second-attempt I/O
-    /// error, or timeout); the continuation should synthesize a 502.
-    Failed,
-    /// A streaming relay delivered the entire declared payload to the
-    /// client. `head` is the origin's parsed response head (body empty),
-    /// `prefix` the teed leading bytes per the [`StreamSpec`].
-    Streamed {
-        head: Box<Response>,
-        total: usize,
-        prefix: Vec<u8>,
-    },
-    /// A streaming exchange died after bytes (head or payload) may have
-    /// reached the client: no retry is possible and no error response may
-    /// be written — the continuation should account the failure and return
-    /// `Err` so the truncated client connection closes. `mismatch` marks a
-    /// response head that contradicted `expect_total`.
-    StreamFailed { mismatch: bool },
-}
 
 /// What the continuation wants next.
 pub enum UpstreamNext {
@@ -1132,46 +1100,6 @@ fn try_parse_response_head(buf: &[u8], eof: bool) -> ParseHead {
         Ok(resp) => ParseHead::Complete(Box::new(resp), r.pos),
         Err(HttpError::ConnectionClosed) if !eof => ParseHead::Incomplete,
         Err(_) => ParseHead::Malformed,
-    }
-}
-
-/// What a response head means for a pending [`StreamSpec`]: relay it,
-/// fall back to the buffered exchange, or fail a pinned-length relay.
-enum StreamDecision {
-    Engage(usize),
-    Buffer,
-    Mismatch,
-}
-
-fn stream_decision(head: &Response, spec: &StreamSpec) -> StreamDecision {
-    let declared = if head.headers.list_contains("Transfer-Encoding", "chunked") {
-        None
-    } else {
-        match parse::content_length(&head.headers) {
-            Ok(cl) => cl,
-            // A malformed Content-Length: let the buffered parser produce
-            // the error (or fail a pinned relay outright).
-            Err(_) => {
-                return if spec.expect_total.is_some() {
-                    StreamDecision::Mismatch
-                } else {
-                    StreamDecision::Buffer
-                };
-            }
-        }
-    };
-    match spec.expect_total {
-        Some(want) => {
-            if head.status == 200 && declared == Some(want) {
-                StreamDecision::Engage(want)
-            } else {
-                StreamDecision::Mismatch
-            }
-        }
-        None => match declared {
-            Some(n) if head.status == 200 && n >= spec.threshold => StreamDecision::Engage(n),
-            _ => StreamDecision::Buffer,
-        },
     }
 }
 
@@ -2059,8 +1987,8 @@ impl<S: ReactorService> Reactor<S> {
                                 }
                                 ParseHead::Complete(head, consumed) => {
                                     let spec = ex.plan.stream.as_ref().expect("checked");
-                                    match stream_decision(&head, spec) {
-                                        StreamDecision::Engage(total) => {
+                                    match spec.rule.decide(&head) {
+                                        RelayDecision::Engage(total) => {
                                             let Some(conn) =
                                                 ex.client.and_then(|t| slab.get_mut(t))
                                             else {
@@ -2081,19 +2009,19 @@ impl<S: ReactorService> Reactor<S> {
                                                 head,
                                                 total,
                                                 seen: 0,
-                                                skip: spec.skip,
+                                                skip: spec.rule.skip,
                                                 prefix: Vec::new(),
-                                                prefix_want: spec.prefix_bytes.min(total),
+                                                prefix_want: spec.rule.prefix_bytes.min(total),
                                             });
                                             continue 'read;
                                         }
-                                        StreamDecision::Buffer => {
+                                        RelayDecision::Buffer => {
                                             // Small / non-200 / chunked:
                                             // fall back to the buffered
                                             // exchange for this response.
                                             ex.plan.stream = None;
                                         }
-                                        StreamDecision::Mismatch => {
+                                        RelayDecision::Mismatch => {
                                             verdict = Out::StreamMismatch;
                                             break 'read;
                                         }
@@ -2111,8 +2039,14 @@ impl<S: ReactorService> Reactor<S> {
                             Ok(0) => {
                                 up.rbuf.truncate(old);
                                 up.read_eof = true;
-                                if ex.relay.is_some() || !up.rbuf.is_empty() {
+                                let deciding = ex.plan.stream.is_some() && !up.rbuf.is_empty();
+                                if ex.relay.is_some() || deciding {
                                     // Let the relay / head decision see EOF.
+                                    // Without either nothing in this loop
+                                    // consumes it (it would re-read `Ok(0)`
+                                    // forever): fall through to the buffered
+                                    // parse, which turns a truncated
+                                    // response into a retry.
                                     continue 'read;
                                 }
                                 if ex.plan.stream.is_some() {
@@ -2285,7 +2219,7 @@ impl<S: ReactorService> Reactor<S> {
         self.finish_exchange(
             ex,
             UpstreamOutcome::Streamed {
-                head: relay.head,
+                head: *relay.head,
                 total: relay.total,
                 prefix: relay.prefix,
             },

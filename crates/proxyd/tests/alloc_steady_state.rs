@@ -15,7 +15,7 @@
 //! set shows up here as a nonzero count.
 
 use piggyback_proxyd::origin::{start_origin, OriginConfig};
-use piggyback_proxyd::proxy::{start_proxy, ProxyConfig, WireMode};
+use piggyback_proxyd::proxy::{start_proxy, ProxyConfig};
 use piggyback_proxyd::IoMode;
 use piggyback_trace::synth::site::{Site, SiteConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -143,7 +143,6 @@ fn reactor_miss_path_allocations_stay_bounded() {
     })
     .expect("origin starts");
     let mut cfg = ProxyConfig::new(origin.addr());
-    cfg.wire = WireMode::ZeroCopy;
     cfg.io = IoMode::Reactor { reactors: 2 };
     // Always stale: every measured request is an upstream validation.
     cfg.freshness = piggyback_core::types::DurationMs::from_millis(0);
@@ -258,7 +257,6 @@ fn streaming_prefix_relay_allocations_are_constant_per_segment() {
     });
 
     let mut cfg = ProxyConfig::new(origin_addr);
-    cfg.wire = WireMode::ZeroCopy;
     cfg.freshness = piggyback_core::types::DurationMs::from_secs(3600);
     cfg.rpv = None;
     cfg.report_hits = false;
@@ -290,6 +288,14 @@ fn streaming_prefix_relay_allocations_are_constant_per_segment() {
         per_segment
     );
 
+    // The threaded relay settles its outcome after the last body byte is
+    // on the wire, so the client can get here first: the ledger is exact
+    // only once quiescent.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while proxy.stats().outcomes() != proxy.stats().requests && std::time::Instant::now() < deadline
+    {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     let s = proxy.stats();
     assert_eq!(s.requests, (3 + ROUNDS) as u64, "{s:?}");
     assert_eq!(s.streamed_misses, 1, "{s:?}");
@@ -311,7 +317,6 @@ fn steady_state_is_allocation_free(io: IoMode) {
     })
     .expect("origin starts");
     let mut cfg = ProxyConfig::new(origin.addr());
-    cfg.wire = WireMode::ZeroCopy;
     cfg.io = io;
     // Far longer than the test: every measured request is a fresh hit.
     cfg.freshness = piggyback_core::types::DurationMs::from_secs(3600);

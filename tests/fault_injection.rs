@@ -85,7 +85,12 @@ fn truncated_origin_response_becomes_502() {
     // The proxy survives and keeps answering.
     let resp = client.get("/y.html", &[]).unwrap();
     assert_eq!(resp.status, 502);
-    assert!(proxy.stats().upstream_errors >= 2);
+    let s = proxy.stats();
+    assert_eq!(s.upstream_errors, 2, "{s:?}");
+    assert_eq!(
+        s.upstream_retries, 2,
+        "a body that dies is retried once, like any mid-exchange failure: {s:?}"
+    );
     proxy.stop();
     origin.stop();
 }
@@ -258,7 +263,12 @@ fn truncating_origin_under_parallel_clients() {
         "every truncated fetch must become a 502: {statuses:?}"
     );
     conserved(&proxy, 32);
-    assert_eq!(proxy.stats().upstream_errors, 32);
+    let s = proxy.stats();
+    assert_eq!(s.upstream_errors, 32);
+    assert_eq!(
+        s.upstream_retries, 32,
+        "one retry per truncated fetch: {s:?}"
+    );
     proxy.stop();
     origin.stop();
 }
@@ -302,7 +312,7 @@ fn pool_evicts_dead_connections_under_parallel_load() {
         "dead pooled connections must be evicted or retried, never surfaced: {statuses:?}"
     );
     conserved(&proxy, 40);
-    let pool = proxy.pool_stats().expect("sharded mode pools");
+    let pool = proxy.pool_stats().expect("the pool is unconditional");
     let s = proxy.stats();
     // Every checked-in connection dies; each is caught either at checkout
     // (peek sees FIN => evicted) or mid-exchange (retry on a fresh one).
@@ -324,7 +334,7 @@ fn pool_sheds_poisoned_connections_under_parallel_load() {
         "poisoned framing must never corrupt a response: {statuses:?}"
     );
     conserved(&proxy, 40);
-    let pool = proxy.pool_stats().expect("sharded mode pools");
+    let pool = proxy.pool_stats().expect("the pool is unconditional");
     let s = proxy.stats();
     // Trailing garbage is caught as a dirty checkin (still buffered), an
     // unhealthy checkout (unsolicited bytes on the wire), or a failed
@@ -738,56 +748,128 @@ fn concurrent_load_with_failures_stays_consistent() {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming relay faults (PROTOCOL.md §14)
+// Engine parity under scripted origin faults (PROTOCOL.md §7.1, §14): the
+// upstream lifecycle is written once, so every lane below runs on both
+// I/O engines and the two ledgers must agree field for field.
 // ---------------------------------------------------------------------------
 
-/// An origin serving one large object fully — except for the request at
-/// index `die_on`, which gets a complete head and a truncated body before
-/// the connection drops.
-fn big_origin_dying_mid_body(
-    total: usize,
-    die_on: usize,
-) -> (piggyback::proxyd::util::ServerHandle, Arc<AtomicUsize>) {
-    let counter = Arc::new(AtomicUsize::new(0));
-    let seen = Arc::clone(&counter);
-    let handle = serve(0, "big-dying-origin", move |stream| {
+/// What a [`scripted_origin`] sends for one request: a 200 declaring
+/// `declared` body bytes, of which only `sent` go out — fewer than
+/// declared means the connection drops mid-body.
+struct Answer {
+    declared: usize,
+    sent: usize,
+    /// Extra header lines, each `\r\n`-terminated.
+    headers: &'static str,
+}
+
+impl Answer {
+    fn full(len: usize) -> Answer {
+        Answer {
+            declared: len,
+            sent: len,
+            headers: "",
+        }
+    }
+}
+
+fn pattern(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i % 251) as u8).collect()
+}
+
+/// A keep-alive `Content-Length` origin whose answer to the `n`-th
+/// request it sees (counted across connections) is `script(n)`. Returns
+/// the connection and request counters alongside the handle.
+fn scripted_origin(
+    script: impl Fn(usize) -> Answer + Send + Sync + 'static,
+) -> (
+    piggyback::proxyd::util::ServerHandle,
+    Arc<AtomicUsize>,
+    Arc<AtomicUsize>,
+) {
+    let conns = Arc::new(AtomicUsize::new(0));
+    let requests = Arc::new(AtomicUsize::new(0));
+    let (conns2, requests2) = (Arc::clone(&conns), Arc::clone(&requests));
+    let handle = serve(0, "scripted-origin", move |stream| {
+        conns2.fetch_add(1, Ordering::SeqCst);
         let mut r = BufReader::new(stream.try_clone().unwrap());
         let mut w = BufWriter::new(stream);
         while Request::read(&mut r).is_ok() {
-            let n = seen.fetch_add(1, Ordering::SeqCst);
-            let body: Vec<u8> = (0..total).map(|i| (i % 251) as u8).collect();
+            let answer = script(requests2.fetch_add(1, Ordering::SeqCst));
             let head = format!(
-                "HTTP/1.1 200 OK\r\nLast-Modified: Thu, 01 Jan 1998 00:00:00 GMT\r\n\
-                 Content-Length: {total}\r\n\r\n"
+                "HTTP/1.1 200 OK\r\nLast-Modified: Thu, 01 Jan 1998 00:00:00 GMT\r\n{}\
+                 Content-Length: {}\r\n\r\n",
+                answer.headers, answer.declared
             );
-            if w.write_all(head.as_bytes()).is_err() {
-                return;
-            }
-            if n == die_on {
-                let _ = w.write_all(&body[..total / 3]);
-                let _ = w.flush();
+            let body = pattern(answer.declared);
+            let sent = w
+                .write_all(head.as_bytes())
+                .and_then(|()| w.write_all(&body[..answer.sent]))
+                .and_then(|()| w.flush());
+            if sent.is_err() || answer.sent < answer.declared {
                 return; // die mid-body
-            }
-            if w.write_all(&body).is_err() || w.flush().is_err() {
-                return;
             }
         }
     })
     .unwrap();
-    (handle, counter)
+    (handle, conns, requests)
+}
+
+fn engines() -> Vec<piggyback::proxyd::IoMode> {
+    let mut engines = vec![piggyback::proxyd::IoMode::Threaded];
+    #[cfg(target_os = "linux")]
+    engines.push(piggyback::proxyd::IoMode::Reactor { reactors: 1 });
+    engines
+}
+
+/// Run `lane` once per engine — each run against its own fresh origin and
+/// proxy — and require identical results. Lanes return the proxy ledger
+/// (through [`ledger`]) plus whatever else must not depend on the engine.
+fn assert_engine_parity<T: PartialEq + std::fmt::Debug>(
+    lane: impl Fn(piggyback::proxyd::IoMode) -> T,
+) {
+    let results: Vec<T> = engines().into_iter().map(lane).collect();
+    for other in &results[1..] {
+        assert_eq!(&results[0], other, "the engines' ledgers diverged");
+    }
+}
+
+/// The proxy's counters minus the one engine-specific field: the
+/// reactor's L1 shortcut.
+fn ledger(proxy: &ProxyHandle) -> piggyback::proxyd::ProxyStats {
+    let mut s = proxy.stats();
+    assert_eq!(s.outcomes(), s.requests, "counters must conserve: {s:?}");
+    s.affine_hits = 0;
+    s
+}
+
+fn quiet_proxy(origin: SocketAddr, io: piggyback::proxyd::IoMode) -> ProxyHandle {
+    let mut cfg = ProxyConfig::new(origin);
+    cfg.io = io;
+    cfg.report_hits = false;
+    cfg.rpv = None;
+    start_proxy(cfg).unwrap()
 }
 
 /// One fresh-connection GET, raw: returns the response head and however
-/// many body bytes arrived before the connection closed.
+/// many body bytes arrived before the connection closed. The read
+/// timeout turns a wedged proxy into a failure instead of a hung run.
 fn raw_get(addr: SocketAddr, path: &str) -> (String, Vec<u8>) {
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     write!(
         stream,
         "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
     )
     .unwrap();
     let mut raw = Vec::new();
-    let _ = stream.read_to_end(&mut raw); // truncation closes mid-body
+    if let Err(e) = stream.read_to_end(&mut raw) {
+        // A reset after a truncation is fine; a timeout is a hang.
+        assert_ne!(e.kind(), std::io::ErrorKind::WouldBlock, "proxy hung");
+        assert_ne!(e.kind(), std::io::ErrorKind::TimedOut, "proxy hung");
+    }
     let head_end = raw
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
@@ -799,6 +881,75 @@ fn raw_get(addr: SocketAddr, path: &str) -> (String, Vec<u8>) {
     )
 }
 
+/// Nothing listens at the origin address: the dial failure is terminal —
+/// one 502, no retry — in both engines.
+#[test]
+fn dial_failure_is_terminal_without_retry_on_both_engines() {
+    assert_engine_parity(|io| {
+        let dead: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        let proxy = quiet_proxy(dead, io);
+        let (head, _) = raw_get(proxy.addr(), "/x.html");
+        assert!(head.starts_with("HTTP/1.1 502"), "{io:?}: {head}");
+        let s = ledger(&proxy);
+        assert_eq!(s.upstream_errors, 1, "{io:?}: {s:?}");
+        assert_eq!(s.upstream_retries, 0, "{io:?}: {s:?}");
+        proxy.stop();
+        s
+    });
+}
+
+/// The origin's first answer dies after 10 of its 1000 declared bytes;
+/// every later one is complete. No payload byte has reached the client,
+/// so the exchange retries once on a fresh connection and succeeds.
+/// (Regression: the reactor used to spin forever on the EOF, and the
+/// threaded streaming path answered 502 without retrying.)
+#[test]
+fn origin_dying_mid_body_is_retried_once_on_both_engines() {
+    assert_engine_parity(|io| {
+        let (origin, conns, _) = scripted_origin(|n| Answer {
+            sent: if n == 0 { 10 } else { 1000 },
+            ..Answer::full(1000)
+        });
+        let proxy = quiet_proxy(origin.addr, io);
+        let (head, body) = raw_get(proxy.addr(), "/x.html");
+        assert!(head.starts_with("HTTP/1.1 200"), "{io:?}: {head}");
+        assert_eq!(body, pattern(1000), "{io:?}");
+        let s = ledger(&proxy);
+        assert_eq!(s.upstream_retries, 1, "{io:?}: {s:?}");
+        assert_eq!(s.upstream_errors, 0, "{io:?}: {s:?}");
+        let conns = conns.load(Ordering::SeqCst);
+        assert_eq!(conns, 2, "{io:?}: first attempt plus one fresh retry");
+        proxy.stop();
+        origin.stop();
+        (s, conns)
+    });
+}
+
+/// A large `Content-Length` 200 streams through the relay, so it has no
+/// trailers: a piggyback on it rides the response *head*, and the
+/// streamed settle must apply it like any other.
+#[test]
+fn header_placed_piggyback_on_a_streamed_response_is_applied_on_both_engines() {
+    const TOTAL: usize = 512 * 1024;
+    assert_engine_parity(|io| {
+        let (origin, _, _) = scripted_origin(|_| Answer {
+            headers: "P-volume: 7; \"/mate.html\" 886000000 1024\r\n",
+            ..Answer::full(TOTAL)
+        });
+        let proxy = quiet_proxy(origin.addr, io);
+        let (head, body) = raw_get(proxy.addr(), "/big.bin");
+        assert!(head.contains("X-Cache: MISS"), "{io:?}: {head}");
+        assert_eq!(body, pattern(TOTAL), "{io:?}");
+        let s = ledger(&proxy);
+        assert_eq!(s.streamed_misses, 1, "{io:?}: {s:?}");
+        assert_eq!(s.piggyback_messages, 1, "{io:?}: {s:?}");
+        assert_eq!(s.prefetch_candidates, 1, "{io:?}: {s:?}");
+        proxy.stop();
+        origin.stop();
+        s
+    });
+}
+
 /// The origin dies mid-suffix during a prefix-hit relay. The head and
 /// cached prefix are already on the client wire, so the proxy cannot
 /// 502: it must truncate the client connection, count exactly one
@@ -807,58 +958,111 @@ fn raw_get(addr: SocketAddr, path: &str) -> (String, Vec<u8>) {
 #[test]
 fn origin_dies_mid_suffix_truncates_client_and_keeps_prefix() {
     const TOTAL: usize = 600 * 1024;
-    let (origin, origin_requests) = big_origin_dying_mid_body(TOTAL, 1);
-    let mut cfg = ProxyConfig::new(origin.addr);
-    cfg.report_hits = false;
-    cfg.rpv = None;
-    let proxy = start_proxy(cfg).unwrap();
-    let expect: Vec<u8> = (0..TOTAL).map(|i| (i % 251) as u8).collect();
+    assert_engine_parity(|io| {
+        let (origin, _, origin_requests) = scripted_origin(|n| Answer {
+            sent: if n == 1 { TOTAL / 3 } else { TOTAL },
+            ..Answer::full(TOTAL)
+        });
+        let proxy = quiet_proxy(origin.addr, io);
+        let expect = pattern(TOTAL);
 
-    // Miss: streamed through, the first 64 KiB retained as a prefix.
-    let (head, body) = raw_get(proxy.addr(), "/big.bin");
-    assert!(head.contains("X-Cache: MISS"), "{head}");
-    assert_eq!(body, expect);
+        // Miss: streamed through, the first 64 KiB retained as a prefix.
+        let (head, body) = raw_get(proxy.addr(), "/big.bin");
+        assert!(head.contains("X-Cache: MISS"), "{io:?}: {head}");
+        assert_eq!(body, expect);
 
-    // Prefix hit whose suffix refetch dies mid-body: the client gets the
-    // promised head plus a truncated-but-clean body prefix, never a 502.
-    let (head, body) = raw_get(proxy.addr(), "/big.bin");
-    assert!(head.contains("X-Cache: PREFIX"), "{head}");
-    assert!(head.contains(&format!("Content-Length: {TOTAL}")), "{head}");
-    assert!(
-        body.len() < TOTAL,
-        "body must be truncated, got {}",
-        body.len()
-    );
-    assert!(
-        body.len() >= 64 * 1024,
-        "the cached prefix was flushed before the fault"
-    );
-    assert_eq!(
-        &body[..],
-        &expect[..body.len()],
-        "whatever arrived must be a clean prefix of the object"
-    );
+        // Prefix hit whose suffix refetch dies mid-body: the client gets
+        // the promised head plus a truncated-but-clean body prefix, never
+        // a 502.
+        let (head, body) = raw_get(proxy.addr(), "/big.bin");
+        assert!(head.contains("X-Cache: PREFIX"), "{io:?}: {head}");
+        assert!(head.contains(&format!("Content-Length: {TOTAL}")), "{head}");
+        assert!(
+            body.len() < TOTAL,
+            "{io:?}: body must be truncated, got {}",
+            body.len()
+        );
+        assert!(
+            body.len() >= 64 * 1024,
+            "{io:?}: the cached prefix was flushed before the fault"
+        );
+        assert_eq!(
+            &body[..],
+            &expect[..body.len()],
+            "{io:?}: whatever arrived must be a clean prefix of the object"
+        );
 
-    // The prefix was not poisoned: with the origin healthy again, the
-    // next request is a complete, byte-identical prefix hit.
-    let (head, body) = raw_get(proxy.addr(), "/big.bin");
-    assert!(head.contains("X-Cache: PREFIX"), "{head}");
-    assert_eq!(body, expect);
+        // The prefix was not poisoned: with the origin healthy again, the
+        // next request is a complete, byte-identical prefix hit.
+        let (head, body) = raw_get(proxy.addr(), "/big.bin");
+        assert!(head.contains("X-Cache: PREFIX"), "{io:?}: {head}");
+        assert_eq!(body, expect);
 
-    let s = proxy.stats();
-    assert_eq!(s.requests, 3);
-    assert_eq!(
-        s.outcomes(),
-        3,
-        "exact conservation through the fault: {s:?}"
-    );
-    assert_eq!(s.streamed_misses, 1);
-    assert_eq!(s.prefix_hits, 1, "only the clean repeat is a hit: {s:?}");
-    assert_eq!(
-        s.upstream_errors, 1,
-        "mid-suffix death is one terminal error"
-    );
-    assert_eq!(origin_requests.load(Ordering::SeqCst), 3);
-    proxy.stop();
-    origin.stop();
+        let s = ledger(&proxy);
+        assert_eq!(s.requests, 3);
+        assert_eq!(s.streamed_misses, 1);
+        assert_eq!(
+            s.prefix_hits, 1,
+            "{io:?}: only the clean repeat is a hit: {s:?}"
+        );
+        assert_eq!(
+            s.upstream_errors, 1,
+            "{io:?}: mid-suffix death is one terminal error"
+        );
+        assert_eq!(s.upstream_retries, 0, "an engaged relay never retries");
+        let origin_requests = origin_requests.load(Ordering::SeqCst);
+        assert_eq!(origin_requests, 3, "{io:?}");
+        proxy.stop();
+        origin.stop();
+        (s, origin_requests)
+    });
+}
+
+/// The object changed length underneath a cached prefix: the prefix head
+/// already promised the old length, so the suffix fetch's new
+/// `Content-Length` is a mismatch — the client is truncated (never
+/// served a spliced body), the stale prefix is dropped, and the next
+/// request is a plain MISS that re-primes.
+#[test]
+fn object_changing_length_under_a_prefix_truncates_and_drops_the_prefix() {
+    const OLD: usize = 600 * 1024;
+    const NEW: usize = 500 * 1024;
+    assert_engine_parity(|io| {
+        let (origin, _, origin_requests) =
+            scripted_origin(|n| Answer::full(if n == 0 { OLD } else { NEW }));
+        let proxy = quiet_proxy(origin.addr, io);
+
+        let (head, body) = raw_get(proxy.addr(), "/big.bin");
+        assert!(head.contains("X-Cache: MISS"), "{io:?}: {head}");
+        assert_eq!(body, pattern(OLD));
+
+        let (head, body) = raw_get(proxy.addr(), "/big.bin");
+        assert!(head.contains("X-Cache: PREFIX"), "{io:?}: {head}");
+        assert!(head.contains(&format!("Content-Length: {OLD}")), "{head}");
+        assert!(
+            body.len() <= 64 * 1024,
+            "{io:?}: nothing of the new object may follow the old prefix, got {}",
+            body.len()
+        );
+        assert_eq!(&body[..], &pattern(OLD)[..body.len()], "{io:?}");
+
+        let (head, body) = raw_get(proxy.addr(), "/big.bin");
+        assert!(
+            head.contains("X-Cache: MISS"),
+            "{io:?}: the stale prefix must be gone: {head}"
+        );
+        assert_eq!(body, pattern(NEW));
+
+        let s = ledger(&proxy);
+        assert_eq!(s.requests, 3);
+        assert_eq!(s.streamed_misses, 2, "{io:?}: {s:?}");
+        assert_eq!(s.prefix_hits, 0, "{io:?}: {s:?}");
+        assert_eq!(s.upstream_errors, 1, "{io:?}: {s:?}");
+        assert_eq!(s.upstream_retries, 0, "a mismatch is terminal: {s:?}");
+        let origin_requests = origin_requests.load(Ordering::SeqCst);
+        assert_eq!(origin_requests, 3, "{io:?}");
+        proxy.stop();
+        origin.stop();
+        (s, origin_requests)
+    });
 }

@@ -15,7 +15,7 @@
 use piggyback::core::types::DurationMs;
 use piggyback::proxyd::client::HttpClient;
 use piggyback::proxyd::origin::{start_origin, OriginConfig};
-use piggyback::proxyd::proxy::{start_proxy, ConcurrencyMode, ProxyConfig};
+use piggyback::proxyd::proxy::{start_proxy, ProxyConfig};
 use piggyback::proxyd::METRICS_PATH;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -76,7 +76,7 @@ fn scraped_metrics_conserve_under_concurrency() {
     let done = watchdog(Duration::from_secs(120));
     let origin = start_origin(OriginConfig::default()).unwrap();
     let mut cfg = ProxyConfig::new(origin.addr());
-    cfg.mode = ConcurrencyMode::Sharded { shards: 8 };
+    cfg.shards = 8;
     // Short Δ so the workload mixes fresh hits, validations, and fetches.
     cfg.freshness = DurationMs::from_millis(50);
     cfg.serve.workers = 64;

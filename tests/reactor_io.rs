@@ -256,6 +256,7 @@ fn reactor_survives_dead_origin_with_502s() {
 
     let s = proxy.stats();
     assert_eq!(s.upstream_errors, 1, "{s:?}");
+    assert_eq!(s.upstream_retries, 0, "a dial failure is terminal: {s:?}");
     assert_eq!(s.outcomes(), s.requests, "{s:?}");
     proxy.stop();
 }
