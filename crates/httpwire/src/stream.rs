@@ -87,17 +87,7 @@ pub struct BodyReader {
 impl BodyReader {
     /// Decoder for a `Content-Length: total` body.
     pub fn length(total: usize) -> Self {
-        BodyReader {
-            state: if total == 0 {
-                RState::Done
-            } else {
-                RState::Length { remaining: total }
-            },
-            line: Vec::new(),
-            trailers: HeaderMap::new(),
-            decoded: 0,
-            cap: usize::MAX,
-        }
+        Self::new(StreamFraming::Length(total))
     }
 
     /// Decoder for a chunked body. Total decoded size is guarded by the
@@ -105,13 +95,34 @@ impl BodyReader {
     /// relay never buffers that much, but a lying peer still can't stream
     /// forever into a capped consumer).
     pub fn chunked() -> Self {
-        BodyReader {
-            state: RState::ChunkSize,
+        Self::new(StreamFraming::Chunked)
+    }
+
+    fn new(framing: StreamFraming) -> Self {
+        let mut reader = BodyReader {
+            state: RState::Done,
             line: Vec::new(),
             trailers: HeaderMap::new(),
             decoded: 0,
-            cap: MAX_BODY,
-        }
+            cap: 0,
+        };
+        reader.reset(framing);
+        reader
+    }
+
+    /// Re-arm for the next body on the same connection. The line buffer
+    /// and the trailer map's strings are kept, so a relay that holds one
+    /// reader per connection decodes every later message without
+    /// allocating.
+    pub fn reset(&mut self, framing: StreamFraming) {
+        (self.state, self.cap) = match framing {
+            StreamFraming::Length(0) => (RState::Done, usize::MAX),
+            StreamFraming::Length(total) => (RState::Length { remaining: total }, usize::MAX),
+            StreamFraming::Chunked => (RState::ChunkSize, MAX_BODY),
+        };
+        self.line.clear();
+        self.trailers.reset();
+        self.decoded = 0;
     }
 
     /// Has the body (including any trailer section) been fully decoded?
@@ -278,14 +289,6 @@ impl BodyReader {
     }
 }
 
-#[derive(Debug)]
-enum WMode {
-    /// Raw passthrough; `remaining` payload bytes still owed.
-    Length { remaining: usize },
-    /// Re-chunking at [`STREAM_CHUNK`]; `pending` holds a partial chunk.
-    Chunked { pending: Vec<u8> },
-}
-
 /// Incremental body encoder, byte-identical to the buffered writers.
 ///
 /// Push payload segments of any size; full [`STREAM_CHUNK`]-sized chunks
@@ -295,7 +298,11 @@ enum WMode {
 /// exactly no matter how the body was segmented.
 #[derive(Debug)]
 pub struct BodyWriter {
-    mode: WMode,
+    /// `Some(n)`: raw `Content-Length` passthrough with `n` payload bytes
+    /// still owed. `None`: re-chunking at [`STREAM_CHUNK`].
+    owed: Option<usize>,
+    /// The partial chunk a chunked body has accumulated so far.
+    pending: Vec<u8>,
     hdr: Vec<u8>,
     written: usize,
 }
@@ -303,22 +310,37 @@ pub struct BodyWriter {
 impl BodyWriter {
     /// Encoder for a `Content-Length: total` body (raw passthrough).
     pub fn length(total: usize) -> Self {
-        BodyWriter {
-            mode: WMode::Length { remaining: total },
-            hdr: Vec::new(),
-            written: 0,
-        }
+        Self::new(StreamFraming::Length(total))
     }
 
     /// Encoder for a chunked body.
     pub fn chunked() -> Self {
-        BodyWriter {
-            mode: WMode::Chunked {
-                pending: Vec::with_capacity(STREAM_CHUNK),
-            },
+        Self::new(StreamFraming::Chunked)
+    }
+
+    fn new(framing: StreamFraming) -> Self {
+        let mut writer = BodyWriter {
+            owed: None,
+            pending: Vec::new(),
             hdr: Vec::new(),
             written: 0,
-        }
+        };
+        writer.reset(framing);
+        writer
+    }
+
+    /// Re-arm for the next body on the same connection, keeping the
+    /// partial-chunk and chunk-header buffers (see [`BodyReader::reset`]).
+    pub fn reset(&mut self, framing: StreamFraming) {
+        self.pending.clear();
+        self.written = 0;
+        self.owed = match framing {
+            StreamFraming::Length(total) => Some(total),
+            StreamFraming::Chunked => {
+                self.pending.reserve(STREAM_CHUNK);
+                None
+            }
+        };
     }
 
     /// Total payload bytes accepted so far.
@@ -329,38 +351,35 @@ impl BodyWriter {
     /// Encode one payload segment onto `w`.
     pub fn push<W: Write>(&mut self, seg: &[u8], w: &mut W) -> std::io::Result<()> {
         self.written += seg.len();
-        match self.mode {
-            WMode::Length { ref mut remaining } => {
-                if seg.len() > *remaining {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "body longer than declared Content-Length",
-                    ));
-                }
-                *remaining -= seg.len();
-                w.write_all(seg)
+        if let Some(owed) = &mut self.owed {
+            if seg.len() > *owed {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "body longer than declared Content-Length",
+                ));
             }
-            WMode::Chunked { ref mut pending } => {
-                let mut seg = seg;
-                // Top up a pending partial chunk first.
-                if !pending.is_empty() {
-                    let take = (STREAM_CHUNK - pending.len()).min(seg.len());
-                    pending.extend_from_slice(&seg[..take]);
-                    seg = &seg[take..];
-                    if pending.len() == STREAM_CHUNK {
-                        Self::emit_chunk(&mut self.hdr, pending, w)?;
-                        pending.clear();
-                    }
-                }
-                // Full chunks straight from the segment, no copy.
-                while seg.len() >= STREAM_CHUNK {
-                    Self::emit_chunk(&mut self.hdr, &seg[..STREAM_CHUNK], w)?;
-                    seg = &seg[STREAM_CHUNK..];
-                }
-                pending.extend_from_slice(seg);
-                Ok(())
+            *owed -= seg.len();
+            return w.write_all(seg);
+        }
+        let pending = &mut self.pending;
+        let mut seg = seg;
+        // Top up a pending partial chunk first.
+        if !pending.is_empty() {
+            let take = (STREAM_CHUNK - pending.len()).min(seg.len());
+            pending.extend_from_slice(&seg[..take]);
+            seg = &seg[take..];
+            if pending.len() == STREAM_CHUNK {
+                Self::emit_chunk(&mut self.hdr, pending, w)?;
+                pending.clear();
             }
         }
+        // Full chunks straight from the segment, no copy.
+        while seg.len() >= STREAM_CHUNK {
+            Self::emit_chunk(&mut self.hdr, &seg[..STREAM_CHUNK], w)?;
+            seg = &seg[STREAM_CHUNK..];
+        }
+        pending.extend_from_slice(seg);
+        Ok(())
     }
 
     fn emit_chunk<W: Write>(hdr: &mut Vec<u8>, chunk: &[u8], w: &mut W) -> std::io::Result<()> {
@@ -373,20 +392,16 @@ impl BodyWriter {
     /// and trailer section (chunked), or validate the declared length was
     /// met (`Content-Length`).
     pub fn finish<W: Write>(&mut self, trailers: &HeaderMap, w: &mut W) -> std::io::Result<()> {
-        match self.mode {
-            WMode::Length { remaining } => {
-                if remaining != 0 {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "body shorter than declared Content-Length",
-                    ));
-                }
-                Ok(())
-            }
-            WMode::Chunked { ref mut pending } => {
-                if !pending.is_empty() {
-                    Self::emit_chunk(&mut self.hdr, pending, w)?;
-                    pending.clear();
+        match self.owed {
+            Some(0) => Ok(()),
+            Some(_) => Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "body shorter than declared Content-Length",
+            )),
+            None => {
+                if !self.pending.is_empty() {
+                    Self::emit_chunk(&mut self.hdr, &self.pending, w)?;
+                    self.pending.clear();
                 }
                 self.hdr.clear();
                 self.hdr.extend_from_slice(b"0\r\n");
@@ -405,7 +420,8 @@ impl BodyWriter {
 /// Framing headers in `resp.headers` (`Content-Length`,
 /// `Transfer-Encoding`, `Trailer`) are skipped and recomputed from
 /// `framing`; the `Trailer` announce line comes from `resp.trailers`
-/// (callers that will send no trailers leave it empty).
+/// (callers that will send no trailers leave it empty). A bodiless status
+/// (1xx, 204, 304) gets no framing headers at all, as in `Response::write`.
 pub fn encode_stream_head(resp: &Response, framing: StreamFraming, out: &mut Vec<u8>) {
     use std::fmt::Write as _;
     let mut head = String::new();
@@ -428,6 +444,10 @@ pub fn encode_stream_head(resp: &Response, framing: StreamFraming, out: &mut Vec
         let _ = write!(head, "{name}: {value}\r\n");
         out.extend_from_slice(head.as_bytes());
         head.clear();
+    }
+    if Response::bodiless_status(resp.status) {
+        out.extend_from_slice(b"\r\n");
+        return;
     }
     match framing {
         StreamFraming::Chunked => {
@@ -666,6 +686,65 @@ mod tests {
         w.push(resp.body.as_slice(), &mut wire).unwrap();
         w.finish(&HeaderMap::new(), &mut wire).unwrap();
         assert_eq!(wire, seed);
+    }
+
+    /// A bodiless status carries no framing headers in either writer, so
+    /// a relay can send a 304 or 204 through the same head + (empty) body
+    /// path as everything else.
+    #[test]
+    fn bodiless_head_is_byte_identical_to_buffered_write() {
+        for status in [204u16, 304] {
+            let mut resp = Response::new(status);
+            resp.headers.insert("Last-Modified", "now");
+            resp.headers.insert("Content-Length", "100");
+            let mut seed = Vec::new();
+            resp.write(&mut seed).unwrap();
+            let mut wire = Vec::new();
+            encode_stream_head(&resp, StreamFraming::Length(0), &mut wire);
+            let mut w = BodyWriter::length(0);
+            w.finish(&HeaderMap::new(), &mut wire).unwrap();
+            assert_eq!(wire, seed, "status {status}");
+        }
+    }
+
+    /// One reader and one writer re-armed across messages of either
+    /// framing behave exactly like freshly constructed ones.
+    #[test]
+    fn reset_reader_and_writer_match_fresh_ones() {
+        let mut trailers = HeaderMap::new();
+        trailers.insert("T", "v");
+        let mut r = BodyReader::length(0);
+        let mut w = BodyWriter::length(0);
+        for (len, chunked) in [(20_000usize, true), (5, false), (9000, true), (0, false)] {
+            let body = pattern(len);
+            let framing = if chunked {
+                StreamFraming::Chunked
+            } else {
+                StreamFraming::Length(len)
+            };
+            let mut seed = Vec::new();
+            if chunked {
+                write_chunked(&mut seed, &body, &trailers, STREAM_CHUNK).unwrap();
+            } else {
+                seed.extend_from_slice(&body);
+            }
+            w.reset(framing);
+            let mut wire = Vec::new();
+            for seg in body.chunks(3000) {
+                w.push(seg, &mut wire).unwrap();
+            }
+            w.finish(&trailers, &mut wire).unwrap();
+            assert_eq!(wire, seed, "len {len} chunked {chunked}");
+            assert_eq!(w.written(), len);
+
+            r.reset(framing);
+            let (decoded, consumed) = decode_in_steps(&mut r, &wire, 777);
+            assert!(r.is_done());
+            assert_eq!(decoded, body);
+            assert_eq!(consumed, wire.len());
+            assert_eq!(r.decoded(), len);
+            assert_eq!(r.trailers().len(), usize::from(chunked), "stale trailers");
+        }
     }
 
     /// Decode → re-encode round trip: a relay that reads with BodyReader

@@ -165,6 +165,7 @@ pub struct Conditioner {
     exchanges: AtomicU64,
     failures: AtomicU64,
     delay_us: AtomicU64,
+    sleeps: AtomicU64,
 }
 
 /// Quiescent snapshot of a conditioner's counters.
@@ -176,6 +177,9 @@ pub struct ShimStats {
     pub failures: u64,
     /// Total artificial delay inserted, microseconds.
     pub delay_us: u64,
+    /// Delays applied: one per relayed request plus one per paced
+    /// downstream write.
+    pub sleeps: u64,
 }
 
 impl Conditioner {
@@ -187,6 +191,7 @@ impl Conditioner {
             exchanges: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             delay_us: AtomicU64::new(0),
+            sleeps: AtomicU64::new(0),
         }
     }
 
@@ -237,6 +242,7 @@ impl Conditioner {
     /// Sleep for `d` and account it.
     pub fn apply(&self, d: Duration) {
         self.delay_us.fetch_add(d.as_micros() as u64, Relaxed);
+        self.sleeps.fetch_add(1, Relaxed);
         if !d.is_zero() {
             std::thread::sleep(d);
         }
@@ -247,6 +253,7 @@ impl Conditioner {
             exchanges: self.exchanges.load(Relaxed),
             failures: self.failures.load(Relaxed),
             delay_us: self.delay_us.load(Relaxed),
+            sleeps: self.sleeps.load(Relaxed),
         }
     }
 }

@@ -851,10 +851,10 @@ fn quiet_proxy(origin: SocketAddr, io: piggyback::proxyd::IoMode) -> ProxyHandle
     start_proxy(cfg).unwrap()
 }
 
-/// One fresh-connection GET, raw: returns the response head and however
-/// many body bytes arrived before the connection closed. The read
-/// timeout turns a wedged proxy into a failure instead of a hung run.
-fn raw_get(addr: SocketAddr, path: &str) -> (String, Vec<u8>) {
+/// One fresh-connection GET, raw: every byte that arrived before the
+/// connection closed. The read timeout turns a wedged proxy into a
+/// failure instead of a hung run.
+fn raw_bytes(addr: SocketAddr, path: &str) -> Vec<u8> {
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -870,6 +870,13 @@ fn raw_get(addr: SocketAddr, path: &str) -> (String, Vec<u8>) {
         assert_ne!(e.kind(), std::io::ErrorKind::WouldBlock, "proxy hung");
         assert_ne!(e.kind(), std::io::ErrorKind::TimedOut, "proxy hung");
     }
+    raw
+}
+
+/// [`raw_bytes`], split into the response head and however many body
+/// bytes followed it.
+fn raw_get(addr: SocketAddr, path: &str) -> (String, Vec<u8>) {
+    let raw = raw_bytes(addr, path);
     let head_end = raw
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
@@ -1065,4 +1072,347 @@ fn object_changing_length_under_a_prefix_truncates_and_drops_the_prefix() {
         origin.stop();
         (s, origin_requests)
     });
+}
+
+// ---------------------------------------------------------------------------
+// The volume center between proxy and origin (PROTOCOL.md §14.1): it dials
+// the origin once per downstream connection and cuts bodies through, so a
+// stale, dying or lying upstream meets the relay first. The lanes through
+// a proxy run on both engines and their ledgers must agree.
+// ---------------------------------------------------------------------------
+
+fn relay(
+    origin: SocketAddr,
+    transparent: bool,
+) -> piggyback::proxyd::volume_center::VolumeCenterHandle {
+    start_volume_center(VolumeCenterConfig {
+        port: 0,
+        origin,
+        volume_level: 1,
+        shim: None,
+        transparent,
+    })
+    .unwrap()
+}
+
+/// The origin closes its side after every response, as an origin that
+/// reaps idle keep-alives does between requests. The center must re-dial,
+/// not answer for the dead connection: every GET on the one downstream
+/// connection is a 200. (Regression: the second was a well-formed 502,
+/// which a proxy passes through as a response and never retries.)
+#[test]
+fn center_redials_an_upstream_that_closed_its_keepalive() {
+    for transparent in [true, false] {
+        let origin = one_shot_origin();
+        let center = relay(origin.addr, transparent);
+        let stream = std::net::TcpStream::connect(center.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut r = BufReader::new(stream.try_clone().unwrap());
+        let mut w = BufWriter::new(stream);
+        for i in 0..5 {
+            let mut req = Request::new("GET", &format!("/stale{i}.html"));
+            req.headers.insert("Host", "t");
+            req.write(&mut w).unwrap();
+            let resp = Response::read(&mut r, false).unwrap();
+            assert_eq!(resp.status, 200, "request {i}, transparent {transparent}");
+            assert_eq!(resp.body, b"one shot");
+        }
+        let d = center.daemon_stats();
+        assert_eq!((d.connections, d.responses_ok), (1, 5), "{d:?}");
+        center.stop();
+        origin.stop();
+    }
+}
+
+/// A keep-alive origin under the test's full control: `script(n, stream)`
+/// writes whatever answers the `n`-th request (counted across
+/// connections) and says whether the connection stays open. Returns the
+/// connection counter alongside the handle.
+fn wire_origin(
+    script: impl Fn(usize, &mut std::net::TcpStream) -> bool + Send + Sync + 'static,
+) -> (piggyback::proxyd::util::ServerHandle, Arc<AtomicUsize>) {
+    let conns = Arc::new(AtomicUsize::new(0));
+    let requests = AtomicUsize::new(0);
+    let conns2 = Arc::clone(&conns);
+    let handle = serve(0, "wire-origin", move |mut stream| {
+        conns2.fetch_add(1, Ordering::SeqCst);
+        let mut r = BufReader::new(stream.try_clone().unwrap());
+        while Request::read(&mut r).is_ok() {
+            if !script(requests.fetch_add(1, Ordering::SeqCst), &mut stream) {
+                return;
+            }
+        }
+    })
+    .unwrap();
+    (handle, conns)
+}
+
+fn write_ok(stream: &mut std::net::TcpStream, declared: usize, body: &[u8]) -> bool {
+    let head = format!(
+        "HTTP/1.1 200 OK\r\nLast-Modified: Thu, 01 Jan 1998 00:00:00 GMT\r\n\
+         Content-Length: {declared}\r\n\r\n"
+    );
+    // One write: head and body (and any excess) reach the relay together.
+    stream.write_all(&[head.as_bytes(), body].concat()).is_ok()
+}
+
+/// The upstream dies inside the first relay segment: nothing has gone
+/// downstream yet, so the center still answers a well-formed 502 — which
+/// the proxy passes through as the response it is (no retry at either
+/// hop, no error outcome). The next request finds a fresh path and is
+/// whole.
+#[test]
+fn upstream_dying_inside_the_first_segment_is_a_502_from_the_center() {
+    assert_engine_parity(|io| {
+        let (origin, conns, _) = scripted_origin(|n| Answer {
+            sent: if n == 0 { 10 } else { 1000 },
+            ..Answer::full(1000)
+        });
+        let center = relay(origin.addr, true);
+        let proxy = quiet_proxy(center.addr(), io);
+        let (head, _) = raw_get(proxy.addr(), "/x.html");
+        assert!(head.starts_with("HTTP/1.1 502"), "{io:?}: {head}");
+        let (head, body) = raw_get(proxy.addr(), "/x.html");
+        assert!(head.starts_with("HTTP/1.1 200"), "{io:?}: {head}");
+        assert_eq!(body, pattern(1000), "{io:?}");
+        let s = ledger(&proxy);
+        assert_eq!(s.upstream_passthrough, 1, "{io:?}: {s:?}");
+        assert_eq!(s.full_fetches, 1, "{io:?}: {s:?}");
+        assert_eq!((s.upstream_retries, s.upstream_errors), (0, 0), "{s:?}");
+        let d = center.daemon_stats();
+        assert_eq!((d.responses_error, d.responses_ok), (1, 1), "{d:?}");
+        let conns = conns.load(Ordering::SeqCst);
+        proxy.stop();
+        center.stop();
+        origin.stop();
+        (s, conns)
+    });
+}
+
+/// The upstream dies after the center's first segment went downstream:
+/// the center can only truncate. A proxy still buffering (object under
+/// its streaming threshold) sees a failed exchange and retries it once; a
+/// proxy already relaying to its client truncates too and settles exactly
+/// one error. Never a 502 spliced into a body, never a short body that
+/// looks whole.
+#[test]
+fn upstream_dying_after_the_first_segment_truncates_at_the_center() {
+    const SMALL: usize = 100 * 1024;
+    const LARGE: usize = 600 * 1024;
+    assert_engine_parity(|io| {
+        let (origin, _, origin_requests) = scripted_origin(|n| match n {
+            0 => Answer {
+                sent: 40 * 1024,
+                ..Answer::full(SMALL)
+            },
+            1 => Answer::full(SMALL),
+            2 => Answer {
+                sent: 200 * 1024,
+                ..Answer::full(LARGE)
+            },
+            _ => Answer::full(LARGE),
+        });
+        let center = relay(origin.addr, true);
+        let proxy = quiet_proxy(center.addr(), io);
+
+        let (head, body) = raw_get(proxy.addr(), "/small.bin");
+        assert!(head.starts_with("HTTP/1.1 200"), "{io:?}: {head}");
+        assert_eq!(body, pattern(SMALL), "{io:?}: the retry's body, whole");
+
+        // However much the proxy had flushed when its upstream died (the
+        // reactor may not even have flushed the head), the client holds a
+        // strict prefix of the whole answer.
+        let raw = raw_bytes(proxy.addr(), "/large.bin");
+        if let Some(p) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
+            let (head, body) = (String::from_utf8_lossy(&raw[..p + 4]), &raw[p + 4..]);
+            assert!(head.starts_with("HTTP/1.1 200"), "{io:?}: {head}");
+            assert!(head.contains(&format!("Content-Length: {LARGE}")), "{head}");
+            assert!(body.len() < LARGE, "{io:?}: truncated, got {}", body.len());
+            assert!(
+                body == &pattern(LARGE)[..body.len()],
+                "{io:?}: a clean prefix"
+            );
+        }
+
+        let (_, body) = raw_get(proxy.addr(), "/large2.bin");
+        assert_eq!(body, pattern(LARGE), "{io:?}: the relay recovered");
+
+        let s = ledger(&proxy);
+        assert_eq!(s.requests, 3);
+        assert_eq!(
+            s.upstream_retries, 1,
+            "{io:?}: only the buffered one: {s:?}"
+        );
+        assert_eq!(s.upstream_errors, 1, "{io:?}: one terminal outcome: {s:?}");
+        assert_eq!(s.full_fetches, 2, "{io:?}: {s:?}");
+        let d = center.daemon_stats();
+        assert_eq!(d.responses_ok, 2, "only whole transfers count: {d:?}");
+        assert_eq!(d.responses_error, 0, "the center never answered 502: {d:?}");
+        let origin_requests = origin_requests.load(Ordering::SeqCst);
+        assert_eq!(origin_requests, 4, "{io:?}");
+        proxy.stop();
+        center.stop();
+        origin.stop();
+        (s, origin_requests)
+    });
+}
+
+/// `Content-Length` lies short: the origin sends 50 bytes more than it
+/// declared and keeps the connection open. The relay forwards exactly the
+/// declared bytes, and never reuses the connection the excess sits on —
+/// the excess is never parsed as the next response.
+#[test]
+fn bytes_beyond_a_short_content_length_are_dropped_with_their_connection() {
+    assert_engine_parity(|io| {
+        let (origin, conns) = wire_origin(|n, stream| match n {
+            0 => write_ok(stream, 100, &pattern(150)),
+            _ => write_ok(stream, 300, &pattern(300)),
+        });
+        let center = relay(origin.addr, true);
+        let proxy = quiet_proxy(center.addr(), io);
+        // One client connection, so the proxy reuses its center connection
+        // and the center would reuse its origin connection if it could.
+        let mut client = HttpClient::connect(proxy.addr()).unwrap();
+        let first = client.get("/a.html", &[]).unwrap();
+        assert_eq!((first.status, &first.body[..]), (200, &pattern(100)[..]));
+        let second = client.get("/b.html", &[]).unwrap();
+        assert_eq!((second.status, &second.body[..]), (200, &pattern(300)[..]));
+        let s = ledger(&proxy);
+        assert_eq!(s.full_fetches, 2, "{io:?}: {s:?}");
+        assert_eq!((s.upstream_retries, s.upstream_errors), (0, 0), "{s:?}");
+        let conns = conns.load(Ordering::SeqCst);
+        assert_eq!(conns, 2, "{io:?}: the poisoned connection was not reused");
+        proxy.stop();
+        center.stop();
+        origin.stop();
+        (s, conns)
+    });
+}
+
+/// A declared length above `MAX_BODY` is refused from the head alone: a
+/// prompt 502, without reading a body the origin (which sends none here
+/// and holds the connection) may never finish.
+#[test]
+fn content_length_above_max_body_is_a_502_without_reading_the_body() {
+    assert_engine_parity(|io| {
+        let (origin, _) = wire_origin(|_, stream| {
+            let oversized = piggyback::httpwire::parse::MAX_BODY + 1;
+            write_ok(stream, oversized, b"only a few bytes follow")
+        });
+        let center = relay(origin.addr, true);
+        let proxy = quiet_proxy(center.addr(), io);
+        let (head, _) = raw_get(proxy.addr(), "/huge.bin");
+        assert!(head.starts_with("HTTP/1.1 502"), "{io:?}: {head}");
+        let s = ledger(&proxy);
+        assert_eq!(s.upstream_passthrough, 1, "{io:?}: {s:?}");
+        assert_eq!(center.daemon_stats().responses_error, 1);
+        proxy.stop();
+        center.stop();
+        origin.stop();
+        s
+    });
+}
+
+/// Trailers the upstream never announced in a `Trailer` header still
+/// follow the body through the cut-through relay: here the unannounced
+/// trailer is the piggyback itself, and the proxy behind the center
+/// applies it.
+#[test]
+fn unannounced_trailers_are_forwarded_by_the_center() {
+    const TOTAL: usize = 40 * 1024;
+    assert_engine_parity(|io| {
+        let (origin, _) = wire_origin(|_, stream| {
+            let mut wire = b"HTTP/1.1 200 OK\r\n\
+                Last-Modified: Thu, 01 Jan 1998 00:00:00 GMT\r\n\
+                Transfer-Encoding: chunked\r\n\r\n"
+                .to_vec();
+            for chunk in pattern(TOTAL).chunks(10_000) {
+                wire.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
+                wire.extend_from_slice(chunk);
+                wire.extend_from_slice(b"\r\n");
+            }
+            wire.extend_from_slice(
+                b"0\r\nP-volume: 7; \"/mate.html\" 886000000 1024\r\nX-Late: 1\r\n\r\n",
+            );
+            stream.write_all(&wire).is_ok()
+        });
+        let center = relay(origin.addr, true);
+        let proxy = quiet_proxy(center.addr(), io);
+        let (head, body) = raw_get(proxy.addr(), "/page.html");
+        assert!(head.starts_with("HTTP/1.1 200"), "{io:?}: {head}");
+        assert_eq!(body, pattern(TOTAL), "{io:?}");
+        let s = ledger(&proxy);
+        assert_eq!(s.piggyback_messages, 1, "{io:?}: {s:?}");
+        assert_eq!(s.prefetch_candidates, 1, "{io:?}: {s:?}");
+        proxy.stop();
+        center.stop();
+        origin.stop();
+        s
+    });
+}
+
+/// A chunked body that runs past `MAX_BODY` cannot be refused from its
+/// head; the relay stops at the cap and closes mid-body — the missing
+/// terminal chunk is the truncation signal. Driven at the center alone:
+/// behind it the reactor proxy would buffer the 64 MiB it never streams
+/// (PROTOCOL.md §14's divergence).
+#[test]
+fn chunked_body_past_max_body_is_truncated_at_the_center() {
+    const CHUNK: usize = 64 * 1024;
+    let (origin, _) = wire_origin(|_, stream| {
+        let chunk = pattern(CHUNK);
+        let mut sent = stream
+            .write_all(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n")
+            .is_ok();
+        let chunks = piggyback::httpwire::parse::MAX_BODY / CHUNK + 1;
+        for _ in 0..chunks {
+            sent = sent
+                && write!(stream, "{CHUNK:x}\r\n").is_ok()
+                && stream.write_all(&chunk).is_ok()
+                && stream.write_all(b"\r\n").is_ok();
+        }
+        sent && stream.write_all(b"0\r\n\r\n").is_ok()
+    });
+    let center = relay(origin.addr, true);
+    let mut stream = std::net::TcpStream::connect(center.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+        .write_all(b"GET /endless HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let mut total = 0usize;
+    let mut tail = [0u8; 5];
+    let mut buf = vec![0u8; 256 * 1024];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => {
+                total += n;
+                if n >= 5 {
+                    tail.copy_from_slice(&buf[n - 5..n]);
+                }
+            }
+            // A reset behind the truncation is as good as a FIN.
+            Err(e) => {
+                assert_ne!(e.kind(), std::io::ErrorKind::WouldBlock, "relay hung");
+                assert_ne!(e.kind(), std::io::ErrorKind::TimedOut, "relay hung");
+                break;
+            }
+        }
+    }
+    assert!(total > 1024 * 1024, "the body was cut through: {total}");
+    assert!(
+        total <= piggyback::httpwire::parse::MAX_BODY + 1024 * 1024,
+        "the relay stopped at the cap: {total}"
+    );
+    assert_ne!(
+        &tail, b"0\r\n\r\n",
+        "a capped body must not end well-formed"
+    );
+    assert_eq!(center.daemon_stats().responses_ok, 0);
+    center.stop();
+    origin.stop();
 }
