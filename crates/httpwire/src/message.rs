@@ -444,6 +444,7 @@ impl Response {
             read_body_windowed(r, &mut body, n)?;
             self.body = body.into();
         } else {
+            // HTTP/1.0 style: body delimited by connection close.
             let mut body = Vec::new();
             r.take(cap as u64 + 1).read_to_end(&mut body)?;
             if body.len() > cap {
@@ -465,50 +466,11 @@ impl Response {
         head_request: bool,
         cap: usize,
     ) -> Result<Response, HttpError> {
-        let line = read_line(r)?;
-        let mut parts = line.splitn(3, ' ');
-        let version = Version::parse(parts.next().unwrap_or(""))
-            .map_err(|_| HttpError::BadStatusLine(line.clone()))?;
-        let status: u16 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| HttpError::BadStatusLine(line.clone()))?;
-        let reason = parts.next().unwrap_or("").to_owned();
-        let headers = read_headers(r)?;
-
-        let cap = cap.min(MAX_BODY);
-        let mut trailers = HeaderMap::new();
-        let body = if head_request || Self::bodiless_status(status) {
-            Body::empty()
-        } else if headers.list_contains("Transfer-Encoding", "chunked") {
-            let mut body = Vec::new();
-            let mut line = Vec::with_capacity(64);
-            read_chunked_into_capped(r, &mut body, &mut trailers, &mut line, cap)?;
-            body.into()
-        } else if let Some(n) = content_length(&headers)? {
-            if n > cap {
-                return Err(HttpError::LimitExceeded("body cap"));
-            }
-            let mut body = Vec::new();
-            read_body_windowed(r, &mut body, n)?;
-            body.into()
-        } else {
-            // HTTP/1.0 style: body delimited by connection close.
-            let mut body = Vec::new();
-            r.take(cap as u64 + 1).read_to_end(&mut body)?;
-            if body.len() > cap {
-                return Err(HttpError::LimitExceeded("body size"));
-            }
-            body.into()
-        };
-        Ok(Response {
-            version,
-            status,
-            reason,
-            headers,
-            body,
-            trailers,
-        })
+        let mut resp = Self::read_head(r)?;
+        if !head_request {
+            resp.read_rest(r, cap)?;
+        }
+        Ok(resp)
     }
 }
 

@@ -1,16 +1,16 @@
 //! The upstream lifecycle, written once for both proxy engines.
 //!
 //! Everything between "the plan says *go upstream*" and "the client has
-//! its answer" that needs no socket lives here as plain functions: which
-//! request goes to the origin ([`first_leg`], [`refetch_leg`],
-//! [`speculative_leg`]), whether a response head cuts through or buffers
-//! ([`RelayRule::decide`]), the two client heads a relay writes
-//! ([`probe_prefix`], [`write_stream_head`]), and what an exchange's
-//! [`UpstreamOutcome`] does to the cache, the counters, the piggyback
-//! state and the reply ([`settle`], [`settle_refetch`]). The blocking
-//! driver ([`crate::proxy`]) and the reactor plan adapters move bytes,
-//! hand the outcome here, and write what comes back — so the two engines
-//! cannot drift (PROTOCOL.md §7.1).
+//! its answer" that needs no socket lives here: which request goes to the
+//! origin ([`first_leg`], [`refetch_leg`], [`speculative_leg`]), how the
+//! response is decoded and whether it buffers or cuts through to the
+//! client ([`ResponseMachine`], under the leg's [`RelayRule`]), the head
+//! a prefix hit sends ahead of it ([`probe_prefix`]), and what the
+//! exchange's [`UpstreamOutcome`] does to the cache, the counters, the
+//! piggyback state and the reply ([`settle`], [`settle_refetch`]). The
+//! blocking driver ([`crate::proxy`]) and the reactor read bytes, feed
+//! the machine, hand its outcome here, and write what comes back — so
+//! the two engines cannot drift (PROTOCOL.md §7.1, §14).
 
 use crate::obs::LatencyHistogram;
 use crate::prefetch::{self, PIGGY_PUSH_HEADER};
@@ -25,7 +25,8 @@ use piggyback_core::report::PIGGY_REPORT_HEADER;
 use piggyback_core::types::{ResourceId, Timestamp};
 use piggyback_core::wire::{decode_p_volume, P_VOLUME_HEADER};
 use piggyback_httpwire::{
-    encode_stream_head, parse, Body, ConnScratch, Request, Response, StreamFraming,
+    encode_stream_head, parse, Body, BodyReader, BodyWriter, ConnScratch, HeaderMap, HttpError,
+    Request, Response, StreamFraming,
 };
 use piggyback_webcache::CacheEntry;
 use std::io::{self, Write};
@@ -77,7 +78,7 @@ pub enum UpstreamOutcome {
     /// A streaming exchange died after bytes (head or payload) may have
     /// reached the client: no retry is possible and no error response may
     /// be written, only a truncated close. `mismatch` marks a response
-    /// head that contradicted [`RelayRule::expect_total`].
+    /// whose head or length contradicted [`RelayRule::expect_total`].
     StreamFailed { mismatch: bool },
 }
 
@@ -86,8 +87,8 @@ pub enum UpstreamOutcome {
 /// memory and the exchange is never retried.
 #[derive(Debug, Clone, Copy)]
 pub struct RelayRule {
-    /// Engage when the declared length is at least this many bytes
-    /// (ignored when `expect_total` pins an exact length).
+    /// Engage when the payload is at least this many bytes (ignored when
+    /// `expect_total` pins an exact length).
     pub threshold: usize,
     /// Tee the first N payload bytes, handed back through
     /// [`UpstreamOutcome::Streamed`] for the prefix store.
@@ -95,44 +96,335 @@ pub struct RelayRule {
     /// Drop this many leading payload bytes instead of forwarding them —
     /// the suffix relay behind a cache-served prefix head.
     pub skip: usize,
-    /// Require exactly this declared length; any other head is a
-    /// mismatch, because the head bytes already sent to the client
-    /// promised this length.
+    /// The client head already sent (with the cached prefix) promised
+    /// exactly this many payload bytes: any 200 relays under it, and a
+    /// body that turns out longer or shorter is a mismatch.
     pub expect_total: Option<usize>,
+    /// May a chunked 200, whose size no header declares, grow into a
+    /// relay once `threshold` payload bytes are decoded? PROTOCOL.md
+    /// §14's one engine divergence: threaded yes, reactor no.
+    pub chunked_may_grow: bool,
+    /// Proxy-clock time the leg was built: the `Last-Modified` of a
+    /// streamed client head whose origin sent none.
+    pub now: Timestamp,
 }
 
 /// What a response head means for a fetch carrying a [`RelayRule`].
-pub enum RelayDecision {
-    /// Relay this many declared payload bytes.
+enum RelayDecision {
+    /// Relay from the first payload byte, under a client head declaring
+    /// this many.
     Engage(usize),
-    /// Small, non-200 or chunked: buffer the exchange as usual.
+    /// A chunked 200 that engages if it reaches the threshold.
+    Grow,
+    /// Small or non-200: buffer the exchange as usual.
     Buffer,
     /// The head contradicts a pinned length: terminal.
     Mismatch,
 }
 
 impl RelayRule {
-    /// The relay decision, from the response head alone. Only
-    /// `Content-Length`-framed 200s engage here; what the threaded driver
-    /// additionally does with a chunked 200 is PROTOCOL.md §14's one
-    /// engine divergence and stays driver-side.
-    pub fn decide(&self, head: &Response) -> RelayDecision {
-        let declared = if head.headers.list_contains("Transfer-Encoding", "chunked") {
+    /// The relay decision, from the response head alone.
+    fn decide(&self, head: &Response) -> RelayDecision {
+        let ok = head.status == 200;
+        let chunked = head.headers.list_contains("Transfer-Encoding", "chunked");
+        let declared = if chunked {
             None
         } else {
             // A malformed Content-Length fails a pinned relay outright;
-            // otherwise the buffered parser produces the error.
+            // otherwise the decoder choice produces the error.
             parse::content_length(&head.headers).unwrap_or(None)
         };
-        match self.expect_total {
-            Some(want) if head.status == 200 && declared == Some(want) => {
+        match (self.expect_total, declared) {
+            (Some(want), _) if ok && (chunked || declared == Some(want)) => {
                 RelayDecision::Engage(want)
             }
-            Some(_) => RelayDecision::Mismatch,
-            None => match declared {
-                Some(n) if head.status == 200 && n >= self.threshold => RelayDecision::Engage(n),
-                _ => RelayDecision::Buffer,
+            (Some(_), _) => RelayDecision::Mismatch,
+            (None, Some(n)) if ok && n >= self.threshold => RelayDecision::Engage(n),
+            (None, _) if ok && chunked && self.chunked_may_grow => RelayDecision::Grow,
+            (None, _) => RelayDecision::Buffer,
+        }
+    }
+}
+
+/// The leading payload bytes a relay copies aside for the prefix store.
+struct Tee {
+    bytes: Vec<u8>,
+    want: usize,
+}
+
+impl Tee {
+    fn take(&mut self, payload: &[u8]) {
+        let take = (self.want - self.bytes.len()).min(payload.len());
+        self.bytes.extend_from_slice(&payload[..take]);
+    }
+}
+
+/// The client side of an engaged relay.
+struct Relay {
+    /// Chunked client framing (a grown chunked body) re-encodes through
+    /// this; `None` passes payload through raw under a declared length.
+    chunker: Option<BodyWriter>,
+    /// Raw framing: payload bytes the client head still promises.
+    owed: usize,
+    /// Leading payload bytes still to drop.
+    skip: usize,
+    prefix: Tee,
+    /// Decoded payload staged for `chunker`, reused across feeds.
+    seg: Vec<u8>,
+}
+
+impl Relay {
+    fn new(rule: &RelayRule, declared: Option<usize>) -> Relay {
+        Relay {
+            chunker: declared.is_none().then(BodyWriter::chunked),
+            owed: declared.unwrap_or(0).saturating_sub(rule.skip),
+            skip: rule.skip,
+            prefix: Tee {
+                bytes: Vec::new(),
+                want: rule.prefix_bytes,
             },
+            seg: Vec::new(),
+        }
+    }
+
+    /// Decode `input` and move its payload to `sink`, returning the input
+    /// consumed — `None` when the body overran the promised length, with
+    /// nothing of this input left in `sink`. Raw framing decodes straight
+    /// into `sink`; only chunked framing stages through `seg`.
+    fn forward(
+        &mut self,
+        reader: &mut BodyReader,
+        input: &[u8],
+        sink: &mut Vec<u8>,
+    ) -> Result<Option<usize>, HttpError> {
+        if self.chunker.is_some() {
+            self.seg.clear();
+            let consumed = reader.push(input, &mut self.seg)?;
+            self.flush_seg(sink);
+            return Ok(Some(consumed));
+        }
+        let start = sink.len();
+        let consumed = reader.push(input, sink)?;
+        self.prefix.take(&sink[start..]);
+        let drop = self.skip.min(sink.len() - start);
+        sink.drain(start..start + drop);
+        self.skip -= drop;
+        match self.owed.checked_sub(sink.len() - start) {
+            Some(left) => self.owed = left,
+            None => {
+                sink.truncate(start);
+                return Ok(None);
+            }
+        }
+        Ok(Some(consumed))
+    }
+
+    /// Tee and chunk-encode the staged payload.
+    fn flush_seg(&mut self, sink: &mut Vec<u8>) {
+        self.prefix.take(&self.seg);
+        if let Some(chunker) = &mut self.chunker {
+            chunker
+                .push(&self.seg, sink)
+                .expect("writing to a Vec cannot fail");
+        }
+    }
+}
+
+/// One upstream response in flight, written once for both engines and
+/// socket-free. A driver parses the head once ([`Response::read_head`]),
+/// builds the machine from it and the leg's [`RelayRule`], and from then
+/// on only reads bytes and [`feed`](Self::feed)s them: the machine picks
+/// the decoder, decides buffer / relay / grow-then-relay, writes whatever
+/// the client is owed into the sink the driver flushes, and ends as the
+/// exchange's [`UpstreamOutcome`]. The exchange is retryable exactly
+/// while the machine is not [`engaged`](Self::engaged) (PROTOCOL.md §7.1).
+pub struct ResponseMachine {
+    /// The origin's head; body and trailers are filled in at the end.
+    head: Response,
+    /// `None`: no framing header, the body runs until the origin closes.
+    reader: Option<BodyReader>,
+    /// Payload held back: the whole body while buffering, what was
+    /// decoded so far while a chunked 200 may still grow into a relay.
+    body: Vec<u8>,
+    /// Set while a chunked 200 may still grow into a relay.
+    grow: Option<RelayRule>,
+    relay: Option<Relay>,
+    /// Set once the response ended.
+    end: Option<End>,
+}
+
+enum End {
+    Whole,
+    /// The head, or the length the body turned out to have, contradicts
+    /// the client head a pinned relay had already sent.
+    Mismatch,
+}
+
+impl ResponseMachine {
+    /// Start on a parsed response head. An engaging head writes its
+    /// client head into `sink` right away (a pinned relay's went out with
+    /// the cached prefix); a bodiless one is done at once. `Err` is a
+    /// framing header no body can be read under — a failed, retryable
+    /// exchange like any other before a byte moved.
+    pub fn new(
+        head: Response,
+        rule: Option<RelayRule>,
+        sink: &mut Vec<u8>,
+    ) -> Result<ResponseMachine, HttpError> {
+        let reader = if Response::bodiless_status(head.status) {
+            Some(BodyReader::length(0))
+        } else if head.headers.list_contains("Transfer-Encoding", "chunked") {
+            Some(BodyReader::chunked())
+        } else {
+            // Above MAX_BODY this is the error: no byte is read.
+            parse::content_length(&head.headers)?.map(BodyReader::length)
+        };
+        let mut machine = ResponseMachine {
+            head,
+            reader,
+            body: Vec::new(),
+            grow: None,
+            relay: None,
+            end: None,
+        };
+        if let Some(rule) = rule {
+            match rule.decide(&machine.head) {
+                RelayDecision::Engage(n) => {
+                    if rule.expect_total.is_none() {
+                        write_stream_head(&machine.head, Some(n), rule.now, sink);
+                    }
+                    machine.relay = Some(Relay::new(&rule, Some(n)));
+                }
+                RelayDecision::Grow => machine.grow = Some(rule),
+                RelayDecision::Mismatch => {
+                    machine.end = Some(End::Mismatch);
+                    return Ok(machine);
+                }
+                RelayDecision::Buffer => {}
+            }
+        }
+        machine.step(false, sink)?;
+        Ok(machine)
+    }
+
+    /// Has payload (or its client head) been handed to the sink? From
+    /// here on a failure can only truncate: no retry, no error response.
+    pub fn engaged(&self) -> bool {
+        self.relay.is_some()
+    }
+
+    /// Did the response end (whole, or in a mismatch)?
+    pub fn is_done(&self) -> bool {
+        self.end.is_some()
+    }
+
+    /// Feed the next bytes off the origin connection (`eof`: it closed
+    /// behind them). Returns how many were this response's — the rest
+    /// belong to whatever follows on the connection. Client bytes are
+    /// appended to `sink`. `Err` fails the exchange.
+    pub fn feed(
+        &mut self,
+        input: &[u8],
+        eof: bool,
+        sink: &mut Vec<u8>,
+    ) -> Result<usize, HttpError> {
+        if self.is_done() {
+            return Ok(0);
+        }
+        let consumed = match (&mut self.reader, &mut self.relay) {
+            (None, _) => {
+                if self.body.len() + input.len() > parse::MAX_BODY {
+                    return Err(HttpError::LimitExceeded("body size"));
+                }
+                self.body.extend_from_slice(input);
+                input.len()
+            }
+            (Some(reader), None) => reader.push(input, &mut self.body)?,
+            (Some(reader), Some(relay)) => match relay.forward(reader, input, sink)? {
+                Some(consumed) => consumed,
+                None => {
+                    self.end = Some(End::Mismatch);
+                    return Ok(0);
+                }
+            },
+        };
+        self.step(eof, sink)?;
+        Ok(consumed)
+    }
+
+    /// After decoding: engage a grown body, end a finished one.
+    fn step(&mut self, eof: bool, sink: &mut Vec<u8>) -> Result<(), HttpError> {
+        let Some(reader) = &self.reader else {
+            if eof {
+                self.end = Some(End::Whole);
+            }
+            return Ok(());
+        };
+        // The one comparison `decide` applies to a declared length: an
+        // object of exactly the threshold streams in either framing.
+        if let Some(rule) = self.grow.filter(|rule| reader.decoded() >= rule.threshold) {
+            self.grow = None;
+            write_stream_head(&self.head, None, rule.now, sink);
+            let mut relay = Relay::new(&rule, None);
+            relay.seg = std::mem::take(&mut self.body);
+            relay.flush_seg(sink);
+            self.relay = Some(relay);
+        }
+        if !reader.is_done() {
+            return if eof {
+                Err(HttpError::ConnectionClosed)
+            } else {
+                Ok(())
+            };
+        }
+        let mut end = End::Whole;
+        if let Some(relay) = &mut self.relay {
+            match &mut relay.chunker {
+                // The origin's trailers (the piggyback) stay here; the
+                // client gets a clean end of body.
+                Some(chunker) => chunker
+                    .finish(&HeaderMap::new(), sink)
+                    .expect("writing to a Vec cannot fail"),
+                None if relay.owed > 0 => end = End::Mismatch,
+                None => {}
+            }
+        }
+        self.end = Some(end);
+        Ok(())
+    }
+
+    /// The exchange's outcome. Before the response ended this is the
+    /// failure the driver gave up with: a truncation once engaged,
+    /// [`UpstreamOutcome::Failed`] otherwise.
+    pub fn into_outcome(self) -> UpstreamOutcome {
+        let ResponseMachine {
+            mut head,
+            reader,
+            body,
+            relay,
+            end,
+            ..
+        } = self;
+        match (end, relay) {
+            (Some(End::Whole), relay) => {
+                if let Some(reader) = &reader {
+                    head.trailers = reader.trailers().clone();
+                }
+                match relay {
+                    Some(relay) => UpstreamOutcome::Streamed {
+                        head,
+                        total: reader.map_or(0, |r| r.decoded()),
+                        prefix: relay.prefix.bytes,
+                    },
+                    None => {
+                        head.body = body.into();
+                        UpstreamOutcome::Response(head)
+                    }
+                }
+            }
+            (Some(End::Mismatch), _) => UpstreamOutcome::StreamFailed { mismatch: true },
+            (None, Some(_)) => UpstreamOutcome::StreamFailed { mismatch: false },
+            (None, None) => UpstreamOutcome::Failed,
         }
     }
 }
@@ -234,9 +526,9 @@ pub(crate) fn probe_prefix(
 }
 
 /// The exchange that answers `job`. Behind a prefix hit it is a plain
-/// GET whose declared length must equal the recorded total (or the
-/// object changed underneath the prefix); otherwise the piggyback GET,
-/// cutting through at the configured threshold when streaming applies.
+/// GET whose body must be exactly the recorded total (or the object
+/// changed underneath the prefix); otherwise the piggyback GET, cutting
+/// through at the configured threshold when streaming applies.
 pub(crate) fn first_leg(shared: &ProxyShared, job: &UpstreamJob) -> Leg {
     match &job.prefix {
         Some(hit) => Leg {
@@ -246,15 +538,20 @@ pub(crate) fn first_leg(shared: &ProxyShared, job: &UpstreamJob) -> Leg {
                 prefix_bytes: 0,
                 skip: hit.head_len,
                 expect_total: Some(hit.total),
+                chunked_may_grow: false,
+                now: shared.clock.now(),
             }),
         },
         None => Leg {
             request: demand_request(shared, job, true),
-            relay: streaming_eligible(shared, job).then_some(RelayRule {
+            relay: streaming_eligible(shared, job).then(|| RelayRule {
                 threshold: shared.cfg.stream_threshold,
                 prefix_bytes: shared.cfg.prefix_bytes,
                 skip: 0,
                 expect_total: None,
+                // The reactor buffers every chunked body (PROTOCOL.md §14).
+                chunked_may_grow: !(cfg!(target_os = "linux") && shared.cfg.io.is_reactor()),
+                now: shared.clock.now(),
             }),
         },
     }
@@ -291,13 +588,8 @@ pub(crate) fn last_modified(resp: &Response, now: Timestamp) -> Timestamp {
 /// The client head of a streamed miss, written the moment the relay
 /// engages: the same headers as a buffered MISS, framed by what is known
 /// — `Content-Length` when the origin declared one, chunked otherwise.
-pub(crate) fn write_stream_head(
-    shared: &ProxyShared,
-    head: &Response,
-    declared: Option<usize>,
-    out: &mut Vec<u8>,
-) {
-    let lm = last_modified(head, shared.clock.now());
+fn write_stream_head(head: &Response, declared: Option<usize>, now: Timestamp, out: &mut Vec<u8>) {
+    let lm = last_modified(head, now);
     let framing = match declared {
         Some(n) => StreamFraming::Length(n),
         None => StreamFraming::Chunked,

@@ -362,7 +362,7 @@ fn fetch_via_reactor(
             cv.notify_all();
             Ok(UpstreamNext::Done)
         }),
-        stream: None,
+        relay: None,
     });
     let (flag, cv) = &*landed;
     let mut done = flag.lock().unwrap();

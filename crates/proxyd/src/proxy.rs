@@ -30,10 +30,8 @@
 //! the offload pool, and the plan adapters (`reactor_svc`) that hand the
 //! same legs to the epoll reactor.
 
-use crate::client::{ConnectionPool, PoolStats, PooledConn};
-use crate::lifecycle::{
-    self, Leg, RelayDecision, RelayRule, Settled, UpstreamJob, UpstreamOutcome,
-};
+use crate::client::{ConnectionPool, PoolStats};
+use crate::lifecycle::{self, Leg, ResponseMachine, Settled, UpstreamJob, UpstreamOutcome};
 use crate::obs::{render_histogram, render_scalar, ProxyObs};
 use crate::origin::strip_origin_form;
 use crate::prefetch::{self, Prefetcher, PUSH_COUNT_HEADER};
@@ -48,11 +46,10 @@ use piggyback_core::rpv::RpvTable;
 use piggyback_core::table::ResourceTable;
 use piggyback_core::types::{DurationMs, Timestamp};
 use piggyback_httpwire::{
-    parse, write_all_parts, Body, BodyReader, BodyWriter, ConnScratch, HeaderMap, HttpError,
-    Request, Response,
+    parse, write_all_parts, Body, ConnScratch, HeaderMap, HttpError, Request, Response,
 };
 use piggyback_webcache::{PolicyKind, ShardedBodyStore, ShardedCache};
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
@@ -327,8 +324,7 @@ mod reactor_svc {
     use super::*;
     use crate::lifecycle::Refetch;
     use crate::reactor::{
-        HeadFn, ReactorMetrics, ReactorOptions, ReactorService, Served, StreamSpec, UpstreamNext,
-        UpstreamPlan,
+        ReactorMetrics, ReactorOptions, ReactorService, Served, UpstreamNext, UpstreamPlan,
     };
     use std::collections::HashMap;
 
@@ -553,22 +549,6 @@ mod reactor_svc {
         scratch: &mut ConnScratch,
     ) -> UpstreamPlan {
         let request = leg.request_bytes(scratch);
-        let stream = leg.relay.map(|rule| {
-            let head: HeadFn = if rule.expect_total.is_some() {
-                // A pinned relay's client head went out with the cached
-                // prefix at plan time.
-                Box::new(|_resp, _scratch, _out| Ok(()))
-            } else {
-                let shared = Arc::clone(&shared);
-                Box::new(move |resp, _scratch, out| {
-                    // The reactor relays `Content-Length` bodies only.
-                    let declared = parse::content_length(&resp.headers).ok().flatten();
-                    lifecycle::write_stream_head(&shared, resp, declared, out);
-                    Ok(())
-                })
-            };
-            StreamSpec { rule, head }
-        });
         let retry_stats = Arc::clone(&shared);
         UpstreamPlan {
             origin: shared.cfg.origin,
@@ -576,7 +556,7 @@ mod reactor_svc {
             retry: Box::new(move || {
                 retry_stats.stats.upstream_retries.fetch_add(1, Relaxed);
             }),
-            stream,
+            relay: leg.relay,
             finish: Box::new(move |scratch, out, outcome| {
                 let resp = match refetch {
                     Some(refetch) => {
@@ -638,10 +618,9 @@ fn handle_connection(stream: TcpStream, shared: &Arc<ProxyShared>) -> io::Result
     }
 }
 
-/// Decoded-payload bytes each streaming relay segment targets before the
-/// bytes move downstream (the origin-side `BufReader` can top a segment
-/// up by at most its own buffer). Bounds proxy memory per in-flight
-/// relay: the whole body is never resident.
+/// Client bytes a relay stages before they are written downstream: one
+/// write per segment, not one per origin-side `BufReader` fill. Bounds
+/// proxy memory per in-flight relay: the whole body is never resident.
 const STREAM_SEGMENT: usize = 16 * 1024;
 
 /// The blocking driver: run `job`'s upstream lifecycle on the calling
@@ -694,13 +673,13 @@ fn serve_upstream<W: Write>(
 }
 
 /// One blocking upstream exchange, owning the single retry loop
-/// (PROTOCOL.md §7.1): any failure before an origin payload byte moves
-/// downstream retries once on a fresh connection; a dial failure is
-/// terminal; an engaged relay is handed out of the loop and never
-/// retried. The connection returns to the pool only after the response —
-/// trailers and any pushed responses included — was read to completion.
-/// Returns the outcome plus the full pushed responses a `--push` origin
-/// streamed behind the main one (announced by its `X-Push-Count`).
+/// (PROTOCOL.md §7.1): any failure before the response machine engages
+/// retries once on a fresh connection; a dial failure is terminal; an
+/// engaged relay is never retried. The connection returns to the pool
+/// only after the response — trailers and any pushed responses included —
+/// was read to completion. Returns the outcome plus the full pushed
+/// responses a `--push` origin streamed behind the main one (announced by
+/// its `X-Push-Count`).
 pub(crate) fn exchange<W: Write>(
     shared: &ProxyShared,
     leg: &Leg,
@@ -722,49 +701,43 @@ pub(crate) fn exchange<W: Write>(
             .write_with(&mut conn.writer, scratch)
             .map_err(HttpError::from)
             .and_then(|()| Response::read_head(&mut conn.reader));
-        let Ok(mut resp) = head else { continue };
-        if let Some(rule) = &leg.relay {
-            let engaged = match rule.decide(&resp) {
-                RelayDecision::Engage(n) => Some(Engaged {
-                    reader: BodyReader::length(n),
-                    declared: Some(n),
-                    buffered: Vec::new(),
-                }),
-                RelayDecision::Mismatch => {
-                    let mismatch = UpstreamOutcome::StreamFailed { mismatch: true };
-                    return (mismatch, Vec::new());
-                }
-                RelayDecision::Buffer if resp.status == 200 && is_chunked(&resp) => {
-                    let Ok((reader, buffered)) = grow_chunked(&mut conn, rule.threshold) else {
-                        continue;
-                    };
-                    if reader.is_done() {
-                        // Small after all: exactly the buffered exchange
-                        // (no pushes — a leg that may relay never accepts
-                        // them).
-                        resp.body = buffered.into();
-                        for (n, v) in reader.trailers().iter() {
-                            resp.trailers.insert(n, v);
-                        }
-                        pool.checkin(conn);
-                        return (UpstreamOutcome::Response(resp), Vec::new());
-                    }
-                    Some(Engaged {
-                        reader,
-                        declared: None,
-                        buffered,
-                    })
-                }
-                RelayDecision::Buffer => None,
-            };
-            if let Some(engaged) = engaged {
-                let outcome = relay(shared, rule, conn, resp, engaged, w, scratch);
-                return (outcome, Vec::new());
-            }
-        }
-        if resp.read_rest(&mut conn.reader, parse::MAX_BODY).is_err() {
+        let Ok(head) = head else { continue };
+        // The one reused segment between the machine and the client.
+        let seg = &mut scratch.out;
+        seg.clear();
+        let Ok(mut machine) = ResponseMachine::new(head, leg.relay, seg) else {
             continue;
+        };
+        let fed = (|| -> Result<(), HttpError> {
+            // An engaging head goes out before any payload is awaited.
+            write_segment(w, seg)?;
+            while !machine.is_done() {
+                let input = conn.reader.fill_buf()?;
+                let consumed = machine.feed(input, input.is_empty(), seg)?;
+                conn.reader.consume(consumed);
+                if seg.len() >= STREAM_SEGMENT || machine.is_done() {
+                    write_segment(w, seg)?;
+                }
+            }
+            Ok(())
+        })();
+        if fed.is_err() {
+            if !machine.engaged() {
+                continue;
+            }
+            // Whatever was staged still goes out: the client holds the
+            // head plus a strict prefix, then sees the close.
+            let _ = write_segment(w, seg);
         }
+        let resp = match machine.into_outcome() {
+            UpstreamOutcome::Response(resp) => resp,
+            relayed => {
+                if matches!(relayed, UpstreamOutcome::Streamed { .. }) {
+                    pool.checkin(conn);
+                }
+                return (relayed, Vec::new());
+            }
+        };
         // Pushed responses follow the main one on the same stream and
         // must be drained before the connection is reusable.
         let announced = if shared.cfg.accept_push {
@@ -792,100 +765,14 @@ pub(crate) fn exchange<W: Write>(
     (UpstreamOutcome::Failed, Vec::new())
 }
 
-fn is_chunked(resp: &Response) -> bool {
-    resp.headers.list_contains("Transfer-Encoding", "chunked")
-}
-
-/// PROTOCOL.md §14's one engine divergence: the threaded driver also cuts
-/// a chunked 200 through, whose size no header declares. Accumulate until
-/// the threshold proves the object large — or the body ends first and it
-/// stays buffered (the reactor buffers every chunked body).
-fn grow_chunked(
-    conn: &mut PooledConn,
-    threshold: usize,
-) -> Result<(BodyReader, Vec<u8>), HttpError> {
-    let mut reader = BodyReader::chunked();
-    let mut buffered = Vec::new();
-    let mut seg = Vec::new();
-    while !reader.is_done() && buffered.len() < threshold {
-        reader.read_segment(&mut conn.reader, &mut seg, STREAM_SEGMENT)?;
-        buffered.extend_from_slice(&seg);
+/// Write the staged client bytes downstream and empty the segment.
+fn write_segment<W: Write>(w: &mut W, seg: &mut Vec<u8>) -> io::Result<()> {
+    if !seg.is_empty() {
+        w.write_all(seg)?;
+        w.flush()?;
+        seg.clear();
     }
-    Ok((reader, buffered))
-}
-
-/// How an engaged relay reads and frames the body.
-struct Engaged {
-    reader: BodyReader,
-    /// The declared `Content-Length`; `None` relays in chunked framing.
-    declared: Option<usize>,
-    /// Payload already decoded while deciding (chunked bodies only).
-    buffered: Vec<u8>,
-}
-
-/// Relay an engaged exchange's payload to the client segment by segment:
-/// drop the rule's skip prefix (already served from cache), tee its
-/// leading bytes for the prefix store, flush each segment as it arrives.
-/// From the first client byte on a failure on either side can only
-/// truncate. The origin's piggyback trailers (if any) are consumed into
-/// the returned head; the client gets a clean end of body.
-fn relay<W: Write>(
-    shared: &ProxyShared,
-    rule: &RelayRule,
-    mut conn: PooledConn,
-    mut head: Response,
-    engaged: Engaged,
-    w: &mut W,
-    scratch: &mut ConnScratch,
-) -> UpstreamOutcome {
-    let Engaged {
-        mut reader,
-        declared,
-        buffered,
-    } = engaged;
-    let mut writer = match declared {
-        Some(n) => BodyWriter::length(n.saturating_sub(rule.skip)),
-        None => BodyWriter::chunked(),
-    };
-    let mut prefix = Vec::with_capacity(rule.prefix_bytes.min(1 << 20));
-    let mut seg = buffered;
-    let mut seen = 0usize;
-    let mut pump = || -> Result<(), HttpError> {
-        // A pinned relay's client head went out with the cached prefix.
-        if rule.expect_total.is_none() {
-            scratch.out.clear();
-            lifecycle::write_stream_head(shared, &head, declared, &mut scratch.out);
-            w.write_all(&scratch.out)?;
-        }
-        loop {
-            if prefix.len() < rule.prefix_bytes {
-                let take = (rule.prefix_bytes - prefix.len()).min(seg.len());
-                prefix.extend_from_slice(&seg[..take]);
-            }
-            let skip = rule.skip.saturating_sub(seen).min(seg.len());
-            seen += seg.len();
-            writer.push(&seg[skip..], w)?;
-            w.flush()?;
-            if reader.is_done() {
-                break;
-            }
-            reader.read_segment(&mut conn.reader, &mut seg, STREAM_SEGMENT)?;
-        }
-        writer.finish(&HeaderMap::new(), w)?;
-        Ok(w.flush()?)
-    };
-    if pump().is_err() {
-        return UpstreamOutcome::StreamFailed { mismatch: false };
-    }
-    shared.pool.checkin(conn);
-    for (n, v) in reader.trailers().iter() {
-        head.trailers.insert(n, v);
-    }
-    UpstreamOutcome::Streamed {
-        head,
-        total: reader.decoded(),
-        prefix,
-    }
+    Ok(())
 }
 
 /// What a request resolves to: a fresh cache hit served straight from the

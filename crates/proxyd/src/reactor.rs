@@ -29,14 +29,16 @@
 //! service returns [`Served::Upstream`] with a serialized request and a
 //! continuation, the reactor parks the client connection, dials the origin
 //! with a nonblocking `connect` (completion reported via `EPOLLOUT`),
-//! drives the write/read exchange edge-triggered, and runs the
-//! continuation on the reactor thread once a complete response (or a
-//! terminal failure) is in hand. Upstream connections are kept alive in a
-//! per-shard idle list, so a warm miss path does zero dials. A bounded
-//! offload pool survives ([`Served::Offload`]) for genuinely blocking work
-//! — multi-response drains (`--accept-push`) and joining an in-flight
-//! speculation — serializing the response into a buffer that is injected
-//! back to the reactor.
+//! drives the write/read exchange edge-triggered — the response head is
+//! parsed once and every byte after it is fed, as read, to the
+//! lifecycle's [`ResponseMachine`], the same one the blocking driver
+//! feeds — and runs the continuation on the reactor thread with the
+//! machine's outcome (or a terminal failure). Upstream connections are
+//! kept alive in a per-shard idle list, so a warm miss path does zero
+//! dials. A bounded offload pool survives ([`Served::Offload`]) for
+//! genuinely blocking work — multi-response drains (`--accept-push`) and
+//! joining an in-flight speculation — serializing the response into a
+//! buffer that is injected back to the reactor.
 //!
 //! Cache hits, errors, and every client-side read/write stay on the
 //! reactor, so a slow client can stall only its own connection —
@@ -46,8 +48,9 @@
 //! through the same `write_hit`/`Response::write_with` serializers.
 
 pub use crate::lifecycle::UpstreamOutcome;
-use crate::lifecycle::{RelayDecision, RelayRule};
+use crate::lifecycle::{RelayRule, ResponseMachine};
 use crate::util::{IoStats, OpenGuard, ServerHandle};
+use piggyback_httpwire::parse::MAX_BODY;
 use piggyback_httpwire::{ConnScratch, HttpError, Request, Response};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -159,9 +162,9 @@ const GEN_MASK: u32 = 0x7FFF_FFFF;
 
 /// Bytes read per nonblocking read() call.
 const READ_CHUNK: usize = 16 * 1024;
-/// Hard cap on a connection's buffered request bytes (mirrors the wire
-/// crate's 64 MiB body limit plus framing headroom).
-const MAX_RBUF: usize = 64 * 1024 * 1024 + 64 * 1024;
+/// Hard cap on a client connection's buffered request bytes (the wire
+/// crate's body limit plus framing headroom).
+const MAX_REQUEST_BUF: usize = MAX_BODY + 64 * 1024;
 /// Stop parsing further pipelined requests while more than this many
 /// response bytes are waiting on a slow client; resume when drained.
 const OUT_HIGH_WATER: usize = 1024 * 1024;
@@ -451,30 +454,10 @@ pub struct UpstreamPlan {
     /// Side-effect hook invoked exactly once if the exchange is retried on
     /// a fresh connection (mirrors the threaded `upstream_retries` bump).
     pub retry: RetryFn,
-    /// Opt-in large-object cut-through: when set, the exchange relays
-    /// payload bytes straight into the parked client's output buffer as
-    /// soon as the response head qualifies, instead of buffering the whole
-    /// body. `None` keeps the classic buffered exchange.
-    pub stream: Option<StreamSpec>,
+    /// Opt-in large-object cut-through: the rule the exchange's
+    /// [`ResponseMachine`] decides under. `None` buffers every response.
+    pub relay: Option<RelayRule>,
 }
-
-/// Large-object cut-through for one upstream exchange. The relay engages
-/// only for `Content-Length`-framed 200s (chunked origin responses stay
-/// buffered in reactor mode; the threaded engine streams them) — once
-/// engaged, payload segments move origin buffer → client output buffer
-/// with O(segment) memory, pausing origin reads while the client sits
-/// above the output high-water mark.
-pub struct StreamSpec {
-    /// When to engage, what to skip and what to tee.
-    pub rule: RelayRule,
-    /// Serialize the client-facing response head into `out` the moment
-    /// the relay engages (runs on the reactor thread with the parked
-    /// client's scratch and output buffer).
-    pub head: HeadFn,
-}
-
-pub type HeadFn =
-    Box<dyn FnOnce(&Response, &mut ConnScratch, &mut Vec<u8>) -> io::Result<()> + Send>;
 
 /// What the continuation wants next.
 pub enum UpstreamNext {
@@ -940,92 +923,30 @@ fn try_parse(req: &mut Request, buf: &[u8], scratch: &mut ConnScratch) -> Parse 
 // ---------------------------------------------------------------------------
 // incremental response parsing (nonblocking upstream leg)
 
-enum ParseResp {
-    /// A full response was parsed, consuming this many bytes.
-    Complete(Box<Response>, usize),
-    /// A valid prefix; wait for more origin bytes.
+/// Head-only parse outcome: the one parse an upstream response gets.
+enum ParseHead {
     Incomplete,
-    /// The bytes can never become a valid response (or EOF truncated one).
     Malformed,
+    /// Parsed head plus the byte count it consumed from the buffer.
+    Complete(Box<Response>, usize),
 }
 
-/// Find the end of the header block (index just past `\r\n\r\n`).
-fn head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
-}
-
-/// Exact-case header scan within the head block. The upstream peer is
-/// always this workspace's own origin/volume daemons, whose serializer
-/// emits canonical casing; a miss here only costs a deferred parse.
-fn scan_header<'a>(head: &'a [u8], name: &str) -> Option<&'a [u8]> {
-    let pat = name.as_bytes();
-    let mut pos = 0;
-    while let Some(nl) = head[pos..].windows(2).position(|w| w == b"\r\n") {
-        let line = &head[pos..pos + nl];
-        if line.len() > pat.len() && line[..pat.len()].eq_ignore_ascii_case(pat) {
-            return Some(
-                line[pat.len()..]
-                    .strip_prefix(b" ")
-                    .unwrap_or(&line[pat.len()..]),
-            );
-        }
-        pos += nl + 2;
-    }
-    None
-}
-
-/// Is `buf` known to hold a complete response? A cheap gate run before the
-/// real parser so a response arriving in many small reads (netem pacing)
-/// is not re-parsed quadratically — and so a Content-Length body is never
-/// parsed early (the wire parser would misreport a short body as a
-/// connection error).
-fn response_looks_complete(buf: &[u8], eof: bool) -> bool {
-    let Some(he) = head_end(buf) else { return eof };
-    // "HTTP/1.1 NNN ..." — status in bytes 9..12.
-    let status: u16 = buf
-        .get(9..12)
-        .and_then(|b| std::str::from_utf8(b).ok())
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0);
-    if Response::bodiless_status(status) {
-        return true;
-    }
-    let head = &buf[..he];
-    if let Some(v) = scan_header(head, "Content-Length:") {
-        let n: usize = std::str::from_utf8(v)
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(usize::MAX);
-        return n != usize::MAX && buf.len() >= he.saturating_add(n);
-    }
-    if scan_header(head, "Transfer-Encoding:").is_some_and(|v| v.starts_with(b"chunked")) {
-        // Terminal 0-chunk present? (Trailers may still be partial; the
-        // real parser reports that as incomplete and we wait for more.)
-        return buf[he - 2..].windows(5).any(|w| w == b"\r\n0\r\n") || eof;
-    }
-    // No framing header: HTTP/1.0-style read-to-EOF body; complete only
-    // when the origin half-closes.
-    eof
-}
-
-/// Attempt to parse one response from `buf`. `eof` means the origin
+/// Attempt to parse the response head (status line + headers) from `buf`;
+/// retried only until the blank line arrives. `eof` means the origin
 /// half-closed, so "ran out of bytes" is truncation, not "wait for more".
-fn try_parse_response(buf: &[u8], eof: bool) -> ParseResp {
+fn try_parse_response_head(buf: &[u8], eof: bool) -> ParseHead {
     if buf.is_empty() {
         return if eof {
-            ParseResp::Malformed
+            ParseHead::Malformed
         } else {
-            ParseResp::Incomplete
+            ParseHead::Incomplete
         };
     }
-    if !response_looks_complete(buf, eof) {
-        return ParseResp::Incomplete;
-    }
     let mut r = SliceReader { buf, pos: 0 };
-    match Response::read(&mut r, false) {
-        Ok(resp) => ParseResp::Complete(Box::new(resp), r.pos),
-        Err(HttpError::ConnectionClosed) if !eof => ParseResp::Incomplete,
-        Err(_) => ParseResp::Malformed,
+    match Response::read_head(&mut r) {
+        Ok(resp) => ParseHead::Complete(Box::new(resp), r.pos),
+        Err(HttpError::ConnectionClosed) if !eof => ParseHead::Incomplete,
+        Err(_) => ParseHead::Malformed,
     }
 }
 
@@ -1055,86 +976,17 @@ struct Exchange {
     wpos: usize,
     /// Per-attempt deadline base for the upstream timeout wheel.
     started: Instant,
-    /// Engaged streaming relay (the plan's [`StreamSpec`] accepted the
-    /// response head). Once set, the exchange is unretryable.
-    relay: Option<Relay>,
-}
-
-/// Relay-mode bookkeeping for a streaming exchange.
-struct Relay {
-    /// The parsed response head (continuation needs its headers).
-    head: Box<Response>,
-    /// Declared payload length.
-    total: usize,
-    /// Payload bytes consumed off the origin so far (forwarded + skipped).
-    seen: usize,
-    /// Leading payload bytes dropped instead of forwarded (the prefix the
-    /// client already received from the cache).
-    skip: usize,
-    /// Tee of the first `prefix_want` payload bytes.
-    prefix: Vec<u8>,
-    prefix_want: usize,
-}
-
-/// Head-only parse outcome for a pending [`StreamSpec`] decision.
-enum ParseHead {
-    Incomplete,
-    Malformed,
-    /// Parsed head plus the byte count it consumed from the buffer.
-    Complete(Box<Response>, usize),
-}
-
-/// Attempt to parse just the response head (status line + headers) from
-/// `buf`. Unlike [`try_parse_response`] this never waits for the body —
-/// the relay decision only needs the framing headers.
-fn try_parse_response_head(buf: &[u8], eof: bool) -> ParseHead {
-    if buf.is_empty() {
-        return if eof {
-            ParseHead::Malformed
-        } else {
-            ParseHead::Incomplete
-        };
-    }
-    let mut r = SliceReader { buf, pos: 0 };
-    match Response::read_head(&mut r) {
-        Ok(resp) => ParseHead::Complete(Box::new(resp), r.pos),
-        Err(HttpError::ConnectionClosed) if !eof => ParseHead::Incomplete,
-        Err(_) => ParseHead::Malformed,
-    }
-}
-
-/// Move CL-framed payload bytes from the origin's read buffer into the
-/// parked client's output buffer: drop the relay's skip prefix (already
-/// served from cache), tee the leading `prefix_want` bytes, and never
-/// push the client past the output high-water mark.
-fn relay_move(relay: &mut Relay, rbuf: &mut Vec<u8>, conn: &mut Conn) {
-    let avail = rbuf.len().min(relay.total - relay.seen);
-    if avail == 0 {
-        return;
-    }
-    let skip_now = relay.skip.saturating_sub(relay.seen).min(avail);
-    let room = OUT_HIGH_WATER.saturating_sub(conn.pending_out());
-    let fwd = (avail - skip_now).min(room);
-    let consumed = skip_now + fwd;
-    if consumed == 0 {
-        return;
-    }
-    // `prefix.len() == min(seen, prefix_want)` holds across calls, so the
-    // tee always takes from the front of this segment.
-    if relay.prefix.len() < relay.prefix_want {
-        let take = (relay.prefix_want - relay.prefix.len()).min(consumed);
-        relay.prefix.extend_from_slice(&rbuf[..take]);
-    }
-    conn.out.extend_from_slice(&rbuf[skip_now..consumed]);
-    rbuf.drain(..consumed);
-    relay.seen += consumed;
+    /// The response in flight, from its parsed head on. Boxed: an idle
+    /// exchange slot stays small.
+    machine: Option<Box<ResponseMachine>>,
 }
 
 /// A nonblocking origin connection owned by one reactor shard.
 struct UpConn {
     stream: TcpStream,
     phase: UpPhase,
-    /// Buffered response bytes not yet parsed.
+    /// Response bytes read and not yet fed: a partial head, then at most
+    /// one read's worth — never the body.
     rbuf: Vec<u8>,
     read_eof: bool,
     last_active: Instant,
@@ -1449,7 +1301,7 @@ impl<S: ReactorService> Reactor<S> {
             };
             loop {
                 let old = conn.rbuf.len();
-                if old >= MAX_RBUF {
+                if old >= MAX_REQUEST_BUF {
                     fatal = true;
                     break;
                 }
@@ -1716,7 +1568,7 @@ impl<S: ReactorService> Reactor<S> {
             // A relay feeding this client has nowhere to write: abort it
             // now instead of waiting for the upstream timeout wheel.
             if let Some(u) = conn.relay_up {
-                self.abort_stream(u, false);
+                self.settle_upstream(u, false);
             }
             // Dropping conn closes the socket and releases the OpenGuard.
         }
@@ -1735,7 +1587,7 @@ impl<S: ReactorService> Reactor<S> {
             attempt,
             wpos: 0,
             started: Instant::now(),
-            relay: None,
+            machine: None,
         };
         if attempt == 0 {
             self.shard_stats()
@@ -1862,7 +1714,7 @@ impl<S: ReactorService> Reactor<S> {
                     } else {
                         // Connect failed: no retry, same as the threaded
                         // pool's checkout error propagating.
-                        self.fail_upstream(utoken);
+                        self.settle_upstream(utoken, false);
                     }
                 }
             }
@@ -1883,24 +1735,20 @@ impl<S: ReactorService> Reactor<S> {
         }
     }
 
-    /// Write request bytes / read response bytes until EAGAIN, then try to
-    /// parse. A plan carrying a [`StreamSpec`] switches to relay mode as
-    /// soon as the response head qualifies: payload segments move from the
-    /// origin buffer straight into the parked client's output buffer,
-    /// pausing origin reads while the client sits above the high-water
-    /// mark. Terminal conditions route to resolve/retry/fail.
+    /// Write request bytes, then read response bytes and feed them until
+    /// EAGAIN: the head is parsed once, a [`ResponseMachine`] is built
+    /// from it, and every read after that is fed and forgotten. An
+    /// engaged machine writes straight into the parked client's output
+    /// buffer; origin reads pause while that client sits above the
+    /// high-water mark. Terminal conditions route to settle/retry.
     fn drive_upstream(&mut self, utoken: u64) {
         enum Out {
             Wait,
             Error,
-            Resolved(Box<Response>, bool),
-            /// Relay delivered the last payload byte; park/close by dirty.
-            StreamDone {
+            /// The response ended; `dirty` forbids parking the connection.
+            Done {
                 dirty: bool,
             },
-            /// The response head contradicted the relay's pinned length:
-            /// terminal — the head already sent promised something else.
-            StreamMismatch,
             /// The parked client vanished around a relay: terminal, never
             /// retried.
             ClientGone,
@@ -1914,6 +1762,7 @@ impl<S: ReactorService> Reactor<S> {
                     slab,
                     metrics,
                     shard,
+                    spare_out,
                     ..
                 } = self;
                 let stats = &metrics.shards[*shard];
@@ -1941,157 +1790,90 @@ impl<S: ReactorService> Reactor<S> {
                 }
                 // Read leg (only meaningful once the request is fully out,
                 // but draining early bytes is harmless and keeps ET armed).
-                if matches!(verdict, Out::Wait) {
-                    'read: loop {
-                        // Relay mode: move buffered payload to the client
-                        // before (and instead of) growing rbuf.
-                        if let Some(relay) = ex.relay.as_mut() {
-                            let Some(conn) = ex.client.and_then(|t| slab.get_mut(t)) else {
-                                verdict = Out::ClientGone;
-                                break 'read;
-                            };
-                            relay_move(relay, &mut up.rbuf, conn);
-                            flush_client = ex.client;
-                            if relay.seen == relay.total {
-                                verdict = Out::StreamDone {
-                                    dirty: !up.rbuf.is_empty() || up.read_eof,
-                                };
-                                break 'read;
-                            }
-                            if conn.pending_out() >= OUT_HIGH_WATER {
-                                // Slow reader: stop pulling from the origin
-                                // until the client drains (the flush path
-                                // re-drives this exchange).
-                                stats.relay_paused.fetch_add(1, Ordering::Relaxed);
-                                backpressured = true;
-                                break 'read;
-                            }
-                            if up.read_eof && up.rbuf.is_empty() {
-                                // Origin died before the declared length.
-                                verdict = Out::Error;
-                                break 'read;
-                            }
-                        } else if ex.plan.stream.is_some() && !up.rbuf.is_empty() {
-                            // A pending StreamSpec decides from the head
-                            // alone, before the body is buffered.
-                            match try_parse_response_head(&up.rbuf, up.read_eof) {
-                                ParseHead::Incomplete => {
-                                    if up.read_eof {
-                                        verdict = Out::Error;
-                                        break 'read;
-                                    }
+                // A buffering machine never touches its sink, so a
+                // detached (or orphaned) exchange lends it the spare one.
+                let mut client = ex.client.and_then(|t| slab.get_mut(t));
+                while matches!(verdict, Out::Wait) {
+                    let sink = match client.as_mut() {
+                        Some(conn) => &mut conn.out,
+                        None => &mut *spare_out,
+                    };
+                    if ex.machine.is_none() {
+                        match try_parse_response_head(&up.rbuf, up.read_eof) {
+                            ParseHead::Incomplete => {}
+                            ParseHead::Malformed => verdict = Out::Error,
+                            ParseHead::Complete(head, consumed) => {
+                                up.rbuf.drain(..consumed);
+                                match ResponseMachine::new(*head, ex.plan.relay, sink) {
+                                    Ok(machine) => ex.machine = Some(Box::new(machine)),
+                                    Err(_) => verdict = Out::Error,
                                 }
-                                ParseHead::Malformed => {
-                                    verdict = Out::Error;
-                                    break 'read;
-                                }
-                                ParseHead::Complete(head, consumed) => {
-                                    let spec = ex.plan.stream.as_ref().expect("checked");
-                                    match spec.rule.decide(&head) {
-                                        RelayDecision::Engage(total) => {
-                                            let Some(conn) =
-                                                ex.client.and_then(|t| slab.get_mut(t))
-                                            else {
-                                                verdict = Out::ClientGone;
-                                                break 'read;
-                                            };
-                                            let spec = ex.plan.stream.take().expect("checked");
-                                            if (spec.head)(&head, &mut conn.scratch, &mut conn.out)
-                                                .is_err()
-                                            {
-                                                verdict = Out::ClientGone;
-                                                break 'read;
-                                            }
-                                            conn.relay_up = Some(utoken);
-                                            up.rbuf.drain(..consumed);
-                                            stats.relays.fetch_add(1, Ordering::Relaxed);
-                                            ex.relay = Some(Relay {
-                                                head,
-                                                total,
-                                                seen: 0,
-                                                skip: spec.rule.skip,
-                                                prefix: Vec::new(),
-                                                prefix_want: spec.rule.prefix_bytes.min(total),
-                                            });
-                                            continue 'read;
-                                        }
-                                        RelayDecision::Buffer => {
-                                            // Small / non-200 / chunked:
-                                            // fall back to the buffered
-                                            // exchange for this response.
-                                            ex.plan.stream = None;
-                                        }
-                                        RelayDecision::Mismatch => {
-                                            verdict = Out::StreamMismatch;
-                                            break 'read;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        let old = up.rbuf.len();
-                        if old >= MAX_RBUF {
-                            verdict = Out::Error;
-                            break 'read;
-                        }
-                        up.rbuf.resize(old + READ_CHUNK, 0);
-                        match up.stream.read(&mut up.rbuf[old..]) {
-                            Ok(0) => {
-                                up.rbuf.truncate(old);
-                                up.read_eof = true;
-                                let deciding = ex.plan.stream.is_some() && !up.rbuf.is_empty();
-                                if ex.relay.is_some() || deciding {
-                                    // Let the relay / head decision see EOF.
-                                    // Without either nothing in this loop
-                                    // consumes it (it would re-read `Ok(0)`
-                                    // forever): fall through to the buffered
-                                    // parse, which turns a truncated
-                                    // response into a retry.
-                                    continue 'read;
-                                }
-                                if ex.plan.stream.is_some() {
-                                    // EOF before any response byte: the head
-                                    // decision (gated on buffered bytes) can
-                                    // never run — a dead exchange, same as
-                                    // the buffered path's EOF-without-head.
-                                    verdict = Out::Error;
-                                }
-                                break 'read;
-                            }
-                            Ok(n) => up.rbuf.truncate(old + n),
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                up.rbuf.truncate(old);
-                                break 'read;
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                                up.rbuf.truncate(old);
-                                continue 'read;
-                            }
-                            Err(_) => {
-                                up.rbuf.truncate(old);
-                                verdict = Out::Error;
-                                break 'read;
                             }
                         }
                     }
-                }
-                if matches!(verdict, Out::Wait) && ex.relay.is_none() && ex.plan.stream.is_none() {
-                    match try_parse_response(&up.rbuf, up.read_eof) {
-                        ParseResp::Incomplete => {
-                            if up.read_eof {
-                                // EOF with no parsable response: stale
-                                // keep-alive or origin kill mid-exchange.
-                                verdict = Out::Error;
+                    if let Some(machine) = ex.machine.as_mut() {
+                        let fed = machine.feed(&up.rbuf, up.read_eof, sink);
+                        let mut paused = false;
+                        if machine.engaged() {
+                            let Some(conn) = client.as_mut() else {
+                                verdict = Out::ClientGone;
+                                break;
+                            };
+                            if conn.relay_up.is_none() {
+                                conn.relay_up = Some(utoken);
+                                stats.relays.fetch_add(1, Ordering::Relaxed);
                             }
+                            flush_client = ex.client;
+                            paused = conn.pending_out() >= OUT_HIGH_WATER;
                         }
-                        ParseResp::Malformed => verdict = Out::Error,
-                        ParseResp::Complete(resp, consumed) => {
-                            // Leftover bytes after a complete response poison
-                            // the framing; such a connection must not be
-                            // parked (same contract as the pool's dirty
-                            // checkin refusal).
-                            let dirty = consumed < up.rbuf.len() || up.read_eof;
-                            verdict = Out::Resolved(resp, dirty);
+                        let Ok(consumed) = fed else {
+                            verdict = Out::Error;
+                            break;
+                        };
+                        up.rbuf.drain(..consumed);
+                        if machine.is_done() {
+                            // Leftover bytes after a complete response
+                            // poison the framing; such a connection must
+                            // not be parked (same contract as the pool's
+                            // dirty checkin refusal).
+                            verdict = Out::Done {
+                                dirty: !up.rbuf.is_empty() || up.read_eof,
+                            };
+                            break;
+                        }
+                        if paused {
+                            // Slow reader: stop pulling from the origin
+                            // until the client drains (the flush path
+                            // re-drives this exchange).
+                            stats.relay_paused.fetch_add(1, Ordering::Relaxed);
+                            backpressured = true;
+                            break;
+                        }
+                    }
+                    if up.read_eof {
+                        // Every EOF ends the response or fails it above;
+                        // never re-read `Ok(0)`.
+                        verdict = Out::Error;
+                        break;
+                    }
+                    let old = up.rbuf.len();
+                    up.rbuf.resize(old + READ_CHUNK, 0);
+                    match up.stream.read(&mut up.rbuf[old..]) {
+                        Ok(0) => {
+                            up.rbuf.truncate(old);
+                            up.read_eof = true;
+                        }
+                        Ok(n) => up.rbuf.truncate(old + n),
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                            up.rbuf.truncate(old);
+                            break;
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {
+                            up.rbuf.truncate(old);
+                        }
+                        Err(_) => {
+                            up.rbuf.truncate(old);
+                            verdict = Out::Error;
                         }
                     }
                 }
@@ -2125,20 +1907,12 @@ impl<S: ReactorService> Reactor<S> {
                     self.upstream_exchange_error(utoken);
                     return;
                 }
-                Out::Resolved(resp, dirty) => {
-                    self.resolve_upstream(utoken, *resp, dirty);
-                    return;
-                }
-                Out::StreamDone { dirty } => {
-                    self.resolve_stream(utoken, dirty);
-                    return;
-                }
-                Out::StreamMismatch => {
-                    self.abort_stream(utoken, true);
+                Out::Done { dirty } => {
+                    self.settle_upstream(utoken, !dirty);
                     return;
                 }
                 Out::ClientGone => {
-                    self.abort_stream(utoken, false);
+                    self.settle_upstream(utoken, false);
                     return;
                 }
             }
@@ -2147,17 +1921,17 @@ impl<S: ReactorService> Reactor<S> {
 
     /// Mid-exchange failure (I/O error, EOF, malformed response, timeout):
     /// retry once on a fresh connection, then fail terminally. The dead
-    /// connection is always closed. An engaged relay is never retried —
-    /// payload bytes already reached the client, and a second attempt
-    /// would splice a second body into the stream.
+    /// connection is always closed. An engaged machine is never retried —
+    /// bytes already reached the client, and a second attempt would
+    /// splice a second body into the stream.
     fn upstream_exchange_error(&mut self, utoken: u64) {
-        let relaying = self
+        let retryable = self
             .upstreams
             .get_mut(utoken & !UPSTREAM_BIT)
             .and_then(|up| up.ex.as_ref())
-            .is_some_and(|ex| ex.relay.is_some());
-        if relaying {
-            self.abort_stream(utoken, false);
+            .is_some_and(|ex| ex.attempt == 0 && !ex.machine.as_ref().is_some_and(|m| m.engaged()));
+        if !retryable {
+            self.settle_upstream(utoken, false);
             return;
         }
         let ex = self
@@ -2166,96 +1940,42 @@ impl<S: ReactorService> Reactor<S> {
             .and_then(|up| up.ex.take());
         self.close_upstream(utoken);
         let Some(ex) = ex else { return };
-        if ex.attempt == 0 {
-            (ex.plan.retry)();
-            let Exchange { plan, client, .. } = ex;
-            self.start_upstream(plan, client, 1);
-        } else {
-            self.finish_exchange(ex, UpstreamOutcome::Failed);
-        }
+        (ex.plan.retry)();
+        let Exchange { plan, client, .. } = ex;
+        self.start_upstream(plan, client, 1);
     }
 
-    /// Unlink a (possibly engaged) relay from its client connection.
-    fn clear_relay_link(&mut self, ex: &Exchange) {
+    /// The exchange is over — its response ended, or it was given up
+    /// (dial failure, second failed attempt, aborted relay): park the
+    /// origin connection if it is `reusable` and the response was whole,
+    /// close it otherwise, then run the continuation with the machine's
+    /// outcome.
+    fn settle_upstream(&mut self, utoken: u64, reusable: bool) {
+        let mut ex = self
+            .upstreams
+            .get_mut(utoken & !UPSTREAM_BIT)
+            .and_then(|up| up.ex.take());
+        let outcome = match ex.as_mut().and_then(|ex| ex.machine.take()) {
+            Some(machine) => machine.into_outcome(),
+            None => UpstreamOutcome::Failed,
+        };
+        let whole = matches!(
+            outcome,
+            UpstreamOutcome::Response(_) | UpstreamOutcome::Streamed { .. }
+        );
+        if !(reusable && whole) || self.idle_ups.len() >= self.upstream_max_idle {
+            self.close_upstream(utoken);
+        } else if let Some(up) = self.upstreams.get_mut(utoken & !UPSTREAM_BIT) {
+            up.phase = UpPhase::Idle;
+            up.rbuf.clear();
+            up.last_active = Instant::now();
+            self.idle_ups.push_back(utoken);
+        }
+        let Some(ex) = ex else { return };
         if let Some(conn) = ex.client.and_then(|t| self.slab.get_mut(t)) {
             conn.relay_up = None;
         }
-    }
-
-    /// Terminally abort a streaming exchange: no retry — relay bytes may
-    /// already sit in the client's buffer, so the only honest end is a
-    /// truncated close. `mismatch` tells the continuation the response
-    /// head contradicted the relay's pinned length.
-    fn abort_stream(&mut self, utoken: u64, mismatch: bool) {
-        let ex = self
-            .upstreams
-            .get_mut(utoken & !UPSTREAM_BIT)
-            .and_then(|up| up.ex.take());
-        self.close_upstream(utoken);
-        let Some(ex) = ex else { return };
-        self.clear_relay_link(&ex);
-        self.finish_exchange(ex, UpstreamOutcome::StreamFailed { mismatch });
-    }
-
-    /// A relay delivered its last payload byte: park or close the origin
-    /// connection (same dirty contract as [`resolve_upstream`]), then run
-    /// the continuation with the relay's bookkeeping.
-    fn resolve_stream(&mut self, utoken: u64, dirty: bool) {
-        let ex = self
-            .upstreams
-            .get_mut(utoken & !UPSTREAM_BIT)
-            .and_then(|up| up.ex.take());
-        if dirty || self.idle_ups.len() >= self.upstream_max_idle {
-            self.close_upstream(utoken);
-        } else if let Some(up) = self.upstreams.get_mut(utoken & !UPSTREAM_BIT) {
-            up.phase = UpPhase::Idle;
-            up.rbuf.clear();
-            up.last_active = Instant::now();
-            self.idle_ups.push_back(utoken);
-        }
-        let Some(mut ex) = ex else { return };
-        self.clear_relay_link(&ex);
-        let relay = ex.relay.take().expect("resolve_stream requires a relay");
-        self.finish_exchange(
-            ex,
-            UpstreamOutcome::Streamed {
-                head: *relay.head,
-                total: relay.total,
-                prefix: relay.prefix,
-            },
-        );
-    }
-
-    /// Terminal failure with no retry (dial errors).
-    fn fail_upstream(&mut self, utoken: u64) {
-        let ex = self
-            .upstreams
-            .get_mut(utoken & !UPSTREAM_BIT)
-            .and_then(|up| up.ex.take());
-        self.close_upstream(utoken);
-        if let Some(ex) = ex {
-            self.finish_exchange(ex, UpstreamOutcome::Failed);
-        }
-    }
-
-    /// A complete response arrived: park or close the origin connection,
-    /// then run the continuation.
-    fn resolve_upstream(&mut self, utoken: u64, resp: Response, dirty: bool) {
-        let ex = self
-            .upstreams
-            .get_mut(utoken & !UPSTREAM_BIT)
-            .and_then(|up| up.ex.take());
-        if dirty || self.idle_ups.len() >= self.upstream_max_idle {
-            self.close_upstream(utoken);
-        } else if let Some(up) = self.upstreams.get_mut(utoken & !UPSTREAM_BIT) {
-            up.phase = UpPhase::Idle;
-            up.rbuf.clear();
-            up.last_active = Instant::now();
-            self.idle_ups.push_back(utoken);
-        }
-        if let Some(ex) = ex {
-            self.finish_exchange(ex, UpstreamOutcome::Response(resp));
-        }
+        self.finish_exchange(ex, outcome);
     }
 
     /// Run the continuation with the outcome, writing into the parked
@@ -2269,7 +1989,7 @@ impl<S: ReactorService> Reactor<S> {
             attempt: _,
             wpos: _,
             started: _,
-            relay: _,
+            machine: _,
         } = ex;
         let client = client.filter(|t| self.slab.get_mut(*t).is_some());
         let next = match client {
@@ -2311,11 +2031,17 @@ impl<S: ReactorService> Reactor<S> {
                 }
             }
             Err(_) => {
+                // The exchange can only end in a truncation: drain what
+                // is staged — the client head and a strict prefix of the
+                // body — then close.
                 self.shard_stats()
                     .upstream_inflight
                     .fetch_sub(1, Ordering::Relaxed);
                 if let Some(token) = client {
-                    self.close_conn(token);
+                    if let Some(conn) = self.slab.get_mut(token) {
+                        conn.state = ConnState::Closing;
+                    }
+                    self.pump(token);
                 }
             }
         }
@@ -2921,70 +2647,6 @@ mod tests {
         handle.stop();
     }
 
-    #[test]
-    fn response_completeness_gate_covers_all_framings() {
-        // Content-Length: incomplete until the body is fully buffered.
-        let full = b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nbody";
-        for cut in 0..full.len() {
-            assert!(
-                matches!(
-                    try_parse_response(&full[..cut], false),
-                    ParseResp::Incomplete
-                ),
-                "prefix of {cut} bytes must be incomplete"
-            );
-        }
-        match try_parse_response(full, false) {
-            ParseResp::Complete(resp, n) => {
-                assert_eq!(resp.status, 200);
-                assert_eq!(&*resp.body, b"body");
-                assert_eq!(n, full.len());
-            }
-            _ => panic!("full CL response must parse"),
-        }
-        // Bodiless 304 completes at the blank line.
-        let nm = b"HTTP/1.1 304 Not Modified\r\nX-A: b\r\n\r\n";
-        assert!(matches!(
-            try_parse_response(nm, false),
-            ParseResp::Complete(_, _)
-        ));
-        // Chunked: incomplete until the terminal 0-chunk + trailer end.
-        let chunked =
-            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nbody\r\n0\r\n\r\n";
-        for cut in 0..chunked.len() - 5 {
-            assert!(
-                matches!(
-                    try_parse_response(&chunked[..cut], false),
-                    ParseResp::Incomplete
-                ),
-                "chunked prefix of {cut} bytes must be incomplete"
-            );
-        }
-        match try_parse_response(chunked, false) {
-            ParseResp::Complete(resp, n) => {
-                assert_eq!(&*resp.body, b"body");
-                assert_eq!(n, chunked.len());
-            }
-            _ => panic!("full chunked response must parse"),
-        }
-        // Unframed (read-to-EOF) body: only complete once the origin
-        // half-closes, never before.
-        let unframed = b"HTTP/1.1 200 OK\r\n\r\nstreaming";
-        assert!(matches!(
-            try_parse_response(unframed, false),
-            ParseResp::Incomplete
-        ));
-        match try_parse_response(unframed, true) {
-            ParseResp::Complete(resp, _) => assert_eq!(&*resp.body, b"streaming"),
-            _ => panic!("unframed response must complete at EOF"),
-        }
-        // EOF mid-header is truncation.
-        assert!(matches!(
-            try_parse_response(b"HTTP/1.1 200 OK\r\nCont", true),
-            ParseResp::Malformed | ParseResp::Incomplete
-        ));
-    }
-
     /// Forwarding service: every request becomes a nonblocking upstream
     /// exchange against a real (blocking, keep-alive) origin.
     struct Fwd {
@@ -3027,7 +2689,7 @@ mod tests {
                     Ok(UpstreamNext::Done)
                 }),
                 retry: Box::new(|| {}),
-                stream: None,
+                relay: None,
             }))
         }
     }

@@ -21,34 +21,55 @@ use piggyback_trace::synth::site::{Site, SiteConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Counts every allocation and reallocation (frees don't matter for the
-/// steady-state claim; a path that frees without allocating can't leak).
+/// steady-state claim; a path that frees without allocating can't leak),
+/// and tracks the live heap and its peak for the bounded-memory lane.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
+fn grew(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters only observe sizes.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grew(new_size.saturating_sub(layout.size()));
+        LIVE.fetch_sub(layout.size().saturating_sub(new_size), Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
+}
+
+/// How far the live heap rose above its level at the call while `f` ran.
+fn live_heap_growth(f: impl FnOnce()) -> usize {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    f();
+    PEAK.load(Ordering::Relaxed).saturating_sub(before)
 }
 
 #[global_allocator]
@@ -302,6 +323,100 @@ fn streaming_prefix_relay_allocations_are_constant_per_segment() {
     assert_eq!(s.prefix_hits, (2 + ROUNDS) as u64, "{s:?}");
     assert_eq!(s.upstream_errors, 0, "{s:?}");
     proxy.stop();
+}
+
+/// ISSUE 21: an upstream body is decoded as it arrives, never held in a
+/// read buffer first. A 4 MiB `Content-Length` miss is relayed through
+/// segment-sized buffers on both engines, and a 4 MiB chunked miss the
+/// reactor buffers (PROTOCOL.md §14's policy line) is resident twice at
+/// most — the decoded body and the shared copy the cache keeps — where the
+/// growing read buffer used to make it three times and more. The origin
+/// serves pre-serialized responses and the client reads into one buffer,
+/// so the proxy is the only thing allocating in the measured window.
+#[test]
+fn large_miss_memory_is_bounded_by_the_decoded_body() {
+    let _window = WINDOW.lock().unwrap();
+    const BODY: usize = 4 * 1024 * 1024;
+    const SLACK: usize = 256 * 1024;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind origin");
+    let origin_addr = listener.local_addr().expect("origin addr");
+    let canned = |chunked: bool| {
+        let mut resp = piggyback_httpwire::Response::new(200);
+        resp.headers
+            .insert("Last-Modified", "Mon, 01 Jan 2024 00:00:00 GMT");
+        if chunked {
+            resp.headers.insert("Transfer-Encoding", "chunked");
+        }
+        resp.body = (0..BODY)
+            .map(|i| (i % 251) as u8)
+            .collect::<Vec<u8>>()
+            .into();
+        let mut wire = Vec::new();
+        resp.write(&mut wire).expect("serialize");
+        wire
+    };
+    let wires = std::sync::Arc::new((canned(false), canned(true)));
+    std::thread::spawn(move || {
+        while let Ok((mut conn, _)) = listener.accept() {
+            let wires = std::sync::Arc::clone(&wires);
+            std::thread::spawn(move || {
+                let mut head = [0u8; 2048];
+                loop {
+                    let mut filled = 0usize;
+                    while find(&head[..filled], b"\r\n\r\n").is_none() {
+                        match conn.read(&mut head[filled..]) {
+                            Ok(0) | Err(_) => return,
+                            Ok(n) => filled += n,
+                        }
+                    }
+                    let wire = match find(&head[..filled], b"GET /chunked") {
+                        Some(_) => &wires.1,
+                        None => &wires.0,
+                    };
+                    if conn.write_all(wire).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+
+    let mut buf = vec![0u8; BODY + 8 * 1024];
+    let mut engines = vec![IoMode::Threaded];
+    #[cfg(target_os = "linux")]
+    engines.push(IoMode::Reactor { reactors: 1 });
+    for io in engines {
+        let mut cfg = ProxyConfig::new(origin_addr);
+        cfg.io = io;
+        cfg.rpv = None;
+        cfg.report_hits = false;
+        let proxy = start_proxy(cfg).expect("proxy starts");
+        let mut stream = TcpStream::connect(proxy.addr()).expect("connect");
+        // Warm the connection pair and its scratch buffers.
+        roundtrip(
+            &mut stream,
+            b"GET /warm.bin HTTP/1.1\r\nHost: a\r\n\r\n",
+            &mut buf,
+            false,
+        );
+        let mut lane = |req: &[u8], bound: usize| {
+            let growth = live_heap_growth(|| roundtrip(&mut stream, req, &mut buf, false));
+            assert!(
+                growth <= bound,
+                "{io:?}: the live heap grew {growth} bytes (bound {bound}) for a {BODY}-byte body"
+            );
+        };
+        lane(b"GET /length.bin HTTP/1.1\r\nHost: a\r\n\r\n", SLACK);
+        if io.is_reactor() {
+            lane(
+                b"GET /chunked.bin HTTP/1.1\r\nHost: a\r\n\r\n",
+                2 * BODY + SLACK,
+            );
+        }
+        drop(stream);
+        proxy.stop();
+    }
 }
 
 fn steady_state_is_allocation_free(io: IoMode) {

@@ -1074,6 +1074,158 @@ fn object_changing_length_under_a_prefix_truncates_and_drops_the_prefix() {
     });
 }
 
+/// A 200 for `body` in chunked framing, terminal chunk included, in one
+/// write.
+fn write_chunked_ok(stream: &mut std::net::TcpStream, body: &[u8]) -> bool {
+    let mut resp = Response::new(200);
+    resp.headers
+        .insert("Last-Modified", "Thu, 01 Jan 1998 00:00:00 GMT");
+    resp.headers.insert("Transfer-Encoding", "chunked");
+    resp.body = body.to_vec().into();
+    let mut wire = Vec::new();
+    resp.write(&mut wire).unwrap();
+    stream.write_all(&wire).is_ok()
+}
+
+/// One fresh-connection GET that must arrive whole, in whatever framing
+/// the proxy chose: its `X-Cache` verdict and decoded body.
+fn whole_get(addr: SocketAddr, path: &str) -> (String, Vec<u8>) {
+    let raw = raw_bytes(addr, path);
+    let resp = Response::read(&mut raw.as_slice(), false).expect("a whole response");
+    assert_eq!(resp.status, 200, "{path}");
+    let verdict = resp.headers.get("X-Cache").expect("a verdict").to_owned();
+    (verdict, resp.body.to_vec())
+}
+
+/// The `X-Cache` verdicts of two GETs of `path`, both bodies whole.
+fn x_cache_twice(proxy: SocketAddr, path: &str, expect: &[u8]) -> [String; 2] {
+    [(); 2].map(|()| {
+        let (verdict, body) = whole_get(proxy, path);
+        assert!(body == expect, "{path}: body whole, got {}", body.len());
+        verdict
+    })
+}
+
+/// The streaming threshold is one comparison, `>=`, whatever framing the
+/// origin chose: an object one byte short of it is cached whole (`MISS`,
+/// `HIT`), one of exactly the threshold or more is relayed and
+/// prefix-cached (`MISS`, `PREFIX`). (Regression: threaded cached a
+/// chunked object of exactly the threshold whole when its terminal chunk
+/// rode the last segment.) The chunked rows hold on threaded only while
+/// the reactor buffers every chunked body — PROTOCOL.md §14's policy
+/// line; there the second GET is a whole-object `HIT` at every size.
+#[test]
+fn streaming_threshold_is_the_same_comparison_in_both_framings() {
+    const THRESHOLD: usize = 256 * 1024;
+    for io in engines() {
+        // `/length/<n>` and `/chunked/<n>`: n bytes in that framing.
+        let origin = serve(0, "sized-origin", |mut stream| {
+            let mut r = BufReader::new(stream.try_clone().unwrap());
+            while let Ok(req) = Request::read(&mut r) {
+                let (framing, n) = req.target[1..].split_once('/').unwrap();
+                let body = pattern(n.parse().unwrap());
+                let sent = match framing {
+                    "length" => write_ok(&mut stream, body.len(), &body),
+                    _ => write_chunked_ok(&mut stream, &body),
+                };
+                if !sent {
+                    return;
+                }
+            }
+        })
+        .unwrap();
+        let proxy = quiet_proxy(origin.addr, io);
+        for size in [THRESHOLD - 1, THRESHOLD, THRESHOLD + 1] {
+            let relayed = ["MISS", "PREFIX"];
+            let length = x_cache_twice(proxy.addr(), &format!("/length/{size}"), &pattern(size));
+            let chunked = x_cache_twice(proxy.addr(), &format!("/chunked/{size}"), &pattern(size));
+            let expect_length = if size < THRESHOLD {
+                ["MISS", "HIT"]
+            } else {
+                relayed
+            };
+            assert_eq!(
+                length, expect_length,
+                "{io:?}: Content-Length, {size} bytes"
+            );
+            let grows = io == piggyback::proxyd::IoMode::Threaded;
+            let expect_chunked = if grows {
+                expect_length
+            } else {
+                ["MISS", "HIT"]
+            };
+            assert_eq!(chunked, expect_chunked, "{io:?}: chunked, {size} bytes");
+        }
+        ledger(&proxy);
+        proxy.stop();
+        origin.stop();
+    }
+}
+
+/// An origin that chunks every answer, even to the plain GET of a suffix
+/// refetch: the pinned relay decodes the chunked body under the
+/// `Content-Length` head the prefix hit already sent, so the `PREFIX` hit
+/// is whole. A body that then turns out another length is the mismatch
+/// it always was — the client is truncated, the prefix dropped, the next
+/// GET a plain `MISS`. (Regression: the suffix refetch demanded a
+/// `Content-Length` and truncated every prefix hit.) The reactor buffers
+/// a chunked miss (PROTOCOL.md §14), so there the first answer primes the
+/// prefix with `Content-Length` framing; threaded runs both ways.
+#[test]
+fn prefix_hit_against_an_origin_that_chunks_is_whole() {
+    const OLD: usize = 600 * 1024;
+    const NEW: usize = 500 * 1024;
+    let lane = |io, first_chunked: bool| {
+        let (origin, _) = wire_origin(move |n, stream| match n {
+            0 if !first_chunked => write_ok(stream, OLD, &pattern(OLD)),
+            0 | 1 => write_chunked_ok(stream, &pattern(OLD)),
+            _ => write_chunked_ok(stream, &pattern(NEW)),
+        });
+        let proxy = quiet_proxy(origin.addr, io);
+        let what = format!("{io:?}, first answer chunked: {first_chunked}");
+
+        let got = whole_get(proxy.addr(), "/big.bin");
+        assert!(
+            got == ("MISS".to_owned(), pattern(OLD)),
+            "{what}: {}",
+            got.0
+        );
+
+        let got = whole_get(proxy.addr(), "/big.bin");
+        assert!(
+            got == ("PREFIX".to_owned(), pattern(OLD)),
+            "{what}: {}",
+            got.0
+        );
+
+        let (head, body) = raw_get(proxy.addr(), "/big.bin");
+        assert!(head.contains("X-Cache: PREFIX"), "{what}: {head}");
+        assert!(body.len() < OLD, "{what}: truncated, got {}", body.len());
+        // Only bytes both versions share may sit behind the old head.
+        assert!(body == pattern(NEW)[..body.len()], "{what}: a clean prefix");
+
+        let got = whole_get(proxy.addr(), "/big.bin");
+        assert!(
+            got == ("MISS".to_owned(), pattern(NEW)),
+            "{what}: {}",
+            got.0
+        );
+
+        let s = ledger(&proxy);
+        assert_eq!((s.requests, s.prefix_hits), (4, 1), "{what}: {s:?}");
+        assert_eq!(
+            (s.upstream_errors, s.upstream_retries),
+            (1, 0),
+            "{what}: {s:?}"
+        );
+        proxy.stop();
+        origin.stop();
+        (s.cache_hits, s.full_fetches, s.bytes_from_origin)
+    };
+    assert_engine_parity(|io| lane(io, false));
+    lane(piggyback::proxyd::IoMode::Threaded, true);
+}
+
 // ---------------------------------------------------------------------------
 // The volume center between proxy and origin (PROTOCOL.md §14.1): it dials
 // the origin once per downstream connection and cuts bodies through, so a
@@ -1221,20 +1373,18 @@ fn upstream_dying_after_the_first_segment_truncates_at_the_center() {
         assert!(head.starts_with("HTTP/1.1 200"), "{io:?}: {head}");
         assert_eq!(body, pattern(SMALL), "{io:?}: the retry's body, whole");
 
-        // However much the proxy had flushed when its upstream died (the
-        // reactor may not even have flushed the head), the client holds a
-        // strict prefix of the whole answer.
-        let raw = raw_bytes(proxy.addr(), "/large.bin");
-        if let Some(p) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
-            let (head, body) = (String::from_utf8_lossy(&raw[..p + 4]), &raw[p + 4..]);
-            assert!(head.starts_with("HTTP/1.1 200"), "{io:?}: {head}");
-            assert!(head.contains(&format!("Content-Length: {LARGE}")), "{head}");
-            assert!(body.len() < LARGE, "{io:?}: truncated, got {}", body.len());
-            assert!(
-                body == &pattern(LARGE)[..body.len()],
-                "{io:?}: a clean prefix"
-            );
-        }
+        // The relay had engaged when its upstream died, so whatever was
+        // staged still goes out: the client holds the head and a strict
+        // prefix of the body, in both engines. (Regression: the reactor
+        // dropped a head staged in the readiness pass that aborted.)
+        let (head, body) = raw_get(proxy.addr(), "/large.bin");
+        assert!(head.starts_with("HTTP/1.1 200"), "{io:?}: {head}");
+        assert!(head.contains(&format!("Content-Length: {LARGE}")), "{head}");
+        assert!(body.len() < LARGE, "{io:?}: truncated, got {}", body.len());
+        assert!(
+            body == pattern(LARGE)[..body.len()],
+            "{io:?}: a clean prefix"
+        );
 
         let (_, body) = raw_get(proxy.addr(), "/large2.bin");
         assert_eq!(body, pattern(LARGE), "{io:?}: the relay recovered");

@@ -292,3 +292,325 @@ proptest! {
         prop_assert_eq!(rd.trailers().get("X-Probe"), Some("v"));
     }
 }
+
+// ---------------------------------------------------------------------------
+// The upstream response machine (`proxyd::lifecycle::ResponseMachine`,
+// PROTOCOL.md §14): the one decoder both proxy engines feed. Socket-free,
+// so the lane drives it the way either driver does — head parsed once,
+// then the rest of the wire in arbitrary pieces — and requires that the
+// split never shows: same outcome, same client bytes, same bytes consumed.
+// ---------------------------------------------------------------------------
+
+use piggyback::core::types::Timestamp;
+use piggyback::httpwire::{parse::MAX_BODY, HttpError};
+use piggyback::proxyd::lifecycle::{RelayRule, ResponseMachine, UpstreamOutcome};
+
+const THRESHOLD: usize = 4096;
+const PREFIX: usize = 1024;
+const SKIP: usize = 100;
+const NEXT: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nnext";
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Framing {
+    Length,
+    Chunked,
+    ChunkedTrailers,
+    Bodiless(u16),
+    CloseDelimited,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Rule {
+    None,
+    Plain,
+    Grow,
+    Pinned,
+}
+
+fn payload(n: usize) -> Vec<u8> {
+    (0..n).map(|i| (i * 7 % 253) as u8).collect()
+}
+
+/// The origin's wire for `body` in `framing`, and whether the response
+/// ends only when the connection does.
+fn origin_wire(framing: Framing, body: &[u8]) -> (Vec<u8>, bool) {
+    let mut resp = Response::new(200);
+    resp.headers
+        .insert("Last-Modified", "Thu, 01 Jan 1998 00:00:00 GMT");
+    resp.body = body.to_vec().into();
+    match framing {
+        Framing::Length => {}
+        Framing::Chunked => resp.headers.insert("Transfer-Encoding", "chunked"),
+        Framing::ChunkedTrailers => resp
+            .trailers
+            .insert("P-volume", "7; \"/mate.html\" 886000000 1024"),
+        Framing::Bodiless(status) => resp = Response::new(status),
+        Framing::CloseDelimited => {
+            let mut wire = b"HTTP/1.0 200 OK\r\nX-Origin: old\r\n\r\n".to_vec();
+            wire.extend_from_slice(body);
+            return (wire, true);
+        }
+    }
+    let mut wire = Vec::new();
+    resp.write(&mut wire).unwrap();
+    (wire, false)
+}
+
+fn rule(kind: Rule, total: usize) -> Option<RelayRule> {
+    let plain = RelayRule {
+        threshold: THRESHOLD,
+        prefix_bytes: PREFIX,
+        skip: 0,
+        expect_total: None,
+        chunked_may_grow: false,
+        now: Timestamp::ZERO,
+    };
+    match kind {
+        Rule::None => None,
+        Rule::Plain => Some(plain),
+        Rule::Grow => Some(RelayRule {
+            chunked_may_grow: true,
+            ..plain
+        }),
+        Rule::Pinned => Some(RelayRule {
+            threshold: 0,
+            prefix_bytes: 0,
+            skip: SKIP.min(total),
+            expect_total: Some(total),
+            ..plain
+        }),
+    }
+}
+
+/// Everything a run of the machine shows its driver.
+#[derive(Debug, PartialEq)]
+struct Run {
+    /// `Err` is a failed exchange; the flag says whether it had engaged.
+    outcome: Result<String, bool>,
+    client: Vec<u8>,
+    consumed: usize,
+}
+
+/// Drive the machine as a driver does: parse the head once, feed the rest
+/// in `split`-byte pieces (`0`: whole, with the close riding the same
+/// call), then the close on its own.
+fn run_machine(wire: &[u8], closes: bool, rule: Option<RelayRule>, split: usize) -> Run {
+    let mut rest = wire;
+    let head = Response::read_head(&mut rest).expect("head parses");
+    let head_len = wire.len() - rest.len();
+    let mut client = Vec::new();
+    let mut consumed = head_len;
+    let fail = |engaged, client, consumed| Run {
+        outcome: Err(engaged),
+        client,
+        consumed,
+    };
+    let mut machine = match ResponseMachine::new(head, rule, &mut client) {
+        Ok(machine) => machine,
+        Err(_) => return fail(false, client, consumed),
+    };
+    let step = if split == 0 { rest.len().max(1) } else { split };
+    let mut pieces = rest.chunks(step).map(|p| (p, false)).collect::<Vec<_>>();
+    match pieces.last_mut() {
+        Some(last) if split == 0 => last.1 = closes,
+        _ => {}
+    }
+    if closes {
+        pieces.push((&[], true));
+    }
+    for (piece, eof) in pieces {
+        if machine.is_done() {
+            break;
+        }
+        match machine.feed(piece, eof, &mut client) {
+            Ok(n) => {
+                consumed += n;
+                assert!(n == piece.len() || machine.is_done(), "input left behind");
+            }
+            Err(_) => return fail(machine.engaged(), client, consumed),
+        }
+    }
+    if !machine.is_done() {
+        return fail(machine.engaged(), client, consumed);
+    }
+    let outcome = match machine.into_outcome() {
+        UpstreamOutcome::Response(resp) => format!("response {resp:?}"),
+        UpstreamOutcome::Streamed {
+            head,
+            total,
+            prefix,
+        } => format!("streamed {total} {prefix:?} {head:?}"),
+        UpstreamOutcome::StreamFailed { mismatch } => format!("stream failed {mismatch}"),
+        UpstreamOutcome::Failed => "failed".to_owned(),
+    };
+    Run {
+        outcome: Ok(outcome),
+        client,
+        consumed,
+    }
+}
+
+/// Every framing × sizes straddling the threshold × every rule × every
+/// split: the split is invisible, a buffered outcome is `Response::read`
+/// of the same wire, a relayed one puts exactly the payload (minus the
+/// skip) under a well-formed client head, and bytes behind the response
+/// are never touched.
+#[test]
+fn response_machine_is_split_transparent() {
+    let framings = [
+        Framing::Length,
+        Framing::Chunked,
+        Framing::ChunkedTrailers,
+        Framing::Bodiless(204),
+        Framing::Bodiless(304),
+        Framing::CloseDelimited,
+    ];
+    let sizes = [
+        0,
+        1,
+        THRESHOLD - 1,
+        THRESHOLD,
+        THRESHOLD + 1,
+        3 * THRESHOLD + 5,
+    ];
+    for framing in framings {
+        for size in sizes {
+            if matches!(framing, Framing::Bodiless(_)) && size != 0 {
+                continue;
+            }
+            let body = payload(size);
+            let (mut wire, closes) = origin_wire(framing, &body);
+            let response_len = wire.len();
+            if !closes {
+                wire.extend_from_slice(NEXT);
+            }
+            for kind in [Rule::None, Rule::Plain, Rule::Grow, Rule::Pinned] {
+                let what = format!("{framing:?} size {size} rule {kind:?}");
+                let whole = run_machine(&wire, closes, rule(kind, size), 0);
+                for split in [1, 7, 1500, 16384] {
+                    let cut = run_machine(&wire, closes, rule(kind, size), split);
+                    assert_eq!(cut, whole, "{what} split {split}");
+                }
+                let outcome = whole.outcome.as_ref().expect(&what);
+                if !outcome.starts_with("stream failed") {
+                    assert_eq!(whole.consumed, response_len, "{what}");
+                }
+
+                let chunked = matches!(framing, Framing::Chunked | Framing::ChunkedTrailers);
+                let relays = match kind {
+                    Rule::None => false,
+                    Rule::Plain => framing == Framing::Length && size >= THRESHOLD,
+                    Rule::Grow => (framing == Framing::Length || chunked) && size >= THRESHOLD,
+                    Rule::Pinned => framing == Framing::Length || chunked,
+                };
+                if kind == Rule::Pinned && !relays {
+                    // Not a 200 of a known framing under a head already sent.
+                    assert_eq!(outcome, "stream failed true", "{what}");
+                    assert!(whole.client.is_empty(), "{what}");
+                } else if relays {
+                    assert!(outcome.starts_with(&format!("streamed {size} ")), "{what}");
+                    if kind == Rule::Pinned {
+                        assert_eq!(whole.client, &body[SKIP.min(size)..], "{what}");
+                    } else {
+                        let sent = Response::read(&mut whole.client.as_slice(), false);
+                        let sent = sent.expect(&what);
+                        assert_eq!(sent.headers.get("X-Cache"), Some("MISS"), "{what}");
+                        assert_eq!(
+                            sent.headers.contains("Content-Length"),
+                            !chunked,
+                            "{what}: the client framing follows the origin's"
+                        );
+                        assert_eq!(sent.body, body, "{what}");
+                        assert!(sent.trailers.is_empty(), "{what}");
+                        let teed = &body[..PREFIX.min(size)];
+                        assert!(outcome.contains(&format!(" {teed:?} ")), "{what}");
+                    }
+                    if framing == Framing::ChunkedTrailers {
+                        assert!(outcome.contains("886000000"), "{what}: trailers kept");
+                    }
+                } else {
+                    let mut reference = &wire[..response_len];
+                    let read = Response::read(&mut reference, false).expect(&what);
+                    assert_eq!(outcome, &format!("response {read:?}"), "{what}");
+                    assert!(
+                        whole.client.is_empty(),
+                        "{what}: a buffered body sends nothing"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A pinned relay decodes whatever framing the origin chose under the
+/// `Content-Length` head already sent, and a body of another length is a
+/// mismatch in both directions — never more than the promised bytes.
+#[test]
+fn response_machine_pinned_length_mismatch() {
+    let body = payload(3000);
+    for framing in [Framing::Length, Framing::Chunked] {
+        for promised in [2000, 4000] {
+            let (wire, _) = origin_wire(framing, &body);
+            for split in [0, 1, 1500] {
+                let what = format!("{framing:?} promised {promised} split {split}");
+                let run = run_machine(&wire, false, rule(Rule::Pinned, promised), split);
+                assert_eq!(run.outcome, Ok("stream failed true".to_owned()), "{what}");
+                assert!(run.client.len() <= promised - SKIP, "{what}");
+                assert!(body[SKIP..].starts_with(&run.client), "{what}");
+            }
+        }
+    }
+}
+
+/// Wires no response can be read from end in one error, and before the
+/// machine engages nothing has been written for the client — the driver
+/// may still retry or answer 502.
+#[test]
+fn response_machine_errors_before_any_client_byte() {
+    let bad_chunk = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nZZ\r\nxx".to_vec();
+    let mut short = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n".to_vec();
+    short.extend_from_slice(&payload(40));
+    let huge = format!(
+        "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n",
+        MAX_BODY + 1
+    );
+    let unparsable = b"HTTP/1.1 200 OK\r\nContent-Length: many\r\n\r\n".to_vec();
+    for (wire, closes) in [
+        (bad_chunk, false),
+        (short, true),
+        (huge.into_bytes(), false),
+        (unparsable, false),
+    ] {
+        for kind in [Rule::None, Rule::Plain, Rule::Grow] {
+            for split in [0, 1, 7] {
+                let run = run_machine(&wire, closes, rule(kind, 0), split);
+                assert_eq!(run.outcome, Err(false), "{kind:?} split {split}");
+                assert!(run.client.is_empty(), "{kind:?} split {split}");
+            }
+        }
+    }
+    // Once engaged, the same short body is a truncation: the client holds
+    // the head and a strict prefix, and the failure is not retryable.
+    let mut short = b"HTTP/1.1 200 OK\r\nContent-Length: 8000\r\n\r\n".to_vec();
+    short.extend_from_slice(&payload(5000));
+    for split in [0, 1, 1500] {
+        let run = run_machine(&short, true, rule(Rule::Plain, 0), split);
+        assert_eq!(run.outcome, Err(true), "split {split}");
+        let head_end = run
+            .client
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .unwrap()
+            + 4;
+        assert!(String::from_utf8_lossy(&run.client[..head_end]).contains("Content-Length: 8000"));
+        assert_eq!(run.client[head_end..], payload(5000), "split {split}");
+    }
+    // The limit is an error the parser names, not an allocation.
+    let mut rest = &b"Content-Length: 99999999999\r\n\r\n"[..];
+    let mut head = Response::new(200);
+    head.headers = piggyback::httpwire::parse::read_headers(&mut rest).unwrap();
+    assert!(matches!(
+        ResponseMachine::new(head, None, &mut Vec::new()),
+        Err(HttpError::LimitExceeded(_))
+    ));
+}
