@@ -13,7 +13,7 @@
 //! the two engines cannot drift (PROTOCOL.md §7.1, §14).
 
 use crate::obs::LatencyHistogram;
-use crate::prefetch::{self, PIGGY_PUSH_HEADER};
+use crate::prefetch::{self, PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER};
 use crate::proxy::ProxyShared;
 use piggyback_core::datetime::{
     format_rfc1123, parse_rfc1123, timestamp_from_unix, unix_from_timestamp,
@@ -60,8 +60,9 @@ pub(crate) struct PrefixHit {
 
 /// How an upstream exchange ended, as either driver reports it.
 pub enum UpstreamOutcome {
-    /// A complete response was read off the origin connection.
-    Response(Response),
+    /// A complete response was read off the origin connection, with the
+    /// whole responses a `--push` origin streamed behind it.
+    Response(Response, Vec<Response>),
     /// The exchange failed terminally before any origin payload byte
     /// moved downstream (dial failure, second-attempt I/O error, or
     /// timeout).
@@ -230,15 +231,182 @@ impl Relay {
     }
 }
 
-/// One upstream response in flight, written once for both engines and
-/// socket-free. A driver parses the head once ([`Response::read_head`]),
-/// builds the machine from it and the leg's [`RelayRule`], and from then
-/// on only reads bytes and [`feed`](Self::feed)s them: the machine picks
-/// the decoder, decides buffer / relay / grow-then-relay, writes whatever
-/// the client is owed into the sink the driver flushes, and ends as the
-/// exchange's [`UpstreamOutcome`]. The exchange is retryable exactly
-/// while the machine is not [`engaged`](Self::engaged) (PROTOCOL.md §7.1).
+/// One upstream exchange in flight, written once for both engines and
+/// socket-free. A driver builds the machine from the leg's relay rule and
+/// push acceptance, and from then on only reads bytes and
+/// [`feed`](Self::feed)s them, from the first byte of the status line
+/// on: the machine parses the head, picks the decoder, decides buffer /
+/// relay / grow-then-relay, writes whatever the client is owed into the
+/// sink the driver flushes, reads the pushed responses a `--push` origin
+/// announced behind it, and ends as the exchange's [`UpstreamOutcome`].
+/// The exchange is retryable exactly while the machine is
+/// [`retryable`](Self::retryable) (PROTOCOL.md §7.1).
+#[derive(Default)]
 pub struct ResponseMachine {
+    rule: Option<RelayRule>,
+    /// The leg sent `Piggy-push: accept`, so an `X-Push-Count` on the main
+    /// head announces that many responses behind it.
+    accept_push: bool,
+    /// Bytes of the next head whose blank line has not arrived yet.
+    held: Vec<u8>,
+    /// The main response, from its head on.
+    main: Option<Part>,
+    /// The pushed response being read, from its head on.
+    push: Option<Part>,
+    /// Whole pushed responses, in wire order.
+    pushed: Vec<Response>,
+    /// Announced pushes not read whole yet.
+    owed: usize,
+    /// The burst ended short: the pushes that arrived are kept, the
+    /// connection is spent.
+    cut: bool,
+}
+
+impl ResponseMachine {
+    /// A machine for one exchange, before any byte of its response.
+    pub fn new(rule: Option<RelayRule>, accept_push: bool) -> ResponseMachine {
+        ResponseMachine {
+            rule,
+            accept_push,
+            ..ResponseMachine::default()
+        }
+    }
+
+    /// Has payload (or its client head) been handed to the sink? From
+    /// here on a failure can only truncate: no retry, no error response.
+    pub fn engaged(&self) -> bool {
+        self.main.as_ref().is_some_and(|m| m.relay.is_some())
+    }
+
+    /// May a failed exchange go again on a fresh connection? Only while
+    /// nothing of it is worth keeping: no byte reached the client and the
+    /// main response has not ended.
+    pub fn retryable(&self) -> bool {
+        !self.engaged() && !self.main.as_ref().is_some_and(Part::is_done)
+    }
+
+    /// Did the exchange end: the main response whole or in a mismatch, and
+    /// every push it announced read (or the burst cut short)?
+    pub fn is_done(&self) -> bool {
+        self.main.as_ref().is_some_and(Part::is_done) && self.owed == 0
+    }
+
+    /// May the connection carry another exchange: the response ended
+    /// whole and so did every push it announced?
+    pub fn reusable(&self) -> bool {
+        self.main.as_ref().is_some_and(Part::is_whole) && self.owed == 0 && !self.cut
+    }
+
+    /// Feed the next bytes off the origin connection (`eof`: it closed
+    /// behind them). Returns how many were this exchange's — the rest
+    /// belong to whatever follows on the connection. Client bytes are
+    /// appended to `sink`. `Err` fails the exchange; once the main
+    /// response is whole, a failing push only cuts the burst short.
+    pub fn feed(
+        &mut self,
+        input: &[u8],
+        eof: bool,
+        sink: &mut Vec<u8>,
+    ) -> Result<usize, HttpError> {
+        let mut used = 0;
+        if !self.main.as_ref().is_some_and(Part::is_done) {
+            let (n, ended) = advance(&mut self.held, &mut self.main, self.rule, input, eof, sink)?;
+            used = n;
+            if !ended {
+                return Ok(used);
+            }
+            let main = self.main.as_ref().expect("an ended response");
+            if self.accept_push && main.is_whole() {
+                self.owed = main
+                    .head
+                    .headers
+                    .get(PUSH_COUNT_HEADER)
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or(0);
+            }
+        }
+        while self.owed > 0 {
+            let rest = &input[used..];
+            match advance(&mut self.held, &mut self.push, None, rest, eof, sink) {
+                Ok((n, ended)) => {
+                    used += n;
+                    if !ended {
+                        break;
+                    }
+                    let push = self.push.take().expect("an ended push");
+                    if let UpstreamOutcome::Response(resp, _) = push.into_outcome(Vec::new()) {
+                        self.pushed.push(resp);
+                    }
+                    self.owed -= 1;
+                }
+                Err(_) => {
+                    self.owed = 0;
+                    self.cut = true;
+                }
+            }
+        }
+        Ok(used)
+    }
+
+    /// The exchange's outcome. Before the main response ended this is the
+    /// failure the driver gave up with: a truncation once engaged,
+    /// [`UpstreamOutcome::Failed`] otherwise. After it, a burst cut short
+    /// keeps the pushes that arrived whole.
+    pub fn into_outcome(self) -> UpstreamOutcome {
+        match self.main {
+            Some(main) => main.into_outcome(self.pushed),
+            None => UpstreamOutcome::Failed,
+        }
+    }
+}
+
+/// Read one response over `input`: its head first — held back until its
+/// blank line arrives, then parsed once into `part` — then its body.
+/// Returns the bytes of `input` it took and whether the response ended.
+fn advance(
+    held: &mut Vec<u8>,
+    part: &mut Option<Part>,
+    rule: Option<RelayRule>,
+    input: &[u8],
+    eof: bool,
+    sink: &mut Vec<u8>,
+) -> Result<(usize, bool), HttpError> {
+    let mut used = 0;
+    if part.is_none() {
+        if input.is_empty() && !eof {
+            return Ok((0, false));
+        }
+        let before = held.len();
+        let buf = if before == 0 {
+            input
+        } else {
+            held.extend_from_slice(input);
+            held.as_slice()
+        };
+        let mut rest = buf;
+        let head = match Response::read_head(&mut rest) {
+            Ok(head) => head,
+            // The slice ran out: for a live connection, wait for more.
+            Err(HttpError::ConnectionClosed) if !eof => {
+                if before == 0 {
+                    held.extend_from_slice(input);
+                }
+                return Ok((input.len(), false));
+            }
+            Err(e) => return Err(e),
+        };
+        used = buf.len() - rest.len() - before;
+        held.clear();
+        *part = Some(Part::new(head, rule, sink)?);
+    }
+    let part = part.as_mut().expect("started above");
+    used += part.feed(&input[used..], eof, sink)?;
+    Ok((used, part.is_done()))
+}
+
+/// One response being decoded: the main one of an exchange, or a push
+/// behind it (always buffered).
+struct Part {
     /// The origin's head; body and trailers are filled in at the end.
     head: Response,
     /// `None`: no framing header, the body runs until the origin closes.
@@ -260,17 +428,13 @@ enum End {
     Mismatch,
 }
 
-impl ResponseMachine {
+impl Part {
     /// Start on a parsed response head. An engaging head writes its
     /// client head into `sink` right away (a pinned relay's went out with
     /// the cached prefix); a bodiless one is done at once. `Err` is a
     /// framing header no body can be read under — a failed, retryable
     /// exchange like any other before a byte moved.
-    pub fn new(
-        head: Response,
-        rule: Option<RelayRule>,
-        sink: &mut Vec<u8>,
-    ) -> Result<ResponseMachine, HttpError> {
+    fn new(head: Response, rule: Option<RelayRule>, sink: &mut Vec<u8>) -> Result<Part, HttpError> {
         let reader = if Response::bodiless_status(head.status) {
             Some(BodyReader::length(0))
         } else if head.headers.list_contains("Transfer-Encoding", "chunked") {
@@ -279,7 +443,7 @@ impl ResponseMachine {
             // Above MAX_BODY this is the error: no byte is read.
             parse::content_length(&head.headers)?.map(BodyReader::length)
         };
-        let mut machine = ResponseMachine {
+        let mut part = Part {
             head,
             reader,
             body: Vec::new(),
@@ -288,46 +452,36 @@ impl ResponseMachine {
             end: None,
         };
         if let Some(rule) = rule {
-            match rule.decide(&machine.head) {
+            match rule.decide(&part.head) {
                 RelayDecision::Engage(n) => {
                     if rule.expect_total.is_none() {
-                        write_stream_head(&machine.head, Some(n), rule.now, sink);
+                        write_stream_head(&part.head, Some(n), rule.now, sink);
                     }
-                    machine.relay = Some(Relay::new(&rule, Some(n)));
+                    part.relay = Some(Relay::new(&rule, Some(n)));
                 }
-                RelayDecision::Grow => machine.grow = Some(rule),
+                RelayDecision::Grow => part.grow = Some(rule),
                 RelayDecision::Mismatch => {
-                    machine.end = Some(End::Mismatch);
-                    return Ok(machine);
+                    part.end = Some(End::Mismatch);
+                    return Ok(part);
                 }
                 RelayDecision::Buffer => {}
             }
         }
-        machine.step(false, sink)?;
-        Ok(machine)
-    }
-
-    /// Has payload (or its client head) been handed to the sink? From
-    /// here on a failure can only truncate: no retry, no error response.
-    pub fn engaged(&self) -> bool {
-        self.relay.is_some()
+        part.step(false, sink)?;
+        Ok(part)
     }
 
     /// Did the response end (whole, or in a mismatch)?
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.end.is_some()
     }
 
-    /// Feed the next bytes off the origin connection (`eof`: it closed
-    /// behind them). Returns how many were this response's — the rest
-    /// belong to whatever follows on the connection. Client bytes are
-    /// appended to `sink`. `Err` fails the exchange.
-    pub fn feed(
-        &mut self,
-        input: &[u8],
-        eof: bool,
-        sink: &mut Vec<u8>,
-    ) -> Result<usize, HttpError> {
+    fn is_whole(&self) -> bool {
+        matches!(self.end, Some(End::Whole))
+    }
+
+    /// Decode the next body bytes; returns how many were this response's.
+    fn feed(&mut self, input: &[u8], eof: bool, sink: &mut Vec<u8>) -> Result<usize, HttpError> {
         if self.is_done() {
             return Ok(0);
         }
@@ -393,11 +547,9 @@ impl ResponseMachine {
         Ok(())
     }
 
-    /// The exchange's outcome. Before the response ended this is the
-    /// failure the driver gave up with: a truncation once engaged,
-    /// [`UpstreamOutcome::Failed`] otherwise.
-    pub fn into_outcome(self) -> UpstreamOutcome {
-        let ResponseMachine {
+    /// The response's outcome, carrying `pushed` if it was buffered whole.
+    fn into_outcome(self, pushed: Vec<Response>) -> UpstreamOutcome {
+        let Part {
             mut head,
             reader,
             body,
@@ -418,7 +570,7 @@ impl ResponseMachine {
                     },
                     None => {
                         head.body = body.into();
-                        UpstreamOutcome::Response(head)
+                        UpstreamOutcome::Response(head, pushed)
                     }
                 }
             }
@@ -430,10 +582,12 @@ impl ResponseMachine {
 }
 
 /// One upstream exchange as the drivers see it: the request to put on
-/// the wire and whether its response may cut through.
+/// the wire, whether its response may cut through, and whether pushed
+/// responses may follow it.
 pub(crate) struct Leg {
     pub(crate) request: Request,
     pub(crate) relay: Option<RelayRule>,
+    pub(crate) accept_push: bool,
 }
 
 impl Leg {
@@ -486,8 +640,8 @@ fn demand_request(shared: &ProxyShared, job: &UpstreamJob, conditional: bool) ->
 
 /// Whether `job` may take the streaming cut-through path: plain demand
 /// misses only. Validations stay buffered (a 304 needs the full-response
-/// exchange), `--accept-push` drains pushed responses behind the main
-/// one, and an active prefetcher's claim/join protocol expects every
+/// exchange), `--accept-push` reads pushed responses behind a buffered
+/// main one, and an active prefetcher's claim/join protocol expects every
 /// miss to materialize a cacheable body.
 fn streaming_eligible(shared: &ProxyShared, job: &UpstreamJob) -> bool {
     shared.cfg.stream_threshold > 0
@@ -533,6 +687,7 @@ pub(crate) fn first_leg(shared: &ProxyShared, job: &UpstreamJob) -> Leg {
     match &job.prefix {
         Some(hit) => Leg {
             request: plain_request(&job.path),
+            accept_push: false,
             relay: Some(RelayRule {
                 threshold: 0,
                 prefix_bytes: 0,
@@ -544,6 +699,7 @@ pub(crate) fn first_leg(shared: &ProxyShared, job: &UpstreamJob) -> Leg {
         },
         None => Leg {
             request: demand_request(shared, job, true),
+            accept_push: shared.cfg.accept_push,
             relay: streaming_eligible(shared, job).then(|| RelayRule {
                 threshold: shared.cfg.stream_threshold,
                 prefix_bytes: shared.cfg.prefix_bytes,
@@ -564,6 +720,7 @@ pub(crate) fn refetch_leg(shared: &ProxyShared, job: &UpstreamJob) -> Leg {
     Leg {
         request: demand_request(shared, job, false),
         relay: None,
+        accept_push: shared.cfg.accept_push,
     }
 }
 
@@ -573,6 +730,7 @@ pub(crate) fn speculative_leg(path: &str) -> Leg {
     Leg {
         request: plain_request(path),
         relay: None,
+        accept_push: false,
     }
 }
 
@@ -670,21 +828,16 @@ fn count_error(shared: &ProxyShared, job: &UpstreamJob) {
     shared.obs.error.record(job.start.elapsed());
 }
 
-/// Settle `job`'s first exchange: store or freshen, then pushes, then the
-/// piggyback, then the outcome histogram. `pushed` holds the responses a
-/// `--push` origin streamed behind the main one.
-pub(crate) fn settle(
-    shared: &ProxyShared,
-    job: &UpstreamJob,
-    outcome: UpstreamOutcome,
-    pushed: Vec<Response>,
-) -> Settled {
+/// Settle `job`'s first exchange: store or freshen, then the pushes a
+/// `--push` origin streamed behind the response, then the piggyback,
+/// then the outcome histogram.
+pub(crate) fn settle(shared: &ProxyShared, job: &UpstreamJob, outcome: UpstreamOutcome) -> Settled {
     if let Some(hit) = &job.prefix {
         return settle_suffix(shared, job, hit, outcome);
     }
     let now = shared.clock.now();
-    let resp = match outcome {
-        UpstreamOutcome::Response(resp) => resp,
+    let (resp, pushed) = match outcome {
+        UpstreamOutcome::Response(resp, pushed) => (resp, pushed),
         UpstreamOutcome::Failed => {
             count_error(shared, job);
             return Settled::Reply(Response::new(502));
@@ -758,16 +911,15 @@ pub(crate) fn settle_refetch(
     job: &UpstreamJob,
     refetch: Refetch,
     outcome: UpstreamOutcome,
-    more_pushed: Vec<Response>,
 ) -> Response {
     let Refetch {
         original,
         mut pushed,
         now,
     } = refetch;
-    pushed.extend(more_pushed);
     match outcome {
-        UpstreamOutcome::Response(r2) => {
+        UpstreamOutcome::Response(r2, more_pushed) => {
+            pushed.extend(more_pushed);
             let (result, hist) = store_or_pass(shared, job, &r2, shared.clock.now());
             apply_side_effects(shared, job, &pushed, &[&original, &r2], now);
             hist.record(job.start.elapsed());

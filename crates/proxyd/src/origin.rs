@@ -488,8 +488,7 @@ pub fn start_origin(cfg: OriginConfig) -> io::Result<OriginHandle> {
 
 /// The origin as a [`ReactorService`](crate::reactor::ReactorService):
 /// every response — site resources, admin endpoints, the metrics scrape —
-/// serializes inline on the reactor thread; the origin has no blocking
-/// upstream work to offload.
+/// serializes inline on the reactor thread; the origin has no upstream.
 #[cfg(target_os = "linux")]
 struct OriginSvc {
     shared: Arc<OriginShared>,
@@ -815,13 +814,6 @@ fn origin_metrics_response(
                 &labels,
                 "counter",
                 s.timeouts(),
-            );
-            render_scalar(
-                &mut out,
-                "pb_origin_reactor_offloads_total",
-                &labels,
-                "counter",
-                s.offloads(),
             );
         }
     }

@@ -40,8 +40,11 @@
 //! the proxy calls [`Prefetcher::claim`]: a still-queued speculation is
 //! cancelled outright (the demand fetch proceeds, the queued job never
 //! issues); a speculation already on the wire is *joined* — the demand
-//! request parks on the job's condvar and serves the prefetched entry
-//! when it lands, so the origin sees exactly one fetch either way.
+//! request adds a waiter to the job and, woken when the speculation
+//! settles, serves the prefetched entry (or fetches after all if nothing
+//! landed), so the origin sees exactly one fetch either way. A threaded
+//! joiner's waiter wakes its blocked thread; a reactor joiner's resumes
+//! its parked connection on its shard.
 //!
 //! ## Server push
 //!
@@ -75,29 +78,20 @@ pub const PUSH_PATH_HEADER: &str = "X-Push-Path";
 /// piggyback burst must not grow an unbounded backlog of speculation.
 const QUEUE_CAP: usize = 4096;
 
-/// How long a demand request will wait for an in-flight speculative
-/// fetch before giving up and fetching itself (belt-and-suspenders: a
-/// worker always resolves its job, so this only fires if a fetch wedges).
-const JOIN_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// What [`Prefetcher::claim`] resolved a demand miss to.
-pub(crate) enum Claim {
-    /// No unresolved speculation for the path (or a queued one was just
-    /// cancelled): the demand fetch proceeds.
-    Fetch,
-    /// A speculative fetch is on the wire; joining it requires parking
-    /// (only returned to callers that asked not to park).
-    InFlight,
-    /// The speculation resolved: re-consult the cache before fetching.
-    Resolved,
-}
+/// How long a threaded demand request waits for an in-flight speculative
+/// fetch before giving up and fetching itself: the blocking driver's
+/// upstream reads have no deadline, so a wedged speculation must not
+/// wedge its joiners (a reactor-driven one always settles — its
+/// exchange runs under the upstream timeout).
+pub(crate) const JOIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Lifecycle of one speculative fetch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum JobState {
     /// In the queue, not yet picked up; cancellable.
+    #[default]
     Queued,
-    /// A worker is on the wire; joiners wait on the condvar.
+    /// A worker is on the wire; joiners add waiters.
     Fetching,
     /// Resolved (installed or wasted); joiners should re-check the cache.
     Done,
@@ -105,10 +99,86 @@ enum JobState {
     Cancelled,
 }
 
-/// One speculative fetch's coordination point.
-struct Job {
-    state: Mutex<JobState>,
-    done: Condvar,
+/// A wake-up owed to a request joined to a speculation. Fires exactly
+/// once: when the job settles, or — should it go away unsettled — when
+/// dropped.
+struct Waiter(Option<Box<dyn FnOnce() + Send>>);
+
+impl Drop for Waiter {
+    fn drop(&mut self) {
+        if let Some(wake) = self.0.take() {
+            wake();
+        }
+    }
+}
+
+/// One speculative fetch's coordination point: its state and the
+/// requests joined to it.
+#[derive(Default)]
+struct Job(Mutex<JobInner>);
+
+#[derive(Default)]
+struct JobInner {
+    state: JobState,
+    joined: Vec<Waiter>,
+}
+
+impl Job {
+    /// Resolve the job and wake everything joined to it (each waiter
+    /// fires as it drops, outside the lock).
+    fn settle(&self) {
+        let joined = {
+            let mut st = self.0.lock().unwrap();
+            st.state = JobState::Done;
+            std::mem::take(&mut st.joined)
+        };
+        drop(joined);
+    }
+}
+
+/// An in-flight speculation a demand request joined ([`Prefetcher::claim`]).
+pub(crate) struct Speculation(Arc<Job>);
+
+impl Speculation {
+    /// Run `wake` once the speculation settles — at once if it already
+    /// has.
+    pub(crate) fn on_settle(&self, wake: impl FnOnce() + Send + 'static) {
+        let waiter = Waiter(Some(Box::new(wake)));
+        let mut st = (self.0).0.lock().unwrap();
+        if st.state == JobState::Fetching {
+            st.joined.push(waiter);
+        }
+        // Otherwise `waiter` fires as it drops, after the lock.
+    }
+
+    /// Block the calling thread until the speculation settles, or at most
+    /// `timeout`: its waiter wakes the thread.
+    pub(crate) fn wait(&self, timeout: Option<Duration>) {
+        let (settled, woken) = std::sync::mpsc::channel();
+        self.on_settle(move || {
+            let _ = settled.send(());
+        });
+        let _ = match timeout {
+            Some(t) => woken.recv_timeout(t).ok(),
+            None => woken.recv().ok(),
+        };
+    }
+}
+
+/// Settles its job when dropped, whichever way the fetch ended — its
+/// outcome settled, or its reactor plan dropped unrun — so joiners wake
+/// exactly once and the dedup entry goes.
+struct Landing {
+    inner: Arc<PrefetchInner>,
+    r: ResourceId,
+    job: Arc<Job>,
+}
+
+impl Drop for Landing {
+    fn drop(&mut self) {
+        self.job.settle();
+        self.inner.state.lock().unwrap().jobs.remove(&self.r);
+    }
 }
 
 struct Candidate {
@@ -177,10 +247,7 @@ impl Prefetcher {
             if st.jobs.contains_key(&r) || st.queue.len() >= QUEUE_CAP {
                 return;
             }
-            let job = Arc::new(Job {
-                state: Mutex::new(JobState::Queued),
-                done: Condvar::new(),
-            });
+            let job = Arc::new(Job::default());
             st.jobs.insert(r, Arc::clone(&job));
             st.queue.push_back(Candidate {
                 r,
@@ -193,43 +260,30 @@ impl Prefetcher {
 
     /// Demand-path hook, called before a miss goes upstream. A
     /// still-queued speculation for `path` is cancelled (the demand fetch
-    /// wins; the origin sees one fetch either way). One already on the
-    /// wire is joined when `park` is set — the caller blocks until it
-    /// lands, or gives up after [`JOIN_TIMEOUT`] and fetches itself —
-    /// and reported as [`Claim::InFlight`] otherwise, for reactor
-    /// threads, which must never park.
-    pub(crate) fn claim(&self, shared: &ProxyShared, path: &str, park: bool) -> Claim {
-        let Some(r) = shared.table.read().lookup(path) else {
-            return Claim::Fetch;
-        };
-        let job = self.inner.state.lock().unwrap().jobs.get(&r).cloned();
-        let Some(job) = job else {
-            return Claim::Fetch;
-        };
-        let mut st = job.state.lock().unwrap();
-        loop {
-            match *st {
-                JobState::Queued => {
-                    *st = JobState::Cancelled;
-                    drop(st);
-                    // The stale queue entry stays; workers skip cancelled
-                    // candidates. Never hold a job lock while taking the
-                    // state lock (workers lock in that order too).
-                    self.inner.state.lock().unwrap().jobs.remove(&r);
-                    shared.stats.prefetch_cancelled.fetch_add(1, Relaxed);
-                    return Claim::Fetch;
-                }
-                JobState::Fetching if !park => return Claim::InFlight,
-                JobState::Fetching => {
-                    let (guard, timeout) = job.done.wait_timeout(st, JOIN_TIMEOUT).unwrap();
-                    st = guard;
-                    if timeout.timed_out() {
-                        return Claim::Fetch;
-                    }
-                }
-                JobState::Done => return Claim::Resolved,
-                JobState::Cancelled => return Claim::Fetch,
+    /// wins; the origin sees one fetch either way) and `None` returned:
+    /// fetch. One already on the wire (or just resolved) is returned to
+    /// be joined: the caller waits for it to settle, then re-consults the
+    /// cache.
+    pub(crate) fn claim(&self, shared: &ProxyShared, path: &str) -> Option<Speculation> {
+        let r = shared.table.read().lookup(path)?;
+        let job = self.inner.state.lock().unwrap().jobs.get(&r).cloned()?;
+        let mut st = job.0.lock().unwrap();
+        match st.state {
+            JobState::Queued => {
+                st.state = JobState::Cancelled;
+                drop(st);
+                // The stale queue entry stays; workers skip cancelled
+                // candidates. Never hold a job lock while taking the
+                // state lock (workers lock in that order too).
+                self.inner.state.lock().unwrap().jobs.remove(&r);
+                shared.stats.prefetch_cancelled.fetch_add(1, Relaxed);
+                None
             }
+            JobState::Fetching | JobState::Done => {
+                drop(st);
+                Some(Speculation(job))
+            }
+            JobState::Cancelled => None,
         }
     }
 
@@ -266,41 +320,41 @@ fn worker_loop(inner: &Arc<PrefetchInner>, shared: &Weak<ProxyShared>) {
 }
 
 fn run_candidate(
-    inner: &PrefetchInner,
+    inner: &Arc<PrefetchInner>,
     shared: &Arc<ProxyShared>,
     cand: Candidate,
     scratch: &mut ConnScratch,
 ) {
     {
-        let mut st = cand.job.state.lock().unwrap();
-        match *st {
+        let mut st = cand.job.0.lock().unwrap();
+        match st.state {
             // The demand path cancelled (and unregistered) this job.
             JobState::Cancelled => return,
-            JobState::Queued => *st = JobState::Fetching,
+            JobState::Queued => st.state = JobState::Fetching,
             // Unreachable (one worker per queue entry); stay safe.
             JobState::Fetching | JobState::Done => return,
         }
     }
-    fetch_and_install(shared, cand.r, &cand.path, scratch);
-    {
-        let mut st = cand.job.state.lock().unwrap();
-        *st = JobState::Done;
-        cand.job.done.notify_all();
-    }
-    inner.state.lock().unwrap().jobs.remove(&cand.r);
+    let landing = Landing {
+        inner: Arc::clone(inner),
+        r: cand.r,
+        job: cand.job,
+    };
+    fetch_and_install(shared, landing, &cand.path, scratch);
 }
 
 /// Fetch `path` speculatively and install it: the plain GET goes through
 /// the blocking driver's exchange loop (same retry-once contract as the
 /// demand path) or, in reactor mode, a reactor shard; either way the
 /// outcome lands in [`settle_speculation`], which settles the ledger
-/// exactly once.
+/// exactly once, and then `landing` settles the job.
 fn fetch_and_install(
     shared: &Arc<ProxyShared>,
-    r: ResourceId,
+    landing: Landing,
     path: &str,
     scratch: &mut ConnScratch,
 ) {
+    let r = landing.r;
     // Last-second dedup: a demand fetch or an accepted push may have
     // landed the entry since this candidate was queued. Skipping here is
     // free — the fetch was never issued.
@@ -313,66 +367,47 @@ fn fetch_and_install(
     let leg = lifecycle::speculative_leg(path);
     #[cfg(target_os = "linux")]
     if let Some(sub) = shared.upstream_submit.get() {
-        return fetch_via_reactor(shared, sub, r, path, &leg, scratch);
+        return fetch_via_reactor(shared, sub, landing, path, &leg, scratch);
     }
     let retries = &stats.prefetch_retries;
-    let (outcome, _) = crate::proxy::exchange(shared, &leg, retries, &mut std::io::sink(), scratch);
+    let outcome = crate::proxy::exchange(shared, &leg, retries, &mut std::io::sink(), scratch);
     settle_speculation(shared, r, path, outcome);
 }
 
-/// How long a prefetch worker waits for a reactor-driven speculation to
-/// land before releasing its budget slot anyway (belt-and-suspenders:
-/// the reactor always resolves an exchange — the upstream timeout wheel
-/// guarantees it — so this only fires if a shard wedges).
-#[cfg(target_os = "linux")]
-const LAND_TIMEOUT: Duration = Duration::from_secs(60);
-
 /// Reactor mode: the speculative GET rides the same nonblocking upstream
-/// legs as demand misses. The worker still parks on its budget slot until
-/// the exchange lands — bounding concurrent speculation is the whole
-/// point of `--prefetch-budget` — but the exchange itself is driven by a
-/// reactor shard, and the ledger settles in the continuation on that
-/// reactor thread.
+/// legs as demand misses, and the ledger settles in the continuation on
+/// that reactor thread. The worker still holds its budget slot until the
+/// speculation settles — bounding concurrent speculation is the whole
+/// point of `--prefetch-budget` — by waiting on the job like any joiner.
 #[cfg(target_os = "linux")]
 fn fetch_via_reactor(
     shared: &Arc<ProxyShared>,
     sub: &crate::reactor::ReactorSubmitter,
-    r: ResourceId,
+    landing: Landing,
     path: &str,
     leg: &Leg,
     scratch: &mut ConnScratch,
 ) {
     use crate::reactor::{UpstreamNext, UpstreamPlan};
-    let request = leg.request_bytes(scratch);
-    let landed = Arc::new((Mutex::new(false), Condvar::new()));
+    let settled = Speculation(Arc::clone(&landing.job));
     let finish_shared = Arc::clone(shared);
-    let finish_landed = Arc::clone(&landed);
     let retry_shared = Arc::clone(shared);
     let path_owned = path.to_owned();
     sub.submit(UpstreamPlan {
         origin: shared.cfg.origin,
-        request,
+        request: leg.request_bytes(scratch),
         retry: Box::new(move || {
             retry_shared.stats.prefetch_retries.fetch_add(1, Relaxed);
         }),
         finish: Box::new(move |_scratch, _out, outcome| {
-            settle_speculation(&finish_shared, r, &path_owned, outcome);
-            let (flag, cv) = &*finish_landed;
-            *flag.lock().unwrap() = true;
-            cv.notify_all();
+            settle_speculation(&finish_shared, landing.r, &path_owned, outcome);
+            drop(landing);
             Ok(UpstreamNext::Done)
         }),
-        relay: None,
+        relay: leg.relay,
+        accept_push: leg.accept_push,
     });
-    let (flag, cv) = &*landed;
-    let mut done = flag.lock().unwrap();
-    while !*done {
-        let (guard, timeout) = cv.wait_timeout(done, LAND_TIMEOUT).unwrap();
-        done = guard;
-        if timeout.timed_out() {
-            break;
-        }
-    }
+    settled.wait(None);
 }
 
 /// Resolve an issued speculation from its exchange outcome: a 200 is
@@ -381,7 +416,7 @@ fn settle_speculation(shared: &ProxyShared, r: ResourceId, path: &str, outcome: 
     let stats = &shared.stats;
     // The speculative leg carries no relay rule, so the only other
     // outcome is `Failed`.
-    let UpstreamOutcome::Response(resp) = outcome else {
+    let UpstreamOutcome::Response(resp, _) = outcome else {
         stats.prefetch_wasted.fetch_add(1, Relaxed);
         stats.prefetch_inflight.fetch_sub(1, Relaxed);
         return;

@@ -26,15 +26,15 @@
 //! [`UpstreamJob`]. What the job then does to the cache, the counters and
 //! the client's answer is written once, socket-free, in
 //! [`crate::lifecycle`]; this module only moves the bytes — the blocking
-//! driver ([`serve_upstream`], [`exchange`]) for the threaded engine and
-//! the offload pool, and the plan adapters (`reactor_svc`) that hand the
-//! same legs to the epoll reactor.
+//! driver ([`serve_upstream`], [`exchange`]) for the threaded engine, and
+//! the plan adapters (`reactor_svc`) that hand the same legs to the epoll
+//! reactor.
 
 use crate::client::{ConnectionPool, PoolStats};
 use crate::lifecycle::{self, Leg, ResponseMachine, Settled, UpstreamJob, UpstreamOutcome};
 use crate::obs::{render_histogram, render_scalar, ProxyObs};
 use crate::origin::strip_origin_form;
-use crate::prefetch::{self, Prefetcher, PUSH_COUNT_HEADER};
+use crate::prefetch::{self, Prefetcher};
 use crate::stats::AtomicProxyStats;
 pub use crate::stats::ProxyStats;
 use crate::util::{serve_with_stats, Clock, IoMode, IoStats, ServeOptions, ServerHandle};
@@ -83,8 +83,8 @@ pub struct ProxyConfig {
     pub shards: usize,
     /// Idle origin connections the pool retains.
     pub pool_max_idle: usize,
-    /// Accept-loop worker/queue sizing. In reactor mode `serve.workers`
-    /// sizes the offload pool (blocking upstream exchanges) instead.
+    /// Accept-loop worker/queue sizing of the threaded engine; the reactor
+    /// spawns no worker threads.
     pub serve: ServeOptions,
     /// Serve the Prometheus admin endpoint `GET /__pb/metrics`
     /// (`pb-proxy --no-metrics` disables it; disabled scrapes get a local
@@ -335,7 +335,6 @@ mod reactor_svc {
         metrics: Arc<ReactorMetrics>,
     ) -> io::Result<ServerHandle> {
         let opts = ReactorOptions {
-            offload_workers: shared.cfg.serve.workers.max(1),
             idle_timeout: shared.cfg.reactor_idle_timeout,
             upstream_timeout: shared.cfg.upstream_timeout,
             // The same retention knob as the threaded pool, so
@@ -358,12 +357,11 @@ mod reactor_svc {
 
     /// The proxy as a [`ReactorService`]: cache hits, metrics, and
     /// synthesized errors serialize inline on the reactor thread;
-    /// upstream fetches become nonblocking [`UpstreamPlan`]s driven on
-    /// the same epoll loop — no offload-pool hop. The offload pool
-    /// survives only for genuinely blocking work, which runs the blocking
-    /// driver there: `--accept-push` (which drains pushed responses
-    /// synchronously off the origin stream) and demand requests that must
-    /// park to join an in-flight speculative fetch.
+    /// upstream fetches (`--accept-push` bursts included) become
+    /// nonblocking [`UpstreamPlan`]s driven on the same epoll loop, and a
+    /// demand miss joined to an in-flight speculation parks
+    /// ([`Served::Park`]) until the speculation settles. No request ever
+    /// leaves the reactor thread.
     struct ProxySvc {
         shared: Arc<ProxyShared>,
     }
@@ -484,57 +482,57 @@ mod reactor_svc {
     }
 
     impl ProxySvc {
-        /// The blocking fallback: run the whole upstream lifecycle on an
-        /// offload worker through the blocking driver.
-        fn offload(&self, job: UpstreamJob) -> Served {
-            let shared = Arc::clone(&self.shared);
-            Served::Offload(Box::new(move |scratch, out| {
-                serve_upstream(&shared, job, out, scratch)
-            }))
-        }
-
         fn plan_upstream(
             &self,
-            mut job: UpstreamJob,
+            job: UpstreamJob,
             scratch: &mut ConnScratch,
             out: &mut Vec<u8>,
         ) -> io::Result<Served> {
             let shared = &self.shared;
-            if shared.cfg.accept_push {
-                return Ok(self.offload(job));
-            }
             // A plain miss racing a speculative fetch of the same path:
-            // cancel a still-queued job outright, serve a landed one, but
-            // park (offload) to join one already on the wire — the
-            // reactor thread itself must never block.
+            // cancel a still-queued job outright, but join one already on
+            // the wire — the connection parks until the speculation
+            // settles, then serves what landed or fetches after all.
             if job.validate_lm.is_none() {
-                if let Some(p) = shared.prefetcher.get() {
-                    match p.claim(shared, &job.path, false) {
-                        prefetch::Claim::Fetch => {}
-                        prefetch::Claim::InFlight => return Ok(self.offload(job)),
-                        prefetch::Claim::Resolved => {
-                            if let Some((body, lm)) = lifecycle::landed_speculation(shared, &job) {
-                                write_hit(out, scratch, &body, lm)?;
-                                return Ok(Served::Inline);
-                            }
-                        }
-                    }
+                if let Some(spec) = shared
+                    .prefetcher
+                    .get()
+                    .and_then(|p| p.claim(shared, &job.path))
+                {
+                    let shared = Arc::clone(shared);
+                    return Ok(Served::Park(Box::new(move |waker| {
+                        spec.on_settle(move || {
+                            waker.wake(Box::new(move |scratch, out| {
+                                match lifecycle::landed_speculation(&shared, &job) {
+                                    Some((body, lm)) => {
+                                        write_hit(out, scratch, &body, lm)?;
+                                        Ok(Served::Inline)
+                                    }
+                                    None => Ok(fetch(&shared, job, scratch, out)),
+                                }
+                            }))
+                        })
+                    })));
                 }
             }
-            // The reactor flushes `out` even while awaiting the upstream,
-            // so a prefix hit's first byte is one pump away.
-            if let Some(head) = lifecycle::probe_prefix(shared, &mut job, out) {
-                out.extend_from_slice(head.as_slice());
-            }
-            let leg = lifecycle::first_leg(shared, &job);
-            Ok(Served::Upstream(upstream_plan(
-                Arc::clone(shared),
-                job,
-                leg,
-                None,
-                scratch,
-            )))
+            Ok(fetch(shared, job, scratch, out))
         }
+    }
+
+    /// The upstream plan that answers `job`. The reactor flushes `out`
+    /// even while awaiting the upstream, so a prefix hit's first byte is
+    /// one pump away.
+    fn fetch(
+        shared: &Arc<ProxyShared>,
+        mut job: UpstreamJob,
+        scratch: &mut ConnScratch,
+        out: &mut Vec<u8>,
+    ) -> Served {
+        if let Some(head) = lifecycle::probe_prefix(shared, &mut job, out) {
+            out.extend_from_slice(head.as_slice());
+        }
+        let leg = lifecycle::first_leg(shared, &job);
+        Served::Upstream(upstream_plan(Arc::clone(shared), job, leg, None, scratch))
     }
 
     /// `leg` as a reactor plan: the reactor dials (or reuses) a
@@ -557,12 +555,11 @@ mod reactor_svc {
                 retry_stats.stats.upstream_retries.fetch_add(1, Relaxed);
             }),
             relay: leg.relay,
+            accept_push: leg.accept_push,
             finish: Box::new(move |scratch, out, outcome| {
                 let resp = match refetch {
-                    Some(refetch) => {
-                        lifecycle::settle_refetch(&shared, &job, refetch, outcome, Vec::new())
-                    }
-                    None => match lifecycle::settle(&shared, &job, outcome, Vec::new()) {
+                    Some(refetch) => lifecycle::settle_refetch(&shared, &job, refetch, outcome),
+                    None => match lifecycle::settle(&shared, &job, outcome) {
                         Settled::Reply(resp) => resp,
                         Settled::Refetch(refetch) => {
                             let leg = lifecycle::refetch_leg(&shared, &job);
@@ -624,9 +621,8 @@ fn handle_connection(stream: TcpStream, shared: &Arc<ProxyShared>) -> io::Result
 const STREAM_SEGMENT: usize = 16 * 1024;
 
 /// The blocking driver: run `job`'s upstream lifecycle on the calling
-/// thread (the connection's own worker in threaded mode, an offload
-/// worker in reactor mode) and write the client's answer to `w`. An
-/// `Err` means the client connection must be dropped.
+/// thread (the connection's own worker) and write the client's answer to
+/// `w`. An `Err` means the client connection must be dropped.
 fn serve_upstream<W: Write>(
     shared: &ProxyShared,
     mut job: UpstreamJob,
@@ -635,14 +631,18 @@ fn serve_upstream<W: Write>(
 ) -> io::Result<()> {
     // A plain miss may be racing a speculative fetch of the same path:
     // cancel it while still queued (the demand fetch wins outright), or
-    // join it once on the wire — park until the speculation lands and
+    // join it once on the wire — wait until the speculation settles and
     // serve its entry, so the origin sees exactly one fetch either way.
+    // The wait is bounded: a blocking speculation's reads have no deadline.
     if job.validate_lm.is_none() {
-        if let Some(p) = shared.prefetcher.get() {
-            if matches!(p.claim(shared, &job.path, true), prefetch::Claim::Resolved) {
-                if let Some((body, lm)) = lifecycle::landed_speculation(shared, &job) {
-                    return write_hit(w, scratch, &body, lm);
-                }
+        if let Some(spec) = shared
+            .prefetcher
+            .get()
+            .and_then(|p| p.claim(shared, &job.path))
+        {
+            spec.wait(Some(prefetch::JOIN_TIMEOUT));
+            if let Some((body, lm)) = lifecycle::landed_speculation(shared, &job) {
+                return write_hit(w, scratch, &body, lm);
             }
         }
     }
@@ -652,19 +652,19 @@ fn serve_upstream<W: Write>(
             write_all_parts(w, &[scratch.out.as_slice(), head.as_slice()]).and_then(|()| w.flush());
         if let Err(e) = sent {
             let gone = UpstreamOutcome::StreamFailed { mismatch: false };
-            lifecycle::settle(shared, &job, gone, Vec::new());
+            lifecycle::settle(shared, &job, gone);
             return Err(e);
         }
     }
     let retries = &shared.stats.upstream_retries;
     let leg = lifecycle::first_leg(shared, &job);
-    let (outcome, pushed) = exchange(shared, &leg, retries, w, scratch);
-    let resp = match lifecycle::settle(shared, &job, outcome, pushed) {
+    let outcome = exchange(shared, &leg, retries, w, scratch);
+    let resp = match lifecycle::settle(shared, &job, outcome) {
         Settled::Reply(resp) => resp,
         Settled::Refetch(refetch) => {
             let leg = lifecycle::refetch_leg(shared, &job);
-            let (outcome, pushed) = exchange(shared, &leg, retries, w, scratch);
-            lifecycle::settle_refetch(shared, &job, refetch, outcome, pushed)
+            let outcome = exchange(shared, &leg, retries, w, scratch);
+            lifecycle::settle_refetch(shared, &job, refetch, outcome)
         }
         Settled::Sent => return Ok(()),
         Settled::Abort => return Err(lifecycle::relay_aborted()),
@@ -673,20 +673,20 @@ fn serve_upstream<W: Write>(
 }
 
 /// One blocking upstream exchange, owning the single retry loop
-/// (PROTOCOL.md §7.1): any failure before the response machine engages
-/// retries once on a fresh connection; a dial failure is terminal; an
-/// engaged relay is never retried. The connection returns to the pool
-/// only after the response — trailers and any pushed responses included —
-/// was read to completion. Returns the outcome plus the full pushed
-/// responses a `--push` origin streamed behind the main one (announced by
-/// its `X-Push-Count`).
+/// (PROTOCOL.md §7.1): a failure while the response machine is still
+/// retryable goes again once on a fresh connection; a dial failure is
+/// terminal; an engaged relay or a whole response is never retried. The
+/// loop is the reactor's: read bytes, feed the machine, flush what it
+/// staged for the client. The connection returns to the pool only when
+/// the machine read the response — trailers and any pushed responses
+/// included — to its end.
 pub(crate) fn exchange<W: Write>(
     shared: &ProxyShared,
     leg: &Leg,
     retries: &AtomicU64,
     w: &mut W,
     scratch: &mut ConnScratch,
-) -> (UpstreamOutcome, Vec<Response>) {
+) -> UpstreamOutcome {
     let pool = &shared.pool;
     for attempt in 0..2 {
         let dial = if attempt == 0 {
@@ -696,73 +696,42 @@ pub(crate) fn exchange<W: Write>(
             pool.connect_fresh()
         };
         let Ok(mut conn) = dial else { break };
-        let head = leg
-            .request
-            .write_with(&mut conn.writer, scratch)
-            .map_err(HttpError::from)
-            .and_then(|()| Response::read_head(&mut conn.reader));
-        let Ok(head) = head else { continue };
+        if leg.request.write_with(&mut conn.writer, scratch).is_err() {
+            continue;
+        }
+        let mut machine = ResponseMachine::new(leg.relay, leg.accept_push);
         // The one reused segment between the machine and the client.
         let seg = &mut scratch.out;
         seg.clear();
-        let Ok(mut machine) = ResponseMachine::new(head, leg.relay, seg) else {
-            continue;
-        };
         let fed = (|| -> Result<(), HttpError> {
-            // An engaging head goes out before any payload is awaited.
-            write_segment(w, seg)?;
+            let mut engaged = false;
             while !machine.is_done() {
                 let input = conn.reader.fill_buf()?;
                 let consumed = machine.feed(input, input.is_empty(), seg)?;
                 conn.reader.consume(consumed);
-                if seg.len() >= STREAM_SEGMENT || machine.is_done() {
+                // An engaging head goes out before more payload is awaited.
+                if seg.len() >= STREAM_SEGMENT || machine.is_done() || machine.engaged() != engaged
+                {
+                    engaged = machine.engaged();
                     write_segment(w, seg)?;
                 }
             }
             Ok(())
         })();
         if fed.is_err() {
-            if !machine.engaged() {
+            if machine.retryable() {
                 continue;
             }
             // Whatever was staged still goes out: the client holds the
             // head plus a strict prefix, then sees the close.
             let _ = write_segment(w, seg);
         }
-        let resp = match machine.into_outcome() {
-            UpstreamOutcome::Response(resp) => resp,
-            relayed => {
-                if matches!(relayed, UpstreamOutcome::Streamed { .. }) {
-                    pool.checkin(conn);
-                }
-                return (relayed, Vec::new());
-            }
-        };
-        // Pushed responses follow the main one on the same stream and
-        // must be drained before the connection is reusable.
-        let announced = if shared.cfg.accept_push {
-            resp.headers
-                .get(PUSH_COUNT_HEADER)
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(0)
-        } else {
-            0
-        };
-        let mut pushed = Vec::new();
-        while pushed.len() < announced {
-            match Response::read(&mut conn.reader, false) {
-                Ok(p) => pushed.push(p),
-                // Mid-push failure: keep what landed — the main exchange
-                // already succeeded.
-                Err(_) => break,
-            }
-        }
-        if pushed.len() == announced {
+        if machine.reusable() {
             pool.checkin(conn);
         }
-        return (UpstreamOutcome::Response(resp), pushed);
+        return machine.into_outcome();
     }
-    (UpstreamOutcome::Failed, Vec::new())
+    UpstreamOutcome::Failed
 }
 
 /// Write the staged client bytes downstream and empty the segment.
@@ -1084,13 +1053,6 @@ fn metrics_response(shared: &ProxyShared) -> Response {
                 &labels,
                 "counter",
                 s.timeouts(),
-            );
-            render_scalar(
-                &mut out,
-                "pb_proxy_reactor_offloads_total",
-                &labels,
-                "counter",
-                s.offloads(),
             );
             render_scalar(
                 &mut out,
@@ -1608,8 +1570,7 @@ mod tests {
         })
         .unwrap();
         warm_origin(&origin);
-        // In reactor mode the push drain runs the blocking driver on the
-        // offload pool.
+        // Both engines read the burst with the one response machine.
         for io in engines() {
             let mut cfg = ProxyConfig::new(origin.addr());
             cfg.io = io;

@@ -17,28 +17,29 @@
 //! - a **slab** of per-connection nonblocking state machines backed by the
 //!   existing [`ConnScratch`] + owned read/write buffers, addressed by
 //!   generation-tagged tokens (index in the low word, generation in the
-//!   high word) so a stale event or late offload completion can never hit
-//!   a recycled slot;
+//!   high word) so a stale event or late wake-up can never hit a recycled
+//!   slot;
 //! - a **timer wheel** (coarse ticks, lazy revalidation) enforcing idle
 //!   and read (slow-loris) timeouts without per-connection timers;
-//! - an **eventfd-backed injection queue** through which offload workers
-//!   hand completed upstream responses back to the owning reactor.
+//! - an **eventfd-backed injection queue** through which other threads
+//!   start detached upstream exchanges (speculative prefetch GETs) and
+//!   wake parked connections ([`Waker`]).
 //!
 //! The upstream leg (a proxy cache miss fetching from the origin) is a
 //! first-class nonblocking state machine on the same epoll loop: the
 //! service returns [`Served::Upstream`] with a serialized request and a
 //! continuation, the reactor parks the client connection, dials the origin
 //! with a nonblocking `connect` (completion reported via `EPOLLOUT`),
-//! drives the write/read exchange edge-triggered — the response head is
-//! parsed once and every byte after it is fed, as read, to the
-//! lifecycle's [`ResponseMachine`], the same one the blocking driver
-//! feeds — and runs the continuation on the reactor thread with the
-//! machine's outcome (or a terminal failure). Upstream connections are
-//! kept alive in a per-shard idle list, so a warm miss path does zero
-//! dials. A bounded offload pool survives ([`Served::Offload`]) for
-//! genuinely blocking work — multi-response drains (`--accept-push`) and
-//! joining an in-flight speculation — serializing the response into a
-//! buffer that is injected back to the reactor.
+//! drives the write/read exchange edge-triggered — every byte read, from
+//! the status line on, is fed to the lifecycle's [`ResponseMachine`], the
+//! same one the blocking driver feeds, pushed responses behind the main
+//! one included — and runs the continuation on the reactor thread with
+//! the machine's outcome (or a terminal failure). Upstream connections
+//! are kept alive in a per-shard idle list, so a warm miss path does zero
+//! dials. Work another thread finishes (a demand miss joined to an
+//! in-flight speculation) parks the connection the same way
+//! ([`Served::Park`]) until its [`Waker`] resumes it on this shard. No
+//! request ever leaves its reactor thread: there is no worker pool.
 //!
 //! Cache hits, errors, and every client-side read/write stay on the
 //! reactor, so a slow client can stall only its own connection —
@@ -51,13 +52,13 @@ pub use crate::lifecycle::UpstreamOutcome;
 use crate::lifecycle::{RelayRule, ResponseMachine};
 use crate::util::{IoStats, OpenGuard, ServerHandle};
 use piggyback_httpwire::parse::MAX_BODY;
-use piggyback_httpwire::{ConnScratch, HttpError, Request, Response};
+use piggyback_httpwire::{ConnScratch, HttpError, Request};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -310,9 +311,6 @@ pub struct ReactorShardStats {
     pub conns: AtomicU64,
     /// Connections closed by the idle/read timer wheel.
     pub timeouts: AtomicU64,
-    /// Requests handed to the offload pool (blocking work only: push
-    /// drains, legacy mode, speculative joins — a plain miss stays at 0).
-    pub offloads: AtomicU64,
     /// Fresh nonblocking TCP dials to the origin from this shard.
     pub upstream_dials: AtomicU64,
     /// Upstream exchanges served by a kept-alive idle connection.
@@ -342,9 +340,6 @@ impl ReactorShardStats {
     }
     pub fn timeouts(&self) -> u64 {
         self.timeouts.load(Ordering::Relaxed)
-    }
-    pub fn offloads(&self) -> u64 {
-        self.offloads.load(Ordering::Relaxed)
     }
     pub fn upstream_dials(&self) -> u64 {
         self.upstream_dials.load(Ordering::Relaxed)
@@ -384,9 +379,6 @@ impl ReactorMetrics {
 /// Sizing and timeout knobs for [`serve_reactor`].
 #[derive(Debug, Clone, Copy)]
 pub struct ReactorOptions {
-    /// Worker threads executing [`Served::Offload`] closures (blocking
-    /// upstream exchanges). At least one is always spawned.
-    pub offload_workers: usize,
     /// Close connections with no client activity for this long; also the
     /// read deadline for an incomplete request (slow-loris guard).
     pub idle_timeout: Duration,
@@ -401,7 +393,6 @@ pub struct ReactorOptions {
 impl Default for ReactorOptions {
     fn default() -> Self {
         ReactorOptions {
-            offload_workers: 16,
             idle_timeout: Duration::from_secs(120),
             upstream_timeout: Duration::from_secs(30),
             upstream_max_idle: 8,
@@ -425,21 +416,55 @@ pub enum Served {
     /// The response was fully serialized into `out` on the reactor thread
     /// (cache hits, metrics, synthesized errors).
     Inline,
-    /// The request needs blocking work (push drains, speculative joins).
-    /// The closure runs on an offload worker, serializes the response
-    /// into the provided buffer, and the bytes are injected back to the
-    /// reactor.
-    Offload(OffloadFn),
     /// The request needs an origin exchange: the reactor parks the client
     /// connection, drives the nonblocking exchange itself, and calls the
-    /// plan's continuation with the outcome. No pool handoff.
+    /// plan's continuation with the outcome.
     Upstream(UpstreamPlan),
+    /// The request waits on work another thread finishes (a demand miss
+    /// joined to an in-flight speculation): the reactor parks the client
+    /// connection and hands the closure its [`Waker`].
+    Park(ParkFn),
 }
 
-pub type OffloadFn = Box<dyn FnOnce(&mut ConnScratch, &mut Vec<u8>) -> io::Result<()> + Send>;
+/// Registers a parked connection's [`Waker`] with whatever will finish
+/// its work; called on the reactor thread right after the park.
+pub type ParkFn = Box<dyn FnOnce(Waker) + Send>;
+/// What a woken connection runs on its own shard: it serializes into the
+/// connection's buffer like [`ReactorService::handle`] and says what
+/// comes next the same way.
+pub type ResumeFn = Box<dyn FnOnce(&mut ConnScratch, &mut Vec<u8>) -> io::Result<Served> + Send>;
 
-/// One nonblocking origin exchange: pre-serialized request bytes out, a
-/// parsed [`Response`] (or failure) into the continuation.
+/// Wakes one parked connection on its own shard: [`wake`](Self::wake)
+/// injects the continuation, and a waker dropped unfired closes the
+/// connection — nothing would ever answer it.
+pub struct Waker {
+    token: u64,
+    inject: Option<Arc<Injector>>,
+}
+
+impl Waker {
+    /// Resume the connection with `then`, run on its reactor thread.
+    pub fn wake(mut self, then: ResumeFn) {
+        let inject = self.inject.take().expect("a waker fires once");
+        let token = self.token;
+        inject.push(Inbound::Resume {
+            token,
+            then: Some(then),
+        });
+    }
+}
+
+impl Drop for Waker {
+    fn drop(&mut self) {
+        if let Some(inject) = self.inject.take() {
+            let token = self.token;
+            inject.push(Inbound::Resume { token, then: None });
+        }
+    }
+}
+
+/// One nonblocking origin exchange: pre-serialized request bytes out, the
+/// response machine's [`UpstreamOutcome`] into the continuation.
 pub struct UpstreamPlan {
     /// Origin to dial (or reuse a kept-alive connection to).
     pub origin: SocketAddr,
@@ -457,6 +482,9 @@ pub struct UpstreamPlan {
     /// Opt-in large-object cut-through: the rule the exchange's
     /// [`ResponseMachine`] decides under. `None` buffers every response.
     pub relay: Option<RelayRule>,
+    /// The request sent `Piggy-push: accept`: the machine reads the
+    /// pushed responses the main one announces.
+    pub accept_push: bool,
 }
 
 /// What the continuation wants next.
@@ -491,7 +519,7 @@ pub trait ReactorService: Send + Sync + 'static {
     /// (append-only; earlier pipelined responses may precede it) and
     /// return [`Served::Inline`]; return [`Served::Upstream`] to drive a
     /// nonblocking origin exchange on the reactor; or return
-    /// [`Served::Offload`] to run blocking work off-reactor. Errors close
+    /// [`Served::Park`] to wait for another thread's wake-up. Errors close
     /// the connection.
     fn handle(
         &self,
@@ -504,19 +532,11 @@ pub trait ReactorService: Send + Sync + 'static {
 }
 
 // ---------------------------------------------------------------------------
-// offload pool + completion injection
-
-struct Completion {
-    token: u64,
-    bytes: Vec<u8>,
-    ok: bool,
-}
+// injection
 
 /// Work injected into a reactor from another thread (or deferred by the
 /// reactor itself to break re-entrancy).
 enum Inbound {
-    /// An offload worker finished serializing a response.
-    Completion(Completion),
     /// Start an upstream exchange. `client` is the parked client token;
     /// None for detached prefetch plans, whose continuation settles the
     /// speculation ledger. Routed through the queue (even shard-locally)
@@ -530,6 +550,9 @@ enum Inbound {
     /// dial failure); finish it at top level instead of recursing into
     /// `pump` from inside `pump`.
     Failed(Exchange),
+    /// A parked connection's [`Waker`] fired: run `then` for it, or close
+    /// it when the waker was dropped unfired.
+    Resume { token: u64, then: Option<ResumeFn> },
 }
 
 /// Cross-thread injection queue into one reactor, woken via eventfd.
@@ -577,110 +600,11 @@ impl ReactorSubmitter {
     }
 }
 
-struct OffloadJob {
-    shard: usize,
-    token: u64,
-    f: OffloadFn,
-}
-
-struct PoolInner {
-    queue: Mutex<PoolQueue>,
-    ready: Condvar,
-}
-
-struct PoolQueue {
-    jobs: VecDeque<OffloadJob>,
-    shutdown: bool,
-}
-
-impl PoolInner {
-    fn submit(&self, job: OffloadJob) {
-        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        if q.shutdown {
-            return;
-        }
-        q.jobs.push_back(job);
-        drop(q);
-        self.ready.notify_one();
-    }
-
-    fn pop(&self) -> Option<OffloadJob> {
-        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(j) = q.jobs.pop_front() {
-                return Some(j);
-            }
-            if q.shutdown {
-                return None;
-            }
-            q = self.ready.wait(q).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn shutdown(&self) {
-        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        q.shutdown = true;
-        q.jobs.clear();
-        drop(q);
-        self.ready.notify_all();
-    }
-}
-
-fn start_pool(
-    name: &str,
-    workers: usize,
-    injectors: Vec<Arc<Injector>>,
-) -> io::Result<Arc<PoolInner>> {
-    let pool = Arc::new(PoolInner {
-        queue: Mutex::new(PoolQueue {
-            jobs: VecDeque::new(),
-            shutdown: false,
-        }),
-        ready: Condvar::new(),
-    });
-    for i in 0..workers.max(1) {
-        let pool = Arc::clone(&pool);
-        let injectors = injectors.clone();
-        // Detached like the threaded-mode workers: a worker pinned by a
-        // hung upstream must not block shutdown.
-        std::thread::Builder::new()
-            .name(format!("{name}-offload-{i}"))
-            .spawn(move || {
-                let mut scratch = ConnScratch::new();
-                while let Some(job) = pool.pop() {
-                    let mut out = Vec::new();
-                    // Workers are detached and never respawned, so a
-                    // panicking handler must neither kill the thread nor
-                    // strand its connection in `Awaiting`: catch it and
-                    // inject a failed completion (which closes the
-                    // connection), discarding the possibly-inconsistent
-                    // scratch.
-                    let ok = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        (job.f)(&mut scratch, &mut out).is_ok()
-                    })) {
-                        Ok(ok) => ok,
-                        Err(_) => {
-                            scratch = ConnScratch::new();
-                            false
-                        }
-                    };
-                    injectors[job.shard].push(Inbound::Completion(Completion {
-                        token: job.token,
-                        bytes: out,
-                        ok,
-                    }));
-                }
-            })?;
-    }
-    Ok(pool)
-}
-
 /// Stop-side handle held inside [`ServerHandle`].
 pub(crate) struct ReactorHandle {
     stop: Arc<AtomicBool>,
     injectors: Vec<Arc<Injector>>,
     joins: Vec<JoinHandle<()>>,
-    pool: Arc<PoolInner>,
 }
 
 impl ReactorHandle {
@@ -700,7 +624,6 @@ impl ReactorHandle {
         for j in self.joins.drain(..) {
             let _ = j.join();
         }
-        self.pool.shutdown();
     }
 }
 
@@ -709,14 +632,12 @@ impl ReactorHandle {
 
 /// Where a connection sits in its request lifecycle. Reading and header/
 /// body assembly are implicit in `Ready` (the parser resumes from the
-/// buffered prefix on every readable edge); `Awaiting` parks the
-/// connection while an offload worker produces the response;
-/// `AwaitingUpstream` parks it while the reactor itself drives a
-/// nonblocking origin exchange; `Closing` drains pending output and then
+/// buffered prefix on every readable edge); `AwaitingUpstream` parks it
+/// until its answer is staged — by an upstream exchange's continuation
+/// or a [`Waker`]'s resume; `Closing` drains pending output and then
 /// closes.
 enum ConnState {
     Ready,
-    Awaiting { keep: bool },
     AwaitingUpstream { keep: bool },
     Closing,
 }
@@ -870,32 +791,6 @@ impl Wheel {
 // ---------------------------------------------------------------------------
 // incremental request parsing
 
-/// `BufRead` over the unconsumed prefix of a connection's read buffer,
-/// tracking how many bytes a successful parse consumed.
-struct SliceReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Read for SliceReader<'_> {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        let n = out.len().min(self.buf.len() - self.pos);
-        out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-impl io::BufRead for SliceReader<'_> {
-    fn fill_buf(&mut self) -> io::Result<&[u8]> {
-        Ok(&self.buf[self.pos..])
-    }
-
-    fn consume(&mut self, amt: usize) {
-        self.pos += amt;
-    }
-}
-
 enum Parse {
     /// A full request was parsed, consuming this many bytes.
     Complete(usize),
@@ -905,48 +800,20 @@ enum Parse {
     Malformed,
 }
 
-/// Attempt to parse one request from `buf`. The wire parser signals
-/// "ran out of bytes" as `ConnectionClosed` (EOF on the slice), which for
-/// a live socket means *incomplete* — every other error is terminal.
+/// Attempt to parse one request from `buf`, read as a `BufRead` slice
+/// whose remaining length shows what the parse consumed. The wire parser
+/// signals "ran out of bytes" as `ConnectionClosed` (EOF on the slice),
+/// which for a live socket means *incomplete* — every other error is
+/// terminal.
 fn try_parse(req: &mut Request, buf: &[u8], scratch: &mut ConnScratch) -> Parse {
     if buf.is_empty() {
         return Parse::Incomplete;
     }
-    let mut r = SliceReader { buf, pos: 0 };
-    match req.read_into(&mut r, scratch) {
-        Ok(()) => Parse::Complete(r.pos),
+    let mut rest = buf;
+    match req.read_into(&mut rest, scratch) {
+        Ok(()) => Parse::Complete(buf.len() - rest.len()),
         Err(HttpError::ConnectionClosed) => Parse::Incomplete,
         Err(_) => Parse::Malformed,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// incremental response parsing (nonblocking upstream leg)
-
-/// Head-only parse outcome: the one parse an upstream response gets.
-enum ParseHead {
-    Incomplete,
-    Malformed,
-    /// Parsed head plus the byte count it consumed from the buffer.
-    Complete(Box<Response>, usize),
-}
-
-/// Attempt to parse the response head (status line + headers) from `buf`;
-/// retried only until the blank line arrives. `eof` means the origin
-/// half-closed, so "ran out of bytes" is truncation, not "wait for more".
-fn try_parse_response_head(buf: &[u8], eof: bool) -> ParseHead {
-    if buf.is_empty() {
-        return if eof {
-            ParseHead::Malformed
-        } else {
-            ParseHead::Incomplete
-        };
-    }
-    let mut r = SliceReader { buf, pos: 0 };
-    match Response::read_head(&mut r) {
-        Ok(resp) => ParseHead::Complete(Box::new(resp), r.pos),
-        Err(HttpError::ConnectionClosed) if !eof => ParseHead::Incomplete,
-        Err(_) => ParseHead::Malformed,
     }
 }
 
@@ -976,17 +843,17 @@ struct Exchange {
     wpos: usize,
     /// Per-attempt deadline base for the upstream timeout wheel.
     started: Instant,
-    /// The response in flight, from its parsed head on. Boxed: an idle
-    /// exchange slot stays small.
-    machine: Option<Box<ResponseMachine>>,
+    /// Reads this attempt's response. Boxed: an idle exchange slot stays
+    /// small.
+    machine: Box<ResponseMachine>,
 }
 
 /// A nonblocking origin connection owned by one reactor shard.
 struct UpConn {
     stream: TcpStream,
     phase: UpPhase,
-    /// Response bytes read and not yet fed: a partial head, then at most
-    /// one read's worth — never the body.
+    /// Response bytes read and not yet fed: at most one read's worth —
+    /// never the body.
     rbuf: Vec<u8>,
     read_eof: bool,
     last_active: Instant,
@@ -1001,7 +868,6 @@ struct Reactor<S: ReactorService> {
     ep: EpollFd,
     listener: TcpListener,
     inject: Arc<Injector>,
-    pool: Arc<PoolInner>,
     svc: Arc<S>,
     /// Shard-affine service state (the proxy's lock-free L1 cache).
     ctx: S::Ctx,
@@ -1198,15 +1064,13 @@ impl<S: ReactorService> Reactor<S> {
                     let read_stalled = conn
                         .req_start
                         .is_some_and(|t| t.elapsed() >= self.idle_timeout);
-                    // A connection parked on an upstream fetch gets the
-                    // same deadline: if no completion arrives within the
-                    // idle window the offload is presumed lost (job
-                    // dropped at pool shutdown, worker gone) and the
-                    // connection is closed rather than rescheduled
-                    // forever. A late completion for a closed slot is
-                    // discarded by the slab generation check. (A parked
-                    // nonblocking exchange has its own, tighter wheel
-                    // entry via the upstream token.)
+                    // A parked connection gets the same deadline: if
+                    // nothing answers it within the idle window it is
+                    // closed rather than rescheduled forever. A late
+                    // wake-up for a closed slot finds no connection (the
+                    // slab generation check). (A parked nonblocking
+                    // exchange has its own, tighter wheel entry via the
+                    // upstream token.)
                     if idle >= self.idle_timeout || read_stalled {
                         None
                     } else {
@@ -1347,8 +1211,7 @@ impl<S: ReactorService> Reactor<S> {
     /// events — it is idempotent on a quiescent connection.
     fn pump(&mut self, token: u64) {
         loop {
-            let mut submit = None;
-            let mut upstream = None;
+            let mut parked = None;
             let mut progressed = false;
             let pre_flush_pending;
             {
@@ -1356,10 +1219,7 @@ impl<S: ReactorService> Reactor<S> {
                     Some(c) => c,
                     None => return,
                 };
-                while matches!(conn.state, ConnState::Ready)
-                    && conn.pending_out() < OUT_HIGH_WATER
-                    && submit.is_none()
-                    && upstream.is_none()
+                while matches!(conn.state, ConnState::Ready) && conn.pending_out() < OUT_HIGH_WATER
                 {
                     match try_parse(&mut conn.req, &conn.rbuf[conn.rpos..], &mut conn.scratch) {
                         Parse::Incomplete => break,
@@ -1388,17 +1248,9 @@ impl<S: ReactorService> Reactor<S> {
                                         conn.state = ConnState::Closing;
                                     }
                                 }
-                                Ok(Served::Offload(f)) => {
-                                    conn.state = ConnState::Awaiting { keep };
-                                    submit = Some(OffloadJob {
-                                        shard: self.shard,
-                                        token,
-                                        f,
-                                    });
-                                }
-                                Ok(Served::Upstream(plan)) => {
+                                Ok(served) => {
                                     conn.state = ConnState::AwaitingUpstream { keep };
-                                    upstream = Some(plan);
+                                    parked = Some(served);
                                 }
                                 Err(_) => {
                                     conn.state = ConnState::Closing;
@@ -1422,18 +1274,8 @@ impl<S: ReactorService> Reactor<S> {
                 conn.last_active = Instant::now();
                 pre_flush_pending = conn.pending_out();
             }
-            if let Some(job) = submit {
-                self.shard_stats().offloads.fetch_add(1, Ordering::Relaxed);
-                self.pool.submit(job);
-            }
-            if let Some(plan) = upstream {
-                // Deferred through the shard-local queue: the exchange
-                // starts (and may instantly fail) at top level, never
-                // re-entering this pump.
-                self.inject.push(Inbound::Start {
-                    plan,
-                    client: Some(token),
-                });
+            if let Some(served) = parked {
+                self.park(token, served);
             }
             if self.flush_conn(token) {
                 return;
@@ -1515,50 +1357,74 @@ impl<S: ReactorService> Reactor<S> {
         should_close
     }
 
+    /// Hand a parked connection's pending work to whatever answers it:
+    /// an upstream plan starts at top level — deferred through the
+    /// shard-local queue, so it never re-enters the `pump` that produced
+    /// it — and a park closure gets the connection's [`Waker`].
+    fn park(&mut self, token: u64, served: Served) {
+        match served {
+            Served::Inline => {}
+            Served::Upstream(plan) => self.inject.push(Inbound::Start {
+                plan,
+                client: Some(token),
+            }),
+            Served::Park(register) => register(Waker {
+                token,
+                inject: Some(Arc::clone(&self.inject)),
+            }),
+        }
+    }
+
     fn drain_completions(&mut self) {
         let mut comps = std::mem::take(&mut self.comp_buf);
         self.inject.drain_into(&mut comps);
         for inbound in comps.drain(..) {
-            let c = match inbound {
-                Inbound::Completion(c) => c,
-                Inbound::Start { plan, client } => {
-                    self.start_upstream(plan, client, 0);
-                    continue;
-                }
-                Inbound::Failed(ex) => {
-                    self.finish_exchange(ex, UpstreamOutcome::Failed);
-                    continue;
-                }
-            };
-            let token = c.token;
-            let alive = match self.slab.get_mut(token) {
-                // Connection died while the fetch was in flight (or the
-                // slot was reused — the generation tag catches that).
-                None => continue,
-                Some(conn) => {
-                    if c.ok {
-                        conn.out.extend_from_slice(&c.bytes);
-                        if let ConnState::Awaiting { keep } = conn.state {
-                            conn.state = if keep {
-                                ConnState::Ready
-                            } else {
-                                ConnState::Closing
-                            };
-                        }
-                        conn.last_active = Instant::now();
-                        true
-                    } else {
-                        false
-                    }
-                }
-            };
-            if alive {
-                self.pump(token);
-            } else {
-                self.close_conn(token);
+            match inbound {
+                Inbound::Start { plan, client } => self.start_upstream(plan, client, 0),
+                Inbound::Failed(ex) => self.finish_exchange(ex),
+                Inbound::Resume { token, then } => self.resume(token, then),
             }
         }
         self.comp_buf = comps;
+    }
+
+    /// Run a woken connection's continuation on this shard — into the
+    /// spare buffers if the client died meanwhile, since the request was
+    /// counted at plan time and its outcome still must be. An unfired
+    /// waker closes the connection.
+    fn resume(&mut self, token: u64, then: Option<ResumeFn>) {
+        let Some(then) = then else {
+            self.close_conn(token);
+            return;
+        };
+        let served = match self.slab.get_mut(token) {
+            Some(conn) => then(&mut conn.scratch, &mut conn.out),
+            None => {
+                self.spare_out.clear();
+                then(&mut self.spare_scratch, &mut self.spare_out)
+            }
+        };
+        match served {
+            Ok(Served::Inline) => self.unpark(token, true),
+            Ok(served) => self.park(token, served),
+            Err(_) => self.unpark(token, false),
+        }
+    }
+
+    /// A parked connection's answer is staged (`ok`), or it can only be
+    /// truncated: back to reading requests — or to closing once drained —
+    /// and pump.
+    fn unpark(&mut self, token: u64, ok: bool) {
+        if let Some(conn) = self.slab.get_mut(token) {
+            let keep = matches!(conn.state, ConnState::AwaitingUpstream { keep: true });
+            conn.state = if ok && keep {
+                ConnState::Ready
+            } else {
+                ConnState::Closing
+            };
+            conn.last_active = Instant::now();
+            self.pump(token);
+        }
     }
 
     fn close_conn(&mut self, token: u64) {
@@ -1582,12 +1448,12 @@ impl<S: ReactorService> Reactor<S> {
     /// one-shot retry on a fresh connection.
     fn start_upstream(&mut self, plan: UpstreamPlan, client: Option<u64>, attempt: u8) {
         let ex = Exchange {
+            machine: Box::new(ResponseMachine::new(plan.relay, plan.accept_push)),
             plan,
             client,
             attempt,
             wpos: 0,
             started: Instant::now(),
-            machine: None,
         };
         if attempt == 0 {
             self.shard_stats()
@@ -1735,12 +1601,12 @@ impl<S: ReactorService> Reactor<S> {
         }
     }
 
-    /// Write request bytes, then read response bytes and feed them until
-    /// EAGAIN: the head is parsed once, a [`ResponseMachine`] is built
-    /// from it, and every read after that is fed and forgotten. An
-    /// engaged machine writes straight into the parked client's output
-    /// buffer; origin reads pause while that client sits above the
-    /// high-water mark. Terminal conditions route to settle/retry.
+    /// Write request bytes, then read response bytes and feed them to the
+    /// exchange's [`ResponseMachine`] until EAGAIN: every read is fed and
+    /// forgotten. An engaged machine writes straight into the parked
+    /// client's output buffer; origin reads pause while that client sits
+    /// above the high-water mark. Terminal conditions route to
+    /// settle/retry.
     fn drive_upstream(&mut self, utoken: u64) {
         enum Out {
             Wait,
@@ -1798,57 +1664,43 @@ impl<S: ReactorService> Reactor<S> {
                         Some(conn) => &mut conn.out,
                         None => &mut *spare_out,
                     };
-                    if ex.machine.is_none() {
-                        match try_parse_response_head(&up.rbuf, up.read_eof) {
-                            ParseHead::Incomplete => {}
-                            ParseHead::Malformed => verdict = Out::Error,
-                            ParseHead::Complete(head, consumed) => {
-                                up.rbuf.drain(..consumed);
-                                match ResponseMachine::new(*head, ex.plan.relay, sink) {
-                                    Ok(machine) => ex.machine = Some(Box::new(machine)),
-                                    Err(_) => verdict = Out::Error,
-                                }
-                            }
-                        }
-                    }
-                    if let Some(machine) = ex.machine.as_mut() {
-                        let fed = machine.feed(&up.rbuf, up.read_eof, sink);
-                        let mut paused = false;
-                        if machine.engaged() {
-                            let Some(conn) = client.as_mut() else {
-                                verdict = Out::ClientGone;
-                                break;
-                            };
-                            if conn.relay_up.is_none() {
-                                conn.relay_up = Some(utoken);
-                                stats.relays.fetch_add(1, Ordering::Relaxed);
-                            }
-                            flush_client = ex.client;
-                            paused = conn.pending_out() >= OUT_HIGH_WATER;
-                        }
-                        let Ok(consumed) = fed else {
-                            verdict = Out::Error;
+                    let machine = &mut ex.machine;
+                    let fed = machine.feed(&up.rbuf, up.read_eof, sink);
+                    let mut paused = false;
+                    if machine.engaged() {
+                        let Some(conn) = client.as_mut() else {
+                            verdict = Out::ClientGone;
                             break;
                         };
-                        up.rbuf.drain(..consumed);
-                        if machine.is_done() {
-                            // Leftover bytes after a complete response
-                            // poison the framing; such a connection must
-                            // not be parked (same contract as the pool's
-                            // dirty checkin refusal).
-                            verdict = Out::Done {
-                                dirty: !up.rbuf.is_empty() || up.read_eof,
-                            };
-                            break;
+                        if conn.relay_up.is_none() {
+                            conn.relay_up = Some(utoken);
+                            stats.relays.fetch_add(1, Ordering::Relaxed);
                         }
-                        if paused {
-                            // Slow reader: stop pulling from the origin
-                            // until the client drains (the flush path
-                            // re-drives this exchange).
-                            stats.relay_paused.fetch_add(1, Ordering::Relaxed);
-                            backpressured = true;
-                            break;
-                        }
+                        flush_client = ex.client;
+                        paused = conn.pending_out() >= OUT_HIGH_WATER;
+                    }
+                    let Ok(consumed) = fed else {
+                        verdict = Out::Error;
+                        break;
+                    };
+                    up.rbuf.drain(..consumed);
+                    if machine.is_done() {
+                        // Leftover bytes after a complete response poison
+                        // the framing; such a connection must not be
+                        // parked (same contract as the pool's dirty
+                        // checkin refusal).
+                        verdict = Out::Done {
+                            dirty: !machine.reusable() || !up.rbuf.is_empty() || up.read_eof,
+                        };
+                        break;
+                    }
+                    if paused {
+                        // Slow reader: stop pulling from the origin until
+                        // the client drains (the flush path re-drives this
+                        // exchange).
+                        stats.relay_paused.fetch_add(1, Ordering::Relaxed);
+                        backpressured = true;
+                        break;
                     }
                     if up.read_eof {
                         // Every EOF ends the response or fails it above;
@@ -1921,15 +1773,16 @@ impl<S: ReactorService> Reactor<S> {
 
     /// Mid-exchange failure (I/O error, EOF, malformed response, timeout):
     /// retry once on a fresh connection, then fail terminally. The dead
-    /// connection is always closed. An engaged machine is never retried —
-    /// bytes already reached the client, and a second attempt would
-    /// splice a second body into the stream.
+    /// connection is always closed. A machine that is no longer
+    /// retryable never goes again — bytes already reached the client (a
+    /// second attempt would splice a second body into the stream), or the
+    /// response is whole and only its push burst was cut short.
     fn upstream_exchange_error(&mut self, utoken: u64) {
         let retryable = self
             .upstreams
             .get_mut(utoken & !UPSTREAM_BIT)
             .and_then(|up| up.ex.as_ref())
-            .is_some_and(|ex| ex.attempt == 0 && !ex.machine.as_ref().is_some_and(|m| m.engaged()));
+            .is_some_and(|ex| ex.attempt == 0 && ex.machine.retryable());
         if !retryable {
             self.settle_upstream(utoken, false);
             return;
@@ -1947,23 +1800,14 @@ impl<S: ReactorService> Reactor<S> {
 
     /// The exchange is over — its response ended, or it was given up
     /// (dial failure, second failed attempt, aborted relay): park the
-    /// origin connection if it is `reusable` and the response was whole,
-    /// close it otherwise, then run the continuation with the machine's
-    /// outcome.
+    /// origin connection if it is `reusable`, close it otherwise, then run
+    /// the continuation with the machine's outcome.
     fn settle_upstream(&mut self, utoken: u64, reusable: bool) {
-        let mut ex = self
+        let ex = self
             .upstreams
             .get_mut(utoken & !UPSTREAM_BIT)
             .and_then(|up| up.ex.take());
-        let outcome = match ex.as_mut().and_then(|ex| ex.machine.take()) {
-            Some(machine) => machine.into_outcome(),
-            None => UpstreamOutcome::Failed,
-        };
-        let whole = matches!(
-            outcome,
-            UpstreamOutcome::Response(_) | UpstreamOutcome::Streamed { .. }
-        );
-        if !(reusable && whole) || self.idle_ups.len() >= self.upstream_max_idle {
+        if !reusable || self.idle_ups.len() >= self.upstream_max_idle {
             self.close_upstream(utoken);
         } else if let Some(up) = self.upstreams.get_mut(utoken & !UPSTREAM_BIT) {
             up.phase = UpPhase::Idle;
@@ -1975,22 +1819,21 @@ impl<S: ReactorService> Reactor<S> {
         if let Some(conn) = ex.client.and_then(|t| self.slab.get_mut(t)) {
             conn.relay_up = None;
         }
-        self.finish_exchange(ex, outcome);
+        self.finish_exchange(ex);
     }
 
-    /// Run the continuation with the outcome, writing into the parked
-    /// client's buffers (or the spare set if the client died — the
+    /// Run the continuation with the machine's outcome, writing into the
+    /// parked client's buffers (or the spare set if the client died — the
     /// continuation's counter updates must happen regardless), then unpark
     /// and pump the client or chain the follow-up exchange.
-    fn finish_exchange(&mut self, ex: Exchange, outcome: UpstreamOutcome) {
+    fn finish_exchange(&mut self, ex: Exchange) {
         let Exchange {
             plan,
             client,
-            attempt: _,
-            wpos: _,
-            started: _,
-            machine: _,
+            machine,
+            ..
         } = ex;
+        let outcome = machine.into_outcome();
         let client = client.filter(|t| self.slab.get_mut(*t).is_some());
         let next = match client {
             Some(token) => {
@@ -2012,36 +1855,15 @@ impl<S: ReactorService> Reactor<S> {
                     .fetch_sub(1, Ordering::Relaxed);
                 self.start_upstream(plan2, client, 0);
             }
-            Ok(UpstreamNext::Done) => {
+            // An `Err` can only end in a truncation: drain what is staged
+            // — the client head and a strict prefix of the body — then
+            // close.
+            done => {
                 self.shard_stats()
                     .upstream_inflight
                     .fetch_sub(1, Ordering::Relaxed);
                 if let Some(token) = client {
-                    if let Some(conn) = self.slab.get_mut(token) {
-                        if let ConnState::AwaitingUpstream { keep } = conn.state {
-                            conn.state = if keep {
-                                ConnState::Ready
-                            } else {
-                                ConnState::Closing
-                            };
-                        }
-                        conn.last_active = Instant::now();
-                    }
-                    self.pump(token);
-                }
-            }
-            Err(_) => {
-                // The exchange can only end in a truncation: drain what
-                // is staged — the client head and a strict prefix of the
-                // body — then close.
-                self.shard_stats()
-                    .upstream_inflight
-                    .fetch_sub(1, Ordering::Relaxed);
-                if let Some(token) = client {
-                    if let Some(conn) = self.slab.get_mut(token) {
-                        conn.state = ConnState::Closing;
-                    }
-                    self.pump(token);
+                    self.unpark(token, done.is_ok());
                 }
             }
         }
@@ -2143,7 +1965,6 @@ pub fn serve_reactor<S: ReactorService>(
     let injectors = (0..shards)
         .map(|_| Injector::new())
         .collect::<io::Result<Vec<_>>>()?;
-    let pool = start_pool(name, opts.offload_workers, injectors.clone())?;
     let mut joins = Vec::new();
     for (shard, listener) in listeners.into_iter().enumerate() {
         let spawned = EpollFd::new().and_then(|ep| {
@@ -2152,7 +1973,6 @@ pub fn serve_reactor<S: ReactorService>(
                 ep,
                 listener,
                 inject: Arc::clone(&injectors[shard]),
-                pool: Arc::clone(&pool),
                 ctx: svc.make_ctx(shard),
                 svc: Arc::clone(&svc),
                 slab: Slab::new(),
@@ -2187,7 +2007,6 @@ pub fn serve_reactor<S: ReactorService>(
                     stop,
                     injectors,
                     joins,
-                    pool,
                 }
                 .stop();
                 return Err(e);
@@ -2201,7 +2020,6 @@ pub fn serve_reactor<S: ReactorService>(
             stop,
             injectors,
             joins,
-            pool,
         },
     ))
 }
@@ -2354,7 +2172,6 @@ mod tests {
             0,
             "echo-reactor",
             ReactorOptions {
-                offload_workers: 1,
                 idle_timeout: Duration::from_secs(30),
                 ..ReactorOptions::default()
             },
@@ -2390,7 +2207,6 @@ mod tests {
             0,
             "idle-reactor",
             ReactorOptions {
-                offload_workers: 1,
                 idle_timeout: Duration::from_millis(200),
                 ..ReactorOptions::default()
             },
@@ -2423,7 +2239,6 @@ mod tests {
             0,
             "bad-reactor",
             ReactorOptions {
-                offload_workers: 1,
                 idle_timeout: Duration::from_secs(30),
                 ..ReactorOptions::default()
             },
@@ -2481,7 +2296,6 @@ mod tests {
             0,
             "burst-reactor",
             ReactorOptions {
-                offload_workers: 1,
                 idle_timeout: Duration::from_secs(30),
                 ..ReactorOptions::default()
             },
@@ -2515,10 +2329,22 @@ mod tests {
         handle.stop();
     }
 
-    /// Offload service: every request's response is produced off-reactor.
-    struct Deferred;
+    fn write_echo(out: &mut Vec<u8>, path: &str) {
+        write!(
+            out,
+            "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{}",
+            path.len(),
+            path
+        )
+        .unwrap();
+    }
 
-    impl ReactorService for Deferred {
+    /// Parking service: `/park…` is answered from another thread through
+    /// the connection's waker, `/drop…` drops its waker unfired, anything
+    /// else is answered inline.
+    struct Parked;
+
+    impl ReactorService for Parked {
         type Ctx = ();
 
         fn make_ctx(&self, _shard: usize) {}
@@ -2529,34 +2355,42 @@ mod tests {
             _peer: SocketAddr,
             _ctx: &mut (),
             _scratch: &mut ConnScratch,
-            _out: &mut Vec<u8>,
+            out: &mut Vec<u8>,
         ) -> io::Result<Served> {
             let path = req.target.clone();
-            Ok(Served::Offload(Box::new(move |_scratch, out| {
-                std::thread::sleep(Duration::from_millis(5));
-                write!(
-                    out,
-                    "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{}",
-                    path.len(),
-                    path
-                )
+            if path.starts_with("/drop") {
+                return Ok(Served::Park(Box::new(drop)));
+            }
+            if !path.starts_with("/park") {
+                write_echo(out, &path);
+                return Ok(Served::Inline);
+            }
+            Ok(Served::Park(Box::new(move |waker| {
+                std::thread::spawn(move || {
+                    std::thread::sleep(Duration::from_millis(5));
+                    waker.wake(Box::new(move |_scratch, out| {
+                        write_echo(out, &path);
+                        Ok(Served::Inline)
+                    }));
+                });
             })))
         }
     }
 
+    /// A connection woken from another thread gets its own answer, in
+    /// order behind and ahead of the pipelined requests around it.
     #[test]
-    fn offload_completions_return_to_the_right_connection() {
+    fn resumed_answers_reach_the_right_connection_behind_pipelined_requests() {
         let handle = serve_reactor(
             0,
-            "defer-reactor",
+            "park-reactor",
             ReactorOptions {
-                offload_workers: 4,
                 idle_timeout: Duration::from_secs(30),
                 ..ReactorOptions::default()
             },
             Arc::new(IoStats::default()),
             Arc::new(ReactorMetrics::new(2)),
-            Arc::new(Deferred),
+            Arc::new(Parked),
         )
         .unwrap();
         let addr = handle.addr;
@@ -2566,84 +2400,62 @@ mod tests {
                     let mut c = TcpStream::connect(addr).unwrap();
                     c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
                     for round in 0..3 {
-                        let path = format!("/client{i}/round{round}");
-                        c.write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes())
-                            .unwrap();
-                        let got = read_response(&mut c, &path);
-                        assert!(got.ends_with(path.as_str()), "cross-wired response");
+                        let paths = [
+                            format!("/park/{i}/{round}"),
+                            format!("/inline/{i}/{round}"),
+                            format!("/park/{i}/{round}/last"),
+                        ];
+                        let burst: String = paths
+                            .iter()
+                            .map(|p| format!("GET {p} HTTP/1.1\r\n\r\n"))
+                            .collect();
+                        c.write_all(burst.as_bytes()).unwrap();
+                        for path in &paths {
+                            let got = read_response(&mut c, path);
+                            assert!(got.ends_with(path.as_str()), "cross-wired: {got}");
+                        }
                     }
                 })
             })
             .collect();
         for c in clients {
-            c.join().expect("offload client");
+            c.join().expect("parked client");
         }
         handle.stop();
     }
 
-    /// Offload service that panics for `/panic` and answers normally
-    /// otherwise.
-    struct Panicky;
-
-    impl ReactorService for Panicky {
-        type Ctx = ();
-
-        fn make_ctx(&self, _shard: usize) {}
-
-        fn handle(
-            &self,
-            req: &Request,
-            _peer: SocketAddr,
-            _ctx: &mut (),
-            _scratch: &mut ConnScratch,
-            _out: &mut Vec<u8>,
-        ) -> io::Result<Served> {
-            let path = req.target.clone();
-            Ok(Served::Offload(Box::new(move |_scratch, out| {
-                if path == "/panic" {
-                    panic!("offload handler panic (expected by test)");
-                }
-                write!(
-                    out,
-                    "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{}",
-                    path.len(),
-                    path
-                )
-            })))
-        }
-    }
-
-    /// A panicking offload must close its connection (failed completion)
-    /// without killing the worker thread — with a single worker, the
-    /// follow-up request only succeeds if that worker survived.
+    /// A waker dropped without firing closes its connection at once —
+    /// after what was already owed — instead of leaving it parked until
+    /// the idle timeout; the shard keeps serving.
     #[test]
-    fn offload_panic_closes_connection_and_worker_survives() {
+    fn dropped_waker_closes_its_connection() {
         let handle = serve_reactor(
             0,
-            "panic-reactor",
+            "drop-reactor",
             ReactorOptions {
-                offload_workers: 1,
                 idle_timeout: Duration::from_secs(30),
                 ..ReactorOptions::default()
             },
             Arc::new(IoStats::default()),
             Arc::new(ReactorMetrics::new(1)),
-            Arc::new(Panicky),
+            Arc::new(Parked),
         )
         .unwrap();
         let mut bad = TcpStream::connect(handle.addr).unwrap();
-        bad.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        bad.write_all(b"GET /panic HTTP/1.1\r\n\r\n").unwrap();
+        bad.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        bad.write_all(b"GET /inline HTTP/1.1\r\n\r\nGET /drop HTTP/1.1\r\n\r\n")
+            .unwrap();
+        assert!(read_response(&mut bad, "/inline").ends_with("/inline"));
         let mut buf = [0u8; 16];
         match bad.read(&mut buf) {
             Ok(0) => {}
-            other => panic!("expected close after offload panic, got {other:?}"),
+            other => panic!("expected close after a dropped waker, got {other:?}"),
         }
         let mut good = TcpStream::connect(handle.addr).unwrap();
         good.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        good.write_all(b"GET /ok HTTP/1.1\r\n\r\n").unwrap();
-        assert!(read_response(&mut good, "/ok").ends_with("/ok"));
+        good.write_all(b"GET /park/ok HTTP/1.1\r\n\r\n").unwrap();
+        assert!(read_response(&mut good, "/park/ok").ends_with("/park/ok"));
         handle.stop();
     }
 
@@ -2672,7 +2484,7 @@ mod tests {
                 request,
                 finish: Box::new(|_scratch, out, outcome| {
                     match outcome {
-                        UpstreamOutcome::Response(resp) => {
+                        UpstreamOutcome::Response(resp, _) => {
                             write!(
                                 out,
                                 "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n",
@@ -2690,6 +2502,7 @@ mod tests {
                 }),
                 retry: Box::new(|| {}),
                 relay: None,
+                accept_push: false,
             }))
         }
     }
@@ -2700,7 +2513,7 @@ mod tests {
             let mut r = std::io::BufReader::new(stream.try_clone().unwrap());
             let mut w = std::io::BufWriter::new(stream);
             while let Ok(req) = Request::read(&mut r) {
-                let mut resp = Response::new(200);
+                let mut resp = piggyback_httpwire::Response::new(200);
                 resp.body = req.target.clone().into_bytes().into();
                 if resp.write(&mut w).is_err() {
                     break;
@@ -2710,9 +2523,9 @@ mod tests {
         .unwrap()
     }
 
-    /// The nonblocking upstream leg serves misses on the reactor (zero
-    /// offloads) and keeps the origin connection alive across exchanges
-    /// (second request reuses, no second dial).
+    /// The nonblocking upstream leg serves misses on the reactor and keeps
+    /// the origin connection alive across exchanges (second request
+    /// reuses, no second dial).
     #[test]
     fn nonblocking_upstream_roundtrip_reuses_connections() {
         let origin = spawn_echo_origin();
@@ -2721,7 +2534,6 @@ mod tests {
             0,
             "fwd-reactor",
             ReactorOptions {
-                offload_workers: 1,
                 idle_timeout: Duration::from_secs(30),
                 ..ReactorOptions::default()
             },
@@ -2740,7 +2552,6 @@ mod tests {
             assert!(read_response(&mut c, path).ends_with(path));
         }
         let s = &metrics.shards[0];
-        assert_eq!(s.offloads(), 0, "misses must not touch the offload pool");
         assert_eq!(s.upstream_dials(), 1, "one dial, then keep-alive reuse");
         assert_eq!(s.upstream_reuses(), 2);
         assert_eq!(s.upstream_inflight(), 0, "gauge must settle to zero");
@@ -2762,7 +2573,6 @@ mod tests {
             0,
             "dead-fwd-reactor",
             ReactorOptions {
-                offload_workers: 1,
                 idle_timeout: Duration::from_secs(30),
                 ..ReactorOptions::default()
             },
@@ -2808,7 +2618,6 @@ mod tests {
             0,
             "stall-fwd-reactor",
             ReactorOptions {
-                offload_workers: 1,
                 idle_timeout: Duration::from_secs(30),
                 upstream_timeout: Duration::from_millis(300),
                 ..ReactorOptions::default()

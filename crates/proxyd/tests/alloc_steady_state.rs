@@ -148,7 +148,7 @@ fn reactor_cached_hits_allocate_nothing_after_warmup() {
 /// upstream connection, parse the 304, re-serve from cache. That path
 /// legitimately allocates (plan closures, response headers), but the
 /// per-request count must be a small bounded constant, not grow with
-/// connection lifetime, and never fall back to the offload pool.
+/// connection lifetime.
 #[cfg(target_os = "linux")]
 #[test]
 fn reactor_miss_path_allocations_stay_bounded() {

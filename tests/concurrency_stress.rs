@@ -753,8 +753,9 @@ fn ab_concurrent_origin_beats_legacy_throughput() {
 
 // ---------------------------------------------------------------------------
 // Prefetch lane: demand fetches racing the speculative crew. The
-// exactly-one-origin-fetch guarantee of `Prefetcher::claim_or_join` (a
-// queued speculation is cancelled, an on-the-wire one is joined) is proved
+// exactly-one-origin-fetch guarantee of `Prefetcher::claim` (a queued
+// speculation is cancelled, an on-the-wire one is joined: the demand waits
+// on it and serves what landed) is proved
 // by cross-daemon accounting: the origin's independent request counter
 // must equal the proxy's demand exchanges plus its speculative ones, with
 // no duplicates. The speculation ledger itself must conserve exactly:

@@ -1566,3 +1566,308 @@ fn chunked_body_past_max_body_is_truncated_at_the_center() {
     center.stop();
     origin.stop();
 }
+
+// ---------------------------------------------------------------------------
+// Speculation under demand (PROTOCOL.md §13.1): a demand miss for a path
+// whose speculative fetch is on the wire joins it — the request waits for
+// the speculation to settle and serves its entry, or fetches after all if
+// nothing landed. Forced here: the origin holds the speculative GET until
+// the proxy has counted the demand request.
+// ---------------------------------------------------------------------------
+
+const MATE: usize = 3000;
+
+/// GETs of `/mate.html` an origin saw, by leg, and the switch that
+/// releases the speculative one.
+#[derive(Default)]
+struct MateGets {
+    speculative: AtomicUsize,
+    demand: AtomicUsize,
+    release: std::sync::atomic::AtomicBool,
+}
+
+/// An origin whose `/page.html` names `/mate.html` as a prefetch candidate
+/// (a header-placed piggyback). The speculative GET of the mate — the
+/// plain one, without `Piggy-filter` — waits for `release` and is then
+/// answered by `speculate`; the demand GET gets the mate whole.
+fn mate_origin(
+    speculate: impl Fn(&mut std::net::TcpStream) -> bool + Send + Sync + 'static,
+) -> (piggyback::proxyd::util::ServerHandle, Arc<MateGets>) {
+    let gets = Arc::new(MateGets::default());
+    let seen = Arc::clone(&gets);
+    let handle = serve(0, "mate-origin", move |mut stream| {
+        let mut r = BufReader::new(stream.try_clone().unwrap());
+        while let Ok(req) = Request::read(&mut r) {
+            let ok = match req.target.as_str() {
+                "/page.html" => {
+                    let head = "HTTP/1.1 200 OK\r\nLast-Modified: Thu, 01 Jan 1998 00:00:00 GMT\r\n\
+                                P-volume: 7; \"/mate.html\" 886000000 3000\r\nContent-Length: 100\r\n\r\n";
+                    stream
+                        .write_all(&[head.as_bytes(), &pattern(100)].concat())
+                        .is_ok()
+                }
+                _ if req.headers.get("Piggy-filter").is_some() => {
+                    seen.demand.fetch_add(1, Ordering::SeqCst);
+                    write_ok(&mut stream, MATE, &pattern(MATE))
+                }
+                _ => {
+                    seen.speculative.fetch_add(1, Ordering::SeqCst);
+                    while !seen.release.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    speculate(&mut stream)
+                }
+            };
+            if !ok {
+                return;
+            }
+        }
+    })
+    .unwrap();
+    (handle, gets)
+}
+
+fn wait_for(what: &str, cond: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(std::time::Instant::now() < deadline, "never: {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// The forced join on `io`: the page's piggyback starts the speculation,
+/// the demand for the mate arrives while it is held on the wire, then the
+/// origin answers it with `speculate`. Returns the mate's verdict (its
+/// body must be whole), the ledger and the mate GETs (speculative,
+/// demand).
+fn join_lane(
+    io: piggyback::proxyd::IoMode,
+    speculate: impl Fn(&mut std::net::TcpStream) -> bool + Send + Sync + 'static,
+) -> (String, piggyback::proxyd::ProxyStats, (usize, usize)) {
+    let (origin, gets) = mate_origin(speculate);
+    let mut cfg = ProxyConfig::new(origin.addr);
+    cfg.io = io;
+    cfg.report_hits = false;
+    cfg.rpv = None;
+    cfg.prefetch_budget = 1;
+    let proxy = start_proxy(cfg).unwrap();
+    let (verdict, _) = whole_get(proxy.addr(), "/page.html");
+    assert_eq!(verdict, "MISS", "{io:?}");
+    wait_for("speculation held on the wire", || {
+        gets.speculative.load(Ordering::SeqCst) == 1
+    });
+    let addr = proxy.addr();
+    let joiner = std::thread::spawn(move || whole_get(addr, "/mate.html"));
+    wait_for("demand counted", || proxy.stats().requests == 2);
+    // The demand claims right after it is counted; give it the moment.
+    std::thread::sleep(Duration::from_millis(50));
+    gets.release.store(true, Ordering::SeqCst);
+    let (verdict, body) = joiner.join().unwrap();
+    assert!(body == pattern(MATE), "{io:?}: mate body whole");
+    let s = ledger(&proxy);
+    assert_eq!(
+        s.prefetch_issued,
+        s.prefetch_used + s.prefetch_wasted + s.prefetch_inflight,
+        "{io:?}: speculation ledger: {s:?}"
+    );
+    proxy.stop();
+    origin.stop();
+    let gets = (
+        gets.speculative.load(Ordering::SeqCst),
+        gets.demand.load(Ordering::SeqCst),
+    );
+    (verdict, s, gets)
+}
+
+/// The speculation lands: the joined demand is served its entry, whole,
+/// as a hit — and the origin sees one GET of the mate.
+#[test]
+fn a_demand_joined_to_a_landing_speculation_is_its_hit_on_both_engines() {
+    assert_engine_parity(|io| {
+        let (mate, s, gets) = join_lane(io, |stream| write_ok(stream, MATE, &pattern(MATE)));
+        assert_eq!(mate, "HIT", "{io:?}");
+        assert_eq!(gets, (1, 0), "{io:?}: one origin GET of the mate");
+        assert_eq!((s.prefetch_used, s.fresh_hits), (1, 1), "{io:?}: {s:?}");
+        (s, gets)
+    });
+}
+
+/// The speculation fails — a 500, or the origin dying mid-body on both
+/// attempts: the joined demand falls back to exactly one fetch of its
+/// own, served whole as a miss.
+#[test]
+fn a_demand_joined_to_a_failing_speculation_fetches_once_on_both_engines() {
+    assert_engine_parity(|io| {
+        let (mate, s, gets) = join_lane(io, |stream| {
+            stream
+                .write_all(b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n")
+                .is_ok()
+        });
+        assert_eq!(mate, "MISS", "{io:?}");
+        assert_eq!(gets, (1, 1), "{io:?}");
+        assert_eq!((s.prefetch_wasted, s.prefetch_retries), (1, 0), "{s:?}");
+        (s, gets)
+    });
+    assert_engine_parity(|io| {
+        let (mate, s, gets) = join_lane(io, |stream| {
+            let _ = write_ok(stream, MATE, &pattern(MATE / 2));
+            false
+        });
+        assert_eq!(mate, "MISS", "{io:?}");
+        assert_eq!(gets, (2, 1), "{io:?}: the speculation retried once");
+        assert_eq!((s.prefetch_wasted, s.prefetch_retries), (1, 1), "{s:?}");
+        (s, gets)
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Push bursts (PROTOCOL.md §13.2): behind a main response that announces
+// `X-Push-Count: n`, a `--push` origin streams n whole responses on the
+// same connection, and both engines read them with the one response
+// machine.
+// ---------------------------------------------------------------------------
+
+/// How a burst of three members ends.
+#[derive(Clone, Copy, Debug)]
+enum Burst {
+    Whole,
+    /// After this many whole members the next is cut off mid-body and the
+    /// origin closes.
+    Closed(usize),
+    /// After this many whole members garbage follows on a connection the
+    /// origin keeps open.
+    Garbage(usize),
+}
+
+/// The answer to the first request: a main response announcing three
+/// members (`/m0.html`…), then the members, ended as `burst` says. Every
+/// later request gets a plain 500-byte 200.
+fn push_origin(burst: Burst) -> (piggyback::proxyd::util::ServerHandle, Arc<AtomicUsize>) {
+    wire_origin(move |n, stream| {
+        if n > 0 {
+            return write_ok(stream, 500, &pattern(500));
+        }
+        let mut main = Response::new(200);
+        main.headers
+            .insert("Last-Modified", "Thu, 01 Jan 1998 00:00:00 GMT");
+        main.headers.insert("X-Push-Count", "3");
+        main.body = pattern(2000).into();
+        let mut wire = Vec::new();
+        main.write(&mut wire).unwrap();
+        let mut open = true;
+        for i in 0..3 {
+            let mut member = Response::new(200);
+            member
+                .headers
+                .insert("Last-Modified", "Thu, 01 Jan 1998 00:00:00 GMT");
+            member.headers.insert("X-Push-Path", &format!("/m{i}.html"));
+            member.body = pattern(1000 + i).into();
+            let mut bytes = Vec::new();
+            member.write(&mut bytes).unwrap();
+            match burst {
+                Burst::Closed(k) if k == i => {
+                    wire.extend_from_slice(&bytes[..bytes.len() - 500]);
+                    open = false;
+                    break;
+                }
+                Burst::Garbage(k) if k == i => {
+                    wire.extend_from_slice(b"not a response\r\n\r\n");
+                    break;
+                }
+                _ => wire.extend_from_slice(&bytes),
+            }
+        }
+        stream.write_all(&wire).is_ok() && open
+    })
+}
+
+/// One burst through an `--accept-push` proxy on `io`, then a second miss
+/// and a GET of every member, all on one client connection. Returns the
+/// members' verdicts, the ledger and the origin connections used.
+fn push_lane(
+    io: piggyback::proxyd::IoMode,
+    burst: Burst,
+) -> ([String; 3], piggyback::proxyd::ProxyStats, usize) {
+    let (origin, conns) = push_origin(burst);
+    let mut cfg = ProxyConfig::new(origin.addr);
+    cfg.io = io;
+    cfg.report_hits = false;
+    cfg.rpv = None;
+    cfg.accept_push = true;
+    let proxy = start_proxy(cfg).unwrap();
+    let mut client = HttpClient::connect(proxy.addr()).unwrap();
+    let main = client.get("/page.html", &[]).unwrap();
+    assert_eq!(main.headers.get("X-Cache"), Some("MISS"), "{burst:?}");
+    assert!(
+        main.body[..] == pattern(2000)[..],
+        "{io:?} {burst:?}: main whole"
+    );
+    let other = client.get("/other.html", &[]).unwrap();
+    assert_eq!(other.headers.get("X-Cache"), Some("MISS"), "{burst:?}");
+    let verdicts = [0, 1, 2].map(|i| {
+        let member = client.get(&format!("/m{i}.html"), &[]).unwrap();
+        let verdict = member.headers.get("X-Cache").unwrap().to_owned();
+        let body = if verdict == "HIT" { 1000 + i } else { 500 };
+        assert!(
+            member.body[..] == pattern(body)[..],
+            "{io:?} {burst:?} m{i}"
+        );
+        verdict
+    });
+    let s = ledger(&proxy);
+    assert_eq!(
+        s.prefetch_issued,
+        s.prefetch_used + s.prefetch_wasted + s.prefetch_inflight,
+        "{io:?} {burst:?}: speculation ledger: {s:?}"
+    );
+    proxy.stop();
+    origin.stop();
+    (verdicts, s, conns.load(Ordering::SeqCst))
+}
+
+/// A whole burst: every member is cached and served as a hit, and the
+/// connection it rode carries the next miss.
+#[test]
+fn a_whole_push_burst_is_cached_and_keeps_its_connection_on_both_engines() {
+    assert_engine_parity(|io| {
+        let (verdicts, s, conns) = push_lane(io, Burst::Whole);
+        assert_eq!(verdicts, ["HIT", "HIT", "HIT"], "{io:?}");
+        assert_eq!((s.pushes_accepted, s.prefetch_used), (3, 3), "{s:?}");
+        assert_eq!(conns, 1, "{io:?}: two misses, one origin connection");
+        (s, conns)
+    });
+}
+
+/// A burst cut short after 0, 1 and 2 of its 3 members — by a close
+/// mid-member, or by garbage on a connection left open: the main response
+/// is whole, exactly the members that arrived whole are cached, and the
+/// connection is never reused.
+#[test]
+fn a_push_burst_cut_short_keeps_what_arrived_on_both_engines() {
+    for burst in [
+        Burst::Closed(0),
+        Burst::Closed(1),
+        Burst::Closed(2),
+        Burst::Garbage(1),
+    ] {
+        let (Burst::Closed(k) | Burst::Garbage(k)) = burst else {
+            unreachable!()
+        };
+        assert_engine_parity(|io| {
+            let (verdicts, s, conns) = push_lane(io, burst);
+            let want: Vec<_> = (0..3).map(|i| if i < k { "HIT" } else { "MISS" }).collect();
+            assert_eq!(verdicts.to_vec(), want, "{io:?} {burst:?}");
+            assert_eq!(
+                (s.pushes_accepted, s.prefetch_used),
+                (k as u64, k as u64),
+                "{s:?}"
+            );
+            assert_eq!((s.upstream_errors, s.upstream_retries), (0, 0), "{s:?}");
+            assert_eq!(
+                conns, 2,
+                "{io:?} {burst:?}: the cut connection is not reused"
+            );
+            (s, conns)
+        });
+    }
+}

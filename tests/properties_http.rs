@@ -296,9 +296,9 @@ proptest! {
 // ---------------------------------------------------------------------------
 // The upstream response machine (`proxyd::lifecycle::ResponseMachine`,
 // PROTOCOL.md §14): the one decoder both proxy engines feed. Socket-free,
-// so the lane drives it the way either driver does — head parsed once,
-// then the rest of the wire in arbitrary pieces — and requires that the
-// split never shows: same outcome, same client bytes, same bytes consumed.
+// so the lane drives it the way either driver does — the wire from the
+// status line on, in arbitrary pieces — and requires that the split never
+// shows: same outcome, same client bytes, same bytes consumed.
 // ---------------------------------------------------------------------------
 
 use piggyback::core::types::Timestamp;
@@ -389,28 +389,30 @@ struct Run {
     outcome: Result<String, bool>,
     client: Vec<u8>,
     consumed: usize,
+    reusable: bool,
 }
 
-/// Drive the machine as a driver does: parse the head once, feed the rest
+/// Drive the machine as a driver does: feed the wire from its status line
 /// in `split`-byte pieces (`0`: whole, with the close riding the same
 /// call), then the close on its own.
-fn run_machine(wire: &[u8], closes: bool, rule: Option<RelayRule>, split: usize) -> Run {
-    let mut rest = wire;
-    let head = Response::read_head(&mut rest).expect("head parses");
-    let head_len = wire.len() - rest.len();
+fn run_machine(
+    wire: &[u8],
+    closes: bool,
+    rule: Option<RelayRule>,
+    accept_push: bool,
+    split: usize,
+) -> Run {
     let mut client = Vec::new();
-    let mut consumed = head_len;
+    let mut consumed = 0;
     let fail = |engaged, client, consumed| Run {
         outcome: Err(engaged),
         client,
         consumed,
+        reusable: false,
     };
-    let mut machine = match ResponseMachine::new(head, rule, &mut client) {
-        Ok(machine) => machine,
-        Err(_) => return fail(false, client, consumed),
-    };
-    let step = if split == 0 { rest.len().max(1) } else { split };
-    let mut pieces = rest.chunks(step).map(|p| (p, false)).collect::<Vec<_>>();
+    let mut machine = ResponseMachine::new(rule, accept_push);
+    let step = if split == 0 { wire.len().max(1) } else { split };
+    let mut pieces = wire.chunks(step).map(|p| (p, false)).collect::<Vec<_>>();
     match pieces.last_mut() {
         Some(last) if split == 0 => last.1 = closes,
         _ => {}
@@ -433,8 +435,9 @@ fn run_machine(wire: &[u8], closes: bool, rule: Option<RelayRule>, split: usize)
     if !machine.is_done() {
         return fail(machine.engaged(), client, consumed);
     }
+    let reusable = machine.reusable();
     let outcome = match machine.into_outcome() {
-        UpstreamOutcome::Response(resp) => format!("response {resp:?}"),
+        UpstreamOutcome::Response(resp, pushed) => format!("response {resp:?} pushed {pushed:?}"),
         UpstreamOutcome::Streamed {
             head,
             total,
@@ -447,7 +450,23 @@ fn run_machine(wire: &[u8], closes: bool, rule: Option<RelayRule>, split: usize)
         outcome: Ok(outcome),
         client,
         consumed,
+        reusable,
     }
+}
+
+/// One pushed response as a `--push` origin writes it: named by
+/// `X-Push-Path`, the odd ones chunked with a trailer, the first bodiless.
+fn push_wire(i: usize) -> Vec<u8> {
+    let mut push = Response::new(200);
+    push.headers
+        .insert("X-Push-Path", &format!("/mate{i}.html"));
+    if i % 2 == 1 {
+        push.trailers.insert("X-Probe", "v");
+    }
+    push.body = payload(500 * i).into();
+    let mut wire = Vec::new();
+    push.write(&mut wire).unwrap();
+    wire
 }
 
 /// Every framing × sizes straddling the threshold × every rule × every
@@ -486,9 +505,9 @@ fn response_machine_is_split_transparent() {
             }
             for kind in [Rule::None, Rule::Plain, Rule::Grow, Rule::Pinned] {
                 let what = format!("{framing:?} size {size} rule {kind:?}");
-                let whole = run_machine(&wire, closes, rule(kind, size), 0);
+                let whole = run_machine(&wire, closes, rule(kind, size), false, 0);
                 for split in [1, 7, 1500, 16384] {
-                    let cut = run_machine(&wire, closes, rule(kind, size), split);
+                    let cut = run_machine(&wire, closes, rule(kind, size), false, split);
                     assert_eq!(cut, whole, "{what} split {split}");
                 }
                 let outcome = whole.outcome.as_ref().expect(&what);
@@ -531,12 +550,59 @@ fn response_machine_is_split_transparent() {
                 } else {
                     let mut reference = &wire[..response_len];
                     let read = Response::read(&mut reference, false).expect(&what);
-                    assert_eq!(outcome, &format!("response {read:?}"), "{what}");
+                    assert_eq!(outcome, &format!("response {read:?} pushed []"), "{what}");
                     assert!(
                         whole.client.is_empty(),
                         "{what}: a buffered body sends nothing"
                     );
                 }
+            }
+        }
+    }
+
+    // The burst row: a chunked main response announcing three pushes,
+    // the pushes, then the next response on the connection. Read whole,
+    // the burst is 1 + 3 calls to `Response::read`, in any split.
+    let mut main = Response::new(200);
+    main.headers.insert("X-Push-Count", "3");
+    main.trailers
+        .insert("P-volume", "7; \"/mate1.html\" 886000000 1024");
+    main.body = payload(3 * THRESHOLD).into();
+    let mut wire = Vec::new();
+    main.write(&mut wire).unwrap();
+    let mut ends = vec![wire.len()];
+    for i in 0..3 {
+        wire.extend_from_slice(&push_wire(i));
+        ends.push(wire.len());
+    }
+    let burst_len = wire.len();
+    wire.extend_from_slice(NEXT);
+    let mut reference = &wire[..];
+    let main = Response::read(&mut reference, false).unwrap();
+    let pushes: Vec<Response> = (0..3)
+        .map(|_| Response::read(&mut reference, false).unwrap())
+        .collect();
+    for split in [0, 1, 7, 1500, 16384] {
+        let run = run_machine(&wire, false, None, true, split);
+        let want = format!("response {main:?} pushed {pushes:?}");
+        assert_eq!(run.outcome, Ok(want), "burst, split {split}");
+        assert_eq!(run.consumed, burst_len, "burst, split {split}");
+        assert!(
+            run.client.is_empty() && run.reusable,
+            "burst, split {split}"
+        );
+        // A leg that never accepted pushes reads the main response only.
+        let run = run_machine(&wire, false, None, false, split);
+        assert_eq!(run.outcome, Ok(format!("response {main:?} pushed []")));
+        assert_eq!(run.consumed, ends[0], "unaccepted burst, split {split}");
+        // Cut short inside push k, or right before it: the main response
+        // and the k pushes that arrived whole, and a spent connection.
+        for k in 0..3 {
+            for cut in [ends[k], (ends[k] + ends[k + 1]) / 2] {
+                let run = run_machine(&wire[..cut], true, None, true, split);
+                let want = format!("response {main:?} pushed {:?}", &pushes[..k]);
+                assert_eq!(run.outcome, Ok(want), "cut at {cut}, split {split}");
+                assert!(!run.reusable, "cut at {cut}, split {split}");
             }
         }
     }
@@ -553,7 +619,7 @@ fn response_machine_pinned_length_mismatch() {
             let (wire, _) = origin_wire(framing, &body);
             for split in [0, 1, 1500] {
                 let what = format!("{framing:?} promised {promised} split {split}");
-                let run = run_machine(&wire, false, rule(Rule::Pinned, promised), split);
+                let run = run_machine(&wire, false, rule(Rule::Pinned, promised), false, split);
                 assert_eq!(run.outcome, Ok("stream failed true".to_owned()), "{what}");
                 assert!(run.client.len() <= promised - SKIP, "{what}");
                 assert!(body[SKIP..].starts_with(&run.client), "{what}");
@@ -583,7 +649,7 @@ fn response_machine_errors_before_any_client_byte() {
     ] {
         for kind in [Rule::None, Rule::Plain, Rule::Grow] {
             for split in [0, 1, 7] {
-                let run = run_machine(&wire, closes, rule(kind, 0), split);
+                let run = run_machine(&wire, closes, rule(kind, 0), false, split);
                 assert_eq!(run.outcome, Err(false), "{kind:?} split {split}");
                 assert!(run.client.is_empty(), "{kind:?} split {split}");
             }
@@ -594,7 +660,7 @@ fn response_machine_errors_before_any_client_byte() {
     let mut short = b"HTTP/1.1 200 OK\r\nContent-Length: 8000\r\n\r\n".to_vec();
     short.extend_from_slice(&payload(5000));
     for split in [0, 1, 1500] {
-        let run = run_machine(&short, true, rule(Rule::Plain, 0), split);
+        let run = run_machine(&short, true, rule(Rule::Plain, 0), false, split);
         assert_eq!(run.outcome, Err(true), "split {split}");
         let head_end = run
             .client
@@ -606,11 +672,9 @@ fn response_machine_errors_before_any_client_byte() {
         assert_eq!(run.client[head_end..], payload(5000), "split {split}");
     }
     // The limit is an error the parser names, not an allocation.
-    let mut rest = &b"Content-Length: 99999999999\r\n\r\n"[..];
-    let mut head = Response::new(200);
-    head.headers = piggyback::httpwire::parse::read_headers(&mut rest).unwrap();
+    let huge = b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999\r\n\r\n";
     assert!(matches!(
-        ResponseMachine::new(head, None, &mut Vec::new()),
+        ResponseMachine::new(None, false).feed(huge, false, &mut Vec::new()),
         Err(HttpError::LimitExceeded(_))
     ));
 }

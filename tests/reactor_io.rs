@@ -7,8 +7,11 @@
 //! * **Conservation** — 16 concurrent keep-alive clients through a
 //!   reactor proxy leave the lock-free outcome counters balancing
 //!   exactly, same as the threaded suite in `concurrency_stress.rs`.
-//! * **Pipelining, idle reaping, offload errors, metrics** — the
+//! * **Pipelining, idle reaping, upstream errors, metrics** — the
 //!   reactor-specific behaviors observable from outside.
+//! * **No thread behind the reactor** — misses, push bursts and demand
+//!   joins all stay on the epoll loop; the blocking driver's origin pool
+//!   is never touched.
 //!
 //! Linux-only: off Linux `IoMode::Reactor` falls back to the threaded
 //! pool and these tests would prove nothing.
@@ -17,12 +20,16 @@
 
 use piggyback::core::filter::ProxyFilter;
 use piggyback::core::types::DurationMs;
+use piggyback::httpwire::{Request, Response};
 use piggyback::proxyd::client::HttpClient;
 use piggyback::proxyd::origin::{start_origin, OriginConfig};
 use piggyback::proxyd::proxy::{start_proxy, ProxyConfig, ProxyHandle};
+use piggyback::proxyd::util::serve;
 use piggyback::proxyd::{IoMode, METRICS_PATH};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const REACTOR: IoMode = IoMode::Reactor { reactors: 2 };
@@ -94,9 +101,9 @@ fn reactor_proxy_byte_identical_to_threaded() {
     let mut cr = TcpStream::connect(reactor.addr()).unwrap();
     for path in &paths {
         let req = get_bytes(path);
-        // First exchange is a miss (full upstream fetch, the reactor's
-        // offload path), second a cached hit (inline path). Both must
-        // match the threaded proxy byte for byte.
+        // First exchange is a miss (a nonblocking upstream exchange),
+        // second a cached hit (inline path). Both must match the threaded
+        // proxy byte for byte.
         for pass in ["miss", "hit"] {
             let from_threaded = raw_roundtrip(&mut ct, &req);
             let from_reactor = raw_roundtrip(&mut cr, &req);
@@ -243,8 +250,8 @@ fn reactor_survives_dead_origin_with_502s() {
     assert!(raw_roundtrip(&mut conn, &get_bytes(&warm_path)).starts_with(b"HTTP/1.1 200"));
     origin.stop();
 
-    // Uncached path: the offload worker's upstream exchange fails and the
-    // injected completion must carry a 502 — not close the connection.
+    // Uncached path: the upstream exchange's dial fails and its
+    // continuation must answer a 502 — not close the connection.
     let resp = raw_roundtrip(&mut conn, &get_bytes(&cold_path));
     assert!(
         resp.starts_with(b"HTTP/1.1 502"),
@@ -291,7 +298,6 @@ fn reactor_metrics_expose_io_and_shard_gauges() {
             "pb_proxy_reactor_accepts_total",
             "pb_proxy_reactor_wakeups_total",
             "pb_proxy_reactor_timeouts_total",
-            "pb_proxy_reactor_offloads_total",
             "pb_proxy_reactor_upstream_dials_total",
             "pb_proxy_reactor_upstream_reuses_total",
             "pb_proxy_reactor_upstream_inflight",
@@ -312,11 +318,11 @@ fn reactor_metrics_expose_io_and_shard_gauges() {
     origin.stop();
 }
 
-/// ISSUE 9 tentpole proof: a plain miss workload never leaves the
-/// reactor. Every cold fetch is driven as a nonblocking upstream
-/// exchange on the shard's own epoll loop — zero offload-pool handoffs
-/// — and sequential misses on one client connection reuse the shard's
-/// parked upstream keep-alive instead of redialing the origin.
+/// A plain miss workload never leaves the reactor. Every cold fetch is
+/// driven as a nonblocking upstream exchange on the shard's own epoll
+/// loop — the blocking driver's origin pool never dials or reuses — and
+/// sequential misses on one client connection reuse the shard's parked
+/// upstream keep-alive instead of redialing the origin.
 #[test]
 fn reactor_misses_dial_upstream_without_offloads() {
     let origin = start_origin(OriginConfig::default()).unwrap();
@@ -338,11 +344,7 @@ fn reactor_misses_dial_upstream_without_offloads() {
             .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
             .sum()
     };
-    assert_eq!(
-        shard_sum("pb_proxy_reactor_offloads_total"),
-        0,
-        "plain misses must stay on the reactor, not hop to the offload pool:\n{text}"
-    );
+    assert_blocking_pool_untouched(&proxy);
     let dials = shard_sum("pb_proxy_reactor_upstream_dials_total");
     let reuses = shard_sum("pb_proxy_reactor_upstream_reuses_total");
     assert!(dials >= 1, "cold misses must dial the origin:\n{text}");
@@ -364,6 +366,105 @@ fn reactor_misses_dial_upstream_without_offloads() {
     assert_eq!(s.outcomes(), s.requests, "{s:?}");
     proxy.stop();
     origin.stop();
+}
+
+/// The reactor proxy has no thread to hand work to: its upstream legs
+/// are its own, so the blocking driver's `ConnectionPool` must read zero
+/// connects and zero reuses whatever the walk.
+fn assert_blocking_pool_untouched(proxy: &ProxyHandle) {
+    let pool = proxy.pool_stats().expect("the pool is unconditional");
+    assert_eq!((pool.connects, pool.reuses), (0, 0), "{pool:?}");
+}
+
+/// Push bursts and demand joins stay on the reactor too: a walk through a
+/// `--push` origin caches pushed members, and a demand miss joined to an
+/// in-flight speculation parks and is served the speculation's entry —
+/// all without the blocking pool.
+#[test]
+fn reactor_push_walk_and_join_never_touch_the_blocking_pool() {
+    let origin = start_origin(OriginConfig {
+        push_max: 4,
+        ..OriginConfig::default()
+    })
+    .unwrap();
+    // Piggybacks (and so pushes) only name mates with recorded accesses.
+    let mut warm = HttpClient::connect(origin.addr()).unwrap();
+    for p in &origin.paths {
+        assert_eq!(warm.get(p, &[]).unwrap().status, 200);
+    }
+    let mut cfg = ProxyConfig::new(origin.addr());
+    cfg.io = REACTOR;
+    cfg.accept_push = true;
+    let proxy = start_proxy(cfg).unwrap();
+    let mut client = HttpClient::connect(proxy.addr()).unwrap();
+    for p in &origin.paths {
+        assert_eq!(client.get(p, &[]).unwrap().status, 200);
+    }
+    let s = proxy.stats();
+    assert!(s.pushes_accepted > 0, "{s:?}");
+    assert_eq!(s.outcomes(), s.requests, "{s:?}");
+    assert_blocking_pool_untouched(&proxy);
+    proxy.stop();
+    origin.stop();
+
+    // The join: the origin holds the speculative GET of `/mate.html`
+    // until the demand request for it is parked on the speculation.
+    let release = Arc::new(AtomicBool::new(false));
+    let held = Arc::clone(&release);
+    let origin = serve(0, "held-mate-origin", move |stream| {
+        let mut r = BufReader::new(stream.try_clone().unwrap());
+        let mut w = stream;
+        while let Ok(req) = Request::read(&mut r) {
+            let mut resp = Response::new(200);
+            resp.headers
+                .insert("Last-Modified", "Thu, 01 Jan 1998 00:00:00 GMT");
+            if req.target == "/page.html" {
+                resp.headers
+                    .insert("P-volume", "7; \"/mate.html\" 886000000 1024");
+            }
+            // The speculative leg is the plain GET, without a filter.
+            while req.headers.get("Piggy-filter").is_none() && !held.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            resp.body = req.target.clone().into_bytes().into();
+            if resp.write(&mut w).is_err() {
+                return;
+            }
+        }
+    })
+    .unwrap();
+    let mut cfg = ProxyConfig::new(origin.addr);
+    cfg.io = REACTOR;
+    cfg.prefetch_budget = 1;
+    let proxy = start_proxy(cfg).unwrap();
+    let mut client = HttpClient::connect(proxy.addr()).unwrap();
+    assert_eq!(client.get("/page.html", &[]).unwrap().status, 200);
+    wait_for(|| proxy.stats().prefetch_issued == 1);
+    let addr = proxy.addr();
+    let joiner = std::thread::spawn(move || {
+        let mut client = HttpClient::connect(addr).unwrap();
+        client.get("/mate.html", &[]).unwrap()
+    });
+    wait_for(|| proxy.stats().requests == 2);
+    std::thread::sleep(Duration::from_millis(50));
+    release.store(true, Ordering::SeqCst);
+    let resp = joiner.join().unwrap();
+    assert_eq!(resp.headers.get("X-Cache"), Some("HIT"));
+    assert_eq!(&resp.body[..], b"/mate.html");
+    let s = proxy.stats();
+    assert_eq!((s.prefetch_used, s.fresh_hits), (1, 1), "{s:?}");
+    assert_blocking_pool_untouched(&proxy);
+    proxy.stop();
+    origin.stop();
+}
+
+/// Poll `cond` for up to ten seconds.
+fn wait_for(cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "condition never held");
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 #[test]
@@ -394,19 +495,19 @@ fn origin_reactor_mode_byte_identical_and_piggybacking() {
     };
     assert_eq!(dir_pair.len(), 2, "site has a two-resource directory");
 
-    let exchange = |addr: SocketAddr| -> Vec<piggyback::httpwire::Response> {
+    let exchange = |addr: SocketAddr| -> Vec<Response> {
         let stream = TcpStream::connect(addr).unwrap();
         let mut r = BufReader::new(stream.try_clone().unwrap());
         let mut w = BufWriter::new(stream);
         dir_pair
             .iter()
             .map(|path| {
-                let mut req = piggyback::httpwire::Request::new("GET", path);
+                let mut req = Request::new("GET", path);
                 req.headers.insert("Host", "t");
                 req.headers.insert("TE", "chunked");
                 req.headers.insert("Piggy-filter", "maxpiggy=10");
                 req.write(&mut w).unwrap();
-                piggyback::httpwire::Response::read(&mut r, false).unwrap()
+                Response::read(&mut r, false).unwrap()
             })
             .collect()
     };
@@ -451,7 +552,7 @@ fn start_big_origin(body: std::sync::Arc<Vec<u8>>) -> SocketAddr {
             std::thread::spawn(move || {
                 let mut reader = BufReader::new(stream.try_clone().unwrap());
                 let mut w = BufWriter::new(stream);
-                while piggyback::httpwire::Request::read(&mut reader).is_ok() {
+                while Request::read(&mut reader).is_ok() {
                     let head = format!(
                         "HTTP/1.1 200 OK\r\nLast-Modified: Thu, 01 Jan 1970 00:00:00 GMT\r\nContent-Length: {}\r\n\r\n",
                         body.len()

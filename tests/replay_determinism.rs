@@ -267,8 +267,8 @@ fn proxy_ledger_is_thread_count_invariant_without_piggybacks() {
 /// allowed to leak into the ledger. With piggybacks stripped (so the
 /// ledger is a pure function of the request multiset), the epoll reactor
 /// and the threaded pool must land on the *exact same* `ProxyStats`, at
-/// 1 client and at 16 — misses through the reactor's offload path and
-/// hits through its inline path included.
+/// 1 client and at 16 — misses through the reactor's nonblocking upstream
+/// leg and hits through its inline path included.
 #[cfg(target_os = "linux")]
 #[test]
 fn proxy_ledger_is_io_mode_invariant() {
