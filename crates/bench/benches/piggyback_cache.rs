@@ -1,10 +1,10 @@
 //! Micro-benchmarks for the `P-volume` encode path and its memo cache —
 //! the pieces the lock-free origin composes on its serving hot path.
 //!
-//! `encode_p_volume` is what the legacy origin pays per request (after an
-//! equally per-request element selection); the `PiggybackCache` benches
-//! show what the concurrent origin pays instead: a sub-microsecond probe
-//! on a hit, and the full compute only on the first request after a
+//! `encode_p_volume` is what an uncached origin pays per request (after
+//! an equally per-request element selection); the `PiggybackCache`
+//! benches show what the origin pays with the cache: a sub-microsecond
+//! probe on a hit, and the full compute only on the first request after a
 //! generation bump.
 
 use criterion::{criterion_group, criterion_main, Criterion};

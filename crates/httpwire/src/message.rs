@@ -265,14 +265,20 @@ impl Response {
         }
     }
 
-    /// Serialize. With non-empty trailers (or an explicit
-    /// `Transfer-Encoding: chunked` header) the body is chunk-encoded and
-    /// the `Trailer` header is emitted, per the paper's Section 2.3 flow;
-    /// otherwise a `Content-Length` body is written.
+    /// The one framing rule of every writer: the body is chunk-encoded
+    /// when there are trailers to carry or an explicit
+    /// `Transfer-Encoding: chunked` header asks for it, and never under a
+    /// status that forbids a body.
+    pub fn is_chunked(&self) -> bool {
+        (!self.trailers.is_empty() || self.headers.list_contains("Transfer-Encoding", "chunked"))
+            && !Self::bodiless_status(self.status)
+    }
+
+    /// Serialize. A chunked body ([`is_chunked`](Self::is_chunked)) is
+    /// chunk-encoded and the `Trailer` header is emitted, per the paper's
+    /// Section 2.3 flow; otherwise a `Content-Length` body is written.
     pub fn write<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let chunked = (!self.trailers.is_empty()
-            || self.headers.list_contains("Transfer-Encoding", "chunked"))
-            && !Self::bodiless_status(self.status);
+        let chunked = self.is_chunked();
         write!(
             w,
             "{} {} {}\r\n",
@@ -321,9 +327,7 @@ impl Response {
         let ConnScratch { out, segs, .. } = scratch;
         out.clear();
         segs.clear();
-        let chunked = (!self.trailers.is_empty()
-            || self.headers.list_contains("Transfer-Encoding", "chunked"))
-            && !Self::bodiless_status(self.status);
+        let chunked = self.is_chunked();
         write!(
             out,
             "{} {} {}\r\n",

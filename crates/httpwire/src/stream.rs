@@ -98,7 +98,8 @@ impl BodyReader {
         Self::new(StreamFraming::Chunked)
     }
 
-    fn new(framing: StreamFraming) -> Self {
+    /// Decoder for a body framed as `framing`.
+    pub fn new(framing: StreamFraming) -> Self {
         let mut reader = BodyReader {
             state: RState::Done,
             line: Vec::new(),

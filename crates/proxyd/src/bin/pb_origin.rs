@@ -3,7 +3,7 @@
 //! ```text
 //! pb-origin [--port 8080] [--pages 60] [--level 1] [--seed 42]
 //!           [--volumes-file volumes.txt] [--print-paths] [--no-metrics]
-//!           [--legacy-origin] [--no-piggyback-cache] [--epoch-secs N]
+//!           [--no-piggyback-cache] [--epoch-secs N]
 //!           [--io threaded|reactor] [--reactors N] [--idle-timeout-secs 120]
 //!           [--push N]
 //! ```
@@ -11,18 +11,15 @@
 //! `--volumes-file` loads persisted probability volumes (see the
 //! `online_volumes` example) instead of maintaining directory volumes.
 //! Unless `--no-metrics` is given, `GET /__pb/metrics` serves Prometheus
-//! counters and response-timing histograms. `--legacy-origin` serves
-//! through the original single-mutex path (A/B baseline, mirroring
-//! `pb-proxy --legacy`); the default is the lock-free snapshot path.
-//! `--no-piggyback-cache` disables the `P-volume` encode cache, and
-//! `--epoch-secs N` enables online probability-volume learning (requires
-//! `--volumes-file`). `--io reactor` serves connections from the epoll
+//! counters and response-timing histograms. Requests are served from the
+//! lock-free snapshot path (PROTOCOL.md §9). `--no-piggyback-cache`
+//! disables the `P-volume` encode cache, and `--epoch-secs N` enables
+//! online probability-volume learning (requires `--volumes-file`). `--io reactor` serves connections from the epoll
 //! reactor (Linux; other platforms fall back to the threaded pool) with
 //! `--reactors` SO_REUSEPORT accept shards (0 = auto); wire output is
 //! byte-identical in both modes. `--push N` enables the server-push
 //! baseline: after a full 200 to a `Piggy-push: accept` peer, up to N
-//! volume members stream as complete responses on the same connection
-//! (snapshot path only — incompatible with `--legacy-origin`).
+//! volume members stream as complete responses on the same connection.
 
 use piggyback_core::types::DurationMs;
 use piggyback_proxyd::origin::{start_origin, OnlineEpochConfig, OriginConfig, VolumeScheme};
@@ -61,7 +58,6 @@ fn main() {
             "--print-paths" => print_paths = true,
             "--metrics" => cfg.metrics = true,
             "--no-metrics" => cfg.metrics = false,
-            "--legacy-origin" => cfg.legacy = true,
             "--no-piggyback-cache" => cfg.piggyback_cache = false,
             "--epoch-secs" => {
                 let secs: u64 = value("--epoch-secs")
@@ -91,7 +87,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "pb-origin [--port 8080] [--pages 60] [--level 1] [--seed 42] \
-                     [--print-paths] [--no-metrics] [--legacy-origin] \
+                     [--print-paths] [--no-metrics] \
                      [--no-piggyback-cache] [--epoch-secs N] \
                      [--io threaded|reactor] [--reactors N] [--idle-timeout-secs 120] \
                      [--push N]"
@@ -107,10 +103,6 @@ fn main() {
 
     if let (IoMode::Reactor { .. }, Some(n)) = (cfg.io, reactors) {
         cfg.io = IoMode::Reactor { reactors: n };
-    }
-    if cfg.legacy && cfg.push_max > 0 {
-        eprintln!("--push needs the snapshot origin (drop --legacy-origin)");
-        std::process::exit(2);
     }
     let metrics = cfg.metrics;
     let origin = start_origin(cfg).expect("failed to start origin");

@@ -46,8 +46,8 @@ pub struct PooledConn {
 }
 
 impl PooledConn {
-    /// Open a standalone (pool-less) connection — the legacy
-    /// fresh-connection-per-fetch path uses this directly.
+    /// Open a standalone (pool-less) connection — the volume center keeps
+    /// one beside each downstream connection.
     pub fn connect(origin: SocketAddr) -> io::Result<Self> {
         let stream = TcpStream::connect(origin)?;
         stream.set_nodelay(true)?;

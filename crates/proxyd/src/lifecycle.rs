@@ -10,7 +10,9 @@
 //! piggyback state and the reply ([`settle`], [`settle_refetch`]). The
 //! blocking driver ([`crate::proxy`]) and the reactor read bytes, feed
 //! the machine, hand its outcome here, and write what comes back — so
-//! the two engines cannot drift (PROTOCOL.md §7.1, §14).
+//! the two engines cannot drift (PROTOCOL.md §7.1, §14). The volume
+//! center drives the same machine through the same blocking loop, under
+//! the upstream's own head ([`AsIs`], PROTOCOL.md §14.1).
 
 use crate::obs::LatencyHistogram;
 use crate::prefetch::{self, PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER};
@@ -25,11 +27,11 @@ use piggyback_core::report::PIGGY_REPORT_HEADER;
 use piggyback_core::types::{ResourceId, Timestamp};
 use piggyback_core::wire::{decode_p_volume, P_VOLUME_HEADER};
 use piggyback_httpwire::{
-    encode_stream_head, parse, Body, BodyReader, BodyWriter, ConnScratch, HeaderMap, HttpError,
-    Request, Response, StreamFraming,
+    encode_stream_head, parse, Body, BodyReader, BodyWriter, ConnScratch, HttpError, Request,
+    Response, StreamFraming,
 };
 use piggyback_webcache::CacheEntry;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
@@ -172,19 +174,26 @@ struct Relay {
     prefix: Tee,
     /// Decoded payload staged for `chunker`, reused across feeds.
     seg: Vec<u8>,
+    /// The chunked client body ends with the upstream's trailers (an
+    /// as-is relay of a chunked body), not with the head's.
+    trailing: bool,
 }
 
 impl Relay {
-    fn new(rule: &RelayRule, declared: Option<usize>) -> Relay {
+    /// A relay under a client head declaring `declared` payload bytes
+    /// (`None`: chunked), skipping and teeing what `rule` says.
+    fn new(declared: Option<usize>, rule: Option<&RelayRule>) -> Relay {
+        let (skip, want) = rule.map_or((0, 0), |r| (r.skip, r.prefix_bytes));
         Relay {
             chunker: declared.is_none().then(BodyWriter::chunked),
-            owed: declared.unwrap_or(0).saturating_sub(rule.skip),
-            skip: rule.skip,
+            owed: declared.unwrap_or(0).saturating_sub(skip),
+            skip,
             prefix: Tee {
                 bytes: Vec::new(),
-                want: rule.prefix_bytes,
+                want,
             },
             seg: Vec::new(),
+            trailing: false,
         }
     }
 
@@ -231,6 +240,28 @@ impl Relay {
     }
 }
 
+/// What the volume center's head hook sees: the main response head, and
+/// the payload length the client head declares (0 for a chunked body) or
+/// the buffered body's. It may add headers and trailers.
+pub(crate) type HeadHook<'h> = &'h (dyn Fn(&mut Response, usize) + Sync);
+
+/// The volume center's relay (PROTOCOL.md §14.1): the client gets the
+/// upstream's own head — any status, after the hook — in the framing
+/// `Response::write` would give it, and the upstream's trailers behind a
+/// chunked body. The body engages at the head, except where the head
+/// cannot go out first: a body delimited by the upstream's close, a
+/// chunked body the hook must learn the size of, and a head announcing a
+/// push burst, whose count must stay rewritable.
+#[derive(Clone, Copy)]
+pub(crate) struct AsIs<'h> {
+    /// The request was a `HEAD`: the response has no body.
+    pub(crate) head_request: bool,
+    /// Runs once on the main response before any of it is in the sink: at
+    /// the head when the body engages, on the whole response (the
+    /// exchange's outcome) otherwise.
+    pub(crate) hook: Option<HeadHook<'h>>,
+}
+
 /// One upstream exchange in flight, written once for both engines and
 /// socket-free. A driver builds the machine from the leg's relay rule and
 /// push acceptance, and from then on only reads bytes and
@@ -242,8 +273,9 @@ impl Relay {
 /// The exchange is retryable exactly while the machine is
 /// [`retryable`](Self::retryable) (PROTOCOL.md §7.1).
 #[derive(Default)]
-pub struct ResponseMachine {
+pub struct ResponseMachine<'h> {
     rule: Option<RelayRule>,
+    as_is: Option<AsIs<'h>>,
     /// The leg sent `Piggy-push: accept`, so an `X-Push-Count` on the main
     /// head announces that many responses behind it.
     accept_push: bool,
@@ -262,11 +294,20 @@ pub struct ResponseMachine {
     cut: bool,
 }
 
-impl ResponseMachine {
+impl<'h> ResponseMachine<'h> {
     /// A machine for one exchange, before any byte of its response.
-    pub fn new(rule: Option<RelayRule>, accept_push: bool) -> ResponseMachine {
+    pub fn new(rule: Option<RelayRule>, accept_push: bool) -> ResponseMachine<'h> {
         ResponseMachine {
             rule,
+            accept_push,
+            ..ResponseMachine::default()
+        }
+    }
+
+    /// A machine for one as-is exchange (the volume center's).
+    pub(crate) fn as_is(as_is: AsIs<'h>, accept_push: bool) -> ResponseMachine<'h> {
+        ResponseMachine {
+            as_is: Some(as_is),
             accept_push,
             ..ResponseMachine::default()
         }
@@ -292,9 +333,15 @@ impl ResponseMachine {
     }
 
     /// May the connection carry another exchange: the response ended
-    /// whole and so did every push it announced?
+    /// whole, framed (not by the upstream's close) under a head that
+    /// allows keep-alive, and so did every push it announced? The one
+    /// reuse predicate of every hop (PROTOCOL.md §7.1).
     pub fn reusable(&self) -> bool {
-        self.main.as_ref().is_some_and(Part::is_whole) && self.owed == 0 && !self.cut
+        self.main
+            .as_ref()
+            .is_some_and(|m| m.is_whole() && m.reader.is_some() && m.head.keep_alive())
+            && self.owed == 0
+            && !self.cut
     }
 
     /// Feed the next bytes off the origin connection (`eof`: it closed
@@ -310,31 +357,32 @@ impl ResponseMachine {
     ) -> Result<usize, HttpError> {
         let mut used = 0;
         if !self.main.as_ref().is_some_and(Part::is_done) {
-            let (n, ended) = advance(&mut self.held, &mut self.main, self.rule, input, eof, sink)?;
+            let (rule, as_is, accept_push) = (self.rule, self.as_is, self.accept_push);
+            let start = |head, sink: &mut Vec<u8>| Part::main(head, rule, as_is, accept_push, sink);
+            let (n, ended) = advance(&mut self.held, &mut self.main, start, input, eof, sink)?;
             used = n;
             if !ended {
                 return Ok(used);
             }
             let main = self.main.as_ref().expect("an ended response");
-            if self.accept_push && main.is_whole() {
-                self.owed = main
-                    .head
-                    .headers
-                    .get(PUSH_COUNT_HEADER)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0);
+            if accept_push && main.is_whole() {
+                self.owed = announced_pushes(&main.head);
             }
         }
         while self.owed > 0 {
             let rest = &input[used..];
-            match advance(&mut self.held, &mut self.push, None, rest, eof, sink) {
+            let start = |head: Response, _: &mut Vec<u8>| {
+                body_framing(&head, false).map(|framing| Part::new(head, framing))
+            };
+            match advance(&mut self.held, &mut self.push, start, rest, eof, sink) {
                 Ok((n, ended)) => {
                     used += n;
                     if !ended {
                         break;
                     }
                     let push = self.push.take().expect("an ended push");
-                    if let UpstreamOutcome::Response(resp, _) = push.into_outcome(Vec::new()) {
+                    if let UpstreamOutcome::Response(resp, _) = push.into_outcome(Vec::new(), None)
+                    {
                         self.pushed.push(resp);
                     }
                     self.owed -= 1;
@@ -354,19 +402,43 @@ impl ResponseMachine {
     /// keeps the pushes that arrived whole.
     pub fn into_outcome(self) -> UpstreamOutcome {
         match self.main {
-            Some(main) => main.into_outcome(self.pushed),
+            Some(main) => main.into_outcome(self.pushed, self.as_is.and_then(|a| a.hook)),
             None => UpstreamOutcome::Failed,
         }
     }
 }
 
+/// The pushes a main head announces with `X-Push-Count`; 0 when it
+/// announces none it can count.
+pub(crate) fn announced_pushes(head: &Response) -> usize {
+    head.headers
+        .get(PUSH_COUNT_HEADER)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0)
+}
+
+/// How a response's body is delimited, from its head alone: `None` when
+/// it runs until the upstream closes. `Err` is a framing header no body
+/// can be read under — above `MAX_BODY` a declared length is refused
+/// before a byte is read.
+fn body_framing(head: &Response, head_request: bool) -> Result<Option<StreamFraming>, HttpError> {
+    Ok(if head_request || Response::bodiless_status(head.status) {
+        Some(StreamFraming::Length(0))
+    } else if head.headers.list_contains("Transfer-Encoding", "chunked") {
+        Some(StreamFraming::Chunked)
+    } else {
+        parse::content_length(&head.headers)?.map(StreamFraming::Length)
+    })
+}
+
 /// Read one response over `input`: its head first — held back until its
-/// blank line arrives, then parsed once into `part` — then its body.
-/// Returns the bytes of `input` it took and whether the response ended.
+/// blank line arrives, then parsed once and handed to `start` — then its
+/// body. Returns the bytes of `input` it took and whether the response
+/// ended.
 fn advance(
     held: &mut Vec<u8>,
     part: &mut Option<Part>,
-    rule: Option<RelayRule>,
+    start: impl FnOnce(Response, &mut Vec<u8>) -> Result<Part, HttpError>,
     input: &[u8],
     eof: bool,
     sink: &mut Vec<u8>,
@@ -376,28 +448,21 @@ fn advance(
         if input.is_empty() && !eof {
             return Ok((0, false));
         }
-        let before = held.len();
-        let buf = if before == 0 {
-            input
-        } else {
-            held.extend_from_slice(input);
-            held.as_slice()
-        };
-        let mut rest = buf;
+        // The head may straddle what is held and `input`; only a head
+        // still incomplete is copied aside, never the body behind one.
+        let mut rest = held.as_slice().chain(input);
         let head = match Response::read_head(&mut rest) {
             Ok(head) => head,
-            // The slice ran out: for a live connection, wait for more.
+            // The bytes ran out: for a live connection, wait for more.
             Err(HttpError::ConnectionClosed) if !eof => {
-                if before == 0 {
-                    held.extend_from_slice(input);
-                }
+                held.extend_from_slice(input);
                 return Ok((input.len(), false));
             }
             Err(e) => return Err(e),
         };
-        used = buf.len() - rest.len() - before;
+        used = input.len() - rest.into_inner().1.len();
         held.clear();
-        *part = Some(Part::new(head, rule, sink)?);
+        *part = Some(start(head, sink)?);
     }
     let part = part.as_mut().expect("started above");
     used += part.feed(&input[used..], eof, sink)?;
@@ -429,46 +494,77 @@ enum End {
 }
 
 impl Part {
-    /// Start on a parsed response head. An engaging head writes its
-    /// client head into `sink` right away (a pinned relay's went out with
-    /// the cached prefix); a bodiless one is done at once. `Err` is a
-    /// framing header no body can be read under — a failed, retryable
-    /// exchange like any other before a byte moved.
-    fn new(head: Response, rule: Option<RelayRule>, sink: &mut Vec<u8>) -> Result<Part, HttpError> {
-        let reader = if Response::bodiless_status(head.status) {
-            Some(BodyReader::length(0))
-        } else if head.headers.list_contains("Transfer-Encoding", "chunked") {
-            Some(BodyReader::chunked())
-        } else {
-            // Above MAX_BODY this is the error: no byte is read.
-            parse::content_length(&head.headers)?.map(BodyReader::length)
-        };
-        let mut part = Part {
+    /// Start buffering the response `head` begins, its body framed as
+    /// `framing` says.
+    fn new(head: Response, framing: Option<StreamFraming>) -> Part {
+        Part {
             head,
-            reader,
+            reader: framing.map(BodyReader::new),
             body: Vec::new(),
             grow: None,
             relay: None,
             end: None,
-        };
+        }
+    }
+
+    /// Start the main response: the relay decision, from its head alone.
+    /// An engaging head writes its client head into `sink` right away (a
+    /// pinned relay's went out with the cached prefix). `Err` is a failed,
+    /// retryable exchange like any other before a byte moved.
+    fn main(
+        head: Response,
+        rule: Option<RelayRule>,
+        as_is: Option<AsIs>,
+        accept_push: bool,
+        sink: &mut Vec<u8>,
+    ) -> Result<Part, HttpError> {
+        let framing = body_framing(&head, as_is.is_some_and(|a| a.head_request))?;
+        let mut part = Part::new(head, framing);
         if let Some(rule) = rule {
             match rule.decide(&part.head) {
                 RelayDecision::Engage(n) => {
                     if rule.expect_total.is_none() {
                         write_stream_head(&part.head, Some(n), rule.now, sink);
                     }
-                    part.relay = Some(Relay::new(&rule, Some(n)));
+                    part.relay = Some(Relay::new(Some(n), Some(&rule)));
                 }
                 RelayDecision::Grow => part.grow = Some(rule),
-                RelayDecision::Mismatch => {
-                    part.end = Some(End::Mismatch);
-                    return Ok(part);
-                }
+                RelayDecision::Mismatch => part.end = Some(End::Mismatch),
                 RelayDecision::Buffer => {}
             }
+        } else if let (Some(as_is), Some(framing)) = (as_is, framing) {
+            // A close-delimited body (no framing) buffers too.
+            let buffers = (as_is.hook.is_some() && framing == StreamFraming::Chunked)
+                || (accept_push && announced_pushes(&part.head) > 0);
+            if !buffers {
+                part.engage(as_is.hook, framing, sink);
+            }
         }
-        part.step(false, sink)?;
         Ok(part)
+    }
+
+    /// Engage an as-is relay: the hook, then the upstream's head as the
+    /// client head, announcing the trailers a chunked upstream announced.
+    fn engage(&mut self, hook: Option<HeadHook>, upstream: StreamFraming, sink: &mut Vec<u8>) {
+        let declared = match upstream {
+            StreamFraming::Length(n) => n,
+            StreamFraming::Chunked => 0,
+        };
+        if let Some(hook) = hook {
+            hook(&mut self.head, declared);
+        }
+        let trailing = upstream == StreamFraming::Chunked;
+        if trailing {
+            for name in self.head.headers.get("Trailer").unwrap_or("").split(',') {
+                let _ = self.head.trailers.try_insert(name.trim(), "");
+            }
+        }
+        let client = (!self.head.is_chunked()).then_some(declared);
+        let framing = client.map_or(StreamFraming::Chunked, StreamFraming::Length);
+        encode_stream_head(&self.head, framing, sink);
+        let mut relay = Relay::new(client, None);
+        relay.trailing = trailing;
+        self.relay = Some(relay);
     }
 
     /// Did the response end (whole, or in a mismatch)?
@@ -519,7 +615,7 @@ impl Part {
         if let Some(rule) = self.grow.filter(|rule| reader.decoded() >= rule.threshold) {
             self.grow = None;
             write_stream_head(&self.head, None, rule.now, sink);
-            let mut relay = Relay::new(&rule, None);
+            let mut relay = Relay::new(None, Some(&rule));
             relay.seg = std::mem::take(&mut self.body);
             relay.flush_seg(sink);
             self.relay = Some(relay);
@@ -533,11 +629,17 @@ impl Part {
         }
         let mut end = End::Whole;
         if let Some(relay) = &mut self.relay {
+            // A proxy relay keeps the origin's trailers (the piggyback)
+            // and ends the client's body clean — its head has none; an
+            // as-is relay forwards the upstream's, or the hook's.
+            let trailers = if relay.trailing {
+                reader.trailers()
+            } else {
+                &self.head.trailers
+            };
             match &mut relay.chunker {
-                // The origin's trailers (the piggyback) stay here; the
-                // client gets a clean end of body.
                 Some(chunker) => chunker
-                    .finish(&HeaderMap::new(), sink)
+                    .finish(trailers, sink)
                     .expect("writing to a Vec cannot fail"),
                 None if relay.owed > 0 => end = End::Mismatch,
                 None => {}
@@ -547,8 +649,9 @@ impl Part {
         Ok(())
     }
 
-    /// The response's outcome, carrying `pushed` if it was buffered whole.
-    fn into_outcome(self, pushed: Vec<Response>) -> UpstreamOutcome {
+    /// The response's outcome, carrying `pushed` if it was buffered whole
+    /// — and then first handed to the as-is `hook`, trailers and all.
+    fn into_outcome(self, pushed: Vec<Response>, hook: Option<HeadHook>) -> UpstreamOutcome {
         let Part {
             mut head,
             reader,
@@ -569,7 +672,11 @@ impl Part {
                         prefix: relay.prefix.bytes,
                     },
                     None => {
+                        let len = body.len();
                         head.body = body.into();
+                        if let Some(hook) = hook {
+                            hook(&mut head, len);
+                        }
                         UpstreamOutcome::Response(head, pushed)
                     }
                 }

@@ -12,8 +12,8 @@
 //!
 //! ## Concurrency
 //!
-//! The default serving path takes **no global lock** (PROTOCOL.md §9).
-//! Origin state is split by write frequency:
+//! The serving path takes **no global lock** (PROTOCOL.md §9), under
+//! either I/O engine. Origin state is split by write frequency:
 //!
 //! * the resource table and volume mapping live in an immutable
 //!   [`OriginSnapshot`] behind a [`SnapshotCell`], rebuilt and swapped
@@ -30,10 +30,10 @@
 //!   generation)`, so a proxy fleet sending identical filters reuses one
 //!   encoding per snapshot.
 //!
-//! The original single-`Mutex<PiggybackServer>` path is retained as
-//! `--legacy-origin` (mirroring `pb-proxy --legacy`) for A/B comparison;
-//! both paths produce byte-identical piggybacks for the same access
-//! history.
+//! Its piggybacks are byte-identical to those of the socket-free
+//! [`PiggybackServer`](piggyback_core::server::PiggybackServer) fed the
+//! same access history (`tests/concurrency_stress.rs` holds the two
+//! together).
 
 use crate::obs::{render_histogram, render_scalar, DaemonObs};
 use crate::prefetch::{PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER, PUSH_PATH_HEADER};
@@ -50,16 +50,14 @@ use piggyback_core::datetime::{
 use piggyback_core::filter::{ProxyFilter, PIGGY_FILTER_HEADER};
 use piggyback_core::piggy_cache::{CacheStats, CachedEncoding, PiggybackCache};
 use piggyback_core::report::{parse_report, ReportEntry, PIGGY_REPORT_HEADER};
-use piggyback_core::server::{AtomicServerStats, PiggybackServer, ServerStats};
+use piggyback_core::server::{AtomicServerStats, ServerStats};
 use piggyback_core::snapshot::{
     AccessState, FrozenVolumes, OriginSnapshot, SnapshotCell, StaticDirectoryVolumes,
 };
 use piggyback_core::striped::StripedHistories;
 use piggyback_core::table::ResourceTable;
 use piggyback_core::types::{DurationMs, ResourceId, SourceId, Timestamp};
-use piggyback_core::volume::{
-    DirectoryVolumes, ProbabilityVolumes, ProbabilityVolumesBuilder, SamplingMode,
-};
+use piggyback_core::volume::{ProbabilityVolumes, ProbabilityVolumesBuilder, SamplingMode};
 use piggyback_core::wire::{decode_p_volume, encode_p_volume, P_VOLUME_HEADER};
 use piggyback_httpwire::{Body, ConnScratch, Request, Response};
 use piggyback_trace::synth::site::{Site, SiteConfig};
@@ -142,15 +140,11 @@ pub struct OriginConfig {
     /// Serve the Prometheus admin endpoint `GET /__pb/metrics`
     /// (`pb-origin --no-metrics` disables it; disabled scrapes get a 404).
     pub metrics: bool,
-    /// Serve through the original single-mutex path (`--legacy-origin`)
-    /// instead of the lock-free snapshot path, for A/B comparison.
-    pub legacy: bool,
     /// Memoize serialized probability-volume piggybacks per
-    /// `(volume, filter, generation)` (`--no-piggyback-cache` disables;
-    /// ignored in legacy mode).
+    /// `(volume, filter, generation)` (`--no-piggyback-cache` disables).
     pub piggyback_cache: bool,
     /// Learn probability volumes online from live traffic (requires a
-    /// probability `volumes` scheme; ignored in legacy mode).
+    /// probability `volumes` scheme).
     pub online_epoch: Option<OnlineEpochConfig>,
     /// Connection-serving engine: blocking worker pool (default) or the
     /// epoll reactor (`--io reactor`, Linux only — other platforms fall
@@ -162,8 +156,7 @@ pub struct OriginConfig {
     /// `Piggy-push: accept`, stream up to N volume members as full pushed
     /// responses after the main 200 (the main response announces them
     /// with `X-Push-Count`, each pushed response names its resource with
-    /// `X-Push-Path`). 0 disables pushing. Snapshot path only — the
-    /// legacy origin never pushes.
+    /// `X-Push-Path`). 0 disables pushing.
     pub push_max: usize,
 }
 
@@ -178,7 +171,6 @@ impl Default for OriginConfig {
             volume_level: 1,
             volumes: VolumeScheme::Directory { level: 1 },
             metrics: true,
-            legacy: false,
             piggyback_cache: true,
             online_epoch: None,
             io: IoMode::default(),
@@ -188,18 +180,8 @@ impl Default for OriginConfig {
     }
 }
 
-type DynVolumes = Box<dyn piggyback_core::volume::VolumeProvider + Send>;
-
-/// The original single-lock serving state, kept for `--legacy-origin`.
-struct LegacyState {
-    server: PiggybackServer<DynVolumes>,
-    /// Table-mutation counter, mirroring the snapshot path's generation
-    /// so `/_pb/stats` reports the same field in both modes.
-    generation: u64,
-}
-
 /// Lock-free-on-the-serving-path origin state (see module docs).
-struct ConcurrentOrigin {
+struct OriginState {
     snapshot: SnapshotCell<OriginSnapshot>,
     /// Serializes rebuild-and-swap (modify, epoch advance). Never taken
     /// on the 200/304 serving path.
@@ -219,15 +201,10 @@ struct EpochState {
     rebuilds: AtomicU64,
 }
 
-enum OriginCore {
-    Legacy(Mutex<LegacyState>),
-    Concurrent(ConcurrentOrigin),
-}
-
 struct OriginShared {
-    core: OriginCore,
+    state: OriginState,
     clock: Clock,
-    /// Shared synthetic bodies, keyed by resource id (both modes).
+    /// Shared synthetic bodies, keyed by resource id.
     bodies: BodyCache,
     /// Most volume members pushed after one main response (0 = never).
     push_max: usize,
@@ -254,10 +231,7 @@ impl OriginHandle {
     }
 
     pub fn stats(&self) -> ServerStats {
-        match &self.shared.core {
-            OriginCore::Legacy(state) => state.lock().server.stats(),
-            OriginCore::Concurrent(c) => c.stats.snapshot(),
-        }
+        self.shared.state.stats.snapshot()
     }
 
     /// Lock-free transport counters: every parsed request (any method,
@@ -275,45 +249,26 @@ impl OriginHandle {
     /// The server-side access count for `path` (includes counts absorbed
     /// from `Piggy-report` headers).
     pub fn access_count(&self, path: &str) -> u64 {
-        match &self.shared.core {
-            OriginCore::Legacy(state) => {
-                let st = state.lock();
-                st.server
-                    .table()
-                    .lookup(path)
-                    .and_then(|r| st.server.table().meta(r))
-                    .map_or(0, |m| m.access_count)
-            }
-            OriginCore::Concurrent(c) => {
-                let snap = c.snapshot.load();
-                snap.table.lookup(path).map_or(0, |r| c.access.count(r))
-            }
-        }
+        let state = &self.shared.state;
+        let snap = state.snapshot.load();
+        snap.table.lookup(path).map_or(0, |r| state.access.count(r))
     }
 
     /// The serving snapshot's generation (bumped by `/_pb/modify` and
-    /// epoch advances; legacy mode counts its table mutations the same).
+    /// epoch advances).
     pub fn generation(&self) -> u64 {
-        match &self.shared.core {
-            OriginCore::Legacy(state) => state.lock().generation,
-            OriginCore::Concurrent(c) => c.snapshot.load().generation,
-        }
+        self.shared.state.snapshot.load().generation
     }
 
     /// Piggyback encode-cache counters, when the cache is active.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        match &self.shared.core {
-            OriginCore::Concurrent(c) => c.cache.as_ref().map(PiggybackCache::stats),
-            OriginCore::Legacy(_) => None,
-        }
+        self.shared.state.cache.as_ref().map(PiggybackCache::stats)
     }
 
     /// Completed online-epoch rebuilds (0 unless epoch learning is on).
     pub fn epoch_rebuilds(&self) -> u64 {
-        match &self.shared.core {
-            OriginCore::Concurrent(c) => c.epoch.as_ref().map_or(0, |e| e.rebuilds.load(Relaxed)),
-            OriginCore::Legacy(_) => 0,
-        }
+        let epoch = self.shared.state.epoch.as_ref();
+        epoch.map_or(0, |e| e.rebuilds.load(Relaxed))
     }
 
     pub fn stop(self) {
@@ -355,73 +310,56 @@ pub fn start_origin(cfg: OriginConfig) -> io::Result<OriginHandle> {
     let (table, _site) = Site::generate(&cfg.site);
     let paths: Vec<String> = table.iter().map(|(_, p, _)| p.to_owned()).collect();
 
-    let core = if cfg.legacy {
-        let volumes: DynVolumes = match &cfg.volumes {
-            VolumeScheme::Directory { level } => Box::new(DirectoryVolumes::new(*level)),
-            VolumeScheme::ProbabilityFile(path) => {
-                Box::new(load_probability_volumes(path, &table)?)
-            }
-        };
-        let mut server = PiggybackServer::new(volumes);
-        for (_, path, meta) in table.iter() {
-            server.register(path, meta.size, Timestamp::ZERO, meta.content_type);
+    // Register the site's resources (same ids, same registration-time
+    // metadata) into an immutable table.
+    let mut reg = ResourceTable::new();
+    for (_, path, meta) in table.iter() {
+        reg.register(path, meta.size, Timestamp::ZERO, meta.content_type);
+    }
+    let reg = Arc::new(reg);
+    let volumes = match &cfg.volumes {
+        VolumeScheme::Directory { level } => {
+            FrozenVolumes::Directory(Arc::new(StaticDirectoryVolumes::build(&reg, *level)))
         }
-        OriginCore::Legacy(Mutex::new(LegacyState {
-            server,
-            generation: 0,
-        }))
-    } else {
-        // Snapshot path: register the same resources (same ids, same
-        // registration-time metadata) into an immutable table.
-        let mut reg = ResourceTable::new();
-        for (_, path, meta) in table.iter() {
-            reg.register(path, meta.size, Timestamp::ZERO, meta.content_type);
+        VolumeScheme::ProbabilityFile(path) => {
+            FrozenVolumes::Probability(Arc::new(load_probability_volumes(path, &table)?))
         }
-        let reg = Arc::new(reg);
-        let volumes = match &cfg.volumes {
-            VolumeScheme::Directory { level } => {
-                FrozenVolumes::Directory(Arc::new(StaticDirectoryVolumes::build(&reg, *level)))
-            }
-            VolumeScheme::ProbabilityFile(path) => {
-                FrozenVolumes::Probability(Arc::new(load_probability_volumes(path, &table)?))
-            }
-        };
-        let epoch = match (&cfg.online_epoch, &volumes) {
-            (None, _) => None,
-            (Some(ep), FrozenVolumes::Probability(_)) => {
-                if !(ep.threshold > 0.0 && ep.threshold <= 1.0) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "online epoch threshold must be in (0, 1]",
-                    ));
-                }
-                Some(EpochState {
-                    // Retain a full epoch of history per source: the drain
-                    // happens once per epoch, and the builder applies its
-                    // own co-access window `T` within the drained batch.
-                    histories: StripedHistories::new(ep.epoch),
-                    deadline_ms: AtomicU64::new(ep.cfg_initial_deadline()),
-                    rebuilds: AtomicU64::new(0),
-                    cfg: ep.clone(),
-                })
-            }
-            (Some(_), FrozenVolumes::Directory(_)) => {
+    };
+    let epoch = match (&cfg.online_epoch, &volumes) {
+        (None, _) => None,
+        (Some(ep), FrozenVolumes::Probability(_)) => {
+            if !(ep.threshold > 0.0 && ep.threshold <= 1.0) {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
-                    "online epoch learning requires probability volumes",
+                    "online epoch threshold must be in (0, 1]",
                 ));
             }
-        };
-        let cacheable = cfg.piggyback_cache && matches!(volumes, FrozenVolumes::Probability(_));
-        let access = AccessState::new(reg.len());
-        OriginCore::Concurrent(ConcurrentOrigin {
-            snapshot: SnapshotCell::new(Arc::new(OriginSnapshot::new(0, reg, volumes))),
-            swap: Mutex::new(()),
-            access,
-            stats: AtomicServerStats::new(),
-            cache: cacheable.then(PiggybackCache::new),
-            epoch,
-        })
+            Some(EpochState {
+                // Retain a full epoch of history per source: the drain
+                // happens once per epoch, and the builder applies its
+                // own co-access window `T` within the drained batch.
+                histories: StripedHistories::new(ep.epoch),
+                deadline_ms: AtomicU64::new(ep.cfg_initial_deadline()),
+                rebuilds: AtomicU64::new(0),
+                cfg: ep.clone(),
+            })
+        }
+        (Some(_), FrozenVolumes::Directory(_)) => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "online epoch learning requires probability volumes",
+            ));
+        }
+    };
+    let cacheable = cfg.piggyback_cache && matches!(volumes, FrozenVolumes::Probability(_));
+    let access = AccessState::new(reg.len());
+    let state = OriginState {
+        snapshot: SnapshotCell::new(Arc::new(OriginSnapshot::new(0, reg, volumes))),
+        swap: Mutex::new(()),
+        access,
+        stats: AtomicServerStats::new(),
+        cache: cacheable.then(PiggybackCache::new),
+        epoch,
     };
 
     let io_stats = Arc::new(IoStats::default());
@@ -433,7 +371,7 @@ pub fn start_origin(cfg: OriginConfig) -> io::Result<OriginHandle> {
         IoMode::Threaded => None,
     };
     let shared = Arc::new(OriginShared {
-        core,
+        state,
         clock: Clock::new(),
         bodies: BodyCache::new(paths.len()),
         push_max: cfg.push_max,
@@ -620,17 +558,14 @@ fn dispatch_request(
 }
 
 /// Render the origin's Prometheus exposition from lock-free counters and
-/// histograms only. The snapshot path additionally exposes the piggyback
-/// ledger, cache counters, and generation gauge (all atomics).
+/// histograms only: the transport ledger, the piggyback ledger, cache
+/// counters, and the generation gauge (all atomics).
 fn origin_metrics_response(
     daemon: &AtomicDaemonStats,
     obs: &DaemonObs,
     shared: &OriginShared,
 ) -> Response {
-    let extras = match &shared.core {
-        OriginCore::Concurrent(c) => Some(c),
-        OriginCore::Legacy(_) => None,
-    };
+    let c = &shared.state;
     let stats = daemon.snapshot();
     let mut out = String::with_capacity(4 * 1024);
     render_scalar(
@@ -681,70 +616,68 @@ fn origin_metrics_response(
         "counter",
         stats.push_bytes_sent,
     );
-    if let Some(c) = extras {
-        let pb = c.stats.snapshot();
+    let pb = c.stats.snapshot();
+    render_scalar(
+        &mut out,
+        "pb_origin_pb_requests_total",
+        "",
+        "counter",
+        pb.requests,
+    );
+    for (label, value) in [
+        ("sent", pb.piggybacks_sent),
+        ("suppressed", pb.suppressed),
+        ("no_filter", pb.no_filter),
+    ] {
         render_scalar(
             &mut out,
-            "pb_origin_pb_requests_total",
-            "",
+            "pb_origin_piggyback_outcomes_total",
+            &format!("outcome=\"{label}\""),
             "counter",
-            pb.requests,
+            value,
         );
-        for (label, value) in [
-            ("sent", pb.piggybacks_sent),
-            ("suppressed", pb.suppressed),
-            ("no_filter", pb.no_filter),
-        ] {
+    }
+    render_scalar(
+        &mut out,
+        "pb_origin_piggyback_elements_total",
+        "",
+        "counter",
+        pb.elements_sent,
+    );
+    if let Some(cache) = &c.cache {
+        let cs = cache.stats();
+        for (label, value) in [("hit", cs.hits), ("miss", cs.misses)] {
             render_scalar(
                 &mut out,
-                "pb_origin_piggyback_outcomes_total",
-                &format!("outcome=\"{label}\""),
+                "pb_origin_piggyback_cache_probes_total",
+                &format!("result=\"{label}\""),
                 "counter",
                 value,
             );
         }
         render_scalar(
             &mut out,
-            "pb_origin_piggyback_elements_total",
+            "pb_origin_piggyback_cache_evictions_total",
             "",
             "counter",
-            pb.elements_sent,
+            cs.evictions,
         );
-        if let Some(cache) = &c.cache {
-            let cs = cache.stats();
-            for (label, value) in [("hit", cs.hits), ("miss", cs.misses)] {
-                render_scalar(
-                    &mut out,
-                    "pb_origin_piggyback_cache_probes_total",
-                    &format!("result=\"{label}\""),
-                    "counter",
-                    value,
-                );
-            }
-            render_scalar(
-                &mut out,
-                "pb_origin_piggyback_cache_evictions_total",
-                "",
-                "counter",
-                cs.evictions,
-            );
-        }
+    }
+    render_scalar(
+        &mut out,
+        "pb_origin_table_generation",
+        "",
+        "gauge",
+        c.snapshot.load().generation,
+    );
+    if let Some(ep) = &c.epoch {
         render_scalar(
             &mut out,
-            "pb_origin_table_generation",
+            "pb_origin_epoch_rebuilds_total",
             "",
-            "gauge",
-            c.snapshot.load().generation,
+            "counter",
+            ep.rebuilds.load(Relaxed),
         );
-        if let Some(ep) = &c.epoch {
-            render_scalar(
-                &mut out,
-                "pb_origin_epoch_rebuilds_total",
-                "",
-                "counter",
-                ep.rebuilds.load(Relaxed),
-            );
-        }
     }
     for (class, hist) in obs.classes() {
         render_histogram(
@@ -824,7 +757,7 @@ fn origin_metrics_response(
     resp
 }
 
-/// The `/_pb/stats` plain-text body, shared by both serving modes.
+/// The `/_pb/stats` plain-text body.
 fn stats_response(stats: &ServerStats, resources: usize, generation: u64) -> Response {
     let mut resp = Response::new(200);
     resp.headers.insert("Content-Type", "text/plain");
@@ -863,118 +796,16 @@ fn handle_request(
         return resp;
     }
     let path = strip_origin_form(&req.target);
-    match &shared.core {
-        // The legacy origin never pushes: push is a snapshot-path-only
-        // baseline, gated below on `push_max`.
-        OriginCore::Legacy(state) => {
-            handle_request_legacy(req, path, source, state, &shared.clock, &shared.bodies, obs)
-        }
-        OriginCore::Concurrent(c) => handle_request_concurrent(
-            req,
-            path,
-            source,
-            c,
-            &shared.clock,
-            &shared.bodies,
-            obs,
-            shared.push_max,
-            push_out,
-        ),
-    }
-}
-
-fn handle_request_legacy(
-    req: &Request,
-    path: &str,
-    source: SourceId,
-    state: &Mutex<LegacyState>,
-    clock: &Clock,
-    bodies: &BodyCache,
-    obs: &DaemonObs,
-) -> Response {
-    // Statistics endpoint (plain text, for operators and tests).
-    if path == "/_pb/stats" {
-        let st = state.lock();
-        return stats_response(&st.server.stats(), st.server.table().len(), st.generation);
-    }
-
-    // Modification control endpoint.
-    if let Some(target) = path.strip_prefix("/_pb/modify") {
-        let mut st = state.lock();
-        let now = clock.now();
-        return match st.server.table().lookup(target) {
-            Some(r) => {
-                let prev = st
-                    .server
-                    .table()
-                    .meta(r)
-                    .map(|m| m.last_modified)
-                    .unwrap_or(Timestamp::ZERO);
-                let bumped = bumped_last_modified(prev, now);
-                st.server.touch_modified(r, bumped);
-                st.generation += 1;
-                Response::new(204)
-            }
-            None => Response::new(404),
-        };
-    }
-
-    let mut st = state.lock();
-    let now = clock.now();
-
-    // Section 5 extension: absorb the proxy's report of cache-served
-    // accesses before handling the request proper.
-    if let Some(v) = req.headers.get(PIGGY_REPORT_HEADER) {
-        if let Ok(entries) = parse_report(v) {
-            st.server.absorb_report(&entries, source, now);
-        }
-    }
-
-    // Lookup miss short-circuits before any filter parsing or piggyback
-    // work: a 404 never carries `P-volume` and never touches the ledger.
-    let Some(resource) = st.server.table().lookup(path) else {
-        let mut resp = Response::new(404);
-        resp.body = NOT_FOUND_BODY.clone();
-        return resp;
-    };
-    st.server.record_access(resource, source, now);
-    let meta = *st.server.table().meta(resource).expect("registered");
-
-    let piggyback = match req.headers.get(PIGGY_FILTER_HEADER).map(ProxyFilter::parse) {
-        Some(Ok(filter)) => st
-            .server
-            .piggyback(resource, &filter, now)
-            .and_then(|msg| encode_p_volume(&msg, st.server.table()).ok()),
-        _ => {
-            st.server.count_no_filter();
-            None
-        }
-    };
-    drop(st);
-    respond(req, path, resource, meta, piggyback.as_deref(), bodies, obs)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle_request_concurrent(
-    req: &Request,
-    path: &str,
-    source: SourceId,
-    c: &ConcurrentOrigin,
-    clock: &Clock,
-    bodies: &BodyCache,
-    obs: &DaemonObs,
-    push_max: usize,
-    push_out: &mut Vec<Response>,
-) -> Response {
+    let (c, bodies, push_max) = (&shared.state, &shared.bodies, shared.push_max);
     if path == "/_pb/stats" {
         let snap = c.snapshot.load();
         return stats_response(&c.stats.snapshot(), snap.table.len(), snap.generation);
     }
     if let Some(target) = path.strip_prefix("/_pb/modify") {
-        return c.modify(target, clock.now());
+        return c.modify(target, shared.clock.now());
     }
 
-    let now = clock.now();
+    let now = shared.clock.now();
     let snap = c.snapshot.load();
 
     if let Some(v) = req.headers.get(PIGGY_REPORT_HEADER) {
@@ -1084,8 +915,7 @@ fn build_pushes(
 
 /// Build the HTTP response for a resolved resource: conditional handling,
 /// body lookup (memoized shared bytes), and piggyback placement (trailer,
-/// or header fallback). Mode-independent, so legacy and snapshot
-/// responses are byte-identical.
+/// or header fallback).
 fn respond(
     req: &Request,
     path: &str,
@@ -1137,9 +967,10 @@ fn respond(
     resp
 }
 
-impl ConcurrentOrigin {
+impl OriginState {
     /// Build (or reuse) the serialized piggyback for `(resource, filter)`
-    /// against `snap`, accounting the outcome exactly as the legacy path
+    /// against `snap`, accounting the outcome exactly as
+    /// [`PiggybackServer::piggyback`](piggyback_core::server::PiggybackServer::piggyback)
     /// does: cache hits bump the same sent/suppressed/element counters as
     /// fresh computations.
     fn encode_piggyback(
@@ -1341,13 +1172,6 @@ mod tests {
         Response::read(reader, method == "HEAD").unwrap()
     }
 
-    fn legacy_config() -> OriginConfig {
-        OriginConfig {
-            legacy: true,
-            ..Default::default()
-        }
-    }
-
     /// Persist a small learned volume set for `site_cfg` and return
     /// (file path, page-0 path, page-1 path): page 0 implies page 1.
     fn persisted_volumes(site_cfg: &SiteConfig, tag: &str) -> (std::path::PathBuf, String, String) {
@@ -1515,36 +1339,29 @@ mod tests {
     }
 
     #[test]
-    fn legacy_origin_serves_identical_flow() {
-        piggyback_trailer_flow(legacy_config());
-    }
-
-    #[test]
     fn conditional_requests_and_modification() {
-        for cfg in [OriginConfig::default(), legacy_config()] {
-            let origin = start_origin(cfg).unwrap();
-            let path = origin.paths[0].clone();
-            let (mut r, mut w) = connect(&origin);
+        let origin = start_origin(OriginConfig::default()).unwrap();
+        let path = origin.paths[0].clone();
+        let (mut r, mut w) = connect(&origin);
 
-            let resp = get(&mut r, &mut w, &path, &[]);
-            assert_eq!(resp.status, 200);
-            let lm = resp.headers.get("Last-Modified").unwrap().to_owned();
+        let resp = get(&mut r, &mut w, &path, &[]);
+        assert_eq!(resp.status, 200);
+        let lm = resp.headers.get("Last-Modified").unwrap().to_owned();
 
-            // Validate: 304 without body.
-            let resp = get(&mut r, &mut w, &path, &[("If-Modified-Since", &lm)]);
-            assert_eq!(resp.status, 304);
-            assert!(resp.body.is_empty());
+        // Validate: 304 without body.
+        let resp = get(&mut r, &mut w, &path, &[("If-Modified-Since", &lm)]);
+        assert_eq!(resp.status, 304);
+        assert!(resp.body.is_empty());
 
-            // Modify, then the same validation gets a fresh 200.
-            assert_eq!(origin.generation(), 0);
-            let resp = get(&mut r, &mut w, &format!("/_pb/modify{path}"), &[]);
-            assert_eq!(resp.status, 204);
-            assert_eq!(origin.generation(), 1, "modify must bump the generation");
-            let resp = get(&mut r, &mut w, &path, &[("If-Modified-Since", &lm)]);
-            assert_eq!(resp.status, 200, "modified resource must be re-sent");
+        // Modify, then the same validation gets a fresh 200.
+        assert_eq!(origin.generation(), 0);
+        let resp = get(&mut r, &mut w, &format!("/_pb/modify{path}"), &[]);
+        assert_eq!(resp.status, 204);
+        assert_eq!(origin.generation(), 1, "modify must bump the generation");
+        let resp = get(&mut r, &mut w, &path, &[("If-Modified-Since", &lm)]);
+        assert_eq!(resp.status, 200, "modified resource must be re-sent");
 
-            origin.stop();
-        }
+        origin.stop();
     }
 
     #[test]
@@ -1555,35 +1372,26 @@ mod tests {
             ..Default::default()
         };
         let (path, a_path, b_path) = persisted_volumes(&site_cfg, "persist");
-        for cfg in [
-            OriginConfig {
-                site: site_cfg.clone(),
-                volumes: VolumeScheme::ProbabilityFile(path.clone()),
-                ..Default::default()
-            },
-            OriginConfig {
-                site: site_cfg.clone(),
-                volumes: VolumeScheme::ProbabilityFile(path.clone()),
-                legacy: true,
-                ..Default::default()
-            },
-        ] {
-            let origin = start_origin(cfg).unwrap();
-            let (mut r, mut w) = connect(&origin);
-            let resp = get(
-                &mut r,
-                &mut w,
-                &a_path,
-                &[("TE", "chunked"), ("Piggy-filter", "maxpiggy=5")],
-            );
-            assert_eq!(resp.status, 200);
-            let pv = resp
-                .trailers
-                .get("P-volume")
-                .expect("persisted implication must piggyback immediately");
-            assert!(pv.contains(&b_path), "expected {b_path} in {pv}");
-            origin.stop();
-        }
+        let origin = start_origin(OriginConfig {
+            site: site_cfg,
+            volumes: VolumeScheme::ProbabilityFile(path.clone()),
+            ..Default::default()
+        })
+        .unwrap();
+        let (mut r, mut w) = connect(&origin);
+        let resp = get(
+            &mut r,
+            &mut w,
+            &a_path,
+            &[("TE", "chunked"), ("Piggy-filter", "maxpiggy=5")],
+        );
+        assert_eq!(resp.status, 200);
+        let pv = resp
+            .trailers
+            .get("P-volume")
+            .expect("persisted implication must piggyback immediately");
+        assert!(pv.contains(&b_path), "expected {b_path} in {pv}");
+        origin.stop();
         let _ = std::fs::remove_file(path);
     }
 
@@ -1683,19 +1491,17 @@ mod tests {
 
     #[test]
     fn stats_endpoint_reports_counters() {
-        for cfg in [OriginConfig::default(), legacy_config()] {
-            let origin = start_origin(cfg).unwrap();
-            let (mut r, mut w) = connect(&origin);
-            get(&mut r, &mut w, &origin.paths[0].clone(), &[]);
-            let resp = get(&mut r, &mut w, "/_pb/stats", &[]);
-            assert_eq!(resp.status, 200);
-            let text = String::from_utf8(resp.body.to_vec()).unwrap();
-            assert!(text.contains("requests 1"), "{text}");
-            assert!(text.contains("no_filter 1"), "{text}");
-            assert!(text.contains("resources"), "{text}");
-            assert!(text.contains("generation 0"), "{text}");
-            origin.stop();
-        }
+        let origin = start_origin(OriginConfig::default()).unwrap();
+        let (mut r, mut w) = connect(&origin);
+        get(&mut r, &mut w, &origin.paths[0].clone(), &[]);
+        let resp = get(&mut r, &mut w, "/_pb/stats", &[]);
+        assert_eq!(resp.status, 200);
+        let text = String::from_utf8(resp.body.to_vec()).unwrap();
+        assert!(text.contains("requests 1"), "{text}");
+        assert!(text.contains("no_filter 1"), "{text}");
+        assert!(text.contains("resources"), "{text}");
+        assert!(text.contains("generation 0"), "{text}");
+        origin.stop();
     }
 
     #[test]
@@ -1755,40 +1561,36 @@ mod tests {
 
     #[test]
     fn non_get_head_rejected_with_405_allow() {
-        for cfg in [OriginConfig::default(), legacy_config()] {
-            let origin = start_origin(cfg).unwrap();
-            let path = origin.paths[0].clone();
-            let (mut r, mut w) = connect(&origin);
-            for method in ["POST", "PUT", "DELETE", "OPTIONS"] {
-                let resp = request(&mut r, &mut w, method, &path, &[]);
-                assert_eq!(resp.status, 405, "{method}");
-                assert_eq!(resp.headers.get("Allow"), Some("GET, HEAD"), "{method}");
-            }
-            origin.stop();
+        let origin = start_origin(OriginConfig::default()).unwrap();
+        let path = origin.paths[0].clone();
+        let (mut r, mut w) = connect(&origin);
+        for method in ["POST", "PUT", "DELETE", "OPTIONS"] {
+            let resp = request(&mut r, &mut w, method, &path, &[]);
+            assert_eq!(resp.status, 405, "{method}");
+            assert_eq!(resp.headers.get("Allow"), Some("GET, HEAD"), "{method}");
         }
+        origin.stop();
     }
 
     #[test]
     fn missing_resources_404_without_piggyback_work() {
-        for cfg in [OriginConfig::default(), legacy_config()] {
-            let origin = start_origin(cfg).unwrap();
-            let (mut r, mut w) = connect(&origin);
-            // Even with a filter and TE, a 404 must carry no piggyback and
-            // must not touch the piggyback ledger at all.
-            let resp = get(
-                &mut r,
-                &mut w,
-                "/no/such/thing.html",
-                &[("TE", "chunked"), ("Piggy-filter", "maxpiggy=10")],
-            );
-            assert_eq!(resp.status, 404);
-            assert!(resp.headers.get("P-volume").is_none());
-            assert!(resp.trailers.get("P-volume").is_none());
-            let stats = origin.stats();
-            assert_eq!(stats.requests, 0, "404s never enter the server ledger");
-            assert_eq!(stats.outcomes(), 0);
-            origin.stop();
-        }
+        let origin = start_origin(OriginConfig::default()).unwrap();
+        let (mut r, mut w) = connect(&origin);
+        // Even with a filter and TE, a 404 must carry no piggyback and
+        // must not touch the piggyback ledger at all.
+        let resp = get(
+            &mut r,
+            &mut w,
+            "/no/such/thing.html",
+            &[("TE", "chunked"), ("Piggy-filter", "maxpiggy=10")],
+        );
+        assert_eq!(resp.status, 404);
+        assert!(resp.headers.get("P-volume").is_none());
+        assert!(resp.trailers.get("P-volume").is_none());
+        let stats = origin.stats();
+        assert_eq!(stats.requests, 0, "404s never enter the server ledger");
+        assert_eq!(stats.outcomes(), 0);
+        origin.stop();
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! the plan adapters (`reactor_svc`) that hand the same legs to the epoll
 //! reactor.
 
-use crate::client::{ConnectionPool, PoolStats};
+use crate::client::{ConnectionPool, PoolStats, PooledConn};
 use crate::lifecycle::{self, Leg, ResponseMachine, Settled, UpstreamJob, UpstreamOutcome};
 use crate::obs::{render_histogram, render_scalar, ProxyObs};
 use crate::origin::strip_origin_form;
@@ -672,13 +672,10 @@ fn serve_upstream<W: Write>(
     resp.write_with(w, scratch)
 }
 
-/// One blocking upstream exchange, owning the single retry loop
-/// (PROTOCOL.md §7.1): a failure while the response machine is still
-/// retryable goes again once on a fresh connection; a dial failure is
-/// terminal; an engaged relay or a whole response is never retried. The
-/// loop is the reactor's: read bytes, feed the machine, flush what it
-/// staged for the client. The connection returns to the pool only when
-/// the machine read the response — trailers and any pushed responses
+/// One blocking upstream exchange through the proxy's pool:
+/// [`blocking_exchange`] dialing pooled connections and writing each
+/// segment to `w`. The connection returns to the pool only when the
+/// machine read the response — trailers and any pushed responses
 /// included — to its end.
 pub(crate) fn exchange<W: Write>(
     shared: &ProxyShared,
@@ -688,50 +685,80 @@ pub(crate) fn exchange<W: Write>(
     scratch: &mut ConnScratch,
 ) -> UpstreamOutcome {
     let pool = &shared.pool;
-    for attempt in 0..2 {
-        let dial = if attempt == 0 {
-            pool.checkout()
-        } else {
+    let mut engaged = false;
+    let (outcome, conn) = blocking_exchange(
+        &leg.request,
+        || ResponseMachine::new(leg.relay, leg.accept_push),
+        |retry| {
+            if !retry {
+                return pool.checkout();
+            }
             retries.fetch_add(1, Relaxed);
             pool.connect_fresh()
-        };
-        let Ok(mut conn) = dial else { break };
-        if leg.request.write_with(&mut conn.writer, scratch).is_err() {
-            continue;
+        },
+        |seg, machine| {
+            // An engaging head goes out before more payload is awaited.
+            if seg.len() >= STREAM_SEGMENT || machine.is_done() || machine.engaged() != engaged {
+                engaged = machine.engaged();
+                write_segment(w, seg)?;
+            }
+            Ok(())
+        },
+        scratch,
+    );
+    if let UpstreamOutcome::StreamFailed { .. } = outcome {
+        // Whatever was staged still goes out: the client holds the head
+        // plus a strict prefix, then sees the close.
+        let _ = write_segment(w, &mut scratch.out);
+    }
+    if let Some(conn) = conn {
+        pool.checkin(conn);
+    }
+    outcome
+}
+
+/// One blocking upstream exchange, for both blocking hops — the threaded
+/// proxy and the volume center — owning the single retry loop
+/// (PROTOCOL.md §7.1): a failure while the response machine is still
+/// retryable goes again once, on the connection `dial(true)` gives,
+/// unless the request carries a body the upstream may already have acted
+/// on; a dial failure is terminal; an engaged relay or a whole response is
+/// never retried. The loop is the reactor's: read bytes, feed the machine
+/// built by `machine`, and `flush` what it staged in `scratch.out` — the
+/// one reused segment between the machine and downstream. The connection
+/// comes back only when the machine says it may carry another exchange.
+pub(crate) fn blocking_exchange<'h>(
+    request: &Request,
+    machine: impl Fn() -> ResponseMachine<'h>,
+    mut dial: impl FnMut(bool) -> io::Result<PooledConn>,
+    mut flush: impl FnMut(&mut Vec<u8>, &ResponseMachine<'h>) -> io::Result<()>,
+    scratch: &mut ConnScratch,
+) -> (UpstreamOutcome, Option<PooledConn>) {
+    for retry in [false, true] {
+        if retry && !request.body.is_empty() {
+            break;
         }
-        let mut machine = ResponseMachine::new(leg.relay, leg.accept_push);
-        // The one reused segment between the machine and the client.
+        let Ok(mut conn) = dial(retry) else { break };
+        let sent = request.write_with(&mut conn.writer, scratch);
+        let mut machine = machine();
         let seg = &mut scratch.out;
         seg.clear();
-        let fed = (|| -> Result<(), HttpError> {
-            let mut engaged = false;
+        let fed = sent.map_err(HttpError::from).and_then(|()| {
             while !machine.is_done() {
                 let input = conn.reader.fill_buf()?;
                 let consumed = machine.feed(input, input.is_empty(), seg)?;
                 conn.reader.consume(consumed);
-                // An engaging head goes out before more payload is awaited.
-                if seg.len() >= STREAM_SEGMENT || machine.is_done() || machine.engaged() != engaged
-                {
-                    engaged = machine.engaged();
-                    write_segment(w, seg)?;
-                }
+                flush(seg, &machine)?;
             }
             Ok(())
-        })();
-        if fed.is_err() {
-            if machine.retryable() {
-                continue;
-            }
-            // Whatever was staged still goes out: the client holds the
-            // head plus a strict prefix, then sees the close.
-            let _ = write_segment(w, seg);
+        });
+        if fed.is_err() && machine.retryable() {
+            continue;
         }
-        if machine.reusable() {
-            pool.checkin(conn);
-        }
-        return machine.into_outcome();
+        let reusable = machine.reusable();
+        return (machine.into_outcome(), reusable.then_some(conn));
     }
-    UpstreamOutcome::Failed
+    (UpstreamOutcome::Failed, None)
 }
 
 /// Write the staged client bytes downstream and empty the segment.

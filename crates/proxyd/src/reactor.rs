@@ -845,7 +845,7 @@ struct Exchange {
     started: Instant,
     /// Reads this attempt's response. Boxed: an idle exchange slot stays
     /// small.
-    machine: Box<ResponseMachine>,
+    machine: Box<ResponseMachine<'static>>,
 }
 
 /// A nonblocking origin connection owned by one reactor shard.

@@ -8,27 +8,30 @@
 //! header before forwarding upstream, and appends the `P-volume` trailer on
 //! the way back down.
 //!
-//! Both ends must not notice it, so it is a *cut-through* relay
-//! (PROTOCOL.md §14.1): bodies move downstream segment by segment as they
-//! arrive, through buffers that live as long as the connection, and
-//! requests are forwarded from the struct they were parsed into.
+//! Both ends must not notice it, so it is one more driver of the proxy's
+//! upstream [`ResponseMachine`], through the proxy's own blocking exchange
+//! loop (PROTOCOL.md §14.1): the downstream gets the upstream's own head,
+//! after a hook that learns and piggybacks, and bodies cut through segment
+//! by segment as they arrive, through buffers that live as long as the
+//! connection. Requests are forwarded from the struct they were parsed
+//! into.
 
 use crate::client::PooledConn;
+use crate::lifecycle::{self, announced_pushes, AsIs, HeadHook, ResponseMachine, UpstreamOutcome};
 use crate::netem::{Conditioner, ExchangePlan, ShimStats};
 use crate::origin::strip_origin_form;
 use crate::prefetch::{PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER};
+use crate::proxy::blocking_exchange;
 use crate::stats::{AtomicDaemonStats, DaemonStats};
 use crate::util::{serve, Clock, ServerHandle};
 use parking_lot::Mutex;
-use piggyback_core::datetime::{parse_rfc1123, timestamp_from_unix, DEFAULT_TRACE_EPOCH_UNIX};
 use piggyback_core::filter::{ProxyFilter, PIGGY_FILTER_HEADER};
 use piggyback_core::server::{PiggybackServer, ServerStats};
 use piggyback_core::types::{SourceId, Timestamp};
 use piggyback_core::volume::DirectoryVolumes;
 use piggyback_core::wire::{encode_p_volume, P_VOLUME_HEADER};
 use piggyback_httpwire::{
-    encode_stream_head, parse, BodyReader, BodyWriter, ConnScratch, HeaderMap, HttpError, Request,
-    Response, StreamFraming,
+    encode_stream_head, BodyWriter, ConnScratch, Request, Response, StreamFraming,
 };
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -146,29 +149,17 @@ fn request_wire_len(req: &Request) -> usize {
 /// store-and-forwarding whole responses.
 const PACE_CHUNK: usize = 16 * 1024;
 
-/// The framing `Response::write` picks for `resp` carrying `size` body
-/// bytes.
-fn framing_of(resp: &Response, size: usize) -> StreamFraming {
-    let chunked =
-        !resp.trailers.is_empty() || resp.headers.list_contains("Transfer-Encoding", "chunked");
-    if chunked && !Response::bodiless_status(resp.status) {
-        StreamFraming::Chunked
-    } else {
-        StreamFraming::Length(size)
-    }
-}
-
-/// The downstream half of a relay connection: the socket, the one staging
-/// buffer and body encoder every response on it goes through, and the
-/// shim's pacing state for the response under way.
+/// The downstream half of a relay connection: the socket, the body
+/// encoder of responses written whole, and the shim's pacing state for
+/// the response under way — a paced sink for the connection's one
+/// staging buffer, which is also the response machine's sink.
 ///
-/// Head, framing and payload are staged and leave in writes of exactly
-/// [`PACE_CHUNK`] bytes, a response's tail in one shorter write: a
-/// response that fits one write leaves in one write, and a larger one
-/// never has more than a write's worth waiting here.
+/// Staged bytes leave in writes of exactly [`PACE_CHUNK`] bytes, a
+/// response's tail in one shorter write: a response that fits one write
+/// leaves in one write, and a larger one never has more than a write's
+/// worth waiting.
 struct Downstream<'a> {
     sock: TcpStream,
-    stage: Vec<u8>,
     writer: BodyWriter,
     /// The shim and its plan for the exchange under way.
     shim: Option<(&'a Conditioner, ExchangePlan)>,
@@ -178,37 +169,30 @@ struct Downstream<'a> {
 }
 
 impl Downstream<'_> {
-    /// Start a response: stage its head for a body framed as `framing`.
-    fn begin(&mut self, resp: &Response, framing: StreamFraming) {
-        self.stage.clear();
+    /// Start a response: nothing of it written, no delay paid.
+    fn begin(&mut self) {
         self.sent = 0;
         self.paid = Duration::ZERO;
-        encode_stream_head(resp, framing, &mut self.stage);
+    }
+
+    /// A response read whole, written as `Response::write` frames it and
+    /// paced like a relayed one: its body is staged a segment at a time.
+    fn whole(&mut self, resp: &Response, stage: &mut Vec<u8>) -> io::Result<()> {
+        self.begin();
+        let framing = if resp.is_chunked() {
+            StreamFraming::Chunked
+        } else {
+            StreamFraming::Length(resp.body.len())
+        };
+        stage.clear();
+        encode_stream_head(resp, framing, stage);
         self.writer.reset(framing);
-    }
-
-    /// Encode `payload` behind what is staged, writing as it fills.
-    fn body(&mut self, payload: &[u8]) -> io::Result<()> {
-        for piece in payload.chunks(PACE_CHUNK) {
-            self.writer.push(piece, &mut self.stage)?;
-            self.drain(false)?;
+        for piece in resp.body.chunks(PACE_CHUNK) {
+            self.writer.push(piece, stage)?;
+            self.drain(stage, false)?;
         }
-        Ok(())
-    }
-
-    /// End the body (terminal chunk and `trailers` when chunked) and write
-    /// out everything still staged.
-    fn finish(&mut self, trailers: &HeaderMap) -> io::Result<()> {
-        self.writer.finish(trailers, &mut self.stage)?;
-        self.drain(true)
-    }
-
-    /// A response that was read whole: the relay loop with the body as its
-    /// single segment. Wire bytes equal `resp.write`.
-    fn whole(&mut self, resp: &Response) -> io::Result<()> {
-        self.begin(resp, framing_of(resp, resp.body.len()));
-        self.body(&resp.body)?;
-        self.finish(&resp.trailers)
+        self.writer.finish(&resp.trailers, stage)?;
+        self.drain(stage, true)
     }
 
     /// Write staged bytes: every whole [`PACE_CHUNK`], and with `all` the
@@ -221,10 +205,10 @@ impl Downstream<'_> {
     /// total however the body was segmented. Dues are taken in whole
     /// microseconds, the unit of `ShimStats::delay_us`, so the ledger
     /// telescopes as exactly as the sleeps.
-    fn drain(&mut self, all: bool) -> io::Result<()> {
+    fn drain(&mut self, stage: &mut Vec<u8>, all: bool) -> io::Result<()> {
         let mut from = 0;
-        while from < self.stage.len() {
-            let to = (from + PACE_CHUNK).min(self.stage.len());
+        while from < stage.len() {
+            let to = (from + PACE_CHUNK).min(stage.len());
             if to - from < PACE_CHUNK && !all {
                 break;
             }
@@ -235,21 +219,21 @@ impl Downstream<'_> {
                 cond.apply(due.saturating_sub(self.paid));
                 self.paid = due;
             }
-            self.sock.write_all(&self.stage[from..to])?;
+            self.sock.write_all(&stage[from..to])?;
             from = to;
         }
-        self.stage.drain(..from);
+        stage.drain(..from);
         Ok(())
     }
 
     /// The answer to an upstream that failed before any byte of its
     /// response moved downstream (unpaced: no upstream bytes crossed the
     /// link).
-    fn bad_gateway(&mut self, daemon: &AtomicDaemonStats) -> io::Result<()> {
+    fn bad_gateway(&mut self, daemon: &AtomicDaemonStats, stage: &mut Vec<u8>) -> io::Result<()> {
         daemon.count_response(502, 0);
-        self.stage.clear();
-        Response::new(502).write(&mut self.stage)?;
-        self.sock.write_all(&self.stage)
+        stage.clear();
+        Response::new(502).write(stage)?;
+        self.sock.write_all(stage)
     }
 }
 
@@ -260,75 +244,83 @@ fn source_of(stream: &TcpStream) -> SourceId {
     }
 }
 
-/// Put `req` on the upstream connection — `idle` from the previous
-/// exchange, or a fresh dial — and read the response head. The upstream
-/// may have closed `idle` since (origins reap idle keep-alives), so a
-/// failure up to here, with nothing sent downstream yet, is retried once on
-/// a fresh connection; a dial failure or a second failure is terminal
-/// (PROTOCOL.md §7.1's contract, at this hop). A request with a body is
-/// never replayed: the origin may have acted on it already.
-fn forward(
-    idle: Option<PooledConn>,
-    origin: SocketAddr,
+/// The oblivious-origin mode's head hook: learn the resource from the
+/// observed response (its size is `size`, the declared or buffered body
+/// length) and put its piggyback in a trailer when the request offered
+/// `TE: chunked` on a `GET` `200`, in a header otherwise. It runs before
+/// any byte of the response moves downstream, so a transfer that dies
+/// later leaves its resource learned and its access recorded.
+fn learn(
+    state: &Mutex<CenterState>,
     req: &Request,
-    scratch: &mut ConnScratch,
-) -> Result<(PooledConn, Response), HttpError> {
-    let mut conn = match idle {
-        Some(conn) => conn,
-        None => PooledConn::connect(origin)?,
+    source: SourceId,
+    filter: Option<&ProxyFilter>,
+    resp: &mut Response,
+    size: usize,
+) {
+    if resp.status != 200 && resp.status != 304 {
+        return;
+    }
+    let path = strip_origin_form(&req.target);
+    let mut st = state.lock();
+    let now = st.clock.now();
+    let lm = lifecycle::last_modified(resp, Timestamp::ZERO);
+    let size = if resp.status == 200 {
+        size as u64
+    } else {
+        st.server
+            .table()
+            .lookup(path)
+            .and_then(|r| st.server.table().meta(r))
+            .map_or(0, |m| m.size)
     };
-    let mut retry = req.body.is_empty();
-    loop {
-        let head = req
-            .write_with(&mut conn.writer, scratch)
-            .map_err(HttpError::from)
-            .and_then(|()| Response::read_head(&mut conn.reader));
-        match head {
-            Ok(resp) => return Ok((conn, resp)),
-            Err(_) if retry => {
-                retry = false;
-                conn = PooledConn::connect(origin)?;
-            }
-            Err(e) => return Err(e),
-        }
+    let resource = st.server.register_path(path, size, lm);
+    st.server.record_access(resource, source, now);
+    let Some(msg) = filter.and_then(|f| st.server.piggyback(resource, f, now)) else {
+        return;
+    };
+    let Ok(pv) = encode_p_volume(&msg, st.server.table()) else {
+        return;
+    };
+    if resp.status == 200 && req.method != "HEAD" && req.headers.list_contains("TE", "chunked") {
+        resp.trailers.insert(P_VOLUME_HEADER, &pv);
+    } else {
+        resp.headers.insert(P_VOLUME_HEADER, &pv);
     }
 }
 
-/// Serve one downstream connection. Everything an exchange needs —
-/// request, scratch, segment and staging buffers, body decoder and
-/// encoder — lives here and is reused, and bodies *cut through*: segments
-/// of [`PACE_CHUNK`] payload bytes move downstream as they arrive, in the
-/// upstream's own framing, so the relay holds O(segment) memory and the
-/// first byte does not wait for the last (PROTOCOL.md §14.1). An `Err`
-/// means a transfer died after its head went downstream: the connection
-/// is dropped mid-body, the only honest signal left.
+/// Serve one downstream connection: read a request, forward it on the
+/// upstream connection kept from the previous exchange (or a fresh dial),
+/// and relay the response through the response machine, which writes the
+/// upstream's own head — after [`learn`] in oblivious mode — and cuts the
+/// body through in the upstream's own framing, so the relay holds
+/// O(segment) memory and the first byte does not wait for the last
+/// (PROTOCOL.md §14.1). Everything an exchange needs — request, scratch,
+/// staging buffer, body encoder — lives here and is reused.
 fn handle_connection(
     downstream: TcpStream,
     origin: SocketAddr,
-    state: &Arc<Mutex<CenterState>>,
+    state: &Mutex<CenterState>,
     daemon: &AtomicDaemonStats,
     shim: Option<&Conditioner>,
     transparent: bool,
-) -> Result<(), HttpError> {
+) -> io::Result<()> {
     use std::sync::atomic::Ordering::Relaxed;
     daemon.connections.fetch_add(1, Relaxed);
     let source = source_of(&downstream);
     let mut down_r = BufReader::new(downstream.try_clone()?);
     let mut down = Downstream {
         sock: downstream,
-        stage: Vec::new(),
         writer: BodyWriter::length(0),
         shim: None,
         sent: 0,
         paid: Duration::ZERO,
     };
     // Dialed by the first request, then kept beside the downstream
-    // connection for as long as every exchange on it ends cleanly.
+    // connection for as long as every exchange on it leaves it reusable.
     let mut up: Option<PooledConn> = None;
     let mut scratch = ConnScratch::new();
     let mut req = Request::empty();
-    let mut reader = BodyReader::length(0);
-    let mut seg = Vec::new();
 
     loop {
         if req.read_into(&mut down_r, &mut scratch).is_err() {
@@ -336,13 +328,13 @@ fn handle_connection(
         }
         daemon.requests.fetch_add(1, Relaxed);
         let keep = req.keep_alive();
-        let head = req.method == "HEAD";
 
         // Adverse-network conditioning: a failed plan kills the exchange
         // mid-flight (downstream connection dropped after the request was
         // read — the proxy's retry-once path must absorb it); a passing
         // plan pays the upstream direction's delay before forwarding.
         down.shim = shim.map(|cond| (cond, cond.next_plan()));
+        down.begin();
         if let Some((cond, plan)) = &down.shim {
             if plan.fail {
                 return Ok(());
@@ -365,182 +357,63 @@ fn handle_connection(
             req.headers.remove(PIGGY_PUSH_HEADER);
             filter
         };
-        // Everything up to the first segment: nothing has gone downstream
-        // yet, so an upstream that fails in here is still answered with a
-        // well-formed 502, on a downstream connection that stays usable.
-        let opened = 'open: {
-            let Ok((mut conn, mut resp)) = forward(up.take(), origin, &req, &mut scratch) else {
-                break 'open None;
-            };
-            // The relay rule, from the head alone. A body cuts through when
-            // everything the downstream head must say is known before it;
-            // otherwise it is read whole first: a body delimited by the
-            // upstream's close (`framed` is `None`), a chunked one whose
-            // size the learning below needs, and anything ahead of a push
-            // burst (transparent mode only), whose announced count must
-            // stay rewritable until the burst is in hand.
-            let bodiless = head || Response::bodiless_status(resp.status);
-            let framed = if bodiless {
-                Some(StreamFraming::Length(0))
-            } else if resp.headers.list_contains("Transfer-Encoding", "chunked") {
-                Some(StreamFraming::Chunked)
-            } else {
-                match parse::content_length(&resp.headers) {
-                    Ok(declared) => declared.map(StreamFraming::Length),
-                    Err(_) => break 'open None,
-                }
-            };
-            let announced = match resp.headers.get(PUSH_COUNT_HEADER) {
-                Some(v) if transparent => v.parse::<usize>().unwrap_or(0),
-                _ => 0,
-            };
-            let cut_through = framed.filter(|&framing| {
-                announced == 0 && (transparent || framing != StreamFraming::Chunked)
-            });
-            let first = match cut_through {
-                Some(framing) => {
-                    reader.reset(framing);
-                    reader
-                        .read_segment(&mut conn.reader, &mut seg, PACE_CHUNK)
-                        .map(drop)
-                }
-                None if bodiless => Ok(()),
-                None => resp.read_rest(&mut conn.reader, parse::MAX_BODY),
-            };
-            first
-                .is_ok()
-                .then_some((conn, resp, framed, cut_through, announced))
+        let hook = |resp: &mut Response, size: usize| {
+            learn(state, &req, source, filter.as_ref(), resp, size)
         };
-        let Some((mut conn, mut resp, framed, cut_through, announced)) = opened else {
-            down.bad_gateway(daemon)?;
-            if keep {
-                continue;
-            }
-            return Ok(());
+        let as_is = AsIs {
+            head_request: req.method == "HEAD",
+            hook: (!transparent).then_some(&hook as HeadHook),
         };
-
-        // Drain the announced push burst from upstream before touching the
-        // downstream, so a mid-burst upstream failure can be patched over
-        // by rewriting the announced count to what actually arrived — the
-        // downstream never blocks on promised responses that will not
-        // come.
-        let mut pushed: Vec<Response> = Vec::new();
-        while pushed.len() < announced {
-            match Response::read(&mut conn.reader, false) {
-                Ok(p) => pushed.push(p),
-                Err(_) => break,
+        let (outcome, conn) = blocking_exchange(
+            &req,
+            || ResponseMachine::as_is(as_is, transparent),
+            |_| up.take().map_or_else(|| PooledConn::connect(origin), Ok),
+            |stage, _| down.drain(stage, false),
+            &mut scratch,
+        );
+        let stage = &mut scratch.out;
+        match outcome {
+            // Counted before its tail is written, like a response written
+            // whole: a client holding the last byte sees the count.
+            UpstreamOutcome::Streamed { head, total, .. } => {
+                daemon.count_response(head.status, total);
+                down.drain(stage, true)?;
             }
-        }
-        if pushed.len() != announced {
-            if pushed.is_empty() {
-                resp.headers.remove(PUSH_COUNT_HEADER);
-            } else {
-                resp.headers
-                    .set(PUSH_COUNT_HEADER, &pushed.len().to_string());
-            }
-        }
-
-        // Body bytes the downstream head declares: the upstream's own
-        // declaration when cutting through (a chunked cut-through declares
-        // nothing), the buffered length otherwise.
-        let body_len = match cut_through {
-            Some(StreamFraming::Length(declared)) => declared,
-            _ => resp.body.len(),
-        };
-
-        // Learn from the observed exchange and generate the piggyback
-        // (oblivious-origin mode only: a transparent relay neither learns
-        // nor rewrites — the origin's own piggybacks pass through). This
-        // runs before the body moves, so a transfer that dies later leaves
-        // its resource learned and its access recorded.
-        if !transparent && (resp.status == 200 || resp.status == 304) {
-            let path = strip_origin_form(&req.target);
-            let mut st = state.lock();
-            let now = st.clock.now();
-            let lm = resp
-                .headers
-                .get("Last-Modified")
-                .and_then(parse_rfc1123)
-                .map(|u| timestamp_from_unix(u, DEFAULT_TRACE_EPOCH_UNIX))
-                .unwrap_or(Timestamp::ZERO);
-            let size = if resp.status == 200 {
-                body_len as u64
-            } else {
-                st.server
-                    .table()
-                    .lookup(path)
-                    .and_then(|r| st.server.table().meta(r))
-                    .map_or(0, |m| m.size)
-            };
-            let resource = st.server.register_path(path, size, lm);
-            st.server.record_access(resource, source, now);
-
-            if let Some(filter) = filter {
-                if let Some(msg) = st.server.piggyback(resource, &filter, now) {
-                    if let Ok(pv) = encode_p_volume(&msg, st.server.table()) {
-                        let wants_chunked = req.headers.list_contains("TE", "chunked");
-                        if resp.status == 200 && wants_chunked && !head {
-                            resp.trailers.insert(P_VOLUME_HEADER, &pv);
-                        } else {
-                            resp.headers.insert(P_VOLUME_HEADER, &pv);
-                        }
+            UpstreamOutcome::Response(mut resp, pushed) => {
+                // A burst cut short upstream is announced as what arrived:
+                // the downstream never waits for responses that will not
+                // come.
+                if transparent && pushed.len() != announced_pushes(&resp) {
+                    resp.headers.remove(PUSH_COUNT_HEADER);
+                    if !pushed.is_empty() {
+                        resp.headers
+                            .insert(PUSH_COUNT_HEADER, &pushed.len().to_string());
                     }
                 }
-            }
-        }
-
-        match cut_through {
-            None => {
                 daemon.count_response(resp.status, resp.body.len());
-                down.whole(&resp)?;
-            }
-            Some(upstream) => {
-                let trailing = upstream == StreamFraming::Chunked;
-                if trailing {
-                    // The trailers are still on the upstream wire: announce
-                    // the names the upstream announced.
-                    for name in resp.headers.get("Trailer").unwrap_or("").split(',') {
-                        let _ = resp.trailers.try_insert(name.trim(), "");
-                    }
+                down.whole(&resp, stage)?;
+                for p in &pushed {
+                    daemon.pushes_sent.fetch_add(1, Relaxed);
+                    daemon
+                        .push_bytes_sent
+                        .fetch_add(p.body.len() as u64, Relaxed);
+                    daemon.bytes_sent.fetch_add(p.body.len() as u64, Relaxed);
+                    down.whole(p, stage)?;
                 }
-                down.begin(&resp, framing_of(&resp, body_len));
-                // Past the first write a failure on either side can only
-                // truncate: never a well-formed short body, never a 502
-                // spliced into one.
-                loop {
-                    down.body(&seg)?;
-                    if reader.is_done() {
-                        break;
-                    }
-                    reader.read_segment(&mut conn.reader, &mut seg, PACE_CHUNK)?;
-                }
-                daemon.count_response(resp.status, reader.decoded());
-                down.finish(if trailing {
-                    reader.trailers()
-                } else {
-                    &resp.trailers
-                })?;
             }
+            // Past the first write a failure on either side can only
+            // truncate: never a well-formed short body, never a 502
+            // spliced into one. The connection is dropped mid-body, the
+            // only honest signal left.
+            UpstreamOutcome::StreamFailed { .. } if down.sent > 0 => return Ok(()),
+            // Nothing went downstream: a well-formed 502, on a downstream
+            // connection that stays usable.
+            _ => down.bad_gateway(daemon, stage)?,
         }
-        for p in &pushed {
-            daemon.pushes_sent.fetch_add(1, Relaxed);
-            daemon
-                .push_bytes_sent
-                .fetch_add(p.body.len() as u64, Relaxed);
-            daemon.bytes_sent.fetch_add(p.body.len() as u64, Relaxed);
-            down.whole(p)?;
-        }
-
-        // Like a pool checkin (PROTOCOL.md §7): only a connection that
-        // ended this exchange cleanly — framed, complete, asked to stay
-        // open, nothing unread behind the response — serves the next.
-        if framed.is_some()
-            && pushed.len() == announced
-            && resp.keep_alive()
-            && conn.reader.buffer().is_empty()
-        {
-            up = Some(conn);
-        }
+        // Like a pool checkin (PROTOCOL.md §7): a connection the machine
+        // may reuse serves the next exchange, unless bytes nobody asked
+        // for sit behind the response.
+        up = conn.filter(|c| c.reader.buffer().is_empty());
         if !keep {
             return Ok(());
         }

@@ -13,14 +13,21 @@
 //! 3. **Byte identity** — every 200 body is byte-identical to what the
 //!    origin serves directly, no interleaving corruption.
 //!
-//! The origin lanes below keep a same-machine A/B against
-//! `--legacy-origin`, which doubles as their byte-identity reference.
+//! The origin lanes below hold the origin's piggybacks byte-identical to
+//! the socket-free `PiggybackServer` fed the same schedule.
 
-use piggyback::core::datetime::{format_rfc1123, DEFAULT_TRACE_EPOCH_UNIX};
+use piggyback::core::datetime::{
+    format_rfc1123, parse_rfc1123, timestamp_from_unix, DEFAULT_TRACE_EPOCH_UNIX,
+};
 use piggyback::core::filter::{ProxyFilter, PIGGY_FILTER_HEADER};
 use piggyback::core::intern::directory_prefix;
+use piggyback::core::piggy_cache::CacheStats;
+use piggyback::core::server::PiggybackServer;
 use piggyback::core::types::{DurationMs, SourceId, Timestamp};
-use piggyback::core::volume::{write_volumes, ProbabilityVolumesBuilder, SamplingMode};
+use piggyback::core::volume::{
+    write_volumes, DirectoryVolumes, ProbabilityVolumesBuilder, SamplingMode, VolumeProvider,
+};
+use piggyback::core::wire::encode_p_volume;
 use piggyback::proxyd::client::HttpClient;
 use piggyback::proxyd::netem::{NetProfile, ShimConfig};
 use piggyback::proxyd::origin::{start_origin, OriginConfig, OriginHandle, VolumeScheme};
@@ -236,11 +243,11 @@ fn small_cache_thrash_stays_live_and_conserved() {
 
 // ---------------------------------------------------------------------------
 // Origin-only lane: the de-serialized origin hot path (read-mostly snapshot,
-// atomic stats, piggyback encode cache) against the `--legacy-origin`
-// single-mutex baseline. Same three proofs as the proxy lane: liveness,
-// exact conservation of the server ledger (`requests == piggybacks_sent +
-// suppressed + no_filter`) under concurrent `/_pb/modify` and metrics
-// scrapes, and byte-identical piggyback content between the two modes.
+// atomic stats, piggyback encode cache). Same three proofs as the proxy
+// lane: liveness, exact conservation of the server ledger (`requests ==
+// piggybacks_sent + suppressed + no_filter`) under concurrent `/_pb/modify`
+// and metrics scrapes on both I/O engines, and piggyback content
+// byte-identical to the socket-free `PiggybackServer` reference.
 // ---------------------------------------------------------------------------
 
 /// Pull one `name value` field out of a `/_pb/stats` body.
@@ -257,11 +264,11 @@ fn stats_field(body: &str, name: &str) -> u64 {
 /// 16 clients with a mixed workload (filtered, filter-less, 404, and
 /// If-Modified-Since requests) racing a `/_pb/modify` mutator and a
 /// stats/metrics scraper. At quiescence every ledger must balance exactly,
-/// in both serving modes.
-fn origin_conservation_run(legacy: bool) {
+/// on either I/O engine.
+fn origin_conservation_run(io: IoMode) {
     let done = watchdog(Duration::from_secs(120));
     let origin = start_origin(OriginConfig {
-        legacy,
+        io,
         ..Default::default()
     })
     .unwrap();
@@ -384,7 +391,7 @@ fn origin_conservation_run(legacy: bool) {
     // outcome bucket.
     let s = origin.stats();
     let issued = (CLIENTS * PER_CLIENT) as u64;
-    assert_eq!(s.requests, issued * 3 / 4, "mode legacy={legacy}: {s:?}");
+    assert_eq!(s.requests, issued * 3 / 4, "{io:?}: {s:?}");
     assert_eq!(
         s.outcomes(),
         s.requests,
@@ -421,12 +428,12 @@ fn origin_conservation_run(legacy: bool) {
 
 #[test]
 fn origin_sixteen_clients_conserve_with_concurrent_modify() {
-    origin_conservation_run(false);
+    origin_conservation_run(IoMode::Threaded);
 }
 
 #[test]
-fn origin_legacy_lane_conserves_with_concurrent_modify() {
-    origin_conservation_run(true);
+fn origin_reactor_lane_conserves_with_concurrent_modify() {
+    origin_conservation_run(IoMode::Reactor { reactors: 2 });
 }
 
 /// One step of the deterministic piggyback-identity schedule.
@@ -435,47 +442,72 @@ enum Step {
     Modify(String),
 }
 
-/// Run `schedule` single-threaded against a fresh origin and collect the
-/// `P-volume` value (trailer or header) of every GET.
-fn collect_piggybacks(
+/// Run `schedule` single-threaded against a fresh origin and, step for
+/// step, against `reference` — the socket-free server fed the site's
+/// resources in registration order and each access at its own timestamp
+/// — requiring byte-identical `P-volume`s (trailer or header). Returns
+/// the origin's piggybacks and its encode-cache counters.
+fn assert_piggybacks_match<V: VolumeProvider>(
     cfg: OriginConfig,
+    mut reference: PiggybackServer<V>,
     schedule: &[Step],
     spacing: Duration,
-) -> Vec<Option<String>> {
+) -> (Vec<Option<String>>, Option<CacheStats>) {
+    let (table, _) = Site::generate(&cfg.site);
+    for (_, path, meta) in table.iter() {
+        reference.register(path, meta.size, Timestamp::ZERO, meta.content_type);
+    }
+    let filter = ProxyFilter::parse("maxpiggy=10").unwrap();
     let origin = start_origin(cfg).unwrap();
     let mut client = HttpClient::connect(origin.addr()).unwrap();
     let mut out = Vec::new();
-    for step in schedule {
+    for (i, step) in schedule.iter().enumerate() {
+        let now = Timestamp::from_millis(i as u64 + 1);
         match step {
             Step::Get(path) => {
                 let resp = client
                     .get(path, &[("Piggy-filter", "maxpiggy=10"), ("TE", "chunked")])
                     .unwrap();
                 assert_eq!(resp.status, 200, "{path}");
-                out.push(
-                    resp.trailers
-                        .get("P-volume")
-                        .or_else(|| resp.headers.get("P-volume"))
-                        .map(str::to_owned),
-                );
+                let got = resp
+                    .trailers
+                    .get("P-volume")
+                    .or_else(|| resp.headers.get("P-volume"))
+                    .map(str::to_owned);
+                let r = reference.table().lookup(path).unwrap();
+                reference.record_access(r, SourceId(1), now);
+                let want = reference
+                    .piggyback(r, &filter, now)
+                    .map(|msg| encode_p_volume(&msg, reference.table()).unwrap());
+                assert_eq!(got, want, "step {i} (GET {path}): origin vs reference");
+                out.push(got);
             }
             Step::Modify(path) => {
                 let resp = client.get(&format!("/_pb/modify{path}"), &[]).unwrap();
                 assert_eq!(resp.status, 204, "modify {path}");
+                // The origin stamps the bump by its own clock: read it back
+                // with a plain GET, which the reference records too.
+                let resp = client.get(path, &[]).unwrap();
+                let lm = parse_rfc1123(resp.headers.get("Last-Modified").unwrap()).unwrap();
+                let r = reference.table().lookup(path).unwrap();
+                reference.touch_modified(r, timestamp_from_unix(lm, DEFAULT_TRACE_EPOCH_UNIX));
+                reference.record_access(r, SourceId(1), now);
             }
         }
         if !spacing.is_zero() {
             std::thread::sleep(spacing);
         }
     }
+    let cache = origin.cache_stats();
     origin.stop();
-    out
+    (out, cache)
 }
 
-/// Probability volumes are recency-independent, so the legacy and snapshot
-/// paths must produce *byte-identical* piggybacks for an identical request
+/// Probability volumes are recency-independent, so the origin must produce
+/// piggybacks *byte-identical* to the reference's for an identical request
 /// schedule — across a `/_pb/modify` generation bump, which also proves the
-/// encode cache invalidates rather than serving stale bytes.
+/// encode cache invalidates rather than serving stale bytes — and, in
+/// steady state, mostly from that cache.
 #[test]
 fn origin_piggybacks_byte_identical_probability_lane() {
     let done = watchdog(Duration::from_secs(60));
@@ -505,76 +537,67 @@ fn origin_piggybacks_byte_identical_probability_lane() {
     write_volumes(&vols, &table, &mut std::fs::File::create(&file).unwrap()).unwrap();
     let page = |i: usize| table.path(site.pages[i].resource).unwrap().to_owned();
 
-    // Three rounds over the three leaders, with a Last-Modified bump on
+    // Five rounds over the three leaders, with a Last-Modified bump on
     // page1 after the first round: responses 0..3 are generation 0,
-    // responses 3..9 must reflect the bump.
+    // responses 3..15 must reflect the bump.
     let mut schedule = Vec::new();
     for lead in [0usize, 2, 4] {
         schedule.push(Step::Get(page(lead)));
     }
     schedule.push(Step::Modify(page(1)));
-    for _ in 0..2 {
+    for _ in 0..4 {
         for lead in [0usize, 2, 4] {
             schedule.push(Step::Get(page(lead)));
         }
     }
 
-    let cfg = |legacy: bool| OriginConfig {
-        legacy,
+    let cfg = OriginConfig {
         site: site_cfg.clone(),
         volumes: VolumeScheme::ProbabilityFile(file.clone()),
         ..Default::default()
     };
-    let legacy_pv = collect_piggybacks(cfg(true), &schedule, Duration::ZERO);
-    let concurrent_pv = collect_piggybacks(cfg(false), &schedule, Duration::ZERO);
-    assert_eq!(
-        legacy_pv, concurrent_pv,
-        "legacy and snapshot piggybacks must be byte-identical"
-    );
+    let (pv, cache) =
+        assert_piggybacks_match(cfg, PiggybackServer::new(vols), &schedule, Duration::ZERO);
 
     // The schedule actually exercised piggybacks and the generation bump.
     let p1 = page(1);
     assert!(
-        legacy_pv[0]
-            .as_deref()
-            .is_some_and(|pv| pv.contains(p1.as_str())),
+        pv[0].as_deref().is_some_and(|pv| pv.contains(p1.as_str())),
         "page0's response must piggyback page1: {:?}",
-        legacy_pv[0]
+        pv[0]
     );
     assert_ne!(
-        legacy_pv[0], legacy_pv[3],
+        pv[0], pv[3],
         "page1's Last-Modified bump must change page0's piggyback"
     );
     assert_eq!(
-        legacy_pv[3], legacy_pv[6],
+        pv[3], pv[6],
         "piggybacks must be stable between modifications"
+    );
+    let cs = cache.expect("probability scheme caches");
+    assert!(
+        cs.hits > cs.misses,
+        "steady-state workload must be cache-hit dominated: {cs:?}"
     );
     let _ = std::fs::remove_file(&file);
     done.store(true, Ordering::SeqCst);
 }
 
 /// Directory volumes order piggybacks by access recency, so with requests
-/// spaced past the clock's millisecond granularity the MTF (legacy) and
-/// recency-sorted (snapshot) orders must also agree byte-for-byte.
+/// spaced past the clock's millisecond granularity the origin's
+/// recency-sorted order must agree byte-for-byte with the reference's
+/// move-to-front order over distinct timestamps.
 #[test]
 fn origin_piggybacks_byte_identical_directory_lane() {
     let done = watchdog(Duration::from_secs(60));
-    let cfg = |legacy: bool| OriginConfig {
-        legacy,
-        ..Default::default()
-    };
+    let cfg = OriginConfig::default();
 
     // Pick the first 1-level directory (in registration order, identical
     // across runs) with at least three members.
-    let paths = start_origin(cfg(false))
-        .map(|o| {
-            let p = o.paths.clone();
-            o.stop();
-            p
-        })
-        .unwrap();
-    let mut dirs: Vec<(&str, Vec<&String>)> = Vec::new();
-    for p in &paths {
+    let (table, _) = Site::generate(&cfg.site);
+    let paths: Vec<&str> = table.iter().map(|(_, p, _)| p).collect();
+    let mut dirs: Vec<(&str, Vec<&str>)> = Vec::new();
+    for &p in &paths {
         let d = directory_prefix(p, 1);
         match dirs.iter_mut().find(|(k, _)| *k == d) {
             Some((_, v)) => v.push(p),
@@ -588,7 +611,7 @@ fn origin_piggybacks_byte_identical_directory_lane() {
         .expect("some directory has three resources")
         .iter()
         .take(3)
-        .map(|p| (*p).clone())
+        .map(|p| (*p).to_owned())
         .collect();
 
     // Warm each member, shuffle the recency order, then collect the
@@ -601,154 +624,13 @@ fn origin_piggybacks_byte_identical_directory_lane() {
     }
 
     let spacing = Duration::from_millis(3);
-    let legacy_pv = collect_piggybacks(cfg(true), &schedule, spacing);
-    let concurrent_pv = collect_piggybacks(cfg(false), &schedule, spacing);
-    assert_eq!(
-        legacy_pv, concurrent_pv,
-        "legacy and snapshot directory piggybacks must be byte-identical"
-    );
+    let reference = PiggybackServer::new(DirectoryVolumes::new(1));
+    let (pv, _) = assert_piggybacks_match(cfg, reference, &schedule, spacing);
     assert!(
-        legacy_pv.iter().filter(|p| p.is_some()).count() >= 3,
-        "the schedule must actually produce piggybacks: {legacy_pv:?}"
+        pv.iter().filter(|p| p.is_some()).count() >= 3,
+        "the schedule must actually produce piggybacks: {pv:?}"
     );
     done.store(true, Ordering::SeqCst);
-}
-
-/// Persist a probability volume set with `leaders` hub pages each implying
-/// every other page of the site plus `admit` images, so a filtered response
-/// to a leader pays a full element-selection scan over thousands of
-/// candidates while a `types=image` filter admits only the images (keeping
-/// the `P-volume` line itself modest while the scan stays expensive).
-/// Returns the file path and the leaders' URL paths.
-fn fat_probability_volumes(
-    site_cfg: &SiteConfig,
-    leaders: usize,
-    admit: usize,
-    tag: &str,
-) -> (std::path::PathBuf, Vec<String>) {
-    use piggyback::core::types::{ContentType, ResourceId};
-    use piggyback::core::volume::ProbabilityVolumes;
-    let (table, site) = Site::generate(site_cfg);
-    assert!(site.pages.len() > leaders);
-    let pages = site.pages[leaders..].iter().map(|p| p.resource);
-    let images: Vec<ResourceId> = table
-        .iter()
-        .filter(|(_, _, m)| m.content_type == ContentType::Image)
-        .map(|(id, _, _)| id)
-        .take(admit)
-        .collect();
-    assert_eq!(images.len(), admit, "site must have {admit} images");
-    let followers: Vec<ResourceId> = pages.chain(images).collect();
-    let mut implications: HashMap<ResourceId, Vec<(ResourceId, f32)>> = HashMap::new();
-    for lead in 0..leaders {
-        implications.insert(
-            site.pages[lead].resource,
-            followers.iter().map(|&f| (f, 0.9f32)).collect(),
-        );
-    }
-    let vols = ProbabilityVolumes::from_implications(0.25, implications);
-    let file = std::env::temp_dir().join(format!("pb-stress-ab-{tag}-{}.txt", std::process::id()));
-    write_volumes(&vols, &table, &mut std::fs::File::create(&file).unwrap()).unwrap();
-    let leaders = (0..leaders)
-        .map(|i| table.path(site.pages[i].resource).unwrap().to_owned())
-        .collect();
-    (file, leaders)
-}
-
-/// The issue's origin-side A/B: an identical piggyback-heavy workload at 16
-/// connections against the single-mutex legacy origin and the lock-free
-/// snapshot origin. Every request's piggyback selection scans ~2000
-/// candidates (a size filter admits ~120) — under the global mutex on the
-/// legacy path, once per `(volume, filter, generation)` on the new path
-/// thanks to the encode cache (and off any lock entirely).
-#[test]
-fn ab_concurrent_origin_beats_legacy_throughput() {
-    let done = watchdog(Duration::from_secs(300));
-    const PER_CLIENT: usize = 120;
-    let site_cfg = SiteConfig {
-        n_pages: 2000,
-        ..Default::default()
-    };
-    let (file, leaders) = fat_probability_volumes(&site_cfg, 8, 120, "throughput");
-    let filter = "maxpiggy=250; types=image";
-
-    let run = |legacy: bool| -> (f64, u64) {
-        let origin = start_origin(OriginConfig {
-            legacy,
-            site: site_cfg.clone(),
-            volumes: VolumeScheme::ProbabilityFile(file.clone()),
-            ..Default::default()
-        })
-        .unwrap();
-        let addr = origin.addr();
-        // If-Modified-Since far in the future: every timed request is a
-        // bodyless 304 that still carries its piggyback header, so the
-        // measurement isolates the serving-path state work from body I/O.
-        let ims = format_rfc1123(DEFAULT_TRACE_EPOCH_UNIX + 1_000_000_000);
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            for t in 0..CLIENTS {
-                let leaders = &leaders;
-                let ims = ims.as_str();
-                s.spawn(move || {
-                    let mut client = HttpClient::connect(addr).unwrap();
-                    for i in 0..PER_CLIENT {
-                        let path = &leaders[(t * 7 + i) % leaders.len()];
-                        let resp = client
-                            .get(
-                                path,
-                                &[("Piggy-filter", filter), ("If-Modified-Since", ims)],
-                            )
-                            .unwrap();
-                        assert_eq!(resp.status, 304, "client {t} req {i} ({path})");
-                        assert!(
-                            resp.headers.get("P-volume").is_some(),
-                            "leader responses must carry their volume ({path})"
-                        );
-                    }
-                });
-            }
-        });
-        let elapsed = start.elapsed();
-        let s = origin.stats();
-        assert_eq!(s.requests, (CLIENTS * PER_CLIENT) as u64);
-        assert_eq!(s.outcomes(), s.requests, "{s:?}");
-        if !legacy {
-            let cs = origin.cache_stats().expect("probability scheme caches");
-            assert!(
-                cs.hits > cs.misses,
-                "steady-state workload must be cache-hit dominated: {cs:?}"
-            );
-        }
-        origin.stop();
-        (
-            (CLIENTS * PER_CLIENT) as f64 / elapsed.as_secs_f64(),
-            s.piggybacks_sent,
-        )
-    };
-
-    let mut summary = String::new();
-    for attempt in 1..=3 {
-        let (legacy_rps, legacy_sent) = run(true);
-        let (concurrent_rps, concurrent_sent) = run(false);
-        assert_eq!(
-            legacy_sent, concurrent_sent,
-            "both modes must do the same piggyback work"
-        );
-        summary = format!(
-            "origin A/B summary (attempt {attempt}): legacy={legacy_rps:.0} req/s \
-             concurrent={concurrent_rps:.0} req/s speedup={:.2}x \
-             ({CLIENTS} clients x {PER_CLIENT} reqs, ~2000-candidate volumes, 304 path)",
-            concurrent_rps / legacy_rps
-        );
-        println!("{summary}");
-        if concurrent_rps > legacy_rps {
-            let _ = std::fs::remove_file(&file);
-            done.store(true, Ordering::SeqCst);
-            return;
-        }
-    }
-    panic!("the lock-free origin must out-serve the legacy mutex: {summary}");
 }
 
 // ---------------------------------------------------------------------------

@@ -932,6 +932,50 @@ fn origin_dying_mid_body_is_retried_once_on_both_engines() {
     });
 }
 
+/// An origin that closes behind every answer — one says so with
+/// `Connection: close` over a `Content-Length` body, one delimits the body
+/// by the close itself — leaves nothing worth pooling: each of N
+/// sequential misses on one client connection dials afresh, none is
+/// retried, and the threaded pool never checks a dead connection in for
+/// the next checkout to evict. (Regression: both engines took such a
+/// response as reusable.)
+#[test]
+fn a_connection_the_origin_closes_is_never_pooled_on_both_engines() {
+    const N: usize = 4;
+    for framing in ["Connection: close\r\nContent-Length: 500\r\n", ""] {
+        assert_engine_parity(|io| {
+            let (origin, conns) = wire_origin(move |_, stream| {
+                let head = format!(
+                    "HTTP/1.1 200 OK\r\nLast-Modified: Thu, 01 Jan 1998 00:00:00 GMT\r\n\
+                     {framing}\r\n"
+                );
+                let _ = stream.write_all(&[head.as_bytes(), &pattern(500)].concat());
+                false
+            });
+            let proxy = quiet_proxy(origin.addr, io);
+            let mut client = HttpClient::connect(proxy.addr()).unwrap();
+            for i in 0..N {
+                let resp = client.get(&format!("/p{i}.html"), &[]).unwrap();
+                assert_eq!(resp.status, 200, "{io:?} {framing:?} request {i}");
+                assert!(resp.body[..] == pattern(500)[..], "{io:?} {framing:?}");
+                // Let the origin's close land before the next miss.
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            let s = ledger(&proxy);
+            assert_eq!(s.upstream_retries, 0, "{io:?} {framing:?}: {s:?}");
+            if io == piggyback::proxyd::IoMode::Threaded {
+                let pool = proxy.pool_stats().unwrap();
+                assert_eq!(pool.evicted_unhealthy, 0, "{framing:?}: {pool:?}");
+            }
+            let conns = conns.load(Ordering::SeqCst);
+            assert_eq!(conns, N, "{io:?} {framing:?}: one connection per miss");
+            proxy.stop();
+            origin.stop();
+            (s, conns)
+        });
+    }
+}
+
 /// A large `Content-Length` 200 streams through the relay, so it has no
 /// trailers: a piggyback on it rides the response *head*, and the
 /// streamed settle must apply it like any other.

@@ -514,6 +514,14 @@ fn response_machine_is_split_transparent() {
                 if !outcome.starts_with("stream failed") {
                     assert_eq!(whole.consumed, response_len, "{what}");
                 }
+                // Only a framed response that ended whole leaves its
+                // connection for the next exchange: never one the origin
+                // delimited by closing it.
+                assert_eq!(
+                    whole.reusable,
+                    !closes && !outcome.starts_with("stream failed"),
+                    "{what}"
+                );
 
                 let chunked = matches!(framing, Framing::Chunked | Framing::ChunkedTrailers);
                 let relays = match kind {
