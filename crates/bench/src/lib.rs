@@ -26,7 +26,7 @@ pub mod sweep;
 pub use pipelined::{browser_get, PipelinedClient};
 pub use sweep::{
     cell_seed, pb_threads, record_cell, record_cell_rss, record_cell_stats, run_timed,
-    shared_client_trace, shared_server_log, sweep,
+    run_timed_into, shared_client_trace, shared_server_log, sweep,
 };
 
 /// Benchmark-scale factors per profile, tuned for ~50k-request logs.

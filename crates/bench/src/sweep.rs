@@ -151,6 +151,11 @@ pub fn shared_client_trace(name: &str) -> Arc<ClientTrace> {
 /// When a serial (`threads == 1`) record for the same experiment exists,
 /// the entry also carries `speedup_vs_serial`.
 pub fn run_timed<T>(id: &str, f: impl FnOnce() -> T) -> T {
+    run_timed_into(&bench_path(), id, f)
+}
+
+/// [`run_timed`] merging into the bench file at `path`.
+pub fn run_timed_into<T>(path: &str, id: &str, f: impl FnOnce() -> T) -> T {
     let before = cell_times().snapshot();
     let start = Instant::now();
     let out = f();
@@ -172,8 +177,8 @@ pub fn run_timed<T>(id: &str, f: impl FnOnce() -> T) -> T {
         peak_rss_kb: peak_rss_kb(),
         cell_percentiles: percentiles,
     };
-    if let Err(e) = merge_into_bench_file(&bench_path(), &entry) {
-        eprintln!("warning: could not update {}: {e}", bench_path());
+    if let Err(e) = merge_into_bench_file(path, &entry) {
+        eprintln!("warning: could not update {path}: {e}");
     }
     out
 }
@@ -405,8 +410,13 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 mod tests {
     use super::*;
 
+    /// Held by every test here that runs a [`sweep`], whose cell times
+    /// land in the one process-global histogram.
+    static SWEEP_CELLS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn sweep_preserves_grid_order() {
+        let _cells = SWEEP_CELLS.lock().unwrap_or_else(|e| e.into_inner());
         let grid: Vec<u64> = (0..100).collect();
         let out = sweep(grid.clone(), |x| x * 3);
         assert_eq!(out, grid.iter().map(|x| x * 3).collect::<Vec<_>>());
@@ -485,14 +495,15 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_pipeline.json");
         let _ = std::fs::remove_file(&path);
-        std::env::set_var("PB_BENCH_PATH", path.to_str().unwrap());
-        run_timed("percentile_probe", || {
+        // Cell times are process-global: no other sweep may add its fast
+        // cells to this probe's window.
+        let _cells = SWEEP_CELLS.lock().unwrap_or_else(|e| e.into_inner());
+        run_timed_into(path.to_str().unwrap(), "percentile_probe", || {
             sweep((0..8).collect::<Vec<u32>>(), |x| {
                 std::thread::sleep(std::time::Duration::from_micros(200));
                 x
             })
         });
-        std::env::remove_var("PB_BENCH_PATH");
         let text = std::fs::read_to_string(&path).unwrap();
         let parsed = parse_bench_file(&text);
         let entry = parsed

@@ -16,8 +16,9 @@
 //! disables the `P-volume` encode cache, and `--epoch-secs N` enables
 //! online probability-volume learning (requires `--volumes-file`). `--io reactor` serves connections from the epoll
 //! reactor (Linux; other platforms fall back to the threaded pool) with
-//! `--reactors` SO_REUSEPORT accept shards (0 = auto); wire output is
-//! byte-identical in both modes. `--push N` enables the server-push
+//! `--reactors` SO_REUSEPORT accept shards (0 = auto); both engines poll
+//! the one origin service, so wire output is byte-identical, and both
+//! close a connection silent for `--idle-timeout-secs`. `--push N` enables the server-push
 //! baseline: after a full 200 to a `Piggy-push: accept` peer, up to N
 //! volume members stream as complete responses on the same connection.
 

@@ -12,9 +12,13 @@
 //!
 //! `--io reactor` serves connections from the epoll reactor (Linux;
 //! other platforms fall back to the threaded pool) with `--reactors`
-//! SO_REUSEPORT accept shards (0 = auto) and an `--idle-timeout-secs`
-//! connection reaper; `--io threaded` (the default) keeps the blocking
-//! worker pool. Wire output is byte-identical in both modes.
+//! SO_REUSEPORT accept shards (0 = auto); `--io threaded` (the default)
+//! keeps the blocking worker pool. Both engines poll the one proxy
+//! service, so wire output is byte-identical, and both enforce the same
+//! deadlines: `--idle-timeout-secs` closes a client connection silent
+//! that long, and `--upstream-timeout-secs` bounds every upstream attempt
+//! (a stalled or trickling origin is retried once on a fresh connection,
+//! then answered `502`).
 //! `--prefetch-budget N` turns piggybacked `PrefetchCandidate` elements
 //! into at most N concurrent speculative origin fetches (0, the default,
 //! only counts candidates); `--accept-push` opts in to the server-push

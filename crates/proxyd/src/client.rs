@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Pool behavior counters (a snapshot of [`ConnectionPool`] internals).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -43,18 +43,31 @@ pub struct PooledConn {
     /// a reused connection may be a stale-keep-alive race and is safe to
     /// retry on a fresh connection; a failure on a brand-new one is not).
     pub reused: bool,
+    /// The per-attempt deadline of every exchange on this connection
+    /// (PROTOCOL.md §7.1); `None` waits as long as the peer does.
+    pub timeout: Option<Duration>,
 }
 
 impl PooledConn {
     /// Open a standalone (pool-less) connection — the volume center keeps
     /// one beside each downstream connection.
     pub fn connect(origin: SocketAddr) -> io::Result<Self> {
+        Self::dial(origin, None)
+    }
+
+    /// Open a connection whose reads and writes each fail after `timeout`.
+    fn dial(origin: SocketAddr, timeout: Option<Duration>) -> io::Result<Self> {
         let stream = TcpStream::connect(origin)?;
         stream.set_nodelay(true)?;
+        if timeout.is_some() {
+            stream.set_read_timeout(timeout)?;
+            stream.set_write_timeout(timeout)?;
+        }
         Ok(PooledConn {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
             reused: false,
+            timeout,
         })
     }
 }
@@ -71,6 +84,7 @@ pub struct ConnectionPool {
     origin: SocketAddr,
     idle: Mutex<VecDeque<PooledConn>>,
     max_idle: usize,
+    timeout: Option<Duration>,
     connects: AtomicU64,
     reuses: AtomicU64,
     evicted_unhealthy: AtomicU64,
@@ -85,12 +99,20 @@ impl ConnectionPool {
             origin,
             idle: Mutex::new(VecDeque::new()),
             max_idle,
+            timeout: None,
             connects: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
             evicted_unhealthy: AtomicU64::new(0),
             discarded_dirty: AtomicU64::new(0),
             discarded_full: AtomicU64::new(0),
         }
+    }
+
+    /// Bound every exchange attempt on this pool's connections by
+    /// `timeout` (zero: unbounded), as the reactor's upstream wheel does.
+    pub fn with_timeout(mut self, timeout: Duration) -> Self {
+        self.timeout = Some(timeout).filter(|t| !t.is_zero());
+        self
     }
 
     pub fn origin(&self) -> SocketAddr {
@@ -132,7 +154,7 @@ impl ConnectionPool {
     /// Open a fresh connection, bypassing the idle list (used for the
     /// retry after a reused connection failed mid-exchange).
     pub fn connect_fresh(&self) -> io::Result<PooledConn> {
-        let conn = PooledConn::connect(self.origin)?;
+        let conn = PooledConn::dial(self.origin, self.timeout)?;
         self.connects.fetch_add(1, Ordering::Relaxed);
         Ok(conn)
     }

@@ -1,8 +1,9 @@
 //! # piggyback-proxyd
 //!
 //! Runnable network components for the SIGCOMM '98 server-volumes
-//! reproduction, built on `std::net` TCP with a bounded accept/worker
-//! pool per daemon (see [`util::serve_with`]):
+//! reproduction, built on `std::net` TCP. Each daemon is written once as
+//! a [`service::Service`] and polled by a bounded blocking worker pool or
+//! (`--io reactor`, Linux) the epoll [`reactor`]:
 //!
 //! * [`origin`] — a piggybacking origin server serving a synthetic site
 //!   with If-Modified-Since validation and `P-volume` chunked trailers;
@@ -38,6 +39,7 @@ pub mod proxy;
 pub mod reactor;
 pub mod record_tap;
 pub mod replay_origin;
+pub mod service;
 pub mod stats;
 pub mod util;
 pub mod volume_center;
@@ -49,16 +51,16 @@ pub use origin::{start_origin, OnlineEpochConfig, OriginConfig, OriginHandle, Vo
 pub use proxy::{start_proxy, ProxyConfig, ProxyHandle, ProxyStats, METRICS_PATH};
 #[cfg(target_os = "linux")]
 pub use reactor::{
-    resolve_reactors, serve_reactor, ReactorMetrics, ReactorOptions, ReactorService,
-    ReactorShardStats, Served,
+    resolve_reactors, serve_reactor, ReactorMetrics, ReactorOptions, ReactorShardStats,
 };
 pub use record_tap::{start_recorder, RecorderConfig, RecorderHandle};
 pub use replay_origin::{
     start_replay_origin, ReplayConfig, ReplayHandle, ReplayStats, ReplayTiming, DIVERGENCE_HEADER,
 };
+pub use service::{serve_blocking, Served, Service};
 pub use stats::{AtomicDaemonStats, AtomicProxyStats, DaemonStats};
 pub use util::{
-    nofile_limits, peer_source, raise_nofile_limit, serve_with, serve_with_stats, set_nofile_soft,
+    nofile_limits, raise_nofile_limit, serve_with, serve_with_stats, set_nofile_soft,
     source_from_addr, synth_body, Clock, IoMode, IoStats, ServeOptions, ServerHandle,
 };
 pub use volume_center::{start_volume_center, VolumeCenterConfig, VolumeCenterHandle};

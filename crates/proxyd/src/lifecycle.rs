@@ -7,12 +7,13 @@
 //! client ([`ResponseMachine`], under the leg's [`RelayRule`]), the head
 //! a prefix hit sends ahead of it ([`probe_prefix`]), and what the
 //! exchange's [`UpstreamOutcome`] does to the cache, the counters, the
-//! piggyback state and the reply ([`settle`], [`settle_refetch`]). The
-//! blocking driver ([`crate::proxy`]) and the reactor read bytes, feed
-//! the machine, hand its outcome here, and write what comes back — so
-//! the two engines cannot drift (PROTOCOL.md §7.1, §14). The volume
-//! center drives the same machine through the same blocking loop, under
-//! the upstream's own head ([`AsIs`], PROTOCOL.md §14.1).
+//! piggyback state and the reply ([`settle`], [`settle_refetch`]). Both
+//! pollers of the proxy service — the blocking one ([`crate::service`])
+//! and the reactor — read bytes, feed the machine, hand its outcome here
+//! through the plan's continuation, and write what comes back — so the
+//! two engines cannot drift (PROTOCOL.md §7.1, §14). The volume center
+//! drives the same machine through the same blocking loop, under the
+//! upstream's own head ([`AsIs`], PROTOCOL.md §14.1).
 
 use crate::obs::LatencyHistogram;
 use crate::prefetch::{self, PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER};
@@ -698,8 +699,7 @@ pub(crate) struct Leg {
 }
 
 impl Leg {
-    /// The request as the reactor puts it on the wire: the same
-    /// serializer the blocking driver writes through, so the origin sees
+    /// The request as a plan carries it onto the wire, so the origin sees
     /// identical bytes from both engines.
     pub(crate) fn request_bytes(&self, scratch: &mut ConnScratch) -> Vec<u8> {
         let mut bytes = Vec::with_capacity(256);

@@ -38,10 +38,9 @@
 use crate::obs::{render_histogram, render_scalar, DaemonObs};
 use crate::prefetch::{PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER, PUSH_PATH_HEADER};
 use crate::proxy::METRICS_PATH;
+use crate::service::{serve_blocking, Served, Service};
 use crate::stats::{AtomicDaemonStats, DaemonStats};
-use crate::util::{
-    peer_source, serve_with_stats, synth_body, Clock, IoMode, IoStats, ServeOptions, ServerHandle,
-};
+use crate::util::{synth_body, Clock, IoMode, IoStats, ServeOptions, ServerHandle};
 use parking_lot::Mutex;
 use piggyback_core::datetime::{
     format_rfc1123, parse_rfc1123, timestamp_from_unix, unix_from_timestamp,
@@ -63,7 +62,7 @@ use piggyback_httpwire::{Body, ConnScratch, Request, Response};
 use piggyback_trace::synth::site::{Site, SiteConfig};
 use std::collections::HashMap;
 use std::io::{self, BufReader};
-use std::net::TcpStream;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
@@ -148,9 +147,10 @@ pub struct OriginConfig {
     pub online_epoch: Option<OnlineEpochConfig>,
     /// Connection-serving engine: blocking worker pool (default) or the
     /// epoll reactor (`--io reactor`, Linux only — other platforms fall
-    /// back to the threaded pool). Wire output is byte-identical.
+    /// back to the threaded pool). Both poll the one origin service, so
+    /// wire output is byte-identical.
     pub io: IoMode,
-    /// Reactor mode only: close connections idle for this long.
+    /// Close connections idle for this long (both engines).
     pub reactor_idle_timeout: std::time::Duration,
     /// Server-push baseline (`--push N`): when a request carries
     /// `Piggy-push: accept`, stream up to N volume members as full pushed
@@ -210,7 +210,7 @@ struct OriginShared {
     push_max: usize,
     /// Accept/open-connection counters, fed by whichever I/O engine runs.
     io_stats: Arc<IoStats>,
-    /// Per-reactor-shard counters (reactor mode only).
+    /// Per-reactor-shard counters (reactor engine only).
     #[cfg(target_os = "linux")]
     reactor_metrics: Option<Arc<crate::reactor::ReactorMetrics>>,
 }
@@ -381,19 +381,18 @@ pub fn start_origin(cfg: OriginConfig) -> io::Result<OriginHandle> {
     });
     let daemon = Arc::new(AtomicDaemonStats::new());
     let obs = Arc::new(DaemonObs::default());
-    let metrics = cfg.metrics;
+    let svc = Arc::new(OriginSvc {
+        shared: Arc::clone(&shared),
+        daemon: Arc::clone(&daemon),
+        obs: Arc::clone(&obs),
+        metrics: cfg.metrics,
+    });
     #[cfg(target_os = "linux")]
     if let Some(rm) = reactor_metrics {
         let opts = crate::reactor::ReactorOptions {
             idle_timeout: cfg.reactor_idle_timeout,
             ..Default::default()
         };
-        let svc = Arc::new(OriginSvc {
-            shared: Arc::clone(&shared),
-            daemon: Arc::clone(&daemon),
-            obs: Arc::clone(&obs),
-            metrics,
-        });
         let handle = crate::reactor::serve_reactor(cfg.port, "origin", opts, io_stats, rm, svc)?;
         return Ok(OriginHandle {
             handle,
@@ -403,18 +402,9 @@ pub fn start_origin(cfg: OriginConfig) -> io::Result<OriginHandle> {
             paths,
         });
     }
-    let shared2 = Arc::clone(&shared);
-    let daemon2 = Arc::clone(&daemon);
-    let obs2 = Arc::clone(&obs);
-    let handle = serve_with_stats(
-        cfg.port,
-        "origin",
-        ServeOptions::default(),
-        io_stats,
-        move |stream| {
-            let _ = handle_connection(stream, &shared2, &daemon2, &obs2, metrics);
-        },
-    )?;
+    let idle = cfg.reactor_idle_timeout;
+    let serve = ServeOptions::default();
+    let handle = serve_blocking(cfg.port, "origin", serve, io_stats, idle, None, svc)?;
     Ok(OriginHandle {
         handle,
         shared,
@@ -424,10 +414,10 @@ pub fn start_origin(cfg: OriginConfig) -> io::Result<OriginHandle> {
     })
 }
 
-/// The origin as a [`ReactorService`](crate::reactor::ReactorService):
-/// every response — site resources, admin endpoints, the metrics scrape —
-/// serializes inline on the reactor thread; the origin has no upstream.
-#[cfg(target_os = "linux")]
+/// The origin as a [`Service`]: every response — site resources, admin
+/// endpoints, the metrics scrape — serializes inline, with the pushed
+/// volume members right behind the main response they were announced on;
+/// the origin has no upstream.
 struct OriginSvc {
     shared: Arc<OriginShared>,
     daemon: Arc<AtomicDaemonStats>,
@@ -435,40 +425,59 @@ struct OriginSvc {
     metrics: bool,
 }
 
-#[cfg(target_os = "linux")]
-impl crate::reactor::ReactorService for OriginSvc {
+impl Service for OriginSvc {
     type Ctx = ();
 
-    fn make_ctx(&self, _shard: usize) {}
+    fn make_ctx(&self) {}
 
-    fn on_connect(&self, _peer: std::net::SocketAddr) {
+    fn on_connect(&self, _peer: SocketAddr) {
         self.daemon.connections.fetch_add(1, Relaxed);
     }
 
     fn handle(
         &self,
         req: &Request,
-        peer: std::net::SocketAddr,
+        peer: SocketAddr,
         _ctx: &mut (),
         scratch: &mut ConnScratch,
         out: &mut Vec<u8>,
-    ) -> io::Result<crate::reactor::Served> {
-        let source = crate::util::source_from_addr(peer);
+    ) -> io::Result<Served> {
+        let (shared, daemon, obs) = (&*self.shared, &*self.daemon, &*self.obs);
+        // Admin scrape, intercepted before the request/response counters
+        // so scrapes never appear in the ledger they report on. Served from
+        // atomics alone — no serving state is locked.
+        if strip_origin_form(&req.target) == METRICS_PATH {
+            let resp = if self.metrics {
+                origin_metrics_response(daemon, obs, shared)
+            } else {
+                Response::new(404)
+            };
+            resp.write_with(out, scratch)?;
+            return Ok(Served::Inline);
+        }
+        daemon.requests.fetch_add(1, Relaxed);
+        let start = std::time::Instant::now();
+        // Pushed volume members (`push_max > 0`, and the request opted in)
+        // ride the same stream, right behind the main response they were
+        // announced on.
         let mut pushed = Vec::new();
-        let resp = dispatch_request(
-            req,
-            source,
-            &self.shared,
-            &self.daemon,
-            &self.obs,
-            self.metrics,
-            &mut pushed,
-        );
+        let source = crate::util::source_from_addr(peer);
+        let resp = handle_request(req, source, shared, obs, &mut pushed);
+        daemon.count_response(resp.status, resp.body.len());
+        for p in &pushed {
+            daemon.pushes_sent.fetch_add(1, Relaxed);
+            daemon
+                .push_bytes_sent
+                .fetch_add(p.body.len() as u64, Relaxed);
+            // Pushed bodies are response bytes on the wire too.
+            daemon.bytes_sent.fetch_add(p.body.len() as u64, Relaxed);
+        }
+        obs.class_for(resp.status).record(start.elapsed());
         resp.write_with(out, scratch)?;
         for p in &pushed {
             p.write_with(out, scratch)?;
         }
-        Ok(crate::reactor::Served::Inline)
+        Ok(Served::Inline)
     }
 }
 
@@ -477,84 +486,6 @@ impl OnlineEpochConfig {
     fn cfg_initial_deadline(&self) -> u64 {
         self.epoch.as_millis()
     }
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    shared: &Arc<OriginShared>,
-    daemon: &AtomicDaemonStats,
-    obs: &DaemonObs,
-    metrics: bool,
-) -> io::Result<()> {
-    daemon.connections.fetch_add(1, Relaxed);
-    let source = peer_source(&stream);
-    let mut reader = BufReader::new(stream.try_clone()?);
-    // Responses are assembled in the connection scratch and emitted with
-    // vectored writes straight to the socket: body bytes (shared `Body`s
-    // from the memoized cache) are referenced, never copied, and there is
-    // no intermediate `BufWriter` to stage them through.
-    let mut writer = stream;
-    let mut scratch = ConnScratch::new();
-    let mut req = Request::empty();
-    let mut pushed: Vec<Response> = Vec::new();
-    loop {
-        if req.read_into(&mut reader, &mut scratch).is_err() {
-            return Ok(()); // closed or malformed: drop connection
-        }
-        let keep = req.keep_alive();
-        pushed.clear();
-        let resp = dispatch_request(&req, source, shared, daemon, obs, metrics, &mut pushed);
-        resp.write_with(&mut writer, &mut scratch)?;
-        // Pushed volume members ride the same stream, right behind the
-        // main response they were announced on.
-        for p in &pushed {
-            p.write_with(&mut writer, &mut scratch)?;
-        }
-        if !keep {
-            return Ok(());
-        }
-    }
-}
-
-/// One parsed request to one response, counters included. Shared by the
-/// threaded connection loop and the reactor service so both I/O modes
-/// account (and answer) identically. Pushed volume-member responses (if
-/// the origin runs with `push_max > 0` and the request opted in) are
-/// appended to `push_out`; the caller writes them after the main
-/// response, in order.
-fn dispatch_request(
-    req: &Request,
-    source: SourceId,
-    shared: &OriginShared,
-    daemon: &AtomicDaemonStats,
-    obs: &DaemonObs,
-    metrics: bool,
-    push_out: &mut Vec<Response>,
-) -> Response {
-    // Admin scrape, intercepted before the request/response counters so
-    // scrapes never appear in the ledger they report on. Served from
-    // atomics alone — no serving state is locked.
-    if strip_origin_form(&req.target) == METRICS_PATH {
-        return if metrics {
-            origin_metrics_response(daemon, obs, shared)
-        } else {
-            Response::new(404)
-        };
-    }
-    daemon.requests.fetch_add(1, Relaxed);
-    let start = std::time::Instant::now();
-    let resp = handle_request(req, source, shared, obs, push_out);
-    daemon.count_response(resp.status, resp.body.len());
-    for p in push_out.iter() {
-        daemon.pushes_sent.fetch_add(1, Relaxed);
-        daemon
-            .push_bytes_sent
-            .fetch_add(p.body.len() as u64, Relaxed);
-        // Pushed bodies are response bytes on the wire too.
-        daemon.bytes_sent.fetch_add(p.body.len() as u64, Relaxed);
-    }
-    obs.class_for(resp.status).record(start.elapsed());
-    resp
 }
 
 /// Render the origin's Prometheus exposition from lock-free counters and
@@ -1138,6 +1069,7 @@ fn content_type_str(ct: piggyback_core::types::ContentType) -> &'static str {
 mod tests {
     use super::*;
     use std::io::{BufReader as StdBufReader, BufWriter};
+    use std::net::TcpStream;
 
     fn connect(handle: &OriginHandle) -> (StdBufReader<TcpStream>, BufWriter<TcpStream>) {
         let stream = TcpStream::connect(handle.addr()).unwrap();

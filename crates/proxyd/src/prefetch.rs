@@ -3,9 +3,9 @@
 //!
 //! `P-volume` elements classified as [`ElementAction::PrefetchCandidate`]
 //! — volume mates the proxy has never cached — are queued here and
-//! fetched through the origin [`ConnectionPool`](crate::client::ConnectionPool)
-//! by a fixed crew of `--prefetch-budget` workers, so speculation can
-//! never open more than `budget` concurrent origin exchanges. Fetched
+//! fetched by a fixed crew of `--prefetch-budget` workers, each holding
+//! its slot until its fetch settles, so speculation can never have more
+//! than `budget` origin exchanges in flight. Fetched
 //! entries land in the cache with `prefetched: true, used: false`, which
 //! makes the used/wasted split measurable and marks them first in line
 //! for eviction (see `webcache`'s speculative tiebreak).
@@ -42,9 +42,11 @@
 //! issues); a speculation already on the wire is *joined* — the demand
 //! request adds a waiter to the job and, woken when the speculation
 //! settles, serves the prefetched entry (or fetches after all if nothing
-//! landed), so the origin sees exactly one fetch either way. A threaded
-//! joiner's waiter wakes its blocked thread; a reactor joiner's resumes
-//! its parked connection on its shard.
+//! landed), so the origin sees exactly one fetch either way. The waiter
+//! is the parked connection's [`Waker`](crate::service::Waker): it
+//! resumes the connection on its poller. Every speculation's exchange
+//! runs under the upstream deadline, so it settles in bounded time and a
+//! joiner needs no timeout of its own.
 //!
 //! ## Server push
 //!
@@ -56,8 +58,9 @@
 //! [`accept_push`] files accepted bodies as issued speculations;
 //! duplicate pushes settle instantly as wasted bytes.
 
-use crate::lifecycle::{self, Leg, UpstreamOutcome};
+use crate::lifecycle::{self, UpstreamOutcome};
 use crate::proxy::ProxyShared;
+use crate::service::{run_plan, UpstreamNext, UpstreamPlan};
 use crate::stats::AtomicProxyStats;
 use piggyback_core::types::{ResourceId, Timestamp};
 use piggyback_httpwire::{ConnScratch, Response};
@@ -65,7 +68,6 @@ use piggyback_webcache::CacheEntry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::time::Duration;
 
 /// Request header a push-accepting proxy sends upstream.
 pub const PIGGY_PUSH_HEADER: &str = "Piggy-push";
@@ -77,13 +79,6 @@ pub const PUSH_PATH_HEADER: &str = "X-Push-Path";
 /// Queued-but-unfetched candidates beyond this are dropped silently: a
 /// piggyback burst must not grow an unbounded backlog of speculation.
 const QUEUE_CAP: usize = 4096;
-
-/// How long a threaded demand request waits for an in-flight speculative
-/// fetch before giving up and fetching itself: the blocking driver's
-/// upstream reads have no deadline, so a wedged speculation must not
-/// wedge its joiners (a reactor-driven one always settles — its
-/// exchange runs under the upstream timeout).
-pub(crate) const JOIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Lifecycle of one speculative fetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -151,23 +146,20 @@ impl Speculation {
         // Otherwise `waiter` fires as it drops, after the lock.
     }
 
-    /// Block the calling thread until the speculation settles, or at most
-    /// `timeout`: its waiter wakes the thread.
-    pub(crate) fn wait(&self, timeout: Option<Duration>) {
+    /// Block the calling thread until the speculation settles: its
+    /// waiter wakes the thread.
+    pub(crate) fn wait(&self) {
         let (settled, woken) = std::sync::mpsc::channel();
         self.on_settle(move || {
             let _ = settled.send(());
         });
-        let _ = match timeout {
-            Some(t) => woken.recv_timeout(t).ok(),
-            None => woken.recv().ok(),
-        };
+        let _ = woken.recv();
     }
 }
 
 /// Settles its job when dropped, whichever way the fetch ended — its
-/// outcome settled, or its reactor plan dropped unrun — so joiners wake
-/// exactly once and the dedup entry goes.
+/// outcome settled, or its plan dropped unrun — so joiners wake exactly
+/// once and the dedup entry goes.
 struct Landing {
     inner: Arc<PrefetchInner>,
     r: ResourceId,
@@ -343,71 +335,56 @@ fn run_candidate(
     fetch_and_install(shared, landing, &cand.path, scratch);
 }
 
-/// Fetch `path` speculatively and install it: the plain GET goes through
-/// the blocking driver's exchange loop (same retry-once contract as the
-/// demand path) or, in reactor mode, a reactor shard; either way the
-/// outcome lands in [`settle_speculation`], which settles the ledger
-/// exactly once, and then `landing` settles the job.
+/// Fetch `path` speculatively and install it: the plain GET is one
+/// [`UpstreamPlan`] for both engines (same retry-once contract and
+/// deadline as the demand path), whose continuation lands the outcome in
+/// [`settle_speculation`] — settling the ledger exactly once — and then
+/// settles the job. The worker holds its budget slot until then: a reactor
+/// shard runs the plan while the worker waits on the job like any joiner,
+/// and threaded, the worker runs it on the pool itself.
 fn fetch_and_install(
     shared: &Arc<ProxyShared>,
     landing: Landing,
     path: &str,
     scratch: &mut ConnScratch,
 ) {
-    let r = landing.r;
     // Last-second dedup: a demand fetch or an accepted push may have
     // landed the entry since this candidate was queued. Skipping here is
     // free — the fetch was never issued.
-    if shared.cache.peek(r).is_some() {
+    if shared.cache.peek(landing.r).is_some() {
         return;
     }
     let stats = &shared.stats;
     stats.prefetch_issued.fetch_add(1, Relaxed);
     stats.prefetch_inflight.fetch_add(1, Relaxed);
     let leg = lifecycle::speculative_leg(path);
-    #[cfg(target_os = "linux")]
-    if let Some(sub) = shared.upstream_submit.get() {
-        return fetch_via_reactor(shared, sub, landing, path, &leg, scratch);
-    }
-    let retries = &stats.prefetch_retries;
-    let outcome = crate::proxy::exchange(shared, &leg, retries, &mut std::io::sink(), scratch);
-    settle_speculation(shared, r, path, outcome);
-}
-
-/// Reactor mode: the speculative GET rides the same nonblocking upstream
-/// legs as demand misses, and the ledger settles in the continuation on
-/// that reactor thread. The worker still holds its budget slot until the
-/// speculation settles — bounding concurrent speculation is the whole
-/// point of `--prefetch-budget` — by waiting on the job like any joiner.
-#[cfg(target_os = "linux")]
-fn fetch_via_reactor(
-    shared: &Arc<ProxyShared>,
-    sub: &crate::reactor::ReactorSubmitter,
-    landing: Landing,
-    path: &str,
-    leg: &Leg,
-    scratch: &mut ConnScratch,
-) {
-    use crate::reactor::{UpstreamNext, UpstreamPlan};
     let settled = Speculation(Arc::clone(&landing.job));
-    let finish_shared = Arc::clone(shared);
-    let retry_shared = Arc::clone(shared);
-    let path_owned = path.to_owned();
-    sub.submit(UpstreamPlan {
+    let (finish_shared, retry_shared) = (Arc::clone(shared), Arc::clone(shared));
+    let path = path.to_owned();
+    let plan = UpstreamPlan {
         origin: shared.cfg.origin,
         request: leg.request_bytes(scratch),
         retry: Box::new(move || {
             retry_shared.stats.prefetch_retries.fetch_add(1, Relaxed);
         }),
         finish: Box::new(move |_scratch, _out, outcome| {
-            settle_speculation(&finish_shared, landing.r, &path_owned, outcome);
+            settle_speculation(&finish_shared, landing.r, &path, outcome);
             drop(landing);
             Ok(UpstreamNext::Done)
         }),
         relay: leg.relay,
         accept_push: leg.accept_push,
-    });
-    settled.wait(None);
+    };
+    match shared.upstream_submit.get() {
+        Some(submit) => {
+            submit(plan);
+            settled.wait();
+        }
+        None => {
+            // A speculative leg never engages, so nothing reaches the sink.
+            let _ = run_plan(plan, &shared.pool, scratch, &mut Vec::new(), |_| Ok(()));
+        }
+    }
 }
 
 /// Resolve an issued speculation from its exchange outcome: a 200 is

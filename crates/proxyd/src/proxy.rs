@@ -18,26 +18,28 @@
 //! * RPV state is per client source (an [`RpvTable`] keyed by peer
 //!   address), so concurrent sources keep independent lists;
 //! * upstream fetches check keep-alive connections out of a bounded,
-//!   health-checked [`ConnectionPool`] instead of reconnecting per fetch.
+//!   health-checked [`ConnectionPool`] (threaded engine) or a reactor
+//!   shard's idle list instead of reconnecting per fetch.
 //!
-//! ## Upstream lifecycle
+//! ## One service, two pollers
 //!
-//! Planning ([`plan_request`]) resolves a request to a reply or an
-//! [`UpstreamJob`]. What the job then does to the cache, the counters and
-//! the client's answer is written once, socket-free, in
-//! [`crate::lifecycle`]; this module only moves the bytes — the blocking
-//! driver ([`serve_upstream`], [`exchange`]) for the threaded engine, and
-//! the plan adapters (`reactor_svc`) that hand the same legs to the epoll
-//! reactor.
+//! The proxy is one [`Service`]: planning ([`plan_request`]) resolves a
+//! request to a reply or an [`UpstreamJob`], and the job becomes an
+//! [`UpstreamPlan`] whose continuation hands the outcome to the settle
+//! functions of [`crate::lifecycle`], which write what the job does to
+//! the cache, the counters and the client's answer once, socket-free.
+//! Either poller — the blocking one of [`crate::service`] or the epoll
+//! reactor — runs the plan (PROTOCOL.md §12).
 
-use crate::client::{ConnectionPool, PoolStats, PooledConn};
-use crate::lifecycle::{self, Leg, ResponseMachine, Settled, UpstreamJob, UpstreamOutcome};
+use crate::client::{ConnectionPool, PoolStats};
+use crate::lifecycle::{self, Leg, Refetch, Settled, UpstreamJob};
 use crate::obs::{render_histogram, render_scalar, ProxyObs};
 use crate::origin::strip_origin_form;
 use crate::prefetch::{self, Prefetcher};
+use crate::service::{serve_blocking, Served, Service, UpstreamNext, UpstreamPlan};
 use crate::stats::AtomicProxyStats;
 pub use crate::stats::ProxyStats;
-use crate::util::{serve_with_stats, Clock, IoMode, IoStats, ServeOptions, ServerHandle};
+use crate::util::{Clock, IoMode, IoStats, ServeOptions, ServerHandle};
 use parking_lot::{Mutex, RwLock};
 use piggyback_core::datetime::{unix_from_timestamp, Rfc1123, DEFAULT_TRACE_EPOCH_UNIX};
 use piggyback_core::filter::{ProxyFilter, PIGGY_FILTER_HEADER};
@@ -45,13 +47,12 @@ use piggyback_core::report::HitReporter;
 use piggyback_core::rpv::RpvTable;
 use piggyback_core::table::ResourceTable;
 use piggyback_core::types::{DurationMs, Timestamp};
-use piggyback_httpwire::{
-    parse, write_all_parts, Body, ConnScratch, HeaderMap, HttpError, Request, Response,
-};
+use piggyback_httpwire::{parse, Body, ConnScratch, HeaderMap, Request, Response};
 use piggyback_webcache::{PolicyKind, ShardedBodyStore, ShardedCache};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::collections::HashMap;
+use std::io::{self, Write};
+use std::net::SocketAddr;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -83,8 +84,8 @@ pub struct ProxyConfig {
     pub shards: usize,
     /// Idle origin connections the pool retains.
     pub pool_max_idle: usize,
-    /// Accept-loop worker/queue sizing of the threaded engine; the reactor
-    /// spawns no worker threads.
+    /// Accept-loop worker/queue sizing of the threaded engine's blocking
+    /// poller; the reactor spawns no worker threads.
     pub serve: ServeOptions,
     /// Serve the Prometheus admin endpoint `GET /__pb/metrics`
     /// (`pb-proxy --no-metrics` disables it; disabled scrapes get a local
@@ -93,15 +94,17 @@ pub struct ProxyConfig {
     /// Client-side I/O engine. [`IoMode::Reactor`] (Linux only; silently
     /// falls back to `Threaded` elsewhere) multiplexes connections on an
     /// epoll readiness loop instead of pinning a worker thread each. Both
-    /// engines funnel through the same serializers, so their wire bytes
-    /// are identical.
+    /// engines poll the one proxy service, so their wire bytes are
+    /// identical.
     pub io: IoMode,
-    /// Reactor-mode idle/read deadline for client connections.
+    /// Idle/read deadline for client connections (`--idle-timeout-secs`),
+    /// on both engines.
     pub reactor_idle_timeout: std::time::Duration,
-    /// Reactor-mode per-attempt deadline for a nonblocking upstream
-    /// exchange (`--upstream-timeout-secs`); a stalled origin leg is
-    /// killed when it fires (retried once, then 502). Also the idle
-    /// reaping horizon for parked upstream connections.
+    /// Per-attempt deadline for an upstream exchange
+    /// (`--upstream-timeout-secs`), on both engines: a stalled or
+    /// trickling origin leg is killed when it passes (retried once, then
+    /// 502). Also the reactor's idle reaping horizon for parked upstream
+    /// connections.
     pub upstream_timeout: std::time::Duration,
     /// Maximum concurrent speculative fetches acting on piggybacked
     /// `PrefetchCandidate` elements; 0 disables the prefetcher (the seed
@@ -176,8 +179,8 @@ pub(crate) struct ProxyShared {
     pub(crate) stats: AtomicProxyStats,
     /// Latency histograms + piggyback-overhead accounting (lock-free).
     pub(crate) obs: ProxyObs,
-    /// Keep-alive origin pool of the blocking driver.
-    pub(crate) pool: ConnectionPool,
+    /// Keep-alive origin pool of the blocking poller's plans.
+    pub(crate) pool: Arc<ConnectionPool>,
     /// The speculative fetch engine (`--prefetch-budget > 0`). `OnceLock`
     /// because it is started after the `Arc` is built — the workers hold
     /// a `Weak` back-reference.
@@ -190,9 +193,8 @@ pub(crate) struct ProxyShared {
     /// Injects detached upstream exchanges (speculative prefetch GETs)
     /// into the reactor shards, so speculation rides the same nonblocking
     /// upstream legs as demand misses. Set once the reactor is up; unset
-    /// in threaded mode (the prefetcher then blocks on the pool).
-    #[cfg(target_os = "linux")]
-    pub(crate) upstream_submit: OnceLock<crate::reactor::ReactorSubmitter>,
+    /// in threaded mode (the prefetcher then runs its plans on the pool).
+    pub(crate) upstream_submit: OnceLock<Box<dyn Fn(UpstreamPlan) + Send + Sync>>,
 }
 
 impl ProxyShared {
@@ -282,12 +284,13 @@ pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
         reporter: Mutex::new(HitReporter::new()),
         stats: AtomicProxyStats::new(),
         obs: ProxyObs::default(),
-        pool: ConnectionPool::new(cfg.origin, cfg.pool_max_idle),
+        pool: Arc::new(
+            ConnectionPool::new(cfg.origin, cfg.pool_max_idle).with_timeout(cfg.upstream_timeout),
+        ),
         prefetcher: OnceLock::new(),
         io_stats: Arc::clone(&io_stats),
         #[cfg(target_os = "linux")]
         reactor_metrics: reactor_metrics.clone(),
-        #[cfg(target_os = "linux")]
         upstream_submit: OnceLock::new(),
         cfg,
     });
@@ -295,480 +298,258 @@ pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
         let p = Prefetcher::start(shared.cfg.prefetch_budget, Arc::downgrade(&shared));
         let _ = shared.prefetcher.set(Arc::new(p));
     }
+    let svc = Arc::new(ProxySvc {
+        shared: Arc::clone(&shared),
+    });
+    let cfg = &shared.cfg;
     #[cfg(target_os = "linux")]
     if let Some(metrics) = reactor_metrics {
-        let handle = reactor_svc::serve(&shared, io_stats, metrics)?;
-        return Ok(ProxyHandle { handle, shared });
-    }
-    let shared2 = Arc::clone(&shared);
-    let handle = serve_with_stats(
-        shared.cfg.port,
-        "proxy",
-        shared.cfg.serve,
-        io_stats,
-        move |stream| {
-            let _ = handle_connection(stream, &shared2);
-        },
-    )?;
-    Ok(ProxyHandle { handle, shared })
-}
-
-/// The reactor engine's half of the proxy: the [`ReactorService`] with
-/// its shard-affine L1, and the adapters that turn a lifecycle [`Leg`]
-/// into a nonblocking [`UpstreamPlan`].
-///
-/// [`ReactorService`]: crate::reactor::ReactorService
-/// [`UpstreamPlan`]: crate::reactor::UpstreamPlan
-#[cfg(target_os = "linux")]
-mod reactor_svc {
-    use super::*;
-    use crate::lifecycle::Refetch;
-    use crate::reactor::{
-        ReactorMetrics, ReactorOptions, ReactorService, Served, UpstreamNext, UpstreamPlan,
-    };
-    use std::collections::HashMap;
-
-    /// Serve `shared` from the epoll reactor.
-    pub(super) fn serve(
-        shared: &Arc<ProxyShared>,
-        io_stats: Arc<IoStats>,
-        metrics: Arc<ReactorMetrics>,
-    ) -> io::Result<ServerHandle> {
-        let opts = ReactorOptions {
-            idle_timeout: shared.cfg.reactor_idle_timeout,
-            upstream_timeout: shared.cfg.upstream_timeout,
+        let opts = crate::reactor::ReactorOptions {
+            idle_timeout: cfg.reactor_idle_timeout,
+            upstream_timeout: cfg.upstream_timeout,
             // The same retention knob as the threaded pool, so
             // `pool_max_idle: 0` forbids upstream keep-alives in both
             // I/O modes (per reactor shard here, globally there).
-            upstream_max_idle: shared.cfg.pool_max_idle,
+            upstream_max_idle: cfg.pool_max_idle,
         };
-        let svc = Arc::new(ProxySvc {
-            shared: Arc::clone(shared),
-        });
         let handle =
-            crate::reactor::serve_reactor(shared.cfg.port, "proxy", opts, io_stats, metrics, svc)?;
+            crate::reactor::serve_reactor(cfg.port, "proxy", opts, io_stats, metrics, svc)?;
         // Speculative prefetch GETs ride the reactor's nonblocking
         // upstream legs instead of blocking a worker on the pool.
         if let Some(sub) = handle.reactor_submitter() {
-            let _ = shared.upstream_submit.set(sub);
+            let _ = shared
+                .upstream_submit
+                .set(Box::new(move |plan| sub.submit(plan)));
         }
-        Ok(handle)
+        return Ok(ProxyHandle { handle, shared });
+    }
+    let pool = Some(Arc::clone(&shared.pool));
+    let idle = cfg.reactor_idle_timeout;
+    let handle = serve_blocking(cfg.port, "proxy", cfg.serve, io_stats, idle, pool, svc)?;
+    Ok(ProxyHandle { handle, shared })
+}
+
+/// The proxy as a [`Service`]: cache hits, metrics, and synthesized errors
+/// serialize inline; upstream fetches (`--accept-push` bursts included)
+/// become [`UpstreamPlan`]s the poller runs, and a demand miss joined to
+/// an in-flight speculation parks ([`Served::Park`]) until the
+/// speculation settles.
+struct ProxySvc {
+    shared: Arc<ProxyShared>,
+}
+
+/// A poller's lock-free affine L1 — one per reactor shard, one per
+/// connection on the blocking poller: the last fresh hits it served,
+/// revalidated by the cache's global
+/// [`mutation_epoch`](piggyback_webcache::ShardedCache::mutation_epoch)
+/// so a repeat hit costs zero shard-lock acquisitions while the cache is
+/// quiescent. An entry is serveable only while (a) the mutation epoch
+/// still equals the epoch certified around the locked lookup that filled
+/// it, and (b) the entry is still fresh by the shared clock. Any cache
+/// mutation anywhere invalidates the whole L1 — conservative, but what
+/// makes the shortcut correct without per-entry coherence.
+///
+/// Accepted divergence from the locked path: an L1 hit does not touch LRU
+/// recency (the filling lookup already did, and eviction order is not
+/// part of the wire contract). Wire bytes are identical.
+pub(crate) struct ProxyCtx {
+    l1: HashMap<String, L1Hit>,
+}
+
+struct L1Hit {
+    body: Body,
+    lm: Timestamp,
+    expires: Timestamp,
+    epoch: u64,
+}
+
+/// Paths the affine L1 retains before clearing itself wholesale — a tiny
+/// bound; the point is repeat hits on a hot set, not a second cache tier.
+const L1_CAP: usize = 1024;
+
+impl Service for ProxySvc {
+    type Ctx = ProxyCtx;
+
+    fn make_ctx(&self) -> ProxyCtx {
+        ProxyCtx { l1: HashMap::new() }
     }
 
-    /// The proxy as a [`ReactorService`]: cache hits, metrics, and
-    /// synthesized errors serialize inline on the reactor thread;
-    /// upstream fetches (`--accept-push` bursts included) become
-    /// nonblocking [`UpstreamPlan`]s driven on the same epoll loop, and a
-    /// demand miss joined to an in-flight speculation parks
-    /// ([`Served::Park`]) until the speculation settles. No request ever
-    /// leaves the reactor thread.
-    struct ProxySvc {
-        shared: Arc<ProxyShared>,
+    fn body_cap(&self) -> usize {
+        self.shared.cfg.client_body_cap
     }
 
-    /// A reactor shard's lock-free affine L1: the last fresh hits this
-    /// shard served, revalidated by the cache's global
-    /// [`mutation_epoch`](piggyback_webcache::ShardedCache::mutation_epoch)
-    /// so a repeat hit costs zero shard-lock acquisitions while the cache
-    /// is quiescent. An entry is serveable only while (a) the mutation
-    /// epoch still equals the epoch certified around the locked lookup
-    /// that filled it, and (b) the entry is still fresh by the shared
-    /// clock. Any cache mutation anywhere invalidates the whole L1 —
-    /// conservative, but what makes the shortcut correct without
-    /// per-entry coherence.
-    ///
-    /// Accepted divergence from the locked path: an L1 hit does not touch
-    /// LRU recency (the filling lookup already did, and eviction order is
-    /// not part of the wire contract). Wire bytes are identical.
-    pub(crate) struct ProxyCtx {
-        l1: HashMap<String, L1Hit>,
-    }
-
-    struct L1Hit {
-        body: Body,
-        lm: Timestamp,
-        expires: Timestamp,
-        epoch: u64,
-    }
-
-    /// Paths the affine L1 retains before clearing itself wholesale — a
-    /// tiny bound; the point is repeat hits on a shard's hot set, not a
-    /// second cache tier.
-    const L1_CAP: usize = 1024;
-
-    impl ReactorService for ProxySvc {
-        type Ctx = ProxyCtx;
-
-        fn make_ctx(&self, _shard: usize) -> ProxyCtx {
-            ProxyCtx { l1: HashMap::new() }
-        }
-
-        fn handle(
-            &self,
-            req: &Request,
-            peer: SocketAddr,
-            ctx: &mut ProxyCtx,
-            scratch: &mut ConnScratch,
-            out: &mut Vec<u8>,
-        ) -> io::Result<Served> {
-            let shared = &self.shared;
-            if req.method == "GET" {
-                let path = strip_origin_form(&req.target);
-                if path != METRICS_PATH {
-                    enum L1Verdict {
-                        Serve(Body, Timestamp),
-                        Drop,
-                        Miss,
-                    }
-                    let start = Instant::now();
-                    let verdict = match ctx.l1.get(path) {
-                        Some(hit) if hit.epoch == shared.cache.mutation_epoch() => {
-                            if shared.clock.now() < hit.expires {
-                                L1Verdict::Serve(hit.body.clone(), hit.lm)
-                            } else {
-                                // Expired: the locked path counts the
-                                // validation; drop the stale copy.
-                                L1Verdict::Drop
-                            }
-                        }
-                        Some(_) => L1Verdict::Drop,
-                        None => L1Verdict::Miss,
-                    };
-                    match verdict {
-                        L1Verdict::Serve(body, lm) => {
-                            shared.stats.requests.fetch_add(1, Relaxed);
-                            shared.stats.affine_hits.fetch_add(1, Relaxed);
-                            shared.note_fresh_hit(path, start);
-                            write_hit(out, scratch, &body, lm)?;
-                            return Ok(Served::Inline);
-                        }
-                        L1Verdict::Drop => {
-                            ctx.l1.remove(path);
-                        }
-                        L1Verdict::Miss => {}
-                    }
-                }
-            }
-            let epoch = shared.cache.mutation_epoch();
-            match plan_request(req, shared, peer) {
-                Step::Reply(Reply::Hit { body, lm, expires }) => {
-                    // Fill the L1 only when nothing mutated around the
-                    // locked lookup — then `epoch` certifies the snapshot
-                    // is current.
-                    if shared.cache.mutation_epoch() == epoch {
-                        if ctx.l1.len() >= L1_CAP {
-                            ctx.l1.clear();
-                        }
-                        ctx.l1.insert(
-                            strip_origin_form(&req.target).to_owned(),
-                            L1Hit {
-                                body: body.clone(),
-                                lm,
-                                expires,
-                                epoch,
-                            },
-                        );
-                    }
-                    write_hit(out, scratch, &body, lm)?;
-                    Ok(Served::Inline)
-                }
-                Step::Reply(Reply::Full(resp)) => {
-                    resp.write_with(out, scratch)?;
-                    Ok(Served::Inline)
-                }
-                Step::Upstream(job) => self.plan_upstream(job, scratch, out),
-            }
-        }
-    }
-
-    impl ProxySvc {
-        fn plan_upstream(
-            &self,
-            job: UpstreamJob,
-            scratch: &mut ConnScratch,
-            out: &mut Vec<u8>,
-        ) -> io::Result<Served> {
-            let shared = &self.shared;
-            // A plain miss racing a speculative fetch of the same path:
-            // cancel a still-queued job outright, but join one already on
-            // the wire — the connection parks until the speculation
-            // settles, then serves what landed or fetches after all.
-            if job.validate_lm.is_none() {
-                if let Some(spec) = shared
-                    .prefetcher
-                    .get()
-                    .and_then(|p| p.claim(shared, &job.path))
-                {
-                    let shared = Arc::clone(shared);
-                    return Ok(Served::Park(Box::new(move |waker| {
-                        spec.on_settle(move || {
-                            waker.wake(Box::new(move |scratch, out| {
-                                match lifecycle::landed_speculation(&shared, &job) {
-                                    Some((body, lm)) => {
-                                        write_hit(out, scratch, &body, lm)?;
-                                        Ok(Served::Inline)
-                                    }
-                                    None => Ok(fetch(&shared, job, scratch, out)),
-                                }
-                            }))
-                        })
-                    })));
-                }
-            }
-            Ok(fetch(shared, job, scratch, out))
-        }
-    }
-
-    /// The upstream plan that answers `job`. The reactor flushes `out`
-    /// even while awaiting the upstream, so a prefix hit's first byte is
-    /// one pump away.
-    fn fetch(
-        shared: &Arc<ProxyShared>,
-        mut job: UpstreamJob,
+    fn handle(
+        &self,
+        req: &Request,
+        peer: SocketAddr,
+        ctx: &mut ProxyCtx,
         scratch: &mut ConnScratch,
         out: &mut Vec<u8>,
-    ) -> Served {
-        if let Some(head) = lifecycle::probe_prefix(shared, &mut job, out) {
-            out.extend_from_slice(head.as_slice());
-        }
-        let leg = lifecycle::first_leg(shared, &job);
-        Served::Upstream(upstream_plan(Arc::clone(shared), job, leg, None, scratch))
-    }
-
-    /// `leg` as a reactor plan: the reactor dials (or reuses) a
-    /// shard-owned origin connection, and the continuation hands the
-    /// outcome to the same settle functions the blocking driver calls.
-    /// `refetch` marks the chained second exchange of a body-less 304.
-    fn upstream_plan(
-        shared: Arc<ProxyShared>,
-        job: UpstreamJob,
-        leg: Leg,
-        refetch: Option<Refetch>,
-        scratch: &mut ConnScratch,
-    ) -> UpstreamPlan {
-        let request = leg.request_bytes(scratch);
-        let retry_stats = Arc::clone(&shared);
-        UpstreamPlan {
-            origin: shared.cfg.origin,
-            request,
-            retry: Box::new(move || {
-                retry_stats.stats.upstream_retries.fetch_add(1, Relaxed);
-            }),
-            relay: leg.relay,
-            accept_push: leg.accept_push,
-            finish: Box::new(move |scratch, out, outcome| {
-                let resp = match refetch {
-                    Some(refetch) => lifecycle::settle_refetch(&shared, &job, refetch, outcome),
-                    None => match lifecycle::settle(&shared, &job, outcome) {
-                        Settled::Reply(resp) => resp,
-                        Settled::Refetch(refetch) => {
-                            let leg = lifecycle::refetch_leg(&shared, &job);
-                            let plan = upstream_plan(shared, job, leg, Some(refetch), scratch);
-                            return Ok(UpstreamNext::Again(plan));
+    ) -> io::Result<Served> {
+        let shared = &self.shared;
+        if req.method == "GET" {
+            let path = strip_origin_form(&req.target);
+            if path != METRICS_PATH {
+                enum L1Verdict {
+                    Serve(Body, Timestamp),
+                    Drop,
+                    Miss,
+                }
+                let start = Instant::now();
+                let verdict = match ctx.l1.get(path) {
+                    Some(hit) if hit.epoch == shared.cache.mutation_epoch() => {
+                        if shared.clock.now() < hit.expires {
+                            L1Verdict::Serve(hit.body.clone(), hit.lm)
+                        } else {
+                            // Expired: the locked path counts the
+                            // validation; drop the stale copy.
+                            L1Verdict::Drop
                         }
-                        Settled::Sent => return Ok(UpstreamNext::Done),
-                        Settled::Abort => return Err(lifecycle::relay_aborted()),
-                    },
+                    }
+                    Some(_) => L1Verdict::Drop,
+                    None => L1Verdict::Miss,
                 };
+                match verdict {
+                    L1Verdict::Serve(body, lm) => {
+                        shared.stats.requests.fetch_add(1, Relaxed);
+                        shared.stats.affine_hits.fetch_add(1, Relaxed);
+                        shared.note_fresh_hit(path, start);
+                        write_hit(out, &body, lm);
+                        return Ok(Served::Inline);
+                    }
+                    L1Verdict::Drop => {
+                        ctx.l1.remove(path);
+                    }
+                    L1Verdict::Miss => {}
+                }
+            }
+        }
+        let epoch = shared.cache.mutation_epoch();
+        match plan_request(req, shared, peer) {
+            Step::Reply(Reply::Hit { body, lm, expires }) => {
+                // Fill the L1 only when nothing mutated around the locked
+                // lookup — then `epoch` certifies the snapshot is current.
+                if shared.cache.mutation_epoch() == epoch {
+                    if ctx.l1.len() >= L1_CAP {
+                        ctx.l1.clear();
+                    }
+                    ctx.l1.insert(
+                        strip_origin_form(&req.target).to_owned(),
+                        L1Hit {
+                            body: body.clone(),
+                            lm,
+                            expires,
+                            epoch,
+                        },
+                    );
+                }
+                write_hit(out, &body, lm);
+                Ok(Served::Inline)
+            }
+            Step::Reply(Reply::Full(resp)) => {
                 resp.write_with(out, scratch)?;
-                Ok(UpstreamNext::Done)
-            }),
+                Ok(Served::Inline)
+            }
+            Step::Upstream(job) => self.plan_upstream(job, scratch, out),
         }
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &Arc<ProxyShared>) -> io::Result<()> {
-    let source = stream
-        .peer_addr()
-        .unwrap_or_else(|_| SocketAddr::from(([0, 0, 0, 0], 0)));
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut scratch = ConnScratch::new();
-    // Steady state allocates nothing per request: the request is parsed
-    // into reused buffers, a hit clones the shared body (refcount bump),
-    // and the response head is formatted into the scratch and emitted
-    // together with the referenced body bytes in one vectored write.
-    let mut writer = stream;
-    let mut req = Request::empty();
-    loop {
-        match req.read_into_capped(&mut reader, &mut scratch, shared.cfg.client_body_cap) {
-            Ok(()) => {}
-            Err(e) if e.body_too_large() => {
-                // An oversized request body is the client's mistake, not
-                // a dead connection: say so (413) before closing, instead
-                // of silently hanging up mid-upload.
-                let _ = Response::new(413).write_with(&mut writer, &mut scratch);
-                return Ok(());
+impl ProxySvc {
+    fn plan_upstream(
+        &self,
+        job: UpstreamJob,
+        scratch: &mut ConnScratch,
+        out: &mut Vec<u8>,
+    ) -> io::Result<Served> {
+        let shared = &self.shared;
+        // A plain miss racing a speculative fetch of the same path: cancel
+        // a still-queued job outright, but join one already on the wire —
+        // the connection parks until the speculation settles, then serves
+        // what landed or fetches after all, so the origin sees exactly one
+        // fetch either way. Every speculation settles within its upstream
+        // deadline, so the park needs no timeout of its own.
+        if job.validate_lm.is_none() {
+            if let Some(spec) = shared
+                .prefetcher
+                .get()
+                .and_then(|p| p.claim(shared, &job.path))
+            {
+                let shared = Arc::clone(shared);
+                return Ok(Served::Park(Box::new(move |waker| {
+                    spec.on_settle(move || {
+                        waker.wake(Box::new(
+                            move |scratch, out| match lifecycle::landed_speculation(&shared, &job) {
+                                Some((body, lm)) => {
+                                    write_hit(out, &body, lm);
+                                    Ok(Served::Inline)
+                                }
+                                None => Ok(fetch(&shared, job, scratch, out)),
+                            },
+                        ))
+                    })
+                })));
             }
-            Err(_) => return Ok(()),
         }
-        let keep = req.keep_alive();
-        match plan_request(&req, shared, source) {
-            Step::Reply(Reply::Hit { body, lm, .. }) => {
-                write_hit(&mut writer, &mut scratch, &body, lm)?
-            }
-            Step::Reply(Reply::Full(resp)) => resp.write_with(&mut writer, &mut scratch)?,
-            Step::Upstream(job) => serve_upstream(shared, job, &mut writer, &mut scratch)?,
-        }
-        if !keep {
-            return Ok(());
-        }
+        Ok(fetch(shared, job, scratch, out))
     }
 }
 
-/// Client bytes a relay stages before they are written downstream: one
-/// write per segment, not one per origin-side `BufReader` fill. Bounds
-/// proxy memory per in-flight relay: the whole body is never resident.
-const STREAM_SEGMENT: usize = 16 * 1024;
-
-/// The blocking driver: run `job`'s upstream lifecycle on the calling
-/// thread (the connection's own worker) and write the client's answer to
-/// `w`. An `Err` means the client connection must be dropped.
-fn serve_upstream<W: Write>(
-    shared: &ProxyShared,
+/// The upstream plan that answers `job`. A prefix hit's head and cached
+/// bytes are staged in `out` first: both pollers write them before the
+/// origin is dialed, so the client's first byte waits on no round trip.
+fn fetch(
+    shared: &Arc<ProxyShared>,
     mut job: UpstreamJob,
-    w: &mut W,
     scratch: &mut ConnScratch,
-) -> io::Result<()> {
-    // A plain miss may be racing a speculative fetch of the same path:
-    // cancel it while still queued (the demand fetch wins outright), or
-    // join it once on the wire — wait until the speculation settles and
-    // serve its entry, so the origin sees exactly one fetch either way.
-    // The wait is bounded: a blocking speculation's reads have no deadline.
-    if job.validate_lm.is_none() {
-        if let Some(spec) = shared
-            .prefetcher
-            .get()
-            .and_then(|p| p.claim(shared, &job.path))
-        {
-            spec.wait(Some(prefetch::JOIN_TIMEOUT));
-            if let Some((body, lm)) = lifecycle::landed_speculation(shared, &job) {
-                return write_hit(w, scratch, &body, lm);
-            }
-        }
+    out: &mut Vec<u8>,
+) -> Served {
+    if let Some(head) = lifecycle::probe_prefix(shared, &mut job, out) {
+        out.extend_from_slice(head.as_slice());
     }
-    scratch.out.clear();
-    if let Some(head) = lifecycle::probe_prefix(shared, &mut job, &mut scratch.out) {
-        let sent =
-            write_all_parts(w, &[scratch.out.as_slice(), head.as_slice()]).and_then(|()| w.flush());
-        if let Err(e) = sent {
-            let gone = UpstreamOutcome::StreamFailed { mismatch: false };
-            lifecycle::settle(shared, &job, gone);
-            return Err(e);
-        }
-    }
-    let retries = &shared.stats.upstream_retries;
     let leg = lifecycle::first_leg(shared, &job);
-    let outcome = exchange(shared, &leg, retries, w, scratch);
-    let resp = match lifecycle::settle(shared, &job, outcome) {
-        Settled::Reply(resp) => resp,
-        Settled::Refetch(refetch) => {
-            let leg = lifecycle::refetch_leg(shared, &job);
-            let outcome = exchange(shared, &leg, retries, w, scratch);
-            lifecycle::settle_refetch(shared, &job, refetch, outcome)
-        }
-        Settled::Sent => return Ok(()),
-        Settled::Abort => return Err(lifecycle::relay_aborted()),
-    };
-    resp.write_with(w, scratch)
+    Served::Upstream(upstream_plan(Arc::clone(shared), job, leg, None, scratch))
 }
 
-/// One blocking upstream exchange through the proxy's pool:
-/// [`blocking_exchange`] dialing pooled connections and writing each
-/// segment to `w`. The connection returns to the pool only when the
-/// machine read the response — trailers and any pushed responses
-/// included — to its end.
-pub(crate) fn exchange<W: Write>(
-    shared: &ProxyShared,
-    leg: &Leg,
-    retries: &AtomicU64,
-    w: &mut W,
+/// `leg` as a plan: the poller dials (or reuses) an origin connection, and
+/// the continuation hands the outcome to the lifecycle's settle
+/// functions. `refetch` marks the chained second exchange of a body-less
+/// 304.
+fn upstream_plan(
+    shared: Arc<ProxyShared>,
+    job: UpstreamJob,
+    leg: Leg,
+    refetch: Option<Refetch>,
     scratch: &mut ConnScratch,
-) -> UpstreamOutcome {
-    let pool = &shared.pool;
-    let mut engaged = false;
-    let (outcome, conn) = blocking_exchange(
-        &leg.request,
-        || ResponseMachine::new(leg.relay, leg.accept_push),
-        |retry| {
-            if !retry {
-                return pool.checkout();
-            }
-            retries.fetch_add(1, Relaxed);
-            pool.connect_fresh()
-        },
-        |seg, machine| {
-            // An engaging head goes out before more payload is awaited.
-            if seg.len() >= STREAM_SEGMENT || machine.is_done() || machine.engaged() != engaged {
-                engaged = machine.engaged();
-                write_segment(w, seg)?;
-            }
-            Ok(())
-        },
-        scratch,
-    );
-    if let UpstreamOutcome::StreamFailed { .. } = outcome {
-        // Whatever was staged still goes out: the client holds the head
-        // plus a strict prefix, then sees the close.
-        let _ = write_segment(w, &mut scratch.out);
+) -> UpstreamPlan {
+    let request = leg.request_bytes(scratch);
+    let retry_stats = Arc::clone(&shared);
+    UpstreamPlan {
+        origin: shared.cfg.origin,
+        request,
+        retry: Box::new(move || {
+            retry_stats.stats.upstream_retries.fetch_add(1, Relaxed);
+        }),
+        relay: leg.relay,
+        accept_push: leg.accept_push,
+        finish: Box::new(move |scratch, out, outcome| {
+            let resp = match refetch {
+                Some(refetch) => lifecycle::settle_refetch(&shared, &job, refetch, outcome),
+                None => match lifecycle::settle(&shared, &job, outcome) {
+                    Settled::Reply(resp) => resp,
+                    Settled::Refetch(refetch) => {
+                        let leg = lifecycle::refetch_leg(&shared, &job);
+                        let plan = upstream_plan(shared, job, leg, Some(refetch), scratch);
+                        return Ok(UpstreamNext::Again(plan));
+                    }
+                    Settled::Sent => return Ok(UpstreamNext::Done),
+                    Settled::Abort => return Err(lifecycle::relay_aborted()),
+                },
+            };
+            resp.write_with(out, scratch)?;
+            Ok(UpstreamNext::Done)
+        }),
     }
-    if let Some(conn) = conn {
-        pool.checkin(conn);
-    }
-    outcome
-}
-
-/// One blocking upstream exchange, for both blocking hops — the threaded
-/// proxy and the volume center — owning the single retry loop
-/// (PROTOCOL.md §7.1): a failure while the response machine is still
-/// retryable goes again once, on the connection `dial(true)` gives,
-/// unless the request carries a body the upstream may already have acted
-/// on; a dial failure is terminal; an engaged relay or a whole response is
-/// never retried. The loop is the reactor's: read bytes, feed the machine
-/// built by `machine`, and `flush` what it staged in `scratch.out` — the
-/// one reused segment between the machine and downstream. The connection
-/// comes back only when the machine says it may carry another exchange.
-pub(crate) fn blocking_exchange<'h>(
-    request: &Request,
-    machine: impl Fn() -> ResponseMachine<'h>,
-    mut dial: impl FnMut(bool) -> io::Result<PooledConn>,
-    mut flush: impl FnMut(&mut Vec<u8>, &ResponseMachine<'h>) -> io::Result<()>,
-    scratch: &mut ConnScratch,
-) -> (UpstreamOutcome, Option<PooledConn>) {
-    for retry in [false, true] {
-        if retry && !request.body.is_empty() {
-            break;
-        }
-        let Ok(mut conn) = dial(retry) else { break };
-        let sent = request.write_with(&mut conn.writer, scratch);
-        let mut machine = machine();
-        let seg = &mut scratch.out;
-        seg.clear();
-        let fed = sent.map_err(HttpError::from).and_then(|()| {
-            while !machine.is_done() {
-                let input = conn.reader.fill_buf()?;
-                let consumed = machine.feed(input, input.is_empty(), seg)?;
-                conn.reader.consume(consumed);
-                flush(seg, &machine)?;
-            }
-            Ok(())
-        });
-        if fed.is_err() && machine.retryable() {
-            continue;
-        }
-        let reusable = machine.reusable();
-        return (machine.into_outcome(), reusable.then_some(conn));
-    }
-    (UpstreamOutcome::Failed, None)
-}
-
-/// Write the staged client bytes downstream and empty the segment.
-fn write_segment<W: Write>(w: &mut W, seg: &mut Vec<u8>) -> io::Result<()> {
-    if !seg.is_empty() {
-        w.write_all(seg)?;
-        w.flush()?;
-        seg.clear();
-    }
-    Ok(())
 }
 
 /// What a request resolves to: a fresh cache hit served straight from the
@@ -786,9 +567,9 @@ enum Reply {
 
 /// What the lock-scoped planning phase resolved a request to: an
 /// immediately-serveable reply, or a description of the upstream work
-/// still owed. Splitting here lets the reactor serve `Reply` inline and
-/// carry the self-contained [`UpstreamJob`] across a nonblocking
-/// exchange without borrowing the request.
+/// still owed. Splitting here lets a poller serve `Reply` inline and
+/// carry the self-contained [`UpstreamJob`] across an exchange without
+/// borrowing the request.
 enum Step {
     Reply(Reply),
     Upstream(UpstreamJob),
@@ -1133,28 +914,21 @@ fn metrics_response(shared: &ProxyShared) -> Response {
 }
 
 /// Serve a fresh cache hit without building a [`Response`]: the head is
-/// formatted straight into the connection scratch (the RFC 1123 date via
-/// [`Rfc1123`]'s `Display`, so no intermediate `String`) and emitted
-/// together with the shared body bytes — referenced, never copied — in
-/// one vectored write. Wire bytes are identical to
+/// formatted straight into `out` (the RFC 1123 date via [`Rfc1123`]'s
+/// `Display`, so no intermediate `String`), followed by the shared body
+/// bytes. Wire bytes are identical to
 /// `cached_response(body, lm, "HIT").write(..)`, which the
 /// `hit_bytes_match_cached_response` test pins down.
-fn write_hit<W: Write>(
-    w: &mut W,
-    scratch: &mut ConnScratch,
-    body: &Body,
-    lm: Timestamp,
-) -> io::Result<()> {
+fn write_hit(out: &mut Vec<u8>, body: &Body, lm: Timestamp) {
     let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
-    scratch.out.clear();
     write!(
-        scratch.out,
+        out,
         "HTTP/1.1 200 OK\r\nLast-Modified: {}\r\nX-Cache: HIT\r\nContent-Length: {}\r\n\r\n",
         Rfc1123(unix),
         body.len()
-    )?;
-    write_all_parts(w, &[scratch.out.as_slice(), body.as_slice()])?;
-    w.flush()
+    )
+    .expect("writing to a Vec cannot fail");
+    out.extend_from_slice(body.as_slice());
 }
 
 /// Build a `HeaderMap` holding the standard piggyback request headers —
@@ -1171,8 +945,8 @@ mod tests {
     use super::*;
     use crate::lifecycle::cached_response;
     use crate::origin::{start_origin, OriginConfig, OriginHandle};
-    use std::io::BufWriter;
-    use std::net::TcpListener;
+    use std::io::{BufReader, BufWriter};
+    use std::net::{TcpListener, TcpStream};
 
     /// Drive the whole site once directly (no proxy), so the origin's
     /// access state covers every resource. Piggybacks only name volume
@@ -1250,7 +1024,6 @@ mod tests {
         // The zero-copy hit path must stay byte-identical to serializing
         // the seed's full `Response` — for bodies of every interesting
         // size class (empty, small, multi-chunk-buffer sized).
-        let mut scratch = ConnScratch::new();
         for (body, lm) in [
             (Body::empty(), Timestamp::ZERO),
             (Body::from(b"hello".to_vec()), Timestamp::from_secs(12345)),
@@ -1260,7 +1033,7 @@ mod tests {
             ),
         ] {
             let mut fast = Vec::new();
-            write_hit(&mut fast, &mut scratch, &body, lm).unwrap();
+            write_hit(&mut fast, &body, lm);
             let mut seed = Vec::new();
             cached_response(&body, lm, "HIT").write(&mut seed).unwrap();
             assert_eq!(fast, seed, "body len {}", body.len());
@@ -1761,25 +1534,35 @@ mod tests {
         }
     }
 
+    /// Both pollers parse under the proxy's cap and answer `413`. (The
+    /// reactor half failed before the reactor honored the cap: it parsed
+    /// under the wire crate's 64 MiB limit and served the request.)
     #[test]
     fn oversized_client_body_gets_413() {
         let origin = start_origin(OriginConfig::default()).unwrap();
-        let mut cfg = ProxyConfig::new(origin.addr());
-        cfg.client_body_cap = 1024;
-        let proxy = start_proxy(cfg).unwrap();
-        let stream = TcpStream::connect(proxy.addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-        writer
-            .write_all(b"GET /a.html HTTP/1.1\r\nHost: p\r\nContent-Length: 4096\r\n\r\n")
-            .unwrap();
-        // The proxy may reject before draining; ignore write errors.
-        let _ = writer.write_all(&[b'x'; 4096]);
-        let _ = writer.flush();
-        let resp = Response::read(&mut reader, false).unwrap();
-        assert_eq!(resp.status, 413);
-        assert_eq!(proxy.stats().requests, 0, "rejected before accounting");
-        proxy.stop();
+        for io in engines() {
+            let mut cfg = ProxyConfig::new(origin.addr());
+            cfg.io = io;
+            cfg.client_body_cap = 1024;
+            let proxy = start_proxy(cfg).unwrap();
+            let stream = TcpStream::connect(proxy.addr()).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = BufWriter::new(stream);
+            writer
+                .write_all(b"GET /a.html HTTP/1.1\r\nHost: p\r\nContent-Length: 4096\r\n\r\n")
+                .unwrap();
+            // The proxy may reject before draining; ignore write errors.
+            let _ = writer.write_all(&[b'x'; 4096]);
+            let _ = writer.flush();
+            let resp = Response::read(&mut reader, false).unwrap();
+            assert_eq!(resp.status, 413, "{io:?}");
+            assert_eq!(
+                proxy.stats().requests,
+                0,
+                "{io:?}: rejected before accounting"
+            );
+            proxy.stop();
+        }
         origin.stop();
     }
 }

@@ -1,11 +1,11 @@
-//! From-scratch epoll reactor: the event-driven I/O core behind
+//! From-scratch epoll reactor: the event-driven poller behind
 //! `--io reactor`.
 //!
-//! The threaded serve path ([`crate::util::serve_with`]) pins one blocking
+//! The blocking poller ([`crate::service::serve_blocking`]) pins one
 //! worker thread per live connection, so concurrency is capped by the pool
-//! — not by the (allocation-free) request hot path. This module replaces
-//! the thread-per-connection model with a small fixed set of reactor
-//! threads, each owning:
+//! — not by the (allocation-free) request hot path. This module polls the
+//! same [`Service`] with a small fixed set of reactor threads instead,
+//! each owning:
 //!
 //! - its **own `SO_REUSEPORT` listener** on the shared port, so the kernel
 //!   spreads accepts across reactors with no shared accept lock;
@@ -32,7 +32,7 @@
 //! with a nonblocking `connect` (completion reported via `EPOLLOUT`),
 //! drives the write/read exchange edge-triggered — every byte read, from
 //! the status line on, is fed to the lifecycle's [`ResponseMachine`], the
-//! same one the blocking driver feeds, pushed responses behind the main
+//! same one the blocking poller feeds, pushed responses behind the main
 //! one included — and runs the continuation on the reactor thread with
 //! the machine's outcome (or a terminal failure). Upstream connections
 //! are kept alive in a per-shard idle list, so a warm miss path does zero
@@ -44,12 +44,9 @@
 //! Cache hits, errors, and every client-side read/write stay on the
 //! reactor, so a slow client can stall only its own connection —
 //! readiness on WRITABLE drains the rest.
-//!
-//! The wire output is byte-identical to the threaded path: both funnel
-//! through the same `write_hit`/`Response::write_with` serializers.
 
-pub use crate::lifecycle::UpstreamOutcome;
-use crate::lifecycle::{RelayRule, ResponseMachine};
+use crate::lifecycle::ResponseMachine;
+use crate::service::{read_request, ResumeFn, Served, Service, UpstreamNext, UpstreamPlan, Waker};
 use crate::util::{IoStats, OpenGuard, ServerHandle};
 use piggyback_httpwire::parse::MAX_BODY;
 use piggyback_httpwire::{ConnScratch, HttpError, Request};
@@ -411,126 +408,6 @@ pub fn resolve_reactors(requested: usize) -> usize {
         .clamp(1, 8)
 }
 
-/// Deferred response production, returned by [`ReactorService::handle`].
-pub enum Served {
-    /// The response was fully serialized into `out` on the reactor thread
-    /// (cache hits, metrics, synthesized errors).
-    Inline,
-    /// The request needs an origin exchange: the reactor parks the client
-    /// connection, drives the nonblocking exchange itself, and calls the
-    /// plan's continuation with the outcome.
-    Upstream(UpstreamPlan),
-    /// The request waits on work another thread finishes (a demand miss
-    /// joined to an in-flight speculation): the reactor parks the client
-    /// connection and hands the closure its [`Waker`].
-    Park(ParkFn),
-}
-
-/// Registers a parked connection's [`Waker`] with whatever will finish
-/// its work; called on the reactor thread right after the park.
-pub type ParkFn = Box<dyn FnOnce(Waker) + Send>;
-/// What a woken connection runs on its own shard: it serializes into the
-/// connection's buffer like [`ReactorService::handle`] and says what
-/// comes next the same way.
-pub type ResumeFn = Box<dyn FnOnce(&mut ConnScratch, &mut Vec<u8>) -> io::Result<Served> + Send>;
-
-/// Wakes one parked connection on its own shard: [`wake`](Self::wake)
-/// injects the continuation, and a waker dropped unfired closes the
-/// connection — nothing would ever answer it.
-pub struct Waker {
-    token: u64,
-    inject: Option<Arc<Injector>>,
-}
-
-impl Waker {
-    /// Resume the connection with `then`, run on its reactor thread.
-    pub fn wake(mut self, then: ResumeFn) {
-        let inject = self.inject.take().expect("a waker fires once");
-        let token = self.token;
-        inject.push(Inbound::Resume {
-            token,
-            then: Some(then),
-        });
-    }
-}
-
-impl Drop for Waker {
-    fn drop(&mut self) {
-        if let Some(inject) = self.inject.take() {
-            let token = self.token;
-            inject.push(Inbound::Resume { token, then: None });
-        }
-    }
-}
-
-/// One nonblocking origin exchange: pre-serialized request bytes out, the
-/// response machine's [`UpstreamOutcome`] into the continuation.
-pub struct UpstreamPlan {
-    /// Origin to dial (or reuse a kept-alive connection to).
-    pub origin: SocketAddr,
-    /// The full serialized request (same `Request::write_with` serializer
-    /// as the threaded path, so the origin sees identical bytes).
-    pub request: Vec<u8>,
-    /// Continuation run on the reactor thread with the outcome. It must
-    /// serialize the client-facing response into `out` (append-only) and
-    /// may return [`UpstreamNext::Again`] to chain a follow-up exchange
-    /// (the threaded path's refetch-after-304 loop).
-    pub finish: FinishFn,
-    /// Side-effect hook invoked exactly once if the exchange is retried on
-    /// a fresh connection (mirrors the threaded `upstream_retries` bump).
-    pub retry: RetryFn,
-    /// Opt-in large-object cut-through: the rule the exchange's
-    /// [`ResponseMachine`] decides under. `None` buffers every response.
-    pub relay: Option<RelayRule>,
-    /// The request sent `Piggy-push: accept`: the machine reads the
-    /// pushed responses the main one announces.
-    pub accept_push: bool,
-}
-
-/// What the continuation wants next.
-pub enum UpstreamNext {
-    /// The response bytes are in `out`; unpark the client connection.
-    Done,
-    /// Run another exchange (fresh attempt counter) before unparking.
-    Again(UpstreamPlan),
-}
-
-pub type FinishFn = Box<
-    dyn FnOnce(&mut ConnScratch, &mut Vec<u8>, UpstreamOutcome) -> io::Result<UpstreamNext> + Send,
->;
-pub type RetryFn = Box<dyn Fn() + Send>;
-
-/// A protocol engine served by the reactor: parse-complete requests in,
-/// serialized response bytes out. Implemented by the proxy and origin.
-pub trait ReactorService: Send + Sync + 'static {
-    /// Per-reactor-shard service state, owned by the reactor thread and
-    /// passed mutably to every [`handle`](Self::handle) call — a lock-free
-    /// home for shard-affine caches (the proxy's L1). Use `()` when the
-    /// service is stateless per shard.
-    type Ctx: Send + 'static;
-
-    /// Build the shard-affine context for reactor `shard`.
-    fn make_ctx(&self, shard: usize) -> Self::Ctx;
-
-    /// Called once per accepted connection, on the reactor thread.
-    fn on_connect(&self, _peer: SocketAddr) {}
-
-    /// Handle one parsed request. Serialize the response into `out`
-    /// (append-only; earlier pipelined responses may precede it) and
-    /// return [`Served::Inline`]; return [`Served::Upstream`] to drive a
-    /// nonblocking origin exchange on the reactor; or return
-    /// [`Served::Park`] to wait for another thread's wake-up. Errors close
-    /// the connection.
-    fn handle(
-        &self,
-        req: &Request,
-        peer: SocketAddr,
-        ctx: &mut Self::Ctx,
-        scratch: &mut ConnScratch,
-        out: &mut Vec<u8>,
-    ) -> io::Result<Served>;
-}
-
 // ---------------------------------------------------------------------------
 // injection
 
@@ -800,17 +677,24 @@ enum Parse {
     Malformed,
 }
 
-/// Attempt to parse one request from `buf`, read as a `BufRead` slice
-/// whose remaining length shows what the parse consumed. The wire parser
-/// signals "ran out of bytes" as `ConnectionClosed` (EOF on the slice),
-/// which for a live socket means *incomplete* — every other error is
-/// terminal.
-fn try_parse(req: &mut Request, buf: &[u8], scratch: &mut ConnScratch) -> Parse {
+/// Attempt to parse one request from `buf` under the service's body
+/// `cap`, read as a `BufRead` slice whose remaining length shows what the
+/// parse consumed. The wire parser signals "ran out of bytes" as
+/// `ConnectionClosed` (EOF on the slice), which for a live socket means
+/// *incomplete* — every other error is terminal, an oversized body's
+/// with its `413` staged in `out`.
+fn try_parse(
+    req: &mut Request,
+    buf: &[u8],
+    scratch: &mut ConnScratch,
+    cap: usize,
+    out: &mut Vec<u8>,
+) -> Parse {
     if buf.is_empty() {
         return Parse::Incomplete;
     }
     let mut rest = buf;
-    match req.read_into(&mut rest, scratch) {
+    match read_request(req, &mut rest, scratch, cap, out) {
         Ok(()) => Parse::Complete(buf.len() - rest.len()),
         Err(HttpError::ConnectionClosed) => Parse::Incomplete,
         Err(_) => Parse::Malformed,
@@ -863,7 +747,7 @@ struct UpConn {
 // ---------------------------------------------------------------------------
 // the reactor proper
 
-struct Reactor<S: ReactorService> {
+struct Reactor<S: Service> {
     shard: usize,
     ep: EpollFd,
     listener: TcpListener,
@@ -897,7 +781,7 @@ struct Reactor<S: ReactorService> {
     spare_out: Vec<u8>,
 }
 
-impl<S: ReactorService> Reactor<S> {
+impl<S: Service> Reactor<S> {
     fn shard_stats(&self) -> &ReactorShardStats {
         &self.metrics.shards[self.shard]
     }
@@ -1221,11 +1105,19 @@ impl<S: ReactorService> Reactor<S> {
                 };
                 while matches!(conn.state, ConnState::Ready) && conn.pending_out() < OUT_HIGH_WATER
                 {
-                    match try_parse(&mut conn.req, &conn.rbuf[conn.rpos..], &mut conn.scratch) {
+                    let parsed = try_parse(
+                        &mut conn.req,
+                        &conn.rbuf[conn.rpos..],
+                        &mut conn.scratch,
+                        self.svc.body_cap(),
+                        &mut conn.out,
+                    );
+                    match parsed {
                         Parse::Incomplete => break,
                         Parse::Malformed => {
-                            // Same contract as the threaded loop: stop
-                            // reading, drain what we owe, close. No 400 —
+                            // Same contract as the blocking poller: stop
+                            // reading, drain what we owe (a 413 for an
+                            // oversized body), close. No 400 for garbage —
                             // byte-identity with the baseline.
                             conn.state = ConnState::Closing;
                             conn.rpos = conn.rbuf.len();
@@ -1368,10 +1260,12 @@ impl<S: ReactorService> Reactor<S> {
                 plan,
                 client: Some(token),
             }),
-            Served::Park(register) => register(Waker {
-                token,
-                inject: Some(Arc::clone(&self.inject)),
-            }),
+            Served::Park(register) => {
+                let inject = Arc::clone(&self.inject);
+                register(Waker::new(move |then| {
+                    inject.push(Inbound::Resume { token, then })
+                }))
+            }
         }
     }
 
@@ -1946,7 +1840,7 @@ fn so_error(fd: RawFd) -> i32 {
 /// per shard in `metrics` and serve `svc` on that many reactor threads
 /// until the handle is stopped. `metrics.shards.len()` is the
 /// authoritative reactor count (size it with [`resolve_reactors`]).
-pub fn serve_reactor<S: ReactorService>(
+pub fn serve_reactor<S: Service>(
     port: u16,
     name: &'static str,
     opts: ReactorOptions,
@@ -1973,7 +1867,7 @@ pub fn serve_reactor<S: ReactorService>(
                 ep,
                 listener,
                 inject: Arc::clone(&injectors[shard]),
-                ctx: svc.make_ctx(shard),
+                ctx: svc.make_ctx(),
                 svc: Arc::clone(&svc),
                 slab: Slab::new(),
                 upstreams: Slab::new(),
@@ -2027,6 +1921,7 @@ pub fn serve_reactor<S: ReactorService>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::UpstreamOutcome;
 
     #[test]
     fn slab_tokens_survive_aba() {
@@ -2085,25 +1980,39 @@ mod tests {
     fn try_parse_classifies_split_requests() {
         let mut req = Request::empty();
         let mut scratch = ConnScratch::new();
+        let mut out = Vec::new();
         let wire = b"GET /a.html HTTP/1.1\r\nHost: x\r\n\r\n";
         // Every proper prefix is incomplete, never malformed.
         for cut in 0..wire.len() {
-            match try_parse(&mut req, &wire[..cut], &mut scratch) {
+            match try_parse(&mut req, &wire[..cut], &mut scratch, MAX_BODY, &mut out) {
                 Parse::Incomplete => {}
                 Parse::Complete(_) => panic!("prefix of {cut} bytes parsed as complete"),
                 Parse::Malformed => panic!("prefix of {cut} bytes parsed as malformed"),
             }
         }
-        match try_parse(&mut req, wire, &mut scratch) {
+        match try_parse(&mut req, wire, &mut scratch, MAX_BODY, &mut out) {
             Parse::Complete(n) => assert_eq!(n, wire.len()),
             _ => panic!("full request must parse"),
         }
         assert_eq!(req.method, "GET");
         assert_eq!(req.target, "/a.html");
         // Garbage is malformed immediately.
-        match try_parse(&mut req, b"NOT AN HTTP LINE\r\n\r\n", &mut scratch) {
+        match try_parse(
+            &mut req,
+            b"NOT AN HTTP LINE\r\n\r\n",
+            &mut scratch,
+            MAX_BODY,
+            &mut out,
+        ) {
             Parse::Malformed => {}
             _ => panic!("garbage must be malformed"),
+        }
+        assert!(out.is_empty(), "garbage gets no answer");
+        // A body over the cap is refused at its head, with a 413 staged.
+        let big = b"GET /up HTTP/1.1\r\nContent-Length: 2048\r\n\r\n";
+        match try_parse(&mut req, big, &mut scratch, 1024, &mut out) {
+            Parse::Malformed => assert!(out.starts_with(b"HTTP/1.1 413")),
+            _ => panic!("an oversized body must be refused"),
         }
     }
 
@@ -2111,18 +2020,25 @@ mod tests {
     fn try_parse_consumes_exactly_one_pipelined_request() {
         let mut req = Request::empty();
         let mut scratch = ConnScratch::new();
+        let mut out = Vec::new();
         let one = b"GET /a HTTP/1.1\r\n\r\n";
         let mut wire = Vec::new();
         wire.extend_from_slice(one);
         wire.extend_from_slice(b"GET /b HTTP/1.1\r\n\r\n");
-        match try_parse(&mut req, &wire, &mut scratch) {
+        match try_parse(&mut req, &wire, &mut scratch, MAX_BODY, &mut out) {
             Parse::Complete(n) => {
                 assert_eq!(n, one.len());
                 assert_eq!(req.target, "/a");
             }
             _ => panic!("first pipelined request must parse"),
         }
-        match try_parse(&mut req, &wire[one.len()..], &mut scratch) {
+        match try_parse(
+            &mut req,
+            &wire[one.len()..],
+            &mut scratch,
+            MAX_BODY,
+            &mut out,
+        ) {
             Parse::Complete(_) => assert_eq!(req.target, "/b"),
             _ => panic!("second pipelined request must parse"),
         }
@@ -2131,10 +2047,10 @@ mod tests {
     /// Minimal service: responds "ok" to every request, inline.
     struct Echo;
 
-    impl ReactorService for Echo {
+    impl Service for Echo {
         type Ctx = ();
 
-        fn make_ctx(&self, _shard: usize) {}
+        fn make_ctx(&self) {}
 
         fn handle(
             &self,
@@ -2264,10 +2180,10 @@ mod tests {
 
     const BIG_BODY: usize = 64 * 1024;
 
-    impl ReactorService for Big {
+    impl Service for Big {
         type Ctx = ();
 
-        fn make_ctx(&self, _shard: usize) {}
+        fn make_ctx(&self) {}
 
         fn handle(
             &self,
@@ -2344,10 +2260,10 @@ mod tests {
     /// else is answered inline.
     struct Parked;
 
-    impl ReactorService for Parked {
+    impl Service for Parked {
         type Ctx = ();
 
-        fn make_ctx(&self, _shard: usize) {}
+        fn make_ctx(&self) {}
 
         fn handle(
             &self,
@@ -2465,10 +2381,10 @@ mod tests {
         origin: SocketAddr,
     }
 
-    impl ReactorService for Fwd {
+    impl Service for Fwd {
         type Ctx = ();
 
-        fn make_ctx(&self, _shard: usize) {}
+        fn make_ctx(&self) {}
 
         fn handle(
             &self,

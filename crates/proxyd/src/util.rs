@@ -482,15 +482,6 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
 /// Map a connection's peer IP to a protocol [`SourceId`] (the low 32 bits
 /// of the address). Port-insensitive: all connections from one host count
 /// as one source, matching the paper's per-proxy server statistics.
-pub fn peer_source(stream: &TcpStream) -> SourceId {
-    match stream.peer_addr() {
-        Ok(addr) => source_from_addr(addr),
-        Err(_) => SourceId(0),
-    }
-}
-
-/// [`peer_source`] from an already-resolved address (the reactor path,
-/// which records the peer at accept time).
 pub fn source_from_addr(addr: SocketAddr) -> SourceId {
     match addr.ip() {
         std::net::IpAddr::V4(v4) => SourceId(u32::from(v4)),

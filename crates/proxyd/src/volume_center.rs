@@ -9,7 +9,7 @@
 //! the way back down.
 //!
 //! Both ends must not notice it, so it is one more driver of the proxy's
-//! upstream [`ResponseMachine`], through the proxy's own blocking exchange
+//! upstream [`ResponseMachine`], through the blocking poller's own exchange
 //! loop (PROTOCOL.md §14.1): the downstream gets the upstream's own head,
 //! after a hook that learns and piggybacks, and bodies cut through segment
 //! by segment as they arrive, through buffers that live as long as the
@@ -21,7 +21,7 @@ use crate::lifecycle::{self, announced_pushes, AsIs, HeadHook, ResponseMachine, 
 use crate::netem::{Conditioner, ExchangePlan, ShimStats};
 use crate::origin::strip_origin_form;
 use crate::prefetch::{PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER};
-use crate::proxy::blocking_exchange;
+use crate::service::blocking_exchange;
 use crate::stats::{AtomicDaemonStats, DaemonStats};
 use crate::util::{serve, Clock, ServerHandle};
 use parking_lot::Mutex;
@@ -295,8 +295,9 @@ fn learn(
 /// upstream's own head — after [`learn`] in oblivious mode — and cuts the
 /// body through in the upstream's own framing, so the relay holds
 /// O(segment) memory and the first byte does not wait for the last
-/// (PROTOCOL.md §14.1). Everything an exchange needs — request, scratch,
-/// staging buffer, body encoder — lives here and is reused.
+/// (PROTOCOL.md §14.1). Everything an exchange needs — request, its
+/// serialized bytes, scratch, staging buffer, body encoder — lives here
+/// and is reused.
 fn handle_connection(
     downstream: TcpStream,
     origin: SocketAddr,
@@ -321,6 +322,7 @@ fn handle_connection(
     let mut up: Option<PooledConn> = None;
     let mut scratch = ConnScratch::new();
     let mut req = Request::empty();
+    let mut request = Vec::new();
 
     loop {
         if req.read_into(&mut down_r, &mut scratch).is_err() {
@@ -364,12 +366,17 @@ fn handle_connection(
             head_request: req.method == "HEAD",
             hook: (!transparent).then_some(&hook as HeadHook),
         };
+        request.clear();
+        req.write_with(&mut request, &mut scratch)?;
+        // `write_with` staged the head in what is the machine's sink next.
+        scratch.out.clear();
         let (outcome, conn) = blocking_exchange(
-            &req,
+            &request,
+            req.body.is_empty(),
             || ResponseMachine::as_is(as_is, transparent),
             |_| up.take().map_or_else(|| PooledConn::connect(origin), Ok),
+            &mut scratch.out,
             |stage, _| down.drain(stage, false),
-            &mut scratch,
         );
         let stage = &mut scratch.out;
         match outcome {

@@ -141,17 +141,28 @@ fn reactor_cached_hits_allocate_nothing_after_warmup() {
     steady_state_is_allocation_free(IoMode::Reactor { reactors: 2 });
 }
 
-/// ISSUE 9 satellite: the reactor's nonblocking miss path must also hit
-/// an allocation *steady state*. With freshness zero every request is
-/// stale, so each one drives a full upstream exchange on the reactor —
-/// serialize the validation request, ride the per-shard keep-alive
-/// upstream connection, parse the 304, re-serve from cache. That path
+/// The miss path must also hit an allocation *steady state*, on both
+/// pollers. With freshness zero every request is stale, so each one
+/// drives a full upstream exchange — serialize the validation request,
+/// ride a kept-alive upstream connection (a reactor shard's, or the
+/// blocking poller's pool), parse the 304, re-serve from cache. That path
 /// legitimately allocates (plan closures, response headers), but the
 /// per-request count must be a small bounded constant, not grow with
 /// connection lifetime.
 #[cfg(target_os = "linux")]
 #[test]
 fn reactor_miss_path_allocations_stay_bounded() {
+    miss_path_allocations_stay_bounded(IoMode::Reactor { reactors: 2 });
+}
+
+/// The blocking poller's twin: its miss path now runs the same plan
+/// closures the reactor does, under the same bound.
+#[test]
+fn threaded_miss_path_allocations_stay_bounded() {
+    miss_path_allocations_stay_bounded(IoMode::Threaded);
+}
+
+fn miss_path_allocations_stay_bounded(io: IoMode) {
     let _window = WINDOW.lock().unwrap();
     let site_cfg = SiteConfig {
         n_pages: 8,
@@ -164,7 +175,7 @@ fn reactor_miss_path_allocations_stay_bounded() {
     })
     .expect("origin starts");
     let mut cfg = ProxyConfig::new(origin.addr());
-    cfg.io = IoMode::Reactor { reactors: 2 };
+    cfg.io = io;
     // Always stale: every measured request is an upstream validation.
     cfg.freshness = piggyback_core::types::DurationMs::from_millis(0);
     cfg.filter = piggyback_core::filter::ProxyFilter::builder()
@@ -210,12 +221,12 @@ fn reactor_miss_path_allocations_stay_bounded() {
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     let total_reqs = (ROUNDS * reqs.len()) as u64;
     let per_request = (after - before) / total_reqs;
-    // Measured ~49 on the current implementation; the bound leaves
-    // headroom for allocator jitter while catching any O(n) regression
-    // (per-request buffer churn lands at hundreds per exchange).
+    // The bound leaves headroom for allocator jitter while catching any
+    // O(n) regression (per-request buffer churn lands at hundreds per
+    // exchange).
     assert!(
         per_request <= 96,
-        "reactor miss path allocates too much: {} allocations / {} requests = {} per request",
+        "{io:?}: the miss path allocates too much: {} allocations / {} requests = {} per request",
         after - before,
         total_reqs,
         per_request
@@ -244,7 +255,7 @@ fn reactor_miss_path_allocations_stay_bounded() {
 fn streaming_prefix_relay_allocations_are_constant_per_segment() {
     let _window = WINDOW.lock().unwrap();
     const TOTAL: usize = 1024 * 1024;
-    const SEGMENT: usize = 16 * 1024; // proxy::STREAM_SEGMENT
+    const SEGMENT: usize = 16 * 1024; // service::STREAM_SEGMENT
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind origin");
     let origin_addr = listener.local_addr().expect("origin addr");

@@ -665,53 +665,83 @@ fn origin_killed_mid_exchange_retries_once_then_502_reactor() {
     origin_kill_run(piggyback::proxyd::IoMode::Reactor { reactors: 2 });
 }
 
-/// ISSUE 9 satellite: a stalled origin (accepts, reads the request,
-/// never answers) must be reaped by the reactor's upstream timer wheel
-/// under `--upstream-timeout-secs` — once on the first attempt, once on
-/// the retry — and surface as a 502, with the per-shard timeout counter
-/// visible on the metrics endpoint.
-#[cfg(target_os = "linux")]
+/// A stalled origin (accepts, reads the request, never answers) and a
+/// trickling one (a head, then one body byte every 50 ms — each read well
+/// inside the timeout, the attempt not) are both killed by the
+/// per-attempt upstream deadline (`--upstream-timeout-secs`, PROTOCOL.md
+/// §7.1): once on the first attempt, once on the retry, then a 502 —
+/// within a few timeouts, on both engines. The reactor also counts both
+/// kills in its per-shard wheel counter on the metrics endpoint. (The
+/// threaded half failed before the pool's connections carried the
+/// deadline: it waited until the stalled origin closed, ~16 s, and served
+/// the trickled body whole.)
 #[test]
-fn stalled_origin_hits_reactor_upstream_timeout() {
-    let origin = serve(0, "stalled", |stream| {
-        let mut r = BufReader::new(stream);
-        let _ = Request::read(&mut r);
-        // Never answer; hold the socket long past the proxy's timeout.
-        std::thread::sleep(Duration::from_secs(8));
-    })
-    .unwrap();
+fn stalled_and_trickling_origins_hit_the_upstream_timeout_on_both_engines() {
+    const TIMEOUT: Duration = Duration::from_millis(300);
+    for trickle in [false, true] {
+        assert_engine_parity(|io| {
+            let origin = serve(0, "stalled", move |mut stream| {
+                let mut r = BufReader::new(stream.try_clone().unwrap());
+                let _ = Request::read(&mut r);
+                if !trickle {
+                    // Never answer; hold the socket long past the timeout.
+                    std::thread::sleep(Duration::from_secs(8));
+                    return;
+                }
+                let head = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n";
+                if stream.write_all(head).is_err() {
+                    return;
+                }
+                for _ in 0..100 {
+                    std::thread::sleep(Duration::from_millis(50));
+                    if stream.write_all(b"x").is_err() {
+                        return;
+                    }
+                }
+            })
+            .unwrap();
 
-    let mut cfg = ProxyConfig::new(origin.addr);
-    cfg.io = piggyback::proxyd::IoMode::Reactor { reactors: 1 };
-    cfg.upstream_timeout = Duration::from_millis(300);
-    let proxy = start_proxy(cfg).unwrap();
+            let mut cfg = ProxyConfig::new(origin.addr);
+            cfg.io = io;
+            cfg.report_hits = false;
+            cfg.rpv = None;
+            cfg.upstream_timeout = TIMEOUT;
+            // A short idle window gives the reactor's wheel ~100 ms ticks.
+            cfg.reactor_idle_timeout = Duration::from_secs(3);
+            let proxy = start_proxy(cfg).unwrap();
 
-    let mut client = HttpClient::connect(proxy.addr()).unwrap();
-    let resp = client.get("/stall.html", &[]).unwrap();
-    assert_eq!(resp.status, 502, "stalled origin must time out into a 502");
+            let mut client = HttpClient::connect(proxy.addr()).unwrap();
+            let asked = std::time::Instant::now();
+            let resp = client.get("/stall.html", &[]).unwrap();
+            let took = asked.elapsed();
+            let what = format!("{io:?}, trickle {trickle}");
+            assert_eq!(resp.status, 502, "{what}: the deadline must end in a 502");
+            assert!(took < TIMEOUT * 8, "{what}: the 502 took {took:?}");
+            let s = ledger(&proxy);
+            assert_eq!(
+                (s.upstream_errors, s.upstream_retries),
+                (1, 1),
+                "{what}: one fresh-connection retry, also killed: {s:?}"
+            );
 
-    let s = proxy.stats();
-    assert_eq!(s.upstream_errors, 1, "{s:?}");
-    assert_eq!(
-        s.upstream_retries, 1,
-        "one fresh-conn retry, also reaped: {s:?}"
-    );
-    conserved(&proxy, 1);
-
-    let scrape = client.get(piggyback::proxyd::METRICS_PATH, &[]).unwrap();
-    assert_eq!(scrape.status, 200);
-    let text = String::from_utf8(scrape.body.to_vec()).unwrap();
-    let timeouts: u64 = text
-        .lines()
-        .filter(|l| l.starts_with("pb_proxy_reactor_upstream_timeouts_total{shard="))
-        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
-        .sum();
-    assert!(
-        timeouts >= 2,
-        "both the first attempt and the retry must be wheel-reaped:\n{text}"
-    );
-    proxy.stop();
-    origin.stop();
+            if io.is_reactor() {
+                let scrape = client.get(piggyback::proxyd::METRICS_PATH, &[]).unwrap();
+                let text = String::from_utf8(scrape.body.to_vec()).unwrap();
+                let timeouts: u64 = text
+                    .lines()
+                    .filter(|l| l.starts_with("pb_proxy_reactor_upstream_timeouts_total{shard="))
+                    .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+                    .sum();
+                assert!(
+                    timeouts >= 2,
+                    "{what}: both attempts must be wheel-reaped:\n{text}"
+                );
+            }
+            proxy.stop();
+            origin.stop();
+            s
+        });
+    }
 }
 
 #[test]
@@ -834,8 +864,8 @@ fn assert_engine_parity<T: PartialEq + std::fmt::Debug>(
     }
 }
 
-/// The proxy's counters minus the one engine-specific field: the
-/// reactor's L1 shortcut.
+/// The proxy's counters minus the one poller-specific field: hits on the
+/// affine L1, whose scope is a reactor shard or a blocking connection.
 fn ledger(proxy: &ProxyHandle) -> piggyback::proxyd::ProxyStats {
     let mut s = proxy.stats();
     assert_eq!(s.outcomes(), s.requests, "counters must conserve: {s:?}");
@@ -1761,6 +1791,99 @@ fn a_demand_joined_to_a_failing_speculation_fetches_once_on_both_engines() {
         assert_eq!(gets, (2, 1), "{io:?}: the speculation retried once");
         assert_eq!((s.prefetch_wasted, s.prefetch_retries), (1, 1), "{s:?}");
         (s, gets)
+    });
+}
+
+/// `--prefetch-budget N` bounds speculation in flight: a page naming more
+/// candidates than the budget, each plain GET held at the origin until
+/// released, puts exactly N on the wire at once — the rest wait queued —
+/// and every candidate is then fetched once and settles in the ledger.
+/// (Both halves pass at the parent too: the lane pins the bound the one
+/// plan path must keep, since a threaded worker now runs its own plan.)
+#[test]
+fn prefetch_budget_bounds_speculation_in_flight_on_both_engines() {
+    const BUDGET: usize = 2;
+    const MATES: usize = 6;
+    const SIZE: usize = 500;
+    #[derive(Default)]
+    struct Held {
+        now: AtomicUsize,
+        peak: AtomicUsize,
+        served: AtomicUsize,
+        release: std::sync::atomic::AtomicBool,
+    }
+    assert_engine_parity(|io| {
+        let held = Arc::new(Held::default());
+        let seen = Arc::clone(&held);
+        let mates: Vec<String> = (0..MATES)
+            .map(|i| format!("\"/m{i}.html\" 886000000 {SIZE}"))
+            .collect();
+        let page = format!(
+            "HTTP/1.1 200 OK\r\nLast-Modified: Thu, 01 Jan 1998 00:00:00 GMT\r\n\
+             P-volume: 7; {}\r\nContent-Length: 100\r\n\r\n",
+            mates.join(", ")
+        );
+        let origin = serve(0, "budget-origin", move |mut stream| {
+            let mut r = BufReader::new(stream.try_clone().unwrap());
+            while let Ok(req) = Request::read(&mut r) {
+                let ok = if req.target == "/page.html" {
+                    stream
+                        .write_all(&[page.as_bytes(), &pattern(100)].concat())
+                        .is_ok()
+                } else {
+                    let now = seen.now.fetch_add(1, Ordering::SeqCst) + 1;
+                    seen.peak.fetch_max(now, Ordering::SeqCst);
+                    while !seen.release.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    seen.now.fetch_sub(1, Ordering::SeqCst);
+                    seen.served.fetch_add(1, Ordering::SeqCst);
+                    write_ok(&mut stream, SIZE, &pattern(SIZE))
+                };
+                if !ok {
+                    return;
+                }
+            }
+        })
+        .unwrap();
+        let mut cfg = ProxyConfig::new(origin.addr);
+        cfg.io = io;
+        cfg.report_hits = false;
+        cfg.rpv = None;
+        cfg.prefetch_budget = BUDGET;
+        let proxy = start_proxy(cfg).unwrap();
+        let (verdict, _) = whole_get(proxy.addr(), "/page.html");
+        assert_eq!(verdict, "MISS", "{io:?}");
+        wait_for("the budget's speculations held on the wire", || {
+            held.now.load(Ordering::SeqCst) == BUDGET
+        });
+        // Give an over-budget fetch the moment it would need to show up.
+        std::thread::sleep(Duration::from_millis(100));
+        held.release.store(true, Ordering::SeqCst);
+        wait_for("every candidate fetched and settled", || {
+            proxy.stats().prefetch_fetched_bytes == (MATES * SIZE) as u64
+        });
+        let peak = held.peak.load(Ordering::SeqCst);
+        assert_eq!(peak, BUDGET, "{io:?}: speculation in flight at once");
+        assert_eq!(held.served.load(Ordering::SeqCst), MATES, "{io:?}");
+        let s = ledger(&proxy);
+        assert_eq!(
+            (
+                s.prefetch_candidates,
+                s.prefetch_issued,
+                s.prefetch_inflight
+            ),
+            (MATES as u64, MATES as u64, MATES as u64),
+            "{io:?}: every candidate issued once, none used yet: {s:?}"
+        );
+        assert_eq!(
+            s.prefetch_issued,
+            s.prefetch_used + s.prefetch_wasted + s.prefetch_inflight,
+            "{io:?}: speculation ledger: {s:?}"
+        );
+        proxy.stop();
+        origin.stop();
+        (s, peak)
     });
 }
 

@@ -10,7 +10,7 @@
 //! * **Pipelining, idle reaping, upstream errors, metrics** — the
 //!   reactor-specific behaviors observable from outside.
 //! * **No thread behind the reactor** — misses, push bursts and demand
-//!   joins all stay on the epoll loop; the blocking driver's origin pool
+//!   joins all stay on the epoll loop; the blocking poller's origin pool
 //!   is never touched.
 //!
 //! Linux-only: off Linux `IoMode::Reactor` falls back to the threaded
@@ -320,7 +320,7 @@ fn reactor_metrics_expose_io_and_shard_gauges() {
 
 /// A plain miss workload never leaves the reactor. Every cold fetch is
 /// driven as a nonblocking upstream exchange on the shard's own epoll
-/// loop — the blocking driver's origin pool never dials or reuses — and
+/// loop — the blocking poller's origin pool never dials or reuses — and
 /// sequential misses on one client connection reuse the shard's parked
 /// upstream keep-alive instead of redialing the origin.
 #[test]
@@ -369,7 +369,7 @@ fn reactor_misses_dial_upstream_without_offloads() {
 }
 
 /// The reactor proxy has no thread to hand work to: its upstream legs
-/// are its own, so the blocking driver's `ConnectionPool` must read zero
+/// are its own, so the blocking poller's `ConnectionPool` must read zero
 /// connects and zero reuses whatever the walk.
 fn assert_blocking_pool_untouched(proxy: &ProxyHandle) {
     let pool = proxy.pool_stats().expect("the pool is unconditional");
