@@ -290,9 +290,6 @@ pub struct ResponseMachine<'h> {
     pushed: Vec<Response>,
     /// Announced pushes not read whole yet.
     owed: usize,
-    /// The burst ended short: the pushes that arrived are kept, the
-    /// connection is spent.
-    cut: bool,
 }
 
 impl<'h> ResponseMachine<'h> {
@@ -336,13 +333,14 @@ impl<'h> ResponseMachine<'h> {
     /// May the connection carry another exchange: the response ended
     /// whole, framed (not by the upstream's close) under a head that
     /// allows keep-alive, and so did every push it announced? The one
-    /// reuse predicate of every hop (PROTOCOL.md §7.1).
+    /// reuse predicate of every hop (PROTOCOL.md §7.1). A burst cut short
+    /// leaves bytes unconsumed or ends in EOF, and a driver never reuses
+    /// a connection after either.
     pub fn reusable(&self) -> bool {
         self.main
             .as_ref()
             .is_some_and(|m| m.is_whole() && m.reader.is_some() && m.head.keep_alive())
             && self.owed == 0
-            && !self.cut
     }
 
     /// Feed the next bytes off the origin connection (`eof`: it closed
@@ -388,10 +386,7 @@ impl<'h> ResponseMachine<'h> {
                     }
                     self.owed -= 1;
                 }
-                Err(_) => {
-                    self.owed = 0;
-                    self.cut = true;
-                }
+                Err(_) => self.owed = 0,
             }
         }
         Ok(used)

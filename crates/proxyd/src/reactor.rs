@@ -14,8 +14,8 @@
 //!   **edge-triggered** registration: every connection is registered once
 //!   for `IN|OUT|RDHUP` and never re-armed, so steady state does zero
 //!   `epoll_ctl` calls;
-//! - a **slab** of per-connection nonblocking state machines backed by the
-//!   existing [`ConnScratch`] + owned read/write buffers, addressed by
+//! - a **slab** of nonblocking connections, each a socket around the
+//!   [`ClientMachine`] the blocking poller drives too, addressed by
 //!   generation-tagged tokens (index in the low word, generation in the
 //!   high word) so a stale event or late wake-up can never hit a recycled
 //!   slot;
@@ -46,10 +46,9 @@
 //! readiness on WRITABLE drains the rest.
 
 use crate::lifecycle::ResponseMachine;
-use crate::service::{read_request, ResumeFn, Served, Service, UpstreamNext, UpstreamPlan, Waker};
+use crate::service::{ClientMachine, ResumeFn, Served, Service, UpstreamNext, UpstreamPlan, Waker};
 use crate::util::{IoStats, OpenGuard, ServerHandle};
-use piggyback_httpwire::parse::MAX_BODY;
-use piggyback_httpwire::{ConnScratch, HttpError, Request};
+use piggyback_httpwire::ConnScratch;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -158,14 +157,8 @@ const UPSTREAM_BIT: u64 = 1 << 63;
 /// Generation mask keeping slab tokens clear of [`UPSTREAM_BIT`].
 const GEN_MASK: u32 = 0x7FFF_FFFF;
 
-/// Bytes read per nonblocking read() call.
+/// Bytes read per nonblocking read() call on an upstream connection.
 const READ_CHUNK: usize = 16 * 1024;
-/// Hard cap on a client connection's buffered request bytes (the wire
-/// crate's body limit plus framing headroom).
-const MAX_REQUEST_BUF: usize = MAX_BODY + 64 * 1024;
-/// Stop parsing further pipelined requests while more than this many
-/// response bytes are waiting on a slow client; resume when drained.
-const OUT_HIGH_WATER: usize = 1024 * 1024;
 /// Timer wheel granularity: slots per full idle-timeout revolution.
 const WHEEL_SLOTS: usize = 64;
 /// Cap on accepts drained per readiness event, so one accept storm cannot
@@ -507,47 +500,17 @@ impl ReactorHandle {
 // ---------------------------------------------------------------------------
 // connection state machine
 
-/// Where a connection sits in its request lifecycle. Reading and header/
-/// body assembly are implicit in `Ready` (the parser resumes from the
-/// buffered prefix on every readable edge); `AwaitingUpstream` parks it
-/// until its answer is staged — by an upstream exchange's continuation
-/// or a [`Waker`]'s resume; `Closing` drains pending output and then
-/// closes.
-enum ConnState {
-    Ready,
-    AwaitingUpstream { keep: bool },
-    Closing,
-}
-
+/// A client connection: its socket around the [`ClientMachine`] that
+/// holds everything else.
 struct Conn {
     stream: TcpStream,
     peer: SocketAddr,
-    /// Buffered request bytes not yet consumed by the parser.
-    rbuf: Vec<u8>,
-    /// Parser cursor into `rbuf` (compacted after each pump).
-    rpos: usize,
-    /// Serialized responses awaiting the socket.
-    out: Vec<u8>,
-    /// Write cursor into `out`.
-    opos: usize,
-    scratch: ConnScratch,
-    req: Request,
-    state: ConnState,
-    last_active: Instant,
-    /// First-byte time of a not-yet-complete request (read deadline).
-    req_start: Option<Instant>,
-    read_eof: bool,
+    machine: ClientMachine,
     /// Upstream token of a streaming relay feeding this connection's
-    /// output buffer. When the buffer drains below the high-water mark,
-    /// the flush path re-drives that upstream (backpressure release).
+    /// output. When the output drains below the high-water mark, the
+    /// flush path re-drives that upstream (backpressure release).
     relay_up: Option<u64>,
     _guard: OpenGuard,
-}
-
-impl Conn {
-    fn pending_out(&self) -> usize {
-        self.out.len() - self.opos
-    }
 }
 
 /// Slot map with generation-tagged tokens: `token = gen << 32 | index`
@@ -662,42 +625,6 @@ impl Wheel {
     fn advance_into(&mut self, out: &mut Vec<u64>) {
         out.append(&mut self.slots[self.cursor]);
         self.cursor = (self.cursor + 1) % WHEEL_SLOTS;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// incremental request parsing
-
-enum Parse {
-    /// A full request was parsed, consuming this many bytes.
-    Complete(usize),
-    /// The buffer holds a valid prefix; wait for more bytes.
-    Incomplete,
-    /// The bytes can never become a valid request; close.
-    Malformed,
-}
-
-/// Attempt to parse one request from `buf` under the service's body
-/// `cap`, read as a `BufRead` slice whose remaining length shows what the
-/// parse consumed. The wire parser signals "ran out of bytes" as
-/// `ConnectionClosed` (EOF on the slice), which for a live socket means
-/// *incomplete* — every other error is terminal, an oversized body's
-/// with its `413` staged in `out`.
-fn try_parse(
-    req: &mut Request,
-    buf: &[u8],
-    scratch: &mut ConnScratch,
-    cap: usize,
-    out: &mut Vec<u8>,
-) -> Parse {
-    if buf.is_empty() {
-        return Parse::Incomplete;
-    }
-    let mut rest = buf;
-    match read_request(req, &mut rest, scratch, cap, out) {
-        Ok(()) => Parse::Complete(buf.len() - rest.len()),
-        Err(HttpError::ConnectionClosed) => Parse::Incomplete,
-        Err(_) => Parse::Malformed,
     }
 }
 
@@ -885,16 +812,7 @@ impl<S: Service> Reactor<S> {
         let conn = Conn {
             stream,
             peer,
-            rbuf: Vec::new(),
-            rpos: 0,
-            out: Vec::new(),
-            opos: 0,
-            scratch: ConnScratch::new(),
-            req: Request::empty(),
-            state: ConnState::Ready,
-            last_active: Instant::now(),
-            req_start: None,
-            read_eof: false,
+            machine: ClientMachine::new(Instant::now()),
             relay_up: None,
             _guard: guard,
         };
@@ -941,36 +859,23 @@ impl<S: Service> Reactor<S> {
                 self.upstream_tick(token);
                 continue;
             }
-            let decision = match self.slab.get_mut(token) {
-                None => continue,
-                Some(conn) => {
-                    let idle = conn.last_active.elapsed();
-                    let read_stalled = conn
-                        .req_start
-                        .is_some_and(|t| t.elapsed() >= self.idle_timeout);
-                    // A parked connection gets the same deadline: if
-                    // nothing answers it within the idle window it is
-                    // closed rather than rescheduled forever. A late
-                    // wake-up for a closed slot finds no connection (the
-                    // slab generation check). (A parked nonblocking
-                    // exchange has its own, tighter wheel entry via the
-                    // upstream token.)
-                    if idle >= self.idle_timeout || read_stalled {
-                        None
-                    } else {
-                        Some(self.idle_timeout.saturating_sub(idle))
-                    }
-                }
+            // A parked connection gets the same deadline: if nothing
+            // answers it within the idle window it is closed rather than
+            // rescheduled forever. A late wake-up for a closed slot finds
+            // no connection (the slab generation check). (A parked
+            // nonblocking exchange has its own, tighter wheel entry via
+            // the upstream token.)
+            let Some(conn) = self.slab.get_mut(token) else {
+                continue;
             };
-            match decision {
-                None => {
-                    self.shard_stats().timeouts.fetch_add(1, Ordering::Relaxed);
-                    self.close_conn(token);
-                }
-                Some(remain) => {
-                    let ticks = self.wheel.ticks_for(remain.max(self.wheel.tick));
-                    self.wheel.schedule(token, ticks);
-                }
+            let deadline = conn.machine.deadline(self.idle_timeout);
+            let now = Instant::now();
+            if now >= deadline {
+                self.shard_stats().timeouts.fetch_add(1, Ordering::Relaxed);
+                self.close_conn(token);
+            } else {
+                let ticks = self.wheel.ticks_for((deadline - now).max(self.wheel.tick));
+                self.wheel.schedule(token, ticks);
             }
         }
         self.expired_buf = expired;
@@ -1039,214 +944,91 @@ impl<S: Service> Reactor<S> {
         self.pump(token);
     }
 
-    /// Drain the socket into `rbuf` until EAGAIN/EOF. `false` = closed.
+    /// Drain the socket into the machine until EAGAIN/EOF. `false` =
+    /// closed.
     fn read_conn(&mut self, token: u64) -> bool {
-        let mut fatal = false;
-        {
-            let conn = match self.slab.get_mut(token) {
-                Some(c) => c,
-                None => return false,
-            };
-            loop {
-                let old = conn.rbuf.len();
-                if old >= MAX_REQUEST_BUF {
-                    fatal = true;
-                    break;
+        let Some(conn) = self.slab.get_mut(token) else {
+            return false;
+        };
+        loop {
+            match conn.stream.read(conn.machine.input()) {
+                Ok(n) => {
+                    conn.machine.filled(n);
+                    if n == 0 {
+                        return true;
+                    }
                 }
-                conn.rbuf.resize(old + READ_CHUNK, 0);
-                match conn.stream.read(&mut conn.rbuf[old..]) {
-                    Ok(0) => {
-                        conn.rbuf.truncate(old);
-                        conn.read_eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.rbuf.truncate(old + n);
-                        if conn.req_start.is_none() {
-                            conn.req_start = Some(Instant::now());
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        conn.rbuf.truncate(old);
-                        break;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                        conn.rbuf.truncate(old);
-                        continue;
-                    }
-                    Err(_) => {
-                        conn.rbuf.truncate(old);
-                        fatal = true;
-                        break;
-                    }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.close_conn(token);
+                    return false;
                 }
             }
         }
-        if fatal {
-            self.close_conn(token);
-            return false;
-        }
-        true
     }
 
-    /// Advance the connection's state machine: parse and serve as many
-    /// pipelined requests as backpressure allows, flush output, repeat
-    /// while productive. Called on readable, writable, and completion
-    /// events — it is idempotent on a quiescent connection.
+    /// Drive the connection's machine: advance it, hand off what it
+    /// parked on, flush, and go again while it can serve more without
+    /// new input. Called on readable, writable, and completion events —
+    /// it is idempotent on a quiescent connection.
     fn pump(&mut self, token: u64) {
         loop {
-            let mut parked = None;
-            let mut progressed = false;
-            let pre_flush_pending;
-            {
-                let conn = match self.slab.get_mut(token) {
-                    Some(c) => c,
-                    None => return,
-                };
-                while matches!(conn.state, ConnState::Ready) && conn.pending_out() < OUT_HIGH_WATER
-                {
-                    let parsed = try_parse(
-                        &mut conn.req,
-                        &conn.rbuf[conn.rpos..],
-                        &mut conn.scratch,
-                        self.svc.body_cap(),
-                        &mut conn.out,
-                    );
-                    match parsed {
-                        Parse::Incomplete => break,
-                        Parse::Malformed => {
-                            // Same contract as the blocking poller: stop
-                            // reading, drain what we owe (a 413 for an
-                            // oversized body), close. No 400 for garbage —
-                            // byte-identity with the baseline.
-                            conn.state = ConnState::Closing;
-                            conn.rpos = conn.rbuf.len();
-                            break;
-                        }
-                        Parse::Complete(consumed) => {
-                            conn.rpos += consumed;
-                            conn.req_start = None;
-                            progressed = true;
-                            let keep = conn.req.keep_alive();
-                            match self.svc.handle(
-                                &conn.req,
-                                conn.peer,
-                                &mut self.ctx,
-                                &mut conn.scratch,
-                                &mut conn.out,
-                            ) {
-                                Ok(Served::Inline) => {
-                                    if !keep {
-                                        conn.state = ConnState::Closing;
-                                    }
-                                }
-                                Ok(served) => {
-                                    conn.state = ConnState::AwaitingUpstream { keep };
-                                    parked = Some(served);
-                                }
-                                Err(_) => {
-                                    conn.state = ConnState::Closing;
-                                }
-                            }
-                        }
-                    }
-                }
-                // Compact the consumed prefix so the buffer never grows
-                // across requests.
-                if conn.rpos > 0 {
-                    if conn.rpos >= conn.rbuf.len() {
-                        conn.rbuf.clear();
-                    } else {
-                        let len = conn.rbuf.len() - conn.rpos;
-                        conn.rbuf.copy_within(conn.rpos.., 0);
-                        conn.rbuf.truncate(len);
-                    }
-                    conn.rpos = 0;
-                }
-                conn.last_active = Instant::now();
-                pre_flush_pending = conn.pending_out();
-            }
+            let Some(conn) = self.slab.get_mut(token) else {
+                return;
+            };
+            let parked = conn
+                .machine
+                .advance(&*self.svc, &mut self.ctx, conn.peer, Instant::now());
             if let Some(served) = parked {
                 self.park(token, served);
             }
             if self.flush_conn(token) {
                 return;
             }
-            let conn = match self.slab.get_mut(token) {
-                Some(c) => c,
-                None => return,
-            };
-            // Flushing counts as progress when it frees write capacity the
-            // parse loop was blocked on: if pump() entered under
-            // backpressure (e.g. on a WRITABLE edge), `progressed` stays
-            // false even though rbuf may hold complete pipelined requests
-            // — and with edge-triggered registration no further event ever
-            // arrives for bytes already buffered, so failing to re-enter
-            // here would strand them until the idle timer kills the
-            // connection.
-            let flush_freed =
-                pre_flush_pending >= OUT_HIGH_WATER && conn.pending_out() < OUT_HIGH_WATER;
-            let can_continue = (progressed || flush_freed)
-                && matches!(conn.state, ConnState::Ready)
-                && conn.pending_out() < OUT_HIGH_WATER
-                && conn.rpos < conn.rbuf.len();
-            // A relay paused on this client's backpressure resumes the
-            // moment a flush frees output capacity (the client is parked
-            // AwaitingUpstream, so this is disjoint from `can_continue`).
-            let resume = match conn.relay_up {
-                Some(u) if conn.pending_out() < OUT_HIGH_WATER => Some(u),
-                _ => None,
-            };
-            if !can_continue {
-                // Client half-closed and nothing is owed: done.
-                let done = conn.read_eof
-                    && matches!(conn.state, ConnState::Ready)
-                    && conn.pending_out() == 0;
-                if let Some(u) = resume {
-                    self.drive_upstream(u);
-                } else if done {
-                    self.close_conn(token);
-                }
+            let Some(conn) = self.slab.get_mut(token) else {
                 return;
+            };
+            // With edge-triggered registration no further event arrives
+            // for bytes already buffered: a flush that relieved the
+            // backpressure the machine stopped on must re-enter here.
+            if conn.machine.can_advance() {
+                continue;
             }
+            // A relay paused on this client's backpressure resumes the
+            // moment a flush frees output capacity (the client is parked,
+            // so this is disjoint from `can_advance`).
+            if let Some(u) = conn.relay_up.filter(|_| !conn.machine.backlogged()) {
+                self.drive_upstream(u);
+            }
+            return;
         }
     }
 
-    /// Write pending output until EAGAIN. `true` = connection closed.
+    /// Write staged output until EAGAIN, and close a connection whose
+    /// machine is done. `true` = connection closed.
     fn flush_conn(&mut self, token: u64) -> bool {
-        let mut should_close = false;
-        {
-            let conn = match self.slab.get_mut(token) {
-                Some(c) => c,
-                None => return true,
-            };
-            while conn.opos < conn.out.len() {
-                match conn.stream.write(&conn.out[conn.opos..]) {
-                    Ok(0) => {
-                        should_close = true;
-                        break;
-                    }
-                    Ok(n) => conn.opos += n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        should_close = true;
-                        break;
-                    }
-                }
+        let Some(conn) = self.slab.get_mut(token) else {
+            return true;
+        };
+        let mut broken = false;
+        while !conn.machine.output().is_empty() {
+            match conn.stream.write(conn.machine.output()) {
+                Ok(0) => broken = true,
+                Ok(n) => conn.machine.wrote(n),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => broken = true,
             }
-            if !should_close && conn.opos >= conn.out.len() {
-                conn.out.clear();
-                conn.opos = 0;
-                if matches!(conn.state, ConnState::Closing) {
-                    should_close = true;
-                }
+            if broken {
+                break;
             }
         }
-        if should_close {
+        let close = broken || conn.machine.done();
+        if close {
             self.close_conn(token);
         }
-        should_close
+        close
     }
 
     /// Hand a parked connection's pending work to whatever answers it:
@@ -1291,33 +1073,16 @@ impl<S: Service> Reactor<S> {
             self.close_conn(token);
             return;
         };
-        let served = match self.slab.get_mut(token) {
-            Some(conn) => then(&mut conn.scratch, &mut conn.out),
+        let next = match self.slab.get_mut(token) {
+            Some(conn) => conn.machine.resume(then),
             None => {
                 self.spare_out.clear();
-                then(&mut self.spare_scratch, &mut self.spare_out)
+                then(&mut self.spare_scratch, &mut self.spare_out).ok()
             }
         };
-        match served {
-            Ok(Served::Inline) => self.unpark(token, true),
-            Ok(served) => self.park(token, served),
-            Err(_) => self.unpark(token, false),
-        }
-    }
-
-    /// A parked connection's answer is staged (`ok`), or it can only be
-    /// truncated: back to reading requests — or to closing once drained —
-    /// and pump.
-    fn unpark(&mut self, token: u64, ok: bool) {
-        if let Some(conn) = self.slab.get_mut(token) {
-            let keep = matches!(conn.state, ConnState::AwaitingUpstream { keep: true });
-            conn.state = if ok && keep {
-                ConnState::Ready
-            } else {
-                ConnState::Closing
-            };
-            conn.last_active = Instant::now();
-            self.pump(token);
+        match next {
+            Some(served) => self.park(token, served),
+            None => self.pump(token),
         }
     }
 
@@ -1555,7 +1320,7 @@ impl<S: Service> Reactor<S> {
                 let mut client = ex.client.and_then(|t| slab.get_mut(t));
                 while matches!(verdict, Out::Wait) {
                     let sink = match client.as_mut() {
-                        Some(conn) => &mut conn.out,
+                        Some(conn) => conn.machine.stage().1,
                         None => &mut *spare_out,
                     };
                     let machine = &mut ex.machine;
@@ -1571,7 +1336,7 @@ impl<S: Service> Reactor<S> {
                             stats.relays.fetch_add(1, Ordering::Relaxed);
                         }
                         flush_client = ex.client;
-                        paused = conn.pending_out() >= OUT_HIGH_WATER;
+                        paused = conn.machine.backlogged();
                     }
                     let Ok(consumed) = fed else {
                         verdict = Out::Error;
@@ -1641,7 +1406,7 @@ impl<S: Service> Reactor<S> {
                             let freed = self
                                 .slab
                                 .get_mut(ct)
-                                .is_some_and(|c| c.pending_out() < OUT_HIGH_WATER);
+                                .is_some_and(|c| !c.machine.backlogged());
                             if freed {
                                 continue;
                             }
@@ -1732,7 +1497,8 @@ impl<S: Service> Reactor<S> {
         let next = match client {
             Some(token) => {
                 let conn = self.slab.get_mut(token).expect("checked above");
-                (plan.finish)(&mut conn.scratch, &mut conn.out, outcome)
+                let (scratch, out) = conn.machine.stage();
+                (plan.finish)(scratch, out, outcome)
             }
             None => {
                 self.spare_out.clear();
@@ -1757,7 +1523,9 @@ impl<S: Service> Reactor<S> {
                     .upstream_inflight
                     .fetch_sub(1, Ordering::Relaxed);
                 if let Some(token) = client {
-                    self.unpark(token, done.is_ok());
+                    let conn = self.slab.get_mut(token).expect("checked above");
+                    conn.machine.unpark(done.is_ok());
+                    self.pump(token);
                 }
             }
         }
@@ -1922,6 +1690,7 @@ pub fn serve_reactor<S: Service>(
 mod tests {
     use super::*;
     use crate::lifecycle::UpstreamOutcome;
+    use piggyback_httpwire::Request;
 
     #[test]
     fn slab_tokens_survive_aba() {
@@ -1932,16 +1701,7 @@ mod tests {
             Conn {
                 peer: stream.peer_addr().unwrap(),
                 stream,
-                rbuf: Vec::new(),
-                rpos: 0,
-                out: Vec::new(),
-                opos: 0,
-                scratch: ConnScratch::new(),
-                req: Request::empty(),
-                state: ConnState::Ready,
-                last_active: Instant::now(),
-                req_start: None,
-                read_eof: false,
+                machine: ClientMachine::new(Instant::now()),
                 relay_up: None,
                 _guard: OpenGuard::new(&stats),
             }
@@ -1976,101 +1736,6 @@ mod tests {
         assert_eq!(out, vec![UPSTREAM_BIT | 2]);
     }
 
-    #[test]
-    fn try_parse_classifies_split_requests() {
-        let mut req = Request::empty();
-        let mut scratch = ConnScratch::new();
-        let mut out = Vec::new();
-        let wire = b"GET /a.html HTTP/1.1\r\nHost: x\r\n\r\n";
-        // Every proper prefix is incomplete, never malformed.
-        for cut in 0..wire.len() {
-            match try_parse(&mut req, &wire[..cut], &mut scratch, MAX_BODY, &mut out) {
-                Parse::Incomplete => {}
-                Parse::Complete(_) => panic!("prefix of {cut} bytes parsed as complete"),
-                Parse::Malformed => panic!("prefix of {cut} bytes parsed as malformed"),
-            }
-        }
-        match try_parse(&mut req, wire, &mut scratch, MAX_BODY, &mut out) {
-            Parse::Complete(n) => assert_eq!(n, wire.len()),
-            _ => panic!("full request must parse"),
-        }
-        assert_eq!(req.method, "GET");
-        assert_eq!(req.target, "/a.html");
-        // Garbage is malformed immediately.
-        match try_parse(
-            &mut req,
-            b"NOT AN HTTP LINE\r\n\r\n",
-            &mut scratch,
-            MAX_BODY,
-            &mut out,
-        ) {
-            Parse::Malformed => {}
-            _ => panic!("garbage must be malformed"),
-        }
-        assert!(out.is_empty(), "garbage gets no answer");
-        // A body over the cap is refused at its head, with a 413 staged.
-        let big = b"GET /up HTTP/1.1\r\nContent-Length: 2048\r\n\r\n";
-        match try_parse(&mut req, big, &mut scratch, 1024, &mut out) {
-            Parse::Malformed => assert!(out.starts_with(b"HTTP/1.1 413")),
-            _ => panic!("an oversized body must be refused"),
-        }
-    }
-
-    #[test]
-    fn try_parse_consumes_exactly_one_pipelined_request() {
-        let mut req = Request::empty();
-        let mut scratch = ConnScratch::new();
-        let mut out = Vec::new();
-        let one = b"GET /a HTTP/1.1\r\n\r\n";
-        let mut wire = Vec::new();
-        wire.extend_from_slice(one);
-        wire.extend_from_slice(b"GET /b HTTP/1.1\r\n\r\n");
-        match try_parse(&mut req, &wire, &mut scratch, MAX_BODY, &mut out) {
-            Parse::Complete(n) => {
-                assert_eq!(n, one.len());
-                assert_eq!(req.target, "/a");
-            }
-            _ => panic!("first pipelined request must parse"),
-        }
-        match try_parse(
-            &mut req,
-            &wire[one.len()..],
-            &mut scratch,
-            MAX_BODY,
-            &mut out,
-        ) {
-            Parse::Complete(_) => assert_eq!(req.target, "/b"),
-            _ => panic!("second pipelined request must parse"),
-        }
-    }
-
-    /// Minimal service: responds "ok" to every request, inline.
-    struct Echo;
-
-    impl Service for Echo {
-        type Ctx = ();
-
-        fn make_ctx(&self) {}
-
-        fn handle(
-            &self,
-            req: &Request,
-            _peer: SocketAddr,
-            _ctx: &mut (),
-            _scratch: &mut ConnScratch,
-            out: &mut Vec<u8>,
-        ) -> io::Result<Served> {
-            write!(
-                out,
-                "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{}",
-                req.target.len(),
-                req.target
-            )
-            .unwrap();
-            Ok(Served::Inline)
-        }
-    }
-
     fn read_response(s: &mut TcpStream, path: &str) -> String {
         let want = format!(
             "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{}",
@@ -2080,299 +1745,6 @@ mod tests {
         let mut buf = vec![0u8; want.len()];
         s.read_exact(&mut buf).unwrap();
         String::from_utf8(buf).unwrap()
-    }
-
-    #[test]
-    fn reactor_serves_keepalive_and_pipelined() {
-        let handle = serve_reactor(
-            0,
-            "echo-reactor",
-            ReactorOptions {
-                idle_timeout: Duration::from_secs(30),
-                ..ReactorOptions::default()
-            },
-            Arc::new(IoStats::default()),
-            Arc::new(ReactorMetrics::new(2)),
-            Arc::new(Echo),
-        )
-        .unwrap();
-        let mut c = TcpStream::connect(handle.addr).unwrap();
-        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        // Sequential keep-alive requests on one connection.
-        for path in ["/a", "/bb", "/ccc"] {
-            c.write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes())
-                .unwrap();
-            assert!(read_response(&mut c, path).ends_with(path));
-        }
-        // Pipelined burst: all requests in one write, responses in order.
-        let burst: String = (0..8)
-            .map(|i| format!("GET /p{i} HTTP/1.1\r\n\r\n"))
-            .collect();
-        c.write_all(burst.as_bytes()).unwrap();
-        for i in 0..8 {
-            let path = format!("/p{i}");
-            assert!(read_response(&mut c, &path).ends_with(path.as_str()));
-        }
-        handle.stop();
-    }
-
-    #[test]
-    fn reactor_closes_idle_connections() {
-        let stats = Arc::new(IoStats::default());
-        let handle = serve_reactor(
-            0,
-            "idle-reactor",
-            ReactorOptions {
-                idle_timeout: Duration::from_millis(200),
-                ..ReactorOptions::default()
-            },
-            Arc::clone(&stats),
-            Arc::new(ReactorMetrics::new(1)),
-            Arc::new(Echo),
-        )
-        .unwrap();
-        let mut c = TcpStream::connect(handle.addr).unwrap();
-        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let mut buf = [0u8; 1];
-        // The reactor must close us within a few wheel revolutions.
-        match c.read(&mut buf) {
-            Ok(0) => {}
-            other => panic!("expected idle close (EOF), got {other:?}"),
-        }
-        for _ in 0..100 {
-            if stats.open_connections() == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(stats.open_connections(), 0);
-        handle.stop();
-    }
-
-    #[test]
-    fn reactor_closes_malformed_connections() {
-        let handle = serve_reactor(
-            0,
-            "bad-reactor",
-            ReactorOptions {
-                idle_timeout: Duration::from_secs(30),
-                ..ReactorOptions::default()
-            },
-            Arc::new(IoStats::default()),
-            Arc::new(ReactorMetrics::new(1)),
-            Arc::new(Echo),
-        )
-        .unwrap();
-        let mut c = TcpStream::connect(handle.addr).unwrap();
-        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        c.write_all(b"garbage garbage garbage\r\n\r\n").unwrap();
-        let mut buf = [0u8; 16];
-        match c.read(&mut buf) {
-            Ok(0) => {}
-            other => panic!("expected close on malformed request, got {other:?}"),
-        }
-        handle.stop();
-    }
-
-    /// Service whose responses are large enough to trip `OUT_HIGH_WATER`
-    /// when pipelined: each carries a 64 KiB body.
-    struct Big;
-
-    const BIG_BODY: usize = 64 * 1024;
-
-    impl Service for Big {
-        type Ctx = ();
-
-        fn make_ctx(&self) {}
-
-        fn handle(
-            &self,
-            _req: &Request,
-            _peer: SocketAddr,
-            _ctx: &mut (),
-            _scratch: &mut ConnScratch,
-            out: &mut Vec<u8>,
-        ) -> io::Result<Served> {
-            write!(out, "HTTP/1.1 200 OK\r\nContent-Length: {BIG_BODY}\r\n\r\n").unwrap();
-            out.resize(out.len() + BIG_BODY, b'x');
-            Ok(Served::Inline)
-        }
-    }
-
-    /// Regression: a pipelined burst whose responses exceed the write
-    /// high-water mark must be served to completion. Before the
-    /// flush-freed re-entry in `pump`, a WRITABLE-edge pump entered with
-    /// `pending_out >= OUT_HIGH_WATER` skipped the parse loop, flushed,
-    /// and then returned with `progressed == false` — stranding the
-    /// still-buffered requests (edge-triggered epoll delivers no further
-    /// event) until the idle timer closed the connection.
-    #[test]
-    fn pipelined_burst_survives_write_backpressure() {
-        let handle = serve_reactor(
-            0,
-            "burst-reactor",
-            ReactorOptions {
-                idle_timeout: Duration::from_secs(30),
-                ..ReactorOptions::default()
-            },
-            Arc::new(IoStats::default()),
-            Arc::new(ReactorMetrics::new(1)),
-            Arc::new(Big),
-        )
-        .unwrap();
-        const REQS: usize = 200;
-        let mut c = TcpStream::connect(handle.addr).unwrap();
-        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let burst: String = (0..REQS)
-            .map(|i| format!("GET /b{i} HTTP/1.1\r\n\r\n"))
-            .collect();
-        c.write_all(burst.as_bytes()).unwrap();
-        // Give the reactor time to fill its output buffer past the
-        // high-water mark while we are not reading.
-        std::thread::sleep(Duration::from_millis(150));
-        let header = format!("HTTP/1.1 200 OK\r\nContent-Length: {BIG_BODY}\r\n\r\n");
-        let want = REQS * (header.len() + BIG_BODY);
-        let mut total = 0usize;
-        let mut buf = vec![0u8; 8 * 1024];
-        while total < want {
-            match c.read(&mut buf) {
-                Ok(0) => panic!("connection closed after {total}/{want} bytes"),
-                Ok(n) => total += n,
-                Err(e) => panic!("read stalled after {total}/{want} bytes: {e}"),
-            }
-        }
-        assert_eq!(total, want);
-        handle.stop();
-    }
-
-    fn write_echo(out: &mut Vec<u8>, path: &str) {
-        write!(
-            out,
-            "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{}",
-            path.len(),
-            path
-        )
-        .unwrap();
-    }
-
-    /// Parking service: `/park…` is answered from another thread through
-    /// the connection's waker, `/drop…` drops its waker unfired, anything
-    /// else is answered inline.
-    struct Parked;
-
-    impl Service for Parked {
-        type Ctx = ();
-
-        fn make_ctx(&self) {}
-
-        fn handle(
-            &self,
-            req: &Request,
-            _peer: SocketAddr,
-            _ctx: &mut (),
-            _scratch: &mut ConnScratch,
-            out: &mut Vec<u8>,
-        ) -> io::Result<Served> {
-            let path = req.target.clone();
-            if path.starts_with("/drop") {
-                return Ok(Served::Park(Box::new(drop)));
-            }
-            if !path.starts_with("/park") {
-                write_echo(out, &path);
-                return Ok(Served::Inline);
-            }
-            Ok(Served::Park(Box::new(move |waker| {
-                std::thread::spawn(move || {
-                    std::thread::sleep(Duration::from_millis(5));
-                    waker.wake(Box::new(move |_scratch, out| {
-                        write_echo(out, &path);
-                        Ok(Served::Inline)
-                    }));
-                });
-            })))
-        }
-    }
-
-    /// A connection woken from another thread gets its own answer, in
-    /// order behind and ahead of the pipelined requests around it.
-    #[test]
-    fn resumed_answers_reach_the_right_connection_behind_pipelined_requests() {
-        let handle = serve_reactor(
-            0,
-            "park-reactor",
-            ReactorOptions {
-                idle_timeout: Duration::from_secs(30),
-                ..ReactorOptions::default()
-            },
-            Arc::new(IoStats::default()),
-            Arc::new(ReactorMetrics::new(2)),
-            Arc::new(Parked),
-        )
-        .unwrap();
-        let addr = handle.addr;
-        let clients: Vec<_> = (0..8)
-            .map(|i| {
-                std::thread::spawn(move || {
-                    let mut c = TcpStream::connect(addr).unwrap();
-                    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-                    for round in 0..3 {
-                        let paths = [
-                            format!("/park/{i}/{round}"),
-                            format!("/inline/{i}/{round}"),
-                            format!("/park/{i}/{round}/last"),
-                        ];
-                        let burst: String = paths
-                            .iter()
-                            .map(|p| format!("GET {p} HTTP/1.1\r\n\r\n"))
-                            .collect();
-                        c.write_all(burst.as_bytes()).unwrap();
-                        for path in &paths {
-                            let got = read_response(&mut c, path);
-                            assert!(got.ends_with(path.as_str()), "cross-wired: {got}");
-                        }
-                    }
-                })
-            })
-            .collect();
-        for c in clients {
-            c.join().expect("parked client");
-        }
-        handle.stop();
-    }
-
-    /// A waker dropped without firing closes its connection at once —
-    /// after what was already owed — instead of leaving it parked until
-    /// the idle timeout; the shard keeps serving.
-    #[test]
-    fn dropped_waker_closes_its_connection() {
-        let handle = serve_reactor(
-            0,
-            "drop-reactor",
-            ReactorOptions {
-                idle_timeout: Duration::from_secs(30),
-                ..ReactorOptions::default()
-            },
-            Arc::new(IoStats::default()),
-            Arc::new(ReactorMetrics::new(1)),
-            Arc::new(Parked),
-        )
-        .unwrap();
-        let mut bad = TcpStream::connect(handle.addr).unwrap();
-        bad.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        bad.write_all(b"GET /inline HTTP/1.1\r\n\r\nGET /drop HTTP/1.1\r\n\r\n")
-            .unwrap();
-        assert!(read_response(&mut bad, "/inline").ends_with("/inline"));
-        let mut buf = [0u8; 16];
-        match bad.read(&mut buf) {
-            Ok(0) => {}
-            other => panic!("expected close after a dropped waker, got {other:?}"),
-        }
-        let mut good = TcpStream::connect(handle.addr).unwrap();
-        good.set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        good.write_all(b"GET /park/ok HTTP/1.1\r\n\r\n").unwrap();
-        assert!(read_response(&mut good, "/park/ok").ends_with("/park/ok"));
-        handle.stop();
     }
 
     /// Forwarding service: every request becomes a nonblocking upstream

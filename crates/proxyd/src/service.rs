@@ -7,7 +7,9 @@
 //! service (PROTOCOL.md §12): the epoll reactor ([`crate::reactor`],
 //! Linux) and the blocking poller here, which runs each connection on a
 //! worker of [`serve_with_stats`]'s pool and every plan through
-//! [`blocking_exchange`] on a [`ConnectionPool`]. So the proxy and the
+//! [`blocking_exchange`] on a [`ConnectionPool`]. Both move a client
+//! connection's bytes through one socket-free [`ClientMachine`], as they
+//! move an origin's through one [`ResponseMachine`]. So the proxy and the
 //! origin are each written once, whichever engine serves them.
 
 use crate::client::{ConnectionPool, PooledConn};
@@ -15,7 +17,7 @@ use crate::lifecycle::{RelayRule, ResponseMachine, UpstreamOutcome};
 use crate::util::{serve_with_stats, IoStats, ServeOptions, ServerHandle};
 use piggyback_httpwire::parse::MAX_BODY;
 use piggyback_httpwire::{ConnScratch, HttpError, Request, Response};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -142,24 +144,242 @@ pub trait Service: Send + Sync + 'static {
     ) -> io::Result<Served>;
 }
 
-/// Parse the next request under `cap`, for either poller. A body over
-/// the cap is the client's mistake, not a dead connection: its `413` is
-/// staged in `out` before the error returns, and the poller writes it
-/// before closing.
-pub(crate) fn read_request<R: BufRead>(
-    req: &mut Request,
-    r: &mut R,
-    scratch: &mut ConnScratch,
-    cap: usize,
-    out: &mut Vec<u8>,
-) -> Result<(), HttpError> {
-    let read = req.read_into_capped(r, scratch, cap);
-    if read.as_ref().is_err_and(HttpError::body_too_large) {
-        Response::new(413)
-            .write_with(out, scratch)
-            .expect("writing to a Vec cannot fail");
+/// Bytes the request buffer grows by when a read finds it full.
+const READ_CHUNK: usize = 16 * 1024;
+/// Hard cap on a client connection's buffered request bytes (the wire
+/// crate's body limit plus framing headroom).
+const MAX_REQUEST_BUF: usize = MAX_BODY + 64 * 1024;
+/// Stop parsing further pipelined requests while more than this many
+/// response bytes are waiting on a slow client; resume when drained.
+const OUT_HIGH_WATER: usize = 1024 * 1024;
+
+/// Where a [`ClientMachine`] sits in its request lifecycle.
+enum ClientState {
+    /// Reading and answering requests.
+    Ready,
+    /// An answer is pending on an upstream plan or a park; `keep` is the
+    /// request's keep-alive, applied when it settles.
+    Parked { keep: bool },
+    /// Nothing more is read: drain what is staged, then close.
+    Closing,
+}
+
+/// The client half of one connection, written once for both pollers and
+/// socket-free: the poller reads bytes into [`input`](Self::input),
+/// [`advance`](Self::advance)s the machine, and writes what
+/// [`output`](Self::output) stages. The machine parses pipelined requests
+/// as they complete, has [`Service::handle`] answer them, applies output
+/// backpressure, answers an oversized body `413`, and keeps the idle and
+/// read deadlines against a clock the poller passes in (PROTOCOL.md
+/// §12.4).
+pub struct ClientMachine {
+    /// Request bytes: `buf[pos..end]` are read and not yet parsed,
+    /// `buf[end..]` is room for the next read. Zeroed only as it grows.
+    buf: Vec<u8>,
+    pos: usize,
+    end: usize,
+    req: Request,
+    scratch: ConnScratch,
+    /// Staged response bytes; `out[sent..]` still owe the client.
+    out: Vec<u8>,
+    sent: usize,
+    state: ClientState,
+    /// When [`advance`](Self::advance) last ran (the accept, before it
+    /// first does).
+    last_active: Instant,
+    /// When the buffered incomplete request was first seen.
+    req_start: Option<Instant>,
+    /// The client closed its side.
+    eof: bool,
+    /// The last advance stopped because the buffered bytes hold no whole
+    /// request, not on backpressure or a park.
+    starved: bool,
+}
+
+impl ClientMachine {
+    /// A machine for a connection accepted at `now`.
+    pub fn new(now: Instant) -> ClientMachine {
+        ClientMachine {
+            buf: Vec::new(),
+            pos: 0,
+            end: 0,
+            req: Request::empty(),
+            scratch: ConnScratch::new(),
+            out: Vec::new(),
+            sent: 0,
+            state: ClientState::Ready,
+            last_active: now,
+            req_start: None,
+            eof: false,
+            starved: true,
+        }
     }
-    read
+
+    /// Room for the next read, grown when full. Empty once the buffer
+    /// holds the cap's worth of unparsed bytes: a read into it returns 0,
+    /// which [`filled`](Self::filled) takes as the client's EOF.
+    pub fn input(&mut self) -> &mut [u8] {
+        if self.end == self.buf.len() && self.buf.len() < MAX_REQUEST_BUF {
+            let grown = (self.buf.len() + READ_CHUNK).min(MAX_REQUEST_BUF);
+            self.buf.resize(grown, 0);
+        }
+        &mut self.buf[self.end..]
+    }
+
+    /// `n` bytes were read into [`input`](Self::input); 0 is EOF.
+    pub fn filled(&mut self, n: usize) {
+        self.end += n;
+        self.eof |= n == 0;
+    }
+
+    /// Parse and handle the buffered pipelined requests while the
+    /// connection is ready and its output under the high-water mark:
+    /// every inline answer is staged, and so is the `413` for a body over
+    /// the service's cap before the connection closes. Returns the first
+    /// [`Served::Upstream`] or [`Served::Park`] with the connection parked
+    /// until [`unpark`](Self::unpark) or [`resume`](Self::resume).
+    pub fn advance<S: Service>(
+        &mut self,
+        svc: &S,
+        ctx: &mut S::Ctx,
+        peer: SocketAddr,
+        now: Instant,
+    ) -> Option<Served> {
+        self.last_active = now;
+        let mut parked = None;
+        self.starved = false;
+        while matches!(self.state, ClientState::Ready) && !self.starved && !self.backlogged() {
+            match self.read_request(svc.body_cap()) {
+                // The bytes ran out: for a live connection, wait for more.
+                Err(HttpError::ConnectionClosed) => {
+                    self.starved = true;
+                    if self.eof {
+                        self.state = ClientState::Closing;
+                    }
+                }
+                // Garbage gets no answer, an oversized body its 413.
+                Err(_) => self.state = ClientState::Closing,
+                Ok(()) => {
+                    self.req_start = None;
+                    let keep = self.req.keep_alive();
+                    let served = svc.handle(&self.req, peer, ctx, &mut self.scratch, &mut self.out);
+                    self.state = match served {
+                        Ok(Served::Inline) if keep => ClientState::Ready,
+                        Ok(Served::Inline) | Err(_) => ClientState::Closing,
+                        Ok(served) => {
+                            parked = Some(served);
+                            ClientState::Parked { keep }
+                        }
+                    };
+                }
+            }
+        }
+        if matches!(self.state, ClientState::Closing) {
+            self.pos = self.end;
+        }
+        // Compact the parsed prefix so the buffer never grows across
+        // requests.
+        if self.pos > 0 {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+        }
+        if self.starved && self.end > 0 {
+            self.req_start.get_or_insert(now);
+        } else {
+            self.req_start = None;
+        }
+        parked
+    }
+
+    /// Parse the next buffered request under `cap`. A body over the cap
+    /// is the client's mistake, not a dead connection: its `413` is
+    /// staged before the error returns.
+    fn read_request(&mut self, cap: usize) -> Result<(), HttpError> {
+        let mut rest = &self.buf[self.pos..self.end];
+        let read = self.req.read_into_capped(&mut rest, &mut self.scratch, cap);
+        match &read {
+            Ok(()) => self.pos = self.end - rest.len(),
+            Err(e) if e.body_too_large() => Response::new(413)
+                .write_with(&mut self.out, &mut self.scratch)
+                .expect("writing to a Vec cannot fail"),
+            Err(_) => {}
+        }
+        read
+    }
+
+    /// Run a parked connection's continuation, woken by its [`Waker`].
+    /// An inline answer unparks it, a failure closes it, and another plan
+    /// or park is returned with the connection still parked.
+    pub fn resume(&mut self, then: ResumeFn) -> Option<Served> {
+        match then(&mut self.scratch, &mut self.out) {
+            Ok(Served::Inline) => self.unpark(true),
+            Ok(served) => return Some(served),
+            Err(_) => self.unpark(false),
+        }
+        None
+    }
+
+    /// The parked answer is staged (`ok`), or it can only be truncated:
+    /// back to reading requests if the request kept the connection alive,
+    /// to closing once drained otherwise.
+    pub fn unpark(&mut self, ok: bool) {
+        self.state = match self.state {
+            ClientState::Parked { keep: true } if ok => ClientState::Ready,
+            _ => ClientState::Closing,
+        };
+    }
+
+    /// Where a plan's continuation or a relay stages its bytes: the
+    /// connection's scratch and its output, append-only.
+    pub fn stage(&mut self) -> (&mut ConnScratch, &mut Vec<u8>) {
+        (&mut self.scratch, &mut self.out)
+    }
+
+    /// Staged bytes the client is still owed.
+    pub fn output(&self) -> &[u8] {
+        &self.out[self.sent..]
+    }
+
+    /// `n` bytes of [`output`](Self::output) were written.
+    pub fn wrote(&mut self, n: usize) {
+        self.sent += n;
+        if self.sent == self.out.len() {
+            self.out.clear();
+            self.sent = 0;
+        }
+    }
+
+    /// Is the output at the high-water mark? A relay feeding the client
+    /// pauses its origin reads until it is not.
+    pub(crate) fn backlogged(&self) -> bool {
+        self.output().len() >= OUT_HIGH_WATER
+    }
+
+    /// May [`advance`](Self::advance) serve more without new input? Yes
+    /// when it last stopped on backpressure a write has since relieved,
+    /// or on a park that settled — buffered requests wait, and no read
+    /// will report them.
+    pub fn can_advance(&self) -> bool {
+        matches!(self.state, ClientState::Ready) && !self.starved && !self.backlogged()
+    }
+
+    /// Closing with nothing left to write: the poller closes the socket.
+    pub fn done(&self) -> bool {
+        matches!(self.state, ClientState::Closing) && self.output().is_empty()
+    }
+
+    /// When the connection times out under `idle`: `idle` after its last
+    /// activity, or after the first byte of a request still incomplete
+    /// (the read deadline) — a trickling client does not extend it.
+    pub fn deadline(&self, idle: Duration) -> Instant {
+        self.req_start.unwrap_or(self.last_active) + idle
+    }
+
+    /// Has the [`deadline`](Self::deadline) passed at `now`?
+    pub fn expired(&self, now: Instant, idle: Duration) -> bool {
+        now >= self.deadline(idle)
+    }
 }
 
 /// Client bytes a relay stages before they are written downstream: one
@@ -169,8 +389,9 @@ const STREAM_SEGMENT: usize = 16 * 1024;
 
 /// Serve `svc` on `127.0.0.1:port` from a blocking worker pool (threads
 /// `{name}-worker-*`), one connection per worker at a time. A client
-/// silent for `idle_timeout` is closed. Upstream plans run on `pool`; a
-/// service that never plans one (the origin) passes `None`.
+/// silent for `idle_timeout`, or still sending one request that long, is
+/// closed. Upstream plans run on `pool`; a service that never plans one
+/// (the origin) passes `None`.
 pub fn serve_blocking<S: Service>(
     port: u16,
     name: &'static str,
@@ -185,68 +406,65 @@ pub fn serve_blocking<S: Service>(
     })
 }
 
-/// One connection, start to close: read a request, `handle` it, follow
-/// what it [`Served`] until the answer is staged, write it, repeat while
-/// the client keeps the connection alive.
+/// One connection, start to close, on the [`ClientMachine`]: advance it,
+/// follow what it [`Served`], write what is staged — a pipelined window's
+/// answers in one write — and block for more bytes, until it is done or
+/// the client misses a deadline.
 fn poll<S: Service>(
     svc: &S,
     pool: Option<&ConnectionPool>,
     idle_timeout: Duration,
-    stream: TcpStream,
+    mut stream: TcpStream,
 ) -> io::Result<()> {
     let peer = stream.peer_addr()?;
     svc.on_connect(peer);
-    stream.set_read_timeout(Some(idle_timeout).filter(|t| !t.is_zero()))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    let idle = Some(idle_timeout).filter(|t| !t.is_zero());
+    stream.set_read_timeout(idle)?;
     let mut ctx = svc.make_ctx();
-    let mut scratch = ConnScratch::new();
-    let mut req = Request::empty();
-    // Steady state allocates nothing per hit: the request parses into
-    // reused buffers and the answer into this reused output buffer.
-    let mut out = Vec::new();
+    let mut machine = ClientMachine::new(Instant::now());
     loop {
-        let answered = match read_request(
-            &mut req,
-            &mut reader,
-            &mut scratch,
-            svc.body_cap(),
-            &mut out,
-        ) {
-            Ok(()) => svc
-                .handle(&req, peer, &mut ctx, &mut scratch, &mut out)
-                .and_then(|served| follow(served, pool, &mut writer, &mut scratch, &mut out)),
-            Err(_) => Err(io::ErrorKind::InvalidData.into()),
-        };
+        if let Some(served) = machine.advance(svc, &mut ctx, peer, Instant::now()) {
+            follow(served, &mut machine, pool, &mut stream);
+        }
         // Whatever is staged goes out, even ahead of a close: a 413, or
         // the head and strict prefix of a relay that failed.
-        write_out(&mut writer, &mut out)?;
-        if answered.is_err() || !req.keep_alive() {
+        write_staged(&mut stream, &mut machine)?;
+        if machine.done() || idle.is_some_and(|t| machine.expired(Instant::now(), t)) {
             return Ok(());
+        }
+        if !machine.can_advance() {
+            match stream.read(machine.input()) {
+                Ok(n) => machine.filled(n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
     }
 }
 
-/// Follow `served` until its answer is staged in `out`: a plan runs on
-/// this thread, and a park blocks until the waker fires.
+/// Follow `served` until the machine is unparked: a plan runs on this
+/// thread, and a park blocks until the waker fires.
 fn follow(
     mut served: Served,
+    machine: &mut ClientMachine,
     pool: Option<&ConnectionPool>,
     w: &mut TcpStream,
-    scratch: &mut ConnScratch,
-    out: &mut Vec<u8>,
-) -> io::Result<()> {
+) {
     loop {
         served = match served {
-            Served::Inline => return Ok(()),
+            Served::Inline => return machine.unpark(true),
             Served::Upstream(plan) => {
                 // A prefix hit's head leaves before the origin is dialed.
                 // The plan runs even when that write fails: the request
                 // was counted, so its outcome must be settled.
-                let sent = write_out(w, out);
-                let pool = pool.ok_or(io::ErrorKind::Unsupported)?;
-                let ran = run_plan(plan, pool, scratch, out, |seg| write_out(w, seg));
-                return sent.and(ran);
+                let sent = write_staged(w, machine);
+                let ran = pool
+                    .ok_or(io::ErrorKind::Unsupported.into())
+                    .and_then(|pool| {
+                        let (scratch, out) = machine.stage();
+                        run_plan(plan, pool, scratch, out, |seg| write_out(w, seg))
+                    });
+                return machine.unpark(sent.is_ok() && ran.is_ok());
             }
             Served::Park(register) => {
                 let (tx, rx) = mpsc::channel();
@@ -254,12 +472,25 @@ fn follow(
                     let _ = tx.send(then);
                 }));
                 let Ok(Some(then)) = rx.recv() else {
-                    return Err(io::ErrorKind::ConnectionAborted.into());
+                    return machine.unpark(false);
                 };
-                then(scratch, out)?
+                match machine.resume(then) {
+                    Some(next) => next,
+                    None => return,
+                }
             }
         }
     }
+}
+
+fn write_staged(w: &mut TcpStream, machine: &mut ClientMachine) -> io::Result<()> {
+    let staged = machine.output();
+    let n = staged.len();
+    if n > 0 {
+        w.write_all(staged)?;
+        machine.wrote(n);
+    }
+    Ok(())
 }
 
 fn write_out(w: &mut TcpStream, out: &mut Vec<u8>) -> io::Result<()> {
@@ -334,7 +565,9 @@ pub(crate) fn run_plan(
 /// passed since its dial. The loop is the reactor's: read bytes, feed the
 /// machine built by `machine`, and `flush` what it appended to `sink` — a
 /// retryable failure never leaves any there. The connection comes back
-/// only when the machine says it may carry another exchange.
+/// only when the machine says it may carry another exchange and no read
+/// hit EOF (a burst of pushes cut short by the close ends the exchange
+/// too).
 pub(crate) fn blocking_exchange<'h>(
     request: &[u8],
     replayable: bool,
@@ -350,6 +583,7 @@ pub(crate) fn blocking_exchange<'h>(
         let started = Instant::now();
         let Ok(mut conn) = dial(retry) else { break };
         let mut machine = machine();
+        let mut eof = false;
         let fed = conn
             .writer
             .write_all(request)
@@ -360,7 +594,8 @@ pub(crate) fn blocking_exchange<'h>(
                         return Err(io::Error::from(io::ErrorKind::TimedOut).into());
                     }
                     let input = conn.reader.fill_buf()?;
-                    let consumed = machine.feed(input, input.is_empty(), sink)?;
+                    eof = input.is_empty();
+                    let consumed = machine.feed(input, eof, sink)?;
                     conn.reader.consume(consumed);
                     flush(sink, &machine)?;
                 }
@@ -369,7 +604,7 @@ pub(crate) fn blocking_exchange<'h>(
         if fed.is_err() && machine.retryable() {
             continue;
         }
-        let reusable = machine.reusable();
+        let reusable = machine.reusable() && !eof;
         return (machine.into_outcome(), reusable.then_some(conn));
     }
     (UpstreamOutcome::Failed, None)

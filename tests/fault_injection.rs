@@ -10,7 +10,7 @@ use piggyback::proxyd::origin::{start_origin, OriginConfig};
 use piggyback::proxyd::proxy::{start_proxy, ProxyConfig, ProxyHandle};
 use piggyback::proxyd::util::serve;
 use piggyback::proxyd::volume_center::{start_volume_center, VolumeCenterConfig};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -742,6 +742,55 @@ fn stalled_and_trickling_origins_hit_the_upstream_timeout_on_both_engines() {
             s
         });
     }
+}
+
+/// A client that trickles its request — a request line, then one header
+/// byte every 100 ms — is closed by the read deadline
+/// (`--idle-timeout-secs`, PROTOCOL.md §12.1) on both engines, though no
+/// single read waits that long. (The threaded half failed before the
+/// blocking poller drove the client machine: each byte restarted its read
+/// timeout, and the connection stayed open until the client stopped.)
+#[test]
+fn a_trickling_client_misses_the_read_deadline_on_both_engines() {
+    const IDLE: Duration = Duration::from_millis(400);
+    assert_engine_parity(|io| {
+        let (origin, _, _) = scripted_origin(|_| Answer::full(10));
+        let mut cfg = ProxyConfig::new(origin.addr);
+        cfg.io = io;
+        cfg.report_hits = false;
+        cfg.rpv = None;
+        cfg.reactor_idle_timeout = IDLE;
+        let proxy = start_proxy(cfg).unwrap();
+
+        let mut stream = std::net::TcpStream::connect(proxy.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        stream.write_all(b"GET /slow.html HTTP/1.1\r\n").unwrap();
+        let started = std::time::Instant::now();
+        let mut buf = [0u8; 64];
+        let closed_after = loop {
+            if started.elapsed() >= Duration::from_secs(5) {
+                break None;
+            }
+            match stream.read(&mut buf) {
+                Ok(0) => break Some(started.elapsed()),
+                Ok(_) => panic!("{io:?}: an incomplete request was answered"),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    if stream.write_all(b"X").is_err() {
+                        break Some(started.elapsed());
+                    }
+                }
+                Err(_) => break Some(started.elapsed()),
+            }
+        };
+        let closed = closed_after.is_some_and(|t| t < Duration::from_secs(2));
+        assert!(closed, "{io:?}: closed after {closed_after:?}");
+        let s = ledger(&proxy);
+        proxy.stop();
+        origin.stop();
+        (closed, s)
+    });
 }
 
 #[test]
@@ -1950,11 +1999,12 @@ fn push_origin(burst: Burst) -> (piggyback::proxyd::util::ServerHandle, Arc<Atom
 
 /// One burst through an `--accept-push` proxy on `io`, then a second miss
 /// and a GET of every member, all on one client connection. Returns the
-/// members' verdicts, the ledger and the origin connections used.
+/// members' verdicts, the ledger, the origin connections used and the
+/// pooled ones a checkout found dead.
 fn push_lane(
     io: piggyback::proxyd::IoMode,
     burst: Burst,
-) -> ([String; 3], piggyback::proxyd::ProxyStats, usize) {
+) -> ([String; 3], piggyback::proxyd::ProxyStats, usize, u64) {
     let (origin, conns) = push_origin(burst);
     let mut cfg = ProxyConfig::new(origin.addr);
     cfg.io = io;
@@ -1987,9 +2037,10 @@ fn push_lane(
         s.prefetch_used + s.prefetch_wasted + s.prefetch_inflight,
         "{io:?} {burst:?}: speculation ledger: {s:?}"
     );
+    let evicted = proxy.pool_stats().map_or(0, |p| p.evicted_unhealthy);
     proxy.stop();
     origin.stop();
-    (verdicts, s, conns.load(Ordering::SeqCst))
+    (verdicts, s, conns.load(Ordering::SeqCst), evicted)
 }
 
 /// A whole burst: every member is cached and served as a hit, and the
@@ -1997,7 +2048,7 @@ fn push_lane(
 #[test]
 fn a_whole_push_burst_is_cached_and_keeps_its_connection_on_both_engines() {
     assert_engine_parity(|io| {
-        let (verdicts, s, conns) = push_lane(io, Burst::Whole);
+        let (verdicts, s, conns, _) = push_lane(io, Burst::Whole);
         assert_eq!(verdicts, ["HIT", "HIT", "HIT"], "{io:?}");
         assert_eq!((s.pushes_accepted, s.prefetch_used), (3, 3), "{s:?}");
         assert_eq!(conns, 1, "{io:?}: two misses, one origin connection");
@@ -2008,7 +2059,11 @@ fn a_whole_push_burst_is_cached_and_keeps_its_connection_on_both_engines() {
 /// A burst cut short after 0, 1 and 2 of its 3 members — by a close
 /// mid-member, or by garbage on a connection left open: the main response
 /// is whole, exactly the members that arrived whole are cached, and the
-/// connection is never reused.
+/// connection is never reused — not even pooled, to be found dead at the
+/// next checkout: the blocking exchange keeps no connection a read saw
+/// close. (Without that rule, deleting the response machine's old `cut`
+/// flag fails the threaded half here: the closed connection is pooled,
+/// then evicted, while `conns == 2` still holds.)
 #[test]
 fn a_push_burst_cut_short_keeps_what_arrived_on_both_engines() {
     for burst in [
@@ -2021,7 +2076,7 @@ fn a_push_burst_cut_short_keeps_what_arrived_on_both_engines() {
             unreachable!()
         };
         assert_engine_parity(|io| {
-            let (verdicts, s, conns) = push_lane(io, burst);
+            let (verdicts, s, conns, evicted) = push_lane(io, burst);
             let want: Vec<_> = (0..3).map(|i| if i < k { "HIT" } else { "MISS" }).collect();
             assert_eq!(verdicts.to_vec(), want, "{io:?} {burst:?}");
             assert_eq!(
@@ -2033,6 +2088,10 @@ fn a_push_burst_cut_short_keeps_what_arrived_on_both_engines() {
             assert_eq!(
                 conns, 2,
                 "{io:?} {burst:?}: the cut connection is not reused"
+            );
+            assert_eq!(
+                evicted, 0,
+                "{io:?} {burst:?}: the cut connection was pooled"
             );
             (s, conns)
         });

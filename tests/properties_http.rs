@@ -389,6 +389,7 @@ struct Run {
     outcome: Result<String, bool>,
     client: Vec<u8>,
     consumed: usize,
+    /// The driver's verdict: the machine's, and never after EOF.
     reusable: bool,
 }
 
@@ -420,10 +421,12 @@ fn run_machine(
     if closes {
         pieces.push((&[], true));
     }
+    let mut closed = false;
     for (piece, eof) in pieces {
         if machine.is_done() {
             break;
         }
+        closed |= eof;
         match machine.feed(piece, eof, &mut client) {
             Ok(n) => {
                 consumed += n;
@@ -435,7 +438,7 @@ fn run_machine(
     if !machine.is_done() {
         return fail(machine.engaged(), client, consumed);
     }
-    let reusable = machine.reusable();
+    let reusable = machine.reusable() && !closed;
     let outcome = match machine.into_outcome() {
         UpstreamOutcome::Response(resp, pushed) => format!("response {resp:?} pushed {pushed:?}"),
         UpstreamOutcome::Streamed {
@@ -685,4 +688,268 @@ fn response_machine_errors_before_any_client_byte() {
         ResponseMachine::new(None, false).feed(huge, false, &mut Vec::new()),
         Err(HttpError::LimitExceeded(_))
     ));
+}
+
+// ---------------------------------------------------------------------------
+// The client machine (`proxyd::service::ClientMachine`, PROTOCOL.md §12.4):
+// the request side both pollers drive. Socket-free, so the lane feeds it
+// a pipelined wire in arbitrary pieces under a fake service and requires
+// that the split never shows: the same requests handled, the same bytes
+// staged, the close at the same point.
+// ---------------------------------------------------------------------------
+
+use piggyback::proxyd::service::{ClientMachine, Served, Service, UpstreamNext, UpstreamPlan};
+use std::io::Write as _;
+use std::net::SocketAddr;
+use std::time::{Duration, Instant};
+
+/// The fake service's body cap: a larger request body is a `413`.
+const CLIENT_CAP: usize = 1024;
+
+/// Answers `/up…` with an upstream plan, `/park…` with a park, anything
+/// else inline; its context records every request it handled.
+struct Fake;
+
+impl Service for Fake {
+    type Ctx = Vec<String>;
+
+    fn make_ctx(&self) -> Vec<String> {
+        Vec::new()
+    }
+
+    fn body_cap(&self) -> usize {
+        CLIENT_CAP
+    }
+
+    fn handle(
+        &self,
+        req: &Request,
+        peer: SocketAddr,
+        ctx: &mut Vec<String>,
+        _scratch: &mut ConnScratch,
+        out: &mut Vec<u8>,
+    ) -> std::io::Result<Served> {
+        let what = format!("{} {} {:?}", req.method, req.target, &req.body[..]);
+        ctx.push(what.clone());
+        if req.target.starts_with("/up") {
+            return Ok(Served::Upstream(UpstreamPlan {
+                origin: peer,
+                request: Vec::new(),
+                finish: Box::new(move |_scratch, out, outcome| {
+                    let failed = matches!(outcome, UpstreamOutcome::Failed);
+                    writeln!(out, "upstream {what} failed {failed}")?;
+                    Ok(UpstreamNext::Done)
+                }),
+                retry: Box::new(|| {}),
+                relay: None,
+                accept_push: false,
+            }));
+        }
+        if req.target.starts_with("/park") {
+            return Ok(Served::Park(Box::new(drop)));
+        }
+        writeln!(out, "inline {what}")?;
+        Ok(Served::Inline)
+    }
+}
+
+/// Everything a run of the client machine shows its poller.
+#[derive(Debug, PartialEq)]
+struct ClientRun {
+    /// The requests the service handled, in order.
+    handled: Vec<String>,
+    /// What each advance parked on, in order.
+    parked: Vec<&'static str>,
+    /// Every byte staged for the client.
+    staged: Vec<u8>,
+    /// The requests handled when the machine was done, and whether the
+    /// client's EOF had arrived by then.
+    closed: Option<(usize, bool)>,
+}
+
+fn peer() -> SocketAddr {
+    "127.0.0.1:9".parse().unwrap()
+}
+
+/// Copy `bytes` into the machine the way a poller's reads do.
+fn feed(machine: &mut ClientMachine, mut bytes: &[u8]) {
+    while !bytes.is_empty() {
+        let room = machine.input();
+        let n = room.len().min(bytes.len());
+        room[..n].copy_from_slice(&bytes[..n]);
+        machine.filled(n);
+        bytes = &bytes[n..];
+    }
+}
+
+/// Drive the machine as a poller does: after each piece, advance, settle
+/// what it parked on (a plan fails, a park is resumed inline), take what
+/// is staged, and go again while it can advance without input. The
+/// client's EOF follows the last piece.
+fn run_client(pieces: &[&[u8]]) -> ClientRun {
+    let now = Instant::now();
+    let mut machine = ClientMachine::new(now);
+    let mut ctx = Fake.make_ctx();
+    let mut run = ClientRun {
+        handled: Vec::new(),
+        parked: Vec::new(),
+        staged: Vec::new(),
+        closed: None,
+    };
+    let eof: &[u8] = &[];
+    for (i, piece) in pieces.iter().chain([&eof]).enumerate() {
+        if piece.is_empty() {
+            machine.filled(0);
+        }
+        feed(&mut machine, piece);
+        loop {
+            let mut next = machine.advance(&Fake, &mut ctx, peer(), now);
+            while let Some(served) = next.take() {
+                match served {
+                    Served::Inline => unreachable!("inline answers are staged, not returned"),
+                    Served::Upstream(plan) => {
+                        run.parked.push("upstream");
+                        let (scratch, out) = machine.stage();
+                        let settled = (plan.finish)(scratch, out, UpstreamOutcome::Failed);
+                        machine.unpark(settled.is_ok());
+                    }
+                    Served::Park(_) => {
+                        run.parked.push("park");
+                        next = machine.resume(Box::new(|_scratch, out| {
+                            out.extend_from_slice(b"resumed\n");
+                            Ok(Served::Inline)
+                        }));
+                    }
+                }
+            }
+            let staged = machine.output();
+            run.staged.extend_from_slice(staged);
+            let n = staged.len();
+            machine.wrote(n);
+            if machine.done() {
+                run.handled = ctx;
+                run.closed = Some((run.handled.len(), i == pieces.len()));
+                return run;
+            }
+            if !machine.can_advance() {
+                break;
+            }
+        }
+    }
+    run.handled = ctx;
+    run
+}
+
+/// A pipelined run — GET, HEAD, an upstream miss, a parked `Content-Length`
+/// body, a chunked body — ended by a `Connection: close`, an oversized
+/// body, garbage or the client's EOF, fed whole, at every request
+/// boundary, and in 7- and 1-byte pieces: every split handles the same
+/// requests, stages the same bytes and closes at the same point, and
+/// nothing behind the end is handled.
+#[test]
+fn client_machine_is_split_transparent() {
+    let run: [&[u8]; 5] = [
+        b"GET /a HTTP/1.1\r\nHost: t\r\n\r\n",
+        b"HEAD /a HTTP/1.1\r\n\r\n",
+        b"GET /up/1 HTTP/1.1\r\n\r\n",
+        b"POST /park/1 HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello",
+        b"POST /c HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+    ];
+    let mut oversized = format!(
+        "POST /big HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        2 * CLIENT_CAP
+    )
+    .into_bytes();
+    oversized.extend_from_slice(&payload(2 * CLIENT_CAP));
+    let ends: [(&str, &[u8]); 4] = [
+        ("close", b"GET /last HTTP/1.1\r\nConnection: close\r\n\r\n"),
+        ("oversized", &oversized),
+        ("garbage", b"NOT AN HTTP LINE\r\n\r\n"),
+        ("eof", b""),
+    ];
+    let behind: &[u8] = b"GET /never HTTP/1.1\r\n\r\n";
+    for (end, last) in ends {
+        let mut messages = run.to_vec();
+        if end != "eof" {
+            messages.extend([last, behind]);
+        }
+        let wire = messages.concat();
+        let whole = run_client(&[&wire]);
+        let cuts = [
+            messages.clone(),
+            wire.chunks(7).collect(),
+            wire.chunks(1).collect(),
+        ];
+        for (i, pieces) in cuts.iter().enumerate() {
+            assert_eq!(run_client(pieces), whole, "{end}, split {i}");
+        }
+
+        let handled = whole.handled.len();
+        assert_eq!(whole.parked, ["upstream", "park"], "{end}");
+        assert!(!whole.handled.iter().any(|r| r.contains("/never")), "{end}");
+        let staged = String::from_utf8_lossy(&whole.staged).into_owned();
+        assert!(
+            staged.starts_with(
+                "inline GET /a []\ninline HEAD /a []\nupstream GET /up/1 [] failed true\nresumed\n"
+            ),
+            "{end}: {staged}"
+        );
+        let chunked = format!("inline POST /c {:?}\n", b"hello");
+        match end {
+            "close" => {
+                assert_eq!(whole.closed, Some((6, false)), "{end}");
+                assert!(staged.ends_with("inline GET /last []\n"), "{staged}");
+            }
+            "oversized" => {
+                assert_eq!(whole.closed, Some((5, false)), "{end}");
+                let refused = format!("{chunked}HTTP/1.1 413 ");
+                assert!(staged.contains(&refused), "{staged}");
+            }
+            "garbage" => {
+                assert_eq!(whole.closed, Some((5, false)), "{end}");
+                assert!(
+                    staged.ends_with(&chunked),
+                    "no answer for garbage: {staged}"
+                );
+            }
+            _ => {
+                assert_eq!(whole.closed, Some((5, true)), "{end}");
+                assert!(staged.ends_with(&chunked), "{staged}");
+            }
+        }
+        assert_eq!(handled, whole.closed.unwrap().0);
+    }
+}
+
+/// The read deadline runs from the first byte of a request still
+/// incomplete, and later bytes do not extend it; a complete request
+/// clears it, leaving the idle deadline from the last activity. The clock
+/// is the one passed in.
+#[test]
+fn client_machine_read_deadline_runs_from_the_first_byte() {
+    let idle = Duration::from_secs(10);
+    let t0 = Instant::now();
+    let at = |s: u64| t0 + Duration::from_secs(s);
+    let mut ctx = Fake.make_ctx();
+    let mut machine = ClientMachine::new(t0);
+    assert_eq!(machine.deadline(idle), at(10), "idle from the accept");
+    machine.advance(&Fake, &mut ctx, peer(), at(4));
+    assert_eq!(machine.deadline(idle), at(14), "idle from the last advance");
+
+    feed(&mut machine, b"GET /slow HTTP/1.1\r\n");
+    machine.advance(&Fake, &mut ctx, peer(), at(5));
+    for s in 6..15 {
+        feed(&mut machine, b"X");
+        machine.advance(&Fake, &mut ctx, peer(), at(s));
+        assert_eq!(machine.deadline(idle), at(15), "trickled byte at {s}s");
+        assert!(!machine.expired(at(s), idle), "{s}s");
+    }
+    assert!(machine.expired(at(15), idle));
+    assert!(ctx.is_empty());
+
+    feed(&mut machine, b": y\r\n\r\n");
+    machine.advance(&Fake, &mut ctx, peer(), at(14));
+    assert_eq!(ctx.len(), 1, "the request completed");
+    assert_eq!(machine.deadline(idle), at(24), "back to the idle deadline");
+    assert!(!machine.expired(at(15), idle));
 }
