@@ -1,7 +1,10 @@
 //! A workload-driver HTTP client for the loopback deployments, plus the
-//! keep-alive [`ConnectionPool`] the concurrent proxy uses for its origin
-//! connections.
+//! keep-alive [`ConnectionPool`] the blocking poller runs its upstream
+//! exchanges on: a [`PooledConn`] is a socket and its read buffer, and
+//! whether it goes back to the pool is the exchange machine's verdict
+//! ([`crate::lifecycle::ExchangeMachine::reuse`]).
 
+use crate::lifecycle::{Reuse, UPSTREAM_READ};
 use crate::obs::{HistogramSnapshot, LatencyHistogram};
 use parking_lot::Mutex;
 use piggyback_httpwire::{HttpError, Request, Response};
@@ -21,28 +24,21 @@ pub struct PoolStats {
     /// Idle connections dropped at checkout because the health check
     /// failed (peer closed, or unsolicited bytes ⇒ poisoned framing).
     pub evicted_unhealthy: u64,
-    /// Connections refused at checkin because the reader still buffered
-    /// response bytes (an incomplete read would desynchronize framing).
+    /// Connections refused at checkin because bytes sat unread behind the
+    /// response (they would desynchronize the next exchange's framing).
     pub discarded_dirty: u64,
     /// Connections dropped at checkin because the idle list was full.
     pub discarded_full: u64,
 }
 
 /// A pooled origin connection. Checked out of a [`ConnectionPool`], used
-/// for exactly one request/response exchange at a time, and checked back
-/// in only after the response — trailers included — was read completely.
-///
-/// The write side is the raw socket: requests go out through
-/// `Request::write_with`, which stages the whole message in the caller's
-/// scratch and emits it in one vectored write, so a `BufWriter` would only
-/// add a copy.
+/// for exactly one exchange at a time, and checked back in with the
+/// exchange machine's verdict ([`Reuse`]).
 pub struct PooledConn {
-    pub reader: BufReader<TcpStream>,
-    pub writer: TcpStream,
-    /// Whether this connection came from the idle list (a send failure on
-    /// a reused connection may be a stale-keep-alive race and is safe to
-    /// retry on a fresh connection; a failure on a brand-new one is not).
-    pub reused: bool,
+    pub stream: TcpStream,
+    /// One read's bytes ([`UPSTREAM_READ`]), allocated at the dial and
+    /// shared by every exchange on the connection: never the body.
+    pub buf: Vec<u8>,
     /// The per-attempt deadline of every exchange on this connection
     /// (PROTOCOL.md §7.1); `None` waits as long as the peer does.
     pub timeout: Option<Duration>,
@@ -64,9 +60,8 @@ impl PooledConn {
             stream.set_write_timeout(timeout)?;
         }
         Ok(PooledConn {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-            reused: false,
+            stream,
+            buf: vec![0; UPSTREAM_READ],
             timeout,
         })
     }
@@ -139,10 +134,9 @@ impl ConnectionPool {
     pub fn checkout(&self) -> io::Result<PooledConn> {
         loop {
             let candidate = self.idle.lock().pop_front();
-            let Some(mut conn) = candidate else { break };
-            if conn_is_quiet(conn.reader.get_ref()) {
+            let Some(conn) = candidate else { break };
+            if conn_is_quiet(&conn.stream) {
                 self.reuses.fetch_add(1, Ordering::Relaxed);
-                conn.reused = true;
                 return Ok(conn);
             }
             self.evicted_unhealthy.fetch_add(1, Ordering::Relaxed);
@@ -152,20 +146,25 @@ impl ConnectionPool {
     }
 
     /// Open a fresh connection, bypassing the idle list (used for the
-    /// retry after a reused connection failed mid-exchange).
+    /// retry after an attempt failed).
     pub fn connect_fresh(&self) -> io::Result<PooledConn> {
         let conn = PooledConn::dial(self.origin, self.timeout)?;
         self.connects.fetch_add(1, Ordering::Relaxed);
         Ok(conn)
     }
 
-    /// Return a connection after a *complete* exchange. Refused (dropped)
-    /// if response bytes are still buffered — returning it would hand the
-    /// next caller a desynchronized stream — or if the pool is full.
-    pub fn checkin(&self, conn: PooledConn) {
-        if !conn.reader.buffer().is_empty() {
-            self.discarded_dirty.fetch_add(1, Ordering::Relaxed);
-            return;
+    /// Return a connection after an exchange, with the exchange machine's
+    /// verdict on it. Pooled only for [`Reuse::Keep`] and while the pool
+    /// has room; [`Reuse::Unread`] — bytes behind the response, which
+    /// would hand the next caller a desynchronized stream — is counted.
+    pub fn checkin(&self, conn: PooledConn, reuse: Reuse) {
+        match reuse {
+            Reuse::Keep => {}
+            Reuse::Unread => {
+                self.discarded_dirty.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            Reuse::Spent => return,
         }
         let mut idle = self.idle.lock();
         if idle.len() >= self.max_idle {
@@ -375,8 +374,8 @@ mod tests {
     fn exchange(conn: &mut PooledConn, path: &str) -> Response {
         let mut req = Request::new("GET", path);
         req.headers.insert("Host", "pool.test");
-        req.write(&mut conn.writer).unwrap();
-        Response::read(&mut conn.reader, false).unwrap()
+        req.write(&mut conn.stream).unwrap();
+        Response::read(&mut BufReader::new(&conn.stream), false).unwrap()
     }
 
     #[test]
@@ -386,15 +385,19 @@ mod tests {
         let path = origin.paths[0].clone();
 
         let mut c1 = pool.checkout().unwrap();
-        assert!(!c1.reused);
+        assert_eq!(pool.stats().reuses, 0);
         assert_eq!(exchange(&mut c1, &path).status, 200);
-        pool.checkin(c1);
+        pool.checkin(c1, Reuse::Keep);
         assert_eq!(pool.idle_len(), 1);
 
         let mut c2 = pool.checkout().unwrap();
-        assert!(c2.reused, "second checkout must hit the idle list");
+        assert_eq!(
+            pool.stats().reuses,
+            1,
+            "second checkout must hit the idle list"
+        );
         assert_eq!(exchange(&mut c2, &path).status, 200);
-        pool.checkin(c2);
+        pool.checkin(c2, Reuse::Keep);
 
         let s = pool.stats();
         assert_eq!(s.connects, 1);
@@ -421,45 +424,18 @@ mod tests {
         let pool = ConnectionPool::new(oneshot.addr, 4);
         let mut c = pool.checkout().unwrap();
         assert_eq!(exchange(&mut c, "/x").status, 200);
-        pool.checkin(c);
+        pool.checkin(c, Reuse::Keep);
         assert_eq!(pool.idle_len(), 1);
         std::thread::sleep(std::time::Duration::from_millis(50));
         // Checkout health-checks the dead idle connection, evicts it, and
         // falls through to a working fresh connect.
         let mut c2 = pool.checkout().unwrap();
-        assert!(!c2.reused, "dead idle connection must not be handed out");
         assert_eq!(exchange(&mut c2, "/y").status, 200);
         let s = pool.stats();
         assert_eq!(s.evicted_unhealthy, 1);
         assert_eq!(s.connects, 2);
-        assert_eq!(s.reuses, 0);
+        assert_eq!(s.reuses, 0, "dead idle connection must not be handed out");
         oneshot.stop();
-    }
-
-    #[test]
-    fn pool_refuses_dirty_checkins() {
-        // An origin that volunteers bytes the client never consumed.
-        let chatty = crate::util::serve(0, "chatty", |mut s| {
-            use std::io::Write;
-            let _ = s.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokEXTRA-GARBAGE");
-            std::thread::sleep(std::time::Duration::from_millis(200));
-        })
-        .unwrap();
-        let pool = ConnectionPool::new(chatty.addr, 4);
-        let mut c = pool.checkout().unwrap();
-        // Let the whole burst (response + garbage) arrive, then parse only
-        // the response proper; the garbage stays in the reader's buffer.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        let resp = Response::read(&mut c.reader, false).unwrap();
-        assert_eq!(resp.body, b"ok");
-        assert!(
-            !c.reader.buffer().is_empty(),
-            "test setup: garbage must remain buffered"
-        );
-        pool.checkin(c);
-        assert_eq!(pool.idle_len(), 0, "dirty connection must not pool");
-        assert_eq!(pool.stats().discarded_dirty, 1);
-        chatty.stop();
     }
 
     #[test]
@@ -468,7 +444,7 @@ mod tests {
         let pool = ConnectionPool::new(origin.addr(), 2);
         let conns: Vec<_> = (0..4).map(|_| pool.checkout().unwrap()).collect();
         for c in conns {
-            pool.checkin(c);
+            pool.checkin(c, Reuse::Keep);
         }
         assert_eq!(pool.idle_len(), 2);
         assert_eq!(pool.stats().discarded_full, 2);

@@ -2,18 +2,20 @@
 //!
 //! Everything between "the plan says *go upstream*" and "the client has
 //! its answer" that needs no socket lives here: which request goes to the
-//! origin ([`first_leg`], [`refetch_leg`], [`speculative_leg`]), how the
-//! response is decoded and whether it buffers or cuts through to the
-//! client ([`ResponseMachine`], under the leg's [`RelayRule`]), the head
-//! a prefix hit sends ahead of it ([`probe_prefix`]), and what the
+//! origin ([`first_leg`], [`refetch_leg`], [`speculative_leg`]), the
+//! attempts that carry it — retry, deadline and reuse
+//! ([`ExchangeMachine`]), how the response is decoded and whether it
+//! buffers or cuts through to the client ([`ResponseMachine`], under the
+//! leg's [`RelayRule`]), the head a prefix hit sends ahead of it
+//! ([`probe_prefix`]), and what the
 //! exchange's [`UpstreamOutcome`] does to the cache, the counters, the
 //! piggyback state and the reply ([`settle`], [`settle_refetch`]). Both
 //! pollers of the proxy service — the blocking one ([`crate::service`])
-//! and the reactor — read bytes, feed the machine, hand its outcome here
-//! through the plan's continuation, and write what comes back — so the
-//! two engines cannot drift (PROTOCOL.md §7.1, §14). The volume center
-//! drives the same machine through the same blocking loop, under the
-//! upstream's own head ([`AsIs`], PROTOCOL.md §14.1).
+//! and the reactor — dial, write, read bytes into the exchange machine,
+//! hand its outcome here through the plan's continuation, and write what
+//! comes back — so the two engines cannot drift (PROTOCOL.md §7.1, §14).
+//! The volume center drives the same machine through the same blocking
+//! loop, under the upstream's own head ([`AsIs`], PROTOCOL.md §14.1).
 
 use crate::obs::LatencyHistogram;
 use crate::prefetch::{self, PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER};
@@ -32,10 +34,11 @@ use piggyback_httpwire::{
     Response, StreamFraming,
 };
 use piggyback_webcache::CacheEntry;
+use std::borrow::Cow;
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering::Relaxed;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Everything the rest of a request needs once planning resolved it to
 /// upstream work, detached from the `Request` (owned path, filter,
@@ -271,8 +274,7 @@ pub(crate) struct AsIs<'h> {
 /// relay / grow-then-relay, writes whatever the client is owed into the
 /// sink the driver flushes, reads the pushed responses a `--push` origin
 /// announced behind it, and ends as the exchange's [`UpstreamOutcome`].
-/// The exchange is retryable exactly while the machine is
-/// [`retryable`](Self::retryable) (PROTOCOL.md §7.1).
+/// Each attempt of an [`ExchangeMachine`] reads its response with one.
 #[derive(Default)]
 pub struct ResponseMachine<'h> {
     rule: Option<RelayRule>,
@@ -332,10 +334,10 @@ impl<'h> ResponseMachine<'h> {
 
     /// May the connection carry another exchange: the response ended
     /// whole, framed (not by the upstream's close) under a head that
-    /// allows keep-alive, and so did every push it announced? The one
-    /// reuse predicate of every hop (PROTOCOL.md §7.1). A burst cut short
-    /// leaves bytes unconsumed or ends in EOF, and a driver never reuses
-    /// a connection after either.
+    /// allows keep-alive, and so did every push it announced? The
+    /// response's half of [`ExchangeMachine::reuse`], which also refuses a
+    /// connection with bytes unread behind the response or after EOF — the
+    /// two ways a burst can be cut short.
     pub fn reusable(&self) -> bool {
         self.main
             .as_ref()
@@ -401,6 +403,170 @@ impl<'h> ResponseMachine<'h> {
             Some(main) => main.into_outcome(self.pushed, self.as_is.and_then(|a| a.hook)),
             None => UpstreamOutcome::Failed,
         }
+    }
+
+    /// A machine for the same leg, before any byte of its response.
+    fn fresh(&self) -> ResponseMachine<'h> {
+        ResponseMachine {
+            rule: self.rule,
+            as_is: self.as_is,
+            accept_push: self.accept_push,
+            ..ResponseMachine::default()
+        }
+    }
+}
+
+/// Bytes one upstream read takes at most: the size of the read buffer an
+/// upstream connection allocates once, at its dial, and every exchange on
+/// it reuses. It holds one read, never the body.
+pub const UPSTREAM_READ: usize = 16 * 1024;
+
+/// What an exchange leaves its connection fit for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reuse {
+    /// The next exchange.
+    Keep,
+    /// Nothing: bytes nobody asked for sit behind the response, so the
+    /// framing of whatever follows cannot be trusted.
+    Unread,
+    /// Nothing: the response or the upstream ended the connection, or the
+    /// exchange did not end.
+    Spent,
+}
+
+/// One upstream exchange, attempt by attempt, written once for every
+/// driver and socket-free (PROTOCOL.md §7.1). It owns the serialized
+/// request and its write cursor, the attempt and its start on a clock the
+/// driver passes in, and the attempt's [`ResponseMachine`]. A driver dials,
+/// writes [`to_write`](Self::to_write), reads into its connection's buffer
+/// and hands each read to [`filled`](Self::filled) until the machine
+/// [`is_done`](Self::is_done); on any failure — I/O error, a response no
+/// machine reads, an EOF before the end, the
+/// [deadline](Self::expired) — it asks [`fail`](Self::fail) whether to go
+/// again on a fresh connection. A failed dial is terminal. At the end
+/// [`reuse`](Self::reuse) says what the connection is fit for and
+/// [`into_outcome`](Self::into_outcome) how the exchange ended.
+pub struct ExchangeMachine<'h> {
+    request: Cow<'h, [u8]>,
+    /// Bytes of `request` written this attempt.
+    written: usize,
+    /// 0, or 1 on the retry.
+    attempt: u8,
+    /// The request may go out twice (it carries no body the upstream may
+    /// have acted on).
+    replayable: bool,
+    started: Instant,
+    response: ResponseMachine<'h>,
+    /// A read this attempt saw EOF.
+    eof: bool,
+    /// A read this attempt brought bytes behind the response.
+    unread: bool,
+}
+
+impl<'h> ExchangeMachine<'h> {
+    /// The first attempt of `request`, read by `response`, started at `now`.
+    pub fn new(
+        request: impl Into<Cow<'h, [u8]>>,
+        replayable: bool,
+        response: ResponseMachine<'h>,
+        now: Instant,
+    ) -> ExchangeMachine<'h> {
+        ExchangeMachine {
+            request: request.into(),
+            written: 0,
+            attempt: 0,
+            replayable,
+            started: now,
+            response,
+            eof: false,
+            unread: false,
+        }
+    }
+
+    /// Request bytes this attempt has not written yet.
+    pub fn to_write(&self) -> &[u8] {
+        &self.request[self.written..]
+    }
+
+    /// `n` bytes of [`to_write`](Self::to_write) went out.
+    pub fn wrote(&mut self, n: usize) {
+        self.written += n;
+    }
+
+    /// One read's bytes off the connection — empty is its EOF — fed to the
+    /// response machine, client bytes appended to `sink`. Returns how many
+    /// were the exchange's: the rest sit unread behind the response. `Err`
+    /// fails the attempt, and so does an EOF the response does not end at.
+    pub fn filled(&mut self, read: &[u8], sink: &mut Vec<u8>) -> Result<usize, HttpError> {
+        self.eof |= read.is_empty();
+        let used = self.response.feed(read, self.eof, sink)?;
+        self.unread |= used < read.len();
+        if self.eof && !self.response.is_done() {
+            return Err(HttpError::ConnectionClosed);
+        }
+        Ok(used)
+    }
+
+    /// Did the exchange end (see [`ResponseMachine::is_done`])?
+    pub fn is_done(&self) -> bool {
+        self.response.is_done()
+    }
+
+    /// Has a byte for the client been staged (see
+    /// [`ResponseMachine::engaged`])?
+    pub fn engaged(&self) -> bool {
+        self.response.engaged()
+    }
+
+    /// When the attempt times out under `timeout`.
+    pub fn deadline(&self, timeout: Duration) -> Instant {
+        self.started + timeout
+    }
+
+    /// Has the attempt's [`deadline`](Self::deadline) passed at `now`?
+    pub fn expired(&self, now: Instant, timeout: Duration) -> bool {
+        now >= self.deadline(timeout)
+    }
+
+    /// The attempt failed. `true`: go again once, on a fresh connection,
+    /// from `now` — only the first attempt of a replayable request whose
+    /// response machine is still [retryable](ResponseMachine::retryable).
+    /// `false`: give up; [`into_outcome`](Self::into_outcome) keeps what is
+    /// worth keeping.
+    pub fn fail(&mut self, now: Instant) -> bool {
+        let again = self.attempt == 0 && self.replayable && self.response.retryable();
+        if again {
+            self.attempt = 1;
+            self.written = 0;
+            self.started = now;
+            self.response = self.response.fresh();
+            self.eof = false;
+            self.unread = false;
+        }
+        again
+    }
+
+    /// What the connection is fit for once the exchange is over: the next
+    /// exchange only if the response machine allows it, no byte sits
+    /// unread behind the response and no read saw EOF.
+    pub fn reuse(&self) -> Reuse {
+        if !self.response.reusable() || self.eof {
+            Reuse::Spent
+        } else if self.unread {
+            Reuse::Unread
+        } else {
+            Reuse::Keep
+        }
+    }
+
+    /// May the connection carry the next exchange?
+    pub fn reusable(&self) -> bool {
+        self.reuse() == Reuse::Keep
+    }
+
+    /// How the exchange ended (see [`ResponseMachine::into_outcome`]).
+    pub fn into_outcome(self) -> UpstreamOutcome {
+        self.response.into_outcome()
     }
 }
 

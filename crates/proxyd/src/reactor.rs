@@ -23,29 +23,30 @@
 //!   and read (slow-loris) timeouts without per-connection timers;
 //! - an **eventfd-backed injection queue** through which other threads
 //!   start detached upstream exchanges (speculative prefetch GETs) and
-//!   wake parked connections ([`Waker`]).
+//!   wake parked connections ([`Waker`]), and a **deferred list** for the
+//!   shard's own upstream starts, run before the next `epoll_wait`.
 //!
-//! The upstream leg (a proxy cache miss fetching from the origin) is a
-//! first-class nonblocking state machine on the same epoll loop: the
-//! service returns [`Served::Upstream`] with a serialized request and a
-//! continuation, the reactor parks the client connection, dials the origin
-//! with a nonblocking `connect` (completion reported via `EPOLLOUT`),
-//! drives the write/read exchange edge-triggered — every byte read, from
-//! the status line on, is fed to the lifecycle's [`ResponseMachine`], the
-//! same one the blocking poller feeds, pushed responses behind the main
-//! one included — and runs the continuation on the reactor thread with
-//! the machine's outcome (or a terminal failure). Upstream connections
-//! are kept alive in a per-shard idle list, so a warm miss path does zero
-//! dials. Work another thread finishes (a demand miss joined to an
-//! in-flight speculation) parks the connection the same way
-//! ([`Served::Park`]) until its [`Waker`] resumes it on this shard. No
-//! request ever leaves its reactor thread: there is no worker pool.
+//! The upstream leg (a proxy cache miss fetching from the origin) runs on
+//! the same epoll loop: the service returns [`Served::Upstream`] with a
+//! serialized request and a continuation, the reactor parks the client
+//! connection, dials the origin with a nonblocking `connect` (completion
+//! reported via `EPOLLOUT`), and moves bytes edge-triggered for the
+//! lifecycle's [`ExchangeMachine`] — the same one the blocking poller
+//! drives, which owns the request's write cursor, the deadline, the
+//! retry contract and the reuse verdict, and feeds every read to its
+//! [`ResponseMachine`]. The continuation runs on the reactor thread with
+//! the machine's outcome. Upstream connections are kept alive in a
+//! per-shard idle list, so a warm miss path does zero dials. Work another
+//! thread finishes (a demand miss joined to an in-flight speculation)
+//! parks the connection the same way ([`Served::Park`]) until its
+//! [`Waker`] resumes it on this shard. No request ever leaves its reactor
+//! thread: there is no worker pool.
 //!
 //! Cache hits, errors, and every client-side read/write stay on the
 //! reactor, so a slow client can stall only its own connection —
 //! readiness on WRITABLE drains the rest.
 
-use crate::lifecycle::ResponseMachine;
+use crate::lifecycle::{ExchangeMachine, ResponseMachine, UPSTREAM_READ};
 use crate::service::{ClientMachine, ResumeFn, Served, Service, UpstreamNext, UpstreamPlan, Waker};
 use crate::util::{IoStats, OpenGuard, ServerHandle};
 use piggyback_httpwire::ConnScratch;
@@ -157,8 +158,6 @@ const UPSTREAM_BIT: u64 = 1 << 63;
 /// Generation mask keeping slab tokens clear of [`UPSTREAM_BIT`].
 const GEN_MASK: u32 = 0x7FFF_FFFF;
 
-/// Bytes read per nonblocking read() call on an upstream connection.
-const READ_CHUNK: usize = 16 * 1024;
 /// Timer wheel granularity: slots per full idle-timeout revolution.
 const WHEEL_SLOTS: usize = 64;
 /// Cap on accepts drained per readiness event, so one accept storm cannot
@@ -372,8 +371,9 @@ pub struct ReactorOptions {
     /// Close connections with no client activity for this long; also the
     /// read deadline for an incomplete request (slow-loris guard).
     pub idle_timeout: Duration,
-    /// Per-attempt deadline for a nonblocking upstream exchange; a stalled
-    /// exchange is killed (and retried once, then failed) when it fires.
+    /// Deadline of a nonblocking upstream exchange, from its start and
+    /// again from its retry; a stalled exchange is killed (and retried
+    /// once, then failed) when it fires.
     /// Idle kept-alive upstream connections are reaped on the same clock.
     pub upstream_timeout: Duration,
     /// Kept-alive idle upstream connections retained per reactor shard.
@@ -404,25 +404,23 @@ pub fn resolve_reactors(requested: usize) -> usize {
 // ---------------------------------------------------------------------------
 // injection
 
-/// Work injected into a reactor from another thread (or deferred by the
-/// reactor itself to break re-entrancy).
+/// Work injected into a reactor from another thread.
 enum Inbound {
-    /// Start an upstream exchange. `client` is the parked client token;
-    /// None for detached prefetch plans, whose continuation settles the
-    /// speculation ledger. Routed through the queue (even shard-locally)
-    /// so exchange continuations always run at top level — never inside
-    /// the `pump` that produced the plan.
-    Start {
-        plan: UpstreamPlan,
-        client: Option<u64>,
-    },
-    /// An exchange failed before it could touch the event loop (instant
-    /// dial failure); finish it at top level instead of recursing into
-    /// `pump` from inside `pump`.
-    Failed(Exchange),
+    /// Start a detached upstream plan (a speculative prefetch GET), whose
+    /// continuation settles the speculation ledger.
+    Start(UpstreamPlan),
     /// A parked connection's [`Waker`] fired: run `then` for it, or close
     /// it when the waker was dropped unfired.
     Resume { token: u64, then: Option<ResumeFn> },
+}
+
+/// Work a shard defers to its own top level, so a continuation never runs
+/// inside the `pump` that produced it; run before the next `epoll_wait`.
+enum Deferred {
+    /// Start the upstream plan the client connection `client` parked on.
+    Start { plan: UpstreamPlan, client: u64 },
+    /// Finish an exchange whose dial failed at once.
+    Failed(Exchange),
 }
 
 /// Cross-thread injection queue into one reactor, woken via eventfd.
@@ -466,7 +464,7 @@ impl ReactorSubmitter {
     /// that reactor thread.
     pub fn submit(&self, plan: UpstreamPlan) {
         let i = self.next.fetch_add(1, Ordering::Relaxed) as usize % self.injectors.len();
-        self.injectors[i].push(Inbound::Start { plan, client: None });
+        self.injectors[i].push(Inbound::Start(plan));
     }
 }
 
@@ -631,42 +629,27 @@ impl Wheel {
 // ---------------------------------------------------------------------------
 // upstream connection state machine
 
-/// Lifecycle of one nonblocking origin connection.
-enum UpPhase {
-    /// `connect()` returned `EINPROGRESS`; completion arrives as
-    /// `EPOLLOUT` (success/failure read via `SO_ERROR`).
-    Dialing,
-    /// Driving an exchange: writing the request and/or reading the
-    /// response.
-    Busy,
-    /// Kept alive in the shard's idle list awaiting the next miss.
-    Idle,
-}
-
-/// One in-flight upstream exchange, attached to a [`UpConn`].
+/// One in-flight upstream exchange, attached to an [`UpConn`].
 struct Exchange {
+    /// The plan's continuation and retry hook (its request moved into the
+    /// machine).
     plan: UpstreamPlan,
     /// Parked client connection token (None for detached prefetch plans).
     client: Option<u64>,
-    /// 0 = first attempt; 1 = retry on a fresh connection.
-    attempt: u8,
-    /// Write cursor into `plan.request`.
-    wpos: usize,
-    /// Per-attempt deadline base for the upstream timeout wheel.
-    started: Instant,
-    /// Reads this attempt's response. Boxed: an idle exchange slot stays
-    /// small.
-    machine: Box<ResponseMachine<'static>>,
+    /// Boxed: an idle exchange slot stays small.
+    machine: Box<ExchangeMachine<'static>>,
 }
 
-/// A nonblocking origin connection owned by one reactor shard.
+/// A nonblocking origin connection owned by one reactor shard: mid-dial
+/// (`connect()` returned `EINPROGRESS`; `EPOLLOUT` plus `SO_ERROR` report
+/// the result), driving `ex`, or — with no `ex` — kept alive in the
+/// shard's idle list awaiting the next miss.
 struct UpConn {
     stream: TcpStream,
-    phase: UpPhase,
-    /// Response bytes read and not yet fed: at most one read's worth —
-    /// never the body.
-    rbuf: Vec<u8>,
-    read_eof: bool,
+    dialing: bool,
+    /// One read's bytes, allocated at the dial: never the body.
+    buf: Vec<u8>,
+    /// When it went idle.
     last_active: Instant,
     ex: Option<Exchange>,
 }
@@ -701,6 +684,7 @@ struct Reactor<S: Service> {
     accept_backoff: Duration,
     expired_buf: Vec<u64>,
     comp_buf: Vec<Inbound>,
+    deferred: VecDeque<Deferred>,
     /// Scratch + sink for continuations whose client connection died
     /// mid-exchange (the continuation must still run: request counters
     /// were bumped at plan time and conservation needs the outcome).
@@ -767,6 +751,7 @@ impl<S: Service> Reactor<S> {
                 next_tick += tick;
                 now = Instant::now();
             }
+            self.run_deferred();
         }
     }
 
@@ -882,52 +867,28 @@ impl<S: Service> Reactor<S> {
     }
 
     /// Lazy expiry for an upstream token: reap idle connections past the
-    /// upstream timeout, kill stalled exchanges (counted, then treated as
-    /// an exchange I/O error: one retry on a fresh connection, then
-    /// failure), reschedule everything still fresh.
+    /// upstream timeout, kill exchanges past their machine's deadline
+    /// (counted, then failed like any I/O error), reschedule everything
+    /// still fresh.
     fn upstream_tick(&mut self, token: u64) {
-        enum Verdict {
-            Reschedule(Duration),
-            Reap,
-            Stalled,
-        }
-        let verdict = match self.upstreams.get_mut(token & !UPSTREAM_BIT) {
-            None => return,
-            Some(up) => match up.phase {
-                UpPhase::Idle => {
-                    let idle = up.last_active.elapsed();
-                    if idle >= self.upstream_timeout {
-                        Verdict::Reap
-                    } else {
-                        Verdict::Reschedule(self.upstream_timeout.saturating_sub(idle))
-                    }
-                }
-                UpPhase::Dialing | UpPhase::Busy => {
-                    let ran = up
-                        .ex
-                        .as_ref()
-                        .map(|ex| ex.started.elapsed())
-                        .unwrap_or_default();
-                    if ran >= self.upstream_timeout {
-                        Verdict::Stalled
-                    } else {
-                        Verdict::Reschedule(self.upstream_timeout.saturating_sub(ran))
-                    }
-                }
-            },
+        let Some(up) = self.upstreams.get_mut(token & !UPSTREAM_BIT) else {
+            return;
         };
-        match verdict {
-            Verdict::Reschedule(remain) => {
-                let ticks = self.wheel.ticks_for(remain.max(self.wheel.tick));
-                self.wheel.schedule(token, ticks);
-            }
-            Verdict::Reap => self.close_upstream(token),
-            Verdict::Stalled => {
-                self.shard_stats()
-                    .upstream_timeouts
-                    .fetch_add(1, Ordering::Relaxed);
-                self.upstream_exchange_error(token);
-            }
+        let deadline = match &up.ex {
+            Some(ex) => ex.machine.deadline(self.upstream_timeout),
+            None => up.last_active + self.upstream_timeout,
+        };
+        let now = Instant::now();
+        if now < deadline {
+            let ticks = self.wheel.ticks_for((deadline - now).max(self.wheel.tick));
+            self.wheel.schedule(token, ticks);
+        } else if up.ex.is_none() {
+            self.close_upstream(token);
+        } else {
+            self.shard_stats()
+                .upstream_timeouts
+                .fetch_add(1, Ordering::Relaxed);
+            self.upstream_exchange_error(token);
         }
     }
 
@@ -1032,15 +993,15 @@ impl<S: Service> Reactor<S> {
     }
 
     /// Hand a parked connection's pending work to whatever answers it:
-    /// an upstream plan starts at top level — deferred through the
-    /// shard-local queue, so it never re-enters the `pump` that produced
-    /// it — and a park closure gets the connection's [`Waker`].
+    /// an upstream plan starts at top level — deferred, so it never
+    /// re-enters the `pump` that produced it — and a park closure gets the
+    /// connection's [`Waker`].
     fn park(&mut self, token: u64, served: Served) {
         match served {
             Served::Inline => {}
-            Served::Upstream(plan) => self.inject.push(Inbound::Start {
+            Served::Upstream(plan) => self.deferred.push_back(Deferred::Start {
                 plan,
-                client: Some(token),
+                client: token,
             }),
             Served::Park(register) => {
                 let inject = Arc::clone(&self.inject);
@@ -1056,12 +1017,22 @@ impl<S: Service> Reactor<S> {
         self.inject.drain_into(&mut comps);
         for inbound in comps.drain(..) {
             match inbound {
-                Inbound::Start { plan, client } => self.start_upstream(plan, client, 0),
-                Inbound::Failed(ex) => self.finish_exchange(ex),
+                Inbound::Start(plan) => self.start_upstream(plan, None),
                 Inbound::Resume { token, then } => self.resume(token, then),
             }
         }
         self.comp_buf = comps;
+    }
+
+    /// Run deferred work until none is left; what it defers in turn runs
+    /// too, still before the next `epoll_wait`.
+    fn run_deferred(&mut self) {
+        while let Some(deferred) = self.deferred.pop_front() {
+            match deferred {
+                Deferred::Start { plan, client } => self.start_upstream(plan, Some(client)),
+                Deferred::Failed(ex) => self.finish_exchange(ex),
+            }
+        }
     }
 
     /// Run a woken connection's continuation on this shard — into the
@@ -1093,7 +1064,7 @@ impl<S: Service> Reactor<S> {
             // A relay feeding this client has nowhere to write: abort it
             // now instead of waiting for the upstream timeout wheel.
             if let Some(u) = conn.relay_up {
-                self.settle_upstream(u, false);
+                self.settle_upstream(u);
             }
             // Dropping conn closes the socket and releases the OpenGuard.
         }
@@ -1101,182 +1072,127 @@ impl<S: Service> Reactor<S> {
 
     // -- nonblocking upstream leg --------------------------------------------
 
-    /// Begin (or continue, on retry) an upstream exchange: reuse a healthy
-    /// kept-alive connection or dial fresh. `client` is the parked client
-    /// token (None for detached prefetch plans); `attempt` 1 marks the
-    /// one-shot retry on a fresh connection.
-    fn start_upstream(&mut self, plan: UpstreamPlan, client: Option<u64>, attempt: u8) {
+    /// Begin an upstream exchange: reuse a healthy kept-alive connection or
+    /// dial fresh. `client` is the parked client token (None for detached
+    /// prefetch plans).
+    fn start_upstream(&mut self, mut plan: UpstreamPlan, client: Option<u64>) {
+        self.shard_stats()
+            .upstream_inflight
+            .fetch_add(1, Ordering::Relaxed);
+        let request = std::mem::take(&mut plan.request);
+        let response = ResponseMachine::new(plan.relay, plan.accept_push);
+        let machine = ExchangeMachine::new(request, true, response, Instant::now());
         let ex = Exchange {
-            machine: Box::new(ResponseMachine::new(plan.relay, plan.accept_push)),
             plan,
             client,
-            attempt,
-            wpos: 0,
-            started: Instant::now(),
+            machine: Box::new(machine),
         };
-        if attempt == 0 {
-            self.shard_stats()
-                .upstream_inflight
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        // Reuse: pop idle connections to this origin until one passes the
-        // quiet-peek health check (WouldBlock ⇔ open and silent — the same
-        // probe as the threaded pool's checkout).
-        if attempt == 0 {
-            let mut reuse = None;
-            while let Some(utoken) = self.idle_ups.pop_front() {
-                let healthy = match self.upstreams.get_mut(utoken & !UPSTREAM_BIT) {
-                    None => false,
-                    Some(up) => {
-                        let mut probe = [0u8; 1];
-                        matches!(
-                            up.stream.peek(&mut probe),
-                            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock
-                        )
-                    }
-                };
-                if healthy {
-                    reuse = Some(utoken);
-                    break;
-                }
+        // Reuse: pop idle connections until one passes the quiet-peek
+        // health check (WouldBlock ⇔ open and silent — the same probe as
+        // the blocking pool's checkout).
+        while let Some(utoken) = self.idle_ups.pop_front() {
+            let Some(up) = self.upstreams.get_mut(utoken & !UPSTREAM_BIT).filter(|up| {
+                let mut probe = [0u8; 1];
+                matches!(
+                    up.stream.peek(&mut probe),
+                    Err(ref e) if e.kind() == io::ErrorKind::WouldBlock
+                )
+            }) else {
                 self.close_upstream(utoken);
-            }
-            if let Some(utoken) = reuse {
-                self.shard_stats()
-                    .upstream_reuses
-                    .fetch_add(1, Ordering::Relaxed);
-                let up = self
-                    .upstreams
-                    .get_mut(utoken & !UPSTREAM_BIT)
-                    .expect("healthy idle upstream");
-                up.phase = UpPhase::Busy;
-                up.rbuf.clear();
-                up.read_eof = false;
-                up.last_active = Instant::now();
-                up.ex = Some(ex);
-                // The single wheel entry created at dial time is still
-                // live (lazy revalidation reschedules it for the life of
-                // the connection), so no new entry here — duplicates
-                // would accumulate one per reuse.
-                self.drive_upstream(utoken);
-                return;
-            }
+                continue;
+            };
+            up.ex = Some(ex);
+            self.shard_stats()
+                .upstream_reuses
+                .fetch_add(1, Ordering::Relaxed);
+            // The single wheel entry created at dial time is still live
+            // (lazy revalidation reschedules it for the life of the
+            // connection), so no new entry here — duplicates would
+            // accumulate one per reuse.
+            self.drive_upstream(utoken);
+            return;
         }
         self.dial_upstream(ex);
     }
 
-    /// Fresh nonblocking dial for `ex`. Instant failures are deferred
-    /// through the injector so the continuation never runs inside `pump`.
+    /// Fresh nonblocking dial for `ex`. A dial that fails at once — a
+    /// failed dial is terminal — is finished at top level, never inside
+    /// `pump`.
     fn dial_upstream(&mut self, ex: Exchange) {
         self.shard_stats()
             .upstream_dials
             .fetch_add(1, Ordering::Relaxed);
-        match dial_nonblocking(ex.plan.origin) {
-            Err(_) => {
-                // Mirrors the threaded path: a connect error propagates
-                // immediately (no retry), on either attempt.
-                self.inject.push(Inbound::Failed(ex));
-            }
-            Ok((stream, connected)) => {
-                let up = UpConn {
-                    stream,
-                    phase: if connected {
-                        UpPhase::Busy
-                    } else {
-                        UpPhase::Dialing
-                    },
-                    rbuf: Vec::new(),
-                    read_eof: false,
-                    last_active: Instant::now(),
-                    ex: Some(ex),
-                };
-                let fd = up.stream.as_raw_fd();
-                let utoken = self.upstreams.insert(up) | UPSTREAM_BIT;
-                let interest = sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLRDHUP | sys::EPOLLET;
-                if self.ep.add(fd, utoken, interest).is_err() {
-                    let up = self.upstreams.remove(utoken & !UPSTREAM_BIT);
-                    if let Some(ex) = up.and_then(|u| u.ex) {
-                        self.inject.push(Inbound::Failed(ex));
-                    }
-                    return;
-                }
-                let ticks = self.wheel.ticks_for(self.upstream_timeout);
-                self.wheel.schedule(utoken, ticks);
-                if connected {
-                    self.drive_upstream(utoken);
-                }
-            }
-        }
-    }
-
-    /// Readiness on an upstream token: finish dialing, write the request,
-    /// read/parse the response.
-    fn upstream_event(&mut self, utoken: u64, mask: u32) {
-        let phase = match self.upstreams.get_mut(utoken & !UPSTREAM_BIT) {
-            None => return,
-            Some(up) => match up.phase {
-                UpPhase::Dialing => 0,
-                UpPhase::Busy => 1,
-                UpPhase::Idle => 2,
-            },
+        let Ok((stream, connected)) = dial_nonblocking(ex.plan.origin) else {
+            self.deferred.push_back(Deferred::Failed(ex));
+            return;
         };
-        match phase {
-            0 => {
-                // Dial completion: EPOLLOUT on success, EPOLLOUT|ERR|HUP
-                // on failure — SO_ERROR tells which.
-                if mask & (sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP) != 0 {
-                    let fd = self
-                        .upstreams
-                        .get_mut(utoken & !UPSTREAM_BIT)
-                        .map(|up| up.stream.as_raw_fd());
-                    let Some(fd) = fd else { return };
-                    if so_error(fd) == 0 {
-                        if let Some(up) = self.upstreams.get_mut(utoken & !UPSTREAM_BIT) {
-                            up.phase = UpPhase::Busy;
-                            up.last_active = Instant::now();
-                        }
-                        self.drive_upstream(utoken);
-                    } else {
-                        // Connect failed: no retry, same as the threaded
-                        // pool's checkout error propagating.
-                        self.settle_upstream(utoken, false);
-                    }
-                }
+        let fd = stream.as_raw_fd();
+        let up = UpConn {
+            stream,
+            dialing: !connected,
+            buf: vec![0; UPSTREAM_READ],
+            last_active: Instant::now(),
+            ex: Some(ex),
+        };
+        let utoken = self.upstreams.insert(up) | UPSTREAM_BIT;
+        let interest = sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLRDHUP | sys::EPOLLET;
+        if self.ep.add(fd, utoken, interest).is_err() {
+            let up = self.upstreams.remove(utoken & !UPSTREAM_BIT);
+            if let Some(ex) = up.and_then(|u| u.ex) {
+                self.deferred.push_back(Deferred::Failed(ex));
             }
-            1 => {
-                if mask & sys::EPOLLERR != 0 {
-                    self.upstream_exchange_error(utoken);
-                    return;
-                }
-                self.drive_upstream(utoken);
-            }
-            _ => {
-                // Any event on a parked idle connection (origin FIN,
-                // unsolicited bytes) poisons it.
-                if mask & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) != 0 {
-                    self.close_upstream(utoken);
-                }
-            }
+            return;
+        }
+        let ticks = self.wheel.ticks_for(self.upstream_timeout);
+        self.wheel.schedule(utoken, ticks);
+        if connected {
+            self.drive_upstream(utoken);
         }
     }
 
-    /// Write request bytes, then read response bytes and feed them to the
-    /// exchange's [`ResponseMachine`] until EAGAIN: every read is fed and
-    /// forgotten. An engaged machine writes straight into the parked
-    /// client's output buffer; origin reads pause while that client sits
-    /// above the high-water mark. Terminal conditions route to
-    /// settle/retry.
+    /// Readiness on an upstream token: finish dialing, or drive the
+    /// exchange. Any event on an idle connection (origin FIN, unsolicited
+    /// bytes) poisons it.
+    fn upstream_event(&mut self, utoken: u64, mask: u32) {
+        let Some(up) = self.upstreams.get_mut(utoken & !UPSTREAM_BIT) else {
+            return;
+        };
+        if up.ex.is_none() {
+            if mask & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) != 0 {
+                self.close_upstream(utoken);
+            }
+        } else if up.dialing {
+            // Dial completion: EPOLLOUT on success, EPOLLOUT|ERR|HUP on
+            // failure — SO_ERROR tells which. A failed dial is terminal.
+            if mask & (sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP) == 0 {
+                return;
+            }
+            if so_error(up.stream.as_raw_fd()) != 0 {
+                self.settle_upstream(utoken);
+                return;
+            }
+            up.dialing = false;
+            self.drive_upstream(utoken);
+        } else if mask & sys::EPOLLERR != 0 {
+            self.upstream_exchange_error(utoken);
+        } else {
+            self.drive_upstream(utoken);
+        }
+    }
+
+    /// Move bytes for the exchange machine: write what it has to write,
+    /// then read into the connection's buffer and hand it each read, until
+    /// it is done or the socket would block. An engaged machine writes
+    /// straight into the parked client's output buffer; origin reads pause
+    /// while that client sits above the high-water mark. The end and every
+    /// failure route to settle/retry.
     fn drive_upstream(&mut self, utoken: u64) {
         enum Out {
             Wait,
             Error,
-            /// The response ended; `dirty` forbids parking the connection.
-            Done {
-                dirty: bool,
-            },
-            /// The parked client vanished around a relay: terminal, never
-            /// retried.
-            ClientGone,
+            /// The response ended, or the parked client of a relay
+            /// vanished (terminal, never retried).
+            Settle,
         }
         loop {
             let mut flush_client = None;
@@ -1291,44 +1207,32 @@ impl<S: Service> Reactor<S> {
                     ..
                 } = self;
                 let stats = &metrics.shards[*shard];
-                let up = match upstreams.get_mut(utoken & !UPSTREAM_BIT) {
-                    Some(u) => u,
-                    None => return,
+                let Some(up) = upstreams.get_mut(utoken & !UPSTREAM_BIT) else {
+                    return;
                 };
                 let Some(ex) = up.ex.as_mut() else { return };
+                let machine = &mut ex.machine;
+                let mut client = ex.client.and_then(|t| slab.get_mut(t));
                 let mut verdict = Out::Wait;
-                // Write leg.
-                while ex.wpos < ex.plan.request.len() {
-                    match up.stream.write(&ex.plan.request[ex.wpos..]) {
-                        Ok(0) => {
-                            verdict = Out::Error;
-                            break;
-                        }
-                        Ok(n) => ex.wpos += n,
+                while !machine.to_write().is_empty() {
+                    match up.stream.write(machine.to_write()) {
+                        Ok(n) if n > 0 => machine.wrote(n),
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        _ => {
                             verdict = Out::Error;
                             break;
                         }
                     }
                 }
-                // Read leg (only meaningful once the request is fully out,
-                // but draining early bytes is harmless and keeps ET armed).
-                // A buffering machine never touches its sink, so a
-                // detached (or orphaned) exchange lends it the spare one.
-                let mut client = ex.client.and_then(|t| slab.get_mut(t));
+                // Reading before the request is fully out is harmless and
+                // keeps ET armed. A buffering machine never touches its
+                // sink, so a detached (or orphaned) exchange lends it the
+                // spare one.
                 while matches!(verdict, Out::Wait) {
-                    let sink = match client.as_mut() {
-                        Some(conn) => conn.machine.stage().1,
-                        None => &mut *spare_out,
-                    };
-                    let machine = &mut ex.machine;
-                    let fed = machine.feed(&up.rbuf, up.read_eof, sink);
-                    let mut paused = false;
                     if machine.engaged() {
                         let Some(conn) = client.as_mut() else {
-                            verdict = Out::ClientGone;
+                            verdict = Out::Settle;
                             break;
                         };
                         if conn.relay_up.is_none() {
@@ -1336,59 +1240,36 @@ impl<S: Service> Reactor<S> {
                             stats.relays.fetch_add(1, Ordering::Relaxed);
                         }
                         flush_client = ex.client;
-                        paused = conn.machine.backlogged();
+                        backpressured = conn.machine.backlogged();
                     }
-                    let Ok(consumed) = fed else {
-                        verdict = Out::Error;
-                        break;
-                    };
-                    up.rbuf.drain(..consumed);
                     if machine.is_done() {
-                        // Leftover bytes after a complete response poison
-                        // the framing; such a connection must not be
-                        // parked (same contract as the pool's dirty
-                        // checkin refusal).
-                        verdict = Out::Done {
-                            dirty: !machine.reusable() || !up.rbuf.is_empty() || up.read_eof,
-                        };
+                        verdict = Out::Settle;
                         break;
                     }
-                    if paused {
+                    if backpressured {
                         // Slow reader: stop pulling from the origin until
                         // the client drains (the flush path re-drives this
                         // exchange).
                         stats.relay_paused.fetch_add(1, Ordering::Relaxed);
-                        backpressured = true;
                         break;
                     }
-                    if up.read_eof {
-                        // Every EOF ends the response or fails it above;
-                        // never re-read `Ok(0)`.
-                        verdict = Out::Error;
-                        break;
-                    }
-                    let old = up.rbuf.len();
-                    up.rbuf.resize(old + READ_CHUNK, 0);
-                    match up.stream.read(&mut up.rbuf[old..]) {
-                        Ok(0) => {
-                            up.rbuf.truncate(old);
-                            up.read_eof = true;
-                        }
-                        Ok(n) => up.rbuf.truncate(old + n),
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            up.rbuf.truncate(old);
+                    let n = match up.stream.read(&mut up.buf) {
+                        Ok(n) => n,
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                        Err(_) => {
+                            verdict = Out::Error;
                             break;
                         }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                            up.rbuf.truncate(old);
-                        }
-                        Err(_) => {
-                            up.rbuf.truncate(old);
-                            verdict = Out::Error;
-                        }
+                    };
+                    let sink = match client.as_mut() {
+                        Some(conn) => conn.machine.stage().1,
+                        None => &mut *spare_out,
+                    };
+                    if machine.filled(&up.buf[..n], sink).is_err() {
+                        verdict = Out::Error;
                     }
                 }
-                up.last_active = Instant::now();
                 verdict
             };
             match out {
@@ -1398,53 +1279,39 @@ impl<S: Service> Reactor<S> {
                         // edge-triggered registration, no EPOLLOUT arrives
                         // for a socket that was already writable.
                         if self.flush_conn(ct) {
-                            // Client closed while flushing; re-enter so the
-                            // relay step observes ClientGone.
+                            // Client closed while flushing (which settled
+                            // the relay): re-enter to see it.
                             continue;
                         }
-                        if backpressured {
-                            let freed = self
+                        if backpressured
+                            && self
                                 .slab
                                 .get_mut(ct)
-                                .is_some_and(|c| !c.machine.backlogged());
-                            if freed {
-                                continue;
-                            }
+                                .is_some_and(|c| !c.machine.backlogged())
+                        {
+                            continue;
                         }
                     }
                     return;
                 }
-                Out::Error => {
-                    self.upstream_exchange_error(utoken);
-                    return;
-                }
-                Out::Done { dirty } => {
-                    self.settle_upstream(utoken, !dirty);
-                    return;
-                }
-                Out::ClientGone => {
-                    self.settle_upstream(utoken, false);
-                    return;
-                }
+                Out::Error => return self.upstream_exchange_error(utoken),
+                Out::Settle => return self.settle_upstream(utoken),
             }
         }
     }
 
-    /// Mid-exchange failure (I/O error, EOF, malformed response, timeout):
-    /// retry once on a fresh connection, then fail terminally. The dead
-    /// connection is always closed. A machine that is no longer
-    /// retryable never goes again — bytes already reached the client (a
-    /// second attempt would splice a second body into the stream), or the
-    /// response is whole and only its push burst was cut short.
+    /// The exchange failed (I/O error, EOF, a response no machine reads,
+    /// the deadline): the dead connection is closed, and the exchange
+    /// machine says whether the exchange goes again on a fresh one or is
+    /// settled (PROTOCOL.md §7.1).
     fn upstream_exchange_error(&mut self, utoken: u64) {
-        let retryable = self
+        let again = self
             .upstreams
             .get_mut(utoken & !UPSTREAM_BIT)
-            .and_then(|up| up.ex.as_ref())
-            .is_some_and(|ex| ex.attempt == 0 && ex.machine.retryable());
-        if !retryable {
-            self.settle_upstream(utoken, false);
-            return;
+            .and_then(|up| up.ex.as_mut())
+            .is_some_and(|ex| ex.machine.fail(Instant::now()));
+        if !again {
+            return self.settle_upstream(utoken);
         }
         let ex = self
             .upstreams
@@ -1453,28 +1320,24 @@ impl<S: Service> Reactor<S> {
         self.close_upstream(utoken);
         let Some(ex) = ex else { return };
         (ex.plan.retry)();
-        let Exchange { plan, client, .. } = ex;
-        self.start_upstream(plan, client, 1);
+        self.dial_upstream(ex);
     }
 
-    /// The exchange is over — its response ended, or it was given up
-    /// (dial failure, second failed attempt, aborted relay): park the
-    /// origin connection if it is `reusable`, close it otherwise, then run
-    /// the continuation with the machine's outcome.
-    fn settle_upstream(&mut self, utoken: u64, reusable: bool) {
-        let ex = self
-            .upstreams
-            .get_mut(utoken & !UPSTREAM_BIT)
-            .and_then(|up| up.ex.take());
-        if !reusable || self.idle_ups.len() >= self.upstream_max_idle {
-            self.close_upstream(utoken);
-        } else if let Some(up) = self.upstreams.get_mut(utoken & !UPSTREAM_BIT) {
-            up.phase = UpPhase::Idle;
-            up.rbuf.clear();
+    /// The exchange is over — its response ended, or it was given up:
+    /// park the origin connection if the machine finds it reusable and
+    /// the idle list has room, close it otherwise, then run the
+    /// continuation with the machine's outcome.
+    fn settle_upstream(&mut self, utoken: u64) {
+        let Some(up) = self.upstreams.get_mut(utoken & !UPSTREAM_BIT) else {
+            return;
+        };
+        let Some(ex) = up.ex.take() else { return };
+        if ex.machine.reusable() && self.idle_ups.len() < self.upstream_max_idle {
             up.last_active = Instant::now();
             self.idle_ups.push_back(utoken);
+        } else {
+            self.close_upstream(utoken);
         }
-        let Some(ex) = ex else { return };
         if let Some(conn) = ex.client.and_then(|t| self.slab.get_mut(t)) {
             conn.relay_up = None;
         }
@@ -1490,7 +1353,6 @@ impl<S: Service> Reactor<S> {
             plan,
             client,
             machine,
-            ..
         } = ex;
         let outcome = machine.into_outcome();
         let client = client.filter(|t| self.slab.get_mut(*t).is_some());
@@ -1505,23 +1367,17 @@ impl<S: Service> Reactor<S> {
                 (plan.finish)(&mut self.spare_scratch, &mut self.spare_out, outcome)
             }
         };
+        self.shard_stats()
+            .upstream_inflight
+            .fetch_sub(1, Ordering::Relaxed);
         match next {
-            Ok(UpstreamNext::Again(plan2)) => {
-                // A chained exchange (refetch after a 304 whose body was
-                // evicted) gets its own two attempts, matching the
-                // threaded path's per-exchange retry loop.
-                self.shard_stats()
-                    .upstream_inflight
-                    .fetch_sub(1, Ordering::Relaxed);
-                self.start_upstream(plan2, client, 0);
-            }
+            // A chained exchange (the refetch after a 304 whose body was
+            // evicted) is an exchange of its own, retry included.
+            Ok(UpstreamNext::Again(plan)) => self.start_upstream(plan, client),
             // An `Err` can only end in a truncation: drain what is staged
             // — the client head and a strict prefix of the body — then
             // close.
             done => {
-                self.shard_stats()
-                    .upstream_inflight
-                    .fetch_sub(1, Ordering::Relaxed);
                 if let Some(token) = client {
                     let conn = self.slab.get_mut(token).expect("checked above");
                     conn.machine.unpark(done.is_ok());
@@ -1651,6 +1507,7 @@ pub fn serve_reactor<S: Service>(
                 accept_backoff: ACCEPT_BACKOFF_MIN,
                 expired_buf: Vec::new(),
                 comp_buf: Vec::new(),
+                deferred: VecDeque::new(),
                 spare_scratch: ConnScratch::new(),
                 spare_out: Vec::new(),
             };
@@ -1689,8 +1546,6 @@ pub fn serve_reactor<S: Service>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lifecycle::UpstreamOutcome;
-    use piggyback_httpwire::Request;
 
     #[test]
     fn slab_tokens_survive_aba() {
@@ -1734,201 +1589,5 @@ mod tests {
         assert!(out.is_empty());
         w.advance_into(&mut out);
         assert_eq!(out, vec![UPSTREAM_BIT | 2]);
-    }
-
-    fn read_response(s: &mut TcpStream, path: &str) -> String {
-        let want = format!(
-            "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{}",
-            path.len(),
-            path
-        );
-        let mut buf = vec![0u8; want.len()];
-        s.read_exact(&mut buf).unwrap();
-        String::from_utf8(buf).unwrap()
-    }
-
-    /// Forwarding service: every request becomes a nonblocking upstream
-    /// exchange against a real (blocking, keep-alive) origin.
-    struct Fwd {
-        origin: SocketAddr,
-    }
-
-    impl Service for Fwd {
-        type Ctx = ();
-
-        fn make_ctx(&self) {}
-
-        fn handle(
-            &self,
-            req: &Request,
-            _peer: SocketAddr,
-            _ctx: &mut (),
-            _scratch: &mut ConnScratch,
-            _out: &mut Vec<u8>,
-        ) -> io::Result<Served> {
-            let request = format!("GET {} HTTP/1.1\r\nHost: fwd\r\n\r\n", req.target).into_bytes();
-            Ok(Served::Upstream(UpstreamPlan {
-                origin: self.origin,
-                request,
-                finish: Box::new(|_scratch, out, outcome| {
-                    match outcome {
-                        UpstreamOutcome::Response(resp, _) => {
-                            write!(
-                                out,
-                                "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n",
-                                resp.body.len()
-                            )?;
-                            out.extend_from_slice(&resp.body);
-                        }
-                        UpstreamOutcome::Failed
-                        | UpstreamOutcome::Streamed { .. }
-                        | UpstreamOutcome::StreamFailed { .. } => {
-                            write!(out, "HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")?;
-                        }
-                    }
-                    Ok(UpstreamNext::Done)
-                }),
-                retry: Box::new(|| {}),
-                relay: None,
-                accept_push: false,
-            }))
-        }
-    }
-
-    /// Keep-alive echo origin for the forwarding tests.
-    fn spawn_echo_origin() -> crate::util::ServerHandle {
-        crate::util::serve(0, "fwd-origin", |stream| {
-            let mut r = std::io::BufReader::new(stream.try_clone().unwrap());
-            let mut w = std::io::BufWriter::new(stream);
-            while let Ok(req) = Request::read(&mut r) {
-                let mut resp = piggyback_httpwire::Response::new(200);
-                resp.body = req.target.clone().into_bytes().into();
-                if resp.write(&mut w).is_err() {
-                    break;
-                }
-            }
-        })
-        .unwrap()
-    }
-
-    /// The nonblocking upstream leg serves misses on the reactor and keeps
-    /// the origin connection alive across exchanges (second request
-    /// reuses, no second dial).
-    #[test]
-    fn nonblocking_upstream_roundtrip_reuses_connections() {
-        let origin = spawn_echo_origin();
-        let metrics = Arc::new(ReactorMetrics::new(1));
-        let handle = serve_reactor(
-            0,
-            "fwd-reactor",
-            ReactorOptions {
-                idle_timeout: Duration::from_secs(30),
-                ..ReactorOptions::default()
-            },
-            Arc::new(IoStats::default()),
-            Arc::clone(&metrics),
-            Arc::new(Fwd {
-                origin: origin.addr,
-            }),
-        )
-        .unwrap();
-        let mut c = TcpStream::connect(handle.addr).unwrap();
-        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        for path in ["/up1", "/up2", "/up3"] {
-            c.write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes())
-                .unwrap();
-            assert!(read_response(&mut c, path).ends_with(path));
-        }
-        let s = &metrics.shards[0];
-        assert_eq!(s.upstream_dials(), 1, "one dial, then keep-alive reuse");
-        assert_eq!(s.upstream_reuses(), 2);
-        assert_eq!(s.upstream_inflight(), 0, "gauge must settle to zero");
-        handle.stop();
-        origin.stop();
-    }
-
-    /// A dead origin (connection refused) fails the exchange without a
-    /// retry — same contract as the threaded pool's checkout error — and
-    /// the continuation synthesizes the 502.
-    #[test]
-    fn upstream_dial_failure_yields_502() {
-        let dead = {
-            // Grab a port that is certainly closed.
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        let handle = serve_reactor(
-            0,
-            "dead-fwd-reactor",
-            ReactorOptions {
-                idle_timeout: Duration::from_secs(30),
-                ..ReactorOptions::default()
-            },
-            Arc::new(IoStats::default()),
-            Arc::new(ReactorMetrics::new(1)),
-            Arc::new(Fwd { origin: dead }),
-        )
-        .unwrap();
-        let mut c = TcpStream::connect(handle.addr).unwrap();
-        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        c.write_all(b"GET /x HTTP/1.1\r\n\r\n").unwrap();
-        let mut buf = Vec::new();
-        let mut tmp = [0u8; 1024];
-        loop {
-            match c.read(&mut tmp) {
-                Ok(0) => break,
-                Ok(n) => {
-                    buf.extend_from_slice(&tmp[..n]);
-                    if buf.windows(4).any(|w| w == b"\r\n\r\n") {
-                        break;
-                    }
-                }
-                Err(e) => panic!("read: {e}"),
-            }
-        }
-        let got = String::from_utf8_lossy(&buf);
-        assert!(got.starts_with("HTTP/1.1 502"), "got: {got}");
-        handle.stop();
-    }
-
-    /// A stalled origin (accepts, never answers) trips the upstream
-    /// timeout wheel: one counted kill per attempt, retry once, then 502.
-    #[test]
-    fn upstream_timeout_kills_stalled_exchanges() {
-        let stall = crate::util::serve(0, "stall-origin", |stream| {
-            let mut r = std::io::BufReader::new(stream);
-            let _ = Request::read(&mut r);
-            std::thread::sleep(Duration::from_secs(30));
-        })
-        .unwrap();
-        let metrics = Arc::new(ReactorMetrics::new(1));
-        let handle = serve_reactor(
-            0,
-            "stall-fwd-reactor",
-            ReactorOptions {
-                idle_timeout: Duration::from_secs(30),
-                upstream_timeout: Duration::from_millis(300),
-                ..ReactorOptions::default()
-            },
-            Arc::new(IoStats::default()),
-            Arc::clone(&metrics),
-            Arc::new(Fwd { origin: stall.addr }),
-        )
-        .unwrap();
-        let mut c = TcpStream::connect(handle.addr).unwrap();
-        c.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-        c.write_all(b"GET /stall HTTP/1.1\r\n\r\n").unwrap();
-        let mut buf = [0u8; 64];
-        let n = c.read(&mut buf).unwrap();
-        assert!(
-            buf[..n].starts_with(b"HTTP/1.1 502"),
-            "got: {}",
-            String::from_utf8_lossy(&buf[..n])
-        );
-        let s = &metrics.shards[0];
-        assert_eq!(s.upstream_timeouts(), 2, "both attempts timed out");
-        assert_eq!(s.upstream_inflight(), 0);
-        handle.stop();
-        stall.stop();
     }
 }

@@ -9,15 +9,17 @@
 //! worker of [`serve_with_stats`]'s pool and every plan through
 //! [`blocking_exchange`] on a [`ConnectionPool`]. Both move a client
 //! connection's bytes through one socket-free [`ClientMachine`], as they
-//! move an origin's through one [`ResponseMachine`]. So the proxy and the
-//! origin are each written once, whichever engine serves them.
+//! move an origin's through one [`ExchangeMachine`] — the retry contract,
+//! the attempt deadline and the reuse verdict included; a poller only
+//! moves bytes. So the proxy and the origin are each written once,
+//! whichever engine serves them.
 
 use crate::client::{ConnectionPool, PooledConn};
-use crate::lifecycle::{RelayRule, ResponseMachine, UpstreamOutcome};
+use crate::lifecycle::{ExchangeMachine, RelayRule, ResponseMachine, Reuse, UpstreamOutcome};
 use crate::util::{serve_with_stats, IoStats, ServeOptions, ServerHandle};
 use piggyback_httpwire::parse::MAX_BODY;
 use piggyback_httpwire::{ConnScratch, HttpError, Request, Response};
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -522,11 +524,10 @@ pub(crate) fn run_plan(
             accept_push,
             ..
         } = plan;
+        let machine = ResponseMachine::new(relay, accept_push);
         let mut engaged = false;
-        let (outcome, conn) = blocking_exchange(
-            &request,
-            true,
-            || ResponseMachine::new(relay, accept_push),
+        let (outcome, kept) = blocking_exchange(
+            ExchangeMachine::new(request, true, machine, Instant::now()),
             |again| {
                 if !again {
                     return pool.checkout();
@@ -544,8 +545,8 @@ pub(crate) fn run_plan(
                 Ok(())
             },
         );
-        if let Some(conn) = conn {
-            pool.checkin(conn);
+        if let Some((conn, reuse)) = kept {
+            pool.checkin(conn, reuse);
         }
         match finish(scratch, out, outcome)? {
             UpstreamNext::Done => return Ok(()),
@@ -554,58 +555,61 @@ pub(crate) fn run_plan(
     }
 }
 
-/// One blocking upstream exchange, for every blocking hop — the blocking
-/// poller's plans and the volume center — owning the single retry loop
-/// (PROTOCOL.md §7.1): a failure while the response machine is still
-/// retryable goes again once, on the connection `dial(true)` gives, if
-/// the request is `replayable`; a dial failure is terminal; an engaged
-/// relay or a whole response is never retried. A connection with a
-/// timeout bounds each attempt by it: a read or write that waits longer
-/// fails, and so does an attempt still unfinished once that long has
-/// passed since its dial. The loop is the reactor's: read bytes, feed the
-/// machine built by `machine`, and `flush` what it appended to `sink` — a
-/// retryable failure never leaves any there. The connection comes back
-/// only when the machine says it may carry another exchange and no read
-/// hit EOF (a burst of pushes cut short by the close ends the exchange
-/// too).
+/// Drive `machine` to its outcome on blocking connections, for every
+/// blocking hop — the blocking poller's plans and the volume center: dial
+/// (`dial(true)` for the retry), write, read into the connection's buffer
+/// and hand each read to the machine, `flush`ing what it appended to
+/// `sink`, until the machine is done or an attempt fails — then the
+/// machine says whether to go again (PROTOCOL.md §7.1). A failed dial is
+/// terminal. A connection's timeout bounds each attempt: a read or write
+/// that waits longer fails, and so does an attempt past its deadline. The
+/// connection of an exchange that ended comes back with the machine's
+/// verdict on it.
 pub(crate) fn blocking_exchange<'h>(
-    request: &[u8],
-    replayable: bool,
-    machine: impl Fn() -> ResponseMachine<'h>,
+    mut machine: ExchangeMachine<'h>,
     mut dial: impl FnMut(bool) -> io::Result<PooledConn>,
     sink: &mut Vec<u8>,
-    mut flush: impl FnMut(&mut Vec<u8>, &ResponseMachine<'h>) -> io::Result<()>,
-) -> (UpstreamOutcome, Option<PooledConn>) {
-    for retry in [false, true] {
-        if retry && !replayable {
-            break;
+    mut flush: impl FnMut(&mut Vec<u8>, &ExchangeMachine<'h>) -> io::Result<()>,
+) -> (UpstreamOutcome, Option<(PooledConn, Reuse)>) {
+    let mut again = false;
+    while let Ok(mut conn) = dial(again) {
+        match attempt(&mut machine, &mut conn, sink, &mut flush) {
+            Ok(()) => {
+                let reuse = machine.reuse();
+                return (machine.into_outcome(), Some((conn, reuse)));
+            }
+            Err(_) if machine.fail(Instant::now()) => again = true,
+            Err(_) => break,
         }
-        let started = Instant::now();
-        let Ok(mut conn) = dial(retry) else { break };
-        let mut machine = machine();
-        let mut eof = false;
-        let fed = conn
-            .writer
-            .write_all(request)
-            .map_err(HttpError::from)
-            .and_then(|()| {
-                while !machine.is_done() {
-                    if conn.timeout.is_some_and(|t| started.elapsed() >= t) {
-                        return Err(io::Error::from(io::ErrorKind::TimedOut).into());
-                    }
-                    let input = conn.reader.fill_buf()?;
-                    eof = input.is_empty();
-                    let consumed = machine.feed(input, eof, sink)?;
-                    conn.reader.consume(consumed);
-                    flush(sink, &machine)?;
-                }
-                Ok(())
-            });
-        if fed.is_err() && machine.retryable() {
-            continue;
-        }
-        let reusable = machine.reusable() && !eof;
-        return (machine.into_outcome(), reusable.then_some(conn));
     }
-    (UpstreamOutcome::Failed, None)
+    (machine.into_outcome(), None)
+}
+
+/// One attempt of `machine` on `conn`, until its response is done.
+fn attempt<'h>(
+    machine: &mut ExchangeMachine<'h>,
+    conn: &mut PooledConn,
+    sink: &mut Vec<u8>,
+    flush: &mut impl FnMut(&mut Vec<u8>, &ExchangeMachine<'h>) -> io::Result<()>,
+) -> Result<(), HttpError> {
+    let n = machine.to_write().len();
+    conn.stream.write_all(machine.to_write())?;
+    machine.wrote(n);
+    while !machine.is_done() {
+        if conn
+            .timeout
+            .is_some_and(|t| machine.expired(Instant::now(), t))
+        {
+            return Err(io::Error::from(io::ErrorKind::TimedOut).into());
+        }
+        match conn.stream.read(&mut conn.buf) {
+            Ok(n) => {
+                machine.filled(&conn.buf[..n], sink)?;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        }
+        flush(sink, machine)?;
+    }
+    Ok(())
 }

@@ -9,15 +9,19 @@
 //! the way back down.
 //!
 //! Both ends must not notice it, so it is one more driver of the proxy's
-//! upstream [`ResponseMachine`], through the blocking poller's own exchange
-//! loop (PROTOCOL.md §14.1): the downstream gets the upstream's own head,
+//! upstream [`ExchangeMachine`] — retry, deadline and reuse verdict
+//! included — through the blocking poller's own exchange loop
+//! (PROTOCOL.md §14.1): the downstream gets the upstream's own head,
 //! after a hook that learns and piggybacks, and bodies cut through segment
 //! by segment as they arrive, through buffers that live as long as the
 //! connection. Requests are forwarded from the struct they were parsed
 //! into.
 
 use crate::client::PooledConn;
-use crate::lifecycle::{self, announced_pushes, AsIs, HeadHook, ResponseMachine, UpstreamOutcome};
+use crate::lifecycle::{
+    self, announced_pushes, AsIs, ExchangeMachine, HeadHook, ResponseMachine, Reuse,
+    UpstreamOutcome,
+};
 use crate::netem::{Conditioner, ExchangePlan, ShimStats};
 use crate::origin::strip_origin_form;
 use crate::prefetch::{PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER};
@@ -36,7 +40,7 @@ use piggyback_httpwire::{
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Volume center configuration.
 #[derive(Debug, Clone)]
@@ -370,10 +374,9 @@ fn handle_connection(
         req.write_with(&mut request, &mut scratch)?;
         // `write_with` staged the head in what is the machine's sink next.
         scratch.out.clear();
-        let (outcome, conn) = blocking_exchange(
-            &request,
-            req.body.is_empty(),
-            || ResponseMachine::as_is(as_is, transparent),
+        let machine = ResponseMachine::as_is(as_is, transparent);
+        let (outcome, kept) = blocking_exchange(
+            ExchangeMachine::new(&request[..], req.body.is_empty(), machine, Instant::now()),
             |_| up.take().map_or_else(|| PooledConn::connect(origin), Ok),
             &mut scratch.out,
             |stage, _| down.drain(stage, false),
@@ -417,10 +420,9 @@ fn handle_connection(
             // connection that stays usable.
             _ => down.bad_gateway(daemon, stage)?,
         }
-        // Like a pool checkin (PROTOCOL.md §7): a connection the machine
-        // may reuse serves the next exchange, unless bytes nobody asked
-        // for sit behind the response.
-        up = conn.filter(|c| c.reader.buffer().is_empty());
+        // Like a pool checkin (PROTOCOL.md §7.1): a connection the machine
+        // may reuse serves the next exchange.
+        up = kept.and_then(|(conn, reuse)| (reuse == Reuse::Keep).then_some(conn));
         if !keep {
             return Ok(());
         }

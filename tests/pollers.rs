@@ -1,9 +1,10 @@
 //! The two pollers, lane for lane: keep-alive and pipelining, a malformed
 //! request, an idle client, a pipelined burst under write backpressure,
-//! answers resumed from another thread and a dropped waker, each against
-//! the blocking poller (`serve_blocking`) and the epoll reactor
-//! (`serve_reactor`, Linux). Both drive one `ClientMachine`, so every
-//! lane must hold on both.
+//! answers resumed from another thread and a dropped waker, and upstream
+//! exchanges that reuse, fail to dial, stall or leave bytes behind their
+//! response, each against the blocking poller (`serve_blocking`) and the
+//! epoll reactor (`serve_reactor`, Linux). Both drive one `ClientMachine`
+//! and one `ExchangeMachine`, so every lane must hold on both.
 
 use piggyback::httpwire::{ConnScratch, Request};
 use piggyback::proxyd::service::{serve_blocking, Served, Service};
@@ -312,4 +313,250 @@ fn dropped_waker_closes_its_connection() {
         assert!(got.ends_with("/park/ok"), "{poller:?}");
         handle.stop();
     }
+}
+
+// ---------------------------------------------------------------------------
+// The upstream leg: every request becomes an origin exchange, driven by
+// the exchange machine both pollers share (PROTOCOL.md §7.1) — over a
+// `ConnectionPool` on the blocking poller, over the shard's own
+// nonblocking connections on the reactor — each attempt bounded by the
+// same timeout.
+// ---------------------------------------------------------------------------
+
+use piggyback::httpwire::Response;
+use piggyback::proxyd::lifecycle::UpstreamOutcome;
+use piggyback::proxyd::service::{UpstreamNext, UpstreamPlan};
+use piggyback::proxyd::util::serve;
+use piggyback::proxyd::ConnectionPool;
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+const BAD_GATEWAY: &[u8] = b"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n";
+
+/// Forwarding service: every request becomes an upstream exchange; the
+/// origin's body comes back echoed, any failure as a 502. Counts the calls
+/// to its retry hook.
+struct Fwd {
+    origin: SocketAddr,
+    retries: Arc<AtomicU64>,
+}
+
+impl Service for Fwd {
+    type Ctx = ();
+
+    fn make_ctx(&self) {}
+
+    fn handle(
+        &self,
+        req: &Request,
+        _peer: SocketAddr,
+        _ctx: &mut (),
+        _scratch: &mut ConnScratch,
+        _out: &mut Vec<u8>,
+    ) -> io::Result<Served> {
+        let retries = Arc::clone(&self.retries);
+        Ok(Served::Upstream(UpstreamPlan {
+            origin: self.origin,
+            request: format!("GET {} HTTP/1.1\r\nHost: fwd\r\n\r\n", req.target).into_bytes(),
+            finish: Box::new(|_scratch, out, outcome| {
+                match outcome {
+                    UpstreamOutcome::Response(resp, _) => {
+                        write_echo(out, &String::from_utf8_lossy(&resp.body))
+                    }
+                    _ => out.extend_from_slice(BAD_GATEWAY),
+                }
+                Ok(UpstreamNext::Done)
+            }),
+            retry: Box::new(move || {
+                retries.fetch_add(1, Ordering::Relaxed);
+            }),
+            relay: None,
+            accept_push: false,
+        }))
+    }
+}
+
+/// Where a poller's upstream connections are counted.
+enum Upstream {
+    Pool(Arc<ConnectionPool>),
+    #[cfg(target_os = "linux")]
+    Reactor(Arc<piggyback::proxyd::ReactorMetrics>),
+}
+
+/// A [`Fwd`] proxy on one poller.
+struct Forwarder {
+    handle: ServerHandle,
+    retries: Arc<AtomicU64>,
+    upstream: Upstream,
+}
+
+impl Forwarder {
+    /// Forward to `origin`, each exchange attempt bounded by `timeout`.
+    fn start(poller: Poller, origin: SocketAddr, timeout: Duration) -> Forwarder {
+        let retries = Arc::new(AtomicU64::new(0));
+        let svc = Arc::new(Fwd {
+            origin,
+            retries: Arc::clone(&retries),
+        });
+        let stats = Arc::new(IoStats::default());
+        let idle = Duration::from_secs(30);
+        let (handle, upstream) = match poller {
+            Poller::Blocking => {
+                let pool = Arc::new(ConnectionPool::new(origin, 8).with_timeout(timeout));
+                let opts = ServeOptions::default();
+                let kept = Some(Arc::clone(&pool));
+                let handle = serve_blocking(0, "fwd", opts, stats, idle, kept, svc);
+                (handle, Upstream::Pool(pool))
+            }
+            #[cfg(target_os = "linux")]
+            Poller::Reactor => {
+                use piggyback::proxyd::reactor::{serve_reactor, ReactorMetrics, ReactorOptions};
+                let opts = ReactorOptions {
+                    idle_timeout: idle,
+                    upstream_timeout: timeout,
+                    ..ReactorOptions::default()
+                };
+                let metrics = Arc::new(ReactorMetrics::new(1));
+                let handle = serve_reactor(0, "fwd", opts, stats, Arc::clone(&metrics), svc);
+                (handle, Upstream::Reactor(metrics))
+            }
+        };
+        Forwarder {
+            handle: handle.unwrap(),
+            retries,
+            upstream,
+        }
+    }
+
+    /// Fresh upstream dials and reuses of a kept-alive connection so far.
+    fn dials_and_reuses(&self) -> (u64, u64) {
+        match &self.upstream {
+            Upstream::Pool(pool) => (pool.stats().connects, pool.stats().reuses),
+            #[cfg(target_os = "linux")]
+            Upstream::Reactor(m) => (m.shards[0].upstream_dials(), m.shards[0].upstream_reuses()),
+        }
+    }
+
+    fn retries(&self) -> u64 {
+        self.retries.load(Ordering::Relaxed)
+    }
+}
+
+/// Keep-alive origin answering every request with its target as the
+/// body, `behind` following each response in the same write.
+fn echo_origin(behind: &'static [u8]) -> ServerHandle {
+    serve(0, "fwd-origin", move |mut stream| {
+        let mut r = io::BufReader::new(stream.try_clone().unwrap());
+        while let Ok(req) = Request::read(&mut r) {
+            let mut resp = Response::new(200);
+            resp.body = req.target.clone().into_bytes().into();
+            let mut wire = Vec::new();
+            resp.write(&mut wire).unwrap();
+            wire.extend_from_slice(behind);
+            if stream.write_all(&wire).is_err() {
+                break;
+            }
+        }
+    })
+    .unwrap()
+}
+
+fn assert_bad_gateway(c: &mut TcpStream, poller: Poller) {
+    let mut got = vec![0u8; BAD_GATEWAY.len()];
+    c.read_exact(&mut got).unwrap();
+    assert_eq!(got, BAD_GATEWAY, "{poller:?}");
+}
+
+/// Misses keep the origin connection alive across exchanges: the second
+/// and third reuse it, no second dial.
+#[test]
+fn nonblocking_upstream_roundtrip_reuses_connections() {
+    let origin = echo_origin(b"");
+    for poller in pollers() {
+        let fwd = Forwarder::start(poller, origin.addr, Duration::from_secs(30));
+        let mut c = connect(&fwd.handle);
+        for path in ["/up1", "/up2", "/up3"] {
+            c.write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes())
+                .unwrap();
+            assert!(read_response(&mut c, path).ends_with(path), "{poller:?}");
+        }
+        assert_eq!(fwd.dials_and_reuses(), (1, 2), "{poller:?}");
+        #[cfg(target_os = "linux")]
+        if let Upstream::Reactor(m) = &fwd.upstream {
+            assert_eq!(m.shards[0].upstream_inflight(), 0, "gauge must settle");
+        }
+        fwd.handle.stop();
+    }
+    origin.stop();
+}
+
+/// A dead origin (connection refused) fails the exchange without a retry
+/// — a failed dial is terminal — and the continuation answers 502.
+#[test]
+fn upstream_dial_failure_yields_502() {
+    // A port that is certainly closed.
+    let dead = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    for poller in pollers() {
+        let fwd = Forwarder::start(poller, dead, Duration::from_secs(30));
+        let mut c = connect(&fwd.handle);
+        c.write_all(b"GET /x HTTP/1.1\r\n\r\n").unwrap();
+        assert_bad_gateway(&mut c, poller);
+        assert_eq!(fwd.retries(), 0, "{poller:?}");
+        fwd.handle.stop();
+    }
+}
+
+/// A stalled origin (accepts, never answers) runs each attempt into the
+/// timeout: one retry, then 502.
+#[test]
+fn upstream_timeout_kills_stalled_exchanges() {
+    let stall = serve(0, "stall-origin", |stream| {
+        let _ = Request::read(&mut io::BufReader::new(&stream));
+        std::thread::sleep(Duration::from_secs(30));
+    })
+    .unwrap();
+    for poller in pollers() {
+        let fwd = Forwarder::start(poller, stall.addr, Duration::from_millis(300));
+        let mut c = connect(&fwd.handle);
+        c.write_all(b"GET /stall HTTP/1.1\r\n\r\n").unwrap();
+        assert_bad_gateway(&mut c, poller);
+        assert_eq!(fwd.retries(), 1, "{poller:?}");
+        #[cfg(target_os = "linux")]
+        if let Upstream::Reactor(m) = &fwd.upstream {
+            assert_eq!(
+                m.shards[0].upstream_timeouts(),
+                2,
+                "both attempts timed out"
+            );
+            assert_eq!(m.shards[0].upstream_inflight(), 0);
+        }
+        fwd.handle.stop();
+    }
+    stall.stop();
+}
+
+/// An origin that sends bytes behind its response never has its
+/// connection reused, on either poller: every exchange dials afresh, and
+/// the pool counts each refusal as dirty.
+#[test]
+fn a_connection_with_bytes_behind_its_response_is_never_reused() {
+    let origin = echo_origin(b"EXTRA-GARBAGE");
+    for poller in pollers() {
+        let fwd = Forwarder::start(poller, origin.addr, Duration::from_secs(30));
+        let mut c = connect(&fwd.handle);
+        for path in ["/dirty1", "/dirty2"] {
+            c.write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes())
+                .unwrap();
+            assert!(read_response(&mut c, path).ends_with(path), "{poller:?}");
+        }
+        assert_eq!(fwd.dials_and_reuses(), (2, 0), "{poller:?}");
+        if let Upstream::Pool(pool) = &fwd.upstream {
+            assert_eq!(pool.stats().discarded_dirty, 2, "{:?}", pool.stats());
+        }
+        fwd.handle.stop();
+    }
+    origin.stop();
 }

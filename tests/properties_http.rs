@@ -303,7 +303,9 @@ proptest! {
 
 use piggyback::core::types::Timestamp;
 use piggyback::httpwire::{parse::MAX_BODY, HttpError};
-use piggyback::proxyd::lifecycle::{RelayRule, ResponseMachine, UpstreamOutcome};
+use piggyback::proxyd::lifecycle::{
+    ExchangeMachine, RelayRule, ResponseMachine, Reuse, UpstreamOutcome,
+};
 
 const THRESHOLD: usize = 4096;
 const PREFIX: usize = 1024;
@@ -389,57 +391,13 @@ struct Run {
     outcome: Result<String, bool>,
     client: Vec<u8>,
     consumed: usize,
-    /// The driver's verdict: the machine's, and never after EOF.
-    reusable: bool,
+    /// The exchange machine's verdict on the connection.
+    reuse: Reuse,
 }
 
-/// Drive the machine as a driver does: feed the wire from its status line
-/// in `split`-byte pieces (`0`: whole, with the close riding the same
-/// call), then the close on its own.
-fn run_machine(
-    wire: &[u8],
-    closes: bool,
-    rule: Option<RelayRule>,
-    accept_push: bool,
-    split: usize,
-) -> Run {
-    let mut client = Vec::new();
-    let mut consumed = 0;
-    let fail = |engaged, client, consumed| Run {
-        outcome: Err(engaged),
-        client,
-        consumed,
-        reusable: false,
-    };
-    let mut machine = ResponseMachine::new(rule, accept_push);
-    let step = if split == 0 { wire.len().max(1) } else { split };
-    let mut pieces = wire.chunks(step).map(|p| (p, false)).collect::<Vec<_>>();
-    match pieces.last_mut() {
-        Some(last) if split == 0 => last.1 = closes,
-        _ => {}
-    }
-    if closes {
-        pieces.push((&[], true));
-    }
-    let mut closed = false;
-    for (piece, eof) in pieces {
-        if machine.is_done() {
-            break;
-        }
-        closed |= eof;
-        match machine.feed(piece, eof, &mut client) {
-            Ok(n) => {
-                consumed += n;
-                assert!(n == piece.len() || machine.is_done(), "input left behind");
-            }
-            Err(_) => return fail(machine.engaged(), client, consumed),
-        }
-    }
-    if !machine.is_done() {
-        return fail(machine.engaged(), client, consumed);
-    }
-    let reusable = machine.reusable() && !closed;
-    let outcome = match machine.into_outcome() {
+/// An outcome as a comparable string.
+fn describe(outcome: UpstreamOutcome) -> String {
+    match outcome {
         UpstreamOutcome::Response(resp, pushed) => format!("response {resp:?} pushed {pushed:?}"),
         UpstreamOutcome::Streamed {
             head,
@@ -448,12 +406,48 @@ fn run_machine(
         } => format!("streamed {total} {prefix:?} {head:?}"),
         UpstreamOutcome::StreamFailed { mismatch } => format!("stream failed {mismatch}"),
         UpstreamOutcome::Failed => "failed".to_owned(),
+    }
+}
+
+/// Drive one attempt of an exchange machine as a driver does: hand it the
+/// wire from its status line in `split`-byte reads (`0`: one read), then
+/// the close as a read of its own, and stop reading once it is done.
+fn run_machine(
+    wire: &[u8],
+    closes: bool,
+    rule: Option<RelayRule>,
+    accept_push: bool,
+    split: usize,
+) -> Run {
+    let response = ResponseMachine::new(rule, accept_push);
+    let mut machine = ExchangeMachine::new(Vec::new(), true, response, Instant::now());
+    let mut client = Vec::new();
+    let mut consumed = 0;
+    let step = if split == 0 { wire.len().max(1) } else { split };
+    let close: &[u8] = &[];
+    for read in wire.chunks(step).chain(closes.then_some(close)) {
+        if machine.is_done() {
+            break;
+        }
+        match machine.filled(read, &mut client) {
+            Ok(n) => {
+                consumed += n;
+                assert!(n == read.len() || machine.is_done(), "input left behind");
+            }
+            Err(_) => break,
+        }
+    }
+    let reuse = machine.reuse();
+    let outcome = if machine.is_done() {
+        Ok(describe(machine.into_outcome()))
+    } else {
+        Err(machine.engaged())
     };
     Run {
-        outcome: Ok(outcome),
+        outcome,
         client,
         consumed,
-        reusable,
+        reuse,
     }
 }
 
@@ -510,7 +504,13 @@ fn response_machine_is_split_transparent() {
                 let what = format!("{framing:?} size {size} rule {kind:?}");
                 let whole = run_machine(&wire, closes, rule(kind, size), false, 0);
                 for split in [1, 7, 1500, 16384] {
-                    let cut = run_machine(&wire, closes, rule(kind, size), false, split);
+                    let mut cut = run_machine(&wire, closes, rule(kind, size), false, split);
+                    // Read whole, the next response shares the last read;
+                    // a piece ending with the response leaves it unread.
+                    if cut.reuse == Reuse::Keep {
+                        assert_eq!(response_len % split, 0, "{what} split {split}");
+                        cut.reuse = Reuse::Unread;
+                    }
                     assert_eq!(cut, whole, "{what} split {split}");
                 }
                 let outcome = whole.outcome.as_ref().expect(&what);
@@ -518,13 +518,12 @@ fn response_machine_is_split_transparent() {
                     assert_eq!(whole.consumed, response_len, "{what}");
                 }
                 // Only a framed response that ended whole leaves its
-                // connection for the next exchange: never one the origin
-                // delimited by closing it.
-                assert_eq!(
-                    whole.reusable,
-                    !closes && !outcome.starts_with("stream failed"),
-                    "{what}"
-                );
+                // connection fit for the next exchange: never one the
+                // origin delimited by closing it — and not while bytes sit
+                // unread behind it.
+                let framed = !closes && !outcome.starts_with("stream failed");
+                let reuse = if framed { Reuse::Unread } else { Reuse::Spent };
+                assert_eq!(whole.reuse, reuse, "{what}");
 
                 let chunked = matches!(framing, Framing::Chunked | Framing::ChunkedTrailers);
                 let relays = match kind {
@@ -598,10 +597,10 @@ fn response_machine_is_split_transparent() {
         let want = format!("response {main:?} pushed {pushes:?}");
         assert_eq!(run.outcome, Ok(want), "burst, split {split}");
         assert_eq!(run.consumed, burst_len, "burst, split {split}");
-        assert!(
-            run.client.is_empty() && run.reusable,
-            "burst, split {split}"
-        );
+        assert!(run.client.is_empty(), "burst, split {split}");
+        let aligned = split > 0 && burst_len % split == 0;
+        let reuse = if aligned { Reuse::Keep } else { Reuse::Unread };
+        assert_eq!(run.reuse, reuse, "burst, split {split}");
         // A leg that never accepted pushes reads the main response only.
         let run = run_machine(&wire, false, None, false, split);
         assert_eq!(run.outcome, Ok(format!("response {main:?} pushed []")));
@@ -613,7 +612,7 @@ fn response_machine_is_split_transparent() {
                 let run = run_machine(&wire[..cut], true, None, true, split);
                 let want = format!("response {main:?} pushed {:?}", &pushes[..k]);
                 assert_eq!(run.outcome, Ok(want), "cut at {cut}, split {split}");
-                assert!(!run.reusable, "cut at {cut}, split {split}");
+                assert_eq!(run.reuse, Reuse::Spent, "cut at {cut}, split {split}");
             }
         }
     }
@@ -688,6 +687,197 @@ fn response_machine_errors_before_any_client_byte() {
         ResponseMachine::new(None, false).feed(huge, false, &mut Vec::new()),
         Err(HttpError::LimitExceeded(_))
     ));
+}
+
+// ---------------------------------------------------------------------------
+// The exchange machine (`proxyd::lifecycle::ExchangeMachine`, PROTOCOL.md
+// §7.1): the attempts around the response machine, which both pollers and
+// the volume center drive. Socket-free, so the lane plays scripted
+// upstreams to it — one script per connection the driver dials — and
+// checks the retry contract, the attempt deadline and the reuse verdict.
+// ---------------------------------------------------------------------------
+
+/// How a scripted connection ends if the machine still wants bytes after
+/// its wire.
+#[derive(Debug, Clone, Copy)]
+enum Then {
+    /// The upstream closes: a read returns EOF.
+    Close,
+    /// A read fails (a reset).
+    Reset,
+    /// Nothing arrives until the attempt's deadline passes.
+    Stall,
+}
+
+const REQUEST: &[u8] = b"GET /x HTTP/1.1\r\nHost: origin\r\n\r\n";
+const TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Everything an exchange shows its driver.
+#[derive(Debug, PartialEq)]
+struct ExchangeRun {
+    outcome: String,
+    client: Vec<u8>,
+    /// Connections dialed: the first, and the retry if there was one.
+    dials: usize,
+    reuse: Reuse,
+}
+
+/// Drive an exchange machine over scripted connections as a driver does:
+/// dial the next script, write the whole request, hand the machine the
+/// script's wire in `split`-byte reads (`0`: one read) until it is done,
+/// then end the connection as the script says; on a failure, ask the
+/// machine whether to dial again. A stall moves the driver's clock to the
+/// attempt's deadline.
+fn run_exchange(
+    scripts: &[(&[u8], Then)],
+    replayable: bool,
+    rule: Option<RelayRule>,
+    accept_push: bool,
+    split: usize,
+) -> ExchangeRun {
+    let mut now = Instant::now();
+    let response = ResponseMachine::new(rule, accept_push);
+    let mut machine = ExchangeMachine::new(REQUEST, replayable, response, now);
+    let mut client = Vec::new();
+    let mut dials = 0;
+    for (wire, then) in scripts {
+        dials += 1;
+        assert_eq!(machine.to_write(), REQUEST, "every attempt sends it whole");
+        machine.wrote(REQUEST.len());
+        assert_eq!(machine.deadline(TIMEOUT), now + TIMEOUT);
+        let step = if split == 0 { wire.len().max(1) } else { split };
+        let mut fed = Ok(0);
+        for read in wire.chunks(step) {
+            fed = machine.filled(read, &mut client);
+            if fed.is_err() || machine.is_done() {
+                break;
+            }
+        }
+        if fed.is_ok() && !machine.is_done() {
+            fed = match then {
+                Then::Close => machine.filled(&[], &mut client),
+                Then::Reset => Err(HttpError::ConnectionClosed),
+                Then::Stall => {
+                    now += TIMEOUT;
+                    assert!(machine.expired(now, TIMEOUT));
+                    Err(HttpError::ConnectionClosed)
+                }
+            };
+        }
+        if fed.is_ok() || !machine.fail(now) {
+            break;
+        }
+        assert!(client.is_empty(), "a retry follows no client byte");
+    }
+    ExchangeRun {
+        reuse: machine.reuse(),
+        outcome: describe(machine.into_outcome()),
+        client,
+        dials,
+    }
+}
+
+/// The retry contract, the deadline and the reuse verdict on scripted
+/// upstreams, for every split of the reads: an attempt that fails before
+/// a byte reached the client goes again once, on a fresh connection, and
+/// a second failure is `Failed`; a request that may not be replayed, an
+/// engaged relay and a whole response whose burst was cut short are never
+/// retried; a connection is fit for the next exchange only with nothing
+/// unread behind the response and no EOF.
+#[test]
+fn exchange_machine_keeps_the_retry_contract() {
+    let page = payload(3 * THRESHOLD);
+    let (good, _) = origin_wire(Framing::Length, &page);
+    let (chunked, _) = origin_wire(Framing::Chunked, &page);
+    let half_head = &good[..10];
+    let half_body = &good[..good.len() / 2];
+    let read = |wire: &[u8]| Response::read(&mut &wire[..], false).unwrap();
+    let reference = describe(UpstreamOutcome::Response(read(&good), Vec::new()));
+    let thens = [Then::Close, Then::Reset, Then::Stall];
+    for split in [0, 1, 7, 1500, 16384] {
+        let run = |scripts: &[(&[u8], Then)], replayable, rule| {
+            let run = run_exchange(scripts, replayable, rule, false, split);
+            (run.outcome, run.dials, run.reuse)
+        };
+        // One failure before engaging, in the head or the body, by close,
+        // reset or deadline: retried once, and the retry's response is the
+        // exchange's.
+        for cut in [half_head, half_body] {
+            for then in thens {
+                let what = format!("split {split} cut {} {then:?}", cut.len());
+                let scripts = [(cut, then), (&good[..], Then::Close)];
+                let once = (reference.clone(), 2, Reuse::Keep);
+                assert_eq!(run(&scripts, true, None), once, "{what}");
+                // A second failure is the last.
+                let scripts = [(cut, then), (cut, then), (&good[..], Then::Close)];
+                let twice = ("failed".to_owned(), 2, Reuse::Spent);
+                assert_eq!(run(&scripts, true, None), twice, "{what}");
+                // A request that may not go out twice goes out once.
+                let scripts = [(cut, then), (&good[..], Then::Close)];
+                let never = ("failed".to_owned(), 1, Reuse::Spent);
+                assert_eq!(run(&scripts, false, None), never, "{what}");
+            }
+        }
+        // After engaging — at the head, or once a chunked body grew — a
+        // failure only truncates.
+        for then in thens {
+            let what = format!("split {split} {then:?}");
+            let truncated = ("stream failed false".to_owned(), 1, Reuse::Spent);
+            let scripts = [(half_body, then), (&good[..], Then::Close)];
+            assert_eq!(
+                run(&scripts, true, rule(Rule::Plain, 0)),
+                truncated,
+                "{what}"
+            );
+            let cut = &chunked[..chunked.len() - 3];
+            let scripts = [(cut, then), (&chunked[..], Then::Close)];
+            assert_eq!(
+                run(&scripts, true, rule(Rule::Grow, 0)),
+                truncated,
+                "{what}"
+            );
+        }
+    }
+
+    // A whole response whose push burst was cut short inside push k keeps
+    // the k that arrived, without a retry, the same for every split; the
+    // connection is spent, though after a close the response machine
+    // alone would allow it.
+    let mut main = Response::new(200);
+    main.headers.insert("X-Push-Count", "3");
+    main.body = payload(100).into();
+    let mut burst = Vec::new();
+    main.write(&mut burst).unwrap();
+    let main = read(&burst);
+    let pushes: Vec<Response> = (0..3).map(|i| read(&push_wire(i))).collect();
+    for k in 0..3 {
+        let mut cut = burst.clone();
+        cut.extend_from_slice(&push_wire(k)[..20]);
+        let want = describe(UpstreamOutcome::Response(
+            main.clone(),
+            pushes[..k].to_vec(),
+        ));
+        for then in thens {
+            let scripts = [(&cut[..], then), (&cut[..], Then::Close)];
+            let whole = run_exchange(&scripts, true, None, true, 0);
+            for split in [1, 7, 1500, 16384] {
+                let cut = run_exchange(&scripts, true, None, true, split);
+                assert_eq!(cut, whole, "pushes {k} {then:?} split {split}");
+            }
+            let got = (whole.outcome, whole.dials, whole.reuse);
+            assert_eq!(got, (want.clone(), 1, Reuse::Spent), "pushes {k} {then:?}");
+        }
+        burst.extend_from_slice(&push_wire(k));
+    }
+
+    // Bytes behind the response in its last read leave the connection
+    // unfit; reads that stop at the response's end leave it fit.
+    let mut behind = good.clone();
+    behind.extend_from_slice(NEXT);
+    let run = run_exchange(&[(&behind, Then::Close)], true, None, false, 0);
+    assert_eq!((run.outcome, run.reuse), (reference.clone(), Reuse::Unread));
+    let run = run_exchange(&[(&behind, Then::Close)], true, None, false, good.len());
+    assert_eq!((run.outcome, run.reuse), (reference, Reuse::Keep));
 }
 
 // ---------------------------------------------------------------------------
