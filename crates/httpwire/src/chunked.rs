@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn caller_cap_tightens_the_limit() {
         let mut wire = Vec::new();
-        write_chunked(&mut wire, &vec![b'x'; 100], &HeaderMap::new(), 16).unwrap();
+        write_chunked(&mut wire, &[b'x'; 100], &HeaderMap::new(), 16).unwrap();
         let mut body = Vec::new();
         let mut trailers = HeaderMap::new();
         let mut line = Vec::new();

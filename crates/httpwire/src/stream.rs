@@ -142,6 +142,24 @@ impl BodyReader {
         &self.trailers
     }
 
+    /// Feed `input` to a `Content-Length` body without copying it: its
+    /// payload bytes are `input[..n]` for the returned `n`, counted as
+    /// decoded and left where they are. `None`, with nothing consumed,
+    /// for a chunked body — its payload is not contiguous on the wire —
+    /// and for a body already done; [`push`](Self::push) decodes those.
+    pub fn pass(&mut self, input: &[u8]) -> Option<usize> {
+        let RState::Length { remaining } = &mut self.state else {
+            return None;
+        };
+        let take = (*remaining).min(input.len());
+        *remaining -= take;
+        self.decoded += take;
+        if *remaining == 0 {
+            self.state = RState::Done;
+        }
+        Some(take)
+    }
+
     /// Feed `input`; decoded payload bytes are appended to `sink`.
     /// Returns the number of input bytes consumed. Once the body is done
     /// the remaining bytes are left unconsumed for the next message.
@@ -516,6 +534,27 @@ mod tests {
         let mut r = BodyReader::length(0);
         assert!(r.is_done());
         assert_eq!(r.push(b"xyz", &mut Vec::new()).unwrap(), 0);
+    }
+
+    #[test]
+    fn length_reader_passes_payload_in_place() {
+        let mut wire = pattern(1000);
+        wire.extend_from_slice(b"NEXT MESSAGE");
+        for step in [1, 7, 64, 4096] {
+            let mut r = BodyReader::length(1000);
+            let mut passed = Vec::new();
+            let mut at = 0;
+            while !r.is_done() {
+                let input = &wire[at..(at + step).min(wire.len())];
+                let n = r.pass(input).expect("a length body passes");
+                passed.extend_from_slice(&input[..n]);
+                at += n;
+            }
+            assert_eq!(passed, &wire[..1000], "step {step}");
+            assert_eq!(r.decoded(), 1000);
+            assert_eq!(r.pass(b"xyz"), None, "a done body consumes nothing");
+        }
+        assert_eq!(BodyReader::chunked().pass(b"3\r\nabc"), None);
     }
 
     #[test]

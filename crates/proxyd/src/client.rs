@@ -1,7 +1,8 @@
 //! A workload-driver HTTP client for the loopback deployments, plus the
 //! keep-alive [`ConnectionPool`] the blocking poller runs its upstream
-//! exchanges on: a [`PooledConn`] is a socket and its read buffer, and
-//! whether it goes back to the pool is the exchange machine's verdict
+//! exchanges on: a [`PooledConn`] is a socket and its read buffer (16 KiB,
+//! grown once to 64 KiB by a read that fills it), and whether it goes back
+//! to the pool is the exchange machine's verdict
 //! ([`crate::lifecycle::ExchangeMachine::reuse`]).
 
 use crate::lifecycle::{Reuse, UPSTREAM_READ};
@@ -36,8 +37,10 @@ pub struct PoolStats {
 /// exchange machine's verdict ([`Reuse`]).
 pub struct PooledConn {
     pub stream: TcpStream,
-    /// One read's bytes ([`UPSTREAM_READ`]), allocated at the dial and
-    /// shared by every exchange on the connection: never the body.
+    /// One read's bytes ([`UPSTREAM_READ`], grown once by
+    /// [`grow_upstream_read`](crate::lifecycle::grow_upstream_read)),
+    /// allocated at the dial and shared by every exchange on the
+    /// connection: never the body.
     pub buf: Vec<u8>,
     /// The per-attempt deadline of every exchange on this connection
     /// (PROTOCOL.md §7.1); `None` waits as long as the peer does.

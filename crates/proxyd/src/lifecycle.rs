@@ -16,6 +16,11 @@
 //! comes back — so the two engines cannot drift (PROTOCOL.md §7.1, §14).
 //! The volume center drives the same machine through the same blocking
 //! loop, under the upstream's own head ([`AsIs`], PROTOCOL.md §14.1).
+//! A `Content-Length` body relayed under raw framing is never copied
+//! here: the machine names the payload of each read by its
+//! [span](ExchangeMachine::span), and every driver writes it after what
+//! the read staged; every driver's reads start at [`UPSTREAM_READ`] and
+//! grow once by [`grow_upstream_read`].
 
 use crate::obs::LatencyHistogram;
 use crate::prefetch::{self, PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER};
@@ -37,6 +42,7 @@ use piggyback_webcache::CacheEntry;
 use std::borrow::Cow;
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
+use std::ops::Range;
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
@@ -90,7 +96,7 @@ pub enum UpstreamOutcome {
 }
 
 /// Large-object cut-through parameters for one upstream exchange. Once
-/// engaged, payload segments move origin → client with O(segment)
+/// engaged, payload moves origin → client read by read, with O(read)
 /// memory and the exchange is never retried.
 #[derive(Debug, Clone, Copy)]
 pub struct RelayRule {
@@ -153,20 +159,8 @@ impl RelayRule {
     }
 }
 
-/// The leading payload bytes a relay copies aside for the prefix store.
-struct Tee {
-    bytes: Vec<u8>,
-    want: usize,
-}
-
-impl Tee {
-    fn take(&mut self, payload: &[u8]) {
-        let take = (self.want - self.bytes.len()).min(payload.len());
-        self.bytes.extend_from_slice(&payload[..take]);
-    }
-}
-
 /// The client side of an engaged relay.
+#[derive(Default)]
 struct Relay {
     /// Chunked client framing (a grown chunked body) re-encodes through
     /// this; `None` passes payload through raw under a declared length.
@@ -175,8 +169,14 @@ struct Relay {
     owed: usize,
     /// Leading payload bytes still to drop.
     skip: usize,
-    prefix: Tee,
-    /// Decoded payload staged for `chunker`, reused across feeds.
+    /// The leading payload bytes copied aside for the prefix store, up to
+    /// `want`.
+    prefix: Vec<u8>,
+    want: usize,
+    /// Payload bytes the last feed forwarded in place: the tail of the
+    /// input it consumed, which the driver writes after the sink.
+    passed: usize,
+    /// Decoded payload staged for the sink, reused across feeds.
     seg: Vec<u8>,
     /// The chunked client body ends with the upstream's trailers (an
     /// as-is relay of a chunked body), not with the head's.
@@ -192,62 +192,60 @@ impl Relay {
             chunker: declared.is_none().then(BodyWriter::chunked),
             owed: declared.unwrap_or(0).saturating_sub(skip),
             skip,
-            prefix: Tee {
-                bytes: Vec::new(),
-                want,
-            },
-            seg: Vec::new(),
-            trailing: false,
+            want,
+            ..Relay::default()
         }
     }
 
-    /// Decode `input` and move its payload to `sink`, returning the input
-    /// consumed — `None` when the body overran the promised length, with
-    /// nothing of this input left in `sink`. Raw framing decodes straight
-    /// into `sink`; only chunked framing stages through `seg`.
+    /// Copy aside what the prefix store still wants of `payload`.
+    fn tee(prefix: &mut Vec<u8>, want: usize, payload: &[u8]) {
+        let take = (want - prefix.len()).min(payload.len());
+        prefix.extend_from_slice(&payload[..take]);
+    }
+
+    /// Decode `input` and move its payload on, past the skip and through
+    /// the tee, returning the input consumed — `None` when the body
+    /// overran the promised length, with nothing of this input forwarded.
+    /// A `Content-Length` body under raw framing is not copied at all: its
+    /// payload stays in `input`, the last [`passed`](Self::passed) bytes
+    /// consumed. Any other is decoded into `seg` first, then chunk-encoded
+    /// or copied raw into `sink`.
     fn forward(
         &mut self,
         reader: &mut BodyReader,
         input: &[u8],
         sink: &mut Vec<u8>,
     ) -> Result<Option<usize>, HttpError> {
-        if self.chunker.is_some() {
-            self.seg.clear();
-            let consumed = reader.push(input, &mut self.seg)?;
-            self.flush_seg(sink);
-            return Ok(Some(consumed));
-        }
-        let start = sink.len();
-        let consumed = reader.push(input, sink)?;
-        self.prefix.take(&sink[start..]);
-        let drop = self.skip.min(sink.len() - start);
-        sink.drain(start..start + drop);
+        self.passed = 0;
+        self.seg.clear();
+        let passed = self.chunker.is_none().then(|| reader.pass(input)).flatten();
+        let (consumed, payload) = match passed {
+            Some(n) => (n, &input[..n]),
+            None => (reader.push(input, &mut self.seg)?, &self.seg[..]),
+        };
+        Relay::tee(&mut self.prefix, self.want, payload);
+        let drop = self.skip.min(payload.len());
         self.skip -= drop;
-        match self.owed.checked_sub(sink.len() - start) {
-            Some(left) => self.owed = left,
-            None => {
-                sink.truncate(start);
-                return Ok(None);
+        let payload = &payload[drop..];
+        if let Some(chunker) = &mut self.chunker {
+            chunker.push(payload, sink)?;
+        } else if let Some(left) = self.owed.checked_sub(payload.len()) {
+            self.owed = left;
+            match passed {
+                Some(_) => self.passed = payload.len(),
+                None => sink.extend_from_slice(payload),
             }
+        } else {
+            return Ok(None);
         }
         Ok(Some(consumed))
-    }
-
-    /// Tee and chunk-encode the staged payload.
-    fn flush_seg(&mut self, sink: &mut Vec<u8>) {
-        self.prefix.take(&self.seg);
-        if let Some(chunker) = &mut self.chunker {
-            chunker
-                .push(&self.seg, sink)
-                .expect("writing to a Vec cannot fail");
-        }
     }
 }
 
 /// What the volume center's head hook sees: the main response head, and
 /// the payload length the client head declares (0 for a chunked body) or
 /// the buffered body's. It may add headers and trailers.
-pub(crate) type HeadHook<'h> = &'h (dyn Fn(&mut Response, usize) + Sync);
+pub type HeadHook<'h> = &'h (dyn Fn(&mut Response, usize) + Sync);
 
 /// The volume center's relay (PROTOCOL.md §14.1): the client gets the
 /// upstream's own head — any status, after the hook — in the framing
@@ -257,13 +255,13 @@ pub(crate) type HeadHook<'h> = &'h (dyn Fn(&mut Response, usize) + Sync);
 /// chunked body the hook must learn the size of, and a head announcing a
 /// push burst, whose count must stay rewritable.
 #[derive(Clone, Copy)]
-pub(crate) struct AsIs<'h> {
+pub struct AsIs<'h> {
     /// The request was a `HEAD`: the response has no body.
-    pub(crate) head_request: bool,
+    pub head_request: bool,
     /// Runs once on the main response before any of it is in the sink: at
     /// the head when the body engages, on the whole response (the
     /// exchange's outcome) otherwise.
-    pub(crate) hook: Option<HeadHook<'h>>,
+    pub hook: Option<HeadHook<'h>>,
 }
 
 /// One upstream exchange in flight, written once for both engines and
@@ -292,6 +290,8 @@ pub struct ResponseMachine<'h> {
     pushed: Vec<Response>,
     /// Announced pushes not read whole yet.
     owed: usize,
+    /// The bytes of the last feed's input the client gets as they are.
+    span: Range<usize>,
 }
 
 impl<'h> ResponseMachine<'h> {
@@ -305,7 +305,7 @@ impl<'h> ResponseMachine<'h> {
     }
 
     /// A machine for one as-is exchange (the volume center's).
-    pub(crate) fn as_is(as_is: AsIs<'h>, accept_push: bool) -> ResponseMachine<'h> {
+    pub fn as_is(as_is: AsIs<'h>, accept_push: bool) -> ResponseMachine<'h> {
         ResponseMachine {
             as_is: Some(as_is),
             accept_push,
@@ -348,8 +348,11 @@ impl<'h> ResponseMachine<'h> {
     /// Feed the next bytes off the origin connection (`eof`: it closed
     /// behind them). Returns how many were this exchange's — the rest
     /// belong to whatever follows on the connection. Client bytes are
-    /// appended to `sink`. `Err` fails the exchange; once the main
-    /// response is whole, a failing push only cuts the burst short.
+    /// appended to `sink`, except the payload of a `Content-Length` body
+    /// relayed under raw framing: that stays in `input`, at
+    /// [`ExchangeMachine::span`], and the client gets it after the sink.
+    /// `Err` fails the exchange; once the main response is whole, a
+    /// failing push only cuts the burst short.
     pub fn feed(
         &mut self,
         input: &[u8],
@@ -357,11 +360,16 @@ impl<'h> ResponseMachine<'h> {
         sink: &mut Vec<u8>,
     ) -> Result<usize, HttpError> {
         let mut used = 0;
+        self.span = 0..0;
         if !self.main.as_ref().is_some_and(Part::is_done) {
             let (rule, as_is, accept_push) = (self.rule, self.as_is, self.accept_push);
             let start = |head, sink: &mut Vec<u8>| Part::main(head, rule, as_is, accept_push, sink);
             let (n, ended) = advance(&mut self.held, &mut self.main, start, input, eof, sink)?;
             used = n;
+            // The forwarded payload is the tail of what the main response
+            // took: nothing behind it reaches the sink (pushes buffer).
+            let main = self.main.as_ref().and_then(|m| m.relay.as_ref());
+            self.span = used - main.map_or(0, |r| r.passed)..used;
             if !ended {
                 return Ok(used);
             }
@@ -416,10 +424,24 @@ impl<'h> ResponseMachine<'h> {
     }
 }
 
-/// Bytes one upstream read takes at most: the size of the read buffer an
-/// upstream connection allocates once, at its dial, and every exchange on
-/// it reuses. It holds one read, never the body.
+/// Bytes one upstream read takes at first: the size of the read buffer an
+/// upstream connection allocates at its dial, and every exchange on it
+/// reuses. It holds one read, never the body.
 pub const UPSTREAM_READ: usize = 16 * 1024;
+
+/// Bytes one upstream read takes at most: see [`grow_upstream_read`].
+pub const UPSTREAM_READ_MAX: usize = 64 * 1024;
+
+/// The one read-size rule of every upstream driver: a read of `n` bytes
+/// that filled `buf` grows it, once, to [`UPSTREAM_READ_MAX`]. A
+/// connection that carries a large body then moves it in a quarter of the
+/// reads (and relay writes); one that carries only small responses keeps
+/// its small buffer.
+pub fn grow_upstream_read(buf: &mut Vec<u8>, n: usize) {
+    if n == buf.len() && n < UPSTREAM_READ_MAX {
+        buf.resize(UPSTREAM_READ_MAX, 0);
+    }
+}
 
 /// What an exchange leaves its connection fit for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -494,7 +516,8 @@ impl<'h> ExchangeMachine<'h> {
     }
 
     /// One read's bytes off the connection — empty is its EOF — fed to the
-    /// response machine, client bytes appended to `sink`. Returns how many
+    /// response machine, client bytes appended to `sink` and the payload
+    /// it forwards in place left at [`span`](Self::span). Returns how many
     /// were the exchange's: the rest sit unread behind the response. `Err`
     /// fails the attempt, and so does an EOF the response does not end at.
     pub fn filled(&mut self, read: &[u8], sink: &mut Vec<u8>) -> Result<usize, HttpError> {
@@ -505,6 +528,12 @@ impl<'h> ExchangeMachine<'h> {
             return Err(HttpError::ConnectionClosed);
         }
         Ok(used)
+    }
+
+    /// The bytes of the last read the client gets as they are: a driver
+    /// writes them after what the read appended to the sink.
+    pub fn span(&self) -> Range<usize> {
+        self.response.span.clone()
     }
 
     /// Did the exchange end (see [`ResponseMachine::is_done`])?
@@ -778,8 +807,11 @@ impl Part {
             self.grow = None;
             write_stream_head(&self.head, None, rule.now, sink);
             let mut relay = Relay::new(None, Some(&rule));
+            Relay::tee(&mut relay.prefix, relay.want, &self.body);
+            let chunker = relay.chunker.as_mut().expect("a grown body is chunked");
+            chunker.push(&self.body, sink)?;
+            // The buffer stages the relay's decoded payload from here on.
             relay.seg = std::mem::take(&mut self.body);
-            relay.flush_seg(sink);
             self.relay = Some(relay);
         }
         if !reader.is_done() {
@@ -831,7 +863,7 @@ impl Part {
                     Some(relay) => UpstreamOutcome::Streamed {
                         head,
                         total: reader.map_or(0, |r| r.decoded()),
-                        prefix: relay.prefix.bytes,
+                        prefix: relay.prefix,
                     },
                     None => {
                         let len = body.len();
@@ -1405,5 +1437,29 @@ fn process_piggyback(shared: &ProxyShared, resp: &Response, source: SocketAddr, 
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A short read never grows the buffer, a filling read grows it to
+    /// `UPSTREAM_READ_MAX` once, and nothing grows it past that.
+    #[test]
+    fn upstream_read_grows_once_on_a_full_read() {
+        let mut buf = vec![0; UPSTREAM_READ];
+        for n in [0, 1, UPSTREAM_READ - 1] {
+            grow_upstream_read(&mut buf, n);
+            assert_eq!(buf.len(), UPSTREAM_READ, "a {n}-byte read");
+        }
+        grow_upstream_read(&mut buf, UPSTREAM_READ);
+        assert_eq!(buf.len(), UPSTREAM_READ_MAX);
+        let at = buf.as_ptr();
+        for n in [0, UPSTREAM_READ, UPSTREAM_READ_MAX, UPSTREAM_READ_MAX] {
+            grow_upstream_read(&mut buf, n);
+            assert_eq!(buf.len(), UPSTREAM_READ_MAX, "a {n}-byte read");
+        }
+        assert_eq!(buf.as_ptr(), at, "never reallocated again");
     }
 }

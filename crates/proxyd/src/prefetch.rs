@@ -382,7 +382,7 @@ fn fetch_and_install(
         }
         None => {
             // A speculative leg never engages, so nothing reaches the sink.
-            let _ = run_plan(plan, &shared.pool, scratch, &mut Vec::new(), |_| Ok(()));
+            let _ = run_plan(plan, &shared.pool, scratch, &mut Vec::new(), |_, _| Ok(()));
         }
     }
 }

@@ -46,7 +46,7 @@
 //! reactor, so a slow client can stall only its own connection —
 //! readiness on WRITABLE drains the rest.
 
-use crate::lifecycle::{ExchangeMachine, ResponseMachine, UPSTREAM_READ};
+use crate::lifecycle::{grow_upstream_read, ExchangeMachine, ResponseMachine, UPSTREAM_READ};
 use crate::service::{ClientMachine, ResumeFn, Served, Service, UpstreamNext, UpstreamPlan, Waker};
 use crate::util::{IoStats, OpenGuard, ServerHandle};
 use piggyback_httpwire::ConnScratch;
@@ -647,7 +647,8 @@ struct Exchange {
 struct UpConn {
     stream: TcpStream,
     dialing: bool,
-    /// One read's bytes, allocated at the dial: never the body.
+    /// One read's bytes, allocated at the dial (grown once by
+    /// [`grow_upstream_read`]): never the body.
     buf: Vec<u8>,
     /// When it went idle.
     last_active: Instant,
@@ -973,16 +974,12 @@ impl<S: Service> Reactor<S> {
             return true;
         };
         let mut broken = false;
-        while !conn.machine.output().is_empty() {
+        while !broken && !conn.machine.output().is_empty() {
             match conn.stream.write(conn.machine.output()) {
-                Ok(0) => broken = true,
-                Ok(n) => conn.machine.wrote(n),
+                Ok(n) if n > 0 => conn.machine.wrote(n),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => broken = true,
-            }
-            if broken {
-                break;
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                _ => broken = true,
             }
         }
         let close = broken || conn.machine.done();
@@ -1181,9 +1178,11 @@ impl<S: Service> Reactor<S> {
     }
 
     /// Move bytes for the exchange machine: write what it has to write,
-    /// then read into the connection's buffer and hand it each read, until
-    /// it is done or the socket would block. An engaged machine writes
-    /// straight into the parked client's output buffer; origin reads pause
+    /// then read into the connection's buffer (grown by
+    /// [`grow_upstream_read`]) and hand it each read, until it is done or
+    /// the socket would block. An engaged machine writes straight into the
+    /// parked client's output buffer, and the read's span of payload it
+    /// forwarded in place is appended behind that; origin reads pause
     /// while that client sits above the high-water mark. The end and every
     /// failure route to settle/retry.
     fn drive_upstream(&mut self, utoken: u64) {
@@ -1266,9 +1265,11 @@ impl<S: Service> Reactor<S> {
                         Some(conn) => conn.machine.stage().1,
                         None => &mut *spare_out,
                     };
-                    if machine.filled(&up.buf[..n], sink).is_err() {
-                        verdict = Out::Error;
+                    match machine.filled(&up.buf[..n], sink) {
+                        Ok(_) => sink.extend_from_slice(&up.buf[machine.span()]),
+                        Err(_) => verdict = Out::Error,
                     }
+                    grow_upstream_read(&mut up.buf, n);
                 }
                 verdict
             };

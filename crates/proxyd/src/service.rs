@@ -11,14 +11,16 @@
 //! connection's bytes through one socket-free [`ClientMachine`], as they
 //! move an origin's through one [`ExchangeMachine`] — the retry contract,
 //! the attempt deadline and the reuse verdict included; a poller only
-//! moves bytes. So the proxy and the origin are each written once,
-//! whichever engine serves them.
+//! moves bytes. Here a relayed read leaves in one vectored write: what it
+//! staged, then the payload span the machine forwarded in place. So the
+//! proxy and the origin are each written once, whichever engine serves
+//! them.
 
 use crate::client::{ConnectionPool, PooledConn};
-use crate::lifecycle::{ExchangeMachine, RelayRule, ResponseMachine, Reuse, UpstreamOutcome};
+use crate::lifecycle::{self, ExchangeMachine, RelayRule, ResponseMachine, Reuse, UpstreamOutcome};
 use crate::util::{serve_with_stats, IoStats, ServeOptions, ServerHandle};
 use piggyback_httpwire::parse::MAX_BODY;
-use piggyback_httpwire::{ConnScratch, HttpError, Request, Response};
+use piggyback_httpwire::{write_all_parts, ConnScratch, HttpError, Request, Response};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{mpsc, Arc};
@@ -384,11 +386,6 @@ impl ClientMachine {
     }
 }
 
-/// Client bytes a relay stages before they are written downstream: one
-/// write per segment, not one per origin-side read. Bounds memory per
-/// in-flight relay: the whole body is never resident.
-const STREAM_SEGMENT: usize = 16 * 1024;
-
 /// Serve `svc` on `127.0.0.1:port` from a blocking worker pool (threads
 /// `{name}-worker-*`), one connection per worker at a time. A client
 /// silent for `idle_timeout`, or still sending one request that long, is
@@ -464,7 +461,9 @@ fn follow(
                     .ok_or(io::ErrorKind::Unsupported.into())
                     .and_then(|pool| {
                         let (scratch, out) = machine.stage();
-                        run_plan(plan, pool, scratch, out, |seg| write_out(w, seg))
+                        run_plan(plan, pool, scratch, out, |seg, span| {
+                            write_all_parts(w, &[seg, span]).map(|()| seg.clear())
+                        })
                     });
                 return machine.unpark(sent.is_ok() && ran.is_ok());
             }
@@ -485,35 +484,28 @@ fn follow(
     }
 }
 
+/// Write what is staged. Bytes a failed write leaves are dropped with the
+/// connection: nothing will deliver them, and a plan run after the
+/// failure must not find them in its sink.
 fn write_staged(w: &mut TcpStream, machine: &mut ClientMachine) -> io::Result<()> {
-    let staged = machine.output();
-    let n = staged.len();
-    if n > 0 {
-        w.write_all(staged)?;
-        machine.wrote(n);
-    }
-    Ok(())
-}
-
-fn write_out(w: &mut TcpStream, out: &mut Vec<u8>) -> io::Result<()> {
-    if !out.is_empty() {
-        w.write_all(out)?;
-        out.clear();
-    }
-    Ok(())
+    let n = machine.output().len();
+    let written = w.write_all(machine.output());
+    machine.wrote(n);
+    written
 }
 
 /// Run `plan` — and every exchange its continuation chains — on the
 /// calling thread: [`blocking_exchange`] over `pool`, with `out` as the
-/// machine's sink, handing `flush` a segment when it fills, when the
-/// machine engages (its head goes out before more payload is awaited) and
-/// when the response ends; then the continuation, with the outcome.
+/// machine's sink, handing `flush` what each read staged and its span of
+/// payload forwarded in place, to go out in that order; then the
+/// continuation, with the outcome. A relay holds one read's worth, never
+/// the body.
 pub(crate) fn run_plan(
     mut plan: UpstreamPlan,
     pool: &ConnectionPool,
     scratch: &mut ConnScratch,
     out: &mut Vec<u8>,
-    mut flush: impl FnMut(&mut Vec<u8>) -> io::Result<()>,
+    mut flush: impl FnMut(&mut Vec<u8>, &[u8]) -> io::Result<()>,
 ) -> io::Result<()> {
     loop {
         let UpstreamPlan {
@@ -525,7 +517,6 @@ pub(crate) fn run_plan(
             ..
         } = plan;
         let machine = ResponseMachine::new(relay, accept_push);
-        let mut engaged = false;
         let (outcome, kept) = blocking_exchange(
             ExchangeMachine::new(request, true, machine, Instant::now()),
             |again| {
@@ -536,14 +527,7 @@ pub(crate) fn run_plan(
                 pool.connect_fresh()
             },
             out,
-            |seg, machine| {
-                if seg.len() >= STREAM_SEGMENT || machine.is_done() || machine.engaged() != engaged
-                {
-                    engaged = machine.engaged();
-                    flush(seg)?;
-                }
-                Ok(())
-            },
+            |seg, span, _| flush(seg, span),
         );
         if let Some((conn, reuse)) = kept {
             pool.checkin(conn, reuse);
@@ -558,18 +542,20 @@ pub(crate) fn run_plan(
 /// Drive `machine` to its outcome on blocking connections, for every
 /// blocking hop — the blocking poller's plans and the volume center: dial
 /// (`dial(true)` for the retry), write, read into the connection's buffer
-/// and hand each read to the machine, `flush`ing what it appended to
-/// `sink`, until the machine is done or an attempt fails — then the
-/// machine says whether to go again (PROTOCOL.md §7.1). A failed dial is
-/// terminal. A connection's timeout bounds each attempt: a read or write
-/// that waits longer fails, and so does an attempt past its deadline. The
-/// connection of an exchange that ended comes back with the machine's
-/// verdict on it.
+/// (grown by [`lifecycle::grow_upstream_read`]) and hand each read to the
+/// machine, then `flush` what the read appended to `sink` and its
+/// [span](ExchangeMachine::span), the payload forwarded in place, to go
+/// out in that order (the machine says whether it was the last read) —
+/// until the machine is done or an attempt fails, and then the machine
+/// says whether to go again (PROTOCOL.md §7.1). A failed dial is terminal.
+/// A connection's timeout bounds each attempt: a read or write that waits
+/// longer fails, and so does an attempt past its deadline. The connection
+/// of an exchange that ended comes back with the machine's verdict on it.
 pub(crate) fn blocking_exchange<'h>(
     mut machine: ExchangeMachine<'h>,
     mut dial: impl FnMut(bool) -> io::Result<PooledConn>,
     sink: &mut Vec<u8>,
-    mut flush: impl FnMut(&mut Vec<u8>, &ExchangeMachine<'h>) -> io::Result<()>,
+    mut flush: impl FnMut(&mut Vec<u8>, &[u8], &ExchangeMachine<'h>) -> io::Result<()>,
 ) -> (UpstreamOutcome, Option<(PooledConn, Reuse)>) {
     let mut again = false;
     while let Ok(mut conn) = dial(again) {
@@ -590,7 +576,7 @@ fn attempt<'h>(
     machine: &mut ExchangeMachine<'h>,
     conn: &mut PooledConn,
     sink: &mut Vec<u8>,
-    flush: &mut impl FnMut(&mut Vec<u8>, &ExchangeMachine<'h>) -> io::Result<()>,
+    flush: &mut impl FnMut(&mut Vec<u8>, &[u8], &ExchangeMachine<'h>) -> io::Result<()>,
 ) -> Result<(), HttpError> {
     let n = machine.to_write().len();
     conn.stream.write_all(machine.to_write())?;
@@ -602,14 +588,14 @@ fn attempt<'h>(
         {
             return Err(io::Error::from(io::ErrorKind::TimedOut).into());
         }
-        match conn.stream.read(&mut conn.buf) {
-            Ok(n) => {
-                machine.filled(&conn.buf[..n], sink)?;
-            }
+        let n = match conn.stream.read(&mut conn.buf) {
+            Ok(n) => n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
-        }
-        flush(sink, machine)?;
+        };
+        machine.filled(&conn.buf[..n], sink)?;
+        flush(sink, &conn.buf[machine.span()], machine)?;
+        lifecycle::grow_upstream_read(&mut conn.buf, n);
     }
     Ok(())
 }

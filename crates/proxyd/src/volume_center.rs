@@ -12,10 +12,11 @@
 //! upstream [`ExchangeMachine`] — retry, deadline and reuse verdict
 //! included — through the blocking poller's own exchange loop
 //! (PROTOCOL.md §14.1): the downstream gets the upstream's own head,
-//! after a hook that learns and piggybacks, and bodies cut through segment
-//! by segment as they arrive, through buffers that live as long as the
-//! connection. Requests are forwarded from the struct they were parsed
-//! into.
+//! after a hook that learns and piggybacks, and bodies cut through read by
+//! read as they arrive — a `Content-Length` payload written from the
+//! upstream read buffer, not copied — through buffers that live as long
+//! as the connection. Requests are forwarded from the struct they were
+//! parsed into.
 
 use crate::client::PooledConn;
 use crate::lifecycle::{
@@ -35,7 +36,7 @@ use piggyback_core::types::{SourceId, Timestamp};
 use piggyback_core::volume::DirectoryVolumes;
 use piggyback_core::wire::{encode_p_volume, P_VOLUME_HEADER};
 use piggyback_httpwire::{
-    encode_stream_head, BodyWriter, ConnScratch, Request, Response, StreamFraming,
+    encode_stream_head, write_all_parts, BodyWriter, ConnScratch, Request, Response, StreamFraming,
 };
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -147,21 +148,25 @@ fn request_wire_len(req: &Request) -> usize {
     req.method.len() + req.target.len() + 12 + headers + 2 + req.body.len()
 }
 
-/// Payload bytes per relay segment, and wire bytes per downstream write.
-/// Matches the proxy's streaming segment granularity so the shim spreads
-/// serialization delay the way a real link would, instead of
-/// store-and-forwarding whole responses.
+/// Wire bytes per paced downstream write, so the shim spreads
+/// serialization delay the way a real link would instead of
+/// store-and-forwarding whole responses — and, unpaced, the least a write
+/// carries before a response's tail.
 const PACE_CHUNK: usize = 16 * 1024;
 
 /// The downstream half of a relay connection: the socket, the body
 /// encoder of responses written whole, and the shim's pacing state for
-/// the response under way — a paced sink for the connection's one
-/// staging buffer, which is also the response machine's sink.
+/// the response under way — a sink for the connection's one staging
+/// buffer, which is also the response machine's sink.
 ///
-/// Staged bytes leave in writes of exactly [`PACE_CHUNK`] bytes, a
-/// response's tail in one shorter write: a response that fits one write
-/// leaves in one write, and a larger one never has more than a write's
-/// worth waiting.
+/// Nothing leaves before a [`PACE_CHUNK`] is waiting or the response's
+/// tail is: a response that fits one write leaves in one write, after
+/// everything upstream went well. Unpaced, what is waiting then leaves in
+/// one write — the staged bytes, then the payload the response machine
+/// forwarded in place, not copied. Under a shim everything is staged and
+/// leaves in writes of exactly [`PACE_CHUNK`] bytes, a response's tail in
+/// one shorter write, so a response never has more than a write's worth
+/// waiting.
 struct Downstream<'a> {
     sock: TcpStream,
     writer: BodyWriter,
@@ -183,33 +188,42 @@ impl Downstream<'_> {
     /// paced like a relayed one: its body is staged a segment at a time.
     fn whole(&mut self, resp: &Response, stage: &mut Vec<u8>) -> io::Result<()> {
         self.begin();
-        let framing = if resp.is_chunked() {
-            StreamFraming::Chunked
-        } else {
-            StreamFraming::Length(resp.body.len())
-        };
+        let length = (!resp.is_chunked()).then_some(resp.body.len());
+        let framing = length.map_or(StreamFraming::Chunked, StreamFraming::Length);
         stage.clear();
         encode_stream_head(resp, framing, stage);
         self.writer.reset(framing);
         for piece in resp.body.chunks(PACE_CHUNK) {
             self.writer.push(piece, stage)?;
-            self.drain(stage, false)?;
+            self.send(stage, &[], false)?;
         }
         self.writer.finish(&resp.trailers, stage)?;
-        self.drain(stage, true)
+        self.send(stage, &[], true)
     }
 
-    /// Write staged bytes: every whole [`PACE_CHUNK`], and with `all` the
-    /// tail too. Under a shim each write first pays the *increment* of the
-    /// response's cumulative delay — the first one the propagation
-    /// half-RTT, the jitter share and its own serialization time, each
-    /// later one only its serialization share — so time-to-first-byte is
-    /// not pushed out to the full-transfer time, and the increments
-    /// telescope: `n` wire bytes are delayed by `down_delay(plan, n)` in
-    /// total however the body was segmented. Dues are taken in whole
-    /// microseconds, the unit of `ShimStats::delay_us`, so the ledger
-    /// telescopes as exactly as the sleeps.
-    fn drain(&mut self, stage: &mut Vec<u8>, all: bool) -> io::Result<()> {
+    /// Send the staged bytes, then `span` — payload the response machine
+    /// forwarded in place — with `all` the response's tail too. Under a
+    /// shim each write first pays the *increment* of the response's
+    /// cumulative delay — the first one the propagation half-RTT, the
+    /// jitter share and its own serialization time, each later one only
+    /// its serialization share — so time-to-first-byte is not pushed out
+    /// to the full-transfer time, and the increments telescope: `n` wire
+    /// bytes are delayed by `down_delay(plan, n)` in total however the
+    /// body was segmented. Dues are taken in whole microseconds, the unit
+    /// of `ShimStats::delay_us`, so the ledger telescopes as exactly as
+    /// the sleeps.
+    fn send(&mut self, stage: &mut Vec<u8>, span: &[u8], all: bool) -> io::Result<()> {
+        let Some((cond, plan)) = self.shim else {
+            if all || stage.len() + span.len() >= PACE_CHUNK {
+                self.sent += stage.len() + span.len();
+                write_all_parts(&mut self.sock, &[stage, span])?;
+                stage.clear();
+            } else {
+                stage.extend_from_slice(span);
+            }
+            return Ok(());
+        };
+        stage.extend_from_slice(span);
         let mut from = 0;
         while from < stage.len() {
             let to = (from + PACE_CHUNK).min(stage.len());
@@ -217,12 +231,10 @@ impl Downstream<'_> {
                 break;
             }
             self.sent += to - from;
-            if let Some((cond, plan)) = &self.shim {
-                let due = cond.down_delay(plan, self.sent).as_micros() as u64;
-                let due = Duration::from_micros(due);
-                cond.apply(due.saturating_sub(self.paid));
-                self.paid = due;
-            }
+            let due = cond.down_delay(&plan, self.sent).as_micros() as u64;
+            let due = Duration::from_micros(due);
+            cond.apply(due.saturating_sub(self.paid));
+            self.paid = due;
             self.sock.write_all(&stage[from..to])?;
             from = to;
         }
@@ -298,7 +310,7 @@ fn learn(
 /// and relay the response through the response machine, which writes the
 /// upstream's own head — after [`learn`] in oblivious mode — and cuts the
 /// body through in the upstream's own framing, so the relay holds
-/// O(segment) memory and the first byte does not wait for the last
+/// O(read) memory and the first byte does not wait for the last
 /// (PROTOCOL.md §14.1). Everything an exchange needs — request, its
 /// serialized bytes, scratch, staging buffer, body encoder — lives here
 /// and is reused.
@@ -375,11 +387,19 @@ fn handle_connection(
         // `write_with` staged the head in what is the machine's sink next.
         scratch.out.clear();
         let machine = ResponseMachine::as_is(as_is, transparent);
+        // The last read's span, left in the upstream connection's buffer.
+        let mut tail = 0..0;
         let (outcome, kept) = blocking_exchange(
             ExchangeMachine::new(&request[..], req.body.is_empty(), machine, Instant::now()),
             |_| up.take().map_or_else(|| PooledConn::connect(origin), Ok),
             &mut scratch.out,
-            |stage, _| down.drain(stage, false),
+            |stage, span, machine| {
+                if !machine.is_done() {
+                    return down.send(stage, span, false);
+                }
+                tail = machine.span();
+                Ok(())
+            },
         );
         let stage = &mut scratch.out;
         match outcome {
@@ -387,7 +407,8 @@ fn handle_connection(
             // whole: a client holding the last byte sees the count.
             UpstreamOutcome::Streamed { head, total, .. } => {
                 daemon.count_response(head.status, total);
-                down.drain(stage, true)?;
+                let last = kept.as_ref().map_or(&[][..], |(conn, _)| &conn.buf[tail]);
+                down.send(stage, last, true)?;
             }
             UpstreamOutcome::Response(mut resp, pushed) => {
                 // A burst cut short upstream is announced as what arrived:

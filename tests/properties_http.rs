@@ -304,7 +304,7 @@ proptest! {
 use piggyback::core::types::Timestamp;
 use piggyback::httpwire::{parse::MAX_BODY, HttpError};
 use piggyback::proxyd::lifecycle::{
-    ExchangeMachine, RelayRule, ResponseMachine, Reuse, UpstreamOutcome,
+    AsIs, ExchangeMachine, RelayRule, ResponseMachine, Reuse, UpstreamOutcome,
 };
 
 const THRESHOLD: usize = 4096;
@@ -411,7 +411,8 @@ fn describe(outcome: UpstreamOutcome) -> String {
 
 /// Drive one attempt of an exchange machine as a driver does: hand it the
 /// wire from its status line in `split`-byte reads (`0`: one read), then
-/// the close as a read of its own, and stop reading once it is done.
+/// the close as a read of its own, and stop reading once it is done. The
+/// client gets what each read appended to the sink, then the read's span.
 fn run_machine(
     wire: &[u8],
     closes: bool,
@@ -431,6 +432,7 @@ fn run_machine(
         }
         match machine.filled(read, &mut client) {
             Ok(n) => {
+                client.extend_from_slice(&read[machine.span()]);
                 consumed += n;
                 assert!(n == read.len() || machine.is_done(), "input left behind");
             }
@@ -689,6 +691,111 @@ fn response_machine_errors_before_any_client_byte() {
     ));
 }
 
+/// What a raw relay shows its driver read by read: everything the client
+/// got, what of it came through the sink, the outcome, and how many bytes
+/// the read that ended the exchange forwarded.
+struct SpanRun {
+    client: Vec<u8>,
+    sink: Vec<u8>,
+    outcome: String,
+    last_read: usize,
+}
+
+/// Drive `response` over `wire` in `split`-byte reads the way every driver
+/// writes a read: what it appended to the sink, then its span.
+fn run_spans(response: ResponseMachine, wire: &[u8], split: usize) -> SpanRun {
+    let mut machine = ExchangeMachine::new(Vec::new(), true, response, Instant::now());
+    let (mut client, mut sink) = (Vec::new(), Vec::new());
+    let mut last_read = 0;
+    for read in wire.chunks(split) {
+        let staged = sink.len();
+        machine.filled(read, &mut sink).expect("a framed response");
+        let span = &read[machine.span()];
+        client.extend_from_slice(&sink[staged..]);
+        client.extend_from_slice(span);
+        last_read = sink.len() - staged + span.len();
+        if machine.is_done() {
+            break;
+        }
+    }
+    assert!(machine.is_done(), "the wire holds the whole response");
+    SpanRun {
+        client,
+        sink,
+        outcome: describe(machine.into_outcome()),
+        last_read,
+    }
+}
+
+/// A raw relay of a `Content-Length` body copies no payload byte: the
+/// machine leaves it in the read and names it by span. Under reads of any
+/// size, around both upstream read sizes (`UPSTREAM_READ`,
+/// `UPSTREAM_READ_MAX`): what the reads staged plus their spans, in that
+/// order, is the client head plus the payload past the skip; the sink never
+/// holds a payload byte; the tee still sees the skipped bytes; and a read
+/// that overruns the promised length forwards nothing.
+#[test]
+fn raw_relay_forwards_payload_by_span() {
+    let sizes = [16383, 16384, 16385, 65535, 65536, 65537];
+    let splits = [1, 7, 1500, 16384, 65536];
+    let as_is = AsIs {
+        head_request: false,
+        hook: None,
+    };
+    let pinned = |total| RelayRule {
+        threshold: 0,
+        prefix_bytes: PREFIX,
+        skip: SKIP,
+        expect_total: Some(total),
+        chunked_may_grow: false,
+        now: Timestamp::ZERO,
+    };
+    for size in sizes {
+        let body = payload(size);
+        let (mut wire, _) = origin_wire(Framing::Length, &body);
+        let head_len = wire.len() - size;
+        wire.extend_from_slice(NEXT);
+        for split in splits {
+            let what = format!("size {size} split {split}");
+            // As-is (the volume center): the upstream's own head, then the
+            // whole payload.
+            let run = run_spans(ResponseMachine::as_is(as_is, false), &wire, split);
+            assert_eq!(run.sink, &wire[..head_len], "as-is {what}");
+            assert_eq!(run.client, &wire[..head_len + size], "as-is {what}");
+            // Pinned behind a prefix hit: the head went out with the
+            // prefix, so the client gets only the payload past the skip.
+            let response = ResponseMachine::new(Some(pinned(size)), false);
+            let run = run_spans(response, &wire, split);
+            assert!(run.sink.is_empty(), "pinned {what}: nothing staged");
+            assert_eq!(run.client, &body[SKIP..], "pinned {what}");
+            let teed = &body[..PREFIX];
+            assert!(
+                run.outcome.contains(&format!(" {teed:?} ")),
+                "pinned {what}"
+            );
+        }
+    }
+    // Overruns: a head declaring another length forwards nothing at all;
+    // a chunked body that runs past the promise (decoded into the sink,
+    // not by span) ends on a read that forwards nothing of itself.
+    let body = payload(65537);
+    for (framing, promised) in [(Framing::Length, 65536), (Framing::Chunked, 16385)] {
+        let (wire, _) = origin_wire(framing, &body);
+        for split in splits {
+            let what = format!("{framing:?} promised {promised} split {split}");
+            let response = ResponseMachine::new(Some(pinned(promised)), false);
+            let run = run_spans(response, &wire, split);
+            assert_eq!(run.outcome, "stream failed true", "{what}");
+            assert_eq!(run.last_read, 0, "{what}: the overrunning read");
+            assert!(run.client.len() <= promised - SKIP, "{what}");
+            assert!(body[SKIP..].starts_with(&run.client), "{what}");
+            if framing == Framing::Length {
+                assert!(run.client.is_empty(), "{what}");
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The exchange machine (`proxyd::lifecycle::ExchangeMachine`, PROTOCOL.md
 // §7.1): the attempts around the response machine, which both pollers and
@@ -749,6 +856,7 @@ fn run_exchange(
         let mut fed = Ok(0);
         for read in wire.chunks(step) {
             fed = machine.filled(read, &mut client);
+            client.extend_from_slice(&read[machine.span()]);
             if fed.is_err() || machine.is_done() {
                 break;
             }
