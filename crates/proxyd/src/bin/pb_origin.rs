@@ -49,7 +49,6 @@ fn main() {
             "--pages" => cfg.site.n_pages = value("--pages").parse().expect("numeric pages"),
             "--level" => {
                 let level = value("--level").parse().expect("numeric level");
-                cfg.volume_level = level;
                 cfg.volumes = VolumeScheme::Directory { level };
             }
             "--volumes-file" => {

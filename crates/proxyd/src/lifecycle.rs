@@ -2,14 +2,14 @@
 //!
 //! Everything between "the plan says *go upstream*" and "the client has
 //! its answer" that needs no socket lives here: which request goes to the
-//! origin ([`first_leg`], [`refetch_leg`], [`speculative_leg`]), the
+//! origin ([`first_leg`], [`speculative_leg`]), the
 //! attempts that carry it — retry, deadline and reuse
 //! ([`ExchangeMachine`]), how the response is decoded and whether it
 //! buffers or cuts through to the client ([`ResponseMachine`], under the
 //! leg's [`RelayRule`]), the head a prefix hit sends ahead of it
 //! ([`probe_prefix`]), and what the
 //! exchange's [`UpstreamOutcome`] does to the cache, the counters, the
-//! piggyback state and the reply ([`settle`], [`settle_refetch`]). Both
+//! piggyback state and the reply ([`settle`]). Both
 //! pollers of the proxy service — the blocking one ([`crate::service`])
 //! and the reactor — dial, write, read bytes into the exchange machine,
 //! hand its outcome here through the plan's continuation, and write what
@@ -22,7 +22,6 @@
 //! the read staged; every driver's reads start at [`UPSTREAM_READ`] and
 //! grow once by [`grow_upstream_read`].
 
-use crate::obs::LatencyHistogram;
 use crate::prefetch::{self, PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER};
 use crate::proxy::ProxyShared;
 use piggyback_core::datetime::{
@@ -52,7 +51,10 @@ use std::time::{Duration, Instant};
 pub(crate) struct UpstreamJob {
     pub(crate) path: String,
     pub(crate) source: SocketAddr,
-    pub(crate) validate_lm: Option<Timestamp>,
+    /// A validation's `Last-Modified` and the cached body it validates,
+    /// pinned at planning (a refcount, no copy): a 304 answers from this
+    /// body even if the entry was evicted or replaced mid-flight.
+    pub(crate) validate: Option<(Timestamp, Body)>,
     pub(crate) filter: ProxyFilter,
     pub(crate) report: Option<String>,
     /// Spans planning, any queue wait, and the exchange, so latency
@@ -913,10 +915,9 @@ fn plain_request(path: &str) -> Request {
     req
 }
 
-/// The piggyback GET of demand misses and validations. `conditional`
-/// attaches the drained hit report and `If-Modified-Since`; the
-/// evicted-body refetch sends neither.
-fn demand_request(shared: &ProxyShared, job: &UpstreamJob, conditional: bool) -> Request {
+/// The piggyback GET of demand misses and validations, with the drained
+/// hit report and, on a validation, `If-Modified-Since`.
+fn demand_request(shared: &ProxyShared, job: &UpstreamJob) -> Request {
     let mut req = plain_request(&job.path);
     req.headers.insert("TE", "chunked");
     req.headers
@@ -924,14 +925,11 @@ fn demand_request(shared: &ProxyShared, job: &UpstreamJob, conditional: bool) ->
     if shared.cfg.accept_push {
         req.headers.insert(PIGGY_PUSH_HEADER, "accept");
     }
-    if !conditional {
-        return req;
-    }
     if let Some(r) = &job.report {
         req.headers.insert(PIGGY_REPORT_HEADER, r);
     }
-    if let Some(lm) = job.validate_lm {
-        let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
+    if let Some((lm, _)) = &job.validate {
+        let unix = unix_from_timestamp(*lm, DEFAULT_TRACE_EPOCH_UNIX);
         req.headers
             .insert("If-Modified-Since", &format_rfc1123(unix));
     }
@@ -945,7 +943,7 @@ fn demand_request(shared: &ProxyShared, job: &UpstreamJob, conditional: bool) ->
 /// miss to materialize a cacheable body.
 fn streaming_eligible(shared: &ProxyShared, job: &UpstreamJob) -> bool {
     shared.cfg.stream_threshold > 0
-        && job.validate_lm.is_none()
+        && job.validate.is_none()
         && !shared.cfg.accept_push
         && shared.prefetcher.get().is_none()
 }
@@ -998,7 +996,7 @@ pub(crate) fn first_leg(shared: &ProxyShared, job: &UpstreamJob) -> Leg {
             }),
         },
         None => Leg {
-            request: demand_request(shared, job, true),
+            request: demand_request(shared, job),
             accept_push: shared.cfg.accept_push,
             relay: streaming_eligible(shared, job).then(|| RelayRule {
                 threshold: shared.cfg.stream_threshold,
@@ -1010,17 +1008,6 @@ pub(crate) fn first_leg(shared: &ProxyShared, job: &UpstreamJob) -> Leg {
                 now: shared.clock.now(),
             }),
         },
-    }
-}
-
-/// The chained exchange after [`Settled::Refetch`]: same filter, no
-/// report, no `If-Modified-Since`, and never streamed — it must
-/// materialize a cacheable body.
-pub(crate) fn refetch_leg(shared: &ProxyShared, job: &UpstreamJob) -> Leg {
-    Leg {
-        request: demand_request(shared, job, false),
-        relay: None,
-        accept_push: shared.cfg.accept_push,
     }
 }
 
@@ -1089,10 +1076,6 @@ pub(crate) fn landed_speculation(
 pub(crate) enum Settled {
     /// Write this response to the client.
     Reply(Response),
-    /// The 304 validated an entry whose body is gone (evicted between
-    /// planning and now) — serving it would hand the client an empty 200.
-    /// Run [`refetch_leg`] and hand its outcome to [`settle_refetch`].
-    Refetch(Refetch),
     /// The relay already delivered the whole answer.
     Sent,
     /// Bytes reached the client and the transfer cannot complete: drop
@@ -1111,15 +1094,6 @@ pub(crate) fn relay_aborted() -> io::Error {
     )
 }
 
-/// A first exchange waiting on its refetch: the 304 and pushes whose
-/// processing is owed whatever the refetch brings, at the first settle's
-/// timestamp.
-pub(crate) struct Refetch {
-    original: Response,
-    pushed: Vec<Response>,
-    now: Timestamp,
-}
-
 /// The single terminal outcome for a failed exchange. `requests` was
 /// counted at plan time, so conservation (`requests == Σ outcomes`) holds
 /// even when the client dies mid-body.
@@ -1128,9 +1102,9 @@ fn count_error(shared: &ProxyShared, job: &UpstreamJob) {
     shared.obs.error.record(job.start.elapsed());
 }
 
-/// Settle `job`'s first exchange: store or freshen, then the pushes a
-/// `--push` origin streamed behind the response, then the piggyback,
-/// then the outcome histogram.
+/// Settle `job`'s exchange: store or freshen, then the pushes a `--push`
+/// origin streamed behind the response, then the piggyback, then the
+/// outcome histogram.
 pub(crate) fn settle(shared: &ProxyShared, job: &UpstreamJob, outcome: UpstreamOutcome) -> Settled {
     if let Some(hit) = &job.prefix {
         return settle_suffix(shared, job, hit, outcome);
@@ -1174,104 +1148,43 @@ pub(crate) fn settle(shared: &ProxyShared, job: &UpstreamJob, outcome: UpstreamO
             return Settled::Sent;
         }
     };
-    let (result, hist) = if resp.status == 304 {
+    let (result, hist) = match &job.validate {
         // The table never forgets ids, so the validated path resolves;
-        // the body may have been evicted or invalidated mid-flight.
-        let r = shared.table.read().lookup(&job.path);
-        let body = r.and_then(|r| {
-            shared.cache.freshen(r, now + shared.cfg.freshness);
-            shared.bodies.get(r)
-        });
-        let Some(body) = body else {
-            return Settled::Refetch(Refetch {
-                original: resp,
-                pushed,
-                now,
-            });
-        };
-        shared.stats.not_modified.fetch_add(1, Relaxed);
-        let lm = job.validate_lm.unwrap_or(Timestamp::ZERO);
-        (
-            cached_response(&body, lm, "VALIDATED"),
-            &shared.obs.not_modified,
-        )
-    } else {
-        store_or_pass(shared, job, &resp, now)
-    };
-    apply_side_effects(shared, job, &pushed, &[&resp], now);
-    hist.record(job.start.elapsed());
-    Settled::Reply(result)
-}
-
-/// Settle the refetch chained behind a body-less 304. The request's
-/// histogram is its *final* outcome (a full fetch, not a validation), and
-/// the original 304's piggyback is processed even when the refetch fails.
-pub(crate) fn settle_refetch(
-    shared: &ProxyShared,
-    job: &UpstreamJob,
-    refetch: Refetch,
-    outcome: UpstreamOutcome,
-) -> Response {
-    let Refetch {
-        original,
-        mut pushed,
-        now,
-    } = refetch;
-    match outcome {
-        UpstreamOutcome::Response(r2, more_pushed) => {
-            pushed.extend(more_pushed);
-            let (result, hist) = store_or_pass(shared, job, &r2, shared.clock.now());
-            apply_side_effects(shared, job, &pushed, &[&original, &r2], now);
-            hist.record(job.start.elapsed());
-            result
+        // the entry is freshened only if it is still cached, and the
+        // reply is the body pinned at planning.
+        Some((lm, body)) if resp.status == 304 => {
+            if let Some(r) = shared.table.read().lookup(&job.path) {
+                shared.cache.freshen(r, now + shared.cfg.freshness);
+            }
+            shared.stats.not_modified.fetch_add(1, Relaxed);
+            (
+                cached_response(body, *lm, "VALIDATED"),
+                &shared.obs.not_modified,
+            )
         }
-        // The refetch leg carries no relay rule, so this is `Failed`.
-        _ => {
-            apply_side_effects(shared, job, &pushed, &[&original], now);
-            count_error(shared, job);
-            Response::new(502)
-        }
-    }
-}
-
-/// A 200 is stored and served as a MISS; any other status passes through
-/// untouched and uncached.
-fn store_or_pass<'a>(
-    shared: &'a ProxyShared,
-    job: &UpstreamJob,
-    resp: &Response,
-    now: Timestamp,
-) -> (Response, &'a LatencyHistogram) {
-    if resp.status == 200 {
-        (
-            store_full_response(shared, &job.path, resp, now),
+        // A 200 is stored and served as a MISS; any other status — an
+        // unsolicited 304 included — passes through untouched and
+        // uncached.
+        _ if resp.status == 200 => (
+            store_full_response(shared, &job.path, &resp, now),
             &shared.obs.full_fetch,
-        )
-    } else {
-        shared.stats.upstream_passthrough.fetch_add(1, Relaxed);
-        let mut out = Response::new(resp.status);
-        out.body = resp.body.clone();
-        (out, &shared.obs.passthrough)
-    }
-}
-
-/// What every buffered settle owes after its store/freshen step.
-/// Server-pushed volume members enter the cache before piggyback
-/// classification, so the piggybacks see them as cached entries (Freshen)
-/// instead of re-queueing them as prefetch candidates.
-fn apply_side_effects(
-    shared: &ProxyShared,
-    job: &UpstreamJob,
-    pushed: &[Response],
-    piggybacks: &[&Response],
-    now: Timestamp,
-) {
-    for p in pushed {
+        ),
+        _ => {
+            shared.stats.upstream_passthrough.fetch_add(1, Relaxed);
+            let mut out = Response::new(resp.status);
+            out.body = resp.body.clone();
+            (out, &shared.obs.passthrough)
+        }
+    };
+    // Server-pushed volume members enter the cache before piggyback
+    // classification, so the piggybacks see them as cached entries
+    // (Freshen) instead of re-queueing them as prefetch candidates.
+    for p in &pushed {
         prefetch::accept_push(shared, p, now);
     }
-    for resp in piggybacks {
-        process_piggyback(shared, resp, job.source, now);
-    }
+    process_piggyback(shared, &resp, job.source, now);
+    hist.record(job.start.elapsed());
+    Settled::Reply(result)
 }
 
 /// Settle the suffix fetch behind a prefix hit. The prefix head is

@@ -132,9 +132,6 @@ pub struct OriginConfig {
     /// 0 picks an ephemeral port.
     pub port: u16,
     pub site: SiteConfig,
-    /// Directory-volume prefix depth (used when `volumes` is
-    /// `Directory`; kept for backwards compatibility).
-    pub volume_level: usize,
     pub volumes: VolumeScheme,
     /// Serve the Prometheus admin endpoint `GET /__pb/metrics`
     /// (`pb-origin --no-metrics` disables it; disabled scrapes get a 404).
@@ -168,7 +165,6 @@ impl Default for OriginConfig {
                 n_pages: 60,
                 ..Default::default()
             },
-            volume_level: 1,
             volumes: VolumeScheme::Directory { level: 1 },
             metrics: true,
             piggyback_cache: true,

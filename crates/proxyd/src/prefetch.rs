@@ -60,7 +60,7 @@
 
 use crate::lifecycle::{self, UpstreamOutcome};
 use crate::proxy::ProxyShared;
-use crate::service::{run_plan, UpstreamNext, UpstreamPlan};
+use crate::service::{run_plan, UpstreamPlan};
 use crate::stats::AtomicProxyStats;
 use piggyback_core::types::{ResourceId, Timestamp};
 use piggyback_httpwire::{ConnScratch, Response};
@@ -370,7 +370,7 @@ fn fetch_and_install(
         finish: Box::new(move |_scratch, _out, outcome| {
             settle_speculation(&finish_shared, landing.r, &path, outcome);
             drop(landing);
-            Ok(UpstreamNext::Done)
+            Ok(())
         }),
         relay: leg.relay,
         accept_push: leg.accept_push,

@@ -32,11 +32,11 @@
 //! reactor — runs the plan (PROTOCOL.md §12).
 
 use crate::client::{ConnectionPool, PoolStats};
-use crate::lifecycle::{self, Leg, Refetch, Settled, UpstreamJob};
+use crate::lifecycle::{self, Settled, UpstreamJob};
 use crate::obs::{render_histogram, render_scalar, ProxyObs};
 use crate::origin::strip_origin_form;
 use crate::prefetch::{self, Prefetcher};
-use crate::service::{serve_blocking, Served, Service, UpstreamNext, UpstreamPlan};
+use crate::service::{serve_blocking, Served, Service, UpstreamPlan};
 use crate::stats::AtomicProxyStats;
 pub use crate::stats::ProxyStats;
 use crate::util::{Clock, IoMode, IoStats, ServeOptions, ServerHandle};
@@ -469,7 +469,7 @@ impl ProxySvc {
         // what landed or fetches after all, so the origin sees exactly one
         // fetch either way. Every speculation settles within its upstream
         // deadline, so the park needs no timeout of its own.
-        if job.validate_lm.is_none() {
+        if job.validate.is_none() {
             if let Some(spec) = shared
                 .prefetcher
                 .get()
@@ -495,9 +495,11 @@ impl ProxySvc {
     }
 }
 
-/// The upstream plan that answers `job`. A prefix hit's head and cached
-/// bytes are staged in `out` first: both pollers write them before the
-/// origin is dialed, so the client's first byte waits on no round trip.
+/// The upstream plan that answers `job`: the poller dials (or reuses) an
+/// origin connection, and the continuation hands the outcome to the
+/// lifecycle's settle. A prefix hit's head and cached bytes are staged in
+/// `out` first: both pollers write them before the origin is dialed, so
+/// the client's first byte waits on no round trip.
 fn fetch(
     shared: &Arc<ProxyShared>,
     mut job: UpstreamJob,
@@ -508,48 +510,23 @@ fn fetch(
         out.extend_from_slice(head.as_slice());
     }
     let leg = lifecycle::first_leg(shared, &job);
-    Served::Upstream(upstream_plan(Arc::clone(shared), job, leg, None, scratch))
-}
-
-/// `leg` as a plan: the poller dials (or reuses) an origin connection, and
-/// the continuation hands the outcome to the lifecycle's settle
-/// functions. `refetch` marks the chained second exchange of a body-less
-/// 304.
-fn upstream_plan(
-    shared: Arc<ProxyShared>,
-    job: UpstreamJob,
-    leg: Leg,
-    refetch: Option<Refetch>,
-    scratch: &mut ConnScratch,
-) -> UpstreamPlan {
-    let request = leg.request_bytes(scratch);
-    let retry_stats = Arc::clone(&shared);
-    UpstreamPlan {
+    let (shared, retry_stats) = (Arc::clone(shared), Arc::clone(shared));
+    Served::Upstream(UpstreamPlan {
         origin: shared.cfg.origin,
-        request,
+        request: leg.request_bytes(scratch),
         retry: Box::new(move || {
             retry_stats.stats.upstream_retries.fetch_add(1, Relaxed);
         }),
         relay: leg.relay,
         accept_push: leg.accept_push,
         finish: Box::new(move |scratch, out, outcome| {
-            let resp = match refetch {
-                Some(refetch) => lifecycle::settle_refetch(&shared, &job, refetch, outcome),
-                None => match lifecycle::settle(&shared, &job, outcome) {
-                    Settled::Reply(resp) => resp,
-                    Settled::Refetch(refetch) => {
-                        let leg = lifecycle::refetch_leg(&shared, &job);
-                        let plan = upstream_plan(shared, job, leg, Some(refetch), scratch);
-                        return Ok(UpstreamNext::Again(plan));
-                    }
-                    Settled::Sent => return Ok(UpstreamNext::Done),
-                    Settled::Abort => return Err(lifecycle::relay_aborted()),
-                },
-            };
-            resp.write_with(out, scratch)?;
-            Ok(UpstreamNext::Done)
+            match lifecycle::settle(&shared, &job, outcome) {
+                Settled::Reply(resp) => resp.write_with(out, scratch),
+                Settled::Sent => Ok(()),
+                Settled::Abort => Err(lifecycle::relay_aborted()),
+            }
         }),
-    }
+    })
 }
 
 /// What a request resolves to: a fresh cache hit served straight from the
@@ -606,32 +583,33 @@ fn plan_request(req: &Request, shared: &ProxyShared, source: SocketAddr) -> Step
     if let Some((_, snap)) = &cached {
         prefetch::note_speculative_hit(&shared.stats, snap);
     }
-    let validate_lm = match cached {
-        Some((r, snap)) if snap.is_fresh(now) => {
-            // A fresh entry whose body was invalidated underneath us
-            // (concurrent piggyback) degrades to a plain fetch. A prefix
-            // entry is never a full body — serving it here would truncate
-            // the object — so it degrades the same way (the lifecycle
-            // probes prefixes separately).
-            if let Some(body) = shared.bodies.get(r).filter(|b| !b.is_prefix()) {
-                shared.note_fresh_hit(path, start);
-                return Step::Reply(Reply::Hit {
-                    body,
-                    lm: snap.last_modified,
-                    expires: snap.expires,
-                });
-            }
-            None
+    // A cached entry whose body was invalidated underneath us (concurrent
+    // piggyback) degrades to a plain fetch. A prefix entry is never a full
+    // body — serving or validating it would truncate the object — so it
+    // degrades the same way (the lifecycle probes prefixes separately).
+    let cached = cached.and_then(|(r, snap)| {
+        let body = shared.bodies.get(r).filter(|b| !b.is_prefix())?;
+        Some((snap, body))
+    });
+    let validate = match cached {
+        Some((snap, body)) if snap.is_fresh(now) => {
+            shared.note_fresh_hit(path, start);
+            return Step::Reply(Reply::Hit {
+                body,
+                lm: snap.last_modified,
+                expires: snap.expires,
+            });
         }
-        Some((_, snap)) => {
+        // A stale entry validates, its body pinned against eviction.
+        Some((snap, body)) => {
             shared.stats.cache_hits.fetch_add(1, Relaxed);
             shared.stats.validations.fetch_add(1, Relaxed);
-            Some(snap.last_modified)
+            Some((snap.last_modified, body))
         }
         None => None,
     };
     Step::Upstream(UpstreamJob {
-        validate_lm,
+        validate,
         filter: shared.filter_for(source, now),
         report: shared.reporter.lock().drain_header(),
         path: path.to_owned(),
@@ -1265,12 +1243,11 @@ mod tests {
     }
 
     #[test]
-    fn validated_hit_with_evicted_body_refetches_instead_of_empty_200() {
-        // Regression: when a 304 lands but the cached body was evicted
-        // between planning (which saw the entry) and completion, the old
-        // code served an empty 200 with an epoch-zero Last-Modified.
-        // Both engines: this is the only test of the refetch chain (the
-        // reactor's `UpstreamNext::Again`).
+    fn stale_entry_without_its_body_is_a_plain_fetch_not_a_validation() {
+        // A stale entry whose body is gone (evicted or invalidated) cannot
+        // be validated — a 304 would leave nothing to serve, never an
+        // empty 200 — so planning sees the missing body and fetches in
+        // full instead.
         let origin = start_origin(OriginConfig::default()).unwrap();
         for io in engines() {
             let mut cfg = ProxyConfig::new(origin.addr());
@@ -1283,9 +1260,8 @@ mod tests {
             assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
             assert!(!r1.body.is_empty());
 
-            // Force the race deterministically: the table entry stays (so
-            // the next request validates) but the body is gone by the time
-            // the 304 arrives.
+            // The table entry stays (so the entry is there, and stale) but
+            // its body is gone before the next request plans.
             let r = proxy.shared.table.read().lookup(&path).unwrap();
             proxy.shared.bodies.remove(r);
             std::thread::sleep(std::time::Duration::from_millis(5));
@@ -1295,22 +1271,24 @@ mod tests {
             assert_eq!(
                 r2.headers.get("X-Cache"),
                 Some("MISS"),
-                "a body-less validation must refetch, not fabricate a hit"
+                "a body-less entry is fetched, not validated"
             );
-            assert_eq!(r2.body, r1.body, "refetched body, not an empty 200");
+            assert_eq!(r2.body, r1.body, "the fetched body, not an empty 200");
 
             let stats = proxy.stats();
             assert_eq!(stats.requests, 2);
-            assert_eq!(stats.validations, 1);
-            assert_eq!(
-                stats.not_modified, 0,
-                "a 304 we could not serve is not a validated hit"
-            );
+            assert_eq!(stats.validations, 0);
+            assert_eq!(stats.not_modified, 0);
             assert_eq!(stats.full_fetches, 2);
             assert_eq!(stats.upstream_retries, 0);
             assert_eq!(stats.outcomes(), stats.requests, "conservation");
             proxy.stop();
         }
+        assert_eq!(
+            origin.daemon_stats().responses_not_modified,
+            0,
+            "no If-Modified-Since went upstream"
+        );
         origin.stop();
     }
 

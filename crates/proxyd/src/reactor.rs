@@ -47,7 +47,7 @@
 //! readiness on WRITABLE drains the rest.
 
 use crate::lifecycle::{grow_upstream_read, ExchangeMachine, ResponseMachine, UPSTREAM_READ};
-use crate::service::{ClientMachine, ResumeFn, Served, Service, UpstreamNext, UpstreamPlan, Waker};
+use crate::service::{ClientMachine, ResumeFn, Served, Service, UpstreamPlan, Waker};
 use crate::util::{IoStats, OpenGuard, ServerHandle};
 use piggyback_httpwire::ConnScratch;
 use std::collections::VecDeque;
@@ -1348,7 +1348,7 @@ impl<S: Service> Reactor<S> {
     /// Run the continuation with the machine's outcome, writing into the
     /// parked client's buffers (or the spare set if the client died — the
     /// continuation's counter updates must happen regardless), then unpark
-    /// and pump the client or chain the follow-up exchange.
+    /// and pump the client.
     fn finish_exchange(&mut self, ex: Exchange) {
         let Exchange {
             plan,
@@ -1357,7 +1357,7 @@ impl<S: Service> Reactor<S> {
         } = ex;
         let outcome = machine.into_outcome();
         let client = client.filter(|t| self.slab.get_mut(*t).is_some());
-        let next = match client {
+        let done = match client {
             Some(token) => {
                 let conn = self.slab.get_mut(token).expect("checked above");
                 let (scratch, out) = conn.machine.stage();
@@ -1371,20 +1371,12 @@ impl<S: Service> Reactor<S> {
         self.shard_stats()
             .upstream_inflight
             .fetch_sub(1, Ordering::Relaxed);
-        match next {
-            // A chained exchange (the refetch after a 304 whose body was
-            // evicted) is an exchange of its own, retry included.
-            Ok(UpstreamNext::Again(plan)) => self.start_upstream(plan, client),
-            // An `Err` can only end in a truncation: drain what is staged
-            // — the client head and a strict prefix of the body — then
-            // close.
-            done => {
-                if let Some(token) = client {
-                    let conn = self.slab.get_mut(token).expect("checked above");
-                    conn.machine.unpark(done.is_ok());
-                    self.pump(token);
-                }
-            }
+        // An `Err` can only end in a truncation: drain what is staged —
+        // the client head and a strict prefix of the body — then close.
+        if let Some(token) = client {
+            let conn = self.slab.get_mut(token).expect("checked above");
+            conn.machine.unpark(done.is_ok());
+            self.pump(token);
         }
     }
 

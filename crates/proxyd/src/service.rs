@@ -83,9 +83,8 @@ pub struct UpstreamPlan {
     /// from either poller.
     pub request: Vec<u8>,
     /// Continuation run on the poller with the outcome. It must serialize
-    /// the client-facing response into `out` (append-only) and may return
-    /// [`UpstreamNext::Again`] to chain a follow-up exchange (the
-    /// refetch after a body-less 304).
+    /// the client-facing response into `out` (append-only); an `Err`
+    /// drops the client connection after what is staged.
     pub finish: FinishFn,
     /// Side-effect hook invoked exactly once if the exchange is retried
     /// on a fresh connection.
@@ -98,17 +97,8 @@ pub struct UpstreamPlan {
     pub accept_push: bool,
 }
 
-/// What the continuation wants next.
-pub enum UpstreamNext {
-    /// The response bytes are in `out`; the connection goes on.
-    Done,
-    /// Run another exchange (fresh attempt counter) first.
-    Again(UpstreamPlan),
-}
-
-pub type FinishFn = Box<
-    dyn FnOnce(&mut ConnScratch, &mut Vec<u8>, UpstreamOutcome) -> io::Result<UpstreamNext> + Send,
->;
+pub type FinishFn =
+    Box<dyn FnOnce(&mut ConnScratch, &mut Vec<u8>, UpstreamOutcome) -> io::Result<()> + Send>;
 pub type RetryFn = Box<dyn Fn() + Send>;
 
 /// A protocol engine: parse-complete requests in, serialized response
@@ -494,49 +484,43 @@ fn write_staged(w: &mut TcpStream, machine: &mut ClientMachine) -> io::Result<()
     written
 }
 
-/// Run `plan` — and every exchange its continuation chains — on the
-/// calling thread: [`blocking_exchange`] over `pool`, with `out` as the
-/// machine's sink, handing `flush` what each read staged and its span of
-/// payload forwarded in place, to go out in that order; then the
-/// continuation, with the outcome. A relay holds one read's worth, never
-/// the body.
+/// Run `plan`'s one exchange on the calling thread: [`blocking_exchange`]
+/// over `pool`, with `out` as the machine's sink, handing `flush` what
+/// each read staged and its span of payload forwarded in place, to go out
+/// in that order; then the continuation, with the outcome. A relay holds
+/// one read's worth, never the body.
 pub(crate) fn run_plan(
-    mut plan: UpstreamPlan,
+    plan: UpstreamPlan,
     pool: &ConnectionPool,
     scratch: &mut ConnScratch,
     out: &mut Vec<u8>,
     mut flush: impl FnMut(&mut Vec<u8>, &[u8]) -> io::Result<()>,
 ) -> io::Result<()> {
-    loop {
-        let UpstreamPlan {
-            request,
-            finish,
-            retry,
-            relay,
-            accept_push,
-            ..
-        } = plan;
-        let machine = ResponseMachine::new(relay, accept_push);
-        let (outcome, kept) = blocking_exchange(
-            ExchangeMachine::new(request, true, machine, Instant::now()),
-            |again| {
-                if !again {
-                    return pool.checkout();
-                }
-                retry();
-                pool.connect_fresh()
-            },
-            out,
-            |seg, span, _| flush(seg, span),
-        );
-        if let Some((conn, reuse)) = kept {
-            pool.checkin(conn, reuse);
-        }
-        match finish(scratch, out, outcome)? {
-            UpstreamNext::Done => return Ok(()),
-            UpstreamNext::Again(next) => plan = next,
-        }
+    let UpstreamPlan {
+        request,
+        finish,
+        retry,
+        relay,
+        accept_push,
+        ..
+    } = plan;
+    let machine = ResponseMachine::new(relay, accept_push);
+    let (outcome, kept) = blocking_exchange(
+        ExchangeMachine::new(request, true, machine, Instant::now()),
+        |again| {
+            if !again {
+                return pool.checkout();
+            }
+            retry();
+            pool.connect_fresh()
+        },
+        out,
+        |seg, span, _| flush(seg, span),
+    );
+    if let Some((conn, reuse)) = kept {
+        pool.checkin(conn, reuse);
     }
+    finish(scratch, out, outcome)
 }
 
 /// Drive `machine` to its outcome on blocking connections, for every

@@ -29,7 +29,7 @@ pub struct PrefetchConfig {
     pub max_size: Option<u64>,
     /// At most this many prefetches per piggyback message.
     pub max_per_message: usize,
-    /// Refetch resources a piggyback just invalidated.
+    /// Fetch again the resources a piggyback just invalidated.
     pub refresh_invalidated: bool,
 }
 

@@ -3,6 +3,7 @@
 //! servers. The proxy must degrade to 502s and keep serving — never hang
 //! or panic.
 
+use piggyback::core::types::DurationMs;
 use piggyback::httpwire::{Request, Response};
 use piggyback::proxyd::client::{run_sequence, HttpClient};
 use piggyback::proxyd::netem::{Conditioner, NetProfile, ShimConfig};
@@ -13,7 +14,7 @@ use piggyback::proxyd::volume_center::{start_volume_center, VolumeCenterConfig};
 use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 /// An origin that truncates every response body mid-stream.
@@ -754,7 +755,7 @@ fn stalled_and_trickling_origins_hit_the_upstream_timeout_on_both_engines() {
 fn a_trickling_client_misses_the_read_deadline_on_both_engines() {
     const IDLE: Duration = Duration::from_millis(400);
     assert_engine_parity(|io| {
-        let (origin, _, _) = scripted_origin(|_| Answer::full(10));
+        let (origin, _, _) = scripted_origin(|_, _| Answer::full(10));
         let mut cfg = ProxyConfig::new(origin.addr);
         cfg.io = io;
         cfg.report_hits = false;
@@ -832,10 +833,12 @@ fn concurrent_load_with_failures_stays_consistent() {
 // I/O engines and the two ledgers must agree field for field.
 // ---------------------------------------------------------------------------
 
-/// What a [`scripted_origin`] sends for one request: a 200 declaring
-/// `declared` body bytes, of which only `sent` go out — fewer than
-/// declared means the connection drops mid-body.
+/// What a [`scripted_origin`] sends for one request: a response
+/// declaring `declared` body bytes, of which only `sent` go out — fewer
+/// than declared means the connection drops mid-body.
 struct Answer {
+    /// Status code and reason phrase.
+    status: &'static str,
     declared: usize,
     sent: usize,
     /// Extra header lines, each `\r\n`-terminated.
@@ -845,9 +848,17 @@ struct Answer {
 impl Answer {
     fn full(len: usize) -> Answer {
         Answer {
+            status: "200 OK",
             declared: len,
             sent: len,
             headers: "",
+        }
+    }
+
+    fn not_modified() -> Answer {
+        Answer {
+            status: "304 Not Modified",
+            ..Answer::full(0)
         }
     }
 }
@@ -857,10 +868,11 @@ fn pattern(len: usize) -> Vec<u8> {
 }
 
 /// A keep-alive `Content-Length` origin whose answer to the `n`-th
-/// request it sees (counted across connections) is `script(n)`. Returns
-/// the connection and request counters alongside the handle.
+/// request it sees (counted across connections), `req`, is
+/// `script(n, req)`. Returns the connection and request counters
+/// alongside the handle.
 fn scripted_origin(
-    script: impl Fn(usize) -> Answer + Send + Sync + 'static,
+    script: impl Fn(usize, &Request) -> Answer + Send + Sync + 'static,
 ) -> (
     piggyback::proxyd::util::ServerHandle,
     Arc<AtomicUsize>,
@@ -873,12 +885,12 @@ fn scripted_origin(
         conns2.fetch_add(1, Ordering::SeqCst);
         let mut r = BufReader::new(stream.try_clone().unwrap());
         let mut w = BufWriter::new(stream);
-        while Request::read(&mut r).is_ok() {
-            let answer = script(requests2.fetch_add(1, Ordering::SeqCst));
+        while let Ok(req) = Request::read(&mut r) {
+            let answer = script(requests2.fetch_add(1, Ordering::SeqCst), &req);
             let head = format!(
-                "HTTP/1.1 200 OK\r\nLast-Modified: Thu, 01 Jan 1998 00:00:00 GMT\r\n{}\
+                "HTTP/1.1 {}\r\nLast-Modified: Thu, 01 Jan 1998 00:00:00 GMT\r\n{}\
                  Content-Length: {}\r\n\r\n",
-                answer.headers, answer.declared
+                answer.status, answer.headers, answer.declared
             );
             let body = pattern(answer.declared);
             let sent = w
@@ -992,7 +1004,7 @@ fn dial_failure_is_terminal_without_retry_on_both_engines() {
 #[test]
 fn origin_dying_mid_body_is_retried_once_on_both_engines() {
     assert_engine_parity(|io| {
-        let (origin, conns, _) = scripted_origin(|n| Answer {
+        let (origin, conns, _) = scripted_origin(|n, _| Answer {
             sent: if n == 0 { 10 } else { 1000 },
             ..Answer::full(1000)
         });
@@ -1008,6 +1020,111 @@ fn origin_dying_mid_body_is_retried_once_on_both_engines() {
         proxy.stop();
         origin.stop();
         (s, conns)
+    });
+}
+
+/// A validation racing an eviction: the cached body is evicted while its
+/// 304 is in flight. One shard and a cache that holds one object; the
+/// origin answers A's first GET, then holds A's 304 until a second
+/// client's miss on B has evicted A. The body pinned at planning answers
+/// the validation — `VALIDATED`, A's bytes under A's `Last-Modified` — and
+/// the origin sees no second, unconditional GET of A.
+#[test]
+fn a_validation_whose_body_is_evicted_mid_flight_serves_the_pinned_body_on_both_engines() {
+    const LEN: usize = 1000;
+    assert_engine_parity(|io| {
+        let (release, held) = mpsc::channel::<()>();
+        let held = Mutex::new(held);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        let (origin, _, _) = scripted_origin(move |_, req| {
+            let ims = req.headers.get("If-Modified-Since").is_some();
+            log.lock()
+                .unwrap()
+                .push(format!("{} ims={ims}", req.target));
+            if !ims {
+                return Answer::full(LEN);
+            }
+            let _ = held.lock().unwrap().recv_timeout(Duration::from_secs(10));
+            Answer::not_modified()
+        });
+        let mut cfg = ProxyConfig::new(origin.addr);
+        cfg.io = io;
+        cfg.report_hits = false;
+        cfg.rpv = None;
+        cfg.shards = 1;
+        cfg.capacity_bytes = (LEN * 3 / 2) as u64;
+        cfg.freshness = DurationMs::from_millis(1);
+        let proxy = start_proxy(cfg).unwrap();
+        let (head, a) = raw_get(proxy.addr(), "/a.html");
+        assert!(head.contains("X-Cache: MISS"), "{io:?}: {head}");
+        let lm = head
+            .lines()
+            .find(|l| l.starts_with("Last-Modified:"))
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(5)); // A goes stale
+
+        let addr = proxy.addr();
+        let validation = std::thread::spawn(move || raw_get(addr, "/a.html"));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while seen.lock().unwrap().len() < 2 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{io:?}: no validation"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (head, _) = raw_get(proxy.addr(), "/b.html");
+        assert!(head.contains("X-Cache: MISS"), "{io:?}: {head}");
+        let (_, scrape) = raw_get(proxy.addr(), "/__pb/metrics");
+        let scrape = String::from_utf8(scrape).unwrap();
+        for evicted in [
+            "pb_proxy_cache_shard_evictions_total{shard=\"0\"} 1\n",
+            "pb_proxy_body_entries{shard=\"0\"} 1\n",
+        ] {
+            assert!(scrape.contains(evicted), "{io:?}: B evicted A: {scrape}");
+        }
+        release.send(()).unwrap();
+
+        let (head, body) = validation.join().unwrap();
+        assert!(head.starts_with("HTTP/1.1 200"), "{io:?}: {head}");
+        assert!(head.contains("X-Cache: VALIDATED"), "{io:?}: {head}");
+        assert!(head.contains(lm), "{io:?}: {head}");
+        assert_eq!(body, a, "{io:?}: A's original bytes");
+        let seen = seen.lock().unwrap().clone();
+        assert_eq!(
+            seen,
+            ["/a.html ims=false", "/a.html ims=true", "/b.html ims=false"],
+            "{io:?}: one validation, no unconditional refetch of A"
+        );
+        let s = ledger(&proxy);
+        assert_eq!(s.validations, 1, "{io:?}: {s:?}");
+        assert_eq!(s.not_modified, 1, "{io:?}: {s:?}");
+        proxy.stop();
+        origin.stop();
+        (s, seen)
+    });
+}
+
+/// An origin that answers an unconditional GET with a 304 gets one
+/// request: the proxy asked for no validation, so the 304 passes through
+/// like every other non-200.
+#[test]
+fn an_unsolicited_304_passes_through_on_both_engines() {
+    assert_engine_parity(|io| {
+        let (origin, _, requests) = scripted_origin(|_, _| Answer::not_modified());
+        let proxy = quiet_proxy(origin.addr, io);
+        let (head, body) = raw_get(proxy.addr(), "/x.html");
+        assert!(head.starts_with("HTTP/1.1 304"), "{io:?}: {head}");
+        assert!(body.is_empty(), "{io:?}");
+        let s = ledger(&proxy);
+        assert_eq!(s.upstream_passthrough, 1, "{io:?}: {s:?}");
+        assert_eq!(s.not_modified, 0, "{io:?}: {s:?}");
+        let requests = requests.load(Ordering::SeqCst);
+        assert_eq!(requests, 1, "{io:?}: one origin request");
+        proxy.stop();
+        origin.stop();
+        (s, requests)
     });
 }
 
@@ -1062,7 +1179,7 @@ fn a_connection_the_origin_closes_is_never_pooled_on_both_engines() {
 fn header_placed_piggyback_on_a_streamed_response_is_applied_on_both_engines() {
     const TOTAL: usize = 512 * 1024;
     assert_engine_parity(|io| {
-        let (origin, _, _) = scripted_origin(|_| Answer {
+        let (origin, _, _) = scripted_origin(|_, _| Answer {
             headers: "P-volume: 7; \"/mate.html\" 886000000 1024\r\n",
             ..Answer::full(TOTAL)
         });
@@ -1089,7 +1206,7 @@ fn header_placed_piggyback_on_a_streamed_response_is_applied_on_both_engines() {
 fn origin_dies_mid_suffix_truncates_client_and_keeps_prefix() {
     const TOTAL: usize = 600 * 1024;
     assert_engine_parity(|io| {
-        let (origin, _, origin_requests) = scripted_origin(|n| Answer {
+        let (origin, _, origin_requests) = scripted_origin(|n, _| Answer {
             sent: if n == 1 { TOTAL / 3 } else { TOTAL },
             ..Answer::full(TOTAL)
         });
@@ -1159,7 +1276,7 @@ fn object_changing_length_under_a_prefix_truncates_and_drops_the_prefix() {
     const NEW: usize = 500 * 1024;
     assert_engine_parity(|io| {
         let (origin, _, origin_requests) =
-            scripted_origin(|n| Answer::full(if n == 0 { OLD } else { NEW }));
+            scripted_origin(|n, _| Answer::full(if n == 0 { OLD } else { NEW }));
         let proxy = quiet_proxy(origin.addr, io);
 
         let (head, body) = raw_get(proxy.addr(), "/big.bin");
@@ -1441,7 +1558,7 @@ fn write_ok(stream: &mut std::net::TcpStream, declared: usize, body: &[u8]) -> b
 #[test]
 fn upstream_dying_inside_the_first_segment_is_a_502_from_the_center() {
     assert_engine_parity(|io| {
-        let (origin, conns, _) = scripted_origin(|n| Answer {
+        let (origin, conns, _) = scripted_origin(|n, _| Answer {
             sent: if n == 0 { 10 } else { 1000 },
             ..Answer::full(1000)
         });
@@ -1477,7 +1594,7 @@ fn upstream_dying_after_the_first_segment_truncates_at_the_center() {
     const SMALL: usize = 100 * 1024;
     const LARGE: usize = 600 * 1024;
     assert_engine_parity(|io| {
-        let (origin, _, origin_requests) = scripted_origin(|n| match n {
+        let (origin, _, origin_requests) = scripted_origin(|n, _| match n {
             0 => Answer {
                 sent: 40 * 1024,
                 ..Answer::full(SMALL)

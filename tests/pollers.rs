@@ -325,7 +325,7 @@ fn dropped_waker_closes_its_connection() {
 
 use piggyback::httpwire::Response;
 use piggyback::proxyd::lifecycle::UpstreamOutcome;
-use piggyback::proxyd::service::{UpstreamNext, UpstreamPlan};
+use piggyback::proxyd::service::UpstreamPlan;
 use piggyback::proxyd::util::serve;
 use piggyback::proxyd::ConnectionPool;
 use std::net::TcpListener;
@@ -365,7 +365,7 @@ impl Service for Fwd {
                     }
                     _ => out.extend_from_slice(BAD_GATEWAY),
                 }
-                Ok(UpstreamNext::Done)
+                Ok(())
             }),
             retry: Box::new(move || {
                 retries.fetch_add(1, Ordering::Relaxed);

@@ -996,7 +996,7 @@ fn exchange_machine_keeps_the_retry_contract() {
 // staged, the close at the same point.
 // ---------------------------------------------------------------------------
 
-use piggyback::proxyd::service::{ClientMachine, Served, Service, UpstreamNext, UpstreamPlan};
+use piggyback::proxyd::service::{ClientMachine, Served, Service, UpstreamPlan};
 use std::io::Write as _;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -1036,7 +1036,7 @@ impl Service for Fake {
                 finish: Box::new(move |_scratch, out, outcome| {
                     let failed = matches!(outcome, UpstreamOutcome::Failed);
                     writeln!(out, "upstream {what} failed {failed}")?;
-                    Ok(UpstreamNext::Done)
+                    Ok(())
                 }),
                 retry: Box::new(|| {}),
                 relay: None,
