@@ -97,13 +97,16 @@ pub enum UpstreamOutcome {
     StreamFailed { mismatch: bool },
 }
 
-/// Large-object cut-through parameters for one upstream exchange. Once
-/// engaged, payload moves origin → client read by read, with O(read)
-/// memory and the exchange is never retried.
+/// Large-object cut-through parameters for one upstream exchange, the same
+/// on both engines: a `200` declaring at least `threshold` payload bytes
+/// engages at its head, and a chunked one, whose size no header declares,
+/// grows into a relay once that many are decoded. Once engaged, payload
+/// moves origin → client read by read, with O(read) memory, and the
+/// exchange is never retried.
 #[derive(Debug, Clone, Copy)]
 pub struct RelayRule {
-    /// Engage when the payload is at least this many bytes (ignored when
-    /// `expect_total` pins an exact length).
+    /// Engage when the payload is at least this many bytes, declared or
+    /// decoded (ignored when `expect_total` pins an exact length).
     pub threshold: usize,
     /// Tee the first N payload bytes, handed back through
     /// [`UpstreamOutcome::Streamed`] for the prefix store.
@@ -115,10 +118,6 @@ pub struct RelayRule {
     /// exactly this many payload bytes: any 200 relays under it, and a
     /// body that turns out longer or shorter is a mismatch.
     pub expect_total: Option<usize>,
-    /// May a chunked 200, whose size no header declares, grow into a
-    /// relay once `threshold` payload bytes are decoded? PROTOCOL.md
-    /// §14's one engine divergence: threaded yes, reactor no.
-    pub chunked_may_grow: bool,
     /// Proxy-clock time the leg was built: the `Last-Modified` of a
     /// streamed client head whose origin sent none.
     pub now: Timestamp,
@@ -155,7 +154,7 @@ impl RelayRule {
             }
             (Some(_), _) => RelayDecision::Mismatch,
             (None, Some(n)) if ok && n >= self.threshold => RelayDecision::Engage(n),
-            (None, _) if ok && chunked && self.chunked_may_grow => RelayDecision::Grow,
+            (None, _) if ok && chunked => RelayDecision::Grow,
             (None, _) => RelayDecision::Buffer,
         }
     }
@@ -980,7 +979,8 @@ pub(crate) fn probe_prefix(
 /// The exchange that answers `job`. Behind a prefix hit it is a plain
 /// GET whose body must be exactly the recorded total (or the object
 /// changed underneath the prefix); otherwise the piggyback GET, cutting
-/// through at the configured threshold when streaming applies.
+/// through at the configured threshold, in either framing, when
+/// streaming applies.
 pub(crate) fn first_leg(shared: &ProxyShared, job: &UpstreamJob) -> Leg {
     match &job.prefix {
         Some(hit) => Leg {
@@ -991,7 +991,6 @@ pub(crate) fn first_leg(shared: &ProxyShared, job: &UpstreamJob) -> Leg {
                 prefix_bytes: 0,
                 skip: hit.head_len,
                 expect_total: Some(hit.total),
-                chunked_may_grow: false,
                 now: shared.clock.now(),
             }),
         },
@@ -1003,8 +1002,6 @@ pub(crate) fn first_leg(shared: &ProxyShared, job: &UpstreamJob) -> Leg {
                 prefix_bytes: shared.cfg.prefix_bytes,
                 skip: 0,
                 expect_total: None,
-                // The reactor buffers every chunked body (PROTOCOL.md §14).
-                chunked_may_grow: !(cfg!(target_os = "linux") && shared.cfg.io.is_reactor()),
                 now: shared.clock.now(),
             }),
         },

@@ -335,11 +335,14 @@ impl ClientMachine {
         &self.out[self.sent..]
     }
 
-    /// `n` bytes of [`output`](Self::output) were written.
+    /// `n` bytes of [`output`](Self::output) were written. The written
+    /// prefix is dropped once it is at least as long as what is still
+    /// owed, so a relay the client drains holds at most twice what it
+    /// owes (an amortised drain: the capacity stays).
     pub fn wrote(&mut self, n: usize) {
         self.sent += n;
-        if self.sent == self.out.len() {
-            self.out.clear();
+        if self.sent >= self.out.len() - self.sent {
+            self.out.drain(..self.sent);
             self.sent = 0;
         }
     }

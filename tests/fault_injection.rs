@@ -1351,9 +1351,8 @@ fn x_cache_twice(proxy: SocketAddr, path: &str, expect: &[u8]) -> [String; 2] {
 /// `HIT`), one of exactly the threshold or more is relayed and
 /// prefix-cached (`MISS`, `PREFIX`). (Regression: threaded cached a
 /// chunked object of exactly the threshold whole when its terminal chunk
-/// rode the last segment.) The chunked rows hold on threaded only while
-/// the reactor buffers every chunked body — PROTOCOL.md §14's policy
-/// line; there the second GET is a whole-object `HIT` at every size.
+/// rode the last segment.) Both engines, one expectation: a chunked `200`
+/// grows into a relay at the threshold on either (PROTOCOL.md §7.1).
 #[test]
 fn streaming_threshold_is_the_same_comparison_in_both_framings() {
     const THRESHOLD: usize = 256 * 1024;
@@ -1388,13 +1387,7 @@ fn streaming_threshold_is_the_same_comparison_in_both_framings() {
                 length, expect_length,
                 "{io:?}: Content-Length, {size} bytes"
             );
-            let grows = io == piggyback::proxyd::IoMode::Threaded;
-            let expect_chunked = if grows {
-                expect_length
-            } else {
-                ["MISS", "HIT"]
-            };
-            assert_eq!(chunked, expect_chunked, "{io:?}: chunked, {size} bytes");
+            assert_eq!(chunked, expect_length, "{io:?}: chunked, {size} bytes");
         }
         ledger(&proxy);
         proxy.stop();
@@ -1408,9 +1401,9 @@ fn streaming_threshold_is_the_same_comparison_in_both_framings() {
 /// is whole. A body that then turns out another length is the mismatch
 /// it always was — the client is truncated, the prefix dropped, the next
 /// GET a plain `MISS`. (Regression: the suffix refetch demanded a
-/// `Content-Length` and truncated every prefix hit.) The reactor buffers
-/// a chunked miss (PROTOCOL.md §14), so there the first answer primes the
-/// prefix with `Content-Length` framing; threaded runs both ways.
+/// `Content-Length` and truncated every prefix hit.) The prefix is primed
+/// either way: by a first answer in `Content-Length` framing, or by a
+/// chunked one grown into a relay — on both engines.
 #[test]
 fn prefix_hit_against_an_origin_that_chunks_is_whole() {
     const OLD: usize = 600 * 1024;
@@ -1462,8 +1455,7 @@ fn prefix_hit_against_an_origin_that_chunks_is_whole() {
         origin.stop();
         (s.cache_hits, s.full_fetches, s.bytes_from_origin)
     };
-    assert_engine_parity(|io| lane(io, false));
-    lane(piggyback::proxyd::IoMode::Threaded, true);
+    assert_engine_parity(|io| (lane(io, false), lane(io, true)));
 }
 
 // ---------------------------------------------------------------------------
@@ -1743,15 +1735,14 @@ fn unannounced_trailers_are_forwarded_by_the_center() {
     });
 }
 
-/// A chunked body that runs past `MAX_BODY` cannot be refused from its
-/// head; the relay stops at the cap and closes mid-body — the missing
-/// terminal chunk is the truncation signal. Driven at the center alone:
-/// behind it the reactor proxy would buffer the 64 MiB it never streams
-/// (PROTOCOL.md §14's divergence).
-#[test]
-fn chunked_body_past_max_body_is_truncated_at_the_center() {
+/// An origin whose one answer is a chunked `200` running one chunk past
+/// `MAX_BODY`, and the requests it has seen.
+fn endless_chunked_origin() -> (piggyback::proxyd::util::ServerHandle, Arc<AtomicUsize>) {
     const CHUNK: usize = 64 * 1024;
-    let (origin, _) = wire_origin(|_, stream| {
+    let requests = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&requests);
+    let (origin, _) = wire_origin(move |_, stream| {
+        seen.fetch_add(1, Ordering::SeqCst);
         let chunk = pattern(CHUNK);
         let mut sent = stream
             .write_all(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n")
@@ -1765,27 +1756,37 @@ fn chunked_body_past_max_body_is_truncated_at_the_center() {
         }
         sent && stream.write_all(b"0\r\n\r\n").is_ok()
     });
-    let center = relay(origin.addr, true);
-    let mut stream = std::net::TcpStream::connect(center.addr()).unwrap();
+    (origin, requests)
+}
+
+/// GET `/endless` from `addr` and read the answer until the peer closes,
+/// keeping only its first KiB and its last five bytes, and counting the
+/// rest: a body cut at `MAX_BODY` is never held here. A reset behind the
+/// truncation is as good as a FIN; a timeout is a hang.
+fn read_endless(addr: SocketAddr) -> (String, usize, [u8; 5]) {
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
     stream
         .write_all(b"GET /endless HTTP/1.1\r\nHost: t\r\n\r\n")
         .unwrap();
-    let mut total = 0usize;
-    let mut tail = [0u8; 5];
+    let (mut head, mut total, mut tail) = (Vec::new(), 0usize, [0u8; 5]);
     let mut buf = vec![0u8; 256 * 1024];
     loop {
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
+                let keep = (1024 - head.len()).min(n);
+                head.extend_from_slice(&buf[..keep]);
                 total += n;
                 if n >= 5 {
                     tail.copy_from_slice(&buf[n - 5..n]);
+                } else {
+                    tail.rotate_left(n);
+                    tail[5 - n..].copy_from_slice(&buf[..n]);
                 }
             }
-            // A reset behind the truncation is as good as a FIN.
             Err(e) => {
                 assert_ne!(e.kind(), std::io::ErrorKind::WouldBlock, "relay hung");
                 assert_ne!(e.kind(), std::io::ErrorKind::TimedOut, "relay hung");
@@ -1793,18 +1794,69 @@ fn chunked_body_past_max_body_is_truncated_at_the_center() {
             }
         }
     }
-    assert!(total > 1024 * 1024, "the body was cut through: {total}");
+    (String::from_utf8_lossy(&head).into_owned(), total, tail)
+}
+
+/// A body cut at the cap: well past the first MiB, not past the cap by
+/// more than a MiB, and without its terminal chunk.
+fn assert_cut_at_the_cap(what: &str, total: usize, tail: [u8; 5]) {
+    assert!(
+        total > 1024 * 1024,
+        "{what}: the body was cut through: {total}"
+    );
     assert!(
         total <= piggyback::httpwire::parse::MAX_BODY + 1024 * 1024,
-        "the relay stopped at the cap: {total}"
+        "{what}: the relay stopped at the cap: {total}"
     );
     assert_ne!(
         &tail, b"0\r\n\r\n",
-        "a capped body must not end well-formed"
+        "{what}: a capped body must not end well-formed"
     );
+}
+
+/// A chunked body that runs past `MAX_BODY` cannot be refused from its
+/// head; the relay stops at the cap and closes mid-body — the missing
+/// terminal chunk is the truncation signal. Here at the center; the lane
+/// below drives the same body through the proxy on both engines.
+#[test]
+fn chunked_body_past_max_body_is_truncated_at_the_center() {
+    let (origin, _) = endless_chunked_origin();
+    let center = relay(origin.addr, true);
+    let (_, total, tail) = read_endless(center.addr());
+    assert_cut_at_the_cap("center", total, tail);
     assert_eq!(center.daemon_stats().responses_ok, 0);
     center.stop();
     origin.stop();
+}
+
+/// The same body through the proxy: past the threshold it grows into a
+/// relay on either engine, so nothing buffers the 64 MiB. The client gets
+/// a chunked `200` head and a body cut before its terminal chunk, then
+/// the close; the origin sees one request — bytes went out, so the
+/// failure is never retried — and the proxy counts one upstream error.
+#[test]
+fn chunked_body_past_max_body_is_truncated_by_the_proxy() {
+    assert_engine_parity(|io| {
+        let (origin, requests) = endless_chunked_origin();
+        let proxy = quiet_proxy(origin.addr, io);
+        let (head, total, tail) = read_endless(proxy.addr());
+        assert!(head.starts_with("HTTP/1.1 200"), "{io:?}: {head}");
+        assert!(
+            head.contains("Transfer-Encoding: chunked"),
+            "{io:?}: {head}"
+        );
+        assert_cut_at_the_cap(&format!("{io:?}"), total, tail);
+        assert_eq!(requests.load(Ordering::SeqCst), 1, "{io:?}");
+        let s = ledger(&proxy);
+        assert_eq!(
+            (s.upstream_errors, s.upstream_retries),
+            (1, 0),
+            "{io:?}: {s:?}"
+        );
+        proxy.stop();
+        origin.stop();
+        s
+    });
 }
 
 // ---------------------------------------------------------------------------

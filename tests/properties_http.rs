@@ -324,8 +324,9 @@ enum Framing {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Rule {
     None,
+    /// Relays from a declared length at the threshold, or grows a chunked
+    /// body into a relay once it reaches it.
     Plain,
-    Grow,
     Pinned,
 }
 
@@ -364,16 +365,11 @@ fn rule(kind: Rule, total: usize) -> Option<RelayRule> {
         prefix_bytes: PREFIX,
         skip: 0,
         expect_total: None,
-        chunked_may_grow: false,
         now: Timestamp::ZERO,
     };
     match kind {
         Rule::None => None,
         Rule::Plain => Some(plain),
-        Rule::Grow => Some(RelayRule {
-            chunked_may_grow: true,
-            ..plain
-        }),
         Rule::Pinned => Some(RelayRule {
             threshold: 0,
             prefix_bytes: 0,
@@ -502,7 +498,7 @@ fn response_machine_is_split_transparent() {
             if !closes {
                 wire.extend_from_slice(NEXT);
             }
-            for kind in [Rule::None, Rule::Plain, Rule::Grow, Rule::Pinned] {
+            for kind in [Rule::None, Rule::Plain, Rule::Pinned] {
                 let what = format!("{framing:?} size {size} rule {kind:?}");
                 let whole = run_machine(&wire, closes, rule(kind, size), false, 0);
                 for split in [1, 7, 1500, 16384] {
@@ -530,8 +526,7 @@ fn response_machine_is_split_transparent() {
                 let chunked = matches!(framing, Framing::Chunked | Framing::ChunkedTrailers);
                 let relays = match kind {
                     Rule::None => false,
-                    Rule::Plain => framing == Framing::Length && size >= THRESHOLD,
-                    Rule::Grow => (framing == Framing::Length || chunked) && size >= THRESHOLD,
+                    Rule::Plain => (framing == Framing::Length || chunked) && size >= THRESHOLD,
                     Rule::Pinned => framing == Framing::Length || chunked,
                 };
                 if kind == Rule::Pinned && !relays {
@@ -659,7 +654,7 @@ fn response_machine_errors_before_any_client_byte() {
         (huge.into_bytes(), false),
         (unparsable, false),
     ] {
-        for kind in [Rule::None, Rule::Plain, Rule::Grow] {
+        for kind in [Rule::None, Rule::Plain] {
             for split in [0, 1, 7] {
                 let run = run_machine(&wire, closes, rule(kind, 0), false, split);
                 assert_eq!(run.outcome, Err(false), "{kind:?} split {split}");
@@ -747,7 +742,6 @@ fn raw_relay_forwards_payload_by_span() {
         prefix_bytes: PREFIX,
         skip: SKIP,
         expect_total: Some(total),
-        chunked_may_grow: false,
         now: Timestamp::ZERO,
     };
     for size in sizes {
@@ -940,7 +934,7 @@ fn exchange_machine_keeps_the_retry_contract() {
             let cut = &chunked[..chunked.len() - 3];
             let scripts = [(cut, then), (&chunked[..], Then::Close)];
             assert_eq!(
-                run(&scripts, true, rule(Rule::Grow, 0)),
+                run(&scripts, true, rule(Rule::Plain, 0)),
                 truncated,
                 "{what}"
             );
@@ -1250,4 +1244,38 @@ fn client_machine_read_deadline_runs_from_the_first_byte() {
     assert_eq!(ctx.len(), 1, "the request completed");
     assert_eq!(machine.deadline(idle), at(24), "back to the idle deadline");
     assert!(!machine.expired(at(15), idle));
+}
+
+/// A relay the client drains slowly holds at most twice what it still
+/// owes: the written prefix of the output goes once it is as long as the
+/// rest (an amortised drain, not a reallocation). Each step stages one
+/// 64 KiB read the way a relay does, and the client takes half of what is
+/// owed; every byte still reaches it, in order.
+#[test]
+fn client_output_is_bounded_by_what_is_owed() {
+    const READ: usize = 64 * 1024;
+    let mut machine = ClientMachine::new(Instant::now());
+    let body = payload(64 * READ);
+    let mut delivered = Vec::new();
+    let held = |machine: &mut ClientMachine| machine.stage().1.len();
+    for (i, read) in body.chunks(READ).enumerate() {
+        machine.stage().1.extend_from_slice(read);
+        let owed = machine.output().len();
+        assert!(held(&mut machine) <= 2 * owed + READ, "read {i} staged");
+        delivered.extend_from_slice(&machine.output()[..owed / 2]);
+        machine.wrote(owed / 2);
+        let owed = machine.output().len();
+        assert!(
+            held(&mut machine) <= 2 * owed + READ,
+            "read {i} half written"
+        );
+    }
+    let owed = machine.output().len();
+    delivered.extend_from_slice(machine.output());
+    machine.wrote(owed);
+    assert!(
+        delivered == body,
+        "every staged byte reached the client, in order"
+    );
+    assert_eq!(held(&mut machine), 0);
 }
