@@ -37,7 +37,6 @@ pub mod message;
 pub mod parse;
 pub mod scratch;
 pub mod stream;
-pub mod timing;
 
 pub use body::Body;
 pub use chunked::{read_chunked, read_chunked_into, read_chunked_into_capped, write_chunked};
@@ -46,4 +45,3 @@ pub use headers::{HeaderMap, InvalidHeader};
 pub use message::{reason_phrase, Request, Response, Version};
 pub use scratch::{flush_segments, write_all_parts, ConnScratch, Seg};
 pub use stream::{encode_stream_head, BodyReader, BodyWriter, StreamFraming, STREAM_CHUNK};
-pub use timing::TimedReader;

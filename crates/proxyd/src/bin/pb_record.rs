@@ -4,10 +4,14 @@
 //! pb-record --origin 127.0.0.1:8080 --out traffic.inv [--port 8084] [--name NAME]
 //! ```
 //!
-//! Point the proxy's `--origin` at this tap instead of the real origin;
-//! every exchange (request line, headers, body, piggyback payload, TTFB
-//! and transfer timing) is captured. Press Enter (or close stdin) to stop
-//! recording and write the inventory; replay it with `pb-replay`.
+//! Point the proxy's `--origin` at this tap instead of the real origin.
+//! The tap is the transparent volume center's relay loop (no shim) with a
+//! recorder: traffic passes through unmodified — keep-alive, re-dials,
+//! push bursts and `HEAD` included — and every exchange (request line,
+//! headers, body, piggyback payload, TTFB and transfer timing) is
+//! captured before its response's tail is relayed. Press Enter (or close
+//! stdin) to stop recording and write the inventory; replay it with
+//! `pb-replay`.
 
 use piggyback_proxyd::record_tap::{start_recorder, RecorderConfig};
 use std::net::SocketAddr;

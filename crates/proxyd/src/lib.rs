@@ -14,9 +14,9 @@
 //!   relay that learns volumes from observed traffic and piggybacks on
 //!   behalf of an oblivious origin;
 //! * [`client`] — a workload-driver HTTP client;
-//! * [`record_tap`] / [`replay_origin`] — the record/replay harness: a
-//!   capture relay writing versioned traffic inventories and a
-//!   deterministic origin re-serving them byte-identically;
+//! * [`record_tap`] / [`replay_origin`] — the record/replay harness: the
+//!   volume center's relay, recording versioned traffic inventories, and
+//!   a deterministic origin re-serving them byte-identically;
 //! * [`netem`] — the seeded adverse-network conditioner (dialup/DSL/LAN
 //!   profiles per the paper's §5) shimmed into the volume-center relay.
 //!
@@ -50,15 +50,15 @@ pub use obs::{DaemonObs, HistogramSnapshot, LatencyHistogram, ProxyObs};
 pub use origin::{start_origin, OnlineEpochConfig, OriginConfig, OriginHandle, VolumeScheme};
 pub use proxy::{start_proxy, ProxyConfig, ProxyHandle, ProxyStats, METRICS_PATH};
 #[cfg(target_os = "linux")]
-pub use reactor::{
-    resolve_reactors, serve_reactor, ReactorMetrics, ReactorOptions, ReactorShardStats,
-};
+pub use reactor::{resolve_reactors, serve_reactor, ReactorMetrics, ReactorOptions};
 pub use record_tap::{start_recorder, RecorderConfig, RecorderHandle};
 pub use replay_origin::{
     start_replay_origin, ReplayConfig, ReplayHandle, ReplayStats, ReplayTiming, DIVERGENCE_HEADER,
 };
 pub use service::{serve_blocking, Served, Service};
-pub use stats::{AtomicDaemonStats, AtomicProxyStats, DaemonStats};
+pub use stats::{
+    AtomicDaemonStats, AtomicProxyStats, DaemonStats, ReactorShardCounts, ReactorShardStats,
+};
 pub use util::{
     nofile_limits, raise_nofile_limit, serve_with, serve_with_stats, set_nofile_soft,
     source_from_addr, synth_body, Clock, IoMode, IoStats, ServeOptions, ServerHandle,

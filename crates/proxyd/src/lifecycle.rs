@@ -253,12 +253,16 @@ pub type HeadHook<'h> = &'h (dyn Fn(&mut Response, usize) + Sync);
 /// `Response::write` would give it, and the upstream's trailers behind a
 /// chunked body. The body engages at the head, except where the head
 /// cannot go out first: a body delimited by the upstream's close, a
-/// chunked body the hook must learn the size of, and a head announcing a
-/// push burst, whose count must stay rewritable.
+/// chunked body the hook must learn the size of, a head announcing a
+/// push burst, whose count must stay rewritable, and any response of a
+/// relay that records it whole.
 #[derive(Clone, Copy)]
 pub struct AsIs<'h> {
     /// The request was a `HEAD`: the response has no body.
     pub head_request: bool,
+    /// Buffer every response whole: the record tap keeps the decoded
+    /// body and its trailers.
+    pub whole: bool,
     /// Runs once on the main response before any of it is in the sink: at
     /// the head when the body engages, on the whole response (the
     /// exchange's outcome) otherwise.
@@ -726,7 +730,8 @@ impl Part {
             }
         } else if let (Some(as_is), Some(framing)) = (as_is, framing) {
             // A close-delimited body (no framing) buffers too.
-            let buffers = (as_is.hook.is_some() && framing == StreamFraming::Chunked)
+            let buffers = as_is.whole
+                || (as_is.hook.is_some() && framing == StreamFraming::Chunked)
                 || (accept_push && announced_pushes(&part.head) > 0);
             if !buffers {
                 part.engage(as_is.hook, framing, sink);

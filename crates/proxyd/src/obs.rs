@@ -17,6 +17,8 @@
 //! dimensionless `u64`s; the daemons record microseconds for latencies and
 //! raw byte counts for piggyback overhead.
 
+use crate::stats::{ReactorShardCounts, ReactorShardStats};
+use crate::util::IoStats;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
 
@@ -263,6 +265,40 @@ pub fn render_scalar(out: &mut String, name: &str, labels: &str, kind: &str, val
         out.push_str(&format!("{name} {value}\n"));
     } else {
         out.push_str(&format!("{name}{{{labels}}} {value}\n"));
+    }
+}
+
+/// Append the transport families the proxy and the origin share, named
+/// under `prefix`: the accept-side counters of either engine, then for each
+/// reactor shard its connections, accepts, wakeups and timeouts, followed
+/// by what `shard` appends of the daemon's own for it (given the shard's
+/// labels).
+pub fn render_transport(
+    out: &mut String,
+    prefix: &str,
+    io: &IoStats,
+    shards: &[ReactorShardStats],
+    mut shard: impl FnMut(&mut String, &str, &ReactorShardCounts),
+) {
+    for (family, kind, value) in [
+        ("accepts_total", "counter", io.accepts_total()),
+        ("open_connections", "gauge", io.open_connections()),
+        ("accept_backoffs_total", "counter", io.accept_errors_total()),
+    ] {
+        render_scalar(out, &format!("{prefix}_{family}"), "", kind, value);
+    }
+    for (i, stats) in shards.iter().enumerate() {
+        let labels = format!("shard=\"{i}\"");
+        let s = stats.snapshot();
+        for (family, kind, value) in [
+            ("reactor_conns", "gauge", s.conns),
+            ("reactor_accepts_total", "counter", s.accepts),
+            ("reactor_wakeups_total", "counter", s.wakeups),
+            ("reactor_timeouts_total", "counter", s.timeouts),
+        ] {
+            render_scalar(out, &format!("{prefix}_{family}"), &labels, kind, value);
+        }
+        shard(out, &labels, &s);
     }
 }
 

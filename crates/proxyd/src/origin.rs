@@ -35,7 +35,7 @@
 //! same access history (`tests/concurrency_stress.rs` holds the two
 //! together).
 
-use crate::obs::{render_histogram, render_scalar, DaemonObs};
+use crate::obs::{render_histogram, render_scalar, render_transport, DaemonObs};
 use crate::prefetch::{PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER, PUSH_PATH_HEADER};
 use crate::proxy::METRICS_PATH;
 use crate::service::{serve_blocking, Served, Service};
@@ -622,61 +622,20 @@ fn origin_metrics_response(
         &obs.piggyback_bytes.snapshot(),
         1.0,
     );
-    render_scalar(
-        &mut out,
-        "pb_origin_accepts_total",
-        "",
-        "counter",
-        shared.io_stats.accepts_total(),
-    );
-    render_scalar(
-        &mut out,
-        "pb_origin_open_connections",
-        "",
-        "gauge",
-        shared.io_stats.open_connections(),
-    );
-    render_scalar(
-        &mut out,
-        "pb_origin_accept_backoffs_total",
-        "",
-        "counter",
-        shared.io_stats.accept_errors_total(),
-    );
     #[cfg(target_os = "linux")]
-    if let Some(rm) = &shared.reactor_metrics {
-        for (i, s) in rm.shards.iter().enumerate() {
-            let labels = format!("shard=\"{i}\"");
-            render_scalar(
-                &mut out,
-                "pb_origin_reactor_conns",
-                &labels,
-                "gauge",
-                s.conns(),
-            );
-            render_scalar(
-                &mut out,
-                "pb_origin_reactor_accepts_total",
-                &labels,
-                "counter",
-                s.accepts(),
-            );
-            render_scalar(
-                &mut out,
-                "pb_origin_reactor_wakeups_total",
-                &labels,
-                "counter",
-                s.wakeups(),
-            );
-            render_scalar(
-                &mut out,
-                "pb_origin_reactor_timeouts_total",
-                &labels,
-                "counter",
-                s.timeouts(),
-            );
-        }
-    }
+    let shards = shared
+        .reactor_metrics
+        .as_ref()
+        .map_or(&[][..], |rm| &rm.shards);
+    #[cfg(not(target_os = "linux"))]
+    let shards = &[];
+    render_transport(
+        &mut out,
+        "pb_origin",
+        &shared.io_stats,
+        shards,
+        |_, _, _| {},
+    );
     let mut resp = Response::new(200);
     resp.headers
         .insert("Content-Type", "text/plain; version=0.0.4");

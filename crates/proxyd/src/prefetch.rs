@@ -394,17 +394,12 @@ fn settle_speculation(shared: &ProxyShared, r: ResourceId, path: &str, outcome: 
     // The speculative leg carries no relay rule, so the only other
     // outcome is `Failed`.
     let UpstreamOutcome::Response(resp, _) = outcome else {
-        stats.prefetch_wasted.fetch_add(1, Relaxed);
-        stats.prefetch_inflight.fetch_sub(1, Relaxed);
-        return;
+        return settle_wasted(stats, 0);
     };
     let size = resp.body.len() as u64;
     stats.prefetch_fetched_bytes.fetch_add(size, Relaxed);
     if resp.status != 200 {
-        stats.prefetch_wasted.fetch_add(1, Relaxed);
-        stats.prefetch_wasted_bytes.fetch_add(size, Relaxed);
-        stats.prefetch_inflight.fetch_sub(1, Relaxed);
-        return;
+        return settle_wasted(stats, size);
     }
     let now = shared.clock.now();
     let lm = lifecycle::last_modified(&resp, now);
@@ -427,10 +422,7 @@ pub(crate) fn install_speculative(
     // A demand fetch that completed while we were on the wire wins: keep
     // its entry, settle our fetch as wasted.
     if shared.cache.peek(r).is_some() {
-        stats.prefetch_wasted.fetch_add(1, Relaxed);
-        stats.prefetch_wasted_bytes.fetch_add(size, Relaxed);
-        stats.prefetch_inflight.fetch_sub(1, Relaxed);
-        return;
+        return settle_wasted(stats, size);
     }
     // Body first, then the entry, exactly like the demand path: a
     // concurrent lookup that wins the entry also finds the body.
@@ -463,9 +455,7 @@ pub(crate) fn install_speculative(
         // Oversized for its shard: the body can never be served, so the
         // speculation is wasted on the spot.
         shared.bodies.remove(r);
-        stats.prefetch_wasted.fetch_add(1, Relaxed);
-        stats.prefetch_wasted_bytes.fetch_add(size, Relaxed);
-        stats.prefetch_inflight.fetch_sub(1, Relaxed);
+        settle_wasted(stats, size);
     }
 }
 
@@ -485,10 +475,16 @@ pub(crate) fn note_speculative_hit(stats: &AtomicProxyStats, snap: &CacheEntry) 
 /// client used it.
 pub(crate) fn settle_displaced(stats: &AtomicProxyStats, old: &CacheEntry) {
     if old.prefetched && !old.used {
-        stats.prefetch_wasted.fetch_add(1, Relaxed);
-        stats.prefetch_wasted_bytes.fetch_add(old.size, Relaxed);
-        stats.prefetch_inflight.fetch_sub(1, Relaxed);
+        settle_wasted(stats, old.size);
     }
+}
+
+/// Settle one issued speculation as wasted, with the `bytes` it fetched
+/// for nothing (0 for a failure).
+fn settle_wasted(stats: &AtomicProxyStats, bytes: u64) {
+    stats.prefetch_wasted.fetch_add(1, Relaxed);
+    stats.prefetch_wasted_bytes.fetch_add(bytes, Relaxed);
+    stats.prefetch_inflight.fetch_sub(1, Relaxed);
 }
 
 /// Accept one server-pushed response (`--accept-push`). Every push enters
@@ -511,10 +507,7 @@ pub(crate) fn accept_push(shared: &ProxyShared, resp: &Response, now: Timestamp)
     stats.prefetch_fetched_bytes.fetch_add(size, Relaxed);
     if shared.cache.peek(r).is_some() {
         // Duplicate push: issued-and-instantly-wasted bandwidth.
-        stats.prefetch_wasted.fetch_add(1, Relaxed);
-        stats.prefetch_wasted_bytes.fetch_add(size, Relaxed);
-        stats.prefetch_inflight.fetch_sub(1, Relaxed);
-        return;
+        return settle_wasted(stats, size);
     }
     stats.pushes_accepted.fetch_add(1, Relaxed);
     install_speculative(shared, r, resp.body.clone(), size, lm, now);

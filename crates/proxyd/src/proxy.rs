@@ -33,7 +33,7 @@
 
 use crate::client::{ConnectionPool, PoolStats};
 use crate::lifecycle::{self, Settled, UpstreamJob};
-use crate::obs::{render_histogram, render_scalar, ProxyObs};
+use crate::obs::{render_histogram, render_scalar, render_transport, ProxyObs};
 use crate::origin::strip_origin_form;
 use crate::prefetch::{self, Prefetcher};
 use crate::service::{serve_blocking, Served, Service, UpstreamPlan};
@@ -787,103 +787,32 @@ fn metrics_response(shared: &ProxyShared) -> Response {
             render_scalar(&mut out, name, &labels, "gauge", value);
         }
     }
-    render_scalar(
-        &mut out,
-        "pb_proxy_accepts_total",
-        "",
-        "counter",
-        shared.io_stats.accepts_total(),
-    );
-    render_scalar(
-        &mut out,
-        "pb_proxy_open_connections",
-        "",
-        "gauge",
-        shared.io_stats.open_connections(),
-    );
-    render_scalar(
-        &mut out,
-        "pb_proxy_accept_backoffs_total",
-        "",
-        "counter",
-        shared.io_stats.accept_errors_total(),
-    );
     #[cfg(target_os = "linux")]
-    if let Some(rm) = &shared.reactor_metrics {
-        for (i, s) in rm.shards.iter().enumerate() {
-            let labels = format!("shard=\"{i}\"");
-            render_scalar(
-                &mut out,
-                "pb_proxy_reactor_conns",
-                &labels,
-                "gauge",
-                s.conns(),
-            );
-            render_scalar(
-                &mut out,
-                "pb_proxy_reactor_accepts_total",
-                &labels,
-                "counter",
-                s.accepts(),
-            );
-            render_scalar(
-                &mut out,
-                "pb_proxy_reactor_wakeups_total",
-                &labels,
-                "counter",
-                s.wakeups(),
-            );
-            render_scalar(
-                &mut out,
-                "pb_proxy_reactor_timeouts_total",
-                &labels,
-                "counter",
-                s.timeouts(),
-            );
-            render_scalar(
-                &mut out,
-                "pb_proxy_reactor_upstream_dials_total",
-                &labels,
-                "counter",
-                s.upstream_dials(),
-            );
-            render_scalar(
-                &mut out,
-                "pb_proxy_reactor_upstream_reuses_total",
-                &labels,
-                "counter",
-                s.upstream_reuses(),
-            );
-            render_scalar(
-                &mut out,
-                "pb_proxy_reactor_upstream_inflight",
-                &labels,
-                "gauge",
-                s.upstream_inflight(),
-            );
-            render_scalar(
-                &mut out,
-                "pb_proxy_reactor_upstream_timeouts_total",
-                &labels,
-                "counter",
-                s.upstream_timeouts(),
-            );
-            render_scalar(
-                &mut out,
-                "pb_proxy_reactor_relays_total",
-                &labels,
-                "counter",
-                s.relays(),
-            );
-            render_scalar(
-                &mut out,
-                "pb_proxy_reactor_relay_paused_total",
-                &labels,
-                "counter",
-                s.relay_paused(),
-            );
-        }
-    }
+    let shards = shared
+        .reactor_metrics
+        .as_ref()
+        .map_or(&[][..], |rm| &rm.shards);
+    #[cfg(not(target_os = "linux"))]
+    let shards = &[];
+    render_transport(
+        &mut out,
+        "pb_proxy",
+        &shared.io_stats,
+        shards,
+        |out, labels, s| {
+            for (family, kind, value) in [
+                ("upstream_dials_total", "counter", s.upstream_dials),
+                ("upstream_reuses_total", "counter", s.upstream_reuses),
+                ("upstream_inflight", "gauge", s.upstream_inflight),
+                ("upstream_timeouts_total", "counter", s.upstream_timeouts),
+                ("relays_total", "counter", s.relays),
+                ("relay_paused_total", "counter", s.relay_paused),
+            ] {
+                let name = format!("pb_proxy_reactor_{family}");
+                render_scalar(out, &name, labels, kind, value);
+            }
+        },
+    );
     let mut resp = Response::new(200);
     resp.headers
         .insert("Content-Type", "text/plain; version=0.0.4");

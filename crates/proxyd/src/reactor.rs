@@ -48,6 +48,7 @@
 
 use crate::lifecycle::{grow_upstream_read, ExchangeMachine, ResponseMachine, UPSTREAM_READ};
 use crate::service::{ClientMachine, ResumeFn, Served, Service, UpstreamPlan, Waker};
+use crate::stats::ReactorShardStats;
 use crate::util::{IoStats, OpenGuard, ServerHandle};
 use piggyback_httpwire::ConnScratch;
 use std::collections::VecDeque;
@@ -287,68 +288,6 @@ fn bind_reuseport(port: u16) -> io::Result<TcpListener> {
 
 // ---------------------------------------------------------------------------
 // public surface
-
-/// Per-reactor-shard counters, rendered at `/__pb/metrics` as
-/// `*_reactor_*{shard="i"}` so accept-shard balance is observable.
-#[derive(Debug, Default)]
-pub struct ReactorShardStats {
-    /// epoll_wait returns (readiness batches + timer ticks).
-    pub wakeups: AtomicU64,
-    /// Connections this shard's listener accepted.
-    pub accepts: AtomicU64,
-    /// Connections currently registered with this shard (gauge).
-    pub conns: AtomicU64,
-    /// Connections closed by the idle/read timer wheel.
-    pub timeouts: AtomicU64,
-    /// Fresh nonblocking TCP dials to the origin from this shard.
-    pub upstream_dials: AtomicU64,
-    /// Upstream exchanges served by a kept-alive idle connection.
-    pub upstream_reuses: AtomicU64,
-    /// Upstream exchanges currently dialing or mid-exchange (gauge).
-    pub upstream_inflight: AtomicU64,
-    /// Upstream exchanges killed by the `--upstream-timeout-secs` wheel.
-    pub upstream_timeouts: AtomicU64,
-    /// Streaming relays engaged (large-object cut-through exchanges).
-    pub relays: AtomicU64,
-    /// Times a streaming relay paused its upstream reads because the
-    /// client's output buffer hit the high-water mark — the slow-reader
-    /// backpressure proof: a lagging client throttles the origin leg
-    /// instead of ballooning the proxy's buffers.
-    pub relay_paused: AtomicU64,
-}
-
-impl ReactorShardStats {
-    pub fn wakeups(&self) -> u64 {
-        self.wakeups.load(Ordering::Relaxed)
-    }
-    pub fn accepts(&self) -> u64 {
-        self.accepts.load(Ordering::Relaxed)
-    }
-    pub fn conns(&self) -> u64 {
-        self.conns.load(Ordering::Relaxed)
-    }
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts.load(Ordering::Relaxed)
-    }
-    pub fn upstream_dials(&self) -> u64 {
-        self.upstream_dials.load(Ordering::Relaxed)
-    }
-    pub fn upstream_reuses(&self) -> u64 {
-        self.upstream_reuses.load(Ordering::Relaxed)
-    }
-    pub fn upstream_inflight(&self) -> u64 {
-        self.upstream_inflight.load(Ordering::Relaxed)
-    }
-    pub fn upstream_timeouts(&self) -> u64 {
-        self.upstream_timeouts.load(Ordering::Relaxed)
-    }
-    pub fn relays(&self) -> u64 {
-        self.relays.load(Ordering::Relaxed)
-    }
-    pub fn relay_paused(&self) -> u64 {
-        self.relay_paused.load(Ordering::Relaxed)
-    }
-}
 
 /// One [`ReactorShardStats`] per reactor thread, shared with the metrics
 /// renderer.

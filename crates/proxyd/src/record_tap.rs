@@ -1,26 +1,32 @@
-//! Record mode: a capture relay between proxy and origin.
+//! Record mode: the transparent volume center, recording.
 //!
-//! `pb-record` (and the in-process [`start_recorder`]) sits on the path a
-//! proxy already uses to reach its origin and records every exchange —
-//! request line and headers, response status/headers/body, the `P-volume`
-//! piggyback payload, and wire timing (TTFB via
-//! [`piggyback_httpwire::TimedReader`], then transfer duration) — into a
-//! versioned [`Inventory`] (PROTOCOL.md §11). The relay is transparent:
-//! requests and responses pass through unmodified, so recording does not
-//! perturb the traffic being captured beyond its store-and-forward delay.
+//! `pb-record` (and the in-process [`start_recorder`]) is the volume
+//! center's own connection loop in transparent mode with no shim
+//! ([`crate::volume_center`], PROTOCOL.md §14.1), plus a recorder:
+//! requests and responses pass through unmodified on the exchange machine
+//! every relay drives — re-dial after a `Connection: close`, push bursts
+//! and `HEAD` included. The loop reads each response whole and records
+//! the exchange — request line and headers, response status/headers/body,
+//! the `P-volume` piggyback payload, and wire timing (TTFB at the first
+//! upstream read, then transfer duration) — into a versioned
+//! [`Inventory`] (docs/PROTOCOL.md §11) before the response's tail goes
+//! out, so [`RecorderHandle::finish`] never misses an exchange a client
+//! has read. Recording does not perturb the traffic beyond its
+//! store-and-forward delay.
 //!
 //! A committed inventory is then re-served deterministically by
 //! [`crate::replay_origin`], making latency experiments reproducible from
 //! the repo alone.
 
-use crate::util::{serve, ServerHandle};
+use crate::prefetch::PUSH_COUNT_HEADER;
+use crate::volume_center::{start_relay, VolumeCenterConfig, VolumeCenterHandle};
 use parking_lot::Mutex;
 use piggyback_core::wire::P_VOLUME_HEADER;
-use piggyback_httpwire::{HeaderMap, Request, Response, TimedReader};
+use piggyback_httpwire::{HeaderMap, Request, Response};
 use piggyback_trace::inventory::Inventory;
 use piggyback_trace::record::RecordedExchange;
-use std::io::{self, BufReader, BufWriter};
-use std::net::{SocketAddr, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,106 +39,25 @@ pub struct RecorderConfig {
     pub origin: SocketAddr,
 }
 
-struct RecorderState {
+/// The capture the relay loop records each exchange into.
+pub(crate) struct Recorder {
     t0: Instant,
     entries: Mutex<Vec<RecordedExchange>>,
 }
 
-/// A running record tap.
-pub struct RecorderHandle {
-    handle: ServerHandle,
-    state: Arc<RecorderState>,
-}
-
-impl RecorderHandle {
-    pub fn addr(&self) -> SocketAddr {
-        self.handle.addr
-    }
-
-    /// Exchanges captured so far.
-    pub fn recorded(&self) -> usize {
-        self.state.entries.lock().len()
-    }
-
-    /// Stop the relay and package the capture as an inventory named
-    /// `name`. Entries are in global capture order across connections.
-    pub fn finish(self, name: &str) -> Inventory {
-        self.handle.stop();
-        let mut entries = std::mem::take(&mut *self.state.entries.lock());
-        entries.sort_by_key(|e| e.seq);
-        Inventory {
-            name: name.to_owned(),
-            entries,
-        }
-    }
-}
-
-/// Start the record tap relay.
-pub fn start_recorder(cfg: RecorderConfig) -> io::Result<RecorderHandle> {
-    let state = Arc::new(RecorderState {
-        t0: Instant::now(),
-        entries: Mutex::new(Vec::new()),
-    });
-    let state2 = Arc::clone(&state);
-    let origin = cfg.origin;
-    let handle = serve(cfg.port, "record-tap", move |stream| {
-        let _ = handle_connection(stream, origin, &state2);
-    })?;
-    Ok(RecorderHandle { handle, state })
-}
-
-/// Headers the replay origin recomputes (framing) or that are hop-by-hop;
-/// excluded from the recorded response headers.
-fn is_unrecorded_header(name: &str) -> bool {
-    name.eq_ignore_ascii_case("Content-Length")
-        || name.eq_ignore_ascii_case("Transfer-Encoding")
-        || name.eq_ignore_ascii_case("Trailer")
-        || name.eq_ignore_ascii_case("Connection")
-}
-
-fn captured_headers(map: &HeaderMap, skip_framing: bool) -> Vec<(String, String)> {
-    map.iter()
-        .filter(|(n, _)| !(skip_framing && is_unrecorded_header(n)))
-        .filter(|(n, _)| !n.eq_ignore_ascii_case(P_VOLUME_HEADER))
-        .map(|(n, v)| (n.to_owned(), v.to_owned()))
-        .collect()
-}
-
-fn handle_connection(
-    downstream: TcpStream,
-    origin: SocketAddr,
-    state: &RecorderState,
-) -> io::Result<()> {
-    let mut down_r = BufReader::new(downstream.try_clone()?);
-    let mut down_w = BufWriter::new(downstream);
-    let up = TcpStream::connect(origin)?;
-    up.set_nodelay(true)?;
-    let mut up_r = TimedReader::new(BufReader::new(up.try_clone()?));
-    let mut up_w = BufWriter::new(up);
-
-    loop {
-        let req = match Request::read(&mut down_r) {
-            Ok(r) => r,
-            Err(_) => return Ok(()),
-        };
-        let keep = req.keep_alive();
-        let head = req.method == "HEAD";
-
-        up_r.reset();
-        let start = Instant::now();
-        req.write(&mut up_w)?;
-        let resp = match Response::read(&mut up_r, head) {
-            Ok(r) => r,
-            Err(_) => {
-                Response::new(502).write(&mut down_w)?;
-                return Ok(());
-            }
-        };
-        let done = Instant::now();
-        let first = up_r.first_byte_at().unwrap_or(done);
-
-        let chunked =
-            !resp.trailers.is_empty() || resp.headers.list_contains("Transfer-Encoding", "chunked");
+impl Recorder {
+    /// Record one exchange: `req` as parsed, `resp` read whole, the
+    /// exchange started at `start`, its first upstream read at `first` and
+    /// its outcome at `done`. Entries take their `seq` in capture order
+    /// across connections.
+    pub(crate) fn record(
+        &self,
+        req: &Request,
+        resp: &Response,
+        start: Instant,
+        first: Instant,
+        done: Instant,
+    ) {
         let piggyback = resp
             .trailers
             .get(P_VOLUME_HEADER)
@@ -143,8 +68,8 @@ fn handle_connection(
             method: req.method.clone(),
             path: req.target.clone(),
             status: resp.status,
-            chunked,
-            start_us: start.duration_since(state.t0).as_micros() as u64,
+            chunked: resp.is_chunked(),
+            start_us: start.duration_since(self.t0).as_micros() as u64,
             ttfb_us: first.duration_since(start).as_micros() as u64,
             transfer_us: done.duration_since(first).as_micros() as u64,
             request_headers: captured_headers(&req.headers, false),
@@ -152,17 +77,76 @@ fn handle_connection(
             piggyback,
             body: resp.body.to_vec(),
         };
-        {
-            let mut entries = state.entries.lock();
-            let seq = entries.len() as u32;
-            entries.push(RecordedExchange { seq, ..entry });
-        }
+        let mut entries = self.entries.lock();
+        let seq = entries.len() as u32;
+        entries.push(RecordedExchange { seq, ..entry });
+    }
+}
 
-        resp.write(&mut down_w)?;
-        if !keep {
-            return Ok(());
+/// A running record tap.
+pub struct RecorderHandle {
+    center: VolumeCenterHandle,
+    recorder: Arc<Recorder>,
+}
+
+impl RecorderHandle {
+    pub fn addr(&self) -> SocketAddr {
+        self.center.addr()
+    }
+
+    /// Exchanges captured so far.
+    pub fn recorded(&self) -> usize {
+        self.recorder.entries.lock().len()
+    }
+
+    /// Stop the relay and package the capture as an inventory named
+    /// `name`. Entries are in global capture order across connections.
+    pub fn finish(self, name: &str) -> Inventory {
+        self.center.stop();
+        let entries = std::mem::take(&mut *self.recorder.entries.lock());
+        Inventory {
+            name: name.to_owned(),
+            entries,
         }
     }
+}
+
+/// Start the record tap relay.
+pub fn start_recorder(cfg: RecorderConfig) -> io::Result<RecorderHandle> {
+    let recorder = Arc::new(Recorder {
+        t0: Instant::now(),
+        entries: Mutex::new(Vec::new()),
+    });
+    let center = start_relay(
+        VolumeCenterConfig {
+            port: cfg.port,
+            origin: cfg.origin,
+            volume_level: 1,
+            shim: None,
+            transparent: true,
+        },
+        Some(Arc::clone(&recorder)),
+    )?;
+    Ok(RecorderHandle { center, recorder })
+}
+
+/// Headers the replay origin recomputes (framing), that are hop-by-hop,
+/// or that announce a push burst a replay cannot send; excluded from the
+/// recorded response headers.
+fn is_unrecorded_header(name: &str) -> bool {
+    name.eq_ignore_ascii_case("Content-Length")
+        || name.eq_ignore_ascii_case("Transfer-Encoding")
+        || name.eq_ignore_ascii_case("Trailer")
+        || name.eq_ignore_ascii_case("Connection")
+        || name.eq_ignore_ascii_case(PUSH_COUNT_HEADER)
+}
+
+fn captured_headers(map: &HeaderMap, skip_framing: bool) -> Vec<(String, String)> {
+    map.iter()
+        .filter(|(n, _)| !(skip_framing && is_unrecorded_header(n)))
+        .filter(|(n, _)| !n.eq_ignore_ascii_case(P_VOLUME_HEADER))
+        .map(|(n, v)| (n.to_owned(), v.to_owned()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -170,6 +154,8 @@ mod tests {
     use super::*;
     use crate::origin::{start_origin, OriginConfig};
     use piggyback_core::filter::PIGGY_FILTER_HEADER;
+    use std::io::{BufReader, BufWriter};
+    use std::net::TcpStream;
 
     /// Recording a live origin captures bodies, piggybacks, and timing,
     /// and relays the traffic unmodified.

@@ -184,6 +184,40 @@ impl AtomicDaemonStats {
     }
 }
 
+counter_set! {
+    /// Per-reactor-shard counters, rendered at `/__pb/metrics` as
+    /// `*_reactor_*{shard="i"}` so accept-shard balance is observable.
+    plain ReactorShardCounts;
+    /// Atomic accumulator behind [`ReactorShardCounts`], one per reactor
+    /// thread.
+    atomic ReactorShardStats;
+    {
+        /// epoll_wait returns (readiness batches + timer ticks).
+        wakeups,
+        /// Connections this shard's listener accepted.
+        accepts,
+        /// Connections currently registered with this shard (gauge).
+        conns,
+        /// Connections closed by the idle/read timer wheel.
+        timeouts,
+        /// Fresh nonblocking TCP dials to the origin from this shard.
+        upstream_dials,
+        /// Upstream exchanges served by a kept-alive idle connection.
+        upstream_reuses,
+        /// Upstream exchanges currently dialing or mid-exchange (gauge).
+        upstream_inflight,
+        /// Upstream exchanges killed by the `--upstream-timeout-secs` wheel.
+        upstream_timeouts,
+        /// Streaming relays engaged (large-object cut-through exchanges).
+        relays,
+        /// Times a streaming relay paused its upstream reads because the
+        /// client's output buffer hit the high-water mark — the slow-reader
+        /// backpressure proof: a lagging client throttles the origin leg
+        /// instead of ballooning the proxy's buffers.
+        relay_paused,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

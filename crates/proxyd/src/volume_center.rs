@@ -16,7 +16,8 @@
 //! read as they arrive — a `Content-Length` payload written from the
 //! upstream read buffer, not copied — through buffers that live as long
 //! as the connection. Requests are forwarded from the struct they were
-//! parsed into.
+//! parsed into. The record tap ([`crate::record_tap`]) is this same loop,
+//! transparent and unshimmed, with a recorder.
 
 use crate::client::PooledConn;
 use crate::lifecycle::{
@@ -26,6 +27,7 @@ use crate::lifecycle::{
 use crate::netem::{Conditioner, ExchangePlan, ShimStats};
 use crate::origin::strip_origin_form;
 use crate::prefetch::{PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER};
+use crate::record_tap::Recorder;
 use crate::service::blocking_exchange;
 use crate::stats::{AtomicDaemonStats, DaemonStats};
 use crate::util::{serve, Clock, ServerHandle};
@@ -111,6 +113,14 @@ impl VolumeCenterHandle {
 
 /// Start the volume center relay.
 pub fn start_volume_center(cfg: VolumeCenterConfig) -> io::Result<VolumeCenterHandle> {
+    start_relay(cfg, None)
+}
+
+/// Start the relay, recording every exchange into `recorder` if given.
+pub(crate) fn start_relay(
+    cfg: VolumeCenterConfig,
+    recorder: Option<Arc<Recorder>>,
+) -> io::Result<VolumeCenterHandle> {
     let state = Arc::new(Mutex::new(CenterState {
         server: PiggybackServer::new(DirectoryVolumes::new(cfg.volume_level)),
         clock: Clock::new(),
@@ -132,6 +142,7 @@ pub fn start_volume_center(cfg: VolumeCenterConfig) -> io::Result<VolumeCenterHa
             &daemon2,
             shim2.as_deref(),
             transparent,
+            recorder.as_deref(),
         );
     })?;
     Ok(VolumeCenterHandle {
@@ -313,7 +324,8 @@ fn learn(
 /// O(read) memory and the first byte does not wait for the last
 /// (PROTOCOL.md §14.1). Everything an exchange needs — request, its
 /// serialized bytes, scratch, staging buffer, body encoder — lives here
-/// and is reused.
+/// and is reused. With a `recorder` every response is read whole and
+/// recorded before its tail goes out.
 fn handle_connection(
     downstream: TcpStream,
     origin: SocketAddr,
@@ -321,6 +333,7 @@ fn handle_connection(
     daemon: &AtomicDaemonStats,
     shim: Option<&Conditioner>,
     transparent: bool,
+    recorder: Option<&Recorder>,
 ) -> io::Result<()> {
     use std::sync::atomic::Ordering::Relaxed;
     daemon.connections.fetch_add(1, Relaxed);
@@ -380,6 +393,7 @@ fn handle_connection(
         };
         let as_is = AsIs {
             head_request: req.method == "HEAD",
+            whole: recorder.is_some(),
             hook: (!transparent).then_some(&hook as HeadHook),
         };
         request.clear();
@@ -389,11 +403,16 @@ fn handle_connection(
         let machine = ResponseMachine::as_is(as_is, transparent);
         // The last read's span, left in the upstream connection's buffer.
         let mut tail = 0..0;
+        // A recording also stamps the first upstream read.
+        let (start, mut first) = (Instant::now(), None);
         let (outcome, kept) = blocking_exchange(
-            ExchangeMachine::new(&request[..], req.body.is_empty(), machine, Instant::now()),
+            ExchangeMachine::new(&request[..], req.body.is_empty(), machine, start),
             |_| up.take().map_or_else(|| PooledConn::connect(origin), Ok),
             &mut scratch.out,
             |stage, span, machine| {
+                if recorder.is_some() && first.is_none() {
+                    first = Some(Instant::now());
+                }
                 if !machine.is_done() {
                     return down.send(stage, span, false);
                 }
@@ -420,6 +439,10 @@ fn handle_connection(
                         resp.headers
                             .insert(PUSH_COUNT_HEADER, &pushed.len().to_string());
                     }
+                }
+                if let Some(recorder) = recorder {
+                    let done = Instant::now();
+                    recorder.record(&req, &resp, start, first.unwrap_or(done), done);
                 }
                 daemon.count_response(resp.status, resp.body.len());
                 down.whole(&resp, stage)?;

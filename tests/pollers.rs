@@ -433,7 +433,10 @@ impl Forwarder {
         match &self.upstream {
             Upstream::Pool(pool) => (pool.stats().connects, pool.stats().reuses),
             #[cfg(target_os = "linux")]
-            Upstream::Reactor(m) => (m.shards[0].upstream_dials(), m.shards[0].upstream_reuses()),
+            Upstream::Reactor(m) => {
+                let s = m.shards[0].snapshot();
+                (s.upstream_dials, s.upstream_reuses)
+            }
         }
     }
 
@@ -483,7 +486,11 @@ fn nonblocking_upstream_roundtrip_reuses_connections() {
         assert_eq!(fwd.dials_and_reuses(), (1, 2), "{poller:?}");
         #[cfg(target_os = "linux")]
         if let Upstream::Reactor(m) = &fwd.upstream {
-            assert_eq!(m.shards[0].upstream_inflight(), 0, "gauge must settle");
+            assert_eq!(
+                m.shards[0].snapshot().upstream_inflight,
+                0,
+                "gauge must settle"
+            );
         }
         fwd.handle.stop();
     }
@@ -526,12 +533,9 @@ fn upstream_timeout_kills_stalled_exchanges() {
         assert_eq!(fwd.retries(), 1, "{poller:?}");
         #[cfg(target_os = "linux")]
         if let Upstream::Reactor(m) = &fwd.upstream {
-            assert_eq!(
-                m.shards[0].upstream_timeouts(),
-                2,
-                "both attempts timed out"
-            );
-            assert_eq!(m.shards[0].upstream_inflight(), 0);
+            let s = m.shards[0].snapshot();
+            assert_eq!(s.upstream_timeouts, 2, "both attempts timed out");
+            assert_eq!(s.upstream_inflight, 0);
         }
         fwd.handle.stop();
     }

@@ -735,6 +735,7 @@ fn raw_relay_forwards_payload_by_span() {
     let splits = [1, 7, 1500, 16384, 65536];
     let as_is = AsIs {
         head_request: false,
+        whole: false,
         hook: None,
     };
     let pinned = |total| RelayRule {

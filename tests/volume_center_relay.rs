@@ -3,7 +3,9 @@
 //! upstream response in every framing and both modes; push bursts relay
 //! and are patched when the upstream dies under one; relay memory is
 //! O(segment), not O(body); the first byte does not wait for the last;
-//! and the shim's delay ledger is conserved however a body is segmented.
+//! the shim's delay ledger is conserved however a body is segmented; and
+//! the record tap, the same loop recording, relays push bursts, re-dials
+//! after a `Connection: close` and records a `HEAD`.
 //!
 //! The file runs under a counting allocator whose figures are
 //! process-global, so every test takes [`window`] and they run one at a
@@ -18,6 +20,7 @@ use piggyback::core::wire::encode_p_volume;
 use piggyback::httpwire::{BodyReader, Request, Response, StreamFraming};
 use piggyback::proxyd::netem::{Conditioner, NetProfile, ShimConfig};
 use piggyback::proxyd::origin::{start_origin, OriginConfig};
+use piggyback::proxyd::record_tap::{start_recorder, RecorderConfig};
 use piggyback::proxyd::util::{serve, ServerHandle};
 use piggyback::proxyd::volume_center::{
     start_volume_center, VolumeCenterConfig, VolumeCenterHandle,
@@ -830,4 +833,171 @@ fn shim_delay_is_conserved_across_segmentation() {
         center.stop();
         origin.stop();
     }
+}
+
+// ---------------------------------------------------------------------------
+// The record tap: the same loop, recording.
+// ---------------------------------------------------------------------------
+
+/// One GET for `path` on `down`, then the response and the pushes its
+/// head announces.
+fn get_with_pushes(
+    down: &mut TcpStream,
+    r: &mut BufReader<TcpStream>,
+    path: &str,
+    accept_push: bool,
+) -> (Response, Vec<Response>) {
+    let mut req = Request::new("GET", path);
+    req.headers.insert("Host", "t");
+    req.headers.insert("TE", "chunked");
+    req.headers.insert("Piggy-filter", "maxpiggy=10");
+    if accept_push {
+        req.headers.insert("Piggy-push", "accept");
+    }
+    req.write(down).unwrap();
+    let resp = Response::read(r, false).unwrap();
+    let announced: usize = resp
+        .headers
+        .get("X-Push-Count")
+        .map_or(0, |v| v.parse().unwrap());
+    let pushed = (0..announced)
+        .map(|_| Response::read(r, false).unwrap())
+        .collect();
+    (resp, pushed)
+}
+
+/// A push-accepting client records through the tap: each request gets its
+/// own response and then every push it announced, and the next request
+/// gets its own response again. The inventory holds one entry per
+/// request, with no push count a replay could not honour.
+#[test]
+fn record_tap_relays_push_bursts_in_step() {
+    let _window = window();
+    let origin = start_origin(OriginConfig {
+        push_max: 4,
+        ..OriginConfig::default()
+    })
+    .unwrap();
+    // Warm the origin's accesses so pushes name volume mates, keeping
+    // each page's body to check the tap's answers against.
+    let mut bodies = std::collections::HashMap::new();
+    for p in &origin.paths {
+        let mut down = connect(origin.addr());
+        let mut r = BufReader::new(down.try_clone().unwrap());
+        let (resp, _) = get_with_pushes(&mut down, &mut r, p, false);
+        bodies.insert(p.clone(), resp.body);
+    }
+    let rec = start_recorder(RecorderConfig {
+        port: 0,
+        origin: origin.addr(),
+    })
+    .unwrap();
+    let paths: Vec<String> = origin.paths.iter().take(8).cloned().collect();
+    let mut down = connect(rec.addr());
+    let mut r = BufReader::new(down.try_clone().unwrap());
+    let mut pushes = 0;
+    for p in &paths {
+        let (resp, pushed) = get_with_pushes(&mut down, &mut r, p, true);
+        assert_eq!(resp.status, 200, "{p}");
+        assert!(resp.headers.get("X-Push-Path").is_none(), "{p}: a push");
+        assert_eq!(resp.body, bodies[p], "{p}: another page's body");
+        for push in &pushed {
+            assert_eq!(push.status, 200);
+            let path = push.headers.get("X-Push-Path").expect("a pushed path");
+            assert_eq!(push.body, bodies[path], "pushed {path}");
+        }
+        pushes += pushed.len();
+    }
+    assert!(pushes > 0, "the warmed origin must push");
+    drop((down, r));
+    let inv = rec.finish("pushes");
+    origin.stop();
+    let recorded: Vec<&str> = inv.entries.iter().map(|e| e.path.as_str()).collect();
+    assert_eq!(recorded, paths);
+    for e in &inv.entries {
+        assert_eq!(e.body, bodies[&e.path].to_vec(), "{}", e.path);
+        assert!(e.response_header("X-Push-Count").is_none(), "{}", e.path);
+    }
+}
+
+/// An upstream that answers `Connection: close` and hangs up: the tap
+/// re-dials for the next request on the same downstream connection, and
+/// records both exchanges.
+#[test]
+fn record_tap_redials_after_connection_close() {
+    let _window = window();
+    let origin = serve(0, "closing-origin", |mut stream| {
+        let mut r = BufReader::new(stream.try_clone().unwrap());
+        if let Ok(req) = Request::read(&mut r) {
+            let mut resp = Response::new(200);
+            resp.headers.insert("Last-Modified", LAST_MODIFIED);
+            resp.headers.insert("Connection", "close");
+            resp.body = req.target.into_bytes().into();
+            let _ = resp.write(&mut stream);
+        }
+    })
+    .unwrap();
+    let rec = start_recorder(RecorderConfig {
+        port: 0,
+        origin: origin.addr,
+    })
+    .unwrap();
+    let mut down = connect(rec.addr());
+    let mut r = BufReader::new(down.try_clone().unwrap());
+    let paths = ["/first.html", "/second.html", "/third.html"];
+    for p in paths {
+        let (resp, _) = get_with_pushes(&mut down, &mut r, p, false);
+        assert_eq!(resp.status, 200, "{p}");
+        assert_eq!(resp.body, p.as_bytes(), "{p}");
+    }
+    drop((down, r));
+    let inv = rec.finish("closes");
+    origin.stop();
+    let recorded: Vec<(&str, u16)> = inv
+        .entries
+        .iter()
+        .map(|e| (e.path.as_str(), e.status))
+        .collect();
+    assert_eq!(recorded, paths.map(|p| (p, 200)));
+    assert!(inv
+        .entries
+        .iter()
+        .all(|e| e.response_header("Connection").is_none()));
+}
+
+/// A `HEAD` through the tap is answered bodiless, recorded with no body,
+/// and leaves the connection framed for the `GET` behind it.
+#[test]
+fn record_tap_records_a_head_without_a_body() {
+    let _window = window();
+    let origin = start_origin(OriginConfig::default()).unwrap();
+    let rec = start_recorder(RecorderConfig {
+        port: 0,
+        origin: origin.addr(),
+    })
+    .unwrap();
+    let path = origin.paths[0].clone();
+    let mut down = connect(rec.addr());
+    let mut r = BufReader::new(down.try_clone().unwrap());
+    let mut head = Request::new("HEAD", &path);
+    head.headers.insert("Host", "t");
+    head.write(&mut down).unwrap();
+    let resp = Response::read(&mut r, true).unwrap();
+    assert_eq!(resp.status, 200);
+    assert!(resp.body.is_empty());
+    let (get, _) = get_with_pushes(&mut down, &mut r, &path, false);
+    assert_eq!(get.status, 200);
+    assert!(!get.body.is_empty());
+    drop((down, r));
+    let inv = rec.finish("head");
+    origin.stop();
+    assert_eq!(inv.entries.len(), 2);
+    let (h, g) = (&inv.entries[0], &inv.entries[1]);
+    assert_eq!((h.method.as_str(), h.status), ("HEAD", 200));
+    assert!(h.body.is_empty(), "a HEAD records no body");
+    assert!(h.response_header("Last-Modified").is_some());
+    assert_eq!(
+        (g.method.as_str(), g.body.clone()),
+        ("GET", get.body.to_vec())
+    );
 }
