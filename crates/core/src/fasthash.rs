@@ -36,20 +36,12 @@ impl FxHasher {
     }
 }
 
-/// One-shot FxHash of a single word — shard selection and cache-key
-/// signatures want a plain `u64 -> u64` mix without `Hasher` ceremony.
+/// One-shot FxHash of a single word — shard selection wants a plain
+/// `u64 -> u64` mix without `Hasher` ceremony.
 #[inline]
 pub fn fx_hash_u64(word: u64) -> u64 {
     let mut h = FxHasher::default();
     h.add_to_hash(word);
-    h.finish()
-}
-
-/// One-shot FxHash of a byte string (e.g. a canonical filter header).
-#[inline]
-pub fn fx_hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(bytes);
     h.finish()
 }
 

@@ -48,7 +48,6 @@ pub mod filter;
 pub mod freq;
 pub mod intern;
 pub mod metrics;
-pub mod piggy_cache;
 pub mod proxy;
 pub mod report;
 pub mod rpv;
@@ -71,7 +70,6 @@ pub mod prelude {
     pub use crate::metrics::{
         precount_accesses, replay, MetricsReport, ReplayConfig, Request, RpvConfig,
     };
-    pub use crate::piggy_cache::{CacheStats, PiggybackCache};
     pub use crate::proxy::{classify_element, ClientConfig, ElementAction, PiggybackClient};
     pub use crate::report::{
         absorb_report, parse_report, HitReporter, ReportEntry, PIGGY_REPORT_HEADER,

@@ -12,8 +12,9 @@
 //!   and swapped wholesale on the rare mutations (`/_pb/modify`,
 //!   probability-volume epoch advance) and read lock-free-in-practice via
 //!   [`SnapshotCell`]. A monotone `generation` counter identifies each
-//!   snapshot, which is also the piggyback encode cache's invalidation key
-//!   (see [`crate::piggy_cache`]).
+//!   snapshot (`/_pb/stats` and the `pb_origin_table_generation` gauge
+//!   report it). Piggybacks are computed per response from the snapshot
+//!   and the live access state.
 //! * [`AccessState`] — per-resource access counts and recency, written on
 //!   every request with relaxed atomic adds. Volume *membership* never
 //!   changes per request, only per-resource counters do, so these live
@@ -246,8 +247,7 @@ impl FrozenVolumes {
 /// volume mapping, and the generation that identifies this build.
 #[derive(Debug)]
 pub struct OriginSnapshot {
-    /// Monotone build counter; bumped on every rebuild-and-swap. Cache
-    /// entries keyed on an older generation are stale by definition.
+    /// Monotone build counter; bumped on every rebuild-and-swap.
     pub generation: u64,
     /// Paths and metadata. `access_count` fields in here are the values at
     /// registration time — live counts come from [`AccessState`].
@@ -271,21 +271,6 @@ impl OriginSnapshot {
             generation: self.generation + 1,
             table: Arc::new(table),
             volumes: self.volumes.clone(),
-        }
-    }
-
-    /// Whether `(resource, filter)` piggybacks are reusable across
-    /// requests within this generation, and under which wire volume id.
-    ///
-    /// Directory volumes are never cacheable (move-to-front content shifts
-    /// with every access), and an access-count threshold reads live
-    /// counters, so only probability volumes with no `minacc` qualify.
-    pub fn cacheable_volume(&self, resource: ResourceId, filter: &ProxyFilter) -> Option<VolumeId> {
-        match &self.volumes {
-            FrozenVolumes::Probability(_) if filter.min_access_count.is_none() => {
-                Some(VolumeId(resource.0))
-            }
-            _ => None,
         }
     }
 
@@ -528,27 +513,6 @@ mod tests {
         assert!(snap
             .piggyback(b, &ProxyFilter::default(), &access)
             .is_none());
-    }
-
-    #[test]
-    fn cacheability_rules() {
-        let table = Arc::new(ResourceTable::new());
-        let prob = OriginSnapshot::new(
-            0,
-            Arc::clone(&table),
-            FrozenVolumes::Probability(Arc::new(ProbabilityVolumes::default())),
-        );
-        let dir = OriginSnapshot::new(
-            0,
-            Arc::clone(&table),
-            FrozenVolumes::Directory(Arc::new(StaticDirectoryVolumes::build(&table, 1))),
-        );
-        let plain = ProxyFilter::default();
-        let minacc = ProxyFilter::builder().min_access_count(5).build();
-        let r = ResourceId(3);
-        assert_eq!(prob.cacheable_volume(r, &plain), Some(VolumeId(3)));
-        assert_eq!(prob.cacheable_volume(r, &minacc), None, "live counts");
-        assert_eq!(dir.cacheable_volume(r, &plain), None, "MTF recency");
     }
 
     #[test]

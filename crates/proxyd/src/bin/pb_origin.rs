@@ -2,25 +2,27 @@
 //!
 //! ```text
 //! pb-origin [--port 8080] [--pages 60] [--level 1] [--seed 42]
-//!           [--volumes-file volumes.txt] [--print-paths] [--no-metrics]
-//!           [--no-piggyback-cache] [--epoch-secs N]
+//!           [--volumes-file volumes.txt] [--epoch-secs N] [--print-paths]
+//!           [--metrics | --no-metrics]
 //!           [--io threaded|reactor] [--reactors N] [--idle-timeout-secs 120]
 //!           [--push N]
 //! ```
 //!
+//! `--level` serves directory volumes at that prefix depth (the default);
 //! `--volumes-file` loads persisted probability volumes (see the
-//! `online_volumes` example) instead of maintaining directory volumes.
-//! Unless `--no-metrics` is given, `GET /__pb/metrics` serves Prometheus
-//! counters and response-timing histograms. Requests are served from the
-//! lock-free snapshot path (PROTOCOL.md §9). `--no-piggyback-cache`
-//! disables the `P-volume` encode cache, and `--epoch-secs N` enables
-//! online probability-volume learning (requires `--volumes-file`). `--io reactor` serves connections from the epoll
-//! reactor (Linux; other platforms fall back to the threaded pool) with
-//! `--reactors` SO_REUSEPORT accept shards (0 = auto); both engines poll
-//! the one origin service, so wire output is byte-identical, and both
-//! close a connection silent for `--idle-timeout-secs`. `--push N` enables the server-push
-//! baseline: after a full 200 to a `Piggy-push: accept` peer, up to N
-//! volume members stream as complete responses on the same connection.
+//! `online_volumes` example) instead, and `--epoch-secs N` adds online
+//! probability-volume learning on top of them. `GET /__pb/metrics` serves
+//! Prometheus counters and response-timing histograms unless
+//! `--no-metrics` is given (`--metrics`, the default, turns it back on).
+//! Requests are served from the lock-free snapshot path (PROTOCOL.md §9),
+//! and every piggyback is built per response. `--io reactor` serves
+//! connections from the epoll reactor (Linux; other platforms fall back
+//! to the threaded pool) with `--reactors` SO_REUSEPORT accept shards
+//! (0 = auto); both engines poll the one origin service, so wire output
+//! is byte-identical, and both close a connection silent for
+//! `--idle-timeout-secs`. `--push N` enables the server-push baseline:
+//! after a full 200 to a `Piggy-push: accept` peer, up to N volume
+//! members stream as complete responses on the same connection.
 
 use piggyback_core::types::DurationMs;
 use piggyback_proxyd::origin::{start_origin, OnlineEpochConfig, OriginConfig, VolumeScheme};
@@ -58,7 +60,6 @@ fn main() {
             "--print-paths" => print_paths = true,
             "--metrics" => cfg.metrics = true,
             "--no-metrics" => cfg.metrics = false,
-            "--no-piggyback-cache" => cfg.piggyback_cache = false,
             "--epoch-secs" => {
                 let secs: u64 = value("--epoch-secs")
                     .parse()
@@ -87,8 +88,8 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "pb-origin [--port 8080] [--pages 60] [--level 1] [--seed 42] \
-                     [--print-paths] [--no-metrics] \
-                     [--no-piggyback-cache] [--epoch-secs N] \
+                     [--volumes-file volumes.txt] [--epoch-secs N] [--print-paths] \
+                     [--metrics | --no-metrics] \
                      [--io threaded|reactor] [--reactors N] [--idle-timeout-secs 120] \
                      [--push N]"
                 );

@@ -24,13 +24,11 @@
 //!   ([`AtomicServerStats`]) and transport counters;
 //! * per-source access histories for online probability-volume learning
 //!   are striped across lock shards ([`StripedHistories`]) keyed by
-//!   `fasthash(source)`;
-//! * serialized `P-volume` trailers for probability volumes are memoized
-//!   in a [`PiggybackCache`] keyed by `(volume, filter signature,
-//!   generation)`, so a proxy fleet sending identical filters reuses one
-//!   encoding per snapshot.
+//!   `fasthash(source)`.
 //!
-//! Its piggybacks are byte-identical to those of the socket-free
+//! Every piggyback is built per response (Section 2): element selection
+//! against the snapshot and the live access state, then `P-volume`
+//! encoding. Its piggybacks are byte-identical to those of the socket-free
 //! [`PiggybackServer`](piggyback_core::server::PiggybackServer) fed the
 //! same access history (`tests/concurrency_stress.rs` holds the two
 //! together).
@@ -47,7 +45,6 @@ use piggyback_core::datetime::{
     DEFAULT_TRACE_EPOCH_UNIX,
 };
 use piggyback_core::filter::{ProxyFilter, PIGGY_FILTER_HEADER};
-use piggyback_core::piggy_cache::{CacheStats, CachedEncoding, PiggybackCache};
 use piggyback_core::report::{parse_report, ReportEntry, PIGGY_REPORT_HEADER};
 use piggyback_core::server::{AtomicServerStats, ServerStats};
 use piggyback_core::snapshot::{
@@ -136,9 +133,6 @@ pub struct OriginConfig {
     /// Serve the Prometheus admin endpoint `GET /__pb/metrics`
     /// (`pb-origin --no-metrics` disables it; disabled scrapes get a 404).
     pub metrics: bool,
-    /// Memoize serialized probability-volume piggybacks per
-    /// `(volume, filter, generation)` (`--no-piggyback-cache` disables).
-    pub piggyback_cache: bool,
     /// Learn probability volumes online from live traffic (requires a
     /// probability `volumes` scheme).
     pub online_epoch: Option<OnlineEpochConfig>,
@@ -167,7 +161,6 @@ impl Default for OriginConfig {
             },
             volumes: VolumeScheme::Directory { level: 1 },
             metrics: true,
-            piggyback_cache: true,
             online_epoch: None,
             io: IoMode::default(),
             reactor_idle_timeout: std::time::Duration::from_secs(120),
@@ -184,7 +177,6 @@ struct OriginState {
     swap: Mutex<()>,
     access: AccessState,
     stats: AtomicServerStats,
-    cache: Option<PiggybackCache>,
     epoch: Option<EpochState>,
 }
 
@@ -209,6 +201,13 @@ struct OriginShared {
     /// Per-reactor-shard counters (reactor engine only).
     #[cfg(target_os = "linux")]
     reactor_metrics: Option<Arc<crate::reactor::ReactorMetrics>>,
+}
+
+/// The shape [`OriginHandle::cache_stats`] answers with (never built).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CacheStats {
+    pub hits: u64,
+    pub misses: u64,
 }
 
 /// A running origin.
@@ -256,9 +255,11 @@ impl OriginHandle {
         self.shared.state.snapshot.load().generation
     }
 
-    /// Piggyback encode-cache counters, when the cache is active.
+    /// Always `None`: the origin keeps no piggyback encode cache. Kept
+    /// only because the benchmark package (`bench/src/trace.rs`) reads it
+    /// for its `core.piggy_cache_hit_ratio` layer metric.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.shared.state.cache.as_ref().map(PiggybackCache::stats)
+        None
     }
 
     /// Completed online-epoch rebuilds (0 unless epoch learning is on).
@@ -347,14 +348,12 @@ pub fn start_origin(cfg: OriginConfig) -> io::Result<OriginHandle> {
             ));
         }
     };
-    let cacheable = cfg.piggyback_cache && matches!(volumes, FrozenVolumes::Probability(_));
     let access = AccessState::new(reg.len());
     let state = OriginState {
         snapshot: SnapshotCell::new(Arc::new(OriginSnapshot::new(0, reg, volumes))),
         swap: Mutex::new(()),
         access,
         stats: AtomicServerStats::new(),
-        cache: cacheable.then(PiggybackCache::new),
         epoch,
     };
 
@@ -485,8 +484,8 @@ impl OnlineEpochConfig {
 }
 
 /// Render the origin's Prometheus exposition from lock-free counters and
-/// histograms only: the transport ledger, the piggyback ledger, cache
-/// counters, and the generation gauge (all atomics).
+/// histograms only: the transport ledger, the piggyback ledger and the
+/// generation gauge (all atomics).
 fn origin_metrics_response(
     daemon: &AtomicDaemonStats,
     obs: &DaemonObs,
@@ -571,25 +570,6 @@ fn origin_metrics_response(
         "counter",
         pb.elements_sent,
     );
-    if let Some(cache) = &c.cache {
-        let cs = cache.stats();
-        for (label, value) in [("hit", cs.hits), ("miss", cs.misses)] {
-            render_scalar(
-                &mut out,
-                "pb_origin_piggyback_cache_probes_total",
-                &format!("result=\"{label}\""),
-                "counter",
-                value,
-            );
-        }
-        render_scalar(
-            &mut out,
-            "pb_origin_piggyback_cache_evictions_total",
-            "",
-            "counter",
-            cs.evictions,
-        );
-    }
     render_scalar(
         &mut out,
         "pb_origin_table_generation",
@@ -715,7 +695,7 @@ fn handle_request(
     }
     let meta = *snap.table.meta(resource).expect("in snapshot");
 
-    let piggyback: Option<Arc<str>> =
+    let piggyback: Option<String> =
         match req.headers.get(PIGGY_FILTER_HEADER).map(ProxyFilter::parse) {
             Some(Ok(filter)) => c.encode_piggyback(&snap, resource, &filter),
             _ => {
@@ -854,25 +834,17 @@ fn respond(
 }
 
 impl OriginState {
-    /// Build (or reuse) the serialized piggyback for `(resource, filter)`
-    /// against `snap`, accounting the outcome exactly as
+    /// Build the serialized piggyback for `(resource, filter)` against
+    /// `snap`, accounting the outcome exactly as
     /// [`PiggybackServer::piggyback`](piggyback_core::server::PiggybackServer::piggyback)
-    /// does: cache hits bump the same sent/suppressed/element counters as
-    /// fresh computations.
+    /// does.
     fn encode_piggyback(
         &self,
         snap: &OriginSnapshot,
         resource: ResourceId,
         filter: &ProxyFilter,
-    ) -> Option<Arc<str>> {
-        let encoding = match (&self.cache, snap.cacheable_volume(resource, filter)) {
-            (Some(cache), Some(vol)) => {
-                cache.get_or_insert_with(vol, filter, snap.generation, || {
-                    compute_encoding(snap, resource, filter, &self.access)
-                })
-            }
-            _ => compute_encoding(snap, resource, filter, &self.access),
-        };
+    ) -> Option<String> {
+        let encoding = compute_encoding(snap, resource, filter, &self.access);
         self.stats
             .count_piggyback_outcome(encoding.as_ref().map(|&(_, n)| n));
         encoding.map(|(text, _)| text)
@@ -984,17 +956,18 @@ impl OriginState {
     }
 }
 
-/// Compute a fresh serialized piggyback: element selection against the
-/// snapshot plus live access state, then `P-volume` encoding.
+/// Compute the serialized piggyback and its element count: element
+/// selection against the snapshot plus live access state, then `P-volume`
+/// encoding (`None` = the filter suppressed it).
 fn compute_encoding(
     snap: &OriginSnapshot,
     resource: ResourceId,
     filter: &ProxyFilter,
     access: &AccessState,
-) -> CachedEncoding {
+) -> Option<(String, u64)> {
     let msg = snap.piggyback(resource, filter, access)?;
     let text = encode_p_volume(&msg, &snap.table).ok()?;
-    Some((Arc::from(text), msg.len() as u64))
+    Some((text, msg.len() as u64))
 }
 
 /// Reduce absolute-form targets (`http://host/path`) to origin-form.
@@ -1283,13 +1256,13 @@ mod tests {
     }
 
     #[test]
-    fn piggyback_cache_hits_and_generation_invalidation() {
+    fn probability_piggyback_repeats_until_the_generation_moves() {
         let site_cfg = SiteConfig {
             n_pages: 20,
             seed: 78,
             ..Default::default()
         };
-        let (path, a_path, b_path) = persisted_volumes(&site_cfg, "cache");
+        let (path, a_path, b_path) = persisted_volumes(&site_cfg, "generation");
         let origin = start_origin(OriginConfig {
             site: site_cfg,
             volumes: VolumeScheme::ProbabilityFile(path.clone()),
@@ -1303,22 +1276,21 @@ mod tests {
         let pv1 = resp1.trailers.get("P-volume").unwrap().to_owned();
         let resp2 = get(&mut r, &mut w, &a_path, &headers);
         let pv2 = resp2.trailers.get("P-volume").unwrap().to_owned();
-        assert_eq!(pv1, pv2, "cached trailer must be byte-identical");
-        let cs = origin.cache_stats().expect("cache active");
-        assert_eq!(cs.misses, 1);
-        assert_eq!(cs.hits, 1);
+        assert_eq!(
+            pv1, pv2,
+            "a repeat within a generation must be byte-identical"
+        );
 
-        // A modification bumps the generation; the stale entry misses and
-        // the recomputed trailer reflects the new Last-Modified.
+        // A modification bumps the generation, and the next trailer
+        // reflects the new Last-Modified.
         let resp = get(&mut r, &mut w, &format!("/_pb/modify{b_path}"), &[]);
         assert_eq!(resp.status, 204);
         let resp3 = get(&mut r, &mut w, &a_path, &headers);
         let pv3 = resp3.trailers.get("P-volume").unwrap().to_owned();
-        assert_ne!(pv3, pv1, "generation bump must invalidate the cache");
-        let cs = origin.cache_stats().unwrap();
-        assert_eq!(cs.misses, 2);
+        assert_ne!(pv3, pv1, "a generation bump must change the trailer");
+        assert_eq!(origin.generation(), 1);
 
-        // The piggyback ledger counts cache hits exactly like computes.
+        // Every piggyback lands in the ledger.
         let stats = origin.stats();
         assert_eq!(stats.piggybacks_sent, 3);
         assert_eq!(stats.outcomes(), stats.requests);

@@ -11,12 +11,18 @@
 //! pb_proxy_requests_total == Σ pb_proxy_outcome_requests_total{outcome=*}
 //!                         == Σ pb_proxy_request_duration_seconds_count{outcome=*}
 //! ```
+//!
+//! A last lane holds the `pb_origin_*` families a scrape declares equal
+//! to the list in `docs/PROTOCOL.md` §8.
 
-use piggyback::core::types::DurationMs;
+use piggyback::core::types::{DurationMs, SourceId, Timestamp};
+use piggyback::core::volume::{write_volumes, ProbabilityVolumesBuilder, SamplingMode};
 use piggyback::proxyd::client::HttpClient;
-use piggyback::proxyd::origin::{start_origin, OriginConfig};
+use piggyback::proxyd::origin::{start_origin, OnlineEpochConfig, OriginConfig, VolumeScheme};
 use piggyback::proxyd::proxy::{start_proxy, ProxyConfig};
-use piggyback::proxyd::METRICS_PATH;
+use piggyback::proxyd::{IoMode, METRICS_PATH};
+use piggyback::trace::synth::site::Site;
+use std::collections::BTreeSet;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -205,5 +211,100 @@ fn origin_metrics_balance_their_own_ledger() {
     let histogram_sum = sample_sum(&text, "pb_origin_response_duration_seconds_count");
     assert_eq!(histogram_sum, requests, "{text}");
     origin.stop();
+    done.store(true, Ordering::SeqCst);
+}
+
+/// The `pb_origin_*` names `docs/PROTOCOL.md` §8 documents.
+fn documented_origin_families() -> BTreeSet<String> {
+    let doc = include_str!("../docs/PROTOCOL.md");
+    let start = doc.find("\n## 8.").expect("§8 exists");
+    let len = doc[start..].find("\n## 9.").expect("§9 follows §8");
+    let mut names = BTreeSet::new();
+    for (i, _) in doc[start..start + len].match_indices("pb_origin_") {
+        let tail = &doc[start + i..];
+        let end = tail
+            .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
+            .unwrap_or(tail.len());
+        if end > "pb_origin_".len() {
+            names.insert(tail[..end].to_owned());
+        }
+    }
+    names
+}
+
+/// Every family an origin scrape declares on a `# TYPE` line.
+fn scraped_origin_families(text: &str) -> BTreeSet<String> {
+    text.lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split(' ').next())
+        .filter(|name| name.starts_with("pb_origin_"))
+        .map(str::to_owned)
+        .collect()
+}
+
+/// The origin's exposition and its reference agree: with every optional
+/// family switched on (probability volumes, online epochs, push) the
+/// families the threaded and reactor scrapes declare are exactly the
+/// families §8 documents — none undocumented, none documented but gone.
+#[test]
+fn origin_scrape_families_match_protocol_section_8() {
+    let done = watchdog(Duration::from_secs(60));
+    let site = OriginConfig::default().site;
+    let (table, pages) = Site::generate(&site);
+    let (a, b) = (pages.pages[0].resource, pages.pages[1].resource);
+    let mut builder =
+        ProbabilityVolumesBuilder::new(DurationMs::from_secs(300), 0.1, SamplingMode::Exact);
+    for k in 0..10u64 {
+        let base = Timestamp::from_secs(k * 10_000);
+        builder.observe(SourceId(1), a, base);
+        builder.observe(SourceId(1), b, base + DurationMs::from_secs(2));
+    }
+    let file = std::env::temp_dir().join(format!("pb-audit-vols-{}.txt", std::process::id()));
+    write_volumes(
+        &builder.build(0.5),
+        &table,
+        &mut std::fs::File::create(&file).unwrap(),
+    )
+    .unwrap();
+
+    let mut scraped = BTreeSet::new();
+    for io in [IoMode::Threaded, IoMode::Reactor { reactors: 2 }] {
+        let origin = start_origin(OriginConfig {
+            site: site.clone(),
+            volumes: VolumeScheme::ProbabilityFile(file.clone()),
+            online_epoch: Some(OnlineEpochConfig {
+                epoch: DurationMs::from_secs(60),
+                window: DurationMs::from_secs(10),
+                threshold: 0.5,
+            }),
+            push_max: 4,
+            io,
+            ..Default::default()
+        })
+        .unwrap();
+        let mut client = HttpClient::connect(origin.addr()).unwrap();
+        let page = table.path(a).unwrap();
+        let resp = client
+            .get(page, &[("Piggy-filter", "maxpiggy=5"), ("TE", "chunked")])
+            .unwrap();
+        assert_eq!(resp.status, 200, "{io:?}");
+        scraped.extend(scraped_origin_families(&scrape(origin.addr())));
+        origin.stop();
+    }
+    let _ = std::fs::remove_file(&file);
+
+    // Off Linux the reactor falls back to the threaded engine, which has
+    // no per-shard families.
+    let documented: BTreeSet<String> = documented_origin_families()
+        .into_iter()
+        .filter(|n| cfg!(target_os = "linux") || !n.starts_with("pb_origin_reactor_"))
+        .collect();
+    let undocumented: Vec<_> = scraped.difference(&documented).collect();
+    let stale: Vec<_> = documented.difference(&scraped).collect();
+    assert!(
+        undocumented.is_empty() && stale.is_empty(),
+        "scraped but not in docs/PROTOCOL.md §8: {undocumented:?}; \
+         in §8 but never scraped: {stale:?}"
+    );
     done.store(true, Ordering::SeqCst);
 }
