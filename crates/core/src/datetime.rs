@@ -107,16 +107,47 @@ fn month_from_name(s: &str) -> Option<u32> {
 
 /// Unix seconds wrapped as a lazily-formatted RFC 1123 HTTP-date.
 ///
-/// `Display` writes `Sun, 06 Nov 1994 08:49:37 GMT` directly into the
-/// destination — `write!(buf, "{}", Rfc1123(unix))` formats an HTTP-date
-/// into a reused buffer without the intermediate `String` that
-/// [`format_rfc1123`] allocates, which keeps the proxy's cached-hit
-/// response path allocation-free.
+/// [`encode`](Self::encode) appends `Sun, 06 Nov 1994 08:49:37 GMT` to a
+/// byte buffer with no formatter and no intermediate `String`, which keeps
+/// the proxy's cached-hit response path allocation-free; `Display` and
+/// [`format_rfc1123`] delegate to the same encoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rfc1123(pub i64);
 
+impl Rfc1123 {
+    /// The date's 29 bytes, for a year in 0–9999; `None` outside those
+    /// years, whose rendering is not 29 bytes wide.
+    pub fn to_bytes(self) -> Option<[u8; 29]> {
+        let c = civil_from_unix(self.0);
+        let year = u32::try_from(c.year).ok().filter(|&y| y <= 9999)?;
+        let two = |n: u32| [b'0' + (n / 10) as u8, b'0' + (n % 10) as u8];
+        let mut out = *b"Sun, 00 Jan 0000 00:00:00 GMT";
+        out[..3].copy_from_slice(DAY_NAMES[weekday_from_unix(self.0) as usize].as_bytes());
+        out[5..7].copy_from_slice(&two(c.day));
+        out[8..11].copy_from_slice(MONTH_NAMES[(c.month - 1) as usize].as_bytes());
+        out[12..14].copy_from_slice(&two(year / 100));
+        out[14..16].copy_from_slice(&two(year % 100));
+        out[17..19].copy_from_slice(&two(c.hour));
+        out[20..22].copy_from_slice(&two(c.minute));
+        out[23..25].copy_from_slice(&two(c.second));
+        Some(out)
+    }
+
+    /// Append the date to `out`. A year outside 0–9999 falls back to the
+    /// formatter, which renders it as `Display` always has.
+    pub fn encode(self, out: &mut Vec<u8>) {
+        match self.to_bytes() {
+            Some(bytes) => out.extend_from_slice(&bytes),
+            None => out.extend_from_slice(self.to_string().as_bytes()),
+        }
+    }
+}
+
 impl std::fmt::Display for Rfc1123 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if let Some(bytes) = self.to_bytes() {
+            return f.write_str(std::str::from_utf8(&bytes).expect("ASCII"));
+        }
         let c = civil_from_unix(self.0);
         write!(
             f,
@@ -291,6 +322,28 @@ mod tests {
     #[test]
     fn rfc1123_format_matches_spec_example() {
         assert_eq!(format_rfc1123(784_111_777), "Sun, 06 Nov 1994 08:49:37 GMT");
+    }
+
+    /// The fixed-width encoder agrees with the formatter it replaced at
+    /// the ends of its range; outside it, `encode` falls back to that
+    /// rendering (`properties_http.rs` sweeps every day of 1900–2100).
+    #[test]
+    fn rfc1123_encoder_range_and_fallback() {
+        for (year, fixed) in [(-1, false), (0, true), (9999, true), (10_000, false)] {
+            let unix = unix_from_civil(Civil {
+                year,
+                month: 12,
+                day: 31,
+                hour: 23,
+                minute: 59,
+                second: 58,
+            });
+            assert_eq!(Rfc1123(unix).to_bytes().is_some(), fixed, "year {year}");
+            let mut out = Vec::new();
+            Rfc1123(unix).encode(&mut out);
+            assert_eq!(out, format_rfc1123(unix).as_bytes());
+            assert!(format_rfc1123(unix).contains(&format!(" {year:04} ")));
+        }
     }
 
     #[test]

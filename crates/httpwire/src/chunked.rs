@@ -7,7 +7,7 @@
 
 use crate::error::HttpError;
 use crate::headers::HeaderMap;
-use crate::parse::{read_line_into, MAX_BODY, MAX_HEADERS};
+use crate::parse::{line_text, read_fields_into, with_line, MAX_BODY};
 use std::io::{BufRead, Write};
 
 /// Write `body` as chunked transfer-coding, followed by `trailers` and the
@@ -37,8 +37,8 @@ pub fn write_chunked<W: Write>(
 
 /// Read a chunked body and its trailer section into caller-owned
 /// buffers: `body` accumulates the decoded payload in place (chunks read
-/// directly into its tail — no per-chunk temporary), `trailers` is reset
-/// and refilled with recycled entry strings, and `line` is the line
+/// directly into its tail — no per-chunk temporary), `trailers` is
+/// cleared and refilled in its kept buffer, and `line` is the line
 /// scratch. A connection that holds these buffers decodes every chunked
 /// message after the first without heap allocation.
 pub fn read_chunked_into<R: BufRead>(
@@ -62,13 +62,15 @@ pub fn read_chunked_into_capped<R: BufRead>(
 ) -> Result<(), HttpError> {
     let cap = cap.min(MAX_BODY);
     body.clear();
-    trailers.reset();
+    trailers.clear();
     loop {
-        let size_line = read_line_into(r, line)?;
-        // Chunk extensions (";ext=...") are allowed and ignored.
-        let size_part = size_line.split(';').next().unwrap_or("").trim();
-        let size = usize::from_str_radix(size_part, 16)
-            .map_err(|_| HttpError::BadChunkSize(size_line.to_owned()))?;
+        let size = with_line(r, line, |size_line| {
+            let size_line = line_text(size_line)?;
+            // Chunk extensions (";ext=...") are allowed and ignored.
+            let size_part = size_line.split(';').next().unwrap_or("").trim();
+            usize::from_str_radix(size_part, 16)
+                .map_err(|_| HttpError::BadChunkSize(size_line.to_owned()))
+        })?;
         // checked_add: an adversarial chunk-size line like
         // "ffffffffffffffff" must hit the limit, not wrap the sum in
         // release mode and bypass it into a huge allocation.
@@ -89,23 +91,8 @@ pub fn read_chunked_into_capped<R: BufRead>(
             return Err(HttpError::BadChunkSize("missing chunk CRLF".into()));
         }
     }
-    // Trailer section: header lines until the blank line.
-    loop {
-        let trailer_line = read_line_into(r, line)?;
-        if trailer_line.is_empty() {
-            break;
-        }
-        if trailers.len() >= MAX_HEADERS {
-            return Err(HttpError::LimitExceeded("trailer count"));
-        }
-        let (name, value) = trailer_line
-            .split_once(':')
-            .ok_or_else(|| HttpError::BadHeader(trailer_line.to_owned()))?;
-        trailers
-            .try_insert_recycled(name.trim(), value.trim())
-            .map_err(|_| HttpError::BadHeader(trailer_line.to_owned()))?;
-    }
-    Ok(())
+    // Trailer section: field lines until the blank line.
+    read_fields_into(r, trailers, line, "trailer count")
 }
 
 /// Read a chunked body and its trailer section. Returns `(body, trailers)`.

@@ -1,50 +1,78 @@
 //! A case-insensitive, order-preserving header map.
 
+use crate::parse::has_ctl;
 use std::fmt;
 
 /// HTTP header collection. Lookup is case-insensitive; insertion order is
 /// preserved on the wire. Multiple headers with the same name are kept.
 ///
-/// A map can be recycled across messages on a persistent connection:
-/// [`reset`](Self::reset) keeps the `(String, String)` pairs (and their
-/// capacity) in a spare pool, and [`try_insert_recycled`]
-/// (Self::try_insert_recycled) refills them without allocating.
-#[derive(Default)]
+/// Every name and value lives in one byte buffer, back to back, and a
+/// field is a pair of offsets into it: an insert copies its bytes once,
+/// and a fresh map allocates twice (buffer and offsets, sized for 16
+/// fields of 512 bytes together) however many fields it takes up to
+/// those sizes. [`clear`](Self::clear) keeps
+/// both allocations, so a map reused across messages on a persistent
+/// connection fills without allocating. A removal compacts the buffer.
+#[derive(Default, Clone, PartialEq, Eq)]
 pub struct HeaderMap {
-    entries: Vec<(String, String)>,
-    /// Cleared pairs kept for reuse; never observable (not compared,
-    /// cloned, or iterated).
-    spare: Vec<(String, String)>,
+    /// Names and values back to back, in insertion order. Only whole
+    /// UTF-8 names and values are ever written here (see
+    /// [`push_unchecked`](Self::push_unchecked)), so every field range is
+    /// valid UTF-8.
+    bytes: Vec<u8>,
+    /// Per field: where its name ends (its value begins) and where its
+    /// value ends. A name begins where the field before it ends, so equal
+    /// field lists are equal maps.
+    ends: Vec<(usize, usize)>,
+}
+
+/// Fields a fresh map makes room for on its first insert.
+const FRESH_FIELDS: usize = 16;
+/// Name and value bytes a fresh map makes room for on its first insert.
+const FRESH_BYTES: usize = 512;
+
+/// `TOKEN[b]`: may byte `b` appear in a field name (an RFC 9110 `tchar`)?
+static TOKEN: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = c.is_ascii_alphanumeric()
+            || matches!(
+                c,
+                b'!' | b'#'
+                    | b'$'
+                    | b'%'
+                    | b'&'
+                    | b'\''
+                    | b'*'
+                    | b'+'
+                    | b'-'
+                    | b'.'
+                    | b'^'
+                    | b'_'
+                    | b'`'
+                    | b'|'
+                    | b'~'
+            );
+        b += 1;
+    }
+    table
+};
+
+/// Is `name` a non-empty run of token bytes?
+pub(crate) fn is_token(name: &[u8]) -> bool {
+    !name.is_empty() && name.iter().all(|&b| TOKEN[usize::from(b)])
 }
 
 /// Is `name` a valid RFC 7230 header field name (token)?
 pub fn valid_header_name(name: &str) -> bool {
-    !name.is_empty()
-        && name.bytes().all(|b| {
-            b.is_ascii_alphanumeric()
-                || matches!(
-                    b,
-                    b'!' | b'#'
-                        | b'$'
-                        | b'%'
-                        | b'&'
-                        | b'\''
-                        | b'*'
-                        | b'+'
-                        | b'-'
-                        | b'.'
-                        | b'^'
-                        | b'_'
-                        | b'`'
-                        | b'|'
-                        | b'~'
-                )
-        })
+    is_token(name.as_bytes())
 }
 
 /// Is `value` a valid header field value (no CR/LF/NUL)?
 pub fn valid_header_value(value: &str) -> bool {
-    value.bytes().all(|b| b != b'\r' && b != b'\n' && b != 0)
+    !has_ctl(value.as_bytes())
 }
 
 impl HeaderMap {
@@ -63,18 +91,7 @@ impl HeaderMap {
             valid_header_value(value),
             "invalid value for header {name:?}"
         );
-        self.entries.push((name.to_owned(), value.to_owned()));
-    }
-
-    /// Append a header the caller already owns — no `to_owned` copies.
-    /// Same validation (and panic) contract as [`insert`](Self::insert).
-    pub fn insert_owned(&mut self, name: String, value: String) {
-        assert!(valid_header_name(&name), "invalid header name {name:?}");
-        assert!(
-            valid_header_value(&value),
-            "invalid value for header {name:?}"
-        );
-        self.entries.push((name, value));
+        self.push(name, value);
     }
 
     /// Append after validating.
@@ -85,35 +102,37 @@ impl HeaderMap {
         if !valid_header_value(value) {
             return Err(InvalidHeader::Value(name.to_owned()));
         }
-        self.entries
-            .push((name.to_owned(), value.trim().to_owned()));
+        self.push(name, value.trim());
         Ok(())
     }
 
-    /// [`try_insert`](Self::try_insert), but the owned strings come from
-    /// the spare pool when one is available: after the first few messages
-    /// on a connection a recycled map inserts without heap allocation.
-    /// Value whitespace is trimmed, matching `try_insert`.
-    pub fn try_insert_recycled(&mut self, name: &str, value: &str) -> Result<(), InvalidHeader> {
-        if !valid_header_name(name) {
-            return Err(InvalidHeader::Name(name.to_owned()));
-        }
-        if !valid_header_value(value) {
-            return Err(InvalidHeader::Value(name.to_owned()));
-        }
-        let (mut n, mut v) = self.spare.pop().unwrap_or_default();
-        n.clear();
-        n.push_str(name);
-        v.clear();
-        v.push_str(value.trim());
-        self.entries.push((n, v));
-        Ok(())
+    fn push(&mut self, name: &str, value: &str) {
+        // SAFETY: both are `&str`.
+        unsafe { self.push_unchecked(name.as_bytes(), value.as_bytes()) }
     }
 
-    /// Clear the map, keeping the entry strings (and their capacity) for
-    /// reuse by [`try_insert_recycled`](Self::try_insert_recycled).
-    pub fn reset(&mut self) {
-        self.spare.append(&mut self.entries);
+    /// Append a field whose bytes the caller has already validated.
+    ///
+    /// # Safety
+    ///
+    /// `name` and `value` must each be valid UTF-8: the accessors hand out
+    /// `&str` views of the buffer without checking it again.
+    pub(crate) unsafe fn push_unchecked(&mut self, name: &[u8], value: &[u8]) {
+        if self.ends.capacity() == 0 {
+            self.ends.reserve_exact(FRESH_FIELDS);
+            self.bytes
+                .reserve_exact(FRESH_BYTES.max(name.len() + value.len()));
+        }
+        self.bytes.extend_from_slice(name);
+        let name_end = self.bytes.len();
+        self.bytes.extend_from_slice(value);
+        self.ends.push((name_end, self.bytes.len()));
+    }
+
+    /// Remove every field, keeping the buffers' capacity for reuse.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
     }
 
     /// Replace all occurrences of `name` with a single value.
@@ -124,41 +143,64 @@ impl HeaderMap {
 
     /// First value for `name`, case-insensitive.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.entries
-            .iter()
+        self.iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v)
     }
 
     /// All values for `name`.
     pub fn get_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        self.entries
-            .iter()
+        self.iter()
             .filter(move |(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v)
     }
 
     pub fn contains(&self, name: &str) -> bool {
         self.get(name).is_some()
     }
 
-    /// Remove all occurrences; returns whether any existed.
+    /// Remove all occurrences; returns whether any existed. The fields
+    /// behind a removed one move down over it, so the buffer holds only
+    /// live bytes.
     pub fn remove(&mut self, name: &str) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
-        self.entries.len() != before
+        let before = self.ends.len();
+        let (mut start, mut to, mut kept) = (0, 0, 0);
+        for i in 0..before {
+            let (name_end, end) = self.ends[i];
+            if !self.text(start, name_end).eq_ignore_ascii_case(name) {
+                self.bytes.copy_within(start..end, to);
+                self.ends[kept] = (to + name_end - start, to + end - start);
+                to += end - start;
+                kept += 1;
+            }
+            start = end;
+        }
+        self.bytes.truncate(to);
+        self.ends.truncate(kept);
+        kept != before
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ends.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ends.is_empty()
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+        let mut start = 0;
+        self.ends.iter().map(move |&(name_end, end)| {
+            let field = (self.text(start, name_end), self.text(name_end, end));
+            start = end;
+            field
+        })
+    }
+
+    fn text(&self, start: usize, end: usize) -> &str {
+        // SAFETY: the buffer holds whole UTF-8 names and values back to
+        // back, and every range asked for is one of them.
+        unsafe { std::str::from_utf8_unchecked(&self.bytes[start..end]) }
     }
 
     /// Does a comma-separated list header contain `token`
@@ -171,30 +213,10 @@ impl HeaderMap {
     }
 }
 
-// The spare pool is an invisible implementation detail: equality,
-// cloning, and debug output consider only the live entries.
-
-impl Clone for HeaderMap {
-    fn clone(&self) -> Self {
-        HeaderMap {
-            entries: self.entries.clone(),
-            spare: Vec::new(),
-        }
-    }
-}
-
-impl PartialEq for HeaderMap {
-    fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
-    }
-}
-
-impl Eq for HeaderMap {}
-
 impl fmt::Debug for HeaderMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HeaderMap")
-            .field("entries", &self.entries)
+            .field("entries", &self.iter().collect::<Vec<_>>())
             .finish()
     }
 }
@@ -310,45 +332,51 @@ mod tests {
         assert_eq!(h.get("good"), Some("padded"));
     }
 
+    /// `clear` keeps both buffers: a refilled map reuses the same
+    /// allocation, and the map equals one built fresh.
     #[test]
-    fn insert_owned_matches_insert() {
-        let mut a = HeaderMap::new();
-        a.insert("X-Cache", "HIT");
-        let mut b = HeaderMap::new();
-        b.insert_owned("X-Cache".to_owned(), "HIT".to_owned());
-        assert_eq!(a, b);
-        use std::panic::{catch_unwind, AssertUnwindSafe};
+    fn clear_reuses_the_buffer() {
         let mut h = HeaderMap::new();
-        assert!(catch_unwind(AssertUnwindSafe(|| {
-            h.insert_owned("X".to_owned(), "bad\r\nvalue".to_owned())
-        }))
-        .is_err());
-        assert!(h.is_empty());
-    }
-
-    /// Recycled inserts behave exactly like `try_insert` (validation,
-    /// trimming), and reset + refill reuses the string storage.
-    #[test]
-    fn reset_recycles_entry_strings() {
-        let mut h = HeaderMap::new();
-        h.try_insert_recycled("Host", "  example.com  ").unwrap();
+        h.try_insert("Host", "  example.com  ").unwrap();
         assert_eq!(h.get("host"), Some("example.com"));
         let ptr_before = h.get("host").unwrap().as_ptr();
-        h.reset();
+        h.clear();
         assert!(h.is_empty());
-        h.try_insert_recycled("Host", "example.org").unwrap();
+        h.try_insert("Host", "example.org").unwrap();
         assert_eq!(h.get("host"), Some("example.org"));
-        // Same String allocation, refilled in place.
         assert_eq!(h.get("host").unwrap().as_ptr(), ptr_before);
-        // Validation still rejects.
-        assert!(h.try_insert_recycled("Bad Name", "x").is_err());
-        assert!(h.try_insert_recycled("Good", "bad\nvalue").is_err());
-        // The spare pool never leaks into equality or clones.
         let mut plain = HeaderMap::new();
         plain.insert("Host", "example.org");
         assert_eq!(h, plain);
-        let cloned = h.clone();
-        assert_eq!(cloned, plain);
+        assert_eq!(h.clone(), plain);
+    }
+
+    /// A removal compacts the buffer: `set` in a loop does not grow it,
+    /// and what remains equals a map built with only the kept fields.
+    #[test]
+    fn removal_compacts_the_buffer() {
+        let mut h = HeaderMap::new();
+        h.insert("A", "1");
+        h.insert("X", "first");
+        h.insert("B", "22");
+        h.insert("x", "second");
+        h.insert("C", "333");
+        assert!(h.remove("X"));
+        let mut want = HeaderMap::new();
+        want.insert("A", "1");
+        want.insert("B", "22");
+        want.insert("C", "333");
+        assert_eq!(h, want);
+        for i in 0..10_000 {
+            h.set("Date", if i % 2 == 0 { "even" } else { "odd" });
+        }
+        assert_eq!(h.bytes.len(), "A1B22C333Dateodd".len());
+        assert!(h.bytes.capacity() <= FRESH_BYTES);
+        let got: Vec<_> = h.iter().collect();
+        assert_eq!(
+            got,
+            [("A", "1"), ("B", "22"), ("C", "333"), ("Date", "odd")]
+        );
     }
 
     #[test]

@@ -42,6 +42,6 @@ pub use body::Body;
 pub use chunked::{read_chunked, read_chunked_into, read_chunked_into_capped, write_chunked};
 pub use error::HttpError;
 pub use headers::{HeaderMap, InvalidHeader};
-pub use message::{reason_phrase, Request, Response, Version};
+pub use message::{push_decimal, reason_phrase, Request, Response, Version};
 pub use scratch::{flush_segments, write_all_parts, ConnScratch, Seg};
 pub use stream::{encode_stream_head, BodyReader, BodyWriter, StreamFraming, STREAM_CHUNK};

@@ -4,11 +4,68 @@ use crate::body::Body;
 use crate::chunked::{read_chunked_into_capped, write_chunked};
 use crate::error::HttpError;
 use crate::headers::HeaderMap;
-use crate::parse::{
-    content_length, read_headers, read_headers_into, read_line, read_line_into, MAX_BODY,
-};
+use crate::parse::{content_length, line_text, read_headers_into, with_line, MAX_BODY};
 use crate::scratch::{flush_segments, ConnScratch, Seg};
+use crate::stream::StreamFraming;
 use std::io::{BufRead, Read, Write};
+
+/// The digits of `n` in `RADIX` (10, or 16 in lowercase), written by a
+/// digit loop into the tail of `buf`; no formatter is involved.
+fn digits<const RADIX: usize>(mut n: usize, buf: &mut [u8; 20]) -> &[u8] {
+    let mut at = buf.len(); // `usize::MAX` has 20 decimal digits
+    loop {
+        at -= 1;
+        buf[at] = b"0123456789abcdef"[n % RADIX];
+        n /= RADIX;
+        if n == 0 {
+            return &buf[at..];
+        }
+    }
+}
+
+/// Append `n` in decimal.
+pub fn push_decimal(out: &mut Vec<u8>, n: usize) {
+    out.extend_from_slice(digits::<10>(n, &mut [0; 20]));
+}
+
+/// Append `n` in lowercase hexadecimal, as a chunk-size line spells it.
+pub(crate) fn push_hex(out: &mut Vec<u8>, n: usize) {
+    out.extend_from_slice(digits::<16>(n, &mut [0; 20]));
+}
+
+/// Append one `name: value` field line.
+pub(crate) fn push_field(out: &mut Vec<u8>, name: &str, value: &str) {
+    for part in [name.as_bytes(), b": ", value.as_bytes(), b"\r\n"] {
+        out.extend_from_slice(part);
+    }
+}
+
+/// The one head encoder, shared by both `write_with`s and
+/// [`encode_stream_head`](crate::stream::encode_stream_head): the start
+/// line `start[0] start[1] start[2]`, then `fields` — skipping the framing
+/// fields `Content-Length`, `Transfer-Encoding` and `Trailer` when
+/// `reframe` is set, for a caller that computes its own — and no blank
+/// line yet. Returns whether a `Content-Length` field was written.
+fn push_head(out: &mut Vec<u8>, start: [&[u8]; 3], fields: &HeaderMap, reframe: bool) -> bool {
+    for (i, part) in start.into_iter().enumerate() {
+        out.extend_from_slice(part);
+        out.extend_from_slice(if i < 2 { b" " } else { b"\r\n" });
+    }
+    let mut wrote_cl = false;
+    for (name, value) in fields.iter() {
+        let cl = name.eq_ignore_ascii_case("Content-Length");
+        if reframe
+            && (cl
+                || name.eq_ignore_ascii_case("Transfer-Encoding")
+                || name.eq_ignore_ascii_case("Trailer"))
+        {
+            continue;
+        }
+        wrote_cl |= cl;
+        push_field(out, name, value);
+    }
+    wrote_cl
+}
 
 /// Read a declared-length body in bounded windows instead of one
 /// `read_exact` into a `resize(n)` buffer. A `Content-Length` header is
@@ -76,7 +133,7 @@ impl Request {
 
     /// A placeholder request for [`read_into`](Self::read_into) loops: the
     /// serve loop creates one per connection and refills it per message,
-    /// reusing the method/target strings and the header map's entries.
+    /// reusing the method/target strings and the header map's buffer.
     pub fn empty() -> Self {
         Request {
             method: String::new(),
@@ -131,22 +188,15 @@ impl Request {
         let ConnScratch { out, segs, .. } = scratch;
         out.clear();
         segs.clear();
-        write!(
-            out,
-            "{} {} {}\r\n",
-            self.method,
-            self.target,
-            self.version.as_str()
-        )?;
-        let mut wrote_cl = false;
-        for (name, value) in self.headers.iter() {
-            if name.eq_ignore_ascii_case("Content-Length") {
-                wrote_cl = true;
-            }
-            write!(out, "{name}: {value}\r\n")?;
-        }
-        if !self.body.is_empty() && !wrote_cl {
-            write!(out, "Content-Length: {}\r\n", self.body.len())?;
+        let start = [
+            self.method.as_bytes(),
+            self.target.as_bytes(),
+            self.version.as_str().as_bytes(),
+        ];
+        if !push_head(out, start, &self.headers, false) && !self.body.is_empty() {
+            out.extend_from_slice(b"Content-Length: ");
+            push_decimal(out, self.body.len());
+            out.extend_from_slice(b"\r\n");
         }
         out.extend_from_slice(b"\r\n");
         segs.push(Seg::Out(0, out.len()));
@@ -166,7 +216,7 @@ impl Request {
     }
 
     /// Parse a request from `r` into `self`, reusing `self`'s strings and
-    /// header entries plus the connection scratch. The steady-state serve
+    /// header buffer plus the connection scratch. The steady-state serve
     /// loop (bodiless GETs on a persistent connection) refills everything
     /// in place: zero heap allocation per request.
     pub fn read_into<R: BufRead>(
@@ -187,8 +237,8 @@ impl Request {
         scratch: &mut ConnScratch,
         cap: usize,
     ) -> Result<(), HttpError> {
-        {
-            let line = read_line_into(r, &mut scratch.line)?;
+        with_line(r, &mut scratch.line, |line| {
+            let line = line_text(line)?;
             let mut parts = line.split_ascii_whitespace();
             let (method, target, version) =
                 match (parts.next(), parts.next(), parts.next(), parts.next()) {
@@ -200,7 +250,8 @@ impl Request {
             self.method.push_str(method);
             self.target.clear();
             self.target.push_str(target);
-        }
+            Ok(())
+        })?;
         read_headers_into(r, &mut self.headers, &mut scratch.line)?;
         if self.headers.list_contains("Transfer-Encoding", "chunked") {
             // Request trailers are read (into scratch) and discarded,
@@ -327,72 +378,85 @@ impl Response {
         let ConnScratch { out, segs, .. } = scratch;
         out.clear();
         segs.clear();
-        let chunked = self.is_chunked();
-        write!(
-            out,
-            "{} {} {}\r\n",
-            self.version.as_str(),
-            self.status,
-            self.reason
-        )?;
-        for (name, value) in self.headers.iter() {
-            // We compute framing headers ourselves.
-            if name.eq_ignore_ascii_case("Content-Length")
-                || name.eq_ignore_ascii_case("Transfer-Encoding")
-                || name.eq_ignore_ascii_case("Trailer")
-            {
-                continue;
-            }
-            write!(out, "{name}: {value}\r\n")?;
-        }
-        if chunked {
-            out.extend_from_slice(b"Transfer-Encoding: chunked\r\n");
-            if !self.trailers.is_empty() {
-                out.extend_from_slice(b"Trailer: ");
-                let mut first = true;
-                for (name, _) in self.trailers.iter() {
-                    if !first {
-                        out.extend_from_slice(b", ");
-                    }
-                    out.extend_from_slice(name.as_bytes());
-                    first = false;
+        let framing = if self.is_chunked() {
+            Some(StreamFraming::Chunked)
+        } else if Self::bodiless_status(self.status) {
+            None
+        } else {
+            Some(StreamFraming::Length(self.body.len()))
+        };
+        self.encode_head(framing, out);
+        match framing {
+            Some(StreamFraming::Chunked) => {
+                // Chunk framing: each size line closes the pending scratch
+                // segment, the chunk data is referenced from the body, and
+                // the chunk-terminating CRLF coalesces into the next
+                // segment's scratch bytes.
+                const CHUNK: usize = 8 * 1024;
+                let mut mark = 0;
+                let mut pos = 0;
+                while pos < self.body.len() {
+                    let len = (self.body.len() - pos).min(CHUNK);
+                    push_hex(out, len);
+                    out.extend_from_slice(b"\r\n");
+                    segs.push(Seg::Out(mark, out.len()));
+                    segs.push(Seg::Body(pos, pos + len));
+                    mark = out.len();
+                    out.extend_from_slice(b"\r\n");
+                    pos += len;
+                }
+                // Terminal chunk, trailer section, final blank line.
+                out.extend_from_slice(b"0\r\n");
+                for (name, value) in self.trailers.iter() {
+                    push_field(out, name, value);
                 }
                 out.extend_from_slice(b"\r\n");
-            }
-            out.extend_from_slice(b"\r\n");
-            // Chunk framing: each size line closes the pending scratch
-            // segment, the chunk data is referenced from the body, and
-            // the chunk-terminating CRLF coalesces into the next
-            // segment's scratch bytes.
-            const CHUNK: usize = 8 * 1024;
-            let mut mark = 0;
-            let mut pos = 0;
-            while pos < self.body.len() {
-                let len = (self.body.len() - pos).min(CHUNK);
-                write!(out, "{len:x}\r\n")?;
                 segs.push(Seg::Out(mark, out.len()));
-                segs.push(Seg::Body(pos, pos + len));
-                mark = out.len();
-                out.extend_from_slice(b"\r\n");
-                pos += len;
             }
-            // Terminal chunk, trailer section, final blank line.
-            out.extend_from_slice(b"0\r\n");
-            for (name, value) in self.trailers.iter() {
-                write!(out, "{name}: {value}\r\n")?;
+            None => segs.push(Seg::Out(0, out.len())),
+            Some(StreamFraming::Length(n)) => {
+                segs.push(Seg::Out(0, out.len()));
+                segs.push(Seg::Body(0, n));
             }
-            out.extend_from_slice(b"\r\n");
-            segs.push(Seg::Out(mark, out.len()));
-        } else if Self::bodiless_status(self.status) {
-            out.extend_from_slice(b"\r\n");
-            segs.push(Seg::Out(0, out.len()));
-        } else {
-            write!(out, "Content-Length: {}\r\n\r\n", self.body.len())?;
-            segs.push(Seg::Out(0, out.len()));
-            segs.push(Seg::Body(0, self.body.len()));
         }
         flush_segments(w, out, &self.body, segs)?;
         w.flush()
+    }
+
+    /// Append the head through its blank line, framed as `framing` says;
+    /// `None` writes no framing field, as under a bodiless status. The
+    /// `Trailer` field announces the names in `self.trailers`.
+    pub(crate) fn encode_head(&self, framing: Option<StreamFraming>, out: &mut Vec<u8>) {
+        let mut status = [0; 20];
+        let status = digits::<10>(usize::from(self.status), &mut status);
+        let start = [
+            self.version.as_str().as_bytes(),
+            status,
+            self.reason.as_bytes(),
+        ];
+        push_head(out, start, &self.headers, true);
+        match framing {
+            None => {}
+            Some(StreamFraming::Length(n)) => {
+                out.extend_from_slice(b"Content-Length: ");
+                push_decimal(out, n);
+                out.extend_from_slice(b"\r\n");
+            }
+            Some(StreamFraming::Chunked) => {
+                out.extend_from_slice(b"Transfer-Encoding: chunked\r\n");
+                if !self.trailers.is_empty() {
+                    out.extend_from_slice(b"Trailer: ");
+                    for (i, (name, _)) in self.trailers.iter().enumerate() {
+                        if i > 0 {
+                            out.extend_from_slice(b", ");
+                        }
+                        out.extend_from_slice(name.as_bytes());
+                    }
+                    out.extend_from_slice(b"\r\n");
+                }
+            }
+        }
+        out.extend_from_slice(b"\r\n");
     }
 
     /// Parse a response. `head_request` suppresses body reading (responses
@@ -407,16 +471,17 @@ impl Response {
     /// buffer the body as usual or cut it through segment by segment with
     /// a [`BodyReader`](crate::stream::BodyReader).
     pub fn read_head<R: BufRead>(r: &mut R) -> Result<Response, HttpError> {
-        let line = read_line(r)?;
-        let mut parts = line.splitn(3, ' ');
-        let version = Version::parse(parts.next().unwrap_or(""))
-            .map_err(|_| HttpError::BadStatusLine(line.clone()))?;
-        let status: u16 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| HttpError::BadStatusLine(line.clone()))?;
-        let reason = parts.next().unwrap_or("").to_owned();
-        let headers = read_headers(r)?;
+        let mut line = Vec::new();
+        let (version, status, reason) = with_line(r, &mut line, |line| {
+            let line = line_text(line)?;
+            let bad = || HttpError::BadStatusLine(line.to_owned());
+            let mut parts = line.splitn(3, ' ');
+            let version = Version::parse(parts.next().unwrap_or("")).map_err(|_| bad())?;
+            let status: u16 = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
+            Ok((version, status, parts.next().unwrap_or("").to_owned()))
+        })?;
+        let mut headers = HeaderMap::new();
+        read_headers_into(r, &mut headers, &mut line)?;
         Ok(Response {
             version,
             status,

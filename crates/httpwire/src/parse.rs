@@ -1,7 +1,11 @@
 //! Low-level line and header-section reading, with protocol limits.
+//!
+//! Every head and trailer section goes through one header-line routine,
+//! [`push_field_line`]. Line ends, colons and the bytes a field value may
+//! not hold are found a word (eight bytes) at a time.
 
 use crate::error::HttpError;
-use crate::headers::HeaderMap;
+use crate::headers::{is_token, HeaderMap};
 use std::io::BufRead;
 
 /// Maximum length of a single line (request line, status line, header).
@@ -11,78 +15,194 @@ pub const MAX_HEADERS: usize = 128;
 /// Maximum body size we will buffer.
 pub const MAX_BODY: usize = 64 * 1024 * 1024;
 
-/// Read one CRLF- (or bare-LF-) terminated line, without the terminator,
-/// into a caller-owned scratch buffer (cleared first). Returns the line
-/// borrowed from that buffer, so the steady-state serve loop reads every
-/// header line with zero heap allocation.
-/// EOF before any byte is `ConnectionClosed`; EOF mid-line likewise.
-pub fn read_line_into<'a, R: BufRead>(
+const LO: u64 = u64::from_ne_bytes([0x01; 8]);
+const HI: u64 = u64::from_ne_bytes([0x80; 8]);
+
+/// The high bit of every zero byte of `w` is set in the result, and the
+/// lowest one set marks the first zero byte. Bytes above a zero byte may
+/// be flagged falsely, so only "any" and "first" are meaningful.
+fn zero_bytes(w: u64) -> u64 {
+    w.wrapping_sub(LO) & !w & HI
+}
+
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("eight bytes"))
+}
+
+/// Index of the first `b` in `hay`, a word at a time.
+pub(crate) fn find_byte(hay: &[u8], b: u8) -> Option<usize> {
+    let pattern = LO * u64::from(b);
+    let mut words = hay.chunks_exact(8);
+    for (i, w) in (&mut words).enumerate() {
+        let hit = zero_bytes(word(w) ^ pattern);
+        if hit != 0 {
+            return Some(i * 8 + hit.trailing_zeros() as usize / 8);
+        }
+    }
+    let done = hay.len() - words.remainder().len();
+    words
+        .remainder()
+        .iter()
+        .position(|&c| c == b)
+        .map(|p| done + p)
+}
+
+/// Does `bytes` hold a byte `flags` marks, a word at a time? The last,
+/// partial word is padded with spaces, which no caller's mask flags.
+fn any_flagged(bytes: &[u8], flags: impl Fn(u64) -> u64) -> bool {
+    let mut words = bytes.chunks_exact(8);
+    if words.any(|w| flags(word(w)) != 0) {
+        return true;
+    }
+    let mut last = [b' '; 8];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    flags(word(&last)) != 0
+}
+
+/// Flags CR, LF and NUL, the bytes no field value may hold.
+fn ctl(w: u64) -> u64 {
+    zero_bytes(w)
+        | zero_bytes(w ^ (LO * u64::from(b'\r')))
+        | zero_bytes(w ^ (LO * u64::from(b'\n')))
+}
+
+/// Does `bytes` hold a CR, LF or NUL?
+pub(crate) fn has_ctl(bytes: &[u8]) -> bool {
+    any_flagged(bytes, ctl)
+}
+
+/// The bytes `str::trim` removes that are ASCII: HTAB, LF, VT, FF, CR
+/// and SP (`u8::is_ascii_whitespace` leaves out VT).
+fn trimmed_ascii(b: u8) -> bool {
+    b == b' ' || (b'\t'..=b'\r').contains(&b)
+}
+
+/// The one header-line routine, shared by request heads, response heads
+/// and both trailer readers: parse `line` (terminator stripped) as
+/// `name:value` and append the field to `map`.
+///
+/// The grammar (RFC 9112 §5.1–5.2): the name is a non-empty token that
+/// runs right up to the first colon, so whitespace before the colon and a
+/// line that starts with SP or HTAB (obs-fold) are rejected, not trimmed;
+/// the value is trimmed exactly as `str::trim` trims it and may then hold
+/// no CR, LF or NUL. Every failure is [`HttpError::BadHeader`]. An ASCII
+/// value is trimmed and checked bytewise and copied once, into the map;
+/// only a value holding a non-ASCII byte, a CR or a NUL takes the `str`
+/// path.
+pub(crate) fn push_field_line(map: &mut HeaderMap, line: &[u8]) -> Result<(), HttpError> {
+    let bad = || HttpError::BadHeader(String::from_utf8_lossy(line).into_owned());
+    let colon = find_byte(line, b':').ok_or_else(bad)?;
+    let (name, raw) = (&line[..colon], &line[colon + 1..]);
+    if !is_token(name) {
+        return Err(bad());
+    }
+    let start = raw
+        .iter()
+        .position(|&b| !trimmed_ascii(b))
+        .unwrap_or(raw.len());
+    let end = raw
+        .iter()
+        .rposition(|&b| !trimmed_ascii(b))
+        .map_or(start, |e| e + 1);
+    let value = &raw[start..end];
+    if !any_flagged(value, |w| ctl(w) | (w & HI)) {
+        // SAFETY: a token is ASCII, and `value` was just checked ASCII.
+        unsafe { map.push_unchecked(name, value) };
+        return Ok(());
+    }
+    let value = std::str::from_utf8(raw).map_err(|_| bad())?.trim();
+    if has_ctl(value.as_bytes()) {
+        return Err(bad());
+    }
+    // SAFETY: a token is ASCII, and `value` is a `&str`.
+    unsafe { map.push_unchecked(name, value.as_bytes()) };
+    Ok(())
+}
+
+/// Hand the next CRLF- (or bare-LF-) terminated line, terminator
+/// stripped, to `parse`: borrowed straight from the reader's buffer when
+/// that holds the whole line, else gathered into `buf` first. EOF before
+/// the line ends is `ConnectionClosed`; a line longer than [`MAX_LINE`]
+/// is `LimitExceeded("line length")`.
+pub(crate) fn with_line<R: BufRead, T>(
     r: &mut R,
-    buf: &'a mut Vec<u8>,
-) -> Result<&'a str, HttpError> {
+    buf: &mut Vec<u8>,
+    parse: impl FnOnce(&[u8]) -> Result<T, HttpError>,
+) -> Result<T, HttpError> {
     buf.clear();
     loop {
         let available = r.fill_buf()?;
         if available.is_empty() {
             return Err(HttpError::ConnectionClosed);
         }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                buf.extend_from_slice(&available[..pos]);
-                r.consume(pos + 1);
-                break;
+        let Some(pos) = find_byte(available, b'\n') else {
+            let len = available.len();
+            buf.extend_from_slice(available);
+            r.consume(len);
+            if buf.len() > MAX_LINE {
+                return Err(HttpError::LimitExceeded("line length"));
             }
-            None => {
-                let len = available.len();
-                buf.extend_from_slice(available);
-                r.consume(len);
-                if buf.len() > MAX_LINE {
-                    return Err(HttpError::LimitExceeded("line length"));
-                }
-            }
-        }
+            continue;
+        };
+        let line = if buf.is_empty() {
+            &available[..pos]
+        } else {
+            buf.extend_from_slice(&available[..pos]);
+            buf.as_slice()
+        };
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let parsed = if line.len() > MAX_LINE {
+            Err(HttpError::LimitExceeded("line length"))
+        } else {
+            parse(line)
+        };
+        r.consume(pos + 1);
+        return parsed;
     }
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    if buf.len() > MAX_LINE {
-        return Err(HttpError::LimitExceeded("line length"));
-    }
-    std::str::from_utf8(buf).map_err(|e| HttpError::BadHeader(format!("non-UTF8 line: {e}")))
 }
 
-/// [`read_line_into`] with a fresh buffer, returning an owned `String`.
-/// Kept for tests and cold paths; hot loops should hold a scratch buffer.
-pub fn read_line<R: BufRead>(r: &mut R) -> Result<String, HttpError> {
-    let mut buf = Vec::with_capacity(64);
-    let line = read_line_into(r, &mut buf)?;
-    Ok(line.to_owned())
+/// `line` as text; a line that is not UTF-8 is a `BadHeader`.
+pub(crate) fn line_text(line: &[u8]) -> Result<&str, HttpError> {
+    std::str::from_utf8(line).map_err(|e| HttpError::BadHeader(format!("non-UTF8 line: {e}")))
+}
+
+/// Read field lines up to the blank line into `map`, reusing `line` as
+/// line scratch; more than [`MAX_HEADERS`] fields is
+/// `LimitExceeded(limit)`. The header section of a head and the trailer
+/// section of a chunked body both end this way.
+pub(crate) fn read_fields_into<R: BufRead>(
+    r: &mut R,
+    map: &mut HeaderMap,
+    line: &mut Vec<u8>,
+    limit: &'static str,
+) -> Result<(), HttpError> {
+    loop {
+        let done = with_line(r, line, |line| {
+            if line.is_empty() {
+                return Ok(true);
+            }
+            if map.len() >= MAX_HEADERS {
+                line_text(line)?;
+                return Err(HttpError::LimitExceeded(limit));
+            }
+            push_field_line(map, line).map(|()| false)
+        })?;
+        if done {
+            return Ok(());
+        }
+    }
 }
 
 /// Read a header section (lines until the blank line) into a
-/// caller-owned map, reusing `line` as line scratch. The map is reset
-/// (not merely cleared) so recycled entry strings are refilled in place.
+/// caller-owned map, reusing `line` as line scratch. The map is cleared
+/// first and keeps its buffers, so a reused map fills without allocating.
 pub fn read_headers_into<R: BufRead>(
     r: &mut R,
     headers: &mut HeaderMap,
     line: &mut Vec<u8>,
 ) -> Result<(), HttpError> {
-    headers.reset();
-    loop {
-        let line = read_line_into(r, line)?;
-        if line.is_empty() {
-            return Ok(());
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(HttpError::LimitExceeded("header count"));
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::BadHeader(line.to_owned()))?;
-        headers
-            .try_insert_recycled(name.trim(), value.trim())
-            .map_err(|_| HttpError::BadHeader(line.to_owned()))?;
-    }
+    headers.clear();
+    read_fields_into(r, headers, line, "header count")
 }
 
 /// Read a header section (lines until the blank line).
@@ -111,6 +231,12 @@ pub fn content_length(headers: &HeaderMap) -> Result<Option<usize>, HttpError> {
 mod tests {
     use super::*;
     use std::io::BufReader;
+
+    fn read_line<R: BufRead>(r: &mut R) -> Result<String, HttpError> {
+        with_line(r, &mut Vec::new(), |line| {
+            line_text(line).map(str::to_owned)
+        })
+    }
 
     #[test]
     fn reads_crlf_and_lf_lines() {
@@ -151,6 +277,30 @@ mod tests {
         assert_eq!(h.len(), 3);
         assert_eq!(h.get("host"), Some("example.com"));
         assert_eq!(h.get("piggy-filter"), Some("maxpiggy=10"));
+    }
+
+    /// RFC 9112 §5.1–5.2: whitespace before the colon and obs-fold lines
+    /// are rejected, not trimmed; the value is trimmed as `str::trim`
+    /// trims it, Unicode spaces included.
+    #[test]
+    fn field_grammar() {
+        for bad in [
+            &b"Transfer-Encoding : chunked\r\n\r\n"[..],
+            b"Content-Length\t: 0\r\n\r\n",
+            b"Host: a\r\n X-Folded: b\r\n\r\n",
+            b"\tX: v\r\n\r\n",
+            b": v\r\n\r\n",
+            b"X: a\rb\r\n\r\n",
+            b"X: a\0\r\n\r\n",
+            b"X: \xff\r\n\r\n",
+        ] {
+            let got = read_headers(&mut BufReader::new(bad));
+            assert!(matches!(got, Err(HttpError::BadHeader(_))), "{bad:?}");
+        }
+        let wire = "A:\x0b\x0c v \t\r\nB: \u{a0}w\u{3000}\r\nC:\r\nD: x:y \r\r\n\r\n";
+        let h = read_headers(&mut BufReader::new(wire.as_bytes())).unwrap();
+        let got: Vec<_> = h.iter().collect();
+        assert_eq!(got, [("A", "v"), ("B", "w"), ("C", ""), ("D", "x:y")]);
     }
 
     #[test]

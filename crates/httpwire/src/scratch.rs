@@ -1,8 +1,9 @@
 //! Per-connection scratch buffers and single-syscall vectored writes.
 //!
 //! A [`ConnScratch`] is owned by the worker serving a connection and
-//! reused across every request on it. Parsing reads lines into
-//! `scratch.line` instead of allocating a `String` per header; chunked
+//! reused across every request on it. Parsing borrows each line from the
+//! reader's buffer, and gathers into `scratch.line` only a line split
+//! across two reads; chunked
 //! decoding grows `scratch.body_vec` in place; serialization encodes the
 //! head, framing, and trailers into `scratch.out` and records the wire
 //! layout as [`Seg`] ranges in `scratch.segs` — body bytes are
@@ -31,7 +32,7 @@ pub enum Seg {
 /// (or per worker) and thread it through parse and write calls.
 #[derive(Debug, Default)]
 pub struct ConnScratch {
-    /// Line buffer for `read_line_into` (request/status/header lines).
+    /// Gathers a request, status or header line split across reads.
     pub line: Vec<u8>,
     /// Serialization buffer: head + framing + trailers of one message.
     pub out: Vec<u8>,
@@ -40,7 +41,7 @@ pub struct ConnScratch {
     /// Body accumulation buffer for chunked decoding / fixed-length reads.
     pub body_vec: Vec<u8>,
     /// Trailer scratch for chunked request bodies (parsed, then
-    /// discarded, so the entry strings recycle across messages).
+    /// discarded; its buffers are kept across messages).
     pub trailers: HeaderMap,
 }
 

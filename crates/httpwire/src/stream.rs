@@ -26,8 +26,8 @@
 
 use crate::error::HttpError;
 use crate::headers::HeaderMap;
-use crate::message::Response;
-use crate::parse::{MAX_BODY, MAX_HEADERS, MAX_LINE};
+use crate::message::{push_field, push_hex, Response};
+use crate::parse::{find_byte, push_field_line, MAX_BODY, MAX_HEADERS, MAX_LINE};
 use std::io::{BufRead, Write};
 
 /// Chunk granularity of the buffered chunked writer
@@ -112,7 +112,7 @@ impl BodyReader {
     }
 
     /// Re-arm for the next body on the same connection. The line buffer
-    /// and the trailer map's strings are kept, so a relay that holds one
+    /// and the trailer map's buffers are kept, so a relay that holds one
     /// reader per connection decodes every later message without
     /// allocating.
     pub fn reset(&mut self, framing: StreamFraming) {
@@ -122,7 +122,7 @@ impl BodyReader {
             StreamFraming::Chunked => (RState::ChunkSize, MAX_BODY),
         };
         self.line.clear();
-        self.trailers.reset();
+        self.trailers.clear();
         self.decoded = 0;
     }
 
@@ -237,14 +237,7 @@ impl BodyReader {
                     if self.trailers.len() >= MAX_HEADERS {
                         return Err(HttpError::LimitExceeded("trailer count"));
                     }
-                    let text = std::str::from_utf8(&self.line)
-                        .map_err(|_| HttpError::BadHeader("non-UTF8 trailer".into()))?;
-                    let (name, value) = text
-                        .split_once(':')
-                        .ok_or_else(|| HttpError::BadHeader(text.to_owned()))?;
-                    self.trailers
-                        .try_insert_recycled(name.trim(), value.trim())
-                        .map_err(|_| HttpError::BadHeader(text.to_owned()))?;
+                    push_field_line(&mut self.trailers, &self.line)?;
                     self.line.clear();
                 }
             }
@@ -256,7 +249,7 @@ impl BodyReader {
     /// (terminator stripped, CRLF or bare LF) is present. Returns whether
     /// a complete line is ready; `pos` advances past consumed bytes.
     fn take_line(&mut self, input: &[u8], pos: &mut usize) -> Result<bool, HttpError> {
-        match input[*pos..].iter().position(|&b| b == b'\n') {
+        match find_byte(&input[*pos..], b'\n') {
             Some(nl) => {
                 self.line.extend_from_slice(&input[*pos..*pos + nl]);
                 *pos += nl + 1;
@@ -403,7 +396,8 @@ impl BodyWriter {
 
     fn emit_chunk<W: Write>(hdr: &mut Vec<u8>, chunk: &[u8], w: &mut W) -> std::io::Result<()> {
         hdr.clear();
-        write!(hdr, "{:x}\r\n", chunk.len())?;
+        push_hex(hdr, chunk.len());
+        hdr.extend_from_slice(b"\r\n");
         crate::scratch::write_all_parts(w, &[hdr.as_slice(), chunk, b"\r\n"])
     }
 
@@ -425,7 +419,7 @@ impl BodyWriter {
                 self.hdr.clear();
                 self.hdr.extend_from_slice(b"0\r\n");
                 for (name, value) in trailers.iter() {
-                    write!(self.hdr, "{name}: {value}\r\n")?;
+                    push_field(&mut self.hdr, name, value);
                 }
                 self.hdr.extend_from_slice(b"\r\n");
                 w.write_all(&self.hdr)
@@ -442,55 +436,10 @@ impl BodyWriter {
 /// (callers that will send no trailers leave it empty). A bodiless status
 /// (1xx, 204, 304) gets no framing headers at all, as in `Response::write`.
 pub fn encode_stream_head(resp: &Response, framing: StreamFraming, out: &mut Vec<u8>) {
-    use std::fmt::Write as _;
-    let mut head = String::new();
-    let _ = write!(
-        head,
-        "{} {} {}\r\n",
-        resp.version.as_str(),
-        resp.status,
-        resp.reason
+    resp.encode_head(
+        (!Response::bodiless_status(resp.status)).then_some(framing),
+        out,
     );
-    out.extend_from_slice(head.as_bytes());
-    head.clear();
-    for (name, value) in resp.headers.iter() {
-        if name.eq_ignore_ascii_case("Content-Length")
-            || name.eq_ignore_ascii_case("Transfer-Encoding")
-            || name.eq_ignore_ascii_case("Trailer")
-        {
-            continue;
-        }
-        let _ = write!(head, "{name}: {value}\r\n");
-        out.extend_from_slice(head.as_bytes());
-        head.clear();
-    }
-    if Response::bodiless_status(resp.status) {
-        out.extend_from_slice(b"\r\n");
-        return;
-    }
-    match framing {
-        StreamFraming::Chunked => {
-            out.extend_from_slice(b"Transfer-Encoding: chunked\r\n");
-            if !resp.trailers.is_empty() {
-                out.extend_from_slice(b"Trailer: ");
-                let mut first = true;
-                for (name, _) in resp.trailers.iter() {
-                    if !first {
-                        out.extend_from_slice(b", ");
-                    }
-                    out.extend_from_slice(name.as_bytes());
-                    first = false;
-                }
-                out.extend_from_slice(b"\r\n");
-            }
-            out.extend_from_slice(b"\r\n");
-        }
-        StreamFraming::Length(n) => {
-            let _ = write!(head, "Content-Length: {n}\r\n\r\n");
-            out.extend_from_slice(head.as_bytes());
-            head.clear();
-        }
-    }
 }
 
 #[cfg(test)]

@@ -47,10 +47,10 @@ use piggyback_core::report::HitReporter;
 use piggyback_core::rpv::RpvTable;
 use piggyback_core::table::ResourceTable;
 use piggyback_core::types::{DurationMs, Timestamp};
-use piggyback_httpwire::{parse, Body, ConnScratch, HeaderMap, Request, Response};
+use piggyback_httpwire::{parse, push_decimal, Body, ConnScratch, HeaderMap, Request, Response};
 use piggyback_webcache::{PolicyKind, ShardedBodyStore, ShardedCache};
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, OnceLock};
@@ -821,20 +821,17 @@ fn metrics_response(shared: &ProxyShared) -> Response {
 }
 
 /// Serve a fresh cache hit without building a [`Response`]: the head is
-/// formatted straight into `out` (the RFC 1123 date via [`Rfc1123`]'s
-/// `Display`, so no intermediate `String`), followed by the shared body
-/// bytes. Wire bytes are identical to
+/// appended straight into `out` (the RFC 1123 date by
+/// [`Rfc1123::encode`], the length by a digit loop — no formatter),
+/// followed by the shared body bytes. Wire bytes are identical to
 /// `cached_response(body, lm, "HIT").write(..)`, which the
 /// `hit_bytes_match_cached_response` test pins down.
 fn write_hit(out: &mut Vec<u8>, body: &Body, lm: Timestamp) {
-    let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
-    write!(
-        out,
-        "HTTP/1.1 200 OK\r\nLast-Modified: {}\r\nX-Cache: HIT\r\nContent-Length: {}\r\n\r\n",
-        Rfc1123(unix),
-        body.len()
-    )
-    .expect("writing to a Vec cannot fail");
+    out.extend_from_slice(b"HTTP/1.1 200 OK\r\nLast-Modified: ");
+    Rfc1123(unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX)).encode(out);
+    out.extend_from_slice(b"\r\nX-Cache: HIT\r\nContent-Length: ");
+    push_decimal(out, body.len());
+    out.extend_from_slice(b"\r\n\r\n");
     out.extend_from_slice(body.as_slice());
 }
 
@@ -852,7 +849,7 @@ mod tests {
     use super::*;
     use crate::lifecycle::cached_response;
     use crate::origin::{start_origin, OriginConfig, OriginHandle};
-    use std::io::{BufReader, BufWriter};
+    use std::io::{BufReader, BufWriter, Write};
     use std::net::{TcpListener, TcpStream};
 
     /// Drive the whole site once directly (no proxy), so the origin's

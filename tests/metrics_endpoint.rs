@@ -12,8 +12,8 @@
 //!                         == Σ pb_proxy_request_duration_seconds_count{outcome=*}
 //! ```
 //!
-//! A last lane holds the `pb_origin_*` families a scrape declares equal
-//! to the list in `docs/PROTOCOL.md` §8.
+//! Two last lanes hold the `pb_origin_*` and the `pb_proxy_*` families a
+//! scrape declares equal to the lists in `docs/PROTOCOL.md` §8.
 
 use piggyback::core::types::{DurationMs, SourceId, Timestamp};
 use piggyback::core::volume::{write_volumes, ProbabilityVolumesBuilder, SamplingMode};
@@ -214,32 +214,71 @@ fn origin_metrics_balance_their_own_ledger() {
     done.store(true, Ordering::SeqCst);
 }
 
-/// The `pb_origin_*` names `docs/PROTOCOL.md` §8 documents.
-fn documented_origin_families() -> BTreeSet<String> {
+/// The names starting with `prefix` that `docs/PROTOCOL.md` §8
+/// documents. A `{a,b}` group inside a name stands for one name per
+/// member, as in `pb_proxy_pool_{connects,reuses}_total`; a group with a
+/// `=` is a label set and ends the name.
+fn documented_families(prefix: &str) -> BTreeSet<String> {
     let doc = include_str!("../docs/PROTOCOL.md");
     let start = doc.find("\n## 8.").expect("§8 exists");
     let len = doc[start..].find("\n## 9.").expect("§9 follows §8");
+    let name_char = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_';
     let mut names = BTreeSet::new();
-    for (i, _) in doc[start..start + len].match_indices("pb_origin_") {
-        let tail = &doc[start + i..];
-        let end = tail
-            .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
-            .unwrap_or(tail.len());
-        if end > "pb_origin_".len() {
-            names.insert(tail[..end].to_owned());
+    for (i, _) in doc[start..start + len].match_indices(prefix) {
+        let mut expanded = vec![String::new()];
+        let mut rest = &doc[start + i..];
+        loop {
+            let end = rest.find(|c| !name_char(c)).unwrap_or(rest.len());
+            for name in &mut expanded {
+                name.push_str(&rest[..end]);
+            }
+            rest = &rest[end..];
+            let Some((group, after)) = rest
+                .strip_prefix('{')
+                .and_then(|r| r.split_once('}'))
+                .filter(|(g, _)| g.chars().all(|c| name_char(c) || c == ','))
+            else {
+                break;
+            };
+            expanded = expanded
+                .iter()
+                .flat_map(|head| group.split(',').map(move |m| format!("{head}{m}")))
+                .collect();
+            rest = after;
         }
+        names.extend(expanded.into_iter().filter(|n| n.len() > prefix.len()));
     }
     names
 }
 
-/// Every family an origin scrape declares on a `# TYPE` line.
-fn scraped_origin_families(text: &str) -> BTreeSet<String> {
+/// Every family starting with `prefix` a scrape declares on a `# TYPE`
+/// line.
+fn scraped_families(text: &str, prefix: &str) -> BTreeSet<String> {
     text.lines()
         .filter_map(|l| l.strip_prefix("# TYPE "))
         .filter_map(|l| l.split(' ').next())
-        .filter(|name| name.starts_with("pb_origin_"))
+        .filter(|name| name.starts_with(prefix))
         .map(str::to_owned)
         .collect()
+}
+
+/// `scraped` equals what §8 documents under `prefix` — the
+/// `{prefix}reactor_*` families only where the reactor engine exists.
+fn assert_families_documented(scraped: &BTreeSet<String>, prefix: &str) {
+    // Off Linux the reactor falls back to the threaded engine, which has
+    // no per-shard families.
+    let reactor = format!("{prefix}reactor_");
+    let documented: BTreeSet<String> = documented_families(prefix)
+        .into_iter()
+        .filter(|n| cfg!(target_os = "linux") || !n.starts_with(&reactor))
+        .collect();
+    let undocumented: Vec<_> = scraped.difference(&documented).collect();
+    let stale: Vec<_> = documented.difference(scraped).collect();
+    assert!(
+        undocumented.is_empty() && stale.is_empty(),
+        "scraped but not in docs/PROTOCOL.md §8: {undocumented:?}; \
+         in §8 but never scraped: {stale:?}"
+    );
 }
 
 /// The origin's exposition and its reference agree: with every optional
@@ -288,23 +327,44 @@ fn origin_scrape_families_match_protocol_section_8() {
             .get(page, &[("Piggy-filter", "maxpiggy=5"), ("TE", "chunked")])
             .unwrap();
         assert_eq!(resp.status, 200, "{io:?}");
-        scraped.extend(scraped_origin_families(&scrape(origin.addr())));
+        scraped.extend(scraped_families(&scrape(origin.addr()), "pb_origin_"));
         origin.stop();
     }
     let _ = std::fs::remove_file(&file);
+    assert_families_documented(&scraped, "pb_origin_");
+    done.store(true, Ordering::SeqCst);
+}
 
-    // Off Linux the reactor falls back to the threaded engine, which has
-    // no per-shard families.
-    let documented: BTreeSet<String> = documented_origin_families()
-        .into_iter()
-        .filter(|n| cfg!(target_os = "linux") || !n.starts_with("pb_origin_reactor_"))
-        .collect();
-    let undocumented: Vec<_> = scraped.difference(&documented).collect();
-    let stale: Vec<_> = documented.difference(&scraped).collect();
-    assert!(
-        undocumented.is_empty() && stale.is_empty(),
-        "scraped but not in docs/PROTOCOL.md §8: {undocumented:?}; \
-         in §8 but never scraped: {stale:?}"
-    );
+/// The proxy's exposition and its reference agree: with prefetch,
+/// streaming and prefix caching, and push acceptance on, the families the
+/// threaded and reactor scrapes declare are exactly the `pb_proxy_*`
+/// families §8 documents.
+#[test]
+fn proxy_scrape_families_match_protocol_section_8() {
+    let done = watchdog(Duration::from_secs(60));
+    let origin = start_origin(OriginConfig {
+        push_max: 4,
+        ..Default::default()
+    })
+    .unwrap();
+    let page = origin.paths[0].clone();
+    let mut scraped = BTreeSet::new();
+    for io in [IoMode::Threaded, IoMode::Reactor { reactors: 2 }] {
+        let mut cfg = ProxyConfig::new(origin.addr());
+        cfg.io = io;
+        cfg.prefetch_budget = 4;
+        cfg.accept_push = true;
+        cfg.stream_threshold = 1;
+        cfg.prefix_bytes = 1;
+        let proxy = start_proxy(cfg).unwrap();
+        let mut client = HttpClient::connect(proxy.addr()).unwrap();
+        for _ in 0..2 {
+            assert_eq!(client.get(&page, &[]).unwrap().status, 200, "{io:?}");
+        }
+        scraped.extend(scraped_families(&scrape(proxy.addr()), "pb_proxy_"));
+        proxy.stop();
+    }
+    origin.stop();
+    assert_families_documented(&scraped, "pb_proxy_");
     done.store(true, Ordering::SeqCst);
 }

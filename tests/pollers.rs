@@ -1,5 +1,5 @@
 //! The two pollers, lane for lane: keep-alive and pipelining, a malformed
-//! request, an idle client, a pipelined burst under write backpressure,
+//! request (smuggling-shaped field lines too), an idle client, a pipelined burst under write backpressure,
 //! answers resumed from another thread and a dropped waker, and upstream
 //! exchanges that reuse, fail to dial, stall or leave bytes behind their
 //! response, each against the blocking poller (`serve_blocking`) and the
@@ -155,6 +155,29 @@ fn malformed_requests_close_their_connection() {
         let mut c = connect(&handle);
         c.write_all(b"garbage garbage garbage\r\n\r\n").unwrap();
         assert_closed(&mut c, &format!("{poller:?} malformed"));
+        handle.stop();
+    }
+}
+
+/// Whitespace between a field name and its colon, and a line folded onto
+/// the one before (obs-fold), are malformed (RFC 9112 §5.1–5.2), not
+/// trimmed: a request that carries `Transfer-Encoding : chunked` must not
+/// be framed as chunked. Both close the connection unanswered.
+#[test]
+fn smuggling_shaped_field_lines_close_their_connection() {
+    let requests: [&[u8]; 3] = [
+        b"POST /te HTTP/1.1\r\nTransfer-Encoding : chunked\r\n\r\n0\r\n\r\n",
+        b"GET /cl HTTP/1.1\r\nContent-Length\t: 0\r\n\r\n",
+        b"GET /fold HTTP/1.1\r\nHost: a\r\n X-Folded: b\r\n\r\n",
+    ];
+    for poller in pollers() {
+        let (handle, _) = start(poller, Echo, Duration::from_secs(30));
+        for request in requests {
+            let mut c = connect(&handle);
+            c.write_all(request).unwrap();
+            let what = format!("{poller:?} {:?}", String::from_utf8_lossy(request));
+            assert_closed(&mut c, &what);
+        }
         handle.stop();
     }
 }

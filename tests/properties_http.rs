@@ -686,6 +686,27 @@ fn response_machine_errors_before_any_client_byte() {
     ));
 }
 
+/// An upstream head with whitespace before a colon, or an obs-fold line,
+/// is malformed (RFC 9112 §5.1–5.2): the exchange fails before any client
+/// byte, as any unreadable response does (PROTOCOL.md §7.1), rather than
+/// honouring `Content-Length : 4` as framing.
+#[test]
+fn response_machine_fails_smuggling_shaped_heads() {
+    let heads: [&[u8]; 3] = [
+        b"HTTP/1.1 200 OK\r\nContent-Length : 4\r\n\r\nbody",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding\t: chunked\r\n\r\n0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n X-Folded: v\r\n\r\nbody",
+    ];
+    for wire in heads {
+        for split in [0, 1, 7] {
+            let run = run_machine(wire, false, rule(Rule::Plain, 0), false, split);
+            let what = String::from_utf8_lossy(wire);
+            assert_eq!(run.outcome, Err(false), "{what:?} split {split}");
+            assert!(run.client.is_empty(), "{what:?} split {split}");
+        }
+    }
+}
+
 /// What a raw relay shows its driver read by read: everything the client
 /// got, what of it came through the sink, the outcome, and how many bytes
 /// the read that ended the exchange forwarded.
@@ -1279,4 +1300,486 @@ fn client_output_is_bounded_by_what_is_owed() {
         "every staged byte reached the client, in order"
     );
     assert_eq!(held(&mut machine), 0);
+}
+
+// ---------------------------------------------------------------------------
+// The byte-level head parser against the reference it replaced: lines read
+// byte by byte, `split_once(':')`, `str::trim` and `HeaderMap::try_insert`,
+// with one change of rule — the field name is no longer trimmed, so
+// whitespace before the colon and an obs-fold line are rejected (RFC 9112
+// §5.1–5.2). Same message, or the same error variant, on every input.
+// ---------------------------------------------------------------------------
+
+mod reference {
+    use piggyback::httpwire::parse::{content_length, MAX_BODY, MAX_HEADERS, MAX_LINE};
+    use piggyback::httpwire::{Body, HeaderMap, HttpError, Request, Response, Version};
+    use std::io::{BufRead, Read};
+
+    pub fn read_line_into<'a, R: BufRead>(
+        r: &mut R,
+        buf: &'a mut Vec<u8>,
+    ) -> Result<&'a str, HttpError> {
+        buf.clear();
+        loop {
+            let available = r.fill_buf()?;
+            if available.is_empty() {
+                return Err(HttpError::ConnectionClosed);
+            }
+            match available.iter().position(|&b| b == b'\n') {
+                Some(pos) => {
+                    buf.extend_from_slice(&available[..pos]);
+                    r.consume(pos + 1);
+                    break;
+                }
+                None => {
+                    let len = available.len();
+                    buf.extend_from_slice(available);
+                    r.consume(len);
+                    if buf.len() > MAX_LINE {
+                        return Err(HttpError::LimitExceeded("line length"));
+                    }
+                }
+            }
+        }
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+        if buf.len() > MAX_LINE {
+            return Err(HttpError::LimitExceeded("line length"));
+        }
+        std::str::from_utf8(buf).map_err(|e| HttpError::BadHeader(format!("non-UTF8 line: {e}")))
+    }
+
+    /// One field line; the name is taken as it stands.
+    pub fn field(map: &mut HeaderMap, line: &str) -> Result<(), HttpError> {
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| HttpError::BadHeader(line.to_owned()))?;
+        map.try_insert(name, value.trim())
+            .map_err(|_| HttpError::BadHeader(line.to_owned()))
+    }
+
+    fn read_fields<R: BufRead>(
+        r: &mut R,
+        map: &mut HeaderMap,
+        limit: &'static str,
+    ) -> Result<(), HttpError> {
+        let mut buf = Vec::new();
+        loop {
+            let line = read_line_into(r, &mut buf)?;
+            if line.is_empty() {
+                return Ok(());
+            }
+            if map.len() >= MAX_HEADERS {
+                return Err(HttpError::LimitExceeded(limit));
+            }
+            field(map, line)?;
+        }
+    }
+
+    fn read_chunked<R: BufRead>(r: &mut R) -> Result<Vec<u8>, HttpError> {
+        let mut body = Vec::new();
+        let mut buf = Vec::new();
+        loop {
+            let line = read_line_into(r, &mut buf)?;
+            let part = line.split(';').next().unwrap_or("").trim();
+            let size = usize::from_str_radix(part, 16)
+                .map_err(|_| HttpError::BadChunkSize(line.to_owned()))?;
+            if body.len().checked_add(size).is_none_or(|t| t > MAX_BODY) {
+                return Err(HttpError::LimitExceeded("chunked body size"));
+            }
+            if size == 0 {
+                break;
+            }
+            let at = body.len();
+            body.resize(at + size, 0);
+            r.read_exact(&mut body[at..])?;
+            let mut crlf = [0u8; 2];
+            r.read_exact(&mut crlf)?;
+            if &crlf != b"\r\n" {
+                return Err(HttpError::BadChunkSize("missing chunk CRLF".into()));
+            }
+        }
+        read_fields(r, &mut HeaderMap::new(), "trailer count")?;
+        Ok(body)
+    }
+
+    pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, HttpError> {
+        let mut buf = Vec::new();
+        let line = read_line_into(r, &mut buf)?;
+        let mut parts = line.split_ascii_whitespace();
+        let (method, target, version) =
+            match (parts.next(), parts.next(), parts.next(), parts.next()) {
+                (Some(m), Some(t), Some(v), None) => (m, t, v),
+                _ => return Err(HttpError::BadRequestLine(line.to_owned())),
+            };
+        let mut req = Request::new(method, target);
+        req.version = Version::parse(version)?;
+        read_fields(r, &mut req.headers, "header count")?;
+        if req.headers.list_contains("Transfer-Encoding", "chunked") {
+            req.body = read_chunked(r)?.into();
+        } else if let Some(n) = content_length(&req.headers)?.filter(|&n| n > 0) {
+            let mut body = Vec::new();
+            r.take(n as u64).read_to_end(&mut body)?;
+            if body.len() < n {
+                return Err(HttpError::ConnectionClosed);
+            }
+            req.body = body.into();
+        }
+        Ok(req)
+    }
+
+    pub fn read_head<R: BufRead>(r: &mut R) -> Result<Response, HttpError> {
+        let mut buf = Vec::new();
+        let line = read_line_into(r, &mut buf)?.to_owned();
+        let mut parts = line.splitn(3, ' ');
+        let version = Version::parse(parts.next().unwrap_or(""))
+            .map_err(|_| HttpError::BadStatusLine(line.clone()))?;
+        let status: u16 = parts
+            .next()
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| HttpError::BadStatusLine(line.clone()))?;
+        let reason = parts.next().unwrap_or("").to_owned();
+        let mut headers = HeaderMap::new();
+        read_fields(r, &mut headers, "header count")?;
+        Ok(Response {
+            version,
+            status,
+            reason,
+            headers,
+            body: Body::empty(),
+            trailers: HeaderMap::new(),
+        })
+    }
+
+    /// A chunked body's trailer section (what follows `0\r\n`) fed in
+    /// `pieces`, as the streaming decoder took it: the limit on the count
+    /// is checked before the line's UTF-8. `None`: the section never ended.
+    pub fn trailers(pieces: &[&[u8]]) -> Option<Result<HeaderMap, HttpError>> {
+        let mut map = HeaderMap::new();
+        let mut line = Vec::new();
+        let step = |line: &mut Vec<u8>, map: &mut HeaderMap| {
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+            if line.len() > MAX_LINE {
+                return Err(HttpError::LimitExceeded("line length"));
+            }
+            if line.is_empty() {
+                return Ok(true);
+            }
+            if map.len() >= MAX_HEADERS {
+                return Err(HttpError::LimitExceeded("trailer count"));
+            }
+            let text = std::str::from_utf8(line)
+                .map_err(|_| HttpError::BadHeader("non-UTF8 trailer".into()))?;
+            field(map, text)?;
+            line.clear();
+            Ok(false)
+        };
+        for piece in pieces {
+            let mut pos = 0;
+            while pos < piece.len() {
+                match piece[pos..].iter().position(|&b| b == b'\n') {
+                    Some(nl) => {
+                        line.extend_from_slice(&piece[pos..pos + nl]);
+                        pos += nl + 1;
+                        match step(&mut line, &mut map) {
+                            Ok(true) => return Some(Ok(map)),
+                            Ok(false) => {}
+                            Err(e) => return Some(Err(e)),
+                        }
+                    }
+                    None => {
+                        line.extend_from_slice(&piece[pos..]);
+                        pos = piece.len();
+                        if line.len() > MAX_LINE {
+                            return Some(Err(HttpError::LimitExceeded("line length")));
+                        }
+                    }
+                }
+            }
+        }
+        None
+    }
+}
+
+/// A result with its error reduced to the variant (and a limit's name).
+fn variant<T>(r: Result<T, HttpError>) -> Result<T, String> {
+    r.map_err(|e| match e {
+        HttpError::LimitExceeded(what) => format!("LimitExceeded({what})"),
+        other => format!("{other:?}")
+            .split('(')
+            .next()
+            .unwrap_or_default()
+            .to_owned(),
+    })
+}
+
+const FIELD_NAMES: [&str; 6] = [
+    "Host",
+    "Transfer-Encoding",
+    "Content-Length",
+    "TE",
+    "X-Probe",
+    "P-volume",
+];
+/// Optional whitespace, Unicode spaces `str::trim` removes, and the CR
+/// and NUL no value may keep.
+const PADS: [&str; 9] = [
+    "", " ", "\t", "  ", "\x0b", "\x0c", "\r", "\u{a0}", "\u{3000}",
+];
+const INJECTED: [&[u8]; 9] = [
+    b"",
+    b"\r",
+    b"\0",
+    "é".as_bytes(),
+    "\u{85}".as_bytes(),
+    b"\xff",
+    b"\t",
+    b":",
+    b"\n",
+];
+
+/// One field line ending in CRLF or a bare LF: well formed, or with
+/// whitespace before the colon, an obs-fold, an empty or non-token name,
+/// padding around the value, and a byte injected into it.
+fn arb_field_line() -> impl Strategy<Value = Vec<u8>> {
+    (
+        (0..FIELD_NAMES.len(), 0u8..8),
+        (0..PADS.len(), 0..PADS.len()),
+        "[ -~]{0,24}",
+        (0..INJECTED.len(), 0usize..25),
+        0..16usize,
+        any::<bool>(),
+    )
+        .prop_map(
+            |((name, shape), (lead, tail), value, (inject, at), long, lf)| {
+                let mut line = Vec::new();
+                match shape {
+                    0 => line.extend_from_slice(b" "),
+                    1 => line.extend_from_slice(b"\t"),
+                    _ => {}
+                }
+                if shape != 2 {
+                    line.extend_from_slice(FIELD_NAMES[name].as_bytes());
+                }
+                match shape {
+                    3 => line.extend_from_slice(b" "),
+                    4 => line.extend_from_slice(b"\t"),
+                    5 => line.extend_from_slice(b"@x"),
+                    _ => {}
+                }
+                line.push(b':');
+                line.extend_from_slice(PADS[lead].as_bytes());
+                let mut value = value.into_bytes();
+                let at = at.min(value.len());
+                value.splice(at..at, INJECTED[inject].iter().copied());
+                line.extend_from_slice(&value);
+                // Now and then a line one byte short of the length limit, at
+                // it, or one byte over it.
+                let pad = PADS[tail].as_bytes();
+                if long < 3 {
+                    let want = piggyback::httpwire::parse::MAX_LINE - 1 + long;
+                    line.resize(want.saturating_sub(pad.len()).max(line.len()), b'v');
+                }
+                line.extend_from_slice(pad);
+                line.extend_from_slice(if lf { b"\n" } else { b"\r\n" });
+                line
+            },
+        )
+}
+
+/// A head: `start` then field lines and the blank line, then a body.
+fn arb_head(start: &'static [&'static str]) -> impl Strategy<Value = Vec<u8>> {
+    (
+        0..start.len(),
+        proptest::collection::vec(arb_field_line(), 0..6),
+        prop_oneof![
+            Just(&b""[..]),
+            Just(&b"abcde"[..]),
+            Just(&b"3\r\nabc\r\n0\r\nX-T: v\r\n\r\n"[..]),
+        ],
+    )
+        .prop_map(move |(line, fields, body)| {
+            let mut wire = start[line].as_bytes().to_vec();
+            wire.extend(fields.concat());
+            wire.extend_from_slice(b"\r\n");
+            wire.extend_from_slice(body);
+            wire
+        })
+}
+
+const REQUEST_LINES: &[&str] = &[
+    "GET /a.html HTTP/1.1\r\n",
+    "POST /form HTTP/1.1\r\n",
+    "GET /b HTTP/1.0\n",
+    "GET  /c  HTTP/1.1 \r\n",
+    "GET /d HTTP/2.0\r\n",
+    "GET /e\r\n",
+];
+const STATUS_LINES: &[&str] = &[
+    "HTTP/1.1 200 OK\r\n",
+    "HTTP/1.1 304 Not Modified\r\n",
+    "HTTP/1.0 404\r\n",
+    "HTTP/1.1 2x0 OK\r\n",
+];
+
+/// Every split of `wire` for a short one; about 64 evenly spaced splits,
+/// and those around each line end, for a long one.
+fn splits(wire: &[u8]) -> Vec<usize> {
+    if wire.len() <= 1024 {
+        return (0..=wire.len()).collect();
+    }
+    let mut at: Vec<usize> = (0..=64).map(|i| i * wire.len() / 64).collect();
+    for (i, _) in wire.iter().enumerate().filter(|(_, &b)| b == b'\n') {
+        at.extend([i.saturating_sub(1), i, i + 1]);
+    }
+    at.retain(|&s| s <= wire.len());
+    at
+}
+
+fn check_request(wire: &[u8]) {
+    let want = variant(reference::read_request(&mut BufReader::new(wire)));
+    assert_eq!(&variant(Request::read(&mut BufReader::new(wire))), &want);
+    // A reused request and scratch, the serve loop's shape, read the same
+    // message twice over; a tiny reader splits lines across fills.
+    let mut req = Request::empty();
+    let mut scratch = ConnScratch::new();
+    for cap in [3, 4096] {
+        let got = req
+            .read_into(&mut BufReader::with_capacity(cap, wire), &mut scratch)
+            .map(|()| req.clone());
+        let want = variant(reference::read_request(&mut BufReader::with_capacity(
+            cap, wire,
+        )));
+        assert_eq!(variant(got), want);
+    }
+}
+
+fn check_head(wire: &[u8]) {
+    for split in splits(wire) {
+        let (a, b) = wire.split_at(split);
+        let got = variant(Response::read_head(&mut std::io::Read::chain(a, b)));
+        let want = variant(reference::read_head(&mut std::io::Read::chain(a, b)));
+        assert_eq!(got, want, "split {}", split);
+    }
+}
+
+fn check_trailers(section: &[u8]) {
+    for split in splits(section) {
+        let (a, b) = section.split_at(split);
+        let mut reader = BodyReader::chunked();
+        let mut sink = Vec::new();
+        let mut got = None;
+        for piece in [&b"0\r\n"[..], a, b] {
+            match reader.push(piece, &mut sink) {
+                Err(e) => {
+                    got = Some(Err(e));
+                    break;
+                }
+                Ok(_) if reader.is_done() => {
+                    got = Some(Ok(reader.trailers().clone()));
+                    break;
+                }
+                Ok(_) => {}
+            }
+        }
+        let want = reference::trailers(&[a, b]);
+        assert_eq!(got.map(variant), want.map(variant), "split {}", split);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Request::read` and a reused `read_into` parse what the reference
+    /// parses, on arbitrary bytes and on heads with injected whitespace,
+    /// non-ASCII, NUL, CR and over-long lines.
+    #[test]
+    fn request_parser_matches_the_reference(
+        head in arb_head(REQUEST_LINES),
+        noise in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        check_request(&head);
+        check_request(&noise);
+        let mut prefixed = b"GET / HTTP/1.1\r\n".to_vec();
+        prefixed.extend_from_slice(&noise);
+        check_request(&prefixed);
+    }
+
+    /// `Response::read_head` over a `Chain` split anywhere parses what the
+    /// reference parses over the same split.
+    #[test]
+    fn response_head_parser_matches_the_reference(
+        head in arb_head(STATUS_LINES),
+        noise in proptest::collection::vec(any::<u8>(), 0..128),
+    ) {
+        check_head(&head);
+        let mut prefixed = b"HTTP/1.1 200 OK\r\n".to_vec();
+        prefixed.extend_from_slice(&noise);
+        check_head(&prefixed);
+    }
+
+    /// `BodyReader` trailers, fed split at every point, are the
+    /// reference's trailers, or its error.
+    #[test]
+    fn body_reader_trailers_match_the_reference(
+        fields in proptest::collection::vec(arb_field_line(), 0..5),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut section = fields.concat();
+        section.extend_from_slice(b"\r\n");
+        check_trailers(&section);
+        check_trailers(&noise);
+    }
+}
+
+/// The fixed-width date encoder gives the bytes of the `write!` rendering
+/// it replaced at four times of day on every day of 1900–2100 and of the
+/// years 0 and 9999; outside 0–9999 it falls back to that rendering.
+#[test]
+fn rfc1123_encoder_matches_the_formatter() {
+    use piggyback::core::datetime::{civil_from_unix, days_from_civil, weekday_from_unix, Rfc1123};
+    const DAYS: [&str; 7] = ["Sun", "Mon", "Tue", "Wed", "Thu", "Fri", "Sat"];
+    const MONTHS: [&str; 12] = [
+        "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+    ];
+    let formatted = |unix: i64| {
+        let c = civil_from_unix(unix);
+        format!(
+            "{}, {:02} {} {:04} {:02}:{:02}:{:02} GMT",
+            DAYS[weekday_from_unix(unix) as usize],
+            c.day,
+            MONTHS[(c.month - 1) as usize],
+            c.year,
+            c.hour,
+            c.minute,
+            c.second
+        )
+    };
+    let years = [
+        (1900, 2100),
+        (0, 0),
+        (9999, 9999),
+        (-1, -1),
+        (10_000, 10_000),
+    ];
+    let mut out = Vec::new();
+    for (first, last) in years {
+        for day in days_from_civil(first, 1, 1)..days_from_civil(last + 1, 1, 1) {
+            for secs in [0, 31_777, 43_200, 86_399] {
+                let unix = day * 86_400 + secs;
+                out.clear();
+                Rfc1123(unix).encode(&mut out);
+                let want = formatted(unix);
+                assert_eq!(out, want.as_bytes(), "unix {unix}");
+                assert_eq!(Rfc1123(unix).to_string(), want);
+                assert_eq!(
+                    Rfc1123(unix).to_bytes().is_some(),
+                    (0..=9999).contains(&first)
+                );
+            }
+        }
+    }
 }
