@@ -44,10 +44,15 @@ impl HitReporter {
     /// path (the steady state between drains) only bump the counter — the
     /// path is owned once, on first sight.
     pub fn record_hit(&mut self, path: &str) {
+        self.record_hits(path, 1);
+    }
+
+    /// Record `n` cache hits served for `path` at once.
+    pub fn record_hits(&mut self, path: &str, n: u64) {
         if let Some(count) = self.counts.get_mut(path) {
-            *count += 1;
+            *count += n;
         } else {
-            self.counts.insert(path.to_owned(), 1);
+            self.counts.insert(path.to_owned(), n);
         }
     }
 

@@ -43,5 +43,6 @@ pub use chunked::{read_chunked, read_chunked_into, read_chunked_into_capped, wri
 pub use error::HttpError;
 pub use headers::{HeaderMap, InvalidHeader};
 pub use message::{push_decimal, reason_phrase, Request, Response, Version};
+pub use parse::Framing;
 pub use scratch::{flush_segments, write_all_parts, ConnScratch, Seg};
 pub use stream::{encode_stream_head, BodyReader, BodyWriter, StreamFraming, STREAM_CHUNK};

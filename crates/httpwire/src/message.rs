@@ -4,7 +4,10 @@ use crate::body::Body;
 use crate::chunked::{read_chunked_into_capped, write_chunked};
 use crate::error::HttpError;
 use crate::headers::HeaderMap;
-use crate::parse::{content_length, line_text, read_headers_into, with_line, MAX_BODY};
+use crate::parse::{
+    content_length, line_text, read_headers_into, read_request_fields_into, with_line, Framing,
+    MAX_BODY,
+};
 use crate::scratch::{flush_segments, ConnScratch, Seg};
 use crate::stream::StreamFraming;
 use std::io::{BufRead, Read, Write};
@@ -224,19 +227,21 @@ impl Request {
         r: &mut R,
         scratch: &mut ConnScratch,
     ) -> Result<(), HttpError> {
-        self.read_into_capped(r, scratch, MAX_BODY)
+        self.read_into_capped(r, scratch, MAX_BODY).map(drop)
     }
 
     /// [`read_into`](Self::read_into) with a caller-chosen body cap: a
     /// declared or chunked body larger than `cap` is rejected with
     /// [`HttpError::LimitExceeded`]`("body cap")` before any large
     /// allocation happens. The proxy maps this to a `413` response.
+    /// Returns the [`Framing`] the field pass recorded, so a caller asks
+    /// the map nothing it already told.
     pub fn read_into_capped<R: BufRead>(
         &mut self,
         r: &mut R,
         scratch: &mut ConnScratch,
         cap: usize,
-    ) -> Result<(), HttpError> {
+    ) -> Result<Framing, HttpError> {
         with_line(r, &mut scratch.line, |line| {
             let line = line_text(line)?;
             let mut parts = line.split_ascii_whitespace();
@@ -252,8 +257,8 @@ impl Request {
             self.target.push_str(target);
             Ok(())
         })?;
-        read_headers_into(r, &mut self.headers, &mut scratch.line)?;
-        if self.headers.list_contains("Transfer-Encoding", "chunked") {
+        let framing = read_request_fields_into(r, &mut self.headers, &mut scratch.line)?;
+        if framing.chunked {
             // Request trailers are read (into scratch) and discarded,
             // matching the original parser.
             read_chunked_into_capped(
@@ -265,7 +270,7 @@ impl Request {
             )?;
             self.body = Body::from(scratch.body_vec.as_slice());
         } else {
-            match content_length(&self.headers)? {
+            match framing.content_length()? {
                 Some(n) if n > 0 => {
                     if n > cap {
                         return Err(HttpError::LimitExceeded("body cap"));
@@ -276,7 +281,7 @@ impl Request {
                 _ => self.body = Body::empty(),
             }
         }
-        Ok(())
+        Ok(framing)
     }
 }
 

@@ -6,6 +6,7 @@
 
 use crate::error::HttpError;
 use crate::headers::{is_token, HeaderMap};
+use crate::message::Version;
 use std::io::BufRead;
 
 /// Maximum length of a single line (request line, status line, header).
@@ -88,8 +89,11 @@ fn trimmed_ascii(b: u8) -> bool {
 /// no CR, LF or NUL. Every failure is [`HttpError::BadHeader`]. An ASCII
 /// value is trimmed and checked bytewise and copied once, into the map;
 /// only a value holding a non-ASCII byte, a CR or a NUL takes the `str`
-/// path.
-pub(crate) fn push_field_line(map: &mut HeaderMap, line: &[u8]) -> Result<(), HttpError> {
+/// path. Returns the field as the map stores it.
+pub(crate) fn push_field_line<'l>(
+    map: &mut HeaderMap,
+    line: &'l [u8],
+) -> Result<(&'l str, &'l str), HttpError> {
     let bad = || HttpError::BadHeader(String::from_utf8_lossy(line).into_owned());
     let colon = find_byte(line, b':').ok_or_else(bad)?;
     let (name, raw) = (&line[..colon], &line[colon + 1..]);
@@ -105,18 +109,22 @@ pub(crate) fn push_field_line(map: &mut HeaderMap, line: &[u8]) -> Result<(), Ht
         .rposition(|&b| !trimmed_ascii(b))
         .map_or(start, |e| e + 1);
     let value = &raw[start..end];
+    // SAFETY: a token is ASCII.
+    let name = unsafe { std::str::from_utf8_unchecked(name) };
     if !any_flagged(value, |w| ctl(w) | (w & HI)) {
-        // SAFETY: a token is ASCII, and `value` was just checked ASCII.
-        unsafe { map.push_unchecked(name, value) };
-        return Ok(());
+        // SAFETY: `value` was just checked ASCII.
+        let value = unsafe { std::str::from_utf8_unchecked(value) };
+        // SAFETY: both are `&str`.
+        unsafe { map.push_unchecked(name.as_bytes(), value.as_bytes()) };
+        return Ok((name, value));
     }
     let value = std::str::from_utf8(raw).map_err(|_| bad())?.trim();
     if has_ctl(value.as_bytes()) {
         return Err(bad());
     }
-    // SAFETY: a token is ASCII, and `value` is a `&str`.
-    unsafe { map.push_unchecked(name, value.as_bytes()) };
-    Ok(())
+    // SAFETY: both are `&str`.
+    unsafe { map.push_unchecked(name.as_bytes(), value.as_bytes()) };
+    Ok((name, value))
 }
 
 /// Hand the next CRLF- (or bare-LF-) terminated line, terminator
@@ -176,6 +184,18 @@ pub(crate) fn read_fields_into<R: BufRead>(
     line: &mut Vec<u8>,
     limit: &'static str,
 ) -> Result<(), HttpError> {
+    read_fields_noting(r, map, line, limit, |_, _| {})
+}
+
+/// [`read_fields_into`], handing `note` each field as the map stores it,
+/// the moment it is appended.
+fn read_fields_noting<R: BufRead>(
+    r: &mut R,
+    map: &mut HeaderMap,
+    line: &mut Vec<u8>,
+    limit: &'static str,
+    mut note: impl FnMut(&str, &str),
+) -> Result<(), HttpError> {
     loop {
         let done = with_line(r, line, |line| {
             if line.is_empty() {
@@ -185,7 +205,9 @@ pub(crate) fn read_fields_into<R: BufRead>(
                 line_text(line)?;
                 return Err(HttpError::LimitExceeded(limit));
             }
-            push_field_line(map, line).map(|()| false)
+            let (name, value) = push_field_line(map, line)?;
+            note(name, value);
+            Ok(false)
         })?;
         if done {
             return Ok(());
@@ -203,6 +225,94 @@ pub fn read_headers_into<R: BufRead>(
 ) -> Result<(), HttpError> {
     headers.clear();
     read_fields_into(r, headers, line, "header count")
+}
+
+/// What a request head's field pass records as it goes — the facts that
+/// frame the body and decide keep-alive — so no caller scans the map for
+/// them again. Each equals what the map-scanning accessor computes on the
+/// parsed map: [`HeaderMap::list_contains`], [`content_length`] and
+/// [`Request::keep_alive`](crate::Request::keep_alive).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Framing {
+    /// `Transfer-Encoding` lists `chunked`.
+    pub chunked: bool,
+    /// `Connection` lists `close`.
+    pub close: bool,
+    /// `Connection` lists `keep-alive`.
+    pub keep_alive_token: bool,
+    /// The first `Content-Length` field, read as [`content_length`] reads
+    /// it.
+    declared: Declared,
+}
+
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Declared {
+    #[default]
+    Absent,
+    Length(usize),
+    Malformed,
+    OverLimit,
+}
+
+impl Framing {
+    /// Fold one field in, as the map stores it.
+    #[inline]
+    fn note(&mut self, name: &str, value: &str) {
+        // List members trimmed as `list_contains` trims them.
+        let members = || value.split(',').map(str::trim);
+        match name.len() {
+            10 if name.eq_ignore_ascii_case("Connection") => {
+                for member in members() {
+                    self.close |= member.eq_ignore_ascii_case("close");
+                    self.keep_alive_token |= member.eq_ignore_ascii_case("keep-alive");
+                }
+            }
+            17 if name.eq_ignore_ascii_case("Transfer-Encoding") => {
+                self.chunked |= members().any(|m| m.eq_ignore_ascii_case("chunked"));
+            }
+            14 if self.declared == Declared::Absent
+                && name.eq_ignore_ascii_case("Content-Length") =>
+            {
+                self.declared = match value.trim().parse::<usize>() {
+                    Ok(n) if n > MAX_BODY => Declared::OverLimit,
+                    Ok(n) => Declared::Length(n),
+                    Err(_) => Declared::Malformed,
+                };
+            }
+            _ => {}
+        }
+    }
+
+    /// [`content_length`] of the parsed map.
+    pub fn content_length(&self) -> Result<Option<usize>, HttpError> {
+        match self.declared {
+            Declared::Absent => Ok(None),
+            Declared::Length(n) => Ok(Some(n)),
+            Declared::Malformed => Err(HttpError::BadContentLength),
+            Declared::OverLimit => Err(HttpError::LimitExceeded("content length")),
+        }
+    }
+
+    /// Should a connection carrying a request of `version` stay open?
+    pub fn keep_alive(&self, version: Version) -> bool {
+        match version {
+            Version::Http11 => !self.close,
+            Version::Http10 => self.keep_alive_token,
+        }
+    }
+}
+
+/// [`read_headers_into`] for a request head: the field pass records its
+/// [`Framing`] on the way.
+pub fn read_request_fields_into<R: BufRead>(
+    r: &mut R,
+    headers: &mut HeaderMap,
+    line: &mut Vec<u8>,
+) -> Result<Framing, HttpError> {
+    headers.clear();
+    let mut framing = Framing::default();
+    read_fields_noting(r, headers, line, "header count", |n, v| framing.note(n, v))?;
+    Ok(framing)
 }
 
 /// Read a header section (lines until the blank line).

@@ -73,7 +73,7 @@ impl PooledConn {
 /// A bounded keep-alive pool of connections to one origin.
 ///
 /// Checkout pops an idle connection and health-checks it with a
-/// non-blocking `peek`: `WouldBlock` means quiet-and-open (healthy),
+/// non-blocking peek: `WouldBlock` means quiet-and-open (healthy),
 /// `Ok(0)` means the peer closed, and `Ok(n)` means the peer sent bytes
 /// nobody asked for — a poisoned connection whose framing can no longer
 /// be trusted. Unhealthy connections are evicted and the next candidate
@@ -180,6 +180,27 @@ impl ConnectionPool {
 }
 
 /// Open with no readable bytes pending? (`WouldBlock` ⇔ quiet ⇔ healthy.)
+/// One `recv(MSG_PEEK | MSG_DONTWAIT)` asks, so the socket never leaves
+/// blocking mode and its timeouts stay armed.
+#[cfg(any(target_os = "linux", target_os = "android", target_vendor = "apple"))]
+fn conn_is_quiet(stream: &TcpStream) -> bool {
+    use std::os::unix::io::AsRawFd;
+    const MSG_PEEK: i32 = 0x2;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    const MSG_DONTWAIT: i32 = 0x40;
+    #[cfg(target_vendor = "apple")]
+    const MSG_DONTWAIT: i32 = 0x80;
+    extern "C" {
+        fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
+    }
+    let mut probe = 0u8;
+    // SAFETY: a one-byte peek into a live local; the fd is the stream's.
+    let n = unsafe { recv(stream.as_raw_fd(), &mut probe, 1, MSG_PEEK | MSG_DONTWAIT) };
+    n < 0 && io::Error::last_os_error().kind() == io::ErrorKind::WouldBlock
+}
+
+/// Open with no readable bytes pending? (`WouldBlock` ⇔ quiet ⇔ healthy.)
+#[cfg(not(any(target_os = "linux", target_os = "android", target_vendor = "apple")))]
 fn conn_is_quiet(stream: &TcpStream) -> bool {
     if stream.set_nonblocking(true).is_err() {
         return false;
@@ -439,6 +460,50 @@ mod tests {
         assert_eq!(s.connects, 2);
         assert_eq!(s.reuses, 0, "dead idle connection must not be handed out");
         oneshot.stop();
+    }
+
+    /// The one-syscall probe evicts a connection holding one unsolicited
+    /// byte, and leaves one that passed it in blocking mode: a read waits
+    /// out the read timeout instead of failing at once.
+    #[test]
+    fn pool_probe_evicts_unsolicited_bytes_and_keeps_blocking_mode() {
+        let server = crate::util::serve(0, "chatty", |stream| {
+            let mut r = BufReader::new(stream.try_clone().unwrap());
+            let mut w = stream;
+            while let Ok(req) = Request::read(&mut r) {
+                let mut resp = Response::new(200);
+                resp.body = b"ok".into();
+                let _ = resp.write(&mut w);
+                if req.target == "/chatty" {
+                    // After the client has read the response.
+                    std::thread::sleep(Duration::from_millis(30));
+                    let _ = std::io::Write::write_all(&mut w, b"x");
+                }
+            }
+        })
+        .unwrap();
+        let timeout = Duration::from_millis(150);
+        let pool = ConnectionPool::new(server.addr, 4).with_timeout(timeout);
+        let mut c = pool.checkout().unwrap();
+        assert_eq!(exchange(&mut c, "/chatty").status, 200);
+        pool.checkin(c, Reuse::Keep);
+        std::thread::sleep(Duration::from_millis(100));
+        let mut c = pool.checkout().unwrap();
+        let s = pool.stats();
+        assert_eq!((s.evicted_unhealthy, s.reuses, s.connects), (1, 0, 2));
+
+        assert_eq!(exchange(&mut c, "/quiet").status, 200);
+        pool.checkin(c, Reuse::Keep);
+        let mut c = pool.checkout().unwrap();
+        assert_eq!(pool.stats().reuses, 1, "a quiet connection passes");
+        let start = Instant::now();
+        let read = std::io::Read::read(&mut c.stream, &mut [0u8; 1]);
+        assert!(read.is_err(), "nothing was sent: {read:?}");
+        assert!(
+            start.elapsed() >= timeout - Duration::from_millis(20),
+            "the read must block until its timeout, not return at once"
+        );
+        server.stop();
     }
 
     #[test]

@@ -520,6 +520,11 @@ impl<'h> ExchangeMachine<'h> {
         self.written += n;
     }
 
+    /// Has this attempt written no byte yet? Then nothing can answer it.
+    pub fn unsent(&self) -> bool {
+        self.written == 0
+    }
+
     /// One read's bytes off the connection — empty is its EOF — fed to the
     /// response machine, client bytes appended to `sink` and the payload
     /// it forwards in place left at [`span`](Self::span). Returns how many

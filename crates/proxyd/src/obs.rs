@@ -80,6 +80,17 @@ impl LatencyHistogram {
         self.record_value(elapsed.as_micros() as u64);
     }
 
+    /// Record `n` samples of one elapsed duration at once: what `n`
+    /// calls of [`record`](Self::record) would leave.
+    pub fn record_n(&self, elapsed: Duration, n: u64) {
+        let value = elapsed.as_micros() as u64;
+        self.buckets[bucket_index(value)].fetch_add(n, Relaxed);
+        self.sum.fetch_add(value.saturating_mul(n), Relaxed);
+        if n > 0 {
+            self.max.fetch_max(value, Relaxed);
+        }
+    }
+
     /// Relaxed read of every cell into a plain snapshot.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = [0u64; BUCKETS];

@@ -433,6 +433,7 @@ impl Service for OriginSvc {
         &self,
         req: &Request,
         peer: SocketAddr,
+        now: std::time::Instant,
         _ctx: &mut (),
         scratch: &mut ConnScratch,
         out: &mut Vec<u8>,
@@ -451,13 +452,12 @@ impl Service for OriginSvc {
             return Ok(Served::Inline);
         }
         daemon.requests.fetch_add(1, Relaxed);
-        let start = std::time::Instant::now();
         // Pushed volume members (`push_max > 0`, and the request opted in)
         // ride the same stream, right behind the main response they were
         // announced on.
         let mut pushed = Vec::new();
         let source = crate::util::source_from_addr(peer);
-        let resp = handle_request(req, source, shared, obs, &mut pushed);
+        let resp = handle_request(req, source, shared.clock.at(now), shared, obs, &mut pushed);
         daemon.count_response(resp.status, resp.body.len());
         for p in &pushed {
             daemon.pushes_sent.fetch_add(1, Relaxed);
@@ -467,7 +467,7 @@ impl Service for OriginSvc {
             // Pushed bodies are response bytes on the wire too.
             daemon.bytes_sent.fetch_add(p.body.len() as u64, Relaxed);
         }
-        obs.class_for(resp.status).record(start.elapsed());
+        obs.class_for(resp.status).record(now.elapsed());
         resp.write_with(out, scratch)?;
         for p in &pushed {
             p.write_with(out, scratch)?;
@@ -652,6 +652,7 @@ fn bumped_last_modified(prev: Timestamp, now: Timestamp) -> Timestamp {
 fn handle_request(
     req: &Request,
     source: SourceId,
+    now: Timestamp,
     shared: &OriginShared,
     obs: &DaemonObs,
     push_out: &mut Vec<Response>,
@@ -668,10 +669,9 @@ fn handle_request(
         return stats_response(&c.stats.snapshot(), snap.table.len(), snap.generation);
     }
     if let Some(target) = path.strip_prefix("/_pb/modify") {
-        return c.modify(target, shared.clock.now());
+        return c.modify(target, now);
     }
 
-    let now = shared.clock.now();
     let snap = c.snapshot.load();
 
     if let Some(v) = req.headers.get(PIGGY_REPORT_HEADER) {

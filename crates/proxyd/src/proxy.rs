@@ -46,9 +46,9 @@ use piggyback_core::filter::{ProxyFilter, PIGGY_FILTER_HEADER};
 use piggyback_core::report::HitReporter;
 use piggyback_core::rpv::RpvTable;
 use piggyback_core::table::ResourceTable;
-use piggyback_core::types::{DurationMs, Timestamp};
+use piggyback_core::types::{DurationMs, ResourceId, Timestamp};
 use piggyback_httpwire::{parse, push_decimal, Body, ConnScratch, HeaderMap, Request, Response};
-use piggyback_webcache::{PolicyKind, ShardedBodyStore, ShardedCache};
+use piggyback_webcache::{CacheEntry, PolicyKind, ShardedBodyStore, ShardedCache};
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
@@ -216,6 +216,28 @@ impl ProxyShared {
         }
         self.obs.fresh_hit.record(start.elapsed());
     }
+
+    /// Fold a poller's [`HitTally`] into the shared counters, the
+    /// `fresh_hit` histogram and the hit reporter. Every hit it holds is
+    /// sampled as its batch's arrival to now, when the batch is staged.
+    fn fold(&self, tally: &mut HitTally) {
+        let Some(since) = tally.since.take() else {
+            return;
+        };
+        let (n, s) = (std::mem::take(&mut tally.hits), &self.stats);
+        for counter in [&s.requests, &s.affine_hits, &s.cache_hits, &s.fresh_hits] {
+            counter.fetch_add(n, Relaxed);
+        }
+        self.obs.fresh_hit.record_n(since.elapsed(), n);
+        if !tally.reports.is_empty() {
+            let (table, mut reporter) = (self.table.read(), self.reporter.lock());
+            for (r, hits) in tally.reports.drain(..) {
+                if let Some(path) = table.path(r) {
+                    reporter.record_hits(path, hits);
+                }
+            }
+        }
+    }
 }
 
 /// A running proxy.
@@ -345,22 +367,96 @@ struct ProxySvc {
 /// so a repeat hit costs zero shard-lock acquisitions while the cache is
 /// quiescent. An entry is serveable only while (a) the mutation epoch
 /// still equals the epoch certified around the locked lookup that filled
-/// it, and (b) the entry is still fresh by the shared clock. Any cache
+/// it, and (b) the entry is still fresh at its batch's arrival (the
+/// poller's clock stamp, so the hit reads no clock). Any cache
 /// mutation anywhere invalidates the whole L1 — conservative, but what
 /// makes the shortcut correct without per-entry coherence.
 ///
 /// Accepted divergence from the locked path: an L1 hit does not touch LRU
 /// recency (the filling lookup already did, and eviction order is not
 /// part of the wire contract). Wire bytes are identical.
+///
+/// An L1 hit writes only this poller-local memory: its head is stored in
+/// the entry, and its accounting goes to the [`HitTally`].
 pub(crate) struct ProxyCtx {
     l1: HashMap<String, L1Hit>,
+    tally: HitTally,
 }
 
 struct L1Hit {
+    head: HitHead,
     body: Body,
-    lm: Timestamp,
+    r: ResourceId,
     expires: Timestamp,
     epoch: u64,
+}
+
+/// What L1 hits owe the shared state, held where the poller serves them:
+/// their count, when their batch arrived, and their `Piggy-report` counts
+/// by resource (the path is resolved at the fold). [`ProxyShared::fold`]
+/// pays it off at the end of every batch, before the batch's responses
+/// are written, and before anything in the batch reads what it owes.
+#[derive(Default)]
+struct HitTally {
+    hits: u64,
+    since: Option<Instant>,
+    reports: Vec<(ResourceId, u64)>,
+}
+
+impl HitTally {
+    /// One hit of the batch that arrived at `now`, reported for `r` if
+    /// set.
+    fn hit(&mut self, now: Instant, r: Option<ResourceId>) {
+        if let Some(r) = r {
+            match self.reports.iter_mut().find(|(id, _)| *id == r) {
+                Some((_, hits)) => *hits += 1,
+                None => self.reports.push((r, 1)),
+            }
+        }
+        self.hits += 1;
+        self.since.get_or_insert(now);
+    }
+}
+
+/// Distinct resources a tally reports before it folds early.
+const TALLY_REPORTS: usize = 64;
+
+/// A fresh hit's response head — `Last-Modified`, `X-Cache: HIT` and
+/// `Content-Length` — encoded once and kept inline, so an L1 entry
+/// carries it with no allocation of its own.
+struct HitHead {
+    len: u8,
+    bytes: [u8; HIT_HEAD_MAX],
+}
+
+/// Room for the head with its 29-byte date and a 20-digit length.
+const HIT_HEAD_MAX: usize = 128;
+
+impl HitHead {
+    /// Append the head of a hit on a `body_len`-byte body last modified
+    /// at `lm` to `out` (the RFC 1123 date by [`Rfc1123::encode`], the
+    /// length by a digit loop), and keep a copy when it fits. With the
+    /// body behind it, the bytes are `cached_response(body, lm, "HIT")`
+    /// serialized, which `hit_bytes_match_cached_response` pins down.
+    fn append(out: &mut Vec<u8>, lm: Timestamp, body_len: usize) -> Option<HitHead> {
+        let at = out.len();
+        out.extend_from_slice(b"HTTP/1.1 200 OK\r\nLast-Modified: ");
+        Rfc1123(unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX)).encode(out);
+        out.extend_from_slice(b"\r\nX-Cache: HIT\r\nContent-Length: ");
+        push_decimal(out, body_len);
+        out.extend_from_slice(b"\r\n\r\n");
+        let head = out.get(at..).filter(|h| h.len() <= HIT_HEAD_MAX)?;
+        let mut bytes = [0; HIT_HEAD_MAX];
+        bytes[..head.len()].copy_from_slice(head);
+        Some(HitHead {
+            len: head.len() as u8,
+            bytes,
+        })
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
 }
 
 /// Paths the affine L1 retains before clearing itself wholesale — a tiny
@@ -371,79 +467,68 @@ impl Service for ProxySvc {
     type Ctx = ProxyCtx;
 
     fn make_ctx(&self) -> ProxyCtx {
-        ProxyCtx { l1: HashMap::new() }
+        ProxyCtx {
+            l1: HashMap::new(),
+            tally: HitTally::default(),
+        }
     }
 
     fn body_cap(&self) -> usize {
         self.shared.cfg.client_body_cap
     }
 
+    fn end_batch(&self, ctx: &mut ProxyCtx) {
+        self.shared.fold(&mut ctx.tally);
+    }
+
     fn handle(
         &self,
         req: &Request,
         peer: SocketAddr,
+        now: Instant,
         ctx: &mut ProxyCtx,
         scratch: &mut ConnScratch,
         out: &mut Vec<u8>,
     ) -> io::Result<Served> {
         let shared = &self.shared;
-        if req.method == "GET" {
-            let path = strip_origin_form(&req.target);
-            if path != METRICS_PATH {
-                enum L1Verdict {
-                    Serve(Body, Timestamp),
-                    Drop,
-                    Miss,
+        let path = strip_origin_form(&req.target);
+        if let Some(hit) = ctx.l1.get(path).filter(|_| req.method == "GET") {
+            // Serveable while nothing mutated since the fill and still
+            // fresh at the batch's arrival; otherwise the locked path
+            // decides (and counts the validation).
+            if hit.epoch == shared.cache.mutation_epoch() && shared.clock.at(now) < hit.expires {
+                if ctx.tally.reports.len() == TALLY_REPORTS {
+                    shared.fold(&mut ctx.tally);
                 }
-                let start = Instant::now();
-                let verdict = match ctx.l1.get(path) {
-                    Some(hit) if hit.epoch == shared.cache.mutation_epoch() => {
-                        if shared.clock.now() < hit.expires {
-                            L1Verdict::Serve(hit.body.clone(), hit.lm)
-                        } else {
-                            // Expired: the locked path counts the
-                            // validation; drop the stale copy.
-                            L1Verdict::Drop
-                        }
-                    }
-                    Some(_) => L1Verdict::Drop,
-                    None => L1Verdict::Miss,
-                };
-                match verdict {
-                    L1Verdict::Serve(body, lm) => {
-                        shared.stats.requests.fetch_add(1, Relaxed);
-                        shared.stats.affine_hits.fetch_add(1, Relaxed);
-                        shared.note_fresh_hit(path, start);
-                        write_hit(out, &body, lm);
-                        return Ok(Served::Inline);
-                    }
-                    L1Verdict::Drop => {
-                        ctx.l1.remove(path);
-                    }
-                    L1Verdict::Miss => {}
-                }
+                ctx.tally.hit(now, shared.cfg.report_hits.then_some(hit.r));
+                out.extend_from_slice(hit.head.as_bytes());
+                out.extend_from_slice(hit.body.as_slice());
+                return Ok(Served::Inline);
             }
+            ctx.l1.remove(path);
         }
+        // The scrape and the report drain read what the tally owes.
+        shared.fold(&mut ctx.tally);
         let epoch = shared.cache.mutation_epoch();
-        match plan_request(req, shared, peer) {
-            Step::Reply(Reply::Hit { body, lm, expires }) => {
+        match plan_request(req, shared, peer, now) {
+            Step::Reply(Reply::Hit(r, snap, body)) => {
+                let head = HitHead::append(out, snap.last_modified, body.len());
+                out.extend_from_slice(body.as_slice());
                 // Fill the L1 only when nothing mutated around the locked
                 // lookup — then `epoch` certifies the snapshot is current.
-                if shared.cache.mutation_epoch() == epoch {
+                if let Some(head) = head.filter(|_| shared.cache.mutation_epoch() == epoch) {
                     if ctx.l1.len() >= L1_CAP {
                         ctx.l1.clear();
                     }
-                    ctx.l1.insert(
-                        strip_origin_form(&req.target).to_owned(),
-                        L1Hit {
-                            body: body.clone(),
-                            lm,
-                            expires,
-                            epoch,
-                        },
-                    );
+                    let hit = L1Hit {
+                        head,
+                        body,
+                        r,
+                        expires: snap.expires,
+                        epoch,
+                    };
+                    ctx.l1.insert(path.to_owned(), hit);
                 }
-                write_hit(out, &body, lm);
                 Ok(Served::Inline)
             }
             Step::Reply(Reply::Full(resp)) => {
@@ -481,7 +566,8 @@ impl ProxySvc {
                         waker.wake(Box::new(
                             move |scratch, out| match lifecycle::landed_speculation(&shared, &job) {
                                 Some((body, lm)) => {
-                                    write_hit(out, &body, lm);
+                                    HitHead::append(out, lm, body.len());
+                                    out.extend_from_slice(body.as_slice());
                                     Ok(Served::Inline)
                                 }
                                 None => Ok(fetch(&shared, job, scratch, out)),
@@ -533,12 +619,9 @@ fn fetch(
 /// shared body (no `Response` is built, no headers are allocated), or a
 /// full response for every other outcome.
 enum Reply {
-    Hit {
-        body: Body,
-        lm: Timestamp,
-        /// When the served entry stops being fresh (feeds the affine L1).
-        expires: Timestamp,
-    },
+    /// The resource, its cache entry (`Last-Modified`, and when it stops
+    /// being fresh, which feeds the affine L1) and its body.
+    Hit(ResourceId, CacheEntry, Body),
     Full(Response),
 }
 
@@ -552,10 +635,11 @@ enum Step {
     Upstream(UpstreamJob),
 }
 
-/// Phase 1: cache consult under shard-scoped locks. Never blocks on the
-/// network, so it is safe on a reactor thread. The fresh-hit path is
-/// allocation-free; only a miss pays for the owned `UpstreamJob`.
-fn plan_request(req: &Request, shared: &ProxyShared, source: SocketAddr) -> Step {
+/// Phase 1: cache consult under shard-scoped locks, for a request whose
+/// batch arrived at `start`. Never blocks on the network, so it is safe on
+/// a reactor thread. The fresh-hit path is allocation-free; only a miss
+/// pays for the owned `UpstreamJob`.
+fn plan_request(req: &Request, shared: &ProxyShared, source: SocketAddr, start: Instant) -> Step {
     if req.method != "GET" {
         return Step::Reply(Reply::Full(Response::new(400)));
     }
@@ -569,8 +653,7 @@ fn plan_request(req: &Request, shared: &ProxyShared, source: SocketAddr) -> Step
             Response::new(404)
         }));
     }
-    let start = Instant::now();
-    let now = shared.clock.now();
+    let now = shared.clock.at(start);
     shared.stats.requests.fetch_add(1, Relaxed);
     let cached = shared
         .table
@@ -589,19 +672,15 @@ fn plan_request(req: &Request, shared: &ProxyShared, source: SocketAddr) -> Step
     // degrades the same way (the lifecycle probes prefixes separately).
     let cached = cached.and_then(|(r, snap)| {
         let body = shared.bodies.get(r).filter(|b| !b.is_prefix())?;
-        Some((snap, body))
+        Some((r, snap, body))
     });
     let validate = match cached {
-        Some((snap, body)) if snap.is_fresh(now) => {
+        Some((r, snap, body)) if snap.is_fresh(now) => {
             shared.note_fresh_hit(path, start);
-            return Step::Reply(Reply::Hit {
-                body,
-                lm: snap.last_modified,
-                expires: snap.expires,
-            });
+            return Step::Reply(Reply::Hit(r, snap, body));
         }
         // A stale entry validates, its body pinned against eviction.
-        Some((snap, body)) => {
+        Some((_, snap, body)) => {
             shared.stats.cache_hits.fetch_add(1, Relaxed);
             shared.stats.validations.fetch_add(1, Relaxed);
             Some((snap.last_modified, body))
@@ -623,15 +702,13 @@ fn plan_request(req: &Request, shared: &ProxyShared, source: SocketAddr) -> Step
 /// cache's occupancy gauges — no cache or table lock is taken, so a
 /// scrape can never stall (or be stalled by) request traffic.
 fn metrics_response(shared: &ProxyShared) -> Response {
-    let stats = shared.stats.snapshot();
+    let (stats, pool) = (shared.stats.snapshot(), shared.pool.stats());
     let mut out = String::with_capacity(8 * 1024);
-    render_scalar(
-        &mut out,
-        "pb_proxy_requests_total",
-        "",
-        "counter",
-        stats.requests,
-    );
+    // `pb_proxy_{name}_total`, unlabelled.
+    let counter = |out: &mut String, name: &str, value| {
+        render_scalar(out, &format!("pb_proxy_{name}_total"), "", "counter", value);
+    };
+    counter(&mut out, "requests", stats.requests);
     for (label, value) in [
         ("fresh_hit", stats.fresh_hits),
         ("prefix_hit", stats.prefix_hits),
@@ -640,139 +717,101 @@ fn metrics_response(shared: &ProxyShared) -> Response {
         ("error", stats.upstream_errors),
         ("passthrough", stats.upstream_passthrough),
     ] {
+        let labels = format!("outcome=\"{label}\"");
         render_scalar(
             &mut out,
             "pb_proxy_outcome_requests_total",
-            &format!("outcome=\"{label}\""),
+            &labels,
             "counter",
             value,
         );
     }
     for (name, value) in [
-        ("pb_proxy_cache_hits_total", stats.cache_hits),
-        ("pb_proxy_affine_hits_total", stats.affine_hits),
-        ("pb_proxy_streamed_misses_total", stats.streamed_misses),
-        ("pb_proxy_validations_total", stats.validations),
-        ("pb_proxy_bytes_from_origin_total", stats.bytes_from_origin),
-        (
-            "pb_proxy_piggyback_messages_total",
-            stats.piggyback_messages,
-        ),
-        (
-            "pb_proxy_piggybacked_elements_total",
-            stats.piggybacked_elements,
-        ),
-        (
-            "pb_proxy_piggyback_freshens_total",
-            stats.piggyback_freshens,
-        ),
-        (
-            "pb_proxy_piggyback_invalidations_total",
-            stats.piggyback_invalidations,
-        ),
-        (
-            "pb_proxy_prefetch_candidates_total",
-            stats.prefetch_candidates,
-        ),
-        ("pb_proxy_prefetch_issued_total", stats.prefetch_issued),
-        ("pb_proxy_prefetch_used_total", stats.prefetch_used),
-        ("pb_proxy_prefetch_wasted_total", stats.prefetch_wasted),
-        (
-            "pb_proxy_prefetch_wasted_bytes_total",
-            stats.prefetch_wasted_bytes,
-        ),
-        (
-            "pb_proxy_prefetch_fetched_bytes_total",
-            stats.prefetch_fetched_bytes,
-        ),
-        (
-            "pb_proxy_prefetch_used_bytes_total",
-            stats.prefetch_used_bytes,
-        ),
-        (
-            "pb_proxy_prefetch_cancelled_total",
-            stats.prefetch_cancelled,
-        ),
-        ("pb_proxy_prefetch_retries_total", stats.prefetch_retries),
-        ("pb_proxy_pushes_accepted_total", stats.pushes_accepted),
-        ("pb_proxy_upstream_retries_total", stats.upstream_retries),
+        ("cache_hits", stats.cache_hits),
+        ("affine_hits", stats.affine_hits),
+        ("streamed_misses", stats.streamed_misses),
+        ("validations", stats.validations),
+        ("bytes_from_origin", stats.bytes_from_origin),
+        ("piggyback_messages", stats.piggyback_messages),
+        ("piggybacked_elements", stats.piggybacked_elements),
+        ("piggyback_freshens", stats.piggyback_freshens),
+        ("piggyback_invalidations", stats.piggyback_invalidations),
+        ("prefetch_candidates", stats.prefetch_candidates),
+        ("prefetch_issued", stats.prefetch_issued),
+        ("prefetch_used", stats.prefetch_used),
+        ("prefetch_wasted", stats.prefetch_wasted),
+        ("prefetch_wasted_bytes", stats.prefetch_wasted_bytes),
+        ("prefetch_fetched_bytes", stats.prefetch_fetched_bytes),
+        ("prefetch_used_bytes", stats.prefetch_used_bytes),
+        ("prefetch_cancelled", stats.prefetch_cancelled),
+        ("prefetch_retries", stats.prefetch_retries),
+        ("pushes_accepted", stats.pushes_accepted),
+        ("upstream_retries", stats.upstream_retries),
     ] {
-        render_scalar(&mut out, name, "", "counter", value);
+        counter(&mut out, name, value);
     }
     // Issued-but-unresolved speculations: in-flight fetches plus resident
     // never-hit prefetched entries (a gauge, not a counter).
+    let inflight = stats.prefetch_inflight;
     render_scalar(
         &mut out,
         "pb_proxy_prefetch_inflight",
         "",
         "gauge",
-        stats.prefetch_inflight,
+        inflight,
     );
     for (outcome, hist) in shared.obs.outcomes() {
+        let (labels, hist) = (format!("outcome=\"{outcome}\""), hist.snapshot());
         render_histogram(
             &mut out,
             "pb_proxy_request_duration_seconds",
-            &format!("outcome=\"{outcome}\""),
-            &hist.snapshot(),
+            &labels,
+            &hist,
             1e6,
         );
     }
+    let overhead = shared.obs.piggyback_bytes.snapshot();
     render_histogram(
         &mut out,
         "pb_proxy_piggyback_overhead_bytes",
         "",
-        &shared.obs.piggyback_bytes.snapshot(),
+        &overhead,
         1.0,
     );
-    let p = shared.pool.stats();
     for (name, value) in [
-        ("pb_proxy_pool_connects_total", p.connects),
-        ("pb_proxy_pool_reuses_total", p.reuses),
-        ("pb_proxy_pool_evicted_unhealthy_total", p.evicted_unhealthy),
-        ("pb_proxy_pool_discarded_dirty_total", p.discarded_dirty),
-        ("pb_proxy_pool_discarded_full_total", p.discarded_full),
+        ("pool_connects", pool.connects),
+        ("pool_reuses", pool.reuses),
+        ("pool_evicted_unhealthy", pool.evicted_unhealthy),
+        ("pool_discarded_dirty", pool.discarded_dirty),
+        ("pool_discarded_full", pool.discarded_full),
     ] {
-        render_scalar(&mut out, name, "", "counter", value);
+        counter(&mut out, name, value);
     }
-    render_scalar(
-        &mut out,
-        "pb_proxy_pool_idle",
-        "",
-        "gauge",
-        shared.pool.idle_len() as u64,
-    );
+    let idle = shared.pool.idle_len() as u64;
+    render_scalar(&mut out, "pb_proxy_pool_idle", "", "gauge", idle);
     // Capacity from config, not `cache.capacity()`: the latter sums
     // per-shard fields under each shard lock.
+    let capacity = shared.cfg.capacity_bytes;
     render_scalar(
         &mut out,
         "pb_proxy_cache_capacity_bytes",
         "",
         "gauge",
-        shared.cfg.capacity_bytes,
+        capacity,
     );
     for (i, shard) in shared.cache.occupancy().iter().enumerate() {
         let labels = format!("shard=\"{i}\"");
-        render_scalar(
-            &mut out,
-            "pb_proxy_cache_shard_bytes",
-            &labels,
-            "gauge",
-            shard.bytes,
-        );
-        render_scalar(
-            &mut out,
-            "pb_proxy_cache_shard_entries",
-            &labels,
-            "gauge",
-            shard.entries,
-        );
-        render_scalar(
-            &mut out,
-            "pb_proxy_cache_shard_evictions_total",
-            &labels,
-            "counter",
-            shard.evictions,
-        );
+        for (name, kind, value) in [
+            ("pb_proxy_cache_shard_bytes", "gauge", shard.bytes),
+            ("pb_proxy_cache_shard_entries", "gauge", shard.entries),
+            (
+                "pb_proxy_cache_shard_evictions_total",
+                "counter",
+                shard.evictions,
+            ),
+        ] {
+            render_scalar(&mut out, name, &labels, kind, value);
+        }
     }
     // Body-store occupancy (full bodies + prefix entries), per shard,
     // from the lock-free mirror gauges.
@@ -818,21 +857,6 @@ fn metrics_response(shared: &ProxyShared) -> Response {
         .insert("Content-Type", "text/plain; version=0.0.4");
     resp.body = out.into();
     resp
-}
-
-/// Serve a fresh cache hit without building a [`Response`]: the head is
-/// appended straight into `out` (the RFC 1123 date by
-/// [`Rfc1123::encode`], the length by a digit loop — no formatter),
-/// followed by the shared body bytes. Wire bytes are identical to
-/// `cached_response(body, lm, "HIT").write(..)`, which the
-/// `hit_bytes_match_cached_response` test pins down.
-fn write_hit(out: &mut Vec<u8>, body: &Body, lm: Timestamp) {
-    out.extend_from_slice(b"HTTP/1.1 200 OK\r\nLast-Modified: ");
-    Rfc1123(unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX)).encode(out);
-    out.extend_from_slice(b"\r\nX-Cache: HIT\r\nContent-Length: ");
-    push_decimal(out, body.len());
-    out.extend_from_slice(b"\r\n\r\n");
-    out.extend_from_slice(body.as_slice());
 }
 
 /// Build a `HeaderMap` holding the standard piggyback request headers —
@@ -925,9 +949,9 @@ mod tests {
 
     #[test]
     fn hit_bytes_match_cached_response() {
-        // The zero-copy hit path must stay byte-identical to serializing
-        // the seed's full `Response` — for bodies of every interesting
-        // size class (empty, small, multi-chunk-buffer sized).
+        // The stored head plus the body must stay byte-identical to
+        // serializing the seed's full `Response` — for bodies of every
+        // interesting size class (empty, small, multi-chunk-buffer sized).
         for (body, lm) in [
             (Body::empty(), Timestamp::ZERO),
             (Body::from(b"hello".to_vec()), Timestamp::from_secs(12345)),
@@ -936,8 +960,11 @@ mod tests {
                 Timestamp::from_secs(86_400 * 900 + 3),
             ),
         ] {
-            let mut fast = Vec::new();
-            write_hit(&mut fast, &body, lm);
+            let mut appended = Vec::new();
+            let head = HitHead::append(&mut appended, lm, body.len()).expect("the head fits");
+            assert_eq!(appended, head.as_bytes(), "what was sent is what is stored");
+            let mut fast = head.as_bytes().to_vec();
+            fast.extend_from_slice(body.as_slice());
             let mut seed = Vec::new();
             cached_response(&body, lm, "HIT").write(&mut seed).unwrap();
             assert_eq!(fast, seed, "body len {}", body.len());

@@ -55,7 +55,8 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering::{self, Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -402,7 +403,7 @@ impl ReactorSubmitter {
     /// Hand `plan` to the next reactor shard; its continuation runs on
     /// that reactor thread.
     pub fn submit(&self, plan: UpstreamPlan) {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) as usize % self.injectors.len();
+        let i = self.next.fetch_add(1, Relaxed) as usize % self.injectors.len();
         self.injectors[i].push(Inbound::Start(plan));
     }
 }
@@ -447,6 +448,9 @@ struct Conn {
     /// output. When the output drains below the high-water mark, the
     /// flush path re-drives that upstream (backpressure release).
     relay_up: Option<u64>,
+    /// The client's FIN was seen: reads go on to the EOF, since a FIN
+    /// that came with the last bytes raises no edge of its own.
+    hup: bool,
     _guard: OpenGuard,
 }
 
@@ -591,6 +595,9 @@ struct UpConn {
     buf: Vec<u8>,
     /// When it went idle.
     last_active: Instant,
+    /// The origin's FIN was seen: reads go on to the EOF (see
+    /// [`Conn::hup`]).
+    hup: bool,
     ex: Option<Exchange>,
 }
 
@@ -630,6 +637,9 @@ struct Reactor<S: Service> {
     /// were bumped at plan time and conservation needs the outcome).
     spare_scratch: ConnScratch,
     spare_out: Vec<u8>,
+    /// The clock read right after the last `epoll_wait` returned: the
+    /// arrival stamp of every batch that wakeup serves.
+    now: Instant,
 }
 
 impl<S: Service> Reactor<S> {
@@ -639,19 +649,11 @@ impl<S: Service> Reactor<S> {
 
     fn run(mut self) {
         let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 1024];
-        if self
-            .ep
-            .add(self.listener.as_raw_fd(), LISTENER_TOKEN, sys::EPOLLIN)
-            .is_err()
-        {
-            return;
-        }
-        if self
-            .ep
-            .add(self.inject.efd.0, WAKE_TOKEN, sys::EPOLLIN)
-            .is_err()
-        {
-            return;
+        let listener = self.listener.as_raw_fd();
+        for (fd, token) in [(listener, LISTENER_TOKEN), (self.inject.efd.0, WAKE_TOKEN)] {
+            if self.ep.add(fd, token, sys::EPOLLIN).is_err() {
+                return;
+            }
         }
         let tick = self.wheel.tick;
         let mut next_tick = Instant::now() + tick;
@@ -666,7 +668,8 @@ impl<S: Service> Reactor<S> {
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
-            self.shard_stats().wakeups.fetch_add(1, Ordering::Relaxed);
+            self.now = Instant::now();
+            self.shard_stats().wakeups.fetch_add(1, Relaxed);
             let mut accept_ready = false;
             for ev in &events[..n] {
                 // Field reads copy out of the (possibly packed) struct.
@@ -685,7 +688,7 @@ impl<S: Service> Reactor<S> {
             if accept_ready {
                 self.do_accept();
             }
-            let mut now = Instant::now();
+            let mut now = self.now;
             while now >= next_tick {
                 self.on_tick();
                 next_tick += tick;
@@ -712,7 +715,7 @@ impl<S: Service> Reactor<S> {
                     // EMFILE/ENFILE: deregister the listener and back off;
                     // spinning on a level-triggered ready listener would
                     // burn the whole reactor.
-                    self.io_stats.accept_errors.fetch_add(1, Ordering::Relaxed);
+                    self.io_stats.accept_errors.fetch_add(1, Relaxed);
                     let _ = self.ep.del(self.listener.as_raw_fd());
                     self.accept_paused_until = Some(Instant::now() + self.accept_backoff);
                     self.accept_backoff = (self.accept_backoff * 2).min(ACCEPT_BACKOFF_MAX);
@@ -726,31 +729,31 @@ impl<S: Service> Reactor<S> {
     }
 
     fn register(&mut self, stream: TcpStream, peer: SocketAddr) {
-        self.io_stats.accepts.fetch_add(1, Ordering::Relaxed);
-        self.shard_stats().accepts.fetch_add(1, Ordering::Relaxed);
+        self.io_stats.accepts.fetch_add(1, Relaxed);
+        self.shard_stats().accepts.fetch_add(1, Relaxed);
         let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err() {
             return;
         }
         let fd = stream.as_raw_fd();
-        let guard = OpenGuard::new(&self.io_stats);
         let conn = Conn {
             stream,
             peer,
             machine: ClientMachine::new(Instant::now()),
             relay_up: None,
-            _guard: guard,
+            hup: false,
+            _guard: OpenGuard::new(&self.io_stats),
         };
         let token = self.slab.insert(conn);
         // Registered once, edge-triggered, for the connection's lifetime:
         // the kernel reports each readable/writable *transition* and the
-        // reactor drains to EAGAIN, so steady state does zero epoll_ctl.
+        // reactor drains the socket, so steady state does zero epoll_ctl.
         let interest = sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLRDHUP | sys::EPOLLET;
         if self.ep.add(fd, token, interest).is_err() {
             self.slab.remove(token);
             return;
         }
-        self.shard_stats().conns.fetch_add(1, Ordering::Relaxed);
+        self.shard_stats().conns.fetch_add(1, Relaxed);
         let ticks = self.wheel.ticks_for(self.idle_timeout);
         self.wheel.schedule(token, ticks);
         self.svc.on_connect(peer);
@@ -765,11 +768,8 @@ impl<S: Service> Reactor<S> {
         if let Some(until) = self.accept_paused_until {
             if Instant::now() >= until {
                 self.accept_paused_until = None;
-                if self
-                    .ep
-                    .add(self.listener.as_raw_fd(), LISTENER_TOKEN, sys::EPOLLIN)
-                    .is_err()
-                {
+                let listener = self.listener.as_raw_fd();
+                if self.ep.add(listener, LISTENER_TOKEN, sys::EPOLLIN).is_err() {
                     // Re-arm failed (still out of fds): stay paused.
                     self.accept_paused_until = Some(Instant::now() + self.accept_backoff);
                 } else {
@@ -796,7 +796,7 @@ impl<S: Service> Reactor<S> {
             let deadline = conn.machine.deadline(self.idle_timeout);
             let now = Instant::now();
             if now >= deadline {
-                self.shard_stats().timeouts.fetch_add(1, Ordering::Relaxed);
+                self.shard_stats().timeouts.fetch_add(1, Relaxed);
                 self.close_conn(token);
             } else {
                 let ticks = self.wheel.ticks_for((deadline - now).max(self.wheel.tick));
@@ -825,9 +825,7 @@ impl<S: Service> Reactor<S> {
         } else if up.ex.is_none() {
             self.close_upstream(token);
         } else {
-            self.shard_stats()
-                .upstream_timeouts
-                .fetch_add(1, Ordering::Relaxed);
+            self.shard_stats().upstream_timeouts.fetch_add(1, Relaxed);
             self.upstream_exchange_error(token);
         }
     }
@@ -839,23 +837,29 @@ impl<S: Service> Reactor<S> {
             self.close_conn(token);
             return;
         }
-        if mask & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP) != 0 && !self.read_conn(token) {
+        if mask & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP) != 0
+            && !self.read_conn(token, mask & (sys::EPOLLRDHUP | sys::EPOLLHUP) != 0)
+        {
             return;
         }
         self.pump(token);
     }
 
-    /// Drain the socket into the machine until EAGAIN/EOF. `false` =
-    /// closed.
-    fn read_conn(&mut self, token: u64) -> bool {
+    /// Drain the socket into the machine: to a short read (it proves the
+    /// socket empty, and the next bytes raise a new edge), or to the EOF
+    /// once the client's FIN was seen (`hup`, sticky). `false` = closed.
+    fn read_conn(&mut self, token: u64, hup: bool) -> bool {
         let Some(conn) = self.slab.get_mut(token) else {
             return false;
         };
+        conn.hup |= hup;
         loop {
-            match conn.stream.read(conn.machine.input()) {
+            let input = conn.machine.input();
+            let offered = input.len();
+            match conn.stream.read(input) {
                 Ok(n) => {
                     conn.machine.filled(n);
-                    if n == 0 {
+                    if n == 0 || (n < offered && !conn.hup) {
                         return true;
                     }
                 }
@@ -880,7 +884,7 @@ impl<S: Service> Reactor<S> {
             };
             let parked = conn
                 .machine
-                .advance(&*self.svc, &mut self.ctx, conn.peer, Instant::now());
+                .advance(&*self.svc, &mut self.ctx, conn.peer, self.now);
             if let Some(served) = parked {
                 self.park(token, served);
             }
@@ -996,7 +1000,7 @@ impl<S: Service> Reactor<S> {
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.slab.remove(token) {
             let _ = self.ep.del(conn.stream.as_raw_fd());
-            self.shard_stats().conns.fetch_sub(1, Ordering::Relaxed);
+            self.shard_stats().conns.fetch_sub(1, Relaxed);
             // A relay feeding this client has nowhere to write: abort it
             // now instead of waiting for the upstream timeout wheel.
             if let Some(u) = conn.relay_up {
@@ -1012,9 +1016,7 @@ impl<S: Service> Reactor<S> {
     /// dial fresh. `client` is the parked client token (None for detached
     /// prefetch plans).
     fn start_upstream(&mut self, mut plan: UpstreamPlan, client: Option<u64>) {
-        self.shard_stats()
-            .upstream_inflight
-            .fetch_add(1, Ordering::Relaxed);
+        self.shard_stats().upstream_inflight.fetch_add(1, Relaxed);
         let request = std::mem::take(&mut plan.request);
         let response = ResponseMachine::new(plan.relay, plan.accept_push);
         let machine = ExchangeMachine::new(request, true, response, Instant::now());
@@ -1038,9 +1040,7 @@ impl<S: Service> Reactor<S> {
                 continue;
             };
             up.ex = Some(ex);
-            self.shard_stats()
-                .upstream_reuses
-                .fetch_add(1, Ordering::Relaxed);
+            self.shard_stats().upstream_reuses.fetch_add(1, Relaxed);
             // The single wheel entry created at dial time is still live
             // (lazy revalidation reschedules it for the life of the
             // connection), so no new entry here — duplicates would
@@ -1055,9 +1055,7 @@ impl<S: Service> Reactor<S> {
     /// failed dial is terminal — is finished at top level, never inside
     /// `pump`.
     fn dial_upstream(&mut self, ex: Exchange) {
-        self.shard_stats()
-            .upstream_dials
-            .fetch_add(1, Ordering::Relaxed);
+        self.shard_stats().upstream_dials.fetch_add(1, Relaxed);
         let Ok((stream, connected)) = dial_nonblocking(ex.plan.origin) else {
             self.deferred.push_back(Deferred::Failed(ex));
             return;
@@ -1068,6 +1066,7 @@ impl<S: Service> Reactor<S> {
             dialing: !connected,
             buf: vec![0; UPSTREAM_READ],
             last_active: Instant::now(),
+            hup: false,
             ex: Some(ex),
         };
         let utoken = self.upstreams.insert(up) | UPSTREAM_BIT;
@@ -1093,6 +1092,7 @@ impl<S: Service> Reactor<S> {
         let Some(up) = self.upstreams.get_mut(utoken & !UPSTREAM_BIT) else {
             return;
         };
+        up.hup |= mask & (sys::EPOLLRDHUP | sys::EPOLLHUP) != 0;
         if up.ex.is_none() {
             if mask & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) != 0 {
                 self.close_upstream(utoken);
@@ -1119,11 +1119,13 @@ impl<S: Service> Reactor<S> {
     /// Move bytes for the exchange machine: write what it has to write,
     /// then read into the connection's buffer (grown by
     /// [`grow_upstream_read`]) and hand it each read, until it is done or
-    /// the socket would block. An engaged machine writes straight into the
-    /// parked client's output buffer, and the read's span of payload it
-    /// forwarded in place is appended behind that; origin reads pause
-    /// while that client sits above the high-water mark. The end and every
-    /// failure route to settle/retry.
+    /// the socket is drained — by the rule and the sticky FIN of
+    /// [`read_conn`](Self::read_conn); a call that began the request reads
+    /// nothing, since nothing can answer it yet. An engaged machine
+    /// writes straight into the parked client's output buffer, and the
+    /// read's span of payload it forwarded in place is appended behind
+    /// that; origin reads pause while that client sits above the
+    /// high-water mark. The end and every failure route to settle/retry.
     fn drive_upstream(&mut self, utoken: u64) {
         enum Out {
             Wait,
@@ -1152,6 +1154,7 @@ impl<S: Service> Reactor<S> {
                 let machine = &mut ex.machine;
                 let mut client = ex.client.and_then(|t| slab.get_mut(t));
                 let mut verdict = Out::Wait;
+                let mut drained = machine.unsent() && !up.hup;
                 while !machine.to_write().is_empty() {
                     match up.stream.write(machine.to_write()) {
                         Ok(n) if n > 0 => machine.wrote(n),
@@ -1163,10 +1166,8 @@ impl<S: Service> Reactor<S> {
                         }
                     }
                 }
-                // Reading before the request is fully out is harmless and
-                // keeps ET armed. A buffering machine never touches its
-                // sink, so a detached (or orphaned) exchange lends it the
-                // spare one.
+                // A buffering machine never touches its sink, so a
+                // detached (or orphaned) exchange lends it the spare one.
                 while matches!(verdict, Out::Wait) {
                     if machine.engaged() {
                         let Some(conn) = client.as_mut() else {
@@ -1175,7 +1176,7 @@ impl<S: Service> Reactor<S> {
                         };
                         if conn.relay_up.is_none() {
                             conn.relay_up = Some(utoken);
-                            stats.relays.fetch_add(1, Ordering::Relaxed);
+                            stats.relays.fetch_add(1, Relaxed);
                         }
                         flush_client = ex.client;
                         backpressured = conn.machine.backlogged();
@@ -1188,9 +1189,13 @@ impl<S: Service> Reactor<S> {
                         // Slow reader: stop pulling from the origin until
                         // the client drains (the flush path re-drives this
                         // exchange).
-                        stats.relay_paused.fetch_add(1, Ordering::Relaxed);
+                        stats.relay_paused.fetch_add(1, Relaxed);
                         break;
                     }
+                    if drained {
+                        break;
+                    }
+                    let offered = up.buf.len();
                     let n = match up.stream.read(&mut up.buf) {
                         Ok(n) => n,
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -1208,6 +1213,7 @@ impl<S: Service> Reactor<S> {
                         Ok(_) => sink.extend_from_slice(&up.buf[machine.span()]),
                         Err(_) => verdict = Out::Error,
                     }
+                    drained = n < offered && !up.hup;
                     grow_upstream_read(&mut up.buf, n);
                 }
                 verdict
@@ -1307,9 +1313,7 @@ impl<S: Service> Reactor<S> {
                 (plan.finish)(&mut self.spare_scratch, &mut self.spare_out, outcome)
             }
         };
-        self.shard_stats()
-            .upstream_inflight
-            .fetch_sub(1, Ordering::Relaxed);
+        self.shard_stats().upstream_inflight.fetch_sub(1, Relaxed);
         // An `Err` can only end in a truncation: drain what is staged —
         // the client head and a strict prefix of the body — then close.
         if let Some(token) = client {
@@ -1442,6 +1446,7 @@ pub fn serve_reactor<S: Service>(
                 deferred: VecDeque::new(),
                 spare_scratch: ConnScratch::new(),
                 spare_out: Vec::new(),
+                now: Instant::now(),
             };
             std::thread::Builder::new()
                 .name(format!("{name}-reactor-{shard}"))
@@ -1490,6 +1495,7 @@ mod tests {
                 stream,
                 machine: ClientMachine::new(Instant::now()),
                 relay_up: None,
+                hup: false,
                 _guard: OpenGuard::new(&stats),
             }
         };

@@ -123,7 +123,8 @@ pub trait Service: Send + Sync + 'static {
         MAX_BODY
     }
 
-    /// Handle one parsed request. Serialize the response into `out`
+    /// Handle one parsed request of the batch that arrived at `now` (the
+    /// poller's one clock stamp for it). Serialize the response into `out`
     /// (append-only; earlier pipelined responses may precede it) and
     /// return [`Served::Inline`]; return [`Served::Upstream`] to have the
     /// poller drive an origin exchange; or return [`Served::Park`] to wait
@@ -132,10 +133,17 @@ pub trait Service: Send + Sync + 'static {
         &self,
         req: &Request,
         peer: SocketAddr,
+        now: Instant,
         ctx: &mut Self::Ctx,
         scratch: &mut ConnScratch,
         out: &mut Vec<u8>,
     ) -> io::Result<Served>;
+
+    /// The batch is handled and its responses are about to be written:
+    /// fold what it tallied in `ctx` into shared state. Called at the end
+    /// of every [`ClientMachine::advance`], so both pollers reach it
+    /// before they write.
+    fn end_batch(&self, _ctx: &mut Self::Ctx) {}
 }
 
 /// Bytes the request buffer grows by when a read finds it full.
@@ -253,10 +261,10 @@ impl ClientMachine {
                 }
                 // Garbage gets no answer, an oversized body its 413.
                 Err(_) => self.state = ClientState::Closing,
-                Ok(()) => {
+                Ok(keep) => {
                     self.req_start = None;
-                    let keep = self.req.keep_alive();
-                    let served = svc.handle(&self.req, peer, ctx, &mut self.scratch, &mut self.out);
+                    let (scratch, out) = (&mut self.scratch, &mut self.out);
+                    let served = svc.handle(&self.req, peer, now, ctx, scratch, out);
                     self.state = match served {
                         Ok(Served::Inline) if keep => ClientState::Ready,
                         Ok(Served::Inline) | Err(_) => ClientState::Closing,
@@ -268,6 +276,7 @@ impl ClientMachine {
                 }
             }
         }
+        svc.end_batch(ctx);
         if matches!(self.state, ClientState::Closing) {
             self.pos = self.end;
         }
@@ -286,20 +295,21 @@ impl ClientMachine {
         parked
     }
 
-    /// Parse the next buffered request under `cap`. A body over the cap
-    /// is the client's mistake, not a dead connection: its `413` is
-    /// staged before the error returns.
-    fn read_request(&mut self, cap: usize) -> Result<(), HttpError> {
+    /// Parse the next buffered request under `cap`, and say whether it
+    /// keeps the connection alive. A body over the cap is the client's
+    /// mistake, not a dead connection: its `413` is staged before the
+    /// error returns.
+    fn read_request(&mut self, cap: usize) -> Result<bool, HttpError> {
         let mut rest = &self.buf[self.pos..self.end];
         let read = self.req.read_into_capped(&mut rest, &mut self.scratch, cap);
         match &read {
-            Ok(()) => self.pos = self.end - rest.len(),
+            Ok(_) => self.pos = self.end - rest.len(),
             Err(e) if e.body_too_large() => Response::new(413)
                 .write_with(&mut self.out, &mut self.scratch)
                 .expect("writing to a Vec cannot fail"),
             Err(_) => {}
         }
-        read
+        read.map(|framing| framing.keep_alive(self.req.version))
     }
 
     /// Run a parked connection's continuation, woken by its [`Waker`].

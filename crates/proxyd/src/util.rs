@@ -24,7 +24,14 @@ impl Clock {
     }
 
     pub fn now(&self) -> Timestamp {
-        Timestamp::from_millis(self.start.elapsed().as_millis() as u64)
+        self.at(Instant::now())
+    }
+
+    /// The protocol time at `instant`, a clock reading the caller already
+    /// holds.
+    pub fn at(&self, instant: Instant) -> Timestamp {
+        let elapsed = instant.saturating_duration_since(self.start);
+        Timestamp::from_millis(elapsed.as_millis() as u64)
     }
 }
 

@@ -17,13 +17,15 @@
 
 use piggyback::core::types::{DurationMs, SourceId, Timestamp};
 use piggyback::core::volume::{write_volumes, ProbabilityVolumesBuilder, SamplingMode};
+use piggyback::httpwire::Response;
 use piggyback::proxyd::client::HttpClient;
 use piggyback::proxyd::origin::{start_origin, OnlineEpochConfig, OriginConfig, VolumeScheme};
 use piggyback::proxyd::proxy::{start_proxy, ProxyConfig};
 use piggyback::proxyd::{IoMode, METRICS_PATH};
 use piggyback::trace::synth::site::Site;
 use std::collections::BTreeSet;
-use std::net::SocketAddr;
+use std::io::{BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -182,6 +184,140 @@ fn scraped_metrics_conserve_under_concurrency() {
 
     proxy.stop();
     origin.stop();
+    done.store(true, Ordering::SeqCst);
+}
+
+/// Read `n` responses off one raw connection, in order.
+fn read_responses(stream: &TcpStream, n: usize) -> Vec<Response> {
+    let mut reader = BufReader::new(stream);
+    (0..n)
+        .map(|_| Response::read(&mut reader, false).unwrap())
+        .collect()
+}
+
+fn raw_get(path: &str) -> String {
+    format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n")
+}
+
+/// L1 hits are tallied where the poller serves them and folded into the
+/// shared state once per batch, before the batch's responses are written
+/// and before anything in it reads that state. On both engines: a scrape
+/// pipelined behind N hits counts all N; a later miss on another
+/// connection reports them upstream; at quiescence the counters and the
+/// latency histograms conserve; and a stored hit head never outlives its
+/// entry.
+#[test]
+fn hit_tally_folds_before_anything_reads_it() {
+    const N: usize = 8;
+    let done = watchdog(Duration::from_secs(60));
+    let mut engines = vec![IoMode::Threaded];
+    #[cfg(target_os = "linux")]
+    engines.push(IoMode::Reactor { reactors: 1 });
+    for io in engines {
+        let origin = start_origin(OriginConfig::default()).unwrap();
+        let (hot, other) = (origin.paths[0].clone(), origin.paths[1].clone());
+        let mut cfg = ProxyConfig::new(origin.addr());
+        cfg.io = io;
+        cfg.freshness = DurationMs::from_secs(3600);
+        let proxy = start_proxy(cfg).unwrap();
+
+        // A miss, then the locked hit that fills this connection's L1.
+        let mut a = TcpStream::connect(proxy.addr()).unwrap();
+        a.write_all(raw_get(&hot).as_bytes()).unwrap();
+        a.write_all(raw_get(&hot).as_bytes()).unwrap();
+        let warm = read_responses(&a, 2);
+        assert_eq!(warm[1].headers.get("X-Cache"), Some("HIT"), "{io:?}");
+        let mut burst = raw_get(&hot).repeat(N);
+        burst.push_str(&raw_get(METRICS_PATH));
+        a.write_all(burst.as_bytes()).unwrap();
+        let answers = read_responses(&a, N + 1);
+        for hit in &answers[..N] {
+            assert_eq!(hit.headers.get("X-Cache"), Some("HIT"), "{io:?}");
+            assert_eq!(hit.body, warm[0].body);
+        }
+        let text = String::from_utf8(answers[N].body.to_vec()).unwrap();
+        assert_eq!(
+            sample(&text, "pb_proxy_requests_total"),
+            2 + N as u64,
+            "{io:?}:\n{text}"
+        );
+        assert_eq!(
+            sample(&text, "pb_proxy_affine_hits_total"),
+            N as u64,
+            "{io:?}"
+        );
+        assert_eq!(
+            sample(
+                &text,
+                "pb_proxy_outcome_requests_total{outcome=\"fresh_hit\"}"
+            ),
+            1 + N as u64,
+            "{io:?}"
+        );
+
+        // The next request upstream, from another connection, reports
+        // every hit: one real fetch plus N + 1 reported accesses.
+        assert_eq!(origin.access_count(&hot), 1, "{io:?}");
+        let mut b = HttpClient::connect(proxy.addr()).unwrap();
+        assert_eq!(b.get(&other, &[]).unwrap().status, 200);
+        assert_eq!(origin.access_count(&hot), 2 + N as u64, "{io:?}");
+
+        let stats = proxy.stats();
+        assert_eq!(stats.requests, 3 + N as u64, "{io:?}");
+        assert_eq!(stats.outcomes(), stats.requests, "{io:?}: {stats:?}");
+        let text = scrape(proxy.addr());
+        assert_eq!(
+            sample_sum(&text, "pb_proxy_request_duration_seconds_count"),
+            sample(&text, "pb_proxy_requests_total"),
+            "{io:?}:\n{text}"
+        );
+        proxy.stop();
+        origin.stop();
+    }
+    done.store(true, Ordering::SeqCst);
+}
+
+/// A modified resource, once refetched, is served from the L1 with its new
+/// `Last-Modified`: the head stored in an entry dies with the entry.
+#[test]
+fn stored_hit_head_never_outlives_its_entry() {
+    let done = watchdog(Duration::from_secs(60));
+    let mut engines = vec![IoMode::Threaded];
+    #[cfg(target_os = "linux")]
+    engines.push(IoMode::Reactor { reactors: 1 });
+    for io in engines {
+        let origin = start_origin(OriginConfig::default()).unwrap();
+        let hot = origin.paths[0].clone();
+        let mut cfg = ProxyConfig::new(origin.addr());
+        cfg.io = io;
+        cfg.freshness = DurationMs::from_millis(400);
+        let proxy = start_proxy(cfg).unwrap();
+        let mut client = HttpClient::connect(proxy.addr()).unwrap();
+        let mut get = |path: &str| client.get(path, &[]).unwrap();
+        let lm = |r: &Response| r.headers.get("Last-Modified").unwrap().to_owned();
+
+        assert_eq!(get(&hot).headers.get("X-Cache"), Some("MISS"));
+        let old = get(&hot);
+        assert_eq!(old.headers.get("X-Cache"), Some("HIT"), "{io:?}");
+        assert_eq!(lm(&get(&hot)), lm(&old), "{io:?}: an L1 hit");
+        assert_eq!(get(&format!("/_pb/modify{hot}")).status, 204);
+        std::thread::sleep(Duration::from_millis(600));
+        let refetched = get(&hot);
+        assert_eq!(refetched.headers.get("X-Cache"), Some("MISS"), "{io:?}");
+        assert_ne!(lm(&refetched), lm(&old), "{io:?}: the origin's new date");
+        for _ in 0..3 {
+            let hit = get(&hot);
+            assert_eq!(hit.headers.get("X-Cache"), Some("HIT"), "{io:?}");
+            assert_eq!(lm(&hit), lm(&refetched), "{io:?}");
+        }
+        assert!(
+            proxy.stats().affine_hits >= 3,
+            "{io:?}: {:?}",
+            proxy.stats()
+        );
+        proxy.stop();
+        origin.stop();
+    }
     done.store(true, Ordering::SeqCst);
 }
 

@@ -97,6 +97,7 @@ impl Service for Echo {
         &self,
         req: &Request,
         _peer: SocketAddr,
+        _now: std::time::Instant,
         _ctx: &mut (),
         _scratch: &mut ConnScratch,
         out: &mut Vec<u8>,
@@ -197,6 +198,7 @@ impl Service for Big {
         &self,
         _req: &Request,
         _peer: SocketAddr,
+        _now: std::time::Instant,
         _ctx: &mut (),
         _scratch: &mut ConnScratch,
         out: &mut Vec<u8>,
@@ -255,6 +257,7 @@ impl Service for Parked {
         &self,
         req: &Request,
         _peer: SocketAddr,
+        _now: std::time::Instant,
         _ctx: &mut (),
         _scratch: &mut ConnScratch,
         out: &mut Vec<u8>,
@@ -373,6 +376,7 @@ impl Service for Fwd {
         &self,
         req: &Request,
         _peer: SocketAddr,
+        _now: std::time::Instant,
         _ctx: &mut (),
         _scratch: &mut ConnScratch,
         _out: &mut Vec<u8>,

@@ -1039,6 +1039,7 @@ impl Service for Fake {
         &self,
         req: &Request,
         peer: SocketAddr,
+        _now: Instant,
         ctx: &mut Vec<String>,
         _scratch: &mut ConnScratch,
         out: &mut Vec<u8>,
@@ -1732,6 +1733,108 @@ proptest! {
         section.extend_from_slice(b"\r\n");
         check_trailers(&section);
         check_trailers(&noise);
+    }
+}
+
+/// Field names that frame a request, in the cases a client may send them,
+/// and two that only look alike.
+const FRAMING_NAMES: [&str; 9] = [
+    "Connection",
+    "connection",
+    "CoNNection",
+    "Transfer-Encoding",
+    "transfer-encoding",
+    "Content-Length",
+    "CONTENT-LENGTH",
+    "Keep-Alive",
+    "X-Connection",
+];
+const FRAMING_VALUES: [&str; 24] = [
+    "close",
+    "Close",
+    "keep-alive",
+    "KEEP-ALIVE",
+    "keep-alive, close",
+    "TE, close",
+    " upgrade ,Keep-Alive ",
+    "x, ,close,",
+    "closed",
+    "chunked",
+    "gzip, chunked",
+    "chunked, gzip",
+    "Chunked",
+    "gzip",
+    "notchunked",
+    "0",
+    "4",
+    "007",
+    "-1",
+    "abc",
+    "4 4",
+    "67108864",
+    "67108865",
+    "99999999999999999999",
+];
+
+/// A request head of framing fields: `Connection` in mixed case and
+/// repeated, `Transfer-Encoding` lists, duplicate and malformed
+/// `Content-Length`, under HTTP/1.0 or 1.1.
+fn arb_framing_head() -> impl Strategy<Value = (bool, Vec<u8>)> {
+    (
+        any::<bool>(),
+        proptest::collection::vec(
+            (
+                0..FRAMING_NAMES.len(),
+                0..FRAMING_VALUES.len(),
+                0..PADS.len(),
+            ),
+            0..7,
+        ),
+    )
+        .prop_map(|(http10, fields)| {
+            let version = if http10 { "HTTP/1.0" } else { "HTTP/1.1" };
+            let mut wire = format!("GET /f {version}\r\nHost: t\r\n");
+            for (name, value, pad) in fields {
+                let (name, pad) = (FRAMING_NAMES[name], PADS[pad]);
+                wire.push_str(&format!("{name}:{pad}{}{pad}\r\n", FRAMING_VALUES[value]));
+            }
+            wire.push_str("\r\n");
+            (http10, wire.into_bytes())
+        })
+}
+
+proptest! {
+    /// What the field pass records equals what the map-scanning accessors
+    /// compute on the map it parsed, and `read_into_capped` hands back
+    /// exactly that record.
+    #[test]
+    fn field_pass_framing_matches_the_map((http10, wire) in arb_framing_head()) {
+        use piggyback::httpwire::parse::{content_length, read_request_fields_into};
+        use piggyback::httpwire::Version;
+        let fields = &wire[wire.iter().position(|&b| b == b'\n').unwrap() + 1..];
+        let (mut map, mut line) = (HeaderMap::new(), Vec::new());
+        let framing = read_request_fields_into(&mut BufReader::new(fields), &mut map, &mut line)
+            .unwrap();
+        prop_assert_eq!(framing.chunked, map.list_contains("Transfer-Encoding", "chunked"));
+        prop_assert_eq!(framing.close, map.list_contains("Connection", "close"));
+        prop_assert_eq!(framing.keep_alive_token, map.list_contains("Connection", "keep-alive"));
+        prop_assert_eq!(
+            format!("{:?}", framing.content_length()),
+            format!("{:?}", content_length(&map))
+        );
+        let mut req = Request::new("GET", "/f");
+        req.version = if http10 { Version::Http10 } else { Version::Http11 };
+        req.headers = map;
+        prop_assert_eq!(framing.keep_alive(req.version), req.keep_alive());
+
+        let mut read = Request::empty();
+        let mut scratch = ConnScratch::new();
+        // A declared or chunked body that never arrives fails the read;
+        // a head that frames none hands back the record.
+        if let Ok(got) = read.read_into_capped(&mut &wire[..], &mut scratch, 1 << 20) {
+            prop_assert_eq!(got, framing);
+            prop_assert_eq!(&read.headers, &req.headers);
+        }
     }
 }
 

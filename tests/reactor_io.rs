@@ -697,3 +697,123 @@ fn reactor_relay_backpressure_pauses_for_slow_readers() {
     assert_eq!(s.outcomes(), s.requests, "{s:?}");
     proxy.stop();
 }
+
+// Reactor reads stop at a short read, unless the peer's FIN was seen.
+
+/// Hold a socket's segments until it is shut down, so the FIN rides in
+/// the last data segment and the peer sees bytes and FIN in one event
+/// (Linux `TCP_CORK`).
+fn cork(stream: &TcpStream) {
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
+    }
+    const IPPROTO_TCP: i32 = 6;
+    const TCP_CORK: i32 = 3;
+    let one: i32 = 1;
+    let fd = std::os::unix::io::AsRawFd::as_raw_fd(stream);
+    // SAFETY: a plain `int` option on a live socket.
+    let rc = unsafe {
+        setsockopt(
+            fd,
+            IPPROTO_TCP,
+            TCP_CORK,
+            &one as *const i32 as *const u8,
+            4,
+        )
+    };
+    assert_eq!(rc, 0, "TCP_CORK");
+}
+
+/// A proxy whose upstream and idle deadlines are far beyond what either
+/// lane below may take: a read that missed an EOF shows as a wait on one.
+fn patient_reactor_proxy(origin: SocketAddr) -> ProxyHandle {
+    let mut cfg = ProxyConfig::new(origin);
+    cfg.io = REACTOR;
+    cfg.filter = ProxyFilter::builder().max_piggy(0).build();
+    cfg.rpv = None;
+    cfg.report_hits = false;
+    cfg.upstream_timeout = Duration::from_secs(20);
+    cfg.reactor_idle_timeout = Duration::from_secs(20);
+    start_proxy(cfg).unwrap()
+}
+
+/// The origin writes a close-delimited response and its FIN together: the
+/// FIN raises no edge of its own after the read that took the bytes, so
+/// the reactor must read on to the EOF that ends the response.
+#[test]
+fn reactor_reads_a_close_delimited_response_to_its_fin() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { break };
+            let mut head = Vec::new();
+            let mut byte = [0u8; 1];
+            while !head.ends_with(b"\r\n\r\n") && stream.read(&mut byte).unwrap_or(0) == 1 {
+                head.push(byte[0]);
+            }
+            cork(&stream);
+            let _ = stream.write_all(
+                b"HTTP/1.1 200 OK\r\nLast-Modified: Thu, 01 Jan 1970 00:00:00 GMT\r\n\
+                  Connection: close\r\n\r\nclose-delimited body",
+            );
+            // The FIN rides in the segment with the bytes.
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+        }
+    });
+    let proxy = patient_reactor_proxy(addr);
+    let start = Instant::now();
+    for path in ["/one", "/two"] {
+        let mut client = HttpClient::connect(proxy.addr()).unwrap();
+        let resp = client.get(path, &[]).unwrap();
+        assert_eq!(resp.status, 200, "{path}");
+        assert_eq!(resp.body.as_slice(), b"close-delimited body");
+    }
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "waited {:?}: the origin's FIN was missed",
+        start.elapsed()
+    );
+    assert_eq!(proxy.stats().upstream_errors, 0);
+    proxy.stop();
+}
+
+/// A client pipelines requests and half-closes: every answer comes back,
+/// then the close, long before the idle deadline.
+#[test]
+fn reactor_answers_a_half_closed_pipeline_then_closes() {
+    let origin = start_origin(OriginConfig::default()).unwrap();
+    let proxy = patient_reactor_proxy(origin.addr());
+    let paths: Vec<String> = origin.paths.iter().take(3).cloned().collect();
+    let mut burst = Vec::new();
+    for path in paths.iter().chain(&paths) {
+        burst.extend_from_slice(&get_bytes(path));
+    }
+    let start = Instant::now();
+    let mut stream = TcpStream::connect(proxy.addr()).unwrap();
+    // Registered before the bytes come, so they and the FIN arrive as one
+    // edge on a connection the reactor already watches.
+    std::thread::sleep(Duration::from_millis(50));
+    cork(&stream);
+    stream.write_all(&burst).unwrap();
+    // The FIN rides in the segment with the requests.
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut carry = Vec::new();
+    for _ in 0..2 * paths.len() {
+        let resp = read_framed(&mut stream, &mut carry);
+        assert!(resp.starts_with(b"HTTP/1.1 200 OK\r\n"));
+    }
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).unwrap();
+    assert!(
+        rest.is_empty() && carry.is_empty(),
+        "nothing behind the answers"
+    );
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "closed after {:?}: the client's FIN was missed",
+        start.elapsed()
+    );
+    proxy.stop();
+    origin.stop();
+}
