@@ -365,12 +365,14 @@ struct ProxySvc {
 /// revalidated by the cache's global
 /// [`mutation_epoch`](piggyback_webcache::ShardedCache::mutation_epoch)
 /// so a repeat hit costs zero shard-lock acquisitions while the cache is
-/// quiescent. An entry is serveable only while (a) the mutation epoch
-/// still equals the epoch certified around the locked lookup that filled
-/// it, and (b) the entry is still fresh at its batch's arrival (the
-/// poller's clock stamp, so the hit reads no clock). Any cache
-/// mutation anywhere invalidates the whole L1 — conservative, but what
-/// makes the shortcut correct without per-entry coherence.
+/// quiescent. Every entry was filled under one epoch, certified around the
+/// locked lookup that filled it, and the first request that finds the
+/// cache's epoch moved clears the map, so the bodies it holds are ones
+/// the cache held at that epoch. An entry is serveable while it is still fresh
+/// at its batch's arrival (the poller's clock stamp, so the hit reads no
+/// clock). Any cache mutation anywhere invalidates the whole L1 —
+/// conservative, but what makes the shortcut correct without per-entry
+/// coherence.
 ///
 /// Accepted divergence from the locked path: an L1 hit does not touch LRU
 /// recency (the filling lookup already did, and eviction order is not
@@ -378,8 +380,11 @@ struct ProxySvc {
 ///
 /// An L1 hit writes only this poller-local memory: its head is stored in
 /// the entry, and its accounting goes to the [`HitTally`].
+#[derive(Default)]
 pub(crate) struct ProxyCtx {
     l1: HashMap<String, L1Hit>,
+    /// The mutation epoch every entry of `l1` was filled under.
+    epoch: u64,
     tally: HitTally,
 }
 
@@ -388,7 +393,6 @@ struct L1Hit {
     body: Body,
     r: ResourceId,
     expires: Timestamp,
-    epoch: u64,
 }
 
 /// What L1 hits owe the shared state, held where the poller serves them:
@@ -467,10 +471,7 @@ impl Service for ProxySvc {
     type Ctx = ProxyCtx;
 
     fn make_ctx(&self) -> ProxyCtx {
-        ProxyCtx {
-            l1: HashMap::new(),
-            tally: HitTally::default(),
-        }
+        ProxyCtx::default()
     }
 
     fn body_cap(&self) -> usize {
@@ -492,11 +493,17 @@ impl Service for ProxySvc {
     ) -> io::Result<Served> {
         let shared = &self.shared;
         let path = strip_origin_form(&req.target);
+        // A mutation since the fill invalidates every entry: drop their
+        // bodies now, not when the map next reaches its cap.
+        let epoch = shared.cache.mutation_epoch();
+        if std::mem::replace(&mut ctx.epoch, epoch) != epoch {
+            ctx.l1.clear();
+        }
         if let Some(hit) = ctx.l1.get(path).filter(|_| req.method == "GET") {
-            // Serveable while nothing mutated since the fill and still
-            // fresh at the batch's arrival; otherwise the locked path
-            // decides (and counts the validation).
-            if hit.epoch == shared.cache.mutation_epoch() && shared.clock.at(now) < hit.expires {
+            // Serveable while still fresh at the batch's arrival;
+            // otherwise the locked path decides (and counts the
+            // validation).
+            if shared.clock.at(now) < hit.expires {
                 if ctx.tally.reports.len() == TALLY_REPORTS {
                     shared.fold(&mut ctx.tally);
                 }
@@ -509,7 +516,6 @@ impl Service for ProxySvc {
         }
         // The scrape and the report drain read what the tally owes.
         shared.fold(&mut ctx.tally);
-        let epoch = shared.cache.mutation_epoch();
         match plan_request(req, shared, peer, now) {
             Step::Reply(Reply::Hit(r, snap, body)) => {
                 let head = HitHead::append(out, snap.last_modified, body.len());
@@ -525,7 +531,6 @@ impl Service for ProxySvc {
                         body,
                         r,
                         expires: snap.expires,
-                        epoch,
                     };
                     ctx.l1.insert(path.to_owned(), hit);
                 }
@@ -969,6 +974,41 @@ mod tests {
             cached_response(&body, lm, "HIT").write(&mut seed).unwrap();
             assert_eq!(fast, seed, "body len {}", body.len());
         }
+    }
+
+    #[test]
+    fn affine_l1_keeps_entries_of_one_epoch_only() {
+        let origin = start_origin(OriginConfig::default()).unwrap();
+        let proxy = start_proxy(ProxyConfig::new(origin.addr())).unwrap();
+        let paths = &origin.paths[..9];
+        for p in &paths[..8] {
+            assert_eq!(get(proxy.addr(), p).headers.get("X-Cache"), Some("MISS"));
+        }
+        let svc = ProxySvc {
+            shared: Arc::clone(&proxy.shared),
+        };
+        let (mut ctx, mut scratch) = (svc.make_ctx(), ConnScratch::new());
+        let peer: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let mut serve = |ctx: &mut ProxyCtx, path: &str| {
+            let req = Request::new("GET", path);
+            let mut out = Vec::new();
+            let served = svc.handle(&req, peer, Instant::now(), ctx, &mut scratch, &mut out);
+            assert!(matches!(served, Ok(Served::Inline)), "{path} is a hit");
+        };
+        for p in &paths[..8] {
+            serve(&mut ctx, p);
+        }
+        assert_eq!(ctx.l1.len(), 8, "every locked hit fills the L1");
+        // A miss stores a ninth page: the cache's epoch moves.
+        assert_eq!(
+            get(proxy.addr(), &paths[8]).headers.get("X-Cache"),
+            Some("MISS")
+        );
+        serve(&mut ctx, &paths[0]);
+        let kept: Vec<&String> = ctx.l1.keys().collect();
+        assert_eq!(kept, [&paths[0]], "no entry filled before the mutation");
+        proxy.stop();
+        origin.stop();
     }
 
     #[test]

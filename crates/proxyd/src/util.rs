@@ -2,10 +2,11 @@
 //! lifecycle, I/O-mode selection, and deterministic body synthesis.
 
 use piggyback_core::types::{SourceId, Timestamp};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -124,8 +125,10 @@ impl Drop for OpenGuard {
 /// Sizing for the bounded accept/worker model.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// Worker threads draining accepted connections. Persistent
-    /// (keep-alive) connections pin a worker for their lifetime, so size
+    /// The most worker threads draining accepted connections. Workers
+    /// start on demand, one only when a connection arrives and none is
+    /// idle, so this caps the pool rather than sizing it. Persistent
+    /// (keep-alive) connections pin a worker for their lifetime, so set
     /// this above the expected concurrent-connection count.
     pub workers: usize,
     /// Accepted connections waiting for a worker. When full, new
@@ -142,64 +145,105 @@ impl Default for ServeOptions {
     }
 }
 
-/// The bounded handoff between the accept loop and the workers.
+/// The bounded handoff between the accept loop and the workers. Workers
+/// start on demand, up to one per `wake` slot, and an idle one waits on
+/// its own condvar on a stack, so a connection goes to the worker that
+/// went idle last: the one whose stack, allocator arena and caches are
+/// warm. A worker deeper in the stack runs again only when that many
+/// connections are open at once, so a server that sees few at a time
+/// keeps few threads' memory resident.
 struct WorkQueue {
-    inner: std::sync::Mutex<WorkQueueInner>,
-    ready: std::sync::Condvar,
+    inner: Mutex<WorkQueueInner>,
+    /// One per worker, indexed as its name is.
+    wake: Box<[Condvar]>,
     capacity: usize,
+    name: &'static str,
+    handler: Arc<dyn Fn(TcpStream) + Send + Sync>,
 }
 
 struct WorkQueueInner {
-    conns: std::collections::VecDeque<(TcpStream, OpenGuard)>,
+    conns: VecDeque<(TcpStream, OpenGuard)>,
+    /// Idle workers, the most recently idle on top.
+    idle: Vec<usize>,
+    /// Workers running; the next one started is `{name}-worker-{started}`.
+    started: usize,
     shutdown: bool,
 }
 
 impl WorkQueue {
-    fn new(capacity: usize) -> Self {
-        WorkQueue {
-            inner: std::sync::Mutex::new(WorkQueueInner {
-                conns: std::collections::VecDeque::new(),
-                shutdown: false,
-            }),
-            ready: std::sync::Condvar::new(),
-            capacity,
-        }
+    fn lock(&self) -> MutexGuard<'_, WorkQueueInner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Enqueue an accepted connection; `false` (connection dropped by the
-    /// caller) when the queue is full or shutting down.
-    fn push(&self, stream: TcpStream, guard: OpenGuard) -> bool {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+    /// Enqueue an accepted connection and wake the most recently idle
+    /// worker for it, or start one while fewer than the cap run; `false`
+    /// (connection dropped by the caller) when the queue is full, no
+    /// worker runs, or the pool is shutting down.
+    fn push(self: &Arc<Self>, stream: TcpStream, guard: OpenGuard) -> bool {
+        let mut inner = self.lock();
         if inner.shutdown || inner.conns.len() >= self.capacity {
             return false;
         }
+        match inner.idle.pop() {
+            Some(i) => self.wake[i].notify_one(),
+            // A worker that fails to start is not counted, so the next
+            // connection tries again.
+            None if inner.started < self.wake.len() && self.start(inner.started).is_ok() => {
+                inner.started += 1;
+            }
+            None if inner.started == 0 => return false,
+            None => {}
+        }
         inner.conns.push_back((stream, guard));
-        drop(inner);
-        self.ready.notify_one();
         true
     }
 
-    /// Blocking pop; `None` once shutdown is signalled and the queue
-    /// drained.
-    fn pop(&self) -> Option<(TcpStream, OpenGuard)> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+    /// Start worker `i`. Workers are detached: they exit on the queue's
+    /// shutdown signal (or with the process), and stop() must not wait on
+    /// one pinned by a client that holds its connection open.
+    fn start(self: &Arc<Self>, i: usize) -> io::Result<()> {
+        let queue = Arc::clone(self);
+        std::thread::Builder::new()
+            .name(format!("{}-worker-{i}", self.name))
+            .spawn(move || {
+                let mut done = None;
+                while let Some((stream, guard)) = queue.pop(i, done.take()) {
+                    (queue.handler)(stream);
+                    done = Some(guard);
+                }
+            })
+            .map(drop)
+    }
+
+    /// Blocking pop for worker `i`, whose last connection `done` counted;
+    /// `None` once shutdown is signalled. A worker with nothing to take
+    /// goes on the idle stack before `done` stops counting as open, so a
+    /// connection accepted after the gauge falls finds it there.
+    fn pop(&self, i: usize, mut done: Option<OpenGuard>) -> Option<(TcpStream, OpenGuard)> {
+        let mut inner = self.lock();
         loop {
-            if let Some(s) = inner.conns.pop_front() {
-                return Some(s);
+            if let Some(conn) = inner.conns.pop_front() {
+                return Some(conn);
             }
             if inner.shutdown {
                 return None;
             }
-            inner = self.ready.wait(inner).unwrap_or_else(|e| e.into_inner());
+            // After a spurious wakeup the worker is still on the stack.
+            if !inner.idle.contains(&i) {
+                inner.idle.push(i);
+            }
+            drop(done.take());
+            inner = self.wake[i].wait(inner).unwrap_or_else(|e| e.into_inner());
         }
     }
 
     fn shutdown(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.lock();
         inner.shutdown = true;
         inner.conns.clear();
-        drop(inner);
-        self.ready.notify_all();
+        for i in std::mem::take(&mut inner.idle) {
+            self.wake[i].notify_one();
+        }
     }
 }
 
@@ -307,10 +351,13 @@ fn is_fd_exhaustion(e: &io::Error) -> bool {
 }
 
 /// Bind `127.0.0.1:port` (0 = ephemeral) and dispatch connections to a
-/// bounded worker pool: `opts.workers` threads pull accepted connections
-/// from a queue of at most `opts.queue_depth`. Unlike thread-per-connection
-/// this caps both thread count and backlog memory, so an accept storm
-/// degrades by shedding connections instead of exhausting the process.
+/// bounded worker pool: at most `opts.workers` threads, started on demand,
+/// pull accepted connections from a queue of at most `opts.queue_depth`,
+/// and the most recently idle worker takes the next one. Unlike
+/// thread-per-connection this caps both thread count and backlog memory,
+/// so an accept storm degrades by shedding connections instead of
+/// exhausting the process; and a server that sees few connections at once
+/// runs few threads.
 ///
 /// Transient accept errors are survivable by design: ECONNABORTED and
 /// friends retry immediately, fd exhaustion (EMFILE/ENFILE) sleeps with
@@ -330,24 +377,18 @@ where
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
-    let handler = Arc::new(handler);
-    let queue = Arc::new(WorkQueue::new(opts.queue_depth.max(1)));
-
-    for i in 0..opts.workers.max(1) {
-        let queue = Arc::clone(&queue);
-        let handler = Arc::clone(&handler);
-        // Workers are detached: they die with the queue's shutdown signal
-        // (or the process), and stop() must not wait on one pinned by a
-        // client that holds its connection open.
-        std::thread::Builder::new()
-            .name(format!("{name}-worker-{i}"))
-            .spawn(move || {
-                while let Some((stream, guard)) = queue.pop() {
-                    handler(stream);
-                    drop(guard);
-                }
-            })?;
-    }
+    let queue = Arc::new(WorkQueue {
+        inner: Mutex::new(WorkQueueInner {
+            conns: VecDeque::new(),
+            idle: Vec::new(),
+            started: 0,
+            shutdown: false,
+        }),
+        wake: (0..opts.workers.max(1)).map(|_| Condvar::new()).collect(),
+        capacity: opts.queue_depth.max(1),
+        name,
+        handler: Arc::new(handler),
+    });
 
     let queue2 = Arc::clone(&queue);
     let stats2 = Arc::clone(&stats);
@@ -601,8 +642,103 @@ mod tests {
         handle.stop();
     }
 
+    /// An echo handler that records the name of each worker it ran on.
+    fn naming_echo() -> (
+        Arc<Mutex<Vec<String>>>,
+        impl Fn(TcpStream) + Send + Sync + 'static,
+    ) {
+        let names = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&names);
+        let echo = move |mut s: TcpStream| {
+            let name = std::thread::current().name().unwrap_or("").to_owned();
+            seen.lock().unwrap().push(name);
+            let mut buf = [0u8; 5];
+            let _ = s.read_exact(&mut buf);
+            let _ = s.write_all(&buf);
+        };
+        (names, echo)
+    }
+
+    fn distinct(names: &Mutex<Vec<String>>) -> Vec<String> {
+        let mut names = names.lock().unwrap().clone();
+        names.sort();
+        names.dedup();
+        names
+    }
+
+    fn wait_until_closed(stats: &IoStats) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while stats.open_connections() != 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(stats.open_connections(), 0);
+    }
+
+    fn echo_once(addr: SocketAddr) {
+        let mut c = TcpStream::connect(addr).unwrap();
+        c.write_all(b"hello").unwrap();
+        let mut back = [0u8; 5];
+        c.read_exact(&mut back).unwrap();
+        assert_eq!(&back, b"hello");
+    }
+
+    #[test]
+    fn serial_connections_are_served_by_one_worker() {
+        let (names, echo) = naming_echo();
+        let handle = serve(0, "serial", echo).unwrap();
+        for _ in 0..20 {
+            // The worker is back on the idle stack once the gauge falls.
+            wait_until_closed(handle.io_stats());
+            echo_once(handle.addr);
+        }
+        assert_eq!(names.lock().unwrap().len(), 20);
+        assert_eq!(distinct(&names), ["serial-worker-0"]);
+        handle.stop();
+    }
+
+    #[test]
+    fn stop_with_idle_and_unstarted_workers_returns_promptly() {
+        let (_, echo) = naming_echo();
+        // Dropped once the accept loop and every worker have exited.
+        let alive = Arc::new(());
+        let held = Arc::clone(&alive);
+        let handle = serve_with(
+            0,
+            "idle-stop",
+            ServeOptions {
+                workers: 8,
+                queue_depth: 8,
+            },
+            move |s| {
+                let _held = &held;
+                echo(s)
+            },
+        )
+        .unwrap();
+        echo_once(handle.addr);
+        wait_until_closed(handle.io_stats());
+        let begun = Instant::now();
+        handle.stop();
+        assert!(
+            begun.elapsed() < Duration::from_secs(2),
+            "{:?}",
+            begun.elapsed()
+        );
+        // The one idle worker woke and exited; the seven never started.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while Arc::strong_count(&alive) > 1 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            Arc::strong_count(&alive),
+            1,
+            "an idle worker outlived stop()"
+        );
+    }
+
     #[test]
     fn worker_pool_serves_more_connections_than_workers() {
+        let (names, echo) = naming_echo();
         let handle = serve_with(
             0,
             "par-echo",
@@ -610,11 +746,7 @@ mod tests {
                 workers: 4,
                 queue_depth: 64,
             },
-            |mut s| {
-                let mut buf = [0u8; 5];
-                let _ = s.read_exact(&mut buf);
-                let _ = s.write_all(&buf);
-            },
+            echo,
         )
         .unwrap();
         let addr = handle.addr;
@@ -632,6 +764,9 @@ mod tests {
         for c in clients {
             c.join().expect("every connection must be served");
         }
+        assert_eq!(names.lock().unwrap().len(), 16);
+        let workers = distinct(&names);
+        assert!(workers.len() <= 4, "more workers than the cap: {workers:?}");
         handle.stop();
     }
 
