@@ -23,9 +23,11 @@
 //! **RSS cells** spawn a real `pb-proxy` child per (arm, object size) —
 //! 256 KiB, 1 MiB, 8 MiB — drive a two-pass workload over six distinct
 //! objects, and read the child's `VmHWM` from `/proc/<pid>/status`
-//! (`ext_large_rss_<arm>_<size>`). Gate: the streaming proxy's peak RSS
-//! is flat in object size (it never materializes a whole object), while
-//! the buffered proxy's grows with what it caches.
+//! (`ext_large_rss_<arm>_<size>`; the prefix arm also on the reactor
+//! engine, `ext_large_rss_prefix_reactor_<size>`). Gate: the streaming
+//! proxy's peak RSS is flat in object size on either engine (it never
+//! materializes a whole object), while the buffered proxy's grows with
+//! what it caches.
 //!
 //! **Identity cell** (`ext_large_identity`): the same object fetched
 //! twice through buffered/streaming x threaded/reactor proxies on a
@@ -317,15 +319,17 @@ fn vm_hwm_kb(pid: u32) -> Option<u64> {
         .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse().ok())
 }
 
-/// Spawn a pb-proxy child for `arm`, drive two passes over `RSS_OBJECTS`
-/// distinct objects of `size` bytes, and return (child peak RSS KiB,
-/// wall). The first pass is all misses; the second exercises whichever
-/// repeat lane the arm has (whole-body hits when buffered, prefix hits
-/// when streaming).
-fn rss_cell(origin: SocketAddr, arm: Arm, size: usize) -> (u64, Duration) {
+/// Spawn a pb-proxy child for `arm` on the `io` engine, drive two passes
+/// over `RSS_OBJECTS` distinct objects of `size` bytes, and return (child
+/// peak RSS KiB, wall). The first pass is all misses; the second
+/// exercises whichever repeat lane the arm has (whole-body hits when
+/// buffered, prefix hits when streaming).
+fn rss_cell(origin: SocketAddr, arm: Arm, io: &str, size: usize) -> (u64, Duration) {
     use std::process::{Command, Stdio};
     let mut child = Command::new(pb_proxy_bin())
         .args([
+            "--io",
+            io,
             "--origin",
             &origin.to_string(),
             "--port",
@@ -508,29 +512,40 @@ fn main() {
     ];
     let mut rss_rows = Vec::new();
     let mut rss_of = std::collections::HashMap::new();
-    for arm in [ARMS[0], ARMS[2]] {
+    // The buffered and prefix arms on threaded, and the prefix arm on the
+    // reactor too: each engine's relay answers to the flatness gate.
+    let rows = [
+        (ARMS[0].name, ARMS[0], "threaded"),
+        (ARMS[2].name, ARMS[2], "threaded"),
+        ("prefix_reactor", ARMS[2], "reactor"),
+    ];
+    for (row, arm, io) in rows {
         for (tag, size) in sizes {
-            let (rss_kb, wall) = rss_cell(rss_origin, arm, size);
-            let id = format!("ext_large_rss_{}_{tag}", arm.name);
+            let (rss_kb, wall) = rss_cell(rss_origin, arm, io, size);
+            let id = format!("ext_large_rss_{row}_{tag}");
             record_cell_rss(&id, wall, rss_kb);
             rss_rows.push(vec![
                 id,
                 format!("{rss_kb}"),
                 format!("{}", wall.as_millis()),
             ]);
-            rss_of.insert((arm.name, tag), rss_kb);
+            rss_of.insert((row, tag), rss_kb);
         }
     }
     println!();
     print_table(&["cell", "peak_rss_kb", "wall_ms"], &rss_rows);
-    let streaming_growth = rss_of[&("prefix", "8m")].saturating_sub(rss_of[&("prefix", "256k")]);
-    // Flat = never materializes even one max-size object.
-    if streaming_growth >= (LARGE_MAX_BYTES / 1024) as u64 {
-        eprintln!(
-            "FAIL: streaming proxy RSS grew {streaming_growth} KiB from 256 KiB to 8 MiB \
-             objects — the relay is materializing bodies"
-        );
-        std::process::exit(1);
+    let mut growths = Vec::new();
+    for row in ["prefix", "prefix_reactor"] {
+        let growth = rss_of[&(row, "8m")].saturating_sub(rss_of[&(row, "256k")]);
+        // Flat = never materializes even one max-size object.
+        if growth >= (LARGE_MAX_BYTES / 1024) as u64 {
+            eprintln!(
+                "FAIL: streaming proxy ({row}) RSS grew {growth} KiB from 256 KiB to 8 MiB \
+                 objects — the relay is materializing bodies"
+            );
+            std::process::exit(1);
+        }
+        growths.push(format!("{row} {growth} KiB"));
     }
     if rss_of[&("buffered", "8m")] <= rss_of[&("prefix", "8m")] {
         eprintln!(
@@ -541,8 +556,9 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "rss gate: streaming growth 256k->8m = {streaming_growth} KiB (flat); \
+        "rss gate: streaming growth 256k->8m = {} (flat); \
          buffered 8m = {} KiB vs streaming 8m = {} KiB",
+        growths.join(", "),
         rss_of[&("buffered", "8m")],
         rss_of[&("prefix", "8m")]
     );

@@ -444,9 +444,9 @@ struct Conn {
     stream: TcpStream,
     peer: SocketAddr,
     machine: ClientMachine,
-    /// Upstream token of a streaming relay feeding this connection's
-    /// output. When the output drains below the high-water mark, the
-    /// flush path re-drives that upstream (backpressure release).
+    /// Upstream token of a streaming relay writing through to this
+    /// connection. It pauses its origin reads while the client is owed
+    /// anything; a flush that empties the output re-drives it.
     relay_up: Option<u64>,
     /// The client's FIN was seen: reads go on to the EOF, since a FIN
     /// that came with the last bytes raises no edge of its own.
@@ -901,9 +901,9 @@ impl<S: Service> Reactor<S> {
                 continue;
             }
             // A relay paused on this client's backpressure resumes the
-            // moment a flush frees output capacity (the client is parked,
-            // so this is disjoint from `can_advance`).
-            if let Some(u) = conn.relay_up.filter(|_| !conn.machine.backlogged()) {
+            // moment a flush has emptied the output (the client is
+            // parked, so this is disjoint from `can_advance`).
+            if let Some(u) = conn.relay_up.filter(|_| conn.machine.output().is_empty()) {
                 self.drive_upstream(u);
             }
             return;
@@ -916,15 +916,7 @@ impl<S: Service> Reactor<S> {
         let Some(conn) = self.slab.get_mut(token) else {
             return true;
         };
-        let mut broken = false;
-        while !broken && !conn.machine.output().is_empty() {
-            match conn.stream.write(conn.machine.output()) {
-                Ok(n) if n > 0 => conn.machine.wrote(n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                _ => broken = true,
-            }
-        }
+        let broken = conn.machine.write_through(&mut conn.stream, &[]).is_err();
         let close = broken || conn.machine.done();
         if close {
             self.close_conn(token);
@@ -1122,10 +1114,12 @@ impl<S: Service> Reactor<S> {
     /// the socket is drained — by the rule and the sticky FIN of
     /// [`read_conn`](Self::read_conn); a call that began the request reads
     /// nothing, since nothing can answer it yet. An engaged machine
-    /// writes straight into the parked client's output buffer, and the
-    /// read's span of payload it forwarded in place is appended behind
-    /// that; origin reads pause while that client sits above the
-    /// high-water mark. The end and every failure route to settle/retry.
+    /// stages client bytes in the parked client's output, and each read
+    /// leaves at once behind them with its span of payload forwarded in
+    /// place, in one vectored write
+    /// ([`write_through`](ClientMachine::write_through)); origin reads
+    /// pause while the client is owed anything. The end and every failure
+    /// route to settle/retry.
     fn drive_upstream(&mut self, utoken: u64) {
         enum Out {
             Wait,
@@ -1133,10 +1127,11 @@ impl<S: Service> Reactor<S> {
             /// The response ended, or the parked client of a relay
             /// vanished (terminal, never retried).
             Settle,
+            /// A write to the parked client failed: closing it settles
+            /// the relay it fed.
+            Broken(u64),
         }
         loop {
-            let mut flush_client = None;
-            let mut backpressured = false;
             let out = {
                 let Reactor {
                     upstreams,
@@ -1178,18 +1173,16 @@ impl<S: Service> Reactor<S> {
                             conn.relay_up = Some(utoken);
                             stats.relays.fetch_add(1, Relaxed);
                         }
-                        flush_client = ex.client;
-                        backpressured = conn.machine.backlogged();
+                        if !machine.is_done() && !conn.machine.output().is_empty() {
+                            // Slow reader: stop pulling from the origin
+                            // until the client drains (the flush path
+                            // re-drives this exchange).
+                            stats.relay_paused.fetch_add(1, Relaxed);
+                            break;
+                        }
                     }
                     if machine.is_done() {
                         verdict = Out::Settle;
-                        break;
-                    }
-                    if backpressured {
-                        // Slow reader: stop pulling from the origin until
-                        // the client drains (the flush path re-drives this
-                        // exchange).
-                        stats.relay_paused.fetch_add(1, Relaxed);
                         break;
                     }
                     if drained {
@@ -1209,9 +1202,13 @@ impl<S: Service> Reactor<S> {
                         Some(conn) => conn.machine.stage().1,
                         None => &mut *spare_out,
                     };
-                    match machine.filled(&up.buf[..n], sink) {
-                        Ok(_) => sink.extend_from_slice(&up.buf[machine.span()]),
-                        Err(_) => verdict = Out::Error,
+                    if machine.filled(&up.buf[..n], sink).is_err() {
+                        verdict = Out::Error;
+                    } else if let Some(conn) = client.as_mut() {
+                        let span = &up.buf[machine.span()];
+                        if conn.machine.write_through(&mut conn.stream, span).is_err() {
+                            verdict = Out::Broken(ex.client.expect("a live client"));
+                        }
                     }
                     drained = n < offered && !up.hup;
                     grow_upstream_read(&mut up.buf, n);
@@ -1219,27 +1216,9 @@ impl<S: Service> Reactor<S> {
                 verdict
             };
             match out {
-                Out::Wait => {
-                    if let Some(ct) = flush_client {
-                        // Relay bytes were enqueued: flush now — with
-                        // edge-triggered registration, no EPOLLOUT arrives
-                        // for a socket that was already writable.
-                        if self.flush_conn(ct) {
-                            // Client closed while flushing (which settled
-                            // the relay): re-enter to see it.
-                            continue;
-                        }
-                        if backpressured
-                            && self
-                                .slab
-                                .get_mut(ct)
-                                .is_some_and(|c| !c.machine.backlogged())
-                        {
-                            continue;
-                        }
-                    }
-                    return;
-                }
+                Out::Wait => return,
+                // Re-enter to see the relay settled, or orphaned.
+                Out::Broken(client) => self.close_conn(client),
                 Out::Error => return self.upstream_exchange_error(utoken),
                 Out::Settle => return self.settle_upstream(utoken),
             }

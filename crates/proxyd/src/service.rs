@@ -21,7 +21,7 @@ use crate::lifecycle::{self, ExchangeMachine, RelayRule, ResponseMachine, Reuse,
 use crate::util::{serve_with_stats, IoStats, ServeOptions, ServerHandle};
 use piggyback_httpwire::parse::MAX_BODY;
 use piggyback_httpwire::{write_all_parts, ConnScratch, HttpError, Request, Response};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -152,7 +152,8 @@ const READ_CHUNK: usize = 16 * 1024;
 /// crate's body limit plus framing headroom).
 const MAX_REQUEST_BUF: usize = MAX_BODY + 64 * 1024;
 /// Stop parsing further pipelined requests while more than this many
-/// response bytes are waiting on a slow client; resume when drained.
+/// response bytes are waiting on a slow client; resume when drained. A
+/// relay never piles output up to it: it pauses while anything is owed.
 const OUT_HIGH_WATER: usize = 1024 * 1024;
 
 /// Where a [`ClientMachine`] sits in its request lifecycle.
@@ -347,8 +348,10 @@ impl ClientMachine {
 
     /// `n` bytes of [`output`](Self::output) were written. The written
     /// prefix is dropped once it is at least as long as what is still
-    /// owed, so a relay the client drains holds at most twice what it
-    /// owes (an amortised drain: the capacity stays).
+    /// owed (an amortised drain: the capacity stays), and a fully written
+    /// output is emptied. A relay adds at most one read's refused span to
+    /// what is owed (see [`write_through`](Self::write_through)), so the
+    /// capacity a relay leaves is about one read, not the body.
     pub fn wrote(&mut self, n: usize) {
         self.sent += n;
         if self.sent >= self.out.len() - self.sent {
@@ -357,9 +360,37 @@ impl ClientMachine {
         }
     }
 
-    /// Is the output at the high-water mark? A relay feeding the client
-    /// pauses its origin reads until it is not.
-    pub(crate) fn backlogged(&self) -> bool {
+    /// Write what the client is owed, then `span` (a relayed read's
+    /// payload, forwarded in place), in nonblocking vectored writes until
+    /// both are out or the socket refuses more: only the part of `span` it
+    /// refuses is copied in behind what is still owed. A flush is the
+    /// empty span, written with a plain write like every answer that is
+    /// not relayed. `Err` = the connection broke.
+    pub(crate) fn write_through(&mut self, w: &mut impl Write, mut span: &[u8]) -> io::Result<()> {
+        while !(self.output().is_empty() && span.is_empty()) {
+            let owed = self.output().len();
+            let wrote = match span.is_empty() {
+                true => w.write(self.output()),
+                false => w.write_vectored(&[IoSlice::new(self.output()), IoSlice::new(span)]),
+            };
+            match wrote {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    self.wrote(n.min(owed));
+                    span = &span[n.saturating_sub(owed)..];
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.out.extend_from_slice(span);
+        Ok(())
+    }
+
+    /// Is the output at the high-water mark? Pipelined requests wait
+    /// until it is not.
+    fn backlogged(&self) -> bool {
         self.output().len() >= OUT_HIGH_WATER
     }
 
@@ -595,4 +626,132 @@ fn attempt<'h>(
         lifecycle::grow_upstream_read(&mut conn.buf, n);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+
+    /// What a scripted writer does with one write.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// Take at most this many bytes, across the buffers in order.
+        Take(usize),
+        Block,
+        Interrupt,
+        Fail,
+    }
+
+    /// A socket stand-in that follows its script, one step per write, and
+    /// refuses (`WouldBlock`) once the script runs out.
+    struct Script {
+        steps: VecDeque<Step>,
+        got: Vec<u8>,
+    }
+
+    impl Write for Script {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            match self.steps.pop_front().unwrap_or(Step::Block) {
+                Step::Take(mut k) => {
+                    let before = self.got.len();
+                    for buf in bufs {
+                        let take = k.min(buf.len());
+                        self.got.extend_from_slice(&buf[..take]);
+                        k -= take;
+                    }
+                    Ok(self.got.len() - before)
+                }
+                Step::Block => Err(io::ErrorKind::WouldBlock.into()),
+                Step::Interrupt => Err(io::ErrorKind::Interrupted.into()),
+                Step::Fail => Err(io::ErrorKind::BrokenPipe.into()),
+            }
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `write_through` against every way a nonblocking socket answers:
+    /// owed bytes leave before the span, the refused remainder is copied
+    /// behind them exactly, a fully taken write leaves the output empty
+    /// with its capacity, and the output never holds more than what was
+    /// owed plus one span.
+    #[test]
+    fn write_through_sends_owed_bytes_then_the_span_and_keeps_only_the_refusal() {
+        let pattern = |n: usize, salt: u8| -> Vec<u8> {
+            (0..n).map(|i| (i as u8).wrapping_mul(7) ^ salt).collect()
+        };
+        let scripts: Vec<Vec<Step>> = vec![
+            vec![],
+            vec![Step::Take(1)],
+            vec![Step::Take(5), Step::Interrupt, Step::Take(7)],
+            vec![Step::Take(99), Step::Block, Step::Take(1000)],
+            vec![Step::Take(100)],
+            vec![Step::Take(101)],
+            vec![Step::Interrupt, Step::Take(250), Step::Take(250)],
+            vec![Step::Take(1000)],
+            vec![Step::Take(3), Step::Fail],
+            vec![Step::Take(0)],
+        ];
+        for (sent, owed) in [(0, 0), (0, 1), (0, 100), (3, 100), (60, 40)] {
+            for span_len in [0, 1, 300] {
+                for script in &scripts {
+                    let mut m = ClientMachine::new(Instant::now());
+                    let staged = pattern(sent + owed, 1);
+                    m.stage().1.extend_from_slice(&staged);
+                    m.wrote(sent);
+                    assert_eq!(m.output(), &staged[sent..]);
+                    let (out_len, capacity) = (m.out.len(), m.out.capacity());
+                    let span = pattern(span_len, 2);
+                    let mut w = Script {
+                        steps: script.iter().copied().collect(),
+                        got: Vec::new(),
+                    };
+                    let case = format!("sent {sent} owed {owed} span {span_len} {script:?}");
+                    let result = m.write_through(&mut w, &span);
+                    let mut want = staged[sent..].to_vec();
+                    want.extend_from_slice(&span);
+                    let failed = script
+                        .iter()
+                        .any(|s| matches!(s, Step::Fail | Step::Take(0)));
+                    assert_eq!(
+                        result.is_err(),
+                        failed && w.got.len() < want.len(),
+                        "{case}"
+                    );
+                    assert!(want.starts_with(&w.got), "{case}: out of order");
+                    if result.is_err() {
+                        continue;
+                    }
+                    let mut delivered = w.got.clone();
+                    delivered.extend_from_slice(m.output());
+                    assert_eq!(delivered, want, "{case}: the remainder is not exact");
+                    assert!(m.output().len() <= owed + span_len, "{case}");
+                    assert!(m.out.len() <= out_len + span_len, "{case}");
+                    if w.got.len() >= owed {
+                        assert!(m.out.len() <= span_len, "{case}: owed bytes kept");
+                    }
+                    if w.got.len() == want.len() {
+                        assert!(m.out.is_empty(), "{case}");
+                        assert_eq!(m.out.capacity(), capacity, "{case}: capacity changed");
+                    }
+                    // A flush is the empty span: it delivers the rest.
+                    let mut flush = Script {
+                        steps: [Step::Take(usize::MAX)].into(),
+                        got: Vec::new(),
+                    };
+                    m.write_through(&mut flush, &[]).expect("flush");
+                    w.got.extend_from_slice(&flush.got);
+                    assert_eq!(w.got, want, "{case}: flushed");
+                    assert!(m.output().is_empty(), "{case}");
+                }
+            }
+        }
+    }
 }

@@ -211,9 +211,9 @@ counter_set! {
         /// Streaming relays engaged (large-object cut-through exchanges).
         relays,
         /// Times a streaming relay paused its upstream reads because the
-        /// client's output buffer hit the high-water mark — the slow-reader
-        /// backpressure proof: a lagging client throttles the origin leg
-        /// instead of ballooning the proxy's buffers.
+        /// client's socket refused part of a read, leaving bytes owed — the
+        /// slow-reader backpressure proof: a lagging client throttles the
+        /// origin leg instead of ballooning the proxy's buffers.
         relay_paused,
     }
 }

@@ -645,11 +645,11 @@ fn reactor_streams_large_objects_byte_identical_to_threaded() {
     reactor.stop();
 }
 
-/// Slow-reader fault lane: a client that stops reading mid-relay drives
-/// the connection's output buffer to the high-water mark, which must
-/// pause the origin leg (`relay_paused` fires) instead of buffering the
-/// whole object — and the transfer must still complete intact once the
-/// client drains.
+/// Slow-reader fault lane: a client that stops reading mid-relay makes
+/// its socket refuse part of a relayed read, and the bytes it is then
+/// owed must pause the origin leg (`relay_paused` fires) instead of
+/// buffering the whole object — and the transfer must still complete
+/// intact once the client drains.
 #[test]
 fn reactor_relay_backpressure_pauses_for_slow_readers() {
     let body = std::sync::Arc::new(deterministic_body(8 * 1024 * 1024));

@@ -145,31 +145,20 @@ fn roundtrip(stream: &mut TcpStream, req: &[u8], buf: &mut [u8]) -> usize {
     declared
 }
 
-/// The streaming prefix-hit relay allocates O(1) per 16 KiB of relayed
-/// body, never O(body). Each measured request serves a 64 KiB cached
-/// prefix and then relays a 1 MiB suffix from the origin through one
-/// reused read buffer, read by read; a regression that builds fresh
-/// per-read vectors (or re-buffers the whole object) is a multiple of this
-/// bound. The origin serves a single pre-serialized
-/// response and reads request heads into a stack buffer, so it is quiet
-/// in the measured window too.
-#[test]
-fn streaming_prefix_relay_allocations_are_constant_per_segment() {
-    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
-    const TOTAL: usize = 1024 * 1024;
-    // The bound's unit: an upstream connection's first read size
-    // (`lifecycle::UPSTREAM_READ`).
-    const SEGMENT: usize = 16 * 1024;
-
+/// An origin answering every request on a connection with one
+/// pre-serialized `200` of `len` patterned bytes, `Content-Length` framed.
+/// It reads request heads into a stack buffer, so it allocates nothing
+/// once a connection is up.
+fn canned_origin(len: usize) -> std::net::SocketAddr {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind origin");
     let origin_addr = listener.local_addr().expect("origin addr");
     let mut canned = format!(
         "HTTP/1.1 200 OK\r\n\
          Last-Modified: Mon, 01 Jan 2024 00:00:00 GMT\r\n\
-         Content-Length: {TOTAL}\r\n\r\n"
+         Content-Length: {len}\r\n\r\n"
     )
     .into_bytes();
-    canned.extend((0..TOTAL).map(|i| (i % 251) as u8));
+    canned.extend((0..len).map(|i| (i % 251) as u8));
     let canned = std::sync::Arc::new(canned);
     std::thread::spawn(move || {
         while let Ok((mut conn, _)) = listener.accept() {
@@ -191,6 +180,26 @@ fn streaming_prefix_relay_allocations_are_constant_per_segment() {
             });
         }
     });
+    origin_addr
+}
+
+/// The streaming prefix-hit relay allocates O(1) per 16 KiB of relayed
+/// body, never O(body). Each measured request serves a 64 KiB cached
+/// prefix and then relays a 1 MiB suffix from the origin through one
+/// reused read buffer, read by read; a regression that builds fresh
+/// per-read vectors (or re-buffers the whole object) is a multiple of this
+/// bound. The origin serves a single pre-serialized
+/// response and reads request heads into a stack buffer, so it is quiet
+/// in the measured window too.
+#[test]
+fn streaming_prefix_relay_allocations_are_constant_per_segment() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    const TOTAL: usize = 1024 * 1024;
+    // The bound's unit: an upstream connection's first read size
+    // (`lifecycle::UPSTREAM_READ`).
+    const SEGMENT: usize = 16 * 1024;
+
+    let origin_addr = canned_origin(TOTAL);
 
     let mut cfg = ProxyConfig::new(origin_addr);
     cfg.freshness = piggyback::core::types::DurationMs::from_secs(3600);
@@ -245,9 +254,10 @@ fn streaming_prefix_relay_allocations_are_constant_per_segment() {
 /// on both engines, whatever its framing: a `Content-Length` body from its
 /// head, a chunked one once it has grown to the streaming threshold. The
 /// chunked relay's live heap is then the held threshold (twice it, as a
-/// `Vec` grows), the teed prefix and the client connection's output — at
-/// most twice the 1 MiB it may owe before the relay pauses — however long
-/// the body, and under the 4 MiB a buffered body alone would hold. The
+/// `Vec` grows), the teed prefix and the client connection's output —
+/// what it was owed plus at most one refused read, since the relay pauses
+/// while anything is owed — however long the body, and under the 4 MiB a
+/// buffered body alone would hold. The
 /// origin serves pre-serialized responses and the client reads into one
 /// buffer, so the proxy is the only thing allocating in the measured
 /// window.
@@ -258,7 +268,11 @@ fn large_miss_memory_is_bounded_by_the_decoded_body() {
     const SLACK: usize = 256 * 1024;
     const THRESHOLD: usize = 256 * 1024;
     const PREFIX: usize = 64 * 1024;
-    // The output a client may owe before a relay pauses (`OUT_HIGH_WATER`).
+    // The client output's allowance: the 1 MiB mark (`OUT_HIGH_WATER`)
+    // a relay once filled before it paused. A relay now pauses while any
+    // byte is owed, so the output holds the engaging read (the threshold
+    // it held) and at most one refused read; the bound keeps this
+    // headroom rather than tighten without measurements to back it.
     const OWED: usize = 1024 * 1024;
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind origin");
@@ -335,6 +349,110 @@ fn large_miss_memory_is_bounded_by_the_decoded_body() {
         lane(
             b"GET /chunked.bin HTTP/1.1\r\nHost: a\r\n\r\n",
             SLACK + 2 * THRESHOLD + PREFIX + 2 * OWED,
+        );
+        drop(stream);
+        proxy.stop();
+    }
+}
+
+/// Shrink a socket's receive buffer, so a client that stops reading
+/// pushes back on its sender at once instead of after the kernel's
+/// autotuned megabytes (Linux `SO_RCVBUF`).
+#[cfg(target_os = "linux")]
+fn shrink_receive_buffer(stream: &TcpStream, bytes: i32) {
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
+    }
+    const SOL_SOCKET: i32 = 1;
+    const SO_RCVBUF: i32 = 8;
+    let fd = std::os::unix::io::AsRawFd::as_raw_fd(stream);
+    // SAFETY: a plain `int` option on a live socket.
+    let rc = unsafe {
+        setsockopt(
+            fd,
+            SOL_SOCKET,
+            SO_RCVBUF,
+            &bytes as *const i32 as *const u8,
+            std::mem::size_of::<i32>() as u32,
+        )
+    };
+    assert_eq!(rc, 0, "setsockopt(SO_RCVBUF)");
+}
+
+/// A client that stops reading partway through a large relay costs the
+/// proxy about one upstream read, not the body and not a pile of staged
+/// output: the relay writes each read through to the client and pauses
+/// its origin reads while anything is owed, on both engines. The client
+/// takes the head and the first megabyte of an 8 MiB `Content-Length`
+/// miss, stalls with a shrunk receive buffer until the proxy's kernel
+/// buffers are full and the relay has been pushed back on, then drains
+/// the rest; the live heap stays within the same slack as a relay that
+/// never stalled.
+#[test]
+fn stalled_client_holds_one_read_not_the_relay() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    const BODY: usize = 8 * 1024 * 1024;
+    const SLACK: usize = 256 * 1024;
+    const STALL_AFTER: usize = 1024 * 1024;
+
+    let origin_addr = canned_origin(BODY);
+
+    let mut buf = vec![0u8; BODY + 64 * 1024];
+    let mut engines = vec![IoMode::Threaded];
+    #[cfg(target_os = "linux")]
+    engines.push(IoMode::Reactor { reactors: 1 });
+    for io in engines {
+        let mut cfg = ProxyConfig::new(origin_addr);
+        cfg.io = io;
+        cfg.rpv = None;
+        cfg.report_hits = false;
+        // Nothing is teed for the prefix store: the lane weighs what the
+        // relay holds (the lane above weighs the tee).
+        cfg.prefix_bytes = 0;
+        let proxy = start_proxy(cfg).expect("proxy starts");
+        // Warm the upstream connection and the proxy's pools on a client
+        // connection of its own: the measured one starts with an empty
+        // output, so what a relay keeps of it shows as growth.
+        roundtrip(
+            &mut TcpStream::connect(proxy.addr()).expect("connect"),
+            b"GET /warm.bin HTTP/1.1\r\nHost: a\r\n\r\n",
+            &mut buf,
+        );
+        let mut stream = TcpStream::connect(proxy.addr()).expect("connect");
+        #[cfg(target_os = "linux")]
+        shrink_receive_buffer(&stream, 64 * 1024);
+        let mut head_len = 0;
+        let growth = live_heap_growth(|| {
+            stream
+                .write_all(b"GET /stalled.bin HTTP/1.1\r\nHost: a\r\n\r\n")
+                .expect("write request");
+            let mut filled = 0usize;
+            let mut stalled = false;
+            while head_len == 0 || filled < head_len + BODY {
+                if !stalled && filled >= STALL_AFTER {
+                    std::thread::sleep(std::time::Duration::from_millis(500));
+                    stalled = true;
+                }
+                let n = stream.read(&mut buf[filled..]).expect("read response");
+                assert!(n > 0, "{io:?}: proxy closed mid-response");
+                filled += n;
+                if head_len == 0 {
+                    head_len = find(&buf[..filled], b"\r\n\r\n").map_or(0, |p| p + 4);
+                }
+            }
+            assert_eq!(filled, head_len + BODY, "{io:?}: exactly the body");
+        });
+        assert!(buf.starts_with(b"HTTP/1.1 200 OK\r\n"), "{io:?}: not a 200");
+        assert_eq!(content_length(&buf[..head_len]), BODY, "{io:?}");
+        let body = &buf[head_len..head_len + BODY];
+        assert!(
+            body.iter().enumerate().all(|(i, &b)| b == (i % 251) as u8),
+            "{io:?}: payload corrupt after the stall"
+        );
+        assert!(
+            growth <= SLACK,
+            "{io:?}: the live heap grew {growth} bytes (bound {SLACK}) while a client \
+             stalled on a {BODY}-byte relay"
         );
         drop(stream);
         proxy.stop();
