@@ -9,9 +9,10 @@
 //!
 //! Bytes are copied exactly once, when a message is *retained*: converting
 //! a `Vec<u8>` (or `&[u8]`) into a `Body` performs the single
-//! `Arc::from` copy. `from_static` is `const`, so canned bodies (the
-//! origin's 404 page) can live in `static`s and serve with zero copies
-//! ever.
+//! `Arc::from` copy; an `Arc<[u8]>` converts with none (the origin builds
+//! each body in place in its `Arc`). `from_static` is `const`, so canned
+//! bodies (the origin's 404 page) can live in `static`s and serve with
+//! zero copies ever.
 
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
@@ -159,10 +160,10 @@ impl AsRef<[u8]> for Body {
     }
 }
 
-impl From<Vec<u8>> for Body {
-    /// The single retain-time copy: `Arc<[u8]>` from the vec.
-    fn from(v: Vec<u8>) -> Self {
-        let arc: Arc<[u8]> = Arc::from(v);
+impl From<Arc<[u8]>> for Body {
+    /// Adopt bytes already shared: no copy, so a body built in place in
+    /// its `Arc` is never copied before the wire.
+    fn from(arc: Arc<[u8]>) -> Self {
         Body {
             start: 0,
             end: arc.len(),
@@ -171,14 +172,16 @@ impl From<Vec<u8>> for Body {
     }
 }
 
+impl From<Vec<u8>> for Body {
+    /// The single retain-time copy: `Arc<[u8]>` from the vec.
+    fn from(v: Vec<u8>) -> Self {
+        Body::from(Arc::<[u8]>::from(v))
+    }
+}
+
 impl From<&[u8]> for Body {
     fn from(s: &[u8]) -> Self {
-        let arc: Arc<[u8]> = Arc::from(s);
-        Body {
-            start: 0,
-            end: arc.len(),
-            repr: Repr::Shared(arc),
-        }
+        Body::from(Arc::<[u8]>::from(s))
     }
 }
 

@@ -24,7 +24,10 @@
 //!   ([`AtomicServerStats`]) and transport counters;
 //! * per-source access histories for online probability-volume learning
 //!   are striped across lock shards ([`StripedHistories`]) keyed by
-//!   `fasthash(source)`.
+//!   `fasthash(source)`;
+//! * bodies are not state at all: each 200's body is built from the
+//!   resource's path and size when it is served, and freed once it is
+//!   staged for the wire.
 //!
 //! Every piggyback is built per response (Section 2): element selection
 //! against the snapshot and the live access state, then `P-volume`
@@ -38,11 +41,10 @@ use crate::prefetch::{PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER, PUSH_PATH_HEADER};
 use crate::proxy::METRICS_PATH;
 use crate::service::{serve_blocking, Served, Service};
 use crate::stats::{AtomicDaemonStats, DaemonStats};
-use crate::util::{synth_body, Clock, IoMode, IoStats, ServeOptions, ServerHandle};
+use crate::util::{fill_synth_body, synth_len, Clock, IoMode, IoStats, ServeOptions, ServerHandle};
 use parking_lot::Mutex;
 use piggyback_core::datetime::{
-    format_rfc1123, parse_rfc1123, timestamp_from_unix, unix_from_timestamp,
-    DEFAULT_TRACE_EPOCH_UNIX,
+    parse_rfc1123, timestamp_from_unix, unix_from_timestamp, Rfc1123, DEFAULT_TRACE_EPOCH_UNIX,
 };
 use piggyback_core::filter::{ProxyFilter, PIGGY_FILTER_HEADER};
 use piggyback_core::report::{parse_report, ReportEntry, PIGGY_REPORT_HEADER};
@@ -55,45 +57,35 @@ use piggyback_core::table::ResourceTable;
 use piggyback_core::types::{DurationMs, ResourceId, SourceId, Timestamp};
 use piggyback_core::volume::{ProbabilityVolumes, ProbabilityVolumesBuilder, SamplingMode};
 use piggyback_core::wire::{decode_p_volume, encode_p_volume, P_VOLUME_HEADER};
-use piggyback_httpwire::{Body, ConnScratch, Request, Response};
+use piggyback_httpwire::{Body, ConnScratch, HeaderMap, Request, Response};
 use piggyback_trace::synth::site::{Site, SiteConfig};
 use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The 404 body, shared by every miss: a `'static` [`Body`] clones as a
 /// pointer copy instead of reallocating the bytes per request.
 static NOT_FOUND_BODY: Body = Body::from_static(b"not found\n");
 
-/// Memoized synthetic response bodies, one slot per registered resource.
-///
-/// `synth_body` is deterministic in `(path, size)` and the site's path and
-/// size metadata are fixed at startup (`/_pb/modify` bumps only
-/// Last-Modified), so each body is materialized once — lazily, on first
-/// request — and every later 200 serves the same shared allocation via a
-/// refcount bump.
-struct BodyCache {
-    slots: Vec<OnceLock<Body>>,
+/// A 200's synthetic body, built when it is served from the resource's
+/// path and size: the origin keeps metadata per resource, never a body.
+/// One allocation, filled in place (the shared bytes are adopted by the
+/// [`Body`] without a copy).
+fn serve_body(path: &str, size: u64) -> Body {
+    let mut bytes: Arc<[u8]> = std::iter::repeat_n(0, synth_len(size)).collect();
+    fill_synth_body(path, Arc::get_mut(&mut bytes).expect("not yet shared"));
+    Body::from(bytes)
 }
 
-impl BodyCache {
-    fn new(resources: usize) -> Self {
-        BodyCache {
-            slots: (0..resources).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    fn get(&self, r: ResourceId, path: &str, size: u64) -> Body {
-        match self.slots.get(r.0 as usize) {
-            Some(slot) => slot
-                .get_or_init(|| Body::from(synth_body(path, size)))
-                .clone(),
-            // Ids past the startup table (unreachable today) still serve
-            // correctly, just without memoization.
-            None => Body::from(synth_body(path, size)),
-        }
+/// `Last-Modified` at `lm`, from the date's stack bytes (no formatter, no
+/// `String`).
+fn insert_last_modified(headers: &mut HeaderMap, lm: Timestamp) {
+    let date = Rfc1123(unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX));
+    match date.to_bytes() {
+        Some(b) => headers.insert("Last-Modified", std::str::from_utf8(&b).expect("ASCII")),
+        None => headers.insert("Last-Modified", &date.to_string()),
     }
 }
 
@@ -192,8 +184,6 @@ struct EpochState {
 struct OriginShared {
     state: OriginState,
     clock: Clock,
-    /// Shared synthetic bodies, keyed by resource id.
-    bodies: BodyCache,
     /// Most volume members pushed after one main response (0 = never).
     push_max: usize,
     /// Accept/open-connection counters, fed by whichever I/O engine runs.
@@ -368,7 +358,6 @@ pub fn start_origin(cfg: OriginConfig) -> io::Result<OriginHandle> {
     let shared = Arc::new(OriginShared {
         state,
         clock: Clock::new(),
-        bodies: BodyCache::new(paths.len()),
         push_max: cfg.push_max,
         io_stats: Arc::clone(&io_stats),
         #[cfg(target_os = "linux")]
@@ -663,7 +652,7 @@ fn handle_request(
         return resp;
     }
     let path = strip_origin_form(&req.target);
-    let (c, bodies, push_max) = (&shared.state, &shared.bodies, shared.push_max);
+    let (c, push_max) = (&shared.state, shared.push_max);
     if path == "/_pb/stats" {
         let snap = c.snapshot.load();
         return stats_response(&c.stats.snapshot(), snap.table.len(), snap.generation);
@@ -703,7 +692,7 @@ fn handle_request(
                 None
             }
         };
-    let mut resp = respond(req, path, resource, meta, piggyback.as_deref(), bodies, obs);
+    let mut resp = respond(req, path, meta, piggyback.as_deref(), obs);
 
     // Server-push baseline (`--push N`): after a full 200 to a peer that
     // opted in with `Piggy-push: accept`, stream up to `push_max` volume
@@ -716,7 +705,7 @@ fn handle_request(
         && req.headers.get(PIGGY_PUSH_HEADER).is_some()
     {
         if let Some(pv) = piggyback.as_deref() {
-            build_pushes(pv, &snap, &c.access, bodies, push_max, push_out);
+            build_pushes(pv, &snap, &c.access, push_max, push_out);
             if !push_out.is_empty() {
                 resp.headers
                     .insert(PUSH_COUNT_HEADER, &push_out.len().to_string());
@@ -736,7 +725,6 @@ fn build_pushes(
     pv: &str,
     snap: &OriginSnapshot,
     access: &AccessState,
-    bodies: &BodyCache,
     push_max: usize,
     out: &mut Vec<Response>,
 ) {
@@ -765,33 +753,24 @@ fn build_pushes(
         let meta = *meta;
         let mut p = Response::new(200);
         p.headers.insert(PUSH_PATH_HEADER, &e.path);
-        p.headers.insert(
-            "Last-Modified",
-            &format_rfc1123(unix_from_timestamp(
-                meta.last_modified,
-                DEFAULT_TRACE_EPOCH_UNIX,
-            )),
-        );
+        insert_last_modified(&mut p.headers, meta.last_modified);
         p.headers
             .insert("Content-Type", content_type_str(meta.content_type));
-        p.body = bodies.get(r, &e.path, meta.size);
+        p.body = serve_body(&e.path, meta.size);
         out.push(p);
     }
 }
 
 /// Build the HTTP response for a resolved resource: conditional handling,
-/// body lookup (memoized shared bytes), and piggyback placement (trailer,
-/// or header fallback).
+/// the body built from the path and size metadata as it is served, and
+/// piggyback placement (trailer, or header fallback).
 fn respond(
     req: &Request,
     path: &str,
-    resource: ResourceId,
     meta: piggyback_core::types::ResourceMeta,
     piggyback: Option<&str>,
-    bodies: &BodyCache,
     obs: &DaemonObs,
 ) -> Response {
-    let lm_unix = unix_from_timestamp(meta.last_modified, DEFAULT_TRACE_EPOCH_UNIX);
     let not_modified = req
         .headers
         .get("If-Modified-Since")
@@ -806,8 +785,7 @@ fn respond(
 
     let wants_chunked = req.headers.list_contains("TE", "chunked");
     let mut resp = Response::new(if not_modified { 304 } else { 200 });
-    resp.headers
-        .insert("Last-Modified", &format_rfc1123(lm_unix));
+    insert_last_modified(&mut resp.headers, meta.last_modified);
     resp.headers
         .insert("Content-Type", content_type_str(meta.content_type));
     if not_modified {
@@ -818,7 +796,7 @@ fn respond(
         return resp;
     }
     if req.method != "HEAD" {
-        resp.body = bodies.get(resource, path, meta.size);
+        resp.body = serve_body(path, meta.size);
     }
     match piggyback {
         Some(pv) if wants_chunked && req.method != "HEAD" => {

@@ -544,16 +544,35 @@ pub fn source_from_addr(addr: SocketAddr) -> SourceId {
 /// truncated to keep loopback demos fast; metadata keeps the true size).
 pub const MAX_LIVE_BODY: usize = 256 * 1024;
 
+/// The length of the synthetic body of a `size`-byte resource: `size`,
+/// capped at [`MAX_LIVE_BODY`].
+pub(crate) fn synth_len(size: u64) -> usize {
+    usize::try_from(size).map_or(MAX_LIVE_BODY, |s| s.min(MAX_LIVE_BODY))
+}
+
+/// Fill `body` with `path`'s synthetic pattern, `<!-- {path} -->\n`
+/// repeated and cut off at the end: the pattern is written once, then
+/// doubled in place.
+pub(crate) fn fill_synth_body(path: &str, body: &mut [u8]) {
+    let mut n = 0;
+    for part in [&b"<!-- "[..], path.as_bytes(), b" -->\n"] {
+        let take = part.len().min(body.len() - n);
+        body[n..n + take].copy_from_slice(&part[..take]);
+        n += take;
+    }
+    // The filled head is whole periods of the pattern, so a copy of it
+    // starts the next period where the head ends.
+    while n < body.len() {
+        let take = n.min(body.len() - n);
+        body.copy_within(..take, n);
+        n += take;
+    }
+}
+
 /// Deterministic body for `path` of (approximately) `size` bytes.
 pub fn synth_body(path: &str, size: u64) -> Vec<u8> {
-    let size = (size as usize).min(MAX_LIVE_BODY);
-    let pattern = format!("<!-- {path} -->\n");
-    let mut body = Vec::with_capacity(size);
-    while body.len() < size {
-        let remain = size - body.len();
-        let take = remain.min(pattern.len());
-        body.extend_from_slice(&pattern.as_bytes()[..take]);
-    }
+    let mut body = vec![0; synth_len(size)];
+    fill_synth_body(path, &mut body);
     body
 }
 
@@ -590,6 +609,51 @@ mod tests {
         assert_eq!(synth_body("/x", 0).len(), 0);
         // Oversize requests are truncated to the live cap.
         assert_eq!(synth_body("/big", 10_000_000).len(), MAX_LIVE_BODY);
+    }
+
+    /// The body builder as it was, one pattern-sized append at a time:
+    /// the fill must reproduce it byte for byte.
+    fn reference_synth_body(path: &str, size: u64) -> Vec<u8> {
+        let size = (size as usize).min(MAX_LIVE_BODY);
+        let pattern = format!("<!-- {path} -->\n");
+        let mut body = Vec::with_capacity(size);
+        while body.len() < size {
+            let remain = size - body.len();
+            let take = remain.min(pattern.len());
+            body.extend_from_slice(&pattern.as_bytes()[..take]);
+        }
+        body
+    }
+
+    #[test]
+    fn fill_matches_the_reference_body() {
+        let path = "/dir3/page17.html";
+        let pattern = format!("<!-- {path} -->\n").len() as u64;
+        let long = format!("/{}", "x".repeat(4000));
+        let cases: [(&str, u64); 10] = [
+            (path, 0),
+            (path, 1),
+            (path, pattern - 1),
+            (path, pattern),
+            (path, pattern + 1),
+            (path, 2048),
+            (path, 3000),
+            (path, MAX_LIVE_BODY as u64 + 1),
+            (&long, 3000),
+            ("", 100),
+        ];
+        for (p, size) in cases {
+            let want = reference_synth_body(p, size);
+            assert_eq!(
+                synth_body(p, size),
+                want,
+                "path len {} size {size}",
+                p.len()
+            );
+            let mut filled = vec![0xAA; want.len()];
+            fill_synth_body(p, &mut filled);
+            assert_eq!(filled, want, "fill, path len {} size {size}", p.len());
+        }
     }
 
     #[test]

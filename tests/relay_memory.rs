@@ -1,6 +1,7 @@
 //! Memory of the streaming relay, guarded at the root: a relayed body
 //! costs a bounded number of allocations per 16 KiB and a bounded live
-//! heap, whatever its length, on both pollers.
+//! heap, whatever its length, on both pollers. And the origin's memory:
+//! it keeps metadata per resource, never a body it has served.
 //!
 //! The file installs its own counting global allocator, which every
 //! process-wide count and peak is read from, so every test in it holds the
@@ -8,8 +9,10 @@
 //! in another's measured window.
 
 use piggyback::httpwire::Response;
+use piggyback::proxyd::origin::{start_origin, OriginConfig};
 use piggyback::proxyd::proxy::{start_proxy, ProxyConfig};
 use piggyback::proxyd::IoMode;
+use piggyback::trace::synth::{LogNormal, SiteConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -61,6 +64,10 @@ static COUNTER: CountingAlloc = CountingAlloc;
 /// Held by every test for its whole run. A lane that fails poisons the
 /// lock; the guard is recovered, so one failure does not fail the rest.
 static WINDOW: Mutex<()> = Mutex::new(());
+
+/// The live heap a lane may gain beyond what it weighs: allocator and
+/// scratch jitter, far under one relayed body or one body per resource.
+const SLACK: usize = 256 * 1024;
 
 /// How far the live heap rose above its level at the call while `f` ran.
 fn live_heap_growth(f: impl FnOnce()) -> usize {
@@ -265,7 +272,6 @@ fn streaming_prefix_relay_allocations_are_constant_per_segment() {
 fn large_miss_memory_is_bounded_by_the_decoded_body() {
     let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     const BODY: usize = 4 * 1024 * 1024;
-    const SLACK: usize = 256 * 1024;
     const THRESHOLD: usize = 256 * 1024;
     const PREFIX: usize = 64 * 1024;
     // The client output's allowance: the 1 MiB mark (`OUT_HIGH_WATER`)
@@ -392,7 +398,6 @@ fn shrink_receive_buffer(stream: &TcpStream, bytes: i32) {
 fn stalled_client_holds_one_read_not_the_relay() {
     let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     const BODY: usize = 8 * 1024 * 1024;
-    const SLACK: usize = 256 * 1024;
     const STALL_AFTER: usize = 1024 * 1024;
 
     let origin_addr = canned_origin(BODY);
@@ -456,5 +461,64 @@ fn stalled_client_holds_one_read_not_the_relay() {
         );
         drop(stream);
         proxy.stop();
+    }
+}
+
+/// The origin keeps metadata per resource — path, size, `Last-Modified` —
+/// and builds each 200's body when it serves it, so serving a resource
+/// leaves nothing of it behind. On each engine, a flat site of 2 048
+/// pages of 2 KiB is warmed with its first 64 pages and then walked once
+/// over one keep-alive connection: the live heap it retains afterwards
+/// (not its peak) stays within the slack, where one memoized body per
+/// page served would retain 4 MiB. Everything else the origin keeps per
+/// resource is allocated at start: the snapshot's resource table and the
+/// access counters (`AccessState`), one slot per resource each.
+#[test]
+fn origin_holds_no_body_it_has_served() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    const PAGES: usize = 2048;
+    const WARMUP: usize = 64;
+    let site = SiteConfig {
+        n_pages: PAGES,
+        images_per_page: (0, 0),
+        shared_images: 0,
+        page_size: LogNormal::new(2048f64.ln(), 0.0),
+        ..Default::default()
+    };
+    let mut buf = vec![0u8; 64 * 1024];
+    let mut engines = vec![IoMode::Threaded];
+    #[cfg(target_os = "linux")]
+    engines.push(IoMode::Reactor { reactors: 1 });
+    for io in engines {
+        let origin = start_origin(OriginConfig {
+            site: site.clone(),
+            io,
+            ..Default::default()
+        })
+        .expect("origin starts");
+        let reqs: Vec<Vec<u8>> = origin
+            .paths
+            .iter()
+            .map(|p| format!("GET {p} HTTP/1.1\r\nHost: a\r\n\r\n").into_bytes())
+            .collect();
+        assert_eq!(reqs.len(), PAGES, "{io:?}: a flat site");
+        let mut stream = TcpStream::connect(origin.addr()).expect("connect");
+        for req in &reqs[..WARMUP] {
+            roundtrip(&mut stream, req, &mut buf);
+        }
+        let before = LIVE.load(Ordering::SeqCst);
+        let mut served = 0;
+        for req in &reqs {
+            served += roundtrip(&mut stream, req, &mut buf);
+        }
+        let retained = LIVE.load(Ordering::SeqCst).saturating_sub(before);
+        assert!(served >= PAGES * 2047, "{io:?}: {served} body bytes");
+        assert!(
+            retained <= SLACK,
+            "{io:?}: the origin retained {retained} bytes (bound {SLACK}) after serving \
+             {PAGES} distinct pages"
+        );
+        drop(stream);
+        origin.stop();
     }
 }
