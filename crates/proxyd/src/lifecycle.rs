@@ -24,9 +24,9 @@
 
 use crate::prefetch::{self, PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER};
 use crate::proxy::ProxyShared;
+use crate::util::insert_date;
 use piggyback_core::datetime::{
-    format_rfc1123, parse_rfc1123, timestamp_from_unix, unix_from_timestamp,
-    DEFAULT_TRACE_EPOCH_UNIX,
+    parse_rfc1123, timestamp_from_unix, unix_from_timestamp, DEFAULT_TRACE_EPOCH_UNIX,
 };
 use piggyback_core::filter::{ProxyFilter, PIGGY_FILTER_HEADER};
 use piggyback_core::proxy::{classify_element, ElementAction};
@@ -57,8 +57,9 @@ pub(crate) struct UpstreamJob {
     pub(crate) validate: Option<(Timestamp, Body)>,
     pub(crate) filter: ProxyFilter,
     pub(crate) report: Option<String>,
-    /// Spans planning, any queue wait, and the exchange, so latency
-    /// histograms mean the same thing in both I/O modes.
+    /// The arrival stamp of the request's batch: its planning time, which
+    /// every leg and a join read. Latency histograms span from here, so
+    /// they mean the same thing in both I/O modes.
     pub(crate) start: Instant,
     /// Set by [`probe_prefix`] once a retained prefix head went to the
     /// client: the fetch is then the suffix refetch behind it.
@@ -118,8 +119,8 @@ pub struct RelayRule {
     /// exactly this many payload bytes: any 200 relays under it, and a
     /// body that turns out longer or shorter is a mismatch.
     pub expect_total: Option<usize>,
-    /// Proxy-clock time the leg was built: the `Last-Modified` of a
-    /// streamed client head whose origin sent none.
+    /// The request's planning time (its batch's arrival stamp): the
+    /// `Last-Modified` of a streamed client head whose origin sent none.
     pub now: Timestamp,
 }
 
@@ -467,7 +468,8 @@ pub enum Reuse {
 /// driver passes in, and the attempt's [`ResponseMachine`]. A driver dials,
 /// writes [`to_write`](Self::to_write), reads into its connection's buffer
 /// and hands each read to [`filled`](Self::filled) until the machine
-/// [`is_done`](Self::is_done); on any failure — I/O error, a response no
+/// [`is_done`](Self::is_done), telling it each time the exchange
+/// [`moved`](Self::moved); on any failure — I/O error, a response no
 /// machine reads, an EOF before the end, the
 /// [deadline](Self::expired) — it asks [`fail`](Self::fail) whether to go
 /// again on a fresh connection. A failed dial is terminal. At the end
@@ -482,7 +484,8 @@ pub struct ExchangeMachine<'h> {
     /// The request may go out twice (it carries no body the upstream may
     /// have acted on).
     replayable: bool,
-    started: Instant,
+    /// The attempt's start; once engaged, its last progress.
+    since: Instant,
     response: ResponseMachine<'h>,
     /// A read this attempt saw EOF.
     eof: bool,
@@ -503,7 +506,7 @@ impl<'h> ExchangeMachine<'h> {
             written: 0,
             attempt: 0,
             replayable,
-            started: now,
+            since: now,
             response,
             eof: false,
             unread: false,
@@ -557,9 +560,19 @@ impl<'h> ExchangeMachine<'h> {
         self.response.engaged()
     }
 
+    /// The exchange moved at `now`: a read was fed, or a client write took
+    /// relayed bytes. An engaged relay's deadline runs from its last move,
+    /// so one to a slow but steady client is cut only when it stalls;
+    /// before it engages the deadline runs from the attempt's start.
+    pub fn moved(&mut self, now: Instant) {
+        if self.engaged() {
+            self.since = now;
+        }
+    }
+
     /// When the attempt times out under `timeout`.
     pub fn deadline(&self, timeout: Duration) -> Instant {
-        self.started + timeout
+        self.since + timeout
     }
 
     /// Has the attempt's [`deadline`](Self::deadline) passed at `now`?
@@ -577,7 +590,7 @@ impl<'h> ExchangeMachine<'h> {
         if again {
             self.attempt = 1;
             self.written = 0;
-            self.started = now;
+            self.since = now;
             self.response = self.response.fresh();
             self.eof = false;
             self.unread = false;
@@ -939,8 +952,7 @@ fn demand_request(shared: &ProxyShared, job: &UpstreamJob) -> Request {
     }
     if let Some((lm, _)) = &job.validate {
         let unix = unix_from_timestamp(*lm, DEFAULT_TRACE_EPOCH_UNIX);
-        req.headers
-            .insert("If-Modified-Since", &format_rfc1123(unix));
+        insert_date(&mut req.headers, "If-Modified-Since", unix);
     }
     req
 }
@@ -992,6 +1004,7 @@ pub(crate) fn probe_prefix(
 /// through at the configured threshold, in either framing, when
 /// streaming applies.
 pub(crate) fn first_leg(shared: &ProxyShared, job: &UpstreamJob) -> Leg {
+    let now = shared.clock.at(job.start);
     match &job.prefix {
         Some(hit) => Leg {
             request: plain_request(&job.path),
@@ -1001,18 +1014,18 @@ pub(crate) fn first_leg(shared: &ProxyShared, job: &UpstreamJob) -> Leg {
                 prefix_bytes: 0,
                 skip: hit.head_len,
                 expect_total: Some(hit.total),
-                now: shared.clock.now(),
+                now,
             }),
         },
         None => Leg {
             request: demand_request(shared, job),
             accept_push: shared.cfg.accept_push,
-            relay: streaming_eligible(shared, job).then(|| RelayRule {
+            relay: streaming_eligible(shared, job).then_some(RelayRule {
                 threshold: shared.cfg.stream_threshold,
                 prefix_bytes: shared.cfg.prefix_bytes,
                 skip: 0,
                 expect_total: None,
-                now: shared.clock.now(),
+                now,
             }),
         },
     }
@@ -1054,21 +1067,21 @@ fn write_stream_head(head: &Response, declared: Option<usize>, now: Timestamp, o
 pub(crate) fn cached_response(body: &Body, lm: Timestamp, x_cache: &str) -> Response {
     let mut resp = Response::new(200);
     let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
-    resp.headers.insert("Last-Modified", &format_rfc1123(unix));
+    insert_date(&mut resp.headers, "Last-Modified", unix);
     resp.headers.insert("X-Cache", x_cache);
     resp.body = body.clone();
     resp
 }
 
 /// The entry a just-resolved speculation installed for `job`, counted as
-/// the fresh hit it is; `None` when the speculation left nothing
-/// serveable (fetch failed, or already displaced) and the demand fetch
-/// should proceed.
+/// the fresh hit it is at the job's planning time; `None` when the
+/// speculation left nothing serveable (fetch failed, or already
+/// displaced) and the demand fetch should proceed.
 pub(crate) fn landed_speculation(
     shared: &ProxyShared,
     job: &UpstreamJob,
 ) -> Option<(Body, Timestamp)> {
-    let now = shared.clock.now();
+    let now = shared.clock.at(job.start);
     let r = shared.table.read().lookup(&job.path)?;
     let snap = shared.cache.lookup(r, now)?;
     // The lookup flipped `used`; settle the speculation even if the body
@@ -1109,14 +1122,19 @@ fn count_error(shared: &ProxyShared, job: &UpstreamJob) {
     shared.obs.error.record(job.start.elapsed());
 }
 
-/// Settle `job`'s exchange: store or freshen, then the pushes a `--push`
-/// origin streamed behind the response, then the piggyback, then the
-/// outcome histogram.
-pub(crate) fn settle(shared: &ProxyShared, job: &UpstreamJob, outcome: UpstreamOutcome) -> Settled {
+/// Settle `job`'s exchange at `now`, the stamp of the upstream wakeup
+/// that finished it: store or freshen, then the pushes a `--push` origin
+/// streamed behind the response, then the piggyback, then the outcome
+/// histogram.
+pub(crate) fn settle(
+    shared: &ProxyShared,
+    job: &UpstreamJob,
+    outcome: UpstreamOutcome,
+    now: Timestamp,
+) -> Settled {
     if let Some(hit) = &job.prefix {
         return settle_suffix(shared, job, hit, outcome);
     }
-    let now = shared.clock.now();
     let (resp, pushed) = match outcome {
         UpstreamOutcome::Response(resp, pushed) => (resp, pushed),
         UpstreamOutcome::Failed => {
@@ -1229,9 +1247,8 @@ fn settle_suffix(
     }
 }
 
-/// Store a 200 upstream response: register the path, retain the body
-/// once, insert the entry, and settle/clean up everything the insert
-/// displaced.
+/// Store a 200 upstream response at `now`: register the path, then
+/// [`store`] the body, answered as a `MISS`.
 fn store_full_response(
     shared: &ProxyShared,
     path: &str,
@@ -1239,53 +1256,60 @@ fn store_full_response(
     now: Timestamp,
 ) -> Response {
     shared.stats.full_fetches.fetch_add(1, Relaxed);
-    shared
-        .stats
-        .bytes_from_origin
-        .fetch_add(resp.body.len() as u64, Relaxed);
-    let lm = last_modified(resp, now);
     let size = resp.body.len() as u64;
+    shared.stats.bytes_from_origin.fetch_add(size, Relaxed);
+    let lm = last_modified(resp, now);
     let r = shared.table.write().register_path(path, size, lm);
-    // Retain the fetched bytes once; every hit from here on is a
-    // refcount bump on this same allocation.
-    let body = resp.body.clone();
-    // Body first, then the entry: a concurrent lookup never sees
-    // an entry without its body (the reverse order could). The
-    // evictees share r's shard (the stores are co-sharded), so
-    // insert and cleanup stay under one body-shard lock each.
+    store(shared, r, &resp.body, lm, now, false);
+    cached_response(&resp.body, lm, "MISS")
+}
+
+/// Cache `body` as `r`'s entry, fresh for Δ from `now` — a speculation
+/// (`prefetched`) is unused until a client asks — and settle and clean up
+/// everything the insert displaced. `false`: oversized for its shard,
+/// nothing kept. The one store routine of demand fetches, speculations
+/// and pushes.
+pub(crate) fn store(
+    shared: &ProxyShared,
+    r: ResourceId,
+    body: &Body,
+    lm: Timestamp,
+    now: Timestamp,
+    prefetched: bool,
+) -> bool {
+    // Body first, then the entry: a concurrent lookup never sees an entry
+    // without its body (the reverse order could). Every hit from here on
+    // is a refcount bump on this one allocation. The evictees share r's
+    // shard (the stores are co-sharded), so insert and cleanup stay under
+    // one body-shard lock each.
     shared.bodies.insert(r, body.clone());
-    let out = shared.cache.insert_accounted(
-        r,
-        CacheEntry {
-            size,
-            last_modified: lm,
-            expires: now + shared.cfg.freshness,
-            prefetched: false,
-            used: true,
-        },
-        now,
-    );
+    let entry = CacheEntry {
+        size: body.len() as u64,
+        last_modified: lm,
+        expires: now + shared.cfg.freshness,
+        prefetched,
+        used: !prefetched,
+    };
+    let out = shared.cache.insert_accounted(r, entry, now);
+    // A still-unused speculative entry replaced or evicted before any
+    // client asked is settled as wasted.
     if let Some(old) = &out.replaced {
-        // A still-unused speculative entry displaced by the demand fetch
-        // it raced: settle it as wasted.
         prefetch::settle_displaced(&shared.stats, old);
     }
     if !out.evicted.is_empty() {
-        for (_, old) in &out.evicted {
-            prefetch::settle_displaced(&shared.stats, old);
-        }
         shared.bodies.with_resource_shard(r, |bodies| {
-            for (v, _) in &out.evicted {
+            for (v, old) in &out.evicted {
+                prefetch::settle_displaced(&shared.stats, old);
                 bodies.remove(*v);
             }
         });
     }
     if !out.inserted {
-        // Oversized for its shard: drop the orphan body so the store
-        // cannot hold bytes the cache will never serve.
+        // Drop the orphan body so the store cannot hold bytes the cache
+        // will never serve.
         shared.bodies.remove(r);
     }
-    cached_response(&body, lm, "MISS")
+    out.inserted
 }
 
 /// Apply one response's `P-volume` piggyback (trailer on a chunked 200,

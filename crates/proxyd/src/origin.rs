@@ -41,10 +41,12 @@ use crate::prefetch::{PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER, PUSH_PATH_HEADER};
 use crate::proxy::METRICS_PATH;
 use crate::service::{serve_blocking, Served, Service};
 use crate::stats::{AtomicDaemonStats, DaemonStats};
-use crate::util::{fill_synth_body, synth_len, Clock, IoMode, IoStats, ServeOptions, ServerHandle};
+use crate::util::{
+    fill_synth_body, insert_date, synth_len, Clock, IoMode, IoStats, ServeOptions, ServerHandle,
+};
 use parking_lot::Mutex;
 use piggyback_core::datetime::{
-    parse_rfc1123, timestamp_from_unix, unix_from_timestamp, Rfc1123, DEFAULT_TRACE_EPOCH_UNIX,
+    parse_rfc1123, timestamp_from_unix, unix_from_timestamp, DEFAULT_TRACE_EPOCH_UNIX,
 };
 use piggyback_core::filter::{ProxyFilter, PIGGY_FILTER_HEADER};
 use piggyback_core::report::{parse_report, ReportEntry, PIGGY_REPORT_HEADER};
@@ -57,7 +59,7 @@ use piggyback_core::table::ResourceTable;
 use piggyback_core::types::{DurationMs, ResourceId, SourceId, Timestamp};
 use piggyback_core::volume::{ProbabilityVolumes, ProbabilityVolumesBuilder, SamplingMode};
 use piggyback_core::wire::{decode_p_volume, encode_p_volume, P_VOLUME_HEADER};
-use piggyback_httpwire::{Body, ConnScratch, HeaderMap, Request, Response};
+use piggyback_httpwire::{Body, ConnScratch, Request, Response};
 use piggyback_trace::synth::site::{Site, SiteConfig};
 use std::collections::HashMap;
 use std::io::{self, BufReader};
@@ -77,16 +79,6 @@ fn serve_body(path: &str, size: u64) -> Body {
     let mut bytes: Arc<[u8]> = std::iter::repeat_n(0, synth_len(size)).collect();
     fill_synth_body(path, Arc::get_mut(&mut bytes).expect("not yet shared"));
     Body::from(bytes)
-}
-
-/// `Last-Modified` at `lm`, from the date's stack bytes (no formatter, no
-/// `String`).
-fn insert_last_modified(headers: &mut HeaderMap, lm: Timestamp) {
-    let date = Rfc1123(unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX));
-    match date.to_bytes() {
-        Some(b) => headers.insert("Last-Modified", std::str::from_utf8(&b).expect("ASCII")),
-        None => headers.insert("Last-Modified", &date.to_string()),
-    }
 }
 
 /// Which volume scheme the origin serves with.
@@ -753,7 +745,8 @@ fn build_pushes(
         let meta = *meta;
         let mut p = Response::new(200);
         p.headers.insert(PUSH_PATH_HEADER, &e.path);
-        insert_last_modified(&mut p.headers, meta.last_modified);
+        let lm = unix_from_timestamp(meta.last_modified, DEFAULT_TRACE_EPOCH_UNIX);
+        insert_date(&mut p.headers, "Last-Modified", lm);
         p.headers
             .insert("Content-Type", content_type_str(meta.content_type));
         p.body = serve_body(&e.path, meta.size);
@@ -785,7 +778,8 @@ fn respond(
 
     let wants_chunked = req.headers.list_contains("TE", "chunked");
     let mut resp = Response::new(if not_modified { 304 } else { 200 });
-    insert_last_modified(&mut resp.headers, meta.last_modified);
+    let lm = unix_from_timestamp(meta.last_modified, DEFAULT_TRACE_EPOCH_UNIX);
+    insert_date(&mut resp.headers, "Last-Modified", lm);
     resp.headers
         .insert("Content-Type", content_type_str(meta.content_type));
     if not_modified {

@@ -367,8 +367,9 @@ fn fetch_and_install(
         retry: Box::new(move || {
             retry_shared.stats.prefetch_retries.fetch_add(1, Relaxed);
         }),
-        finish: Box::new(move |_scratch, _out, outcome| {
-            settle_speculation(&finish_shared, landing.r, &path, outcome);
+        finish: Box::new(move |_scratch, _out, outcome, now| {
+            let now = finish_shared.clock.at(now);
+            settle_speculation(&finish_shared, landing.r, &path, outcome, now);
             drop(landing);
             Ok(())
         }),
@@ -387,9 +388,16 @@ fn fetch_and_install(
     }
 }
 
-/// Resolve an issued speculation from its exchange outcome: a 200 is
-/// installed, anything else is wasted on the spot.
-fn settle_speculation(shared: &ProxyShared, r: ResourceId, path: &str, outcome: UpstreamOutcome) {
+/// Resolve an issued speculation from its exchange outcome, settled at
+/// `now`: a 200 is stored unless a demand fetch landed the entry while it
+/// was on the wire, anything else is wasted on the spot.
+fn settle_speculation(
+    shared: &ProxyShared,
+    r: ResourceId,
+    path: &str,
+    outcome: UpstreamOutcome,
+    now: Timestamp,
+) {
     let stats = &shared.stats;
     // The speculative leg carries no relay rule, so the only other
     // outcome is `Failed`.
@@ -401,60 +409,11 @@ fn settle_speculation(shared: &ProxyShared, r: ResourceId, path: &str, outcome: 
     if resp.status != 200 {
         return settle_wasted(stats, size);
     }
-    let now = shared.clock.now();
     let lm = lifecycle::last_modified(&resp, now);
     shared.table.write().register_path(path, size, lm);
-    install_speculative(shared, r, resp.body.clone(), size, lm, now);
-}
-
-/// Install a speculatively fetched (or pushed) body as a
-/// `prefetched: true, used: false` entry, settling everything the insert
-/// displaces. The caller has already counted the speculation as issued.
-pub(crate) fn install_speculative(
-    shared: &ProxyShared,
-    r: ResourceId,
-    body: piggyback_httpwire::Body,
-    size: u64,
-    lm: Timestamp,
-    now: Timestamp,
-) {
-    let stats = &shared.stats;
-    // A demand fetch that completed while we were on the wire wins: keep
-    // its entry, settle our fetch as wasted.
-    if shared.cache.peek(r).is_some() {
-        return settle_wasted(stats, size);
-    }
-    // Body first, then the entry, exactly like the demand path: a
-    // concurrent lookup that wins the entry also finds the body.
-    shared.bodies.insert(r, body);
-    let out = shared.cache.insert_accounted(
-        r,
-        CacheEntry {
-            size,
-            last_modified: lm,
-            expires: now + shared.cfg.freshness,
-            prefetched: true,
-            used: false,
-        },
-        now,
-    );
-    if let Some(old) = &out.replaced {
-        settle_displaced(stats, old);
-    }
-    if !out.evicted.is_empty() {
-        for (_, old) in &out.evicted {
-            settle_displaced(stats, old);
-        }
-        shared.bodies.with_resource_shard(r, |bodies| {
-            for (v, _) in &out.evicted {
-                bodies.remove(*v);
-            }
-        });
-    }
-    if !out.inserted {
-        // Oversized for its shard: the body can never be served, so the
-        // speculation is wasted on the spot.
-        shared.bodies.remove(r);
+    // A demand fetch that completed while we were on the wire wins; a body
+    // oversized for its shard can never be served.
+    if shared.cache.peek(r).is_some() || !lifecycle::store(shared, r, &resp.body, lm, now, true) {
         settle_wasted(stats, size);
     }
 }
@@ -510,5 +469,7 @@ pub(crate) fn accept_push(shared: &ProxyShared, resp: &Response, now: Timestamp)
         return settle_wasted(stats, size);
     }
     stats.pushes_accepted.fetch_add(1, Relaxed);
-    install_speculative(shared, r, resp.body.clone(), size, lm, now);
+    if !lifecycle::store(shared, r, &resp.body, lm, now, true) {
+        settle_wasted(stats, size);
+    }
 }

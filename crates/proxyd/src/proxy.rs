@@ -610,8 +610,8 @@ fn fetch(
         }),
         relay: leg.relay,
         accept_push: leg.accept_push,
-        finish: Box::new(move |scratch, out, outcome| {
-            match lifecycle::settle(&shared, &job, outcome) {
+        finish: Box::new(move |scratch, out, outcome, now| {
+            match lifecycle::settle(&shared, &job, outcome, shared.clock.at(now)) {
                 Settled::Reply(resp) => resp.write_with(out, scratch),
                 Settled::Sent => Ok(()),
                 Settled::Abort => Err(lifecycle::relay_aborted()),
@@ -1009,6 +1009,133 @@ mod tests {
         assert_eq!(kept, [&paths[0]], "no entry filled before the mutation");
         proxy.stop();
         origin.stop();
+    }
+
+    /// The freshness policy in virtual time: `ProxySvc::handle` and each
+    /// plan's continuation are driven with chosen stamps and scripted
+    /// origin answers — no client connection, no origin, no sleep. Δ is
+    /// 60 s, and every step lands on either side of a freshness edge.
+    #[test]
+    fn freshness_runs_in_virtual_time() {
+        use crate::lifecycle::UpstreamOutcome;
+        use piggyback_core::datetime::format_rfc1123;
+        use piggyback_core::wire::P_VOLUME_HEADER;
+        use std::time::Duration;
+        const DELTA: Duration = Duration::from_secs(60);
+        const MS: Duration = Duration::from_millis(1);
+        let mut cfg = ProxyConfig::new("127.0.0.1:1".parse().unwrap());
+        cfg.freshness = DurationMs::from_secs(60);
+        cfg.rpv = None;
+        cfg.report_hits = false;
+        let proxy = start_proxy(cfg).unwrap();
+        let svc = ProxySvc {
+            shared: Arc::clone(&proxy.shared),
+        };
+        let (mut ctx, mut scratch) = (svc.make_ctx(), ConnScratch::new());
+        let peer: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let x_cache = |out: &[u8]| {
+            let resp = Response::read(&mut &out[..], false).unwrap();
+            resp.headers.get("X-Cache").unwrap_or("").to_owned()
+        };
+        // One request of a batch arriving at `at`: the inline answer's
+        // verdict, or the plan it goes upstream with.
+        let mut serve = |ctx: &mut ProxyCtx, path: &str, at: Instant| {
+            let mut out = Vec::new();
+            let req = Request::new("GET", path);
+            let served = svc.handle(&req, peer, at, ctx, &mut scratch, &mut out);
+            svc.end_batch(ctx);
+            match served.unwrap() {
+                Served::Inline => Ok(x_cache(&out)),
+                Served::Upstream(plan) => Err(Box::new(plan)),
+                Served::Park(_) => panic!("{path}: no prefetcher, no join"),
+            }
+        };
+        // The plan's continuation, settled at `at` with `answer`.
+        let settle = |plan: Box<UpstreamPlan>, answer, at: Instant| {
+            let mut out = Vec::new();
+            (plan.finish)(&mut ConnScratch::new(), &mut out, answer, at).unwrap();
+            x_cache(&out)
+        };
+        let date =
+            |lm: Timestamp| format_rfc1123(unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX));
+        let validates = |plan: &UpstreamPlan, lm| {
+            let ims = format!("If-Modified-Since: {}\r\n", date(lm));
+            String::from_utf8_lossy(&plan.request).contains(&ims)
+        };
+        // A 200 last modified at `lm`, its `P-volume` naming `/a` at `a_lm`.
+        let ok = |lm, a_lm: Option<Timestamp>| {
+            let mut resp = Response::new(200);
+            resp.headers.insert("Last-Modified", &date(lm));
+            if let Some(a_lm) = a_lm {
+                let pv = format!("1; \"/a\" {} 5", a_lm.as_secs());
+                resp.headers.insert(P_VOLUME_HEADER, &pv);
+            }
+            resp.body = Body::from(b"hello".to_vec());
+            UpstreamOutcome::Response(resp, Vec::new())
+        };
+        let not_modified = || UpstreamOutcome::Response(Response::new(304), Vec::new());
+        let stats = || proxy.stats();
+        let (t0, lm) = (Instant::now(), Timestamp::from_secs(1_000));
+
+        // 1. A miss is stored.
+        let plan = serve(&mut ctx, "/a", t0).unwrap_err();
+        assert!(!validates(&plan, lm));
+        assert_eq!(settle(plan, ok(lm, None), t0), "MISS");
+
+        // 2. A hit just inside Δ: locked, then from the affine L1, then
+        // locked again once a store moved the cache's epoch.
+        let t1 = t0 + DELTA - MS;
+        assert_eq!(serve(&mut ctx, "/a", t1).ok().as_deref(), Some("HIT"));
+        assert_eq!(serve(&mut ctx, "/a", t1).ok().as_deref(), Some("HIT"));
+        assert_eq!((stats().fresh_hits, stats().affine_hits), (2, 1));
+        let plan = serve(&mut ctx, "/b", t1).unwrap_err();
+        assert_eq!(settle(plan, ok(lm, None), t1), "MISS");
+        assert_eq!(serve(&mut ctx, "/a", t1).ok().as_deref(), Some("HIT"));
+        assert_eq!((stats().fresh_hits, stats().affine_hits), (3, 1));
+
+        // 3. At Δ it validates with `If-Modified-Since`.
+        let plan = serve(&mut ctx, "/a", t0 + DELTA).unwrap_err();
+        assert!(validates(&plan, lm));
+        assert_eq!(stats().validations, 1);
+
+        // 4. A 304 settled at t3 — a second after the plan — is fresh for
+        // Δ from t3, not from the plan.
+        let t3 = t0 + DELTA + Duration::from_secs(1);
+        assert_eq!(settle(plan, not_modified(), t3), "VALIDATED");
+        assert_eq!(
+            serve(&mut ctx, "/a", t3 + DELTA - MS).ok().as_deref(),
+            Some("HIT")
+        );
+
+        // 5. A piggyback that is not newer, on the miss of `/c` at t4,
+        // freshens `/a` until t4 + Δ, past where the 304 left it.
+        let t4 = t3 + DELTA / 2;
+        let plan = serve(&mut ctx, "/c", t4).unwrap_err();
+        assert_eq!(settle(plan, ok(lm, Some(lm)), t4), "MISS");
+        assert_eq!(stats().piggyback_freshens, 1);
+        assert_eq!(
+            serve(&mut ctx, "/a", t4 + DELTA - MS).ok().as_deref(),
+            Some("HIT")
+        );
+        let plan = serve(&mut ctx, "/a", t4 + DELTA).unwrap_err();
+        assert!(validates(&plan, lm));
+        assert_eq!(settle(plan, not_modified(), t4 + DELTA), "VALIDATED");
+
+        // 6. A newer piggybacked `Last-Modified` invalidates it: the next
+        // request is a plain miss, still inside the last 304's Δ.
+        let t5 = t4 + DELTA + Duration::from_secs(1);
+        let newer = Timestamp::from_secs(2_000);
+        let plan = serve(&mut ctx, "/d", t5).unwrap_err();
+        assert_eq!(settle(plan, ok(lm, Some(newer)), t5), "MISS");
+        assert_eq!(stats().piggyback_invalidations, 1);
+        let plan = serve(&mut ctx, "/a", t5).unwrap_err();
+        assert!(!validates(&plan, lm) && !validates(&plan, newer));
+        assert_eq!(settle(plan, ok(newer, None), t5), "MISS");
+
+        let s = stats();
+        assert_eq!((s.validations, s.not_modified, s.full_fetches), (2, 2, 5));
+        assert_eq!(s.outcomes(), s.requests, "conservation");
+        proxy.stop();
     }
 
     #[test]

@@ -638,7 +638,8 @@ struct Reactor<S: Service> {
     spare_scratch: ConnScratch,
     spare_out: Vec<u8>,
     /// The clock read right after the last `epoll_wait` returned: the
-    /// arrival stamp of every batch that wakeup serves.
+    /// arrival stamp of every batch that wakeup serves, and the stamp of
+    /// every upstream exchange it starts, moves, fails or settles.
     now: Instant,
 }
 
@@ -818,7 +819,7 @@ impl<S: Service> Reactor<S> {
             Some(ex) => ex.machine.deadline(self.upstream_timeout),
             None => up.last_active + self.upstream_timeout,
         };
-        let now = Instant::now();
+        let now = self.now;
         if now < deadline {
             let ticks = self.wheel.ticks_for((deadline - now).max(self.wheel.tick));
             self.wheel.schedule(token, ticks);
@@ -911,12 +912,20 @@ impl<S: Service> Reactor<S> {
     }
 
     /// Write staged output until EAGAIN, and close a connection whose
-    /// machine is done. `true` = connection closed.
+    /// machine is done. A write that took bytes moves the relay feeding
+    /// the connection. `true` = connection closed.
     fn flush_conn(&mut self, token: u64) -> bool {
         let Some(conn) = self.slab.get_mut(token) else {
             return true;
         };
+        let owed = conn.machine.output().len();
         let broken = conn.machine.write_through(&mut conn.stream, &[]).is_err();
+        if let Some(u) = conn.relay_up.filter(|_| conn.machine.output().len() < owed) {
+            let up = self.upstreams.get_mut(u & !UPSTREAM_BIT);
+            if let Some(ex) = up.and_then(|up| up.ex.as_mut()) {
+                ex.machine.moved(self.now);
+            }
+        }
         let close = broken || conn.machine.done();
         if close {
             self.close_conn(token);
@@ -1011,7 +1020,7 @@ impl<S: Service> Reactor<S> {
         self.shard_stats().upstream_inflight.fetch_add(1, Relaxed);
         let request = std::mem::take(&mut plan.request);
         let response = ResponseMachine::new(plan.relay, plan.accept_push);
-        let machine = ExchangeMachine::new(request, true, response, Instant::now());
+        let machine = ExchangeMachine::new(request, true, response, self.now);
         let ex = Exchange {
             plan,
             client,
@@ -1057,7 +1066,7 @@ impl<S: Service> Reactor<S> {
             stream,
             dialing: !connected,
             buf: vec![0; UPSTREAM_READ],
-            last_active: Instant::now(),
+            last_active: self.now,
             hup: false,
             ex: Some(ex),
         };
@@ -1118,8 +1127,9 @@ impl<S: Service> Reactor<S> {
     /// leaves at once behind them with its span of payload forwarded in
     /// place, in one vectored write
     /// ([`write_through`](ClientMachine::write_through)); origin reads
-    /// pause while the client is owed anything. The end and every failure
-    /// route to settle/retry.
+    /// pause while the client is owed anything. Every read moves the
+    /// exchange at the wakeup's stamp. The end and every failure route to
+    /// settle/retry.
     fn drive_upstream(&mut self, utoken: u64) {
         enum Out {
             Wait,
@@ -1139,6 +1149,7 @@ impl<S: Service> Reactor<S> {
                     metrics,
                     shard,
                     spare_out,
+                    now,
                     ..
                 } = self;
                 let stats = &metrics.shards[*shard];
@@ -1210,6 +1221,7 @@ impl<S: Service> Reactor<S> {
                             verdict = Out::Broken(ex.client.expect("a live client"));
                         }
                     }
+                    machine.moved(*now);
                     drained = n < offered && !up.hup;
                     grow_upstream_read(&mut up.buf, n);
                 }
@@ -1234,7 +1246,7 @@ impl<S: Service> Reactor<S> {
             .upstreams
             .get_mut(utoken & !UPSTREAM_BIT)
             .and_then(|up| up.ex.as_mut())
-            .is_some_and(|ex| ex.machine.fail(Instant::now()));
+            .is_some_and(|ex| ex.machine.fail(self.now));
         if !again {
             return self.settle_upstream(utoken);
         }
@@ -1258,7 +1270,7 @@ impl<S: Service> Reactor<S> {
         };
         let Some(ex) = up.ex.take() else { return };
         if ex.machine.reusable() && self.idle_ups.len() < self.upstream_max_idle {
-            up.last_active = Instant::now();
+            up.last_active = self.now;
             self.idle_ups.push_back(utoken);
         } else {
             self.close_upstream(utoken);
@@ -1269,10 +1281,10 @@ impl<S: Service> Reactor<S> {
         self.finish_exchange(ex);
     }
 
-    /// Run the continuation with the machine's outcome, writing into the
-    /// parked client's buffers (or the spare set if the client died — the
-    /// continuation's counter updates must happen regardless), then unpark
-    /// and pump the client.
+    /// Run the continuation with the machine's outcome at the wakeup's
+    /// stamp, writing into the parked client's buffers (or the spare set if
+    /// the client died — the continuation's counter updates must happen
+    /// regardless), then unpark and pump the client.
     fn finish_exchange(&mut self, ex: Exchange) {
         let Exchange {
             plan,
@@ -1281,17 +1293,19 @@ impl<S: Service> Reactor<S> {
         } = ex;
         let outcome = machine.into_outcome();
         let client = client.filter(|t| self.slab.get_mut(*t).is_some());
-        let done = match client {
-            Some(token) => {
-                let conn = self.slab.get_mut(token).expect("checked above");
-                let (scratch, out) = conn.machine.stage();
-                (plan.finish)(scratch, out, outcome)
-            }
+        let (scratch, out) = match client {
+            Some(token) => self
+                .slab
+                .get_mut(token)
+                .expect("checked above")
+                .machine
+                .stage(),
             None => {
                 self.spare_out.clear();
-                (plan.finish)(&mut self.spare_scratch, &mut self.spare_out, outcome)
+                (&mut self.spare_scratch, &mut self.spare_out)
             }
         };
+        let done = (plan.finish)(scratch, out, outcome, self.now);
         self.shard_stats().upstream_inflight.fetch_sub(1, Relaxed);
         // An `Err` can only end in a truncation: drain what is staged —
         // the client head and a strict prefix of the body — then close.

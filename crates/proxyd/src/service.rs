@@ -82,9 +82,11 @@ pub struct UpstreamPlan {
     /// The full serialized request, so the origin sees identical bytes
     /// from either poller.
     pub request: Vec<u8>,
-    /// Continuation run on the poller with the outcome. It must serialize
-    /// the client-facing response into `out` (append-only); an `Err`
-    /// drops the client connection after what is staged.
+    /// Continuation run on the poller with the outcome and the stamp of
+    /// the upstream wakeup that finished the exchange, the time it settles
+    /// at. It must serialize the client-facing response into `out`
+    /// (append-only); an `Err` drops the client connection after what is
+    /// staged.
     pub finish: FinishFn,
     /// Side-effect hook invoked exactly once if the exchange is retried
     /// on a fresh connection.
@@ -97,8 +99,9 @@ pub struct UpstreamPlan {
     pub accept_push: bool,
 }
 
-pub type FinishFn =
-    Box<dyn FnOnce(&mut ConnScratch, &mut Vec<u8>, UpstreamOutcome) -> io::Result<()> + Send>;
+pub type FinishFn = Box<
+    dyn FnOnce(&mut ConnScratch, &mut Vec<u8>, UpstreamOutcome, Instant) -> io::Result<()> + Send,
+>;
 pub type RetryFn = Box<dyn Fn() + Send>;
 
 /// A protocol engine: parse-complete requests in, serialized response
@@ -531,8 +534,9 @@ fn write_staged(w: &mut TcpStream, machine: &mut ClientMachine) -> io::Result<()
 /// Run `plan`'s one exchange on the calling thread: [`blocking_exchange`]
 /// over `pool`, with `out` as the machine's sink, handing `flush` what
 /// each read staged and its span of payload forwarded in place, to go out
-/// in that order; then the continuation, with the outcome. A relay holds
-/// one read's worth, never the body.
+/// in that order; then the continuation, with the outcome and one clock
+/// read taken as the exchange returned. A relay holds one read's worth,
+/// never the body.
 pub(crate) fn run_plan(
     plan: UpstreamPlan,
     pool: &ConnectionPool,
@@ -561,10 +565,11 @@ pub(crate) fn run_plan(
         out,
         |seg, span, _| flush(seg, span),
     );
+    let now = Instant::now();
     if let Some((conn, reuse)) = kept {
         pool.checkin(conn, reuse);
     }
-    finish(scratch, out, outcome)
+    finish(scratch, out, outcome, now)
 }
 
 /// Drive `machine` to its outcome on blocking connections, for every
@@ -577,8 +582,9 @@ pub(crate) fn run_plan(
 /// until the machine is done or an attempt fails, and then the machine
 /// says whether to go again (PROTOCOL.md §7.1). A failed dial is terminal.
 /// A connection's timeout bounds each attempt: a read or write that waits
-/// longer fails, and so does an attempt past its deadline. The connection
-/// of an exchange that ended comes back with the machine's verdict on it.
+/// longer fails, and so does an attempt past its deadline — an engaged
+/// relay's runs from the end of its last flush. The connection of an
+/// exchange that ended comes back with the machine's verdict on it.
 pub(crate) fn blocking_exchange<'h>(
     mut machine: ExchangeMachine<'h>,
     mut dial: impl FnMut(bool) -> io::Result<PooledConn>,
@@ -623,6 +629,7 @@ fn attempt<'h>(
         };
         machine.filled(&conn.buf[..n], sink)?;
         flush(sink, &conn.buf[machine.span()], machine)?;
+        machine.moved(Instant::now());
         lifecycle::grow_upstream_read(&mut conn.buf, n);
     }
     Ok(())

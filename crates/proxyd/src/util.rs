@@ -1,7 +1,10 @@
 //! Shared plumbing for the network daemons: wall-clock mapping, server
-//! lifecycle, I/O-mode selection, and deterministic body synthesis.
+//! lifecycle, I/O-mode selection, HTTP dates, and deterministic body
+//! synthesis.
 
+use piggyback_core::datetime::Rfc1123;
 use piggyback_core::types::{SourceId, Timestamp};
+use piggyback_httpwire::HeaderMap;
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -11,7 +14,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Maps wall-clock time to protocol [`Timestamp`]s (milliseconds since the
-/// process's own epoch).
+/// process's own epoch). It reads no clock after its start: protocol time
+/// is always a stamp a poller took, converted.
 #[derive(Debug, Clone)]
 pub struct Clock {
     start: Instant,
@@ -22,10 +26,6 @@ impl Clock {
         Clock {
             start: Instant::now(),
         }
-    }
-
-    pub fn now(&self) -> Timestamp {
-        self.at(Instant::now())
     }
 
     /// The protocol time at `instant`, a clock reading the caller already
@@ -569,6 +569,16 @@ pub(crate) fn fill_synth_body(path: &str, body: &mut [u8]) {
     }
 }
 
+/// `name: <date>` for `unix` seconds, from the date's stack bytes (no
+/// formatter, no `String`); a year past 9999 takes the `Display` path.
+pub(crate) fn insert_date(headers: &mut HeaderMap, name: &str, unix: i64) {
+    let date = Rfc1123(unix);
+    match date.to_bytes() {
+        Some(b) => headers.insert(name, std::str::from_utf8(&b).expect("ASCII")),
+        None => headers.insert(name, &date.to_string()),
+    }
+}
+
 /// Deterministic body for `path` of (approximately) `size` bytes.
 pub fn synth_body(path: &str, size: u64) -> Vec<u8> {
     let mut body = vec![0; synth_len(size)];
@@ -582,11 +592,40 @@ mod tests {
     use std::io::{Read, Write};
 
     #[test]
-    fn clock_is_monotonic() {
+    fn clock_maps_stamps_monotonically() {
         let c = Clock::new();
-        let a = c.now();
-        let b = c.now();
-        assert!(b >= a);
+        let t0 = Instant::now();
+        assert!(c.at(t0 + Duration::from_millis(5)) >= c.at(t0));
+        assert_eq!(
+            c.at(t0 + Duration::from_secs(60)).as_millis() - c.at(t0).as_millis(),
+            60_000
+        );
+    }
+
+    /// The stack-byte date is `format_rfc1123` byte for byte: 1998-01-01,
+    /// the trace epoch, the leap days of 2000 and 2024, the day after the
+    /// second, the Unix epoch, the last second of 9999 and the one after.
+    #[test]
+    fn insert_date_matches_format_rfc1123() {
+        use piggyback_core::datetime::{format_rfc1123, DEFAULT_TRACE_EPOCH_UNIX};
+        for unix in [
+            883_612_800,
+            DEFAULT_TRACE_EPOCH_UNIX,
+            951_782_400,
+            1_709_164_800,
+            1_709_251_200,
+            0,
+            253_402_300_799,
+            253_402_300_800,
+        ] {
+            let mut h = HeaderMap::new();
+            insert_date(&mut h, "If-Modified-Since", unix);
+            assert_eq!(
+                h.get("If-Modified-Since"),
+                Some(&*format_rfc1123(unix)),
+                "{unix}"
+            );
+        }
     }
 
     #[test]

@@ -69,15 +69,17 @@ pub struct VolumeCenterConfig {
     pub transparent: bool,
 }
 
-struct CenterState {
-    server: PiggybackServer<DirectoryVolumes>,
+/// What the center learns, behind its lock, and the clock that maps each
+/// exchange's start stamp to protocol time before [`learn`] takes the lock.
+struct Center {
+    server: Mutex<PiggybackServer<DirectoryVolumes>>,
     clock: Clock,
 }
 
 /// A running volume center.
 pub struct VolumeCenterHandle {
     handle: ServerHandle,
-    state: Arc<Mutex<CenterState>>,
+    center: Arc<Center>,
     daemon: Arc<AtomicDaemonStats>,
     shim: Option<Arc<Conditioner>>,
 }
@@ -88,7 +90,7 @@ impl VolumeCenterHandle {
     }
 
     pub fn stats(&self) -> ServerStats {
-        self.state.lock().server.stats()
+        self.center.server.lock().stats()
     }
 
     /// Lock-free transport counters for the relay itself.
@@ -103,7 +105,7 @@ impl VolumeCenterHandle {
 
     /// Number of resources learned from observed traffic.
     pub fn learned_resources(&self) -> usize {
-        self.state.lock().server.table().len()
+        self.center.server.lock().table().len()
     }
 
     pub fn stop(self) {
@@ -121,15 +123,16 @@ pub(crate) fn start_relay(
     cfg: VolumeCenterConfig,
     recorder: Option<Arc<Recorder>>,
 ) -> io::Result<VolumeCenterHandle> {
-    let state = Arc::new(Mutex::new(CenterState {
-        server: PiggybackServer::new(DirectoryVolumes::new(cfg.volume_level)),
+    let server = PiggybackServer::new(DirectoryVolumes::new(cfg.volume_level));
+    let center = Arc::new(Center {
+        server: Mutex::new(server),
         clock: Clock::new(),
-    }));
+    });
     let daemon = Arc::new(AtomicDaemonStats::new());
     let shim = cfg
         .shim
         .map(|s| Arc::new(Conditioner::new(s.profile, s.seed)));
-    let state2 = Arc::clone(&state);
+    let center2 = Arc::clone(&center);
     let daemon2 = Arc::clone(&daemon);
     let shim2 = shim.clone();
     let origin = cfg.origin;
@@ -138,7 +141,7 @@ pub(crate) fn start_relay(
         let _ = handle_connection(
             stream,
             origin,
-            &state2,
+            &center2,
             &daemon2,
             shim2.as_deref(),
             transparent,
@@ -147,7 +150,7 @@ pub(crate) fn start_relay(
     })?;
     Ok(VolumeCenterHandle {
         handle,
-        state,
+        center,
         daemon,
         shim,
     })
@@ -273,12 +276,14 @@ fn source_of(stream: &TcpStream) -> SourceId {
 
 /// The oblivious-origin mode's head hook: learn the resource from the
 /// observed response (its size is `size`, the declared or buffered body
-/// length) and put its piggyback in a trailer when the request offered
-/// `TE: chunked` on a `GET` `200`, in a header otherwise. It runs before
-/// any byte of the response moves downstream, so a transfer that dies
-/// later leaves its resource learned and its access recorded.
+/// length) at the exchange's `start`, and put its piggyback in a trailer
+/// when the request offered `TE: chunked` on a `GET` `200`, in a header
+/// otherwise. It runs before any byte of the response moves downstream, so
+/// a transfer that dies later leaves its resource learned and its access
+/// recorded. It reads no clock, and converts the stamp before it locks.
 fn learn(
-    state: &Mutex<CenterState>,
+    center: &Center,
+    start: Instant,
     req: &Request,
     source: SourceId,
     filter: Option<&ProxyFilter>,
@@ -289,24 +294,24 @@ fn learn(
         return;
     }
     let path = strip_origin_form(&req.target);
-    let mut st = state.lock();
-    let now = st.clock.now();
+    let now = center.clock.at(start);
+    let mut server = center.server.lock();
     let lm = lifecycle::last_modified(resp, Timestamp::ZERO);
     let size = if resp.status == 200 {
         size as u64
     } else {
-        st.server
+        server
             .table()
             .lookup(path)
-            .and_then(|r| st.server.table().meta(r))
+            .and_then(|r| server.table().meta(r))
             .map_or(0, |m| m.size)
     };
-    let resource = st.server.register_path(path, size, lm);
-    st.server.record_access(resource, source, now);
-    let Some(msg) = filter.and_then(|f| st.server.piggyback(resource, f, now)) else {
+    let resource = server.register_path(path, size, lm);
+    server.record_access(resource, source, now);
+    let Some(msg) = filter.and_then(|f| server.piggyback(resource, f, now)) else {
         return;
     };
-    let Ok(pv) = encode_p_volume(&msg, st.server.table()) else {
+    let Ok(pv) = encode_p_volume(&msg, server.table()) else {
         return;
     };
     if resp.status == 200 && req.method != "HEAD" && req.headers.list_contains("TE", "chunked") {
@@ -329,7 +334,7 @@ fn learn(
 fn handle_connection(
     downstream: TcpStream,
     origin: SocketAddr,
-    state: &Mutex<CenterState>,
+    center: &Center,
     daemon: &AtomicDaemonStats,
     shim: Option<&Conditioner>,
     transparent: bool,
@@ -388,8 +393,11 @@ fn handle_connection(
             req.headers.remove(PIGGY_PUSH_HEADER);
             filter
         };
+        // The exchange's start: the time the hook learns at, and a
+        // recording's first stamp.
+        let (start, mut first) = (Instant::now(), None);
         let hook = |resp: &mut Response, size: usize| {
-            learn(state, &req, source, filter.as_ref(), resp, size)
+            learn(center, start, &req, source, filter.as_ref(), resp, size)
         };
         let as_is = AsIs {
             head_request: req.method == "HEAD",
@@ -403,8 +411,6 @@ fn handle_connection(
         let machine = ResponseMachine::as_is(as_is, transparent);
         // The last read's span, left in the upstream connection's buffer.
         let mut tail = 0..0;
-        // A recording also stamps the first upstream read.
-        let (start, mut first) = (Instant::now(), None);
         let (outcome, kept) = blocking_exchange(
             ExchangeMachine::new(&request[..], req.body.is_empty(), machine, start),
             |_| up.take().map_or_else(|| PooledConn::connect(origin), Ok),

@@ -385,7 +385,7 @@ impl Service for Fwd {
         Ok(Served::Upstream(UpstreamPlan {
             origin: self.origin,
             request: format!("GET {} HTTP/1.1\r\nHost: fwd\r\n\r\n", req.target).into_bytes(),
-            finish: Box::new(|_scratch, out, outcome| {
+            finish: Box::new(|_scratch, out, outcome, _now| {
                 match outcome {
                     UpstreamOutcome::Response(resp, _) => {
                         write_echo(out, &String::from_utf8_lossy(&resp.body))

@@ -1050,7 +1050,7 @@ impl Service for Fake {
             return Ok(Served::Upstream(UpstreamPlan {
                 origin: peer,
                 request: Vec::new(),
-                finish: Box::new(move |_scratch, out, outcome| {
+                finish: Box::new(move |_scratch, out, outcome, _now| {
                     let failed = matches!(outcome, UpstreamOutcome::Failed);
                     writeln!(out, "upstream {what} failed {failed}")?;
                     Ok(())
@@ -1125,7 +1125,7 @@ fn run_client(pieces: &[&[u8]]) -> ClientRun {
                     Served::Upstream(plan) => {
                         run.parked.push("upstream");
                         let (scratch, out) = machine.stage();
-                        let settled = (plan.finish)(scratch, out, UpstreamOutcome::Failed);
+                        let settled = (plan.finish)(scratch, out, UpstreamOutcome::Failed, now);
                         machine.unpark(settled.is_ok());
                     }
                     Served::Park(_) => {

@@ -1,7 +1,8 @@
 //! Memory of the streaming relay, guarded at the root: a relayed body
 //! costs a bounded number of allocations per 16 KiB and a bounded live
-//! heap, whatever its length, on both pollers. And the origin's memory:
-//! it keeps metadata per resource, never a body it has served.
+//! heap, whatever its length, on both pollers, and it lasts as long as
+//! its client keeps taking bytes. And the origin's memory: it keeps
+//! metadata per resource, never a body it has served.
 //!
 //! The file installs its own counting global allocator, which every
 //! process-wide count and peak is read from, so every test in it holds the
@@ -18,6 +19,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Counts every allocation and reallocation, and tracks the live heap and
 /// its peak.
@@ -458,6 +460,83 @@ fn stalled_client_holds_one_read_not_the_relay() {
             growth <= SLACK,
             "{io:?}: the live heap grew {growth} bytes (bound {SLACK}) while a client \
              stalled on a {BODY}-byte relay"
+        );
+        drop(stream);
+        proxy.stop();
+    }
+}
+
+/// An engaged relay is cut only when it stops moving: its upstream
+/// deadline runs from its last read or client write, not from the
+/// attempt's start. On each engine, under a 500 ms upstream timeout, a
+/// client with a shrunk receive buffer takes an 8 MiB `Content-Length`
+/// miss at a steady pace of at most 32 KiB every 10 ms — several timeouts
+/// in all — and gets every byte. (With the deadline from the attempt's
+/// start, both engines cut the relay mid-body.)
+#[test]
+fn a_slow_steady_client_outlives_the_upstream_timeout() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    const BODY: usize = 8 * 1024 * 1024;
+    const TIMEOUT: Duration = Duration::from_millis(500);
+
+    let origin_addr = canned_origin(BODY);
+    let mut buf = vec![0u8; 32 * 1024];
+    let mut engines = vec![IoMode::Threaded];
+    #[cfg(target_os = "linux")]
+    engines.push(IoMode::Reactor { reactors: 1 });
+    for io in engines {
+        let mut cfg = ProxyConfig::new(origin_addr);
+        cfg.io = io;
+        cfg.rpv = None;
+        cfg.report_hits = false;
+        cfg.prefix_bytes = 0;
+        cfg.upstream_timeout = TIMEOUT;
+        // A short idle window gives the reactor's wheel ~100 ms ticks.
+        cfg.reactor_idle_timeout = Duration::from_secs(3);
+        let proxy = start_proxy(cfg).expect("proxy starts");
+        let mut stream = TcpStream::connect(proxy.addr()).expect("connect");
+        #[cfg(target_os = "linux")]
+        shrink_receive_buffer(&stream, 64 * 1024);
+        stream
+            .write_all(b"GET /slow.bin HTTP/1.1\r\nHost: a\r\n\r\n")
+            .expect("write request");
+        let began = Instant::now();
+        let (mut head, mut head_len, mut body) = (Vec::new(), 0, 0);
+        while body < BODY {
+            let n = stream.read(&mut buf).expect("read response");
+            let at = began.elapsed();
+            assert!(
+                n > 0,
+                "{io:?}: cut after {body} of {BODY} body bytes, {at:?} in"
+            );
+            let mut got = &buf[..n];
+            if head_len == 0 {
+                head.extend_from_slice(got);
+                let Some(p) = find(&head, b"\r\n\r\n") else {
+                    continue;
+                };
+                head_len = p + 4;
+                got = &got[got.len() - (head.len() - head_len)..];
+            }
+            assert!(
+                got.iter()
+                    .enumerate()
+                    .all(|(i, &b)| b == ((body + i) % 251) as u8),
+                "{io:?}: payload corrupt at {body}"
+            );
+            body += got.len();
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(
+            head.starts_with(b"HTTP/1.1 200 OK\r\n"),
+            "{io:?}: not a 200"
+        );
+        assert_eq!(content_length(&head[..head_len]), BODY, "{io:?}");
+        assert_eq!(body, BODY, "{io:?}: exactly the body");
+        let took = began.elapsed();
+        assert!(
+            took >= TIMEOUT * 4,
+            "{io:?}: the transfer took only {took:?}"
         );
         drop(stream);
         proxy.stop();
