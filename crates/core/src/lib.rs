@@ -13,8 +13,8 @@
 //! * [`element`] — piggyback messages and the Section 2.3 wire-cost model.
 //! * [`filter`] — the `Piggy-filter` request header: enable bit, `maxpiggy`,
 //!   RPV list, access/probability/size/content-type thresholds.
-//! * [`rpv`] / [`freq`] — the proxy's transient pacing state: recently
-//!   piggybacked volume lists and frequency-control policies.
+//! * [`rpv`] — the proxy's transient pacing state: recently piggybacked
+//!   volume lists.
 //! * [`volume`] — volume construction: [`volume::DirectoryVolumes`]
 //!   (Section 3.2) and [`volume::ProbabilityVolumes`] with sampling,
 //!   effectiveness thinning, and combined (same-prefix) restriction
@@ -45,7 +45,6 @@ pub mod datetime;
 pub mod element;
 pub mod fasthash;
 pub mod filter;
-pub mod freq;
 pub mod intern;
 pub mod metrics;
 pub mod proxy;
@@ -63,14 +62,11 @@ pub mod wire;
 pub mod prelude {
     pub use crate::element::{PiggybackElement, PiggybackMessage, WireCost};
     pub use crate::filter::{ProxyFilter, ProxyFilterBuilder, PIGGY_FILTER_HEADER};
-    pub use crate::freq::{
-        AdaptiveInterval, AlwaysEnable, FrequencyControl, MinInterval, RandomBit,
-    };
     pub use crate::intern::{directory_prefix, PathInterner};
     pub use crate::metrics::{
         precount_accesses, replay, MetricsReport, ReplayConfig, Request, RpvConfig,
     };
-    pub use crate::proxy::{classify_element, ClientConfig, ElementAction, PiggybackClient};
+    pub use crate::proxy::{classify_element, ElementAction};
     pub use crate::report::{
         absorb_report, parse_report, HitReporter, ReportEntry, PIGGY_REPORT_HEADER,
     };

@@ -1,16 +1,10 @@
-//! Proxy-side piggyback handling (paper Sections 2.1–2.2).
-//!
-//! [`PiggybackClient`] owns the transient per-server state a proxy keeps:
-//! RPV lists and frequency-control pacing. It builds the `Piggy-filter`
-//! for each outgoing request and records arriving piggybacks. The pure
-//! function [`classify_element`] implements the per-element processing of
-//! Section 2.1 ("if p is not in the cache, it could be prefetched...").
+//! Proxy-side piggyback handling (paper Section 2.1): the pure function
+//! [`classify_element`] implements the per-element processing ("if p is
+//! not in the cache, it could be prefetched..."). The proxy's cache
+//! applies it (`piggyback_webcache::Cache::apply_element`), and its one
+//! RPV list per server is a [`crate::rpv::RpvList`].
 
-use crate::element::PiggybackMessage;
-use crate::filter::ProxyFilter;
-use crate::freq::FrequencyControl;
-use crate::rpv::RpvTable;
-use crate::types::{DurationMs, Timestamp};
+use crate::types::Timestamp;
 
 /// What a proxy should do with one piggyback element (Section 2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,96 +33,12 @@ pub fn classify_element(
     }
 }
 
-/// Configuration for a proxy's piggyback client.
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Template for content-oriented filter fields (maxpiggy, minacc, pt,
-    /// maxsize, types); the RPV list and enable bit are filled per request.
-    pub base_filter: ProxyFilter,
-    /// RPV table bounds: (max servers, per-list length). `None` disables
-    /// RPV filtering (appropriate for servers with many volumes).
-    pub rpv: Option<(usize, usize)>,
-    /// RPV entry timeout. The paper requires this to be at most the cache
-    /// freshness interval Δ.
-    pub rpv_timeout: DurationMs,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            base_filter: ProxyFilter::default(),
-            rpv: Some((1024, 16)),
-            rpv_timeout: DurationMs::from_secs(60),
-        }
-    }
-}
-
-/// The proxy's per-server piggyback state and filter generation.
-pub struct PiggybackClient<F: FrequencyControl> {
-    config: ClientConfig,
-    rpv: Option<RpvTable<u64>>,
-    pacing: F,
-}
-
-impl<F: FrequencyControl> PiggybackClient<F> {
-    /// `pacing` decides the per-request enable bit (use
-    /// [`AlwaysEnable`](crate::freq::AlwaysEnable) for no pacing).
-    pub fn new(config: ClientConfig, pacing: F) -> Self {
-        let rpv = config
-            .rpv
-            .map(|(servers, len)| RpvTable::new(servers, len, config.rpv_timeout));
-        PiggybackClient {
-            config,
-            rpv,
-            pacing,
-        }
-    }
-
-    /// Build the filter to piggyback on the next request to `server`.
-    pub fn filter_for(&mut self, server: u64, now: Timestamp) -> ProxyFilter {
-        if !self.pacing.should_enable(server, now) {
-            return ProxyFilter::disabled();
-        }
-        let mut f = self.config.base_filter.clone();
-        if let Some(rpv) = &mut self.rpv {
-            f.rpv = rpv.filter_ids(&server, now);
-        }
-        f
-    }
-
-    /// Record a piggyback received from `server`; `useful` is how many
-    /// elements the proxy acted on (freshened, invalidated, or queued for
-    /// prefetch), which feeds adaptive pacing.
-    pub fn on_piggyback(
-        &mut self,
-        server: u64,
-        msg: &PiggybackMessage,
-        now: Timestamp,
-        useful: usize,
-    ) {
-        if let Some(rpv) = &mut self.rpv {
-            rpv.record(&server, msg.volume, now);
-        }
-        self.pacing.on_piggyback(server, now, useful, msg.len());
-    }
-
-    pub fn config(&self) -> &ClientConfig {
-        &self.config
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::freq::{AlwaysEnable, MinInterval};
-    use crate::types::VolumeId;
 
     fn ts(s: u64) -> Timestamp {
         Timestamp::from_secs(s)
-    }
-
-    fn msg(vol: u32) -> PiggybackMessage {
-        PiggybackMessage::new(VolumeId(vol))
     }
 
     #[test]
@@ -153,58 +63,5 @@ mod tests {
             classify_element(Some(ts(9)), ts(10)),
             ElementAction::Invalidate
         );
-    }
-
-    #[test]
-    fn filter_carries_rpv_after_piggyback() {
-        let mut client = PiggybackClient::new(ClientConfig::default(), AlwaysEnable);
-        let f0 = client.filter_for(1, ts(0));
-        assert!(f0.enabled);
-        assert!(f0.rpv.is_empty());
-
-        client.on_piggyback(1, &msg(5), ts(1), 0);
-        let f1 = client.filter_for(1, ts(2));
-        assert_eq!(f1.rpv, vec![VolumeId(5)]);
-        // Another server is unaffected.
-        assert!(client.filter_for(2, ts(2)).rpv.is_empty());
-        // After the RPV timeout the id ages out.
-        let f2 = client.filter_for(1, ts(120));
-        assert!(f2.rpv.is_empty());
-    }
-
-    #[test]
-    fn pacing_disables_filter() {
-        let cfg = ClientConfig::default();
-        let mut client = PiggybackClient::new(cfg, MinInterval::new(DurationMs::from_secs(60)));
-        assert!(client.filter_for(1, ts(0)).enabled);
-        client.on_piggyback(1, &msg(1), ts(0), 1);
-        assert!(!client.filter_for(1, ts(30)).enabled, "within min interval");
-        assert!(client.filter_for(1, ts(61)).enabled);
-    }
-
-    #[test]
-    fn rpv_disabled_config() {
-        let cfg = ClientConfig {
-            rpv: None,
-            ..Default::default()
-        };
-        let mut client = PiggybackClient::new(cfg, AlwaysEnable);
-        client.on_piggyback(1, &msg(5), ts(1), 0);
-        assert!(client.filter_for(1, ts(2)).rpv.is_empty());
-    }
-
-    #[test]
-    fn base_filter_fields_preserved() {
-        let cfg = ClientConfig {
-            base_filter: ProxyFilter::builder()
-                .max_piggy(10)
-                .min_access_count(50)
-                .build(),
-            ..Default::default()
-        };
-        let mut client = PiggybackClient::new(cfg, AlwaysEnable);
-        let f = client.filter_for(1, ts(0));
-        assert_eq!(f.max_piggy, Some(10));
-        assert_eq!(f.min_access_count, Some(50));
     }
 }

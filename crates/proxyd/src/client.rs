@@ -82,7 +82,7 @@ pub struct ConnectionPool {
     origin: SocketAddr,
     idle: Mutex<VecDeque<PooledConn>>,
     max_idle: usize,
-    timeout: Option<Duration>,
+    pub(crate) timeout: Option<Duration>,
     connects: AtomicU64,
     reuses: AtomicU64,
     evicted_unhealthy: AtomicU64,

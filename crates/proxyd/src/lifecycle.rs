@@ -29,7 +29,7 @@ use piggyback_core::datetime::{
     parse_rfc1123, timestamp_from_unix, unix_from_timestamp, DEFAULT_TRACE_EPOCH_UNIX,
 };
 use piggyback_core::filter::{ProxyFilter, PIGGY_FILTER_HEADER};
-use piggyback_core::proxy::{classify_element, ElementAction};
+use piggyback_core::proxy::ElementAction;
 use piggyback_core::report::PIGGY_REPORT_HEADER;
 use piggyback_core::types::{ResourceId, Timestamp};
 use piggyback_core::wire::{decode_p_volume, P_VOLUME_HEADER};
@@ -40,7 +40,6 @@ use piggyback_httpwire::{
 use piggyback_webcache::CacheEntry;
 use std::borrow::Cow;
 use std::io::{self, Read, Write};
-use std::net::SocketAddr;
 use std::ops::Range;
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
@@ -50,7 +49,6 @@ use std::time::{Duration, Instant};
 /// drained report) so either driver can carry it across an exchange.
 pub(crate) struct UpstreamJob {
     pub(crate) path: String,
-    pub(crate) source: SocketAddr,
     /// A validation's `Last-Modified` and the cached body it validates,
     /// pinned at planning (a refcount, no copy): a 304 answers from this
     /// body even if the entry was evicted or replaced mid-flight.
@@ -1168,7 +1166,7 @@ pub(crate) fn settle(
             }
             // The piggyback rode the chunked trailers, or the head of a
             // `Content-Length` response.
-            process_piggyback(shared, &head, job.source, now);
+            process_piggyback(shared, &head, now);
             shared.obs.full_fetch.record(job.start.elapsed());
             return Settled::Sent;
         }
@@ -1207,7 +1205,7 @@ pub(crate) fn settle(
     for p in &pushed {
         prefetch::accept_push(shared, p, now);
     }
-    process_piggyback(shared, &resp, job.source, now);
+    process_piggyback(shared, &resp, now);
     hist.record(job.start.elapsed());
     Settled::Reply(result)
 }
@@ -1283,13 +1281,7 @@ pub(crate) fn store(
     // shard (the stores are co-sharded), so insert and cleanup stay under
     // one body-shard lock each.
     shared.bodies.insert(r, body.clone());
-    let entry = CacheEntry {
-        size: body.len() as u64,
-        last_modified: lm,
-        expires: now + shared.cfg.freshness,
-        prefetched,
-        used: !prefetched,
-    };
+    let entry = CacheEntry::fetched(body.len() as u64, lm, now, shared.cfg.freshness, prefetched);
     let out = shared.cache.insert_accounted(r, entry, now);
     // A still-unused speculative entry replaced or evicted before any
     // client asked is settled as wasted.
@@ -1313,12 +1305,14 @@ pub(crate) fn store(
 }
 
 /// Apply one response's `P-volume` piggyback (trailer on a chunked 200,
-/// header otherwise) to the cache, and feed the prefetcher:
-/// `PrefetchCandidate` elements are queued for speculative fetch, and
-/// invalidated entries are re-queued so coherency misses turn into
-/// refreshed cache entries.
-fn process_piggyback(shared: &ProxyShared, resp: &Response, source: SocketAddr, now: Timestamp) {
-    let delta = shared.cfg.freshness;
+/// header otherwise) at `now`: record its volume in the RPV list, apply
+/// each element through [`ShardedCache::apply_element`], and feed the
+/// prefetcher: `PrefetchCandidate` elements are queued for speculative
+/// fetch, and invalidated entries are re-queued so coherency misses turn
+/// into refreshed cache entries.
+///
+/// [`ShardedCache::apply_element`]: piggyback_webcache::ShardedCache::apply_element
+fn process_piggyback(shared: &ProxyShared, resp: &Response, now: Timestamp) {
     let pv = resp
         .trailers
         .get(P_VOLUME_HEADER)
@@ -1336,7 +1330,7 @@ fn process_piggyback(shared: &ProxyShared, resp: &Response, source: SocketAddr, 
         .piggybacked_elements
         .fetch_add(wire.elements.len() as u64, Relaxed);
     if let Some(rpv) = &shared.rpv {
-        rpv.lock().record(&source, wire.volume, now);
+        rpv.lock().record(wire.volume, now);
     }
     // Register the whole batch under one write acquisition: per-element
     // write locks let the writer-preference queue interleave a planner
@@ -1348,38 +1342,32 @@ fn process_piggyback(shared: &ProxyShared, resp: &Response, source: SocketAddr, 
             .map(|e| table.register_path(&e.path, e.size, e.last_modified))
             .collect()
     };
+    let expires = Some(now + shared.cfg.freshness);
     for (e, r) in wire.elements.iter().zip(ids) {
-        let cached_lm = shared.cache.peek(r).map(|c| c.last_modified);
-        match classify_element(cached_lm, e.last_modified) {
-            ElementAction::Freshen => {
-                shared.cache.freshen(r, now + delta);
-                shared.cache.note_piggyback_mention(r, now);
+        let counter = match shared.cache.apply_element(r, e.last_modified, now, expires) {
+            (ElementAction::Freshen, _) => {
                 // Volume mentions also bias prefix retention: a prefix of
                 // a resource the origin still groups into active volumes
                 // earns its bytes (the VoD prefix-retention signal).
                 shared.bodies.note_mention(r);
                 shared.stats.piggyback_freshens.fetch_add(1, Relaxed);
+                continue;
             }
-            ElementAction::Invalidate => {
-                // Entry first, then body: a concurrent lookup that
-                // wins the entry also finds the body still there.
-                if let Some(old) = shared.cache.take(r) {
-                    prefetch::settle_displaced(&shared.stats, &old);
-                }
+            // An invalidation hands back the entry it dropped. The entry
+            // went first, then the body: a concurrent lookup that wins the
+            // entry also finds the body still there.
+            (ElementAction::Invalidate, Some(old)) => {
+                prefetch::settle_displaced(&shared.stats, &old);
                 shared.bodies.remove(r);
-                shared.stats.piggyback_invalidations.fetch_add(1, Relaxed);
-                // Coherency-driven refresh: the origin just told us the
-                // current version exists — refetch it ahead of demand.
-                if let Some(p) = shared.prefetcher.get() {
-                    p.enqueue(shared, r, &e.path);
-                }
+                &shared.stats.piggyback_invalidations
             }
-            ElementAction::PrefetchCandidate => {
-                shared.stats.prefetch_candidates.fetch_add(1, Relaxed);
-                if let Some(p) = shared.prefetcher.get() {
-                    p.enqueue(shared, r, &e.path);
-                }
-            }
+            _ => &shared.stats.prefetch_candidates,
+        };
+        counter.fetch_add(1, Relaxed);
+        // A candidate, or a coherency-driven refresh: the origin just
+        // told us the current version exists — fetch it ahead of demand.
+        if let Some(p) = shared.prefetcher.get() {
+            p.enqueue(shared, r, &e.path);
         }
     }
 }

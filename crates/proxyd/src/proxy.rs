@@ -15,8 +15,6 @@
 //!   the body store co-sharded by the same hash;
 //! * the resource table sits behind a read/write lock (lookups are reads);
 //! * statistics are lock-free atomics ([`AtomicProxyStats`]);
-//! * RPV state is per client source (an [`RpvTable`] keyed by peer
-//!   address), so concurrent sources keep independent lists;
 //! * upstream fetches check keep-alive connections out of a bounded,
 //!   health-checked [`ConnectionPool`] (threaded engine) or a reactor
 //!   shard's idle list instead of reconnecting per fetch.
@@ -44,7 +42,7 @@ use parking_lot::{Mutex, RwLock};
 use piggyback_core::datetime::{unix_from_timestamp, Rfc1123, DEFAULT_TRACE_EPOCH_UNIX};
 use piggyback_core::filter::{ProxyFilter, PIGGY_FILTER_HEADER};
 use piggyback_core::report::HitReporter;
-use piggyback_core::rpv::RpvTable;
+use piggyback_core::rpv::RpvList;
 use piggyback_core::table::ResourceTable;
 use piggyback_core::types::{DurationMs, ResourceId, Timestamp};
 use piggyback_httpwire::{parse, push_decimal, Body, ConnScratch, HeaderMap, Request, Response};
@@ -58,10 +56,6 @@ use std::time::Instant;
 
 /// Admin path the proxy answers locally (never forwarded upstream).
 pub const METRICS_PATH: &str = "/__pb/metrics";
-
-/// How many client sources the per-source RPV table tracks before
-/// evicting the stalest.
-const RPV_MAX_SOURCES: usize = 256;
 
 /// Proxy configuration.
 #[derive(Debug, Clone)]
@@ -173,8 +167,9 @@ pub(crate) struct ProxyShared {
     /// the same resources. A hit clones the `Body` (a refcount bump) —
     /// the stored bytes are never copied again after the retain-time copy.
     pub(crate) bodies: ShardedBodyStore,
-    /// Per-source RPV lists keyed by client peer address.
-    pub(crate) rpv: Option<Mutex<RpvTable<SocketAddr>>>,
+    /// The RPV list of the one upstream (docs/PROTOCOL.md §2): every client's
+    /// requests reach the same server, so they share its pacing.
+    pub(crate) rpv: Option<Mutex<RpvList>>,
     reporter: Mutex<HitReporter>,
     pub(crate) stats: AtomicProxyStats,
     /// Latency histograms + piggyback-overhead accounting (lock-free).
@@ -198,15 +193,6 @@ pub(crate) struct ProxyShared {
 }
 
 impl ProxyShared {
-    /// The filter to send upstream, with this source's RPV ids attached.
-    fn filter_for(&self, source: SocketAddr, now: Timestamp) -> ProxyFilter {
-        let mut filter = self.cfg.filter.clone();
-        if let Some(rpv) = &self.rpv {
-            filter.rpv = rpv.lock().filter_ids(&source, now);
-        }
-        filter
-    }
-
     /// Account one request answered from a fresh cache entry.
     pub(crate) fn note_fresh_hit(&self, path: &str, start: Instant) {
         self.stats.cache_hits.fetch_add(1, Relaxed);
@@ -271,6 +257,15 @@ impl ProxyHandle {
         &self.shared.io_stats
     }
 
+    /// The proxy's [`Service`] over this proxy's state, for a test that
+    /// drives it without a poller, with chosen stamps and scripted
+    /// upstream outcomes.
+    pub fn service(&self) -> ProxySvc {
+        ProxySvc {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+
     pub fn stop(self) {
         // Drain the speculative fetchers first so no prefetch worker is
         // mid-exchange while the listener tears down.
@@ -300,9 +295,7 @@ pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
         // the metadata cache's capacity, split per shard, retained by
         // recency (hits and piggybacked volume mentions both refresh).
         bodies: ShardedBodyStore::with_prefix_budget(shards, cfg.capacity_bytes / 8),
-        rpv: cfg
-            .rpv
-            .map(|(len, t)| Mutex::new(RpvTable::new(RPV_MAX_SOURCES, len, t))),
+        rpv: cfg.rpv.map(|(len, t)| Mutex::new(RpvList::new(len, t))),
         reporter: Mutex::new(HitReporter::new()),
         stats: AtomicProxyStats::new(),
         obs: ProxyObs::default(),
@@ -356,7 +349,7 @@ pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
 /// become [`UpstreamPlan`]s the poller runs, and a demand miss joined to
 /// an in-flight speculation parks ([`Served::Park`]) until the
 /// speculation settles.
-struct ProxySvc {
+pub struct ProxySvc {
     shared: Arc<ProxyShared>,
 }
 
@@ -381,7 +374,7 @@ struct ProxySvc {
 /// An L1 hit writes only this poller-local memory: its head is stored in
 /// the entry, and its accounting goes to the [`HitTally`].
 #[derive(Default)]
-pub(crate) struct ProxyCtx {
+pub struct ProxyCtx {
     l1: HashMap<String, L1Hit>,
     /// The mutation epoch every entry of `l1` was filled under.
     epoch: u64,
@@ -485,7 +478,7 @@ impl Service for ProxySvc {
     fn handle(
         &self,
         req: &Request,
-        peer: SocketAddr,
+        _peer: SocketAddr,
         now: Instant,
         ctx: &mut ProxyCtx,
         scratch: &mut ConnScratch,
@@ -516,7 +509,7 @@ impl Service for ProxySvc {
         }
         // The scrape and the report drain read what the tally owes.
         shared.fold(&mut ctx.tally);
-        match plan_request(req, shared, peer, now) {
+        match plan_request(req, shared, now) {
             Step::Reply(Reply::Hit(r, snap, body)) => {
                 let head = HitHead::append(out, snap.last_modified, body.len());
                 out.extend_from_slice(body.as_slice());
@@ -644,7 +637,7 @@ enum Step {
 /// batch arrived at `start`. Never blocks on the network, so it is safe on
 /// a reactor thread. The fresh-hit path is allocation-free; only a miss
 /// pays for the owned `UpstreamJob`.
-fn plan_request(req: &Request, shared: &ProxyShared, source: SocketAddr, start: Instant) -> Step {
+fn plan_request(req: &Request, shared: &ProxyShared, start: Instant) -> Step {
     if req.method != "GET" {
         return Step::Reply(Reply::Full(Response::new(400)));
     }
@@ -692,12 +685,16 @@ fn plan_request(req: &Request, shared: &ProxyShared, source: SocketAddr, start: 
         }
         None => None,
     };
+    // The filter to send upstream, with the RPV ids attached.
+    let mut filter = shared.cfg.filter.clone();
+    if let Some(rpv) = &shared.rpv {
+        filter.rpv = rpv.lock().filter_ids(now);
+    }
     Step::Upstream(UpstreamJob {
         validate,
-        filter: shared.filter_for(source, now),
+        filter,
         report: shared.reporter.lock().drain_header(),
         path: path.to_owned(),
-        source,
         start,
         prefix: None,
     })

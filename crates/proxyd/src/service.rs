@@ -18,7 +18,7 @@
 
 use crate::client::{ConnectionPool, PooledConn};
 use crate::lifecycle::{self, ExchangeMachine, RelayRule, ResponseMachine, Reuse, UpstreamOutcome};
-use crate::util::{serve_with_stats, IoStats, ServeOptions, ServerHandle};
+use crate::util::{bound_client_writes, serve_with_stats, IoStats, ServeOptions, ServerHandle};
 use piggyback_httpwire::parse::MAX_BODY;
 use piggyback_httpwire::{write_all_parts, ConnScratch, HttpError, Request, Response};
 use std::io::{self, IoSlice, Read, Write};
@@ -456,6 +456,10 @@ fn poll<S: Service>(
     svc.on_connect(peer);
     let idle = Some(idle_timeout).filter(|t| !t.is_zero());
     stream.set_read_timeout(idle)?;
+    // A relay a client stalls for the upstream timeout settles as an
+    // error, as the reactor's relay deadline does: neither this worker nor
+    // the upstream connection waits on it (see [`Until`]).
+    bound_client_writes(&stream, pool.and_then(|p| p.timeout))?;
     let mut ctx = svc.make_ctx();
     let mut machine = ClientMachine::new(Instant::now());
     loop {
@@ -499,7 +503,8 @@ fn follow(
                     .and_then(|pool| {
                         let (scratch, out) = machine.stage();
                         run_plan(plan, pool, scratch, out, |seg, span| {
-                            write_all_parts(w, &[seg, span]).map(|()| seg.clear())
+                            let mut w = Until(w, pool.timeout.map(|t| Instant::now() + t));
+                            write_all_parts(&mut w, &[seg, span]).map(|()| seg.clear())
                         })
                     });
                 return machine.unpark(sent.is_ok() && ran.is_ok());
@@ -518,6 +523,30 @@ fn follow(
                 }
             }
         }
+    }
+}
+
+/// A client socket whose writes give up once the deadline passed: the
+/// flush of one relayed read must be taken by the upstream timeout. Each
+/// write call waits at most that long ([`bound_client_writes`]), but a
+/// call may take a few bytes first and then wait it out, so the deadline
+/// is checked between calls too.
+struct Until<'a>(&'a mut TcpStream, Option<Instant>);
+
+impl Write for Until<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.write_vectored(&[IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        if self.1.is_some_and(|at| Instant::now() >= at) {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.0.write_vectored(bufs)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 

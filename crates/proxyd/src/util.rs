@@ -527,6 +527,38 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
     }
 }
 
+/// Unsent bytes above which a bounded client socket stops being writable
+/// (Linux `TCP_NOTSENT_LOWAT`): two upstream reads' worth.
+const UNSENT_LOWAT: i32 = 128 * 1024;
+
+/// Bound a client socket's blocking writes by `timeout` (none when
+/// `None`): a write call the client takes no byte of for that long fails.
+/// On Linux the socket is also writable only while less than
+/// [`UNSENT_LOWAT`] bytes wait unsent, so a blocked write wakes as the
+/// client drains them. Without it the kernel wakes the writer only once a
+/// third of the send buffer is free, and autotuning grows that buffer to
+/// megabytes: a client taking 3 MB/s left one 64 KiB write blocked for
+/// half a second.
+pub(crate) fn bound_client_writes(stream: &TcpStream, timeout: Option<Duration>) -> io::Result<()> {
+    stream.set_write_timeout(timeout)?;
+    #[cfg(target_os = "linux")]
+    if timeout.is_some() {
+        extern "C" {
+            fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
+        }
+        const IPPROTO_TCP: i32 = 6;
+        const TCP_NOTSENT_LOWAT: i32 = 25;
+        let fd = std::os::unix::io::AsRawFd::as_raw_fd(stream);
+        let lowat: *const i32 = &UNSENT_LOWAT;
+        // SAFETY: a plain `int` option on a live socket; the kernel reads
+        // its four bytes during the call.
+        if unsafe { setsockopt(fd, IPPROTO_TCP, TCP_NOTSENT_LOWAT, lowat.cast(), 4) } != 0 {
+            return Err(io::Error::last_os_error());
+        }
+    }
+    Ok(())
+}
+
 /// Map a connection's peer IP to a protocol [`SourceId`] (the low 32 bits
 /// of the address). Port-insensitive: all connections from one host count
 /// as one source, matching the paper's per-proxy server statistics.

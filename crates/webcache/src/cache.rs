@@ -2,7 +2,8 @@
 //! and a pluggable replacement policy.
 
 use crate::policy::ReplacementPolicy;
-use piggyback_core::types::{ResourceId, Timestamp};
+use piggyback_core::proxy::{classify_element, ElementAction};
+use piggyback_core::types::{DurationMs, ResourceId, Timestamp};
 use std::collections::{BTreeSet, HashMap};
 
 /// Metadata for one cached resource.
@@ -21,6 +22,24 @@ pub struct CacheEntry {
 }
 
 impl CacheEntry {
+    /// A copy fetched at `now`: fresh for `delta` from then, and unused
+    /// until a client asks when it is a speculation (`prefetched`).
+    pub fn fetched(
+        size: u64,
+        last_modified: Timestamp,
+        now: Timestamp,
+        delta: DurationMs,
+        prefetched: bool,
+    ) -> Self {
+        CacheEntry {
+            size,
+            last_modified,
+            expires: now + delta,
+            prefetched,
+            used: !prefetched,
+        }
+    }
+
     /// Fresh at `now` (no validation needed)?
     pub fn is_fresh(&self, now: Timestamp) -> bool {
         now < self.expires
@@ -201,6 +220,34 @@ impl Cache {
         }
     }
 
+    /// Apply one piggyback element naming `r` at `element_lm`, received
+    /// at `now` (Section 2.1): classify it against the cached copy, then
+    /// on a freshen extend the copy to `expires` and note the mention for
+    /// the replacement policy (with `None`, neither), and on an
+    /// invalidate drop the copy. Returns the action and the entry as it
+    /// was before.
+    pub fn apply_element(
+        &mut self,
+        r: ResourceId,
+        element_lm: Timestamp,
+        now: Timestamp,
+        expires: Option<Timestamp>,
+    ) -> (ElementAction, Option<CacheEntry>) {
+        let prior = self.entries.get(&r).copied();
+        let action = classify_element(prior.map(|e| e.last_modified), element_lm);
+        match (action, expires) {
+            (ElementAction::Freshen, Some(expires)) => {
+                self.freshen(r, expires);
+                self.note_piggyback_mention(r, now);
+            }
+            (ElementAction::Invalidate, _) => {
+                self.take(r);
+            }
+            _ => {}
+        }
+        (action, prior)
+    }
+
     /// Record that a piggyback mentioned `r` (policy hint).
     pub fn note_piggyback_mention(&mut self, r: ResourceId, now: Timestamp) {
         if let Some(e) = self.entries.get(&r) {
@@ -331,6 +378,30 @@ mod tests {
         assert!(c.freshen(r(1), ts(500)));
         assert!(c.peek(r(1)).unwrap().is_fresh(ts(499)));
         assert!(!c.freshen(r(9), ts(500)));
+    }
+
+    #[test]
+    fn apply_element_classifies_then_acts_and_returns_the_prior_entry() {
+        let mut c = lru_cache(1000);
+        c.insert(r(1), entry(100, 50), ts(0));
+        // Not newer: freshened only when an expiry is given.
+        let (action, prior) = c.apply_element(r(1), Timestamp::ZERO, ts(1), None);
+        assert_eq!(
+            (action, prior),
+            (ElementAction::Freshen, Some(entry(100, 50)))
+        );
+        assert_eq!(c.peek(r(1)).unwrap().expires, ts(50));
+        let (action, _) = c.apply_element(r(1), Timestamp::ZERO, ts(2), Some(ts(90)));
+        assert_eq!(action, ElementAction::Freshen);
+        assert_eq!(c.peek(r(1)).unwrap().expires, ts(90));
+        // Newer: the copy is dropped, and handed back as it was.
+        let (action, prior) = c.apply_element(r(1), ts(5), ts(3), Some(ts(90)));
+        assert_eq!(action, ElementAction::Invalidate);
+        assert_eq!(prior.map(|e| e.expires), Some(ts(90)));
+        assert!(c.peek(r(1)).is_none());
+        let (action, prior) = c.apply_element(r(1), ts(5), ts(4), Some(ts(90)));
+        assert_eq!((action, prior), (ElementAction::PrefetchCandidate, None));
+        c.check_invariants();
     }
 
     #[test]

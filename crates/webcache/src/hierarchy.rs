@@ -15,14 +15,13 @@
 //! Each level keeps its own RPV state, so redundant piggybacks are
 //! suppressed independently per hop.
 
-use crate::adaptive::FreshnessPolicy;
 use crate::cache::{Cache, CacheEntry};
 use crate::policy::PolicyKind;
 use piggyback_core::filter::ProxyFilter;
-use piggyback_core::proxy::{classify_element, ElementAction};
+use piggyback_core::proxy::ElementAction;
 use piggyback_core::rpv::RpvList;
 use piggyback_core::server::PiggybackServer;
-use piggyback_core::types::{DurationMs, ResourceId, Timestamp};
+use piggyback_core::types::{DurationMs, Timestamp};
 use piggyback_core::volume::{DirectoryVolumes, VolumeProvider};
 use piggyback_trace::synth::changes::ChangeEvent;
 use piggyback_trace::ServerLog;
@@ -168,13 +167,12 @@ pub fn simulate_hierarchy<V: VolumeProvider>(
         // The parent serves from its cache when fresh; otherwise it goes
         // to the origin (validation collapsing: one upstream fetch
         // refreshes the shared parent copy for all children).
-        let parent_snap = parent_cache.lookup(r, now);
-        let (served_lm, from_parent_cache) = match parent_snap {
+        let served_lm = match parent_cache.lookup(r, now) {
             Some(snap) if snap.is_fresh(now) => {
                 report.parent_served += 1;
-                (snap.last_modified, true)
+                snap.last_modified
             }
-            prior => {
+            _ => {
                 // Parent contacts the origin.
                 report.origin_contacts += 1;
                 let mut filter = if cfg.piggyback {
@@ -185,39 +183,20 @@ pub fn simulate_hierarchy<V: VolumeProvider>(
                 filter.rpv = parent_rpv.filter_ids(now);
                 origin.record_access(r, entry.client, now);
                 let size = origin.table().meta(r).map_or(0, |m| m.size);
-                parent_cache.insert(
-                    r,
-                    CacheEntry {
-                        size,
-                        last_modified: origin_lm,
-                        expires: now + cfg.parent_delta,
-                        prefetched: false,
-                        used: true,
-                    },
-                    now,
-                );
+                let fetched = CacheEntry::fetched(size, origin_lm, now, cfg.parent_delta, false);
+                parent_cache.insert(r, fetched, now);
                 if let Some(msg) = origin.piggyback(r, &filter, now) {
                     report.parent_piggybacks += 1;
                     parent_rpv.record(msg.volume, now);
                     // Parent applies origin piggybacks to its own cache.
+                    let expires = Some(now + cfg.parent_delta);
                     for e in &msg.elements {
-                        let cached_lm = parent_cache.peek(e.resource).map(|c| c.last_modified);
-                        match classify_element(cached_lm, e.last_modified) {
-                            ElementAction::Freshen => {
-                                parent_cache.freshen(e.resource, now + cfg.parent_delta);
-                            }
-                            ElementAction::Invalidate => {
-                                parent_cache.remove(e.resource);
-                            }
-                            ElementAction::PrefetchCandidate => {}
-                        }
+                        parent_cache.apply_element(e.resource, e.last_modified, now, expires);
                     }
                 }
-                let _ = prior;
-                (origin_lm, false)
+                origin_lm
             }
         };
-        let _ = from_parent_cache;
         if origin_lm > served_lm {
             report.stale_served += 1;
         }
@@ -237,6 +216,8 @@ pub fn simulate_hierarchy<V: VolumeProvider>(
                     if let Some(msg) = parent_volumes.piggyback(pr, &filter, now) {
                         report.child_piggybacks += 1;
                         child.rpv.record(msg.volume, now);
+                        // Invalidation-only mode applies no freshen.
+                        let expires = cfg.freshen_from_parent.then(|| now + cfg.child_delta);
                         for e in &msg.elements {
                             // Translate the parent's ids back to origin ids
                             // via paths (the parent's table is its own).
@@ -246,15 +227,16 @@ pub fn simulate_hierarchy<V: VolumeProvider>(
                             let Some(orig_id) = origin.table().lookup(epath) else {
                                 continue;
                             };
-                            apply_child_piggyback(
-                                &mut children[child_idx].cache,
-                                orig_id,
-                                e.last_modified,
-                                now,
-                                cfg.child_delta,
-                                cfg.freshen_from_parent,
-                                &mut report,
-                            );
+                            match child
+                                .cache
+                                .apply_element(orig_id, e.last_modified, now, expires)
+                            {
+                                (ElementAction::Freshen, _) if expires.is_some() => {
+                                    report.child_freshens += 1;
+                                }
+                                (ElementAction::Invalidate, _) => report.child_invalidations += 1,
+                                _ => {}
+                            }
                         }
                     }
                 }
@@ -264,50 +246,12 @@ pub fn simulate_hierarchy<V: VolumeProvider>(
         // Install the response in the child cache.
         let child = &mut children[child_idx];
         let size = origin.table().meta(r).map_or(0, |m| m.size);
-        child.cache.insert(
-            r,
-            CacheEntry {
-                size,
-                last_modified: served_lm,
-                expires: now + cfg.child_delta,
-                prefetched: false,
-                used: true,
-            },
-            now,
-        );
+        let fetched = CacheEntry::fetched(size, served_lm, now, cfg.child_delta, false);
+        child.cache.insert(r, fetched, now);
     }
 
     report
 }
-
-fn apply_child_piggyback(
-    cache: &mut Cache,
-    r: ResourceId,
-    element_lm: Timestamp,
-    now: Timestamp,
-    delta: DurationMs,
-    allow_freshen: bool,
-    report: &mut HierarchyReport,
-) {
-    let cached_lm = cache.peek(r).map(|c| c.last_modified);
-    match classify_element(cached_lm, element_lm) {
-        ElementAction::Freshen => {
-            if allow_freshen {
-                cache.freshen(r, now + delta);
-                report.child_freshens += 1;
-            }
-        }
-        ElementAction::Invalidate => {
-            cache.remove(r);
-            report.child_invalidations += 1;
-        }
-        ElementAction::PrefetchCandidate => {}
-    }
-}
-
-/// The adaptive freshness policy is not used here; re-export the fixed one
-/// for configuration symmetry.
-pub type ChildFreshness = FreshnessPolicy;
 
 #[cfg(test)]
 mod tests {

@@ -168,13 +168,7 @@ pub fn simulate_psi(log: &ServerLog, changes: &[ChangeEvent], cfg: &PsiConfig) -
         let size = log.table.meta(r).map_or(0, |m| m.size);
         cache.insert(
             r,
-            CacheEntry {
-                size,
-                last_modified: origin_lm,
-                expires: now + delta,
-                prefetched: false,
-                used: true,
-            },
+            CacheEntry::fetched(size, origin_lm, now, delta, false),
             now,
         );
         if cfg.enabled {

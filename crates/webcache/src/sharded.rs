@@ -21,6 +21,7 @@
 use crate::cache::{Cache, CacheEntry, InsertOutcome};
 use crate::policy::PolicyKind;
 use parking_lot::Mutex;
+use piggyback_core::proxy::ElementAction;
 use piggyback_core::types::{ResourceId, Timestamp};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -69,11 +70,12 @@ pub struct ShardedCache {
     shards: Vec<Mutex<Cache>>,
     gauges: Vec<ShardGauges>,
     /// Bumped (Release) by every mutating operation — insert, remove,
-    /// take, freshen — and read (Acquire) by [`mutation_epoch`]. Lets a
-    /// lock-free reader (a reactor shard's affine L1) prove "nothing in
-    /// the cache changed between these two samples" without touching any
-    /// shard lock. Lookups don't bump it: the `used`/recency marks they
-    /// write never change what a hit would serve.
+    /// freshen, a piggyback element's change — and read (Acquire) by
+    /// [`mutation_epoch`]. Lets a lock-free reader (a reactor shard's
+    /// affine L1) prove "nothing in the cache changed between these two
+    /// samples" without touching any shard lock. Lookups don't bump it:
+    /// the `used`/recency marks they write never change what a hit would
+    /// serve.
     ///
     /// [`mutation_epoch`]: ShardedCache::mutation_epoch
     epoch: AtomicU64,
@@ -193,21 +195,29 @@ impl ShardedCache {
         self.with_resource_shard(r, |c| c.remove(r))
     }
 
-    /// Remove an entry and return it, matching [`Cache::take`].
-    pub fn take(&self, r: ResourceId) -> Option<CacheEntry> {
-        self.bump_epoch();
-        self.with_resource_shard(r, |c| c.take(r))
-    }
-
     /// Extend an entry's expiration (piggyback freshen or 304 validation).
     pub fn freshen(&self, r: ResourceId, expires: Timestamp) -> bool {
         self.bump_epoch();
         self.with_resource_shard(r, |c| c.freshen(r, expires))
     }
 
-    /// Record that a piggyback mentioned `r` (policy hint).
-    pub fn note_piggyback_mention(&self, r: ResourceId, now: Timestamp) {
-        self.with_resource_shard(r, |c| c.note_piggyback_mention(r, now));
+    /// [`Cache::apply_element`] under one lock of `r`'s shard, so no
+    /// store lands between the classification and the change. An element
+    /// naming a cached entry freshens or invalidates it, so the epoch
+    /// moves first then.
+    pub fn apply_element(
+        &self,
+        r: ResourceId,
+        element_lm: Timestamp,
+        now: Timestamp,
+        expires: Option<Timestamp>,
+    ) -> (ElementAction, Option<CacheEntry>) {
+        self.with_resource_shard(r, |c| {
+            if c.peek(r).is_some() {
+                self.bump_epoch();
+            }
+            c.apply_element(r, element_lm, now, expires)
+        })
     }
 
     /// Total configured capacity across shards.
@@ -306,7 +316,11 @@ mod tests {
         assert!(c.lookup(r, ts(1)).unwrap().is_fresh(ts(49)));
         assert!(c.freshen(r, ts(500)));
         assert!(c.peek(r).unwrap().is_fresh(ts(499)));
-        c.note_piggyback_mention(r, ts(2));
+        assert_eq!(
+            c.apply_element(r, Timestamp::ZERO, ts(2), Some(ts(600))).0,
+            ElementAction::Freshen
+        );
+        assert!(c.peek(r).unwrap().is_fresh(ts(599)));
         assert!(c.remove(r));
         assert!(!c.remove(r));
         assert!(c.is_empty());
@@ -333,7 +347,7 @@ mod tests {
         assert!(c.peek(ResourceId(1)).is_some());
 
         // A client hit removes the bias: next eviction is plain LRU (r1).
-        assert!(c.take(ResourceId(4)).is_some());
+        assert!(c.remove(ResourceId(4)));
         c.insert(ResourceId(2), spec, ts(5));
         assert!(c.lookup(ResourceId(2), ts(6)).is_some());
         let out = c.insert_accounted(ResourceId(5), entry(400, 100), ts(7));
@@ -395,7 +409,9 @@ mod tests {
                     c.freshen(r, ts(step + 200));
                 }
                 _ => {
-                    c.note_piggyback_mention(r, now);
+                    // Odd ids name a newer version: an invalidation.
+                    let lm = ts(u64::from(id % 2));
+                    c.apply_element(r, lm, now, Some(ts(step + 300)));
                 }
             }
             for i in 0..c.shard_count() {

@@ -13,8 +13,9 @@
 use crate::adaptive::{ChangeEstimator, FreshnessPolicy};
 use crate::cache::{Cache, CacheEntry};
 use crate::policy::PolicyKind;
+use piggyback_core::element::{PiggybackElement, PiggybackMessage};
 use piggyback_core::filter::ProxyFilter;
-use piggyback_core::proxy::{classify_element, ElementAction};
+use piggyback_core::proxy::ElementAction;
 use piggyback_core::rpv::RpvList;
 use piggyback_core::server::PiggybackServer;
 use piggyback_core::types::{DurationMs, Timestamp};
@@ -227,89 +228,50 @@ pub fn simulate_proxy<V: VolumeProvider>(
             }
             // Expired: validate with If-Modified-Since.
             report.validations += 1;
-            let filter = request_filter(cfg, &mut live_filter, &disabled_filter, &mut rpv, now);
-            server.record_access(r, entry.client, now);
-            let delta = estimator.freshness_for(r, cfg.freshness);
-            if server_lm > snap.last_modified {
-                // Modified: full response, or a delta against the proxy's
-                // outdated copy when delta encoding is on.
+        }
+        let filter = request_filter(cfg, &mut live_filter, &disabled_filter, &mut rpv, now);
+        server.record_access(r, entry.client, now);
+        let delta = estimator.freshness_for(r, cfg.freshness);
+        match cached {
+            Some(snap) if server_lm <= snap.last_modified => {
+                report.not_modified += 1;
+                report.bytes_to_clients += snap.size;
+                cache.freshen(r, now + delta);
+            }
+            // A miss, or a modified resource: a full response, or a delta
+            // against the proxy's outdated copy when delta encoding is on.
+            _ => {
                 report.full_fetches += 1;
                 let size = server.table().meta(r).map_or(0, |m| m.size);
-                let transfer = match cfg.delta_encoding {
-                    Some(frac) => {
+                let transfer = match (cached, cfg.delta_encoding) {
+                    (Some(_), Some(frac)) => {
                         report.delta_responses += 1;
                         let delta = ((size as f64) * frac.clamp(0.0, 1.0)) as u64;
                         report.delta_bytes_saved += size - delta;
                         delta
                     }
-                    None => size,
+                    _ => size,
                 };
                 report.bytes_from_server += transfer;
                 report.bytes_to_clients += size;
                 cache.insert(
                     r,
-                    CacheEntry {
-                        size,
-                        last_modified: server_lm,
-                        expires: now + delta,
-                        prefetched: false,
-                        used: true,
-                    },
+                    CacheEntry::fetched(size, server_lm, now, delta, false),
                     now,
                 );
-            } else {
-                report.not_modified += 1;
-                report.bytes_to_clients += snap.size;
-                cache.freshen(r, now + delta);
             }
-            estimator.observe(r, server_lm);
-            let msg = server.piggyback(r, filter, now);
-            if let Some(msg) = msg {
-                process_piggyback(
-                    &msg,
-                    now,
-                    cfg,
-                    server,
-                    &mut cache,
-                    &mut estimator,
-                    &mut rpv,
-                    &mut report,
-                );
-            }
-        } else {
-            // Miss: full fetch.
-            let filter = request_filter(cfg, &mut live_filter, &disabled_filter, &mut rpv, now);
-            server.record_access(r, entry.client, now);
-            report.full_fetches += 1;
-            let size = server.table().meta(r).map_or(0, |m| m.size);
-            report.bytes_from_server += size;
-            report.bytes_to_clients += size;
-            let delta = estimator.freshness_for(r, cfg.freshness);
-            cache.insert(
-                r,
-                CacheEntry {
-                    size,
-                    last_modified: server_lm,
-                    expires: now + delta,
-                    prefetched: false,
-                    used: true,
-                },
+        }
+        estimator.observe(r, server_lm);
+        if let Some(msg) = server.piggyback(r, filter, now) {
+            process_piggyback(
+                &msg,
                 now,
+                cfg,
+                &mut cache,
+                &mut estimator,
+                &mut rpv,
+                &mut report,
             );
-            estimator.observe(r, server_lm);
-            let msg = server.piggyback(r, filter, now);
-            if let Some(msg) = msg {
-                process_piggyback(
-                    &msg,
-                    now,
-                    cfg,
-                    server,
-                    &mut cache,
-                    &mut estimator,
-                    &mut rpv,
-                    &mut report,
-                );
-            }
         }
     }
 
@@ -338,12 +300,13 @@ fn request_filter<'a>(
     live
 }
 
-#[allow(clippy::too_many_arguments)]
-fn process_piggyback<V: VolumeProvider>(
-    msg: &piggyback_core::element::PiggybackMessage,
+/// Apply one piggyback: pace its volume, then each element through
+/// [`Cache::apply_element`], prefetching candidates (and, when asked,
+/// what it invalidated) within the per-message budget.
+fn process_piggyback(
+    msg: &PiggybackMessage,
     now: Timestamp,
     cfg: &ProxySimConfig,
-    server: &PiggybackServer<V>,
     cache: &mut Cache,
     estimator: &mut ChangeEstimator,
     rpv: &mut Option<RpvList>,
@@ -357,48 +320,33 @@ fn process_piggyback<V: VolumeProvider>(
     let mut prefetched_now = 0usize;
     for e in &msg.elements {
         estimator.observe(e.resource, e.last_modified);
-        let cached_lm = cache.peek(e.resource).map(|c| c.last_modified);
-        let was_expired = cache.peek(e.resource).is_some_and(|c| !c.is_fresh(now));
-        match classify_element(cached_lm, e.last_modified) {
+        let expires = now + estimator.freshness_for(e.resource, cfg.freshness);
+        let (action, prior) = cache.apply_element(e.resource, e.last_modified, now, Some(expires));
+        let fetch = match action {
             ElementAction::Freshen => {
-                let delta = estimator.freshness_for(e.resource, cfg.freshness);
-                cache.freshen(e.resource, now + delta);
-                cache.note_piggyback_mention(e.resource, now);
                 report.piggyback_freshens += 1;
-                if was_expired {
+                if prior.is_some_and(|c| !c.is_fresh(now)) {
                     report.piggyback_saved_validations += 1;
                 }
+                false
             }
             ElementAction::Invalidate => {
-                cache.remove(e.resource);
                 report.piggyback_invalidations += 1;
-                if let Some(pf) = cfg.prefetch {
-                    if pf.refresh_invalidated
-                        && prefetched_now < pf.max_per_message
-                        && pf.max_size.is_none_or(|m| e.size <= m)
-                    {
-                        prefetch(e, now, cfg, estimator, cache, report);
-                        prefetched_now += 1;
-                    }
-                }
+                cfg.prefetch.is_some_and(|pf| pf.refresh_invalidated)
             }
-            ElementAction::PrefetchCandidate => {
-                if let Some(pf) = cfg.prefetch {
-                    if prefetched_now < pf.max_per_message
-                        && pf.max_size.is_none_or(|m| e.size <= m)
-                    {
-                        prefetch(e, now, cfg, estimator, cache, report);
-                        prefetched_now += 1;
-                    }
-                }
-            }
+            ElementAction::PrefetchCandidate => true,
+        };
+        if cfg.prefetch.is_some_and(|pf| {
+            fetch && prefetched_now < pf.max_per_message && pf.max_size.is_none_or(|m| e.size <= m)
+        }) {
+            prefetch(e, now, cfg, estimator, cache, report);
+            prefetched_now += 1;
         }
     }
-    let _ = server;
 }
 
 fn prefetch(
-    e: &piggyback_core::element::PiggybackElement,
+    e: &PiggybackElement,
     now: Timestamp,
     cfg: &ProxySimConfig,
     estimator: &ChangeEstimator,
@@ -409,17 +357,8 @@ fn prefetch(
     report.prefetch_bytes += e.size;
     report.bytes_from_server += e.size;
     let delta = estimator.freshness_for(e.resource, cfg.freshness);
-    cache.insert(
-        e.resource,
-        CacheEntry {
-            size: e.size,
-            last_modified: e.last_modified,
-            expires: now + delta,
-            prefetched: true,
-            used: false,
-        },
-        now,
-    );
+    let entry = CacheEntry::fetched(e.size, e.last_modified, now, delta, true);
+    cache.insert(e.resource, entry, now);
 }
 
 #[cfg(test)]
@@ -644,6 +583,48 @@ mod tests {
         };
         let report = run(&log, &[], &cfg);
         assert_eq!(report.evictions, 1);
+    }
+
+    #[test]
+    fn refresh_invalidated_prefetches_the_new_version() {
+        // a@0 and b@1 are cached (Δ = 3600 s); a changes at 10; b's
+        // validation at 5000 piggybacks a's new Last-Modified, which
+        // invalidates a. With the coherency-driven refresh the proxy
+        // fetches a again at once, so a@5001 is a fresh hit on a useful
+        // prefetch instead of a miss.
+        let log = tiny_log(&[
+            (0, 1, "/d/a.html"),
+            (1, 1, "/d/b.gif"),
+            (5000, 1, "/d/b.gif"),
+            (5001, 1, "/d/a.html"),
+        ]);
+        let changes = vec![ChangeEvent {
+            time: ts(10),
+            resource: log.table.lookup("/d/a.html").unwrap(),
+        }];
+        let refresh = |refresh_invalidated| ProxySimConfig {
+            prefetch: Some(PrefetchConfig {
+                max_size: None,
+                max_per_message: 4,
+                refresh_invalidated,
+            }),
+            ..Default::default()
+        };
+        let report = run(&log, &changes, &refresh(true));
+        assert_eq!(report.piggyback_invalidations, 1);
+        assert_eq!(report.prefetches, 1, "a fetched again off the invalidation");
+        assert_eq!(report.fresh_hits, 1, "a@5001 hit the refreshed copy");
+        assert_eq!(report.useful_prefetches, 1);
+        assert_eq!(report.stale_served, 0);
+
+        let without = run(&log, &changes, &refresh(false));
+        assert_eq!(without.piggyback_invalidations, 1);
+        assert_eq!((without.prefetches, without.fresh_hits), (0, 0));
+        assert_eq!(
+            without.full_fetches,
+            report.full_fetches + 1,
+            "a@5001 misses"
+        );
     }
 }
 

@@ -1,8 +1,9 @@
 //! Memory of the streaming relay, guarded at the root: a relayed body
 //! costs a bounded number of allocations per 16 KiB and a bounded live
 //! heap, whatever its length, on both pollers, and it lasts as long as
-//! its client keeps taking bytes. And the origin's memory: it keeps
-//! metadata per resource, never a body it has served.
+//! its client keeps taking bytes, and no longer once it stops. And the
+//! origin's memory: it keeps metadata per resource, never a body it has
+//! served.
 //!
 //! The file installs its own counting global allocator, which every
 //! process-wide count and peak is read from, so every test in it holds the
@@ -538,6 +539,54 @@ fn a_slow_steady_client_outlives_the_upstream_timeout() {
             took >= TIMEOUT * 4,
             "{io:?}: the transfer took only {took:?}"
         );
+        drop(stream);
+        proxy.stop();
+    }
+}
+
+/// A client that never reads pins nothing: a relayed read it does not
+/// take within the upstream timeout fails the relay, and the exchange
+/// settles as one `error`, freeing its worker (or reactor slot) and its
+/// upstream connection, on both engines. Under a 500 ms upstream timeout, a client
+/// with a shrunk receive buffer asks for a 16 MiB `Content-Length` miss
+/// and never reads; within twice the timeout the proxy has counted the
+/// error, and its outcome counters conserve.
+#[test]
+fn a_client_that_never_reads_settles_as_an_error() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    const BODY: usize = 16 * 1024 * 1024;
+    const TIMEOUT: Duration = Duration::from_millis(500);
+
+    let origin_addr = canned_origin(BODY);
+    let mut engines = vec![IoMode::Threaded];
+    #[cfg(target_os = "linux")]
+    engines.push(IoMode::Reactor { reactors: 1 });
+    for io in engines {
+        let mut cfg = ProxyConfig::new(origin_addr);
+        cfg.io = io;
+        cfg.rpv = None;
+        cfg.report_hits = false;
+        cfg.prefix_bytes = 0;
+        cfg.upstream_timeout = TIMEOUT;
+        // A short idle window gives the reactor's wheel ~100 ms ticks.
+        cfg.reactor_idle_timeout = Duration::from_secs(3);
+        let proxy = start_proxy(cfg).expect("proxy starts");
+        let mut stream = TcpStream::connect(proxy.addr()).expect("connect");
+        #[cfg(target_os = "linux")]
+        shrink_receive_buffer(&stream, 4 * 1024);
+        stream
+            .write_all(b"GET /never.bin HTTP/1.1\r\nHost: a\r\n\r\n")
+            .expect("write request");
+        let began = Instant::now();
+        while proxy.stats().upstream_errors == 0 && began.elapsed() < TIMEOUT * 2 {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let (stats, took) = (proxy.stats(), began.elapsed());
+        assert_eq!(
+            stats.upstream_errors, 1,
+            "{io:?}: nothing settled {took:?} after the request: {stats:?}"
+        );
+        assert_eq!(stats.outcomes(), stats.requests, "{io:?}: conservation");
         drop(stream);
         proxy.stop();
     }
