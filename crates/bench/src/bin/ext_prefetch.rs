@@ -1,5 +1,5 @@
-//! `ext-prefetch` — piggyback-driven prefetch vs. server push vs. plain
-//! caching, measured end-to-end across network profiles.
+//! `ext-prefetch` — piggyback-driven prefetch vs. plain caching, measured
+//! end-to-end across network profiles.
 //!
 //! The paper's headline *use* of piggybacked server volumes is
 //! speculation: a proxy told "these volume mates exist at these
@@ -12,15 +12,13 @@
 //!
 //! against an origin whose access state was warmed beforehand — the
 //! paper's scenario of a fresh proxy joining a server other clients
-//! already taught. Three arms per profile, identical conditioner seeds:
+//! already taught. Two arms per profile, identical conditioner seeds:
 //!
 //! * `nopb` — maxpiggy=0: every page-load member pays a full shimmed
 //!   round trip.
 //! * `prefetch` — maxpiggy=10 plus `--prefetch-budget 4`: the index
 //!   fetch's piggyback names the directory mates; the prefetcher pulls
 //!   them during the client's think time, so the mates fresh-hit.
-//! * `push` — `--accept-push` against a `--push 4` origin: the same
-//!   mates arrive as full pushed responses behind the index fetch.
 //!
 //! The workload is per-directory page loads: fetch the index, think for
 //! a few shimmed RTTs (the paper's inter-click gap), then fetch the
@@ -28,9 +26,8 @@
 //! `ext_prefetch_<profile>_<arm>` with p50/p90/p99 latency over the
 //! *mate* requests — the predicted clicks speculation claims to
 //! accelerate; index fetches are necessarily misses in every arm and
-//! are reported separately (`mean_ms` covers all demand requests, so
-//! the push arm's inflated index fetch — the client waits while pushed
-//! bodies cross the link — stays visible). The run fails unless the
+//! are reported separately (`mean_ms` covers all demand requests). The
+//! run fails unless the
 //! prefetch arm beats `nopb` on mate p90 for the dsl and dialup
 //! profiles. Each arm also reports the speculation ledger
 //! (issued/used/wasted, wasted-bytes ratio) so the bandwidth price of
@@ -56,15 +53,11 @@ use std::time::{Duration, Instant};
 const PATHS_PER_DIR: usize = 4;
 /// Speculative fetch concurrency for the prefetch arm.
 const PREFETCH_BUDGET: usize = 4;
-/// Most members a `--push` origin streams per main response.
-const PUSH_MAX: usize = 4;
 
 struct Arm {
     name: &'static str,
     max_piggy: u32,
     prefetch_budget: usize,
-    accept_push: bool,
-    push_max: usize,
 }
 
 const ARMS: &[Arm] = &[
@@ -72,22 +65,11 @@ const ARMS: &[Arm] = &[
         name: "nopb",
         max_piggy: 0,
         prefetch_budget: 0,
-        accept_push: false,
-        push_max: 0,
     },
     Arm {
         name: "prefetch",
         max_piggy: 10,
         prefetch_budget: PREFETCH_BUDGET,
-        accept_push: false,
-        push_max: 0,
-    },
-    Arm {
-        name: "push",
-        max_piggy: 10,
-        prefetch_budget: 0,
-        accept_push: true,
-        push_max: PUSH_MAX,
     },
 ];
 
@@ -152,21 +134,16 @@ struct CellResult {
     /// Mate-request percentiles in µs, for `BENCH_pipeline.json`.
     percentiles: (u64, u64, u64, u64),
     stats: ProxyStats,
-    pushes_sent: u64,
 }
 
 /// One (profile, arm) cell: fresh origin warmed out-of-band, transparent
 /// shimmed relay, cold proxy, per-directory page loads with think time.
 fn run_cell(profile: NetProfile, seed: u64, arm: &Arm, loads: usize, io: IoMode) -> CellResult {
-    let origin = start_origin(OriginConfig {
-        push_max: arm.push_max,
-        ..OriginConfig::default()
-    })
-    .expect("origin starts");
+    let origin = start_origin(OriginConfig::default()).expect("origin starts");
     let pages = page_loads(&origin.paths, loads);
     assert!(!pages.is_empty(), "site must have multi-resource dirs");
     // Warm the origin's access state directly (no shim, not measured):
-    // piggybacks and pushes only name volume mates with recorded
+    // piggybacks only name volume mates with recorded
     // accesses, so a cold origin would never speculate. Then re-warm the
     // measured page members with distinct-millisecond spacing: recency
     // keys are millisecond-granular and a loopback walk lands whole
@@ -201,7 +178,6 @@ fn run_cell(profile: NetProfile, seed: u64, arm: &Arm, loads: usize, io: IoMode)
     cfg.rpv = None;
     cfg.report_hits = false;
     cfg.prefetch_budget = arm.prefetch_budget;
-    cfg.accept_push = arm.accept_push;
     cfg.io = io;
     let proxy = start_proxy(cfg).expect("proxy starts");
 
@@ -256,7 +232,6 @@ fn run_cell(profile: NetProfile, seed: u64, arm: &Arm, loads: usize, io: IoMode)
         profile.name,
         arm.name
     );
-    let pushes_sent = origin.daemon_stats().pushes_sent;
     proxy.stop();
     center.stop();
     origin.stop();
@@ -272,7 +247,6 @@ fn run_cell(profile: NetProfile, seed: u64, arm: &Arm, loads: usize, io: IoMode)
         wall,
         percentiles: (p50, p90, p99, max),
         stats,
-        pushes_sent,
     }
 }
 
@@ -285,10 +259,7 @@ fn wasted_ratio(s: &ProxyStats) -> f64 {
 }
 
 fn main() {
-    banner(
-        "ext-prefetch",
-        "piggyback-driven prefetch vs server push vs plain caching",
-    );
+    banner("ext-prefetch", "piggyback-driven prefetch vs plain caching");
     let loads = ((8.0 * scale_factor()).round() as usize).max(2);
     let scale = netem_scale();
     let io = io_mode();
@@ -319,12 +290,6 @@ fn main() {
                     "{name}: the prefetch arm must speculate: {s:?}"
                 );
             }
-            if arm.name == "push" {
-                assert!(
-                    s.pushes_accepted > 0,
-                    "{name}: the push arm must accept pushes: {s:?}"
-                );
-            }
             let id = format!("ext_prefetch_{name}_{}{cell_suffix}", arm.name);
             record_cell_stats(&id, cell.wall, cell.percentiles);
             p90.insert((*name, arm.name), cell.p90_ms);
@@ -339,7 +304,6 @@ fn main() {
                 s.prefetch_used.to_string(),
                 s.prefetch_wasted.to_string(),
                 format!("{:.2}", wasted_ratio(s)),
-                cell.pushes_sent.to_string(),
             ]);
         }
     }
@@ -357,19 +321,17 @@ fn main() {
             "used",
             "wasted",
             "waste_ratio",
-            "pushed",
         ],
         &rows,
     );
 
     let p90_of = |prof: &str, arm: &str| *p90.get(&(prof, arm)).unwrap();
-    println!("\npush vs prefetch, mate-request p90 (ms):");
+    println!("\nprefetch vs nopb, mate-request p90 (ms):");
     for prof in ["lan", "dsl", "dialup"] {
         println!(
-            "  {prof}: nopb {:.2}  prefetch {:.2}  push {:.2}",
+            "  {prof}: nopb {:.2}  prefetch {:.2}",
             p90_of(prof, "nopb"),
             p90_of(prof, "prefetch"),
-            p90_of(prof, "push"),
         );
     }
 

@@ -5,7 +5,6 @@
 //!           [--volumes-file volumes.txt] [--epoch-secs N] [--print-paths]
 //!           [--metrics | --no-metrics]
 //!           [--io threaded|reactor] [--reactors N] [--idle-timeout-secs 120]
-//!           [--push N]
 //! ```
 //!
 //! `--level` serves directory volumes at that prefix depth (the default);
@@ -20,9 +19,7 @@
 //! to the threaded pool) with `--reactors` SO_REUSEPORT accept shards
 //! (0 = auto); both engines poll the one origin service, so wire output
 //! is byte-identical, and both close a connection silent for
-//! `--idle-timeout-secs`. `--push N` enables the server-push baseline:
-//! after a full 200 to a `Piggy-push: accept` peer, up to N volume
-//! members stream as complete responses on the same connection.
+//! `--idle-timeout-secs`.
 
 use piggyback_core::types::DurationMs;
 use piggyback_proxyd::origin::{start_origin, OnlineEpochConfig, OriginConfig, VolumeScheme};
@@ -79,7 +76,6 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--push" => cfg.push_max = value("--push").parse().expect("number"),
             "--reactors" => reactors = Some(value("--reactors").parse().expect("number")),
             "--idle-timeout-secs" => {
                 let secs: u64 = value("--idle-timeout-secs").parse().expect("number");
@@ -90,8 +86,7 @@ fn main() {
                     "pb-origin [--port 8080] [--pages 60] [--level 1] [--seed 42] \
                      [--volumes-file volumes.txt] [--epoch-secs N] [--print-paths] \
                      [--metrics | --no-metrics] \
-                     [--io threaded|reactor] [--reactors N] [--idle-timeout-secs 120] \
-                     [--push N]"
+                     [--io threaded|reactor] [--reactors N] [--idle-timeout-secs 120]"
                 );
                 return;
             }
@@ -135,8 +130,7 @@ fn main() {
         let s = origin.stats();
         let d = origin.daemon_stats();
         eprintln!(
-            "req={} piggybacks={} elements={} | conns={} ok={} 304={} err={} bytes={} \
-             pushes={} push_bytes={}",
+            "req={} piggybacks={} elements={} | conns={} ok={} 304={} err={} bytes={}",
             s.requests,
             s.piggybacks_sent,
             s.elements_sent,
@@ -144,9 +138,7 @@ fn main() {
             d.responses_ok,
             d.responses_not_modified,
             d.responses_error,
-            d.bytes_sent,
-            d.pushes_sent,
-            d.push_bytes_sent
+            d.bytes_sent
         );
     }
 }

@@ -6,7 +6,7 @@
 //!          [--shards 8] [--pool-idle 32] [--workers 64]
 //!          [--no-metrics] [--no-report-hits]
 //!          [--io threaded|reactor] [--reactors N] [--idle-timeout-secs 120]
-//!          [--upstream-timeout-secs 30] [--prefetch-budget N] [--accept-push]
+//!          [--upstream-timeout-secs 30] [--prefetch-budget N]
 //!          [--stream-threshold-kb 256] [--prefix-kb 64] [--client-body-cap-kb N]
 //! ```
 //!
@@ -21,8 +21,7 @@
 //! then answered `502`).
 //! `--prefetch-budget N` turns piggybacked `PrefetchCandidate` elements
 //! into at most N concurrent speculative origin fetches (0, the default,
-//! only counts candidates); `--accept-push` opts in to the server-push
-//! baseline (`Piggy-push: accept` upstream, pushed bodies cached).
+//! only counts candidates).
 //! `--stream-threshold-kb N` cuts large-object misses through segment by
 //! segment instead of buffering them (0 disables streaming entirely);
 //! `--prefix-kb N` keeps the first N KiB of each streamed object so a
@@ -55,7 +54,6 @@ fn main() {
     let mut idle_timeout_secs = 120u64;
     let mut upstream_timeout_secs = 30u64;
     let mut prefetch_budget = 0usize;
-    let mut accept_push = false;
     let mut stream_threshold_kb = 256usize;
     let mut prefix_kb = 64usize;
     let mut client_body_cap_kb: Option<usize> = None;
@@ -96,7 +94,6 @@ fn main() {
             "--prefetch-budget" => {
                 prefetch_budget = value("--prefetch-budget").parse().expect("number");
             }
-            "--accept-push" => accept_push = true,
             "--stream-threshold-kb" => {
                 stream_threshold_kb = value("--stream-threshold-kb").parse().expect("number");
             }
@@ -111,7 +108,7 @@ fn main() {
                      [--shards 8] [--pool-idle 32] [--workers 64] \
                      [--no-metrics] [--no-report-hits] \
                      [--io threaded|reactor] [--reactors N] [--idle-timeout-secs 120] \
-                     [--upstream-timeout-secs 30] [--prefetch-budget N] [--accept-push] \
+                     [--upstream-timeout-secs 30] [--prefetch-budget N] \
                      [--stream-threshold-kb 256] [--prefix-kb 64] [--client-body-cap-kb N]"
                 );
                 return;
@@ -147,7 +144,6 @@ fn main() {
     cfg.reactor_idle_timeout = std::time::Duration::from_secs(idle_timeout_secs);
     cfg.upstream_timeout = std::time::Duration::from_secs(upstream_timeout_secs);
     cfg.prefetch_budget = prefetch_budget;
-    cfg.accept_push = accept_push;
     cfg.stream_threshold = stream_threshold_kb * 1024;
     cfg.prefix_bytes = prefix_kb * 1024;
     if let Some(kb) = client_body_cap_kb {
@@ -192,18 +188,17 @@ fn main() {
                 p.connects, p.reuses, p.evicted_unhealthy, p.discarded_dirty, p.discarded_full
             );
         }
-        if prefetch_budget > 0 || accept_push {
+        if prefetch_budget > 0 {
             eprintln!(
                 "prefetch: issued={} used={} wasted={} inflight={} cancelled={} \
-                 used_bytes={} wasted_bytes={} pushes_accepted={}",
+                 used_bytes={} wasted_bytes={}",
                 s.prefetch_issued,
                 s.prefetch_used,
                 s.prefetch_wasted,
                 s.prefetch_inflight,
                 s.prefetch_cancelled,
                 s.prefetch_used_bytes,
-                s.prefetch_wasted_bytes,
-                s.pushes_accepted
+                s.prefetch_wasted_bytes
             );
         }
     }

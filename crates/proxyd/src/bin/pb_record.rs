@@ -6,8 +6,8 @@
 //!
 //! Point the proxy's `--origin` at this tap instead of the real origin.
 //! The tap is the transparent volume center's relay loop (no shim) with a
-//! recorder: traffic passes through unmodified — keep-alive, re-dials,
-//! push bursts and `HEAD` included — and every exchange (request line,
+//! recorder: traffic passes through unmodified — keep-alive, re-dials
+//! and `HEAD` included — and every exchange (request line,
 //! headers, body, piggyback payload, TTFB and transfer timing) is
 //! captured before its response's tail is relayed. Press Enter (or close
 //! stdin) to stop recording and write the inventory; replay it with

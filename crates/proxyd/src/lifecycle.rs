@@ -22,7 +22,7 @@
 //! the read staged; every driver's reads start at [`UPSTREAM_READ`] and
 //! grow once by [`grow_upstream_read`].
 
-use crate::prefetch::{self, PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER};
+use crate::prefetch;
 use crate::proxy::ProxyShared;
 use crate::util::insert_date;
 use piggyback_core::datetime::{
@@ -73,9 +73,8 @@ pub(crate) struct PrefixHit {
 
 /// How an upstream exchange ended, as either driver reports it.
 pub enum UpstreamOutcome {
-    /// A complete response was read off the origin connection, with the
-    /// whole responses a `--push` origin streamed behind it.
-    Response(Response, Vec<Response>),
+    /// A complete response was read off the origin connection.
+    Response(Response),
     /// The exchange failed terminally before any origin payload byte
     /// moved downstream (dial failure, second-attempt I/O error, or
     /// timeout).
@@ -242,7 +241,7 @@ impl Relay {
     }
 }
 
-/// What the volume center's head hook sees: the main response head, and
+/// What the volume center's head hook sees: the response head, and
 /// the payload length the client head declares (0 for a chunked body) or
 /// the buffered body's. It may add headers and trailers.
 pub type HeadHook<'h> = &'h (dyn Fn(&mut Response, usize) + Sync);
@@ -252,8 +251,7 @@ pub type HeadHook<'h> = &'h (dyn Fn(&mut Response, usize) + Sync);
 /// `Response::write` would give it, and the upstream's trailers behind a
 /// chunked body. The body engages at the head, except where the head
 /// cannot go out first: a body delimited by the upstream's close, a
-/// chunked body the hook must learn the size of, a head announcing a
-/// push burst, whose count must stay rewritable, and any response of a
+/// chunked body the hook must learn the size of, and any response of a
 /// relay that records it whole.
 #[derive(Clone, Copy)]
 pub struct AsIs<'h> {
@@ -262,57 +260,45 @@ pub struct AsIs<'h> {
     /// Buffer every response whole: the record tap keeps the decoded
     /// body and its trailers.
     pub whole: bool,
-    /// Runs once on the main response before any of it is in the sink: at
+    /// Runs once on the response before any of it is in the sink: at
     /// the head when the body engages, on the whole response (the
     /// exchange's outcome) otherwise.
     pub hook: Option<HeadHook<'h>>,
 }
 
 /// One upstream exchange in flight, written once for both engines and
-/// socket-free. A driver builds the machine from the leg's relay rule and
-/// push acceptance, and from then on only reads bytes and
-/// [`feed`](Self::feed)s them, from the first byte of the status line
-/// on: the machine parses the head, picks the decoder, decides buffer /
-/// relay / grow-then-relay, writes whatever the client is owed into the
-/// sink the driver flushes, reads the pushed responses a `--push` origin
-/// announced behind it, and ends as the exchange's [`UpstreamOutcome`].
+/// socket-free. A driver builds the machine from the leg's relay rule,
+/// and from then on only reads bytes and [`feed`](Self::feed)s them, from
+/// the first byte of the status line on: the machine parses the head,
+/// picks the decoder, decides buffer / relay / grow-then-relay, writes
+/// whatever the client is owed into the sink the driver flushes, and ends
+/// as the exchange's [`UpstreamOutcome`].
 /// Each attempt of an [`ExchangeMachine`] reads its response with one.
 #[derive(Default)]
 pub struct ResponseMachine<'h> {
     rule: Option<RelayRule>,
     as_is: Option<AsIs<'h>>,
-    /// The leg sent `Piggy-push: accept`, so an `X-Push-Count` on the main
-    /// head announces that many responses behind it.
-    accept_push: bool,
-    /// Bytes of the next head whose blank line has not arrived yet.
+    /// Bytes of the head whose blank line has not arrived yet.
     held: Vec<u8>,
-    /// The main response, from its head on.
-    main: Option<Part>,
-    /// The pushed response being read, from its head on.
-    push: Option<Part>,
-    /// Whole pushed responses, in wire order.
-    pushed: Vec<Response>,
-    /// Announced pushes not read whole yet.
-    owed: usize,
+    /// The response, from its head on.
+    part: Option<Part>,
     /// The bytes of the last feed's input the client gets as they are.
     span: Range<usize>,
 }
 
 impl<'h> ResponseMachine<'h> {
     /// A machine for one exchange, before any byte of its response.
-    pub fn new(rule: Option<RelayRule>, accept_push: bool) -> ResponseMachine<'h> {
+    pub fn new(rule: Option<RelayRule>) -> ResponseMachine<'h> {
         ResponseMachine {
             rule,
-            accept_push,
             ..ResponseMachine::default()
         }
     }
 
     /// A machine for one as-is exchange (the volume center's).
-    pub fn as_is(as_is: AsIs<'h>, accept_push: bool) -> ResponseMachine<'h> {
+    pub fn as_is(as_is: AsIs<'h>) -> ResponseMachine<'h> {
         ResponseMachine {
             as_is: Some(as_is),
-            accept_push,
             ..ResponseMachine::default()
         }
     }
@@ -320,33 +306,30 @@ impl<'h> ResponseMachine<'h> {
     /// Has payload (or its client head) been handed to the sink? From
     /// here on a failure can only truncate: no retry, no error response.
     pub fn engaged(&self) -> bool {
-        self.main.as_ref().is_some_and(|m| m.relay.is_some())
+        self.part.as_ref().is_some_and(|m| m.relay.is_some())
     }
 
     /// May a failed exchange go again on a fresh connection? Only while
     /// nothing of it is worth keeping: no byte reached the client and the
-    /// main response has not ended.
+    /// response has not ended.
     pub fn retryable(&self) -> bool {
-        !self.engaged() && !self.main.as_ref().is_some_and(Part::is_done)
+        !self.engaged() && !self.part.as_ref().is_some_and(Part::is_done)
     }
 
-    /// Did the exchange end: the main response whole or in a mismatch, and
-    /// every push it announced read (or the burst cut short)?
+    /// Did the exchange end: the response whole or in a mismatch?
     pub fn is_done(&self) -> bool {
-        self.main.as_ref().is_some_and(Part::is_done) && self.owed == 0
+        self.part.as_ref().is_some_and(Part::is_done)
     }
 
     /// May the connection carry another exchange: the response ended
     /// whole, framed (not by the upstream's close) under a head that
-    /// allows keep-alive, and so did every push it announced? The
-    /// response's half of [`ExchangeMachine::reuse`], which also refuses a
-    /// connection with bytes unread behind the response or after EOF — the
-    /// two ways a burst can be cut short.
+    /// allows keep-alive? The response's half of
+    /// [`ExchangeMachine::reuse`], which also refuses a connection with
+    /// bytes unread behind the response or after EOF.
     pub fn reusable(&self) -> bool {
-        self.main
+        self.part
             .as_ref()
             .is_some_and(|m| m.is_whole() && m.reader.is_some() && m.head.keep_alive())
-            && self.owed == 0
     }
 
     /// Feed the next bytes off the origin connection (`eof`: it closed
@@ -355,64 +338,51 @@ impl<'h> ResponseMachine<'h> {
     /// appended to `sink`, except the payload of a `Content-Length` body
     /// relayed under raw framing: that stays in `input`, at
     /// [`ExchangeMachine::span`], and the client gets it after the sink.
-    /// `Err` fails the exchange; once the main response is whole, a
-    /// failing push only cuts the burst short.
+    /// The head is held back until its blank line arrives, then parsed
+    /// once; only a head still incomplete is copied aside, never the body
+    /// behind one. `Err` fails the exchange.
     pub fn feed(
         &mut self,
         input: &[u8],
         eof: bool,
         sink: &mut Vec<u8>,
     ) -> Result<usize, HttpError> {
-        let mut used = 0;
         self.span = 0..0;
-        if !self.main.as_ref().is_some_and(Part::is_done) {
-            let (rule, as_is, accept_push) = (self.rule, self.as_is, self.accept_push);
-            let start = |head, sink: &mut Vec<u8>| Part::main(head, rule, as_is, accept_push, sink);
-            let (n, ended) = advance(&mut self.held, &mut self.main, start, input, eof, sink)?;
-            used = n;
-            // The forwarded payload is the tail of what the main response
-            // took: nothing behind it reaches the sink (pushes buffer).
-            let main = self.main.as_ref().and_then(|m| m.relay.as_ref());
-            self.span = used - main.map_or(0, |r| r.passed)..used;
-            if !ended {
-                return Ok(used);
-            }
-            let main = self.main.as_ref().expect("an ended response");
-            if accept_push && main.is_whole() {
-                self.owed = announced_pushes(&main.head);
-            }
+        if self.is_done() {
+            return Ok(0);
         }
-        while self.owed > 0 {
-            let rest = &input[used..];
-            let start = |head: Response, _: &mut Vec<u8>| {
-                body_framing(&head, false).map(|framing| Part::new(head, framing))
-            };
-            match advance(&mut self.held, &mut self.push, start, rest, eof, sink) {
-                Ok((n, ended)) => {
-                    used += n;
-                    if !ended {
-                        break;
-                    }
-                    let push = self.push.take().expect("an ended push");
-                    if let UpstreamOutcome::Response(resp, _) = push.into_outcome(Vec::new(), None)
-                    {
-                        self.pushed.push(resp);
-                    }
-                    self.owed -= 1;
+        let mut used = 0;
+        if self.part.is_none() {
+            if input.is_empty() && !eof {
+                return Ok(0);
+            }
+            let mut rest = self.held.as_slice().chain(input);
+            let head = match Response::read_head(&mut rest) {
+                Ok(head) => head,
+                // The bytes ran out: for a live connection, wait for more.
+                Err(HttpError::ConnectionClosed) if !eof => {
+                    self.held.extend_from_slice(input);
+                    return Ok(input.len());
                 }
-                Err(_) => self.owed = 0,
-            }
+                Err(e) => return Err(e),
+            };
+            used = input.len() - rest.into_inner().1.len();
+            self.held.clear();
+            self.part = Some(Part::start(head, self.rule, self.as_is, sink)?);
         }
+        let part = self.part.as_mut().expect("started above");
+        used += part.feed(&input[used..], eof, sink)?;
+        // The forwarded payload is the tail of what the response took.
+        self.span = used - part.relay.as_ref().map_or(0, |r| r.passed)..used;
         Ok(used)
     }
 
-    /// The exchange's outcome. Before the main response ended this is the
+    /// The exchange's outcome. Before the response ended this is the
     /// failure the driver gave up with: a truncation once engaged,
-    /// [`UpstreamOutcome::Failed`] otherwise. After it, a burst cut short
-    /// keeps the pushes that arrived whole.
+    /// [`UpstreamOutcome::Failed`] otherwise.
     pub fn into_outcome(self) -> UpstreamOutcome {
-        match self.main {
-            Some(main) => main.into_outcome(self.pushed, self.as_is.and_then(|a| a.hook)),
+        match self.part {
+            Some(part) => part.into_outcome(self.as_is.and_then(|a| a.hook)),
             None => UpstreamOutcome::Failed,
         }
     }
@@ -422,7 +392,6 @@ impl<'h> ResponseMachine<'h> {
         ResponseMachine {
             rule: self.rule,
             as_is: self.as_is,
-            accept_push: self.accept_push,
             ..ResponseMachine::default()
         }
     }
@@ -620,15 +589,6 @@ impl<'h> ExchangeMachine<'h> {
     }
 }
 
-/// The pushes a main head announces with `X-Push-Count`; 0 when it
-/// announces none it can count.
-pub(crate) fn announced_pushes(head: &Response) -> usize {
-    head.headers
-        .get(PUSH_COUNT_HEADER)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
 /// How a response's body is delimited, from its head alone: `None` when
 /// it runs until the upstream closes. `Err` is a framing header no body
 /// can be read under — above `MAX_BODY` a declared length is refused
@@ -643,46 +603,7 @@ fn body_framing(head: &Response, head_request: bool) -> Result<Option<StreamFram
     })
 }
 
-/// Read one response over `input`: its head first — held back until its
-/// blank line arrives, then parsed once and handed to `start` — then its
-/// body. Returns the bytes of `input` it took and whether the response
-/// ended.
-fn advance(
-    held: &mut Vec<u8>,
-    part: &mut Option<Part>,
-    start: impl FnOnce(Response, &mut Vec<u8>) -> Result<Part, HttpError>,
-    input: &[u8],
-    eof: bool,
-    sink: &mut Vec<u8>,
-) -> Result<(usize, bool), HttpError> {
-    let mut used = 0;
-    if part.is_none() {
-        if input.is_empty() && !eof {
-            return Ok((0, false));
-        }
-        // The head may straddle what is held and `input`; only a head
-        // still incomplete is copied aside, never the body behind one.
-        let mut rest = held.as_slice().chain(input);
-        let head = match Response::read_head(&mut rest) {
-            Ok(head) => head,
-            // The bytes ran out: for a live connection, wait for more.
-            Err(HttpError::ConnectionClosed) if !eof => {
-                held.extend_from_slice(input);
-                return Ok((input.len(), false));
-            }
-            Err(e) => return Err(e),
-        };
-        used = input.len() - rest.into_inner().1.len();
-        held.clear();
-        *part = Some(start(head, sink)?);
-    }
-    let part = part.as_mut().expect("started above");
-    used += part.feed(&input[used..], eof, sink)?;
-    Ok((used, part.is_done()))
-}
-
-/// One response being decoded: the main one of an exchange, or a push
-/// behind it (always buffered).
+/// The response of an exchange being decoded.
 struct Part {
     /// The origin's head; body and trailers are filled in at the end.
     head: Response,
@@ -706,32 +627,25 @@ enum End {
 }
 
 impl Part {
-    /// Start buffering the response `head` begins, its body framed as
-    /// `framing` says.
-    fn new(head: Response, framing: Option<StreamFraming>) -> Part {
-        Part {
+    /// Start the response: the relay decision, from its head alone.
+    /// An engaging head writes its client head into `sink` right away (a
+    /// pinned relay's went out with the cached prefix). `Err` is a failed,
+    /// retryable exchange like any other before a byte moved.
+    fn start(
+        head: Response,
+        rule: Option<RelayRule>,
+        as_is: Option<AsIs>,
+        sink: &mut Vec<u8>,
+    ) -> Result<Part, HttpError> {
+        let framing = body_framing(&head, as_is.is_some_and(|a| a.head_request))?;
+        let mut part = Part {
             head,
             reader: framing.map(BodyReader::new),
             body: Vec::new(),
             grow: None,
             relay: None,
             end: None,
-        }
-    }
-
-    /// Start the main response: the relay decision, from its head alone.
-    /// An engaging head writes its client head into `sink` right away (a
-    /// pinned relay's went out with the cached prefix). `Err` is a failed,
-    /// retryable exchange like any other before a byte moved.
-    fn main(
-        head: Response,
-        rule: Option<RelayRule>,
-        as_is: Option<AsIs>,
-        accept_push: bool,
-        sink: &mut Vec<u8>,
-    ) -> Result<Part, HttpError> {
-        let framing = body_framing(&head, as_is.is_some_and(|a| a.head_request))?;
-        let mut part = Part::new(head, framing);
+        };
         if let Some(rule) = rule {
             match rule.decide(&part.head) {
                 RelayDecision::Engage(n) => {
@@ -746,9 +660,8 @@ impl Part {
             }
         } else if let (Some(as_is), Some(framing)) = (as_is, framing) {
             // A close-delimited body (no framing) buffers too.
-            let buffers = as_is.whole
-                || (as_is.hook.is_some() && framing == StreamFraming::Chunked)
-                || (accept_push && announced_pushes(&part.head) > 0);
+            let buffers =
+                as_is.whole || (as_is.hook.is_some() && framing == StreamFraming::Chunked);
             if !buffers {
                 part.engage(as_is.hook, framing, sink);
             }
@@ -865,9 +778,9 @@ impl Part {
         Ok(())
     }
 
-    /// The response's outcome, carrying `pushed` if it was buffered whole
-    /// — and then first handed to the as-is `hook`, trailers and all.
-    fn into_outcome(self, pushed: Vec<Response>, hook: Option<HeadHook>) -> UpstreamOutcome {
+    /// The response's outcome — if it was buffered whole, first handed to
+    /// the as-is `hook`, trailers and all.
+    fn into_outcome(self, hook: Option<HeadHook>) -> UpstreamOutcome {
         let Part {
             mut head,
             reader,
@@ -893,7 +806,7 @@ impl Part {
                         if let Some(hook) = hook {
                             hook(&mut head, len);
                         }
-                        UpstreamOutcome::Response(head, pushed)
+                        UpstreamOutcome::Response(head)
                     }
                 }
             }
@@ -905,12 +818,10 @@ impl Part {
 }
 
 /// One upstream exchange as the drivers see it: the request to put on
-/// the wire, whether its response may cut through, and whether pushed
-/// responses may follow it.
+/// the wire, and whether its response may cut through.
 pub(crate) struct Leg {
     pub(crate) request: Request,
     pub(crate) relay: Option<RelayRule>,
-    pub(crate) accept_push: bool,
 }
 
 impl Leg {
@@ -937,14 +848,11 @@ fn plain_request(path: &str) -> Request {
 
 /// The piggyback GET of demand misses and validations, with the drained
 /// hit report and, on a validation, `If-Modified-Since`.
-fn demand_request(shared: &ProxyShared, job: &UpstreamJob) -> Request {
+fn demand_request(job: &UpstreamJob) -> Request {
     let mut req = plain_request(&job.path);
     req.headers.insert("TE", "chunked");
     req.headers
         .insert(PIGGY_FILTER_HEADER, &job.filter.to_header_value());
-    if shared.cfg.accept_push {
-        req.headers.insert(PIGGY_PUSH_HEADER, "accept");
-    }
     if let Some(r) = &job.report {
         req.headers.insert(PIGGY_REPORT_HEADER, r);
     }
@@ -957,14 +865,10 @@ fn demand_request(shared: &ProxyShared, job: &UpstreamJob) -> Request {
 
 /// Whether `job` may take the streaming cut-through path: plain demand
 /// misses only. Validations stay buffered (a 304 needs the full-response
-/// exchange), `--accept-push` reads pushed responses behind a buffered
-/// main one, and an active prefetcher's claim/join protocol expects every
+/// exchange), and an active prefetcher's claim/join protocol expects every
 /// miss to materialize a cacheable body.
 fn streaming_eligible(shared: &ProxyShared, job: &UpstreamJob) -> bool {
-    shared.cfg.stream_threshold > 0
-        && job.validate.is_none()
-        && !shared.cfg.accept_push
-        && shared.prefetcher.get().is_none()
+    shared.cfg.stream_threshold > 0 && job.validate.is_none() && shared.prefetcher.get().is_none()
 }
 
 /// Probe for a retained prefix of a streaming-eligible miss. On a hit the
@@ -1006,7 +910,6 @@ pub(crate) fn first_leg(shared: &ProxyShared, job: &UpstreamJob) -> Leg {
     match &job.prefix {
         Some(hit) => Leg {
             request: plain_request(&job.path),
-            accept_push: false,
             relay: Some(RelayRule {
                 threshold: 0,
                 prefix_bytes: 0,
@@ -1016,8 +919,7 @@ pub(crate) fn first_leg(shared: &ProxyShared, job: &UpstreamJob) -> Leg {
             }),
         },
         None => Leg {
-            request: demand_request(shared, job),
-            accept_push: shared.cfg.accept_push,
+            request: demand_request(job),
             relay: streaming_eligible(shared, job).then_some(RelayRule {
                 threshold: shared.cfg.stream_threshold,
                 prefix_bytes: shared.cfg.prefix_bytes,
@@ -1035,7 +937,6 @@ pub(crate) fn speculative_leg(path: &str) -> Leg {
     Leg {
         request: plain_request(path),
         relay: None,
-        accept_push: false,
     }
 }
 
@@ -1121,9 +1022,8 @@ fn count_error(shared: &ProxyShared, job: &UpstreamJob) {
 }
 
 /// Settle `job`'s exchange at `now`, the stamp of the upstream wakeup
-/// that finished it: store or freshen, then the pushes a `--push` origin
-/// streamed behind the response, then the piggyback, then the outcome
-/// histogram.
+/// that finished it: store or freshen, then the piggyback, then the
+/// outcome histogram.
 pub(crate) fn settle(
     shared: &ProxyShared,
     job: &UpstreamJob,
@@ -1133,8 +1033,8 @@ pub(crate) fn settle(
     if let Some(hit) = &job.prefix {
         return settle_suffix(shared, job, hit, outcome);
     }
-    let (resp, pushed) = match outcome {
-        UpstreamOutcome::Response(resp, pushed) => (resp, pushed),
+    let resp = match outcome {
+        UpstreamOutcome::Response(resp) => resp,
         UpstreamOutcome::Failed => {
             count_error(shared, job);
             return Settled::Reply(Response::new(502));
@@ -1199,12 +1099,6 @@ pub(crate) fn settle(
             (out, &shared.obs.passthrough)
         }
     };
-    // Server-pushed volume members enter the cache before piggyback
-    // classification, so the piggybacks see them as cached entries
-    // (Freshen) instead of re-queueing them as prefetch candidates.
-    for p in &pushed {
-        prefetch::accept_push(shared, p, now);
-    }
     process_piggyback(shared, &resp, now);
     hist.record(job.start.elapsed());
     Settled::Reply(result)
@@ -1265,8 +1159,8 @@ fn store_full_response(
 /// Cache `body` as `r`'s entry, fresh for Δ from `now` — a speculation
 /// (`prefetched`) is unused until a client asks — and settle and clean up
 /// everything the insert displaced. `false`: oversized for its shard,
-/// nothing kept. The one store routine of demand fetches, speculations
-/// and pushes.
+/// nothing kept. The one store routine of demand fetches and
+/// speculations.
 pub(crate) fn store(
     shared: &ProxyShared,
     r: ResourceId,

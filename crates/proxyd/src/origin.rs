@@ -37,7 +37,6 @@
 //! together).
 
 use crate::obs::{render_histogram, render_scalar, render_transport, DaemonObs};
-use crate::prefetch::{PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER, PUSH_PATH_HEADER};
 use crate::proxy::METRICS_PATH;
 use crate::service::{serve_blocking, Served, Service};
 use crate::stats::{AtomicDaemonStats, DaemonStats};
@@ -58,7 +57,7 @@ use piggyback_core::striped::StripedHistories;
 use piggyback_core::table::ResourceTable;
 use piggyback_core::types::{DurationMs, ResourceId, SourceId, Timestamp};
 use piggyback_core::volume::{ProbabilityVolumes, ProbabilityVolumesBuilder, SamplingMode};
-use piggyback_core::wire::{decode_p_volume, encode_p_volume, P_VOLUME_HEADER};
+use piggyback_core::wire::{encode_p_volume, P_VOLUME_HEADER};
 use piggyback_httpwire::{Body, ConnScratch, Request, Response};
 use piggyback_trace::synth::site::{Site, SiteConfig};
 use std::collections::HashMap;
@@ -127,12 +126,6 @@ pub struct OriginConfig {
     pub io: IoMode,
     /// Close connections idle for this long (both engines).
     pub reactor_idle_timeout: std::time::Duration,
-    /// Server-push baseline (`--push N`): when a request carries
-    /// `Piggy-push: accept`, stream up to N volume members as full pushed
-    /// responses after the main 200 (the main response announces them
-    /// with `X-Push-Count`, each pushed response names its resource with
-    /// `X-Push-Path`). 0 disables pushing.
-    pub push_max: usize,
 }
 
 impl Default for OriginConfig {
@@ -148,7 +141,6 @@ impl Default for OriginConfig {
             online_epoch: None,
             io: IoMode::default(),
             reactor_idle_timeout: std::time::Duration::from_secs(120),
-            push_max: 0,
         }
     }
 }
@@ -176,8 +168,6 @@ struct EpochState {
 struct OriginShared {
     state: OriginState,
     clock: Clock,
-    /// Most volume members pushed after one main response (0 = never).
-    push_max: usize,
     /// Accept/open-connection counters, fed by whichever I/O engine runs.
     io_stats: Arc<IoStats>,
     /// Per-reactor-shard counters (reactor engine only).
@@ -350,7 +340,6 @@ pub fn start_origin(cfg: OriginConfig) -> io::Result<OriginHandle> {
     let shared = Arc::new(OriginShared {
         state,
         clock: Clock::new(),
-        push_max: cfg.push_max,
         io_stats: Arc::clone(&io_stats),
         #[cfg(target_os = "linux")]
         reactor_metrics: reactor_metrics.clone(),
@@ -391,9 +380,8 @@ pub fn start_origin(cfg: OriginConfig) -> io::Result<OriginHandle> {
 }
 
 /// The origin as a [`Service`]: every response — site resources, admin
-/// endpoints, the metrics scrape — serializes inline, with the pushed
-/// volume members right behind the main response they were announced on;
-/// the origin has no upstream.
+/// endpoints, the metrics scrape — serializes inline; the origin has no
+/// upstream.
 struct OriginSvc {
     shared: Arc<OriginShared>,
     daemon: Arc<AtomicDaemonStats>,
@@ -433,26 +421,11 @@ impl Service for OriginSvc {
             return Ok(Served::Inline);
         }
         daemon.requests.fetch_add(1, Relaxed);
-        // Pushed volume members (`push_max > 0`, and the request opted in)
-        // ride the same stream, right behind the main response they were
-        // announced on.
-        let mut pushed = Vec::new();
         let source = crate::util::source_from_addr(peer);
-        let resp = handle_request(req, source, shared.clock.at(now), shared, obs, &mut pushed);
+        let resp = handle_request(req, source, shared.clock.at(now), shared, obs);
         daemon.count_response(resp.status, resp.body.len());
-        for p in &pushed {
-            daemon.pushes_sent.fetch_add(1, Relaxed);
-            daemon
-                .push_bytes_sent
-                .fetch_add(p.body.len() as u64, Relaxed);
-            // Pushed bodies are response bytes on the wire too.
-            daemon.bytes_sent.fetch_add(p.body.len() as u64, Relaxed);
-        }
         obs.class_for(resp.status).record(now.elapsed());
         resp.write_with(out, scratch)?;
-        for p in &pushed {
-            p.write_with(out, scratch)?;
-        }
         Ok(Served::Inline)
     }
 }
@@ -508,20 +481,6 @@ fn origin_metrics_response(
         "",
         "counter",
         stats.bytes_sent,
-    );
-    render_scalar(
-        &mut out,
-        "pb_origin_pushes_sent_total",
-        "",
-        "counter",
-        stats.pushes_sent,
-    );
-    render_scalar(
-        &mut out,
-        "pb_origin_push_bytes_sent_total",
-        "",
-        "counter",
-        stats.push_bytes_sent,
     );
     let pb = c.stats.snapshot();
     render_scalar(
@@ -636,7 +595,6 @@ fn handle_request(
     now: Timestamp,
     shared: &OriginShared,
     obs: &DaemonObs,
-    push_out: &mut Vec<Response>,
 ) -> Response {
     if req.method != "GET" && req.method != "HEAD" {
         let mut resp = Response::new(405);
@@ -644,7 +602,7 @@ fn handle_request(
         return resp;
     }
     let path = strip_origin_form(&req.target);
-    let (c, push_max) = (&shared.state, shared.push_max);
+    let c = &shared.state;
     if path == "/_pb/stats" {
         let snap = c.snapshot.load();
         return stats_response(&c.stats.snapshot(), snap.table.len(), snap.generation);
@@ -684,74 +642,7 @@ fn handle_request(
                 None
             }
         };
-    let mut resp = respond(req, path, meta, piggyback.as_deref(), obs);
-
-    // Server-push baseline (`--push N`): after a full 200 to a peer that
-    // opted in with `Piggy-push: accept`, stream up to `push_max` volume
-    // members as complete responses on the same connection. The main
-    // response announces the count so the receiver knows how many
-    // responses to read before its next request.
-    if push_max > 0
-        && resp.status == 200
-        && req.method != "HEAD"
-        && req.headers.get(PIGGY_PUSH_HEADER).is_some()
-    {
-        if let Some(pv) = piggyback.as_deref() {
-            build_pushes(pv, &snap, &c.access, push_max, push_out);
-            if !push_out.is_empty() {
-                resp.headers
-                    .insert(PUSH_COUNT_HEADER, &push_out.len().to_string());
-            }
-        }
-    }
-    resp
-}
-
-/// Materialize full pushed responses for the members of an encoded
-/// `P-volume`: each carries `X-Push-Path` naming the resource it answers,
-/// plus the same Last-Modified/Content-Type/body a demand GET would get.
-/// Members that vanished from the snapshot between encoding and push are
-/// skipped silently — the announced count is taken from the output after
-/// this returns, so the wire never promises more than it delivers.
-fn build_pushes(
-    pv: &str,
-    snap: &OriginSnapshot,
-    access: &AccessState,
-    push_max: usize,
-    out: &mut Vec<Response>,
-) {
-    let Ok(wire) = decode_p_volume(pv) else {
-        return;
-    };
-    // The wire sorts elements by ascending resource id (delta encoding),
-    // discarding the piggyback's priority order. Re-rank by live access
-    // recency — most recent first, ties by ascending id, the same order
-    // the piggyback was built in — so a small push budget lands on the
-    // members a client is most likely to request next.
-    let mut ranked: Vec<(ResourceId, u64, &piggyback_core::wire::WireElement)> = wire
-        .elements
-        .iter()
-        .filter_map(|e| {
-            snap.table
-                .lookup(&e.path)
-                .map(|r| (r, access.recency_raw(r), e))
-        })
-        .collect();
-    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
-    for (r, _, e) in ranked.into_iter().take(push_max) {
-        let Some(meta) = snap.table.meta(r) else {
-            continue;
-        };
-        let meta = *meta;
-        let mut p = Response::new(200);
-        p.headers.insert(PUSH_PATH_HEADER, &e.path);
-        let lm = unix_from_timestamp(meta.last_modified, DEFAULT_TRACE_EPOCH_UNIX);
-        insert_date(&mut p.headers, "Last-Modified", lm);
-        p.headers
-            .insert("Content-Type", content_type_str(meta.content_type));
-        p.body = serve_body(&e.path, meta.size);
-        out.push(p);
-    }
+    respond(req, path, meta, piggyback.as_deref(), obs)
 }
 
 /// Build the HTTP response for a resolved resource: conditional handling,
@@ -1084,90 +975,6 @@ mod tests {
     #[test]
     fn serves_site_resources_with_piggyback_trailer() {
         piggyback_trailer_flow(OriginConfig::default());
-    }
-
-    #[test]
-    fn push_mode_streams_volume_mates_after_main_response() {
-        let origin = start_origin(OriginConfig {
-            push_max: 4,
-            ..OriginConfig::default()
-        })
-        .unwrap();
-        let paths = origin.paths.clone();
-        let (mut r, mut w) = connect(&origin);
-
-        // Same-directory pair, as in the trailer-flow test: the second
-        // request's piggyback names the first, so the push stream must
-        // carry the first resource's full body.
-        let same_dir: Vec<&String> = {
-            use std::collections::HashMap;
-            let mut by_dir: HashMap<&str, Vec<&String>> = HashMap::new();
-            for p in &paths {
-                by_dir
-                    .entry(piggyback_core::intern::directory_prefix(p, 1))
-                    .or_default()
-                    .push(p);
-            }
-            by_dir
-                .into_values()
-                .find(|v| v.len() >= 2)
-                .expect("some directory has two resources")
-        };
-
-        let resp1 = get(
-            &mut r,
-            &mut w,
-            same_dir[0],
-            &[("TE", "chunked"), ("Piggy-filter", "maxpiggy=10")],
-        );
-        assert_eq!(resp1.status, 200);
-
-        let resp2 = get(
-            &mut r,
-            &mut w,
-            same_dir[1],
-            &[
-                ("TE", "chunked"),
-                ("Piggy-filter", "maxpiggy=10"),
-                (PIGGY_PUSH_HEADER, "accept"),
-            ],
-        );
-        assert_eq!(resp2.status, 200);
-        let n: usize = resp2
-            .headers
-            .get(PUSH_COUNT_HEADER)
-            .expect("push count announced")
-            .parse()
-            .unwrap();
-        assert!(n >= 1, "at least the volume mate pushed");
-
-        // Exactly `n` full responses follow on the same stream, each
-        // naming its resource. The volume mate's pushed body must be
-        // byte-identical to what a demand GET returned.
-        let mut pushed_mate = None;
-        for _ in 0..n {
-            let p = Response::read(&mut r, false).unwrap();
-            assert_eq!(p.status, 200);
-            let path = p
-                .headers
-                .get(PUSH_PATH_HEADER)
-                .expect("push path")
-                .to_owned();
-            if path == *same_dir[0] {
-                pushed_mate = Some(p);
-            }
-        }
-        let mate = pushed_mate.expect("volume mate was pushed");
-        assert_eq!(mate.body, resp1.body);
-
-        // The stream stays usable after the push burst.
-        let resp3 = get(&mut r, &mut w, same_dir[0], &[]);
-        assert_eq!(resp3.status, 200);
-
-        let daemon = origin.daemon_stats();
-        assert_eq!(daemon.pushes_sent, n as u64);
-        assert!(daemon.push_bytes_sent > 0);
-        origin.stop();
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //! prefetch_issued == prefetch_used + prefetch_wasted + prefetch_inflight
 //! ```
 //!
-//! `issued` counts fetches actually started (plus accepted server
-//! pushes); a speculation is *used* the first time a client request hits
+//! `issued` counts fetches actually started; a speculation is *used* the first time a client request hits
 //! its entry, and *wasted* when the fetch fails, returns non-200, loses a
 //! race to a demand fetch, or its entry is displaced (replaced, evicted,
 //! invalidated) before any client asked. Until one of those happens it is
@@ -47,34 +46,17 @@
 //! resumes the connection on its poller. Every speculation's exchange
 //! runs under the upstream deadline, so it settles in bounded time and a
 //! joiner needs no timeout of its own.
-//!
-//! ## Server push
-//!
-//! The minimal server-push baseline rides the same ledger: a proxy
-//! started with `--accept-push` adds `Piggy-push: accept` upstream, and
-//! an origin started with `--push N` answers by streaming up to N volume
-//! members as full pushed responses (`X-Push-Count` on the main
-//! response, `X-Push-Path` naming each body) on the same connection.
-//! [`accept_push`] files accepted bodies as issued speculations;
-//! duplicate pushes settle instantly as wasted bytes.
 
 use crate::lifecycle::{self, UpstreamOutcome};
 use crate::proxy::ProxyShared;
 use crate::service::{run_plan, UpstreamPlan};
 use crate::stats::AtomicProxyStats;
 use piggyback_core::types::{ResourceId, Timestamp};
-use piggyback_httpwire::{ConnScratch, Response};
+use piggyback_httpwire::ConnScratch;
 use piggyback_webcache::CacheEntry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, Weak};
-
-/// Request header a push-accepting proxy sends upstream.
-pub const PIGGY_PUSH_HEADER: &str = "Piggy-push";
-/// Main-response header: how many pushed responses follow on the wire.
-pub const PUSH_COUNT_HEADER: &str = "X-Push-Count";
-/// Pushed-response header naming the resource the body belongs to.
-pub const PUSH_PATH_HEADER: &str = "X-Push-Path";
 
 /// Queued-but-unfetched candidates beyond this are dropped silently: a
 /// piggyback burst must not grow an unbounded backlog of speculation.
@@ -348,8 +330,7 @@ fn fetch_and_install(
     path: &str,
     scratch: &mut ConnScratch,
 ) {
-    // Last-second dedup: a demand fetch or an accepted push may have
-    // landed the entry since this candidate was queued. Skipping here is
+    // Last-second dedup: a demand fetch may have landed the entry since this candidate was queued. Skipping here is
     // free — the fetch was never issued.
     if shared.cache.peek(landing.r).is_some() {
         return;
@@ -374,7 +355,6 @@ fn fetch_and_install(
             Ok(())
         }),
         relay: leg.relay,
-        accept_push: leg.accept_push,
     };
     match shared.upstream_submit.get() {
         Some(submit) => {
@@ -401,7 +381,7 @@ fn settle_speculation(
     let stats = &shared.stats;
     // The speculative leg carries no relay rule, so the only other
     // outcome is `Failed`.
-    let UpstreamOutcome::Response(resp, _) = outcome else {
+    let UpstreamOutcome::Response(resp) = outcome else {
         return settle_wasted(stats, 0);
     };
     let size = resp.body.len() as u64;
@@ -444,32 +424,4 @@ fn settle_wasted(stats: &AtomicProxyStats, bytes: u64) {
     stats.prefetch_wasted.fetch_add(1, Relaxed);
     stats.prefetch_wasted_bytes.fetch_add(bytes, Relaxed);
     stats.prefetch_inflight.fetch_sub(1, Relaxed);
-}
-
-/// Accept one server-pushed response (`--accept-push`). Every push enters
-/// the ledger as an issued speculation; a duplicate of something already
-/// cached settles instantly as wasted bytes (the origin spent bandwidth
-/// the proxy could not use).
-pub(crate) fn accept_push(shared: &ProxyShared, resp: &Response, now: Timestamp) {
-    if resp.status != 200 {
-        return;
-    }
-    let Some(path) = resp.headers.get(PUSH_PATH_HEADER) else {
-        return;
-    };
-    let stats = &shared.stats;
-    let size = resp.body.len() as u64;
-    let lm = lifecycle::last_modified(resp, now);
-    let r = shared.table.write().register_path(path, size, lm);
-    stats.prefetch_issued.fetch_add(1, Relaxed);
-    stats.prefetch_inflight.fetch_add(1, Relaxed);
-    stats.prefetch_fetched_bytes.fetch_add(size, Relaxed);
-    if shared.cache.peek(r).is_some() {
-        // Duplicate push: issued-and-instantly-wasted bandwidth.
-        return settle_wasted(stats, size);
-    }
-    stats.pushes_accepted.fetch_add(1, Relaxed);
-    if !lifecycle::store(shared, r, &resp.body, lm, now, true) {
-        settle_wasted(stats, size);
-    }
 }

@@ -104,10 +104,6 @@ pub struct ProxyConfig {
     /// `PrefetchCandidate` elements; 0 disables the prefetcher (the seed
     /// behavior: candidates are only counted).
     pub prefetch_budget: usize,
-    /// Send `Piggy-push: accept` upstream and cache full volume-member
-    /// responses a `--push` origin streams after the main response (the
-    /// server-push baseline the paper's Section 5 compares against).
-    pub accept_push: bool,
     /// Response bodies at or above this many bytes take the streaming
     /// cut-through path on a miss: relayed to the client in bounded
     /// segments as they arrive from the origin, never materialized or
@@ -143,7 +139,6 @@ impl ProxyConfig {
             reactor_idle_timeout: std::time::Duration::from_secs(120),
             upstream_timeout: std::time::Duration::from_secs(30),
             prefetch_budget: 0,
-            accept_push: false,
             stream_threshold: 256 * 1024,
             prefix_bytes: 64 * 1024,
             client_body_cap: parse::MAX_BODY,
@@ -345,8 +340,7 @@ pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
 }
 
 /// The proxy as a [`Service`]: cache hits, metrics, and synthesized errors
-/// serialize inline; upstream fetches (`--accept-push` bursts included)
-/// become [`UpstreamPlan`]s the poller runs, and a demand miss joined to
+/// serialize inline; upstream fetches become [`UpstreamPlan`]s the poller runs, and a demand miss joined to
 /// an in-flight speculation parks ([`Served::Park`]) until the
 /// speculation settles.
 pub struct ProxySvc {
@@ -602,7 +596,6 @@ fn fetch(
             retry_stats.stats.upstream_retries.fetch_add(1, Relaxed);
         }),
         relay: leg.relay,
-        accept_push: leg.accept_push,
         finish: Box::new(move |scratch, out, outcome, now| {
             match lifecycle::settle(&shared, &job, outcome, shared.clock.at(now)) {
                 Settled::Reply(resp) => resp.write_with(out, scratch),
@@ -747,7 +740,6 @@ fn metrics_response(shared: &ProxyShared) -> Response {
         ("prefetch_used_bytes", stats.prefetch_used_bytes),
         ("prefetch_cancelled", stats.prefetch_cancelled),
         ("prefetch_retries", stats.prefetch_retries),
-        ("pushes_accepted", stats.pushes_accepted),
         ("upstream_retries", stats.upstream_retries),
     ] {
         counter(&mut out, name, value);
@@ -1068,9 +1060,9 @@ mod tests {
                 resp.headers.insert(P_VOLUME_HEADER, &pv);
             }
             resp.body = Body::from(b"hello".to_vec());
-            UpstreamOutcome::Response(resp, Vec::new())
+            UpstreamOutcome::Response(resp)
         };
-        let not_modified = || UpstreamOutcome::Response(Response::new(304), Vec::new());
+        let not_modified = || UpstreamOutcome::Response(Response::new(304));
         let stats = || proxy.stats();
         let (t0, lm) = (Instant::now(), Timestamp::from_secs(1_000));
 
@@ -1452,47 +1444,6 @@ mod tests {
                 "ledger conservation at quiescence: {s:?}"
             );
             assert_eq!(s.outcomes(), s.requests, "request conservation: {s:?}");
-            proxy.stop();
-        }
-        origin.stop();
-    }
-
-    #[test]
-    fn pushed_volume_members_land_in_the_cache() {
-        let origin = start_origin(OriginConfig {
-            push_max: 4,
-            ..OriginConfig::default()
-        })
-        .unwrap();
-        warm_origin(&origin);
-        // Both engines read the burst with the one response machine.
-        for io in engines() {
-            let mut cfg = ProxyConfig::new(origin.addr());
-            cfg.io = io;
-            cfg.accept_push = true;
-            let proxy = start_proxy(cfg).unwrap();
-            let pushes_before = origin.daemon_stats().pushes_sent;
-
-            for p in &origin.paths {
-                assert_eq!(get(proxy.addr(), p).status, 200);
-            }
-            let s = proxy.stats();
-            assert!(s.pushes_accepted > 0, "origin pushed, proxy cached: {s:?}");
-            assert!(
-                s.prefetch_used >= 1,
-                "a pushed member was demanded later in the walk: {s:?}"
-            );
-            assert_eq!(
-                s.prefetch_issued,
-                s.prefetch_used + s.prefetch_wasted + s.prefetch_inflight,
-                "push ledger conservation: {s:?}"
-            );
-            assert!(
-                s.fresh_hits > 0,
-                "pushed members must serve as cache hits: {s:?}"
-            );
-            assert_eq!(s.outcomes(), s.requests, "request conservation: {s:?}");
-            assert!(origin.daemon_stats().pushes_sent - pushes_before >= s.pushes_accepted);
             proxy.stop();
         }
         origin.stop();

@@ -49,7 +49,7 @@
 use crate::lifecycle::{grow_upstream_read, ExchangeMachine, ResponseMachine, UPSTREAM_READ};
 use crate::service::{ClientMachine, ResumeFn, Served, Service, UpstreamPlan, Waker};
 use crate::stats::ReactorShardStats;
-use crate::util::{IoStats, OpenGuard, ServerHandle};
+use crate::util::{setup_client_socket, IoStats, OpenGuard, ServerHandle};
 use piggyback_httpwire::ConnScratch;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -732,8 +732,7 @@ impl<S: Service> Reactor<S> {
     fn register(&mut self, stream: TcpStream, peer: SocketAddr) {
         self.io_stats.accepts.fetch_add(1, Relaxed);
         self.shard_stats().accepts.fetch_add(1, Relaxed);
-        let _ = stream.set_nodelay(true);
-        if stream.set_nonblocking(true).is_err() {
+        if setup_client_socket(&stream, None).is_err() || stream.set_nonblocking(true).is_err() {
             return;
         }
         let fd = stream.as_raw_fd();
@@ -1019,7 +1018,7 @@ impl<S: Service> Reactor<S> {
     fn start_upstream(&mut self, mut plan: UpstreamPlan, client: Option<u64>) {
         self.shard_stats().upstream_inflight.fetch_add(1, Relaxed);
         let request = std::mem::take(&mut plan.request);
-        let response = ResponseMachine::new(plan.relay, plan.accept_push);
+        let response = ResponseMachine::new(plan.relay);
         let machine = ExchangeMachine::new(request, true, response, self.now);
         let ex = Exchange {
             plan,

@@ -4,8 +4,8 @@
 //! center's own connection loop in transparent mode with no shim
 //! ([`crate::volume_center`], PROTOCOL.md §14.1), plus a recorder:
 //! requests and responses pass through unmodified on the exchange machine
-//! every relay drives — re-dial after a `Connection: close`, push bursts
-//! and `HEAD` included. The loop reads each response whole and records
+//! every relay drives — re-dial after a `Connection: close` and `HEAD`
+//! included. The loop reads each response whole and records
 //! the exchange — request line and headers, response status/headers/body,
 //! the `P-volume` piggyback payload, and wire timing (TTFB at the first
 //! upstream read, then transfer duration) — into a versioned
@@ -18,7 +18,6 @@
 //! [`crate::replay_origin`], making latency experiments reproducible from
 //! the repo alone.
 
-use crate::prefetch::PUSH_COUNT_HEADER;
 use crate::volume_center::{start_relay, VolumeCenterConfig, VolumeCenterHandle};
 use parking_lot::Mutex;
 use piggyback_core::wire::P_VOLUME_HEADER;
@@ -130,15 +129,13 @@ pub fn start_recorder(cfg: RecorderConfig) -> io::Result<RecorderHandle> {
     Ok(RecorderHandle { center, recorder })
 }
 
-/// Headers the replay origin recomputes (framing), that are hop-by-hop,
-/// or that announce a push burst a replay cannot send; excluded from the
-/// recorded response headers.
+/// Headers the replay origin recomputes (framing) or that are hop-by-hop;
+/// excluded from the recorded response headers.
 fn is_unrecorded_header(name: &str) -> bool {
     name.eq_ignore_ascii_case("Content-Length")
         || name.eq_ignore_ascii_case("Transfer-Encoding")
         || name.eq_ignore_ascii_case("Trailer")
         || name.eq_ignore_ascii_case("Connection")
-        || name.eq_ignore_ascii_case(PUSH_COUNT_HEADER)
 }
 
 fn captured_headers(map: &HeaderMap, skip_framing: bool) -> Vec<(String, String)> {

@@ -18,7 +18,7 @@
 
 use crate::client::{ConnectionPool, PooledConn};
 use crate::lifecycle::{self, ExchangeMachine, RelayRule, ResponseMachine, Reuse, UpstreamOutcome};
-use crate::util::{bound_client_writes, serve_with_stats, IoStats, ServeOptions, ServerHandle};
+use crate::util::{serve_with_stats, setup_client_socket, IoStats, ServeOptions, ServerHandle};
 use piggyback_httpwire::parse::MAX_BODY;
 use piggyback_httpwire::{write_all_parts, ConnScratch, HttpError, Request, Response};
 use std::io::{self, IoSlice, Read, Write};
@@ -94,9 +94,6 @@ pub struct UpstreamPlan {
     /// Opt-in large-object cut-through: the rule the exchange's
     /// [`ResponseMachine`] decides under. `None` buffers every response.
     pub relay: Option<RelayRule>,
-    /// The request sent `Piggy-push: accept`: the machine reads the
-    /// pushed responses the main one announces.
-    pub accept_push: bool,
 }
 
 pub type FinishFn = Box<
@@ -459,7 +456,7 @@ fn poll<S: Service>(
     // A relay a client stalls for the upstream timeout settles as an
     // error, as the reactor's relay deadline does: neither this worker nor
     // the upstream connection waits on it (see [`Until`]).
-    bound_client_writes(&stream, pool.and_then(|p| p.timeout))?;
+    setup_client_socket(&stream, pool.and_then(|p| p.timeout))?;
     let mut ctx = svc.make_ctx();
     let mut machine = ClientMachine::new(Instant::now());
     loop {
@@ -528,7 +525,7 @@ fn follow(
 
 /// A client socket whose writes give up once the deadline passed: the
 /// flush of one relayed read must be taken by the upstream timeout. Each
-/// write call waits at most that long ([`bound_client_writes`]), but a
+/// write call waits at most that long ([`setup_client_socket`]), but a
 /// call may take a few bytes first and then wait it out, so the deadline
 /// is checked between calls too.
 struct Until<'a>(&'a mut TcpStream, Option<Instant>);
@@ -578,10 +575,9 @@ pub(crate) fn run_plan(
         finish,
         retry,
         relay,
-        accept_push,
         ..
     } = plan;
-    let machine = ResponseMachine::new(relay, accept_push);
+    let machine = ResponseMachine::new(relay);
     let (outcome, kept) = blocking_exchange(
         ExchangeMachine::new(request, true, machine, Instant::now()),
         |again| {

@@ -91,7 +91,7 @@ counter_set! {
         piggyback_invalidations,
         prefetch_candidates,
         /// Speculative fetches actually started (candidates that survived
-        /// the dedup/cache/queue gates), plus accepted server pushes.
+        /// the dedup/cache/queue gates).
         /// Conservation (exact at quiescence):
         /// `prefetch_issued == prefetch_used + prefetch_wasted +
         /// prefetch_inflight`.
@@ -105,7 +105,7 @@ counter_set! {
         /// Body bytes of `prefetch_wasted` resolutions (the paper's
         /// wasted-bandwidth concern; 0-byte wastes are failures).
         prefetch_wasted_bytes,
-        /// Body bytes fetched speculatively (all issued 200s + pushes).
+        /// Body bytes fetched speculatively (all issued 200s).
         prefetch_fetched_bytes,
         /// Body bytes of prefetched entries that a client used.
         prefetch_used_bytes,
@@ -120,9 +120,6 @@ counter_set! {
         /// counter clothing: incremented at issue, decremented at
         /// resolution.
         prefetch_inflight,
-        /// Server-push bodies accepted into the cache (`--accept-push`);
-        /// each also counts in `prefetch_issued`/`..._inflight`.
-        pushes_accepted,
         upstream_errors,
         /// Upstream statuses other than 200/304 relayed to the client
         /// uncached (404s, origin control endpoints, ...).
@@ -163,11 +160,6 @@ counter_set! {
         responses_error,
         /// Response body bytes written.
         bytes_sent,
-        /// Full volume-member responses pushed after a main response
-        /// (`--push N` origins answering a `Piggy-push: accept` proxy).
-        pushes_sent,
-        /// Body bytes of `pushes_sent` (also included in `bytes_sent`).
-        push_bytes_sent,
     }
 }
 

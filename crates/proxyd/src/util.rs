@@ -527,27 +527,37 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
     }
 }
 
-/// Unsent bytes above which a bounded client socket stops being writable
-/// (Linux `TCP_NOTSENT_LOWAT`): two upstream reads' worth.
+/// Unsent bytes above which a client socket stops being writable (Linux
+/// `TCP_NOTSENT_LOWAT`): two upstream reads' worth.
 const UNSENT_LOWAT: i32 = 128 * 1024;
 
-/// Bound a client socket's blocking writes by `timeout` (none when
-/// `None`): a write call the client takes no byte of for that long fails.
-/// On Linux the socket is also writable only while less than
-/// [`UNSENT_LOWAT`] bytes wait unsent, so a blocked write wakes as the
-/// client drains them. Without it the kernel wakes the writer only once a
-/// third of the send buffer is free, and autotuning grows that buffer to
-/// megabytes: a client taking 3 MB/s left one 64 KiB write blocked for
-/// half a second.
-pub(crate) fn bound_client_writes(stream: &TcpStream, timeout: Option<Duration>) -> io::Result<()> {
-    stream.set_write_timeout(timeout)?;
+/// `IPPROTO_TCP` and its `TCP_NOTSENT_LOWAT` option (Linux).
+#[cfg(target_os = "linux")]
+const IPPROTO_TCP: i32 = 6;
+#[cfg(target_os = "linux")]
+const TCP_NOTSENT_LOWAT: i32 = 25;
+
+/// The one setup of an accepted client socket, on both pollers: no Nagle
+/// delay (request/response traffic is latency-bound small writes), and
+/// blocking writes bounded by `write_timeout` (none when `None`, as on the
+/// reactor's nonblocking sockets): a write call the client takes no byte
+/// of for that long fails. On Linux the socket is also writable only
+/// while less than [`UNSENT_LOWAT`] bytes wait unsent, so a blocked write,
+/// or a reactor waiting for `EPOLLOUT`, wakes as the client drains them.
+/// Without it the kernel wakes the writer only once a third of the send
+/// buffer is free, and autotuning grows that buffer to megabytes: a
+/// client taking 3 MB/s left one 64 KiB write blocked for half a second.
+pub(crate) fn setup_client_socket(
+    stream: &TcpStream,
+    write_timeout: Option<Duration>,
+) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_write_timeout(write_timeout)?;
     #[cfg(target_os = "linux")]
-    if timeout.is_some() {
+    {
         extern "C" {
             fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
         }
-        const IPPROTO_TCP: i32 = 6;
-        const TCP_NOTSENT_LOWAT: i32 = 25;
         let fd = std::os::unix::io::AsRawFd::as_raw_fd(stream);
         let lowat: *const i32 = &UNSENT_LOWAT;
         // SAFETY: a plain `int` option on a live socket; the kernel reads
@@ -724,6 +734,43 @@ mod tests {
             let mut filled = vec![0xAA; want.len()];
             fill_synth_body(p, &mut filled);
             assert_eq!(filled, want, "fill, path len {} size {size}", p.len());
+        }
+    }
+
+    /// Both pollers' setup, read back with `getsockopt` on an accepted
+    /// loopback socket: `TCP_NODELAY` on, the low-water mark set, and a
+    /// write timeout only where the poller blocks.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn client_socket_setup_reads_back() {
+        extern "C" {
+            fn getsockopt(fd: i32, level: i32, name: i32, value: *mut u8, len: *mut u32) -> i32;
+        }
+        const TCP_NODELAY: i32 = 1;
+        let int_option = |stream: &TcpStream, name: i32| {
+            let fd = std::os::unix::io::AsRawFd::as_raw_fd(stream);
+            let (mut value, mut len) = (0i32, 4u32);
+            let out: *mut i32 = &mut value;
+            // SAFETY: the kernel writes at most `len` (4) bytes into `value`.
+            let rc = unsafe { getsockopt(fd, IPPROTO_TCP, name, out.cast(), &mut len) };
+            assert_eq!((rc, len), (0, 4), "{}", io::Error::last_os_error());
+            value
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let blocking = Some(Duration::from_secs(1));
+        for write_timeout in [blocking, None] {
+            let _client = TcpStream::connect(addr).unwrap();
+            let (accepted, _) = listener.accept().unwrap();
+            assert_eq!(int_option(&accepted, TCP_NODELAY), 0, "off before");
+            setup_client_socket(&accepted, write_timeout).unwrap();
+            assert_ne!(int_option(&accepted, TCP_NODELAY), 0, "{write_timeout:?}");
+            assert_eq!(
+                int_option(&accepted, TCP_NOTSENT_LOWAT),
+                UNSENT_LOWAT,
+                "{write_timeout:?}"
+            );
+            assert_eq!(accepted.write_timeout().unwrap(), write_timeout);
         }
     }
 

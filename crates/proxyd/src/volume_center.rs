@@ -21,16 +21,14 @@
 
 use crate::client::PooledConn;
 use crate::lifecycle::{
-    self, announced_pushes, AsIs, ExchangeMachine, HeadHook, ResponseMachine, Reuse,
-    UpstreamOutcome,
+    self, AsIs, ExchangeMachine, HeadHook, ResponseMachine, Reuse, UpstreamOutcome,
 };
 use crate::netem::{Conditioner, ExchangePlan, ShimStats};
 use crate::origin::strip_origin_form;
-use crate::prefetch::{PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER};
 use crate::record_tap::Recorder;
 use crate::service::blocking_exchange;
 use crate::stats::{AtomicDaemonStats, DaemonStats};
-use crate::util::{serve, Clock, ServerHandle};
+use crate::util::{serve, source_from_addr, Clock, ServerHandle};
 use parking_lot::Mutex;
 use piggyback_core::filter::{ProxyFilter, PIGGY_FILTER_HEADER};
 use piggyback_core::server::{PiggybackServer, ServerStats};
@@ -59,13 +57,11 @@ pub struct VolumeCenterConfig {
     /// conditioning and error injection per [`crate::netem`]. `None`
     /// relays at loopback speed.
     pub shim: Option<crate::netem::ShimConfig>,
-    /// Pure conditioner mode: forward `Piggy-filter`/`Piggy-push`
-    /// verbatim, relay the origin's own piggybacks and pushed responses
-    /// downstream (paying the shim's per-response delay on each), and do
-    /// no volume learning of its own. `false` is the paper's oblivious-
-    /// origin deployment: consume the filter, learn from traffic, strip
-    /// `Piggy-push` (a volume-oblivious origin cannot push), and append
-    /// locally-generated piggybacks.
+    /// Pure conditioner mode: forward `Piggy-filter` verbatim, relay the
+    /// origin's own piggybacks downstream (paying the shim's per-response
+    /// delay), and do no volume learning of its own. `false` is the
+    /// paper's oblivious-origin deployment: consume the filter, learn from
+    /// traffic, and append locally-generated piggybacks.
     pub transparent: bool,
 }
 
@@ -267,13 +263,6 @@ impl Downstream<'_> {
     }
 }
 
-fn source_of(stream: &TcpStream) -> SourceId {
-    match stream.peer_addr() {
-        Ok(addr) => SourceId(addr.port() as u32), // loopback demos: one id per downstream conn
-        Err(_) => SourceId(0),
-    }
-}
-
 /// The oblivious-origin mode's head hook: learn the resource from the
 /// observed response (its size is `size`, the declared or buffered body
 /// length) at the exchange's `start`, and put its piggyback in a trailer
@@ -296,15 +285,17 @@ fn learn(
     let path = strip_origin_form(&req.target);
     let now = center.clock.at(start);
     let mut server = center.server.lock();
-    let lm = lifecycle::last_modified(resp, Timestamp::ZERO);
-    let size = if resp.status == 200 {
-        size as u64
+    // A 304 carries no body and may omit `Last-Modified`: it keeps the
+    // size and the date the center last observed.
+    let (size, lm) = if resp.status == 200 {
+        (size as u64, lifecycle::last_modified(resp, Timestamp::ZERO))
     } else {
-        server
+        let seen = server
             .table()
             .lookup(path)
-            .and_then(|r| server.table().meta(r))
-            .map_or(0, |m| m.size)
+            .and_then(|r| server.table().meta(r));
+        let (size, seen_lm) = seen.map_or((0, Timestamp::ZERO), |m| (m.size, m.last_modified));
+        (size, lifecycle::last_modified(resp, seen_lm))
     };
     let resource = server.register_path(path, size, lm);
     server.record_access(resource, source, now);
@@ -342,7 +333,7 @@ fn handle_connection(
 ) -> io::Result<()> {
     use std::sync::atomic::Ordering::Relaxed;
     daemon.connections.fetch_add(1, Relaxed);
-    let source = source_of(&downstream);
+    let source = downstream.peer_addr().map_or(SourceId(0), source_from_addr);
     let mut down_r = BufReader::new(downstream.try_clone()?);
     let mut down = Downstream {
         sock: downstream,
@@ -378,10 +369,9 @@ fn handle_connection(
             cond.apply(cond.up_delay(plan, request_wire_len(&req)));
         }
 
-        // The oblivious origin understands neither header: the filter is
-        // consumed here, and a leaked `Piggy-push` could even solicit
-        // pushes the relay would then misparse as pipelined responses. A
-        // transparent relay forwards the request as it came.
+        // The oblivious origin does not understand the filter: it is
+        // consumed here. A transparent relay forwards the request as it
+        // came.
         let filter = if transparent {
             None
         } else {
@@ -390,7 +380,6 @@ fn handle_connection(
                 .get(PIGGY_FILTER_HEADER)
                 .and_then(|v| ProxyFilter::parse(v).ok());
             req.headers.remove(PIGGY_FILTER_HEADER);
-            req.headers.remove(PIGGY_PUSH_HEADER);
             filter
         };
         // The exchange's start: the time the hook learns at, and a
@@ -408,7 +397,7 @@ fn handle_connection(
         req.write_with(&mut request, &mut scratch)?;
         // `write_with` staged the head in what is the machine's sink next.
         scratch.out.clear();
-        let machine = ResponseMachine::as_is(as_is, transparent);
+        let machine = ResponseMachine::as_is(as_is);
         // The last read's span, left in the upstream connection's buffer.
         let mut tail = 0..0;
         let (outcome, kept) = blocking_exchange(
@@ -435,31 +424,13 @@ fn handle_connection(
                 let last = kept.as_ref().map_or(&[][..], |(conn, _)| &conn.buf[tail]);
                 down.send(stage, last, true)?;
             }
-            UpstreamOutcome::Response(mut resp, pushed) => {
-                // A burst cut short upstream is announced as what arrived:
-                // the downstream never waits for responses that will not
-                // come.
-                if transparent && pushed.len() != announced_pushes(&resp) {
-                    resp.headers.remove(PUSH_COUNT_HEADER);
-                    if !pushed.is_empty() {
-                        resp.headers
-                            .insert(PUSH_COUNT_HEADER, &pushed.len().to_string());
-                    }
-                }
+            UpstreamOutcome::Response(resp) => {
                 if let Some(recorder) = recorder {
                     let done = Instant::now();
                     recorder.record(&req, &resp, start, first.unwrap_or(done), done);
                 }
                 daemon.count_response(resp.status, resp.body.len());
                 down.whole(&resp, stage)?;
-                for p in &pushed {
-                    daemon.pushes_sent.fetch_add(1, Relaxed);
-                    daemon
-                        .push_bytes_sent
-                        .fetch_add(p.body.len() as u64, Relaxed);
-                    daemon.bytes_sent.fetch_add(p.body.len() as u64, Relaxed);
-                    down.whole(p, stage)?;
-                }
             }
             // Past the first write a failure on either side can only
             // truncate: never a well-formed short body, never a 502
@@ -538,9 +509,8 @@ mod tests {
         })
         .unwrap();
 
-        // Same downstream "proxy" (we fake it with one-shot connections;
-        // the center keys sources by port, so use a single connection for
-        // the pair that must share history).
+        // Same downstream "proxy": one connection carries the pair that
+        // must share history.
         let stream = TcpStream::connect(center.addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = BufWriter::new(stream);
@@ -595,14 +565,10 @@ mod tests {
     }
 
     #[test]
-    fn transparent_center_relays_piggybacks_and_pushes() {
+    fn transparent_center_relays_piggybacks() {
         use crate::origin::{start_origin, OriginConfig};
-        let origin = start_origin(OriginConfig {
-            push_max: 4,
-            ..OriginConfig::default()
-        })
-        .unwrap();
-        // Warm the origin's access state so piggybacks (and pushes) name
+        let origin = start_origin(OriginConfig::default()).unwrap();
+        // Warm the origin's access state so piggybacks name
         // volume mates a cold downstream has not requested yet.
         {
             let stream = TcpStream::connect(origin.addr()).unwrap();
@@ -628,39 +594,23 @@ mod tests {
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = BufWriter::new(stream);
         let mut saw_piggyback = false;
-        let mut pushes = 0usize;
         for p in origin.paths.iter().take(8) {
             let mut req = Request::new("GET", p);
             req.headers.insert("Host", "t");
             req.headers.insert("TE", "chunked");
             req.headers.insert(PIGGY_FILTER_HEADER, "maxpiggy=10");
-            req.headers.insert(PIGGY_PUSH_HEADER, "accept");
             req.write(&mut writer).unwrap();
             let resp = Response::read(&mut reader, false).unwrap();
             assert_eq!(resp.status, 200);
             saw_piggyback |= resp.trailers.get(P_VOLUME_HEADER).is_some()
                 || resp.headers.get(P_VOLUME_HEADER).is_some();
-            let n: usize = resp
-                .headers
-                .get(PUSH_COUNT_HEADER)
-                .map_or(0, |v| v.parse().unwrap());
-            for _ in 0..n {
-                let pushed = Response::read(&mut reader, false).unwrap();
-                assert_eq!(pushed.status, 200);
-                assert!(pushed.headers.get("X-Push-Path").is_some());
-                pushes += 1;
-            }
         }
         assert!(saw_piggyback, "origin piggybacks must pass through");
-        assert!(pushes > 0, "announced pushes must be relayed");
         assert_eq!(
             center.learned_resources(),
             0,
             "a transparent relay learns nothing"
         );
-        let d = center.daemon_stats();
-        assert_eq!(d.pushes_sent, pushes as u64);
-        assert!(d.push_bytes_sent > 0);
         center.stop();
         origin.stop();
     }

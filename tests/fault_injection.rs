@@ -2104,165 +2104,3 @@ fn prefetch_budget_bounds_speculation_in_flight_on_both_engines() {
         (s, peak)
     });
 }
-
-// ---------------------------------------------------------------------------
-// Push bursts (PROTOCOL.md §13.2): behind a main response that announces
-// `X-Push-Count: n`, a `--push` origin streams n whole responses on the
-// same connection, and both engines read them with the one response
-// machine.
-// ---------------------------------------------------------------------------
-
-/// How a burst of three members ends.
-#[derive(Clone, Copy, Debug)]
-enum Burst {
-    Whole,
-    /// After this many whole members the next is cut off mid-body and the
-    /// origin closes.
-    Closed(usize),
-    /// After this many whole members garbage follows on a connection the
-    /// origin keeps open.
-    Garbage(usize),
-}
-
-/// The answer to the first request: a main response announcing three
-/// members (`/m0.html`…), then the members, ended as `burst` says. Every
-/// later request gets a plain 500-byte 200.
-fn push_origin(burst: Burst) -> (piggyback::proxyd::util::ServerHandle, Arc<AtomicUsize>) {
-    wire_origin(move |n, stream| {
-        if n > 0 {
-            return write_ok(stream, 500, &pattern(500));
-        }
-        let mut main = Response::new(200);
-        main.headers
-            .insert("Last-Modified", "Thu, 01 Jan 1998 00:00:00 GMT");
-        main.headers.insert("X-Push-Count", "3");
-        main.body = pattern(2000).into();
-        let mut wire = Vec::new();
-        main.write(&mut wire).unwrap();
-        let mut open = true;
-        for i in 0..3 {
-            let mut member = Response::new(200);
-            member
-                .headers
-                .insert("Last-Modified", "Thu, 01 Jan 1998 00:00:00 GMT");
-            member.headers.insert("X-Push-Path", &format!("/m{i}.html"));
-            member.body = pattern(1000 + i).into();
-            let mut bytes = Vec::new();
-            member.write(&mut bytes).unwrap();
-            match burst {
-                Burst::Closed(k) if k == i => {
-                    wire.extend_from_slice(&bytes[..bytes.len() - 500]);
-                    open = false;
-                    break;
-                }
-                Burst::Garbage(k) if k == i => {
-                    wire.extend_from_slice(b"not a response\r\n\r\n");
-                    break;
-                }
-                _ => wire.extend_from_slice(&bytes),
-            }
-        }
-        stream.write_all(&wire).is_ok() && open
-    })
-}
-
-/// One burst through an `--accept-push` proxy on `io`, then a second miss
-/// and a GET of every member, all on one client connection. Returns the
-/// members' verdicts, the ledger, the origin connections used and the
-/// pooled ones a checkout found dead.
-fn push_lane(
-    io: piggyback::proxyd::IoMode,
-    burst: Burst,
-) -> ([String; 3], piggyback::proxyd::ProxyStats, usize, u64) {
-    let (origin, conns) = push_origin(burst);
-    let mut cfg = ProxyConfig::new(origin.addr);
-    cfg.io = io;
-    cfg.report_hits = false;
-    cfg.rpv = None;
-    cfg.accept_push = true;
-    let proxy = start_proxy(cfg).unwrap();
-    let mut client = HttpClient::connect(proxy.addr()).unwrap();
-    let main = client.get("/page.html", &[]).unwrap();
-    assert_eq!(main.headers.get("X-Cache"), Some("MISS"), "{burst:?}");
-    assert!(
-        main.body[..] == pattern(2000)[..],
-        "{io:?} {burst:?}: main whole"
-    );
-    let other = client.get("/other.html", &[]).unwrap();
-    assert_eq!(other.headers.get("X-Cache"), Some("MISS"), "{burst:?}");
-    let verdicts = [0, 1, 2].map(|i| {
-        let member = client.get(&format!("/m{i}.html"), &[]).unwrap();
-        let verdict = member.headers.get("X-Cache").unwrap().to_owned();
-        let body = if verdict == "HIT" { 1000 + i } else { 500 };
-        assert!(
-            member.body[..] == pattern(body)[..],
-            "{io:?} {burst:?} m{i}"
-        );
-        verdict
-    });
-    let s = ledger(&proxy);
-    assert_eq!(
-        s.prefetch_issued,
-        s.prefetch_used + s.prefetch_wasted + s.prefetch_inflight,
-        "{io:?} {burst:?}: speculation ledger: {s:?}"
-    );
-    let evicted = proxy.pool_stats().map_or(0, |p| p.evicted_unhealthy);
-    proxy.stop();
-    origin.stop();
-    (verdicts, s, conns.load(Ordering::SeqCst), evicted)
-}
-
-/// A whole burst: every member is cached and served as a hit, and the
-/// connection it rode carries the next miss.
-#[test]
-fn a_whole_push_burst_is_cached_and_keeps_its_connection_on_both_engines() {
-    assert_engine_parity(|io| {
-        let (verdicts, s, conns, _) = push_lane(io, Burst::Whole);
-        assert_eq!(verdicts, ["HIT", "HIT", "HIT"], "{io:?}");
-        assert_eq!((s.pushes_accepted, s.prefetch_used), (3, 3), "{s:?}");
-        assert_eq!(conns, 1, "{io:?}: two misses, one origin connection");
-        (s, conns)
-    });
-}
-
-/// A burst cut short after 0, 1 and 2 of its 3 members — by a close
-/// mid-member, or by garbage on a connection left open: the main response
-/// is whole, exactly the members that arrived whole are cached, and the
-/// connection is never reused — not even pooled, to be found dead at the
-/// next checkout: the blocking exchange keeps no connection a read saw
-/// close. (Without that rule, deleting the response machine's old `cut`
-/// flag fails the threaded half here: the closed connection is pooled,
-/// then evicted, while `conns == 2` still holds.)
-#[test]
-fn a_push_burst_cut_short_keeps_what_arrived_on_both_engines() {
-    for burst in [
-        Burst::Closed(0),
-        Burst::Closed(1),
-        Burst::Closed(2),
-        Burst::Garbage(1),
-    ] {
-        let (Burst::Closed(k) | Burst::Garbage(k)) = burst else {
-            unreachable!()
-        };
-        assert_engine_parity(|io| {
-            let (verdicts, s, conns, evicted) = push_lane(io, burst);
-            let want: Vec<_> = (0..3).map(|i| if i < k { "HIT" } else { "MISS" }).collect();
-            assert_eq!(verdicts.to_vec(), want, "{io:?} {burst:?}");
-            assert_eq!(
-                (s.pushes_accepted, s.prefetch_used),
-                (k as u64, k as u64),
-                "{s:?}"
-            );
-            assert_eq!((s.upstream_errors, s.upstream_retries), (0, 0), "{s:?}");
-            assert_eq!(
-                conns, 2,
-                "{io:?} {burst:?}: the cut connection is not reused"
-            );
-            assert_eq!(
-                evicted, 0,
-                "{io:?} {burst:?}: the cut connection was pooled"
-            );
-            (s, conns)
-        });
-    }
-}

@@ -418,7 +418,7 @@ fn assert_families_documented(scraped: &BTreeSet<String>, prefix: &str) {
 }
 
 /// The origin's exposition and its reference agree: with every optional
-/// family switched on (probability volumes, online epochs, push) the
+/// family switched on (probability volumes, online epochs) the
 /// families the threaded and reactor scrapes declare are exactly the
 /// families §8 documents — none undocumented, none documented but gone.
 #[test]
@@ -452,7 +452,6 @@ fn origin_scrape_families_match_protocol_section_8() {
                 window: DurationMs::from_secs(10),
                 threshold: 0.5,
             }),
-            push_max: 4,
             io,
             ..Default::default()
         })
@@ -472,24 +471,19 @@ fn origin_scrape_families_match_protocol_section_8() {
 }
 
 /// The proxy's exposition and its reference agree: with prefetch,
-/// streaming and prefix caching, and push acceptance on, the families the
+/// streaming and prefix caching on, the families the
 /// threaded and reactor scrapes declare are exactly the `pb_proxy_*`
 /// families §8 documents.
 #[test]
 fn proxy_scrape_families_match_protocol_section_8() {
     let done = watchdog(Duration::from_secs(60));
-    let origin = start_origin(OriginConfig {
-        push_max: 4,
-        ..Default::default()
-    })
-    .unwrap();
+    let origin = start_origin(OriginConfig::default()).unwrap();
     let page = origin.paths[0].clone();
     let mut scraped = BTreeSet::new();
     for io in [IoMode::Threaded, IoMode::Reactor { reactors: 2 }] {
         let mut cfg = ProxyConfig::new(origin.addr());
         cfg.io = io;
         cfg.prefetch_budget = 4;
-        cfg.accept_push = true;
         cfg.stream_threshold = 1;
         cfg.prefix_bytes = 1;
         let proxy = start_proxy(cfg).unwrap();

@@ -123,7 +123,7 @@ fn answer(
         let pv = encode_p_volume(&msg, origin.table()).expect("encodable");
         resp.headers.insert(P_VOLUME_HEADER, &pv);
     }
-    UpstreamOutcome::Response(resp, Vec::new())
+    UpstreamOutcome::Response(resp)
 }
 
 /// The compared counters, named, replay first.

@@ -387,7 +387,7 @@ impl Service for Fwd {
             request: format!("GET {} HTTP/1.1\r\nHost: fwd\r\n\r\n", req.target).into_bytes(),
             finish: Box::new(|_scratch, out, outcome, _now| {
                 match outcome {
-                    UpstreamOutcome::Response(resp, _) => {
+                    UpstreamOutcome::Response(resp) => {
                         write_echo(out, &String::from_utf8_lossy(&resp.body))
                     }
                     _ => out.extend_from_slice(BAD_GATEWAY),
@@ -398,7 +398,6 @@ impl Service for Fwd {
                 retries.fetch_add(1, Ordering::Relaxed);
             }),
             relay: None,
-            accept_push: false,
         }))
     }
 }

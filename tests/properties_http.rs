@@ -394,7 +394,7 @@ struct Run {
 /// An outcome as a comparable string.
 fn describe(outcome: UpstreamOutcome) -> String {
     match outcome {
-        UpstreamOutcome::Response(resp, pushed) => format!("response {resp:?} pushed {pushed:?}"),
+        UpstreamOutcome::Response(resp) => format!("response {resp:?}"),
         UpstreamOutcome::Streamed {
             head,
             total,
@@ -409,14 +409,8 @@ fn describe(outcome: UpstreamOutcome) -> String {
 /// wire from its status line in `split`-byte reads (`0`: one read), then
 /// the close as a read of its own, and stop reading once it is done. The
 /// client gets what each read appended to the sink, then the read's span.
-fn run_machine(
-    wire: &[u8],
-    closes: bool,
-    rule: Option<RelayRule>,
-    accept_push: bool,
-    split: usize,
-) -> Run {
-    let response = ResponseMachine::new(rule, accept_push);
+fn run_machine(wire: &[u8], closes: bool, rule: Option<RelayRule>, split: usize) -> Run {
+    let response = ResponseMachine::new(rule);
     let mut machine = ExchangeMachine::new(Vec::new(), true, response, Instant::now());
     let mut client = Vec::new();
     let mut consumed = 0;
@@ -449,18 +443,16 @@ fn run_machine(
     }
 }
 
-/// One pushed response as a `--push` origin writes it: named by
-/// `X-Push-Path`, the odd ones chunked with a trailer, the first bodiless.
-fn push_wire(i: usize) -> Vec<u8> {
-    let mut push = Response::new(200);
-    push.headers
-        .insert("X-Push-Path", &format!("/mate{i}.html"));
+/// One more whole response on the wire behind the one an exchange reads:
+/// the odd ones chunked with a trailer, the first bodiless.
+fn stray_wire(i: usize) -> Vec<u8> {
+    let mut stray = Response::new(200);
     if i % 2 == 1 {
-        push.trailers.insert("X-Probe", "v");
+        stray.trailers.insert("X-Probe", "v");
     }
-    push.body = payload(500 * i).into();
+    stray.body = payload(500 * i).into();
     let mut wire = Vec::new();
-    push.write(&mut wire).unwrap();
+    stray.write(&mut wire).unwrap();
     wire
 }
 
@@ -500,9 +492,9 @@ fn response_machine_is_split_transparent() {
             }
             for kind in [Rule::None, Rule::Plain, Rule::Pinned] {
                 let what = format!("{framing:?} size {size} rule {kind:?}");
-                let whole = run_machine(&wire, closes, rule(kind, size), false, 0);
+                let whole = run_machine(&wire, closes, rule(kind, size), 0);
                 for split in [1, 7, 1500, 16384] {
-                    let mut cut = run_machine(&wire, closes, rule(kind, size), false, split);
+                    let mut cut = run_machine(&wire, closes, rule(kind, size), split);
                     // Read whole, the next response shares the last read;
                     // a piece ending with the response leaves it unread.
                     if cut.reuse == Reuse::Keep {
@@ -557,7 +549,7 @@ fn response_machine_is_split_transparent() {
                 } else {
                     let mut reference = &wire[..response_len];
                     let read = Response::read(&mut reference, false).expect(&what);
-                    assert_eq!(outcome, &format!("response {read:?} pushed []"), "{what}");
+                    assert_eq!(outcome, &format!("response {read:?}"), "{what}");
                     assert!(
                         whole.client.is_empty(),
                         "{what}: a buffered body sends nothing"
@@ -567,51 +559,34 @@ fn response_machine_is_split_transparent() {
         }
     }
 
-    // The burst row: a chunked main response announcing three pushes,
-    // the pushes, then the next response on the connection. Read whole,
-    // the burst is 1 + 3 calls to `Response::read`, in any split.
+    // Unannounced bytes behind a response: a chunked one, then three more
+    // whole responses and the next one. In any split the machine reads
+    // the first response alone, and a read that brought bytes behind it
+    // leaves the connection unfit.
     let mut main = Response::new(200);
-    main.headers.insert("X-Push-Count", "3");
     main.trailers
         .insert("P-volume", "7; \"/mate1.html\" 886000000 1024");
     main.body = payload(3 * THRESHOLD).into();
     let mut wire = Vec::new();
     main.write(&mut wire).unwrap();
-    let mut ends = vec![wire.len()];
+    let main_len = wire.len();
     for i in 0..3 {
-        wire.extend_from_slice(&push_wire(i));
-        ends.push(wire.len());
+        wire.extend_from_slice(&stray_wire(i));
     }
-    let burst_len = wire.len();
     wire.extend_from_slice(NEXT);
-    let mut reference = &wire[..];
-    let main = Response::read(&mut reference, false).unwrap();
-    let pushes: Vec<Response> = (0..3)
-        .map(|_| Response::read(&mut reference, false).unwrap())
-        .collect();
+    let main = Response::read(&mut &wire[..], false).unwrap();
     for split in [0, 1, 7, 1500, 16384] {
-        let run = run_machine(&wire, false, None, true, split);
-        let want = format!("response {main:?} pushed {pushes:?}");
-        assert_eq!(run.outcome, Ok(want), "burst, split {split}");
-        assert_eq!(run.consumed, burst_len, "burst, split {split}");
-        assert!(run.client.is_empty(), "burst, split {split}");
-        let aligned = split > 0 && burst_len % split == 0;
+        let run = run_machine(&wire, false, None, split);
+        assert_eq!(
+            run.outcome,
+            Ok(format!("response {main:?}")),
+            "split {split}"
+        );
+        assert_eq!(run.consumed, main_len, "split {split}");
+        assert!(run.client.is_empty(), "split {split}");
+        let aligned = split > 0 && main_len % split == 0;
         let reuse = if aligned { Reuse::Keep } else { Reuse::Unread };
-        assert_eq!(run.reuse, reuse, "burst, split {split}");
-        // A leg that never accepted pushes reads the main response only.
-        let run = run_machine(&wire, false, None, false, split);
-        assert_eq!(run.outcome, Ok(format!("response {main:?} pushed []")));
-        assert_eq!(run.consumed, ends[0], "unaccepted burst, split {split}");
-        // Cut short inside push k, or right before it: the main response
-        // and the k pushes that arrived whole, and a spent connection.
-        for k in 0..3 {
-            for cut in [ends[k], (ends[k] + ends[k + 1]) / 2] {
-                let run = run_machine(&wire[..cut], true, None, true, split);
-                let want = format!("response {main:?} pushed {:?}", &pushes[..k]);
-                assert_eq!(run.outcome, Ok(want), "cut at {cut}, split {split}");
-                assert_eq!(run.reuse, Reuse::Spent, "cut at {cut}, split {split}");
-            }
-        }
+        assert_eq!(run.reuse, reuse, "split {split}");
     }
 }
 
@@ -626,7 +601,7 @@ fn response_machine_pinned_length_mismatch() {
             let (wire, _) = origin_wire(framing, &body);
             for split in [0, 1, 1500] {
                 let what = format!("{framing:?} promised {promised} split {split}");
-                let run = run_machine(&wire, false, rule(Rule::Pinned, promised), false, split);
+                let run = run_machine(&wire, false, rule(Rule::Pinned, promised), split);
                 assert_eq!(run.outcome, Ok("stream failed true".to_owned()), "{what}");
                 assert!(run.client.len() <= promised - SKIP, "{what}");
                 assert!(body[SKIP..].starts_with(&run.client), "{what}");
@@ -656,7 +631,7 @@ fn response_machine_errors_before_any_client_byte() {
     ] {
         for kind in [Rule::None, Rule::Plain] {
             for split in [0, 1, 7] {
-                let run = run_machine(&wire, closes, rule(kind, 0), false, split);
+                let run = run_machine(&wire, closes, rule(kind, 0), split);
                 assert_eq!(run.outcome, Err(false), "{kind:?} split {split}");
                 assert!(run.client.is_empty(), "{kind:?} split {split}");
             }
@@ -667,7 +642,7 @@ fn response_machine_errors_before_any_client_byte() {
     let mut short = b"HTTP/1.1 200 OK\r\nContent-Length: 8000\r\n\r\n".to_vec();
     short.extend_from_slice(&payload(5000));
     for split in [0, 1, 1500] {
-        let run = run_machine(&short, true, rule(Rule::Plain, 0), false, split);
+        let run = run_machine(&short, true, rule(Rule::Plain, 0), split);
         assert_eq!(run.outcome, Err(true), "split {split}");
         let head_end = run
             .client
@@ -681,7 +656,7 @@ fn response_machine_errors_before_any_client_byte() {
     // The limit is an error the parser names, not an allocation.
     let huge = b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999\r\n\r\n";
     assert!(matches!(
-        ResponseMachine::new(None, false).feed(huge, false, &mut Vec::new()),
+        ResponseMachine::new(None).feed(huge, false, &mut Vec::new()),
         Err(HttpError::LimitExceeded(_))
     ));
 }
@@ -699,7 +674,7 @@ fn response_machine_fails_smuggling_shaped_heads() {
     ];
     for wire in heads {
         for split in [0, 1, 7] {
-            let run = run_machine(wire, false, rule(Rule::Plain, 0), false, split);
+            let run = run_machine(wire, false, rule(Rule::Plain, 0), split);
             let what = String::from_utf8_lossy(wire);
             assert_eq!(run.outcome, Err(false), "{what:?} split {split}");
             assert!(run.client.is_empty(), "{what:?} split {split}");
@@ -775,12 +750,12 @@ fn raw_relay_forwards_payload_by_span() {
             let what = format!("size {size} split {split}");
             // As-is (the volume center): the upstream's own head, then the
             // whole payload.
-            let run = run_spans(ResponseMachine::as_is(as_is, false), &wire, split);
+            let run = run_spans(ResponseMachine::as_is(as_is), &wire, split);
             assert_eq!(run.sink, &wire[..head_len], "as-is {what}");
             assert_eq!(run.client, &wire[..head_len + size], "as-is {what}");
             // Pinned behind a prefix hit: the head went out with the
             // prefix, so the client gets only the payload past the skip.
-            let response = ResponseMachine::new(Some(pinned(size)), false);
+            let response = ResponseMachine::new(Some(pinned(size)));
             let run = run_spans(response, &wire, split);
             assert!(run.sink.is_empty(), "pinned {what}: nothing staged");
             assert_eq!(run.client, &body[SKIP..], "pinned {what}");
@@ -799,7 +774,7 @@ fn raw_relay_forwards_payload_by_span() {
         let (wire, _) = origin_wire(framing, &body);
         for split in splits {
             let what = format!("{framing:?} promised {promised} split {split}");
-            let response = ResponseMachine::new(Some(pinned(promised)), false);
+            let response = ResponseMachine::new(Some(pinned(promised)));
             let run = run_spans(response, &wire, split);
             assert_eq!(run.outcome, "stream failed true", "{what}");
             assert_eq!(run.last_read, 0, "{what}: the overrunning read");
@@ -855,11 +830,10 @@ fn run_exchange(
     scripts: &[(&[u8], Then)],
     replayable: bool,
     rule: Option<RelayRule>,
-    accept_push: bool,
     split: usize,
 ) -> ExchangeRun {
     let mut now = Instant::now();
-    let response = ResponseMachine::new(rule, accept_push);
+    let response = ResponseMachine::new(rule);
     let mut machine = ExchangeMachine::new(REQUEST, replayable, response, now);
     let mut client = Vec::new();
     let mut dials = 0;
@@ -904,9 +878,8 @@ fn run_exchange(
 /// The retry contract, the deadline and the reuse verdict on scripted
 /// upstreams, for every split of the reads: an attempt that fails before
 /// a byte reached the client goes again once, on a fresh connection, and
-/// a second failure is `Failed`; a request that may not be replayed, an
-/// engaged relay and a whole response whose burst was cut short are never
-/// retried; a connection is fit for the next exchange only with nothing
+/// a second failure is `Failed`; a request that may not be replayed and
+/// an engaged relay are never retried; a connection is fit for the next exchange only with nothing
 /// unread behind the response and no EOF.
 #[test]
 fn exchange_machine_keeps_the_retry_contract() {
@@ -916,11 +889,11 @@ fn exchange_machine_keeps_the_retry_contract() {
     let half_head = &good[..10];
     let half_body = &good[..good.len() / 2];
     let read = |wire: &[u8]| Response::read(&mut &wire[..], false).unwrap();
-    let reference = describe(UpstreamOutcome::Response(read(&good), Vec::new()));
+    let reference = describe(UpstreamOutcome::Response(read(&good)));
     let thens = [Then::Close, Then::Reset, Then::Stall];
     for split in [0, 1, 7, 1500, 16384] {
         let run = |scripts: &[(&[u8], Then)], replayable, rule| {
-            let run = run_exchange(scripts, replayable, rule, false, split);
+            let run = run_exchange(scripts, replayable, rule, split);
             (run.outcome, run.dials, run.reuse)
         };
         // One failure before engaging, in the head or the body, by close,
@@ -963,44 +936,13 @@ fn exchange_machine_keeps_the_retry_contract() {
         }
     }
 
-    // A whole response whose push burst was cut short inside push k keeps
-    // the k that arrived, without a retry, the same for every split; the
-    // connection is spent, though after a close the response machine
-    // alone would allow it.
-    let mut main = Response::new(200);
-    main.headers.insert("X-Push-Count", "3");
-    main.body = payload(100).into();
-    let mut burst = Vec::new();
-    main.write(&mut burst).unwrap();
-    let main = read(&burst);
-    let pushes: Vec<Response> = (0..3).map(|i| read(&push_wire(i))).collect();
-    for k in 0..3 {
-        let mut cut = burst.clone();
-        cut.extend_from_slice(&push_wire(k)[..20]);
-        let want = describe(UpstreamOutcome::Response(
-            main.clone(),
-            pushes[..k].to_vec(),
-        ));
-        for then in thens {
-            let scripts = [(&cut[..], then), (&cut[..], Then::Close)];
-            let whole = run_exchange(&scripts, true, None, true, 0);
-            for split in [1, 7, 1500, 16384] {
-                let cut = run_exchange(&scripts, true, None, true, split);
-                assert_eq!(cut, whole, "pushes {k} {then:?} split {split}");
-            }
-            let got = (whole.outcome, whole.dials, whole.reuse);
-            assert_eq!(got, (want.clone(), 1, Reuse::Spent), "pushes {k} {then:?}");
-        }
-        burst.extend_from_slice(&push_wire(k));
-    }
-
     // Bytes behind the response in its last read leave the connection
     // unfit; reads that stop at the response's end leave it fit.
     let mut behind = good.clone();
     behind.extend_from_slice(NEXT);
-    let run = run_exchange(&[(&behind, Then::Close)], true, None, false, 0);
+    let run = run_exchange(&[(&behind, Then::Close)], true, None, 0);
     assert_eq!((run.outcome, run.reuse), (reference.clone(), Reuse::Unread));
-    let run = run_exchange(&[(&behind, Then::Close)], true, None, false, good.len());
+    let run = run_exchange(&[(&behind, Then::Close)], true, None, good.len());
     assert_eq!((run.outcome, run.reuse), (reference, Reuse::Keep));
 }
 
@@ -1057,7 +999,6 @@ impl Service for Fake {
                 }),
                 retry: Box::new(|| {}),
                 relay: None,
-                accept_push: false,
             }));
         }
         if req.target.starts_with("/park") {

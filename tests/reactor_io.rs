@@ -9,7 +9,7 @@
 //!   exactly, same as the threaded suite in `concurrency_stress.rs`.
 //! * **Pipelining, idle reaping, upstream errors, metrics** — the
 //!   reactor-specific behaviors observable from outside.
-//! * **No thread behind the reactor** — misses, push bursts and demand
+//! * **No thread behind the reactor** — misses, speculation and demand
 //!   joins all stay on the epoll loop; the blocking poller's origin pool
 //!   is never touched.
 //!
@@ -376,32 +376,32 @@ fn assert_blocking_pool_untouched(proxy: &ProxyHandle) {
     assert_eq!((pool.connects, pool.reuses), (0, 0), "{pool:?}");
 }
 
-/// Push bursts and demand joins stay on the reactor too: a walk through a
-/// `--push` origin caches pushed members, and a demand miss joined to an
-/// in-flight speculation parks and is served the speculation's entry —
-/// all without the blocking pool.
+/// Speculation and demand joins stay on the reactor too: a walk through
+/// a warmed origin prefetches the mates its piggybacks name, and a demand
+/// miss joined to an in-flight speculation parks and is served the
+/// speculation's entry — all without the blocking pool.
 #[test]
-fn reactor_push_walk_and_join_never_touch_the_blocking_pool() {
-    let origin = start_origin(OriginConfig {
-        push_max: 4,
-        ..OriginConfig::default()
-    })
-    .unwrap();
-    // Piggybacks (and so pushes) only name mates with recorded accesses.
+fn reactor_prefetch_walk_and_join_never_touch_the_blocking_pool() {
+    let origin = start_origin(OriginConfig::default()).unwrap();
+    // Piggybacks only name mates with recorded accesses.
     let mut warm = HttpClient::connect(origin.addr()).unwrap();
     for p in &origin.paths {
         assert_eq!(warm.get(p, &[]).unwrap().status, 200);
     }
     let mut cfg = ProxyConfig::new(origin.addr());
     cfg.io = REACTOR;
-    cfg.accept_push = true;
+    cfg.prefetch_budget = 4;
     let proxy = start_proxy(cfg).unwrap();
     let mut client = HttpClient::connect(proxy.addr()).unwrap();
     for p in &origin.paths {
         assert_eq!(client.get(p, &[]).unwrap().status, 200);
     }
+    wait_for(|| {
+        let s = proxy.stats();
+        s.prefetch_issued > 0
+            && s.prefetch_issued == s.prefetch_used + s.prefetch_wasted + s.prefetch_inflight
+    });
     let s = proxy.stats();
-    assert!(s.pushes_accepted > 0, "{s:?}");
     assert_eq!(s.outcomes(), s.requests, "{s:?}");
     assert_blocking_pool_untouched(&proxy);
     proxy.stop();

@@ -1,11 +1,12 @@
 //! The volume center as a cut-through relay (PROTOCOL.md §14.1), checked
 //! where tier-1 sees it: downstream bytes equal `Response::write` of the
-//! upstream response in every framing and both modes; push bursts relay
-//! and are patched when the upstream dies under one; relay memory is
-//! O(segment), not O(body); the first byte does not wait for the last;
-//! the shim's delay ledger is conserved however a body is segmented; and
-//! the record tap, the same loop recording, relays push bursts, re-dials
-//! after a `Connection: close` and records a `HEAD`.
+//! upstream response in every framing and both modes; a live origin's
+//! piggybacks pass through, and a bare `304` leaves what an oblivious
+//! origin's center vouches for as it was; relay memory is O(segment), not
+//! O(body); the first byte does not wait for the last; the shim's delay
+//! ledger is conserved however a body is segmented; and the record tap,
+//! the same loop recording, relays in step, re-dials after a
+//! `Connection: close` and records a `HEAD`.
 //!
 //! The file runs under a counting allocator whose figures are
 //! process-global, so every test takes [`window`] and they run one at a
@@ -16,7 +17,7 @@ use piggyback::core::filter::ProxyFilter;
 use piggyback::core::server::PiggybackServer;
 use piggyback::core::types::{SourceId, Timestamp};
 use piggyback::core::volume::DirectoryVolumes;
-use piggyback::core::wire::encode_p_volume;
+use piggyback::core::wire::{decode_p_volume, encode_p_volume};
 use piggyback::httpwire::{BodyReader, Request, Response, StreamFraming};
 use piggyback::proxyd::netem::{Conditioner, NetProfile, ShimConfig};
 use piggyback::proxyd::origin::{start_origin, OriginConfig};
@@ -312,7 +313,6 @@ fn check_identity(fixture: &mut Identity, case: &Case) {
     }
     if case.filter {
         req.headers.insert("Piggy-filter", "maxpiggy=10");
-        req.headers.insert("Piggy-push", "accept");
     }
 
     let lane = if case.transparent {
@@ -368,14 +368,13 @@ fn check_identity(fixture: &mut Identity, case: &Case) {
     );
 
     // The forwarded request: verbatim through a transparent relay, without
-    // the two piggyback headers towards an oblivious origin.
+    // the filter towards an oblivious origin.
     let seen = fixture.stub.seen.lock().unwrap().take().expect("forwarded");
     assert_eq!((&seen.method, &seen.target), (&req.method, &req.target));
     if case.transparent {
         assert_eq!(seen.headers, req.headers);
     } else {
         assert!(seen.headers.get("Piggy-filter").is_none());
-        assert!(seen.headers.get("Piggy-push").is_none());
         assert_eq!(seen.headers.get("TE"), req.headers.get("TE"));
     }
 }
@@ -454,39 +453,27 @@ fn identity_lanes_stay_in_step_on_one_connection() {
 }
 
 // ---------------------------------------------------------------------------
-// Push bursts.
+// What the center relays and vouches for.
 // ---------------------------------------------------------------------------
 
-/// The live origin's piggybacks and pushes pass through a transparent
-/// center, which learns nothing and counts what it relayed.
+/// The live origin's piggybacks pass through a transparent center, which
+/// learns nothing and counts what it relayed.
 #[test]
-fn transparent_center_relays_the_origins_piggybacks_and_pushes() {
+fn transparent_center_relays_the_origins_piggybacks() {
     let _window = window();
-    let origin = start_origin(OriginConfig {
-        push_max: 4,
-        ..OriginConfig::default()
-    })
-    .unwrap();
+    let origin = start_origin(OriginConfig::default()).unwrap();
     let exchange = |stream: &mut TcpStream, r: &mut BufReader<TcpStream>, path: &str| {
         let mut req = Request::new("GET", path);
         req.headers.insert("Host", "t");
         req.headers.insert("TE", "chunked");
         req.headers.insert("Piggy-filter", "maxpiggy=10");
-        req.headers.insert("Piggy-push", "accept");
         req.write(stream).unwrap();
         let resp = Response::read(r, false).unwrap();
         assert_eq!(resp.status, 200);
-        let announced: usize = resp
-            .headers
-            .get("X-Push-Count")
-            .map_or(0, |v| v.parse().unwrap());
-        let pushed: Vec<Response> = (0..announced)
-            .map(|_| Response::read(r, false).unwrap())
-            .collect();
-        (resp, pushed)
+        resp
     };
     // The same walk, direct and through the center, from cold connections
-    // to an origin warmed so that piggybacks and pushes name volume mates.
+    // to an origin warmed so that piggybacks name volume mates.
     let walk = |addr: SocketAddr| {
         let mut stream = connect(addr);
         let mut r = BufReader::new(stream.try_clone().unwrap());
@@ -504,99 +491,74 @@ fn transparent_center_relays_the_origins_piggybacks_and_pushes() {
     let center = center(origin.addr(), true, None);
     let relayed = walk(center.addr());
 
-    let pushes: usize = relayed.iter().map(|(_, pushed)| pushed.len()).sum();
-    assert!(pushes > 0, "announced pushes must be relayed");
     assert!(
-        relayed.iter().any(|(resp, _)| {
+        relayed.iter().any(|resp| {
             resp.trailers.get("P-volume").is_some() || resp.headers.get("P-volume").is_some()
         }),
         "origin piggybacks must pass through"
     );
-    for (_, pushed) in &relayed {
-        for p in pushed {
-            assert_eq!(p.status, 200);
-            assert!(p.headers.get("X-Push-Path").is_some());
-        }
-    }
     assert_eq!(
         center.learned_resources(),
         0,
         "a transparent relay learns nothing"
     );
-    let d = center.daemon_stats();
-    assert_eq!(d.pushes_sent, pushes as u64);
-    let push_bytes: usize = relayed
-        .iter()
-        .flat_map(|(_, pushed)| pushed)
-        .map(|p| p.body.len())
-        .sum();
-    assert_eq!(d.push_bytes_sent, push_bytes as u64);
-    let main_bytes: usize = relayed.iter().map(|(resp, _)| resp.body.len()).sum();
-    assert_eq!(d.bytes_sent, (main_bytes + push_bytes) as u64);
+    let bytes: usize = relayed.iter().map(|resp| resp.body.len()).sum();
+    assert_eq!(center.daemon_stats().bytes_sent, bytes as u64);
     center.stop();
     origin.stop();
 }
 
-/// An upstream that announces three pushes and dies after `delivered` of
-/// them: the center rewrites the announced count to what arrived (drops
-/// the header when nothing did), so the downstream never waits for
-/// responses that will not come — and what it does get is byte-identical
-/// to `Response::write` of the patched burst.
+/// An oblivious origin answers `/docs/a.html` with a dated 200, then every
+/// validation of it with a bare 304 (no `Last-Modified`). The center's next
+/// piggyback still vouches for the date it observed, not the trace epoch.
 #[test]
-fn a_burst_cut_short_upstream_is_announced_as_what_arrived() {
+fn a_bare_304_keeps_the_date_the_center_observed() {
     let _window = window();
-    for delivered in [0usize, 1, 2] {
-        let mut main = Response::new(200);
-        main.headers.insert("Last-Modified", LAST_MODIFIED);
-        main.headers.insert("X-Push-Count", "3");
-        main.headers.insert("X-After", "kept");
-        main.body = pattern(20_000).into();
-        main.trailers
-            .insert("P-volume", "7; \"/mate.html\" 886000000 1024");
-        let push = |i: usize| {
-            let mut p = Response::new(200);
-            p.headers.insert("X-Push-Path", &format!("/mate{i}.html"));
-            p.body = pattern(30_000 + i).into();
-            p
-        };
-        let mut wire = serialized(&main);
-        for i in 0..delivered {
-            wire.extend_from_slice(&serialized(&push(i)));
-        }
-        // The next push dies mid-body.
-        let dying = serialized(&push(delivered));
-        wire.extend_from_slice(&dying[..dying.len() / 2]);
-        let origin = serve(0, "short-burst", move |mut stream| {
-            let mut r = BufReader::new(stream.try_clone().unwrap());
-            if Request::read(&mut r).is_ok() {
-                let _ = stream.write_all(&wire);
+    const OBSERVED: &str = "Sun, 01 Mar 1998 00:00:00 GMT";
+    let origin = serve(0, "bare-304-origin", |mut stream| {
+        let mut r = BufReader::new(stream.try_clone().unwrap());
+        while let Ok(req) = Request::read(&mut r) {
+            let mut resp = Response::new(200);
+            if req.headers.get("If-Modified-Since").is_some() {
+                resp = Response::new(304);
+            } else {
+                resp.headers.insert("Last-Modified", OBSERVED);
+                resp.body = pattern(100).into();
             }
-        })
-        .unwrap();
-        let center = center(origin.addr, true, None);
-
-        if delivered == 0 {
-            main.headers.remove("X-Push-Count");
-        } else {
-            main.headers.set("X-Push-Count", &delivered.to_string());
+            if resp.write(&mut stream).is_err() {
+                return;
+            }
         }
-        let mut expect = serialized(&main);
-        for i in 0..delivered {
-            expect.extend_from_slice(&serialized(&push(i)));
+    })
+    .unwrap();
+    let center = center(origin.addr, false, None);
+    let mut down = connect(center.addr());
+    let mut r = BufReader::new(down.try_clone().unwrap());
+    let mut get = |path: &str, ims: bool| {
+        let mut req = Request::new("GET", path);
+        req.headers.insert("Host", "t");
+        req.headers.insert("Piggy-filter", "maxpiggy=10");
+        if ims {
+            req.headers.insert("If-Modified-Since", OBSERVED);
         }
-
-        let mut down = connect(center.addr());
-        let mut req = Request::new("GET", "/index.html");
-        req.headers.insert("Piggy-push", "accept");
-        req.headers.insert("Connection", "close");
         req.write(&mut down).unwrap();
-        let mut got = Vec::new();
-        down.read_to_end(&mut got).unwrap();
-        assert!(got == expect, "delivered {delivered}: burst bytes differ");
-        assert_eq!(center.daemon_stats().pushes_sent, delivered as u64);
-        center.stop();
-        origin.stop();
-    }
+        Response::read(&mut r, false).unwrap()
+    };
+    assert_eq!(get("/docs/a.html", false).status, 200);
+    assert_eq!(get("/docs/a.html", true).status, 304);
+    let b = get("/docs/b.html", false);
+    assert_eq!(b.status, 200);
+    let pv = b.headers.get("P-volume").expect("b's piggyback names a");
+    let wire = decode_p_volume(pv).unwrap();
+    let a = wire
+        .elements
+        .iter()
+        .find(|e| e.path == "/docs/a.html")
+        .expect("a is b's volume mate");
+    let observed = timestamp_from_unix(parse_rfc1123(OBSERVED).unwrap(), DEFAULT_TRACE_EPOCH_UNIX);
+    assert_eq!(a.last_modified, observed, "the 304 reset the vouched date");
+    center.stop();
+    origin.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -839,85 +801,14 @@ fn shim_delay_is_conserved_across_segmentation() {
 // The record tap: the same loop, recording.
 // ---------------------------------------------------------------------------
 
-/// One GET for `path` on `down`, then the response and the pushes its
-/// head announces.
-fn get_with_pushes(
-    down: &mut TcpStream,
-    r: &mut BufReader<TcpStream>,
-    path: &str,
-    accept_push: bool,
-) -> (Response, Vec<Response>) {
+/// One piggyback GET for `path` on `down`, and its response.
+fn get_piggybacked(down: &mut TcpStream, r: &mut BufReader<TcpStream>, path: &str) -> Response {
     let mut req = Request::new("GET", path);
     req.headers.insert("Host", "t");
     req.headers.insert("TE", "chunked");
     req.headers.insert("Piggy-filter", "maxpiggy=10");
-    if accept_push {
-        req.headers.insert("Piggy-push", "accept");
-    }
     req.write(down).unwrap();
-    let resp = Response::read(r, false).unwrap();
-    let announced: usize = resp
-        .headers
-        .get("X-Push-Count")
-        .map_or(0, |v| v.parse().unwrap());
-    let pushed = (0..announced)
-        .map(|_| Response::read(r, false).unwrap())
-        .collect();
-    (resp, pushed)
-}
-
-/// A push-accepting client records through the tap: each request gets its
-/// own response and then every push it announced, and the next request
-/// gets its own response again. The inventory holds one entry per
-/// request, with no push count a replay could not honour.
-#[test]
-fn record_tap_relays_push_bursts_in_step() {
-    let _window = window();
-    let origin = start_origin(OriginConfig {
-        push_max: 4,
-        ..OriginConfig::default()
-    })
-    .unwrap();
-    // Warm the origin's accesses so pushes name volume mates, keeping
-    // each page's body to check the tap's answers against.
-    let mut bodies = std::collections::HashMap::new();
-    for p in &origin.paths {
-        let mut down = connect(origin.addr());
-        let mut r = BufReader::new(down.try_clone().unwrap());
-        let (resp, _) = get_with_pushes(&mut down, &mut r, p, false);
-        bodies.insert(p.clone(), resp.body);
-    }
-    let rec = start_recorder(RecorderConfig {
-        port: 0,
-        origin: origin.addr(),
-    })
-    .unwrap();
-    let paths: Vec<String> = origin.paths.iter().take(8).cloned().collect();
-    let mut down = connect(rec.addr());
-    let mut r = BufReader::new(down.try_clone().unwrap());
-    let mut pushes = 0;
-    for p in &paths {
-        let (resp, pushed) = get_with_pushes(&mut down, &mut r, p, true);
-        assert_eq!(resp.status, 200, "{p}");
-        assert!(resp.headers.get("X-Push-Path").is_none(), "{p}: a push");
-        assert_eq!(resp.body, bodies[p], "{p}: another page's body");
-        for push in &pushed {
-            assert_eq!(push.status, 200);
-            let path = push.headers.get("X-Push-Path").expect("a pushed path");
-            assert_eq!(push.body, bodies[path], "pushed {path}");
-        }
-        pushes += pushed.len();
-    }
-    assert!(pushes > 0, "the warmed origin must push");
-    drop((down, r));
-    let inv = rec.finish("pushes");
-    origin.stop();
-    let recorded: Vec<&str> = inv.entries.iter().map(|e| e.path.as_str()).collect();
-    assert_eq!(recorded, paths);
-    for e in &inv.entries {
-        assert_eq!(e.body, bodies[&e.path].to_vec(), "{}", e.path);
-        assert!(e.response_header("X-Push-Count").is_none(), "{}", e.path);
-    }
+    Response::read(r, false).unwrap()
 }
 
 /// An upstream that answers `Connection: close` and hangs up: the tap
@@ -946,7 +837,7 @@ fn record_tap_redials_after_connection_close() {
     let mut r = BufReader::new(down.try_clone().unwrap());
     let paths = ["/first.html", "/second.html", "/third.html"];
     for p in paths {
-        let (resp, _) = get_with_pushes(&mut down, &mut r, p, false);
+        let resp = get_piggybacked(&mut down, &mut r, p);
         assert_eq!(resp.status, 200, "{p}");
         assert_eq!(resp.body, p.as_bytes(), "{p}");
     }
@@ -985,7 +876,7 @@ fn record_tap_records_a_head_without_a_body() {
     let resp = Response::read(&mut r, true).unwrap();
     assert_eq!(resp.status, 200);
     assert!(resp.body.is_empty());
-    let (get, _) = get_with_pushes(&mut down, &mut r, &path, false);
+    let get = get_piggybacked(&mut down, &mut r, &path);
     assert_eq!(get.status, 200);
     assert!(!get.body.is_empty());
     drop((down, r));
