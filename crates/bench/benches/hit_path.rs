@@ -19,7 +19,7 @@ const DEPTH: usize = 16;
 
 fn bench_hit_path(c: &mut Criterion) {
     let origin = start_origin(OriginConfig::default()).expect("origin starts");
-    let get = browser_get(&origin.paths[0]);
+    let get = browser_get(&origin.paths()[0]);
     let batch = get.repeat(DEPTH);
     let mut group = c.benchmark_group("hit_path");
     group.throughput(Throughput::Elements(DEPTH as u64));

@@ -140,7 +140,7 @@ struct CellResult {
 /// shimmed relay, cold proxy, per-directory page loads with think time.
 fn run_cell(profile: NetProfile, seed: u64, arm: &Arm, loads: usize, io: IoMode) -> CellResult {
     let origin = start_origin(OriginConfig::default()).expect("origin starts");
-    let pages = page_loads(&origin.paths, loads);
+    let pages = page_loads(&origin.paths(), loads);
     assert!(!pages.is_empty(), "site must have multi-resource dirs");
     // Warm the origin's access state directly (no shim, not measured):
     // piggybacks only name volume mates with recorded
@@ -151,7 +151,7 @@ fn run_cell(profile: NetProfile, seed: u64, arm: &Arm, loads: usize, io: IoMode)
     // the resource-id tie-break instead of these, the popular members.
     {
         let mut c = HttpClient::connect(origin.addr()).expect("warm connect");
-        for p in &origin.paths {
+        for p in &origin.paths() {
             let resp = c.get(p, &[]).expect("warm fetch");
             assert_eq!(resp.status, 200);
         }

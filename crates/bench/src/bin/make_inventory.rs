@@ -73,7 +73,7 @@ fn record_reference() -> Inventory {
     })
     .expect("record tap starts");
 
-    let mut paths = origin.paths.clone();
+    let mut paths = origin.paths();
     paths.sort();
     let mut client = HttpClient::connect(rec.addr()).expect("connect to tap");
     for path in &paths {

@@ -173,6 +173,7 @@ pub fn run_timed_into<T>(path: &str, id: &str, f: impl FnOnce() -> T) -> T {
     let entry = BenchEntry {
         id: id.to_string(),
         threads: pb_threads(),
+        scales: Scales::current(),
         wall_ms,
         peak_rss_kb: peak_rss_kb(),
         cell_percentiles: percentiles,
@@ -190,6 +191,7 @@ pub fn record_cell(id: &str, wall: std::time::Duration) {
     let entry = BenchEntry {
         id: id.to_string(),
         threads: pb_threads(),
+        scales: Scales::current(),
         wall_ms: wall.as_millis() as u64,
         peak_rss_kb: peak_rss_kb(),
         cell_percentiles: None,
@@ -209,6 +211,7 @@ pub fn record_cell_stats(id: &str, wall: std::time::Duration, percentiles: (u64,
     let entry = BenchEntry {
         id: id.to_string(),
         threads: pb_threads(),
+        scales: Scales::current(),
         wall_ms: wall.as_millis() as u64,
         peak_rss_kb: peak_rss_kb(),
         cell_percentiles: Some(CellPercentiles {
@@ -230,6 +233,7 @@ pub fn record_cell_rss(id: &str, wall: std::time::Duration, peak_rss_kb: u64) {
     let entry = BenchEntry {
         id: id.to_string(),
         threads: pb_threads(),
+        scales: Scales::current(),
         wall_ms: wall.as_millis() as u64,
         peak_rss_kb: Some(peak_rss_kb),
         cell_percentiles: None,
@@ -279,11 +283,44 @@ pub struct CellPercentiles {
     pub max_us: u64,
 }
 
+/// The input scales a record was measured at: `PB_SCALE` (1 when unset,
+/// [`crate::scale_factor`]) and `PB_NETEM_SCALE` (`None` when unset: the
+/// binary's own default). A record without them in the file reads as the
+/// defaults.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Scales {
+    pub scale: f64,
+    pub netem_scale: Option<f64>,
+}
+
+impl Default for Scales {
+    fn default() -> Self {
+        Scales {
+            scale: 1.0,
+            netem_scale: None,
+        }
+    }
+}
+
+impl Scales {
+    /// The scales this process runs at.
+    pub fn current() -> Self {
+        Scales {
+            scale: crate::scale_factor(),
+            netem_scale: std::env::var("PB_NETEM_SCALE")
+                .ok()
+                .and_then(|s| s.parse().ok())
+                .filter(|f: &f64| *f > 0.0),
+        }
+    }
+}
+
 /// One experiment record in the bench file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEntry {
     pub id: String,
     pub threads: usize,
+    pub scales: Scales,
     pub wall_ms: u64,
     pub peak_rss_kb: Option<u64>,
     /// Present when the run dispatched at least one [`sweep`] cell.
@@ -291,31 +328,40 @@ pub struct BenchEntry {
 }
 
 /// Merge `entry` into the bench file at `path`, replacing any previous
-/// record with the same `(id, threads)` key and recomputing speedups.
+/// record with the same `(id, threads, scales)` key (so a smoke-scale run
+/// never overwrites a default-scale cell) and recomputing speedups.
 fn merge_into_bench_file(path: &str, entry: &BenchEntry) -> std::io::Result<()> {
     let mut entries = match std::fs::read_to_string(path) {
         Ok(text) => parse_bench_file(&text),
         Err(_) => Vec::new(),
     };
-    entries.retain(|e| !(e.id == entry.id && e.threads == entry.threads));
+    entries
+        .retain(|e| !(e.id == entry.id && e.threads == entry.threads && e.scales == entry.scales));
     entries.push(entry.clone());
-    entries.sort_by(|a, b| a.id.cmp(&b.id).then(a.threads.cmp(&b.threads)));
+    entries.sort_by(|a, b| {
+        let netem = |e: &BenchEntry| e.scales.netem_scale.unwrap_or(0.0);
+        a.id.cmp(&b.id)
+            .then(b.scales.scale.total_cmp(&a.scales.scale))
+            .then(netem(b).total_cmp(&netem(a)))
+            .then(a.threads.cmp(&b.threads))
+    });
     std::fs::write(path, render_bench_file(&entries))
 }
 
 /// Serialize entries as stable, line-oriented JSON (one entry per line, so
 /// the parser below stays trivial and diffs stay readable).
 fn render_bench_file(entries: &[BenchEntry]) -> String {
-    let serial: HashMap<&str, u64> = entries
-        .iter()
-        .filter(|e| e.threads == 1)
-        .map(|e| (e.id.as_str(), e.wall_ms))
-        .collect();
+    let serial: Vec<&BenchEntry> = entries.iter().filter(|e| e.threads == 1).collect();
     let mut out = String::from("{\n  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
+        let netem = e
+            .scales
+            .netem_scale
+            .map_or("null".into(), |f| f.to_string());
         let mut line = format!(
-            "    {{\"id\": \"{}\", \"threads\": {}, \"wall_ms\": {}",
-            e.id, e.threads, e.wall_ms
+            "    {{\"id\": \"{}\", \"threads\": {}, \"scale\": {}, \"netem_scale\": {netem}, \
+             \"wall_ms\": {}",
+            e.id, e.threads, e.scales.scale, e.wall_ms
         );
         if let Some(rss) = e.peak_rss_kb {
             line.push_str(&format!(", \"peak_rss_kb\": {rss}"));
@@ -328,8 +374,9 @@ fn render_bench_file(entries: &[BenchEntry]) -> String {
             ));
         }
         if e.threads > 1 {
-            if let Some(&base) = serial.get(e.id.as_str()) {
-                let speedup = base as f64 / (e.wall_ms.max(1)) as f64;
+            let base = serial.iter().find(|s| s.id == e.id && s.scales == e.scales);
+            if let Some(base) = base {
+                let speedup = base.wall_ms as f64 / (e.wall_ms.max(1)) as f64;
                 line.push_str(&format!(", \"speedup_vs_serial\": {speedup:.2}"));
             }
         }
@@ -377,9 +424,14 @@ fn parse_bench_file(text: &str) -> Vec<BenchEntry> {
             }),
             _ => None,
         };
+        let defaults = Scales::default();
         out.push(BenchEntry {
             id,
             threads: threads as usize,
+            scales: Scales {
+                scale: field_f64(line, "scale").unwrap_or(defaults.scale),
+                netem_scale: field_f64(line, "netem_scale").or(defaults.netem_scale),
+            },
             wall_ms,
             peak_rss_kb: field_u64(line, "peak_rss_kb"),
             cell_percentiles,
@@ -393,6 +445,16 @@ fn field_str(line: &str, key: &str) -> Option<String> {
     let start = line.find(&pat)? + pat.len();
     let end = line[start..].find('"')? + start;
     Some(line[start..end].to_string())
+}
+
+/// A number field; `None` when absent or `null`.
+fn field_f64(line: &str, key: &str) -> Option<f64> {
+    let pat = format!("\"{key}\": ");
+    let start = line.find(&pat)? + pat.len();
+    let end = line[start..]
+        .find([',', '}'])
+        .map_or(line.len(), |i| start + i);
+    line[start..end].trim().parse().ok()
 }
 
 fn field_u64(line: &str, key: &str) -> Option<u64> {
@@ -452,6 +514,7 @@ mod tests {
         let serial = BenchEntry {
             id: "figX".into(),
             threads: 1,
+            scales: Scales::default(),
             wall_ms: 900,
             peak_rss_kb: Some(4096),
             cell_percentiles: Some(CellPercentiles {
@@ -464,6 +527,7 @@ mod tests {
         let parallel = BenchEntry {
             id: "figX".into(),
             threads: 4,
+            scales: Scales::default(),
             wall_ms: 300,
             peak_rss_kb: None,
             cell_percentiles: None,
@@ -485,6 +549,57 @@ mod tests {
         assert!(
             text.contains("\"cell_p50_us\": 1023") && text.contains("\"cell_max_us\": 7777"),
             "missing percentiles in: {text}"
+        );
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// A smoke-scale run of an experiment gets a record of its own: it
+    /// leaves the default-scale record of the same id and threads as it
+    /// was, and replaces only a record of its own scales. A record
+    /// written without scales reads as the defaults.
+    #[test]
+    fn smoke_scale_record_leaves_the_default_scale_one_intact() {
+        let dir = std::env::temp_dir().join("pb_bench_scales_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_pipeline.json");
+        let path = path.to_str().unwrap();
+        std::fs::write(
+            path,
+            "{\n  \"entries\": [\n    {\"id\": \"ext_x\", \"threads\": 1, \"wall_ms\": 24754}\n  ]\n}\n",
+        )
+        .unwrap();
+        let default = BenchEntry {
+            id: "ext_x".into(),
+            threads: 1,
+            scales: Scales::default(),
+            wall_ms: 24754,
+            peak_rss_kb: None,
+            cell_percentiles: None,
+        };
+        assert_eq!(
+            parse_bench_file(&std::fs::read_to_string(path).unwrap()),
+            std::slice::from_ref(&default)
+        );
+        let smoke = BenchEntry {
+            scales: Scales {
+                scale: 0.05,
+                netem_scale: Some(0.1),
+            },
+            wall_ms: 2055,
+            ..default.clone()
+        };
+        merge_into_bench_file(path, &smoke).unwrap();
+        let smoke_again = BenchEntry {
+            wall_ms: 2100,
+            ..smoke.clone()
+        };
+        merge_into_bench_file(path, &smoke_again).unwrap();
+        let text = std::fs::read_to_string(path).unwrap();
+        assert_eq!(parse_bench_file(&text), [default, smoke_again], "{text}");
+        assert!(
+            text.contains("\"scale\": 1, \"netem_scale\": null")
+                && text.contains("\"scale\": 0.05, \"netem_scale\": 0.1"),
+            "both scales recorded in each entry: {text}"
         );
         let _ = std::fs::remove_file(path);
     }

@@ -27,6 +27,14 @@ impl PathInterner {
         Self::default()
     }
 
+    /// An empty interner with room for `paths` paths.
+    pub fn with_capacity(paths: usize) -> Self {
+        PathInterner {
+            by_path: FxHashMap::with_capacity_and_hasher(paths, Default::default()),
+            paths: Vec::with_capacity(paths),
+        }
+    }
+
     /// Intern `path`, returning its id (existing or freshly assigned).
     ///
     /// Paths are normalized first: see [`normalize_path`].

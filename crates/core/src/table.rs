@@ -18,6 +18,16 @@ impl ResourceTable {
         Self::default()
     }
 
+    /// An empty table with room for `resources` entries: registering that
+    /// many grows neither the path map nor the metadata, so no outgrown
+    /// buffer is ever freed.
+    pub fn with_capacity(resources: usize) -> Self {
+        ResourceTable {
+            interner: PathInterner::with_capacity(resources),
+            meta: Vec::with_capacity(resources),
+        }
+    }
+
     /// Register (or update) a resource, returning its id.
     pub fn register(
         &mut self,

@@ -102,10 +102,11 @@ fn main() {
     }
     let metrics = cfg.metrics;
     let origin = start_origin(cfg).expect("failed to start origin");
+    let paths = origin.paths();
     eprintln!(
         "pb-origin listening on {} ({} resources)",
         origin.addr(),
-        origin.paths.len()
+        paths.len()
     );
     if metrics {
         eprintln!(
@@ -115,7 +116,7 @@ fn main() {
         );
     }
     if print_paths {
-        for p in &origin.paths {
+        for p in &paths {
             println!("{p}");
         }
     }
@@ -123,8 +124,9 @@ fn main() {
     eprintln!(
         "  curl -s http://{}{} -H 'TE: chunked' -H 'Piggy-filter: maxpiggy=5' --raw",
         origin.addr(),
-        origin.paths[0]
+        paths[0]
     );
+    drop(paths);
     loop {
         std::thread::sleep(std::time::Duration::from_secs(10));
         let s = origin.stats();

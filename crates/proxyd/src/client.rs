@@ -326,7 +326,7 @@ mod tests {
     #[test]
     fn drives_origin_directly() {
         let origin = start_origin(OriginConfig::default()).unwrap();
-        let paths: Vec<String> = origin.paths.iter().take(5).cloned().collect();
+        let paths: Vec<String> = origin.paths().into_iter().take(5).collect();
         let report = run_sequence(origin.addr(), &paths).unwrap();
         assert_eq!(report.requests, 5);
         assert_eq!(report.ok, 5);
@@ -339,7 +339,7 @@ mod tests {
     fn observes_proxy_cache_hits() {
         let origin = start_origin(OriginConfig::default()).unwrap();
         let proxy = start_proxy(ProxyConfig::new(origin.addr())).unwrap();
-        let p = origin.paths[0].clone();
+        let p = origin.paths()[0].clone();
         let seq = vec![p.clone(), p.clone(), p];
         let report = run_sequence(proxy.addr(), &seq).unwrap();
         assert_eq!(report.ok, 3);
@@ -380,7 +380,7 @@ mod tests {
 
         // Mixed sequence: mean agrees with the histogram built from the
         // same samples (micros vs ms), which a lopsided denominator breaks.
-        let good = origin.paths[0].clone();
+        let good = origin.paths()[0].clone();
         let seq = vec![good.clone(), "/nope.html".to_owned(), good];
         let report = run_sequence(origin.addr(), &seq).unwrap();
         assert_eq!(report.timed_requests, 3);
@@ -406,7 +406,7 @@ mod tests {
     fn pool_reuses_connections_across_exchanges() {
         let origin = start_origin(OriginConfig::default()).unwrap();
         let pool = ConnectionPool::new(origin.addr(), 4);
-        let path = origin.paths[0].clone();
+        let path = origin.paths()[0].clone();
 
         let mut c1 = pool.checkout().unwrap();
         assert_eq!(pool.stats().reuses, 0);

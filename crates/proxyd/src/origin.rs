@@ -29,6 +29,11 @@
 //!   resource's path and size when it is served, and freed once it is
 //!   staged for the wire.
 //!
+//! What the origin keeps per resource is metadata (its path once, size,
+//! content type, `Last-Modified`, two access atomics, its volume), built
+//! once at start: the site's table is generated alone, at its final size
+//! ([`Site::generate_table`]), and goes into the first snapshot as it is.
+//!
 //! Every piggyback is built per response (Section 2): element selection
 //! against the snapshot and the live access state, then `P-volume`
 //! encoding. Its piggybacks are byte-identical to those of the socket-free
@@ -188,8 +193,6 @@ pub struct OriginHandle {
     shared: Arc<OriginShared>,
     daemon: Arc<AtomicDaemonStats>,
     obs: Arc<DaemonObs>,
-    /// Paths the synthetic site serves (useful for driving workloads).
-    pub paths: Vec<String>,
 }
 
 impl OriginHandle {
@@ -199,6 +202,14 @@ impl OriginHandle {
 
     pub fn stats(&self) -> ServerStats {
         self.shared.state.stats.snapshot()
+    }
+
+    /// The paths the site serves, in id order (useful for driving
+    /// workloads): copied per call from the serving table, the one place
+    /// the origin keeps them.
+    pub fn paths(&self) -> Vec<String> {
+        let snap = self.shared.state.snapshot.load();
+        snap.table.iter().map(|(_, p, _)| p.to_owned()).collect()
     }
 
     /// Lock-free transport counters: every parsed request (any method,
@@ -246,27 +257,28 @@ impl OriginHandle {
 }
 
 /// Load persisted probability volumes and re-key their implication ids
-/// onto the site's id space by path (ids for paths the site does not
-/// serve are registered past the site table and simply never resolve at
-/// serving time).
+/// onto the site's id space by path. A path the site does not serve keeps
+/// its id in the file's own table, moved past the site's ids, so it never
+/// resolves at serving time.
 fn load_probability_volumes(
     path: &std::path::Path,
-    site_table: &ResourceTable,
+    site: &ResourceTable,
 ) -> io::Result<ProbabilityVolumes> {
     let file = std::fs::File::open(path)?;
     let mut reader = BufReader::new(file);
     let mut scratch = ResourceTable::new();
     let vols = piggyback_core::volume::read_volumes(&mut reader, &mut scratch)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let mut table_all = site_table.clone();
+    // The site's ids are `u32`s (the interner assigns no more).
+    let rekey = |r: ResourceId| match site.lookup(scratch.path(r)?) {
+        None => (site.len() as u32).checked_add(r.0).map(ResourceId),
+        found => found,
+    };
     let mut remapped: HashMap<ResourceId, Vec<(ResourceId, f32)>> = Default::default();
     for (r, s, p) in vols.iter() {
-        let (Some(pr), Some(ps)) = (scratch.path(r), scratch.path(s)) else {
-            continue;
-        };
-        let rid = table_all.register_path(pr, 0, Timestamp::ZERO);
-        let sid = table_all.register_path(ps, 0, Timestamp::ZERO);
-        remapped.entry(rid).or_default().push((sid, p));
+        if let (Some(rid), Some(sid)) = (rekey(r), rekey(s)) {
+            remapped.entry(rid).or_default().push((sid, p));
+        }
     }
     Ok(ProbabilityVolumes::from_implications(
         vols.threshold(),
@@ -274,21 +286,14 @@ fn load_probability_volumes(
     ))
 }
 
-/// Start an origin serving a freshly generated site.
+/// Start an origin serving a freshly generated site. Its serving state is
+/// built once, at its final size: the site's resource table (no page list
+/// or link graph is drawn) goes into the first snapshot as it is.
 pub fn start_origin(cfg: OriginConfig) -> io::Result<OriginHandle> {
-    let (table, _site) = Site::generate(&cfg.site);
-    let paths: Vec<String> = table.iter().map(|(_, p, _)| p.to_owned()).collect();
-
-    // Register the site's resources (same ids, same registration-time
-    // metadata) into an immutable table.
-    let mut reg = ResourceTable::new();
-    for (_, path, meta) in table.iter() {
-        reg.register(path, meta.size, Timestamp::ZERO, meta.content_type);
-    }
-    let reg = Arc::new(reg);
+    let table = Arc::new(Site::generate_table(&cfg.site));
     let volumes = match &cfg.volumes {
         VolumeScheme::Directory { level } => {
-            FrozenVolumes::Directory(Arc::new(StaticDirectoryVolumes::build(&reg, *level)))
+            FrozenVolumes::Directory(Arc::new(StaticDirectoryVolumes::build(&table, *level)))
         }
         VolumeScheme::ProbabilityFile(path) => {
             FrozenVolumes::Probability(Arc::new(load_probability_volumes(path, &table)?))
@@ -320,9 +325,9 @@ pub fn start_origin(cfg: OriginConfig) -> io::Result<OriginHandle> {
             ));
         }
     };
-    let access = AccessState::new(reg.len());
+    let access = AccessState::new(table.len());
     let state = OriginState {
-        snapshot: SnapshotCell::new(Arc::new(OriginSnapshot::new(0, reg, volumes))),
+        snapshot: SnapshotCell::new(Arc::new(OriginSnapshot::new(0, table, volumes))),
         swap: Mutex::new(()),
         access,
         stats: AtomicServerStats::new(),
@@ -364,7 +369,6 @@ pub fn start_origin(cfg: OriginConfig) -> io::Result<OriginHandle> {
             shared,
             daemon,
             obs,
-            paths,
         });
     }
     let idle = cfg.reactor_idle_timeout;
@@ -375,7 +379,6 @@ pub fn start_origin(cfg: OriginConfig) -> io::Result<OriginHandle> {
         shared,
         daemon,
         obs,
-        paths,
     })
 }
 
@@ -923,7 +926,7 @@ mod tests {
 
     fn piggyback_trailer_flow(cfg: OriginConfig) {
         let origin = start_origin(cfg).unwrap();
-        let paths = origin.paths.clone();
+        let paths = origin.paths();
         let (mut r, mut w) = connect(&origin);
 
         // Two requests in the same 1-level volume; the second should carry
@@ -980,7 +983,7 @@ mod tests {
     #[test]
     fn conditional_requests_and_modification() {
         let origin = start_origin(OriginConfig::default()).unwrap();
-        let path = origin.paths[0].clone();
+        let path = origin.paths()[0].clone();
         let (mut r, mut w) = connect(&origin);
 
         let resp = get(&mut r, &mut w, &path, &[]);
@@ -1030,6 +1033,58 @@ mod tests {
             .get("P-volume")
             .expect("persisted implication must piggyback immediately");
         assert!(pv.contains(&b_path), "expected {b_path} in {pv}");
+        origin.stop();
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// A persisted volume may name paths the site does not serve (a
+    /// resource deleted since the volumes were built): they are re-keyed
+    /// past the site's ids and never resolve, neither as a request nor as
+    /// a piggybacked element.
+    #[test]
+    fn persisted_paths_the_site_does_not_serve_never_resolve() {
+        use piggyback_core::volume::{write_volumes, ProbabilityVolumesBuilder, SamplingMode};
+        let site_cfg = SiteConfig {
+            n_pages: 20,
+            seed: 80,
+            ..Default::default()
+        };
+        let (mut table, site) = Site::generate(&site_cfg);
+        let served = table.len();
+        let (a, b) = (site.pages[0].resource, site.pages[1].resource);
+        let gone = table.register_path("/gone/x.html", 100, Timestamp::ZERO);
+        let mut builder =
+            ProbabilityVolumesBuilder::new(DurationMs::from_secs(300), 0.1, SamplingMode::Exact);
+        for i in 0..10u64 {
+            let base = Timestamp::from_secs(i * 10_000);
+            builder.observe(SourceId(1), a, base);
+            builder.observe(SourceId(1), gone, base + DurationMs::from_secs(1));
+            builder.observe(SourceId(1), b, base + DurationMs::from_secs(2));
+        }
+        let vols = builder.build(0.5);
+        assert!(vols.volume(a).iter().any(|&(s, _)| s == gone));
+        let path =
+            std::env::temp_dir().join(format!("pb-test-vols-gone-{}.txt", std::process::id()));
+        write_volumes(&vols, &table, &mut std::fs::File::create(&path).unwrap()).unwrap();
+        let (a_path, b_path) = (table.path(a).unwrap(), table.path(b).unwrap());
+
+        let origin = start_origin(OriginConfig {
+            site: site_cfg,
+            volumes: VolumeScheme::ProbabilityFile(path.clone()),
+            ..Default::default()
+        })
+        .unwrap();
+        assert_eq!(origin.paths().len(), served);
+        let (mut r, mut w) = connect(&origin);
+        let headers = [("TE", "chunked"), ("Piggy-filter", "maxpiggy=5")];
+        let resp = get(&mut r, &mut w, a_path, &headers);
+        let pv = resp.trailers.get("P-volume").expect("a implies b");
+        assert!(pv.contains(b_path), "expected {b_path} in {pv}");
+        assert!(!pv.contains("/gone/"), "an unserved path piggybacked: {pv}");
+        assert_eq!(get(&mut r, &mut w, "/gone/x.html", &headers).status, 404);
+        let stats = get(&mut r, &mut w, "/_pb/stats", &[]);
+        let body = String::from_utf8(stats.body.to_vec()).unwrap();
+        assert!(body.contains(&format!("resources {served}\n")), "{body}");
         origin.stop();
         let _ = std::fs::remove_file(path);
     }
@@ -1131,7 +1186,7 @@ mod tests {
     fn stats_endpoint_reports_counters() {
         let origin = start_origin(OriginConfig::default()).unwrap();
         let (mut r, mut w) = connect(&origin);
-        get(&mut r, &mut w, &origin.paths[0].clone(), &[]);
+        get(&mut r, &mut w, &origin.paths()[0], &[]);
         let resp = get(&mut r, &mut w, "/_pb/stats", &[]);
         assert_eq!(resp.status, 200);
         let text = String::from_utf8(resp.body.to_vec()).unwrap();
@@ -1146,7 +1201,7 @@ mod tests {
     fn metrics_endpoint_serves_prometheus_text() {
         let origin = start_origin(OriginConfig::default()).unwrap();
         let (mut r, mut w) = connect(&origin);
-        get(&mut r, &mut w, &origin.paths[0].clone(), &[]);
+        get(&mut r, &mut w, &origin.paths()[0], &[]);
         get(&mut r, &mut w, "/no/such/thing.html", &[]);
         let resp = get(&mut r, &mut w, METRICS_PATH, &[]);
         assert_eq!(resp.status, 200);
@@ -1200,7 +1255,7 @@ mod tests {
     #[test]
     fn non_get_head_rejected_with_405_allow() {
         let origin = start_origin(OriginConfig::default()).unwrap();
-        let path = origin.paths[0].clone();
+        let path = origin.paths()[0].clone();
         let (mut r, mut w) = connect(&origin);
         for method in ["POST", "PUT", "DELETE", "OPTIONS"] {
             let resp = request(&mut r, &mut w, method, &path, &[]);
@@ -1234,7 +1289,7 @@ mod tests {
     #[test]
     fn no_filter_no_piggyback() {
         let origin = start_origin(OriginConfig::default()).unwrap();
-        let paths = origin.paths.clone();
+        let paths = origin.paths();
         let (mut r, mut w) = connect(&origin);
         get(&mut r, &mut w, &paths[0], &[]);
         let resp = get(&mut r, &mut w, &paths[1], &[]);

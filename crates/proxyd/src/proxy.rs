@@ -879,7 +879,7 @@ mod tests {
         let stream = TcpStream::connect(origin.addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = BufWriter::new(stream);
-        for p in &origin.paths {
+        for p in &origin.paths() {
             let mut req = Request::new("GET", p);
             req.headers.insert("Host", "origin.test");
             req.write(&mut writer).unwrap();
@@ -920,7 +920,7 @@ mod tests {
             let mut cfg = ProxyConfig::new(origin.addr());
             cfg.io = io;
             let proxy = start_proxy(cfg).unwrap();
-            let path = origin.paths[0].clone();
+            let path = origin.paths()[0].clone();
 
             let r1 = get(proxy.addr(), &path);
             assert_eq!(r1.status, 200);
@@ -969,7 +969,7 @@ mod tests {
     fn affine_l1_keeps_entries_of_one_epoch_only() {
         let origin = start_origin(OriginConfig::default()).unwrap();
         let proxy = start_proxy(ProxyConfig::new(origin.addr())).unwrap();
-        let paths = &origin.paths[..9];
+        let paths = &origin.paths()[..9];
         for p in &paths[..8] {
             assert_eq!(get(proxy.addr(), p).headers.get("X-Cache"), Some("MISS"));
         }
@@ -1133,7 +1133,7 @@ mod tests {
         let mut cfg = ProxyConfig::new(origin.addr());
         cfg.freshness = DurationMs::from_millis(1); // force validations
         let proxy = start_proxy(cfg).unwrap();
-        let path = origin.paths[0].clone();
+        let path = origin.paths()[0].clone();
         for _ in 0..5 {
             get(proxy.addr(), &path);
             std::thread::sleep(std::time::Duration::from_millis(3));
@@ -1153,7 +1153,7 @@ mod tests {
         let origin = start_origin(OriginConfig::default()).unwrap();
         let proxy = start_proxy(ProxyConfig::new(origin.addr())).unwrap();
         // Walk a handful of pages; volume-mates generate piggybacks.
-        for p in origin.paths.iter().take(12) {
+        for p in origin.paths().iter().take(12) {
             let r = get(proxy.addr(), p);
             assert_eq!(r.status, 200);
         }
@@ -1194,7 +1194,7 @@ mod tests {
             cfg.io = io;
             cfg.freshness = DurationMs::from_millis(1); // everything expires at once
             let proxy = start_proxy(cfg).unwrap();
-            let path = origin.paths[0].clone();
+            let path = origin.paths()[0].clone();
 
             let r1 = get(proxy.addr(), &path);
             assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
@@ -1223,7 +1223,7 @@ mod tests {
             cfg.io = io;
             cfg.freshness = DurationMs::from_millis(1);
             let proxy = start_proxy(cfg).unwrap();
-            let path = origin.paths[0].clone();
+            let path = origin.paths()[0].clone();
 
             get(proxy.addr(), &path);
             // Bump the origin's Last-Modified.
@@ -1256,8 +1256,8 @@ mod tests {
     fn hit_reports_reach_the_origin() {
         let origin = start_origin(OriginConfig::default()).unwrap();
         let proxy = start_proxy(ProxyConfig::new(origin.addr())).unwrap();
-        let hot = origin.paths[0].clone();
-        let other = origin.paths[1].clone();
+        let hot = origin.paths()[0].clone();
+        let other = origin.paths()[1].clone();
 
         // Warm the cache, then hit it repeatedly: hits accumulate in the
         // proxy's reporter.
@@ -1286,7 +1286,7 @@ mod tests {
     fn metrics_endpoint_scrapes_without_counting_itself() {
         let origin = start_origin(OriginConfig::default()).unwrap();
         let proxy = start_proxy(ProxyConfig::new(origin.addr())).unwrap();
-        let path = origin.paths[0].clone();
+        let path = origin.paths()[0].clone();
         get(proxy.addr(), &path); // MISS
         get(proxy.addr(), &path); // HIT
         let m = get(proxy.addr(), METRICS_PATH);
@@ -1363,7 +1363,7 @@ mod tests {
             cfg.io = io;
             cfg.freshness = DurationMs::from_millis(1);
             let proxy = start_proxy(cfg).unwrap();
-            let path = origin.paths[0].clone();
+            let path = origin.paths()[0].clone();
 
             let r1 = get(proxy.addr(), &path);
             assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
@@ -1414,7 +1414,7 @@ mod tests {
             // First walk: responses carry piggybacked volume mates;
             // uncached candidates become speculative fetches in the
             // background.
-            for p in &origin.paths {
+            for p in &origin.paths() {
                 assert_eq!(get(proxy.addr(), p).status, 200);
             }
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
@@ -1430,7 +1430,7 @@ mod tests {
             // Second walk: every path is demanded, so each speculative
             // entry resolves — used on a hit, joined if still in flight,
             // cancelled if still queued (never issued).
-            for p in &origin.paths {
+            for p in &origin.paths() {
                 assert_eq!(get(proxy.addr(), p).status, 200);
             }
             let s = proxy.stats();

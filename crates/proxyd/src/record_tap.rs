@@ -164,7 +164,7 @@ mod tests {
             origin: origin.addr(),
         })
         .unwrap();
-        let paths: Vec<String> = origin.paths.iter().take(4).cloned().collect();
+        let paths: Vec<String> = origin.paths().into_iter().take(4).collect();
 
         let stream = TcpStream::connect(rec.addr()).unwrap();
         let mut r = BufReader::new(stream.try_clone().unwrap());

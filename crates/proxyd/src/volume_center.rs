@@ -574,7 +574,7 @@ mod tests {
             let stream = TcpStream::connect(origin.addr()).unwrap();
             let mut r = BufReader::new(stream.try_clone().unwrap());
             let mut w = BufWriter::new(stream);
-            for p in &origin.paths {
+            for p in &origin.paths() {
                 let mut req = Request::new("GET", p);
                 req.headers.insert("Host", "t");
                 req.write(&mut w).unwrap();
@@ -594,7 +594,7 @@ mod tests {
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = BufWriter::new(stream);
         let mut saw_piggyback = false;
-        for p in origin.paths.iter().take(8) {
+        for p in origin.paths().iter().take(8) {
             let mut req = Request::new("GET", p);
             req.headers.insert("Host", "t");
             req.headers.insert("TE", "chunked");

@@ -12,6 +12,7 @@ use piggyback_core::table::ResourceTable;
 use piggyback_core::types::{ResourceId, Timestamp};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::fmt::Write;
 
 /// Parameters of a synthetic site.
 #[derive(Debug, Clone)]
@@ -98,93 +99,55 @@ impl Site {
         (table, site)
     }
 
+    /// Generate only the site's resource table: the ids, paths, sizes,
+    /// content types and `Last-Modified` values of
+    /// `Site::generate(cfg).0`, allocated at its final size, with no page
+    /// list, image lists or link graph built. A first pass draws the same
+    /// resources without registering them, only to count them.
+    pub fn generate_table(cfg: &SiteConfig) -> ResourceTable {
+        let mut count = 0u32;
+        draw_resources(
+            cfg,
+            &mut StdRng::seed_from_u64(cfg.seed),
+            |_, _| {
+                count += 1;
+                ResourceId(count - 1)
+            },
+            |_| {},
+        );
+        let mut table = ResourceTable::with_capacity(count as usize);
+        draw_resources(
+            cfg,
+            &mut StdRng::seed_from_u64(cfg.seed),
+            |path, size| table.register_path(path, size, Timestamp::ZERO),
+            |_| {},
+        );
+        table
+    }
+
     /// Generate a site, registering its resources into `table` (shared
     /// across sites in multi-server traces).
     pub fn generate_into(cfg: &SiteConfig, table: &mut ResourceTable) -> Site {
-        assert!(cfg.n_pages > 0, "a site needs at least one page");
-        assert!(cfg.n_dirs > 0, "a site needs at least the root directory");
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut resources = Vec::new();
-
-        // Directory tree: each new directory hangs off an existing one
-        // that has not reached max depth. Half the time the parent is the
-        // most recently created eligible directory, producing the deep
-        // chains (/a/b/c/d) real sites exhibit; otherwise a random one,
-        // producing breadth.
-        let mut dirs: Vec<String> = vec![String::new()]; // root ("" + "/file")
-        let mut depths: Vec<usize> = vec![0];
-        for i in 1..cfg.n_dirs {
-            let parent = if rng.random::<f64>() < 0.5 && depths[dirs.len() - 1] < cfg.max_depth {
-                dirs.len() - 1
-            } else {
-                let mut p = rng.random_range(0..dirs.len());
-                let mut guard = 0;
-                while depths[p] >= cfg.max_depth && guard < 32 {
-                    p = rng.random_range(0..dirs.len());
-                    guard += 1;
-                }
-                if depths[p] >= cfg.max_depth {
-                    0
-                } else {
-                    p
-                }
-            };
-            dirs.push(format!("{}/d{}", dirs[parent], i));
-            depths.push(depths[parent] + 1);
-        }
-
-        // Shared icons.
-        let lm = Timestamp::ZERO;
-        let shared: Vec<ResourceId> = (0..cfg.shared_images)
-            .map(|i| {
-                let size = cfg.image_size.sample(&mut rng).max(64.0) as u64;
-                let id = table.register_path(
-                    &format!("{}/icons/shared{}.gif", cfg.path_prefix, i),
-                    size,
-                    lm,
-                );
+        let mut pages: Vec<Page> = Vec::with_capacity(cfg.n_pages);
+        let dirs = draw_resources(
+            cfg,
+            &mut rng,
+            |path, size| {
+                let id = table.register_path(path, size, Timestamp::ZERO);
                 resources.push(id);
                 id
-            })
-            .collect();
+            },
+            |page| pages.push(page),
+        );
 
-        // Pages with embedded images.
-        let mut pages: Vec<Page> = Vec::with_capacity(cfg.n_pages);
+        // Link graph with directory locality, drawn after every resource
+        // is registered.
         let mut pages_in_dir: Vec<Vec<usize>> = vec![Vec::new(); dirs.len()];
-        for i in 0..cfg.n_pages {
-            let dir = rng.random_range(0..dirs.len());
-            let size = cfg.page_size.sample(&mut rng).max(128.0) as u64;
-            let path = format!("{}{}/p{}.html", cfg.path_prefix, dirs[dir], i);
-            let resource = table.register_path(&path, size, lm);
-            resources.push(resource);
-
-            let n_imgs = rng.random_range(cfg.images_per_page.0..=cfg.images_per_page.1);
-            let mut images = Vec::with_capacity(n_imgs);
-            for j in 0..n_imgs {
-                if !shared.is_empty() && rng.random::<f64>() < cfg.image_share_prob {
-                    images.push(shared[rng.random_range(0..shared.len())]);
-                } else {
-                    let isize = cfg.image_size.sample(&mut rng).max(64.0) as u64;
-                    let ipath = if cfg.images_in_page_dir {
-                        format!("{}{}/p{}_img{}.gif", cfg.path_prefix, dirs[dir], i, j)
-                    } else {
-                        format!("{}/img/p{}_img{}.gif", cfg.path_prefix, i, j)
-                    };
-                    let id = table.register_path(&ipath, isize, lm);
-                    resources.push(id);
-                    images.push(id);
-                }
-            }
-            pages_in_dir[dir].push(i);
-            pages.push(Page {
-                resource,
-                dir,
-                images,
-                links: Vec::new(),
-            });
+        for (i, page) in pages.iter().enumerate() {
+            pages_in_dir[page.dir].push(i);
         }
-
-        // Link graph with directory locality.
         for i in 0..pages.len() {
             let n_links = rng.random_range(cfg.links_per_page.0..=cfg.links_per_page.1);
             let dir = pages[i].dir;
@@ -218,6 +181,108 @@ impl Site {
     }
 }
 
+/// Draw the directory tree, the shared icons and every page with its
+/// embedded images from `rng`, handing each resource's path and size to
+/// `register` in id order and each page (links not yet drawn) to `page`.
+/// Returns the directory paths. The one registration routine behind
+/// [`Site::generate_into`] and [`Site::generate_table`], so the two cannot
+/// drift.
+fn draw_resources(
+    cfg: &SiteConfig,
+    rng: &mut StdRng,
+    mut register: impl FnMut(&str, u64) -> ResourceId,
+    mut page: impl FnMut(Page),
+) -> Vec<String> {
+    assert!(cfg.n_pages > 0, "a site needs at least one page");
+    assert!(cfg.n_dirs > 0, "a site needs at least the root directory");
+
+    // Directory tree: each new directory hangs off an existing one that
+    // has not reached max depth. Half the time the parent is the most
+    // recently created eligible directory, producing the deep chains
+    // (/a/b/c/d) real sites exhibit; otherwise a random one, producing
+    // breadth.
+    let mut dirs: Vec<String> = vec![String::new()]; // root ("" + "/file")
+    let mut depths: Vec<usize> = vec![0];
+    for i in 1..cfg.n_dirs {
+        let parent = if rng.random::<f64>() < 0.5 && depths[dirs.len() - 1] < cfg.max_depth {
+            dirs.len() - 1
+        } else {
+            let mut p = rng.random_range(0..dirs.len());
+            let mut guard = 0;
+            while depths[p] >= cfg.max_depth && guard < 32 {
+                p = rng.random_range(0..dirs.len());
+                guard += 1;
+            }
+            if depths[p] >= cfg.max_depth {
+                0
+            } else {
+                p
+            }
+        };
+        dirs.push(format!("{}/d{}", dirs[parent], i));
+        depths.push(depths[parent] + 1);
+    }
+
+    // Every path is written into one reused buffer; the table keeps its
+    // own copy.
+    let mut buf = String::new();
+
+    // Shared icons.
+    let prefix = &cfg.path_prefix;
+    let shared: Vec<ResourceId> = (0..cfg.shared_images)
+        .map(|i| {
+            let size = cfg.image_size.sample(rng).max(64.0) as u64;
+            register(
+                fill(&mut buf, format_args!("{prefix}/icons/shared{i}.gif")),
+                size,
+            )
+        })
+        .collect();
+
+    // Pages with embedded images.
+    for i in 0..cfg.n_pages {
+        let dir = rng.random_range(0..dirs.len());
+        let size = cfg.page_size.sample(rng).max(128.0) as u64;
+        let resource = register(
+            fill(&mut buf, format_args!("{prefix}{}/p{i}.html", dirs[dir])),
+            size,
+        );
+
+        let n_imgs = rng.random_range(cfg.images_per_page.0..=cfg.images_per_page.1);
+        let mut images = Vec::with_capacity(n_imgs);
+        for j in 0..n_imgs {
+            if !shared.is_empty() && rng.random::<f64>() < cfg.image_share_prob {
+                images.push(shared[rng.random_range(0..shared.len())]);
+            } else {
+                let isize = cfg.image_size.sample(rng).max(64.0) as u64;
+                let ipath = if cfg.images_in_page_dir {
+                    fill(
+                        &mut buf,
+                        format_args!("{prefix}{}/p{i}_img{j}.gif", dirs[dir]),
+                    )
+                } else {
+                    fill(&mut buf, format_args!("{prefix}/img/p{i}_img{j}.gif"))
+                };
+                images.push(register(ipath, isize));
+            }
+        }
+        page(Page {
+            resource,
+            dir,
+            images,
+            links: Vec::new(),
+        });
+    }
+    dirs
+}
+
+/// `args` written into `buf` in place of what it held.
+fn fill<'b>(buf: &'b mut String, args: std::fmt::Arguments<'_>) -> &'b str {
+    buf.clear();
+    buf.write_fmt(args).expect("a String takes any write");
+    buf
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +300,41 @@ mod tests {
         for (a, b) in s1.pages.iter().zip(&s2.pages) {
             assert_eq!(a.resource, b.resource);
             assert_eq!(a.links, b.links);
+        }
+    }
+
+    /// The table-only path registers exactly what the full generation
+    /// does: same ids, paths, sizes, content types and `Last-Modified`.
+    #[test]
+    fn generate_table_matches_the_full_generation() {
+        let configs = [
+            SiteConfig::default(),
+            SiteConfig {
+                n_pages: 300,
+                images_per_page: (0, 0),
+                shared_images: 0,
+                ..Default::default()
+            },
+            SiteConfig {
+                images_in_page_dir: false,
+                seed: 7,
+                ..Default::default()
+            },
+            SiteConfig {
+                path_prefix: "/www.example.com".into(),
+                seed: 9,
+                ..Default::default()
+            },
+        ];
+        for cfg in &configs {
+            let (full, site) = Site::generate(cfg);
+            let table = Site::generate_table(cfg);
+            assert_eq!(table.len(), full.len(), "{cfg:?}");
+            assert_eq!(table.len(), site.resource_count(), "{cfg:?}");
+            for ((id, path, meta), (fid, fpath, fmeta)) in table.iter().zip(full.iter()) {
+                assert_eq!((id, path, meta), (fid, fpath, fmeta), "{cfg:?}");
+                assert_eq!(table.lookup(path), Some(id));
+            }
         }
     }
 

@@ -21,7 +21,7 @@ fn main() {
     println!(
         "origin   : {} ({} resources, 1-level directory volumes)",
         origin.addr(),
-        origin.paths.len()
+        origin.paths().len()
     );
 
     // 2. Proxy: 60 s freshness interval, RPV pacing, maxpiggy=10.
@@ -30,7 +30,7 @@ fn main() {
 
     // 3. A browsing session: walk a directory of the site twice.
     let mut client = HttpClient::connect(proxy.addr()).expect("client");
-    let pages: Vec<String> = origin.paths.iter().take(8).cloned().collect();
+    let pages: Vec<String> = origin.paths().into_iter().take(8).collect();
 
     println!("first pass (cold cache):");
     for p in &pages {
@@ -71,7 +71,7 @@ fn main() {
     // request a brand-new resource in the same volume, whose response
     // piggybacks the *new* Last-Modified of the victim.
     let fresh_path = origin
-        .paths
+        .paths()
         .iter()
         .find(|p| {
             piggyback::core::intern::directory_prefix(p, 1)

@@ -151,7 +151,7 @@ fn assert_origin_accounting(s: &ProxyStats, before: &DaemonStats, after: &Daemon
 fn sixteen_clients_conserve_counters_exactly() {
     let done = watchdog(Duration::from_secs(120));
     let (origin, proxy) = start_chain(DurationMs::from_secs(60));
-    let paths: Vec<String> = origin.paths.clone();
+    let paths: Vec<String> = origin.paths();
     let reference = reference_bodies(origin.addr(), &paths);
     let baseline = origin.daemon_stats();
 
@@ -174,7 +174,7 @@ fn validation_heavy_load_conserves_and_pools() {
     // Δ=1ms: virtually every repeat revalidates upstream, exercising the
     // connection pool on nearly every request.
     let (origin, proxy) = start_chain(DurationMs::from_millis(1));
-    let paths: Vec<String> = origin.paths.clone();
+    let paths: Vec<String> = origin.paths();
     let reference = reference_bodies(origin.addr(), &paths);
     let baseline = origin.daemon_stats();
 
@@ -206,7 +206,7 @@ fn small_cache_thrash_stays_live_and_conserved() {
     cfg.capacity_bytes = 16 * 1024; // force constant eviction across shards
     cfg.serve.workers = 64;
     let proxy = start_proxy(cfg).unwrap();
-    let paths: Vec<String> = origin.paths.clone();
+    let paths: Vec<String> = origin.paths();
     let reference = reference_bodies(origin.addr(), &paths);
 
     const PER_CLIENT: usize = 15;
@@ -271,7 +271,7 @@ fn origin_conservation_run(io: IoMode) {
         ..Default::default()
     })
     .unwrap();
-    let paths = origin.paths.clone();
+    let paths = origin.paths();
     let addr = origin.addr();
     let churn_stop = Arc::new(AtomicBool::new(false));
 
@@ -682,7 +682,7 @@ fn assert_prefetch_origin_accounting(s: &ProxyStats, before: &DaemonStats, after
 fn prefetch_race_run(io: IoMode) {
     let done = watchdog(Duration::from_secs(120));
     let origin = start_origin(OriginConfig::default()).unwrap();
-    let paths: Vec<String> = origin.paths.clone();
+    let paths: Vec<String> = origin.paths();
     // Ground truth doubles as the origin warm-up: piggybacks only name
     // volume mates with recorded accesses, so a cold origin would give
     // the prefetcher nothing to race against.
@@ -856,7 +856,7 @@ fn prefetch_win_survives_recorded_timing() {
     // entry carries a real TTFB for `ReplayTiming::Recorded` to honor.
     {
         let mut c = HttpClient::connect(origin.addr()).unwrap();
-        for p in &origin.paths {
+        for p in &origin.paths() {
             assert_eq!(c.get(p, &[]).unwrap().status, 200);
         }
     }
@@ -883,7 +883,7 @@ fn prefetch_win_survives_recorded_timing() {
     .unwrap();
     {
         let mut c = HttpClient::connect(rec.addr()).unwrap();
-        for p in &origin.paths {
+        for p in &origin.paths() {
             let resp = c
                 .get(
                     p,

@@ -28,7 +28,7 @@ fn volume_pair(paths: &[String]) -> (String, String) {
 fn proxy_chain_serves_and_piggybacks() {
     let origin = start_origin(OriginConfig::default()).unwrap();
     let proxy = start_proxy(ProxyConfig::new(origin.addr())).unwrap();
-    let (a, b) = volume_pair(&origin.paths);
+    let (a, b) = volume_pair(&origin.paths());
 
     let mut client = HttpClient::connect(proxy.addr()).unwrap();
     let r1 = client.get(&a, &[]).unwrap();
@@ -59,7 +59,7 @@ fn proxy_chain_serves_and_piggybacks() {
 fn piggyback_invalidation_propagates_through_proxy() {
     let origin = start_origin(OriginConfig::default()).unwrap();
     let proxy = start_proxy(ProxyConfig::new(origin.addr())).unwrap();
-    let (a, b) = volume_pair(&origin.paths);
+    let (a, b) = volume_pair(&origin.paths());
     let mut client = HttpClient::connect(proxy.addr()).unwrap();
 
     // Cache both.
@@ -74,11 +74,11 @@ fn piggyback_invalidation_propagates_through_proxy() {
     // the fresh Last-Modified of `a`.
     let prefix = directory_prefix(&a, 1).to_owned();
     let third = origin
-        .paths
-        .iter()
-        .find(|p| directory_prefix(p, 1) == prefix && **p != a && **p != b);
+        .paths()
+        .into_iter()
+        .find(|p| directory_prefix(p, 1) == prefix && *p != a && *p != b);
     if let Some(third) = third {
-        client.get(third, &[]).unwrap();
+        client.get(&third, &[]).unwrap();
         // Piggyback processing may invalidate `a`; the next request for
         // `a` must not serve the stale cached copy as a HIT with the old
         // Last-Modified.
@@ -153,7 +153,7 @@ fn volume_center_chain_end_to_end() {
 fn many_clients_share_one_proxy_cache() {
     let origin = start_origin(OriginConfig::default()).unwrap();
     let proxy = start_proxy(ProxyConfig::new(origin.addr())).unwrap();
-    let path = origin.paths[0].clone();
+    let path = origin.paths()[0].clone();
 
     // Four clients request the same resource concurrently-ish.
     let mut handles = Vec::new();

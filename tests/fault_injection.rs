@@ -134,7 +134,7 @@ fn origin_survives_malformed_clients() {
     }
     // Then a well-formed request still works.
     let mut client = HttpClient::connect(origin.addr()).unwrap();
-    let resp = client.get(&origin.paths[0].clone(), &[]).unwrap();
+    let resp = client.get(&origin.paths()[0], &[]).unwrap();
     assert_eq!(resp.status, 200);
     origin.stop();
 }
@@ -147,7 +147,7 @@ fn origin_rejects_bad_filter_gracefully() {
     // skip the piggyback.
     let resp = client
         .get(
-            &origin.paths[0].clone(),
+            &origin.paths()[0],
             &[("TE", "chunked"), ("Piggy-filter", "!!not=a=filter!!")],
         )
         .unwrap();
@@ -444,7 +444,7 @@ fn shim_error_rate_one_fails_every_exchange() {
 #[test]
 fn shim_error_rate_zero_is_transparent() {
     let (origin, center, proxy) = shimmed_stack(0.0);
-    let paths: Vec<String> = origin.paths.iter().take(5).cloned().collect();
+    let paths: Vec<String> = origin.paths().into_iter().take(5).collect();
     let report = run_sequence(proxy.addr(), &paths).unwrap();
     assert_eq!(report.ok, 5);
     assert_eq!(report.errors, 0);
@@ -478,7 +478,7 @@ fn shim_imposes_profile_latency() {
     cfg.report_hits = false;
     let proxy = start_proxy(cfg).unwrap();
     let mut client = HttpClient::connect(proxy.addr()).unwrap();
-    let path = origin.paths[0].clone();
+    let path = origin.paths()[0].clone();
     let start = std::time::Instant::now();
     let resp = client.get(&path, &[]).unwrap();
     let elapsed = start.elapsed();
@@ -798,7 +798,7 @@ fn a_trickling_client_misses_the_read_deadline_on_both_engines() {
 fn concurrent_load_with_failures_stays_consistent() {
     let origin = start_origin(OriginConfig::default()).unwrap();
     let proxy = start_proxy(ProxyConfig::new(origin.addr())).unwrap();
-    let paths: Vec<String> = origin.paths.iter().take(10).cloned().collect();
+    let paths: Vec<String> = origin.paths().into_iter().take(10).collect();
 
     let mut handles = Vec::new();
     for t in 0..6 {

@@ -89,7 +89,7 @@ fn scraped_metrics_conserve_under_concurrency() {
     cfg.freshness = DurationMs::from_millis(50);
     cfg.serve.workers = 64;
     let proxy = start_proxy(cfg).unwrap();
-    let paths: Vec<String> = origin.paths.clone();
+    let paths: Vec<String> = origin.paths();
 
     // Drive load while a scraper polls the endpoint concurrently. Every
     // mid-flight scrape must parse and stay internally monotone; the
@@ -215,7 +215,7 @@ fn hit_tally_folds_before_anything_reads_it() {
     engines.push(IoMode::Reactor { reactors: 1 });
     for io in engines {
         let origin = start_origin(OriginConfig::default()).unwrap();
-        let (hot, other) = (origin.paths[0].clone(), origin.paths[1].clone());
+        let (hot, other) = (origin.paths()[0].clone(), origin.paths()[1].clone());
         let mut cfg = ProxyConfig::new(origin.addr());
         cfg.io = io;
         cfg.freshness = DurationMs::from_secs(3600);
@@ -287,7 +287,7 @@ fn stored_hit_head_never_outlives_its_entry() {
     engines.push(IoMode::Reactor { reactors: 1 });
     for io in engines {
         let origin = start_origin(OriginConfig::default()).unwrap();
-        let hot = origin.paths[0].clone();
+        let hot = origin.paths()[0].clone();
         let mut cfg = ProxyConfig::new(origin.addr());
         cfg.io = io;
         cfg.freshness = DurationMs::from_millis(400);
@@ -325,7 +325,7 @@ fn stored_hit_head_never_outlives_its_entry() {
 fn origin_metrics_balance_their_own_ledger() {
     let done = watchdog(Duration::from_secs(60));
     let origin = start_origin(OriginConfig::default()).unwrap();
-    let paths: Vec<String> = origin.paths.clone();
+    let paths: Vec<String> = origin.paths();
     std::thread::scope(|s| {
         for t in 0..4 {
             let paths = &paths;
@@ -478,7 +478,7 @@ fn origin_scrape_families_match_protocol_section_8() {
 fn proxy_scrape_families_match_protocol_section_8() {
     let done = watchdog(Duration::from_secs(60));
     let origin = start_origin(OriginConfig::default()).unwrap();
-    let page = origin.paths[0].clone();
+    let page = origin.paths()[0].clone();
     let mut scraped = BTreeSet::new();
     for io in [IoMode::Threaded, IoMode::Reactor { reactors: 2 }] {
         let mut cfg = ProxyConfig::new(origin.addr());

@@ -95,7 +95,7 @@ fn reactor_proxy_byte_identical_to_threaded() {
     let origin = start_origin(OriginConfig::default()).unwrap();
     let threaded = quiet_proxy(origin.addr(), IoMode::Threaded);
     let reactor = quiet_proxy(origin.addr(), REACTOR);
-    let paths: Vec<String> = origin.paths.iter().take(12).cloned().collect();
+    let paths: Vec<String> = origin.paths().into_iter().take(12).collect();
 
     let mut ct = TcpStream::connect(threaded.addr()).unwrap();
     let mut cr = TcpStream::connect(reactor.addr()).unwrap();
@@ -124,7 +124,7 @@ fn sixteen_clients_conserve_counters_in_reactor_mode() {
     const PER_CLIENT: usize = 60;
     let origin = start_origin(OriginConfig::default()).unwrap();
     let proxy = quiet_proxy(origin.addr(), REACTOR);
-    let paths = origin.paths.clone();
+    let paths = origin.paths();
 
     // Warm every path once so the timed region is all fresh hits.
     let mut warm = HttpClient::connect(proxy.addr()).unwrap();
@@ -173,7 +173,7 @@ fn sixteen_clients_conserve_counters_in_reactor_mode() {
 fn reactor_serves_pipelined_bursts_in_order() {
     let origin = start_origin(OriginConfig::default()).unwrap();
     let proxy = quiet_proxy(origin.addr(), REACTOR);
-    let paths: Vec<String> = origin.paths.iter().take(8).cloned().collect();
+    let paths: Vec<String> = origin.paths().into_iter().take(8).collect();
 
     // Warm, then fire all 8 GETs in one write and read 8 responses back.
     let mut warm = HttpClient::connect(proxy.addr()).unwrap();
@@ -212,7 +212,7 @@ fn reactor_reaps_idle_connections() {
     let proxy = start_proxy(cfg).unwrap();
 
     let mut conn = TcpStream::connect(proxy.addr()).unwrap();
-    let resp = raw_roundtrip(&mut conn, &get_bytes(&origin.paths[0]));
+    let resp = raw_roundtrip(&mut conn, &get_bytes(&origin.paths()[0]));
     assert!(resp.starts_with(b"HTTP/1.1 200"));
 
     // Served, then silent: the timer wheel must close us.
@@ -243,8 +243,8 @@ fn reactor_survives_dead_origin_with_502s() {
     // keep-alive the origin's draining worker still answers.
     cfg.pool_max_idle = 0;
     let proxy = start_proxy(cfg).unwrap();
-    let warm_path = origin.paths[0].clone();
-    let cold_path = origin.paths[1].clone();
+    let warm_path = origin.paths()[0].clone();
+    let cold_path = origin.paths()[1].clone();
 
     let mut conn = TcpStream::connect(proxy.addr()).unwrap();
     assert!(raw_roundtrip(&mut conn, &get_bytes(&warm_path)).starts_with(b"HTTP/1.1 200"));
@@ -274,7 +274,7 @@ fn reactor_metrics_expose_io_and_shard_gauges() {
     let proxy = quiet_proxy(origin.addr(), REACTOR);
 
     let mut client = HttpClient::connect(proxy.addr()).unwrap();
-    assert_eq!(client.get(&origin.paths[0], &[]).unwrap().status, 200);
+    assert_eq!(client.get(&origin.paths()[0], &[]).unwrap().status, 200);
     let resp = client.get(METRICS_PATH, &[]).unwrap();
     assert_eq!(resp.status, 200);
     let text = String::from_utf8(resp.body.to_vec()).unwrap();
@@ -327,7 +327,7 @@ fn reactor_metrics_expose_io_and_shard_gauges() {
 fn reactor_misses_dial_upstream_without_offloads() {
     let origin = start_origin(OriginConfig::default()).unwrap();
     let proxy = quiet_proxy(origin.addr(), REACTOR);
-    let paths: Vec<String> = origin.paths.iter().take(8).cloned().collect();
+    let paths: Vec<String> = origin.paths().into_iter().take(8).collect();
 
     let mut client = HttpClient::connect(proxy.addr()).unwrap();
     for p in &paths {
@@ -385,7 +385,7 @@ fn reactor_prefetch_walk_and_join_never_touch_the_blocking_pool() {
     let origin = start_origin(OriginConfig::default()).unwrap();
     // Piggybacks only name mates with recorded accesses.
     let mut warm = HttpClient::connect(origin.addr()).unwrap();
-    for p in &origin.paths {
+    for p in &origin.paths() {
         assert_eq!(warm.get(p, &[]).unwrap().status, 200);
     }
     let mut cfg = ProxyConfig::new(origin.addr());
@@ -393,7 +393,7 @@ fn reactor_prefetch_walk_and_join_never_touch_the_blocking_pool() {
     cfg.prefetch_budget = 4;
     let proxy = start_proxy(cfg).unwrap();
     let mut client = HttpClient::connect(proxy.addr()).unwrap();
-    for p in &origin.paths {
+    for p in &origin.paths() {
         assert_eq!(client.get(p, &[]).unwrap().status, 200);
     }
     wait_for(|| {
@@ -475,14 +475,15 @@ fn origin_reactor_mode_byte_identical_and_piggybacking() {
         ..Default::default()
     })
     .unwrap();
-    assert_eq!(threaded.paths, reactor.paths, "same seed, same site");
+    let paths = threaded.paths();
+    assert_eq!(paths, reactor.paths(), "same seed, same site");
 
     // Identical request sequences (including a piggyback-soliciting pair
     // in one directory) must produce byte-identical response streams —
     // trailers included, so frame with a real Response reader.
     let dir_pair: Vec<&String> = {
         let mut pair = Vec::new();
-        for p in &threaded.paths {
+        for p in &paths {
             if pair.is_empty() {
                 pair.push(p);
             } else if p.rsplit_once('/').map(|(d, _)| d) == pair[0].rsplit_once('/').map(|(d, _)| d)
@@ -784,7 +785,7 @@ fn reactor_reads_a_close_delimited_response_to_its_fin() {
 fn reactor_answers_a_half_closed_pipeline_then_closes() {
     let origin = start_origin(OriginConfig::default()).unwrap();
     let proxy = patient_reactor_proxy(origin.addr());
-    let paths: Vec<String> = origin.paths.iter().take(3).cloned().collect();
+    let paths: Vec<String> = origin.paths().into_iter().take(3).collect();
     let mut burst = Vec::new();
     for path in paths.iter().chain(&paths) {
         burst.extend_from_slice(&get_bytes(path));

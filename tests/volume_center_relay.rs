@@ -477,13 +477,13 @@ fn transparent_center_relays_the_origins_piggybacks() {
     let walk = |addr: SocketAddr| {
         let mut stream = connect(addr);
         let mut r = BufReader::new(stream.try_clone().unwrap());
-        let paths: Vec<&String> = origin.paths.iter().take(8).collect();
+        let paths: Vec<String> = origin.paths().into_iter().take(8).collect();
         paths
-            .into_iter()
+            .iter()
             .map(|p| exchange(&mut stream, &mut r, p))
             .collect::<Vec<_>>()
     };
-    for p in &origin.paths {
+    for p in &origin.paths() {
         let mut stream = connect(origin.addr());
         let mut r = BufReader::new(stream.try_clone().unwrap());
         exchange(&mut stream, &mut r, p);
@@ -867,7 +867,7 @@ fn record_tap_records_a_head_without_a_body() {
         origin: origin.addr(),
     })
     .unwrap();
-    let path = origin.paths[0].clone();
+    let path = origin.paths()[0].clone();
     let mut down = connect(rec.addr());
     let mut r = BufReader::new(down.try_clone().unwrap());
     let mut head = Request::new("HEAD", &path);
