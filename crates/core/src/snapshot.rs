@@ -12,9 +12,9 @@
 //!   and swapped wholesale on the rare mutations (`/_pb/modify`,
 //!   probability-volume epoch advance) and read lock-free-in-practice via
 //!   [`SnapshotCell`]. A monotone `generation` counter identifies each
-//!   snapshot (`/_pb/stats` and the `pb_origin_table_generation` gauge
-//!   report it). Piggybacks are computed per response from the snapshot
-//!   and the live access state.
+//!   snapshot (the `pb_origin_table_generation` gauge reports it).
+//!   Piggybacks are computed per response from the snapshot and the live
+//!   access state.
 //! * [`AccessState`] — per-resource access counts and recency, written on
 //!   every request with relaxed atomic adds. Volume *membership* never
 //!   changes per request, only per-resource counters do, so these live

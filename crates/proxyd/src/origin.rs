@@ -566,25 +566,6 @@ fn origin_metrics_response(
     resp
 }
 
-/// The `/_pb/stats` plain-text body.
-fn stats_response(stats: &ServerStats, resources: usize, generation: u64) -> Response {
-    let mut resp = Response::new(200);
-    resp.headers.insert("Content-Type", "text/plain");
-    resp.body = format!(
-        "requests {}\npiggybacks_sent {}\nelements_sent {}\nsuppressed {}\nno_filter {}\navg_piggyback_size {:.3}\nresources {}\ngeneration {}\n",
-        stats.requests,
-        stats.piggybacks_sent,
-        stats.elements_sent,
-        stats.suppressed,
-        stats.no_filter,
-        stats.avg_piggyback_size(),
-        resources,
-        generation,
-    )
-    .into();
-    resp
-}
-
 /// HTTP dates have one-second granularity, so a modification bump must
 /// land on a *later second* than both the old value and any copy a client
 /// validated against.
@@ -606,10 +587,6 @@ fn handle_request(
     }
     let path = strip_origin_form(&req.target);
     let c = &shared.state;
-    if path == "/_pb/stats" {
-        let snap = c.snapshot.load();
-        return stats_response(&c.stats.snapshot(), snap.table.len(), snap.generation);
-    }
     if let Some(target) = path.strip_prefix("/_pb/modify") {
         return c.modify(target, now);
     }
@@ -1082,9 +1059,6 @@ mod tests {
         assert!(pv.contains(b_path), "expected {b_path} in {pv}");
         assert!(!pv.contains("/gone/"), "an unserved path piggybacked: {pv}");
         assert_eq!(get(&mut r, &mut w, "/gone/x.html", &headers).status, 404);
-        let stats = get(&mut r, &mut w, "/_pb/stats", &[]);
-        let body = String::from_utf8(stats.body.to_vec()).unwrap();
-        assert!(body.contains(&format!("resources {served}\n")), "{body}");
         origin.stop();
         let _ = std::fs::remove_file(path);
     }
@@ -1180,21 +1154,6 @@ mod tests {
         assert!(origin.generation() > 0, "epoch swap bumps the generation");
         origin.stop();
         let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn stats_endpoint_reports_counters() {
-        let origin = start_origin(OriginConfig::default()).unwrap();
-        let (mut r, mut w) = connect(&origin);
-        get(&mut r, &mut w, &origin.paths()[0], &[]);
-        let resp = get(&mut r, &mut w, "/_pb/stats", &[]);
-        assert_eq!(resp.status, 200);
-        let text = String::from_utf8(resp.body.to_vec()).unwrap();
-        assert!(text.contains("requests 1"), "{text}");
-        assert!(text.contains("no_filter 1"), "{text}");
-        assert!(text.contains("resources"), "{text}");
-        assert!(text.contains("generation 0"), "{text}");
-        origin.stop();
     }
 
     #[test]

@@ -5,12 +5,16 @@
 //! — volume mates the proxy has never cached — are queued here and
 //! fetched by a fixed crew of `--prefetch-budget` workers, each holding
 //! its slot until its fetch settles, so speculation can never have more
-//! than `budget` origin exchanges in flight. Fetched
+//! than `budget` origin exchanges in flight. A worker runs its fetch
+//! itself, on the proxy's keep-alive [`ConnectionPool`], whichever engine
+//! serves the clients: on the reactor, speculation is the pool's only
+//! traffic and demand the shards' only upstream traffic. Fetched
 //! entries land in the cache with `prefetched: true, used: false`, which
 //! makes the used/wasted split measurable and marks them first in line
 //! for eviction (see `webcache`'s speculative tiebreak).
 //!
 //! [`ElementAction::PrefetchCandidate`]: piggyback_core::proxy::ElementAction
+//! [`ConnectionPool`]: crate::client::ConnectionPool
 //!
 //! ## The speculation ledger
 //!
@@ -126,16 +130,6 @@ impl Speculation {
             st.joined.push(waiter);
         }
         // Otherwise `waiter` fires as it drops, after the lock.
-    }
-
-    /// Block the calling thread until the speculation settles: its
-    /// waiter wakes the thread.
-    pub(crate) fn wait(&self) {
-        let (settled, woken) = std::sync::mpsc::channel();
-        self.on_settle(move || {
-            let _ = settled.send(());
-        });
-        let _ = woken.recv();
     }
 }
 
@@ -318,12 +312,11 @@ fn run_candidate(
 }
 
 /// Fetch `path` speculatively and install it: the plain GET is one
-/// [`UpstreamPlan`] for both engines (same retry-once contract and
-/// deadline as the demand path), whose continuation lands the outcome in
-/// [`settle_speculation`] — settling the ledger exactly once — and then
-/// settles the job. The worker holds its budget slot until then: a reactor
-/// shard runs the plan while the worker waits on the job like any joiner,
-/// and threaded, the worker runs it on the pool itself.
+/// [`UpstreamPlan`] (same retry-once contract and deadline as the demand
+/// path) the worker runs itself on the proxy's pool, on either engine,
+/// holding its budget slot until the exchange ends. The continuation lands
+/// the outcome in [`settle_speculation`] — settling the ledger exactly
+/// once — and then settles the job.
 fn fetch_and_install(
     shared: &Arc<ProxyShared>,
     landing: Landing,
@@ -339,7 +332,6 @@ fn fetch_and_install(
     stats.prefetch_issued.fetch_add(1, Relaxed);
     stats.prefetch_inflight.fetch_add(1, Relaxed);
     let leg = lifecycle::speculative_leg(path);
-    let settled = Speculation(Arc::clone(&landing.job));
     let (finish_shared, retry_shared) = (Arc::clone(shared), Arc::clone(shared));
     let path = path.to_owned();
     let plan = UpstreamPlan {
@@ -356,16 +348,8 @@ fn fetch_and_install(
         }),
         relay: leg.relay,
     };
-    match shared.upstream_submit.get() {
-        Some(submit) => {
-            submit(plan);
-            settled.wait();
-        }
-        None => {
-            // A speculative leg never engages, so nothing reaches the sink.
-            let _ = run_plan(plan, &shared.pool, scratch, &mut Vec::new(), |_, _| Ok(()));
-        }
-    }
+    // A speculative leg never engages, so nothing reaches the sink.
+    let _ = run_plan(plan, &shared.pool, scratch, &mut Vec::new(), |_, _| Ok(()));
 }
 
 /// Resolve an issued speculation from its exchange outcome, settled at

@@ -16,8 +16,9 @@
 //! * the resource table sits behind a read/write lock (lookups are reads);
 //! * statistics are lock-free atomics ([`AtomicProxyStats`]);
 //! * upstream fetches check keep-alive connections out of a bounded,
-//!   health-checked [`ConnectionPool`] (threaded engine) or a reactor
-//!   shard's idle list instead of reconnecting per fetch.
+//!   health-checked [`ConnectionPool`] (the threaded engine's, and every
+//!   speculative fetch's) or a reactor shard's idle list instead of
+//!   reconnecting per fetch.
 //!
 //! ## One service, two pollers
 //!
@@ -169,7 +170,9 @@ pub(crate) struct ProxyShared {
     pub(crate) stats: AtomicProxyStats,
     /// Latency histograms + piggyback-overhead accounting (lock-free).
     pub(crate) obs: ProxyObs,
-    /// Keep-alive origin pool of the blocking poller's plans.
+    /// Keep-alive origin pool of the blocking poller's plans and of every
+    /// speculative fetch: the prefetch crew runs its plans on it under
+    /// either engine, so on the reactor it carries speculation only.
     pub(crate) pool: Arc<ConnectionPool>,
     /// The speculative fetch engine (`--prefetch-budget > 0`). `OnceLock`
     /// because it is started after the `Arc` is built — the workers hold
@@ -180,11 +183,6 @@ pub(crate) struct ProxyShared {
     /// Per-reactor-shard gauges when running in reactor mode.
     #[cfg(target_os = "linux")]
     reactor_metrics: Option<Arc<crate::reactor::ReactorMetrics>>,
-    /// Injects detached upstream exchanges (speculative prefetch GETs)
-    /// into the reactor shards, so speculation rides the same nonblocking
-    /// upstream legs as demand misses. Set once the reactor is up; unset
-    /// in threaded mode (the prefetcher then runs its plans on the pool).
-    pub(crate) upstream_submit: OnceLock<Box<dyn Fn(UpstreamPlan) + Send + Sync>>,
 }
 
 impl ProxyShared {
@@ -301,7 +299,6 @@ pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
         io_stats: Arc::clone(&io_stats),
         #[cfg(target_os = "linux")]
         reactor_metrics: reactor_metrics.clone(),
-        upstream_submit: OnceLock::new(),
         cfg,
     });
     if shared.cfg.prefetch_budget > 0 {
@@ -324,13 +321,6 @@ pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
         };
         let handle =
             crate::reactor::serve_reactor(cfg.port, "proxy", opts, io_stats, metrics, svc)?;
-        // Speculative prefetch GETs ride the reactor's nonblocking
-        // upstream legs instead of blocking a worker on the pool.
-        if let Some(sub) = handle.reactor_submitter() {
-            let _ = shared
-                .upstream_submit
-                .set(Box::new(move |plan| sub.submit(plan)));
-        }
         return Ok(ProxyHandle { handle, shared });
     }
     let pool = Some(Arc::clone(&shared.pool));

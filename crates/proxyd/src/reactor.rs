@@ -22,7 +22,6 @@
 //! - a **timer wheel** (coarse ticks, lazy revalidation) enforcing idle
 //!   and read (slow-loris) timeouts without per-connection timers;
 //! - an **eventfd-backed injection queue** through which other threads
-//!   start detached upstream exchanges (speculative prefetch GETs) and
 //!   wake parked connections ([`Waker`]), and a **deferred list** for the
 //!   shard's own upstream starts, run before the next `epoll_wait`.
 //!
@@ -40,7 +39,9 @@
 //! thread finishes (a demand miss joined to an in-flight speculation)
 //! parks the connection the same way ([`Served::Park`]) until its
 //! [`Waker`] resumes it on this shard. No request ever leaves its reactor
-//! thread: there is no worker pool.
+//! thread: there is no worker pool. Every upstream exchange a shard runs
+//! belongs to one of its client connections; speculative prefetch GETs
+//! are the prefetch crew's own, run on the proxy's blocking pool.
 //!
 //! Cache hits, errors, and every client-side read/write stay on the
 //! reactor, so a slow client can stall only its own connection —
@@ -55,8 +56,8 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
+use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering::{self, Relaxed};
-use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -202,7 +203,8 @@ impl EpollFd {
         Ok(())
     }
 
-    fn wait(&self, events: &mut [sys::EpollEvent], timeout_ms: i32) -> usize {
+    /// Fill `events` with what is ready within `timeout_ms`.
+    fn ready(&self, events: &mut [sys::EpollEvent], timeout_ms: i32) -> usize {
         let n = unsafe {
             sys::epoll_wait(self.0, events.as_mut_ptr(), events.len() as i32, timeout_ms)
         };
@@ -344,14 +346,12 @@ pub fn resolve_reactors(requested: usize) -> usize {
 // ---------------------------------------------------------------------------
 // injection
 
-/// Work injected into a reactor from another thread.
-enum Inbound {
-    /// Start a detached upstream plan (a speculative prefetch GET), whose
-    /// continuation settles the speculation ledger.
-    Start(UpstreamPlan),
-    /// A parked connection's [`Waker`] fired: run `then` for it, or close
-    /// it when the waker was dropped unfired.
-    Resume { token: u64, then: Option<ResumeFn> },
+/// Work injected into a reactor from another thread: a parked
+/// connection's [`Waker`] fired, so run `then` for `token`, or close it
+/// when the waker was dropped unfired.
+struct Inbound {
+    token: u64,
+    then: Option<ResumeFn>,
 }
 
 /// Work a shard defers to its own top level, so a continuation never runs
@@ -388,26 +388,6 @@ impl Injector {
     }
 }
 
-/// Cloneable handle for submitting detached [`UpstreamPlan`]s to the
-/// reactor fleet (round-robin across shards). Obtained from
-/// [`ServerHandle::reactor_submitter`]; used by the prefetcher so
-/// speculative GETs ride the same nonblocking upstream connections as
-/// demand misses instead of burning a blocking pool thread.
-#[derive(Clone)]
-pub struct ReactorSubmitter {
-    injectors: Vec<Arc<Injector>>,
-    next: Arc<AtomicU64>,
-}
-
-impl ReactorSubmitter {
-    /// Hand `plan` to the next reactor shard; its continuation runs on
-    /// that reactor thread.
-    pub fn submit(&self, plan: UpstreamPlan) {
-        let i = self.next.fetch_add(1, Relaxed) as usize % self.injectors.len();
-        self.injectors[i].push(Inbound::Start(plan));
-    }
-}
-
 /// Stop-side handle held inside [`ServerHandle`].
 pub(crate) struct ReactorHandle {
     stop: Arc<AtomicBool>,
@@ -416,14 +396,6 @@ pub(crate) struct ReactorHandle {
 }
 
 impl ReactorHandle {
-    /// A cloneable submitter for detached upstream plans.
-    pub(crate) fn submitter(&self) -> ReactorSubmitter {
-        ReactorSubmitter {
-            injectors: self.injectors.clone(),
-            next: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
     pub(crate) fn stop(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         for inj in &self.injectors {
@@ -577,8 +549,9 @@ struct Exchange {
     /// The plan's continuation and retry hook (its request moved into the
     /// machine).
     plan: UpstreamPlan,
-    /// Parked client connection token (None for detached prefetch plans).
-    client: Option<u64>,
+    /// The parked client connection's token; one the slab no longer
+    /// holds if the client died mid-exchange.
+    client: u64,
     /// Boxed: an idle exchange slot stays small.
     machine: Box<ExchangeMachine<'static>>,
 }
@@ -665,7 +638,7 @@ impl<S: Service> Reactor<S> {
             } else {
                 0
             };
-            let n = self.ep.wait(&mut events, timeout_ms);
+            let n = self.ep.ready(&mut events, timeout_ms);
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
@@ -945,9 +918,7 @@ impl<S: Service> Reactor<S> {
             }),
             Served::Park(register) => {
                 let inject = Arc::clone(&self.inject);
-                register(Waker::new(move |then| {
-                    inject.push(Inbound::Resume { token, then })
-                }))
+                register(Waker::new(move |then| inject.push(Inbound { token, then })))
             }
         }
     }
@@ -955,11 +926,8 @@ impl<S: Service> Reactor<S> {
     fn drain_completions(&mut self) {
         let mut comps = std::mem::take(&mut self.comp_buf);
         self.inject.drain_into(&mut comps);
-        for inbound in comps.drain(..) {
-            match inbound {
-                Inbound::Start(plan) => self.start_upstream(plan, None),
-                Inbound::Resume { token, then } => self.resume(token, then),
-            }
+        for Inbound { token, then } in comps.drain(..) {
+            self.resume(token, then);
         }
         self.comp_buf = comps;
     }
@@ -969,7 +937,7 @@ impl<S: Service> Reactor<S> {
     fn run_deferred(&mut self) {
         while let Some(deferred) = self.deferred.pop_front() {
             match deferred {
-                Deferred::Start { plan, client } => self.start_upstream(plan, Some(client)),
+                Deferred::Start { plan, client } => self.start_upstream(plan, client),
                 Deferred::Failed(ex) => self.finish_exchange(ex),
             }
         }
@@ -1012,10 +980,9 @@ impl<S: Service> Reactor<S> {
 
     // -- nonblocking upstream leg --------------------------------------------
 
-    /// Begin an upstream exchange: reuse a healthy kept-alive connection or
-    /// dial fresh. `client` is the parked client token (None for detached
-    /// prefetch plans).
-    fn start_upstream(&mut self, mut plan: UpstreamPlan, client: Option<u64>) {
+    /// Begin an upstream exchange for the parked client `client`: reuse a
+    /// healthy kept-alive connection or dial fresh.
+    fn start_upstream(&mut self, mut plan: UpstreamPlan, client: u64) {
         self.shard_stats().upstream_inflight.fetch_add(1, Relaxed);
         let request = std::mem::take(&mut plan.request);
         let response = ResponseMachine::new(plan.relay);
@@ -1157,7 +1124,7 @@ impl<S: Service> Reactor<S> {
                 };
                 let Some(ex) = up.ex.as_mut() else { return };
                 let machine = &mut ex.machine;
-                let mut client = ex.client.and_then(|t| slab.get_mut(t));
+                let mut client = slab.get_mut(ex.client);
                 let mut verdict = Out::Wait;
                 let mut drained = machine.unsent() && !up.hup;
                 while !machine.to_write().is_empty() {
@@ -1171,8 +1138,8 @@ impl<S: Service> Reactor<S> {
                         }
                     }
                 }
-                // A buffering machine never touches its sink, so a
-                // detached (or orphaned) exchange lends it the spare one.
+                // A buffering machine never touches its sink, so an
+                // orphaned exchange lends it the spare one.
                 while matches!(verdict, Out::Wait) {
                     if machine.engaged() {
                         let Some(conn) = client.as_mut() else {
@@ -1217,7 +1184,7 @@ impl<S: Service> Reactor<S> {
                     } else if let Some(conn) = client.as_mut() {
                         let span = &up.buf[machine.span()];
                         if conn.machine.write_through(&mut conn.stream, span).is_err() {
-                            verdict = Out::Broken(ex.client.expect("a live client"));
+                            verdict = Out::Broken(ex.client);
                         }
                     }
                     machine.moved(*now);
@@ -1274,7 +1241,7 @@ impl<S: Service> Reactor<S> {
         } else {
             self.close_upstream(utoken);
         }
-        if let Some(conn) = ex.client.and_then(|t| self.slab.get_mut(t)) {
+        if let Some(conn) = self.slab.get_mut(ex.client) {
             conn.relay_up = None;
         }
         self.finish_exchange(ex);
@@ -1291,14 +1258,8 @@ impl<S: Service> Reactor<S> {
             machine,
         } = ex;
         let outcome = machine.into_outcome();
-        let client = client.filter(|t| self.slab.get_mut(*t).is_some());
-        let (scratch, out) = match client {
-            Some(token) => self
-                .slab
-                .get_mut(token)
-                .expect("checked above")
-                .machine
-                .stage(),
+        let (scratch, out) = match self.slab.get_mut(client) {
+            Some(conn) => conn.machine.stage(),
             None => {
                 self.spare_out.clear();
                 (&mut self.spare_scratch, &mut self.spare_out)
@@ -1308,10 +1269,9 @@ impl<S: Service> Reactor<S> {
         self.shard_stats().upstream_inflight.fetch_sub(1, Relaxed);
         // An `Err` can only end in a truncation: drain what is staged —
         // the client head and a strict prefix of the body — then close.
-        if let Some(token) = client {
-            let conn = self.slab.get_mut(token).expect("checked above");
+        if let Some(conn) = self.slab.get_mut(client) {
             conn.machine.unpark(done.is_ok());
-            self.pump(token);
+            self.pump(client);
         }
     }
 

@@ -271,16 +271,6 @@ impl ServerHandle {
         &self.stats
     }
 
-    /// Handle for injecting detached upstream exchanges into the reactor
-    /// shards (reactor-mode servers only).
-    #[cfg(target_os = "linux")]
-    pub(crate) fn reactor_submitter(&self) -> Option<crate::reactor::ReactorSubmitter> {
-        match &self.inner {
-            HandleInner::Reactor(handle) => Some(handle.submitter()),
-            _ => None,
-        }
-    }
-
     #[cfg(target_os = "linux")]
     pub(crate) fn from_reactor(
         addr: SocketAddr,

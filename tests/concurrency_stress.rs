@@ -249,7 +249,8 @@ fn small_cache_thrash_stays_live_and_conserved() {
 // byte-identical to the socket-free `PiggybackServer` reference.
 // ---------------------------------------------------------------------------
 
-/// Pull one `name value` field out of a `/_pb/stats` body.
+/// Pull one `name value` sample out of a `/__pb/metrics` scrape (`name`
+/// carries the sample's labels, if any).
 fn stats_field(body: &str, name: &str) -> u64 {
     body.lines()
         .find_map(|l| {
@@ -257,12 +258,20 @@ fn stats_field(body: &str, name: &str) -> u64 {
                 .and_then(|r| r.strip_prefix(' '))
                 .and_then(|r| r.trim().parse().ok())
         })
-        .unwrap_or_else(|| panic!("missing `{name}` in stats body:\n{body}"))
+        .unwrap_or_else(|| panic!("missing `{name}` in the scrape:\n{body}"))
 }
+
+/// The origin scrape's piggyback outcome samples: sent, suppressed,
+/// no filter.
+const PIGGYBACK_OUTCOMES: [&str; 3] = [
+    "pb_origin_piggyback_outcomes_total{outcome=\"sent\"}",
+    "pb_origin_piggyback_outcomes_total{outcome=\"suppressed\"}",
+    "pb_origin_piggyback_outcomes_total{outcome=\"no_filter\"}",
+];
 
 /// 16 clients with a mixed workload (filtered, filter-less, 404, and
 /// If-Modified-Since requests) racing a `/_pb/modify` mutator and a
-/// stats/metrics scraper. At quiescence every ledger must balance exactly,
+/// metrics scraper. At quiescence every ledger must balance exactly,
 /// on either I/O engine.
 fn origin_conservation_run(io: IoMode) {
     let done = watchdog(Duration::from_secs(120));
@@ -303,21 +312,20 @@ fn origin_conservation_run(io: IoMode) {
             s.spawn(move || {
                 let mut client = HttpClient::connect(addr).unwrap();
                 while !stop.load(Ordering::SeqCst) {
-                    let st = client.get("/_pb/stats", &[]).unwrap();
-                    assert_eq!(st.status, 200);
-                    let body = String::from_utf8(st.body.to_vec()).unwrap();
+                    let m = client.get("/__pb/metrics", &[]).unwrap();
+                    assert_eq!(m.status, 200);
+                    let body = String::from_utf8(m.body.to_vec()).unwrap();
                     // Mid-flight reads may lag individual counters but must
                     // never *overshoot* the requests they account for.
-                    let requests = stats_field(&body, "requests");
-                    let outcomes = stats_field(&body, "piggybacks_sent")
-                        + stats_field(&body, "suppressed")
-                        + stats_field(&body, "no_filter");
+                    let requests = stats_field(&body, "pb_origin_pb_requests_total");
+                    let outcomes = PIGGYBACK_OUTCOMES
+                        .iter()
+                        .map(|o| stats_field(&body, o))
+                        .sum::<u64>();
                     assert!(
                         outcomes <= requests + (CLIENTS as u64),
                         "scraped outcomes ran far ahead of requests:\n{body}"
                     );
-                    let m = client.get("/__pb/metrics", &[]).unwrap();
-                    assert_eq!(m.status, 200);
                     std::thread::sleep(Duration::from_millis(1));
                 }
             });
@@ -403,14 +411,21 @@ fn origin_conservation_run(io: IoMode) {
         "the mutator must have advanced the table generation"
     );
 
-    // The HTTP surface reports the same ledger.
+    // The scrape reports the same ledger.
     let mut client = HttpClient::connect(addr).unwrap();
-    let body = String::from_utf8(client.get("/_pb/stats", &[]).unwrap().body.to_vec()).unwrap();
-    assert_eq!(stats_field(&body, "requests"), s.requests);
-    assert_eq!(stats_field(&body, "piggybacks_sent"), s.piggybacks_sent);
-    assert_eq!(stats_field(&body, "suppressed"), s.suppressed);
-    assert_eq!(stats_field(&body, "no_filter"), s.no_filter);
-    assert_eq!(stats_field(&body, "generation"), origin.generation());
+    let body = String::from_utf8(client.get("/__pb/metrics", &[]).unwrap().body.to_vec()).unwrap();
+    assert_eq!(
+        stats_field(&body, "pb_origin_pb_requests_total"),
+        s.requests
+    );
+    let [sent, suppressed, no_filter] = PIGGYBACK_OUTCOMES.map(|o| stats_field(&body, o));
+    assert_eq!(sent, s.piggybacks_sent);
+    assert_eq!(suppressed, s.suppressed);
+    assert_eq!(no_filter, s.no_filter);
+    assert_eq!(
+        stats_field(&body, "pb_origin_table_generation"),
+        origin.generation()
+    );
 
     // Transport ledger: every counted request got exactly one response
     // (scrapes of /__pb/metrics are intercepted before the counters).

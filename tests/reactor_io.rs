@@ -9,9 +9,11 @@
 //!   exactly, same as the threaded suite in `concurrency_stress.rs`.
 //! * **Pipelining, idle reaping, upstream errors, metrics** — the
 //!   reactor-specific behaviors observable from outside.
-//! * **No thread behind the reactor** — misses, speculation and demand
-//!   joins all stay on the epoll loop; the blocking poller's origin pool
-//!   is never touched.
+//! * **Demand on the shards, speculation on the pool** — misses and
+//!   demand joins stay on the epoll loop, and a miss workload never
+//!   touches the blocking origin pool; the prefetch crew runs every
+//!   speculative fetch itself on that pool, as on the threaded engine, so
+//!   the two carry disjoint traffic and speculate alike.
 //!
 //! Linux-only: off Linux `IoMode::Reactor` falls back to the threaded
 //! pool and these tests would prove nothing.
@@ -23,12 +25,12 @@ use piggyback::core::types::DurationMs;
 use piggyback::httpwire::{Request, Response};
 use piggyback::proxyd::client::HttpClient;
 use piggyback::proxyd::origin::{start_origin, OriginConfig};
-use piggyback::proxyd::proxy::{start_proxy, ProxyConfig, ProxyHandle};
-use piggyback::proxyd::util::serve;
+use piggyback::proxyd::proxy::{start_proxy, ProxyConfig, ProxyHandle, ProxyStats};
+use piggyback::proxyd::util::{serve, ServerHandle};
 use piggyback::proxyd::{IoMode, METRICS_PATH};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -337,13 +339,7 @@ fn reactor_misses_dial_upstream_without_offloads() {
     assert_eq!(resp.status, 200);
     let text = String::from_utf8(resp.body.to_vec()).unwrap();
 
-    let shard_sum = |metric: &str| -> u64 {
-        let tagged = format!("{metric}{{shard=");
-        text.lines()
-            .filter(|l| l.starts_with(&tagged))
-            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
-            .sum()
-    };
+    let shard_sum = |metric: &str| shard_sum(&text, metric);
     assert_blocking_pool_untouched(&proxy);
     let dials = shard_sum("pb_proxy_reactor_upstream_dials_total");
     let reuses = shard_sum("pb_proxy_reactor_upstream_reuses_total");
@@ -376,12 +372,49 @@ fn assert_blocking_pool_untouched(proxy: &ProxyHandle) {
     assert_eq!((pool.connects, pool.reuses), (0, 0), "{pool:?}");
 }
 
-/// Speculation and demand joins stay on the reactor too: a walk through
-/// a warmed origin prefetches the mates its piggybacks name, and a demand
-/// miss joined to an in-flight speculation parks and is served the
-/// speculation's entry — all without the blocking pool.
+/// Sum a per-shard series of a scrape over its shards.
+fn shard_sum(text: &str, metric: &str) -> u64 {
+    let tagged = format!("{metric}{{shard=");
+    text.lines()
+        .filter(|l| l.starts_with(&tagged))
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum()
+}
+
+/// On the reactor the prefetch crew's exchanges are the blocking pool's
+/// only traffic, and demand exchanges the shards' only upstream traffic:
+/// every speculative attempt is one pool checkout, every demand attempt
+/// one shard dial or reuse. A joined demand is a fresh hit, no exchange.
+/// Polled briefly, so a speculation still checking out can settle.
+fn assert_speculation_on_the_pool_demand_on_the_shards(proxy: &ProxyHandle) {
+    let split = || {
+        let mut m = HttpClient::connect(proxy.addr()).unwrap();
+        let text = String::from_utf8(m.get(METRICS_PATH, &[]).unwrap().body.to_vec()).unwrap();
+        let legs = shard_sum(&text, "pb_proxy_reactor_upstream_dials_total")
+            + shard_sum(&text, "pb_proxy_reactor_upstream_reuses_total");
+        let (s, pool) = (proxy.stats(), proxy.pool_stats().unwrap());
+        let speculative = s.prefetch_issued + s.prefetch_retries;
+        let demand = s.requests - s.fresh_hits + s.upstream_retries;
+        (pool.connects + pool.reuses, speculative, legs, demand)
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut seen = split();
+    while seen.0 != seen.1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+        seen = split();
+    }
+    let (pooled, speculative, legs, demand) = seen;
+    assert_eq!(pooled, speculative, "pool traffic is speculation only");
+    assert_eq!(legs, demand, "shard upstream legs are demand only");
+}
+
+/// Speculation runs on the crew's own thread on both engines: on the
+/// reactor a walk through a warmed origin prefetches the mates its
+/// piggybacks name over the blocking pool, while its demand misses ride
+/// the shards; and a demand miss joined to an in-flight speculation parks
+/// and is served the speculation's entry, one origin fetch in all.
 #[test]
-fn reactor_prefetch_walk_and_join_never_touch_the_blocking_pool() {
+fn reactor_speculation_rides_the_pool_and_demand_the_shards() {
     let origin = start_origin(OriginConfig::default()).unwrap();
     // Piggybacks only name mates with recorded accesses.
     let mut warm = HttpClient::connect(origin.addr()).unwrap();
@@ -403,7 +436,7 @@ fn reactor_prefetch_walk_and_join_never_touch_the_blocking_pool() {
     });
     let s = proxy.stats();
     assert_eq!(s.outcomes(), s.requests, "{s:?}");
-    assert_blocking_pool_untouched(&proxy);
+    assert_speculation_on_the_pool_demand_on_the_shards(&proxy);
     proxy.stop();
     origin.stop();
 
@@ -453,9 +486,106 @@ fn reactor_prefetch_walk_and_join_never_touch_the_blocking_pool() {
     assert_eq!(&resp.body[..], b"/mate.html");
     let s = proxy.stats();
     assert_eq!((s.prefetch_used, s.fresh_hits), (1, 1), "{s:?}");
-    assert_blocking_pool_untouched(&proxy);
+    assert_speculation_on_the_pool_demand_on_the_shards(&proxy);
     proxy.stop();
     origin.stop();
+}
+
+/// An origin whose pages name fixed volume mates on every demand GET:
+/// `/p{i}.html` names the next page, the one three on and, on every
+/// fourth page, a mate it answers 404. It counts the requests it answers.
+fn mates_origin(served: Arc<AtomicU64>) -> ServerHandle {
+    serve(0, "mates-origin", move |stream| {
+        let mut r = BufReader::new(stream.try_clone().unwrap());
+        let mut w = stream;
+        while let Ok(req) = Request::read(&mut r) {
+            let page = req
+                .target
+                .strip_prefix("/p")
+                .and_then(|t| t.strip_suffix(".html"));
+            let page = page.and_then(|i| i.parse::<u32>().ok());
+            let mut resp = Response::new(if page.is_some() { 200 } else { 404 });
+            resp.headers
+                .insert("Last-Modified", "Thu, 01 Jan 1998 00:00:00 GMT");
+            if let Some(i) = page.filter(|_| req.headers.get("Piggy-filter").is_some()) {
+                let mate = |path: String| format!("\"{path}\" 886000000 1024");
+                let mut pv = format!("{i}; {}", mate(format!("/p{}.html", i + 1)));
+                pv += &format!(", {}", mate(format!("/p{}.html", i + 3)));
+                if i % 4 == 0 {
+                    pv += &format!(", {}", mate(format!("/gone{i}.html")));
+                }
+                resp.headers.insert("P-volume", &pv);
+            }
+            resp.body = req.target.clone().into_bytes().into();
+            served.fetch_add(1, Ordering::SeqCst);
+            if resp.write(&mut w).is_err() {
+                return;
+            }
+        }
+    })
+    .unwrap()
+}
+
+/// One walk speculates alike on both engines once paced so that no
+/// demand races a speculation: after each request, every exchange the
+/// proxy started has reached the origin and the counters held still for
+/// a while. The speculation counters then agree field for field.
+#[test]
+fn prefetch_walk_speculates_alike_on_both_engines() {
+    let walk = |io: IoMode| {
+        let served = Arc::new(AtomicU64::new(0));
+        let origin = mates_origin(Arc::clone(&served));
+        let mut cfg = ProxyConfig::new(origin.addr);
+        cfg.io = io;
+        cfg.prefetch_budget = 2;
+        let proxy = start_proxy(cfg).unwrap();
+        let caught_up = || {
+            let s = proxy.stats();
+            let demand = s.requests - s.fresh_hits + s.upstream_retries;
+            let speculative = s.prefetch_issued + s.prefetch_retries;
+            (served.load(Ordering::SeqCst) == demand + speculative).then_some(s)
+        };
+        let mut client = HttpClient::connect(proxy.addr()).unwrap();
+        for i in 0..24 {
+            assert_eq!(client.get(&format!("/p{i}.html"), &[]).unwrap().status, 200);
+            let (mut last, deadline) = (None, Instant::now() + Duration::from_secs(10));
+            loop {
+                std::thread::sleep(Duration::from_millis(50));
+                let now = caught_up();
+                if now.is_some() && now == last {
+                    break;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "{io:?}: speculation never settled"
+                );
+                last = now;
+            }
+        }
+        let s = proxy.stats();
+        proxy.stop();
+        origin.stop();
+        s
+    };
+    let speculation = |s: &ProxyStats| {
+        (
+            s.prefetch_issued,
+            s.prefetch_used,
+            s.prefetch_wasted,
+            s.prefetch_cancelled,
+            s.prefetch_retries,
+        )
+    };
+    let (threaded, reactor) = (walk(IoMode::Threaded), walk(REACTOR));
+    assert!(
+        threaded.prefetch_used > 0 && threaded.prefetch_wasted > 0,
+        "the walk uses and wastes speculation: {threaded:?}"
+    );
+    assert_eq!(
+        speculation(&reactor),
+        speculation(&threaded),
+        "(issued, used, wasted, cancelled, retries), reactor vs threaded:\n{reactor:?}\n{threaded:?}"
+    );
 }
 
 /// Poll `cond` for up to ten seconds.
@@ -590,6 +720,20 @@ fn streaming_proxy(origin: SocketAddr, io: IoMode) -> ProxyHandle {
     start_proxy(cfg).unwrap()
 }
 
+/// The proxy's counters once every request is accounted, or after ten
+/// seconds. Both engines count a relayed response after its last byte
+/// reaches the client, so the client may read it before the count.
+fn settled_stats(proxy: &ProxyHandle) -> ProxyStats {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let s = proxy.stats();
+        if s.outcomes() == s.requests || Instant::now() >= deadline {
+            return s;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Tentpole proof: large-object misses and prefix hits are
 /// byte-identical across the threaded engine and the reactor relay —
 /// same head (`X-Cache: MISS` / `X-Cache: PREFIX`), same
@@ -633,7 +777,7 @@ fn reactor_streams_large_objects_byte_identical_to_threaded() {
     }
 
     for (mode, proxy) in [("threaded", &threaded), ("reactor", &reactor)] {
-        let s = proxy.stats();
+        let s = settled_stats(proxy);
         assert_eq!(s.requests, 2, "{mode}: {s:?}");
         assert_eq!(s.full_fetches, 1, "{mode}: {s:?}");
         assert_eq!(s.streamed_misses, 1, "{mode}: {s:?}");
@@ -692,7 +836,7 @@ fn reactor_relay_backpressure_pauses_for_slow_readers() {
         "payload corrupt after backpressure"
     );
 
-    let s = proxy.stats();
+    let s = settled_stats(&proxy);
     assert_eq!(s.streamed_misses, 1, "{s:?}");
     assert_eq!(s.upstream_errors, 0, "{s:?}");
     assert_eq!(s.outcomes(), s.requests, "{s:?}");
