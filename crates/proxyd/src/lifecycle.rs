@@ -12,8 +12,9 @@
 //! piggyback state and the reply ([`settle`]). Both
 //! pollers of the proxy service — the blocking one ([`crate::service`])
 //! and the reactor — dial, write, read bytes into the exchange machine,
-//! hand its outcome here through the plan's continuation, and write what
-//! comes back — so the two engines cannot drift (PROTOCOL.md §7.1, §14).
+//! hand its outcome and the plan's job to the service's settle, which
+//! brings them here, and write what comes back — so the two engines
+//! cannot drift (PROTOCOL.md §7.1, §12.4, §14).
 //! The volume center drives the same machine through the same blocking
 //! loop, under the upstream's own head ([`AsIs`], PROTOCOL.md §14.1).
 //! A `Content-Length` body relayed under raw framing is never copied
@@ -47,7 +48,7 @@ use std::time::{Duration, Instant};
 /// Everything the rest of a request needs once planning resolved it to
 /// upstream work, detached from the `Request` (owned path, filter,
 /// drained report) so either driver can carry it across an exchange.
-pub(crate) struct UpstreamJob {
+pub struct UpstreamJob {
     pub(crate) path: String,
     /// A validation's `Last-Modified` and the cached body it validates,
     /// pinned at planning (a refcount, no copy): a 304 answers from this

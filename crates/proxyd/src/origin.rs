@@ -66,6 +66,7 @@ use piggyback_core::wire::{encode_p_volume, P_VOLUME_HEADER};
 use piggyback_httpwire::{Body, ConnScratch, Request, Response};
 use piggyback_trace::synth::site::{Site, SiteConfig};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::io::{self, BufReader};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -384,7 +385,7 @@ pub fn start_origin(cfg: OriginConfig) -> io::Result<OriginHandle> {
 
 /// The origin as a [`Service`]: every response — site resources, admin
 /// endpoints, the metrics scrape — serializes inline; the origin has no
-/// upstream.
+/// upstream and never parks, so it has no job or wait to name.
 struct OriginSvc {
     shared: Arc<OriginShared>,
     daemon: Arc<AtomicDaemonStats>,
@@ -394,6 +395,8 @@ struct OriginSvc {
 
 impl Service for OriginSvc {
     type Ctx = ();
+    type Job = Infallible;
+    type Wait = Infallible;
 
     fn make_ctx(&self) {}
 
@@ -409,7 +412,7 @@ impl Service for OriginSvc {
         _ctx: &mut (),
         scratch: &mut ConnScratch,
         out: &mut Vec<u8>,
-    ) -> io::Result<Served> {
+    ) -> io::Result<Served<Self>> {
         let (shared, daemon, obs) = (&*self.shared, &*self.daemon, &*self.obs);
         // Admin scrape, intercepted before the request/response counters
         // so scrapes never appear in the ledger they report on. Served from

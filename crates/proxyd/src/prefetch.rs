@@ -46,14 +46,15 @@
 //! request adds a waiter to the job and, woken when the speculation
 //! settles, serves the prefetched entry (or fetches after all if nothing
 //! landed), so the origin sees exactly one fetch either way. The waiter
-//! is the parked connection's [`Waker`](crate::service::Waker): it
-//! resumes the connection on its poller. Every speculation's exchange
-//! runs under the upstream deadline, so it settles in bounded time and a
-//! joiner needs no timeout of its own.
+//! is the parked connection's [`Waker`] and the demand's job: the waker
+//! delivers the job back to the connection's poller, which resumes it
+//! ([`Service::resume`](crate::service::Service::resume)). Every
+//! speculation's exchange runs under the upstream deadline, so it settles
+//! in bounded time and a joiner needs no timeout of its own.
 
-use crate::lifecycle::{self, UpstreamOutcome};
+use crate::lifecycle::{self, UpstreamJob, UpstreamOutcome};
 use crate::proxy::ProxyShared;
-use crate::service::{run_plan, UpstreamPlan};
+use crate::service::{pool_exchange, Waker};
 use crate::stats::AtomicProxyStats;
 use piggyback_core::types::{ResourceId, Timestamp};
 use piggyback_httpwire::ConnScratch;
@@ -80,15 +81,15 @@ enum JobState {
     Cancelled,
 }
 
-/// A wake-up owed to a request joined to a speculation. Fires exactly
-/// once: when the job settles, or — should it go away unsettled — when
-/// dropped.
-struct Waiter(Option<Box<dyn FnOnce() + Send>>);
+/// A wake-up owed to a request joined to a speculation: its connection's
+/// waker and the job it resumes with. Fires exactly once: when the job
+/// settles, or — should it go away unsettled — when dropped.
+struct Waiter(Option<(Waker<UpstreamJob>, UpstreamJob)>);
 
 impl Drop for Waiter {
     fn drop(&mut self) {
-        if let Some(wake) = self.0.take() {
-            wake();
+        if let Some((waker, job)) = self.0.take() {
+            waker.wake(job);
         }
     }
 }
@@ -121,10 +122,10 @@ impl Job {
 pub(crate) struct Speculation(Arc<Job>);
 
 impl Speculation {
-    /// Run `wake` once the speculation settles — at once if it already
-    /// has.
-    pub(crate) fn on_settle(&self, wake: impl FnOnce() + Send + 'static) {
-        let waiter = Waiter(Some(Box::new(wake)));
+    /// Wake `waker` with `job` once the speculation settles — at once if
+    /// it already has.
+    pub(crate) fn on_settle(&self, waker: Waker<UpstreamJob>, job: UpstreamJob) {
+        let waiter = Waiter(Some((waker, job)));
         let mut st = (self.0).0.lock().unwrap();
         if st.state == JobState::Fetching {
             st.joined.push(waiter);
@@ -134,8 +135,8 @@ impl Speculation {
 }
 
 /// Settles its job when dropped, whichever way the fetch ended — its
-/// outcome settled, or its plan dropped unrun — so joiners wake exactly
-/// once and the dedup entry goes.
+/// outcome settled, or the worker unwound mid-fetch — so joiners wake
+/// exactly once and the dedup entry goes.
 struct Landing {
     inner: Arc<PrefetchInner>,
     r: ResourceId,
@@ -287,9 +288,16 @@ fn worker_loop(inner: &Arc<PrefetchInner>, shared: &Weak<ProxyShared>) {
     }
 }
 
+/// Fetch `cand` speculatively and install it, unless the demand path
+/// cancelled it: the plain GET is one [`pool_exchange`] (same retry-once
+/// contract and deadline as the demand path) the worker runs itself on
+/// the proxy's pool, on either engine, holding its budget slot until the
+/// exchange ends. The outcome lands in [`settle_speculation`] — settling
+/// the ledger exactly once — and then the landing settles the job as it
+/// drops.
 fn run_candidate(
     inner: &Arc<PrefetchInner>,
-    shared: &Arc<ProxyShared>,
+    shared: &ProxyShared,
     cand: Candidate,
     scratch: &mut ConnScratch,
 ) {
@@ -303,53 +311,29 @@ fn run_candidate(
             JobState::Fetching | JobState::Done => return,
         }
     }
-    let landing = Landing {
+    let _landing = Landing {
         inner: Arc::clone(inner),
         r: cand.r,
         job: cand.job,
     };
-    fetch_and_install(shared, landing, &cand.path, scratch);
-}
-
-/// Fetch `path` speculatively and install it: the plain GET is one
-/// [`UpstreamPlan`] (same retry-once contract and deadline as the demand
-/// path) the worker runs itself on the proxy's pool, on either engine,
-/// holding its budget slot until the exchange ends. The continuation lands
-/// the outcome in [`settle_speculation`] — settling the ledger exactly
-/// once — and then settles the job.
-fn fetch_and_install(
-    shared: &Arc<ProxyShared>,
-    landing: Landing,
-    path: &str,
-    scratch: &mut ConnScratch,
-) {
-    // Last-second dedup: a demand fetch may have landed the entry since this candidate was queued. Skipping here is
-    // free — the fetch was never issued.
-    if shared.cache.peek(landing.r).is_some() {
+    // Last-second dedup: a demand fetch may have landed the entry since
+    // this candidate was queued. Skipping here is free — the fetch was
+    // never issued.
+    if shared.cache.peek(cand.r).is_some() {
         return;
     }
     let stats = &shared.stats;
     stats.prefetch_issued.fetch_add(1, Relaxed);
     stats.prefetch_inflight.fetch_add(1, Relaxed);
-    let leg = lifecycle::speculative_leg(path);
-    let (finish_shared, retry_shared) = (Arc::clone(shared), Arc::clone(shared));
-    let path = path.to_owned();
-    let plan = UpstreamPlan {
-        origin: shared.cfg.origin,
-        request: leg.request_bytes(scratch),
-        retry: Box::new(move || {
-            retry_shared.stats.prefetch_retries.fetch_add(1, Relaxed);
-        }),
-        finish: Box::new(move |_scratch, _out, outcome, now| {
-            let now = finish_shared.clock.at(now);
-            settle_speculation(&finish_shared, landing.r, &path, outcome, now);
-            drop(landing);
-            Ok(())
-        }),
-        relay: leg.relay,
+    let leg = lifecycle::speculative_leg(&cand.path);
+    let (request, sink) = (leg.request_bytes(scratch), &mut Vec::new());
+    let retried = || {
+        stats.prefetch_retries.fetch_add(1, Relaxed);
     };
     // A speculative leg never engages, so nothing reaches the sink.
-    let _ = run_plan(plan, &shared.pool, scratch, &mut Vec::new(), |_, _| Ok(()));
+    let flush = |_: &mut Vec<u8>, _: &[u8]| Ok(());
+    let (outcome, now) = pool_exchange(request, leg.relay, &shared.pool, sink, retried, flush);
+    settle_speculation(shared, cand.r, &cand.path, outcome, shared.clock.at(now));
 }
 
 /// Resolve an issued speculation from its exchange outcome, settled at

@@ -23,19 +23,20 @@
 //! ## One service, two pollers
 //!
 //! The proxy is one [`Service`]: planning ([`plan_request`]) resolves a
-//! request to a reply or an [`UpstreamJob`], and the job becomes an
-//! [`UpstreamPlan`] whose continuation hands the outcome to the settle
-//! functions of [`crate::lifecycle`], which write what the job does to
-//! the cache, the counters and the client's answer once, socket-free.
-//! Either poller — the blocking one of [`crate::service`] or the epoll
-//! reactor — runs the plan (PROTOCOL.md §12).
+//! request to a reply or an [`UpstreamJob`], and the job rides an
+//! [`UpstreamPlan`] (or a [`Join`] on a speculation) as data. Either
+//! poller — the blocking one of [`crate::service`] or the epoll reactor —
+//! runs the plan and hands the job back with its outcome to
+//! [`Service::settle`], which passes it to the settle functions of
+//! [`crate::lifecycle`]: they write what the job does to the cache, the
+//! counters and the client's answer once, socket-free (PROTOCOL.md §12).
 
 use crate::client::{ConnectionPool, PoolStats};
-use crate::lifecycle::{self, Settled, UpstreamJob};
+use crate::lifecycle::{self, Settled, UpstreamJob, UpstreamOutcome};
 use crate::obs::{render_histogram, render_scalar, render_transport, ProxyObs};
 use crate::origin::strip_origin_form;
-use crate::prefetch::{self, Prefetcher};
-use crate::service::{serve_blocking, Served, Service, UpstreamPlan};
+use crate::prefetch::{self, Prefetcher, Speculation};
+use crate::service::{serve_blocking, Served, Service, UpstreamPlan, Waker};
 use crate::stats::AtomicProxyStats;
 pub use crate::stats::ProxyStats;
 use crate::util::{Clock, IoMode, IoStats, ServeOptions, ServerHandle};
@@ -330,11 +331,19 @@ pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
 }
 
 /// The proxy as a [`Service`]: cache hits, metrics, and synthesized errors
-/// serialize inline; upstream fetches become [`UpstreamPlan`]s the poller runs, and a demand miss joined to
-/// an in-flight speculation parks ([`Served::Park`]) until the
-/// speculation settles.
+/// serialize inline; upstream fetches become [`UpstreamPlan`]s the poller
+/// runs, and a demand miss joined to an in-flight speculation parks on a
+/// [`Join`] until the speculation settles.
 pub struct ProxySvc {
     shared: Arc<ProxyShared>,
+}
+
+/// A demand miss joined to an in-flight speculation of its path: the
+/// wait a parked connection registers ([`Service::park`]), and the job
+/// its waker delivers back when the speculation settles.
+pub struct Join {
+    spec: Speculation,
+    job: UpstreamJob,
 }
 
 /// A poller's lock-free affine L1 — one per reactor shard, one per
@@ -446,6 +455,8 @@ const L1_CAP: usize = 1024;
 
 impl Service for ProxySvc {
     type Ctx = ProxyCtx;
+    type Job = UpstreamJob;
+    type Wait = Join;
 
     fn make_ctx(&self) -> ProxyCtx {
         ProxyCtx::default()
@@ -467,7 +478,7 @@ impl Service for ProxySvc {
         ctx: &mut ProxyCtx,
         scratch: &mut ConnScratch,
         out: &mut Vec<u8>,
-    ) -> io::Result<Served> {
+    ) -> io::Result<Served<Self>> {
         let shared = &self.shared;
         let path = strip_origin_form(&req.target);
         // A mutation since the fill invalidates every entry: drop their
@@ -517,82 +528,86 @@ impl Service for ProxySvc {
                 resp.write_with(out, scratch)?;
                 Ok(Served::Inline)
             }
-            Step::Upstream(job) => self.plan_upstream(job, scratch, out),
+            // A plain miss racing a speculative fetch of the same path:
+            // cancel a still-queued job outright, but join one already on
+            // the wire — the connection parks until the speculation
+            // settles, then serves what landed or fetches after all, so
+            // the origin sees exactly one fetch either way. Every
+            // speculation settles within its upstream deadline, so the
+            // park needs no timeout of its own.
+            Step::Upstream(job) => {
+                let prefetcher = shared.prefetcher.get().filter(|_| job.validate.is_none());
+                Ok(match prefetcher.and_then(|p| p.claim(shared, &job.path)) {
+                    Some(spec) => Served::Park(Join { spec, job }),
+                    None => fetch(shared, job, scratch, out),
+                })
+            }
         }
     }
-}
 
-impl ProxySvc {
-    fn plan_upstream(
+    /// Hand the outcome to the lifecycle's settle at `now`, and write
+    /// what it returns.
+    fn settle(
+        &self,
+        job: UpstreamJob,
+        outcome: UpstreamOutcome,
+        now: Instant,
+        scratch: &mut ConnScratch,
+        out: &mut Vec<u8>,
+    ) -> io::Result<()> {
+        let shared = &self.shared;
+        match lifecycle::settle(shared, &job, outcome, shared.clock.at(now)) {
+            Settled::Reply(resp) => resp.write_with(out, scratch),
+            Settled::Sent => Ok(()),
+            Settled::Abort => Err(lifecycle::relay_aborted()),
+        }
+    }
+
+    fn retried(&self, _job: &UpstreamJob) {
+        self.shared.stats.upstream_retries.fetch_add(1, Relaxed);
+    }
+
+    fn park(&self, wait: Join, waker: Waker<UpstreamJob>) {
+        wait.spec.on_settle(waker, wait.job);
+    }
+
+    /// The joined speculation settled: serve what landed, or fetch after
+    /// all.
+    fn resume(
         &self,
         job: UpstreamJob,
         scratch: &mut ConnScratch,
         out: &mut Vec<u8>,
-    ) -> io::Result<Served> {
-        let shared = &self.shared;
-        // A plain miss racing a speculative fetch of the same path: cancel
-        // a still-queued job outright, but join one already on the wire —
-        // the connection parks until the speculation settles, then serves
-        // what landed or fetches after all, so the origin sees exactly one
-        // fetch either way. Every speculation settles within its upstream
-        // deadline, so the park needs no timeout of its own.
-        if job.validate.is_none() {
-            if let Some(spec) = shared
-                .prefetcher
-                .get()
-                .and_then(|p| p.claim(shared, &job.path))
-            {
-                let shared = Arc::clone(shared);
-                return Ok(Served::Park(Box::new(move |waker| {
-                    spec.on_settle(move || {
-                        waker.wake(Box::new(
-                            move |scratch, out| match lifecycle::landed_speculation(&shared, &job) {
-                                Some((body, lm)) => {
-                                    HitHead::append(out, lm, body.len());
-                                    out.extend_from_slice(body.as_slice());
-                                    Ok(Served::Inline)
-                                }
-                                None => Ok(fetch(&shared, job, scratch, out)),
-                            },
-                        ))
-                    })
-                })));
-            }
-        }
-        Ok(fetch(shared, job, scratch, out))
+    ) -> io::Result<Served<Self>> {
+        let Some((body, lm)) = lifecycle::landed_speculation(&self.shared, &job) else {
+            return Ok(fetch(&self.shared, job, scratch, out));
+        };
+        HitHead::append(out, lm, body.len());
+        out.extend_from_slice(body.as_slice());
+        Ok(Served::Inline)
     }
 }
 
 /// The upstream plan that answers `job`: the poller dials (or reuses) an
-/// origin connection, and the continuation hands the outcome to the
-/// lifecycle's settle. A prefix hit's head and cached bytes are staged in
-/// `out` first: both pollers write them before the origin is dialed, so
-/// the client's first byte waits on no round trip.
+/// origin connection and hands the outcome back to [`Service::settle`]
+/// with the job. A prefix hit's head and cached bytes are staged in `out`
+/// first: both pollers write them before the origin is dialed, so the
+/// client's first byte waits on no round trip.
 fn fetch(
-    shared: &Arc<ProxyShared>,
+    shared: &ProxyShared,
     mut job: UpstreamJob,
     scratch: &mut ConnScratch,
     out: &mut Vec<u8>,
-) -> Served {
+) -> Served<ProxySvc> {
     if let Some(head) = lifecycle::probe_prefix(shared, &mut job, out) {
         out.extend_from_slice(head.as_slice());
     }
     let leg = lifecycle::first_leg(shared, &job);
-    let (shared, retry_stats) = (Arc::clone(shared), Arc::clone(shared));
     Served::Upstream(UpstreamPlan {
         origin: shared.cfg.origin,
         request: leg.request_bytes(scratch),
-        retry: Box::new(move || {
-            retry_stats.stats.upstream_retries.fetch_add(1, Relaxed);
-        }),
+        job,
         relay: leg.relay,
-        finish: Box::new(move |scratch, out, outcome, now| {
-            match lifecycle::settle(&shared, &job, outcome, shared.clock.at(now)) {
-                Settled::Reply(resp) => resp.write_with(out, scratch),
-                Settled::Sent => Ok(()),
-                Settled::Abort => Err(lifecycle::relay_aborted()),
-            }
-        }),
     })
 }
 
@@ -990,8 +1005,8 @@ mod tests {
         origin.stop();
     }
 
-    /// The freshness policy in virtual time: `ProxySvc::handle` and each
-    /// plan's continuation are driven with chosen stamps and scripted
+    /// The freshness policy in virtual time: `ProxySvc::handle` and
+    /// `ProxySvc::settle` are driven with chosen stamps and scripted
     /// origin answers — no client connection, no origin, no sleep. Δ is
     /// 60 s, and every step lands on either side of a freshness edge.
     #[test]
@@ -1029,15 +1044,16 @@ mod tests {
                 Served::Park(_) => panic!("{path}: no prefetcher, no join"),
             }
         };
-        // The plan's continuation, settled at `at` with `answer`.
-        let settle = |plan: Box<UpstreamPlan>, answer, at: Instant| {
+        // The plan's job, settled at `at` with `answer`.
+        let settle = |plan: Box<UpstreamPlan<UpstreamJob>>, answer, at: Instant| {
             let mut out = Vec::new();
-            (plan.finish)(&mut ConnScratch::new(), &mut out, answer, at).unwrap();
+            svc.settle(plan.job, answer, at, &mut ConnScratch::new(), &mut out)
+                .unwrap();
             x_cache(&out)
         };
         let date =
             |lm: Timestamp| format_rfc1123(unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX));
-        let validates = |plan: &UpstreamPlan, lm| {
+        let validates = |plan: &UpstreamPlan<UpstreamJob>, lm| {
             let ims = format!("If-Modified-Since: {}\r\n", date(lm));
             String::from_utf8_lossy(&plan.request).contains(&ims)
         };

@@ -21,34 +21,37 @@
 //!   slot;
 //! - a **timer wheel** (coarse ticks, lazy revalidation) enforcing idle
 //!   and read (slow-loris) timeouts without per-connection timers;
-//! - an **eventfd-backed injection queue** through which other threads
-//!   wake parked connections ([`Waker`]), and a **deferred list** for the
-//!   shard's own upstream starts, run before the next `epoll_wait`.
+//! - an **eventfd-backed injection queue** through which other threads'
+//!   [`Waker`]s deliver the jobs of parked connections, and a **deferred
+//!   list** for the shard's own upstream starts, run before the next
+//!   `epoll_wait`.
 //!
 //! The upstream leg (a proxy cache miss fetching from the origin) runs on
 //! the same epoll loop: the service returns [`Served::Upstream`] with a
-//! serialized request and a continuation, the reactor parks the client
+//! serialized request and its job, the reactor parks the client
 //! connection, dials the origin with a nonblocking `connect` (completion
 //! reported via `EPOLLOUT`), and moves bytes edge-triggered for the
 //! lifecycle's [`ExchangeMachine`] — the same one the blocking poller
 //! drives, which owns the request's write cursor, the deadline, the
 //! retry contract and the reuse verdict, and feeds every read to its
-//! [`ResponseMachine`]. The continuation runs on the reactor thread with
-//! the machine's outcome. Upstream connections are kept alive in a
-//! per-shard idle list, so a warm miss path does zero dials. Work another
-//! thread finishes (a demand miss joined to an in-flight speculation)
-//! parks the connection the same way ([`Served::Park`]) until its
-//! [`Waker`] resumes it on this shard. No request ever leaves its reactor
-//! thread: there is no worker pool. Every upstream exchange a shard runs
-//! belongs to one of its client connections; speculative prefetch GETs
-//! are the prefetch crew's own, run on the proxy's blocking pool.
+//! [`ResponseMachine`]. [`Service::settle`] runs on the reactor thread
+//! with the job and the machine's outcome. Upstream connections are kept
+//! alive in a per-shard idle list, so a warm miss path does zero dials.
+//! Work another thread finishes (a demand miss joined to an in-flight
+//! speculation) parks the connection the same way ([`Served::Park`]):
+//! the service registers its wait with the connection's [`Waker`], whose
+//! job [`Service::resume`] answers on this shard. No request ever leaves
+//! its reactor thread: there is no worker pool. Every upstream exchange a
+//! shard runs belongs to one of its client connections; speculative
+//! prefetch GETs are the prefetch crew's own, run on the proxy's blocking
+//! pool.
 //!
 //! Cache hits, errors, and every client-side read/write stay on the
 //! reactor, so a slow client can stall only its own connection —
 //! readiness on WRITABLE drains the rest.
 
 use crate::lifecycle::{grow_upstream_read, ExchangeMachine, ResponseMachine, UPSTREAM_READ};
-use crate::service::{ClientMachine, ResumeFn, Served, Service, UpstreamPlan, Waker};
+use crate::service::{ClientMachine, Served, Service, UpstreamPlan, Waker};
 use crate::stats::ReactorShardStats;
 use crate::util::{setup_client_socket, IoStats, OpenGuard, ServerHandle};
 use piggyback_httpwire::ConnScratch;
@@ -347,59 +350,60 @@ pub fn resolve_reactors(requested: usize) -> usize {
 // injection
 
 /// Work injected into a reactor from another thread: a parked
-/// connection's [`Waker`] fired, so run `then` for `token`, or close it
-/// when the waker was dropped unfired.
-struct Inbound {
+/// connection's [`Waker`] fired, so resume `token` with `job`, or close
+/// it when the waker was dropped unfired.
+struct Inbound<J> {
     token: u64,
-    then: Option<ResumeFn>,
+    job: Option<J>,
 }
 
-/// Work a shard defers to its own top level, so a continuation never runs
+/// Work a shard defers to its own top level, so a settle never runs
 /// inside the `pump` that produced it; run before the next `epoll_wait`.
-enum Deferred {
+enum Deferred<J> {
     /// Start the upstream plan the client connection `client` parked on.
-    Start { plan: UpstreamPlan, client: u64 },
-    /// Finish an exchange whose dial failed at once.
-    Failed(Exchange),
+    Start { plan: UpstreamPlan<J>, client: u64 },
+    /// Settle an exchange whose dial failed at once.
+    Failed(Exchange<J>),
 }
 
 /// Cross-thread injection queue into one reactor, woken via eventfd.
-struct Injector {
-    queue: Mutex<Vec<Inbound>>,
-    efd: EventFd,
+struct Injector<J> {
+    queue: Mutex<Vec<Inbound<J>>>,
+    efd: Arc<EventFd>,
 }
 
-impl Injector {
+impl<J> Injector<J> {
     fn new() -> io::Result<Arc<Self>> {
         Ok(Arc::new(Injector {
             queue: Mutex::new(Vec::new()),
-            efd: EventFd::new()?,
+            efd: Arc::new(EventFd::new()?),
         }))
     }
 
-    fn push(&self, c: Inbound) {
+    fn push(&self, c: Inbound<J>) {
         self.queue.lock().unwrap_or_else(|e| e.into_inner()).push(c);
         self.efd.wake();
     }
 
-    fn drain_into(&self, out: &mut Vec<Inbound>) {
+    fn drain_into(&self, out: &mut Vec<Inbound<J>>) {
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         out.append(&mut q);
     }
 }
 
-/// Stop-side handle held inside [`ServerHandle`].
+/// Stop-side handle held inside [`ServerHandle`]: the flag, each shard's
+/// eventfd to wake it to the flag, and the threads to join.
 pub(crate) struct ReactorHandle {
     stop: Arc<AtomicBool>,
-    injectors: Vec<Arc<Injector>>,
+    efds: Vec<Arc<EventFd>>,
     joins: Vec<JoinHandle<()>>,
 }
 
 impl ReactorHandle {
     pub(crate) fn stop(mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        for inj in &self.injectors {
-            inj.efd.wake();
+        for efd in &self.efds {
+            efd.wake();
         }
         for j in self.joins.drain(..) {
             let _ = j.join();
@@ -545,10 +549,10 @@ impl Wheel {
 // upstream connection state machine
 
 /// One in-flight upstream exchange, attached to an [`UpConn`].
-struct Exchange {
-    /// The plan's continuation and retry hook (its request moved into the
-    /// machine).
-    plan: UpstreamPlan,
+struct Exchange<J> {
+    /// The plan: its origin, for a retry's dial, and the job it settles
+    /// (its request moved into the machine).
+    plan: UpstreamPlan<J>,
     /// The parked client connection's token; one the slab no longer
     /// holds if the client died mid-exchange.
     client: u64,
@@ -560,7 +564,7 @@ struct Exchange {
 /// (`connect()` returned `EINPROGRESS`; `EPOLLOUT` plus `SO_ERROR` report
 /// the result), driving `ex`, or — with no `ex` — kept alive in the
 /// shard's idle list awaiting the next miss.
-struct UpConn {
+struct UpConn<J> {
     stream: TcpStream,
     dialing: bool,
     /// One read's bytes, allocated at the dial (grown once by
@@ -571,7 +575,7 @@ struct UpConn {
     /// The origin's FIN was seen: reads go on to the EOF (see
     /// [`Conn::hup`]).
     hup: bool,
-    ex: Option<Exchange>,
+    ex: Option<Exchange<J>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -581,14 +585,14 @@ struct Reactor<S: Service> {
     shard: usize,
     ep: EpollFd,
     listener: TcpListener,
-    inject: Arc<Injector>,
+    inject: Arc<Injector<S::Job>>,
     svc: Arc<S>,
     /// Shard-affine service state (the proxy's lock-free L1 cache).
     ctx: S::Ctx,
     slab: Slab<Conn>,
     /// Nonblocking origin connections, in their own token space
     /// ([`UPSTREAM_BIT`]).
-    upstreams: Slab<UpConn>,
+    upstreams: Slab<UpConn<S::Job>>,
     /// Kept-alive idle upstream tokens (all phase `Idle`).
     idle_ups: VecDeque<u64>,
     wheel: Wheel,
@@ -603,11 +607,11 @@ struct Reactor<S: Service> {
     accept_paused_until: Option<Instant>,
     accept_backoff: Duration,
     expired_buf: Vec<u64>,
-    comp_buf: Vec<Inbound>,
-    deferred: VecDeque<Deferred>,
-    /// Scratch + sink for continuations whose client connection died
-    /// mid-exchange (the continuation must still run: request counters
-    /// were bumped at plan time and conservation needs the outcome).
+    comp_buf: Vec<Inbound<S::Job>>,
+    deferred: VecDeque<Deferred<S::Job>>,
+    /// Scratch + sink for settles and resumes whose client connection
+    /// died meanwhile (they must still run: request counters were bumped
+    /// at plan time and conservation needs the outcome).
     spare_scratch: ConnScratch,
     spare_out: Vec<u8>,
     /// The clock read right after the last `epoll_wait` returned: the
@@ -907,18 +911,19 @@ impl<S: Service> Reactor<S> {
 
     /// Hand a parked connection's pending work to whatever answers it:
     /// an upstream plan starts at top level — deferred, so it never
-    /// re-enters the `pump` that produced it — and a park closure gets the
-    /// connection's [`Waker`].
-    fn park(&mut self, token: u64, served: Served) {
+    /// re-enters the `pump` that produced it — and a wait is registered
+    /// with the connection's [`Waker`], which injects its job back here.
+    fn park(&mut self, token: u64, served: Served<S>) {
         match served {
             Served::Inline => {}
             Served::Upstream(plan) => self.deferred.push_back(Deferred::Start {
                 plan,
                 client: token,
             }),
-            Served::Park(register) => {
+            Served::Park(wait) => {
                 let inject = Arc::clone(&self.inject);
-                register(Waker::new(move |then| inject.push(Inbound { token, then })))
+                let waker = Waker::new(move |job| inject.push(Inbound { token, job }));
+                self.svc.park(wait, waker);
             }
         }
     }
@@ -926,8 +931,8 @@ impl<S: Service> Reactor<S> {
     fn drain_completions(&mut self) {
         let mut comps = std::mem::take(&mut self.comp_buf);
         self.inject.drain_into(&mut comps);
-        for Inbound { token, then } in comps.drain(..) {
-            self.resume(token, then);
+        for Inbound { token, job } in comps.drain(..) {
+            self.resume(token, job);
         }
         self.comp_buf = comps;
     }
@@ -943,20 +948,22 @@ impl<S: Service> Reactor<S> {
         }
     }
 
-    /// Run a woken connection's continuation on this shard — into the
-    /// spare buffers if the client died meanwhile, since the request was
-    /// counted at plan time and its outcome still must be. An unfired
-    /// waker closes the connection.
-    fn resume(&mut self, token: u64, then: Option<ResumeFn>) {
-        let Some(then) = then else {
+    /// Resume a woken connection's job on this shard — into the spare
+    /// buffers if the client died meanwhile, since the request was counted
+    /// at plan time and its outcome still must be. An unfired waker closes
+    /// the connection.
+    fn resume(&mut self, token: u64, job: Option<S::Job>) {
+        let Some(job) = job else {
             self.close_conn(token);
             return;
         };
         let next = match self.slab.get_mut(token) {
-            Some(conn) => conn.machine.resume(then),
+            Some(conn) => conn.machine.resume(&*self.svc, job),
             None => {
                 self.spare_out.clear();
-                then(&mut self.spare_scratch, &mut self.spare_out).ok()
+                self.svc
+                    .resume(job, &mut self.spare_scratch, &mut self.spare_out)
+                    .ok()
             }
         };
         match next {
@@ -982,7 +989,7 @@ impl<S: Service> Reactor<S> {
 
     /// Begin an upstream exchange for the parked client `client`: reuse a
     /// healthy kept-alive connection or dial fresh.
-    fn start_upstream(&mut self, mut plan: UpstreamPlan, client: u64) {
+    fn start_upstream(&mut self, mut plan: UpstreamPlan<S::Job>, client: u64) {
         self.shard_stats().upstream_inflight.fetch_add(1, Relaxed);
         let request = std::mem::take(&mut plan.request);
         let response = ResponseMachine::new(plan.relay);
@@ -1021,7 +1028,7 @@ impl<S: Service> Reactor<S> {
     /// Fresh nonblocking dial for `ex`. A dial that fails at once — a
     /// failed dial is terminal — is finished at top level, never inside
     /// `pump`.
-    fn dial_upstream(&mut self, ex: Exchange) {
+    fn dial_upstream(&mut self, ex: Exchange<S::Job>) {
         self.shard_stats().upstream_dials.fetch_add(1, Relaxed);
         let Ok((stream, connected)) = dial_nonblocking(ex.plan.origin) else {
             self.deferred.push_back(Deferred::Failed(ex));
@@ -1222,14 +1229,14 @@ impl<S: Service> Reactor<S> {
             .and_then(|up| up.ex.take());
         self.close_upstream(utoken);
         let Some(ex) = ex else { return };
-        (ex.plan.retry)();
+        self.svc.retried(&ex.plan.job);
         self.dial_upstream(ex);
     }
 
     /// The exchange is over — its response ended, or it was given up:
     /// park the origin connection if the machine finds it reusable and
-    /// the idle list has room, close it otherwise, then run the
-    /// continuation with the machine's outcome.
+    /// the idle list has room, close it otherwise, then settle the job
+    /// with the machine's outcome.
     fn settle_upstream(&mut self, utoken: u64) {
         let Some(up) = self.upstreams.get_mut(utoken & !UPSTREAM_BIT) else {
             return;
@@ -1247,17 +1254,12 @@ impl<S: Service> Reactor<S> {
         self.finish_exchange(ex);
     }
 
-    /// Run the continuation with the machine's outcome at the wakeup's
-    /// stamp, writing into the parked client's buffers (or the spare set if
-    /// the client died — the continuation's counter updates must happen
-    /// regardless), then unpark and pump the client.
-    fn finish_exchange(&mut self, ex: Exchange) {
-        let Exchange {
-            plan,
-            client,
-            machine,
-        } = ex;
-        let outcome = machine.into_outcome();
+    /// Settle the job with the machine's outcome at the wakeup's stamp
+    /// ([`Service::settle`]), writing into the parked client's buffers (or
+    /// the spare set if the client died — the settle's counter updates
+    /// must happen regardless), then unpark and pump the client.
+    fn finish_exchange(&mut self, ex: Exchange<S::Job>) {
+        let (outcome, client) = (ex.machine.into_outcome(), ex.client);
         let (scratch, out) = match self.slab.get_mut(client) {
             Some(conn) => conn.machine.stage(),
             None => {
@@ -1265,7 +1267,9 @@ impl<S: Service> Reactor<S> {
                 (&mut self.spare_scratch, &mut self.spare_out)
             }
         };
-        let done = (plan.finish)(scratch, out, outcome, self.now);
+        let done = self
+            .svc
+            .settle(ex.plan.job, outcome, self.now, scratch, out);
         self.shard_stats().upstream_inflight.fetch_sub(1, Relaxed);
         // An `Err` can only end in a truncation: drain what is staged —
         // the client head and a strict prefix of the body — then close.
@@ -1371,6 +1375,7 @@ pub fn serve_reactor<S: Service>(
     let injectors = (0..shards)
         .map(|_| Injector::new())
         .collect::<io::Result<Vec<_>>>()?;
+    let efds: Vec<_> = injectors.iter().map(|i| Arc::clone(&i.efd)).collect();
     let mut joins = Vec::new();
     for (shard, listener) in listeners.into_iter().enumerate() {
         let spawned = EpollFd::new().and_then(|ep| {
@@ -1411,12 +1416,7 @@ pub fn serve_reactor<S: Service>(
                 // on their SO_REUSEPORT listeners; tear them down instead
                 // of leaking threads bound to the port with no stop
                 // handle.
-                ReactorHandle {
-                    stop,
-                    injectors,
-                    joins,
-                }
-                .stop();
+                ReactorHandle { stop, efds, joins }.stop();
                 return Err(e);
             }
         }
@@ -1424,11 +1424,7 @@ pub fn serve_reactor<S: Service>(
     Ok(ServerHandle::from_reactor(
         addr,
         io_stats,
-        ReactorHandle {
-            stop,
-            injectors,
-            joins,
-        },
+        ReactorHandle { stop, efds, joins },
     ))
 }
 

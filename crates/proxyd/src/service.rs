@@ -2,19 +2,23 @@
 //!
 //! A daemon is a [`Service`]: parse-complete requests in, serialized
 //! response bytes out. An answer that needs an origin exchange is a
-//! [`Served::Upstream`] plan, one that waits on work another thread
-//! finishes a [`Served::Park`] registration. Two pollers drive the same
-//! service (PROTOCOL.md §12): the epoll reactor ([`crate::reactor`],
-//! Linux) and the blocking poller here, which runs each connection on a
-//! worker of [`serve_with_stats`]'s pool and every plan through
-//! [`blocking_exchange`] on a [`ConnectionPool`]. Both move a client
-//! connection's bytes through one socket-free [`ClientMachine`], as they
-//! move an origin's through one [`ExchangeMachine`] — the retry contract,
-//! the attempt deadline and the reuse verdict included; a poller only
-//! moves bytes. Here a relayed read leaves in one vectored write: what it
-//! staged, then the payload span the machine forwarded in place. So the
-//! proxy and the origin are each written once, whichever engine serves
-//! them.
+//! [`Served::Upstream`] plan carrying the service's job; one that waits
+//! on work another thread finishes is a [`Served::Park`] carrying the
+//! service's wait. Both are data: the poller hands a plan's job back to
+//! [`Service::settle`] with the exchange's outcome, and a parked wait to
+//! [`Service::park`] with the connection's [`Waker`], which delivers a
+//! job back to [`Service::resume`] (PROTOCOL.md §12.4). Two pollers drive
+//! the same service (PROTOCOL.md §12): the epoll reactor
+//! ([`crate::reactor`], Linux) and the blocking poller here, which runs
+//! each connection on a worker of [`serve_with_stats`]'s pool and every
+//! plan through [`blocking_exchange`] on a [`ConnectionPool`]. Both move a
+//! client connection's bytes through one socket-free [`ClientMachine`],
+//! as they move an origin's through one [`ExchangeMachine`] — the retry
+//! contract, the attempt deadline and the reuse verdict included; a
+//! poller only moves bytes. Here a relayed read leaves in one vectored
+//! write: what it staged, then the payload span the machine forwarded in
+//! place. So the proxy and the origin are each written once, whichever
+//! engine serves them.
 
 use crate::client::{ConnectionPool, PooledConn};
 use crate::lifecycle::{self, ExchangeMachine, RelayRule, ResponseMachine, Reuse, UpstreamOutcome};
@@ -26,47 +30,41 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// What a handled request needs next, returned by [`Service::handle`].
-pub enum Served {
+/// What a handled request needs next, returned by [`Service::handle`]
+/// and [`Service::resume`].
+pub enum Served<S: Service + ?Sized> {
     /// The response is fully serialized into `out` (cache hits, metrics,
     /// synthesized errors).
     Inline,
     /// The request needs an origin exchange: the poller drives it and
-    /// calls the plan's continuation with the outcome.
-    Upstream(UpstreamPlan),
+    /// settles the plan's job with the outcome ([`Service::settle`]).
+    Upstream(UpstreamPlan<S::Job>),
     /// The request waits on work another thread finishes (a demand miss
-    /// joined to an in-flight speculation): the poller hands the closure
-    /// the connection's [`Waker`] and waits.
-    Park(ParkFn),
+    /// joined to an in-flight speculation): the poller registers the wait
+    /// with the connection's [`Waker`] ([`Service::park`]) and waits.
+    Park(S::Wait),
 }
 
-/// Registers a parked connection's [`Waker`] with whatever will finish
-/// its work; called by the poller right after the park.
-pub type ParkFn = Box<dyn FnOnce(Waker) + Send>;
-/// What a woken connection runs on its poller: it serializes into the
-/// connection's buffer like [`Service::handle`] and says what comes next
-/// the same way.
-pub type ResumeFn = Box<dyn FnOnce(&mut ConnScratch, &mut Vec<u8>) -> io::Result<Served> + Send>;
+/// Wakes one parked connection: [`wake`](Self::wake) hands a job to the
+/// poller's one delivery callback, which runs [`Service::resume`] on the
+/// connection's poller, and a waker dropped unfired hands it `None` —
+/// close the connection, nothing would ever answer it.
+pub struct Waker<J>(Option<Box<dyn FnOnce(Option<J>) + Send>>);
 
-/// Wakes one parked connection: [`wake`](Self::wake) hands the
-/// continuation to the poller's callback, and a waker dropped unfired
-/// hands it `None` — close the connection, nothing would ever answer it.
-pub struct Waker(Option<Box<dyn FnOnce(Option<ResumeFn>) + Send>>);
-
-impl Waker {
+impl<J> Waker<J> {
     /// A waker delivering to `deliver`, which the poller supplies.
-    pub(crate) fn new(deliver: impl FnOnce(Option<ResumeFn>) + Send + 'static) -> Waker {
+    pub(crate) fn new(deliver: impl FnOnce(Option<J>) + Send + 'static) -> Waker<J> {
         Waker(Some(Box::new(deliver)))
     }
 
-    /// Resume the connection with `then`, run on its poller.
-    pub fn wake(mut self, then: ResumeFn) {
+    /// Resume the connection with `job`, on its poller.
+    pub fn wake(mut self, job: J) {
         let deliver = self.0.take().expect("a waker fires once");
-        deliver(Some(then));
+        deliver(Some(job));
     }
 }
 
-impl Drop for Waker {
+impl<J> Drop for Waker<J> {
     fn drop(&mut self) {
         if let Some(deliver) = self.0.take() {
             deliver(None);
@@ -75,41 +73,42 @@ impl Drop for Waker {
 }
 
 /// One origin exchange: pre-serialized request bytes out, the response
-/// machine's [`UpstreamOutcome`] into the continuation.
-pub struct UpstreamPlan {
+/// machine's [`UpstreamOutcome`] back to the service with `job`.
+pub struct UpstreamPlan<J> {
     /// Origin to dial (or reuse a kept-alive connection to).
     pub origin: SocketAddr,
     /// The full serialized request, so the origin sees identical bytes
     /// from either poller.
     pub request: Vec<u8>,
-    /// Continuation run on the poller with the outcome and the stamp of
-    /// the upstream wakeup that finished the exchange, the time it settles
-    /// at. It must serialize the client-facing response into `out`
-    /// (append-only); an `Err` drops the client connection after what is
-    /// staged.
-    pub finish: FinishFn,
-    /// Side-effect hook invoked exactly once if the exchange is retried
-    /// on a fresh connection.
-    pub retry: RetryFn,
+    /// What the service settles the outcome against
+    /// ([`Service::settle`]), and names a retry by
+    /// ([`Service::retried`]).
+    pub job: J,
     /// Opt-in large-object cut-through: the rule the exchange's
     /// [`ResponseMachine`] decides under. `None` buffers every response.
     pub relay: Option<RelayRule>,
 }
 
-pub type FinishFn = Box<
-    dyn FnOnce(&mut ConnScratch, &mut Vec<u8>, UpstreamOutcome, Instant) -> io::Result<()> + Send,
->;
-pub type RetryFn = Box<dyn Fn() + Send>;
-
 /// A protocol engine: parse-complete requests in, serialized response
 /// bytes out. Implemented by the proxy and the origin, polled by the
-/// reactor and by [`serve_blocking`].
+/// reactor and by [`serve_blocking`]. A service that never plans or parks
+/// names no job or wait (the origin's are `Infallible`) and keeps the
+/// defaults of [`settle`](Self::settle), [`retried`](Self::retried),
+/// [`park`](Self::park) and [`resume`](Self::resume).
 pub trait Service: Send + Sync + 'static {
     /// Poller-affine service state, passed mutably to every
     /// [`handle`](Self::handle) call — a lock-free home for the proxy's
     /// L1. A reactor shard owns one; the blocking poller builds one per
     /// connection. Use `()` when the service keeps none.
     type Ctx: Send + 'static;
+
+    /// What an upstream plan carries to [`settle`](Self::settle), and a
+    /// [`Waker`] delivers to [`resume`](Self::resume).
+    type Job: Send + 'static;
+
+    /// What a parked request waits on, registered by
+    /// [`park`](Self::park).
+    type Wait: Send + 'static;
 
     /// Build a fresh context.
     fn make_ctx(&self) -> Self::Ctx;
@@ -137,13 +136,50 @@ pub trait Service: Send + Sync + 'static {
         ctx: &mut Self::Ctx,
         scratch: &mut ConnScratch,
         out: &mut Vec<u8>,
-    ) -> io::Result<Served>;
+    ) -> io::Result<Served<Self>>;
 
     /// The batch is handled and its responses are about to be written:
     /// fold what it tallied in `ctx` into shared state. Called at the end
     /// of every [`ClientMachine::advance`], so both pollers reach it
     /// before they write.
     fn end_batch(&self, _ctx: &mut Self::Ctx) {}
+
+    /// A plan's exchange ended with `outcome`, at `now` — the stamp of
+    /// the upstream wakeup that finished it, the time it settles at — on
+    /// the poller. Serialize the client-facing response into `out`
+    /// (append-only); an `Err` drops the client connection after what is
+    /// staged, and so does the default.
+    fn settle(
+        &self,
+        _job: Self::Job,
+        _outcome: UpstreamOutcome,
+        _now: Instant,
+        _scratch: &mut ConnScratch,
+        _out: &mut Vec<u8>,
+    ) -> io::Result<()> {
+        Err(io::ErrorKind::Unsupported.into())
+    }
+
+    /// The plan of `job` goes again on a fresh connection: called once,
+    /// before the retry.
+    fn retried(&self, _job: &Self::Job) {}
+
+    /// Register a parked request's `wait` with its connection's `waker`;
+    /// called by the poller right after the park. The default drops the
+    /// waker, which closes the connection.
+    fn park(&self, _wait: Self::Wait, _waker: Waker<Self::Job>) {}
+
+    /// Answer a woken connection's `job` on its poller: serialize into
+    /// `out` like [`handle`](Self::handle), and say what comes next the
+    /// same way. The default closes the connection.
+    fn resume(
+        &self,
+        _job: Self::Job,
+        _scratch: &mut ConnScratch,
+        _out: &mut Vec<u8>,
+    ) -> io::Result<Served<Self>> {
+        Err(io::ErrorKind::Unsupported.into())
+    }
 }
 
 /// Bytes the request buffer grows by when a read finds it full.
@@ -247,7 +283,7 @@ impl ClientMachine {
         ctx: &mut S::Ctx,
         peer: SocketAddr,
         now: Instant,
-    ) -> Option<Served> {
+    ) -> Option<Served<S>> {
         self.last_active = now;
         let mut parked = None;
         self.starved = false;
@@ -313,11 +349,12 @@ impl ClientMachine {
         read.map(|framing| framing.keep_alive(self.req.version))
     }
 
-    /// Run a parked connection's continuation, woken by its [`Waker`].
-    /// An inline answer unparks it, a failure closes it, and another plan
-    /// or park is returned with the connection still parked.
-    pub fn resume(&mut self, then: ResumeFn) -> Option<Served> {
-        match then(&mut self.scratch, &mut self.out) {
+    /// Answer a parked connection's `job`, delivered by its [`Waker`],
+    /// through [`Service::resume`]. An inline answer unparks it, a
+    /// failure closes it, and another plan or park is returned with the
+    /// connection still parked.
+    pub fn resume<S: Service>(&mut self, svc: &S, job: S::Job) -> Option<Served<S>> {
+        match svc.resume(job, &mut self.scratch, &mut self.out) {
             Ok(Served::Inline) => self.unpark(true),
             Ok(served) => return Some(served),
             Err(_) => self.unpark(false),
@@ -335,7 +372,7 @@ impl ClientMachine {
         };
     }
 
-    /// Where a plan's continuation or a relay stages its bytes: the
+    /// Where a plan's settle or a relay stages its bytes: the
     /// connection's scratch and its output, append-only.
     pub fn stage(&mut self) -> (&mut ConnScratch, &mut Vec<u8>) {
         (&mut self.scratch, &mut self.out)
@@ -461,7 +498,7 @@ fn poll<S: Service>(
     let mut machine = ClientMachine::new(Instant::now());
     loop {
         if let Some(served) = machine.advance(svc, &mut ctx, peer, Instant::now()) {
-            follow(served, &mut machine, pool, &mut stream);
+            follow(svc, served, &mut machine, pool, &mut stream);
         }
         // Whatever is staged goes out, even ahead of a close: a 413, or
         // the head and strict prefix of a relay that failed.
@@ -480,43 +517,52 @@ fn poll<S: Service>(
 }
 
 /// Follow `served` until the machine is unparked: a plan runs on this
-/// thread, and a park blocks until the waker fires.
-fn follow(
-    mut served: Served,
+/// thread and is settled, and a park blocks until the waker delivers the
+/// job to resume.
+fn follow<S: Service>(
+    svc: &S,
+    mut served: Served<S>,
     machine: &mut ClientMachine,
     pool: Option<&ConnectionPool>,
     w: &mut TcpStream,
 ) {
+    let mut sent = true;
     loop {
+        // What is staged leaves before the work runs or waits: answers
+        // pipelined ahead of it, a prefix hit's head. The work runs even
+        // when that write fails — the request was counted, so its outcome
+        // must be settled — and the connection closes after it.
+        sent &= write_staged(w, machine).is_ok();
         served = match served {
             Served::Inline => return machine.unpark(true),
             Served::Upstream(plan) => {
-                // A prefix hit's head leaves before the origin is dialed.
-                // The plan runs even when that write fails: the request
-                // was counted, so its outcome must be settled.
-                let sent = write_staged(w, machine);
-                let ran = pool
-                    .ok_or(io::ErrorKind::Unsupported.into())
-                    .and_then(|pool| {
-                        let (scratch, out) = machine.stage();
-                        run_plan(plan, pool, scratch, out, |seg, span| {
-                            let mut w = Until(w, pool.timeout.map(|t| Instant::now() + t));
-                            write_all_parts(&mut w, &[seg, span]).map(|()| seg.clear())
-                        })
-                    });
-                return machine.unpark(sent.is_ok() && ran.is_ok());
-            }
-            Served::Park(register) => {
-                let (tx, rx) = mpsc::channel();
-                register(Waker::new(move |then| {
-                    let _ = tx.send(then);
-                }));
-                let Ok(Some(then)) = rx.recv() else {
+                let Some(pool) = pool else {
                     return machine.unpark(false);
                 };
-                match machine.resume(then) {
+                let (scratch, out) = machine.stage();
+                let flush = |seg: &mut Vec<u8>, span: &[u8]| {
+                    let mut w = Until(w, pool.timeout.map(|t| Instant::now() + t));
+                    write_all_parts(&mut w, &[seg, span]).map(|()| seg.clear())
+                };
+                let retried = || svc.retried(&plan.job);
+                let (outcome, now) =
+                    pool_exchange(plan.request, plan.relay, pool, out, retried, flush);
+                let settled = svc.settle(plan.job, outcome, now, scratch, out);
+                return machine.unpark(sent && settled.is_ok());
+            }
+            Served::Park(wait) => {
+                let (tx, rx) = mpsc::channel();
+                let waker = Waker::new(move |job| {
+                    let _ = tx.send(job);
+                });
+                svc.park(wait, waker);
+                let Ok(Some(job)) = rx.recv() else {
+                    return machine.unpark(false);
+                };
+                match machine.resume(svc, job) {
                     Some(next) => next,
-                    None => return,
+                    None if sent => return,
+                    None => return machine.unpark(false),
                 }
             }
         }
@@ -557,26 +603,21 @@ fn write_staged(w: &mut TcpStream, machine: &mut ClientMachine) -> io::Result<()
     written
 }
 
-/// Run `plan`'s one exchange on the calling thread: [`blocking_exchange`]
-/// over `pool`, with `out` as the machine's sink, handing `flush` what
-/// each read staged and its span of payload forwarded in place, to go out
-/// in that order; then the continuation, with the outcome and one clock
-/// read taken as the exchange returned. A relay holds one read's worth,
-/// never the body.
-pub(crate) fn run_plan(
-    plan: UpstreamPlan,
+/// Run one exchange of `request` on the calling thread:
+/// [`blocking_exchange`] over `pool`, with `out` as the machine's sink,
+/// handing `flush` what each read staged and its span of payload
+/// forwarded in place, to go out in that order, and calling `retried`
+/// before a retry. Returns the outcome and one clock read taken as the
+/// exchange returned, the stamp it settles at. A relay holds one read's
+/// worth, never the body.
+pub(crate) fn pool_exchange(
+    request: Vec<u8>,
+    relay: Option<RelayRule>,
     pool: &ConnectionPool,
-    scratch: &mut ConnScratch,
     out: &mut Vec<u8>,
+    mut retried: impl FnMut(),
     mut flush: impl FnMut(&mut Vec<u8>, &[u8]) -> io::Result<()>,
-) -> io::Result<()> {
-    let UpstreamPlan {
-        request,
-        finish,
-        retry,
-        relay,
-        ..
-    } = plan;
+) -> (UpstreamOutcome, Instant) {
     let machine = ResponseMachine::new(relay);
     let (outcome, kept) = blocking_exchange(
         ExchangeMachine::new(request, true, machine, Instant::now()),
@@ -584,7 +625,7 @@ pub(crate) fn run_plan(
             if !again {
                 return pool.checkout();
             }
-            retry();
+            retried();
             pool.connect_fresh()
         },
         out,
@@ -594,7 +635,7 @@ pub(crate) fn run_plan(
     if let Some((conn, reuse)) = kept {
         pool.checkin(conn, reuse);
     }
-    finish(scratch, out, outcome, now)
+    (outcome, now)
 }
 
 /// Drive `machine` to its outcome on blocking connections, for every

@@ -2012,6 +2012,64 @@ fn a_demand_joined_to_a_failing_speculation_fetches_once_on_both_engines() {
     });
 }
 
+/// A joined client that hangs up before the speculation lands still
+/// settles: its parked demand is resumed and counted when the speculation
+/// settles, though nobody reads the answer. The joiner pipelines a hit of
+/// the page ahead of `GET /mate.html` and closes with that answer unread,
+/// so its close is a reset: the reactor drops the connection at once and
+/// resumes the joined demand into its spare buffers, a slot it no longer
+/// holds; the blocking poller resumes it on the worker still waiting for
+/// it, and the write to the dead socket fails.
+#[test]
+fn a_joined_client_that_hangs_up_still_settles_on_both_engines() {
+    assert_engine_parity(|io| {
+        let (origin, gets) = mate_origin(|stream| write_ok(stream, MATE, &pattern(MATE)));
+        let mut cfg = ProxyConfig::new(origin.addr);
+        cfg.io = io;
+        cfg.report_hits = false;
+        cfg.rpv = None;
+        cfg.prefetch_budget = 1;
+        let proxy = start_proxy(cfg).unwrap();
+        assert_eq!(whole_get(proxy.addr(), "/page.html").0, "MISS", "{io:?}");
+        wait_for("speculation held on the wire", || {
+            gets.speculative.load(Ordering::SeqCst) == 1
+        });
+        let mut joiner = std::net::TcpStream::connect(proxy.addr()).unwrap();
+        joiner
+            .write_all(b"GET /page.html HTTP/1.1\r\n\r\nGET /mate.html HTTP/1.1\r\n\r\n")
+            .unwrap();
+        wait_for("demand counted", || proxy.stats().requests == 3);
+        // The page's answer has arrived, and the demand has claimed.
+        joiner.peek(&mut [0]).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        drop(joiner);
+        let open = || proxy.io_stats().open_connections();
+        if io != piggyback::proxyd::IoMode::Threaded {
+            wait_for("the reactor dropped the joiner", || open() == 0);
+        }
+        gets.release.store(true, Ordering::SeqCst);
+        wait_for("quiescence", || {
+            let s = proxy.stats();
+            open() == 0 && s.outcomes() == s.requests
+        });
+        let s = ledger(&proxy);
+        assert_eq!(
+            s.prefetch_issued,
+            s.prefetch_used + s.prefetch_wasted + s.prefetch_inflight,
+            "{io:?}: speculation ledger: {s:?}"
+        );
+        assert_eq!((s.prefetch_used, s.fresh_hits), (1, 2), "{io:?}: {s:?}");
+        proxy.stop();
+        origin.stop();
+        let gets = (
+            gets.speculative.load(Ordering::SeqCst),
+            gets.demand.load(Ordering::SeqCst),
+        );
+        assert_eq!(gets, (1, 0), "{io:?}: one origin GET of the mate");
+        (s, gets)
+    });
+}
+
 /// `--prefetch-budget N` bounds speculation in flight: a page naming more
 /// candidates than the budget, each plain GET held at the origin until
 /// released, puts exactly N on the wire at once — the rest wait queued —

@@ -195,7 +195,8 @@ fn replay_and_live_proxy_decide_alike() {
             Ok(Served::Inline) => {}
             Ok(Served::Upstream(plan)) => {
                 let outcome = answer(&mut origin, &plan.request, entry.client, now);
-                (plan.finish)(&mut scratch, &mut out, outcome, at).expect("settles");
+                svc.settle(plan.job, outcome, at, &mut scratch, &mut out)
+                    .expect("settles");
             }
             Ok(Served::Park(_)) => panic!("step {k}: no prefetcher, so no join"),
             Err(e) => panic!("step {k}: {e}"),

@@ -7,7 +7,7 @@
 //! and one `ExchangeMachine`, so every lane must hold on both.
 
 use piggyback::httpwire::{ConnScratch, Request};
-use piggyback::proxyd::service::{serve_blocking, Served, Service};
+use piggyback::proxyd::service::{serve_blocking, Served, Service, Waker};
 use piggyback::proxyd::util::{IoStats, ServeOptions, ServerHandle};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -90,6 +90,8 @@ struct Echo;
 
 impl Service for Echo {
     type Ctx = ();
+    type Job = ();
+    type Wait = ();
 
     fn make_ctx(&self) {}
 
@@ -101,7 +103,7 @@ impl Service for Echo {
         _ctx: &mut (),
         _scratch: &mut ConnScratch,
         out: &mut Vec<u8>,
-    ) -> io::Result<Served> {
+    ) -> io::Result<Served<Self>> {
         write_echo(out, &req.target);
         Ok(Served::Inline)
     }
@@ -191,6 +193,8 @@ const BIG_BODY: usize = 64 * 1024;
 
 impl Service for Big {
     type Ctx = ();
+    type Job = ();
+    type Wait = ();
 
     fn make_ctx(&self) {}
 
@@ -202,7 +206,7 @@ impl Service for Big {
         _ctx: &mut (),
         _scratch: &mut ConnScratch,
         out: &mut Vec<u8>,
-    ) -> io::Result<Served> {
+    ) -> io::Result<Served<Self>> {
         write!(out, "HTTP/1.1 200 OK\r\nContent-Length: {BIG_BODY}\r\n\r\n").unwrap();
         out.resize(out.len() + BIG_BODY, b'x');
         Ok(Served::Inline)
@@ -250,6 +254,8 @@ struct Parked;
 
 impl Service for Parked {
     type Ctx = ();
+    type Job = String;
+    type Wait = Option<String>;
 
     fn make_ctx(&self) {}
 
@@ -261,24 +267,34 @@ impl Service for Parked {
         _ctx: &mut (),
         _scratch: &mut ConnScratch,
         out: &mut Vec<u8>,
-    ) -> io::Result<Served> {
+    ) -> io::Result<Served<Self>> {
         let path = req.target.clone();
         if path.starts_with("/drop") {
-            return Ok(Served::Park(Box::new(drop)));
+            return Ok(Served::Park(None));
         }
         if !path.starts_with("/park") {
             write_echo(out, &path);
             return Ok(Served::Inline);
         }
-        Ok(Served::Park(Box::new(move |waker| {
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(5));
-                waker.wake(Box::new(move |_scratch, out| {
-                    write_echo(out, &path);
-                    Ok(Served::Inline)
-                }));
-            });
-        })))
+        Ok(Served::Park(Some(path)))
+    }
+
+    fn park(&self, wait: Option<String>, waker: Waker<String>) {
+        let Some(path) = wait else { return };
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(5));
+            waker.wake(path);
+        });
+    }
+
+    fn resume(
+        &self,
+        path: String,
+        _scratch: &mut ConnScratch,
+        out: &mut Vec<u8>,
+    ) -> io::Result<Served<Self>> {
+        write_echo(out, &path);
+        Ok(Served::Inline)
     }
 }
 
@@ -360,8 +376,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const BAD_GATEWAY: &[u8] = b"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n";
 
 /// Forwarding service: every request becomes an upstream exchange; the
-/// origin's body comes back echoed, any failure as a 502. Counts the calls
-/// to its retry hook.
+/// origin's body comes back echoed, any failure as a 502. Counts the
+/// retries it is told of.
 struct Fwd {
     origin: SocketAddr,
     retries: Arc<AtomicU64>,
@@ -369,6 +385,8 @@ struct Fwd {
 
 impl Service for Fwd {
     type Ctx = ();
+    type Job = ();
+    type Wait = ();
 
     fn make_ctx(&self) {}
 
@@ -380,25 +398,34 @@ impl Service for Fwd {
         _ctx: &mut (),
         _scratch: &mut ConnScratch,
         _out: &mut Vec<u8>,
-    ) -> io::Result<Served> {
-        let retries = Arc::clone(&self.retries);
+    ) -> io::Result<Served<Self>> {
         Ok(Served::Upstream(UpstreamPlan {
             origin: self.origin,
             request: format!("GET {} HTTP/1.1\r\nHost: fwd\r\n\r\n", req.target).into_bytes(),
-            finish: Box::new(|_scratch, out, outcome, _now| {
-                match outcome {
-                    UpstreamOutcome::Response(resp) => {
-                        write_echo(out, &String::from_utf8_lossy(&resp.body))
-                    }
-                    _ => out.extend_from_slice(BAD_GATEWAY),
-                }
-                Ok(())
-            }),
-            retry: Box::new(move || {
-                retries.fetch_add(1, Ordering::Relaxed);
-            }),
+            job: (),
             relay: None,
         }))
+    }
+
+    fn settle(
+        &self,
+        _job: (),
+        outcome: UpstreamOutcome,
+        _now: std::time::Instant,
+        _scratch: &mut ConnScratch,
+        out: &mut Vec<u8>,
+    ) -> io::Result<()> {
+        match outcome {
+            UpstreamOutcome::Response(resp) => {
+                write_echo(out, &String::from_utf8_lossy(&resp.body))
+            }
+            _ => out.extend_from_slice(BAD_GATEWAY),
+        }
+        Ok(())
+    }
+
+    fn retried(&self, _job: &()) {
+        self.retries.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -524,7 +551,7 @@ fn nonblocking_upstream_roundtrip_reuses_connections() {
 }
 
 /// A dead origin (connection refused) fails the exchange without a retry
-/// — a failed dial is terminal — and the continuation answers 502.
+/// — a failed dial is terminal — and the settle answers 502.
 #[test]
 fn upstream_dial_failure_yields_502() {
     // A port that is certainly closed.

@@ -968,6 +968,8 @@ struct Fake;
 
 impl Service for Fake {
     type Ctx = Vec<String>;
+    type Job = String;
+    type Wait = ();
 
     fn make_ctx(&self) -> Vec<String> {
         Vec::new()
@@ -985,26 +987,44 @@ impl Service for Fake {
         ctx: &mut Vec<String>,
         _scratch: &mut ConnScratch,
         out: &mut Vec<u8>,
-    ) -> std::io::Result<Served> {
+    ) -> std::io::Result<Served<Self>> {
         let what = format!("{} {} {:?}", req.method, req.target, &req.body[..]);
         ctx.push(what.clone());
         if req.target.starts_with("/up") {
             return Ok(Served::Upstream(UpstreamPlan {
                 origin: peer,
                 request: Vec::new(),
-                finish: Box::new(move |_scratch, out, outcome, _now| {
-                    let failed = matches!(outcome, UpstreamOutcome::Failed);
-                    writeln!(out, "upstream {what} failed {failed}")?;
-                    Ok(())
-                }),
-                retry: Box::new(|| {}),
+                job: what,
                 relay: None,
             }));
         }
         if req.target.starts_with("/park") {
-            return Ok(Served::Park(Box::new(drop)));
+            return Ok(Served::Park(()));
         }
         writeln!(out, "inline {what}")?;
+        Ok(Served::Inline)
+    }
+
+    fn settle(
+        &self,
+        what: String,
+        outcome: UpstreamOutcome,
+        _now: Instant,
+        _scratch: &mut ConnScratch,
+        out: &mut Vec<u8>,
+    ) -> std::io::Result<()> {
+        let failed = matches!(outcome, UpstreamOutcome::Failed);
+        writeln!(out, "upstream {what} failed {failed}")?;
+        Ok(())
+    }
+
+    fn resume(
+        &self,
+        _job: String,
+        _scratch: &mut ConnScratch,
+        out: &mut Vec<u8>,
+    ) -> std::io::Result<Served<Self>> {
+        out.extend_from_slice(b"resumed\n");
         Ok(Served::Inline)
     }
 }
@@ -1066,15 +1086,13 @@ fn run_client(pieces: &[&[u8]]) -> ClientRun {
                     Served::Upstream(plan) => {
                         run.parked.push("upstream");
                         let (scratch, out) = machine.stage();
-                        let settled = (plan.finish)(scratch, out, UpstreamOutcome::Failed, now);
+                        let settled =
+                            Fake.settle(plan.job, UpstreamOutcome::Failed, now, scratch, out);
                         machine.unpark(settled.is_ok());
                     }
-                    Served::Park(_) => {
+                    Served::Park(()) => {
                         run.parked.push("park");
-                        next = machine.resume(Box::new(|_scratch, out| {
-                            out.extend_from_slice(b"resumed\n");
-                            Ok(Served::Inline)
-                        }));
+                        next = machine.resume(&Fake, String::new());
                     }
                 }
             }

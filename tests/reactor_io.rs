@@ -253,7 +253,7 @@ fn reactor_survives_dead_origin_with_502s() {
     origin.stop();
 
     // Uncached path: the upstream exchange's dial fails and its
-    // continuation must answer a 502 — not close the connection.
+    // settle must answer a 502 — not close the connection.
     let resp = raw_roundtrip(&mut conn, &get_bytes(&cold_path));
     assert!(
         resp.starts_with(b"HTTP/1.1 502"),
